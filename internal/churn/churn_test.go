@@ -146,6 +146,10 @@ func TestStateEffectiveLinkState(t *testing.T) {
 	if st.LinkDown(0, 1) || st.DownLinks() != 0 || st.DownNodes() != 0 {
 		t.Fatal("fresh state has damage")
 	}
+	if live := st.LiveGraph(); live.NumNodes() != top.NumNodes() || live.NumEdges() != top.Graph.NumEdges() {
+		t.Fatalf("fresh live graph has %d nodes, %d links; topology %d, %d",
+			live.NumNodes(), live.NumEdges(), top.NumNodes(), top.Graph.NumEdges())
+	}
 	st.linkDown[packLink(1, 0)] = true // packed order-insensitive
 	st.invalidateLive()
 	if !st.LinkDown(0, 1) || !st.LinkDown(1, 0) {

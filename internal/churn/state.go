@@ -170,6 +170,12 @@ func (s *State) LiveGraph() *graph.Graph {
 	if s.live != nil {
 		return s.live
 	}
+	if len(s.linkDown) == 0 && s.DownNodes() == 0 {
+		// Everything is up — every boot, and any fully healed state: the
+		// live graph is the topology's own (immutable) graph, not a copy.
+		s.live, s.downLinks = s.top.Graph, 0
+		return s.live
+	}
 	b := graph.NewBuilder(s.top.NumNodes())
 	down := 0
 	s.top.Graph.Edges(func(u, v int) bool {

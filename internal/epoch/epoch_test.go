@@ -45,16 +45,21 @@ func TestPublisherMonotonicEpochs(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	// Metrics.View is a writer-side call: captures must be serialized.
+	var viewMu sync.Mutex
 	const writers, rounds = 4, 50
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
+				viewMu.Lock()
+				view := m.View()
+				viewMu.Unlock()
 				next := NewSnapshot(SnapshotData{
 					Top: top, Live: top.Graph, Brokers: brokers,
 					NodeDown: make([]bool, top.NumNodes()),
-					View:     m.View(),
+					View:     view,
 				})
 				pub.Publish(context.Background(), next)
 			}

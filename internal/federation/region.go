@@ -149,8 +149,7 @@ func (reg *Region) maybePublish(ctx context.Context) {
 		return
 	}
 	reg.lastVersion = v
-	reg.Pub.Publish(ctx, epoch.NewSnapshot(epoch.SnapshotData{
-		Top: reg.Top, Live: reg.Top.Graph, Brokers: reg.Brokers,
-		View: reg.Metrics.View(), Region: reg.ID, Orig: reg.Orig,
-	}))
+	// Only reservations change after boot (the region graph and coalition
+	// are fixed), so the successor shares everything but the view.
+	reg.Pub.Publish(ctx, reg.Pub.Current().WithView(reg.Metrics.View()))
 }

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -158,7 +159,7 @@ func (b *Builder) Build() (*Graph, error) {
 	newOff := make([]int32, b.n+1)
 	for u := 0; u < b.n; u++ {
 		ns := adj[off[u]:off[u+1]]
-		sortInt32(ns)
+		slices.Sort(ns)
 		start := len(out)
 		var prev int32 = -1
 		for _, v := range ns {
@@ -181,10 +182,6 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func sortInt32(s []int32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
 // InducedSubgraph returns the subgraph induced by keep (nodes with

@@ -104,6 +104,11 @@ func TestQuerySingleflightDedup(t *testing.T) {
 	ctx := context.Background()
 
 	const n = 16
+	// Hold the leader in Compute until every other query has joined its
+	// flight: one released earlier would fill the cache, and late arrivals
+	// would count as hits instead of dedups.
+	joined := make(chan struct{}, n-1)
+	qp.flights.joined = func() { joined <- struct{}{} }
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -113,9 +118,8 @@ func TestQuerySingleflightDedup(t *testing.T) {
 			_, _, errs[i] = qp.Query(ctx, 7, 8, routing.Options{})
 		}(i)
 	}
-	// Let the flight leader start, then release it.
-	for cc.calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
+	for i := 0; i < n-1; i++ {
+		<-joined
 	}
 	close(cc.block)
 	wg.Wait()

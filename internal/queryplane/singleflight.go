@@ -25,6 +25,10 @@ type call struct {
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[flightKey]*call
+	// joined, when set, is called by each follower once it is committed to
+	// a flight and before it blocks on the leader. Tests use it to hold a
+	// leader until a known number of followers have joined.
+	joined func()
 }
 
 // do runs fn once per concurrent flightKey: the first caller (leader)
@@ -37,6 +41,9 @@ func (g *flightGroup) do(k flightKey, fn func() (*routing.Path, error)) (path *r
 	}
 	if c, ok := g.m[k]; ok {
 		g.mu.Unlock()
+		if g.joined != nil {
+			g.joined()
+		}
 		c.wg.Wait()
 		return c.path, true, c.err
 	}

@@ -162,20 +162,19 @@ func pathSignature(nodes []int32) string {
 }
 
 // flatHeap is a boxing-free binary min-heap of (node, cost) pairs used by
-// the hop-unbounded Dijkstra hot path.
+// the hop-unbounded search hot path; the zero value is an empty heap.
 type flatHeap struct {
 	nodes []int32
 	costs []float64
 }
 
-func newFlatHeap(capacity int) *flatHeap {
-	return &flatHeap{
-		nodes: make([]int32, 0, capacity),
-		costs: make([]float64, 0, capacity),
-	}
-}
-
 func (h *flatHeap) len() int { return len(h.nodes) }
+
+// reset empties the heap, keeping its backing arrays for reuse.
+func (h *flatHeap) reset() {
+	h.nodes = h.nodes[:0]
+	h.costs = h.costs[:0]
+}
 
 func (h *flatHeap) push(node int32, cost float64) {
 	h.nodes = append(h.nodes, node)

@@ -26,6 +26,12 @@ import (
 // latency/capacity/failed change rarely (scenario setters, churn events)
 // and COW whole arrays; used changes on every commit and is paged
 // (pagedF64) so only dirtied pages are ever copied.
+//
+// Invariant: every column agrees on both arcs of a link. Constructors and
+// mutators only ever write the pair (bothArcs), and the bidirectional path
+// search depends on it — its backward side reads arc u→v for a step
+// travelled v→u. TestArcStateSymmetric checks it; a directional metric
+// would have to change the search with it.
 type arcState struct {
 	latency  []float64 // milliseconds, per arc
 	capacity []float64 // Gbps, per arc
@@ -121,19 +127,8 @@ func DefaultMetrics(top *topology.Topology, rng *rand.Rand) *Metrics {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	nArcs := top.Graph.NumArcs()
-	m := &Metrics{
-		top: top,
-		arcState: arcState{
-			latency:  make([]float64, nArcs),
-			capacity: make([]float64, nArcs),
-			used:     newPagedF64(nArcs),
-			failed:   make([]bool, nArcs),
-		},
-	}
-	top.Graph.Edges(func(u, v int) bool {
-		var lat, cap float64
-		switch top.Rel(u, v) {
+	return NewMetricsFunc(top, func(u, v int32) (lat, cap float64) {
+		switch top.Rel(int(u), int(v)) {
 		case topology.RelMember:
 			lat = 1 + 4*rng.Float64() // co-located switch port
 			cap = 40 + 60*rng.Float64()
@@ -149,21 +144,19 @@ func DefaultMetrics(top *topology.Topology, rng *rand.Rand) *Metrics {
 			lat *= 0.5
 			cap *= 4
 		}
-		a, b := m.bothArcs(int32(u), int32(v))
-		m.latency[a], m.latency[b] = lat, lat
-		m.capacity[a], m.capacity[b] = cap, cap
-		return true
+		return lat, cap
 	})
-	return m
 }
 
 // NewMetricsFunc builds metrics for top by evaluating f once per undirected
-// edge (both directions get the returned latency/capacity). It is the bulk
-// constructor region planes use to copy a global metric assignment into a
-// subtopology: per-edge SetLatency/SetCapacity would copy the whole array
-// per call (copy-on-write), turning an O(E) copy into O(E²).
+// edge, in Graph.Edges order (both directions get the returned
+// latency/capacity). It is the bulk constructor region planes use to copy a
+// global metric assignment into a subtopology: per-edge
+// SetLatency/SetCapacity would copy the whole array per call
+// (copy-on-write), turning an O(E) copy into O(E²).
 func NewMetricsFunc(top *topology.Topology, f func(u, v int32) (latencyMs, capacityGbps float64)) *Metrics {
-	nArcs := top.Graph.NumArcs()
+	g := top.Graph
+	nArcs := g.NumArcs()
 	m := &Metrics{
 		top: top,
 		arcState: arcState{
@@ -173,13 +166,24 @@ func NewMetricsFunc(top *topology.Topology, f func(u, v int32) (latencyMs, capac
 			failed:   make([]bool, nArcs),
 		},
 	}
-	top.Graph.Edges(func(u, v int) bool {
-		lat, cap := f(int32(u), int32(v))
-		a, b := m.bothArcs(int32(u), int32(v))
-		m.latency[a], m.latency[b] = lat, lat
-		m.capacity[a], m.capacity[b] = cap, cap
-		return true
-	})
+	// Links are visited by ascending lower endpoint u, which is the order
+	// the lower endpoints appear in v's sorted neighbour list: paired[v]
+	// counts how many of them have been seen, so it indexes arc v→u
+	// without the two binary searches of bothArcs.
+	paired := make([]int32, g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		off := g.ArcOffset(u)
+		for i, v := range g.Neighbors(u) {
+			if int(v) <= u {
+				continue
+			}
+			lat, cap := f(int32(u), v)
+			a, b := off+i, g.ArcOffset(int(v))+int(paired[v])
+			paired[v]++
+			m.latency[a], m.latency[b] = lat, lat
+			m.capacity[a], m.capacity[b] = cap, cap
+		}
+	}
 	return m
 }
 

@@ -10,14 +10,10 @@ import (
 	"brokerset/internal/topology"
 )
 
-// lineTopology builds 0-1-2-3-4 with peer links.
-func lineTopology(t testing.TB, n int) *topology.Topology {
-	t.Helper()
-	b := graph.NewBuilder(n)
-	for i := 0; i+1 < n; i++ {
-		b.AddEdge(i, i+1)
-	}
-	g := b.MustBuild()
+// peerTopology wraps g as a topology of tier-3 networks joined by peer
+// links.
+func peerTopology(g *graph.Graph) *topology.Topology {
+	n := g.NumNodes()
 	top := &topology.Topology{
 		Graph: g,
 		Class: make([]topology.Class, n),
@@ -34,6 +30,16 @@ func lineTopology(t testing.TB, n int) *topology.Topology {
 	return top
 }
 
+// lineTopology builds 0-1-2-3-4 with peer links.
+func lineTopology(t testing.TB, n int) *topology.Topology {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for i := 0; i+1 < n; i++ {
+		b.AddEdge(i, i+1)
+	}
+	return peerTopology(b.MustBuild())
+}
+
 // diamondTopology: 0 connects to 3 via 1 (fast) and 2 (slow).
 func diamondTopology(t testing.TB) (*topology.Topology, *Metrics) {
 	t.Helper()
@@ -42,17 +48,7 @@ func diamondTopology(t testing.TB) (*topology.Topology, *Metrics) {
 	b.AddEdge(1, 3)
 	b.AddEdge(0, 2)
 	b.AddEdge(2, 3)
-	g := b.MustBuild()
-	top := &topology.Topology{
-		Graph: g,
-		Class: make([]topology.Class, 4),
-		Tier:  []uint8{3, 3, 3, 3},
-		Name:  make([]string, 4),
-	}
-	g.Edges(func(u, v int) bool {
-		top.SetRel(u, v, topology.RelPeer)
-		return true
-	})
+	top := peerTopology(b.MustBuild())
 	m := DefaultMetrics(top, rand.New(rand.NewSource(1)))
 	// Force the 1-route fast and the 2-route slow, both 10 Gbps.
 	m.SetLatency(0, 1, 1)

@@ -3,6 +3,8 @@ package routing
 import (
 	"container/heap"
 	"fmt"
+	"math"
+	"sync"
 
 	"brokerset/internal/topology"
 )
@@ -111,60 +113,176 @@ func (s *pathSearch) bestPath(src, dst int, opts Options) (*Path, error) {
 	return s.describe(nodes), nil
 }
 
-// bestPathUnbounded is the hop-unbounded Dijkstra over slice state — the
-// hot path for serving and simulation workloads.
+// bestPathUnbounded is the hop-unbounded search — the hot path for serving
+// and simulation workloads. It is a bidirectional Dijkstra: a forward
+// search from src and a backward search from dst over the same adjacency,
+// expanding the side whose heap top is smaller, with mu the cost of the
+// best src→dst walk seen through a node both sides have reached. It stops
+// when topF+topB >= mu (no unexpanded pair of labels can beat mu) or when
+// either heap empties (that side has settled everything it can reach, so mu
+// is final, or there is no path). Both tests hold whichever side is
+// expanded, which is what lets meet bound one side's lead over the other.
+//
+// The backward side relaxes the step v→u by reading arc u→v. That is exact
+// only because every per-arc input is symmetric (see arcState), domination
+// and the penalty key are undirected, and BrokersOnly exempts exactly the
+// far endpoint of each side: dst for the forward search, src for the
+// backward one. Latencies are positive (DefaultMetrics and every
+// NewMetricsFunc caller guarantee it), so the two half-paths meet in one
+// node and the stitched sequence is simple.
 func (s *pathSearch) bestPathUnbounded(src, dst int, opts Options) (*Path, error) {
-	n := s.top.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-		parent[i] = -1
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	sc.reset(s.top.NumNodes())
+	meet := s.meet(sc, int32(src), int32(dst), opts)
+	if meet < 0 {
+		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
 	}
-	dist[src] = 0
-	parent[src] = int32(src)
-	pq := newFlatHeap(64)
-	pq.push(int32(src), 0)
-	for pq.len() > 0 {
-		u, cost := pq.pop()
-		if cost > dist[u] {
-			continue
-		}
-		if int(u) == dst {
+	return s.describe(sc.stitch(meet, int32(src), int32(dst))), nil
+}
+
+// meet runs the two-sided search over sc and returns the node where the
+// best src→dst path's halves join, or -1 when dst is unreachable.
+func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32 {
+	gen := sc.gen
+	fwd, bwd := &sc.fwd, &sc.bwd
+	fwd.label(src, src, 0, gen)
+	bwd.label(dst, dst, 0, gen)
+	mu, meet := math.Inf(1), int32(-1)
+	// lead is the arcs the forward side has scanned minus the backward
+	// side's. The smaller-top rule alone degenerates when one endpoint sits
+	// behind a long first link and the other is a hub of short ones (a stub
+	// AS and an IXP): the stub's heap top jumps to that link's latency and
+	// the hub side floods everything nearer than that, thousands of nodes
+	// against one. So a side more than maxLead arcs ahead yields its turn.
+	lead, maxLead := 0, s.top.NumNodes()
+	for fwd.heap.len() > 0 && bwd.heap.len() > 0 {
+		topF, topB := fwd.heap.costs[0], bwd.heap.costs[0]
+		if topF+topB >= mu {
 			break
 		}
+		backward := topB < topF
+		if lead > maxLead {
+			backward = true
+		} else if lead < -maxLead {
+			backward = false
+		}
+		side, other, far, topOther := fwd, bwd, dst, topB
+		if backward {
+			side, other, far, topOther = bwd, fwd, src, topF
+		}
+		u, cost := side.heap.pop()
+		if cost > side.state[u].dist {
+			continue // superseded heap entry
+		}
 		off := s.top.Graph.ArcOffset(int(u))
-		for i, v := range s.top.Graph.Neighbors(int(u)) {
+		nbrs := s.top.Graph.Neighbors(int(u))
+		if backward {
+			lead -= len(nbrs) + 1
+		} else {
+			lead += len(nbrs) + 1
+		}
+		for i, v := range nbrs {
 			arc := off + i
 			if !s.usableArc(u, v, arc, opts) {
 				continue
 			}
-			if opts.BrokersOnly && int(v) != dst && !s.inB[v] {
+			if opts.BrokersOnly && v != far && !s.inB[v] {
 				continue
 			}
 			nd := cost + s.arcs.latency[arc]*s.penaltyFactor(u, v)
-			if dist[v] < 0 || nd < dist[v] {
-				dist[v] = nd
-				parent[v] = u
-				pq.push(v, nd)
+			if sv := &side.state[v]; sv.stamp == gen && sv.dist <= nd {
+				continue
 			}
+			if ov := &other.state[v]; ov.stamp == gen {
+				if nd+ov.dist < mu {
+					mu, meet = nd+ov.dist, v
+				}
+			} else if nd+topOther >= mu {
+				// The far side has yet to reach v, so the rest of any path
+				// through v costs at least its heap top: v cannot beat mu.
+				continue
+			}
+			side.label(v, u, nd, gen)
 		}
 	}
-	if parent[dst] == -1 {
-		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
+	return meet
+}
+
+// searchScratch is the per-search working state, pooled so a search does no
+// O(n) allocation or initialisation. A node's label on either side is live
+// only while its stamp equals gen; reset "clears" both sides by bumping
+// gen and wipes the arrays only when the uint32 wraps. The arrays
+// are sized to the largest graph seen and reused as-is for smaller ones
+// (federation regions differ in size), so a pool entry settles at two
+// 16-byte labels per node of the largest topology in the process. A search
+// returns its scratch to the pool on every path, and nothing it returns may
+// alias it.
+type searchScratch struct {
+	fwd, bwd searchSide
+	gen      uint32
+}
+
+// searchSide is one direction's labels and frontier.
+type searchSide struct {
+	state []nodeLabel
+	heap  flatHeap
+}
+
+// nodeLabel packs what a relaxation reads and writes for one node into a
+// single 16-byte slot, so each touches one cache line per side.
+type nodeLabel struct {
+	dist   float64
+	parent int32
+	stamp  uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// reset empties both sides, growing the label arrays to n nodes first.
+func (sc *searchScratch) reset(n int) {
+	if len(sc.fwd.state) < n {
+		sc.fwd.state = make([]nodeLabel, n)
+		sc.bwd.state = make([]nodeLabel, n)
+		sc.gen = 0
 	}
-	var rev []int32
-	for u := int32(dst); ; u = parent[u] {
-		rev = append(rev, u)
-		if int(u) == src {
-			break
-		}
+	sc.gen++
+	if sc.gen == 0 { // wrapped: labels from 2^32 searches ago would look live
+		clear(sc.fwd.state)
+		clear(sc.bwd.state)
+		sc.gen = 1
 	}
-	nodes := make([]int32, len(rev))
-	for i := range rev {
-		nodes[i] = rev[len(rev)-1-i]
+	sc.fwd.heap.reset()
+	sc.bwd.heap.reset()
+}
+
+// label records a better tentative distance for v reached from parent and
+// queues it.
+func (d *searchSide) label(v, parent int32, dist float64, gen uint32) {
+	d.state[v] = nodeLabel{dist: dist, parent: parent, stamp: gen}
+	d.heap.push(v, dist)
+}
+
+// stitch builds the src..dst node sequence through meet from the two
+// parent chains, in a fresh slice of exactly the path's length.
+func (sc *searchScratch) stitch(meet, src, dst int32) []int32 {
+	nf, nb := 0, 0
+	for u := meet; u != src; u = sc.fwd.state[u].parent {
+		nf++
 	}
-	return s.describe(nodes), nil
+	for u := meet; u != dst; u = sc.bwd.state[u].parent {
+		nb++
+	}
+	nodes := make([]int32, nf+nb+1)
+	for i, u := nf, meet; i >= 0; i, u = i-1, sc.fwd.state[u].parent {
+		nodes[i] = u
+	}
+	for i, u := nf, meet; u != dst; {
+		u = sc.bwd.state[u].parent
+		i++
+		nodes[i] = u
+	}
+	return nodes
 }
 
 // describe computes latency and bottleneck for a node sequence.

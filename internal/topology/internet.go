@@ -107,7 +107,6 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	}
 
 	b := graph.NewBuilder(n)
-	edgeSet := make(map[uint64]struct{}, targetASEdges+targetMemberships)
 	deg := make([]int, n)
 	// endpoints implements degree-preferential sampling: each added edge
 	// appends both endpoints, so a uniform draw is degree-proportional.
@@ -116,11 +115,9 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 		if u == v {
 			return false
 		}
-		key := packEdge(u, v)
-		if _, dup := edgeSet[key]; dup {
+		if _, dup := t.rels[packEdge(u, v)]; dup {
 			return false
 		}
-		edgeSet[key] = struct{}{}
 		b.AddEdge(u, v)
 		t.SetRel(u, v, rel)
 		deg[u]++
@@ -217,7 +214,7 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	for u := nTransit; u < nContent; u++ {
 		endpoints = append(endpoints, int32(u), int32(u), int32(u))
 	}
-	asEdges := len(edgeSet)
+	asEdges := len(t.rels)
 	for tries := 0; asEdges < targetASEdges && tries < 50*targetASEdges; tries++ {
 		u := int(endpoints[rng.Intn(len(endpoints))])
 		v := int(endpoints[rng.Intn(len(endpoints))])
@@ -253,7 +250,7 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	}
 	// Every IXP needs at least one member to exist meaningfully.
 	memberOf := make(map[int]bool, nIXP)
-	for key := range edgeSet {
+	for key := range t.rels {
 		v := int(uint32(key))
 		if v >= nAS {
 			memberOf[v] = true
