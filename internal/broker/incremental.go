@@ -81,28 +81,26 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 		}
 	}
 
-	if inc.Connectivity() < opts.Target {
-		// Localized growth: best positive-gain candidate from the blast
-		// pool each round, ties toward the smaller node id.
-		pool := blastPool(g, blast, opts.Radius)
-		for inc.Connectivity() < opts.Target {
-			best, bestGain := int32(-1), int64(0)
-			for _, u := range pool {
-				if inc.InB(int(u)) || avoided(int(u)) {
-					continue
-				}
-				if gain := inc.Gain(int(u)); gain > bestGain ||
-					(gain == bestGain && gain > 0 && (best < 0 || u < best)) {
-					best, bestGain = u, gain
-				}
+	// Localized growth: best positive-gain candidate from the blast pool
+	// each round, ties toward the smaller node id.
+	pool := blastPool(g, blast, opts.Radius)
+	for inc.Connectivity() < opts.Target {
+		best, bestGain := int32(-1), int64(0)
+		for _, u := range pool {
+			if inc.InB(int(u)) || avoided(int(u)) {
+				continue
 			}
-			if best < 0 {
-				break // pool exhausted
+			if gain := inc.Gain(int(u)); gain > bestGain ||
+				(gain == bestGain && gain > 0 && (best < 0 || u < best)) {
+				best, bestGain = u, gain
 			}
-			inc.AddBroker(int(best))
-			res.Brokers = append(res.Brokers, best)
-			res.Added = append(res.Added, best)
 		}
+		if best < 0 {
+			break // pool exhausted
+		}
+		inc.AddBroker(int(best))
+		res.Brokers = append(res.Brokers, best)
+		res.Added = append(res.Added, best)
 	}
 	conn := inc.Connectivity()
 
@@ -121,7 +119,7 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	// survivor in the same region redundant. Only pool-local brokers are
 	// candidates and the trial budget is capped, so this stays o(full).
 	if conn >= opts.Target {
-		pruneLocal(g, res, opts.Target, blast, opts.Radius, &conn)
+		pruneLocal(g, inc, res, opts.Target, pool, &conn)
 	}
 	res.Connectivity = conn
 	return res, nil
@@ -157,10 +155,13 @@ func blastPool(g *graph.Graph, blast []int32, radius int) []int32 {
 }
 
 // pruneLocal drops pool-local brokers whose removal keeps the target,
-// spending at most maxLocalPruneTrials full connectivity evaluations.
-func pruneLocal(g *graph.Graph, res *MaintainResult, target float64, blast []int32, radius int, conn *float64) {
+// spending at most maxLocalPruneTrials trials. inc is the union-find of
+// exactly res.Brokers: a trial whose RemovalUpperBound is already below
+// the target is decided without its O(V+E) flood, and still spends its
+// trial so the outcome is the one flooding every trial would give.
+func pruneLocal(g *graph.Graph, inc *coverage.Incremental, res *MaintainResult, target float64, pool []int32, conn *float64) {
 	local := graph.NewBitset(g.NumNodes())
-	local.SetAll(blastPool(g, blast, radius))
+	local.SetAll(pool)
 	justAdded := graph.NewBitset(g.NumNodes())
 	justAdded.SetAll(res.Added)
 	trials := 0
@@ -169,15 +170,24 @@ func pruneLocal(g *graph.Graph, res *MaintainResult, target float64, blast []int
 		if !local.Has(b) || justAdded.Has(b) {
 			continue
 		}
+		trials++
+		if inc.RemovalUpperBound(int(b)) < target {
+			continue
+		}
 		trial := make([]int32, 0, len(res.Brokers)-1)
 		trial = append(trial, res.Brokers[:i]...)
 		trial = append(trial, res.Brokers[i+1:]...)
-		trials++
 		if c := coverage.SaturatedConnectivity(g, trial); c >= target {
 			res.Brokers = trial
 			res.Removed = append(res.Removed, b)
 			*conn = c
 			i--
+			// Union-find cannot delete. A stale one would still bound from
+			// above (B only shrank) but looser: replay it for the new set.
+			inc = coverage.NewIncremental(g)
+			for _, k := range trial {
+				inc.AddBroker(int(k))
+			}
 		}
 	}
 }

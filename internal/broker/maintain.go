@@ -50,21 +50,18 @@ func MaintainAvoiding(g *graph.Graph, old []int32, target float64, avoid []bool)
 
 	res := &MaintainResult{}
 	inc := coverage.NewIncremental(g)
-	kept := make(map[int32]bool, len(old))
 	for _, b := range old {
 		if int(b) < 0 || int(b) >= n || avoided(int(b)) {
 			res.Removed = append(res.Removed, b) // node left the topology or is barred
 			continue
 		}
-		if !kept[b] {
-			kept[b] = true
+		if !inc.InB(int(b)) {
 			inc.AddBroker(int(b))
 			res.Brokers = append(res.Brokers, b)
 		}
 	}
 
 	// Grow greedily until the target holds or no candidate helps.
-	totalPairs := graph.TotalPairs(n)
 	for inc.Connectivity() < target {
 		best, bestGain := -1, int64(0)
 		for u := 0; u < n; u++ {
@@ -82,7 +79,6 @@ func MaintainAvoiding(g *graph.Graph, old []int32, target float64, avoid []bool)
 		inc.AddBroker(best)
 		res.Brokers = append(res.Brokers, int32(best))
 		res.Added = append(res.Added, int32(best))
-		_ = totalPairs
 	}
 
 	// Prune: drop brokers (oldest first) whose removal keeps the target.

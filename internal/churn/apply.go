@@ -112,6 +112,11 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 			wasEff = append(wasEff, st.LinkDown(ev.Node, v))
 		}
 		st.nodeDown[ev.Node] = leaving
+		if leaving {
+			st.downNodes++
+		} else {
+			st.downNodes--
+		}
 		for i, v := range st.top.Graph.Neighbors(int(ev.Node)) {
 			if st.LinkDown(ev.Node, v) != wasEff[i] {
 				st.mirrorLink(ev.Node, v)

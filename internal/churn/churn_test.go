@@ -156,6 +156,7 @@ func TestStateEffectiveLinkState(t *testing.T) {
 		t.Fatal("individually failed link not down")
 	}
 	st.nodeDown[2] = true
+	st.downNodes++
 	st.invalidateLive()
 	if !st.LinkDown(1, 2) || !st.LinkDown(2, 3) || !st.LinkDown(2, 5) {
 		t.Fatal("links incident to a departed node not down")

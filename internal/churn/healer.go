@@ -315,7 +315,10 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	if err != nil {
 		// Target unreachable on the damaged graph: fall back to best
 		// effort — keep the survivors, still repair sessions below.
-		res = &broker.MaintainResult{Brokers: survivors}
+		res = &broker.MaintainResult{
+			Brokers:      survivors,
+			Connectivity: coverage.SaturatedConnectivity(live, survivors),
+		}
 	}
 	rep.TargetMet = err == nil
 
@@ -326,7 +329,7 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	if h.cfg.BrokersChanged != nil && (len(added) > 0 || len(removed) > 0) {
 		h.cfg.BrokersChanged(res.Brokers)
 	}
-	rep.Connectivity = coverage.SaturatedConnectivity(live, res.Brokers)
+	rep.Connectivity = res.Connectivity
 	if rep.Connectivity >= h.cfg.Target {
 		rep.TargetMet = true
 	}

@@ -1,0 +1,163 @@
+package churn
+
+import (
+	"slices"
+	"testing"
+
+	"brokerset/internal/graph"
+	"brokerset/internal/topology"
+)
+
+// rebuildLive is LiveGraph as it stood before the row patch — every up
+// link re-added through a graph.Builder — kept as the reference the patched
+// graph must equal.
+func rebuildLive(s *State) (live *graph.Graph, down int) {
+	b := graph.NewBuilder(s.top.NumNodes())
+	s.top.Graph.Edges(func(u, v int) bool {
+		if s.LinkDown(int32(u), int32(v)) {
+			down++
+			return true
+		}
+		b.AddEdge(u, v)
+		return true
+	})
+	return b.MustBuild(), down
+}
+
+// requireLiveMatchesRebuild checks the cached live graph against the
+// rebuild arc for arc, and the down-node counter against a scan.
+func requireLiveMatchesRebuild(t *testing.T, st *State, step string) {
+	t.Helper()
+	st.invalidateLive()
+	got := st.LiveGraph()
+	want, down := rebuildLive(st)
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: live graph %d nodes / %d links, rebuild %d / %d",
+			step, got.NumNodes(), got.NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	for u := 0; u < want.NumNodes(); u++ {
+		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+			t.Fatalf("%s: row %d = %v, rebuild has %v", step, u, got.Neighbors(u), want.Neighbors(u))
+		}
+		if !slices.IsSorted(got.Neighbors(u)) {
+			t.Fatalf("%s: row %d not sorted: %v", step, u, got.Neighbors(u))
+		}
+	}
+	if st.DownLinks() != down {
+		t.Fatalf("%s: DownLinks() = %d, rebuild counted %d", step, st.DownLinks(), down)
+	}
+	scan := 0
+	for _, d := range st.nodeDown {
+		if d {
+			scan++
+		}
+	}
+	if st.DownNodes() != scan {
+		t.Fatalf("%s: DownNodes() = %d, %d flags set", step, st.DownNodes(), scan)
+	}
+	if down == 0 && got != st.top.Graph {
+		t.Fatalf("%s: everything is up but the live graph is a copy, not the topology's own graph", step)
+	}
+}
+
+// TestLiveGraphMatchesRebuild walks a scripted trace through the cases the
+// patch has to get right — a failed link on a row whose node then leaves,
+// the node's return with that link still down, redundant events, and the
+// return to all-up — then a long generated trace with recoveries mixed in.
+func TestLiveGraphMatchesRebuild(t *testing.T) {
+	top, err := topology.GenerateTier("smoke", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState(top, nil)
+	a := NewApplier(st)
+	requireLiveMatchesRebuild(t, st, "boot")
+
+	hub := int32(top.Graph.MaxDegreeNode())
+	nb := top.Graph.Neighbors(int(hub))
+	first, last := int32(0), int32(top.NumNodes()-1)
+	script := []Event{
+		{Type: LinkFail, U: hub, V: nb[0]},
+		{Type: NodeLeave, Node: hub},               // the row with the failed link empties
+		{Type: LinkFail, U: hub, V: nb[len(nb)-1]}, // a link that is already effectively down
+		{Type: NodeLeave, Node: nb[1]},             // a neighbour of a departed node departs
+		{Type: NodeLeave, Node: hub},               // redundant
+		{Type: NodeJoin, Node: hub},                // back, minus its two failed links and nb[1]
+		{Type: NodeLeave, Node: first},             // first CSR row
+		{Type: NodeLeave, Node: last},              // last CSR row
+		{Type: LinkRecover, U: hub, V: nb[0]},
+		{Type: NodeJoin, Node: nb[1]},
+		{Type: NodeJoin, Node: first},
+		{Type: NodeJoin, Node: last},
+		{Type: LinkRecover, U: nb[len(nb)-1], V: hub}, // all-up again
+		{Type: LinkRecover, U: nb[len(nb)-1], V: hub}, // redundant
+		{Type: BrokerFail, Node: hub},                 // broker-plane only: no link moves
+		{Type: BrokerRecover, Node: hub},
+		{Type: LinkFail, U: first, V: top.Graph.Neighbors(int(first))[0]},
+	}
+	returnedToAllUp := false
+	for i, ev := range script {
+		if _, err := a.Apply(ev); err != nil {
+			t.Fatalf("script %d (%s): %v", i, ev, err)
+		}
+		requireLiveMatchesRebuild(t, st, ev.String())
+		returnedToAllUp = returnedToAllUp || st.DownLinks() == 0
+	}
+	if !returnedToAllUp {
+		t.Fatal("script never returned to all-up: the top.Graph hand-back went unchecked")
+	}
+
+	gen := NewGenerator(st, func() []int32 { return []int32{hub, nb[0], nb[2]} }, GenConfig{Seed: 7, RecoverBias: 0.45})
+	for i := 0; i < 300; i++ {
+		ev, ok := gen.Next()
+		if !ok {
+			continue
+		}
+		if _, err := a.Apply(ev); err != nil {
+			t.Fatalf("generated %d (%s): %v", i, ev, err)
+		}
+		requireLiveMatchesRebuild(t, st, ev.String())
+	}
+	if st.DownLinks() == 0 || st.DownNodes() == 0 {
+		t.Fatalf("generated trace left %d links and %d nodes down: nothing was exercised", st.DownLinks(), st.DownNodes())
+	}
+}
+
+// BenchmarkTable2LiveGraph measures one live-graph derivation on the
+// Table-2 tier in the state the churn_heal workload's first posts leave: a
+// few dozen failed links and a couple of departed nodes. It is what every
+// churn post that moves a link pays before healing starts.
+func BenchmarkTable2LiveGraph(b *testing.B) {
+	top, err := topology.GenerateTier("table2", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := NewState(top, nil)
+	a := NewApplier(st)
+	gen := NewGenerator(st, nil, GenConfig{Seed: 1})
+	for post := 0; post < 16; post++ {
+		events, err := gen.GenerateTrace(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.ApplyAll(events); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, u := range []int32{1000, 40000} {
+		if _, err := a.Apply(Event{Type: NodeLeave, Node: u}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_, down := rebuildLive(st)
+	if down < 24 || st.DownNodes() < 2 {
+		b.Fatalf("set-up left %d links and %d nodes down, want a few dozen and a couple", down, st.DownNodes())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.invalidateLive()
+		if got := st.LiveGraph().NumEdges(); got != top.Graph.NumEdges()-down {
+			b.Fatalf("live graph has %d links, want %d", got, top.Graph.NumEdges()-down)
+		}
+	}
+}

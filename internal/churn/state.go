@@ -1,7 +1,7 @@
 package churn
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"brokerset/internal/epoch"
@@ -25,6 +25,7 @@ type State struct {
 	metrics *routing.Metrics // nil: overlay only, no metric mirroring
 
 	nodeDown   []bool
+	downNodes  int             // count of set nodeDown flags, kept by the applier
 	linkDown   map[uint64]bool // individually failed links, packed (u<v)
 	brokerDown map[int32]bool
 
@@ -77,7 +78,7 @@ func (s *State) DownBrokers() []int32 {
 	for b := range s.brokerDown {
 		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -108,15 +109,7 @@ func (s *State) invalidateLive() {
 }
 
 // DownNodes returns the number of departed nodes.
-func (s *State) DownNodes() int {
-	n := 0
-	for _, d := range s.nodeDown {
-		if d {
-			n++
-		}
-	}
-	return n
-}
+func (s *State) DownNodes() int { return s.downNodes }
 
 // mirrorLink pushes link (u,v)'s current effective state into the metrics'
 // per-arc failure flags (no-op in overlay-only mode).
@@ -164,29 +157,34 @@ func (s *State) Snapshot(brokers []int32, view *routing.View) *epoch.Snapshot {
 // their ids but become isolated, so node identities are stable). The result
 // is cached until the next mutation; the rebuild is internally locked so
 // concurrent readers may call it, as long as no mutation runs concurrently.
+//
+// The rebuild patches the topology's pristine CSR rather than the previous
+// live graph: the down-marks are the whole difference from it, so restores
+// need no re-insertion and the cost is one copy plus the rows the marks
+// touch, whatever the history.
 func (s *State) LiveGraph() *graph.Graph {
 	s.liveMu.Lock()
 	defer s.liveMu.Unlock()
 	if s.live != nil {
 		return s.live
 	}
-	if len(s.linkDown) == 0 && s.DownNodes() == 0 {
-		// Everything is up — every boot, and any fully healed state: the
-		// live graph is the topology's own (immutable) graph, not a copy.
-		s.live, s.downLinks = s.top.Graph, 0
-		return s.live
+	// Rows that lose an arc: both ends of every failed link, every departed
+	// node and its neighbours. With none — every boot, and any fully healed
+	// state — WithoutArcs hands back the topology's own graph, not a copy.
+	g := s.top.Graph
+	dirty := make([]int32, 0, 2*len(s.linkDown))
+	for k := range s.linkDown {
+		dirty = append(dirty, int32(k>>32), int32(uint32(k)))
 	}
-	b := graph.NewBuilder(s.top.NumNodes())
-	down := 0
-	s.top.Graph.Edges(func(u, v int) bool {
-		if s.LinkDown(int32(u), int32(v)) {
-			down++
-			return true
+	if s.downNodes > 0 {
+		for u, down := range s.nodeDown {
+			if down {
+				dirty = append(dirty, int32(u))
+				dirty = append(dirty, g.Neighbors(u)...)
+			}
 		}
-		b.AddEdge(u, v)
-		return true
-	})
-	s.downLinks = down
-	s.live = b.MustBuild()
+	}
+	s.live = g.WithoutArcs(dirty, s.LinkDown)
+	s.downLinks = g.NumEdges() - s.live.NumEdges()
 	return s.live
 }

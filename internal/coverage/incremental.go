@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"slices"
+
 	"brokerset/internal/graph"
 )
 
@@ -8,7 +10,8 @@ import (
 // set using a union-find over dominated edges: adding broker u only
 // dominates u's incident edges, so AddBroker costs O(deg(u) α(n)) instead
 // of an O(V+E) recomputation. Used by marginal-gain analyses (Fig 3) and
-// broker-set maintenance.
+// broker-set maintenance. Not safe for concurrent use: even the read-only
+// probes compress paths and share scratch.
 type Incremental struct {
 	g      *graph.Graph
 	inB    []bool
@@ -17,6 +20,9 @@ type Incremental struct {
 	// pairs is Σ size·(size−1)/2 over current components; uncovered nodes
 	// are singletons contributing nothing.
 	pairs int64
+	// roots is Gain's scratch: the distinct neighbour components of the
+	// probed node. The fan-in is tiny, so a linear scan beats a map.
+	roots []int32
 }
 
 // NewIncremental returns the empty-broker-set state (connectivity 0).
@@ -97,19 +103,56 @@ func (inc *Incremental) Gain(u int) int64 {
 	rootU := inc.find(int32(u))
 	merged := int64(inc.size[rootU])
 	var gained int64
-	seen := make(map[int32]struct{}, 8)
-	seen[rootU] = struct{}{}
+	inc.roots = append(inc.roots[:0], rootU)
 	for _, v := range inc.g.Neighbors(u) {
 		r := inc.find(v)
-		if _, dup := seen[r]; dup {
+		if slices.Contains(inc.roots, r) {
 			continue
 		}
-		seen[r] = struct{}{}
+		inc.roots = append(inc.roots, r)
 		s := int64(inc.size[r])
 		gained += merged * s
 		merged += s
 	}
 	return gained
+}
+
+// RemovalUpperBound returns an upper bound on the saturated connectivity of
+// B∖{b}, in O(Σ deg(N(b))) and without mutating the state. Every neighbour
+// v ∉ B of b whose only broker neighbour is b loses all its dominated edges
+// when b leaves and becomes a singleton; with S the size of b's component
+// and L the number of such leaves, the S−L nodes left can at best stay one
+// component and no other component changes, so at most
+// pairs − C(S,2) + C(S−L,2) pairs remain connected. The quotient is formed
+// as SaturatedConnectivity forms its own, so "bound < target" implies the
+// exact evaluation is below target too.
+func (inc *Incremental) RemovalUpperBound(b int) float64 {
+	total := graph.TotalPairs(inc.g.NumNodes())
+	if total == 0 {
+		return 0
+	}
+	if !inc.inB[b] {
+		return float64(inc.pairs) / float64(total)
+	}
+	var leaves int64
+	for _, v := range inc.g.Neighbors(b) {
+		if inc.inB[v] {
+			continue
+		}
+		leaf := true
+		for _, w := range inc.g.Neighbors(int(v)) {
+			if int(w) != b && inc.inB[w] {
+				leaf = false
+				break
+			}
+		}
+		if leaf {
+			leaves++
+		}
+	}
+	s := int64(inc.size[inc.find(int32(b))])
+	rest := s - leaves
+	return float64(inc.pairs-s*(s-1)/2+rest*(rest-1)/2) / float64(total)
 }
 
 // Snapshot captures the current state; Restore rolls back to it. Snapshots

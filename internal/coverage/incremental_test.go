@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"brokerset/internal/graph"
 )
 
 func TestIncrementalMatchesBatchConnectivity(t *testing.T) {
@@ -103,5 +105,75 @@ func TestIncrementalEmptyGraph(t *testing.T) {
 	inc := NewIncremental(g)
 	if inc.Connectivity() != 0 {
 		t.Fatal("empty graph connectivity != 0")
+	}
+}
+
+// TestIncrementalGainDoesNotAllocate pins the probe the repair loops call
+// per candidate per round: after the scratch has grown once, none.
+func TestIncrementalGainDoesNotAllocate(t *testing.T) {
+	g := randGraph(200, 900, 11)
+	inc := NewIncremental(g)
+	for u := 0; u < 200; u += 9 {
+		inc.AddBroker(u)
+	}
+	var sink int64
+	allocs := testing.AllocsPerRun(20, func() {
+		for u := 0; u < 200; u++ {
+			sink += inc.Gain(u)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Gain allocated %.1f times per 200 probes, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestRemovalUpperBoundDominatesExact checks, for every broker of every
+// case (exhaustively, not sampled), that the bound is never below the exact
+// connectivity of the set without it — the soundness the prune skip rests
+// on — and that probing leaves the state untouched.
+func TestRemovalUpperBoundDominatesExact(t *testing.T) {
+	check := func(name string, g *graph.Graph, brokers []int32) {
+		t.Helper()
+		inc := NewIncremental(g)
+		for _, b := range brokers {
+			inc.AddBroker(int(b))
+		}
+		before := inc.ConnectedPairs()
+		for i, b := range brokers {
+			rest := append(append([]int32(nil), brokers[:i]...), brokers[i+1:]...)
+			exact := SaturatedConnectivity(g, rest)
+			if bound := inc.RemovalUpperBound(int(b)); bound < exact {
+				t.Fatalf("%s: RemovalUpperBound(%d) = %.12f below exact %.12f (B = %v)", name, b, bound, exact, brokers)
+			}
+		}
+		if inc.ConnectedPairs() != before {
+			t.Fatalf("%s: probing changed the pair count", name)
+		}
+	}
+
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		g := randGraph(n, rng.Intn(3*n), seed)
+		var brokers []int32
+		for _, u := range rng.Perm(n)[:1+rng.Intn(n)] {
+			brokers = append(brokers, int32(u))
+		}
+		check("random", g, brokers)
+	}
+	check("path, alternate brokers", path(t, 9), []int32{1, 3, 5, 7})
+	check("path, adjacent brokers", path(t, 6), []int32{2, 3})
+
+	// A star's centre owns every leaf: the bound is exact (zero).
+	g := star(t, 7)
+	inc := NewIncremental(g)
+	inc.AddBroker(0)
+	if got := inc.RemovalUpperBound(0); got != 0 {
+		t.Fatalf("star centre: bound %.6f, want 0", got)
+	}
+	// A non-broker has nothing to remove: the bound is the current value.
+	if got := inc.RemovalUpperBound(3); got != inc.Connectivity() {
+		t.Fatalf("non-broker: bound %.6f, want current connectivity %.6f", got, inc.Connectivity())
 	}
 }

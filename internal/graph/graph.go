@@ -184,6 +184,51 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
+// WithoutArcs returns a copy of g with every arc (u,v) for which drop
+// reports true removed. Only the rows listed in dirtyRows (any order,
+// duplicates allowed) are filtered; every other row is copied verbatim, so
+// the cost is one memmove of the adjacency array plus the dirty rows'
+// degrees, and rows stay sorted. The caller guarantees that drop is
+// symmetric and that both endpoints of every dropped edge are listed. With
+// no dirty rows g itself is returned.
+func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Graph {
+	if len(dirtyRows) == 0 {
+		return g
+	}
+	rows := slices.Clone(dirtyRows)
+	slices.Sort(rows)
+	rows = slices.Compact(rows)
+
+	n := g.NumNodes()
+	off := make([]int32, n+1)
+	adj := make([]int32, 0, len(g.adj))
+	next := 0 // first row whose offset is not yet written
+	for _, u := range rows {
+		// Clean rows next..u-1 move as one block, shifted by what the
+		// dirty rows before them lost.
+		shift := g.off[next] - int32(len(adj))
+		for r := next; r <= int(u); r++ {
+			off[r] = g.off[r] - shift
+		}
+		adj = append(adj, g.adj[g.off[next]:g.off[u]]...)
+		for _, v := range g.Neighbors(int(u)) {
+			if !drop(u, v) {
+				adj = append(adj, v)
+			}
+		}
+		next = int(u) + 1
+	}
+	shift := g.off[next] - int32(len(adj))
+	for r := next; r <= n; r++ {
+		off[r] = g.off[r] - shift
+	}
+	adj = append(adj, g.adj[g.off[next]:]...)
+	if len(adj)%2 != 0 {
+		panic("graph: WithoutArcs dropped an arc without its reverse")
+	}
+	return &Graph{off: off, adj: adj, m: len(adj) / 2}
+}
+
 // InducedSubgraph returns the subgraph induced by keep (nodes with
 // keep[u] == true), together with a mapping orig such that node i of the
 // subgraph corresponds to node orig[i] of g.
