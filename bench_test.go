@@ -21,7 +21,6 @@ import (
 	"brokerset/internal/econ"
 	"brokerset/internal/experiments"
 	"brokerset/internal/market"
-	"brokerset/internal/measure"
 	"brokerset/internal/pagerank"
 	"brokerset/internal/policy"
 	"brokerset/internal/queryplane"
@@ -355,24 +354,6 @@ func BenchmarkCtrlPlaneSetup(b *testing.B) {
 		if err := plane.Teardown(context.Background(), sess); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// One full measurement round over every coalition-owned link.
-func BenchmarkMonitorProbe(b *testing.B) {
-	s := suite(b)
-	brokers, err := s.Alliance()
-	if err != nil {
-		b.Fatal(err)
-	}
-	metrics := routing.DefaultMetrics(s.Top, nil)
-	m, err := measure.NewMonitor(s.Top, metrics, brokers, measure.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Probe()
 	}
 }
 

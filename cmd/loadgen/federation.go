@@ -223,6 +223,9 @@ func (s *fedStack) finish(out io.Writer) error {
 	fmt.Fprintf(out, "fed:      %d setups (%d commits, %d aborts), %d peer msgs, %d retries, %d rollbacks, %d restitched, %d crashes\n",
 		st.Setups, st.Commits, st.Aborts, st.PeerMessages, st.PeerRetries, st.Rollbacks, st.Restitched, st.RegionCrashes)
 	if s.slo != nil {
+		// One last evaluation: a run shorter than -fed-every ends before the
+		// driver's first tick, and its events would otherwise go unjudged.
+		s.alerts = append(s.alerts, s.slo.Tick(time.Now())...)
 		for _, tr := range s.alerts {
 			state := "resolved"
 			if tr.Firing {

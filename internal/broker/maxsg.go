@@ -73,42 +73,3 @@ func MaxSG(g *graph.Graph, k int) ([]int32, error) {
 func MaxSGComplete(g *graph.Graph) ([]int32, error) {
 	return MaxSG(g, g.NumNodes())
 }
-
-// maxSGReference is a quadratic literal transcription of Algorithm 3 used
-// by tests to validate the lazy implementation: every round scans all of
-// N(B) for the candidate maximizing the dominated-subgraph size.
-func maxSGReference(g *graph.Graph, k int) []int32 {
-	if g.NumNodes() == 0 || k < 1 {
-		return nil
-	}
-	seed := g.MaxDegreeNode()
-	st := coverage.NewState(g)
-	st.Add(seed)
-	brokers := []int32{int32(seed)}
-	for len(brokers) < k {
-		best, bestGain := int32(-1), 0
-		for u := 0; u < g.NumNodes(); u++ {
-			if st.InB(u) || !adjacentToBroker(g, st, u) {
-				continue
-			}
-			if gn := st.Gain(u); gn > bestGain || (gn == bestGain && bestGain > 0 && int32(u) < best) {
-				best, bestGain = int32(u), gn
-			}
-		}
-		if best < 0 || bestGain == 0 {
-			break
-		}
-		st.Add(int(best))
-		brokers = append(brokers, best)
-	}
-	return brokers
-}
-
-func adjacentToBroker(g *graph.Graph, st *coverage.State, u int) bool {
-	for _, v := range g.Neighbors(u) {
-		if st.InB(int(v)) {
-			return true
-		}
-	}
-	return false
-}

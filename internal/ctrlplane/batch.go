@@ -3,27 +3,27 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"brokerset/internal/obs"
 )
 
 // Group commit: CommitBatch coalesces many concurrent session lifecycle
 // operations — setups, teardowns, lease expiries — into ONE two-phase-commit
-// round against the union of touched brokers. Phase 1 PREPAREs every setup's
-// hops in a single broadcast; the coordinator then records every decision
-// durably and delivers each broker exactly one MsgBatch carrying all of the
-// batch's commits, aborts, and releases that touch links the broker owns.
-// The broker write-ahead-logs that record once (one append for the whole
-// batch) and applies each entry with the same per-session fencing as the
-// standalone protocol — so crash-atomicity is per *session*, not per batch:
-// recovery replays the batch record and resolves every session in it
-// independently through the existing presumed-abort machinery.
+// round against the union of touched brokers, out of the same steps the
+// single-session entry points are made of (see Plane.prepare and
+// Plane.decide). Phase 1 PREPAREs every setup's hops in a single broadcast;
+// the coordinator then records every decision durably and delivers each
+// broker exactly one MsgBatch carrying all of the round's commits, aborts,
+// and releases that touch links the broker owns. The broker
+// write-ahead-logs that record once (one append for the whole batch) and
+// applies each entry with per-session fencing — so crash-atomicity is per
+// *session*, not per batch: recovery replays the batch record and resolves
+// every session in it independently through the presumed-abort machinery.
 
 // BatchEntryKind enumerates the per-session actions inside a batch record.
 type BatchEntryKind uint8
 
-// Batch entry kinds, mirroring the standalone COMMIT/ABORT/RELEASE messages.
+// Batch entry kinds: the three decisions a round can take about a session.
 const (
 	EntryCommit BatchEntryKind = iota + 1
 	EntryAbort
@@ -41,11 +41,13 @@ type BatchEntry struct {
 	BW  float64
 }
 
-// applyBatchEntries applies a batch record to an agent ledger with the same
-// per-session fencing as the standalone deliver cases. It is shared by live
-// delivery (deliver's MsgBatch case) and WAL replay, which is exactly what
-// makes a broker crash between the batch append and the apply harmless:
-// recovery reaches the same state the apply would have.
+// applyBatchEntries applies a batch record to an agent ledger with
+// per-session fencing: a commit or abort of an already finalized attempt is
+// a no-op. It is the only function that changes a ledger on a decision —
+// shared by live delivery (deliver's MsgBatch case), WAL replay, and the
+// records a lease sweep or a recovery writes locally — which is exactly
+// what makes a broker crash between the batch append and the apply
+// harmless: recovery reaches the same state the apply would have.
 func applyBatchEntries(avail map[[2]int32]float64, holds map[sessKey][]hold, done map[sessKey]walOp, entries []BatchEntry) {
 	for _, e := range entries {
 		key := sessKey{e.ID, e.Epoch}
@@ -54,6 +56,8 @@ func applyBatchEntries(avail map[[2]int32]float64, holds map[sessKey][]hold, don
 			if done[key] != 0 {
 				continue // finalized: idempotent
 			}
+			// Holds become durable allocations: availability stays
+			// deducted, the hold records retire.
 			delete(holds, key)
 			done[key] = walCommit
 		case EntryAbort:
@@ -78,7 +82,7 @@ type BatchOpKind uint8
 
 // Batch operation kinds.
 const (
-	// BatchSetup establishes a new session over Path at Bandwidth.
+	// BatchSetup sets up a new session over Path at Bandwidth.
 	BatchSetup BatchOpKind = iota + 1
 	// BatchTeardown releases a committed session (client-requested).
 	BatchTeardown
@@ -107,7 +111,7 @@ type BatchOp struct {
 
 // BatchResult is one op's outcome, index-aligned with CommitBatch's input.
 type BatchResult struct {
-	// Session is the established session for a successful BatchSetup (nil on
+	// Session is the new session of a successful BatchSetup (nil on
 	// failure) and echoes the input session for teardown/expire ops.
 	Session *Session
 	Err     error
@@ -132,7 +136,6 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	// carried, so a follower's trace and the shared commit round are
 	// navigable from each other even though only the leader's context
 	// parents the 2PC spans.
-	leaderTrace := obs.TraceIDFrom(ctx)
 	for _, op := range ops {
 		span.Link(op.Trace)
 	}
@@ -141,57 +144,20 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 
 	// Validate and open a fresh attempt for every setup; breaker fast-fails
 	// and undominated paths abort before any message is spent.
-	type setupState struct {
-		op   int // index into ops/results
-		s    *Session
-		msgs map[uint64]int // prepare MsgID -> hop index
-	}
-	var setups []*setupState
+	var (
+		opened   []*Session
+		traces   []uint64
+		openedOp []int // index into ops/results, aligned with opened
+	)
 	for i, op := range ops {
 		switch op.Kind {
 		case BatchSetup:
-			if op.Bandwidth <= 0 {
-				results[i].Err = fmt.Errorf("ctrlplane: bandwidth must be > 0, got %f", op.Bandwidth)
+			s, err := p.begin(op.Path, op.Bandwidth)
+			if err != nil {
+				results[i].Err = err
 				continue
 			}
-			if len(op.Path) < 2 {
-				results[i].Err = fmt.Errorf("ctrlplane: path needs >= 2 nodes, got %d", len(op.Path))
-				continue
-			}
-			p.nextID++
-			s := &Session{ID: p.nextID, Bandwidth: op.Bandwidth, Epoch: 1,
-				Path: append([]int32(nil), op.Path...)}
-			bad := false
-			for h := 0; h+1 < len(s.Path); h++ {
-				owner, ok := p.ownerOf(s.Path[h], s.Path[h+1])
-				if !ok {
-					s.State = StateAborted
-					results[i].Err = fmt.Errorf("ctrlplane: hop (%d,%d) has no broker owner — path not dominated",
-						s.Path[h], s.Path[h+1])
-					bad = true
-					break
-				}
-				s.owners = append(s.owners, owner)
-			}
-			if bad {
-				continue
-			}
-			key := sessKey{s.ID, s.Epoch}
-			for _, owner := range s.owners {
-				if p.breakerOpen(owner) {
-					p.decided[key] = false
-					p.stats.BreakerFastFails++
-					p.stats.Aborts++
-					s.State = StateAborted
-					results[i].Err = fmt.Errorf("ctrlplane: setup %d aborted: broker %d circuit open", s.ID, owner)
-					bad = true
-					break
-				}
-			}
-			if bad {
-				continue
-			}
-			setups = append(setups, &setupState{op: i, s: s, msgs: make(map[uint64]int, len(s.owners))})
+			opened, traces, openedOp = append(opened, s), append(traces, op.Trace), append(openedOp, i)
 		case BatchTeardown, BatchExpire:
 			results[i].Session = op.Session
 			if op.Session == nil || op.Session.State != StateCommitted {
@@ -203,33 +169,13 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	}
 
 	// Phase 1: one broadcast PREPAREs every hop of every setup in the batch.
-	var pmsgs []Message
-	for _, st := range setups {
-		s := st.s
-		// Prepares ride the submitting request's trace, not the leader's:
-		// on the wire each op stays attributable to the client that asked.
-		trace := ops[st.op].Trace
-		if trace == 0 {
-			trace = leaderTrace
-		}
-		for h, owner := range s.owners {
-			m := Message{
-				From: Coordinator, To: owner, Type: MsgPrepare,
-				SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
-				Hop: hopKey(s.Path[h], s.Path[h+1]), Bandwidth: s.Bandwidth,
-				Lease: uint32(p.retry.LeaseTTL), Trace: trace,
-			}
-			st.msgs[m.MsgID] = h
-			pmsgs = append(pmsgs, m)
-		}
-	}
-	out := p.broadcast(ctx, pmsgs)
+	errs := p.prepare(ctx, opened, traces)
 
-	if p.batchPrepareCrash != nil && len(pmsgs) > 0 && p.batchPrepareCrash() {
+	if p.batchPrepareCrash != nil && len(opened) > 0 && p.batchPrepareCrash() {
 		// Chaos seam: the coordinator dies after phase 1 with NO decision
 		// recorded for any setup in the batch. Leased holds self-expire via
 		// the tick sweep's presumed abort; every op is reported failed.
-		p.flight.Recordf("ctrlplane", "batch_crash", int64(p.clock), "coordinator died mid-batch, %d setups in doubt", len(setups))
+		p.flight.Recordf("ctrlplane", "batch_crash", int64(p.clock), "coordinator died mid-batch, %d setups in doubt", len(opened))
 		for i := range results {
 			if results[i].Err == nil {
 				results[i].Err = fmt.Errorf("ctrlplane: coordinator crashed mid-batch")
@@ -238,117 +184,46 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 		return results
 	}
 
-	// Decision point: every setup's fate is durably recorded BEFORE any
-	// phase-2 message is sent, so a broker crashing on the batch record
-	// resolves its in-doubt holds exactly as the coordinator decided.
-	entries := make(map[int32][]BatchEntry) // broker -> its slice of the batch record
-	changed := false
-	for _, st := range setups {
-		s, i := st.s, st.op
-		key := sessKey{s.ID, s.Epoch}
-		failed := 0
-		for id := range st.msgs {
-			if _, ok := out.acked[id]; !ok {
-				failed++
-			}
+	var commits, aborts []*Session
+	for j, s := range opened {
+		if results[openedOp[j]].Err = errs[j]; errs[j] != nil {
+			aborts = append(aborts, s)
+		} else {
+			results[openedOp[j]].Session = s
+			commits = append(commits, s)
 		}
-		if failed > 0 {
-			p.decided[key] = false
-			p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (batch, %d hop(s) unprepared)", key.ID, key.Epoch, failed)
-			for _, owner := range uniqueOwners(s.owners) {
-				entries[owner] = append(entries[owner], BatchEntry{Kind: EntryAbort, ID: s.ID, Epoch: s.Epoch})
-			}
-			p.stats.Aborts++
-			s.State = StateAborted
-			nacked := 0
-			for id := range st.msgs {
-				if _, ok := out.nacked[id]; ok {
-					nacked++
-				}
-			}
-			switch {
-			case nacked > 0:
-				results[i].Err = fmt.Errorf("ctrlplane: setup %d aborted: insufficient capacity on %d hop(s)", s.ID, nacked)
-			case ctx.Err() != nil:
-				results[i].Err = fmt.Errorf("ctrlplane: setup %d aborted: deadline expired: %w", s.ID, ctx.Err())
-			default:
-				results[i].Err = fmt.Errorf("ctrlplane: setup %d aborted: %d hop(s) unresponsive", s.ID, failed)
-			}
-			continue
-		}
-		p.decided[key] = true
-		p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d COMMIT (batch)", key.ID, key.Epoch)
-		for _, owner := range uniqueOwners(s.owners) {
-			entries[owner] = append(entries[owner], BatchEntry{Kind: EntryCommit, ID: s.ID, Epoch: s.Epoch})
-		}
-		// Coordinator-owned metrics mirror, exactly once per hop (see
-		// commitPoint): a shortfall never fails an already-decided commit.
-		for h := 0; h+1 < len(s.Path); h++ {
-			_ = p.metrics.Reserve(s.Path[h], s.Path[h+1], s.Bandwidth)
-		}
-		p.stats.Commits++
-		s.State = StateCommitted
-		p.grantSessionLease(s)
-		results[i].Session = s
-		changed = true
 	}
-
 	// Releases: teardowns unconditionally, expiries only if the lease is
 	// STILL lapsed here, under the plane's serialization — a renewal that
 	// landed after the sweeper chose the session keeps it alive.
+	var (
+		releases  []*Session
+		releaseOp []int
+	)
 	for i, op := range ops {
 		if results[i].Err != nil || (op.Kind != BatchTeardown && op.Kind != BatchExpire) {
 			continue
 		}
-		s := op.Session
-		if op.Kind == BatchExpire {
-			if !p.SessionLeaseLapsed(s.ID) {
-				results[i].Err = fmt.Errorf("ctrlplane: session %d lease renewed — expiry refused", s.ID)
-				continue
-			}
-			p.stats.SessionExpiries++
-			p.flight.Recordf("ctrlplane", "session_expire", int64(p.clock), "session %d.%d presumed-released", s.ID, s.Epoch)
-		} else {
-			p.stats.Teardowns++
+		if op.Kind == BatchExpire && !p.SessionLeaseLapsed(op.Session.ID) {
+			results[i].Err = fmt.Errorf("ctrlplane: session %d lease renewed — expiry refused", op.Session.ID)
+			continue
 		}
-		for h := 0; h+1 < len(s.Path); h++ {
-			u, v := s.Path[h], s.Path[h+1]
-			if owner, ok := p.ownerOf(u, v); ok {
-				entries[owner] = append(entries[owner], BatchEntry{
-					Kind: EntryRelease, ID: s.ID, Epoch: s.Epoch,
-					Hop: hopKey(u, v), BW: s.Bandwidth,
-				})
-			}
-			p.metrics.Release(u, v, s.Bandwidth)
-		}
-		p.dropSessionLease(s.ID)
-		s.State = StateReleased
-		changed = true
+		releases, releaseOp = append(releases, op.Session), append(releaseOp, i)
 	}
 
-	// Phase 2: one MsgBatch per touched broker, one broadcast for all of
-	// them. Undeliverable records go to the backlog — every decision above
-	// is already durable, so late delivery or WAL recovery converges.
-	brokers := make([]int32, 0, len(entries))
-	for b := range entries {
-		brokers = append(brokers, b)
+	for j, err := range p.decide(ctx, commits, aborts, releases) {
+		s, i := releases[j], releaseOp[j]
+		switch {
+		case err != nil:
+			results[i].Err = err
+		case ops[i].Kind == BatchExpire:
+			p.stats.SessionExpiries++
+			p.flight.Recordf("ctrlplane", "session_expire", int64(p.clock), "session %d.%d presumed-released", s.ID, s.Epoch)
+		default:
+			p.stats.Teardowns++
+		}
 	}
-	sort.Slice(brokers, func(i, j int) bool { return brokers[i] < brokers[j] })
-	bmsgs := make([]Message, 0, len(brokers))
-	for _, b := range brokers {
-		bmsgs = append(bmsgs, Message{
-			From: Coordinator, To: b, Type: MsgBatch,
-			MsgID: p.msgID(), Batch: entries[b], Trace: leaderTrace,
-		})
-	}
-	if len(bmsgs) > 0 {
-		bout := p.broadcast(ctx, bmsgs)
-		p.enqueueBacklog(bout.pending)
-	}
-	if changed {
-		p.version++
-	}
-	if len(pmsgs) > 0 || len(bmsgs) > 0 {
+	if len(opened)+len(releases) > 0 {
 		p.stats.BatchRounds++
 		p.stats.BatchOps += len(ops)
 	}

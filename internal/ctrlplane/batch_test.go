@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"brokerset/internal/obs"
@@ -57,53 +58,162 @@ func TestCommitBatchMixedOps(t *testing.T) {
 	}
 }
 
-// TestBatchWALCrashReplays proves per-session crash-atomicity across the
-// batch record: a broker dies between appending the walBatch record and
-// applying it, and recovery replays the record to exactly the state the
-// live apply would have reached.
-func TestBatchWALCrashReplays(t *testing.T) {
-	top, m := ringTop(t, 8)
-	brokers := make([]int32, 8)
-	for i := range brokers {
-		brokers[i] = int32(i)
+// TestSessionNamedTwiceInBatchReleasedOnce: a session named by two release
+// ops of one round — two teardowns, or a teardown and an expiry in either
+// order — gives its capacity back once. The decide step tests the session's state when it
+// takes the release, so the second op is refused, each hop owner gets one
+// release entry, and the ledgers stay exact.
+func TestSessionNamedTwiceInBatchReleasedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		first, second BatchOpKind
+	}{
+		{"two teardowns", BatchTeardown, BatchTeardown},
+		{"teardown then expiry", BatchTeardown, BatchExpire},
+		{"expiry then teardown", BatchExpire, BatchTeardown},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top, m := ringTop(t, 8)
+			p := New(top, m, []int32{0, 1, 2, 3, 4, 5, 6, 7})
+			p.SetRetryConfig(RetryConfig{SessionTTL: 4})
+			tap := &wireTap{inner: NewReliableTransport()}
+			p.UseTransport(tap)
+			ctx := context.Background()
+			s, err := p.Setup(ctx, 0, 2, 5, routing.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				p.Tick() // let the lease lapse so the expiry op is admissible
+			}
+			tap.sent = nil
+			res := p.CommitBatch(ctx, []BatchOp{
+				{Kind: tc.first, Session: s},
+				{Kind: tc.second, Session: s},
+			})
+			if res[0].Err != nil {
+				t.Fatalf("first release: %v", res[0].Err)
+			}
+			if res[1].Err == nil || !strings.Contains(res[1].Err.Error(), "teardown of non-committed session") {
+				t.Fatalf("second release of the same session: err = %v, want teardown of non-committed session", res[1].Err)
+			}
+			releases := 0
+			for _, msg := range tap.sent {
+				for _, e := range msg.Batch {
+					if e.Kind == EntryRelease {
+						releases++
+					}
+				}
+			}
+			if hops := len(s.Path) - 1; releases != hops {
+				t.Fatalf("%d release entries sent for a %d-hop session", releases, hops)
+			}
+			wantTeardowns, wantExpiries := 1, 0
+			if tc.first == BatchExpire {
+				wantTeardowns, wantExpiries = 0, 1
+			}
+			if st := p.Stats(); st.Teardowns != wantTeardowns || st.SessionExpiries != wantExpiries {
+				t.Fatalf("teardowns = %d, session expiries = %d, want %d and %d",
+					st.Teardowns, st.SessionExpiries, wantTeardowns, wantExpiries)
+			}
+			if err := p.CheckInvariants(nil); err != nil {
+				t.Fatalf("invariants after a doubly named release: %v", err)
+			}
+		})
 	}
-	p := New(top, m, brokers)
-	ctx := context.Background()
+}
 
-	var crashed []int32
-	p.batchWALCrash = func(b int32) bool {
-		if len(crashed) == 0 { // first broker to receive the batch record dies
-			crashed = append(crashed, b)
-			return true
-		}
-		return false
-	}
-	res := p.CommitBatch(ctx, []BatchOp{
-		{Kind: BatchSetup, Path: []int32{0, 1, 2, 3}, Bandwidth: 4},
-	})
-	p.batchWALCrash = nil
-	if res[0].Err != nil {
-		t.Fatalf("setup: %v", res[0].Err)
-	}
-	if len(crashed) != 1 {
-		t.Fatalf("WAL-crash seam fired %d times, want 1", len(crashed))
-	}
-	s := res[0].Session
-	if s.State != StateCommitted {
-		t.Fatalf("state = %v, want committed (decision was durable before phase 2)", s.State)
-	}
-	p.Recover(crashed[0])
-	if err := p.Reconcile(ctx); err != nil {
-		t.Fatalf("reconcile: %v", err)
-	}
-	if err := p.CheckInvariants([]*Session{s}); err != nil {
-		t.Fatalf("invariants after WAL-crash replay: %v", err)
-	}
-	if err := p.Teardown(ctx, s); err != nil {
-		t.Fatalf("teardown after recovery: %v", err)
-	}
-	if err := p.CheckInvariants(nil); err != nil {
-		t.Fatalf("invariants after teardown: %v", err)
+// TestBatchWALCrashReplays proves per-session crash-atomicity across the
+// batch record, whichever entry point sent it: a broker dies between
+// appending the walBatch record and applying it, and recovery replays the
+// record to exactly the state the live apply would have reached.
+func TestBatchWALCrashReplays(t *testing.T) {
+	ctx := context.Background()
+	path := []int32{0, 1, 2, 3}
+	// Each case runs one entry point with the seam armed and returns the
+	// sessions that must be committed afterwards.
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, p *Plane, arm func()) []*Session
+	}{
+		{"CommitBatch", func(t *testing.T, p *Plane, arm func()) []*Session {
+			arm()
+			res := p.CommitBatch(ctx, []BatchOp{{Kind: BatchSetup, Path: path, Bandwidth: 4}})
+			if res[0].Err != nil {
+				t.Fatalf("setup: %v", res[0].Err)
+			}
+			return []*Session{res[0].Session}
+		}},
+		{"Setup", func(t *testing.T, p *Plane, arm func()) []*Session {
+			arm()
+			s, err := p.Setup(ctx, 0, 3, 4, routing.Options{})
+			if err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			return []*Session{s}
+		}},
+		{"Teardown", func(t *testing.T, p *Plane, arm func()) []*Session {
+			s, err := p.Setup(ctx, 0, 3, 4, routing.Options{})
+			if err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			arm()
+			if err := p.Teardown(ctx, s); err != nil {
+				t.Fatalf("teardown: %v", err)
+			}
+			return nil
+		}},
+		{"CommitPrepared", func(t *testing.T, p *Plane, arm func()) []*Session {
+			pr, err := p.PrepareOnPath(ctx, path, 4)
+			if err != nil {
+				t.Fatalf("prepare: %v", err)
+			}
+			arm()
+			s, err := p.CommitPrepared(ctx, pr)
+			if err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			return []*Session{s}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top, m := ringTop(t, 8)
+			p := New(top, m, []int32{0, 1, 2, 3, 4, 5, 6, 7})
+			var crashed []int32
+			live := tc.run(t, p, func() {
+				p.batchWALCrash = func(b int32) bool {
+					if len(crashed) == 0 { // first broker to receive the record dies
+						crashed = append(crashed, b)
+						return true
+					}
+					return false
+				}
+			})
+			p.batchWALCrash = nil
+			if len(crashed) != 1 {
+				t.Fatalf("WAL-crash seam fired %d times, want 1", len(crashed))
+			}
+			for _, s := range live {
+				if s.State != StateCommitted {
+					t.Fatalf("state = %v, want committed (decision was durable before phase 2)", s.State)
+				}
+			}
+			p.Recover(crashed[0])
+			if err := p.Reconcile(ctx); err != nil {
+				t.Fatalf("reconcile: %v", err)
+			}
+			if err := p.CheckInvariants(live); err != nil {
+				t.Fatalf("invariants after WAL-crash replay: %v", err)
+			}
+			for _, s := range live {
+				if err := p.Teardown(ctx, s); err != nil {
+					t.Fatalf("teardown after recovery: %v", err)
+				}
+			}
+			if err := p.CheckInvariants(nil); err != nil {
+				t.Fatalf("invariants after teardown: %v", err)
+			}
+		})
 	}
 }
 

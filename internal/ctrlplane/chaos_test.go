@@ -120,9 +120,9 @@ func TestChaos2PC(t *testing.T) {
 	fr := obs.NewFlightRecorder(4096)
 	p.SetFlightRecorder(fr)
 
-	// Crash a broker mid-commit every crashGap-th COMMIT delivery: the
-	// commit decision is already durable at the coordinator, the agent
-	// loses it in flight.
+	// Crash a broker mid-commit every crashGap-th delivery of a record
+	// carrying a commit: the decision is already durable at the
+	// coordinator, the agent loses it in flight.
 	var (
 		commitSeen int
 		crashes    int
@@ -130,7 +130,7 @@ func TestChaos2PC(t *testing.T) {
 		iter       int
 	)
 	ft.OnDeliver = func(msg Message) {
-		if msg.Type != MsgCommit || crashes >= maxCrashes {
+		if !carries(msg, EntryCommit) || crashes >= maxCrashes {
 			return
 		}
 		commitSeen++

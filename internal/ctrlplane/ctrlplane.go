@@ -11,12 +11,22 @@
 // Transport (the default is a lossless FIFO bus; FaultTransport injects
 // seeded loss, duplication, delay, reordering, and partitions), every
 // message carries a monotonically increasing id so retransmissions are
-// idempotent, the coordinator retries unacknowledged messages with capped
-// exponential backoff under the caller's context, a per-broker circuit
-// breaker fast-fails setups through persistently unresponsive brokers, and
-// each agent write-ahead-logs its ledger mutations so a crashed broker
-// recovers its exact reservation state (in-doubt sessions are resolved
-// against the coordinator's durable commit-point record).
+// idempotent, the coordinator retries unacknowledged messages one virtual
+// tick apart under the caller's context, a per-broker circuit breaker
+// fast-fails setups through persistently unresponsive brokers, and each
+// agent write-ahead-logs its ledger mutations so a crashed broker recovers
+// its exact reservation state (in-doubt sessions are resolved against the
+// coordinator's durable commit-point record).
+//
+// There is one commit protocol. Every lifecycle entry point — Setup,
+// Teardown, Repath, the split-phase PrepareOnPath/CommitPrepared/
+// AbortPrepared and the group-commit CommitBatch — is a composition of the
+// same three steps: open an attempt, prepare a set of attempts in one
+// PREPARE broadcast, and decide, which records every commit, abort and
+// release durably and delivers each touched broker one BATCH record. An
+// agent ledger changes on a decision in exactly one function,
+// applyBatchEntries, whether the record arrives live, is replayed from the
+// WAL, or is written locally by a lease sweep or a recovery.
 package ctrlplane
 
 import (
@@ -24,7 +34,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"brokerset/internal/obs"
 	"brokerset/internal/routing"
@@ -53,25 +62,22 @@ func PeerRegion(addr int32) (int, bool) {
 // MsgType enumerates protocol messages.
 type MsgType uint8
 
-// Protocol message types: two-phase commit plus teardown, each
-// decision/request paired with an acknowledgement so the coordinator can
-// retry until delivery is confirmed.
+// Protocol message types. Between the coordinator and its agents there are
+// two requests, PREPARE and BATCH, each paired with an acknowledgement so
+// the coordinator can retry until delivery is confirmed. Values 4–9 carried
+// the per-session COMMIT/ABORT/RELEASE and their acks before the batch
+// record replaced them; they are retired, not reused, and DecodeMessage
+// rejects them.
 const (
 	MsgPrepare MsgType = iota + 1
 	MsgPrepareAck
 	MsgPrepareNack
-	MsgCommit
-	MsgAbort
-	MsgRelease
-	MsgCommitAck
-	MsgAbortAck
-	MsgReleaseAck
 	// Cross-region sub-coordinator RPCs: a home-region coordinator drives a
 	// transit region's coordinator through the same prepare/commit/abort/
 	// release shape, one level up from the broker agents. XCommitNack is the
 	// one asymmetry: a transit region whose prepared sub-transaction lease
 	// already expired must refuse a late commit rather than ack it.
-	MsgXPrepare
+	MsgXPrepare MsgType = iota + 7
 	MsgXPrepareAck
 	MsgXPrepareNack
 	MsgXCommit
@@ -84,10 +90,10 @@ const (
 	// MsgGossip carries one region's digest to a peer: region epoch, one
 	// border broker's liveness, and connectivity. Fire-and-forget.
 	MsgGossip
-	// MsgBatch carries one group-commit decision record to a broker: every
-	// commit, abort, and release entry of the batch that touches links the
-	// broker owns, in one message — the agent write-ahead-logs the whole
-	// record once, then applies each entry with per-session fencing.
+	// MsgBatch carries one decision record to a broker: every commit, abort,
+	// and release entry of the round that touches links the broker owns, in
+	// one message — the agent write-ahead-logs the whole record once, then
+	// applies each entry with per-session fencing.
 	MsgBatch
 	MsgBatchAck
 )
@@ -96,12 +102,6 @@ var msgNames = [...]string{
 	MsgPrepare:      "PREPARE",
 	MsgPrepareAck:   "PREPARE-ACK",
 	MsgPrepareNack:  "PREPARE-NACK",
-	MsgCommit:       "COMMIT",
-	MsgAbort:        "ABORT",
-	MsgRelease:      "RELEASE",
-	MsgCommitAck:    "COMMIT-ACK",
-	MsgAbortAck:     "ABORT-ACK",
-	MsgReleaseAck:   "RELEASE-ACK",
 	MsgXPrepare:     "X-PREPARE",
 	MsgXPrepareAck:  "X-PREPARE-ACK",
 	MsgXPrepareNack: "X-PREPARE-NACK",
@@ -117,9 +117,12 @@ var msgNames = [...]string{
 	MsgBatchAck:     "BATCH-ACK",
 }
 
+// known reports whether t is a message type of the current protocol.
+func (t MsgType) known() bool { return int(t) < len(msgNames) && msgNames[t] != "" }
+
 // String returns the wire name of the message type.
 func (t MsgType) String() string {
-	if int(t) < len(msgNames) && msgNames[t] != "" {
+	if t.known() {
 		return msgNames[t]
 	}
 	return fmt.Sprintf("msg(%d)", uint8(t))
@@ -131,12 +134,6 @@ func ackFor(t MsgType) (MsgType, bool) {
 	switch t {
 	case MsgPrepare:
 		return MsgPrepareAck, true
-	case MsgCommit:
-		return MsgCommitAck, true
-	case MsgAbort:
-		return MsgAbortAck, true
-	case MsgRelease:
-		return MsgReleaseAck, true
 	case MsgXPrepare:
 		return MsgXPrepareAck, true
 	case MsgXCommit:
@@ -155,7 +152,7 @@ func ackFor(t MsgType) (MsgType, bool) {
 // (Coordinator addresses the 2PC coordinator). MsgID is unique per logical
 // message — retransmissions reuse it, which is what makes delivery
 // idempotent: agents deduplicate on it. AckFor carries the MsgID an
-// acknowledgement answers. Epoch scopes the message to one establish
+// acknowledgement answers. Epoch scopes the message to one setup
 // attempt of the session (see Session.Epoch).
 type Message struct {
 	From, To  int32
@@ -264,7 +261,7 @@ type Session struct {
 	Path      []int32
 	Bandwidth float64
 	State     SessionState
-	// Epoch counts establish attempts (Setup is epoch 1; every Repath
+	// Epoch counts setup attempts (Setup is epoch 1; every Repath
 	// bumps it). Protocol messages are scoped by (ID, Epoch), so delayed
 	// stragglers from a superseded path can never touch the current one.
 	Epoch uint32
@@ -306,18 +303,9 @@ type hold struct {
 // takes serving-grade defaults.
 type RetryConfig struct {
 	// MaxAttempts bounds send attempts per message per phase (default 6).
+	// Time is virtual: retries happen immediately, the clock and the
+	// transport advancing one step per retry round.
 	MaxAttempts int
-	// BaseBackoff is the first retry's backoff; subsequent retries double
-	// it up to MaxBackoff (defaults 1ms / 20ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the fraction of each backoff randomized away, [0,1)
-	// (default 0.5; negative disables).
-	Jitter float64
-	// Sleep, when non-nil, really sleeps each backoff. Nil keeps time
-	// virtual — retries happen immediately but the transport still
-	// advances one step per round, which is what deterministic tests want.
-	Sleep func(time.Duration)
 	// BreakerThreshold is the consecutive-timeout count that trips a
 	// broker's circuit breaker (default 3); BreakerCooldown is how many
 	// virtual clock ticks it stays open (default 64).
@@ -349,18 +337,6 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	if rc.MaxAttempts <= 0 {
 		rc.MaxAttempts = 6
 	}
-	if rc.BaseBackoff <= 0 {
-		rc.BaseBackoff = time.Millisecond
-	}
-	if rc.MaxBackoff <= 0 {
-		rc.MaxBackoff = 20 * time.Millisecond
-	}
-	if rc.Jitter == 0 {
-		rc.Jitter = 0.5
-	}
-	if rc.Jitter < 0 || rc.Jitter >= 1 {
-		rc.Jitter = 0
-	}
 	if rc.BreakerThreshold <= 0 {
 		rc.BreakerThreshold = 3
 	}
@@ -388,7 +364,6 @@ type Plane struct {
 
 	tr    Transport
 	retry RetryConfig
-	rng   *rand.Rand
 	// clock is virtual time: it advances once per public operation and
 	// once per retry round, and paces breaker cooldowns and transport
 	// delay release.
@@ -398,18 +373,19 @@ type Plane struct {
 	// it survives crashes and membership changes.
 	wals map[int32]*wal
 	// decided is the coordinator's durable decision record: commit points
-	// and abort decisions per establish attempt. Recovery resolves
+	// and abort decisions per setup attempt. Recovery resolves
 	// in-doubt holds against it.
 	decided map[sessKey]bool
-	// backlog holds decided-but-unacknowledged messages (commits, aborts,
-	// releases to unreachable agents); they are lazily re-driven at the
-	// start of every operation and by Reconcile.
+	// backlog holds decided-but-unacknowledged batch records (toward
+	// unreachable agents); they are lazily re-driven at the start of every
+	// operation and by Reconcile.
 	backlog map[uint64]Message
 	// backlogWait defers individual backlog re-sends when RetryJitterTicks
 	// is set, so a healed partition's catch-up traffic spreads over ticks.
 	backlogWait map[uint64]int
-	// jrng is the retry-jitter stream, separate from rng so enabling
-	// jitter never perturbs the backoff/fault schedules of existing seeds.
+	// jrng is the retry-jitter stream; nothing draws from it while
+	// RetryJitterTicks is 0, so enabling jitter never perturbs the fault
+	// schedules of existing seeds.
 	jrng *rand.Rand
 
 	// sessLeases tracks committed sessions' heartbeat leases by session id
@@ -421,8 +397,9 @@ type Plane struct {
 
 	// batchPrepareCrash and batchWALCrash are chaos seams: when non-nil and
 	// returning true they simulate, respectively, the coordinator dying
-	// mid-batch (after phase 1, before any decision is recorded) and a
-	// broker dying between its batch WAL append and the in-memory apply.
+	// inside CommitBatch (after phase 1, before any decision is recorded)
+	// and a broker dying between its batch WAL append and the in-memory
+	// apply, whichever entry point sent the record.
 	batchPrepareCrash func() bool
 	batchWALCrash     func(b int32) bool
 
@@ -456,7 +433,6 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 		crashed:  make(map[int32]bool),
 		tr:       NewReliableTransport(),
 		retry:    RetryConfig{}.withDefaults(),
-		rng:      rand.New(rand.NewSource(1)),
 		breakers: make(map[int32]*breaker),
 		wals:     make(map[int32]*wal),
 		decided:  make(map[sessKey]bool),
@@ -558,13 +534,15 @@ func (p *Plane) Crash(b int32) {
 // the coordinator's durable commit point:
 //
 //	in-doubt state          decision record    resolution
-//	prepared (hold held)    commit logged      finish commit locally
-//	prepared (hold held)    abort logged       release the hold
-//	prepared (hold held)    none               presumed abort
+//	prepared (hold held)    commit logged      commit entry
+//	prepared (hold held)    abort logged       abort entry
+//	prepared (hold held)    none               abort entry (presumed abort)
 //
-// The shared metrics mirror is coordinator-owned and untouched by replay,
-// so recovery never double-counts a reservation. Recovering a broker that
-// is not crashed is a no-op.
+// The resolutions are logged as one batch record and applied through
+// applyBatchEntries, like a record the coordinator delivered. The shared
+// metrics mirror is coordinator-owned and untouched by replay, so recovery
+// never double-counts a reservation. Recovering a broker that is not
+// crashed is a no-op.
 func (p *Plane) Recover(b int32) {
 	if !p.crashed[b] {
 		return
@@ -574,32 +552,37 @@ func (p *Plane) Recover(b int32) {
 	if a == nil {
 		return // no longer a coalition member; ledger migration moved on
 	}
-	avail, holds, done, seen := p.walOf(b).replay()
-	a.avail, a.done, a.seen = avail, done, seen
-	a.holds = make(map[sessKey][]hold)
-	w := p.walOf(b)
-	for _, key := range inDoubt(holds) {
+	a.avail, a.holds, a.done, a.seen = p.walOf(b).replay()
+	doubt := inDoubt(a.holds)
+	var entries []BatchEntry
+	for _, key := range doubt {
+		e := BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch}
 		if p.decided[key] {
-			// Commit point was logged: finish the commit locally — the
-			// availability deduction stands, the holds retire.
-			w.append(walRecord{Op: walCommit, Session: key})
-			a.done[key] = walCommit
+			e.Kind = EntryCommit
 			p.stats.InDoubtCommitted++
-			continue
+		} else {
+			p.stats.InDoubtAborted++
 		}
-		// Abort was logged, or no decision exists: presumed abort.
-		w.append(walRecord{Op: walAbort, Session: key})
-		for _, h := range holds[key] {
-			a.avail[h.hop] += h.bw
-		}
-		a.done[key] = walAbort
-		p.stats.InDoubtAborted++
+		entries = append(entries, e)
 	}
+	p.applyLocal(a, entries)
 	if br := p.breakers[b]; br != nil {
 		br.fails, br.openUntil = 0, 0
 	}
 	p.stats.Recoveries++
-	p.flight.Recordf("ctrlplane", "recover", int64(p.clock), "broker %d: %d holds in doubt", b, len(holds))
+	p.flight.Recordf("ctrlplane", "recover", int64(p.clock), "broker %d: %d holds in doubt", b, len(doubt))
+}
+
+// applyLocal logs and applies a batch record that no message carried: the
+// presumed aborts of a lease sweep, or a recovery's in-doubt resolutions.
+// The record has no MsgID, which is how wal.commitCounts tells it from a
+// decision the coordinator delivered.
+func (p *Plane) applyLocal(a *agent, entries []BatchEntry) {
+	if len(entries) == 0 {
+		return
+	}
+	p.walOf(a.id).append(walRecord{Op: walBatch, Batch: entries})
+	applyBatchEntries(a.avail, a.holds, a.done, entries)
 }
 
 // Crashed reports whether broker b is marked crashed.
@@ -705,7 +688,7 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	}
 	for id, m := range p.backlog {
 		if _, stillAgent := p.agents[m.To]; !stillAgent {
-			delete(p.backlog, id)
+			p.dropBacklog(id)
 		}
 	}
 	p.engine.SetBrokers(brokers)
@@ -750,7 +733,7 @@ func (p *Plane) msgID() uint64 {
 	return p.nextMsg
 }
 
-// Setup establishes a bw-Gbps session from src to dst over the best
+// Setup sets up a bw-Gbps session from src to dst over the best
 // B-dominated path, running the retrying two-phase commit across the hop
 // owners under ctx (which bounds the whole setup, retries included). On
 // capacity shortage, an unresponsive or crashed owner, or deadline expiry
@@ -771,39 +754,11 @@ func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routin
 		span.Annotate("outcome", "no_path")
 		return nil, fmt.Errorf("ctrlplane: no dominated path: %w", err)
 	}
-	p.nextID++
-	s := &Session{ID: p.nextID, Bandwidth: bw}
-	if err := p.establish(ctx, s, path.Nodes); err != nil {
-		span.Annotate("outcome", "aborted")
-		return nil, err
+	s, err := p.begin(path.Nodes, bw)
+	if err == nil {
+		err = p.settle(ctx, s)
 	}
-	span.Annotate("outcome", "committed")
-	return s, nil
-}
-
-// SetupOnPath runs the 2PC reservation for a path computed elsewhere —
-// brokerd computes it lock-free against a pinned epoch snapshot and only
-// serializes this commit step. The path must be B-dominated under the
-// plane's current membership; a hop without a broker owner (membership
-// moved since the snapshot) aborts cleanly, and the caller falls back to
-// Setup against live state. Same external-serialization rule as Setup.
-func (p *Plane) SetupOnPath(ctx context.Context, nodes []int32, bw float64) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if bw <= 0 {
-		return nil, fmt.Errorf("ctrlplane: bandwidth must be > 0, got %f", bw)
-	}
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("ctrlplane: path needs >= 2 nodes, got %d", len(nodes))
-	}
-	ctx, span := obs.StartSpan(ctx, "ctrlplane.setup_on_path")
-	defer span.End()
-	span.Annotatef("route", "%d->%d", nodes[0], nodes[len(nodes)-1])
-	p.tick()
-	p.nextID++
-	s := &Session{ID: p.nextID, Bandwidth: bw}
-	if err := p.establish(ctx, s, append([]int32(nil), nodes...)); err != nil {
+	if err != nil {
 		span.Annotate("outcome", "aborted")
 		return nil, err
 	}
@@ -832,10 +787,11 @@ func (p *Plane) Tick() { p.tick() }
 // whose leases have all lapsed and presumed-aborts them locally — the
 // self-cleaning path for setups abandoned mid-stitch by a crashed remote
 // coordinator, with no teardown traffic. The presumed-abort decision is
-// recorded durably before any hold is credited back, so a late
+// recorded at the coordinator and logged at the agent (one batch record of
+// abort entries per broker) before any hold is credited back, so a late
 // CommitPrepared for the same attempt refuses instead of committing over a
 // swept hold. Hold sets whose decision is already COMMIT are never swept
-// (the backlogged COMMIT will land); unleased holds (lease 0) never expire.
+// (the backlogged record will land); unleased holds (lease 0) never expire.
 // Returns the number of hold sets swept.
 func (p *Plane) ExpireLeases() int {
 	n := 0
@@ -844,8 +800,9 @@ func (p *Plane) ExpireLeases() int {
 			continue
 		}
 		a := p.agents[b]
+		var entries []BatchEntry
 		for _, key := range inDoubt(a.holds) {
-			if dec, decided := p.decided[key]; decided && dec {
+			if p.decided[key] {
 				continue
 			}
 			lapsed := len(a.holds[key]) > 0
@@ -859,44 +816,44 @@ func (p *Plane) ExpireLeases() int {
 				continue
 			}
 			p.decided[key] = false
-			p.walOf(b).append(walRecord{Op: walAbort, Session: key})
-			for _, h := range a.holds[key] {
-				a.avail[h.hop] += h.bw
-			}
-			delete(a.holds, key)
-			a.done[key] = walAbort
+			entries = append(entries, BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch})
 			p.stats.LeaseExpiries++
 			p.flight.Recordf("ctrlplane", "lease_expire", int64(p.clock), "session %d.%d swept at broker %d", key.ID, key.Epoch, b)
-			n++
 		}
+		p.applyLocal(a, entries)
+		n += len(entries)
 	}
 	return n
 }
 
-// establish runs the two-phase commit for session s over the node sequence
-// under a fresh epoch, setting Path/owners and leaving the session
-// StateCommitted on success or StateAborted (all holds released or
-// abort-fenced) on failure.
-func (p *Plane) establish(ctx context.Context, s *Session, nodes []int32) error {
-	ctx, span := obs.StartSpan(ctx, "ctrlplane.establish")
-	defer span.End()
-	err := p.preparePhase(ctx, s, nodes)
-	span.Annotatef("session", "%d.%d", s.ID, s.Epoch)
-	if err != nil {
-		return err
+// checkSetup validates a setup request over an externally computed path.
+func checkSetup(nodes []int32, bw float64) error {
+	if bw <= 0 {
+		return fmt.Errorf("ctrlplane: bandwidth must be > 0, got %f", bw)
 	}
-	p.commitPoint(ctx, s)
+	if len(nodes) < 2 {
+		return fmt.Errorf("ctrlplane: path needs >= 2 nodes, got %d", len(nodes))
+	}
 	return nil
 }
 
-// preparePhase runs phase 1 of the 2PC: it opens a fresh epoch, resolves
-// hop owners, fast-fails through open breakers, and PREPAREs every hop.
-// On success the session is StatePrepared with every hop held (leased when
-// RetryConfig.LeaseTTL is set); on any failure the attempt is durably
-// abort-decided, every hold released or abort-fenced, and the session left
-// StateAborted. It runs on the caller's span (the broadcast nesting is part
-// of the trace contract).
-func (p *Plane) preparePhase(ctx context.Context, s *Session, nodes []int32) error {
+// begin validates a setup request, allocates its session and opens the
+// first attempt over nodes (copied: the session owns its path).
+func (p *Plane) begin(nodes []int32, bw float64) (*Session, error) {
+	if err := checkSetup(nodes, bw); err != nil {
+		return nil, err
+	}
+	p.nextID++
+	s := &Session{ID: p.nextID, Bandwidth: bw}
+	return s, p.open(s, append([]int32(nil), nodes...))
+}
+
+// open starts a fresh attempt of s over nodes: the next epoch, hop owners
+// resolved under the current membership, and a fast-fail through any open
+// circuit breaker — no retry budget is burnt on a broker that just timed
+// out repeatedly; the healer will route around it. On error the session is
+// StateAborted and nothing is held anywhere.
+func (p *Plane) open(s *Session, nodes []int32) error {
 	s.Epoch++
 	s.Path = nodes
 	s.owners = s.owners[:0]
@@ -909,86 +866,176 @@ func (p *Plane) preparePhase(ctx context.Context, s *Session, nodes []int32) err
 		}
 		s.owners = append(s.owners, owner)
 	}
-	key := sessKey{s.ID, s.Epoch}
-
-	// Fast-fail through an open circuit breaker: don't burn the retry
-	// budget on a broker that just timed out repeatedly — the healer will
-	// route around it.
 	for _, owner := range s.owners {
 		if p.breakerOpen(owner) {
-			p.decided[key] = false
-			p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (breaker %d open)", key.ID, key.Epoch, owner)
+			p.decided[sessKey{s.ID, s.Epoch}] = false
+			p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (breaker %d open)", s.ID, s.Epoch, owner)
 			p.stats.BreakerFastFails++
 			p.stats.Aborts++
 			s.State = StateAborted
 			return fmt.Errorf("ctrlplane: setup %d aborted: broker %d circuit open", s.ID, owner)
 		}
 	}
-
-	// Phase 1: PREPARE every hop with its owner.
-	trace := obs.TraceIDFrom(ctx)
-	msgs := make([]Message, 0, len(s.owners))
-	for i, owner := range s.owners {
-		msgs = append(msgs, Message{
-			From: Coordinator, To: owner, Type: MsgPrepare,
-			SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
-			Hop: hopKey(s.Path[i], s.Path[i+1]), Bandwidth: s.Bandwidth,
-			Lease: uint32(p.retry.LeaseTTL), Trace: trace,
-		})
-	}
-	out := p.broadcast(ctx, msgs)
-	if len(out.nacked) > 0 || len(out.pending) > 0 {
-		// Decision: ABORT — durably recorded before any abort is sent, so
-		// a crashed owner resolves its in-doubt hold the same way.
-		p.decided[key] = false
-		p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (%d nacked, %d pending)",
-			key.ID, key.Epoch, len(out.nacked), len(out.pending))
-		p.abortAll(ctx, s)
-		p.stats.Aborts++
-		s.State = StateAborted
-		if len(out.nacked) > 0 {
-			return fmt.Errorf("ctrlplane: setup %d aborted: insufficient capacity on %d hop(s)", s.ID, len(out.nacked))
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("ctrlplane: setup %d aborted: deadline expired: %w", s.ID, err)
-		}
-		return fmt.Errorf("ctrlplane: setup %d aborted: %d owner(s) unresponsive", s.ID, len(out.pending))
-	}
-	s.State = StatePrepared
 	return nil
 }
 
-// commitPoint durably records the COMMIT decision for a prepared session
-// and drives phase 2: from the moment the decision is recorded the session
-// is committed regardless of which agents are reachable — undelivered
-// COMMITs go to the backlog and crashed owners resolve via their WAL.
-func (p *Plane) commitPoint(ctx context.Context, s *Session) {
-	key := sessKey{s.ID, s.Epoch}
-	p.decided[key] = true
-	p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d COMMIT", key.ID, key.Epoch)
-	owners := uniqueOwners(s.owners)
-	cmsgs := make([]Message, 0, len(owners))
-	for _, owner := range owners {
-		cmsgs = append(cmsgs, Message{
-			From: Coordinator, To: owner, Type: MsgCommit,
-			SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
-			Trace: obs.TraceIDFrom(ctx),
+// prepare runs phase 1 for a set of opened attempts in one broadcast: every
+// hop of every attempt is PREPAREd at its owner (leased when
+// RetryConfig.LeaseTTL is set). traces[i], when non-zero, is the trace the
+// i-th attempt's PREPAREs ride instead of ctx's, so on the wire each op
+// stays attributable to the request that asked for it. The result is
+// index-aligned: nil leaves the attempt StatePrepared with every hop held;
+// an error names why it cannot commit. Nothing is decided here — the caller
+// follows with decide for every attempt, failed ones included, because some
+// of their hops may be held.
+func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []error {
+	var msgs []Message
+	of := make(map[uint64]int) // PREPARE MsgID -> index into ss
+	for i, s := range ss {
+		trace := obs.TraceIDFrom(ctx)
+		if traces != nil && traces[i] != 0 {
+			trace = traces[i]
+		}
+		for h, owner := range s.owners {
+			m := Message{
+				From: Coordinator, To: owner, Type: MsgPrepare,
+				SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
+				Hop: hopKey(s.Path[h], s.Path[h+1]), Bandwidth: s.Bandwidth,
+				Lease: uint32(p.retry.LeaseTTL), Trace: trace,
+			}
+			of[m.MsgID] = i
+			msgs = append(msgs, m)
+		}
+	}
+	out := p.broadcast(ctx, msgs)
+	nacked := make([]int, len(ss))
+	pending := make([]int, len(ss))
+	for id := range out.nacked {
+		nacked[of[id]]++
+	}
+	for id := range out.pending {
+		pending[of[id]]++
+	}
+	errs := make([]error, len(ss))
+	for i, s := range ss {
+		switch {
+		case nacked[i] > 0:
+			errs[i] = fmt.Errorf("ctrlplane: setup %d aborted: insufficient capacity on %d hop(s)", s.ID, nacked[i])
+		case pending[i] == 0:
+			s.State = StatePrepared
+		case ctx.Err() != nil:
+			errs[i] = fmt.Errorf("ctrlplane: setup %d aborted: deadline expired: %w", s.ID, ctx.Err())
+		default:
+			errs[i] = fmt.Errorf("ctrlplane: setup %d aborted: %d hop(s) unresponsive", s.ID, pending[i])
+		}
+	}
+	return errs
+}
+
+// decide is the decision point of a round and its phase 2. Every session in
+// commits and aborts has its current attempt decided, every session in
+// releases gives its committed capacity back; each decision is recorded
+// durably BEFORE any message is sent, so a broker crashing on the record
+// resolves its in-doubt holds exactly as the coordinator decided, and from
+// that moment the outcome stands regardless of which agents are reachable.
+// Then every touched broker gets ONE MsgBatch carrying its slice of the
+// round, in one broadcast; unacknowledged records go to the backlog — late
+// delivery or WAL recovery converges. The capacity version moves once.
+//
+// The coordinator owns the shared metrics mirror: a reservation is recorded
+// exactly once per hop at the commit point and released exactly once per
+// hop here, so path queries observe residual capacity even while an owner
+// is unreachable. The agent ledgers stay authoritative per link; a mirror
+// shortfall is ignored rather than failing an already-decided commit.
+//
+// A release is taken only if the session is StateCommitted when its turn
+// comes — a session named twice in one round is released once. The result
+// is index-aligned with releases; hops that lost every broker endpoint have
+// no agent ledger left to credit.
+func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session) []error {
+	entries := make(map[int32][]BatchEntry) // broker -> its slice of the record
+	record := func(s *Session, kind BatchEntryKind, verdict string) {
+		p.decided[sessKey{s.ID, s.Epoch}] = kind == EntryCommit
+		p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d %s", s.ID, s.Epoch, verdict)
+		for _, owner := range uniqueOwners(s.owners) {
+			entries[owner] = append(entries[owner], BatchEntry{Kind: kind, ID: s.ID, Epoch: s.Epoch})
+		}
+	}
+	for _, s := range commits {
+		record(s, EntryCommit, "COMMIT")
+		for h := 0; h+1 < len(s.Path); h++ {
+			_ = p.metrics.Reserve(s.Path[h], s.Path[h+1], s.Bandwidth)
+		}
+		p.stats.Commits++
+		s.State = StateCommitted
+		p.grantSessionLease(s)
+	}
+	for _, s := range aborts {
+		record(s, EntryAbort, "ABORT")
+		p.stats.Aborts++
+		s.State = StateAborted
+	}
+	errs := make([]error, len(releases))
+	changed := len(commits) > 0
+	for i, s := range releases {
+		if s.State != StateCommitted {
+			errs[i] = fmt.Errorf("ctrlplane: teardown of non-committed session")
+			continue
+		}
+		for h := 0; h+1 < len(s.Path); h++ {
+			u, v := s.Path[h], s.Path[h+1]
+			if owner, ok := p.ownerOf(u, v); ok {
+				entries[owner] = append(entries[owner], BatchEntry{
+					Kind: EntryRelease, ID: s.ID, Epoch: s.Epoch,
+					Hop: hopKey(u, v), BW: s.Bandwidth,
+				})
+			}
+			p.metrics.Release(u, v, s.Bandwidth)
+		}
+		p.dropSessionLease(s.ID)
+		s.State = StateReleased
+		changed = true
+	}
+
+	brokers := make([]int32, 0, len(entries))
+	for b := range entries {
+		brokers = append(brokers, b)
+	}
+	sort.Slice(brokers, func(i, j int) bool { return brokers[i] < brokers[j] })
+	msgs := make([]Message, 0, len(brokers))
+	for _, b := range brokers {
+		msgs = append(msgs, Message{
+			From: Coordinator, To: b, Type: MsgBatch,
+			MsgID: p.msgID(), Batch: entries[b], Trace: obs.TraceIDFrom(ctx),
 		})
 	}
-	cout := p.broadcast(ctx, cmsgs)
-	p.enqueueBacklog(cout.pending)
-	// The coordinator owns the shared metrics mirror: the reservation is
-	// recorded exactly once per hop at the commit point, so path queries
-	// observe residual capacity even while some owner is unreachable. The
-	// agent ledgers stay authoritative per link; a mirror shortfall is
-	// ignored rather than failing an already-decided commit.
-	for i := 0; i+1 < len(s.Path); i++ {
-		_ = p.metrics.Reserve(s.Path[i], s.Path[i+1], s.Bandwidth)
+	if len(msgs) > 0 {
+		p.enqueueBacklog(p.broadcast(ctx, msgs).pending)
 	}
-	p.version++
-	p.stats.Commits++
-	s.State = StateCommitted
-	p.grantSessionLease(s)
+	if changed {
+		p.version++
+	}
+	return errs
+}
+
+// prepareOne runs phase 1 for a single opened attempt; a failed prepare is
+// abort-decided on the spot, so nothing stays held.
+func (p *Plane) prepareOne(ctx context.Context, s *Session) error {
+	err := p.prepare(ctx, []*Session{s}, nil)[0]
+	if err != nil {
+		p.decide(ctx, nil, []*Session{s}, nil)
+	}
+	return err
+}
+
+// settle drives one opened attempt through prepare and its decision: commit
+// when every hop is held, abort otherwise (the prepare's error is returned).
+func (p *Plane) settle(ctx context.Context, s *Session) error {
+	err := p.prepareOne(ctx, s)
+	if err == nil {
+		p.decide(ctx, []*Session{s}, nil, nil)
+	}
+	return err
 }
 
 // Prepared is a split-phase setup: phase 1 succeeded (every hop held at its
@@ -1005,24 +1052,25 @@ type Prepared struct {
 // path: every hop's capacity is held at its owner but no decision is
 // recorded. The caller must follow with CommitPrepared or AbortPrepared;
 // when RetryConfig.LeaseTTL is set an abandoned Prepared self-cleans by
-// lease expiry. Same path and serialization rules as SetupOnPath.
+// lease expiry. The path must be B-dominated under the plane's current
+// membership; a hop without a broker owner fails cleanly, and a failed
+// prepare leaves nothing held. Same external-serialization rule as Setup.
 func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*Prepared, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if bw <= 0 {
-		return nil, fmt.Errorf("ctrlplane: bandwidth must be > 0, got %f", bw)
-	}
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("ctrlplane: path needs >= 2 nodes, got %d", len(nodes))
+	if err := checkSetup(nodes, bw); err != nil {
+		return nil, err
 	}
 	ctx, span := obs.StartSpan(ctx, "ctrlplane.prepare_on_path")
 	defer span.End()
 	span.Annotatef("route", "%d->%d", nodes[0], nodes[len(nodes)-1])
 	p.tick()
-	p.nextID++
-	s := &Session{ID: p.nextID, Bandwidth: bw}
-	if err := p.preparePhase(ctx, s, append([]int32(nil), nodes...)); err != nil {
+	s, err := p.begin(nodes, bw)
+	if err == nil {
+		err = p.prepareOne(ctx, s)
+	}
+	if err != nil {
 		span.Annotate("outcome", "aborted")
 		return nil, err
 	}
@@ -1045,18 +1093,17 @@ func (p *Plane) CommitPrepared(ctx context.Context, pr *Prepared) (*Session, err
 	}
 	p.tick()
 	s := pr.S
-	key := sessKey{s.ID, s.Epoch}
-	if dec, ok := p.decided[key]; ok && !dec {
+	if dec, ok := p.decided[sessKey{s.ID, s.Epoch}]; ok && !dec {
 		s.State = StateAborted
 		return nil, fmt.Errorf("ctrlplane: session %d.%d lease expired before commit — presumed aborted", s.ID, s.Epoch)
 	}
-	p.commitPoint(ctx, s)
+	p.decide(ctx, []*Session{s}, nil, nil)
 	return s, nil
 }
 
 // AbortPrepared durably abort-decides a prepared setup and releases every
 // hold. Aborting an attempt the lease sweep already presumed-aborted is a
-// harmless no-op at the agents (abort fencing re-acks).
+// harmless no-op at the agents (abort fencing).
 func (p *Plane) AbortPrepared(ctx context.Context, pr *Prepared) error {
 	if pr == nil || pr.S == nil || pr.S.State != StatePrepared {
 		return fmt.Errorf("ctrlplane: abort of non-prepared session")
@@ -1065,13 +1112,7 @@ func (p *Plane) AbortPrepared(ctx context.Context, pr *Prepared) error {
 		ctx = context.Background()
 	}
 	p.tick()
-	s := pr.S
-	key := sessKey{s.ID, s.Epoch}
-	p.decided[key] = false
-	p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (prepared handle)", key.ID, key.Epoch)
-	p.abortAll(ctx, s)
-	p.stats.Aborts++
-	s.State = StateAborted
+	p.decide(ctx, nil, []*Session{pr.S}, nil)
 	return nil
 }
 
@@ -1098,23 +1139,6 @@ func (p *Plane) ResumePrepared(id int, epoch uint32, nodes []int32, bw float64) 
 	return &Prepared{S: s}, nil
 }
 
-// abortAll delivers the abort decision to every owner of s's current
-// attempt; undeliverable aborts are backlogged (the decision is already
-// durable, so late delivery or WAL recovery reaches the same state).
-func (p *Plane) abortAll(ctx context.Context, s *Session) {
-	owners := uniqueOwners(s.owners)
-	msgs := make([]Message, 0, len(owners))
-	for _, owner := range owners {
-		msgs = append(msgs, Message{
-			From: Coordinator, To: owner, Type: MsgAbort,
-			SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
-			Trace: obs.TraceIDFrom(ctx),
-		})
-	}
-	out := p.broadcast(ctx, msgs)
-	p.enqueueBacklog(out.pending)
-}
-
 func uniqueOwners(owners []int32) []int32 {
 	out := make([]int32, 0, len(owners))
 	seen := make(map[int32]bool, len(owners))
@@ -1128,34 +1152,9 @@ func uniqueOwners(owners []int32) []int32 {
 	return out
 }
 
-// releaseAll returns a committed session's capacity on every hop: the
-// coordinator releases the shared metrics mirror exactly once per hop
-// (whether or not the owning agent is reachable) and delivers RELEASE to
-// each current hop owner; undeliverable releases are backlogged so the
-// agent ledger catches up when the owner heals. Hops that lost every
-// broker endpoint have no agent ledger left to credit.
-func (p *Plane) releaseAll(ctx context.Context, s *Session) {
-	var msgs []Message
-	for i := 0; i+1 < len(s.Path); i++ {
-		u, v := s.Path[i], s.Path[i+1]
-		if owner, ok := p.ownerOf(u, v); ok {
-			msgs = append(msgs, Message{
-				From: Coordinator, To: owner, Type: MsgRelease,
-				SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
-				Hop: hopKey(u, v), Bandwidth: s.Bandwidth,
-				Trace: obs.TraceIDFrom(ctx),
-			})
-		}
-		p.metrics.Release(u, v, s.Bandwidth)
-	}
-	p.version++
-	p.dropSessionLease(s.ID)
-	out := p.broadcast(ctx, msgs)
-	p.enqueueBacklog(out.pending)
-}
-
 // Teardown releases a committed session's capacity at every owner under
-// ctx (bounding delivery retries; the release itself is unconditional).
+// ctx (bounding delivery retries; the release itself is unconditional): one
+// batch record per distinct owner, however many hops each owns.
 func (p *Plane) Teardown(ctx context.Context, s *Session) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1167,9 +1166,8 @@ func (p *Plane) Teardown(ctx context.Context, s *Session) error {
 	defer span.End()
 	span.Annotatef("session", "%d.%d", s.ID, s.Epoch)
 	p.tick()
-	p.releaseAll(ctx, s)
+	p.decide(ctx, nil, nil, []*Session{s})
 	p.stats.Teardowns++
-	s.State = StateReleased
 	return nil
 }
 
@@ -1212,7 +1210,7 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 	defer span.End()
 	span.Annotatef("session", "%d.%d", s.ID, s.Epoch)
 	p.tick()
-	p.releaseAll(ctx, s)
+	p.decide(ctx, nil, nil, []*Session{s})
 	src, dst := int(s.Path[0]), int(s.Path[len(s.Path)-1])
 	path, err := p.engine.BestPath(src, dst, opts)
 	if err != nil {
@@ -1220,7 +1218,10 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 		p.stats.RepathAborts++
 		return fmt.Errorf("ctrlplane: session %d aborted: no dominated path survives: %w", s.ID, err)
 	}
-	if err := p.establish(ctx, s, path.Nodes); err != nil {
+	if err = p.open(s, path.Nodes); err == nil {
+		err = p.settle(ctx, s)
+	}
+	if err != nil {
 		p.stats.RepathAborts++
 		return fmt.Errorf("ctrlplane: session %d aborted during repath: %w", s.ID, err)
 	}
@@ -1230,17 +1231,21 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 
 // rpcOutcome is the result of one broadcast round-trip set.
 type rpcOutcome struct {
-	acked   map[uint64]Message // MsgID -> original request
-	nacked  map[uint64]Message
+	nacked  map[uint64]Message // MsgID -> original request
 	pending map[uint64]Message // unanswered after all attempts
 }
 
 // broadcast sends msgs and pumps the transport, retrying unacknowledged
-// messages with capped exponential backoff (plus jitter) until every
-// message is answered, attempts run out, or ctx expires. Messages to
+// messages one virtual tick apart until every message is answered, every
+// message's MaxAttempts send budget is spent, or ctx expires. Under
+// RetryConfig.RetryJitterTicks a seeded-random 0..RetryJitterTicks extra
+// rounds pass between a message's sends, rolled independently per message —
+// two setups whose retries would collide on the same tick de-synchronize
+// instead of hammering the same broker in lockstep; with jitter 0 every
+// wait is 0 and the jitter stream is never drawn from. Messages to
 // known-crashed brokers are not wasted on the wire — they stay pending so
-// the caller can abort or backlog them. Per-broker timeout streaks feed
-// the circuit breakers.
+// the caller can abort or backlog them. Per-broker timeout streaks feed the
+// circuit breakers.
 func (p *Plane) broadcast(ctx context.Context, msgs []Message) rpcOutcome {
 	ctx, span := obs.StartSpan(ctx, "2pc.broadcast")
 	defer span.End()
@@ -1249,42 +1254,38 @@ func (p *Plane) broadcast(ctx context.Context, msgs []Message) rpcOutcome {
 		span.Annotatef("msgs", "%d", len(msgs))
 	}
 	out := rpcOutcome{
-		acked:   make(map[uint64]Message),
 		nacked:  make(map[uint64]Message),
 		pending: make(map[uint64]Message, len(msgs)),
 	}
 	for _, m := range msgs {
 		out.pending[m.MsgID] = m
 	}
-	if p.retry.RetryJitterTicks > 0 {
-		p.broadcastJittered(ctx, &out)
-		if ctx.Err() == nil {
-			for _, id := range sortedIDs(out.pending) {
-				if m := out.pending[id]; !p.crashed[m.To] {
-					p.breakerFail(m.To)
-				}
-			}
-		}
-		return out
+	jitter := p.retry.RetryJitterTicks
+	sent := make(map[uint64]int, len(msgs))
+	var wait map[uint64]int // rounds a message still sits out; jitter only
+	if jitter > 0 {
+		wait = make(map[uint64]int, len(msgs))
 	}
-	for attempt := 0; len(out.pending) > 0 && attempt < p.retry.MaxAttempts; attempt++ {
-		if ctx.Err() != nil {
-			break
-		}
+	sendable := func(m Message) bool { return !p.crashed[m.To] && sent[m.MsgID] < p.retry.MaxAttempts }
+	for round := 0; len(out.pending) > 0 && round < p.retry.MaxAttempts*(jitter+1) && ctx.Err() == nil; round++ {
 		actx, asp := obs.StartSpan(ctx, "2pc.attempt")
-		asp.Annotatef("attempt", "%d", attempt)
+		asp.Annotatef("attempt", "%d", round)
 		asp.Annotatef("pending", "%d", len(out.pending))
-		if attempt > 0 {
+		if round > 0 {
 			_, bsp := obs.StartSpan(actx, "2pc.backoff")
-			p.backoff(attempt)
+			p.backoff()
 			bsp.End()
 		}
 		for _, id := range sortedIDs(out.pending) {
 			m := out.pending[id]
-			if p.crashed[m.To] {
-				continue // known-dead: the failure detector already fired
+			if !sendable(m) {
+				continue
 			}
-			if attempt > 0 {
+			if wait[id] > 0 {
+				wait[id]--
+				continue
+			}
+			if sent[id] > 0 {
 				p.stats.Retries++
 			}
 			_, ssp := obs.StartSpan(actx, "2pc.send")
@@ -1292,19 +1293,20 @@ func (p *Plane) broadcast(ctx context.Context, msgs []Message) rpcOutcome {
 			ssp.Annotatef("to", "%d", m.To)
 			p.send(m)
 			ssp.End()
+			sent[id]++
+			if jitter > 0 && sent[id] < p.retry.MaxAttempts {
+				wait[id] = p.jrng.Intn(jitter + 1)
+			}
 		}
 		p.pump(&out)
 		asp.End()
-		// When everything still unanswered is known-crashed, more rounds
-		// cannot help — fail fast like the pre-retry plane did.
-		allCrashed := true
+		// When everything still unanswered is known-crashed (the failure
+		// detector already fired) or out of budget, more rounds cannot help.
+		live := false
 		for _, m := range out.pending {
-			if !p.crashed[m.To] {
-				allCrashed = false
-				break
-			}
+			live = live || sendable(m)
 		}
-		if allCrashed {
+		if !live {
 			break
 		}
 	}
@@ -1318,59 +1320,6 @@ func (p *Plane) broadcast(ctx context.Context, msgs []Message) rpcOutcome {
 	return out
 }
 
-// broadcastJittered is the retry loop under RetryJitterTicks: every message
-// keeps its MaxAttempts send budget, but between a message's sends a
-// seeded-random 0..RetryJitterTicks extra backoff rounds pass, rolled
-// independently per message — two setups whose retries would collide on the
-// same tick de-synchronize instead of hammering the same broker in
-// lockstep. Bounded by MaxAttempts*(RetryJitterTicks+1) rounds.
-func (p *Plane) broadcastJittered(ctx context.Context, out *rpcOutcome) {
-	jitter := p.retry.RetryJitterTicks
-	maxRounds := p.retry.MaxAttempts * (jitter + 1)
-	sent := make(map[uint64]int, len(out.pending))
-	wait := make(map[uint64]int, len(out.pending))
-	for round := 0; len(out.pending) > 0 && round < maxRounds; round++ {
-		if ctx.Err() != nil {
-			return
-		}
-		if round > 0 {
-			attempt := round
-			if attempt >= p.retry.MaxAttempts {
-				attempt = p.retry.MaxAttempts - 1
-			}
-			p.backoff(attempt)
-		}
-		progress := false
-		for _, id := range sortedIDs(out.pending) {
-			m := out.pending[id]
-			if p.crashed[m.To] {
-				continue
-			}
-			if sent[id] >= p.retry.MaxAttempts {
-				continue // attempt budget spent; stays pending
-			}
-			if wait[id] > 0 {
-				wait[id]--
-				progress = true
-				continue
-			}
-			if sent[id] > 0 {
-				p.stats.Retries++
-			}
-			p.send(m)
-			sent[id]++
-			if sent[id] < p.retry.MaxAttempts {
-				wait[id] = p.jrng.Intn(jitter + 1)
-			}
-			progress = true
-		}
-		p.pump(out)
-		if !progress {
-			break // everything left is known-crashed or exhausted
-		}
-	}
-}
-
 func sortedIDs(m map[uint64]Message) []uint64 {
 	ids := make([]uint64, 0, len(m))
 	for id := range m {
@@ -1380,21 +1329,10 @@ func sortedIDs(m map[uint64]Message) []uint64 {
 	return ids
 }
 
-// backoff advances virtual time one retry round and sleeps the capped,
-// jittered exponential delay when real sleeping is configured.
-func (p *Plane) backoff(attempt int) {
+// backoff advances virtual time one retry round.
+func (p *Plane) backoff() {
 	p.clock++
 	p.tr.Advance()
-	d := p.retry.BaseBackoff << uint(attempt-1)
-	if d > p.retry.MaxBackoff || d <= 0 {
-		d = p.retry.MaxBackoff
-	}
-	if p.retry.Jitter > 0 {
-		d -= time.Duration(p.retry.Jitter * float64(d) * p.rng.Float64())
-	}
-	if p.retry.Sleep != nil {
-		p.retry.Sleep(d)
-	}
 }
 
 // pump drains the transport: agent-bound messages run the agent state
@@ -1427,18 +1365,21 @@ func (p *Plane) handleReply(m Message, out *rpcOutcome) {
 			delete(out.pending, m.AckFor)
 			if m.Type == MsgPrepareNack {
 				out.nacked[m.AckFor] = req
-			} else {
-				out.acked[m.AckFor] = req
 			}
 			p.breakerOK(m.From)
 			return
 		}
 	}
 	if _, ok := p.backlog[m.AckFor]; ok {
-		delete(p.backlog, m.AckFor)
-		delete(p.backlogWait, m.AckFor)
+		p.dropBacklog(m.AckFor)
 		p.breakerOK(m.From)
 	}
+}
+
+// dropBacklog retires a backlog entry together with its re-send deferral.
+func (p *Plane) dropBacklog(id uint64) {
+	delete(p.backlog, id)
+	delete(p.backlogWait, id)
 }
 
 // enqueueBacklog records decided-but-undelivered messages for lazy
@@ -1463,8 +1404,7 @@ func (p *Plane) flushBacklog() {
 	for _, id := range sortedIDs(p.backlog) {
 		m := p.backlog[id]
 		if _, stillAgent := p.agents[m.To]; !stillAgent {
-			delete(p.backlog, id)
-			delete(p.backlogWait, id)
+			p.dropBacklog(id)
 			continue
 		}
 		if p.crashed[m.To] {
@@ -1611,43 +1551,9 @@ func (p *Plane) deliver(a *agent, m Message) {
 			// against current capacity (and is fenced once finalized).
 			p.reply(a, m, MsgPrepareNack)
 		}
-	case MsgCommit:
-		if a.done[key] != 0 {
-			p.reply(a, m, MsgCommitAck) // already finalized: idempotent
-			return
-		}
-		w.append(walRecord{Op: walCommit, MsgID: m.MsgID, Session: key})
-		a.markSeen(m.MsgID)
-		// Holds become durable allocations: availability stays deducted,
-		// the hold records retire. The shared metrics mirror is
-		// coordinator-owned (updated at the commit point), not touched
-		// here.
-		delete(a.holds, key)
-		a.done[key] = walCommit
-		p.reply(a, m, MsgCommitAck)
-	case MsgAbort:
-		if a.done[key] != 0 {
-			p.reply(a, m, MsgAbortAck)
-			return
-		}
-		w.append(walRecord{Op: walAbort, MsgID: m.MsgID, Session: key})
-		a.markSeen(m.MsgID)
-		for _, h := range a.holds[key] {
-			a.avail[h.hop] += h.bw
-		}
-		delete(a.holds, key)
-		a.done[key] = walAbort
-		p.reply(a, m, MsgAbortAck)
-	case MsgRelease:
-		w.append(walRecord{Op: walRelease, MsgID: m.MsgID, Session: key, Hop: m.Hop, BW: m.Bandwidth})
-		a.markSeen(m.MsgID)
-		if _, owned := a.avail[m.Hop]; owned {
-			a.avail[m.Hop] += m.Bandwidth
-		}
-		p.reply(a, m, MsgReleaseAck)
 	case MsgBatch:
-		// One WAL record carries the whole batch; each entry then applies
-		// with the same per-session fencing as its standalone message, so
+		// One WAL record carries the broker's whole slice of the round;
+		// each entry then applies with per-session fencing, so
 		// crash-atomicity is per session, not per batch — replay resolves
 		// every entry independently.
 		w.append(walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})

@@ -63,7 +63,7 @@ func TestSetupCommitsAndLedgers(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// 4 hops, 3 distinct owners: 4 PREPARE + 4 PREPARE-ACK, then one
-	// COMMIT + COMMIT-ACK per owner (commits are acknowledged so the
+	// BATCH + BATCH-ACK per owner (decisions are acknowledged so the
 	// coordinator can retry them under loss).
 	if st.Messages != 14 {
 		t.Fatalf("messages = %d, want 14", st.Messages)
@@ -131,7 +131,7 @@ func TestCrashedOwnerAbortsWithoutLeak(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "unresponsive") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	// Agent 1 placed a hold during PREPARE; the ABORT must release it.
+	// Agent 1 placed a hold during PREPARE; the abort must release it.
 	if got := p.Available(0, 1); got != before {
 		t.Fatalf("crash-abort leaked a hold: %f vs %f", got, before)
 	}
@@ -235,11 +235,14 @@ func TestAbortLeavesMetricsAndVersion(t *testing.T) {
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgPrepare.String() != "PREPARE" || MsgRelease.String() != "RELEASE" {
-		t.Fatalf("names: %s %s", MsgPrepare, MsgRelease)
+	if MsgPrepare.String() != "PREPARE" || MsgBatch.String() != "BATCH" {
+		t.Fatalf("names: %s %s", MsgPrepare, MsgBatch)
 	}
-	if !strings.HasPrefix(MsgType(99).String(), "msg(") {
-		t.Fatalf("unknown type name: %s", MsgType(99))
+	// 99 was never a type; 4 was COMMIT until the batch record replaced it.
+	for _, typ := range []MsgType{99, 4} {
+		if !strings.HasPrefix(typ.String(), "msg(") {
+			t.Fatalf("unknown type name: %s", typ)
+		}
 	}
 }
 
@@ -441,8 +444,8 @@ func TestRepathAbortsCleanly(t *testing.T) {
 	}
 }
 
-// A crashed owner marks its sessions damaged; releaseAll still recovers the
-// reservation by crediting the ledger directly.
+// A crashed owner marks its sessions damaged; a teardown still recovers the
+// reservation in the metrics mirror and backlogs the agent's record.
 func TestCrashedOwnerDamagesAndReleases(t *testing.T) {
 	top, m := lineTop(t)
 	p := New(top, m, []int32{1, 2, 3})

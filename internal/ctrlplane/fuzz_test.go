@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -13,7 +14,19 @@ import (
 func FuzzMessageCodec(f *testing.F) {
 	f.Add(Message{Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 2, Hop: [2]int32{0, 1}, Bandwidth: 2.5}.Encode(nil))
 	f.Add(Message{From: 3, To: Coordinator, Type: MsgPrepareAck, MsgID: 9, AckFor: 2}.Encode(nil))
-	f.Add(Message{Type: MsgRelease, Bandwidth: -1}.Encode(nil))
+	f.Add(Message{From: Coordinator, To: 2, Type: MsgBatch, MsgID: 3, Batch: []BatchEntry{
+		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{0, 1}, BW: -1},
+	}}.Encode(nil))
+	// The retired COMMIT..RELEASE-ACK type bytes must be refused, not
+	// panic and not decode as something else.
+	for typ := byte(4); typ <= 9; typ++ {
+		retired := Message{Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 4}.Encode(nil)
+		retired[8] = typ
+		if _, err := DecodeMessage(retired); err == nil {
+			f.Fatalf("retired type byte %d decoded", typ)
+		}
+		f.Add(retired)
+	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, msgWireSize))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -105,15 +118,33 @@ func sameImage(av1 map[[2]int32]float64, h1, d1, s1 int, av2 map[[2]int32]float6
 // delivering any message a second time must be a state no-op — the dedup
 // and fencing rules make retransmission safe by construction.
 func FuzzDeliverIdempotent(f *testing.F) {
-	f.Add(Message{To: 1, Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 1, Hop: [2]int32{0, 1}, Bandwidth: 2}.Encode(
-		Message{To: 1, Type: MsgCommit, SessionID: 1, Epoch: 1, MsgID: 2}.Encode(nil)))
-	f.Add(Message{To: 1, Type: MsgRelease, SessionID: 1, Epoch: 1, MsgID: 3, Hop: [2]int32{0, 1}, Bandwidth: 2}.Encode(nil))
+	prepare := Message{To: 1, Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 1, Hop: [2]int32{0, 1}, Bandwidth: 2}
+	f.Add(Message{To: 1, Type: MsgBatch, MsgID: 2, Batch: []BatchEntry{{Kind: EntryCommit, ID: 1, Epoch: 1}}}.Encode(
+		prepare.Encode(nil)))
+	f.Add(Message{To: 1, Type: MsgBatch, MsgID: 3, Batch: []BatchEntry{{Kind: EntryAbort, ID: 1, Epoch: 1}}}.Encode(
+		prepare.Encode(nil)))
+	f.Add(Message{To: 1, Type: MsgBatch, MsgID: 4, Batch: []BatchEntry{
+		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{0, 1}, BW: 2},
+		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{1, 2}, BW: 2},
+	}}.Encode(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top, m := lineTop(t)
 		p := New(top, m, []int32{1, 2, 3})
 		a := p.agents[1]
-		for off := 0; off+msgWireSize <= len(data) && off < 64*msgWireSize; off += msgWireSize {
-			msg, err := DecodeMessage(data[off : off+msgWireSize])
+		for off, frames := 0, 0; off+msgWireSize <= len(data) && frames < 64; frames++ {
+			// Frames are fixed-size except BATCH, whose header is followed by
+			// an entry count and that many fixed-size entries.
+			end := off + msgWireSize
+			if MsgType(data[off+8]) == MsgBatch && end+4 <= len(data) {
+				if n := binary.LittleEndian.Uint32(data[end:]); n <= 16 {
+					end += 4 + int(n)*batchEntryWireSize
+				}
+			}
+			if end > len(data) {
+				break
+			}
+			msg, err := DecodeMessage(data[off:end])
+			off = end
 			if err != nil {
 				continue
 			}

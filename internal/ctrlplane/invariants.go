@@ -20,7 +20,7 @@ const capacityEps = 1e-6
 //   - each agent's ledgered availability equals link capacity minus the
 //     bandwidth of the committed sessions crossing it (conservation);
 //   - the coordinator's shared metrics mirror agrees with the ledgers;
-//   - no establish attempt committed twice on any broker's WAL
+//   - no setup attempt committed twice on any broker's WAL
 //     (idempotency held under duplication and retries).
 //
 // The first violation found is returned as a descriptive error; nil means

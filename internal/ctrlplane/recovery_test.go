@@ -8,6 +8,20 @@ import (
 	"brokerset/internal/routing"
 )
 
+// carries reports whether m is a decision record holding an entry of kind
+// k — the hook point that used to be a standalone COMMIT or ABORT message.
+func carries(m Message, k BatchEntryKind) bool {
+	if m.Type != MsgBatch {
+		return false
+	}
+	for _, e := range m.Batch {
+		if e.Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 // faultyPlane builds a line-topology plane on a FaultTransport.
 func faultyPlane(t *testing.T, cfg FaultConfig) (*Plane, *FaultTransport) {
 	t.Helper()
@@ -92,7 +106,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	ctx := context.Background()
 	ft.Partition(2, true)
 	// Each failed setup times out twice against broker 2 (the PREPARE and
-	// then the ABORT), so the second setup crosses the threshold of 3.
+	// then the BATCH carrying its abort), so the second setup crosses the
+	// threshold of 3.
 	for i := 0; i < 2; i++ {
 		_, err := p.Setup(ctx, 0, 4, 0.1, routing.Options{})
 		if err == nil || !strings.Contains(err.Error(), "unresponsive") {
@@ -172,14 +187,14 @@ func TestCrashRecoverRoundTrips(t *testing.T) {
 	}
 }
 
-// A broker that crashes after preparing but before the COMMIT reaches it
-// is in doubt; because the coordinator logged the commit point, recovery
+// A broker that crashes after preparing but before the commit record
+// reaches it is in doubt; because the coordinator logged the commit point, recovery
 // must finish the commit locally (the capacity stays reserved).
 func TestInDoubtResolvesToCommit(t *testing.T) {
 	p, ft := faultyPlane(t, FaultConfig{Seed: 11})
 	ctx := context.Background()
 	ft.OnDeliver = func(m Message) {
-		if m.Type == MsgCommit && m.To == 2 {
+		if carries(m, EntryCommit) && m.To == 2 {
 			p.Crash(2) // the commit is lost mid-delivery
 		}
 	}
@@ -216,10 +231,10 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	if _, err := p.Setup(ctx, 2, 4, 7, routing.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// ...and lose broker 1 right when its ABORT arrives: it crashes still
-	// holding the prepared 7 Gbps on (0,1) and (1,2).
+	// ...and lose broker 1 right when its abort record arrives: it crashes
+	// still holding the prepared 7 Gbps on (0,1) and (1,2).
 	ft.OnDeliver = func(m Message) {
-		if m.Type == MsgAbort && m.To == 1 {
+		if carries(m, EntryAbort) && m.To == 1 {
 			p.Crash(1)
 		}
 	}
@@ -239,7 +254,7 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	}
 }
 
-// Teardown toward a crashed owner backlogs the RELEASE; the agent's ledger
+// Teardown toward a crashed owner backlogs the release record; the agent's ledger
 // catches up once it recovers and the backlog drains.
 func TestBacklogDrainsAfterRecovery(t *testing.T) {
 	top, m := lineTop(t)

@@ -14,7 +14,7 @@ import (
 // TestTracePropagation2PC runs setups over a 3% drop/dup fault transport
 // with a tracer attached and proves the trace covers the whole protocol:
 // one root per trace, every parent resolves inside the trace, the span
-// tree follows setup → establish → broadcast → attempt → send/backoff,
+// tree follows setup → broadcast → attempt → send/backoff,
 // and the span counts obey the protocol structure — every broadcast's
 // first attempt is backoff-free and every later attempt is preceded by
 // exactly one backoff, so #backoff == #attempt − #broadcast. At least one
@@ -49,7 +49,7 @@ func TestTracePropagation2PC(t *testing.T) {
 		spans := tr.Trace(root.TraceID)
 		counts := checkSpanTree(t, spans)
 		if counts["2pc.broadcast"] != 2 {
-			t.Fatalf("setup %d: %d broadcast spans, want 2 (PREPARE+COMMIT): %+v", s.ID, counts["2pc.broadcast"], counts)
+			t.Fatalf("setup %d: %d broadcast spans, want 2 (PREPARE+BATCH): %+v", s.ID, counts["2pc.broadcast"], counts)
 		}
 		if got, want := counts["2pc.backoff"], counts["2pc.attempt"]-counts["2pc.broadcast"]; got != want {
 			t.Fatalf("setup %d: %d backoff spans, want #attempt-#broadcast = %d", s.ID, got, want)
@@ -95,7 +95,7 @@ func TestTracePropagation2PC(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	for _, want := range []string{"ctrlplane.setup", "ctrlplane.establish", "2pc.broadcast", "2pc.attempt", "2pc.backoff", "2pc.send"} {
+	for _, want := range []string{"ctrlplane.setup", "2pc.broadcast", "2pc.attempt", "2pc.backoff", "2pc.send"} {
 		if !names[want] {
 			t.Fatalf("chrome trace missing %q events", want)
 		}
@@ -186,12 +186,11 @@ func checkSpanTree(t *testing.T, spans []obs.Span) map[string]int {
 		counts[s.Name]++
 	}
 	wantParent := map[string]string{
-		"ctrlplane.setup":     "",
-		"ctrlplane.establish": "ctrlplane.setup",
-		"2pc.broadcast":       "ctrlplane.establish",
-		"2pc.attempt":         "2pc.broadcast",
-		"2pc.backoff":         "2pc.attempt",
-		"2pc.send":            "2pc.attempt",
+		"ctrlplane.setup": "",
+		"2pc.broadcast":   "ctrlplane.setup",
+		"2pc.attempt":     "2pc.broadcast",
+		"2pc.backoff":     "2pc.attempt",
+		"2pc.send":        "2pc.attempt",
 	}
 	roots := 0
 	for _, s := range spans {

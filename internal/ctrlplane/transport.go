@@ -304,8 +304,8 @@ func DecodeMessage(b []byte) (Message, error) {
 		Lease:     binary.LittleEndian.Uint32(b[53:]),
 		Trace:     binary.LittleEndian.Uint64(b[57:]),
 	}
-	if m.Type < MsgPrepare || m.Type > MsgBatchAck {
-		return Message{}, fmt.Errorf("ctrlplane: unknown message type %d", uint8(m.Type))
+	if !m.Type.known() {
+		return Message{}, fmt.Errorf("ctrlplane: unknown or retired message type %d", uint8(m.Type))
 	}
 	if math.IsNaN(m.Bandwidth) || math.IsInf(m.Bandwidth, 0) {
 		return Message{}, fmt.Errorf("ctrlplane: non-finite bandwidth")

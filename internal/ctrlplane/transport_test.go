@@ -108,12 +108,12 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{},
 		{From: Coordinator, To: 7, Type: MsgPrepare, SessionID: 123456, Epoch: 9, MsgID: 1 << 40, AckFor: 3, Hop: [2]int32{-2, 1 << 30}, Bandwidth: 3.25, Trace: 0xdeadbeefcafe},
-		{From: 5, To: Coordinator, Type: MsgReleaseAck, SessionID: -1, MsgID: 1, AckFor: ^uint64(0), Bandwidth: 0},
-		{From: 2, To: 3, Type: MsgCommit, MsgID: 7, Trace: ^uint64(0)},
+		{From: 5, To: Coordinator, Type: MsgBatchAck, SessionID: -1, MsgID: 1, AckFor: ^uint64(0), Bandwidth: 0},
+		{From: 2, To: 3, Type: MsgXCommit, MsgID: 7, Trace: ^uint64(0)},
 	}
 	for i, m := range msgs {
 		if m.Type == 0 {
-			m.Type = MsgCommit
+			m.Type = MsgPrepareAck
 		}
 		b := m.Encode(nil)
 		if len(b) != msgWireSize {
@@ -141,6 +141,18 @@ func TestMessageDecodeRejectsMalformed(t *testing.T) {
 	bad[8] = 200 // unknown type
 	if _, err := DecodeMessage(bad); err == nil {
 		t.Fatal("unknown type accepted")
+	}
+	// Bytes 4–9 were COMMIT/ABORT/RELEASE and their acks. They stay retired:
+	// the types after them keep their wire values and a peer still speaking
+	// the old protocol is refused, not misread as an X-* message.
+	if MsgXPrepare != 10 || MsgBatchAck != 22 {
+		t.Fatalf("wire values moved: X-PREPARE=%d BATCH-ACK=%d, want 10 and 22", MsgXPrepare, MsgBatchAck)
+	}
+	for typ := byte(4); typ <= 9; typ++ {
+		bad[8] = typ
+		if _, err := DecodeMessage(bad); err == nil {
+			t.Fatalf("retired type %d accepted", typ)
+		}
 	}
 	nan := Message{Type: MsgPrepare, Bandwidth: math.NaN()}.Encode(nil)
 	if _, err := DecodeMessage(nan); err == nil {

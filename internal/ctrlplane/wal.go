@@ -10,7 +10,10 @@ import "sort"
 // decision record. The log lives on the Plane keyed by broker id, so it
 // survives both Crash and coalition membership changes.
 
-// walOp enumerates WAL record kinds.
+// walOp enumerates WAL record kinds (walSnapshot, walHold, walBatch) and the
+// two ways an attempt is finalized (walCommit, walAbort), which are not
+// record kinds: they are the values of an agent's done fencing map, and
+// reach the log inside batch entries and snapshot images only.
 type walOp uint8
 
 const (
@@ -20,22 +23,20 @@ const (
 	walSnapshot walOp = iota + 1
 	// walHold records a PREPARE hold placed on a hop.
 	walHold
-	// walCommit records a COMMIT finalizing a session's holds.
-	walCommit
-	// walAbort records an ABORT (or an in-doubt session resolved to abort).
-	walAbort
-	// walRelease records a RELEASE crediting a hop.
-	walRelease
-	// walBatch records one group-commit decision record: the broker's
-	// entire view of a batch (commits, aborts, releases) in one append.
-	// Replay applies each entry with per-session fencing, so recovery
-	// resolves every session in the batch independently.
+	// walBatch records one decision record: the broker's entire view of a
+	// round (commits, aborts, releases) in one append. Replay applies each
+	// entry with per-session fencing, so recovery resolves every session in
+	// the record independently. A record with MsgID 0 was written locally
+	// (lease sweep, in-doubt resolution), not delivered.
 	walBatch
+	// walCommit and walAbort fence a finalized attempt.
+	walCommit
+	walAbort
 )
 
-// sessKey identifies one establish attempt: Repath re-establishes the same
-// session under a new epoch, so stale messages from a previous attempt can
-// never touch the current one.
+// sessKey identifies one setup attempt: Repath runs the same session again
+// under a new epoch, so stale messages from a previous attempt can never
+// touch the current one.
 type sessKey struct {
 	ID    int
 	Epoch uint32
@@ -44,13 +45,13 @@ type sessKey struct {
 // walRecord is one durable log entry. MsgID carries the protocol message
 // that caused the entry, so replay can rebuild the agent's dedup memory.
 type walRecord struct {
-	Op      walOp
-	MsgID   uint64
+	Op    walOp
+	MsgID uint64
+	// Session, Hop, BW and Expires (the hold's lease deadline in virtual
+	// clock ticks, 0 = unleased) describe a hold (Op == walHold only).
 	Session sessKey
 	Hop     [2]int32
 	BW      float64
-	// Expires is the hold's lease deadline in virtual clock ticks
-	// (Op == walHold only; 0 = unleased).
 	Expires int
 
 	// Snapshot payload (Op == walSnapshot only).
@@ -84,22 +85,19 @@ func (w *wal) snapshot(avail map[[2]int32]float64, done map[sessKey]walOp) {
 	w.recs = append(w.recs, rec)
 }
 
-// commitCounts tallies walCommit records per establish attempt — the
-// invariant checker uses it to prove no session epoch committed twice on
-// any broker.
+// commitCounts tallies delivered commit entries per attempt — the invariant
+// checker uses it to prove no session epoch committed twice on any broker.
+// Records a recovery wrote locally (no MsgID) restate a decision rather
+// than deliver one, and are not counted.
 func (w *wal) commitCounts() map[sessKey]int {
 	out := make(map[sessKey]int)
 	for _, r := range w.recs {
-		switch r.Op {
-		case walCommit:
-			if r.MsgID != 0 {
-				out[r.Session]++
-			}
-		case walBatch:
-			for _, e := range r.Batch {
-				if e.Kind == EntryCommit {
-					out[sessKey{e.ID, e.Epoch}]++
-				}
+		if r.Op != walBatch || r.MsgID == 0 {
+			continue
+		}
+		for _, e := range r.Batch {
+			if e.Kind == EntryCommit {
+				out[sessKey{e.ID, e.Epoch}]++
 			}
 		}
 	}
@@ -140,21 +138,6 @@ func (w *wal) replay() (avail map[[2]int32]float64, holds map[sessKey][]hold, do
 		case walHold:
 			avail[r.Hop] -= r.BW
 			holds[r.Session] = append(holds[r.Session], hold{hop: r.Hop, bw: r.BW, expires: r.Expires})
-		case walCommit:
-			// Holds become durable allocations: availability stays
-			// deducted, the hold records are retired.
-			delete(holds, r.Session)
-			done[r.Session] = walCommit
-		case walAbort:
-			for _, h := range holds[r.Session] {
-				avail[h.hop] += h.bw
-			}
-			delete(holds, r.Session)
-			done[r.Session] = walAbort
-		case walRelease:
-			if _, owned := avail[r.Hop]; owned {
-				avail[r.Hop] += r.BW
-			}
 		case walBatch:
 			applyBatchEntries(avail, holds, done, r.Batch)
 		}
@@ -162,7 +145,7 @@ func (w *wal) replay() (avail map[[2]int32]float64, holds map[sessKey][]hold, do
 	return avail, holds, done, seen
 }
 
-// inDoubt returns the establish attempts left holding capacity with no
+// inDoubt returns the attempts left holding capacity with no
 // decision record, in deterministic order — the sessions a recovering
 // broker must resolve against the coordinator's commit-point log.
 func inDoubt(holds map[sessKey][]hold) []sessKey {

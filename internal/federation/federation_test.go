@@ -227,11 +227,11 @@ func TestCapacityExhaustionConservedAbort(t *testing.T) {
 	for _, g := range [][2]int32{{4, 16}, {5, 16}} {
 		u, _ := reg.Local(g[0])
 		v, _ := reg.Local(g[1])
-		s, err := reg.Plane.SetupOnPath(ctx, []int32{u, v}, 50)
-		if err != nil {
-			t.Fatal(err)
+		r := reg.Plane.CommitBatch(ctx, []ctrlplane.BatchOp{{Kind: ctrlplane.BatchSetup, Path: []int32{u, v}, Bandwidth: 50}})[0]
+		if r.Err != nil {
+			t.Fatal(r.Err)
 		}
-		local = append(local, s)
+		local = append(local, r.Session)
 	}
 	// Region 1's published snapshot is now stale (still quotes 100 Gbps):
 	// the stitch succeeds, the transit prepare refuses, the setup aborts.
