@@ -15,6 +15,14 @@
 // per-region pushback. A background loop ticks the fabric's lease
 // clocks, gossips border-broker liveness, and runs the healer.
 //
+// A POST or DELETE on /federation/sessions is one round of the two-level
+// commit: the home region sends each transit region an X-PREPARE and then
+// one decision record (commit, abort or release) — the same record and the
+// same delivery engine the flat /sessions path uses one level down. The
+// request's context bounds the retries; a client that hangs up leaves the
+// decision to the fabric's backlog and never counts against a peer
+// region's circuit breaker.
+//
 // Multi-process federation — one brokerd per region joined with -region
 // and -peers — is future work: the flags are reserved and rejected until
 // the inter-region bus speaks HTTP. Today -regions N serves every region
@@ -67,9 +75,9 @@ func (s *server) enableFederation(regions, budget int, crossing float64, seed in
 	s.fed = &fedState{fabric: fabric, sessions: make(map[int]*federation.Session)}
 	fabric.SetFlightRecorder(s.flight)
 	// Sharing the server's tracer lets each region's sub-coordinator adopt
-	// the trace ID riding incoming X-* messages, so one stitched trace
-	// covers the HTTP request, the home-region 2PC, and every transit
-	// region's sub-transaction.
+	// the trace ID riding incoming X-PREPAREs and decision records, so one
+	// stitched trace covers the HTTP request, the home-region 2PC, and
+	// every transit region's sub-transaction.
 	fabric.SetTracer(s.tracer)
 	fabric.RegisterMetrics(s.reg, s.fed.mu.RLocker())
 	return nil

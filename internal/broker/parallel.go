@@ -116,7 +116,7 @@ func GreedyMCBParallel(g *graph.Graph, k, workers int) ([]int32, error) {
 // MaxSGParallel is Algorithm 3 (MaxSubGraph-Greedy) with both the stale
 // refreshes and the candidate-enqueue gain evaluations batched over
 // `workers` goroutines. workers <= 0 uses GOMAXPROCS. Output is
-// bitwise-identical to MaxSG for every worker count.
+// bitwise-identical for every worker count; MaxSG is the workers = 1 case.
 func MaxSGParallel(g *graph.Graph, k, workers int) ([]int32, error) {
 	if err := checkK(g, k); err != nil {
 		return nil, err
@@ -134,8 +134,8 @@ func MaxSGParallel(g *graph.Graph, k, workers int) ([]int32, error) {
 	// enqueueNeighbors pushes every not-yet-queued neighbour of u with its
 	// current exact gain. Gains for a hub's thousands of neighbours are the
 	// bulk of MaxSG's work on scale-free graphs, so they are computed as
-	// one parallel batch; pushes keep the (sorted) neighbour order, exactly
-	// as the serial enqueue does.
+	// one parallel batch; pushes keep the (sorted) neighbour order whatever
+	// the worker count.
 	enqueueNeighbors := func(u int, round int) {
 		newCands = newCands[:0]
 		for _, v := range g.Neighbors(u) {

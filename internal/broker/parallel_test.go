@@ -50,9 +50,9 @@ func TestGreedyMCBParallelMatchesSerial(t *testing.T) {
 }
 
 // TestMaxSGParallelMatchesSerial pins the same contract for Algorithm 3.
-// The serial reference here is the independent MaxSG implementation, so
-// this also cross-checks the batched enqueue path against the incremental
-// one.
+// MaxSG is the workers=1 case of the same body, so the independent side is
+// maxSGReference, the quadratic transcription of the algorithm: the batched
+// enqueue and refresh paths are cross-checked against a full rescan.
 func TestMaxSGParallelMatchesSerial(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"star":     star(t, 64),
@@ -67,6 +67,7 @@ func TestMaxSGParallelMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: serial: %v", name, k, err)
 			}
+			sameBrokers(t, fmt.Sprintf("MaxSG %s k=%d vs reference", name, k), want, maxSGReference(g, k))
 			for _, workers := range []int{1, 2, 3, 8} {
 				got, err := MaxSGParallel(g, k, workers)
 				if err != nil {

@@ -27,12 +27,16 @@
 // agent ledger changes on a decision in exactly one function,
 // applyBatchEntries, whether the record arrives live, is replayed from the
 // WAL, or is written locally by a lease sweep or a recovery.
+//
+// Delivery — retries, reply settling, the backlog of decided-but-undelivered
+// requests and the circuit breakers — is the Delivery type. A Plane holds
+// one toward its agents; the federation Fabric holds another toward peer
+// regions and sends them the same BATCH record.
 package ctrlplane
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"brokerset/internal/obs"
@@ -62,40 +66,37 @@ func PeerRegion(addr int32) (int, bool) {
 // MsgType enumerates protocol messages.
 type MsgType uint8
 
-// Protocol message types. Between the coordinator and its agents there are
-// two requests, PREPARE and BATCH, each paired with an acknowledgement so
-// the coordinator can retry until delivery is confirmed. Values 4–9 carried
-// the per-session COMMIT/ABORT/RELEASE and their acks before the batch
-// record replaced them; they are retired, not reused, and DecodeMessage
-// rejects them.
+// Protocol message types. There are two requests, PREPARE and BATCH, each
+// paired with an acknowledgement so the sender can retry until delivery is
+// confirmed; X-PREPARE is PREPARE one level up, from a home region's
+// coordinator to a transit region's, and the same BATCH decision record
+// travels on both levels. Values 4–9 carried the per-session
+// COMMIT/ABORT/RELEASE and their acks, values 13–19 their cross-region
+// X-COMMIT … X-RELEASE-ACK counterparts, before the batch record replaced
+// them; they are retired, not reused, and DecodeMessage rejects them.
 const (
 	MsgPrepare MsgType = iota + 1
 	MsgPrepareAck
 	MsgPrepareNack
-	// Cross-region sub-coordinator RPCs: a home-region coordinator drives a
-	// transit region's coordinator through the same prepare/commit/abort/
-	// release shape, one level up from the broker agents. XCommitNack is the
-	// one asymmetry: a transit region whose prepared sub-transaction lease
-	// already expired must refuse a late commit rather than ack it.
+	// MsgXPrepare asks a transit region's sub-coordinator to hold one
+	// segment of a stitched path between the two border nodes in Hop.
 	MsgXPrepare MsgType = iota + 7
 	MsgXPrepareAck
 	MsgXPrepareNack
-	MsgXCommit
-	MsgXCommitAck
-	MsgXCommitNack
-	MsgXAbort
-	MsgXAbortAck
-	MsgXRelease
-	MsgXReleaseAck
 	// MsgGossip carries one region's digest to a peer: region epoch, one
 	// border broker's liveness, and connectivity. Fire-and-forget.
-	MsgGossip
-	// MsgBatch carries one decision record to a broker: every commit, abort,
-	// and release entry of the round that touches links the broker owns, in
-	// one message — the agent write-ahead-logs the whole record once, then
-	// applies each entry with per-session fencing.
+	MsgGossip MsgType = iota + 14
+	// MsgBatch carries one decision record: every commit, abort, and release
+	// entry of the round that concerns the destination, in one message. An
+	// agent write-ahead-logs the whole record once, then applies each entry
+	// with per-session fencing; a region sub-coordinator applies each entry
+	// to its durable sub-transaction record.
 	MsgBatch
 	MsgBatchAck
+	// MsgBatchNack refuses a decision record: a transit region whose
+	// prepared sub-transaction lease already expired must refuse a late
+	// commit rather than ack it. Agents never send it.
+	MsgBatchNack
 )
 
 var msgNames = [...]string{
@@ -105,16 +106,10 @@ var msgNames = [...]string{
 	MsgXPrepare:     "X-PREPARE",
 	MsgXPrepareAck:  "X-PREPARE-ACK",
 	MsgXPrepareNack: "X-PREPARE-NACK",
-	MsgXCommit:      "X-COMMIT",
-	MsgXCommitAck:   "X-COMMIT-ACK",
-	MsgXCommitNack:  "X-COMMIT-NACK",
-	MsgXAbort:       "X-ABORT",
-	MsgXAbortAck:    "X-ABORT-ACK",
-	MsgXRelease:     "X-RELEASE",
-	MsgXReleaseAck:  "X-RELEASE-ACK",
 	MsgGossip:       "GOSSIP",
 	MsgBatch:        "BATCH",
 	MsgBatchAck:     "BATCH-ACK",
+	MsgBatchNack:    "BATCH-NACK",
 }
 
 // known reports whether t is a message type of the current protocol.
@@ -136,12 +131,6 @@ func ackFor(t MsgType) (MsgType, bool) {
 		return MsgPrepareAck, true
 	case MsgXPrepare:
 		return MsgXPrepareAck, true
-	case MsgXCommit:
-		return MsgXCommitAck, true
-	case MsgXAbort:
-		return MsgXAbortAck, true
-	case MsgXRelease:
-		return MsgXReleaseAck, true
 	case MsgBatch:
 		return MsgBatchAck, true
 	}
@@ -346,13 +335,6 @@ func (rc RetryConfig) withDefaults() RetryConfig {
 	return rc
 }
 
-// breaker is one broker's circuit-breaker state: consecutive timed-out
-// RPCs, and the virtual-clock tick until which the circuit stays open.
-type breaker struct {
-	fails     int
-	openUntil int
-}
-
 // Plane is the coalition control plane.
 type Plane struct {
 	top     *topology.Topology
@@ -362,13 +344,13 @@ type Plane struct {
 	agents  map[int32]*agent
 	crashed map[int32]bool
 
-	tr    Transport
-	retry RetryConfig
+	// d delivers PREPAREs and decision records to the agents: retries,
+	// backlog and per-broker circuit breakers live there.
+	d *Delivery
 	// clock is virtual time: it advances once per public operation and
 	// once per retry round, and paces breaker cooldowns and transport
 	// delay release.
-	clock    int
-	breakers map[int32]*breaker
+	clock int
 	// wals is each broker's durable write-ahead log, keyed by node id so
 	// it survives crashes and membership changes.
 	wals map[int32]*wal
@@ -376,17 +358,6 @@ type Plane struct {
 	// and abort decisions per setup attempt. Recovery resolves
 	// in-doubt holds against it.
 	decided map[sessKey]bool
-	// backlog holds decided-but-unacknowledged batch records (toward
-	// unreachable agents); they are lazily re-driven at the start of every
-	// operation and by Reconcile.
-	backlog map[uint64]Message
-	// backlogWait defers individual backlog re-sends when RetryJitterTicks
-	// is set, so a healed partition's catch-up traffic spreads over ticks.
-	backlogWait map[uint64]int
-	// jrng is the retry-jitter stream; nothing draws from it while
-	// RetryJitterTicks is 0, so enabling jitter never perturbs the fault
-	// schedules of existing seeds.
-	jrng *rand.Rand
 
 	// sessLeases tracks committed sessions' heartbeat leases by session id
 	// (see RetryConfig.SessionTTL). One entry is a pointer plus an int64 —
@@ -407,9 +378,8 @@ type Plane struct {
 	// (the default) disables recording at zero cost.
 	flight *obs.FlightRecorder
 
-	stats   Stats
-	nextID  int
-	nextMsg uint64
+	stats  Stats
+	nextID int
 	// version counts mutations of committed link capacity (commit,
 	// release); path caches key their invalidation off it.
 	version uint64
@@ -425,23 +395,20 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 		metrics = routing.DefaultMetrics(top, nil)
 	}
 	p := &Plane{
-		top:      top,
-		engine:   routing.NewEngine(top, metrics, brokers),
-		metrics:  metrics,
-		inB:      make([]bool, top.NumNodes()),
-		agents:   make(map[int32]*agent, len(brokers)),
-		crashed:  make(map[int32]bool),
-		tr:       NewReliableTransport(),
-		retry:    RetryConfig{}.withDefaults(),
-		breakers: make(map[int32]*breaker),
-		wals:     make(map[int32]*wal),
-		decided:  make(map[sessKey]bool),
-		backlog:  make(map[uint64]Message),
+		top:     top,
+		engine:  routing.NewEngine(top, metrics, brokers),
+		metrics: metrics,
+		inB:     make([]bool, top.NumNodes()),
+		agents:  make(map[int32]*agent, len(brokers)),
+		crashed: make(map[int32]bool),
+		wals:    make(map[int32]*wal),
+		decided: make(map[sessKey]bool),
 
-		backlogWait: make(map[uint64]int),
-		jrng:        rand.New(rand.NewSource(2)),
-		sessLeases:  make(map[int]*sessLease),
+		sessLeases: make(map[int]*sessLease),
 	}
+	p.d = NewDelivery("ctrlplane", NewReliableTransport(), RetryConfig{}, &p.clock)
+	p.d.Dispatch = p.dispatch
+	p.d.Down = func(b int32) bool { return p.crashed[b] }
 	for _, b := range brokers {
 		p.inB[b] = true
 		p.agents[b] = newAgent(b)
@@ -466,11 +433,11 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 // Swap in a FaultTransport to subject the protocol to seeded loss,
 // duplication, delay, reordering, and partitions. Call it before any
 // protocol activity.
-func (p *Plane) UseTransport(t Transport) { p.tr = t }
+func (p *Plane) UseTransport(t Transport) { p.d.Transport = t }
 
 // SetRetryConfig replaces the retry/breaker tuning; zero fields take
 // defaults.
-func (p *Plane) SetRetryConfig(rc RetryConfig) { p.retry = rc.withDefaults() }
+func (p *Plane) SetRetryConfig(rc RetryConfig) { p.d.Retry = rc.withDefaults() }
 
 // walOf returns broker b's durable log, creating it on first use.
 func (p *Plane) walOf(b int32) *wal {
@@ -566,9 +533,7 @@ func (p *Plane) Recover(b int32) {
 		entries = append(entries, e)
 	}
 	p.applyLocal(a, entries)
-	if br := p.breakers[b]; br != nil {
-		br.fails, br.openUntil = 0, 0
-	}
+	delete(p.d.breakers, b)
 	p.stats.Recoveries++
 	p.flight.Recordf("ctrlplane", "recover", int64(p.clock), "broker %d: %d holds in doubt", b, len(doubt))
 }
@@ -605,7 +570,7 @@ func (p *Plane) Brokers() []int32 {
 func (p *Plane) SickBrokers() []int32 {
 	var out []int32
 	for u, in := range p.inB {
-		if in && p.breakerOpen(int32(u)) {
+		if in && p.d.BreakerOpen(int32(u)) {
 			out = append(out, int32(u))
 		}
 	}
@@ -686,11 +651,7 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 			a.avail, a.holds, a.seen, a.done = nil, nil, nil, nil
 		}
 	}
-	for id, m := range p.backlog {
-		if _, stillAgent := p.agents[m.To]; !stillAgent {
-			p.dropBacklog(id)
-		}
-	}
+	p.d.Cancel(func(m Message) bool { return p.agents[m.To] == nil })
 	p.engine.SetBrokers(brokers)
 	p.version++
 	return added, removed
@@ -699,7 +660,8 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 // Stats returns a copy of the counters.
 func (p *Plane) Stats() Stats {
 	st := p.stats
-	st.Backlogged = len(p.backlog)
+	st.Messages, st.Retries, st.Timeouts, st.BreakerTrips = p.d.Sent, p.d.Retries, p.d.Timeouts, p.d.BreakerTrips
+	st.Backlogged = p.d.Backlogged()
 	st.SessionLeases = len(p.sessLeases)
 	return st
 }
@@ -718,19 +680,6 @@ func (p *Plane) Available(u, v int32) float64 {
 		return 0
 	}
 	return p.agents[owner].avail[hopKey(u, v)]
-}
-
-// send pushes a message onto the transport and counts it.
-func (p *Plane) send(m Message) {
-	p.stats.Messages++
-	p.flight.Recordf("ctrlplane", "send", int64(p.clock), "%s %d->%d session %d.%d msg %d",
-		m.Type, m.From, m.To, m.SessionID, m.Epoch, m.MsgID)
-	p.tr.Send(m)
-}
-
-func (p *Plane) msgID() uint64 {
-	p.nextMsg++
-	return p.nextMsg
 }
 
 // Setup sets up a bw-Gbps session from src to dst over the best
@@ -770,10 +719,10 @@ func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routin
 // lazily re-drives the backlog of undelivered decisions.
 func (p *Plane) tick() {
 	p.clock++
-	if p.retry.LeaseTTL > 0 {
+	if p.d.Retry.LeaseTTL > 0 {
 		p.ExpireLeases()
 	}
-	p.flushBacklog()
+	p.d.Flush()
 }
 
 // Tick advances virtual time one step without running an operation: lapsed
@@ -867,7 +816,7 @@ func (p *Plane) open(s *Session, nodes []int32) error {
 		s.owners = append(s.owners, owner)
 	}
 	for _, owner := range s.owners {
-		if p.breakerOpen(owner) {
+		if p.d.BreakerOpen(owner) {
 			p.decided[sessKey{s.ID, s.Epoch}] = false
 			p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (breaker %d open)", s.ID, s.Epoch, owner)
 			p.stats.BreakerFastFails++
@@ -899,21 +848,21 @@ func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []e
 		for h, owner := range s.owners {
 			m := Message{
 				From: Coordinator, To: owner, Type: MsgPrepare,
-				SessionID: s.ID, Epoch: s.Epoch, MsgID: p.msgID(),
+				SessionID: s.ID, Epoch: s.Epoch, MsgID: p.d.NextID(),
 				Hop: hopKey(s.Path[h], s.Path[h+1]), Bandwidth: s.Bandwidth,
-				Lease: uint32(p.retry.LeaseTTL), Trace: trace,
+				Lease: uint32(p.d.Retry.LeaseTTL), Trace: trace,
 			}
 			of[m.MsgID] = i
 			msgs = append(msgs, m)
 		}
 	}
-	out := p.broadcast(ctx, msgs)
+	refused, unanswered := p.d.Broadcast(ctx, msgs)
 	nacked := make([]int, len(ss))
 	pending := make([]int, len(ss))
-	for id := range out.nacked {
+	for id := range refused {
 		nacked[of[id]]++
 	}
-	for id := range out.pending {
+	for id := range unanswered {
 		pending[of[id]]++
 	}
 	errs := make([]error, len(ss))
@@ -1006,11 +955,19 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 	for _, b := range brokers {
 		msgs = append(msgs, Message{
 			From: Coordinator, To: b, Type: MsgBatch,
-			MsgID: p.msgID(), Batch: entries[b], Trace: obs.TraceIDFrom(ctx),
+			MsgID: p.d.NextID(), Batch: entries[b], Trace: obs.TraceIDFrom(ctx),
 		})
 	}
 	if len(msgs) > 0 {
-		p.enqueueBacklog(p.broadcast(ctx, msgs).pending)
+		_, pending := p.d.Broadcast(ctx, msgs)
+		for _, m := range pending {
+			// A record toward a broker that left the coalition since the
+			// attempt opened is dropped: the ledger migration already
+			// accounted its capacity.
+			if p.agents[m.To] != nil {
+				p.d.Backlog(m)
+			}
+		}
 	}
 	if changed {
 		p.version++
@@ -1082,7 +1039,7 @@ func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*
 // prepare's lease already lapsed and the tick sweep presumed-aborted it,
 // the commit is refused, the session is left StateAborted, and an error is
 // returned — the caller must treat the attempt as failed (the federation
-// layer answers a refused sub-commit with X-COMMIT-NACK so the home region
+// layer answers a refused sub-commit with BATCH-NACK so the home region
 // rolls the stitched session back).
 func (p *Plane) CommitPrepared(ctx context.Context, pr *Prepared) (*Session, error) {
 	if pr == nil || pr.S == nil || pr.S.State != StatePrepared {
@@ -1186,7 +1143,7 @@ func (p *Plane) SessionDamaged(s *Session) bool {
 			return true
 		}
 		cur, ok := p.ownerOf(u, v)
-		if !ok || cur != owner || p.crashed[cur] || p.breakerOpen(cur) {
+		if !ok || cur != owner || p.crashed[cur] || p.d.BreakerOpen(cur) {
 			return true
 		}
 	}
@@ -1229,202 +1186,14 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 	return nil
 }
 
-// rpcOutcome is the result of one broadcast round-trip set.
-type rpcOutcome struct {
-	nacked  map[uint64]Message // MsgID -> original request
-	pending map[uint64]Message // unanswered after all attempts
-}
-
-// broadcast sends msgs and pumps the transport, retrying unacknowledged
-// messages one virtual tick apart until every message is answered, every
-// message's MaxAttempts send budget is spent, or ctx expires. Under
-// RetryConfig.RetryJitterTicks a seeded-random 0..RetryJitterTicks extra
-// rounds pass between a message's sends, rolled independently per message —
-// two setups whose retries would collide on the same tick de-synchronize
-// instead of hammering the same broker in lockstep; with jitter 0 every
-// wait is 0 and the jitter stream is never drawn from. Messages to
-// known-crashed brokers are not wasted on the wire — they stay pending so
-// the caller can abort or backlog them. Per-broker timeout streaks feed the
-// circuit breakers.
-func (p *Plane) broadcast(ctx context.Context, msgs []Message) rpcOutcome {
-	ctx, span := obs.StartSpan(ctx, "2pc.broadcast")
-	defer span.End()
-	if len(msgs) > 0 {
-		span.Annotate("type", msgs[0].Type.String())
-		span.Annotatef("msgs", "%d", len(msgs))
-	}
-	out := rpcOutcome{
-		nacked:  make(map[uint64]Message),
-		pending: make(map[uint64]Message, len(msgs)),
-	}
-	for _, m := range msgs {
-		out.pending[m.MsgID] = m
-	}
-	jitter := p.retry.RetryJitterTicks
-	sent := make(map[uint64]int, len(msgs))
-	var wait map[uint64]int // rounds a message still sits out; jitter only
-	if jitter > 0 {
-		wait = make(map[uint64]int, len(msgs))
-	}
-	sendable := func(m Message) bool { return !p.crashed[m.To] && sent[m.MsgID] < p.retry.MaxAttempts }
-	for round := 0; len(out.pending) > 0 && round < p.retry.MaxAttempts*(jitter+1) && ctx.Err() == nil; round++ {
-		actx, asp := obs.StartSpan(ctx, "2pc.attempt")
-		asp.Annotatef("attempt", "%d", round)
-		asp.Annotatef("pending", "%d", len(out.pending))
-		if round > 0 {
-			_, bsp := obs.StartSpan(actx, "2pc.backoff")
-			p.backoff()
-			bsp.End()
-		}
-		for _, id := range sortedIDs(out.pending) {
-			m := out.pending[id]
-			if !sendable(m) {
-				continue
-			}
-			if wait[id] > 0 {
-				wait[id]--
-				continue
-			}
-			if sent[id] > 0 {
-				p.stats.Retries++
-			}
-			_, ssp := obs.StartSpan(actx, "2pc.send")
-			ssp.Annotate("type", m.Type.String())
-			ssp.Annotatef("to", "%d", m.To)
-			p.send(m)
-			ssp.End()
-			sent[id]++
-			if jitter > 0 && sent[id] < p.retry.MaxAttempts {
-				wait[id] = p.jrng.Intn(jitter + 1)
-			}
-		}
-		p.pump(&out)
-		asp.End()
-		// When everything still unanswered is known-crashed (the failure
-		// detector already fired) or out of budget, more rounds cannot help.
-		live := false
-		for _, m := range out.pending {
-			live = live || sendable(m)
-		}
-		if !live {
-			break
-		}
-	}
-	if ctx.Err() == nil {
-		for _, id := range sortedIDs(out.pending) {
-			if m := out.pending[id]; !p.crashed[m.To] {
-				p.breakerFail(m.To)
-			}
-		}
-	}
-	return out
-}
-
-func sortedIDs(m map[uint64]Message) []uint64 {
-	ids := make([]uint64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// backoff advances virtual time one retry round.
-func (p *Plane) backoff() {
-	p.clock++
-	p.tr.Advance()
-}
-
-// pump drains the transport: agent-bound messages run the agent state
-// machines (crashed and unknown agents eat their traffic silently),
-// coordinator-bound replies settle pending RPCs and backlog entries. out
-// may be nil (backlog-only pumping).
-func (p *Plane) pump(out *rpcOutcome) {
-	for {
-		m, ok := p.tr.Recv()
-		if !ok {
-			return
-		}
-		if m.To == Coordinator {
-			p.handleReply(m, out)
-			continue
-		}
-		a, live := p.agents[m.To]
-		if !live || p.crashed[m.To] {
-			continue // dropped: crashed or unknown agent
-		}
-		p.deliver(a, m)
-	}
-}
-
-// handleReply settles an acknowledgement against the in-flight broadcast
-// and the backlog; duplicate or stale acks are ignored.
-func (p *Plane) handleReply(m Message, out *rpcOutcome) {
-	if out != nil {
-		if req, ok := out.pending[m.AckFor]; ok {
-			delete(out.pending, m.AckFor)
-			if m.Type == MsgPrepareNack {
-				out.nacked[m.AckFor] = req
-			}
-			p.breakerOK(m.From)
-			return
-		}
-	}
-	if _, ok := p.backlog[m.AckFor]; ok {
-		p.dropBacklog(m.AckFor)
-		p.breakerOK(m.From)
-	}
-}
-
-// dropBacklog retires a backlog entry together with its re-send deferral.
-func (p *Plane) dropBacklog(id uint64) {
-	delete(p.backlog, id)
-	delete(p.backlogWait, id)
-}
-
-// enqueueBacklog records decided-but-undelivered messages for lazy
-// redelivery.
-func (p *Plane) enqueueBacklog(pending map[uint64]Message) {
-	for id, m := range pending {
-		p.flight.Recordf("ctrlplane", "backlog", int64(p.clock), "%s to %d session %d.%d msg %d",
-			m.Type, m.To, m.SessionID, m.Epoch, id)
-		p.backlog[id] = m
-	}
-}
-
-// flushBacklog re-sends every backlogged message whose target is a live
-// coalition member and pumps the replies — lazy anti-entropy run at the
-// top of every operation. Messages whose target left the coalition are
-// dropped (the ledger migration already accounted their capacity).
-func (p *Plane) flushBacklog() {
-	if len(p.backlog) == 0 {
+// dispatch hands an agent-bound message to the agent's state machine;
+// crashed and unknown agents eat their traffic silently.
+func (p *Plane) dispatch(m Message) {
+	a, live := p.agents[m.To]
+	if !live || p.crashed[m.To] {
 		return
 	}
-	jitter := p.retry.RetryJitterTicks
-	for _, id := range sortedIDs(p.backlog) {
-		m := p.backlog[id]
-		if _, stillAgent := p.agents[m.To]; !stillAgent {
-			p.dropBacklog(id)
-			continue
-		}
-		if p.crashed[m.To] {
-			continue // redelivered after Recover
-		}
-		if jitter > 0 {
-			// Spread the post-heal catch-up storm: each backlog entry's
-			// re-sends are deferred independently, so a lifted partition's
-			// accumulated decisions trickle out over ticks.
-			if w := p.backlogWait[id]; w > 0 {
-				p.backlogWait[id] = w - 1
-				continue
-			}
-			p.backlogWait[id] = p.jrng.Intn(jitter + 1)
-		}
-		p.stats.Retries++
-		p.send(m)
-	}
-	p.pump(nil)
-	p.tr.Advance()
+	p.deliver(a, m)
 }
 
 // Reconcile drives the backlog until every surviving agent has
@@ -1435,58 +1204,7 @@ func (p *Plane) Reconcile(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for attempt := 0; len(p.backlog) > 0; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt >= 4*p.retry.MaxAttempts*(p.retry.RetryJitterTicks+1) {
-			return fmt.Errorf("ctrlplane: %d backlog message(s) undeliverable after %d rounds", len(p.backlog), attempt)
-		}
-		p.clock++
-		p.flushBacklog()
-	}
-	return nil
-}
-
-// breakerOpen reports whether broker b's circuit is open at the current
-// virtual time.
-func (p *Plane) breakerOpen(b int32) bool {
-	br := p.breakers[b]
-	return br != nil && p.clock < br.openUntil
-}
-
-// breakerFail records one timed-out RPC against b, tripping the breaker on
-// a streak.
-func (p *Plane) breakerFail(b int32) {
-	br := p.breakers[b]
-	if br == nil {
-		br = &breaker{}
-		p.breakers[b] = br
-	}
-	br.fails++
-	p.stats.Timeouts++
-	if br.fails >= p.retry.BreakerThreshold && p.clock >= br.openUntil {
-		br.openUntil = p.clock + p.retry.BreakerCooldown
-		p.stats.BreakerTrips++
-		p.flight.Recordf("ctrlplane", "breaker_trip", int64(p.clock), "broker %d open until tick %d", b, br.openUntil)
-	}
-}
-
-// breakerOK resets b's failure streak after a successful round-trip.
-func (p *Plane) breakerOK(b int32) {
-	if br := p.breakers[b]; br != nil {
-		br.fails = 0
-	}
-}
-
-// reply sends an acknowledgement of type t for orig from agent a.
-func (p *Plane) reply(a *agent, orig Message, t MsgType) {
-	p.send(Message{
-		From: a.id, To: Coordinator, Type: t,
-		SessionID: orig.SessionID, Epoch: orig.Epoch,
-		MsgID: p.msgID(), AckFor: orig.MsgID,
-		Trace: orig.Trace,
-	})
+	return p.d.Reconcile(ctx)
 }
 
 // maxSeen bounds an agent's dedup memory; beyond it the oldest half is
@@ -1519,7 +1237,7 @@ func (p *Plane) deliver(a *agent, m Message) {
 	if _, dup := a.seen[m.MsgID]; dup {
 		p.stats.DupsDropped++
 		if ack, ok := ackFor(m.Type); ok {
-			p.reply(a, m, ack)
+			p.d.Reply(m, ack)
 		}
 		return
 	}
@@ -1530,9 +1248,9 @@ func (p *Plane) deliver(a *agent, m Message) {
 		if op, finalized := a.done[key]; finalized {
 			// Stale PREPARE for a finalized attempt: never re-hold.
 			if op == walCommit {
-				p.reply(a, m, MsgPrepareAck)
+				p.d.Reply(m, MsgPrepareAck)
 			} else {
-				p.reply(a, m, MsgPrepareNack)
+				p.d.Reply(m, MsgPrepareNack)
 			}
 			return
 		}
@@ -1545,11 +1263,11 @@ func (p *Plane) deliver(a *agent, m Message) {
 			a.markSeen(m.MsgID)
 			a.avail[m.Hop] -= m.Bandwidth // place hold
 			a.holds[key] = append(a.holds[key], hold{hop: m.Hop, bw: m.Bandwidth, expires: exp})
-			p.reply(a, m, MsgPrepareAck)
+			p.d.Reply(m, MsgPrepareAck)
 		} else {
 			// Nacks are not dedup-remembered: a retransmit re-evaluates
 			// against current capacity (and is fenced once finalized).
-			p.reply(a, m, MsgPrepareNack)
+			p.d.Reply(m, MsgPrepareNack)
 		}
 	case MsgBatch:
 		// One WAL record carries the broker's whole slice of the round;
@@ -1567,6 +1285,6 @@ func (p *Plane) deliver(a *agent, m Message) {
 			return
 		}
 		applyBatchEntries(a.avail, a.holds, a.done, m.Batch)
-		p.reply(a, m, MsgBatchAck)
+		p.d.Reply(m, MsgBatchAck)
 	}
 }

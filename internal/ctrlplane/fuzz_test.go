@@ -17,9 +17,13 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add(Message{From: Coordinator, To: 2, Type: MsgBatch, MsgID: 3, Batch: []BatchEntry{
 		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{0, 1}, BW: -1},
 	}}.Encode(nil))
-	// The retired COMMIT..RELEASE-ACK type bytes must be refused, not
-	// panic and not decode as something else.
-	for typ := byte(4); typ <= 9; typ++ {
+	// A peer decision record: a home region's commit toward a transit region.
+	f.Add(Message{From: PeerAddr(0), To: PeerAddr(1), Type: MsgBatch, SessionID: 1, Epoch: 1, MsgID: 5, Trace: 7,
+		Batch: []BatchEntry{{Kind: EntryCommit, ID: 1, Epoch: 1}}}.Encode(nil))
+	f.Add(Message{From: PeerAddr(1), To: PeerAddr(0), Type: MsgBatchNack, SessionID: 1, Epoch: 1, MsgID: 6, AckFor: 5}.Encode(nil))
+	// The retired COMMIT..RELEASE-ACK and X-COMMIT..X-RELEASE-ACK type bytes
+	// must be refused, not panic and not decode as something else.
+	for _, typ := range []byte{4, 5, 6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 19} {
 		retired := Message{Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 4}.Encode(nil)
 		retired[8] = typ
 		if _, err := DecodeMessage(retired); err == nil {
@@ -57,6 +61,15 @@ func FuzzBatchCodec(f *testing.F) {
 		{Kind: EntryAbort, ID: 3, Epoch: 2},
 		{Kind: EntryCommit, ID: 4, Epoch: 1},
 	}}.Encode(nil))
+	// A peer decision record (records between regions name one session).
+	f.Add(Message{From: PeerAddr(0), To: PeerAddr(2), Type: MsgBatch, SessionID: 6, Epoch: 2, MsgID: 10, Trace: 9,
+		Batch: []BatchEntry{{Kind: EntryRelease, ID: 6, Epoch: 2}}}.Encode(nil))
+	// A frame with a retired peer type byte and a batch body behind it.
+	for typ := byte(13); typ <= 19; typ++ {
+		retired := Message{Type: MsgBatch, MsgID: 11, Batch: []BatchEntry{{Kind: EntryAbort, ID: 6, Epoch: 2}}}.Encode(nil)
+		retired[8] = typ
+		f.Add(retired)
+	}
 	// Truncated entry list and a count promising more entries than bytes.
 	full := Message{Type: MsgBatch, MsgID: 9, Batch: []BatchEntry{{Kind: EntryCommit, ID: 5, Epoch: 1}}}.Encode(nil)
 	f.Add(full[:len(full)-4])
@@ -158,7 +171,7 @@ func FuzzDeliverIdempotent(f *testing.F) {
 			}
 			// Drain replies so the bus doesn't grow unbounded.
 			for {
-				if _, ok := p.tr.Recv(); !ok {
+				if _, ok := p.d.Transport.Recv(); !ok {
 					break
 				}
 			}

@@ -34,8 +34,8 @@ func (p *Plane) CheckInvariants(committed []*Session) error {
 		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
 		return fmt.Errorf("ctrlplane: invariant check requires quiescence: broker(s) still crashed: %v", bs)
 	}
-	if len(p.backlog) > 0 {
-		return fmt.Errorf("ctrlplane: invariant check requires quiescence: %d backlog message(s) undelivered (run Reconcile)", len(p.backlog))
+	if p.d.Backlogged() > 0 {
+		return fmt.Errorf("ctrlplane: invariant check requires quiescence: %d backlog message(s) undelivered (run Reconcile)", p.d.Backlogged())
 	}
 
 	// Committed load per managed hop, from the caller's session list.

@@ -38,10 +38,10 @@ func (p *Plane) leaseTime() int64 {
 // grantSessionLease starts (or restarts, on repath) s's heartbeat lease.
 // No-op when session leasing is disabled.
 func (p *Plane) grantSessionLease(s *Session) {
-	if p.retry.SessionTTL <= 0 {
+	if p.d.Retry.SessionTTL <= 0 {
 		return
 	}
-	p.sessLeases[s.ID] = &sessLease{s: s, expires: p.leaseTime() + p.retry.SessionTTL}
+	p.sessLeases[s.ID] = &sessLease{s: s, expires: p.leaseTime() + p.d.Retry.SessionTTL}
 }
 
 // dropSessionLease retires s's lease on release/teardown.
@@ -57,7 +57,7 @@ func (p *Plane) RenewSession(id int) bool {
 		p.stats.LeaseRenewMisses++
 		return false
 	}
-	l.expires = p.leaseTime() + p.retry.SessionTTL
+	l.expires = p.leaseTime() + p.d.Retry.SessionTTL
 	p.stats.LeaseRenewals++
 	return true
 }

@@ -10,7 +10,7 @@ import (
 // (sends, deliveries, decisions, crashes, recoveries, breaker trips,
 // backlog growth) is recorded into its ring. nil detaches (the default:
 // recording is a nil-safe no-op).
-func (p *Plane) SetFlightRecorder(fr *obs.FlightRecorder) { p.flight = fr }
+func (p *Plane) SetFlightRecorder(fr *obs.FlightRecorder) { p.flight, p.d.Flight = fr, fr }
 
 // FlightRecorder returns the attached recorder (nil when none).
 func (p *Plane) FlightRecorder() *obs.FlightRecorder { return p.flight }
@@ -26,7 +26,7 @@ func (p *Plane) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 		lk.Lock()
 		s := p.Stats()
 		var ts TransportStats
-		if st, ok := p.tr.(interface{ Stats() TransportStats }); ok {
+		if st, ok := p.d.Transport.(interface{ Stats() TransportStats }); ok {
 			ts = st.Stats()
 		}
 		version := p.version

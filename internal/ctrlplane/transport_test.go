@@ -109,7 +109,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{},
 		{From: Coordinator, To: 7, Type: MsgPrepare, SessionID: 123456, Epoch: 9, MsgID: 1 << 40, AckFor: 3, Hop: [2]int32{-2, 1 << 30}, Bandwidth: 3.25, Trace: 0xdeadbeefcafe},
 		{From: 5, To: Coordinator, Type: MsgBatchAck, SessionID: -1, MsgID: 1, AckFor: ^uint64(0), Bandwidth: 0},
-		{From: 2, To: 3, Type: MsgXCommit, MsgID: 7, Trace: ^uint64(0)},
+		{From: PeerAddr(0), To: PeerAddr(1), Type: MsgXPrepare, MsgID: 7, Trace: ^uint64(0)},
 	}
 	for i, m := range msgs {
 		if m.Type == 0 {
@@ -142,16 +142,21 @@ func TestMessageDecodeRejectsMalformed(t *testing.T) {
 	if _, err := DecodeMessage(bad); err == nil {
 		t.Fatal("unknown type accepted")
 	}
-	// Bytes 4–9 were COMMIT/ABORT/RELEASE and their acks. They stay retired:
-	// the types after them keep their wire values and a peer still speaking
-	// the old protocol is refused, not misread as an X-* message.
-	if MsgXPrepare != 10 || MsgBatchAck != 22 {
-		t.Fatalf("wire values moved: X-PREPARE=%d BATCH-ACK=%d, want 10 and 22", MsgXPrepare, MsgBatchAck)
+	// Bytes 4–9 were COMMIT/ABORT/RELEASE and their acks, bytes 13–19 their
+	// cross-region X-COMMIT … X-RELEASE-ACK counterparts. They stay retired:
+	// the types around them keep their wire values and a peer still speaking
+	// an old protocol is refused, not misread as another message.
+	if MsgXPrepare != 10 || MsgGossip != 20 || MsgBatchAck != 22 {
+		t.Fatalf("wire values moved: X-PREPARE=%d GOSSIP=%d BATCH-ACK=%d, want 10, 20 and 22", MsgXPrepare, MsgGossip, MsgBatchAck)
 	}
-	for typ := byte(4); typ <= 9; typ++ {
+	for typ := byte(1); typ <= byte(MsgBatchNack); typ++ {
+		if MsgType(typ) == MsgBatch {
+			continue // live, but a fixed-size frame is not a valid record
+		}
 		bad[8] = typ
-		if _, err := DecodeMessage(bad); err == nil {
-			t.Fatalf("retired type %d accepted", typ)
+		retired := (typ >= 4 && typ <= 9) || (typ >= 13 && typ <= 19)
+		if _, err := DecodeMessage(bad); (err != nil) != retired {
+			t.Fatalf("type %d: decode err = %v, want retired = %v", typ, err, retired)
 		}
 	}
 	nan := Message{Type: MsgPrepare, Bandwidth: math.NaN()}.Encode(nil)

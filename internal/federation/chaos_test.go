@@ -81,6 +81,16 @@ func verifyConserved(t *testing.T, f *Fabric, fr *obs.FlightRecorder, seed int64
 	}
 }
 
+// carries reports whether m is a decision record with an entry of kind k.
+func carries(m ctrlplane.Message, k ctrlplane.BatchEntryKind) bool {
+	for _, e := range m.Batch {
+		if e.Kind == k {
+			return true
+		}
+	}
+	return false
+}
+
 func recState(rec *subRecord) subState {
 	if rec == nil {
 		return 0
@@ -96,8 +106,14 @@ func recState(rec *subRecord) subState {
 // half-reserved — once the partition heals and the fabric reconciles.
 func TestPartitionMidSetupConserved(t *testing.T) {
 	seed := chaosSeed(t)
-	for _, cutAt := range []ctrlplane.MsgType{ctrlplane.MsgXPrepare, ctrlplane.MsgXCommit} {
-		t.Run(cutAt.String(), func(t *testing.T) {
+	for _, cut := range []struct {
+		name string
+		at   func(ctrlplane.Message) bool
+	}{
+		{"X-PREPARE", func(m ctrlplane.Message) bool { return m.Type == ctrlplane.MsgXPrepare }},
+		{"commit", func(m ctrlplane.Message) bool { return carries(m, ctrlplane.EntryCommit) }},
+	} {
+		t.Run(cut.name, func(t *testing.T) {
 			f := fedFabric(t, 4, 1, Config{
 				Seed: seed,
 				Retry: ctrlplane.RetryConfig{
@@ -112,7 +128,7 @@ func TestPartitionMidSetupConserved(t *testing.T) {
 			// Cut both directions between region 0 and its peers the moment
 			// the first message of the chosen phase hits the wire.
 			ft.OnDeliver = func(m ctrlplane.Message) {
-				if m.Type == cutAt {
+				if cut.at(m) {
 					ft.Partition(ctrlplane.PeerAddr(1), true)
 					ft.Partition(ctrlplane.PeerAddr(2), true)
 				}
@@ -151,8 +167,8 @@ func TestPartitionMidSetupConserved(t *testing.T) {
 // TestChaosLossDupMidCommitRegionCrash is the full acceptance chaos run:
 // 3%/3% loss and duplication on the inter-region bus, a stream of
 // cross-region setups and teardowns, and one transit region crashed at the
-// exact delivery of a mid-commit X-COMMIT, recovered later. Conservation
-// must hold in every region's WAL at quiescence.
+// exact delivery of a mid-commit decision record, recovered later.
+// Conservation must hold in every region's WAL at quiescence.
 func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 	seed := chaosSeed(t)
 	f := fedFabric(t, 4, 2, Config{
@@ -170,12 +186,12 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 	f.SetFlightRecorder(fr)
 	ft := f.PeerTransport()
 
-	// Crash region 1 at the exact moment the 6th setup's X-COMMIT is
+	// Crash region 1 at the exact moment the 6th setup's commit record is
 	// delivered to it: commit decided at home, undelivered at the transit.
 	crashed := false
 	commitSeen := 0
 	ft.OnDeliver = func(m ctrlplane.Message) {
-		if m.Type == ctrlplane.MsgXCommit && m.To == ctrlplane.PeerAddr(1) {
+		if carries(m, ctrlplane.EntryCommit) && m.To == ctrlplane.PeerAddr(1) {
 			commitSeen++
 			if commitSeen == 6 && !crashed {
 				crashed = true
@@ -245,7 +261,7 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 // setup spans BOTH sides of the two-level commit — the home region's own
 // prepare/commit (ctrlplane spans under the setup's context) and every
 // transit region's sub-transaction (federation.sub_* spans adopted from
-// the trace ID that rode the X-PREPARE/X-COMMIT wire messages).
+// the trace ID that rode the X-PREPARE and decision-record wire messages).
 func TestStitchedTraceSpansRegions(t *testing.T) {
 	seed := chaosSeed(t)
 	rates := ctrlplane.FaultRates{Drop: 0.03, Duplicate: 0.03}

@@ -5,15 +5,30 @@
 // query plane, 2PC control plane) over its subtopology, and regions share
 // only their border IXPs. Cross-region paths are answered by stitching
 // per-region B-dominated segments at those shared border brokers, and
-// cross-region sessions are set up with a two-level commit: the home
-// region's coordinator drives each transit region's sub-coordinator through
-// X-PREPARE / X-COMMIT / X-ABORT RPCs over the same fault-injecting
-// transport the intra-region protocol uses, presumed abort end to end.
+// cross-region sessions are set up with a two-level commit, presumed abort
+// end to end, that is the intra-region protocol one level up — same
+// delivery engine (ctrlplane.Delivery), same decision record:
+//
+//	step      home region -> each transit region      sub-WAL state there
+//	prepare   X-PREPARE (entry, exit border, bw)      (none) -> prepared
+//	decide    BATCH [commit | abort]                  prepared -> committed | aborted
+//	release   BATCH [release]                         committed -> released
+//
+// A transit region acks a record once every entry is applied and refuses
+// (BATCH-NACK) only a commit it can no longer honour: its lease lapsed and
+// its sweep presumed abort, or it never heard of the attempt. A refusal —
+// on the spot or of a backlogged record — rolls the whole session back.
+// Fabric.records builds every record, Fabric.applyDecision executes every
+// entry; nothing else moves a sub-transaction after prepare. The engine's
+// three hooks are Dispatch = Fabric.dispatch (sub-coordinator and gossip
+// store), Down = none (a home coordinator has no failure detector for its
+// peers; the circuit breaker is what it has) and Refused =
+// Fabric.commitRefused (the rollback above).
 //
 // The Fabric is the in-process federation harness: it owns every region,
-// the peer message bus, the per-peer-region circuit breakers, and the
-// durable sub-transaction records each region's sub-coordinator would keep
-// on disk. Like ctrlplane.Plane it is not safe for concurrent use — callers
+// the peer message bus and its delivery engine, and the durable
+// sub-transaction records each region's sub-coordinator would keep on
+// disk. Like ctrlplane.Plane it is not safe for concurrent use — callers
 // serialize operations externally (brokerd guards it with one RWMutex).
 package federation
 
@@ -117,8 +132,8 @@ type Stats struct {
 	// PeerRetries counts re-sends (including backlog re-drives).
 	PeerMessages int `json:"peer_messages"`
 	PeerRetries  int `json:"peer_retries"`
-	// CommitNacks counts transit regions refusing a late X-COMMIT (lease
-	// expired); each one rolls the whole stitched session back.
+	// CommitNacks counts transit regions refusing a late commit record
+	// (lease expired); each one rolls the whole stitched session back.
 	CommitNacks int `json:"commit_nacks"`
 	// Rollbacks counts committed stitched sessions conserved-aborted after
 	// a commit refusal.
@@ -147,21 +162,23 @@ type Fabric struct {
 	part    *topology.RegionPartition
 	regions []*Region
 
-	peer   ctrlplane.Transport
+	// d delivers X-PREPAREs and decision records over the inter-region bus:
+	// retries, the backlog of decided-but-undelivered records (durable, like
+	// decided and subWAL) and the per-peer-region circuit breakers live
+	// there. Home coordinators have no failure detector for their peers, so
+	// it is built without a Down hook: a crashed region's traffic is sent,
+	// dropped by the regionBus, and counted against its breaker.
+	d      *ctrlplane.Delivery
 	peerFT *ctrlplane.FaultTransport
 	rng    *rand.Rand
 	clock  int
 
-	maxAttempts int
-	breakers    []*fedBreaker
-	crashed     []bool
+	crashed []bool
 
 	// Durable per-fabric state (survives region crashes): the home
-	// coordinators' decision record, each region's sub-transaction WAL,
-	// and the backlog of decided-but-undelivered peer messages.
+	// coordinators' decision record and each region's sub-transaction WAL.
 	decided map[fedKey]bool
 	subWAL  []map[fedKey]*subRecord
-	backlog map[uint64]ctrlplane.Message
 
 	// Volatile per-region state.
 	vol []*volRegion
@@ -169,15 +186,8 @@ type Fabric struct {
 	sessions map[int]*Session
 	stats    Stats
 	nextID   int
-	nextMsg  uint64
 	flight   *obs.FlightRecorder
 	tracer   *obs.Tracer
-}
-
-// fedBreaker is one peer region's circuit-breaker state.
-type fedBreaker struct {
-	fails     int
-	openUntil int
 }
 
 // New partitions the topology into cfg.Regions regions and boots one
@@ -200,24 +210,21 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 		return nil, err
 	}
 	f := &Fabric{
-		cfg:         cfg,
-		top:         top,
-		part:        part,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		maxAttempts: cfg.Retry.MaxAttempts,
-		decided:     make(map[fedKey]bool),
-		backlog:     make(map[uint64]ctrlplane.Message),
-		sessions:    make(map[int]*Session),
+		cfg:      cfg,
+		top:      top,
+		part:     part,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		decided:  make(map[fedKey]bool),
+		sessions: make(map[int]*Session),
 	}
-	if f.maxAttempts <= 0 {
-		f.maxAttempts = 6
-	}
+	var peer ctrlplane.Transport = ctrlplane.NewReliableTransport()
 	if cfg.PeerFaults != nil {
 		f.peerFT = ctrlplane.NewFaultTransport(*cfg.PeerFaults)
-		f.peer = f.peerFT
-	} else {
-		f.peer = ctrlplane.NewReliableTransport()
+		peer = f.peerFT
 	}
+	f.d = ctrlplane.NewDelivery("federation", regionBus{peer, f}, cfg.Retry, &f.clock)
+	f.d.Dispatch = f.dispatch
+	f.d.Refused = f.commitRefused
 	global := cfg.Metrics
 	if global == nil {
 		global = routing.DefaultMetrics(top, rand.New(rand.NewSource(cfg.Seed)))
@@ -228,12 +235,37 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 			return nil, fmt.Errorf("federation: region %d: %w", r, err)
 		}
 		f.regions = append(f.regions, reg)
-		f.breakers = append(f.breakers, &fedBreaker{})
 		f.subWAL = append(f.subWAL, make(map[fedKey]*subRecord))
 		f.vol = append(f.vol, newVolRegion())
 	}
 	f.crashed = make([]bool, cfg.Regions)
 	return f, nil
+}
+
+// regionBus is the inter-region bus as the regions see it: whatever is
+// addressed to a crashed region — request, reply or gossip — is dropped on
+// the floor when its turn to be delivered comes.
+type regionBus struct {
+	ctrlplane.Transport
+	f *Fabric
+}
+
+func (b regionBus) Recv() (ctrlplane.Message, bool) {
+	for {
+		m, ok := b.Transport.Recv()
+		if !ok {
+			return m, false
+		}
+		q, peer := ctrlplane.PeerRegion(m.To)
+		switch {
+		case !peer || q >= len(b.f.regions):
+		case b.f.crashed[q]:
+			b.f.flight.Recordf("federation", "drop", int64(b.f.clock), "%s to crashed region %d session %d.%d",
+				m.Type, q, m.SessionID, m.Epoch)
+		default:
+			return m, true
+		}
+	}
 }
 
 // NumRegions returns the region count.
@@ -253,7 +285,8 @@ func (f *Fabric) PeerTransport() *ctrlplane.FaultTransport { return f.peerFT }
 // Stats returns a copy of the federation counters.
 func (f *Fabric) Stats() Stats {
 	st := f.stats
-	st.Backlogged = len(f.backlog)
+	st.PeerMessages, st.PeerRetries, st.BreakerTrips = f.d.Sent, f.d.Retries, f.d.BreakerTrips
+	st.Backlogged = f.d.Backlogged()
 	return st
 }
 
@@ -277,7 +310,7 @@ func (f *Fabric) CrashRegion(r int) {
 
 // RecoverRegion restarts a crashed region. Live handles stay lost: in-doubt
 // sub-transactions are resumed on demand from the durable sub-WAL when the
-// home region re-drives its decision (see the X-COMMIT handler), exactly
+// home region re-drives its decision (see applyDecision), exactly
 // the presumed-abort recovery shape of the intra-region protocol.
 func (f *Fabric) RecoverRegion(r int) {
 	if !f.crashed[r] {
@@ -298,7 +331,7 @@ func (f *Fabric) tick() {
 			reg.Plane.Tick()
 		}
 	}
-	f.flushBacklog()
+	f.d.Flush()
 }
 
 // Tick advances fabric time one step without an operation (loadgen's
@@ -307,57 +340,6 @@ func (f *Fabric) Tick() { f.tick() }
 
 // Clock returns the fabric's virtual time.
 func (f *Fabric) Clock() int { return f.clock }
-
-func (f *Fabric) msgID() uint64 {
-	f.nextMsg++
-	return f.nextMsg
-}
-
-// sendPeer pushes a message onto the inter-region bus.
-func (f *Fabric) sendPeer(m ctrlplane.Message) {
-	f.stats.PeerMessages++
-	f.flight.Recordf("federation", "send", int64(f.clock), "%s region %d->%d session %d.%d msg %d",
-		m.Type, mustRegion(m.From), mustRegion(m.To), m.SessionID, m.Epoch, m.MsgID)
-	f.peer.Send(m)
-}
-
-func mustRegion(addr int32) int {
-	r, _ := ctrlplane.PeerRegion(addr)
-	return r
-}
-
-// enqueueBacklog records decided-but-undelivered peer messages for lazy
-// redelivery.
-func (f *Fabric) enqueueBacklog(pending map[uint64]ctrlplane.Message) {
-	for id, m := range pending {
-		f.flight.Recordf("federation", "backlog", int64(f.clock), "%s to region %d session %d.%d msg %d",
-			m.Type, mustRegion(m.To), m.SessionID, m.Epoch, id)
-		f.backlog[id] = m
-	}
-}
-
-// flushBacklog re-sends every backlogged peer message whose target region
-// is up and pumps the replies.
-func (f *Fabric) flushBacklog() {
-	if len(f.backlog) == 0 {
-		return
-	}
-	ids := make([]uint64, 0, len(f.backlog))
-	for id := range f.backlog {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		m := f.backlog[id]
-		if r := mustRegion(m.To); f.crashed[r] {
-			continue // redelivered after RecoverRegion
-		}
-		f.stats.PeerRetries++
-		f.sendPeer(m)
-	}
-	f.pumpPeers(nil)
-	f.peer.Advance()
-}
 
 // Reconcile drives the peer backlog (and every region plane's backlog) to
 // empty, the quiescent state CheckInvariants expects. All regions must be
@@ -371,14 +353,8 @@ func (f *Fabric) Reconcile(ctx context.Context) error {
 			return fmt.Errorf("federation: reconcile requires every region up: region %d crashed", r)
 		}
 	}
-	for attempt := 0; len(f.backlog) > 0; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if attempt >= 4*f.maxAttempts {
-			return fmt.Errorf("federation: %d peer backlog message(s) undeliverable after %d rounds", len(f.backlog), attempt)
-		}
-		f.tick()
+	if err := f.d.Reconcile(ctx); err != nil {
+		return err
 	}
 	for r, reg := range f.regions {
 		if err := reg.Plane.Reconcile(ctx); err != nil {
@@ -400,8 +376,8 @@ func (f *Fabric) CheckInvariants() error {
 			return fmt.Errorf("federation: invariant check requires every region up: region %d crashed", r)
 		}
 	}
-	if len(f.backlog) > 0 {
-		return fmt.Errorf("federation: invariant check requires quiescence: %d peer backlog message(s) (run Reconcile)", len(f.backlog))
+	if n := f.d.Backlogged(); n > 0 {
+		return fmt.Errorf("federation: invariant check requires quiescence: %d peer backlog message(s) (run Reconcile)", n)
 	}
 	for r, reg := range f.regions {
 		var committed []*ctrlplane.Session
@@ -435,31 +411,3 @@ func sortedFedKeys(m map[fedKey]*subRecord) []fedKey {
 	})
 	return keys
 }
-
-// breakerOpen reports whether peer region q's circuit is open.
-func (f *Fabric) breakerOpen(q int) bool {
-	br := f.breakers[q]
-	return f.clock < br.openUntil
-}
-
-// breakerFail records one timed-out cross-region RPC against q.
-func (f *Fabric) breakerFail(q int) {
-	br := f.breakers[q]
-	br.fails++
-	threshold := f.cfg.Retry.BreakerThreshold
-	if threshold <= 0 {
-		threshold = 3
-	}
-	cooldown := f.cfg.Retry.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = 64
-	}
-	if br.fails >= threshold && f.clock >= br.openUntil {
-		br.openUntil = f.clock + cooldown
-		f.stats.BreakerTrips++
-		f.flight.Recordf("federation", "breaker_trip", int64(f.clock), "peer region %d open until tick %d", q, br.openUntil)
-	}
-}
-
-// breakerOK resets q's failure streak after a successful round-trip.
-func (f *Fabric) breakerOK(q int) { f.breakers[q].fails = 0 }

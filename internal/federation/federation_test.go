@@ -8,6 +8,7 @@ import (
 
 	"brokerset/internal/ctrlplane"
 	"brokerset/internal/graph"
+	"brokerset/internal/obs"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
 )
@@ -298,9 +299,28 @@ func TestHealerRestitches(t *testing.T) {
 		t.Fatalf("joint %d not local to region 1", joint)
 	}
 	reg.Plane.Crash(l)
-	rep := f.Heal(ctx)
+	tr := obs.NewTracer(1 << 10)
+	f.SetTracer(tr)
+	hctx, root := tr.Root(ctx, "test.heal", 0)
+	rep := f.Heal(hctx)
+	root.End()
 	if rep.Restitched != 1 {
 		t.Fatalf("heal report %+v, want 1 restitched", rep)
+	}
+	// The break half of break-before-make rides the heal's trace: each
+	// transit region's release sub-span sits beside the federation.heal span.
+	released := map[string]bool{}
+	for _, sp := range tr.Trace(root.TraceID) {
+		if sp.Name == "federation.sub_release" {
+			for _, a := range sp.Attrs {
+				if a.Key == "region" {
+					released[a.Val] = true
+				}
+			}
+		}
+	}
+	if !released["1"] || !released["2"] {
+		t.Fatalf("heal trace %#x has release sub-spans for regions %v, want 1 and 2", root.TraceID, released)
 	}
 	if s.State != ctrlplane.StateCommitted || s.Epoch != 2 {
 		t.Fatalf("session state %d epoch %d after heal, want committed epoch 2", s.State, s.Epoch)
@@ -374,5 +394,60 @@ func TestBreakerFastFailsSetups(t *testing.T) {
 	}
 	if err := f.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelledSetupsSpareTheBreaker is the regression test for a client
+// hanging up tripping a peer's circuit: a setup whose context ended says
+// nothing about the transit region's health, so however many of them time
+// out against a lossy bus, the next caller is not fast-failed.
+func TestCancelledSetupsSpareTheBreaker(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		src      int32 // 15 is the 0-1 border itself: no home segment, straight onto the peer bus
+		hangUpAt ctrlplane.MsgType
+	}{
+		{"already cancelled", 15, 0},
+		{"cancelled mid-setup", 2, ctrlplane.MsgXPrepareAck},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := fedFabric(t, 4, 1, Config{Seed: 7,
+				Retry:      ctrlplane.RetryConfig{MaxAttempts: 2, BreakerThreshold: 3, BreakerCooldown: 1000, LeaseTTL: 500},
+				PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
+			ft := f.PeerTransport()
+			ft.Partition(ctrlplane.PeerAddr(1), true) // everything toward region 1 is lost
+			for i := 0; i < 3; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				ft.OnDeliver = func(m ctrlplane.Message) {
+					if m.Type == tc.hangUpAt {
+						cancel()
+					}
+				}
+				if tc.hangUpAt == 0 {
+					cancel()
+				}
+				if _, err := f.Setup(ctx, tc.src, 10, 5, routing.Options{}); err == nil {
+					t.Fatal("setup under a cancelled context committed")
+				}
+				cancel()
+			}
+			if st := f.Stats(); st.BreakerTrips != 0 {
+				t.Fatalf("stats %+v: cancelled setups tripped a breaker", st)
+			}
+			ft.OnDeliver = nil
+			ft.Partition(ctrlplane.PeerAddr(1), false)
+			if _, err := f.Setup(context.Background(), tc.src, 10, 5, routing.Options{}); err != nil {
+				t.Fatalf("setup after three hang-ups: %v", err)
+			}
+			if st := f.Stats(); st.BreakerFastFails != 0 {
+				t.Fatalf("stats %+v: a healthy region was fast-failed", st)
+			}
+			if err := f.Reconcile(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -36,17 +36,17 @@ func (f *Fabric) GossipTick() {
 					up = 0
 				}
 				f.stats.GossipSent++
-				f.sendPeer(ctrlplane.Message{
+				f.d.Send(ctrlplane.Message{
 					From: ctrlplane.PeerAddr(r), To: ctrlplane.PeerAddr(q),
 					Type: ctrlplane.MsgGossip, SessionID: r, Epoch: ep,
-					MsgID: f.msgID(), Hop: [2]int32{reg.Global(l), up},
+					MsgID: f.d.NextID(), Hop: [2]int32{reg.Global(l), up},
 					Bandwidth: conn,
 				})
 			}
 		}
 	}
-	f.peer.Advance()
-	f.pumpPeers(nil)
+	f.d.Transport.Advance()
+	f.d.Pump()
 }
 
 // handleGossip folds one digest fragment into region q's view of the

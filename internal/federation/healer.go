@@ -106,29 +106,21 @@ func (f *Fabric) sessionDamaged(s *Session) bool {
 	return false
 }
 
-// releaseSegments releases every committed segment of s's current attempt:
-// the home segment directly, live remote segments synchronously, segments
-// in crashed regions via the backlog (delivered at recovery).
+// releaseSegments releases every segment of s's current attempt: the home
+// segment directly, live remote segments synchronously, segments in regions
+// the healer already found crashed via the backlog (delivered at recovery,
+// without a timeout counted against a region nobody tried to reach).
 func (f *Fabric) releaseSegments(ctx context.Context, s *Session, home int) {
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
-	var msgs []ctrlplane.Message
-	for r := range f.regions {
-		rec := f.subWAL[r][fk]
-		if rec == nil || rec.State != subCommitted || r == home {
-			continue
-		}
-		m := ctrlplane.Message{
-			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(r),
-			Type: ctrlplane.MsgXRelease, SessionID: s.ID, Epoch: s.Epoch,
-			MsgID: f.msgID(),
-		}
+	var live, down []int
+	for _, r := range transitRegions(s.Stitched) {
 		if f.crashed[r] {
-			f.backlog[m.MsgID] = m
-			continue
+			down = append(down, r)
+		} else {
+			live = append(live, r)
 		}
-		msgs = append(msgs, m)
 	}
-	out := f.broadcastPeer(ctx, msgs)
-	f.enqueueBacklog(out.pending)
-	f.releaseHomeSub(ctx, home, fk)
+	f.d.Backlog(f.records(ctx, fk, home, ctrlplane.EntryRelease, down)...)
+	f.decide(ctx, fk, home, ctrlplane.EntryRelease, live)
+	_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryRelease))
 }

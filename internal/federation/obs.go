@@ -12,7 +12,7 @@ import (
 // region crashes) and each region's intra-plane protocol events land in the
 // same ring, in one global order. nil detaches.
 func (f *Fabric) SetFlightRecorder(fr *obs.FlightRecorder) {
-	f.flight = fr
+	f.flight, f.d.Flight = fr, fr
 	for _, reg := range f.regions {
 		reg.Plane.SetFlightRecorder(fr)
 	}

@@ -3,7 +3,6 @@ package federation
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"brokerset/internal/ctrlplane"
 	"brokerset/internal/obs"
@@ -28,9 +27,9 @@ type Session struct {
 // Setup reserves bandwidth on a stitched cross-region path end to end with
 // a two-level commit: the home region (src's region) prepares its own
 // segment directly and drives every transit region's sub-coordinator
-// through X-PREPARE, then — once every segment holds — commits everywhere.
-// Presumed abort end to end: any nack, timeout, or mid-commit refusal
-// leaves every region with nothing reserved.
+// through X-PREPARE, then — once every segment holds — delivers each of
+// them one commit decision record. Presumed abort end to end: any nack,
+// timeout, or refused commit leaves every region with nothing reserved.
 func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts routing.Options) (*Session, error) {
 	if bw <= 0 {
 		return nil, fmt.Errorf("federation: bandwidth must be positive, got %f", bw)
@@ -53,7 +52,7 @@ func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts rou
 	// Fast-fail when a transit region's circuit is open: don't burn a
 	// prepare round against a peer that has been timing out.
 	for _, seg := range sp.Segments[1:] {
-		if f.breakerOpen(seg.Region) {
+		if f.d.BreakerOpen(ctrlplane.PeerAddr(seg.Region)) {
 			f.stats.BreakerFastFails++
 			f.stats.Aborts++
 			return nil, fmt.Errorf("federation: circuit open toward region %d", seg.Region)
@@ -83,6 +82,55 @@ func localPath(reg *Region, nodes []int32) ([]int32, bool) {
 	return out, true
 }
 
+// transitRegions lists the regions beyond the home one that hold a segment
+// of sp (zero-length handovers reserve nothing and are skipped).
+func transitRegions(sp *StitchedPath) []int {
+	var out []int
+	for _, seg := range sp.Segments[1:] {
+		if len(seg.Nodes) >= 2 {
+			out = append(out, seg.Region)
+		}
+	}
+	return out
+}
+
+// entry is the decision-record entry that takes attempt fk to kind.
+func (fk fedKey) entry(kind ctrlplane.BatchEntryKind) ctrlplane.BatchEntry {
+	return ctrlplane.BatchEntry{Kind: kind, ID: fk.ID, Epoch: fk.Epoch}
+}
+
+// records builds the home region's decision about attempt fk, one record per
+// region in regions. Every commit, abort and release that crosses the peer
+// bus is built here, so every one of them rides the trace of the request
+// that decided it.
+func (f *Fabric) records(ctx context.Context, fk fedKey, home int, kind ctrlplane.BatchEntryKind, regions []int) []ctrlplane.Message {
+	msgs := make([]ctrlplane.Message, 0, len(regions))
+	for _, q := range regions {
+		msgs = append(msgs, ctrlplane.Message{
+			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(q),
+			Type: ctrlplane.MsgBatch, SessionID: fk.ID, Epoch: fk.Epoch,
+			MsgID: f.d.NextID(), Trace: obs.TraceIDFrom(ctx),
+			Batch: []ctrlplane.BatchEntry{fk.entry(kind)},
+		})
+	}
+	return msgs
+}
+
+// decide delivers the home region's decision about attempt fk to every
+// region in regions and returns how many refused it. The decision is
+// durable before this is called, so delivery is lazy: records still
+// unanswered are backlogged and re-driven by ticks, surviving region crash
+// and recovery. Abort and release records go to every segment region, also
+// one whose X-PREPARE was never acked — "never acked" can mean "delivered,
+// ack lost" — and the receiver goes by its own record.
+func (f *Fabric) decide(ctx context.Context, fk fedKey, home int, kind ctrlplane.BatchEntryKind, regions []int) int {
+	nacked, pending := f.d.Broadcast(ctx, f.records(ctx, fk, home, kind, regions))
+	for _, m := range pending {
+		f.d.Backlog(m)
+	}
+	return len(nacked)
+}
+
 // establishStitched runs the two-level commit for one (session, epoch)
 // attempt over an already stitched path. Shared by Setup and the healer
 // (which re-runs it under a bumped epoch).
@@ -91,23 +139,22 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
 	home := sp.Segments[0].Region
 	hreg := f.regions[home]
+	aborted := func(err error) error {
+		f.stats.Aborts++
+		s.State = ctrlplane.StateAborted
+		return err
+	}
 
 	// Phase 1a: hold the home segment directly on the home plane.
-	var homePr *ctrlplane.Prepared
 	if seg := sp.Segments[0]; len(seg.Nodes) >= 2 {
 		local, ok := localPath(hreg, seg.Nodes)
 		if !ok {
-			f.stats.Aborts++
-			s.State = ctrlplane.StateAborted
-			return fmt.Errorf("federation: home segment leaves region %d", home)
+			return aborted(fmt.Errorf("federation: home segment leaves region %d", home))
 		}
 		pr, err := hreg.Plane.PrepareOnPath(ctx, local, s.Bandwidth)
 		if err != nil {
-			f.stats.Aborts++
-			s.State = ctrlplane.StateAborted
-			return fmt.Errorf("federation: home prepare: %w", err)
+			return aborted(fmt.Errorf("federation: home prepare: %w", err))
 		}
-		homePr = pr
 		f.subWAL[home][fk] = &subRecord{State: subPrepared, LocalID: pr.S.ID,
 			LocalEpoch: pr.S.Epoch, Path: local, BW: s.Bandwidth}
 		f.vol[home].prepared[fk] = pr
@@ -116,217 +163,104 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 	// Phase 1b: X-PREPARE every transit region's segment (the remote
 	// sub-coordinator recomputes the concrete path between the border
 	// endpoints against its own snapshot and holds it under our lease).
-	trace := obs.TraceIDFrom(ctx)
 	var msgs []ctrlplane.Message
-	var remotes []int
 	for _, seg := range sp.Segments[1:] {
 		if len(seg.Nodes) < 2 {
 			continue // zero-length handover, nothing to reserve
 		}
-		remotes = append(remotes, seg.Region)
 		msgs = append(msgs, ctrlplane.Message{
 			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(seg.Region),
 			Type: ctrlplane.MsgXPrepare, SessionID: s.ID, Epoch: s.Epoch,
-			MsgID: f.msgID(), Hop: [2]int32{seg.Nodes[0], seg.Nodes[len(seg.Nodes)-1]},
-			Bandwidth: s.Bandwidth, Lease: uint32(f.cfg.Retry.LeaseTTL),
-			Trace: trace,
+			MsgID: f.d.NextID(), Hop: [2]int32{seg.Nodes[0], seg.Nodes[len(seg.Nodes)-1]},
+			Bandwidth: s.Bandwidth, Lease: uint32(f.d.Retry.LeaseTTL),
+			Trace: obs.TraceIDFrom(ctx),
 		})
 	}
-	out := f.broadcastPeer(ctx, msgs)
+	remotes := transitRegions(sp)
+	nacked, pending := f.d.Broadcast(ctx, msgs)
 	if f.crashed[home] {
 		// The home coordinator died mid-setup. No cleanup from here: the
 		// home's own holds resolve by WAL recovery, and every remote hold
 		// self-cleans when its lease lapses.
 		return fmt.Errorf("federation: home region %d crashed mid-setup", home)
 	}
-	if len(out.nacked) > 0 || len(out.pending) > 0 {
+	if len(nacked) > 0 || len(pending) > 0 {
 		f.decided[fk] = false
 		f.flight.Recordf("federation", "decide", int64(f.clock), "session %d.%d ABORT (%d nack, %d unreachable)",
-			s.ID, s.Epoch, len(out.nacked), len(out.pending))
-		f.abortPrepares(ctx, fk, home, homePr, remotes)
-		f.stats.Aborts++
-		s.State = ctrlplane.StateAborted
-		return fmt.Errorf("federation: session %d.%d aborted: %d region(s) nacked, %d unreachable",
-			s.ID, s.Epoch, len(out.nacked), len(out.pending))
+			s.ID, s.Epoch, len(nacked), len(pending))
+		_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryAbort))
+		f.decide(ctx, fk, home, ctrlplane.EntryAbort, remotes)
+		return aborted(fmt.Errorf("federation: session %d.%d aborted: %d region(s) nacked, %d unreachable",
+			s.ID, s.Epoch, len(nacked), len(pending)))
 	}
 
 	// Commit point: every segment holds. The decision is durable before any
-	// COMMIT leaves the home region.
+	// commit record leaves the home region.
 	f.decided[fk] = true
 	f.flight.Recordf("federation", "decide", int64(f.clock), "session %d.%d COMMIT (%d transit region(s))",
 		s.ID, s.Epoch, len(remotes))
-	if homePr != nil {
-		sess, err := hreg.Plane.CommitPrepared(ctx, homePr)
-		if err != nil {
+	if f.subWAL[home][fk] != nil {
+		if err := f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryCommit)); err != nil {
 			// Home's own lease lapsed before the decision (pathological —
 			// the coordinator outwaited its own TTL). Conserved abort.
 			f.decided[fk] = false
-			f.subWAL[home][fk].State = subAborted
-			delete(f.vol[home].prepared, fk)
-			f.abortPrepares(ctx, fk, home, nil, remotes)
-			f.stats.Aborts++
-			s.State = ctrlplane.StateAborted
-			return fmt.Errorf("federation: home commit refused: %w", err)
+			f.decide(ctx, fk, home, ctrlplane.EntryAbort, remotes)
+			return aborted(fmt.Errorf("federation: home commit refused: %w", err))
 		}
-		f.subWAL[home][fk].State = subCommitted
-		delete(f.vol[home].prepared, fk)
-		f.vol[home].committed[fk] = sess
 	}
-
-	// Phase 2: X-COMMIT to every transit region.
-	var cmsgs []ctrlplane.Message
-	for _, q := range remotes {
-		cmsgs = append(cmsgs, ctrlplane.Message{
-			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(q),
-			Type: ctrlplane.MsgXCommit, SessionID: s.ID, Epoch: s.Epoch,
-			MsgID: f.msgID(), Trace: trace,
-		})
-	}
-	cout := f.broadcastPeer(ctx, cmsgs)
-	if len(cout.nacked) > 0 {
-		// A transit region's lease expired before our COMMIT arrived and it
+	if refused := f.decide(ctx, fk, home, ctrlplane.EntryCommit, remotes); refused > 0 {
+		// A transit region's lease expired before our commit arrived and it
 		// already presumed abort. Unwind the committed remainder so the
-		// session is conserved-aborted everywhere.
-		f.rollbackAfterCommit(ctx, s, fk, home, cout)
+		// session is conserved-aborted everywhere, and drive the aborts out
+		// now rather than at the next tick.
+		f.stats.CommitNacks += refused
+		f.rollback(ctx, s)
+		f.d.Flush()
 		return fmt.Errorf("federation: session %d.%d rolled back: %d region(s) refused late commit",
-			s.ID, s.Epoch, len(cout.nacked))
+			s.ID, s.Epoch, refused)
 	}
-	// Unreachable COMMITs are backlogged: the decision is durable, delivery
-	// is lazy (redriven by ticks, surviving region crash + recovery).
-	f.enqueueBacklog(cout.pending)
-
 	s.State = ctrlplane.StateCommitted
 	f.stats.Commits++
-	hreg.maybePublish(ctx)
 	return nil
 }
 
-// abortPrepares unwinds phase 1: the home hold is aborted directly and
-// every remote segment region gets X-ABORT — including regions whose
-// X-PREPARE was never acked, because "never acked" can mean "delivered,
-// ack lost". Undeliverable aborts are backlogged (presumed abort makes
-// late delivery converge to the same state).
-func (f *Fabric) abortPrepares(ctx context.Context, fk fedKey, home int, homePr *ctrlplane.Prepared, remotes []int) {
-	if homePr != nil {
-		_ = f.regions[home].Plane.AbortPrepared(ctx, homePr)
-		f.subWAL[home][fk].State = subAborted
-		delete(f.vol[home].prepared, fk)
-	}
-	var msgs []ctrlplane.Message
-	for _, q := range remotes {
-		msgs = append(msgs, ctrlplane.Message{
-			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(q),
-			Type: ctrlplane.MsgXAbort, SessionID: fk.ID, Epoch: fk.Epoch,
-			MsgID: f.msgID(), Trace: obs.TraceIDFrom(ctx),
-		})
-	}
-	out := f.broadcastPeer(ctx, msgs)
-	f.enqueueBacklog(out.pending)
-}
-
-// rollbackAfterCommit conserved-aborts a session that reached the commit
-// point but had a transit region refuse the late COMMIT: committed regions
-// are released, still-backlogged COMMITs are swapped for ABORTs, and the
-// home segment is torn down.
-func (f *Fabric) rollbackAfterCommit(ctx context.Context, s *Session, fk fedKey, home int, cout *peerOutcome) {
-	f.stats.CommitNacks += len(cout.nacked)
+// rollback conserved-aborts an attempt that reached the commit point but had
+// a transit region refuse the commit — on the spot, or when a backlogged
+// record finally got through to a region whose lease had lapsed while it or
+// the bus was down. Commit records still undelivered are cancelled, every
+// transit region gets an abort record (one where the commit did land
+// releases fully), and the home segment is released. It can run inside the
+// message pump, so it only mutates state and enqueues: the surrounding tick
+// loop drives the records out.
+func (f *Fabric) rollback(ctx context.Context, s *Session) {
+	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
+	home := s.Stitched.Segments[0].Region
 	f.stats.Rollbacks++
 	f.decided[fk] = false
-	f.flight.Recordf("federation", "rollback", int64(f.clock), "session %d.%d: late-commit refusal", s.ID, s.Epoch)
-
-	// Regions that did commit: release.
-	var msgs []ctrlplane.Message
-	for _, q := range sortedRegions(cout.acked) {
-		msgs = append(msgs, ctrlplane.Message{
-			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(q),
-			Type: ctrlplane.MsgXRelease, SessionID: s.ID, Epoch: s.Epoch,
-			MsgID: f.msgID(), Trace: obs.TraceIDFrom(ctx),
-		})
-	}
-	// COMMITs still undelivered become ABORTs (the handler releases fully
-	// if the COMMIT actually landed with the ack lost).
-	for _, m := range cout.pending {
-		m.Type = ctrlplane.MsgXAbort
-		m.MsgID = f.msgID()
-		msgs = append(msgs, m)
-	}
-	out := f.broadcastPeer(ctx, msgs)
-	f.enqueueBacklog(out.pending)
-
-	f.releaseHomeSub(ctx, home, fk)
-	f.stats.Aborts++
-	s.State = ctrlplane.StateAborted
-}
-
-// releaseHomeSub tears down the home region's committed segment of fk.
-func (f *Fabric) releaseHomeSub(ctx context.Context, home int, fk fedKey) {
-	rec := f.subWAL[home][fk]
-	if rec == nil || rec.State != subCommitted {
-		return
-	}
-	sess := f.vol[home].committed[fk]
-	if sess == nil {
-		sess = &ctrlplane.Session{ID: rec.LocalID, Epoch: rec.LocalEpoch,
-			Path: rec.Path, Bandwidth: rec.BW, State: ctrlplane.StateCommitted}
-	}
-	_ = f.regions[home].Plane.Teardown(ctx, sess)
-	rec.State = subReleased
-	delete(f.vol[home].committed, fk)
-	f.regions[home].maybePublish(ctx)
-}
-
-// rollbackSession conserved-aborts a committed session after a backlogged
-// COMMIT was refused during reconciliation (the transit region's lease
-// expired while it — or the bus — was down). Called from inside the
-// message pump, so it only mutates state and enqueues: the surrounding
-// tick loop drives the releases out.
-func (f *Fabric) rollbackSession(fk fedKey) {
-	s := f.sessions[fk.ID]
-	if s == nil || s.Epoch != fk.Epoch || s.State != ctrlplane.StateCommitted {
-		return
-	}
-	f.stats.Rollbacks++
-	f.decided[fk] = false
-	f.flight.Recordf("federation", "rollback", int64(f.clock), "session %d.%d: backlogged commit refused", s.ID, s.Epoch)
-	home := f.part.RegionOf(s.Src)
-
-	// Swap this session's still-backlogged COMMITs for ABORTs.
-	var swap []uint64
-	for id, m := range f.backlog {
-		if m.SessionID == fk.ID && m.Epoch == fk.Epoch && m.Type == ctrlplane.MsgXCommit {
-			swap = append(swap, id)
-		}
-	}
-	for _, id := range swap {
-		m := f.backlog[id]
-		delete(f.backlog, id)
-		m.Type = ctrlplane.MsgXAbort
-		m.MsgID = f.msgID()
-		f.backlog[m.MsgID] = m
-	}
-	// Release every region that committed; remote releases ride the backlog.
-	for r := range f.regions {
-		rec := f.subWAL[r][fk]
-		if rec == nil || rec.State != subCommitted {
-			continue
-		}
-		if r == home {
-			f.releaseHomeSub(context.Background(), home, fk)
-			continue
-		}
-		m := ctrlplane.Message{
-			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(r),
-			Type: ctrlplane.MsgXRelease, SessionID: fk.ID, Epoch: fk.Epoch,
-			MsgID: f.msgID(),
-		}
-		f.backlog[m.MsgID] = m
-	}
+	f.flight.Recordf("federation", "rollback", int64(f.clock), "session %d.%d: commit refused", s.ID, s.Epoch)
+	f.d.Cancel(func(m ctrlplane.Message) bool { return m.SessionID == fk.ID && m.Epoch == fk.Epoch })
+	f.d.Backlog(f.records(ctx, fk, home, ctrlplane.EntryAbort, transitRegions(s.Stitched))...)
+	_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryAbort))
 	s.State = ctrlplane.StateAborted
 	f.stats.Aborts++
+}
+
+// commitRefused is the delivery engine's hook for a backlogged record that
+// came back refused: if it was the commit of a session still standing, the
+// whole session rolls back, under the trace the commit rode.
+func (f *Fabric) commitRefused(req ctrlplane.Message) {
+	s := f.sessions[req.SessionID]
+	if s == nil || s.Epoch != req.Epoch || s.State != ctrlplane.StateCommitted {
+		return
+	}
+	ctx, span := f.tracer.Adopt(context.Background(), "federation.rollback", req.Trace)
+	defer span.End()
+	f.rollback(ctx, s)
 }
 
 // Teardown releases a committed federated session in every region it
-// crosses. Releases toward crashed regions are backlogged.
+// crosses. Releases toward crashed or unreachable regions count against
+// their breaker and are backlogged.
 func (f *Fabric) Teardown(ctx context.Context, s *Session) error {
 	if s == nil || s.State != ctrlplane.StateCommitted {
 		return fmt.Errorf("federation: teardown of non-committed session")
@@ -340,321 +274,159 @@ func (f *Fabric) Teardown(ctx context.Context, s *Session) error {
 	if f.crashed[home] {
 		return fmt.Errorf("federation: home region %d crashed", home)
 	}
-	var msgs []ctrlplane.Message
-	for r := range f.regions {
-		rec := f.subWAL[r][fk]
-		if rec == nil || rec.State != subCommitted || r == home {
-			continue
-		}
-		msgs = append(msgs, ctrlplane.Message{
-			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(r),
-			Type: ctrlplane.MsgXRelease, SessionID: s.ID, Epoch: s.Epoch,
-			MsgID: f.msgID(), Trace: obs.TraceIDFrom(ctx),
-		})
-	}
-	// Releases toward crashed or unreachable regions end up in out.pending
-	// (counting against their breaker) and are backlogged below.
-	out := f.broadcastPeer(ctx, msgs)
-	f.enqueueBacklog(out.pending)
-	f.releaseHomeSub(ctx, home, fk)
+	f.decide(ctx, fk, home, ctrlplane.EntryRelease, transitRegions(s.Stitched))
+	_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryRelease))
 	s.State = ctrlplane.StateReleased
 	f.stats.Teardowns++
 	delete(f.sessions, s.ID)
 	return nil
 }
 
-// peerOutcome is one cross-region broadcast's result, keyed by peer region.
-type peerOutcome struct {
-	acked   map[int]bool
-	nacked  map[int]bool
-	pending map[uint64]ctrlplane.Message
+// subSpans names a sub-coordinator's span after the decision it applies.
+var subSpans = [...]string{
+	ctrlplane.EntryCommit:  "federation.sub_commit",
+	ctrlplane.EntryAbort:   "federation.sub_abort",
+	ctrlplane.EntryRelease: "federation.sub_release",
 }
 
-func sortedRegions(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// broadcastPeer sends one request per peer region and pumps the bus until
-// every request is settled or attempts are exhausted; survivors trip the
-// target's circuit breaker and stay in out.pending for the caller to
-// backlog or unwind.
-func (f *Fabric) broadcastPeer(ctx context.Context, msgs []ctrlplane.Message) *peerOutcome {
-	out := &peerOutcome{
-		acked:   make(map[int]bool),
-		nacked:  make(map[int]bool),
-		pending: make(map[uint64]ctrlplane.Message),
-	}
-	if len(msgs) == 0 {
-		return out
-	}
-	for _, m := range msgs {
-		out.pending[m.MsgID] = m
-		if !f.crashed[mustRegion(m.To)] {
-			f.sendPeer(m)
-		}
-	}
-	for attempt := 0; ; attempt++ {
-		f.peer.Advance()
-		f.pumpPeers(out)
-		if len(out.pending) == 0 || attempt >= f.maxAttempts-1 || ctx.Err() != nil {
-			break
-		}
-		f.clock++
-		ids := make([]uint64, 0, len(out.pending))
-		for id := range out.pending {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			m := out.pending[id]
-			if f.crashed[mustRegion(m.To)] {
-				continue
-			}
-			f.stats.PeerRetries++
-			f.sendPeer(m)
-		}
-	}
-	for _, m := range out.pending {
-		f.breakerFail(mustRegion(m.To))
-	}
-	return out
-}
-
-// pumpPeers drains the inter-region bus, dispatching each message to its
-// target region: requests to that region's sub-coordinator, replies to the
-// in-flight broadcast (or the backlog), gossip to the digest store.
-// Messages addressed to a crashed region are dropped on the floor.
-func (f *Fabric) pumpPeers(out *peerOutcome) {
-	for {
-		m, ok := f.peer.Recv()
-		if !ok {
-			return
-		}
-		q, ok := ctrlplane.PeerRegion(m.To)
-		if !ok || q < 0 || q >= len(f.regions) {
-			continue
-		}
-		if f.crashed[q] {
-			f.flight.Recordf("federation", "drop", int64(f.clock), "%s to crashed region %d session %d.%d",
-				m.Type, q, m.SessionID, m.Epoch)
-			continue
-		}
-		switch m.Type {
-		case ctrlplane.MsgXPrepare, ctrlplane.MsgXCommit, ctrlplane.MsgXAbort, ctrlplane.MsgXRelease:
-			f.handlePeerRequest(q, m)
-		case ctrlplane.MsgXPrepareAck, ctrlplane.MsgXPrepareNack, ctrlplane.MsgXCommitAck,
-			ctrlplane.MsgXCommitNack, ctrlplane.MsgXAbortAck, ctrlplane.MsgXReleaseAck:
-			f.handlePeerReply(out, m)
-		case ctrlplane.MsgGossip:
-			f.handleGossip(q, m)
-		}
-	}
-}
-
-// handlePeerReply settles a sub-coordinator's reply against the in-flight
-// broadcast or the backlog. A backlogged COMMIT coming back nacked means
-// the transit region presumed abort while we were apart — the whole
-// session rolls back.
-func (f *Fabric) handlePeerReply(out *peerOutcome, m ctrlplane.Message) {
-	src := mustRegion(m.From)
-	f.breakerOK(src)
-	nack := m.Type == ctrlplane.MsgXPrepareNack || m.Type == ctrlplane.MsgXCommitNack
-	if out != nil {
-		if _, ok := out.pending[m.AckFor]; ok {
-			delete(out.pending, m.AckFor)
-			if nack {
-				out.nacked[src] = true
-			} else {
-				out.acked[src] = true
-			}
-			return
-		}
-	}
-	if orig, ok := f.backlog[m.AckFor]; ok {
-		delete(f.backlog, m.AckFor)
-		f.flight.Recordf("federation", "backlog_settled", int64(f.clock), "%s for session %d.%d %s",
-			orig.Type, orig.SessionID, orig.Epoch, m.Type)
-		if m.Type == ctrlplane.MsgXCommitNack {
-			f.rollbackSession(fedKey{ID: orig.SessionID, Epoch: orig.Epoch})
-		}
-	}
-}
-
-// handlePeerRequest is region q's sub-coordinator: it executes one
-// idempotent step of the two-level commit against its durable sub-WAL.
-// Every branch replies — the home coordinator's retries are tamed by
-// re-acking, not by remembering message ids.
-func (f *Fabric) handlePeerRequest(q int, m ctrlplane.Message) {
-	fk := fedKey{ID: m.SessionID, Epoch: m.Epoch}
-	reg := f.regions[q]
-	rec := f.subWAL[q][fk]
-	// Adopt the trace that rode the wire: the sub-transaction's spans join
-	// the originating request's trace even though the parent span ran in
-	// another region (stitched trace — one trace ID, one root per region).
-	ctx, sub := f.tracer.Adopt(context.Background(), "federation.sub_"+peerOpName(m.Type), m.Trace)
-	if sub != nil {
+// dispatch runs one peer-bus message at its target region: X-PREPARE and
+// decision records at that region's sub-coordinator, gossip at its digest
+// store. Every request is answered — the home coordinator's retries are
+// tamed by re-acking from the durable sub-record, not by remembering
+// message ids. The regionBus has already dropped whatever was addressed to a
+// crashed region. Sub-coordinator spans adopt the trace that rode the wire:
+// they join the originating request's trace even though the parent span ran
+// in another region (stitched trace — one trace ID, one root per region).
+func (f *Fabric) dispatch(m ctrlplane.Message) {
+	q, _ := ctrlplane.PeerRegion(m.To)
+	annotate := func(sub *obs.Span, id int, epoch uint32) {
 		sub.Annotatef("region", "%d", q)
-		sub.Annotatef("session", "%d.%d", m.SessionID, m.Epoch)
-		defer sub.End()
+		sub.Annotatef("session", "%d.%d", id, epoch)
 	}
-
 	switch m.Type {
 	case ctrlplane.MsgXPrepare:
-		if rec != nil {
-			switch rec.State {
-			case subPrepared, subCommitted:
-				f.replyPeer(q, m, ctrlplane.MsgXPrepareAck)
-			default: // aborted/released: this attempt is already dead
-				f.replyPeer(q, m, ctrlplane.MsgXPrepareNack)
+		ctx, sub := f.tracer.Adopt(context.Background(), "federation.sub_prepare", m.Trace)
+		annotate(sub, m.SessionID, m.Epoch)
+		reply := ctrlplane.MsgXPrepareNack
+		if f.prepareSub(ctx, q, m) {
+			reply = ctrlplane.MsgXPrepareAck
+		}
+		sub.End()
+		f.d.Reply(m, reply)
+	case ctrlplane.MsgBatch:
+		reply := ctrlplane.MsgBatchAck
+		for _, e := range m.Batch {
+			ctx, sub := f.tracer.Adopt(context.Background(), subSpans[e.Kind], m.Trace)
+			annotate(sub, e.ID, e.Epoch)
+			if f.applyDecision(ctx, q, e) != nil {
+				reply = ctrlplane.MsgBatchNack
 			}
-			return
+			sub.End()
 		}
-		entry, okE := reg.Local(m.Hop[0])
-		exit, okX := reg.Local(m.Hop[1])
-		if !okE || !okX {
-			f.replyPeer(q, m, ctrlplane.MsgXPrepareNack)
-			return
+		f.d.Reply(m, reply)
+	case ctrlplane.MsgGossip:
+		f.handleGossip(q, m)
+	}
+}
+
+// prepareSub is region q's sub-coordinator holding its segment of a stitched
+// path; false nacks the X-PREPARE.
+func (f *Fabric) prepareSub(ctx context.Context, q int, m ctrlplane.Message) bool {
+	fk := fedKey{ID: m.SessionID, Epoch: m.Epoch}
+	reg := f.regions[q]
+	if rec := f.subWAL[q][fk]; rec != nil {
+		// A retransmit: re-ack a live attempt, refuse one already dead.
+		return rec.State == subPrepared || rec.State == subCommitted
+	}
+	entry, okE := reg.Local(m.Hop[0])
+	exit, okX := reg.Local(m.Hop[1])
+	if !okE || !okX {
+		return false
+	}
+	// Recompute the segment against our own snapshot: the home region only
+	// named the border endpoints, the concrete hops are ours to choose (and
+	// to re-choose if our topology moved since its quote).
+	p, err := reg.Pub.Current().BestPath(int(entry), int(exit),
+		routing.Options{MinBandwidth: m.Bandwidth})
+	if err != nil {
+		return false
+	}
+	pr, err := reg.Plane.PrepareOnPath(ctx, p.Nodes, m.Bandwidth)
+	if err != nil {
+		// No durable record on a refused prepare: a retransmit re-evaluates,
+		// exactly like an agent nacking a PREPARE.
+		return false
+	}
+	f.subWAL[q][fk] = &subRecord{State: subPrepared, LocalID: pr.S.ID,
+		LocalEpoch: pr.S.Epoch, Path: append([]int32(nil), pr.S.Path...), BW: m.Bandwidth}
+	f.vol[q].prepared[fk] = pr
+	return true
+}
+
+// applyDecision executes one decision-record entry against region r's
+// durable sub-transaction record. It is the only place a subRecord.State
+// moves after prepare, whether the record arrived over the peer bus or the
+// home coordinator applies its own decision to its own segment:
+//
+//	record state   commit              abort / release
+//	(none)         refused             no-op (presumed abort: nothing held)
+//	prepared       -> committed, or    -> aborted
+//	               refused -> aborted
+//	committed      no-op               -> released
+//	aborted        refused             no-op
+//	released       refused             no-op
+//
+// Only a commit can be refused (the returned error): the region's lease
+// lapsed and its sweep already presumed abort, or it never heard of the
+// attempt. An abort reaching a committed record releases it fully — the
+// commit landed but its ack was lost, and the home rolled back presuming it
+// hadn't. Handles lost to a crash are resumed from the durable record.
+func (f *Fabric) applyDecision(ctx context.Context, r int, e ctrlplane.BatchEntry) error {
+	fk := fedKey{ID: e.ID, Epoch: e.Epoch}
+	reg, vol := f.regions[r], f.vol[r]
+	rec := f.subWAL[r][fk]
+	commit := e.Kind == ctrlplane.EntryCommit
+	switch {
+	case rec != nil && rec.State == subPrepared:
+		pr := vol.prepared[fk]
+		delete(vol.prepared, fk)
+		var err error
+		if pr == nil {
+			pr, err = reg.Plane.ResumePrepared(rec.LocalID, rec.LocalEpoch, rec.Path, rec.BW)
 		}
-		// Recompute the segment against our own snapshot: the home region
-		// only named the border endpoints, the concrete hops are ours to
-		// choose (and to re-choose if our topology moved since its quote).
-		p, err := reg.Pub.Current().BestPath(int(entry), int(exit),
-			routing.Options{MinBandwidth: m.Bandwidth})
+		rec.State = subAborted
 		if err != nil {
-			f.replyPeer(q, m, ctrlplane.MsgXPrepareNack)
-			return
+			break
 		}
-		pr, err := reg.Plane.PrepareOnPath(ctx, p.Nodes, m.Bandwidth)
+		if !commit {
+			_ = reg.Plane.AbortPrepared(ctx, pr) // a hold the sweep already took is a no-op
+			return nil
+		}
+		sess, err := reg.Plane.CommitPrepared(ctx, pr)
 		if err != nil {
-			// No durable record on a refused prepare: a retransmit
-			// re-evaluates, exactly like an agent nacking a PREPARE.
-			f.replyPeer(q, m, ctrlplane.MsgXPrepareNack)
-			return
+			return err // our lease expired and the sweep presumed abort
 		}
-		f.subWAL[q][fk] = &subRecord{State: subPrepared, LocalID: pr.S.ID,
-			LocalEpoch: pr.S.Epoch, Path: append([]int32(nil), pr.S.Path...), BW: m.Bandwidth}
-		f.vol[q].prepared[fk] = pr
-		f.replyPeer(q, m, ctrlplane.MsgXPrepareAck)
-
-	case ctrlplane.MsgXCommit:
-		if rec == nil {
-			// Presumed abort: no record means any hold already lease-expired
-			// (or the prepare never happened). Refuse.
-			f.replyPeer(q, m, ctrlplane.MsgXCommitNack)
-			return
+		rec.State = subCommitted
+		vol.committed[fk] = sess
+		reg.maybePublish(ctx)
+		return nil
+	case rec != nil && rec.State == subCommitted:
+		if commit {
+			return nil
 		}
-		switch rec.State {
-		case subCommitted:
-			f.replyPeer(q, m, ctrlplane.MsgXCommitAck)
-		case subAborted, subReleased:
-			f.replyPeer(q, m, ctrlplane.MsgXCommitNack)
-		case subPrepared:
-			pr, err := f.subHandle(q, fk, rec)
-			if err != nil {
-				rec.State = subAborted
-				f.replyPeer(q, m, ctrlplane.MsgXCommitNack)
-				return
-			}
-			sess, err := reg.Plane.CommitPrepared(ctx, pr)
-			if err != nil {
-				// Our lease expired and the sweep presumed abort.
-				rec.State = subAborted
-				delete(f.vol[q].prepared, fk)
-				f.replyPeer(q, m, ctrlplane.MsgXCommitNack)
-				return
-			}
-			rec.State = subCommitted
-			delete(f.vol[q].prepared, fk)
-			f.vol[q].committed[fk] = sess
-			reg.maybePublish(ctx)
-			f.replyPeer(q, m, ctrlplane.MsgXCommitAck)
+		sess := vol.committed[fk]
+		if sess == nil {
+			sess = &ctrlplane.Session{ID: rec.LocalID, Epoch: rec.LocalEpoch,
+				Path: rec.Path, Bandwidth: rec.BW, State: ctrlplane.StateCommitted}
 		}
-
-	case ctrlplane.MsgXAbort:
-		if rec == nil {
-			f.replyPeer(q, m, ctrlplane.MsgXAbortAck) // presumed abort: nothing held
-			return
-		}
-		switch rec.State {
-		case subPrepared:
-			if pr, err := f.subHandle(q, fk, rec); err == nil {
-				_ = reg.Plane.AbortPrepared(ctx, pr)
-			}
-			rec.State = subAborted
-			delete(f.vol[q].prepared, fk)
-		case subCommitted:
-			// The COMMIT landed but its ack was lost, and the home rolled
-			// back presuming it hadn't: release fully, not just un-hold.
-			f.releaseSub(ctx, q, fk, rec)
-		}
-		f.replyPeer(q, m, ctrlplane.MsgXAbortAck)
-
-	case ctrlplane.MsgXRelease:
-		if rec != nil {
-			switch rec.State {
-			case subCommitted:
-				f.releaseSub(ctx, q, fk, rec)
-			case subPrepared:
-				if pr, err := f.subHandle(q, fk, rec); err == nil {
-					_ = reg.Plane.AbortPrepared(ctx, pr)
-				}
-				rec.State = subAborted
-				delete(f.vol[q].prepared, fk)
-			}
-		}
-		f.replyPeer(q, m, ctrlplane.MsgXReleaseAck)
+		_ = reg.Plane.Teardown(ctx, sess)
+		rec.State = subReleased
+		delete(vol.committed, fk)
+		reg.maybePublish(ctx)
+		return nil
 	}
-}
-
-// subHandle returns region q's live Prepared handle for fk, resuming it
-// from the durable sub-record when the volatile one was lost to a crash.
-func (f *Fabric) subHandle(q int, fk fedKey, rec *subRecord) (*ctrlplane.Prepared, error) {
-	if pr := f.vol[q].prepared[fk]; pr != nil {
-		return pr, nil
+	if commit {
+		return fmt.Errorf("federation: region %d holds nothing for session %d.%d", r, e.ID, e.Epoch)
 	}
-	return f.regions[q].Plane.ResumePrepared(rec.LocalID, rec.LocalEpoch, rec.Path, rec.BW)
-}
-
-// releaseSub tears down region q's committed segment of fk.
-func (f *Fabric) releaseSub(ctx context.Context, q int, fk fedKey, rec *subRecord) {
-	sess := f.vol[q].committed[fk]
-	if sess == nil {
-		sess = &ctrlplane.Session{ID: rec.LocalID, Epoch: rec.LocalEpoch,
-			Path: rec.Path, Bandwidth: rec.BW, State: ctrlplane.StateCommitted}
-	}
-	_ = f.regions[q].Plane.Teardown(ctx, sess)
-	rec.State = subReleased
-	delete(f.vol[q].committed, fk)
-	f.regions[q].maybePublish(ctx)
-}
-
-// replyPeer sends region q's reply to a peer request.
-func (f *Fabric) replyPeer(q int, req ctrlplane.Message, typ ctrlplane.MsgType) {
-	f.sendPeer(ctrlplane.Message{
-		From: ctrlplane.PeerAddr(q), To: req.From, Type: typ,
-		SessionID: req.SessionID, Epoch: req.Epoch,
-		MsgID: f.msgID(), AckFor: req.MsgID,
-		Trace: req.Trace,
-	})
-}
-
-// peerOpName names a sub-coordinator span after the two-level-commit step
-// it executes.
-func peerOpName(t ctrlplane.MsgType) string {
-	switch t {
-	case ctrlplane.MsgXPrepare:
-		return "prepare"
-	case ctrlplane.MsgXCommit:
-		return "commit"
-	case ctrlplane.MsgXAbort:
-		return "abort"
-	case ctrlplane.MsgXRelease:
-		return "release"
-	}
-	return "op"
+	return nil
 }
