@@ -582,8 +582,13 @@ func (s *server) setup(ctx context.Context, req sessionRequest) (*ctrlplane.Sess
 	op := &pendingOp{req: req, snapID: snap.ID(), done: make(chan struct{})}
 	// Resolve the path through the query-plane cache (stale entries
 	// revalidate in O(hops) against the pinned snapshot — setup storms over
-	// popular routes skip the full search), inline and unmetered.
-	if path, _, err := s.qp.Resolve(ctx, req.Src, req.Dst, routing.Options{}); err == nil {
+	// popular routes skip the full search), inline and unmetered. The
+	// session's bandwidth is the query's floor: the cached minimum-latency
+	// path answers it whenever it has the bandwidth (constraint dominance),
+	// and when it does not the search routes around the thin link instead of
+	// handing the committer a path it must refuse.
+	opts := routing.Options{MinBandwidth: max(req.Gbps, 0)}
+	if path, _, err := s.qp.Resolve(ctx, req.Src, req.Dst, opts); err == nil {
 		op.path = path.Nodes
 	}
 	if err := s.commit.submit(ctx, op); err != nil {

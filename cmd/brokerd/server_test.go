@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"brokerset/internal/routing"
 	"brokerset/internal/topology"
 )
 
@@ -202,5 +203,72 @@ func TestSessionErrors(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("PUT /stats status %d", r.StatusCode)
+	}
+}
+
+// A flat setup must route around a best path that lacks the bandwidth: the
+// cached minimum-latency path's bottleneck being below the request is not
+// "no path" while a detour with the bandwidth exists. 409 is for pairs where
+// no dominated path has it.
+func TestSetupDetoursAroundThinBestPath(t *testing.T) {
+	srv, ts := testServer(t)
+	post := func(src, dst int, gbps float64) (int, sessionResponse) {
+		t.Helper()
+		body, _ := json.Marshal(sessionRequest{Src: src, Dst: dst, Gbps: gbps})
+		resp, err := http.Post(ts.URL+"/sessions", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sess sessionResponse
+		if resp.StatusCode == http.StatusCreated {
+			if err := json.NewDecoder(resp.Body).Decode(&sess); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, sess
+	}
+
+	n := srv.top.NumNodes()
+	detours, refusals := 0, 0
+	for src := 0; src < n && (detours < 5 || refusals < 2); src++ {
+		dst := n - 1 - src
+		snap := srv.pub.Current()
+		best, err := snap.BestPath(src, dst, routing.Options{})
+		if err != nil || best.Hops() < 1 {
+			continue
+		}
+		// Warm the unconstrained entry, as a client's GET /path would.
+		if code := getJSON(t, fmt.Sprintf("%s/path?src=%d&dst=%d", ts.URL, src, dst), nil); code != http.StatusOK {
+			t.Fatalf("GET /path %d -> %d: status %d", src, dst, code)
+		}
+		gbps := best.Bottleneck + 0.5
+		opts := routing.Options{MinBandwidth: gbps}
+		want, err := snap.BestPath(src, dst, opts)
+		code, sess := post(src, dst, gbps)
+		if err != nil {
+			if code != http.StatusConflict {
+				t.Fatalf("%d -> %d at %.2f Gbps: status %d, want 409 (no path has the bandwidth)", src, dst, gbps, code)
+			}
+			refusals++
+			continue
+		}
+		if code != http.StatusCreated {
+			t.Fatalf("%d -> %d at %.2f Gbps: status %d, want 201 over the %d-hop detour (best path's bottleneck is %.2f)",
+				src, dst, gbps, code, want.Hops(), best.Bottleneck)
+		}
+		if !snap.PathValid(&routing.Path{Nodes: sess.Nodes}, opts) {
+			t.Fatalf("%d -> %d: reserved %v, which lacked %.2f Gbps", src, dst, sess.Nodes, gbps)
+		}
+		detours++
+		req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sessions/%d", ts.URL, sess.ID), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	if detours < 5 || refusals < 2 {
+		t.Fatalf("scan found %d detour pairs and %d refusals, want at least 5 and 2", detours, refusals)
 	}
 }

@@ -67,12 +67,15 @@ func NewGenerator(st *State, brokers func() []int32, cfg GenConfig) *Generator {
 		brokers: brokers,
 	}
 	top := st.Topology()
-	top.Graph.Edges(func(u, v int) bool {
-		if top.Rel(u, v) == topology.RelMember {
-			g.memberLinks = append(g.memberLinks, [2]int32{int32(u), int32(v)})
+	rels := top.ArcRels()
+	for u := 0; u < top.NumNodes(); u++ {
+		off := top.Graph.ArcOffset(u)
+		for i, v := range top.Graph.Neighbors(u) {
+			if int(v) > u && rels[off+i] == topology.RelMember {
+				g.memberLinks = append(g.memberLinks, [2]int32{int32(u), v})
+			}
 		}
-		return true
-	})
+	}
 	return g
 }
 

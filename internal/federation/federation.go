@@ -14,7 +14,10 @@
 //	decide    BATCH [commit | abort]                  prepared -> committed | aborted
 //	release   BATCH [release]                         committed -> released
 //
-// A transit region acks a record once every entry is applied and refuses
+// A transit region holds the path its own query plane resolves between the
+// named borders — the quote it gave the stitch, for as long as that still has
+// the bandwidth — so a session is searched for once, by the read that
+// stitched it. It acks a record once every entry is applied and refuses
 // (BATCH-NACK) only a commit it can no longer honour: its lease lapsed and
 // its sweep presumed abort, or it never heard of the attempt. A refusal —
 // on the spot or of a backlogged record — rolls the whole session back.
@@ -161,6 +164,9 @@ type Fabric struct {
 	top     *topology.Topology
 	part    *topology.RegionPartition
 	regions []*Region
+	// ranked[r*N+q] is the border IXPs regions r and q share, highest degree
+	// first (ties: lower id) — the order borderCandidates tries them in.
+	ranked [][]int32
 
 	// d delivers X-PREPAREs and decision records over the inter-region bus:
 	// retries, the backlog of decided-but-undelivered records (durable, like
@@ -239,6 +245,20 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 		f.vol = append(f.vol, newVolRegion())
 	}
 	f.crashed = make([]bool, cfg.Regions)
+	f.ranked = make([][]int32, cfg.Regions*cfg.Regions)
+	for r := 0; r < cfg.Regions; r++ {
+		for q := 0; q < cfg.Regions; q++ {
+			shared := append([]int32(nil), part.BorderBetween(r, q)...)
+			sort.Slice(shared, func(i, j int) bool {
+				di, dj := top.Graph.Degree(int(shared[i])), top.Graph.Degree(int(shared[j]))
+				if di != dj {
+					return di > dj
+				}
+				return shared[i] < shared[j]
+			})
+			f.ranked[r*cfg.Regions+q] = shared
+		}
+	}
 	return f, nil
 }
 

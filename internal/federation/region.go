@@ -50,9 +50,7 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 
 	// The region's metrics mirror the global assignment edge for edge, so a
 	// segment latency quoted by any region agrees with the global truth.
-	metrics := routing.NewMetricsFunc(sub, func(u, v int32) (float64, float64) {
-		return global.Latency(orig[u], orig[v]), global.Capacity(orig[u], orig[v])
-	})
+	metrics := routing.NewSubMetrics(sub, orig, global)
 
 	var brokers []int32
 	var err error

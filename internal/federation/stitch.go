@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"brokerset/internal/obs"
@@ -128,25 +127,17 @@ func (f *Fabric) regionRoute(rs, rd int) ([]int, error) {
 
 // borderCandidates returns the border IXPs (global ids) usable for the
 // crossing between regions r and q: shared, not known-down on either side,
-// highest degree first (ties: lower id), capped at MaxBorderCandidates.
+// highest degree first (ties: lower id), capped at MaxBorderCandidates. The
+// pair's list is ranked once at boot, so liveness only filters it.
 func (f *Fabric) borderCandidates(r, q int) []int32 {
-	shared := f.part.BorderBetween(r, q)
-	cands := make([]int32, 0, len(shared))
-	for _, b := range shared {
-		if f.borderDown(r, b) || f.borderDown(q, b) {
-			continue
+	cands := make([]int32, 0, f.cfg.MaxBorderCandidates)
+	for _, b := range f.ranked[r*len(f.regions)+q] {
+		if len(cands) == f.cfg.MaxBorderCandidates {
+			break
 		}
-		cands = append(cands, b)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		di, dj := f.top.Graph.Degree(int(cands[i])), f.top.Graph.Degree(int(cands[j]))
-		if di != dj {
-			return di > dj
+		if !f.borderDown(r, b) && !f.borderDown(q, b) {
+			cands = append(cands, b)
 		}
-		return cands[i] < cands[j]
-	})
-	if len(cands) > f.cfg.MaxBorderCandidates {
-		cands = cands[:f.cfg.MaxBorderCandidates]
 	}
 	return cands
 }

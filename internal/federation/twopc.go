@@ -161,8 +161,8 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 	}
 
 	// Phase 1b: X-PREPARE every transit region's segment (the remote
-	// sub-coordinator recomputes the concrete path between the border
-	// endpoints against its own snapshot and holds it under our lease).
+	// sub-coordinator resolves the concrete path between the border
+	// endpoints through its own query plane and holds it under our lease).
 	var msgs []ctrlplane.Message
 	for _, seg := range sp.Segments[1:] {
 		if len(seg.Nodes) < 2 {
@@ -343,10 +343,11 @@ func (f *Fabric) prepareSub(ctx context.Context, q int, m ctrlplane.Message) boo
 	if !okE || !okX {
 		return false
 	}
-	// Recompute the segment against our own snapshot: the home region only
-	// named the border endpoints, the concrete hops are ours to choose (and
-	// to re-choose if our topology moved since its quote).
-	p, err := reg.Pub.Current().BestPath(int(entry), int(exit),
+	// Resolve the segment through our own query plane: the home region only
+	// named the border endpoints, the concrete hops are ours to choose. The
+	// quote we gave its stitch is still cached, so unless our reservations
+	// moved under it this is a lookup, not a search.
+	p, _, err := reg.QP.Resolve(ctx, int(entry), int(exit),
 		routing.Options{MinBandwidth: m.Bandwidth})
 	if err != nil {
 		return false

@@ -40,14 +40,14 @@ const (
 // optionally restricted to B-dominated edges and with a set of edges
 // converted to free (phase-preserving) links.
 //
-// Relationship labels and free flags are flattened into per-arc arrays
-// aligned with the graph's adjacency storage, so the product-space BFS does
-// no map lookups on its hot path.
+// Relationship labels (the topology's own column) and free flags are
+// per-arc arrays aligned with the graph's adjacency storage, so the
+// product-space BFS does no lookups on its hot path.
 type Router struct {
 	top   *topology.Topology
 	inB   []bool // nil: no domination constraint
 	isIXP []bool
-	// arcRel[graph.ArcOffset(u)+i] is Rel(u, Neighbors(u)[i]).
+	// arcRel is top.ArcRels(): entry ArcOffset(u)+i is Rel(u, Neighbors(u)[i]).
 	arcRel []topology.Relationship
 	// arcFree marks arcs converted to free bidirectional links.
 	arcFree   []bool
@@ -61,19 +61,13 @@ func NewRouter(top *topology.Topology, brokers []int32) *Router {
 	r := &Router{
 		top:     top,
 		isIXP:   top.IXPMask(),
-		arcRel:  make([]topology.Relationship, g.NumArcs()),
+		arcRel:  top.ArcRels(),
 		arcFree: make([]bool, g.NumArcs()),
 	}
 	if brokers != nil {
 		r.inB = make([]bool, top.NumNodes())
 		for _, b := range brokers {
 			r.inB[b] = true
-		}
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		off := g.ArcOffset(u)
-		for i, v := range g.Neighbors(u) {
-			r.arcRel[off+i] = top.Rel(u, int(v))
 		}
 	}
 	return r

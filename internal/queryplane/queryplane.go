@@ -113,8 +113,12 @@ type Stats struct {
 	// whose path checked out against the current generation (subset of
 	// Hits; only non-zero with Config.Revalidate wired).
 	HitsRevalidated uint64 `json:"hits_revalidated"`
-	Dedup           uint64 `json:"dedup"`
-	Shed            uint64 `json:"shed"`
+	// HitsDominated counts hits on a query with a bandwidth floor served
+	// from the entry of the same query without it, whose path had the
+	// bandwidth (subset of Hits).
+	HitsDominated uint64 `json:"hits_dominated"`
+	Dedup         uint64 `json:"dedup"`
+	Shed          uint64 `json:"shed"`
 	// PriceRejected counts queries refused by priced admission (bid below
 	// the congestion-adjusted price); zero unless Config.Admission is wired.
 	PriceRejected uint64        `json:"price_rejected"`
@@ -145,19 +149,20 @@ type QueryPlane struct {
 	flights flightGroup
 	sem     chan struct{}
 
-	queries     atomic.Uint64
-	hits        atomic.Uint64
-	hitsReval   atomic.Uint64
-	misses      atomic.Uint64
-	missesCold  atomic.Uint64
-	missesStale atomic.Uint64
-	dedup       atomic.Uint64
-	shed        atomic.Uint64
-	priceRej    atomic.Uint64
-	errs        atomic.Uint64
-	inflight    atomic.Int64
-	waiting     atomic.Int64
-	hist        obs.Histogram
+	queries       atomic.Uint64
+	hits          atomic.Uint64
+	hitsReval     atomic.Uint64
+	hitsDominated atomic.Uint64
+	misses        atomic.Uint64
+	missesCold    atomic.Uint64
+	missesStale   atomic.Uint64
+	dedup         atomic.Uint64
+	shed          atomic.Uint64
+	priceRej      atomic.Uint64
+	errs          atomic.Uint64
+	inflight      atomic.Int64
+	waiting       atomic.Int64
+	hist          obs.Histogram
 }
 
 // New builds a QueryPlane, applying defaults for zero Config fields.
@@ -232,43 +237,22 @@ func (q *QueryPlane) QueryBid(ctx context.Context, src, dst int, opts routing.Op
 	ctx, span := obs.StartSpan(ctx, "queryplane.query")
 	defer span.End()
 	q.queries.Add(1)
-	key := opts.CacheKey(src, dst)
-	gen := q.Generation()
-	p, ok, stale := q.lookup(key, gen, opts)
-	if ok {
+	path, how, shared, err := q.answer(ctx, src, dst, opts, true)
+	span.Annotate("cache", how.String())
+	if how.hit() {
 		q.hits.Add(1)
+		if how == hitDominated {
+			q.hitsDominated.Add(1)
+		}
 		q.hist.ObserveTrace(time.Since(start), obs.TraceIDFrom(ctx))
-		span.Annotate("cache", "hit")
-		return p, true, nil
-	} else if stale {
-		q.missesStale.Add(1)
-		span.Annotate("cache", "stale")
-	} else {
-		q.missesCold.Add(1)
-		span.Annotate("cache", "cold")
+		return path, true, nil
 	}
 	q.misses.Add(1)
-	path, shared, err := q.flights.do(flightKey{key: key, gen: gen}, func() (*routing.Path, error) {
-		if err := q.acquireSlot(ctx); err != nil {
-			return nil, err
-		}
-		defer func() { <-q.sem }()
-		q.inflight.Add(1)
-		defer q.inflight.Add(-1)
-		cctx, cancel := context.WithTimeout(ctx, q.cfg.Timeout)
-		defer cancel()
-		cctx, cspan := obs.StartSpan(cctx, "queryplane.compute")
-		defer cspan.End()
-		p, err := q.cfg.Compute(cctx, src, dst, opts)
-		if err != nil {
-			return nil, err
-		}
-		// Stored under the pre-compute generation: if an invalidation
-		// raced with the computation the entry reads as stale, never as
-		// fresher than the state it was computed from.
-		q.cache.Put(key, p, gen)
-		return p, nil
-	})
+	if how == missStale {
+		q.missesStale.Add(1)
+	} else {
+		q.missesCold.Add(1)
+	}
 	if shared {
 		q.dedup.Add(1)
 		span.Annotate("dedup", "joined")
@@ -288,28 +272,112 @@ func (q *QueryPlane) QueryBid(ctx context.Context, src, dst int, opts routing.Op
 // plane's setup path resolving a route it is about to reserve. It shares
 // the cache (including stale-entry revalidation, the O(hops) fast path
 // that makes setup storms cheap: every commit publishes a new epoch, but
-// an untouched path re-stamps instead of recomputing) and the singleflight
-// dedup, but skips admission, the worker pool, and shedding: lifecycle
-// traffic is already backpressured by the group-commit queue, so refusing
-// it here would double-count the overload, and a miss computes inline on
-// the caller's goroutine.
+// an untouched path re-stamps instead of recomputing), constraint
+// dominance and the singleflight dedup, but skips admission, the worker
+// pool, and shedding: lifecycle traffic is already backpressured by the
+// group-commit queue, so refusing it here would double-count the overload,
+// and a miss computes inline on the caller's goroutine.
 func (q *QueryPlane) Resolve(ctx context.Context, src, dst int, opts routing.Options) (path *routing.Path, cached bool, err error) {
+	path, how, _, err := q.answer(ctx, src, dst, opts, false)
+	return path, how.hit(), err
+}
+
+// outcome is how answer served a query.
+type outcome uint8
+
+const (
+	missCold     outcome = iota // no entry for the key
+	missStale                   // an entry existed but its generation was staled
+	hitExact                    // served from the query's own entry
+	hitDominated                // served from the entry of the same query without its bandwidth floor
+)
+
+var outcomeNames = [...]string{missCold: "cold", missStale: "stale", hitExact: "hit", hitDominated: "dominated"}
+
+func (o outcome) String() string { return outcomeNames[o] }
+
+// hit reports that no computation ran on behalf of the caller.
+func (o outcome) hit() bool { return o >= hitExact }
+
+// answer is the cache / singleflight / compute core under Query and Resolve.
+//
+// Constraint dominance: a query with a bandwidth floor whose own entry
+// misses is answered through the same query with the floor removed, which
+// goes through this function like any other query (cache, revalidation,
+// singleflight, compute). That relaxed optimum is the exact optimum of the
+// constrained query whenever every hop has the bandwidth — the constrained
+// feasible set is a subset of the relaxed one and still contains it — and
+// when the relaxed query has no path the constrained one has none either.
+// Only a relaxed optimum short of bandwidth sends the query to its own
+// computation. The bandwidth check is separate from the relaxed lookup: the
+// relaxed entry is valid for its own query whatever this one finds, so a
+// failed check neither drops nor re-stamps it.
+func (q *QueryPlane) answer(ctx context.Context, src, dst int, opts routing.Options, pooled bool) (path *routing.Path, how outcome, shared bool, err error) {
 	key := opts.CacheKey(src, dst)
 	gen := q.Generation()
-	if p, ok, _ := q.lookup(key, gen, opts); ok {
-		return p, true, nil
+	p, ok, stale := q.lookup(key, gen, opts)
+	if ok {
+		return p, hitExact, false, nil
 	}
-	path, _, err = q.flights.do(flightKey{key: key, gen: gen}, func() (*routing.Path, error) {
-		cctx, cancel := context.WithTimeout(ctx, q.cfg.Timeout)
-		defer cancel()
-		p, err := q.cfg.Compute(cctx, src, dst, opts)
+	if stale {
+		how = missStale
+	}
+	if opts.MinBandwidth > 0 {
+		relaxed := opts
+		relaxed.MinBandwidth = 0
+		rp, rhow, rshared, err := q.answer(ctx, src, dst, relaxed, pooled)
+		if err != nil {
+			return nil, how, rshared, err
+		}
+		if q.hasBandwidth(rp, opts, gen) {
+			if rhow.hit() {
+				how = hitDominated
+			}
+			return rp, how, rshared, nil
+		}
+	}
+	path, shared, err = q.flights.do(flightKey{key: key, gen: gen}, func() (*routing.Path, error) {
+		p, err := q.compute(ctx, src, dst, opts, pooled)
 		if err != nil {
 			return nil, err
 		}
+		// Stored under the pre-compute generation: if an invalidation
+		// raced with the computation the entry reads as stale, never as
+		// fresher than the state it was computed from.
 		q.cache.Put(key, p, gen)
 		return p, nil
 	})
-	return path, false, err
+	return path, how, shared, err
+}
+
+// hasBandwidth reports whether p, the answer to opts without its bandwidth
+// floor, also answers opts under generation gen. With a Revalidate hook the
+// path is walked against the current link state (a re-stamped entry's
+// Bottleneck is from the generation it was computed under); without one
+// only same-generation entries are ever served, so the Bottleneck holds.
+func (q *QueryPlane) hasBandwidth(p *routing.Path, opts routing.Options, gen uint64) bool {
+	if q.cfg.Revalidate != nil {
+		return q.cfg.Revalidate(p, opts, gen)
+	}
+	return p.Bottleneck >= opts.MinBandwidth
+}
+
+// compute resolves a miss within the per-query budget; pooled callers take
+// a worker slot first and may be shed.
+func (q *QueryPlane) compute(ctx context.Context, src, dst int, opts routing.Options, pooled bool) (*routing.Path, error) {
+	if pooled {
+		if err := q.acquireSlot(ctx); err != nil {
+			return nil, err
+		}
+		defer func() { <-q.sem }()
+		q.inflight.Add(1)
+		defer q.inflight.Add(-1)
+	}
+	ctx, cancel := context.WithTimeout(ctx, q.cfg.Timeout)
+	defer cancel()
+	ctx, span := obs.StartSpan(ctx, "queryplane.compute")
+	defer span.End()
+	return q.cfg.Compute(ctx, src, dst, opts)
 }
 
 // lookup consults the cache, trying stale-entry revalidation when the
@@ -393,6 +461,7 @@ func (q *QueryPlane) Stats() Stats {
 		Queries:           q.queries.Load(),
 		Hits:              q.hits.Load(),
 		HitsRevalidated:   q.hitsReval.Load(),
+		HitsDominated:     q.hitsDominated.Load(),
 		Misses:            q.misses.Load(),
 		MissesCold:        q.missesCold.Load(),
 		MissesInvalidated: q.missesStale.Load(),
@@ -426,6 +495,7 @@ func (q *QueryPlane) RegisterMetrics(reg *obs.Registry) {
 			{"queryplane_queries_total", "path queries received", obs.KindCounter, float64(s.Queries)},
 			{"queryplane_hits_total", "queries served from cache", obs.KindCounter, float64(s.Hits)},
 			{"queryplane_hits_revalidated_total", "stale entries re-served after snapshot revalidation", obs.KindCounter, float64(s.HitsRevalidated)},
+			{"queryplane_hits_dominated_total", "bandwidth-constrained queries served from the unconstrained query's entry", obs.KindCounter, float64(s.HitsDominated)},
 			{"queryplane_misses_total", "queries that required computation", obs.KindCounter, float64(s.Misses)},
 			{"queryplane_misses_cold_total", "misses with no prior cache entry", obs.KindCounter, float64(s.MissesCold)},
 			{"queryplane_misses_invalidated_total", "misses caused by generation invalidation", obs.KindCounter, float64(s.MissesInvalidated)},

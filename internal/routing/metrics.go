@@ -127,8 +127,9 @@ func DefaultMetrics(top *topology.Topology, rng *rand.Rand) *Metrics {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	return NewMetricsFunc(top, func(u, v int32) (lat, cap float64) {
-		switch top.Rel(int(u), int(v)) {
+	rels := top.ArcRels()
+	return newMetrics(top, func(arc int, u, v int32) (lat, cap float64) {
+		switch rels[arc] {
 		case topology.RelMember:
 			lat = 1 + 4*rng.Float64() // co-located switch port
 			cap = 40 + 60*rng.Float64()
@@ -150,14 +151,16 @@ func DefaultMetrics(top *topology.Topology, rng *rand.Rand) *Metrics {
 
 // NewMetricsFunc builds metrics for top by evaluating f once per undirected
 // edge, in Graph.Edges order (both directions get the returned
-// latency/capacity). It is the bulk constructor region planes use to copy a
-// global metric assignment into a subtopology: per-edge
-// SetLatency/SetCapacity would copy the whole array per call
-// (copy-on-write), turning an O(E) copy into O(E²).
+// latency/capacity). Per-edge SetLatency/SetCapacity would copy the whole
+// array per call (copy-on-write), turning an O(E) build into O(E²).
 func NewMetricsFunc(top *topology.Topology, f func(u, v int32) (latencyMs, capacityGbps float64)) *Metrics {
-	g := top.Graph
-	nArcs := g.NumArcs()
-	m := &Metrics{
+	return newMetrics(top, func(_ int, u, v int32) (float64, float64) { return f(u, v) })
+}
+
+// blankMetrics returns metrics for top with every column allocated and zero.
+func blankMetrics(top *topology.Topology) *Metrics {
+	nArcs := top.Graph.NumArcs()
+	return &Metrics{
 		top: top,
 		arcState: arcState{
 			latency:  make([]float64, nArcs),
@@ -166,6 +169,13 @@ func NewMetricsFunc(top *topology.Topology, f func(u, v int32) (latencyMs, capac
 			failed:   make([]bool, nArcs),
 		},
 	}
+}
+
+// newMetrics is NewMetricsFunc with f also handed the index of arc u→v, so
+// it can read arc-aligned columns of its own.
+func newMetrics(top *topology.Topology, f func(arc int, u, v int32) (latencyMs, capacityGbps float64)) *Metrics {
+	g := top.Graph
+	m := blankMetrics(top)
 	// Links are visited by ascending lower endpoint u, which is the order
 	// the lower endpoints appear in v's sorted neighbour list: paired[v]
 	// counts how many of them have been seen, so it indexes arc v→u
@@ -177,11 +187,36 @@ func NewMetricsFunc(top *topology.Topology, f func(u, v int32) (latencyMs, capac
 			if int(v) <= u {
 				continue
 			}
-			lat, cap := f(int32(u), v)
 			a, b := off+i, g.ArcOffset(int(v))+int(paired[v])
 			paired[v]++
+			lat, cap := f(a, int32(u), v)
 			m.latency[a], m.latency[b] = lat, lat
 			m.capacity[a], m.capacity[b] = cap, cap
+		}
+	}
+	return m
+}
+
+// NewSubMetrics builds metrics for sub, a topology induced on a subset of
+// parent's nodes (orig maps sub's node ids to parent's, ascending), by
+// copying every surviving link's latency and capacity from parent. It is
+// how a federation region mirrors the global assignment. A kept node's
+// surviving neighbours keep their order, so each sub row is read off the
+// parent's row in one pass, with no per-edge search. Reservations and
+// failures are not carried over.
+func NewSubMetrics(sub *topology.Topology, orig []int32, parent *Metrics) *Metrics {
+	m := blankMetrics(sub)
+	pg := parent.top.Graph
+	for u, o := range orig {
+		pa, prow := pg.ArcOffset(int(o)), pg.Neighbors(int(o))
+		off := sub.Graph.ArcOffset(u)
+		j := 0
+		for i, v := range sub.Graph.Neighbors(u) {
+			for prow[j] != orig[v] {
+				j++
+			}
+			m.latency[off+i] = parent.latency[pa+j]
+			m.capacity[off+i] = parent.capacity[pa+j]
 		}
 	}
 	return m

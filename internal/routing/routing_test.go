@@ -398,3 +398,32 @@ func TestEngineOnInternetTopology(t *testing.T) {
 		t.Fatal("no routable sampled pairs — broken test setup")
 	}
 }
+
+// TestNewSubMetricsMirrorsParent: a region's metrics, read off the parent's
+// rows by arc correspondence, equal a per-edge copy through the node mapping
+// on every arc — and so stay symmetric.
+func TestNewSubMetricsMirrorsParent(t *testing.T) {
+	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.05, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := DefaultMetrics(top, rand.New(rand.NewSource(9)))
+	part, err := topology.PartitionRegions(top, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < part.N; r++ {
+		sub, orig := part.Subtopology(r)
+		got := NewSubMetrics(sub, orig, parent)
+		want := NewMetricsFunc(sub, func(u, v int32) (float64, float64) {
+			return parent.Latency(orig[u], orig[v]), parent.Capacity(orig[u], orig[v])
+		})
+		for a := 0; a < sub.Graph.NumArcs(); a++ {
+			if got.latency[a] != want.latency[a] || got.capacity[a] != want.capacity[a] {
+				t.Fatalf("region %d arc %d: (%v ms, %v Gbps), want (%v, %v)", r, a,
+					got.latency[a], got.capacity[a], want.latency[a], want.capacity[a])
+			}
+		}
+		assertArcSymmetry(t, sub, &got.arcState, "NewSubMetrics")
+	}
+}

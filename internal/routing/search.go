@@ -116,12 +116,12 @@ func (s *pathSearch) bestPath(src, dst int, opts Options) (*Path, error) {
 // bestPathUnbounded is the hop-unbounded search — the hot path for serving
 // and simulation workloads. It is a bidirectional Dijkstra: a forward
 // search from src and a backward search from dst over the same adjacency,
-// expanding the side whose heap top is smaller, with mu the cost of the
+// expanding the side that has scanned fewer arcs, with mu the cost of the
 // best src→dst walk seen through a node both sides have reached. It stops
 // when topF+topB >= mu (no unexpanded pair of labels can beat mu) or when
 // either heap empties (that side has settled everything it can reach, so mu
 // is final, or there is no path). Both tests hold whichever side is
-// expanded, which is what lets meet bound one side's lead over the other.
+// expanded, which is what lets meet pick the side by work done, not by cost.
 //
 // The backward side relaxes the step v→u by reading arc u→v. That is exact
 // only because every per-arc input is symmetric (see arcState), domination
@@ -150,23 +150,19 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 	bwd.label(dst, dst, 0, gen)
 	mu, meet := math.Inf(1), int32(-1)
 	// lead is the arcs the forward side has scanned minus the backward
-	// side's. The smaller-top rule alone degenerates when one endpoint sits
-	// behind a long first link and the other is a hub of short ones (a stub
-	// AS and an IXP): the stub's heap top jumps to that link's latency and
-	// the hub side floods everything nearer than that, thousands of nodes
-	// against one. So a side more than maxLead arcs ahead yields its turn.
-	lead, maxLead := 0, s.top.NumNodes()
+	// side's, and the side that has scanned fewer expands: the two frontiers
+	// grow arc for arc, the smaller heap top only breaking ties. The
+	// smaller-top rule alone degenerates when one endpoint sits behind a long
+	// first link and the other is a hub of short ones (a stub AS and an IXP):
+	// the stub's heap top jumps to that link's latency and the hub side floods
+	// everything nearer than that, thousands of nodes against one.
+	lead := 0
 	for fwd.heap.len() > 0 && bwd.heap.len() > 0 {
 		topF, topB := fwd.heap.costs[0], bwd.heap.costs[0]
 		if topF+topB >= mu {
 			break
 		}
-		backward := topB < topF
-		if lead > maxLead {
-			backward = true
-		} else if lead < -maxLead {
-			backward = false
-		}
+		backward := lead > 0 || (lead == 0 && topB < topF)
 		side, other, far, topOther := fwd, bwd, dst, topB
 		if backward {
 			side, other, far, topOther = bwd, fwd, src, topF

@@ -133,15 +133,15 @@ func LoadCAIDA(rels io.Reader, members io.Reader) (*Topology, error) {
 		Class: make([]Class, n),
 		Tier:  make([]uint8, n),
 		Name:  make([]string, n),
-		rels:  make(map[uint64]Relationship, len(edges)+len(mems)),
 	}
+	labels := make([]labelledEdge, 0, len(edges)+len(mems))
 	b := graph.NewBuilder(n)
 	hasCustomer := make([]bool, n)
 	hasProvider := make([]bool, n)
 	for _, e := range edges {
 		u, v := asID[e.a], asID[e.b]
 		b.AddEdge(u, v)
-		t.SetRel(u, v, e.rel)
+		labels = append(labels, labelledEdge{int32(u), int32(v), e.rel})
 		if e.rel == RelProvider {
 			hasCustomer[u] = true
 			hasProvider[v] = true
@@ -150,13 +150,14 @@ func LoadCAIDA(rels io.Reader, members io.Reader) (*Topology, error) {
 	for _, m := range mems {
 		u, x := asID[m.as], ixpID[m.ixp]
 		b.AddEdge(u, x)
-		t.SetRel(u, x, RelMember)
+		labels = append(labels, labelledEdge{int32(u), int32(x), RelMember})
 	}
 	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("topology: caida: %w", err)
 	}
 	t.Graph = g
+	t.label(labels)
 
 	for i, a := range asNums {
 		t.Name[i] = fmt.Sprintf("AS%d", a)

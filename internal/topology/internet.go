@@ -72,7 +72,6 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 		Class: make([]Class, n),
 		Tier:  make([]uint8, n),
 		Name:  make([]string, n),
-		rels:  make(map[uint64]Relationship, targetASEdges+targetMemberships),
 	}
 
 	// --- Class and tier assignment over AS ids [0, nAS). Lower ids are
@@ -111,15 +110,22 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	// endpoints implements degree-preferential sampling: each added edge
 	// appends both endpoints, so a uniform draw is degree-proportional.
 	endpoints := make([]int32, 0, 2*(targetASEdges+targetMemberships))
+	// Labels wait for the graph: the relationship column is arc-aligned, so
+	// it is written once the adjacency arrays exist. seen is the throw-away
+	// duplicate check.
+	labels := make([]labelledEdge, 0, targetASEdges+targetMemberships)
+	seen := make(map[uint64]struct{}, targetASEdges+targetMemberships)
 	addEdge := func(u, v int, rel Relationship) bool {
 		if u == v {
 			return false
 		}
-		if _, dup := t.rels[packEdge(u, v)]; dup {
+		key := packEdge(u, v)
+		if _, dup := seen[key]; dup {
 			return false
 		}
+		seen[key] = struct{}{}
 		b.AddEdge(u, v)
-		t.SetRel(u, v, rel)
+		labels = append(labels, labelledEdge{int32(u), int32(v), rel})
 		deg[u]++
 		deg[v]++
 		endpoints = append(endpoints, int32(u), int32(v))
@@ -214,7 +220,7 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	for u := nTransit; u < nContent; u++ {
 		endpoints = append(endpoints, int32(u), int32(u), int32(u))
 	}
-	asEdges := len(t.rels)
+	asEdges := len(labels)
 	for tries := 0; asEdges < targetASEdges && tries < 50*targetASEdges; tries++ {
 		u := int(endpoints[rng.Intn(len(endpoints))])
 		v := int(endpoints[rng.Intn(len(endpoints))])
@@ -250,9 +256,8 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	}
 	// Every IXP needs at least one member to exist meaningfully.
 	memberOf := make(map[int]bool, nIXP)
-	for key := range t.rels {
-		v := int(uint32(key))
-		if v >= nAS {
+	for _, e := range labels {
+		if v := int(max(e.u, e.v)); v >= nAS {
 			memberOf[v] = true
 		}
 	}
@@ -268,6 +273,7 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 		return nil, fmt.Errorf("topology: building internet graph: %w", err)
 	}
 	t.Graph = g
+	t.label(labels)
 	return t, nil
 }
 

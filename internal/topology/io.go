@@ -75,7 +75,6 @@ func Load(r io.Reader) (*Topology, error) {
 		Class: make([]Class, n),
 		Tier:  make([]uint8, n),
 		Name:  make([]string, n),
-		rels:  make(map[uint64]Relationship),
 	}
 	for u := 0; u < n; u++ {
 		t.Class[u] = ClassEnterprise
@@ -84,11 +83,7 @@ func Load(r io.Reader) (*Topology, error) {
 	}
 
 	b := graph.NewBuilder(n)
-	type pendingRel struct {
-		u, v int
-		rel  Relationship
-	}
-	var rels []pendingRel
+	var labels []labelledEdge
 	for {
 		line, ok = next()
 		if !ok {
@@ -135,7 +130,7 @@ func Load(r io.Reader) (*Topology, error) {
 				rel = r
 			}
 			b.AddEdge(u, v)
-			rels = append(rels, pendingRel{u: u, v: v, rel: rel})
+			labels = append(labels, labelledEdge{int32(u), int32(v), rel})
 		default:
 			return nil, fmt.Errorf("topology: line %d: unknown directive %q", lineNo, fields[0])
 		}
@@ -148,8 +143,6 @@ func Load(r io.Reader) (*Topology, error) {
 		return nil, fmt.Errorf("topology: load: %w", err)
 	}
 	t.Graph = g
-	for _, pr := range rels {
-		t.SetRel(pr.u, pr.v, pr.rel)
-	}
+	t.label(labels)
 	return t, nil
 }

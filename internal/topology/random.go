@@ -136,19 +136,18 @@ func plainTopology(b *graph.Builder, n int, prefix string) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{
-		Graph: g,
-		Class: make([]Class, n),
-		Tier:  make([]uint8, n),
-		Name:  make([]string, n),
-		rels:  make(map[uint64]Relationship, g.NumEdges()),
+		Graph:  g,
+		Class:  make([]Class, n),
+		Tier:   make([]uint8, n),
+		Name:   make([]string, n),
+		arcRel: make([]Relationship, g.NumArcs()),
 	}
 	for u := 0; u < n; u++ {
 		t.Tier[u] = 3
 		t.Name[u] = fmt.Sprintf("%s%d", prefix, u)
 	}
-	g.Edges(func(u, v int) bool {
-		t.SetRel(u, v, RelPeer)
-		return true
-	})
+	for a := range t.arcRel {
+		t.arcRel[a] = RelPeer
+	}
 	return t, nil
 }

@@ -27,6 +27,8 @@ type RegionPartition struct {
 	// touches[b] is the ascending set of region ids border IXP b reaches
 	// (its home region plus every region a neighbor lives in).
 	touches map[int32][]int32
+	// between[r*N+q] lists the border IXPs reaching both r and q, ascending.
+	between [][]int32
 }
 
 // PartitionRegions splits the topology into n regions via multi-source BFS
@@ -109,6 +111,14 @@ func PartitionRegions(t *Topology, n int) (*RegionPartition, error) {
 		p.touches[b] = regions
 	}
 	sort.Slice(p.borders, func(i, j int) bool { return p.borders[i] < p.borders[j] })
+	p.between = make([][]int32, n*n)
+	for _, b := range p.borders {
+		for _, r := range p.touches[b] {
+			for _, q := range p.touches[b] {
+				p.between[int(r)*n+int(q)] = append(p.between[int(r)*n+int(q)], b)
+			}
+		}
+	}
 	return p, nil
 }
 
@@ -128,20 +138,8 @@ func (p *RegionPartition) Touches(b int32) []int32 { return p.touches[b] }
 
 // BorderBetween returns the border IXPs reaching both regions r and q
 // (ascending global ids) — the candidate stitch points for an r→q crossing.
-func (p *RegionPartition) BorderBetween(r, q int) []int32 {
-	var out []int32
-	for _, b := range p.borders {
-		hasR, hasQ := false, false
-		for _, t := range p.touches[b] {
-			hasR = hasR || int(t) == r
-			hasQ = hasQ || int(t) == q
-		}
-		if hasR && hasQ {
-			out = append(out, b)
-		}
-	}
-	return out
-}
+// Callers must not mutate.
+func (p *RegionPartition) BorderBetween(r, q int) []int32 { return p.between[r*p.N+q] }
 
 // Adjacent reports whether regions r and q share at least one border IXP.
 func (p *RegionPartition) Adjacent(r, q int) bool { return len(p.BorderBetween(r, q)) > 0 }
@@ -164,22 +162,5 @@ func (p *RegionPartition) Subtopology(r int) (*Topology, []int32) {
 			}
 		}
 	}
-	sub, orig := t.Graph.InducedSubgraph(keep)
-	nt := &Topology{
-		Graph: sub,
-		Class: make([]Class, sub.NumNodes()),
-		Tier:  make([]uint8, sub.NumNodes()),
-		Name:  make([]string, sub.NumNodes()),
-		rels:  make(map[uint64]Relationship),
-	}
-	for i, o := range orig {
-		nt.Class[i] = t.Class[o]
-		nt.Tier[i] = t.Tier[o]
-		nt.Name[i] = t.Name[o]
-	}
-	sub.Edges(func(u, v int) bool {
-		nt.SetRel(u, v, t.Rel(int(orig[u]), int(orig[v])))
-		return true
-	})
-	return nt, orig
+	return t.induced(keep)
 }

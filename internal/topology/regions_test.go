@@ -119,6 +119,7 @@ func TestSubtopologySharesBorderIXPs(t *testing.T) {
 				t.Fatalf("region %d node %d: class %v, want %v", r, l, sub.Class[l], top.Class[o])
 			}
 		}
+		checkRelsCarriedOver(t, top, sub, orig)
 		for _, o := range orig {
 			if o == border {
 				shared++

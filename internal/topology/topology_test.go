@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"brokerset/internal/graph"
 )
 
 func genTest(t *testing.T, scale float64, seed int64) *Topology {
@@ -44,7 +46,11 @@ func TestClassAndRelRoundTripStrings(t *testing.T) {
 }
 
 func TestRelPerspective(t *testing.T) {
-	top := &Topology{}
+	b := graph.NewBuilder(10)
+	b.AddEdge(3, 7)
+	b.AddEdge(9, 2)
+	b.AddEdge(1, 2)
+	top := &Topology{Graph: b.MustBuild()}
 	top.SetRel(3, 7, RelCustomer) // 3 buys transit from 7
 	if got := top.Rel(3, 7); got != RelCustomer {
 		t.Errorf("Rel(3,7) = %v, want c2p", got)
@@ -59,6 +65,20 @@ func TestRelPerspective(t *testing.T) {
 	}
 	if got := top.Rel(1, 2); got != RelNone {
 		t.Errorf("Rel on unlabeled edge = %v, want none", got)
+	}
+	// A label is a property of an edge: a non-edge takes none.
+	top.SetRel(4, 5, RelPeer)
+	if got := top.Rel(4, 5); got != RelNone {
+		t.Errorf("Rel on a non-edge = %v, want none", got)
+	}
+	// Both arcs of every labelled edge are written, the reverse inverted.
+	rels := top.ArcRels()
+	for u := 0; u < top.NumNodes(); u++ {
+		for i, v := range top.Graph.Neighbors(u) {
+			if got, want := rels[top.Graph.ArcOffset(u)+i], top.Rel(int(v), u).invert(); got != want {
+				t.Errorf("arc %d->%d = %v, reverse arc inverted = %v", u, v, got, want)
+			}
+		}
 	}
 }
 
@@ -201,18 +221,25 @@ func TestWithoutIXPs(t *testing.T) {
 	if noix.NumNodes() != top.NumASes() {
 		t.Fatalf("WithoutIXPs nodes = %d, want %d", noix.NumNodes(), top.NumASes())
 	}
-	// Relationships carried over.
-	checked := 0
-	noix.Graph.Edges(func(u, v int) bool {
-		if checked >= 50 {
-			return false
+	checkRelsCarriedOver(t, top, noix, orig)
+}
+
+// checkRelsCarriedOver asserts that every arc of sub, a topology induced on
+// a subset of top's nodes, carries the label of the arc it came from.
+func checkRelsCarriedOver(t *testing.T, top, sub *Topology, orig []int32) {
+	t.Helper()
+	rels := sub.ArcRels()
+	if len(rels) != sub.Graph.NumArcs() {
+		t.Fatalf("relationship column has %d entries for %d arcs", len(rels), sub.Graph.NumArcs())
+	}
+	for u := 0; u < sub.NumNodes(); u++ {
+		for i, v := range sub.Graph.Neighbors(u) {
+			want := top.Rel(int(orig[u]), int(orig[v]))
+			if got := rels[sub.Graph.ArcOffset(u)+i]; got != want || sub.Rel(u, int(v)) != want {
+				t.Fatalf("arc %d->%d: column %v, Rel %v, parent %v", u, v, got, sub.Rel(u, int(v)), want)
+			}
 		}
-		if got, want := noix.Rel(u, v), top.Rel(int(orig[u]), int(orig[v])); got != want {
-			t.Fatalf("rel mismatch on (%d,%d): %v vs %v", u, v, got, want)
-		}
-		checked++
-		return true
-	})
+	}
 }
 
 func TestClassHistogram(t *testing.T) {
@@ -300,6 +327,14 @@ func TestLoadDefaults(t *testing.T) {
 	}
 	if top.Class[0] != ClassEnterprise || top.Tier[0] != 3 {
 		t.Errorf("default node labels = %v tier %d", top.Class[0], top.Tier[0])
+	}
+	// An edge listed twice keeps its last label, whichever way round.
+	top, err = Load(strings.NewReader(formatHeader + "\nnodes 2\nedge 0 1 p2p\nedge 1 0 c2p\n"))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if top.Rel(1, 0) != RelCustomer || top.Rel(0, 1) != RelProvider {
+		t.Errorf("relisted edge: rel(1,0) = %v, rel(0,1) = %v, want c2p/p2c", top.Rel(1, 0), top.Rel(0, 1))
 	}
 }
 

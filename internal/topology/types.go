@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"brokerset/internal/graph"
 )
@@ -123,14 +124,29 @@ type Topology struct {
 	// Name is a human-readable node name ("AS174", "IXP DE-CIX ...").
 	Name []string
 
-	rels map[uint64]Relationship // key packEdge(u,v) with u < v, stored from u's perspective
+	// arcRel is the relationship column, aligned with the graph's adjacency
+	// arrays: arcRel[Graph.ArcOffset(u)+i] labels the edge to Neighbors(u)[i]
+	// from u's perspective. Both arcs of an edge are always written together
+	// (the reverse arc inverted). nil while no edge is labelled.
+	arcRel []Relationship
 }
 
+// packEdge keys an undirected edge for the generators' duplicate checks.
 func packEdge(u, v int) uint64 {
 	if u > v {
 		u, v = v, u
 	}
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
+}
+
+// arcOf returns the arc index of u → v, or -1 when not adjacent.
+func (t *Topology) arcOf(u, v int) int {
+	ns := t.Graph.Neighbors(u)
+	i, ok := slices.BinarySearch(ns, int32(v))
+	if !ok {
+		return -1
+	}
+	return t.Graph.ArcOffset(u) + i
 }
 
 // NumNodes returns the node count.
@@ -154,36 +170,100 @@ func (t *Topology) NumIXPs() int {
 func (t *Topology) NumASes() int { return t.NumNodes() - t.NumIXPs() }
 
 // SetRel records the business relationship of edge (u,v) from u's
-// perspective. It overwrites any previous label.
+// perspective, writing both of its arcs. It overwrites any previous label;
+// a pair that is not an edge of Graph (which must be built) is ignored.
 func (t *Topology) SetRel(u, v int, r Relationship) {
-	if t.rels == nil {
-		t.rels = make(map[uint64]Relationship)
+	a := t.arcOf(u, v)
+	if a < 0 {
+		return
 	}
-	if u > v {
-		u, v = v, u
-		r = r.invert()
+	if t.arcRel == nil {
+		t.arcRel = make([]Relationship, t.Graph.NumArcs())
 	}
-	t.rels[packEdge(u, v)] = r
+	t.arcRel[a] = r
+	t.arcRel[t.arcOf(v, u)] = r.invert()
+}
+
+// labelledEdge is an edge whose relationship (from u's perspective) is
+// waiting for the graph to be built.
+type labelledEdge struct {
+	u, v int32
+	rel  Relationship
+}
+
+// label writes the relationship column of a freshly built topology. Each
+// edge costs one search, in the row of its lower-degree endpoint (a hub's row
+// is long and cold, a stub's is a cache line); one walk over the adjacency
+// arrays then mirrors every label onto the reverse arc. A later label for the
+// same edge overwrites an earlier one.
+func (t *Topology) label(edges []labelledEdge) {
+	g := t.Graph
+	t.arcRel = make([]Relationship, g.NumArcs())
+	for _, e := range edges {
+		u, v, r := int(e.u), int(e.v), e.rel
+		if du, dv := g.Degree(u), g.Degree(v); dv < du || (dv == du && v < u) {
+			u, v, r = v, u, r.invert()
+		}
+		if a := t.arcOf(u, v); a >= 0 {
+			t.arcRel[a] = r
+		}
+	}
+	// Edges are visited by ascending lower endpoint u, the order in which
+	// the lower endpoints appear in v's row: paired[v] indexes arc v→u.
+	paired := make([]int32, g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		off := g.ArcOffset(u)
+		for i, v := range g.Neighbors(u) {
+			if int(v) <= u {
+				continue
+			}
+			a, b := off+i, g.ArcOffset(int(v))+int(paired[v])
+			paired[v]++
+			if t.arcRel[a] != RelNone {
+				t.arcRel[b] = t.arcRel[a].invert()
+			} else {
+				t.arcRel[a] = t.arcRel[b].invert()
+			}
+		}
+	}
 }
 
 // Rel returns the business relationship of edge (u,v) from u's perspective,
-// or RelNone if the edge is unlabeled.
+// or RelNone if the edge is unlabeled or not an edge.
 func (t *Topology) Rel(u, v int) Relationship {
-	r, ok := t.rels[packEdge(u, v)]
-	if !ok {
+	if t.arcRel == nil {
 		return RelNone
 	}
-	if u > v {
-		return r.invert()
+	if a := t.arcOf(u, v); a >= 0 {
+		return t.arcRel[a]
 	}
-	return r
+	return RelNone
 }
 
-// RelCount returns how many edges carry each relationship label.
+// ArcRels returns the relationship column: entry Graph.ArcOffset(u)+i is
+// Rel(u, Neighbors(u)[i]). Bulk readers walk it beside the adjacency arrays
+// instead of calling Rel per edge. Callers must not mutate it.
+func (t *Topology) ArcRels() []Relationship {
+	if t.arcRel == nil {
+		return make([]Relationship, t.Graph.NumArcs()) // nothing labelled: all RelNone
+	}
+	return t.arcRel
+}
+
+// RelCount returns how many edges carry each relationship label (counted
+// from the lower-numbered endpoint's perspective).
 func (t *Topology) RelCount() map[Relationship]int {
 	out := make(map[Relationship]int, 4)
-	for _, r := range t.rels {
-		out[r]++
+	if t.arcRel == nil {
+		return out
+	}
+	for u := 0; u < t.NumNodes(); u++ {
+		off := t.Graph.ArcOffset(u)
+		for i, v := range t.Graph.Neighbors(u) {
+			if r := t.arcRel[off+i]; int(v) > u && r != RelNone {
+				out[r]++
+			}
+		}
 	}
 	return out
 }
@@ -220,23 +300,38 @@ func (t *Topology) WithoutIXPs() (*Topology, []int32) {
 	for u := range keep {
 		keep[u] = !t.IsIXP(u)
 	}
+	return t.induced(keep)
+}
+
+// induced returns the topology induced on the nodes marked in keep, with
+// node labels and relationships carried over, plus the mapping from new ids
+// to old ids. New ids ascend with old ids, so a kept node's surviving
+// neighbours keep their order and its arcs' labels are the parent row's with
+// the dropped neighbours' entries skipped — no per-edge lookup.
+func (t *Topology) induced(keep []bool) (*Topology, []int32) {
 	sub, orig := t.Graph.InducedSubgraph(keep)
 	nt := &Topology{
 		Graph: sub,
 		Class: make([]Class, sub.NumNodes()),
 		Tier:  make([]uint8, sub.NumNodes()),
 		Name:  make([]string, sub.NumNodes()),
-		rels:  make(map[uint64]Relationship),
 	}
 	for i, o := range orig {
 		nt.Class[i] = t.Class[o]
 		nt.Tier[i] = t.Tier[o]
 		nt.Name[i] = t.Name[o]
 	}
-	sub.Edges(func(u, v int) bool {
-		nt.SetRel(u, v, t.Rel(int(orig[u]), int(orig[v])))
-		return true
-	})
+	if t.arcRel != nil {
+		nt.arcRel = make([]Relationship, 0, sub.NumArcs())
+		for _, o := range orig {
+			off := t.Graph.ArcOffset(int(o))
+			for i, v := range t.Graph.Neighbors(int(o)) {
+				if keep[v] {
+					nt.arcRel = append(nt.arcRel, t.arcRel[off+i])
+				}
+			}
+		}
+	}
 	return nt, orig
 }
 
