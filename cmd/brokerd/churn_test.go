@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"brokerset/internal/churn"
+	"brokerset/internal/workload"
 )
 
 func postJSON(t *testing.T, url string, body, out any) int {
@@ -236,17 +237,17 @@ func TestChurnSelfHealingUnderLoad(t *testing.T) {
 	})
 
 	// Healer metrics surfaced through /metrics.
-	var mr metricsResponse
-	if code := getJSON(t, ts.URL+"/metrics?format=json", &mr); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
+	mr, err := workload.FetchServerStats(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mr.Healer.HealPasses == 0 || mr.Healer.EventsApplied < uint64(len(events)) {
-		t.Fatalf("healer metrics = %+v", mr.Healer)
+	if mr["healer_heal_passes_total"] == 0 || mr["healer_events_applied_total"] < float64(len(events)) {
+		t.Fatalf("healer metrics = %v", mr)
 	}
-	if mr.MissesCold+mr.MissesInvalidated != mr.Misses {
-		t.Fatalf("miss split does not sum: %+v", mr.Stats)
+	if mr["queryplane_misses_cold_total"]+mr["queryplane_misses_invalidated_total"] != mr["queryplane_misses_total"] {
+		t.Fatalf("miss split does not sum: %v", mr)
 	}
-	if mr.MissesInvalidated == 0 {
+	if mr["queryplane_misses_invalidated_total"] == 0 {
 		t.Fatal("churn under load caused no invalidation misses")
 	}
 }

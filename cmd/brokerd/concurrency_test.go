@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"brokerset/internal/workload"
 )
 
 // minAvailable returns the bottleneck residual capacity of a node path as
@@ -203,22 +205,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("second X-Cache = %q", got)
 	}
 
-	var m struct {
-		Queries   uint64             `json:"queries"`
-		Hits      uint64             `json:"hits"`
-		Misses    uint64             `json:"misses"`
-		LatencyMs map[string]float64 `json:"latency_ms"`
+	m, err := workload.FetchServerStats(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := getJSON(t, ts.URL+"/metrics?format=json", &m); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	if m.Queries != 2 || m.Hits != 1 || m.Misses != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	for _, q := range []string{"p50", "p95", "p99"} {
-		if _, ok := m.LatencyMs[q]; !ok {
-			t.Fatalf("latency_ms missing %s", q)
-		}
+	if m["queryplane_queries_total"] != 2 || m["queryplane_hits_total"] != 1 || m["queryplane_misses_total"] != 1 {
+		t.Fatalf("metrics = %v", m)
 	}
 	// Wrong method.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/metrics", nil)

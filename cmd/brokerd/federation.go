@@ -176,32 +176,10 @@ func (s *server) handleFedPath(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	src, err1 := strconv.Atoi(r.URL.Query().Get("src"))
-	dst, err2 := strconv.Atoi(r.URL.Query().Get("dst"))
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, "src and dst must be integer node ids")
+	src, dst, opts, err := parsePathOptions(r, s.top.NumNodes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if src < 0 || src >= s.top.NumNodes() || dst < 0 || dst >= s.top.NumNodes() {
-		writeError(w, http.StatusBadRequest, "node ids outside [0,%d)", s.top.NumNodes())
-		return
-	}
-	opts := routing.Options{}
-	if v := r.URL.Query().Get("maxhops"); v != "" {
-		mh, err := strconv.Atoi(v)
-		if err != nil || mh < 1 {
-			writeError(w, http.StatusBadRequest, "maxhops must be a positive integer")
-			return
-		}
-		opts.MaxHops = mh
-	}
-	if v := r.URL.Query().Get("minbw"); v != "" {
-		bw, err := strconv.ParseFloat(v, 64)
-		if err != nil || bw < 0 {
-			writeError(w, http.StatusBadRequest, "minbw must be a non-negative number")
-			return
-		}
-		opts.MinBandwidth = bw
 	}
 	s.fed.mu.RLock()
 	sp, err := s.fed.fabric.StitchPath(r.Context(), int32(src), int32(dst), opts)

@@ -86,6 +86,11 @@ func TestFederationPathEndpoint(t *testing.T) {
 	}
 }
 
+func TestFederationPathOptionsCannotCorruptCache(t *testing.T) {
+	srv, ts := testFedServer(t)
+	requirePathOptionsSafe(t, srv, ts.URL+"/federation/path")
+}
+
 func TestFederationSessionLifecycle(t *testing.T) {
 	srv, ts := testFedServer(t)
 	part := srv.fed.fabric.Partition()

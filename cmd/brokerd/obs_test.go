@@ -57,52 +57,16 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-}
-
-// TestMetricsJSONCompat asserts ?format=json preserves the legacy
-// metricsResponse contract exactly: same top-level keys, same nesting.
-func TestMetricsJSONCompat(t *testing.T) {
-	_, ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	// The pre-registry payload: queryplane.Stats fields inlined, plus
-	// latency_ms, healer, and ctrlplane objects.
-	for _, key := range []string{
-		"queries", "hits", "misses", "misses_cold", "misses_invalidated",
-		"dedup", "shed", "errors", "evictions", "inflight", "waiting",
-		"cache_entries", "generation", "latency_ms", "healer", "ctrlplane",
-	} {
-		if _, ok := raw[key]; !ok {
-			t.Errorf("legacy JSON view missing key %q", key)
+	// The text form is the only one: naming it is fine, anything else is not.
+	for format, want := range map[string]int{"prometheus": http.StatusOK, "json": http.StatusBadRequest, "xml": http.StatusBadRequest} {
+		r2, err := http.Get(ts.URL + "/metrics?format=" + format)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	var lat map[string]float64
-	if err := json.Unmarshal(raw["latency_ms"], &lat); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"p50", "p95", "p99"} {
-		if _, ok := lat[q]; !ok {
-			t.Errorf("latency_ms missing %q", q)
+		r2.Body.Close()
+		if r2.StatusCode != want {
+			t.Errorf("format=%s status %d, want %d", format, r2.StatusCode, want)
 		}
-	}
-	// Unknown formats are rejected.
-	r2, err := http.Get(ts.URL + "/metrics?format=xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("format=xml status %d, want 400", r2.StatusCode)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -327,48 +328,19 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// metricsResponse is the /metrics payload: query-plane counters (cache
-// misses split into cold vs invalidation-caused), latency quantiles in
-// milliseconds, the churn healer's counters, and the control plane's
-// 2PC/retry/breaker/recovery counters.
-type metricsResponse struct {
-	queryplane.Stats
-	LatencyMs map[string]float64    `json:"latency_ms"`
-	Healer    churn.MetricsSnapshot `json:"healer"`
-	Ctrlplane ctrlplane.Stats       `json:"ctrlplane"`
-}
-
-// handleMetrics negotiates the exposition: Prometheus text (version
-// 0.0.4) by default, the legacy JSON payload with ?format=json — the
-// pre-registry contract, byte-shape preserved for existing consumers.
+// handleMetrics serves the registry as Prometheus text (version 0.0.4).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	switch r.URL.Query().Get("format") {
-	case "json":
-		st := s.qp.Stats()
-		s.writeMu.Lock()
-		cp := s.plane.Stats()
-		s.writeMu.Unlock()
-		writeJSON(w, http.StatusOK, metricsResponse{
-			Stats: st,
-			LatencyMs: map[string]float64{
-				"p50": float64(st.P50.Microseconds()) / 1000,
-				"p95": float64(st.P95.Microseconds()) / 1000,
-				"p99": float64(st.P99.Microseconds()) / 1000,
-			},
-			Healer:    s.healer.Metrics.Snapshot(),
-			Ctrlplane: cp,
-		})
-	case "", "prometheus":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := s.reg.WritePrometheus(w); err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		}
-	default:
-		writeError(w, http.StatusBadRequest, "format must be prometheus or json")
+	if f := r.URL.Query().Get("format"); f != "" && f != "prometheus" {
+		writeError(w, http.StatusBadRequest, "format must be prometheus")
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := s.reg.WritePrometheus(w); err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
@@ -462,36 +434,51 @@ type pathResponse struct {
 	LatencyMs float64  `json:"latency_ms"`
 }
 
+// parsePathOptions reads the query a path endpoint takes — src, dst and the
+// optional maxhops and minbw constraints — and returns the message of the
+// 400 to answer when it is malformed. What it returns is safe to key a cache
+// with: minbw is finite (a NaN never equals itself, so every repeat of such
+// a query would miss and leave one more unreachable entry), and a hop bound
+// no simple path can exceed is the unbounded query, so it reads as one
+// (latencies are positive, so an optimum is simple and has at most
+// numNodes-1 hops; folding the bound also keeps it inside the key's int32).
+func parsePathOptions(r *http.Request, numNodes int) (src, dst int, opts routing.Options, err error) {
+	q := r.URL.Query()
+	src, err1 := strconv.Atoi(q.Get("src"))
+	dst, err2 := strconv.Atoi(q.Get("dst"))
+	if err1 != nil || err2 != nil {
+		return 0, 0, opts, errors.New("src and dst must be integer node ids")
+	}
+	if src < 0 || src >= numNodes || dst < 0 || dst >= numNodes {
+		return 0, 0, opts, fmt.Errorf("node ids outside [0,%d)", numNodes)
+	}
+	if v := q.Get("maxhops"); v != "" {
+		mh, err := strconv.Atoi(v)
+		if err != nil || mh < 1 {
+			return 0, 0, opts, errors.New("maxhops must be a positive integer")
+		}
+		if mh < numNodes-1 {
+			opts.MaxHops = mh
+		}
+	}
+	if v := q.Get("minbw"); v != "" {
+		bw, err := strconv.ParseFloat(v, 64)
+		if err != nil || bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
+			return 0, 0, opts, errors.New("minbw must be a finite, non-negative number")
+		}
+		opts.MinBandwidth = bw
+	}
+	return src, dst, opts, nil
+}
+
 func (s *server) handlePath(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	src, err1 := strconv.Atoi(r.URL.Query().Get("src"))
-	dst, err2 := strconv.Atoi(r.URL.Query().Get("dst"))
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, "src and dst must be integer node ids")
-		return
-	}
-	opts := routing.Options{}
-	if v := r.URL.Query().Get("maxhops"); v != "" {
-		mh, err := strconv.Atoi(v)
-		if err != nil || mh < 1 {
-			writeError(w, http.StatusBadRequest, "maxhops must be a positive integer")
-			return
-		}
-		opts.MaxHops = mh
-	}
-	if v := r.URL.Query().Get("minbw"); v != "" {
-		bw, err := strconv.ParseFloat(v, 64)
-		if err != nil || bw < 0 {
-			writeError(w, http.StatusBadRequest, "minbw must be a non-negative number")
-			return
-		}
-		opts.MinBandwidth = bw
-	}
-	if src < 0 || src >= s.top.NumNodes() || dst < 0 || dst >= s.top.NumNodes() {
-		writeError(w, http.StatusBadRequest, "node ids outside [0,%d)", s.top.NumNodes())
+	src, dst, opts, err := parsePathOptions(r, s.top.NumNodes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := time.Now()

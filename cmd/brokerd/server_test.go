@@ -10,6 +10,7 @@ import (
 
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
+	"brokerset/internal/workload"
 )
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
@@ -107,6 +108,66 @@ func TestPathEndpoint(t *testing.T) {
 		if code := getJSON(t, ts.URL+bad, nil); code != http.StatusBadRequest {
 			t.Errorf("%s status %d, want 400", bad, code)
 		}
+	}
+}
+
+// requirePathOptionsSafe drives one path endpoint with the two outside inputs
+// that used to corrupt the cache behind it. A non-finite minbw made a key that
+// never equals itself, so every repeat missed and left one more unreachable
+// entry: it must be a 400. A maxhops past int32 was truncated in the key and
+// answered from a small bound's entry: on a linked pair whose best path is
+// not the direct link, maxhops=1 answers the link and maxhops=2^32+1 — asked
+// after it, so the 1-hop entry is there to alias — must answer the unbounded
+// optimum.
+func requirePathOptionsSafe(t *testing.T, srv *server, endpoint string) {
+	t.Helper()
+	for _, bw := range []string{"NaN", "nan", "Inf", "%2BInf"} {
+		if code := getJSON(t, endpoint+"?src=0&dst=1&minbw="+bw, nil); code != http.StatusBadRequest {
+			t.Errorf("minbw=%s status %d, want 400", bw, code)
+		}
+	}
+	type answer struct {
+		Hops      int     `json:"hops"`
+		LatencyMs float64 `json:"latency_ms"`
+	}
+	checked := false
+	srv.top.Graph.Edges(func(u, v int) bool {
+		url := fmt.Sprintf("%s?src=%d&dst=%d", endpoint, u, v)
+		var free, direct, huge answer
+		if getJSON(t, url, &free) != http.StatusOK || free.Hops < 2 {
+			return true
+		}
+		// The link itself may be undominated (404) or, federated, span two
+		// regions (the bound is per segment): such a pair proves nothing.
+		if getJSON(t, url+"&maxhops=1", &direct) != http.StatusOK || direct.Hops != 1 {
+			return true
+		}
+		if direct.LatencyMs <= free.LatencyMs {
+			t.Fatalf("(%d,%d) maxhops=1 answers %+v, no dearer than the unbounded %+v", u, v, direct, free)
+		}
+		if code := getJSON(t, url+"&maxhops=4294967297", &huge); code != http.StatusOK || huge != free {
+			t.Fatalf("(%d,%d) maxhops=4294967297: status %d, %+v; unbounded %+v", u, v, code, huge, free)
+		}
+		checked = true
+		return false
+	})
+	if !checked {
+		t.Fatal("no linked pair with a multi-hop best path: nothing was checked")
+	}
+}
+
+func TestPathOptionsCannotCorruptCache(t *testing.T) {
+	srv, ts := testServer(t)
+	requirePathOptionsSafe(t, srv, ts.URL+"/path")
+	// The NaN requests were refused before the query plane saw them and the
+	// huge bound shared the unbounded query's entry, so nothing is cached
+	// that a miss did not put there.
+	m, err := workload.FetchServerStats(ts.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m["queryplane_cache_entries"]; got > m["queryplane_misses_total"] {
+		t.Fatalf("%v cache entries from %v misses", got, m["queryplane_misses_total"])
 	}
 }
 

@@ -300,8 +300,10 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 	// When driving a live server, fold in its own view of the run.
 	if *addr != "" {
 		if st, err := workload.FetchServerStats(*addr, &http.Client{Timeout: *timeout}); err == nil {
-			fmt.Fprintf(out, "server:   %d queries, %.1f%% hit rate, %d shed, %d evictions, gen %d\n",
-				st.Queries, 100*st.HitRate(), st.Shed, st.Evictions, st.Generation)
+			queries := st["queryplane_queries_total"]
+			fmt.Fprintf(out, "server:   %.0f queries, %.1f%% hit rate, %.0f shed, %.0f evictions, gen %.0f\n",
+				queries, 100*st["queryplane_hits_total"]/max(queries, 1), st["queryplane_shed_total"],
+				st["queryplane_evictions_total"], st["queryplane_cache_generation"])
 		}
 	}
 	return rep, nil

@@ -281,7 +281,7 @@ func TestMaxSGKeepsBrokersConnected(t *testing.T) {
 	for _, b := range brokers {
 		mask[b] = true
 	}
-	sub, _ := g.InducedSubgraph(mask)
+	sub, _, _ := g.InducedSubgraph(mask)
 	if _, sizes := sub.Components(); len(sizes) != 1 {
 		t.Fatalf("MaxSG broker set induces %d components, want 1", len(sizes))
 	}

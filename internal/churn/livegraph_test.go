@@ -123,6 +123,68 @@ func TestLiveGraphMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestSnapshotLinkDownMatchesState: a snapshot has no down-link set of its
+// own — it reads its live graph — so after every event of a generated trace
+// it must agree with the state's sparse set on every link of the topology,
+// an earlier snapshot must not move, and a restored link must read up again.
+func TestSnapshotLinkDownMatchesState(t *testing.T) {
+	top, err := topology.GenerateTier("smoke", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState(top, nil)
+	a := NewApplier(st)
+	requireAgree := func(step string) {
+		t.Helper()
+		snap := st.Snapshot(nil, nil)
+		top.Graph.Edges(func(u, v int) bool {
+			want := st.LinkDown(int32(u), int32(v))
+			if snap.LinkDown(int32(u), int32(v)) != want || snap.LinkDown(int32(v), int32(u)) != want {
+				t.Fatalf("%s: snapshot disagrees with the state on link (%d,%d), which is down=%v", step, u, v, want)
+			}
+			return true
+		})
+	}
+	gen := NewGenerator(st, nil, GenConfig{Seed: 3, RecoverBias: 0.45})
+	for i := 0; i < 200; i++ {
+		ev, ok := gen.Next()
+		if !ok {
+			continue
+		}
+		if _, err := a.Apply(ev); err != nil {
+			t.Fatalf("generated %d (%s): %v", i, ev, err)
+		}
+		requireAgree(ev.String())
+	}
+	if st.DownLinks() == 0 {
+		t.Fatal("generated trace left no link down: nothing was exercised")
+	}
+
+	var u, v int32 = -1, -1
+	top.Graph.Edges(func(a, b int) bool {
+		if !st.LinkDown(int32(a), int32(b)) {
+			u, v = int32(a), int32(b)
+		}
+		return u < 0
+	})
+	before := st.Snapshot(nil, nil)
+	for _, step := range []struct {
+		ev   Event
+		down bool
+	}{{Event{Type: LinkFail, U: u, V: v}, true}, {Event{Type: LinkRecover, U: v, V: u}, false}} {
+		if _, err := a.Apply(step.ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Snapshot(nil, nil).LinkDown(u, v); got != step.down {
+			t.Fatalf("after %s: snapshot reads link (%d,%d) down=%v", step.ev, u, v, got)
+		}
+		if before.LinkDown(u, v) {
+			t.Fatalf("%s moved a snapshot taken before it", step.ev)
+		}
+	}
+	requireAgree("restore")
+}
+
 // BenchmarkTable2LiveGraph measures one live-graph derivation on the
 // Table-2 tier in the state the churn_heal workload's first posts leave: a
 // few dozen failed links and a couple of departed nodes. It is what every

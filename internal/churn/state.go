@@ -37,9 +37,14 @@ type State struct {
 	downLinks int          // count of effectively-down links
 }
 
-// packLink is epoch.PackLink: the down-mark keys here must match the keys
-// snapshots are queried with.
-func packLink(u, v int32) uint64 { return epoch.PackLink(u, v) }
+// packLink keys an undirected link in the sparse failed-link set
+// (order-insensitive; LiveGraph unpacks the endpoints again).
+func packLink(u, v int32) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(uint32(u))<<32 | uint64(uint32(v))
+}
 
 // NewState wraps a topology (and optionally its routing metrics) in a live
 // churn overlay with everything up.
@@ -126,16 +131,11 @@ func (s *State) mirrorLink(u, v int32) {
 
 // Snapshot freezes the state's down-marks, the given coalition membership,
 // and the given (already frozen) routing view into an unpublished epoch
-// snapshot. Every mark is deep-copied, so subsequent churn events leave
-// the snapshot untouched. Callers hold the writer serialization (the same
-// rule as any other State read during mutation).
+// snapshot. Node and broker marks are deep-copied and the live graph is
+// immutable (link down-marks are its missing arcs), so subsequent churn
+// events leave the snapshot untouched. Callers hold the writer serialization
+// (the same rule as any other State read during mutation).
 func (s *State) Snapshot(brokers []int32, view *routing.View) *epoch.Snapshot {
-	linkDown := make(map[uint64]bool, len(s.linkDown))
-	for k, v := range s.linkDown {
-		if v {
-			linkDown[k] = true
-		}
-	}
 	brokerDown := make(map[int32]bool, len(s.brokerDown))
 	for b, v := range s.brokerDown {
 		if v {
@@ -147,7 +147,6 @@ func (s *State) Snapshot(brokers []int32, view *routing.View) *epoch.Snapshot {
 		Live:       s.LiveGraph(),
 		Brokers:    append([]int32(nil), brokers...),
 		NodeDown:   append([]bool(nil), s.nodeDown...),
-		LinkDown:   linkDown,
 		BrokerDown: brokerDown,
 		View:       view,
 	})

@@ -28,7 +28,6 @@ func testSnapshot(t *testing.T) (*Snapshot, *topology.Topology, []int32, *routin
 		Live:     top.Graph,
 		Brokers:  brokers,
 		NodeDown: make([]bool, top.NumNodes()),
-		LinkDown: map[uint64]bool{},
 		View:     m.View(),
 	})
 	return snap, top, brokers, m
@@ -119,23 +118,39 @@ func TestSnapshotDownMarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := routing.DefaultMetrics(top, nil)
+	// Node 3 has left and one link elsewhere has failed: the live graph is
+	// the topology's without node 3's row and without that link.
 	nodeDown := make([]bool, top.NumNodes())
 	nodeDown[3] = true
+	var links [][2]int32 // clear of node 3: one to fail, one to leave up
+	top.Graph.Edges(func(u, v int) bool {
+		if u != 3 && v != 3 {
+			links = append(links, [2]int32{int32(u), int32(v)})
+		}
+		return len(links) < 2
+	})
+	failed, healthy := links[0], links[1]
+	dirty := append([]int32{3, failed[0], failed[1]}, top.Graph.Neighbors(3)...)
+	live := top.Graph.WithoutArcs(dirty, func(u, v int32) bool {
+		return u == 3 || v == 3 || [2]int32{min(u, v), max(u, v)} == failed
+	})
 	snap := NewSnapshot(SnapshotData{
-		Top: top, Live: top.Graph, Brokers: []int32{1, 2},
+		Top: top, Live: live, Brokers: []int32{1, 2},
 		NodeDown:   nodeDown,
-		LinkDown:   map[uint64]bool{PackLink(5, 9): true},
 		BrokerDown: map[int32]bool{2: true},
 		View:       m.View(),
 	})
-	if !snap.LinkDown(9, 5) || !snap.LinkDown(5, 9) {
-		t.Fatal("explicit link down-mark not order-insensitive")
+	if !snap.LinkDown(failed[0], failed[1]) || !snap.LinkDown(failed[1], failed[0]) {
+		t.Fatal("failed link not down from both ends")
 	}
-	if !snap.LinkDown(3, 4) {
+	if !snap.LinkDown(3, top.Graph.Neighbors(3)[0]) {
 		t.Fatal("link touching a down node should read as down")
 	}
-	if snap.LinkDown(6, 7) {
+	if snap.LinkDown(healthy[0], healthy[1]) {
 		t.Fatal("healthy link reads as down")
+	}
+	if !snap.LinkDown(-1, 0) || !snap.LinkDown(0, int32(top.NumNodes())) {
+		t.Fatal("a pair outside the topology reads as an up link")
 	}
 	if !snap.NodeDown(3) || snap.NodeDown(4) {
 		t.Fatal("node down-marks wrong")
@@ -207,10 +222,12 @@ func TestSnapshotPathValid(t *testing.T) {
 
 	// The same path under a snapshot where one of its links is down.
 	u, v := p.Nodes[0], p.Nodes[1]
+	live := top.Graph.WithoutArcs([]int32{u, v}, func(a, b int32) bool {
+		return (a == u && b == v) || (a == v && b == u)
+	})
 	down := NewSnapshot(SnapshotData{
-		Top: top, Live: top.Graph, Brokers: brokers,
+		Top: top, Live: live, Brokers: brokers,
 		NodeDown: make([]bool, top.NumNodes()),
-		LinkDown: map[uint64]bool{PackLink(u, v): true},
 		View:     m.View(),
 	})
 	if down.PathValid(p, routing.Options{}) {

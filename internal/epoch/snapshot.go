@@ -20,30 +20,19 @@ import (
 	"brokerset/internal/topology"
 )
 
-// PackLink packs an undirected link into a uint64 key (order-insensitive).
-// It is the canonical link key shared by the churn plane's down-marks and
-// snapshot link-state queries.
-func PackLink(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // SnapshotData is everything a writer hands over when building a snapshot.
 // Ownership of every reference transfers to the snapshot: the caller must
 // not mutate any of them afterwards (build them copy-on-write).
 type SnapshotData struct {
 	// Top is the full static topology (shared immutably by all snapshots).
 	Top *topology.Topology
-	// Live is the residual graph with down nodes/links removed.
+	// Live is the residual graph with down nodes/links removed. It is the
+	// snapshot's link down-mark: a link is up iff it is an arc of Live.
 	Live *graph.Graph
 	// Brokers is the coalition membership in ascending id order.
 	Brokers []int32
 	// NodeDown marks departed/failed nodes (indexed by node id).
 	NodeDown []bool
-	// LinkDown marks failed links, keyed by PackLink.
-	LinkDown map[uint64]bool
 	// BrokerDown marks crashed coalition members.
 	BrokerDown map[int32]bool
 	// View is the frozen routing metrics (latency/capacity/reservations).
@@ -70,7 +59,6 @@ type Snapshot struct {
 	brokers    []int32
 	inB        []bool
 	nodeDown   []bool
-	linkDown   map[uint64]bool
 	brokerDown map[int32]bool
 	view       *routing.View
 	region     int
@@ -103,7 +91,6 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 		brokers:    d.Brokers,
 		inB:        inB,
 		nodeDown:   d.NodeDown,
-		linkDown:   d.LinkDown,
 		brokerDown: d.BrokerDown,
 		view:       d.View,
 		region:     d.Region,
@@ -127,7 +114,6 @@ func (s *Snapshot) WithView(view *routing.View) *Snapshot {
 		brokers:    s.brokers,
 		inB:        s.inB,
 		nodeDown:   s.nodeDown,
-		linkDown:   s.linkDown,
 		brokerDown: s.brokerDown,
 		view:       view,
 		region:     s.region,
@@ -180,9 +166,12 @@ func (s *Snapshot) IsBroker(n int32) bool {
 }
 
 // LinkDown reports whether the link (u,v) was down at capture time, either
-// via an explicit link failure or either endpoint being down.
+// via an explicit link failure or either endpoint being down: the live
+// graph has lost exactly those arcs. A pair that is not a link of the
+// topology at all reads down too.
 func (s *Snapshot) LinkDown(u, v int32) bool {
-	return s.linkDown[PackLink(u, v)] || s.NodeDown(u) || s.NodeDown(v)
+	n := int32(s.live.NumNodes())
+	return u < 0 || v < 0 || u >= n || v >= n || s.live.ArcOf(int(u), int(v)) < 0
 }
 
 // NodeDown reports whether a node was down at capture time.

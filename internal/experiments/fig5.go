@@ -42,7 +42,7 @@ func (s *Suite) brokerOnlyConnectivity(brokers []int32) float64 {
 	for _, b := range brokers {
 		inB[b] = true
 	}
-	sub, orig := g.InducedSubgraph(inB)
+	sub, orig, _ := g.InducedSubgraph(inB)
 	comp, _ := sub.Components()
 	// compOf[node] = broker-subgraph component of that broker, else -1.
 	compOf := make([]int32, n)

@@ -61,6 +61,6 @@ func sampleSubgraph(g *graph.Graph, size int, rng *rand.Rand) (*graph.Graph, err
 	for _, u := range graph.SampleNodes(g.NumNodes(), size, rng) {
 		keep[u] = true
 	}
-	sub, _ := g.InducedSubgraph(keep)
+	sub, _, _ := g.InducedSubgraph(keep)
 	return sub, nil
 }

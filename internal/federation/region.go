@@ -42,15 +42,15 @@ type Region struct {
 // buildRegion boots region r's full coalition stack from the global
 // topology and metric assignment.
 func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, global *routing.Metrics, cfg Config) (*Region, error) {
-	sub, orig := part.Subtopology(r)
+	sub, orig, arcOrig := part.Subtopology(r)
 	g2l := make(map[int32]int32, len(orig))
 	for l, g := range orig {
 		g2l[g] = int32(l)
 	}
 
-	// The region's metrics mirror the global assignment edge for edge, so a
+	// The region's metrics mirror the global assignment arc for arc, so a
 	// segment latency quoted by any region agrees with the global truth.
-	metrics := routing.NewSubMetrics(sub, orig, global)
+	metrics := routing.NewSubMetrics(sub, arcOrig, global)
 
 	var brokers []int32
 	var err error

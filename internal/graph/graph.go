@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Graph is an immutable undirected graph in CSR form. The zero value is an
@@ -56,12 +55,20 @@ func (g *Graph) ArcOffset(u int) int { return int(g.off[u]) }
 // NumArcs returns the total number of directed adjacency entries (2m).
 func (g *Graph) NumArcs() int { return len(g.adj) }
 
-// HasEdge reports whether nodes u and v are adjacent.
-func (g *Graph) HasEdge(u, v int) bool {
-	ns := g.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= int32(v) })
-	return i < len(ns) && ns[i] == int32(v)
+// ArcOf returns the index of arc u → v in the flattened adjacency array, or
+// -1 when u and v are not adjacent. It is the one row search every per-arc
+// column (routing metrics, relationship labels, free-link flags) is addressed
+// through; the reverse arc of an edge is ArcOf(v, u).
+func (g *Graph) ArcOf(u, v int) int {
+	i, ok := slices.BinarySearch(g.Neighbors(u), int32(v))
+	if !ok {
+		return -1
+	}
+	return int(g.off[u]) + i
 }
+
+// HasEdge reports whether nodes u and v are adjacent.
+func (g *Graph) HasEdge(u, v int) bool { return g.ArcOf(u, v) >= 0 }
 
 // Edges calls fn once per undirected edge with u < v. Iteration stops early
 // if fn returns false.
@@ -75,6 +82,27 @@ func (g *Graph) Edges(fn func(u, v int) bool) {
 			if !fn(u, v) {
 				return
 			}
+		}
+	}
+}
+
+// Links calls fn once per undirected edge u < v with both of its arc indexes:
+// a is arc u → v and b is arc v → u, so a column aligned with the adjacency
+// array is written pairwise with no row search. Edges are visited by
+// ascending lower endpoint u, which is the order the lower endpoints appear
+// in v's sorted row: paired[v] counts how many of them have been seen, so
+// it is the position of u in v's row.
+func (g *Graph) Links(fn func(a, b, u, v int)) {
+	paired := make([]int32, g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		off := int(g.off[u])
+		for i, w := range g.Neighbors(u) {
+			v := int(w)
+			if v <= u {
+				continue
+			}
+			fn(off+i, int(g.off[v]+paired[v]), u, v)
+			paired[v]++
 		}
 	}
 }
@@ -230,30 +258,44 @@ func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Grap
 }
 
 // InducedSubgraph returns the subgraph induced by keep (nodes with
-// keep[u] == true), together with a mapping orig such that node i of the
-// subgraph corresponds to node orig[i] of g.
-func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
+// keep[u] == true), a mapping orig such that node i of the subgraph is node
+// orig[i] of g, and a mapping arcOrig such that arc a of the subgraph is arc
+// arcOrig[a] of g — a column aligned with g's adjacency array becomes one
+// aligned with the subgraph's by the gather col[arcOrig[a]]. New ids ascend
+// with old ids, so a kept node's row is the parent's row with the dropped
+// neighbours filtered out: still sorted, still duplicate-free.
+func (g *Graph) InducedSubgraph(keep []bool) (sub *Graph, orig, arcOrig []int32) {
 	if len(keep) != g.NumNodes() {
 		panic(fmt.Sprintf("graph: keep mask length %d != %d nodes", len(keep), g.NumNodes()))
 	}
 	remap := make([]int32, g.NumNodes())
-	var orig []int32
 	for u := range remap {
 		remap[u] = -1
-	}
-	for u := 0; u < g.NumNodes(); u++ {
 		if keep[u] {
 			remap[u] = int32(len(orig))
 			orig = append(orig, int32(u))
 		}
 	}
-	b := NewBuilder(len(orig))
-	g.Edges(func(u, v int) bool {
-		if keep[u] && keep[v] {
-			b.AddEdge(int(remap[u]), int(remap[v]))
+	off := make([]int32, len(orig)+1)
+	for i, o := range orig {
+		kept := int32(0)
+		for _, v := range g.Neighbors(int(o)) {
+			if keep[v] {
+				kept++
+			}
 		}
-		return true
-	})
-	sub := b.MustBuild()
-	return sub, orig
+		off[i+1] = off[i] + kept
+	}
+	adj := make([]int32, 0, off[len(orig)])
+	arcOrig = make([]int32, 0, off[len(orig)])
+	for _, o := range orig {
+		po := g.off[o]
+		for j, v := range g.Neighbors(int(o)) {
+			if keep[v] {
+				adj = append(adj, remap[v])
+				arcOrig = append(arcOrig, po+int32(j))
+			}
+		}
+	}
+	return &Graph{off: off, adj: adj, m: len(adj) / 2}, orig, arcOrig
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -333,7 +334,7 @@ func TestPathToUnreachable(t *testing.T) {
 func TestInducedSubgraph(t *testing.T) {
 	g := pathGraph(t, 5) // 0-1-2-3-4
 	keep := []bool{true, true, false, true, true}
-	sub, orig := g.InducedSubgraph(keep)
+	sub, orig, _ := g.InducedSubgraph(keep)
 	if sub.NumNodes() != 4 {
 		t.Fatalf("subgraph nodes = %d, want 4", sub.NumNodes())
 	}
@@ -344,6 +345,94 @@ func TestInducedSubgraph(t *testing.T) {
 	for i, o := range orig {
 		if o != want[i] {
 			t.Fatalf("orig = %v, want %v", orig, want)
+		}
+	}
+}
+
+// TestInducedArcMap: for random keep-masks the filtered-row build equals the
+// Builder-built induced graph, and every sub arc names the parent arc it was
+// read off.
+func TestInducedArcMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		g := randomGraph(n, rng.Intn(2*n+1), int64(trial))
+		keep := make([]bool, n)
+		share := rng.Float64()
+		for u := range keep {
+			keep[u] = rng.Float64() < share
+		}
+		sub, orig, arcOrig := g.InducedSubgraph(keep)
+
+		remap := make(map[int]int, len(orig))
+		for i, o := range orig {
+			if !keep[o] || (i > 0 && orig[i-1] >= o) {
+				t.Fatalf("trial %d: orig %v is not the ascending kept set", trial, orig)
+			}
+			remap[int(o)] = i
+		}
+		b := NewBuilder(len(orig))
+		g.Edges(func(u, v int) bool {
+			if keep[u] && keep[v] {
+				b.AddEdge(remap[u], remap[v])
+			}
+			return true
+		})
+		want := b.MustBuild()
+		if !slices.Equal(sub.off, want.off) || !slices.Equal(sub.adj, want.adj) || sub.m != want.m {
+			t.Fatalf("trial %d: induced graph differs from the Builder-built one", trial)
+		}
+		if len(arcOrig) != sub.NumArcs() {
+			t.Fatalf("trial %d: %d arc origins for %d arcs", trial, len(arcOrig), sub.NumArcs())
+		}
+		for u := 0; u < sub.NumNodes(); u++ {
+			for i, v := range sub.Neighbors(u) {
+				a := sub.ArcOffset(u) + i
+				if pa := int(arcOrig[a]); pa != g.ArcOf(int(orig[u]), int(orig[v])) || g.adj[pa] != orig[v] {
+					t.Fatalf("trial %d: sub arc %d (%d→%d) maps to parent arc %d", trial, a, u, v, pa)
+				}
+			}
+		}
+	}
+}
+
+// TestArcOfAndLinks checks the row search against a linear scan and the link
+// iterator against Edges: every edge once, with both of its arc indexes.
+func TestArcOfAndLinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(50)
+		g := randomGraph(n, rng.Intn(3*n+1), int64(trial))
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				want := -1
+				for i, w := range g.Neighbors(u) {
+					if int(w) == v {
+						want = g.ArcOffset(u) + i
+					}
+				}
+				if got := g.ArcOf(u, v); got != want {
+					t.Fatalf("trial %d: ArcOf(%d,%d) = %d, scan says %d", trial, u, v, got, want)
+				}
+				if g.HasEdge(u, v) != (want >= 0) {
+					t.Fatalf("trial %d: HasEdge(%d,%d) disagrees with the scan", trial, u, v)
+				}
+			}
+		}
+		var want [][2]int
+		g.Edges(func(u, v int) bool {
+			want = append(want, [2]int{u, v})
+			return true
+		})
+		var got [][2]int
+		g.Links(func(a, b, u, v int) {
+			if u >= v || int(g.adj[a]) != v || int(g.adj[b]) != u || a != g.ArcOf(u, v) || b != g.ArcOf(v, u) {
+				t.Fatalf("trial %d: Links handed (%d,%d) for edge (%d,%d)", trial, a, b, u, v)
+			}
+			got = append(got, [2]int{u, v})
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Links visited %v, Edges %v", trial, got, want)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 
 	"brokerset/internal/graph"
@@ -73,21 +72,11 @@ func NewRouter(top *topology.Topology, brokers []int32) *Router {
 	return r
 }
 
-// findArc returns the arc index of (u → v), or -1 when v is not adjacent.
-func (r *Router) findArc(u, v int) int {
-	ns := r.top.Graph.Neighbors(u)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= int32(v) })
-	if i == len(ns) || ns[i] != int32(v) {
-		return -1
-	}
-	return r.top.Graph.ArcOffset(u) + i
-}
-
 // SetFree marks the edge (u,v) as a free bidirectional link (e.g. a
 // brokerage cooperation agreement), usable in any phase. Unknown edges are
 // ignored.
 func (r *Router) SetFree(u, v int) {
-	a, b := r.findArc(u, v), r.findArc(v, u)
+	a, b := r.top.Graph.ArcOf(u, v), r.top.Graph.ArcOf(v, u)
 	if a < 0 || b < 0 {
 		return
 	}

@@ -38,8 +38,9 @@ type Engine struct {
 	top     *topology.Topology
 	metrics *Metrics
 	inB     []bool
-	// penalty supports k-alternative computation (temporary multipliers).
-	penalty map[uint64]float64
+	// penalty is the arc-aligned latency multiplier column KAlternatives
+	// searches under: allocated on its first call, all ones between calls.
+	penalty []float64
 
 	nextReservation int
 	reservations    map[int]*Reservation
@@ -59,7 +60,6 @@ func NewEngine(top *topology.Topology, metrics *Metrics, brokers []int32) *Engin
 		top:          top,
 		metrics:      metrics,
 		inB:          inB,
-		penalty:      make(map[uint64]float64),
 		reservations: make(map[int]*Reservation),
 	}
 }
@@ -103,8 +103,7 @@ func (e *Engine) search() *pathSearch {
 
 // BestPath returns the minimum-latency B-dominated path from src to dst
 // satisfying opts, or an error when none exists. With opts.MaxHops set it
-// minimizes latency over paths within the hop bound (lexicographic search
-// on (hops, latency) layers).
+// minimizes latency over paths within the hop bound.
 func (e *Engine) BestPath(src, dst int, opts Options) (*Path, error) {
 	return e.search().bestPath(src, dst, opts)
 }
@@ -123,8 +122,31 @@ func (e *Engine) KAlternatives(src, dst, k int, opts Options) ([]*Path, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("routing: k must be >= 1, got %d", k)
 	}
-	defer func() { e.penalty = make(map[uint64]float64) }()
+	if e.penalty == nil {
+		e.penalty = make([]float64, e.top.Graph.NumArcs())
+		for a := range e.penalty {
+			e.penalty[a] = 1
+		}
+	}
+	// scale multiplies the penalty on every link of a path by f; 0 resets it.
+	scale := func(nodes []int32, f float64) {
+		for j := 0; j+1 < len(nodes); j++ {
+			a, b := e.metrics.bothArcs(nodes[j], nodes[j+1])
+			p := e.penalty[a] * f
+			if f == 0 {
+				p = 1
+			}
+			e.penalty[a], e.penalty[b] = p, p
+		}
+	}
 	var out []*Path
+	// Every penalised link lies on a path in out (a duplicate re-penalises
+	// the links of the path it repeats), so this clears the whole column.
+	defer func() {
+		for _, p := range out {
+			scale(p.Nodes, 0)
+		}
+	}()
 	seen := make(map[string]bool)
 	// Penalization may need several rounds to push the search off a
 	// strongly preferred route, so budget more attempts than k.
@@ -139,13 +161,7 @@ func (e *Engine) KAlternatives(src, dst, k int, opts Options) ([]*Path, error) {
 			// Recompute true latency without penalties.
 			out = append(out, e.describe(p.Nodes))
 		}
-		for j := 0; j+1 < len(p.Nodes); j++ {
-			key := edgeKey(p.Nodes[j], p.Nodes[j+1])
-			if e.penalty[key] == 0 {
-				e.penalty[key] = 1
-			}
-			e.penalty[key] *= 8
-		}
+		scale(p.Nodes, 8)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("routing: no dominated path %d -> %d", src, dst)
@@ -161,8 +177,8 @@ func pathSignature(nodes []int32) string {
 	return string(sig)
 }
 
-// flatHeap is a boxing-free binary min-heap of (node, cost) pairs used by
-// the hop-unbounded search hot path; the zero value is an empty heap.
+// flatHeap is the search's boxing-free binary min-heap of (node, cost) pairs
+// — (label arena index, cost) in withinHops; the zero value is an empty heap.
 type flatHeap struct {
 	nodes []int32
 	costs []float64
@@ -218,30 +234,4 @@ func (h *flatHeap) pop() (int32, float64) {
 func (h *flatHeap) swap(i, j int) {
 	h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i]
 	h.costs[i], h.costs[j] = h.costs[j], h.costs[i]
-}
-
-// hopState is a (node, consumed-hops) search state; the hop dimension is
-// collapsed to 0 when no hop bound applies.
-type hopState struct {
-	node int32
-	hops int
-}
-
-type pathItem struct {
-	st   hopState
-	cost float64
-}
-
-type pathHeap struct{ items []pathItem }
-
-func (h *pathHeap) Len() int           { return len(h.items) }
-func (h *pathHeap) Less(i, j int) bool { return h.items[i].cost < h.items[j].cost }
-func (h *pathHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *pathHeap) Push(x any)         { h.items = append(h.items, x.(pathItem)) }
-func (h *pathHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

@@ -16,10 +16,13 @@ type QueryKey struct {
 }
 
 // CacheKey returns the cache identity of a (src, dst, opts) query. Negative
-// MaxHops values collapse to 0 (unbounded), matching BestPath semantics.
+// MaxHops values collapse to 0 (unbounded), matching BestPath semantics, and
+// so does a bound too large for the key's int32 — no graph this package can
+// hold has a simple path that long, and truncating it would alias the
+// query onto a small bound's entry.
 func (o Options) CacheKey(src, dst int) QueryKey {
 	mh := o.MaxHops
-	if mh < 0 {
+	if mh < 0 || mh > math.MaxInt32 {
 		mh = 0
 	}
 	return QueryKey{

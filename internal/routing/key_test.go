@@ -1,6 +1,9 @@
 package routing
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestCacheKeyIdentity(t *testing.T) {
 	a := Options{MaxHops: 4, MinBandwidth: 2.5}.CacheKey(1, 2)
@@ -26,6 +29,14 @@ func TestCacheKeyIdentity(t *testing.T) {
 	// Negative MaxHops collapses to unbounded, matching BestPath.
 	if (Options{MaxHops: -3}).CacheKey(1, 2) != (Options{}).CacheKey(1, 2) {
 		t.Fatal("negative MaxHops not normalized")
+	}
+	// So does a bound past the key's int32: truncated, 2^32+1 would alias
+	// MaxHops 1.
+	if huge := math.MaxUint32 + 2; (Options{MaxHops: huge}).CacheKey(1, 2) != (Options{}).CacheKey(1, 2) {
+		t.Fatal("MaxHops beyond int32 not collapsed to unbounded")
+	}
+	if (Options{MaxHops: math.MaxInt32}).CacheKey(1, 2).MaxHops != math.MaxInt32 {
+		t.Fatal("largest representable MaxHops not kept")
 	}
 }
 

@@ -10,13 +10,15 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"brokerset/internal/topology"
 )
 
-// arcState is the per-directed-arc metric state, aligned with the graph's
-// adjacency arrays so path searches do no map lookups. It is the substrate
+// arcState is the per-directed-arc metric state: columns aligned with the
+// graph's adjacency arrays, so path searches do no map lookups. The index is
+// internal/graph's — Graph.ArcOf finds a link's arc, Graph.Links pairs an
+// edge's two arcs, InducedSubgraph's arc map carries a column into a region
+// — and this package only holds the columns. It is the substrate
 // both the mutable Metrics and the immutable View are built on; pathSearch
 // runs against it directly, which is what lets one search core serve both.
 //
@@ -28,7 +30,7 @@ import (
 // (pagedF64) so only dirtied pages are ever copied.
 //
 // Invariant: every column agrees on both arcs of a link. Constructors and
-// mutators only ever write the pair (bothArcs), and the bidirectional path
+// mutators only ever write the pair (Links, bothArcs), and the bidirectional path
 // search depends on it — its backward side reads arc u→v for a step
 // travelled v→u. TestArcStateSymmetric checks it; a directional metric
 // would have to change the search with it.
@@ -88,35 +90,14 @@ func (m *Metrics) mutableFailed() []bool {
 	return m.failed
 }
 
-// edgeKey packs an undirected edge (used by the k-alternatives penalty map).
-func edgeKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
-// arcIndex returns the arc index of u → v in top's adjacency arrays, or -1
-// when not adjacent.
-func arcIndex(top *topology.Topology, u, v int32) int {
-	ns := top.Graph.Neighbors(int(u))
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	if i == len(ns) || ns[i] != v {
-		return -1
-	}
-	return top.Graph.ArcOffset(int(u)) + i
-}
-
-// arcOf returns the arc index of u → v, or -1 when not adjacent.
-func (m *Metrics) arcOf(u, v int32) int { return arcIndex(m.top, u, v) }
-
 // bothArcs returns the arc indexes of (u→v, v→u); (-1,-1) for a non-edge.
 func (m *Metrics) bothArcs(u, v int32) (int, int) {
-	a := m.arcOf(u, v)
+	g := m.top.Graph
+	a := g.ArcOf(int(u), int(v))
 	if a < 0 {
 		return -1, -1
 	}
-	return a, m.arcOf(v, u)
+	return a, g.ArcOf(int(v), int(u))
 }
 
 // DefaultMetrics synthesizes plausible per-link QoS metrics from the link's
@@ -174,57 +155,32 @@ func blankMetrics(top *topology.Topology) *Metrics {
 // newMetrics is NewMetricsFunc with f also handed the index of arc u→v, so
 // it can read arc-aligned columns of its own.
 func newMetrics(top *topology.Topology, f func(arc int, u, v int32) (latencyMs, capacityGbps float64)) *Metrics {
-	g := top.Graph
 	m := blankMetrics(top)
-	// Links are visited by ascending lower endpoint u, which is the order
-	// the lower endpoints appear in v's sorted neighbour list: paired[v]
-	// counts how many of them have been seen, so it indexes arc v→u
-	// without the two binary searches of bothArcs.
-	paired := make([]int32, g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		off := g.ArcOffset(u)
-		for i, v := range g.Neighbors(u) {
-			if int(v) <= u {
-				continue
-			}
-			a, b := off+i, g.ArcOffset(int(v))+int(paired[v])
-			paired[v]++
-			lat, cap := f(a, int32(u), v)
-			m.latency[a], m.latency[b] = lat, lat
-			m.capacity[a], m.capacity[b] = cap, cap
-		}
-	}
+	top.Graph.Links(func(a, b, u, v int) {
+		lat, cap := f(a, int32(u), int32(v))
+		m.latency[a], m.latency[b] = lat, lat
+		m.capacity[a], m.capacity[b] = cap, cap
+	})
 	return m
 }
 
 // NewSubMetrics builds metrics for sub, a topology induced on a subset of
-// parent's nodes (orig maps sub's node ids to parent's, ascending), by
-// copying every surviving link's latency and capacity from parent. It is
-// how a federation region mirrors the global assignment. A kept node's
-// surviving neighbours keep their order, so each sub row is read off the
-// parent's row in one pass, with no per-edge search. Reservations and
-// failures are not carried over.
-func NewSubMetrics(sub *topology.Topology, orig []int32, parent *Metrics) *Metrics {
+// parent's nodes, by gathering every surviving arc's latency and capacity
+// from parent through arcOrig, the sub→parent arc map the induced build
+// returned (graph.InducedSubgraph). It is how a federation region mirrors
+// the global assignment. Reservations and failures are not carried over.
+func NewSubMetrics(sub *topology.Topology, arcOrig []int32, parent *Metrics) *Metrics {
 	m := blankMetrics(sub)
-	pg := parent.top.Graph
-	for u, o := range orig {
-		pa, prow := pg.ArcOffset(int(o)), pg.Neighbors(int(o))
-		off := sub.Graph.ArcOffset(u)
-		j := 0
-		for i, v := range sub.Graph.Neighbors(u) {
-			for prow[j] != orig[v] {
-				j++
-			}
-			m.latency[off+i] = parent.latency[pa+j]
-			m.capacity[off+i] = parent.capacity[pa+j]
-		}
+	for a, pa := range arcOrig {
+		m.latency[a] = parent.latency[pa]
+		m.capacity[a] = parent.capacity[pa]
 	}
 	return m
 }
 
 // Latency returns the link latency in milliseconds (0 for a non-edge).
 func (m *Metrics) Latency(u, v int32) float64 {
-	if a := m.arcOf(u, v); a >= 0 {
+	if a := m.top.Graph.ArcOf(int(u), int(v)); a >= 0 {
 		return m.latency[a]
 	}
 	return 0
@@ -232,7 +188,7 @@ func (m *Metrics) Latency(u, v int32) float64 {
 
 // Capacity returns the link capacity in Gbps (0 for a non-edge).
 func (m *Metrics) Capacity(u, v int32) float64 {
-	if a := m.arcOf(u, v); a >= 0 {
+	if a := m.top.Graph.ArcOf(int(u), int(v)); a >= 0 {
 		return m.capacity[a]
 	}
 	return 0
@@ -241,7 +197,7 @@ func (m *Metrics) Capacity(u, v int32) float64 {
 // Available returns the unreserved capacity of a link; 0 when failed or
 // not an edge.
 func (m *Metrics) Available(u, v int32) float64 {
-	if a := m.arcOf(u, v); a >= 0 {
+	if a := m.top.Graph.ArcOf(int(u), int(v)); a >= 0 {
 		return m.availArc(a)
 	}
 	return 0
@@ -251,7 +207,7 @@ func (m *Metrics) Available(u, v int32) float64 {
 // failure state (a failed link keeps its reservations until their owners
 // release them). 0 for a non-edge.
 func (m *Metrics) Residual(u, v int32) float64 {
-	a := m.arcOf(u, v)
+	a := m.top.Graph.ArcOf(int(u), int(v))
 	if a < 0 {
 		return 0
 	}
@@ -312,7 +268,7 @@ func (m *Metrics) RestoreLink(u, v int32) {
 
 // Failed reports whether the link is marked failed.
 func (m *Metrics) Failed(u, v int32) bool {
-	a := m.arcOf(u, v)
+	a := m.top.Graph.ArcOf(int(u), int(v))
 	return a >= 0 && m.failed[a]
 }
 
@@ -340,7 +296,7 @@ func (m *Metrics) SetCapacity(u, v int32, gbps float64) {
 
 // Utilization returns used/capacity for the link (0 for a non-edge).
 func (m *Metrics) Utilization(u, v int32) float64 {
-	a := m.arcOf(u, v)
+	a := m.top.Graph.ArcOf(int(u), int(v))
 	if a < 0 || m.capacity[a] == 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -44,7 +45,7 @@ func (s *pathSearch) referenceBestPath(src, dst int, opts Options) (*Path, error
 			if opts.BrokersOnly && int(v) != dst && !s.inB[v] {
 				continue
 			}
-			nd := cost + s.arcs.latency[arc]*s.penaltyFactor(u, v)
+			nd := cost + s.arcs.latency[arc]*s.penaltyFactor(arc)
 			if dist[v] < 0 || nd < dist[v] {
 				dist[v] = nd
 				parent[v] = u
@@ -69,6 +70,94 @@ func (s *pathSearch) referenceBestPath(src, dst int, opts Options) (*Path, error
 	return s.describe(nodes), nil
 }
 
+// referenceBestPathHops is the hop-bounded search the serving path ran
+// before withinHops replaced it: Dijkstra over (node, hops) states held in
+// maps, with a boxed container/heap frontier. It is the oracle for every
+// query with MaxHops set.
+func (s *pathSearch) referenceBestPathHops(src, dst int, opts Options) (*Path, error) {
+	if src == dst {
+		return &Path{Nodes: []int32{int32(src)}}, nil
+	}
+	dist := make(map[hopState]float64)
+	parent := make(map[hopState]hopState)
+	pq := &pathHeap{}
+	start := hopState{node: int32(src), hops: 0}
+	dist[start] = 0
+	heap.Push(pq, pathItem{st: start, cost: 0})
+	var goal *hopState
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(pathItem)
+		if d, ok := dist[it.st]; !ok || it.cost > d {
+			continue
+		}
+		if int(it.st.node) == dst {
+			goal = &it.st
+			break
+		}
+		if it.st.hops == opts.MaxHops {
+			continue
+		}
+		u := it.st.node
+		off := s.top.Graph.ArcOffset(int(u))
+		for i, v := range s.top.Graph.Neighbors(int(u)) {
+			arc := off + i
+			if !s.usableArc(u, v, arc, opts) {
+				continue
+			}
+			if opts.BrokersOnly && int(v) != dst && !s.inB[v] {
+				continue
+			}
+			ns := hopState{node: v, hops: it.st.hops + 1}
+			nd := it.cost + s.arcs.latency[arc]*s.penaltyFactor(arc)
+			if d, ok := dist[ns]; !ok || nd < d {
+				dist[ns] = nd
+				parent[ns] = it.st
+				heap.Push(pq, pathItem{st: ns, cost: nd})
+			}
+		}
+	}
+	if goal == nil {
+		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
+	}
+	var rev []int32
+	for st := *goal; ; st = parent[st] {
+		rev = append(rev, st.node)
+		if st == start {
+			break
+		}
+	}
+	nodes := make([]int32, len(rev))
+	for i := range rev {
+		nodes[i] = rev[len(rev)-1-i]
+	}
+	return s.describe(nodes), nil
+}
+
+// hopState is a (node, consumed-hops) state of referenceBestPathHops.
+type hopState struct {
+	node int32
+	hops int
+}
+
+type pathItem struct {
+	st   hopState
+	cost float64
+}
+
+type pathHeap struct{ items []pathItem }
+
+func (h *pathHeap) Len() int           { return len(h.items) }
+func (h *pathHeap) Less(i, j int) bool { return h.items[i].cost < h.items[j].cost }
+func (h *pathHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *pathHeap) Push(x any)         { h.items = append(h.items, x.(pathItem)) }
+func (h *pathHeap) Pop() any {
+	old := h.items
+	n := len(old)
+	it := old[n-1]
+	h.items = old[:n-1]
+	return it
+}
+
 // randomTopology builds an n-node graph with about avgDeg*n/2 random peer
 // links — sparse enough that the dominated subgraph falls apart into
 // several components, so no-path verdicts are exercised too.
@@ -82,12 +171,16 @@ func randomTopology(rng *rand.Rand, n int, avgDeg float64) *topology.Topology {
 	return peerTopology(b.MustBuild())
 }
 
-// perturb puts an engine's metrics and penalty map into a state that
+// perturb puts an engine's metrics and penalty column into a state that
 // exercises every per-arc input the search reads: failed links,
 // reservations that MinBandwidth filters on, and KAlternatives-style
 // penalties on a random subset of links.
 func perturb(rng *rand.Rand, e *Engine) {
 	m := e.metrics
+	e.penalty = make([]float64, e.top.Graph.NumArcs())
+	for a := range e.penalty {
+		e.penalty[a] = 1
+	}
 	e.top.Graph.Edges(func(u, v int) bool {
 		a, b := int32(u), int32(v)
 		switch r := rng.Float64(); {
@@ -98,20 +191,25 @@ func perturb(rng *rand.Rand, e *Engine) {
 				panic(err)
 			}
 		case r < 0.40:
-			e.penalty[edgeKey(a, b)] = float64(uint(1) << (3 * (1 + rng.Intn(3))))
+			f := float64(uint(1) << (3 * (1 + rng.Intn(3))))
+			e.penalty[e.top.Graph.ArcOf(u, v)], e.penalty[e.top.Graph.ArcOf(v, u)] = f, f
 		}
 		return true
 	})
 }
 
-// checkAgainstReference runs both searches for one query and fails on any
-// difference the result contract forbids: verdict, penalised cost (which
-// is what both minimise; it equals Latency when no penalty applies), and
-// validity of every hop of the new search's path. It reports whether a
-// path exists.
+// checkAgainstReference runs the search and its oracle (the hop-bounded one
+// when MaxHops is set) for one query and fails on any difference the result
+// contract forbids: verdict, penalised cost (which is what both minimise; it
+// equals Latency when no penalty applies), the hop bound, and validity of
+// every hop of the new search's path. It reports whether a path exists.
 func checkAgainstReference(t testing.TB, s *pathSearch, src, dst int, opts Options) bool {
 	t.Helper()
-	want, werr := s.referenceBestPath(src, dst, opts)
+	reference := s.referenceBestPath
+	if opts.MaxHops > 0 {
+		reference = s.referenceBestPathHops
+	}
+	want, werr := reference(src, dst, opts)
 	got, gerr := s.bestPath(src, dst, opts)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("(%d,%d,%+v): reference err %v, search err %v", src, dst, opts, werr, gerr)
@@ -124,6 +222,9 @@ func checkAgainstReference(t testing.TB, s *pathSearch, src, dst int, opts Optio
 	}
 	if got.Nodes[0] != int32(src) || got.Nodes[len(got.Nodes)-1] != int32(dst) {
 		t.Fatalf("(%d,%d): path %v does not join the endpoints", src, dst, got.Nodes)
+	}
+	if opts.MaxHops > 0 && got.Hops() > opts.MaxHops {
+		t.Fatalf("(%d,%d): %d hops in %v, bound %d", src, dst, got.Hops(), got.Nodes, opts.MaxHops)
 	}
 	seen := make(map[int32]bool, len(got.Nodes))
 	for i, u := range got.Nodes {
@@ -138,7 +239,7 @@ func checkAgainstReference(t testing.TB, s *pathSearch, src, dst int, opts Optio
 			continue
 		}
 		prev := got.Nodes[i-1]
-		arc := arcIndex(s.top, prev, u)
+		arc := s.top.Graph.ArcOf(int(prev), int(u))
 		if arc < 0 {
 			t.Fatalf("(%d,%d): hop %d-%d of %v is not a link", src, dst, prev, u, got.Nodes)
 		}
@@ -163,20 +264,23 @@ func checkAgainstReference(t testing.TB, s *pathSearch, src, dst int, opts Optio
 func (s *pathSearch) penalisedCost(nodes []int32) float64 {
 	var c float64
 	for i := 0; i+1 < len(nodes); i++ {
-		u, v := nodes[i], nodes[i+1]
-		c += s.arcs.latency[arcIndex(s.top, u, v)] * s.penaltyFactor(u, v)
+		arc := s.top.Graph.ArcOf(int(nodes[i]), int(nodes[i+1]))
+		c += s.arcs.latency[arc] * s.penaltyFactor(arc)
 	}
 	return c
 }
 
-// randomOptions draws a hop-unbounded option set covering every filter the
-// two-sided search has to mirror.
+// randomOptions draws an option set covering every filter the two-sided
+// search has to mirror, hop-bounded one time in three.
 func randomOptions(rng *rand.Rand) Options {
 	var opts Options
 	if rng.Intn(2) == 0 {
 		opts.MinBandwidth = rng.Float64() * 30
 	}
 	opts.BrokersOnly = rng.Intn(3) == 0
+	if rng.Intn(3) == 0 {
+		opts.MaxHops = 1 + rng.Intn(8)
+	}
 	return opts
 }
 
@@ -242,7 +346,7 @@ func TestBestPathMatchesReferenceSmokeTier(t *testing.T) {
 	live := e.search()
 	frozen := &pathSearch{top: top, arcs: e.metrics.View().arcState, inB: e.inB}
 	const queries = 400
-	found := 0
+	found, residual := 0, 0
 	for q := 0; q < queries; q++ {
 		src, dst := rng.Intn(n), rng.Intn(n)
 		opts := randomOptions(rng)
@@ -250,9 +354,21 @@ func TestBestPathMatchesReferenceSmokeTier(t *testing.T) {
 		if checkAgainstReference(t, frozen, src, dst, opts) {
 			found++
 		}
+		// Force the residual: a bound one hop short of the unbounded optimum
+		// is the one the dominance shortcut can never answer.
+		opts.MaxHops = 0
+		if p, err := frozen.bestPath(src, dst, opts); err == nil && p.Hops() > 1 {
+			opts.MaxHops = p.Hops() - 1
+			checkAgainstReference(t, live, src, dst, opts)
+			checkAgainstReference(t, frozen, src, dst, opts)
+			residual++
+		}
 	}
 	if found < queries/5 || found > queries*4/5 {
 		t.Fatalf("%d of %d queries had a path — broken test setup", found, queries)
+	}
+	if residual < queries/5 {
+		t.Fatalf("only %d of %d queries reached the hop-bounded residual", residual, queries)
 	}
 }
 

@@ -260,10 +260,25 @@ func TestKAlternatives(t *testing.T) {
 	if _, err := e.KAlternatives(0, 3, 0, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	// Penalties must not leak into subsequent queries.
+	// Penalties must not leak into subsequent queries: the column is back
+	// to all ones, so a second call repeats the first.
 	p, err := e.BestPath(0, 3, Options{})
 	if err != nil || p.Nodes[1] != 1 {
 		t.Fatalf("penalties leaked: %v, %v", p, err)
+	}
+	again, err := e.KAlternatives(0, 3, 3, Options{})
+	if err != nil || len(again) != len(paths) {
+		t.Fatalf("second call: %d alternatives, err %v", len(again), err)
+	}
+	for i := range paths {
+		if pathSignature(again[i].Nodes) != pathSignature(paths[i].Nodes) || again[i].Latency != paths[i].Latency {
+			t.Fatalf("second call: alternative %d is %v, first call gave %v", i, again[i].Nodes, paths[i].Nodes)
+		}
+	}
+	for a, f := range e.penalty {
+		if f != 1 {
+			t.Fatalf("arc %d left with penalty %v", a, f)
+		}
 	}
 }
 
@@ -413,8 +428,8 @@ func TestNewSubMetricsMirrorsParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < part.N; r++ {
-		sub, orig := part.Subtopology(r)
-		got := NewSubMetrics(sub, orig, parent)
+		sub, orig, arcOrig := part.Subtopology(r)
+		got := NewSubMetrics(sub, arcOrig, parent)
 		want := NewMetricsFunc(sub, func(u, v int32) (float64, float64) {
 			return parent.Latency(orig[u], orig[v]), parent.Capacity(orig[u], orig[v])
 		})

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -18,8 +17,9 @@ type pathSearch struct {
 	top  *topology.Topology
 	arcs arcState
 	inB  []bool
-	// penalty supports k-alternative computation (nil outside Engine use).
-	penalty map[uint64]float64
+	// penalty is the k-alternatives latency multiplier per arc, both arcs of
+	// a link equal (nil outside Engine use).
+	penalty []float64
 }
 
 // usableArc reports whether the directed arc (u → v) with index `arc` can
@@ -38,9 +38,14 @@ func (s *pathSearch) usableArc(u, v int32, arc int, opts Options) bool {
 }
 
 // bestPath returns the minimum-latency B-dominated path from src to dst
-// satisfying opts, or an error when none exists. With opts.MaxHops set it
-// minimizes latency over paths within the hop bound (lexicographic search
-// on (hops, latency) layers).
+// satisfying opts, or an error when none exists.
+//
+// The search is a bidirectional Dijkstra (meet), which knows nothing of
+// opts.MaxHops — and mostly need not. The hop-bounded feasible set is a
+// subset of the unbounded one, so an unbounded optimum that fits the bound
+// is the bounded optimum, and a pair with no path at all has none within
+// the bound. Only when the unbounded optimum is too long does the bound
+// decide anything, and that residual runs withinHops on the same scratch.
 func (s *pathSearch) bestPath(src, dst int, opts Options) (*Path, error) {
 	n := s.top.NumNodes()
 	if src < 0 || src >= n || dst < 0 || dst >= n {
@@ -49,100 +54,101 @@ func (s *pathSearch) bestPath(src, dst int, opts Options) (*Path, error) {
 	if src == dst {
 		return &Path{Nodes: []int32{int32(src)}}, nil
 	}
-	if opts.MaxHops <= 0 {
-		return s.bestPathUnbounded(src, dst, opts)
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	sc.reset(n)
+	var nodes []int32
+	if meet := s.meet(sc, int32(src), int32(dst), opts); meet >= 0 {
+		nodes = sc.stitch(meet, int32(src), int32(dst))
+		if opts.MaxHops > 0 && len(nodes)-1 > opts.MaxHops {
+			sc.reset(n)
+			nodes = s.withinHops(sc, int32(src), int32(dst), opts)
+		}
 	}
-	maxHops := opts.MaxHops
-	// Dijkstra over (node, hops) with latency cost; hop dimension only
-	// matters when a hop bound is set, so collapse it otherwise.
-	dist := make(map[hopState]float64)
-	parent := make(map[hopState]hopState)
-	pq := &pathHeap{}
-	start := hopState{node: int32(src), hops: 0}
-	dist[start] = 0
-	heap.Push(pq, pathItem{st: start, cost: 0})
-	var goal *hopState
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pathItem)
-		if d, ok := dist[it.st]; !ok || it.cost > d {
+	if nodes == nil {
+		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
+	}
+	return s.describe(nodes), nil
+}
+
+// hopLabel is one label of the hop-bounded search: a walk of hops arcs ending
+// at node, extending the label at arena index parent (-1 for the source).
+type hopLabel struct {
+	node, parent, hops int32
+}
+
+// withinHops is the hop-bounded residual: a label-setting search over
+// (cost, hops) from src, returning the cheapest src..dst node sequence of at
+// most opts.MaxHops arcs, or nil. Labels live in sc's append-only arena and
+// the forward heap orders their arena indexes by cost, so they pop in
+// non-decreasing cost. The forward label array holds, for each node popped
+// in this generation, the fewest hops any label popped there used (in its
+// parent field — a node's state here is a hop count, not a tree edge): a
+// later pop at that node with no fewer hops costs no less and can go nowhere
+// the earlier one cannot, so it is dominated and skipped, and an arc into
+// such a node is not worth a label. What survives at a node is its Pareto
+// front of (cost, hops), strictly improving in hops. Every label is within
+// the bound, so the first pop at dst is the answer; latencies are positive,
+// so a walk that revisits a node is dominated and the answer is simple.
+func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options) []int32 {
+	gen, fewest, heap := sc.gen, sc.fwd.state, &sc.fwd.heap
+	arena := append(sc.arena[:0], hopLabel{node: src, parent: -1})
+	var nodes []int32
+	heap.push(0, 0)
+	for heap.len() > 0 {
+		at, cost := heap.pop()
+		l := arena[at]
+		u := l.node
+		if f := &fewest[u]; f.stamp == gen && f.parent <= l.hops {
 			continue
 		}
-		if int(it.st.node) == dst {
-			goal = &it.st
+		fewest[u] = nodeLabel{parent: l.hops, stamp: gen}
+		if u == dst {
+			nodes = make([]int32, l.hops+1)
+			for i := at; i >= 0; i = arena[i].parent {
+				nodes[arena[i].hops] = arena[i].node
+			}
 			break
 		}
-		if it.st.hops == maxHops {
-			continue
-		}
-		u := it.st.node
+		// A label on the last layer is worth making only at dst.
+		last := int(l.hops)+1 == opts.MaxHops
 		off := s.top.Graph.ArcOffset(int(u))
 		for i, v := range s.top.Graph.Neighbors(int(u)) {
 			arc := off + i
 			if !s.usableArc(u, v, arc, opts) {
 				continue
 			}
-			if opts.BrokersOnly && int(v) != dst && !s.inB[v] {
+			if v != dst && (last || (opts.BrokersOnly && !s.inB[v])) {
 				continue
 			}
-			hops := it.st.hops + 1
-			ns := hopState{node: v, hops: hops}
-			w := s.arcs.latency[arc] * s.penaltyFactor(u, v)
-			nd := it.cost + w
-			if d, ok := dist[ns]; !ok || nd < d {
-				dist[ns] = nd
-				parent[ns] = it.st
-				heap.Push(pq, pathItem{st: ns, cost: nd})
+			if f := &fewest[v]; f.stamp == gen && f.parent <= l.hops+1 {
+				continue
 			}
+			arena = append(arena, hopLabel{node: v, parent: at, hops: l.hops + 1})
+			heap.push(int32(len(arena)-1), cost+s.arcs.latency[arc]*s.penaltyFactor(arc))
 		}
 	}
-	if goal == nil {
-		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
-	}
-	// Rebuild node sequence.
-	var rev []int32
-	for st := *goal; ; st = parent[st] {
-		rev = append(rev, st.node)
-		if st == start {
-			break
-		}
-	}
-	nodes := make([]int32, len(rev))
-	for i := range rev {
-		nodes[i] = rev[len(rev)-1-i]
-	}
-	return s.describe(nodes), nil
-}
-
-// bestPathUnbounded is the hop-unbounded search — the hot path for serving
-// and simulation workloads. It is a bidirectional Dijkstra: a forward
-// search from src and a backward search from dst over the same adjacency,
-// expanding the side that has scanned fewer arcs, with mu the cost of the
-// best src→dst walk seen through a node both sides have reached. It stops
-// when topF+topB >= mu (no unexpanded pair of labels can beat mu) or when
-// either heap empties (that side has settled everything it can reach, so mu
-// is final, or there is no path). Both tests hold whichever side is
-// expanded, which is what lets meet pick the side by work done, not by cost.
-//
-// The backward side relaxes the step v→u by reading arc u→v. That is exact
-// only because every per-arc input is symmetric (see arcState), domination
-// and the penalty key are undirected, and BrokersOnly exempts exactly the
-// far endpoint of each side: dst for the forward search, src for the
-// backward one. Latencies are positive (DefaultMetrics and every
-// NewMetricsFunc caller guarantee it), so the two half-paths meet in one
-// node and the stitched sequence is simple.
-func (s *pathSearch) bestPathUnbounded(src, dst int, opts Options) (*Path, error) {
-	sc := scratchPool.Get().(*searchScratch)
-	defer scratchPool.Put(sc)
-	sc.reset(s.top.NumNodes())
-	meet := s.meet(sc, int32(src), int32(dst), opts)
-	if meet < 0 {
-		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
-	}
-	return s.describe(sc.stitch(meet, int32(src), int32(dst))), nil
+	sc.arena = arena // the grown backing array stays pooled
+	return nodes
 }
 
 // meet runs the two-sided search over sc and returns the node where the
-// best src→dst path's halves join, or -1 when dst is unreachable.
+// best src→dst path's halves join, or -1 when dst is unreachable. It is the
+// hot path for serving and simulation workloads: a forward search from src
+// and a backward search from dst over the same adjacency, expanding the side
+// that has scanned fewer arcs, with mu the cost of the best src→dst walk seen
+// through a node both sides have reached. It stops when topF+topB >= mu (no
+// unexpanded pair of labels can beat mu) or when either heap empties (that
+// side has settled everything it can reach, so mu is final, or there is no
+// path). Both tests hold whichever side is expanded, which is what lets meet
+// pick the side by work done, not by cost.
+//
+// The backward side relaxes the step v→u by reading arc u→v. That is exact
+// only because every per-arc input is symmetric (see arcState), domination
+// is undirected, and BrokersOnly exempts exactly the far endpoint of each
+// side: dst for the forward search, src for the backward one. Latencies are
+// positive (DefaultMetrics and every NewMetricsFunc caller guarantee it), so
+// the two half-paths meet in one node and the stitched sequence is simple.
 func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32 {
 	gen := sc.gen
 	fwd, bwd := &sc.fwd, &sc.bwd
@@ -186,7 +192,7 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 			if opts.BrokersOnly && v != far && !s.inB[v] {
 				continue
 			}
-			nd := cost + s.arcs.latency[arc]*s.penaltyFactor(u, v)
+			nd := cost + s.arcs.latency[arc]*s.penaltyFactor(arc)
 			if sv := &side.state[v]; sv.stamp == gen && sv.dist <= nd {
 				continue
 			}
@@ -217,6 +223,8 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 type searchScratch struct {
 	fwd, bwd searchSide
 	gen      uint32
+	// arena is withinHops' label store, kept for its backing array.
+	arena []hopLabel
 }
 
 // searchSide is one direction's labels and frontier.
@@ -286,7 +294,7 @@ func (s *pathSearch) describe(nodes []int32) *Path {
 	p := &Path{Nodes: nodes, Bottleneck: -1}
 	for i := 0; i+1 < len(nodes); i++ {
 		u, v := nodes[i], nodes[i+1]
-		if a := arcIndex(s.top, u, v); a >= 0 {
+		if a := s.top.Graph.ArcOf(int(u), int(v)); a >= 0 {
 			p.Latency += s.arcs.latency[a]
 			if avail := s.arcs.availArc(a); p.Bottleneck < 0 || avail < p.Bottleneck {
 				p.Bottleneck = avail
@@ -299,12 +307,10 @@ func (s *pathSearch) describe(nodes []int32) *Path {
 	return p
 }
 
-func (s *pathSearch) penaltyFactor(u, v int32) float64 {
-	if len(s.penalty) == 0 {
-		return 1 // hot path: no map lookup outside KAlternatives
+// penaltyFactor is the multiplier KAlternatives has put on an arc's latency.
+func (s *pathSearch) penaltyFactor(arc int) float64 {
+	if s.penalty == nil {
+		return 1 // hot path: no column outside Engine use
 	}
-	if f, ok := s.penalty[edgeKey(u, v)]; ok {
-		return f
-	}
-	return 1
+	return s.penalty[arc]
 }

@@ -15,7 +15,7 @@ import (
 // search read arc u→v for a step travelled v→u.
 func assertLinkSymmetric(t *testing.T, top *topology.Topology, s *arcState, u, v int32, after string) {
 	t.Helper()
-	a, b := arcIndex(top, u, v), arcIndex(top, v, u)
+	a, b := top.Graph.ArcOf(int(u), int(v)), top.Graph.ArcOf(int(v), int(u))
 	if s.latency[a] != s.latency[b] || s.capacity[a] != s.capacity[b] ||
 		s.used.at(a) != s.used.at(b) || s.failed[a] != s.failed[b] {
 		t.Fatalf("after %s: link (%d,%d) differs by direction: latency %v/%v capacity %v/%v used %v/%v failed %v/%v",
@@ -128,9 +128,10 @@ func smokeFixture(t *testing.T) (view *View, inB []bool, found, nopath [2]int) {
 }
 
 // TestBestPathOverAllocs pins the search's allocations to what it returns:
-// the Path and its node slice when found, the error when not. Anything
-// proportional to the graph (the one-sided search allocated and initialised
-// 12 bytes per node per query) fails it.
+// the Path and its node slice when found, the error when not — under a hop
+// bound the unbounded optimum fits, too. Anything proportional to the graph
+// (the one-sided search allocated and initialised 12 bytes per node per
+// query; the old hop-bounded one filled two maps) fails it.
 func TestBestPathOverAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries, so scratch is reallocated")
@@ -139,11 +140,12 @@ func TestBestPathOverAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		pair [2]int
+		opts Options
 		max  float64
-	}{{"found", found, 2}, {"nopath", nopath, 4}} {
+	}{{"found", found, Options{}, 2}, {"nopath", nopath, Options{}, 4}, {"found within 64 hops", found, Options{MaxHops: 64}, 2}} {
 		got := testing.AllocsPerRun(200, func() {
-			p, err := BestPathOver(view, inB, c.pair[0], c.pair[1], Options{})
-			if (err == nil) != (c.name == "found") || (p == nil) != (err != nil) {
+			p, err := BestPathOver(view, inB, c.pair[0], c.pair[1], c.opts)
+			if (err == nil) != (c.name != "nopath") || (p == nil) != (err != nil) {
 				t.Errorf("%s pair %v: path %v, err %v", c.name, c.pair, p, err)
 			}
 		})

@@ -25,7 +25,7 @@ func (m *Metrics) View() *View {
 
 // Latency returns the link latency in milliseconds (0 for a non-edge).
 func (v *View) Latency(a, b int32) float64 {
-	if i := arcIndex(v.top, a, b); i >= 0 {
+	if i := v.top.Graph.ArcOf(int(a), int(b)); i >= 0 {
 		return v.latency[i]
 	}
 	return 0
@@ -34,7 +34,7 @@ func (v *View) Latency(a, b int32) float64 {
 // Available returns the unreserved capacity of a link at capture time;
 // 0 when failed or not an edge.
 func (v *View) Available(a, b int32) float64 {
-	if i := arcIndex(v.top, a, b); i >= 0 {
+	if i := v.top.Graph.ArcOf(int(a), int(b)); i >= 0 {
 		return v.availArc(i)
 	}
 	return 0
@@ -42,7 +42,7 @@ func (v *View) Available(a, b int32) float64 {
 
 // Failed reports whether the link was marked failed at capture time.
 func (v *View) Failed(a, b int32) bool {
-	i := arcIndex(v.top, a, b)
+	i := v.top.Graph.ArcOf(int(a), int(b))
 	return i >= 0 && v.failed[i]
 }
 

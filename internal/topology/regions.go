@@ -148,8 +148,10 @@ func (p *RegionPartition) Adjacent(r, q int) bool { return len(p.BorderBetween(r
 // every border IXP that touches r, with labels and relationships carried
 // over. Border IXPs therefore exist in every region they touch — that
 // shared node is what lets two regions' path segments meet at the same
-// stitch point. orig maps the subtopology's local ids back to global ids.
-func (p *RegionPartition) Subtopology(r int) (*Topology, []int32) {
+// stitch point. orig maps the subtopology's local ids back to global ids and
+// arcOrig its arc indexes back to the global graph's, so any column aligned
+// with the global adjacency is carried over by a gather (routing.NewSubMetrics).
+func (p *RegionPartition) Subtopology(r int) (sub *Topology, orig, arcOrig []int32) {
 	t := p.top
 	keep := make([]bool, t.NumNodes())
 	for _, u := range p.members[r] {

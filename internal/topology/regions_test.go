@@ -109,7 +109,7 @@ func TestSubtopologySharesBorderIXPs(t *testing.T) {
 	border := p.BorderIXPs()[0]
 	shared := 0
 	for r := 0; r < 3; r++ {
-		sub, orig := p.Subtopology(r)
+		sub, orig, _ := p.Subtopology(r)
 		if sub.NumNodes() != len(orig) {
 			t.Fatalf("region %d: %d nodes but %d orig entries", r, sub.NumNodes(), len(orig))
 		}

@@ -11,7 +11,6 @@ package topology
 
 import (
 	"fmt"
-	"slices"
 
 	"brokerset/internal/graph"
 )
@@ -139,16 +138,6 @@ func packEdge(u, v int) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// arcOf returns the arc index of u → v, or -1 when not adjacent.
-func (t *Topology) arcOf(u, v int) int {
-	ns := t.Graph.Neighbors(u)
-	i, ok := slices.BinarySearch(ns, int32(v))
-	if !ok {
-		return -1
-	}
-	return t.Graph.ArcOffset(u) + i
-}
-
 // NumNodes returns the node count.
 func (t *Topology) NumNodes() int { return t.Graph.NumNodes() }
 
@@ -173,7 +162,7 @@ func (t *Topology) NumASes() int { return t.NumNodes() - t.NumIXPs() }
 // perspective, writing both of its arcs. It overwrites any previous label;
 // a pair that is not an edge of Graph (which must be built) is ignored.
 func (t *Topology) SetRel(u, v int, r Relationship) {
-	a := t.arcOf(u, v)
+	a := t.Graph.ArcOf(u, v)
 	if a < 0 {
 		return
 	}
@@ -181,7 +170,7 @@ func (t *Topology) SetRel(u, v int, r Relationship) {
 		t.arcRel = make([]Relationship, t.Graph.NumArcs())
 	}
 	t.arcRel[a] = r
-	t.arcRel[t.arcOf(v, u)] = r.invert()
+	t.arcRel[t.Graph.ArcOf(v, u)] = r.invert()
 }
 
 // labelledEdge is an edge whose relationship (from u's perspective) is
@@ -204,28 +193,17 @@ func (t *Topology) label(edges []labelledEdge) {
 		if du, dv := g.Degree(u), g.Degree(v); dv < du || (dv == du && v < u) {
 			u, v, r = v, u, r.invert()
 		}
-		if a := t.arcOf(u, v); a >= 0 {
+		if a := g.ArcOf(u, v); a >= 0 {
 			t.arcRel[a] = r
 		}
 	}
-	// Edges are visited by ascending lower endpoint u, the order in which
-	// the lower endpoints appear in v's row: paired[v] indexes arc v→u.
-	paired := make([]int32, g.NumNodes())
-	for u := 0; u < g.NumNodes(); u++ {
-		off := g.ArcOffset(u)
-		for i, v := range g.Neighbors(u) {
-			if int(v) <= u {
-				continue
-			}
-			a, b := off+i, g.ArcOffset(int(v))+int(paired[v])
-			paired[v]++
-			if t.arcRel[a] != RelNone {
-				t.arcRel[b] = t.arcRel[a].invert()
-			} else {
-				t.arcRel[a] = t.arcRel[b].invert()
-			}
+	g.Links(func(a, b, _, _ int) {
+		if t.arcRel[a] != RelNone {
+			t.arcRel[b] = t.arcRel[a].invert()
+		} else {
+			t.arcRel[a] = t.arcRel[b].invert()
 		}
-	}
+	})
 }
 
 // Rel returns the business relationship of edge (u,v) from u's perspective,
@@ -234,7 +212,7 @@ func (t *Topology) Rel(u, v int) Relationship {
 	if t.arcRel == nil {
 		return RelNone
 	}
-	if a := t.arcOf(u, v); a >= 0 {
+	if a := t.Graph.ArcOf(u, v); a >= 0 {
 		return t.arcRel[a]
 	}
 	return RelNone
@@ -300,16 +278,16 @@ func (t *Topology) WithoutIXPs() (*Topology, []int32) {
 	for u := range keep {
 		keep[u] = !t.IsIXP(u)
 	}
-	return t.induced(keep)
+	sub, orig, _ := t.induced(keep)
+	return sub, orig
 }
 
 // induced returns the topology induced on the nodes marked in keep, with
-// node labels and relationships carried over, plus the mapping from new ids
-// to old ids. New ids ascend with old ids, so a kept node's surviving
-// neighbours keep their order and its arcs' labels are the parent row's with
-// the dropped neighbours' entries skipped — no per-edge lookup.
-func (t *Topology) induced(keep []bool) (*Topology, []int32) {
-	sub, orig := t.Graph.InducedSubgraph(keep)
+// node labels and relationships carried over, plus the mappings from new
+// node ids and new arc indexes to old ones (graph.InducedSubgraph): the
+// relationship column is the parent's, gathered through the arc map.
+func (t *Topology) induced(keep []bool) (*Topology, []int32, []int32) {
+	sub, orig, arcOrig := t.Graph.InducedSubgraph(keep)
 	nt := &Topology{
 		Graph: sub,
 		Class: make([]Class, sub.NumNodes()),
@@ -322,17 +300,12 @@ func (t *Topology) induced(keep []bool) (*Topology, []int32) {
 		nt.Name[i] = t.Name[o]
 	}
 	if t.arcRel != nil {
-		nt.arcRel = make([]Relationship, 0, sub.NumArcs())
-		for _, o := range orig {
-			off := t.Graph.ArcOffset(int(o))
-			for i, v := range t.Graph.Neighbors(int(o)) {
-				if keep[v] {
-					nt.arcRel = append(nt.arcRel, t.arcRel[off+i])
-				}
-			}
+		nt.arcRel = make([]Relationship, len(arcOrig))
+		for a, pa := range arcOrig {
+			nt.arcRel[a] = t.arcRel[pa]
 		}
 	}
-	return nt, orig
+	return nt, orig, arcOrig
 }
 
 // Stats summarizes a topology in the shape of the paper's Table 2.

@@ -1,8 +1,8 @@
 package workload
 
 import (
+	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -541,23 +541,30 @@ func (t *HTTPTarget) Query(src, dst int32) (Outcome, error) {
 	}
 }
 
-// FetchServerStats retrieves a live brokerd's /metrics snapshot (counters
-// only; quantile durations are reported via the latency_ms map).
-func FetchServerStats(base string, client *http.Client) (queryplane.Stats, error) {
+// FetchServerStats scrapes a live brokerd's /metrics (Prometheus text) into
+// name → value. Only unlabelled samples — the counters and gauges — are kept.
+func FetchServerStats(base string, client *http.Client) (map[string]float64, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	var st queryplane.Stats
-	resp, err := client.Get(base + "/metrics?format=json")
+	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return st, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("workload: /metrics status %d", resp.StatusCode)
+		return nil, fmt.Errorf("workload: /metrics status %d", resp.StatusCode)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, err
+	st := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, val, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.ContainsAny(name, "#{") {
+			continue
+		}
+		if st[name], err = strconv.ParseFloat(val, 64); err != nil {
+			return nil, fmt.Errorf("workload: /metrics sample %q: %w", sc.Text(), err)
+		}
 	}
-	return st, nil
+	return st, sc.Err()
 }
