@@ -39,7 +39,9 @@
 // invalidation).
 //
 // With -regions N set, the topology is additionally partitioned into N
-// federated broker regions served under /federation/* (see federation.go).
+// federated broker regions served under /federation/*.
+//
+// The server itself is internal/daemon; this command is its flags.
 package main
 
 import (
@@ -54,120 +56,109 @@ import (
 	"syscall"
 	"time"
 
-	"brokerset/internal/coverage"
+	"brokerset/internal/daemon"
 	"brokerset/internal/topology"
 )
 
-// coverageConnectivity adapts the coverage call for the server (kept here
-// so server.go stays free of one-off helpers).
-func coverageConnectivity(top *topology.Topology, brokers []int32) float64 {
-	return coverage.SaturatedConnectivity(top.Graph, brokers)
+// options is everything the command line sets: where to listen and what to
+// load, and the daemon.Config the remaining flags fill field for field.
+type options struct {
+	addr, topoFile string
+	scale          float64
+	drain          time.Duration
+	econ           bool
+	econCfg        daemon.EconConfig
+	cfg            daemon.Config
+}
+
+func defineFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	c := &o.cfg
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.topoFile, "topo", "", "topology file (empty: generate)")
+	fs.Float64Var(&o.scale, "scale", 0.1, "generated topology scale")
+	fs.Int64Var(&c.Seed, "seed", 1, "generator seed")
+	fs.IntVar(&c.K, "k", 100, "broker budget (0 = complete alliance)")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown deadline")
+
+	fs.DurationVar(&c.LeaseTTL, "lease-ttl", 0, "committed-session heartbeat lease TTL (0 = sessions never expire)")
+	fs.DurationVar(&c.LeaseSweep, "lease-sweep", 0, "lease expiry sweep interval (default lease-ttl/4)")
+	fs.IntVar(&c.SetupQueue, "setup-queue", 1024, "group-commit queue high-water mark; new setups shed (429) above it (0 = never shed)")
+
+	fs.DurationVar(&c.Churn, "churn", 0, "background churn interval (0 = off)")
+	fs.Int64Var(&c.ChurnSeed, "churn-seed", 42, "churn generator seed")
+	fs.Float64Var(&c.HealTarget, "heal-target", 0, "connectivity the healer restores (0 = initial coalition's)")
+	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+
+	fs.BoolVar(&o.econ, "econ", false, "enable the economics plane (pricing, priced admission, settlement)")
+	fs.DurationVar(&o.econCfg.Every, "econ-every", 250*time.Millisecond, "market controller sampling period")
+	fs.IntVar(&o.econCfg.WindowTicks, "econ-window", 40, "settlement window length in controller ticks")
+	fs.Int64Var(&o.econCfg.Seed, "econ-seed", 1, "settlement Monte-Carlo seed")
+	fs.Float64Var(&o.econCfg.Threshold, "econ-threshold", 0.7, "utilization above which congestion pricing engages")
+
+	fs.DurationVar(&c.SLO.QueryP99, "slo-query-p99", 0, "enable the SLO plane with this query-latency objective (0 = off); see GET /slo")
+	fs.Float64Var(&c.SLO.CrossingMs, "slo-crossing-ms", 50, "per-region stitched-segment latency budget in ms (with -regions)")
+	fs.DurationVar(&c.SLO.Window, "slo-window", time.Hour, "burn-rate base window (the fast pair's long window; scale down for smoke tests)")
+	fs.DurationVar(&c.SLO.Every, "slo-every", 0, "SLO evaluation tick (default slo-window/48, floored at 50ms)")
+	fs.StringVar(&c.SLO.DumpPath, "slo-dump", "", "dump the flight recorder to this file when a burn-rate alert fires")
+
+	fs.IntVar(&c.Regions, "regions", 0, "serve an in-process federation of N broker regions under /federation/* (0 = off)")
+	fs.Float64Var(&c.CrossingCost, "crossing-cost", 2.0, "federation IXP crossing cost (ms)")
+	return o
 }
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		topoFile = flag.String("topo", "", "topology file (empty: generate)")
-		scale    = flag.Float64("scale", 0.1, "generated topology scale")
-		seed     = flag.Int64("seed", 1, "generator seed")
-		k        = flag.Int("k", 100, "broker budget (0 = complete alliance)")
-		drain    = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline")
-
-		leaseTTL   = flag.Duration("lease-ttl", 0, "committed-session heartbeat lease TTL (0 = sessions never expire)")
-		leaseSweep = flag.Duration("lease-sweep", 0, "lease expiry sweep interval (default lease-ttl/4)")
-		setupQueue = flag.Int("setup-queue", 1024, "group-commit queue high-water mark; new setups shed (429) above it (0 = never shed)")
-
-		churnEvery = flag.Duration("churn", 0, "background churn interval (0 = off)")
-		churnSeed  = flag.Int64("churn-seed", 42, "churn generator seed")
-		healTarget = flag.Float64("heal-target", 0, "connectivity the healer restores (0 = initial coalition's)")
-		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-
-		econOn        = flag.Bool("econ", false, "enable the economics plane (pricing, priced admission, settlement)")
-		econEvery     = flag.Duration("econ-every", 250*time.Millisecond, "market controller sampling period")
-		econWindow    = flag.Int("econ-window", 40, "settlement window length in controller ticks")
-		econSeed      = flag.Int64("econ-seed", 1, "settlement Monte-Carlo seed")
-		econThreshold = flag.Float64("econ-threshold", 0.7, "utilization above which congestion pricing engages")
-
-		sloP99      = flag.Duration("slo-query-p99", 0, "enable the SLO plane with this query-latency objective (0 = off); see GET /slo")
-		sloCrossing = flag.Float64("slo-crossing-ms", 50, "per-region stitched-segment latency budget in ms (with -regions)")
-		sloWindow   = flag.Duration("slo-window", time.Hour, "burn-rate base window (the fast pair's long window; scale down for smoke tests)")
-		sloEvery    = flag.Duration("slo-every", 0, "SLO evaluation tick (default slo-window/48, floored at 50ms)")
-		sloDump     = flag.String("slo-dump", "", "dump the flight recorder to this file when a burn-rate alert fires")
-
-		regions  = flag.Int("regions", 0, "serve an in-process federation of N broker regions under /federation/* (0 = off)")
-		region   = flag.Int("region", -1, "reserved: this brokerd's region id in a multi-process federation")
-		peers    = flag.String("peers", "", "reserved: comma-separated peer brokerd URLs for a multi-process federation")
-		crossing = flag.Float64("crossing-cost", 2.0, "federation IXP crossing cost (ms)")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if *region >= 0 || *peers != "" {
-		fmt.Fprintln(os.Stderr, "brokerd: -region/-peers (multi-process federation) is future work; use -regions N for the in-process fleet")
-		os.Exit(1)
+	if o.econ {
+		o.cfg.Econ = &o.econCfg
 	}
-
-	var (
-		top *topology.Topology
-		err error
-	)
-	if *topoFile != "" {
-		f, ferr := os.Open(*topoFile)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "brokerd:", ferr)
-			os.Exit(1)
-		}
-		top, err = topology.Load(f)
-		f.Close()
-	} else {
-		top, err = topology.GenerateInternet(topology.InternetConfig{Scale: *scale, Seed: *seed})
-	}
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "brokerd:", err)
 		os.Exit(1)
 	}
+}
 
-	srv, err := newServer(top, *k, *healTarget, *churnSeed)
+func loadTopology(o *options) (*topology.Topology, error) {
+	if o.topoFile == "" {
+		return topology.GenerateInternet(topology.InternetConfig{Scale: o.scale, Seed: o.cfg.Seed})
+	}
+	f, err := os.Open(o.topoFile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "brokerd:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	srv.commit.highWater = *setupQueue
-	if *leaseTTL > 0 {
-		srv.enableSessionLeases(*leaseTTL)
-		fmt.Printf("brokerd: session leases on (ttl %v): heartbeat via POST /sessions/{id}/renew\n", *leaseTTL)
+	defer f.Close()
+	return topology.Load(f)
+}
+
+func run(o *options) error {
+	top, err := loadTopology(o)
+	if err != nil {
+		return err
 	}
-	if *regions > 0 {
-		if err := srv.enableFederation(*regions, *k, *crossing, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "brokerd:", err)
-			os.Exit(1)
-		}
+	cfg := o.cfg
+	d, err := daemon.New(top, cfg)
+	if err != nil {
+		return err
+	}
+	if cfg.LeaseTTL > 0 {
+		fmt.Printf("brokerd: session leases on (ttl %v): heartbeat via POST /sessions/{id}/renew\n", cfg.LeaseTTL)
+	}
+	if cfg.Regions > 0 {
 		fmt.Printf("brokerd: federation of %d regions (%s), crossing cost %.1fms\n",
-			*regions, srv.fedBanner(), *crossing)
+			cfg.Regions, d.FederationSummary(), cfg.CrossingCost)
 	}
-	if *econOn {
-		if err := srv.enableEcon(econConfig{
-			Every: *econEvery, WindowTicks: *econWindow,
-			Seed: *econSeed, Threshold: *econThreshold,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "brokerd:", err)
-			os.Exit(1)
-		}
+	if e := cfg.Econ; e != nil {
 		fmt.Printf("brokerd: economics plane live (reprice every %v, settle every %d ticks, seed %d)\n",
-			*econEvery, *econWindow, *econSeed)
+			e.Every, e.WindowTicks, e.Seed)
 	}
-	if *sloP99 > 0 {
-		// After enableFederation: the per-region crossing objectives only
-		// exist for regions booted by then.
-		srv.enableSLO(sloConfig{
-			QueryP99: *sloP99, CrossingMs: *sloCrossing,
-			Window: *sloWindow, DumpPath: *sloDump,
-		})
-		fmt.Printf("brokerd: slo plane on (query p99 < %v, base window %v): GET /slo\n", *sloP99, *sloWindow)
+	if cfg.SLO.QueryP99 > 0 {
+		fmt.Printf("brokerd: slo plane on (query p99 < %v, base window %v): GET /slo\n", cfg.SLO.QueryP99, cfg.SLO.Window)
 	}
-	snap := srv.pub.Current()
+	snap := d.Snapshot()
 	fmt.Printf("brokerd: %d nodes, %d brokers, %.2f%% connectivity, listening on %s\n",
-		top.NumNodes(), snap.NumBrokers(), 100*snap.Connectivity(), *addr)
-
-	if *pprofOn {
+		top.NumNodes(), snap.NumBrokers(), 100*snap.Connectivity(), o.addr)
+	if cfg.Pprof {
 		// Mutex/block profiling are off until a sampling rate is set; the
 		// contention recipe in EXPERIMENTS.md relies on these endpoints
 		// being populated whenever the profiler is exposed at all.
@@ -175,63 +166,34 @@ func main() {
 		runtime.SetBlockProfileRate(100_000) // one sample per 100µs blocked
 		fmt.Println("brokerd: pprof profiling exposed under /debug/pprof/")
 	}
+	if cfg.Churn > 0 {
+		fmt.Printf("brokerd: background churn every %v (seed %d)\n", cfg.Churn, cfg.ChurnSeed)
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.handler(*pprofOn),
+		Addr:              o.addr,
+		Handler:           d.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		WriteTimeout:      30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	// Graceful shutdown: SIGINT/SIGTERM stop accepting connections and
-	// drain in-flight requests for up to -drain before exiting.
+	// Graceful shutdown: SIGINT/SIGTERM stop the daemon's loops, stop
+	// accepting connections and drain in-flight requests for up to -drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *churnEvery > 0 {
-		fmt.Printf("brokerd: background churn every %v (seed %d)\n", *churnEvery, *churnSeed)
-		go srv.runChurnLoop(ctx, *churnEvery)
-	}
-	if *leaseTTL > 0 {
-		sweep := *leaseSweep
-		if sweep <= 0 {
-			sweep = *leaseTTL / 4
-		}
-		go srv.runLeaseSweeper(ctx, sweep)
-	}
-	if srv.fed != nil {
-		go srv.runFederationLoop(ctx, 100*time.Millisecond)
-	}
-	if *econOn {
-		go srv.runEconLoop(ctx)
-	}
-	if srv.slo != nil {
-		every := *sloEvery
-		if every <= 0 {
-			// Comfortably finer than the shortest evaluation window
-			// (slo-window/12) so windowed deltas resolve at useful
-			// granularity even on smoke-test-scale windows.
-			every = *sloWindow / 48
-			if every < 50*time.Millisecond {
-				every = 50 * time.Millisecond
-			}
-		}
-		go srv.runSLOLoop(ctx, every)
-	}
 	done := make(chan error, 1)
 	go func() {
-		<-ctx.Done()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
+		d.Run(ctx)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drain)
 		defer cancel()
 		done <- httpSrv.Shutdown(shutdownCtx)
 	}()
-
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "brokerd:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := <-done; err != nil {
-		fmt.Fprintln(os.Stderr, "brokerd: shutdown:", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
 	fmt.Println("brokerd: drained, bye")
+	return nil
 }

@@ -10,155 +10,54 @@ import (
 	"sync/atomic"
 	"time"
 
-	"brokerset/internal/broker"
-	"brokerset/internal/ctrlplane"
+	"brokerset/internal/daemon"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
 	"brokerset/internal/workload"
 )
 
-// lifecycleStack is the in-process session-lifecycle scenario: workers set
-// up committed sessions under wall-clock leases and keep them alive by
-// heartbeat, an -abandon fraction silently stops renewing (a client that
-// crashed, lost connectivity, or just left), and a sweeper goroutine
-// presumed-releases whatever lapses — the same renew/sweep discipline
-// brokerd runs. The end-of-run assert is the point of the scenario: with
-// no teardown ever arriving for abandoned sessions, reserved capacity must
-// still return to baseline within 2x the lease TTL, or the plane leaks.
-type lifecycleStack struct {
-	top     *topology.Topology
-	metrics *routing.Metrics
-	engine  *routing.Engine
-	plane   *ctrlplane.Plane
-	ttl     time.Duration
-
-	// mu plays brokerd's writeMu: every control-plane mutation (setup,
-	// teardown, renew, sweep) serializes here, so a renewal and the expiry
-	// sweeper can never interleave on the same lease.
-	mu   sync.Mutex
-	live map[int]*ctrlplane.Session // committed sessions, for CheckInvariants
-
-	setups    atomic.Uint64
-	abandoned atomic.Uint64
-	torndown  atomic.Uint64
-	setupErrs atomic.Uint64
-}
-
-func newLifecycleStack(top *topology.Topology, k int, ttl time.Duration) (*lifecycleStack, error) {
-	brokers, err := broker.MaxSG(top.Graph, k)
-	if err != nil {
-		return nil, err
-	}
-	metrics := routing.DefaultMetrics(top, nil)
-	engine := routing.NewEngine(top, metrics, brokers)
-	plane := ctrlplane.New(top, metrics, brokers)
-	plane.SetRetryConfig(ctrlplane.RetryConfig{SessionTTL: ttl.Nanoseconds()})
-	plane.SetLeaseClock(func() int64 { return time.Now().UnixNano() })
-	return &lifecycleStack{top: top, metrics: metrics, engine: engine, plane: plane, ttl: ttl,
-		live: make(map[int]*ctrlplane.Session)}, nil
-}
-
-// setup commits one session through the group-commit path.
-func (l *lifecycleStack) setup(ctx context.Context, src, dst int32, bw float64) (*ctrlplane.Session, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	path, err := l.engine.BestPath(int(src), int(dst), routing.Options{})
-	if err != nil {
-		return nil, err
-	}
-	r := l.plane.CommitBatch(ctx, []ctrlplane.BatchOp{
-		{Kind: ctrlplane.BatchSetup, Path: path.Nodes, Bandwidth: bw},
-	})[0]
-	if r.Err == nil && r.Session != nil {
-		l.live[r.Session.ID] = r.Session
-	}
-	return r.Session, r.Err
-}
-
-func (l *lifecycleStack) teardown(ctx context.Context, s *ctrlplane.Session) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.plane.CommitBatch(ctx, []ctrlplane.BatchOp{
-		{Kind: ctrlplane.BatchTeardown, Session: s},
-	})[0].Err
-	if err == nil {
-		delete(l.live, s.ID)
-	}
-	return err
-}
-
-func (l *lifecycleStack) renew(id int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.plane.RenewSession(id)
-}
-
-// sweep runs one expiry pass, presumed-releasing lapsed sessions.
-func (l *lifecycleStack) sweep(ctx context.Context) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	expired := l.plane.ExpiredSessions()
-	if len(expired) == 0 {
-		return
-	}
-	ops := make([]ctrlplane.BatchOp, len(expired))
-	for i, s := range expired {
-		ops[i] = ctrlplane.BatchOp{Kind: ctrlplane.BatchExpire, Session: s}
-	}
-	for _, r := range l.plane.CommitBatch(ctx, ops) {
-		if r.Err == nil && r.Session != nil && r.Session.State == ctrlplane.StateReleased {
-			delete(l.live, r.Session.ID)
-		}
-	}
-}
-
-// reservedGbps sums the committed bandwidth footprint over every arc —
-// the quantity that must return to baseline once abandoned leases lapse.
-// Serializes on mu: the recovery poll reads the ledger while the sweeper
-// is still releasing lapsed sessions.
-func (l *lifecycleStack) reservedGbps() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// reservedGbps sums the bandwidth a snapshot's view holds reserved over
+// every arc, as the shortfall of what is available against boot (when
+// nothing was) — the quantity that must return to baseline once abandoned
+// leases lapse.
+func reservedGbps(top *topology.Topology, boot, now *routing.View) float64 {
 	var sum float64
-	l.top.Graph.Edges(func(u, v int) bool {
-		sum += l.metrics.Capacity(int32(u), int32(v)) - l.metrics.Available(int32(u), int32(v))
-		sum += l.metrics.Capacity(int32(v), int32(u)) - l.metrics.Available(int32(v), int32(u))
+	top.Graph.Edges(func(u, v int) bool {
+		a, b := int32(u), int32(v)
+		sum += boot.Available(a, b) - now.Available(a, b)
+		sum += boot.Available(b, a) - now.Available(b, a)
 		return true
 	})
 	return sum
 }
 
-// runLifecycle drives the scenario: conc closed-loop workers cycle
-// setup -> heartbeat hold -> (abandon | teardown) for dur while a sweeper
-// ticks at ttl/4; then everything stops cold and the run passes only if
-// reserved capacity is back at baseline within 2x TTL.
+// runLifecycle drives the in-process session-lifecycle scenario against a
+// daemon booted with wall-clock leases: conc closed-loop workers cycle
+// setup -> heartbeat hold -> (abandon | teardown) for dur — an abandonFrac
+// of them silently stop renewing (a client that crashed, lost connectivity,
+// or just left) — while the daemon's own sweeper presumed-releases whatever
+// lapses. Then everything stops cold, and the end-of-run assert is the
+// point of the scenario: with no teardown ever arriving for abandoned
+// sessions, reserved capacity must still return to baseline within 2x the
+// lease TTL, or the plane leaks.
 func runLifecycle(top *topology.Topology, k, conc int, dur, ttl time.Duration, abandonFrac float64, seed int64, out io.Writer) error {
-	lc, err := newLifecycleStack(top, k, ttl)
+	d, err := daemon.New(top, daemon.Config{K: k, LeaseTTL: ttl})
 	if err != nil {
 		return err
 	}
-	baseline := lc.reservedGbps()
+	boot := d.Snapshot().View()
+	reserved := func() float64 { return reservedGbps(top, boot, d.Snapshot().View()) }
+	const baseline = 0.0 // reserved is measured against boot
 	fmt.Fprintf(out, "loadgen: lifecycle scenario, %d nodes, %d workers, ttl %v, abandon %.0f%% (baseline %.3f Gbps reserved)\n",
 		top.NumNodes(), conc, ttl, 100*abandonFrac, baseline)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var sweeps sync.WaitGroup
-	sweeps.Add(1)
-	go func() { // the expiry sweeper: brokerd's runLeaseSweeper, in-process
-		defer sweeps.Done()
-		tick := time.NewTicker(ttl / 4)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				sctx, scancel := context.WithTimeout(context.Background(), time.Second)
-				lc.sweep(sctx)
-				scancel()
-			}
-		}
+	swept := make(chan struct{})
+	go func() { // the expiry sweeper, at the daemon's default ttl/4
+		defer close(swept)
+		d.Run(ctx)
 	}()
+	var setups, abandoned, torndown, setupErrs atomic.Uint64
 
 	deadline := time.Now().Add(dur)
 	var workers sync.WaitGroup
@@ -174,31 +73,31 @@ func runLifecycle(top *topology.Topology, k, conc int, dur, ttl time.Duration, a
 			for time.Now().Before(deadline) {
 				src, dst := gen.Pair()
 				octx, ocancel := context.WithTimeout(context.Background(), time.Second)
-				sess, err := lc.setup(octx, src, dst, 0.01)
+				sess, err := d.Setup(octx, int(src), int(dst), 0.01)
 				ocancel()
 				if err != nil {
-					lc.setupErrs.Add(1)
+					setupErrs.Add(1)
 					time.Sleep(ttl / 8)
 					continue
 				}
-				lc.setups.Add(1)
+				setups.Add(1)
 				if rng.Float64() < abandonFrac {
 					// Abandon: walk away mid-lease. No teardown will ever
 					// arrive; only lease expiry can reclaim this capacity.
-					lc.abandoned.Add(1)
+					abandoned.Add(1)
 					continue
 				}
 				// Hold across a few renewal periods, heartbeating at ttl/3
 				// like brokerd clients, then tear down cleanly.
 				for i, n := 0, 1+rng.Intn(3); i < n && time.Now().Before(deadline); i++ {
 					time.Sleep(ttl / 3)
-					lc.renew(sess.ID)
+					d.Renew(sess.ID)
 				}
 				octx, ocancel = context.WithTimeout(context.Background(), time.Second)
-				terr := lc.teardown(octx, sess)
+				terr := d.Teardown(octx, sess.ID)
 				ocancel()
 				if terr == nil {
-					lc.torndown.Add(1)
+					torndown.Add(1)
 				}
 			}
 		}(w)
@@ -210,33 +109,27 @@ func runLifecycle(top *topology.Topology, k, conc int, dur, ttl time.Duration, a
 	recovered, waited := false, time.Duration(0)
 	const poll = 10 * time.Millisecond
 	for ; waited <= 2*ttl; waited += poll {
-		if math.Abs(lc.reservedGbps()-baseline) < 1e-6 {
+		if math.Abs(reserved()-baseline) < 1e-6 {
 			recovered = true
 			break
 		}
 		time.Sleep(poll)
 	}
 	cancel()
-	sweeps.Wait()
+	<-swept
 
-	st := lc.plane.Stats()
+	st := d.PlaneStats()
 	fmt.Fprintf(out, "lifecycle: %d setups (%d abandoned, %d torn down, %d refused), %d renewals, %d lease expiries\n",
-		lc.setups.Load(), lc.abandoned.Load(), lc.torndown.Load(), lc.setupErrs.Load(),
+		setups.Load(), abandoned.Load(), torndown.Load(), setupErrs.Load(),
 		st.LeaseRenewals, st.SessionExpiries)
-	final := lc.reservedGbps()
+	final := reserved()
 	if !recovered {
 		return fmt.Errorf("lifecycle: reserved capacity did not return to baseline within 2x TTL: %.3f Gbps still reserved after %v (baseline %.3f)",
 			final, waited, baseline)
 	}
 	fmt.Fprintf(out, "lifecycle: reserved capacity back at baseline (%.3f Gbps) after %v (limit %v)\n",
 		final, waited, 2*ttl)
-	lc.mu.Lock()
-	committed := make([]*ctrlplane.Session, 0, len(lc.live))
-	for _, s := range lc.live {
-		committed = append(committed, s)
-	}
-	lc.mu.Unlock()
-	if err := lc.plane.CheckInvariants(committed); err != nil {
+	if err := d.CheckInvariants(); err != nil {
 		return fmt.Errorf("lifecycle: invariants violated after run: %w", err)
 	}
 	return nil

@@ -9,15 +9,20 @@
 //	brokerd -scale 0.1 -k 100 -addr :8080 &
 //	loadgen -addr http://localhost:8080 -c 32 -d 10s
 //
-// In-process (no HTTP; measures the query plane itself):
+// In-process (no HTTP; boots the same internal/daemon brokerd serves and
+// queries its query plane directly):
 //
 //	loadgen -scale 0.1 -k 100 -c 32 -d 10s
 //
 // In-process with topology churn interleaved (measures availability under
-// self-healing: a churn burst is applied and healed every -churn-every,
-// while the workers keep querying):
+// self-healing: every -churn-every the daemon applies and heals a generated
+// burst, as POST /churn would, while the workers keep querying):
 //
 //	loadgen -scale 0.1 -k 100 -c 32 -d 10s -churn-every 500ms -churn-events 4
+//
+// The -abandon lifecycle scenario boots a daemon too; -regions and -econ are
+// scenario harnesses over federation.Fabric and internal/market (fault-injected
+// peer bus, forced region crash, spec-driven price trajectory), not daemons.
 //
 // In-process economics scenario (the market controller is forced through
 // the scenario's demand trace while the workers bid for admission; the
@@ -37,9 +42,8 @@ import (
 	"strings"
 	"time"
 
-	"brokerset/internal/broker"
+	"brokerset/internal/daemon"
 	"brokerset/internal/obs"
-	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
 	"brokerset/internal/workload"
@@ -111,11 +115,11 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		return nil, fmt.Errorf("-slo-p99 is federation-mode only (set -regions)")
 	}
 	var (
-		target workload.Target
-		top    *topology.Topology
-		stack  *churnStack
-		fed    *fedStack
-		econ   *econStack
+		target  workload.Target
+		top     *topology.Topology
+		churned *daemon.Daemon // the daemon -churn-every bursts run against
+		fed     *fedStack
+		econ    *econStack
 		// slowTracer, when set, lets the -slow-k report break each slow
 		// trace down into per-plane span durations.
 		slowTracer *obs.Tracer
@@ -194,25 +198,11 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		brokers, err := broker.MaxSG(top.Graph, *k)
+		d, err := daemon.New(top, daemon.Config{K: *k, ChurnSeed: *churnSeed})
 		if err != nil {
 			return nil, err
 		}
-		metrics := routing.DefaultMetrics(top, nil)
-		engine := routing.NewEngine(top, metrics, brokers)
-		qp, err := queryplane.New(queryplane.Config{
-			Compute: func(_ context.Context, src, dst int, o routing.Options) (*routing.Path, error) {
-				if stack != nil {
-					stack.mu.RLock()
-					defer stack.mu.RUnlock()
-				}
-				return engine.BestPath(src, dst, o)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		pt := &workload.PlaneTarget{Plane: qp, Opts: opts}
+		pt := &workload.PlaneTarget{Plane: d.QueryPlane(), Opts: opts}
 		if *slowK > 0 {
 			// Trace the in-process queries so the slowest-request table can
 			// name traces and break them into per-plane durations.
@@ -222,17 +212,20 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		target = pt
 
 		if *churnEvery > 0 {
-			stack, err = newChurnStack(top, metrics, engine, brokers, qp, *churnSeed)
-			if err != nil {
-				return nil, err
-			}
+			churned = d
 			cfg.ChurnEvery = *churnEvery
-			cfg.Churn = func() (time.Duration, error) { return stack.burst(*churnEvents) }
+			cfg.Churn = func() (time.Duration, error) {
+				res, err := d.Churn(context.Background(), nil, *churnEvents, true)
+				if err != nil {
+					return 0, err
+				}
+				return res.Heal.Duration, nil
+			}
 			fmt.Fprintf(out, "loadgen: churn every %v, %d events/burst (seed %d)\n",
 				*churnEvery, *churnEvents, *churnSeed)
 		}
 		fmt.Fprintf(out, "loadgen: in-process, %d nodes, %d brokers, %d workers (zipf %.2f)\n",
-			top.NumNodes(), len(brokers), cfg.Concurrency, *zipf)
+			top.NumNodes(), d.Snapshot().NumBrokers(), cfg.Concurrency, *zipf)
 	}
 
 	newGen := func(w int) (*workload.PairGen, error) {
@@ -291,8 +284,8 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 
 	// Churn mode: show what the healing traffic cost the control plane —
 	// 2PC retries, breaker activity, and WAL recoveries.
-	if stack != nil {
-		st := stack.plane.Stats()
+	if churned != nil {
+		st := churned.PlaneStats()
 		fmt.Fprintf(out, "ctrl:     %d msgs, %d commits, %d aborts, %d repaths, %d retries, %d timeouts, %d breaker trips, %d recoveries\n",
 			st.Messages, st.Commits, st.Aborts, st.Repaths, st.Retries, st.Timeouts, st.BreakerTrips, st.Recoveries)
 	}

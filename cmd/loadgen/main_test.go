@@ -56,6 +56,10 @@ func TestRunWithChurn(t *testing.T) {
 	if rep.RepairP95 < rep.RepairP50 {
 		t.Fatalf("repair p95 %v < p50 %v", rep.RepairP95, rep.RepairP50)
 	}
+	// The control-plane line reads the daemon the bursts ran against.
+	if !strings.Contains(out.String(), "ctrl:") {
+		t.Fatalf("missing ctrl: line in output:\n%s", out.String())
+	}
 }
 
 // TestRunSlowK checks -slow-k: the report ranks the K slowest requests

@@ -29,11 +29,6 @@ type HealerConfig struct {
 	Target float64
 	// Opts constrains re-path computations (typically the zero Options).
 	Opts routing.Options
-	// BrokersChanged, when non-nil, is called with the new coalition after
-	// every membership change so co-located engines can follow (brokerd's
-	// query-plane engine shares metrics but not membership with the
-	// control plane).
-	BrokersChanged func(brokers []int32)
 	// Epoch, when non-nil, returns the current topology epoch. The session
 	// sweep then skips sessions already verified at that epoch and stamps
 	// the ones it clears, so repeated heals within one epoch don't re-walk
@@ -193,8 +188,7 @@ func (m *HealerMetrics) Snapshot() MetricsSnapshot {
 //  1. Re-select the coalition on the live graph with MaintainAvoiding
 //     (failed brokers and departed nodes barred), keeping survivors and
 //     greedily adding replacements until the connectivity target holds.
-//  2. Push the new membership into the control plane (ledger migration)
-//     and any co-located engines.
+//  2. Push the new membership into the control plane (ledger migration).
 //  3. Sweep the session store: every damaged session is re-pathed through
 //     2PC, or cleanly aborted (and dropped from the store) when no
 //     dominated path survives.
@@ -326,9 +320,6 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	rep.BrokersAdded, rep.BrokersRemoved = added, removed
 	h.Metrics.BrokerAdds.Add(uint64(len(added)))
 	h.Metrics.BrokerRemoves.Add(uint64(len(removed)))
-	if h.cfg.BrokersChanged != nil && (len(added) > 0 || len(removed) > 0) {
-		h.cfg.BrokersChanged(res.Brokers)
-	}
 	rep.Connectivity = res.Connectivity
 	if rep.Connectivity >= h.cfg.Target {
 		rep.TargetMet = true

@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"context"
@@ -16,13 +16,13 @@ import (
 )
 
 // benchServer builds a serving-sized server for contention benchmarks.
-func benchServer(b *testing.B) *server {
+func benchServer(b *testing.B) *Daemon {
 	b.Helper()
 	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.05, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := newServer(top, 50, 0, 42)
+	srv, err := New(top, Config{K: 50, ChurnSeed: 42, SetupQueue: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func benchServer(b *testing.B) *server {
 
 // benchPairs samples broker-to-broker query pairs (MaxSG keeps the set
 // connected, so a dominated path exists while the topology is healthy).
-func benchPairs(srv *server, n int) [][2]int {
+func benchPairs(srv *Daemon, n int) [][2]int {
 	brokers := srv.currentBrokers()
 	rng := rand.New(rand.NewSource(7))
 	pairs := make([][2]int, 0, n)
@@ -46,7 +46,7 @@ func benchPairs(srv *server, n int) [][2]int {
 }
 
 // benchLinks samples distinct links for the churn storm to flap.
-func benchLinks(srv *server, n int) [][2]int32 {
+func benchLinks(srv *Daemon, n int) [][2]int32 {
 	var links [][2]int32
 	srv.top.Graph.Edges(func(u, v int) bool {
 		links = append(links, [2]int32{int32(u), int32(v)})
@@ -109,11 +109,11 @@ func BenchmarkQueryUnderChurn(b *testing.B) {
 			default:
 			}
 			p := pairs[rng.Intn(len(pairs))]
-			sess, err := srv.setup(ctx, sessionRequest{Src: p[0], Dst: p[1], Gbps: 0.01})
+			sess, err := srv.Setup(ctx, p[0], p[1], 0.01)
 			if err != nil {
 				continue // capacity or churn-induced abort: fine
 			}
-			_ = srv.teardown(ctx, sess)
+			_ = srv.Teardown(ctx, sess.ID)
 		}
 	}()
 
@@ -145,11 +145,11 @@ func BenchmarkSetupTeardown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
-		sess, err := srv.setup(ctx, sessionRequest{Src: p[0], Dst: p[1], Gbps: 0.01})
+		sess, err := srv.Setup(ctx, p[0], p[1], 0.01)
 		if err != nil {
 			b.Fatalf("setup %d->%d: %v", p[0], p[1], err)
 		}
-		if err := srv.teardown(ctx, sess); err != nil {
+		if err := srv.Teardown(ctx, sess.ID); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,11 +176,11 @@ func BenchmarkSetupThroughput(b *testing.B) {
 		rng := rand.New(rand.NewSource(7 + seed.Add(1)))
 		for pb.Next() {
 			p := pairs[rng.Intn(len(pairs))]
-			sess, err := srv.setup(ctx, sessionRequest{Src: p[0], Dst: p[1], Gbps: 0.001})
+			sess, err := srv.Setup(ctx, p[0], p[1], 0.001)
 			if err != nil {
 				continue // transient capacity exhaustion under 64 setters: fine
 			}
-			if err := srv.teardown(ctx, sess); err != nil {
+			if err := srv.Teardown(ctx, sess.ID); err != nil {
 				b.Error(err)
 				return
 			}

@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"bytes"
@@ -130,7 +130,7 @@ func TestChurnSelfHealingUnderLoad(t *testing.T) {
 		t.Fatalf("warm query status %d", code)
 	}
 
-	var cres churnResponse
+	var cres ChurnResult
 	if code := postJSON(t, ts.URL+"/churn", churnRequest{Events: events}, &cres); code != http.StatusOK {
 		t.Fatalf("churn status %d", code)
 	}
@@ -294,7 +294,7 @@ func TestChurnEndpointValidation(t *testing.T) {
 		Events: []churn.Event{{Type: churn.BrokerFail, Node: brokers[0].ID}},
 		Heal:   &noHeal,
 	}
-	var cres churnResponse
+	var cres ChurnResult
 	if code := postJSON(t, ts.URL+"/churn", req, &cres); code != http.StatusOK {
 		t.Fatalf("heal:false churn status %d", code)
 	}
@@ -302,7 +302,7 @@ func TestChurnEndpointValidation(t *testing.T) {
 		t.Fatalf("heal report despite heal:false: %+v", cres.Heal)
 	}
 	// Generated churn through the seeded generator, healed.
-	var gres churnResponse
+	var gres ChurnResult
 	if code := postJSON(t, ts.URL+"/churn", map[string]int{"generate": 5}, &gres); code != http.StatusOK {
 		t.Fatalf("generate churn status %d", code)
 	}
@@ -314,13 +314,12 @@ func TestChurnEndpointValidation(t *testing.T) {
 
 // The -churn background loop draws, applies, and heals on its own timer.
 func TestBackgroundChurnLoop(t *testing.T) {
-	srv, ts := testServer(t)
-	_ = ts
+	srv, ts := testServerWith(t, 0.01, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024, Churn: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.runChurnLoop(ctx, 5*time.Millisecond)
+		srv.Run(ctx)
 	}()
 	deadline := time.After(5 * time.Second)
 	for srv.healer.Metrics.HealPasses.Load() == 0 {

@@ -1,10 +1,9 @@
-package main
+package daemon
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -29,22 +28,23 @@ import (
 // load — are always accepted, and lease renewals bypass the queue
 // entirely. Shrink-before-refuse: a saturated plane keeps draining.
 type committer struct {
-	s *server
+	s *Daemon
 
 	mu    sync.Mutex
 	queue []*pendingOp
 
 	// highWater is the queue depth above which new setups are shed
-	// (0 disables shedding); retryAfter is the advisory backoff clients
-	// get with the 429.
-	highWater  int
-	retryAfter time.Duration
+	// (0 disables shedding).
+	highWater int
 
 	shed atomic.Uint64
 }
 
-// errSetupShed is returned to setup submitters refused in degraded mode.
+// errSetupShed is returned to setup submitters refused in degraded mode;
+// setupRetryAfter is the advisory backoff clients get with the 429.
 var errSetupShed = errors.New("brokerd: setup queue over high-water mark, retry later")
+
+const setupRetryAfter = time.Second
 
 // pendingOp is one queued lifecycle request plus its reply slot.
 type pendingOp struct {
@@ -66,10 +66,6 @@ type pendingOp struct {
 	sess *ctrlplane.Session
 	err  error
 	done chan struct{}
-}
-
-func newCommitter(s *server) *committer {
-	return &committer{s: s, highWater: 1024, retryAfter: time.Second}
 }
 
 // submit enqueues op and drives the group-commit protocol until op has a
@@ -133,8 +129,7 @@ func (c *committer) submit(ctx context.Context, op *pendingOp) error {
 // the pinned snapshot had no path at all) fall back to a live-state serial
 // setup, and the post-commit damage check reuses the repair flow — the
 // same two guards the serial path had. Exactly one snapshot is published
-// when anything changed, via the capacity-only WithView fast path (a batch
-// mutates reservations, never the graph or membership).
+// when anything changed.
 func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 	s := c.s
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), opTimeout)
@@ -178,9 +173,7 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 			}
 		}
 	}
-	if s.plane.Version() != before {
-		s.pub.Publish(ctx, s.pub.Current().WithView(s.metrics.View()))
-	}
+	s.publishIfMoved(ctx, before)
 	for _, op := range batch {
 		close(op.done)
 	}
@@ -199,36 +192,12 @@ func (c *committer) registerMetrics(reg *obs.Registry) {
 	})
 }
 
-// enableSessionLeases switches the control plane to wall-clock heartbeat
-// leases with the given TTL: committed sessions must be renewed via
-// POST /sessions/{id}/renew or the sweeper presumed-releases them.
-func (s *server) enableSessionLeases(ttl time.Duration) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.plane.SetRetryConfig(ctrlplane.RetryConfig{SessionTTL: ttl.Nanoseconds()})
-	s.plane.SetLeaseClock(func() int64 { return time.Now().UnixNano() })
-}
-
-// runLeaseSweeper periodically presumed-releases committed sessions whose
-// heartbeats stopped. The expiry flows through the same group-commit path
-// as everything else — CommitBatch re-checks each lease under writeMu, so
-// a renewal racing the sweep keeps its session (no double release).
-func (s *server) runLeaseSweeper(ctx context.Context, interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			s.sweepLeases(ctx)
-		}
-	}
-}
-
-// sweepLeases runs one expiry pass; it returns the number of sessions
-// presumed-released.
-func (s *server) sweepLeases(ctx context.Context) int {
+// sweepLeases runs one expiry pass, presumed-releasing committed sessions
+// whose heartbeats stopped; it returns how many. The expiry flows through
+// the same group-commit path as everything else — CommitBatch re-checks each
+// lease under writeMu, so a renewal racing the sweep keeps its session (no
+// double release).
+func (s *Daemon) sweepLeases(ctx context.Context) int {
 	ctx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
 	s.writeMu.Lock()
@@ -249,33 +218,6 @@ func (s *server) sweepLeases(ctx context.Context) int {
 			n++
 		}
 	}
-	if s.plane.Version() != before {
-		s.pub.Publish(ctx, s.pub.Current().WithView(s.metrics.View()))
-	}
+	s.publishIfMoved(ctx, before)
 	return n
-}
-
-// handleSessionRenew serves POST /sessions/{id}/renew — the heartbeat.
-// Renewals never queue and are never shed: in degraded mode keeping live
-// sessions alive (and letting abandoned ones expire) is exactly the work
-// that shrinks the plane back under its high-water mark.
-func (s *server) handleSessionRenew(w http.ResponseWriter, r *http.Request, id int) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	s.writeMu.Lock()
-	ok := s.plane.RenewSession(id)
-	s.writeMu.Unlock()
-	if !ok {
-		// The lease is gone — never granted, torn down, or already swept.
-		// 410: the client must set up a new session, not keep heartbeating.
-		s.refuseSpan(r.Context(), "brokerd.renew_refused", "lease_lapsed")
-		if s.sloSetup != nil {
-			s.sloSetup.Record(false, obs.TraceIDFrom(r.Context()))
-		}
-		writeError(w, http.StatusGone, "session %d holds no lease", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
 }

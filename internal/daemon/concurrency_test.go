@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"bytes"
@@ -14,7 +14,7 @@ import (
 
 // minAvailable returns the bottleneck residual capacity of a node path as
 // the serving side currently sees it: the current epoch snapshot's view.
-func minAvailable(srv *server, nodes []int32) float64 {
+func minAvailable(srv *Daemon, nodes []int32) float64 {
 	view := srv.pub.Current().View()
 	min := -1.0
 	for i := 0; i+1 < len(nodes); i++ {

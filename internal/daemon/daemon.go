@@ -1,0 +1,485 @@
+// Package daemon is the broker service brokerd runs, as a library: New
+// builds a Daemon from a topology and a Config (one field per brokerd flag),
+// Handler is its HTTP face, Run drives its background loops, and the typed
+// methods (Setup, Teardown, Renew, Churn, CheckInvariants, and the read
+// accessors) are the domain half of the handlers, shared with in-process
+// callers such as cmd/loadgen. cmd/brokerd's package comment lists the
+// endpoints.
+package daemon
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"brokerset/internal/broker"
+	"brokerset/internal/churn"
+	"brokerset/internal/coverage"
+	"brokerset/internal/ctrlplane"
+	"brokerset/internal/epoch"
+	"brokerset/internal/obs"
+	"brokerset/internal/queryplane"
+	"brokerset/internal/routing"
+	"brokerset/internal/topology"
+)
+
+// Daemon is the broker service as a value. Path queries go through the
+// concurrent query plane (sharded cache + singleflight + bounded worker
+// pool), QoS session setup/teardown through the control-plane two-phase
+// commit, and an admin churn plane mutates the live topology and self-heals
+// the coalition.
+//
+// Concurrency protocol: readers never lock. Every read path (path queries,
+// /stats connectivity, /brokers, healer selection input) pins the current
+// epoch snapshot from pub and computes against it. All mutations — churn
+// application, healing, and the control plane's 2PC — serialize on writeMu
+// (a plain mutex: there is exactly one logical writer at a time), build
+// the next snapshot copy-on-write, and publish it with one atomic swap
+// before releasing the lock.
+type Daemon struct {
+	cfg     Config
+	top     *topology.Topology
+	metrics *routing.Metrics
+
+	qp       *queryplane.QueryPlane
+	sessions *queryplane.SessionStore
+
+	// pub owns the atomically-published topology snapshot readers pin.
+	pub *epoch.Publisher
+
+	// writeMu serializes every mutation of shared link/broker state (the
+	// metrics arrays, churn down-marks, coalition membership, and the
+	// control plane's ledgers). Readers do not take it — they use pub.
+	writeMu sync.Mutex
+	plane   *ctrlplane.Plane
+
+	// commit coalesces concurrent session lifecycle requests into
+	// group-commit batches (see commit.go): one 2PC round and one snapshot
+	// publish per batch, with degraded-mode setup shedding.
+	commit *committer
+
+	churnState *churn.State
+	applier    *churn.Applier
+	gen        *churn.Generator
+	healer     *churn.Healer
+
+	// fed is the in-process federation fabric (nil unless Regions is
+	// set); see federation.go for the lock protocol and endpoints.
+	fed *fedState
+
+	// econ is the live economics plane (nil unless Econ is set); the
+	// query plane's admission hook and the /econ/* handlers read it with
+	// one atomic load, so the disabled path stays effectively free.
+	econ atomic.Pointer[econState]
+
+	// Unified observability (see initObs): metrics registry, request
+	// tracer, control-plane flight recorder, HTTP front-door instruments.
+	reg      *obs.Registry
+	tracer   *obs.Tracer
+	flight   *obs.FlightRecorder
+	httpReqs *obs.Counter
+	httpHist *obs.Histogram
+
+	// SLO plane (nil unless SLO.QueryP99 is set; see slo.go): the
+	// handlers feed the objectives, Run's SLO loop evaluates burn rates,
+	// and a firing alert dumps the flight recorder to SLO.DumpPath.
+	slo         *obs.SLOEngine
+	sloQuery    *obs.SLOObjective
+	sloSetup    *obs.SLOObjective
+	sloCrossing []*obs.SLOObjective
+}
+
+// Config is brokerd's server-side flags, one field each; the zero value of
+// a field is that flag's "off".
+type Config struct {
+	K          int     // -k: broker budget (0 = complete alliance)
+	Seed       int64   // -seed: region partition seed (with Regions)
+	HealTarget float64 // -heal-target: connectivity the healer restores (0 = the initial coalition's)
+	ChurnSeed  int64   // -churn-seed: churn generator seed
+	SetupQueue int     // -setup-queue: group-commit high-water mark (0 = never shed)
+	Pprof      bool    // -pprof: mount net/http/pprof under /debug/pprof/
+
+	Churn      time.Duration // -churn: background churn interval
+	LeaseTTL   time.Duration // -lease-ttl: heartbeat lease TTL (0 = sessions never expire)
+	LeaseSweep time.Duration // -lease-sweep: expiry sweep interval (default LeaseTTL/4)
+
+	Regions      int     // -regions: in-process federation under /federation/*
+	CrossingCost float64 // -crossing-cost: federation IXP crossing cost (ms)
+
+	Econ *EconConfig // -econ (non-nil) and the -econ-* flags
+	SLO  SLOConfig   // the -slo-* flags; QueryP99 > 0 enables the plane
+}
+
+// New wires a daemon for the topology: it selects cfg.K brokers with MaxSG
+// and builds the control plane, query plane and churn/self-healing plane,
+// then the lease, federation, economics and SLO planes the config asks for,
+// in that order (the per-region crossing objectives exist only for regions
+// booted before the SLO plane).
+func New(top *topology.Topology, cfg Config) (*Daemon, error) {
+	var (
+		brokers []int32
+		err     error
+	)
+	if cfg.K <= 0 {
+		brokers, err = broker.MaxSGComplete(top.Graph)
+	} else {
+		brokers, err = broker.MaxSG(top.Graph, cfg.K)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// One metrics instance backs both the epoch snapshots path queries
+	// read and the control plane's capacity ledgers, so path queries
+	// observe the residual capacity sessions actually reserve.
+	metrics := routing.DefaultMetrics(top, nil)
+	s := &Daemon{
+		cfg:      cfg,
+		top:      top,
+		metrics:  metrics,
+		sessions: queryplane.NewSessionStore(16),
+		plane:    ctrlplane.New(top, metrics, brokers),
+	}
+	s.churnState = churn.NewState(top, metrics)
+	s.applier = churn.NewApplier(s.churnState)
+	s.gen = churn.NewGenerator(s.churnState, func() []int32 { return s.plane.Brokers() }, churn.GenConfig{Seed: cfg.ChurnSeed})
+	s.pub = epoch.NewPublisher(s.churnState.Snapshot(brokers, metrics.View()))
+
+	s.qp, err = queryplane.New(queryplane.Config{
+		// Cache entries are keyed to the epoch they were computed under:
+		// every snapshot publication stales the whole cache.
+		Generation: s.pub.Epoch,
+		// A stale entry whose path still checks out against the current
+		// snapshot is re-stamped instead of recomputed — an O(hops) walk
+		// replaces a full search for every path the churn didn't touch.
+		Revalidate: func(p *routing.Path, opts routing.Options, gen uint64) bool {
+			snap := s.pub.Current()
+			return snap.ID() == gen && snap.PathValid(p, opts)
+		},
+		// The daemon itself is the admission hook: it delegates to the
+		// econ plane when one is enabled, and admits everything (one
+		// atomic nil-check) otherwise.
+		Admission: s,
+		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			// Lock-free: pin the current snapshot and search its frozen
+			// view. A concurrent mutation publishes a successor, which
+			// this computation never observes — the result is a
+			// consistent single-epoch answer either way.
+			return s.pub.Current().BestPath(src, dst, opts)
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	healTarget := cfg.HealTarget
+	if healTarget <= 0 {
+		healTarget = coverage.SaturatedConnectivity(top.Graph, brokers)
+	}
+	if healTarget <= 0 || healTarget > 1 {
+		return nil, fmt.Errorf("brokerd: heal target %f outside (0,1]", healTarget)
+	}
+	// No Invalidator: publishing the post-heal snapshot both carries the
+	// new membership to readers and stales the query-plane cache (its
+	// generation is the epoch).
+	s.healer, err = churn.NewHealer(s.churnState, s.plane, s.sessions, nil, churn.HealerConfig{
+		Target: healTarget,
+		Epoch:  s.pub.Epoch,
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.commit = &committer{s: s, highWater: cfg.SetupQueue}
+	s.initObs()
+
+	if cfg.LeaseTTL > 0 {
+		// Wall-clock heartbeat leases: committed sessions must be renewed
+		// (Renew) or the sweeper presumed-releases them.
+		s.plane.SetRetryConfig(ctrlplane.RetryConfig{SessionTTL: cfg.LeaseTTL.Nanoseconds()})
+		s.plane.SetLeaseClock(func() int64 { return time.Now().UnixNano() })
+	}
+	if cfg.Regions > 0 {
+		if err := s.enableFederation(); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Econ != nil {
+		if err := s.enableEcon(*cfg.Econ); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.SLO.QueryP99 > 0 {
+		s.enableSLO(cfg.SLO)
+	}
+	return s, nil
+}
+
+// every calls fn each interval until ctx is cancelled.
+func every(ctx context.Context, interval time.Duration, fn func()) {
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			fn()
+		}
+	}
+}
+
+// Run drives the background loops the config asks for — churn, lease
+// sweep, federation clock, market controller, SLO evaluation — and returns
+// after ctx is cancelled, once every one of them has stopped.
+func (s *Daemon) Run(ctx context.Context) {
+	var wg sync.WaitGroup
+	loop := func(interval time.Duration, fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			every(ctx, interval, fn)
+		}()
+	}
+	if s.cfg.Churn > 0 {
+		// Each tick draws a Poisson burst from the seeded generator,
+		// applies it, and heals.
+		loop(s.cfg.Churn, func() {
+			s.writeMu.Lock()
+			events := s.gen.Tick()
+			s.writeMu.Unlock()
+			if _, _, err := s.churnAndHeal(ctx, events, true); err != nil {
+				fmt.Printf("brokerd: churn loop: %v\n", err)
+			}
+		})
+	}
+	if ttl := s.cfg.LeaseTTL; ttl > 0 {
+		sweep := s.cfg.LeaseSweep
+		if sweep <= 0 {
+			sweep = ttl / 4
+		}
+		loop(sweep, func() { s.sweepLeases(ctx) })
+	}
+	if s.fed != nil {
+		loop(100*time.Millisecond, func() { s.fedTick(ctx) })
+	}
+	if e := s.econ.Load(); e != nil {
+		loop(e.every, func() { s.econTick(e) })
+	}
+	if s.slo != nil {
+		tick := s.cfg.SLO.Every
+		if tick <= 0 {
+			// Comfortably finer than the shortest evaluation window
+			// (Window/12) so windowed deltas resolve at useful granularity
+			// even on smoke-test-scale windows.
+			tick = max(s.cfg.SLO.Window/48, 50*time.Millisecond)
+		}
+		loop(tick, func() {
+			for _, tr := range s.slo.Tick(time.Now()) {
+				s.onSLOAlert(tr)
+			}
+		})
+	}
+	<-ctx.Done()
+	wg.Wait()
+}
+
+// QueryPlane returns the query plane path queries are served through.
+func (s *Daemon) QueryPlane() *queryplane.QueryPlane { return s.qp }
+
+// Snapshot pins the current epoch snapshot. Lock-free.
+func (s *Daemon) Snapshot() *epoch.Snapshot { return s.pub.Current() }
+
+// PlaneStats copies the control plane's counters under the write mutex
+// that orders its mutations.
+func (s *Daemon) PlaneStats() ctrlplane.Stats {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.plane.Stats()
+}
+
+// CheckInvariants checks the control plane's conservation invariants
+// against the live session table.
+func (s *Daemon) CheckInvariants() error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.plane.CheckInvariants(s.sessions.List())
+}
+
+// publishLocked builds the next snapshot from the current state and
+// publishes it. Callers hold writeMu.
+func (s *Daemon) publishLocked(ctx context.Context) {
+	s.pub.Publish(ctx, s.churnState.Snapshot(s.plane.Brokers(), s.metrics.View()))
+}
+
+// publishIfMoved publishes the successor of a lifecycle round — one that
+// mutated reservations, never the graph or membership, so the capacity-only
+// WithView fast path applies — iff the plane's version moved past before.
+// Callers hold writeMu.
+func (s *Daemon) publishIfMoved(ctx context.Context, before uint64) {
+	if s.plane.Version() != before {
+		s.pub.Publish(ctx, s.pub.Current().WithView(s.metrics.View()))
+	}
+}
+
+// churnAndHeal applies a burst of churn events and runs one heal pass, all
+// under the write mutex. Either half may be empty (nil events = heal
+// only). It backs both Churn and the background churn loop.
+// Publication discipline: the damage snapshot is published as soon as the
+// events land (readers must stop routing over failed links before the
+// heal finishes), and a second snapshot is published after a heal that
+// changed anything.
+func (s *Daemon) churnAndHeal(ctx context.Context, events []churn.Event, heal bool) (churn.BlastRadius, *churn.HealReport, error) {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	blast, err := s.applier.ApplyAll(events)
+	if err != nil {
+		return blast, nil, err
+	}
+	s.healer.Metrics.EventsApplied.Add(uint64(len(events)))
+	// Any applied damage becomes visible (and stales cached paths, via the
+	// epoch generation) even before healing.
+	if blast.Size() > 0 || blast.BrokerPlane {
+		s.publishLocked(ctx)
+	}
+	if !heal {
+		return blast, nil, nil
+	}
+	hctx, cancel := context.WithTimeout(ctx, opTimeout)
+	defer cancel()
+	// Churn damage comes with its blast radius, so the healer repairs the
+	// coalition with the localized incremental path (falling back to a full
+	// reselect only when the quality floor is breached). A heal-only call
+	// (nil events) has no blast information and runs the full maintain.
+	var rep *churn.HealReport
+	if len(events) > 0 {
+		rep, err = s.healer.HealWithBlast(hctx, blast)
+	} else {
+		rep, err = s.healer.Heal(hctx)
+	}
+	if rep != nil && healChangedState(rep) {
+		s.publishLocked(ctx)
+	}
+	return blast, rep, err
+}
+
+// healChangedState reports whether a heal pass mutated shared state (so a
+// new snapshot must be published). A no-op maintain pass leaves the
+// current snapshot — and every session staleness stamp keyed to its epoch
+// — valid.
+func healChangedState(rep *churn.HealReport) bool {
+	return len(rep.BrokersAdded) > 0 || len(rep.BrokersRemoved) > 0 ||
+		len(rep.BrokersRecovered) > 0 ||
+		rep.SessionsRepaired > 0 || rep.SessionsAborted > 0
+}
+
+// ChurnResult is what one Churn call did; it is also the POST /churn
+// response body.
+type ChurnResult struct {
+	Applied int               `json:"applied"`
+	Events  []churn.Event     `json:"events"`
+	Blast   churn.BlastRadius `json:"blast"`
+	Heal    *churn.HealReport `json:"heal,omitempty"`
+}
+
+// Churn applies events plus generate more drawn from the seeded generator,
+// then heals the coalition unless heal is false (damage without repair).
+func (s *Daemon) Churn(ctx context.Context, events []churn.Event, generate int, heal bool) (ChurnResult, error) {
+	if generate > 0 {
+		s.writeMu.Lock()
+		gen, err := s.gen.GenerateTrace(generate)
+		s.writeMu.Unlock()
+		if err != nil {
+			return ChurnResult{}, err
+		}
+		events = append(events, gen...)
+	}
+	blast, rep, err := s.churnAndHeal(ctx, events, heal)
+	if err != nil {
+		return ChurnResult{}, err
+	}
+	return ChurnResult{Applied: len(events), Events: events, Blast: blast, Heal: rep}, nil
+}
+
+// opTimeout bounds one control-plane operation (2PC retries included) so a
+// sick coalition cannot pin the state write lock indefinitely.
+const opTimeout = 2 * time.Second
+
+// Setup establishes a session of gbps from src to dst and records it in
+// the session table. Path computation is lock-free: it pins the current
+// epoch snapshot and searches its frozen view, so concurrent path queries
+// are never blocked behind it. The commit itself goes through the group
+// committer (commit.go): concurrent setups coalesce into one 2PC round and
+// one snapshot publish per batch, and the staleness fallbacks (stale-epoch
+// retry against live state, post-commit damage repair) run inside the batch
+// leader. Degraded mode returns errSetupShed without touching the plane.
+func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlplane.Session, error) {
+	op := &pendingOp{req: sessionRequest{Src: src, Dst: dst, Gbps: gbps}, snapID: s.pub.Epoch(), done: make(chan struct{})}
+	// Resolve the path through the query-plane cache (stale entries
+	// revalidate in O(hops) against the pinned snapshot — setup storms over
+	// popular routes skip the full search), inline and unmetered. The
+	// session's bandwidth is the query's floor: the cached minimum-latency
+	// path answers it whenever it has the bandwidth (constraint dominance),
+	// and when it does not the search routes around the thin link instead of
+	// handing the committer a path it must refuse.
+	opts := routing.Options{MinBandwidth: max(gbps, 0)}
+	if path, _, err := s.qp.Resolve(ctx, src, dst, opts); err == nil {
+		op.path = path.Nodes
+	}
+	err := s.commit.submit(ctx, op)
+	if err == nil {
+		err = op.err
+	}
+	if err != nil {
+		reason := "conflict"
+		if errors.Is(err, errSetupShed) {
+			reason = "shed"
+		}
+		s.refuseSpan(ctx, "brokerd.setup_refused", reason)
+		if s.sloSetup != nil {
+			s.sloSetup.Record(false, obs.TraceIDFrom(ctx))
+		}
+		return nil, err
+	}
+	if s.sloSetup != nil {
+		s.sloSetup.Record(true, 0)
+	}
+	s.sessions.Put(op.sess)
+	// A committed reservation credits its carrying brokers with the
+	// session's bandwidth in settlement units.
+	s.recordCarriers(op.sess.Path, op.sess.Bandwidth)
+	return op.sess, nil
+}
+
+// errNoSession is Teardown's answer for an id the session table does not
+// hold: never set up, already released, or expired.
+var errNoSession = errors.New("brokerd: no such session")
+
+// Teardown releases session id through the group committer. Teardowns are
+// never shed — they shrink load.
+func (s *Daemon) Teardown(ctx context.Context, id int) error {
+	sess, ok := s.sessions.Delete(id)
+	if !ok {
+		return errNoSession
+	}
+	op := &pendingOp{tear: sess, done: make(chan struct{})}
+	if err := s.commit.submit(ctx, op); err != nil {
+		return err
+	}
+	return op.err
+}
+
+// Renew heartbeats session id's lease; false means the lease is gone —
+// never granted, torn down, or already swept. Renewals never queue and are
+// never shed: in degraded mode keeping live sessions alive (and letting
+// abandoned ones expire) is exactly the work that shrinks the plane back
+// under its high-water mark.
+func (s *Daemon) Renew(id int) bool {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return s.plane.RenewSession(id)
+}

@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"bytes"
@@ -13,19 +13,34 @@ import (
 	"brokerset/internal/workload"
 )
 
-func testServer(t *testing.T) (*server, *httptest.Server) {
+// testServer boots the default test daemon: 20 brokers on the 0.01-scale
+// topology, brokerd's default setup queue, every optional plane off.
+func testServer(t *testing.T) (*Daemon, *httptest.Server) {
 	t.Helper()
-	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.01, Seed: 1})
+	return testServerWith(t, 0.01, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024})
+}
+
+// testServerWith boots a daemon with cfg on the seed-1 topology at scale
+// and serves its Handler.
+func testServerWith(t *testing.T, scale float64, cfg Config) (*Daemon, *httptest.Server) {
+	t.Helper()
+	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: scale, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(top, 20, 0, 42)
+	srv, err := New(top, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.handler(false))
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// currentBrokers returns a copy of the current snapshot's coalition
+// membership.
+func (s *Daemon) currentBrokers() []int32 {
+	return append([]int32(nil), s.pub.Current().Brokers()...)
 }
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -119,7 +134,7 @@ func TestPathEndpoint(t *testing.T) {
 // not the direct link, maxhops=1 answers the link and maxhops=2^32+1 — asked
 // after it, so the 1-hop entry is there to alias — must answer the unbounded
 // optimum.
-func requirePathOptionsSafe(t *testing.T, srv *server, endpoint string) {
+func requirePathOptionsSafe(t *testing.T, srv *Daemon, endpoint string) {
 	t.Helper()
 	for _, bw := range []string{"NaN", "nan", "Inf", "%2BInf"} {
 		if code := getJSON(t, endpoint+"?src=0&dst=1&minbw="+bw, nil); code != http.StatusBadRequest {

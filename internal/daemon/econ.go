@@ -1,11 +1,10 @@
-package main
+package daemon
 
 import (
-	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"brokerset/internal/market"
@@ -31,18 +30,18 @@ type econState struct {
 	lastQueries uint64
 }
 
-// econConfig carries the -econ* flags into enableEcon.
-type econConfig struct {
+// EconConfig carries the -econ-* flags.
+type EconConfig struct {
 	Every       time.Duration
 	WindowTicks int
 	Seed        int64
 	Threshold   float64
 }
 
-// enableEcon wires the economics plane onto a built server. Must be called
-// before the server starts taking traffic (the admission hook reads s.econ
-// atomically, so enabling is safe, but pricing should see the whole run).
-func (s *server) enableEcon(cfg econConfig) error {
+// enableEcon wires the economics plane onto a built daemon, before it takes
+// traffic (the admission hook reads s.econ atomically, so enabling is safe,
+// but pricing should see the whole run).
+func (s *Daemon) enableEcon(cfg EconConfig) error {
 	if cfg.Every <= 0 {
 		cfg.Every = 250 * time.Millisecond
 	}
@@ -67,44 +66,31 @@ func (s *server) enableEcon(cfg econConfig) error {
 	return nil
 }
 
-// runEconLoop is the market controller loop: every period it samples the
-// query plane (pool occupancy as utilization, query delta as demand, live
-// sessions as adoption signal) and reprices; every windowTicks samples it
-// drains accrued revenue and settles the window into the ledger.
-func (s *server) runEconLoop(ctx context.Context) {
-	e := s.econ.Load()
-	if e == nil {
+// econTick is one beat of the market controller loop: it samples the query
+// plane (pool occupancy as utilization, query delta as demand, live sessions
+// as adoption signal) and reprices; every windowTicks samples it drains
+// accrued revenue and settles the window into the ledger.
+func (s *Daemon) econTick(e *econState) {
+	st := s.qp.Stats()
+	demand := float64(st.Queries - e.lastQueries)
+	e.lastQueries = st.Queries
+	q, err := e.ctrl.Reprice(market.Sample{
+		Utilization: s.qp.Occupancy(),
+		Demand:      demand,
+		Sessions:    s.sessions.Len(),
+	})
+	if err != nil {
 		return
 	}
-	tick := time.NewTicker(e.every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			st := s.qp.Stats()
-			demand := float64(st.Queries - e.lastQueries)
-			e.lastQueries = st.Queries
-			q, err := e.ctrl.Reprice(market.Sample{
-				Utilization: s.qp.Occupancy(),
-				Demand:      demand,
-				Sessions:    s.sessions.Len(),
-			})
-			if err != nil {
-				continue
-			}
-			if q.Tick%uint64(e.windowTicks) == 0 {
-				e.set.Settle(e.adm.DrainRevenue(), q.Tick)
-			}
-		}
+	if q.Tick%uint64(e.windowTicks) == 0 {
+		e.set.Settle(e.adm.DrainRevenue(), q.Tick)
 	}
 }
 
 // Admit implements queryplane.Admission by delegating to the live econ
 // state; with the plane disabled every bid is admitted at quote 0, so the
 // hook costs one atomic load on the hot path.
-func (s *server) Admit(bid float64) (bool, float64) {
+func (s *Daemon) Admit(bid float64) (bool, float64) {
 	e := s.econ.Load()
 	if e == nil {
 		return true, 0
@@ -115,7 +101,7 @@ func (s *server) Admit(bid float64) (bool, float64) {
 // recordCarriers credits the settlement accumulator with the brokers that
 // carried units of traffic along path nodes (the coalition members on the
 // path, per the current snapshot). No-op while econ is disabled.
-func (s *server) recordCarriers(nodes []int32, units float64) {
+func (s *Daemon) recordCarriers(nodes []int32, units float64) {
 	e := s.econ.Load()
 	if e == nil {
 		return
@@ -135,7 +121,7 @@ func (s *server) recordCarriers(nodes []int32, units float64) {
 // econPriceError maps a queryplane price refusal onto the HTTP contract:
 // 429 with the posted price in X-Econ-Price, a Retry-After hinting the
 // next controller tick, and the quote in the JSON body.
-func (s *server) writePriceRejection(w http.ResponseWriter, quote float64) {
+func (s *Daemon) writePriceRejection(w http.ResponseWriter, quote float64) {
 	e := s.econ.Load()
 	retry := 1
 	if e != nil && e.every >= time.Second {
@@ -150,8 +136,9 @@ func (s *server) writePriceRejection(w http.ResponseWriter, quote float64) {
 }
 
 // parseBid extracts the request's bid from the bid query parameter or the
-// X-Econ-Bid header (parameter wins). Absent or malformed bids are zero —
-// the free-rider tier, admitted whenever the plane is uncongested.
+// X-Econ-Bid header (parameter wins). Absent or malformed bids — negative
+// and non-finite ones included — are zero: the free-rider tier, admitted
+// whenever the plane is uncongested.
 func parseBid(r *http.Request) float64 {
 	v := r.URL.Query().Get("bid")
 	if v == "" {
@@ -161,14 +148,14 @@ func parseBid(r *http.Request) float64 {
 		return 0
 	}
 	bid, err := strconv.ParseFloat(v, 64)
-	if err != nil || bid < 0 {
+	if err != nil || bid < 0 || math.IsNaN(bid) || math.IsInf(bid, 0) {
 		return 0
 	}
 	return bid
 }
 
 // handleEconPrice serves GET /econ/price: the current posted price.
-func (s *server) handleEconPrice(w http.ResponseWriter, r *http.Request) {
+func (s *Daemon) handleEconPrice(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.requireEcon(w, r)
 	if !ok {
 		return
@@ -182,7 +169,7 @@ func (s *server) handleEconPrice(w http.ResponseWriter, r *http.Request) {
 
 // handleEconQuote serves GET /econ/quote: the full repricing breakdown
 // (base equilibrium price, congestion multiplier, utilization, adoption).
-func (s *server) handleEconQuote(w http.ResponseWriter, r *http.Request) {
+func (s *Daemon) handleEconQuote(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.requireEcon(w, r)
 	if !ok {
 		return
@@ -193,7 +180,7 @@ func (s *server) handleEconQuote(w http.ResponseWriter, r *http.Request) {
 // handleEconSettlement serves GET /econ/settlement: the settlement ledger,
 // newest-last. ?last=N bounds the window count; ?format=jsonl streams the
 // append-only ledger form.
-func (s *server) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
+func (s *Daemon) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.requireEcon(w, r)
 	if !ok {
 		return
@@ -218,9 +205,11 @@ func (s *server) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
+		// One record per line: the shape market.Settlement.WriteJSONL
+		// produces.
+		enc := json.NewEncoder(w)
 		for i := range records {
-			rec := records[i]
-			writeJSONLLine(w, &rec)
+			_ = enc.Encode(&records[i])
 		}
 		return
 	}
@@ -229,7 +218,7 @@ func (s *server) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
 
 // handleEconStats serves GET /econ/stats: admission counters, settlement
 // progress, and the controller's tick count in one snapshot.
-func (s *server) handleEconStats(w http.ResponseWriter, r *http.Request) {
+func (s *Daemon) handleEconStats(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.requireEcon(w, r)
 	if !ok {
 		return
@@ -246,7 +235,7 @@ func (s *server) handleEconStats(w http.ResponseWriter, r *http.Request) {
 
 // requireEcon gates the /econ/* handlers on the plane being enabled and
 // (except the settlement POST hook) on GET.
-func (s *server) requireEcon(w http.ResponseWriter, r *http.Request) (*econState, bool) {
+func (s *Daemon) requireEcon(w http.ResponseWriter, r *http.Request) (*econState, bool) {
 	e := s.econ.Load()
 	if e == nil {
 		writeError(w, http.StatusNotFound, "economics plane disabled (run with -econ)")
@@ -259,23 +248,9 @@ func (s *server) requireEcon(w http.ResponseWriter, r *http.Request) (*econState
 	return e, true
 }
 
-// writeJSONLLine writes one ledger record as a JSONL line (the same shape
-// market.Settlement.WriteJSONL produces).
-func writeJSONLLine(w http.ResponseWriter, rec *market.Record) {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	_, _ = w.Write(append(b, '\n'))
-}
-
-// econPointer is the atomic holder server embeds; a typed alias keeps the
-// server struct readable.
-type econPointer = atomic.Pointer[econState]
-
 // registerEconCollectors adds scrape-time econ context that isn't owned by
 // the market package: whether the plane is enabled at all.
-func (s *server) registerEconCollectors() {
+func (s *Daemon) registerEconCollectors() {
 	s.reg.RegisterCollector(func(emit func(obs.Sample)) {
 		enabled := 0.0
 		if s.econ.Load() != nil {

@@ -1,37 +1,28 @@
-package main
+package daemon
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"brokerset/internal/market"
-	"brokerset/internal/topology"
+	"brokerset/internal/queryplane"
+	"brokerset/internal/routing"
 )
 
 // econTestServer builds a server with the economics plane enabled (the
 // controller loop is NOT started — tests drive reprices directly so the
 // congestion state is deterministic).
-func econTestServer(t *testing.T) (*server, *httptest.Server) {
+func econTestServer(t *testing.T) (*Daemon, *httptest.Server) {
 	t.Helper()
-	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.01, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newServer(top, 20, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.enableEcon(econConfig{Seed: 7}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler(false))
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return testServerWith(t, 0.01, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024, Econ: &EconConfig{Seed: 7}})
 }
 
 func TestEconDisabledReturns404(t *testing.T) {
@@ -123,6 +114,77 @@ func TestPricedAdmissionOverHTTP(t *testing.T) {
 	st := e.adm.Stats()
 	if st.PriceRejected == 0 || st.Revenue <= 0 {
 		t.Fatalf("admission counters did not move: %+v", st)
+	}
+}
+
+// A non-finite bid is a malformed bid, and malformed bids are zero — at the
+// HTTP door (query parameter and header) and at the library door (QueryBid
+// straight into the admission gate). A NaN compares false against everything:
+// it used to pay NaN into the revenue while uncongested, after which
+// /econ/stats and the settlement answered 200 with an empty body (no JSON
+// encoder writes NaN) and the settled window carried NaN in the ledger for
+// good; congested, it was admitted over every finite bid.
+func TestNonFiniteBidIsZero(t *testing.T) {
+	srv, ts := econTestServer(t)
+	e := srv.econ.Load()
+	bs := srv.currentBrokers()
+	src, dst := int(bs[0]), int(bs[len(bs)-1])
+	url := fmt.Sprintf("%s/path?src=%d&dst=%d", ts.URL, src, dst)
+
+	get := func(bidParam, bidHeader string) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, url+bidParam, nil)
+		if bidHeader != "" {
+			req.Header.Set("X-Econ-Bid", bidHeader)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Uncongested: admitted, as any zero bid is, and nothing is paid.
+	for _, bid := range [][2]string{{"&bid=NaN", ""}, {"&bid=%2BInf", ""}, {"&bid=-Inf", ""}, {"", "NaN"}, {"", "Inf"}} {
+		if code := get(bid[0], bid[1]); code != http.StatusOK {
+			t.Fatalf("bid %q header %q: status %d while uncongested", bid[0], bid[1], code)
+		}
+	}
+	if _, _, err := srv.qp.QueryBid(context.Background(), src, dst, routing.Options{}, math.NaN()); err != nil {
+		t.Fatalf("QueryBid(NaN) while uncongested: %v", err)
+	}
+	if rev := e.adm.Revenue(); rev != 0 {
+		t.Fatalf("revenue %v after non-finite bids only, want 0", rev)
+	}
+	var stats struct {
+		Admission market.AdmissionStats `json:"admission"`
+	}
+	if code := getJSON(t, ts.URL+"/econ/stats", &stats); code != http.StatusOK || stats.Admission.AdmittedFree != 6 {
+		t.Fatalf("/econ/stats status %d, %+v; want 6 free admissions in a decodable body", code, stats.Admission)
+	}
+	resp, err := http.Post(ts.URL+"/econ/settlement", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec market.Record
+	err = json.NewDecoder(resp.Body).Decode(&rec)
+	resp.Body.Close()
+	if err != nil || rec.Revenue != 0 {
+		t.Fatalf("forced settlement: decode error %v, revenue %v; want a record with revenue 0", err, rec.Revenue)
+	}
+
+	// Congested: refused like the zero bid it is, at both doors.
+	for i := 0; i < 20; i++ {
+		if _, err := e.ctrl.Reprice(market.Sample{Utilization: 0.95, Demand: 512}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := get("&bid=NaN", ""); code != http.StatusTooManyRequests {
+		t.Fatalf("bid=NaN status %d under congestion, want 429", code)
+	}
+	var pe *queryplane.PriceError
+	if _, _, err := srv.qp.QueryBid(context.Background(), src, dst, routing.Options{}, math.NaN()); !errors.As(err, &pe) {
+		t.Fatalf("QueryBid(NaN) under congestion: %v, want a price refusal", err)
 	}
 }
 

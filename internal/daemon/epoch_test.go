@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"context"
@@ -12,7 +12,7 @@ import (
 )
 
 // stormLinks returns two endpoint-disjoint links for atomic pair-toggling.
-func stormLinks(srv *server, t *testing.T) [2][2]int32 {
+func stormLinks(srv *Daemon, t *testing.T) [2][2]int32 {
 	t.Helper()
 	var links [][2]int32
 	lastU := -1
@@ -133,7 +133,7 @@ func TestSetupDoesNotBlockQueries(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.setup(context.Background(), sessionRequest{Src: src, Dst: dst, Gbps: 0.01})
+		_, err := srv.Setup(context.Background(), src, dst, 0.01)
 		done <- err
 	}()
 	// Wait until the setup actually holds the write mutex. The setup

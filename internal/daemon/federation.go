@@ -1,4 +1,4 @@
-// Federation support: with -regions N, brokerd partitions its topology
+// Federation support: with Regions N, the daemon partitions its topology
 // into N broker regions, boots the full in-process federation fabric
 // next to the flat coalition, and exposes it under /federation/*:
 //
@@ -23,11 +23,9 @@
 // decision to the fabric's backlog and never counts against a peer
 // region's circuit breaker.
 //
-// Multi-process federation — one brokerd per region joined with -region
-// and -peers — is future work: the flags are reserved and rejected until
-// the inter-region bus speaks HTTP. Today -regions N serves every region
-// from one process.
-package main
+// Regions N serves every region from one process; one daemon per region
+// needs the inter-region bus to speak HTTP first.
+package daemon
 
 import (
 	"context"
@@ -35,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,29 +49,29 @@ import (
 // touch is read-only), while setup/teardown/tick/gossip/heal — which
 // mutate ledgers, WALs, and snapshots — take the write side.
 type fedState struct {
-	mu       sync.RWMutex
-	fabric   *federation.Fabric
-	sessions map[int]*federation.Session
+	mu     sync.RWMutex
+	fabric *federation.Fabric
+	ticks  int // fedTick's beat count; guarded by mu
 }
 
-// enableFederation partitions the server's topology into regions and
-// boots the fabric. It shares the server's metrics assignment so a
+// enableFederation partitions the daemon's topology into regions and
+// boots the fabric. It shares the daemon's metrics assignment so a
 // stitched segment quotes the same link latencies /path does, and
-// registers the federation_* counters on the server's registry.
-func (s *server) enableFederation(regions, budget int, crossing float64, seed int64) error {
+// registers the federation_* counters on the daemon's registry.
+func (s *Daemon) enableFederation() error {
 	fabric, err := federation.New(s.top, federation.Config{
-		Regions:        regions,
-		BrokerBudget:   budget,
-		CrossingCostMs: crossing,
-		Seed:           seed,
+		Regions:        s.cfg.Regions,
+		BrokerBudget:   s.cfg.K,
+		CrossingCostMs: s.cfg.CrossingCost,
+		Seed:           s.cfg.Seed,
 		Metrics:        s.metrics,
 	})
 	if err != nil {
 		return err
 	}
-	s.fed = &fedState{fabric: fabric, sessions: make(map[int]*federation.Session)}
+	s.fed = &fedState{fabric: fabric}
 	fabric.SetFlightRecorder(s.flight)
-	// Sharing the server's tracer lets each region's sub-coordinator adopt
+	// Sharing the daemon's tracer lets each region's sub-coordinator adopt
 	// the trace ID riding incoming X-PREPAREs and decision records, so one
 	// stitched trace covers the HTTP request, the home-region 2PC, and
 	// every transit region's sub-transaction.
@@ -83,30 +80,19 @@ func (s *server) enableFederation(regions, budget int, crossing float64, seed in
 	return nil
 }
 
-// runFederationLoop drives the fabric clock while the server runs: every
-// interval the lease clocks tick, every 5th tick the regions gossip
-// digests and border liveness, and every 20th the healer re-stitches
-// sessions damaged since the last pass.
-func (s *server) runFederationLoop(ctx context.Context, interval time.Duration) {
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	n := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			n++
-			s.fed.mu.Lock()
-			s.fed.fabric.Tick()
-			if n%5 == 0 {
-				s.fed.fabric.GossipTick()
-			}
-			if n%20 == 0 {
-				s.fed.fabric.Heal(ctx)
-			}
-			s.fed.mu.Unlock()
-		}
+// fedTick is one beat of the fabric clock: the lease clocks tick, every 5th
+// beat the regions gossip digests and border liveness, and every 20th the
+// healer re-stitches sessions damaged since the last pass.
+func (s *Daemon) fedTick(ctx context.Context) {
+	s.fed.mu.Lock()
+	defer s.fed.mu.Unlock()
+	s.fed.ticks++
+	s.fed.fabric.Tick()
+	if s.fed.ticks%5 == 0 {
+		s.fed.fabric.GossipTick()
+	}
+	if s.fed.ticks%20 == 0 {
+		s.fed.fabric.Heal(ctx)
 	}
 }
 
@@ -119,11 +105,7 @@ type fedRegionInfo struct {
 	Epoch      uint64  `json:"epoch"`
 }
 
-func (s *server) handleFedRegions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Daemon) handleFedRegions(w http.ResponseWriter, r *http.Request) {
 	s.fed.mu.RLock()
 	fabric := s.fed.fabric
 	out := make([]fedRegionInfo, fabric.NumRegions())
@@ -171,11 +153,7 @@ func fedPathJSON(sp *federation.StitchedPath) fedPathResponse {
 	}
 }
 
-func (s *server) handleFedPath(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Daemon) handleFedPath(w http.ResponseWriter, r *http.Request) {
 	src, dst, opts, err := parsePathOptions(r, s.top.NumNodes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -239,16 +217,16 @@ func fedSessionJSON(sess *federation.Session) fedSessionResponse {
 	return out
 }
 
-func (s *server) handleFedSessions(w http.ResponseWriter, r *http.Request) {
+func (s *Daemon) handleFedSessions(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		s.fed.mu.RLock()
-		out := make([]fedSessionResponse, 0, len(s.fed.sessions))
-		for _, sess := range s.fed.sessions {
+		sessions := s.fed.fabric.Sessions()
+		out := make([]fedSessionResponse, 0, len(sessions))
+		for _, sess := range sessions {
 			out = append(out, fedSessionJSON(sess))
 		}
 		s.fed.mu.RUnlock()
-		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		var req sessionRequest
@@ -264,9 +242,6 @@ func (s *server) handleFedSessions(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		s.fed.mu.Lock()
 		sess, err := s.fed.fabric.Setup(ctx, int32(req.Src), int32(req.Dst), req.Gbps, routing.Options{})
-		if err == nil {
-			s.fed.sessions[sess.ID] = sess
-		}
 		s.fed.mu.Unlock()
 		if err != nil {
 			writeError(w, http.StatusConflict, "%v", err)
@@ -278,7 +253,7 @@ func (s *server) handleFedSessions(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *server) handleFedSessionByID(w http.ResponseWriter, r *http.Request) {
+func (s *Daemon) handleFedSessionByID(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/federation/sessions/")
 	id, err := strconv.Atoi(idStr)
 	if err != nil {
@@ -287,25 +262,28 @@ func (s *server) handleFedSessionByID(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
+		var out fedSessionResponse
 		s.fed.mu.RLock()
-		sess, ok := s.fed.sessions[id]
+		sess := s.fed.fabric.Session(id)
+		if sess != nil {
+			out = fedSessionJSON(sess)
+		}
 		s.fed.mu.RUnlock()
-		if !ok {
+		if sess == nil {
 			writeError(w, http.StatusNotFound, "no federated session %d", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, fedSessionJSON(sess))
+		writeJSON(w, http.StatusOK, out)
 	case http.MethodDelete:
 		ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
 		defer cancel()
 		s.fed.mu.Lock()
-		sess, ok := s.fed.sessions[id]
-		if ok {
-			delete(s.fed.sessions, id)
+		sess := s.fed.fabric.Session(id)
+		if sess != nil {
 			err = s.fed.fabric.Teardown(ctx, sess)
 		}
 		s.fed.mu.Unlock()
-		if !ok {
+		if sess == nil {
 			writeError(w, http.StatusNotFound, "no federated session %d", id)
 			return
 		}
@@ -324,11 +302,7 @@ type fedStatsResponse struct {
 	Stats   federation.Stats `json:"stats"`
 }
 
-func (s *server) handleFedStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Daemon) handleFedStats(w http.ResponseWriter, r *http.Request) {
 	s.fed.mu.RLock()
 	fabric := s.fed.fabric
 	out := fedStatsResponse{Stats: fabric.Stats()}
@@ -346,8 +320,12 @@ func (s *server) handleFedStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// fedBanner summarizes the booted federation for the startup log.
-func (s *server) fedBanner() string {
+// FederationSummary describes the booted regions (members and brokers
+// each) for the startup log; empty without Regions.
+func (s *Daemon) FederationSummary() string {
+	if s.fed == nil {
+		return ""
+	}
 	fabric := s.fed.fabric
 	parts := make([]string, fabric.NumRegions())
 	for i := range parts {

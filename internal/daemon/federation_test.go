@@ -1,32 +1,20 @@
-package main
+package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"brokerset/internal/topology"
 )
 
-func testFedServer(t *testing.T) (*server, *httptest.Server) {
+func testFedServer(t *testing.T) (*Daemon, *httptest.Server) {
 	t.Helper()
-	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := newServer(top, 40, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.enableFederation(3, 40, 2.0, 1); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.handler(false))
-	t.Cleanup(ts.Close)
-	return srv, ts
+	return testServerWith(t, 0.02, Config{
+		K: 40, Seed: 1, ChurnSeed: 42, SetupQueue: 1024, Regions: 3, CrossingCost: 2.0,
+	})
 }
 
 func TestFederationRegionsEndpoint(t *testing.T) {
@@ -144,6 +132,56 @@ func TestFederationSessionLifecycle(t *testing.T) {
 	defer srv.fed.mu.Unlock()
 	if err := srv.fed.fabric.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A federated session the healer had to abort is gone from the one session
+// table the fabric keeps: the list stops showing it and GET and DELETE on its
+// id answer 404, like any other released session. (A second table in the
+// daemon used to keep it: listed as "aborted" forever, 500 on DELETE.)
+func TestFederationHealAbortedSessionIsGone(t *testing.T) {
+	srv, ts := testFedServer(t)
+	part := srv.fed.fabric.Partition()
+	body, _ := json.Marshal(sessionRequest{
+		Src: int(part.Members(0)[0]), Dst: int(part.Members(2)[0]), Gbps: 1,
+	})
+	resp, err := http.Post(ts.URL+"/federation/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sess fedSessionResponse
+	err = json.NewDecoder(resp.Body).Decode(&sess)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("setup status %d, decode error %v", resp.StatusCode, err)
+	}
+
+	// With the destination's region down no stitched path survives, so the
+	// next heal pass has to abort the session.
+	srv.fed.mu.Lock()
+	srv.fed.fabric.CrashRegion(2)
+	rep := srv.fed.fabric.Heal(context.Background())
+	srv.fed.mu.Unlock()
+	if rep.Aborted != 1 {
+		t.Fatalf("heal report %+v, want 1 aborted", rep)
+	}
+
+	var list []fedSessionResponse
+	if code := getJSON(t, ts.URL+"/federation/sessions", &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("list status %d, sessions %+v; want none", code, list)
+	}
+	url := fmt.Sprintf("%s/federation/sessions/%d", ts.URL, sess.ID)
+	if code := getJSON(t, url, nil); code != http.StatusNotFound {
+		t.Fatalf("GET heal-aborted session: status %d, want 404", code)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, url, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	if dresp.StatusCode != http.StatusNotFound {
+		t.Fatalf("DELETE heal-aborted session: status %d, want 404", dresp.StatusCode)
 	}
 }
 

@@ -1,0 +1,377 @@
+package daemon
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+
+	"brokerset/internal/churn"
+	"brokerset/internal/ctrlplane"
+	"brokerset/internal/obs"
+	"brokerset/internal/queryplane"
+	"brokerset/internal/routing"
+)
+
+// routes mounts the handlers. Each decodes and validates the wire form,
+// calls the typed method that does the work, and maps its result onto a
+// status; Handler (obs.go) wraps the mux in the tracing middleware.
+func (s *Daemon) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", s.handleHealth)
+	mux.HandleFunc("/stats", getOnly(s.handleStats))
+	mux.HandleFunc("/metrics", getOnly(s.handleMetrics))
+	mux.HandleFunc("/brokers", getOnly(s.handleBrokers))
+	mux.HandleFunc("/path", getOnly(s.handlePath))
+	mux.HandleFunc("/sessions", s.handleSessions)
+	mux.HandleFunc("/sessions/", s.handleSessionByID)
+	mux.HandleFunc("/churn", s.handleChurn)
+	mux.HandleFunc("/econ/price", s.handleEconPrice)
+	mux.HandleFunc("/econ/quote", s.handleEconQuote)
+	mux.HandleFunc("/econ/settlement", s.handleEconSettlement)
+	mux.HandleFunc("/econ/stats", s.handleEconStats)
+	mux.HandleFunc("/slo", getOnly(s.handleSLO))
+	mux.HandleFunc("/debug/trace", getOnly(s.handleDebugTrace))
+	mux.HandleFunc("/debug/flight", getOnly(s.handleDebugFlight))
+	if s.fed != nil {
+		mux.HandleFunc("/federation/regions", getOnly(s.handleFedRegions))
+		mux.HandleFunc("/federation/path", getOnly(s.handleFedPath))
+		mux.HandleFunc("/federation/sessions", s.handleFedSessions)
+		mux.HandleFunc("/federation/sessions/", s.handleFedSessionByID)
+		mux.HandleFunc("/federation/stats", getOnly(s.handleFedStats))
+	}
+	return mux
+}
+
+// getOnly answers any method but GET with 405 before h sees the request.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		h(w, r)
+	}
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+func (s *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+type statsResponse struct {
+	Nodes        int     `json:"nodes"`
+	ASes         int     `json:"ases"`
+	IXPs         int     `json:"ixps"`
+	Links        int     `json:"links"`
+	Brokers      int     `json:"brokers"`
+	Connectivity float64 `json:"connectivity"`
+	Sessions     int     `json:"active_sessions"`
+	Commits      int     `json:"commits"`
+	Aborts       int     `json:"aborts"`
+}
+
+func (s *Daemon) handleStats(w http.ResponseWriter, r *http.Request) {
+	// Membership and connectivity come from the pinned snapshot
+	// (Connectivity is computed once per epoch and cached on it); only
+	// the control-plane counter copy still serializes on writeMu.
+	snap, st := s.pub.Current(), s.PlaneStats()
+	writeJSON(w, http.StatusOK, statsResponse{
+		Nodes:        s.top.NumNodes(),
+		ASes:         s.top.NumASes(),
+		IXPs:         s.top.NumIXPs(),
+		Links:        s.top.Graph.NumEdges(),
+		Brokers:      snap.NumBrokers(),
+		Connectivity: snap.Connectivity(),
+		Sessions:     s.sessions.Len(),
+		Commits:      st.Commits,
+		Aborts:       st.Aborts,
+	})
+}
+
+// handleMetrics serves the registry as Prometheus text (version 0.0.4).
+func (s *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if f := r.URL.Query().Get("format"); f != "" && f != "prometheus" {
+		writeError(w, http.StatusBadRequest, "format must be prometheus")
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := s.reg.WritePrometheus(w); err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+	}
+}
+
+type brokerInfo struct {
+	ID     int32  `json:"id"`
+	Name   string `json:"name"`
+	Class  string `json:"class"`
+	Degree int    `json:"degree"`
+}
+
+func (s *Daemon) handleBrokers(w http.ResponseWriter, r *http.Request) {
+	brokers := s.pub.Current().Brokers()
+	out := make([]brokerInfo, 0, len(brokers))
+	for _, b := range brokers {
+		out = append(out, brokerInfo{
+			ID: b, Name: s.top.Name[b], Class: s.top.Class[b].String(), Degree: s.top.Graph.Degree(int(b)),
+		})
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// churnRequest is the POST /churn payload: either an explicit event list,
+// or "generate": N to draw N events from the server's seeded generator.
+// "heal": false applies damage without repairing (the default heals).
+type churnRequest struct {
+	Events   []churn.Event `json:"events"`
+	Generate int           `json:"generate"`
+	Heal     *bool         `json:"heal"`
+}
+
+func (s *Daemon) handleChurn(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return
+	}
+	var req churnRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return
+	}
+	if req.Generate < 0 || req.Generate > 100000 {
+		writeError(w, http.StatusBadRequest, "generate outside [0,100000]")
+		return
+	}
+	res, err := s.Churn(r.Context(), req.Events, req.Generate, req.Heal == nil || *req.Heal)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
+type pathResponse struct {
+	Nodes     []int32  `json:"nodes"`
+	Names     []string `json:"names"`
+	Hops      int      `json:"hops"`
+	LatencyMs float64  `json:"latency_ms"`
+}
+
+// parsePathOptions reads the query a path endpoint takes — src, dst and the
+// optional maxhops and minbw constraints — and returns the message of the
+// 400 to answer when it is malformed. What it returns is safe to key a cache
+// with: minbw is finite (a NaN never equals itself, so every repeat of such
+// a query would miss and leave one more unreachable entry), and a hop bound
+// no simple path can exceed is the unbounded query, so it reads as one
+// (latencies are positive, so an optimum is simple and has at most
+// numNodes-1 hops; folding the bound also keeps it inside the key's int32).
+func parsePathOptions(r *http.Request, numNodes int) (src, dst int, opts routing.Options, err error) {
+	q := r.URL.Query()
+	src, err1 := strconv.Atoi(q.Get("src"))
+	dst, err2 := strconv.Atoi(q.Get("dst"))
+	if err1 != nil || err2 != nil {
+		return 0, 0, opts, errors.New("src and dst must be integer node ids")
+	}
+	if src < 0 || src >= numNodes || dst < 0 || dst >= numNodes {
+		return 0, 0, opts, fmt.Errorf("node ids outside [0,%d)", numNodes)
+	}
+	if v := q.Get("maxhops"); v != "" {
+		mh, err := strconv.Atoi(v)
+		if err != nil || mh < 1 {
+			return 0, 0, opts, errors.New("maxhops must be a positive integer")
+		}
+		if mh < numNodes-1 {
+			opts.MaxHops = mh
+		}
+	}
+	if v := q.Get("minbw"); v != "" {
+		bw, err := strconv.ParseFloat(v, 64)
+		if err != nil || bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
+			return 0, 0, opts, errors.New("minbw must be a finite, non-negative number")
+		}
+		opts.MinBandwidth = bw
+	}
+	return src, dst, opts, nil
+}
+
+func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
+	src, dst, opts, err := parsePathOptions(r, s.top.NumNodes())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	start := time.Now()
+	p, cached, err := s.qp.QueryBid(r.Context(), src, dst, opts, parseBid(r))
+	if err != nil {
+		trace := obs.TraceIDFrom(r.Context())
+		var pe *queryplane.PriceError
+		switch {
+		case errors.As(err, &pe):
+			// Priced admission is policy, not a reliability failure: it gets
+			// a terminal span but does not burn the latency error budget.
+			s.refuseSpan(r.Context(), "brokerd.query_refused", "priced_admission")
+			s.writePriceRejection(w, pe.Quote)
+		case errors.Is(err, queryplane.ErrShed):
+			s.refuseSpan(r.Context(), "brokerd.query_refused", "shed")
+			if s.sloQuery != nil {
+				s.sloQuery.Record(false, trace)
+			}
+			w.Header().Set("Retry-After", strconv.Itoa(int(s.qp.RetryAfter().Seconds())))
+			writeError(w, http.StatusTooManyRequests, "%v", err)
+		case errors.Is(err, context.DeadlineExceeded):
+			s.refuseSpan(r.Context(), "brokerd.query_refused", "timeout")
+			if s.sloQuery != nil {
+				s.sloQuery.Record(false, trace)
+			}
+			writeError(w, http.StatusGatewayTimeout, "path computation timed out")
+		case errors.Is(err, context.Canceled):
+			s.refuseSpan(r.Context(), "brokerd.query_refused", "canceled")
+			writeError(w, http.StatusServiceUnavailable, "query canceled")
+		default:
+			writeError(w, http.StatusNotFound, "%v", err)
+		}
+		return
+	}
+	if s.sloQuery != nil {
+		s.sloQuery.Observe(time.Since(start), obs.TraceIDFrom(r.Context()))
+	}
+	if cached {
+		w.Header().Set("X-Cache", "hit")
+	} else {
+		w.Header().Set("X-Cache", "miss")
+	}
+	// Each served path credits the coalition members that carry it with
+	// one settlement unit (no-op while the econ plane is disabled).
+	s.recordCarriers(p.Nodes, 1)
+	names := make([]string, len(p.Nodes))
+	for i, u := range p.Nodes {
+		names[i] = s.top.Name[u]
+	}
+	writeJSON(w, http.StatusOK, pathResponse{
+		Nodes: p.Nodes, Names: names, Hops: p.Hops(), LatencyMs: p.Latency,
+	})
+}
+
+type sessionRequest struct {
+	Src  int     `json:"src"`
+	Dst  int     `json:"dst"`
+	Gbps float64 `json:"gbps"`
+}
+
+type sessionResponse struct {
+	ID        int     `json:"id"`
+	Nodes     []int32 `json:"nodes"`
+	Hops      int     `json:"hops"`
+	Bandwidth float64 `json:"gbps"`
+}
+
+func sessionJSON(sess *ctrlplane.Session) sessionResponse {
+	return sessionResponse{
+		ID: sess.ID, Nodes: sess.Path, Hops: len(sess.Path) - 1, Bandwidth: sess.Bandwidth,
+	}
+}
+
+func (s *Daemon) handleSessions(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+		list := s.sessions.List()
+		out := make([]sessionResponse, 0, len(list))
+		for _, sess := range list {
+			out = append(out, sessionJSON(sess))
+		}
+		writeJSON(w, http.StatusOK, out)
+	case http.MethodPost:
+		var req sessionRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+			return
+		}
+		if req.Src < 0 || req.Src >= s.top.NumNodes() || req.Dst < 0 || req.Dst >= s.top.NumNodes() {
+			writeError(w, http.StatusBadRequest, "node ids outside [0,%d)", s.top.NumNodes())
+			return
+		}
+		sess, err := s.Setup(r.Context(), req.Src, req.Dst, req.Gbps)
+		switch {
+		case errors.Is(err, errSetupShed):
+			// Degraded mode: the batch queue is over its high-water
+			// mark. Renewals and teardowns still flow; new load waits.
+			w.Header().Set("Retry-After", strconv.Itoa(int(setupRetryAfter.Seconds())))
+			writeError(w, http.StatusTooManyRequests, "%v", err)
+		case err != nil:
+			writeError(w, http.StatusConflict, "%v", err)
+		default:
+			writeJSON(w, http.StatusCreated, sessionJSON(sess))
+		}
+	default:
+		writeError(w, http.StatusMethodNotAllowed, "GET or POST")
+	}
+}
+
+func (s *Daemon) handleSessionByID(w http.ResponseWriter, r *http.Request) {
+	idStr := strings.TrimPrefix(r.URL.Path, "/sessions/")
+	renew := false
+	if rest, ok := strings.CutSuffix(idStr, "/renew"); ok {
+		idStr, renew = rest, true
+	}
+	id, err := strconv.Atoi(idStr)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad session id %q", idStr)
+		return
+	}
+	if renew {
+		s.handleSessionRenew(w, r, id)
+		return
+	}
+	switch r.Method {
+	case http.MethodDelete:
+		switch err := s.Teardown(r.Context(), id); {
+		case errors.Is(err, errNoSession):
+			writeError(w, http.StatusNotFound, "no session %d", id)
+		case err != nil:
+			writeError(w, http.StatusInternalServerError, "%v", err)
+		default:
+			writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
+		}
+	case http.MethodGet:
+		sess, ok := s.sessions.Get(id)
+		if !ok {
+			writeError(w, http.StatusNotFound, "no session %d", id)
+			return
+		}
+		writeJSON(w, http.StatusOK, sessionJSON(sess))
+	default:
+		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE")
+	}
+}
+
+// handleSessionRenew serves POST /sessions/{id}/renew — the heartbeat.
+func (s *Daemon) handleSessionRenew(w http.ResponseWriter, r *http.Request, id int) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return
+	}
+	if !s.Renew(id) {
+		// 410: the client must set up a new session, not keep heartbeating.
+		s.refuseSpan(r.Context(), "brokerd.renew_refused", "lease_lapsed")
+		if s.sloSetup != nil {
+			s.sloSetup.Record(false, obs.TraceIDFrom(r.Context()))
+		}
+		writeError(w, http.StatusGone, "session %d holds no lease", id)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
+}

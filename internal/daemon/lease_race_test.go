@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"context"
@@ -19,8 +19,7 @@ import (
 // (lease kept alive) or released exactly once — never both, never neither
 // — and the plane's conservation invariants must hold.
 func TestRenewVsSweeperRace(t *testing.T) {
-	srv, ts := testServer(t)
-	srv.enableSessionLeases(2 * time.Millisecond)
+	srv, ts := testServerWith(t, 0.01, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024, LeaseTTL: 2 * time.Millisecond})
 
 	// A pool of sessions to fight over.
 	var sessions []*ctrlplane.Session

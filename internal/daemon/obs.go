@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"net/http"
@@ -13,8 +13,9 @@ import (
 // initObs wires the unified observability layer: one metrics registry fed
 // by scrape-time collectors over every subsystem's existing counters, a
 // request tracer whose IDs the HTTP middleware mints, and a flight
-// recorder attached to the control plane. Called at the end of newServer.
-func (s *server) initObs() {
+// recorder attached to the control plane. Called from New once the planes
+// it collects from exist.
+func (s *Daemon) initObs() {
 	s.reg = obs.NewRegistry()
 	s.tracer = obs.NewTracer(4096)
 	s.flight = obs.NewFlightRecorder(4096)
@@ -48,12 +49,13 @@ func (s *server) initObs() {
 	})
 }
 
-// handler wraps the route mux in the tracing/metrics middleware,
-// optionally exposing the net/http/pprof profiling endpoints (off by
-// default: profiling handlers on a routing daemon are debug surface).
-func (s *server) handler(pprofEnabled bool) http.Handler {
+// Handler is the daemon's HTTP face: the route mux wrapped in the
+// tracing/metrics middleware, with the net/http/pprof profiling endpoints
+// only when Pprof is set (profiling handlers on a routing daemon are debug
+// surface).
+func (s *Daemon) Handler() http.Handler {
 	mux := s.routes()
-	if pprofEnabled {
+	if s.cfg.Pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -67,7 +69,7 @@ func (s *server) handler(pprofEnabled bool) http.Handler {
 // X-Trace-ID request header) a trace ID, roots a span the downstream
 // planes extend via context, echoes the ID back in the response, and
 // feeds the request counter and latency histogram.
-func (s *server) instrument(next http.Handler) http.Handler {
+func (s *Daemon) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var tid uint64
@@ -86,11 +88,7 @@ func (s *server) instrument(next http.Handler) http.Handler {
 // handleDebugTrace exports the tracer ring: Chrome trace-event JSON by
 // default (load it in Perfetto or chrome://tracing), JSONL with
 // ?format=jsonl, optionally filtered to one trace with ?trace=ID.
-func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Daemon) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	spans := s.tracer.Spans()
 	if v := r.URL.Query().Get("trace"); v != "" {
 		id, err := strconv.ParseUint(v, 10, 64)
@@ -114,11 +112,7 @@ func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleDebugFlight dumps the flight recorder as JSONL (header line plus
 // the recent control-plane events).
-func (s *server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Daemon) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
 	_ = s.flight.Dump(w, map[string]any{"source": "brokerd"})
 }

@@ -1,10 +1,9 @@
-package main
+package daemon
 
 import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -194,7 +193,7 @@ func TestDebugFlight(t *testing.T) {
 // TestPprofGate asserts /debug/pprof/ is absent by default and served when
 // the -pprof flag enables it.
 func TestPprofGate(t *testing.T) {
-	srv, ts := testServer(t) // handler(false)
+	_, ts := testServer(t) // Pprof off
 	resp, err := http.Get(ts.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +203,7 @@ func TestPprofGate(t *testing.T) {
 		t.Fatalf("pprof served without the flag: status %d", resp.StatusCode)
 	}
 
-	on := httptest.NewServer(srv.handler(true))
-	defer on.Close()
+	_, on := testServerWith(t, 0.01, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024, Pprof: true})
 	r2, err := http.Get(on.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@
 // recorder is dumped to -slo-dump (the control-plane events leading up to
 // the burn) and the mutex/block profilers are armed so the minutes after
 // the page are profiled even when -pprof sampling was off at boot.
-package main
+package daemon
 
 import (
 	"context"
@@ -29,8 +29,8 @@ import (
 	"brokerset/internal/obs"
 )
 
-// sloConfig carries the -slo-* flags into enableSLO.
-type sloConfig struct {
+// SLOConfig carries the -slo-* flags.
+type SLOConfig struct {
 	// QueryP99 is the query-latency objective; setting it enables the
 	// whole SLO plane.
 	QueryP99 time.Duration
@@ -39,6 +39,8 @@ type sloConfig struct {
 	CrossingMs float64
 	// Window is the burn-rate base window (the fast pair's long window).
 	Window time.Duration
+	// Every is the evaluation tick (default Window/48, floored at 50ms).
+	Every time.Duration
 	// DumpPath, when non-empty, receives a flight-recorder dump whenever a
 	// burn-rate alert transitions into firing.
 	DumpPath string
@@ -47,7 +49,7 @@ type sloConfig struct {
 // enableSLO builds the engine and registers the objectives. Must run after
 // enableFederation so the per-region crossing objectives cover every
 // region, and after initObs (the slo_* families register on s.reg).
-func (s *server) enableSLO(cfg sloConfig) {
+func (s *Daemon) enableSLO(cfg SLOConfig) {
 	s.slo = obs.NewSLOEngine(obs.SLOConfig{BaseWindow: cfg.Window})
 	s.sloQuery = s.slo.Add(obs.Objective{
 		Name: "query_latency", Help: "path queries served under the latency budget",
@@ -67,25 +69,7 @@ func (s *server) enableSLO(cfg sloConfig) {
 			}))
 		}
 	}
-	s.sloDump = cfg.DumpPath
 	s.slo.RegisterMetrics(s.reg)
-}
-
-// runSLOLoop drives the engine's evaluation clock: every interval it
-// snapshots the objective counters and handles any alert transitions.
-func (s *server) runSLOLoop(ctx context.Context, every time.Duration) {
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-tick.C:
-			for _, tr := range s.slo.Tick(now) {
-				s.onSLOAlert(tr)
-			}
-		}
-	}
 }
 
 // onSLOAlert reacts to one alert edge. Firing is an incident: capture the
@@ -93,7 +77,7 @@ func (s *server) runSLOLoop(ctx context.Context, every time.Duration) {
 // contention profilers so the incident window is profiled even when -pprof
 // sampling was off at boot. Resolution just logs — the captured evidence
 // stays put.
-func (s *server) onSLOAlert(tr obs.AlertTransition) {
+func (s *Daemon) onSLOAlert(tr obs.AlertTransition) {
 	state := "resolved"
 	if tr.Firing {
 		state = "firing"
@@ -107,15 +91,15 @@ func (s *server) onSLOAlert(tr obs.AlertTransition) {
 	}
 	runtime.SetMutexProfileFraction(100)
 	runtime.SetBlockProfileRate(100_000)
-	if s.sloDump != "" {
-		s.dumpFlight(s.sloDump, tr)
+	if path := s.cfg.SLO.DumpPath; path != "" {
+		s.dumpFlight(path, tr)
 	}
 }
 
 // dumpFlight writes the flight recorder to path, stamped with the alert
 // that triggered it. Last alert wins the file — the interesting dump is
 // the freshest one.
-func (s *server) dumpFlight(path string, tr obs.AlertTransition) {
+func (s *Daemon) dumpFlight(path string, tr obs.AlertTransition) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Printf("brokerd: slo flight dump: %v\n", err)
@@ -138,11 +122,7 @@ type sloResponse struct {
 	QueryExemplars []obs.Exemplar `json:"query_exemplars,omitempty"`
 }
 
-func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Daemon) handleSLO(w http.ResponseWriter, r *http.Request) {
 	if s.slo == nil {
 		writeError(w, http.StatusNotFound, "slo engine disabled; boot with -slo-query-p99")
 		return
@@ -157,7 +137,7 @@ func (s *server) handleSLO(w http.ResponseWriter, r *http.Request) {
 // returns (shed, priced admission, lease lapse) otherwise leave a trace
 // holding only the generic HTTP root span, which makes refusals
 // indistinguishable from successes in /debug/trace.
-func (s *server) refuseSpan(ctx context.Context, name, reason string) {
+func (s *Daemon) refuseSpan(ctx context.Context, name, reason string) {
 	_, span := obs.StartSpan(ctx, name)
 	span.Annotate("outcome", reason)
 	span.End()

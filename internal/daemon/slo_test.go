@@ -1,4 +1,4 @@
-package main
+package daemon
 
 import (
 	"fmt"
@@ -10,12 +10,14 @@ import (
 )
 
 func TestSLOEndpoint(t *testing.T) {
-	srv, ts := testServer(t)
 	// Disabled until -slo-query-p99 wires the engine in.
-	if code := getJSON(t, ts.URL+"/slo", nil); code != http.StatusNotFound {
+	_, off := testServer(t)
+	if code := getJSON(t, off.URL+"/slo", nil); code != http.StatusNotFound {
 		t.Fatalf("disabled /slo status %d, want 404", code)
 	}
-	srv.enableSLO(sloConfig{QueryP99: time.Second, Window: time.Minute})
+	srv, ts := testServerWith(t, 0.01, Config{
+		K: 20, ChurnSeed: 42, SetupQueue: 1024, SLO: SLOConfig{QueryP99: time.Second, Window: time.Minute},
+	})
 
 	bs := srv.currentBrokers()
 	src, dst := int(bs[0]), int(bs[len(bs)-1])

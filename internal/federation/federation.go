@@ -297,6 +297,20 @@ func (f *Fabric) Region(r int) *Region { return f.regions[r] }
 // Partition returns the underlying region partition.
 func (f *Fabric) Partition() *topology.RegionPartition { return f.part }
 
+// Session returns the standing session with this id: one Setup established
+// and neither Teardown released nor Heal had to abort. Nil otherwise.
+func (f *Fabric) Session(id int) *Session { return f.sessions[id] }
+
+// Sessions returns every standing session, ordered by id.
+func (f *Fabric) Sessions() []*Session {
+	out := make([]*Session, 0, len(f.sessions))
+	for _, s := range f.sessions {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
 // PeerTransport returns the fault transport of the inter-region bus (nil
 // when the fabric runs on the lossless default). Chaos harnesses use it to
 // partition peer regions and observe deliveries.

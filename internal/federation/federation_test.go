@@ -339,6 +339,46 @@ func TestHealerRestitches(t *testing.T) {
 	}
 }
 
+// TestHealAbortDropsSession: a session the healer has to abort stops being a
+// standing session — Session and Sessions are the fabric's one session
+// table, and a holder of the id reads "gone", not "aborted forever".
+func TestHealAbortDropsSession(t *testing.T) {
+	f := fedFabric(t, 4, 1, Config{Seed: 7, Retry: ctrlplane.RetryConfig{LeaseTTL: 500}})
+	ctx := context.Background()
+	kept, err := f.Setup(ctx, 0, 3, 5, routing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := f.Setup(ctx, 2, 10, 5, routing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Session(s.ID) != s || len(f.Sessions()) != 2 {
+		t.Fatalf("after setup: Session(%d) = %p, %d standing; want %p and 2", s.ID, f.Session(s.ID), len(f.Sessions()), s)
+	}
+	// With the regions in a line, losing the transit region leaves no route.
+	f.CrashRegion(1)
+	if rep := f.Heal(ctx); rep.Aborted != 1 {
+		t.Fatalf("heal report %+v, want 1 aborted", rep)
+	}
+	if s.State != ctrlplane.StateAborted {
+		t.Fatalf("session state %v after heal-abort, want aborted", s.State)
+	}
+	if got := f.Session(s.ID); got != nil {
+		t.Fatalf("Session(%d) = %+v after heal-abort, want nil", s.ID, got)
+	}
+	if all := f.Sessions(); len(all) != 1 || all[0] != kept {
+		t.Fatalf("Sessions() = %v after heal-abort, want only the intra-region session %d", all, kept.ID)
+	}
+	f.RecoverRegion(1)
+	if err := f.Reconcile(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashedRegionSkippedByStitch reroutes around a crashed transit
 // region when the region graph allows it; with a line of regions it
 // reports no route.

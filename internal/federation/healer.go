@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"sort"
 
 	"brokerset/internal/ctrlplane"
 	"brokerset/internal/obs"
@@ -35,13 +34,7 @@ func (f *Fabric) Heal(ctx context.Context) HealReport {
 	defer span.End()
 	f.tick()
 	var rep HealReport
-	ids := make([]int, 0, len(f.sessions))
-	for id := range f.sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		s := f.sessions[id]
+	for _, s := range f.Sessions() {
 		if s.State != ctrlplane.StateCommitted {
 			continue
 		}
@@ -63,7 +56,7 @@ func (f *Fabric) Heal(ctx context.Context) HealReport {
 		if err != nil {
 			f.flight.Recordf("federation", "heal_abort", int64(f.clock), "session %d.%d: %v", s.ID, s.Epoch, err)
 			s.State = ctrlplane.StateAborted
-			delete(f.sessions, id)
+			delete(f.sessions, s.ID)
 			rep.Aborted++
 			f.stats.HealAborted++
 			continue

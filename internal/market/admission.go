@@ -1,6 +1,7 @@
 package market
 
 import (
+	"math"
 	"sync/atomic"
 )
 
@@ -51,8 +52,13 @@ func NewAdmission(ctrl *Controller) *Admission {
 	return &Admission{ctrl: ctrl}
 }
 
-// Admit implements queryplane.Admission.
+// Admit implements queryplane.Admission. A NaN bid is no bid: it compares
+// false against everything, so it would otherwise pay NaN into the revenue
+// while uncongested and outbid every finite bid while congested.
 func (a *Admission) Admit(bid float64) (bool, float64) {
+	if math.IsNaN(bid) {
+		bid = 0
+	}
 	price := a.ctrl.Price()
 	if !a.ctrl.Congested() {
 		a.admitted.Add(1)

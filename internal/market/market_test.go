@@ -112,6 +112,14 @@ func TestAdmissionUncongestedAdmitsZeroBid(t *testing.T) {
 	if st.Admitted != 1 || st.AdmittedFree != 1 || st.Revenue != 0 {
 		t.Fatalf("free admission counted wrong: %+v", st)
 	}
+	// A NaN bid is a zero bid: it rides free and pays nothing (it used to pay
+	// NaN into the revenue, which no JSON encoder will then write).
+	if ok, _ := adm.Admit(math.NaN()); !ok {
+		t.Fatal("NaN bid refused while uncongested")
+	}
+	if st := adm.Stats(); st.AdmittedFree != 2 || st.Revenue != 0 {
+		t.Fatalf("NaN bid not counted as a free ride: %+v", st)
+	}
 }
 
 func TestAdmissionCongestedPricesBids(t *testing.T) {
@@ -134,12 +142,15 @@ func TestAdmissionCongestedPricesBids(t *testing.T) {
 	if ok, _ := adm.Admit(0); ok {
 		t.Fatal("zero bid admitted under congestion")
 	}
+	if ok, _ := adm.Admit(math.NaN()); ok {
+		t.Fatal("NaN bid admitted under congestion, over every finite bid")
+	}
 	if ok, _ := adm.Admit(price * 1.01); !ok {
 		t.Fatal("above-quote bid refused")
 	}
 	st := adm.Stats()
-	if st.PriceRejected != 2 || st.Admitted != 1 {
-		t.Fatalf("counters: %+v, want 2 rejected / 1 admitted", st)
+	if st.PriceRejected != 3 || st.Admitted != 1 {
+		t.Fatalf("counters: %+v, want 3 rejected / 1 admitted", st)
 	}
 	if math.Abs(st.Revenue-price) > 1e-12 {
 		t.Fatalf("revenue %g, want the posted price %g (winner pays quote, not bid)", st.Revenue, price)
