@@ -38,10 +38,6 @@ type HealerConfig struct {
 	// accepts a localized repair landing within Epsilon of Target, and
 	// falls back to a full reselect below that. 0 means Target is strict.
 	Epsilon float64
-	// RepairRadius bounds incremental-repair candidates to nodes within
-	// this many hops of the churn blast radius (0 = broker package
-	// default).
-	RepairRadius int
 }
 
 // HealReport summarizes one heal pass.
@@ -293,7 +289,6 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 			Target:  h.cfg.Target,
 			Avoid:   avoid,
 			Epsilon: h.cfg.Epsilon,
-			Radius:  h.cfg.RepairRadius,
 		})
 		rep.Incremental = true
 		if res != nil && res.FullReselect {

@@ -164,13 +164,12 @@ func TestBatchWALCrashReplays(t *testing.T) {
 			return nil
 		}},
 		{"CommitPrepared", func(t *testing.T, p *Plane, arm func()) []*Session {
-			pr, err := p.PrepareOnPath(ctx, path, 4)
+			s, err := p.PrepareOnPath(ctx, path, 4)
 			if err != nil {
 				t.Fatalf("prepare: %v", err)
 			}
 			arm()
-			s, err := p.CommitPrepared(ctx, pr)
-			if err != nil {
+			if err := p.CommitPrepared(ctx, s); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
 			return []*Session{s}

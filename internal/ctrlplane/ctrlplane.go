@@ -256,6 +256,10 @@ type Session struct {
 	Epoch uint32
 	// owners[i] is the broker agent owning hop (Path[i], Path[i+1]).
 	owners []int32
+	// leaseExpires is the lease-clock instant the session's heartbeat lease
+	// lapses at; it means something only while Plane.sessLeases lists the
+	// session (see lease.go).
+	leaseExpires int64
 }
 
 // agent is one broker's volatile state: its view of the available capacity
@@ -359,10 +363,10 @@ type Plane struct {
 	// in-doubt holds against it.
 	decided map[sessKey]bool
 
-	// sessLeases tracks committed sessions' heartbeat leases by session id
-	// (see RetryConfig.SessionTTL). One entry is a pointer plus an int64 —
-	// compact enough for millions of concurrent sessions.
-	sessLeases map[int]*sessLease
+	// sessLeases indexes the committed sessions holding a heartbeat lease by
+	// session id (see RetryConfig.SessionTTL); the lease itself is
+	// Session.leaseExpires.
+	sessLeases map[int]*Session
 	// leaseNow overrides the session-lease clock (nil: the virtual clock).
 	leaseNow func() int64
 
@@ -404,7 +408,7 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 		wals:    make(map[int32]*wal),
 		decided: make(map[sessKey]bool),
 
-		sessLeases: make(map[int]*sessLease),
+		sessLeases: make(map[int]*Session),
 	}
 	p.d = NewDelivery("ctrlplane", NewReliableTransport(), RetryConfig{}, &p.clock)
 	p.d.Dispatch = p.dispatch
@@ -466,6 +470,20 @@ func (p *Plane) ownerOf(u, v int32) (int32, bool) {
 	default:
 		return 0, false
 	}
+}
+
+// hopOwners appends the owner of every hop of nodes to owners, index-aligned
+// with the hops; a hop neither of whose endpoints is a broker is an error.
+func (p *Plane) hopOwners(owners, nodes []int32) ([]int32, error) {
+	for i := 0; i+1 < len(nodes); i++ {
+		owner, ok := p.ownerOf(nodes[i], nodes[i+1])
+		if !ok {
+			return nil, fmt.Errorf("ctrlplane: hop (%d,%d) has no broker owner — path not dominated",
+				nodes[i], nodes[i+1])
+		}
+		owners = append(owners, owner)
+	}
+	return owners, nil
 }
 
 func hopKey(u, v int32) [2]int32 {
@@ -805,15 +823,10 @@ func (p *Plane) begin(nodes []int32, bw float64) (*Session, error) {
 func (p *Plane) open(s *Session, nodes []int32) error {
 	s.Epoch++
 	s.Path = nodes
-	s.owners = s.owners[:0]
-	for i := 0; i+1 < len(nodes); i++ {
-		owner, ok := p.ownerOf(nodes[i], nodes[i+1])
-		if !ok {
-			s.State = StateAborted
-			return fmt.Errorf("ctrlplane: hop (%d,%d) has no broker owner — path not dominated",
-				nodes[i], nodes[i+1])
-		}
-		s.owners = append(s.owners, owner)
+	var err error
+	if s.owners, err = p.hopOwners(s.owners[:0], nodes); err != nil {
+		s.State = StateAborted
+		return err
 	}
 	for _, owner := range s.owners {
 		if p.d.BreakerOpen(owner) {
@@ -995,24 +1008,17 @@ func (p *Plane) settle(ctx context.Context, s *Session) error {
 	return err
 }
 
-// Prepared is a split-phase setup: phase 1 succeeded (every hop held at its
-// owner, session StatePrepared) but no decision is recorded yet. It is the
-// sub-transaction primitive of the federation's two-level commit — a transit
-// region prepares its segment, and the home region's coordinator later
-// drives CommitPrepared or AbortPrepared.
-type Prepared struct {
-	// S is the underlying session; callers must not mutate it.
-	S *Session
-}
-
 // PrepareOnPath runs only phase 1 of the 2PC over an externally computed
 // path: every hop's capacity is held at its owner but no decision is
-// recorded. The caller must follow with CommitPrepared or AbortPrepared;
-// when RetryConfig.LeaseTTL is set an abandoned Prepared self-cleans by
-// lease expiry. The path must be B-dominated under the plane's current
-// membership; a hop without a broker owner fails cleanly, and a failed
-// prepare leaves nothing held. Same external-serialization rule as Setup.
-func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*Prepared, error) {
+// recorded, and the session comes back StatePrepared. It is the
+// sub-transaction primitive of the federation's two-level commit — a region
+// prepares its segment, and the home region's decision later drives
+// CommitPrepared or AbortPrepared; when RetryConfig.LeaseTTL is set an
+// abandoned prepare self-cleans by lease expiry. The path must be
+// B-dominated under the plane's current membership; a hop without a broker
+// owner fails cleanly, and a failed prepare leaves nothing held. Same
+// external-serialization rule as Setup.
+func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*Session, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -1032,7 +1038,7 @@ func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*
 		return nil, err
 	}
 	span.Annotate("outcome", "prepared")
-	return &Prepared{S: s}, nil
+	return s, nil
 }
 
 // CommitPrepared drives a prepared setup to its commit point. When the
@@ -1041,59 +1047,55 @@ func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*
 // returned — the caller must treat the attempt as failed (the federation
 // layer answers a refused sub-commit with BATCH-NACK so the home region
 // rolls the stitched session back).
-func (p *Plane) CommitPrepared(ctx context.Context, pr *Prepared) (*Session, error) {
-	if pr == nil || pr.S == nil || pr.S.State != StatePrepared {
-		return nil, fmt.Errorf("ctrlplane: commit of non-prepared session")
+func (p *Plane) CommitPrepared(ctx context.Context, s *Session) error {
+	if s == nil || s.State != StatePrepared {
+		return fmt.Errorf("ctrlplane: commit of non-prepared session")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p.tick()
-	s := pr.S
 	if dec, ok := p.decided[sessKey{s.ID, s.Epoch}]; ok && !dec {
 		s.State = StateAborted
-		return nil, fmt.Errorf("ctrlplane: session %d.%d lease expired before commit — presumed aborted", s.ID, s.Epoch)
+		return fmt.Errorf("ctrlplane: session %d.%d lease expired before commit — presumed aborted", s.ID, s.Epoch)
 	}
 	p.decide(ctx, []*Session{s}, nil, nil)
-	return s, nil
+	return nil
 }
 
 // AbortPrepared durably abort-decides a prepared setup and releases every
 // hold. Aborting an attempt the lease sweep already presumed-aborted is a
 // harmless no-op at the agents (abort fencing).
-func (p *Plane) AbortPrepared(ctx context.Context, pr *Prepared) error {
-	if pr == nil || pr.S == nil || pr.S.State != StatePrepared {
+func (p *Plane) AbortPrepared(ctx context.Context, s *Session) error {
+	if s == nil || s.State != StatePrepared {
 		return fmt.Errorf("ctrlplane: abort of non-prepared session")
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p.tick()
-	p.decide(ctx, nil, []*Session{pr.S}, nil)
+	p.decide(ctx, nil, []*Session{s}, nil)
 	return nil
 }
 
-// ResumePrepared reconstructs a Prepared handle for a split-phase setup
-// known only from a durable record (id, epoch, path, bandwidth) after the
-// caller lost its volatile handle — a federation sub-coordinator recovering
-// from a region crash. The plane's own agent and WAL state is untouched;
-// the handle re-derives hop ownership so CommitPrepared or AbortPrepared
-// can finish the attempt. A hop that lost its broker owner since the
-// prepare fails the resume (the caller falls back to presumed abort).
-func (p *Plane) ResumePrepared(id int, epoch uint32, nodes []int32, bw float64) (*Prepared, error) {
+// ResumeSession rebuilds a session from its durable facts — id, epoch, path,
+// bandwidth and the state the caller's record says it is in — for a caller
+// that keeps records, not handles: a federation region's sub-coordinator
+// drives every commit, abort, release and damage check of a sub-transaction
+// this way. The plane's own agent and WAL state is untouched; hop owners are
+// re-derived under the current membership, so a StatePrepared session can be
+// finished by CommitPrepared or AbortPrepared and a StateCommitted one checked
+// by SessionDamaged or released by Teardown. nodes is kept, not copied. A hop
+// that lost its broker owner since the prepare fails the resume.
+func (p *Plane) ResumeSession(id int, epoch uint32, nodes []int32, bw float64, state SessionState) (*Session, error) {
 	if len(nodes) < 2 {
 		return nil, fmt.Errorf("ctrlplane: path needs >= 2 nodes, got %d", len(nodes))
 	}
-	s := &Session{ID: id, Epoch: epoch, Bandwidth: bw, State: StatePrepared,
-		Path: append([]int32(nil), nodes...)}
-	for i := 0; i+1 < len(s.Path); i++ {
-		owner, ok := p.ownerOf(s.Path[i], s.Path[i+1])
-		if !ok {
-			return nil, fmt.Errorf("ctrlplane: hop (%d,%d) has no broker owner — cannot resume", s.Path[i], s.Path[i+1])
-		}
-		s.owners = append(s.owners, owner)
+	owners, err := p.hopOwners(nil, nodes)
+	if err != nil {
+		return nil, err
 	}
-	return &Prepared{S: s}, nil
+	return &Session{ID: id, Epoch: epoch, Bandwidth: bw, State: state, Path: nodes, owners: owners}, nil
 }
 
 func uniqueOwners(owners []int32) []int32 {

@@ -8,17 +8,9 @@ import "sort"
 // a session whose heartbeats stop is surfaced by ExpiredSessions and
 // presumed-released by the sweeper through CommitBatch's BatchExpire path —
 // which re-checks the lease under the plane's serialization, so a renewal
-// racing the sweep can never double-release. The per-session record is one
-// pointer plus one int64 (plus map overhead): compact enough to track
-// millions of concurrent sessions.
-
-// sessLease is one committed session's heartbeat lease.
-type sessLease struct {
-	s *Session
-	// expires is a lease-clock instant (virtual ticks by default, see
-	// SetLeaseClock).
-	expires int64
-}
+// racing the sweep can never double-release. A lease is a field of its
+// session (Session.leaseExpires, a lease-clock instant); the plane only
+// indexes the leased sessions by id, so tracking one costs a map entry.
 
 // SetLeaseClock overrides the session-lease clock. The default is the
 // plane's virtual clock, which advances per operation — right for
@@ -41,7 +33,8 @@ func (p *Plane) grantSessionLease(s *Session) {
 	if p.d.Retry.SessionTTL <= 0 {
 		return
 	}
-	p.sessLeases[s.ID] = &sessLease{s: s, expires: p.leaseTime() + p.d.Retry.SessionTTL}
+	s.leaseExpires = p.leaseTime() + p.d.Retry.SessionTTL
+	p.sessLeases[s.ID] = s
 }
 
 // dropSessionLease retires s's lease on release/teardown.
@@ -52,12 +45,12 @@ func (p *Plane) dropSessionLease(id int) { delete(p.sessLeases, id) }
 // lease: never granted, already torn down, or already swept. A miss means
 // the session is gone; the client must set up anew, never resurrect.
 func (p *Plane) RenewSession(id int) bool {
-	l := p.sessLeases[id]
-	if l == nil {
+	s := p.sessLeases[id]
+	if s == nil {
 		p.stats.LeaseRenewMisses++
 		return false
 	}
-	l.expires = p.leaseTime() + p.d.Retry.SessionTTL
+	s.leaseExpires = p.leaseTime() + p.d.Retry.SessionTTL
 	p.stats.LeaseRenewals++
 	return true
 }
@@ -67,8 +60,8 @@ func (p *Plane) RenewSession(id int) bool {
 // under the plane's serialization: false for unleased sessions (leasing
 // disabled, or already dropped), so those are never presumed-released.
 func (p *Plane) SessionLeaseLapsed(id int) bool {
-	l := p.sessLeases[id]
-	return l != nil && l.expires <= p.leaseTime()
+	s := p.sessLeases[id]
+	return s != nil && s.leaseExpires <= p.leaseTime()
 }
 
 // ExpiredSessions returns the committed sessions whose heartbeat leases
@@ -79,9 +72,9 @@ func (p *Plane) SessionLeaseLapsed(id int) bool {
 func (p *Plane) ExpiredSessions() []*Session {
 	now := p.leaseTime()
 	var out []*Session
-	for _, l := range p.sessLeases {
-		if l.expires <= now {
-			out = append(out, l.s)
+	for _, s := range p.sessLeases {
+		if s.leaseExpires <= now {
+			out = append(out, s)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -20,19 +20,18 @@ func leasePlane(t *testing.T, ttl int) *Plane {
 func TestPrepareCommitWithinLease(t *testing.T) {
 	p := leasePlane(t, 100)
 	path := []int32{0, 1, 2, 3, 4}
-	pr, err := p.PrepareOnPath(context.Background(), path, 2)
+	s, err := p.PrepareOnPath(context.Background(), path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr.S.State != StatePrepared {
-		t.Fatalf("state %d after prepare, want StatePrepared", pr.S.State)
+	if s.State != StatePrepared {
+		t.Fatalf("state %d after prepare, want StatePrepared", s.State)
 	}
 	// Prepared holds deduct availability but are not yet committed.
 	if got := p.Available(0, 1); got != 8 {
 		t.Fatalf("available 8 expected while prepared, got %f", got)
 	}
-	s, err := p.CommitPrepared(context.Background(), pr)
-	if err != nil {
+	if err := p.CommitPrepared(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
 	if s.State != StateCommitted {
@@ -58,8 +57,8 @@ func TestAbortPrepared(t *testing.T) {
 	if err := p.AbortPrepared(context.Background(), pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr.S.State != StateAborted {
-		t.Fatalf("state %d after abort, want StateAborted", pr.S.State)
+	if pr.State != StateAborted {
+		t.Fatalf("state %d after abort, want StateAborted", pr.State)
 	}
 	if got := p.Available(0, 1); got != 10 {
 		t.Fatalf("hold not released: available %f, want 10", got)
@@ -96,7 +95,7 @@ func TestLeaseExpirySelfCleans(t *testing.T) {
 		}
 	}
 	// A straggling commit for the swept attempt must be refused, not applied.
-	if _, err := p.CommitPrepared(context.Background(), pr); err == nil {
+	if err := p.CommitPrepared(context.Background(), pr); err == nil {
 		t.Fatal("commit of an expired prepare succeeded; want refusal")
 	} else if !strings.Contains(err.Error(), "lease expired") {
 		t.Fatalf("refusal error %q does not name the lease", err)
@@ -158,17 +157,40 @@ func TestResumePrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The caller's volatile handle is lost; rebuild it from durable facts.
-	re, err := p.ResumePrepared(pr.S.ID, pr.S.Epoch, pr.S.Path, pr.S.Bandwidth)
+	// The caller keeps no handle; rebuild the session from durable facts.
+	s, err := p.ResumeSession(pr.ID, pr.Epoch, pr.Path, pr.Bandwidth, StatePrepared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.CommitPrepared(context.Background(), re)
-	if err != nil {
+	if err := p.CommitPrepared(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckInvariants([]*Session{s}); err != nil {
 		t.Fatal(err)
+	}
+	// The same constructor serves the committed record: the rebuilt session
+	// carries its hop owners, so a crashed owner reads as damage, and it
+	// releases like the original.
+	s, err = p.ResumeSession(pr.ID, pr.Epoch, pr.Path, pr.Bandwidth, StateCommitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.SessionDamaged(s) {
+		t.Fatal("rebuilt committed session damaged on a healthy plane")
+	}
+	p.Crash(2)
+	if !p.SessionDamaged(s) {
+		t.Fatal("rebuilt committed session blind to its crashed hop owner")
+	}
+	p.Recover(2)
+	if err := p.Teardown(context.Background(), s); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckInvariants(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(p.top, nil, []int32{0}).ResumeSession(pr.ID, pr.Epoch, pr.Path, pr.Bandwidth, StatePrepared); err == nil {
+		t.Fatal("resumed a session over a hop no broker owns")
 	}
 }
 

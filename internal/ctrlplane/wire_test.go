@@ -80,9 +80,10 @@ func TestOneProtocolOnTheWire(t *testing.T) {
 	if got := tap.requests(t, "PrepareOnPath"); got != hops {
 		t.Fatalf("PrepareOnPath cost %d requests, want %d", got, hops)
 	}
-	if s, err = p.CommitPrepared(ctx, pr); err != nil {
+	if err = p.CommitPrepared(ctx, pr); err != nil {
 		t.Fatal(err)
 	}
+	s = pr
 	if got := tap.requests(t, "CommitPrepared"); got != owners {
 		t.Fatalf("CommitPrepared cost %d requests, want %d", got, owners)
 	}

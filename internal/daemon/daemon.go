@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"brokerset/internal/broker"
@@ -70,10 +69,10 @@ type Daemon struct {
 	// set); see federation.go for the lock protocol and endpoints.
 	fed *fedState
 
-	// econ is the live economics plane (nil unless Econ is set); the
-	// query plane's admission hook and the /econ/* handlers read it with
-	// one atomic load, so the disabled path stays effectively free.
-	econ atomic.Pointer[econState]
+	// econ is the live economics plane (nil unless Econ is set). New
+	// writes it once, before anything can read it; the query plane's
+	// admission hook and the /econ/* handlers then only nil-check it.
+	econ *econState
 
 	// Unified observability (see initObs): metrics registry, request
 	// tracer, control-plane flight recorder, HTTP front-door instruments.
@@ -160,7 +159,7 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 		},
 		// The daemon itself is the admission hook: it delegates to the
 		// econ plane when one is enabled, and admits everything (one
-		// atomic nil-check) otherwise.
+		// nil-check) otherwise.
 		Admission: s,
 		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
 			if err := ctx.Err(); err != nil {
@@ -267,7 +266,7 @@ func (s *Daemon) Run(ctx context.Context) {
 	if s.fed != nil {
 		loop(100*time.Millisecond, func() { s.fedTick(ctx) })
 	}
-	if e := s.econ.Load(); e != nil {
+	if e := s.econ; e != nil {
 		loop(e.every, func() { s.econTick(e) })
 	}
 	if s.slo != nil {

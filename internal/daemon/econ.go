@@ -38,9 +38,8 @@ type EconConfig struct {
 	Threshold   float64
 }
 
-// enableEcon wires the economics plane onto a built daemon, before it takes
-// traffic (the admission hook reads s.econ atomically, so enabling is safe,
-// but pricing should see the whole run).
+// enableEcon wires the economics plane onto a daemon New is still building:
+// nothing reads s.econ yet, and pricing sees the whole run.
 func (s *Daemon) enableEcon(cfg EconConfig) error {
 	if cfg.Every <= 0 {
 		cfg.Every = 250 * time.Millisecond
@@ -62,7 +61,7 @@ func (s *Daemon) enableEcon(cfg EconConfig) error {
 		windowTicks: cfg.WindowTicks,
 	}
 	market.RegisterMetrics(s.reg, e.ctrl, e.adm, e.set)
-	s.econ.Store(e)
+	s.econ = e
 	return nil
 }
 
@@ -89,20 +88,19 @@ func (s *Daemon) econTick(e *econState) {
 
 // Admit implements queryplane.Admission by delegating to the live econ
 // state; with the plane disabled every bid is admitted at quote 0, so the
-// hook costs one atomic load on the hot path.
+// hook costs one nil-check on the hot path.
 func (s *Daemon) Admit(bid float64) (bool, float64) {
-	e := s.econ.Load()
-	if e == nil {
+	if s.econ == nil {
 		return true, 0
 	}
-	return e.adm.Admit(bid)
+	return s.econ.adm.Admit(bid)
 }
 
 // recordCarriers credits the settlement accumulator with the brokers that
 // carried units of traffic along path nodes (the coalition members on the
 // path, per the current snapshot). No-op while econ is disabled.
 func (s *Daemon) recordCarriers(nodes []int32, units float64) {
-	e := s.econ.Load()
+	e := s.econ
 	if e == nil {
 		return
 	}
@@ -122,9 +120,8 @@ func (s *Daemon) recordCarriers(nodes []int32, units float64) {
 // 429 with the posted price in X-Econ-Price, a Retry-After hinting the
 // next controller tick, and the quote in the JSON body.
 func (s *Daemon) writePriceRejection(w http.ResponseWriter, quote float64) {
-	e := s.econ.Load()
 	retry := 1
-	if e != nil && e.every >= time.Second {
+	if e := s.econ; e != nil && e.every >= time.Second {
 		retry = int(e.every.Seconds())
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
@@ -236,7 +233,7 @@ func (s *Daemon) handleEconStats(w http.ResponseWriter, r *http.Request) {
 // requireEcon gates the /econ/* handlers on the plane being enabled and
 // (except the settlement POST hook) on GET.
 func (s *Daemon) requireEcon(w http.ResponseWriter, r *http.Request) (*econState, bool) {
-	e := s.econ.Load()
+	e := s.econ
 	if e == nil {
 		writeError(w, http.StatusNotFound, "economics plane disabled (run with -econ)")
 		return nil, false
@@ -253,7 +250,7 @@ func (s *Daemon) requireEcon(w http.ResponseWriter, r *http.Request) (*econState
 func (s *Daemon) registerEconCollectors() {
 	s.reg.RegisterCollector(func(emit func(obs.Sample)) {
 		enabled := 0.0
-		if s.econ.Load() != nil {
+		if s.econ != nil {
 			enabled = 1
 		}
 		emit(obs.Sample{

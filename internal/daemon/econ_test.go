@@ -65,7 +65,7 @@ func TestEconPriceAndQuoteEndpoints(t *testing.T) {
 
 func TestPricedAdmissionOverHTTP(t *testing.T) {
 	srv, ts := econTestServer(t)
-	e := srv.econ.Load()
+	e := srv.econ
 	bs := srv.currentBrokers()
 	src, dst := int(bs[0]), int(bs[len(bs)-1])
 
@@ -126,7 +126,7 @@ func TestPricedAdmissionOverHTTP(t *testing.T) {
 // good; congested, it was admitted over every finite bid.
 func TestNonFiniteBidIsZero(t *testing.T) {
 	srv, ts := econTestServer(t)
-	e := srv.econ.Load()
+	e := srv.econ
 	bs := srv.currentBrokers()
 	src, dst := int(bs[0]), int(bs[len(bs)-1])
 	url := fmt.Sprintf("%s/path?src=%d&dst=%d", ts.URL, src, dst)
@@ -190,7 +190,7 @@ func TestNonFiniteBidIsZero(t *testing.T) {
 
 func TestEconSettlementLedgerOverHTTP(t *testing.T) {
 	srv, ts := econTestServer(t)
-	e := srv.econ.Load()
+	e := srv.econ
 	bs := srv.currentBrokers()
 	src, dst := int(bs[0]), int(bs[len(bs)-1])
 

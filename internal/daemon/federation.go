@@ -105,25 +105,29 @@ type fedRegionInfo struct {
 	Epoch      uint64  `json:"epoch"`
 }
 
-func (s *Daemon) handleFedRegions(w http.ResponseWriter, r *http.Request) {
-	s.fed.mu.RLock()
-	fabric := s.fed.fabric
+// fedRegions describes every region of the fabric, border IXPs (global ids)
+// included when borders is set. The caller holds the fabric lock.
+func fedRegions(fabric *federation.Fabric, borders bool) []fedRegionInfo {
 	out := make([]fedRegionInfo, fabric.NumRegions())
 	for i := range out {
 		reg := fabric.Region(i)
-		borders := make([]int32, 0, len(reg.BorderIXPs()))
-		for _, b := range reg.BorderIXPs() {
-			borders = append(borders, reg.Global(b))
-		}
 		out[i] = fedRegionInfo{
-			ID:         i,
-			Up:         !fabric.RegionCrashed(i),
-			Members:    len(fabric.Partition().Members(i)),
-			Brokers:    len(reg.Brokers),
-			BorderIXPs: borders,
-			Epoch:      reg.Pub.Epoch(),
+			ID:      i,
+			Up:      !fabric.RegionCrashed(i),
+			Members: len(fabric.Partition().Members(i)),
+			Brokers: len(reg.Brokers),
+			Epoch:   reg.Pub.Epoch(),
+		}
+		if borders {
+			out[i].BorderIXPs = reg.GlobalPath(reg.BorderIXPs())
 		}
 	}
+	return out
+}
+
+func (s *Daemon) handleFedRegions(w http.ResponseWriter, r *http.Request) {
+	s.fed.mu.RLock()
+	out := fedRegions(s.fed.fabric, true)
 	s.fed.mu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
@@ -304,18 +308,7 @@ type fedStatsResponse struct {
 
 func (s *Daemon) handleFedStats(w http.ResponseWriter, r *http.Request) {
 	s.fed.mu.RLock()
-	fabric := s.fed.fabric
-	out := fedStatsResponse{Stats: fabric.Stats()}
-	for i := 0; i < fabric.NumRegions(); i++ {
-		reg := fabric.Region(i)
-		out.Regions = append(out.Regions, fedRegionInfo{
-			ID:      i,
-			Up:      !fabric.RegionCrashed(i),
-			Members: len(fabric.Partition().Members(i)),
-			Brokers: len(reg.Brokers),
-			Epoch:   reg.Pub.Epoch(),
-		})
-	}
+	out := fedStatsResponse{Regions: fedRegions(s.fed.fabric, false), Stats: s.fed.fabric.Stats()}
 	s.fed.mu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
@@ -326,11 +319,9 @@ func (s *Daemon) FederationSummary() string {
 	if s.fed == nil {
 		return ""
 	}
-	fabric := s.fed.fabric
-	parts := make([]string, fabric.NumRegions())
-	for i := range parts {
-		reg := fabric.Region(i)
-		parts[i] = fmt.Sprintf("r%d:%dn/%db", i, len(fabric.Partition().Members(i)), len(reg.Brokers))
+	var parts []string
+	for _, ri := range fedRegions(s.fed.fabric, false) {
+		parts = append(parts, fmt.Sprintf("r%d:%dn/%db", ri.ID, ri.Members, ri.Brokers))
 	}
 	return strings.Join(parts, " ")
 }

@@ -291,7 +291,7 @@ func TestRunStopsEveryLoop(t *testing.T) {
 				d.fed.mu.RLock()
 				beats := d.fed.ticks
 				d.fed.mu.RUnlock()
-				heals, sessions, reprices := d.healer.Metrics.HealPasses.Load(), d.sessions.Len(), d.econ.Load().ctrl.Ticks()
+				heals, sessions, reprices := d.healer.Metrics.HealPasses.Load(), d.sessions.Len(), d.econ.ctrl.Ticks()
 				if heals > 0 && sessions == 0 && beats > 0 && reprices > 0 {
 					return ""
 				}

@@ -58,7 +58,7 @@ func verifyConserved(t *testing.T, f *Fabric, fr *obs.FlightRecorder, seed int64
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
 	committed := s.State == ctrlplane.StateCommitted
 	for r := 0; r < f.NumRegions(); r++ {
-		rec := f.subWAL[r][fk]
+		rec := f.Region(r).subs[fk]
 		has := rec != nil && rec.State == subCommitted
 		inPath := false
 		if s.Stitched != nil {

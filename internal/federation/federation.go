@@ -21,18 +21,26 @@
 // (BATCH-NACK) only a commit it can no longer honour: its lease lapsed and
 // its sweep presumed abort, or it never heard of the attempt. A refusal —
 // on the spot or of a backlogged record — rolls the whole session back.
-// Fabric.records builds every record, Fabric.applyDecision executes every
-// entry; nothing else moves a sub-transaction after prepare. The engine's
-// three hooks are Dispatch = Fabric.dispatch (sub-coordinator and gossip
-// store), Down = none (a home coordinator has no failure detector for its
-// peers; the circuit breaker is what it has) and Refused =
-// Fabric.commitRefused (the rollback above).
 //
-// The Fabric is the in-process federation harness: it owns every region,
-// the peer message bus and its delivery engine, and the durable
-// sub-transaction records each region's sub-coordinator would keep on
-// disk. Like ctrlplane.Plane it is not safe for concurrent use — callers
-// serialize operations externally (brokerd guards it with one RWMutex).
+// A region's share of a stitched session exists once: the durable subRecord
+// in Region.subs, owned by the region that holds the segment — the home
+// region's own segment included. There are no live session handles beside it.
+// Fabric.records builds every decision, one entry per region holding a
+// segment (the home region's is applied on the spot, the others ride the
+// bus), and Region.applyDecision executes every entry by rebuilding the
+// region-local session from the record; nothing else moves a sub-transaction
+// after prepare, so the path a crashed-and-recovered region takes is the path
+// every region always takes. The engine's three hooks are Dispatch =
+// Fabric.dispatch (sub-coordinator and gossip store), Down = none (a home
+// coordinator has no failure detector for its peers; the circuit breaker is
+// what it has) and Refused = Fabric.commitRefused (the rollback above).
+//
+// The Fabric is the in-process federation harness: it owns the regions, the
+// peer message bus and its delivery engine, and the home coordinators'
+// decision record; everything else per region — records, gossip view, crash
+// mark — is a field of its Region. Like ctrlplane.Plane it is not safe for
+// concurrent use — callers serialize operations externally (brokerd guards
+// it with one RWMutex).
 package federation
 
 import (
@@ -60,9 +68,6 @@ type Config struct {
 	// border IXP (switch-fabric crossing between the two regions' ports).
 	// Default 2 ms.
 	CrossingCostMs float64
-	// MaxBorderCandidates bounds the border IXPs tried per region crossing
-	// during stitching (highest-degree first). Default 3.
-	MaxBorderCandidates int
 	// Seed fixes the fabric's deterministic randomness.
 	Seed int64
 	// Metrics, when non-nil, is the global per-link metric assignment every
@@ -79,52 +84,6 @@ type Config struct {
 	PeerFaults *ctrlplane.FaultConfig
 }
 
-// fedKey identifies one establish attempt of a federated session (Heal
-// re-stitches under a new epoch, fencing stragglers exactly like the
-// intra-region protocol).
-type fedKey struct {
-	ID    int
-	Epoch uint32
-}
-
-// subState is the durable lifecycle of one region's sub-transaction.
-type subState uint8
-
-const (
-	subPrepared subState = iota + 1
-	subCommitted
-	subAborted
-	subReleased
-)
-
-// subRecord is a region sub-coordinator's durable record of one
-// sub-transaction: enough to resume (commit, abort, or release) the
-// region-local session after the sub-coordinator's volatile state is lost
-// to a crash.
-type subRecord struct {
-	State      subState
-	LocalID    int     // region-local ctrlplane session id
-	LocalEpoch uint32  // region-local session epoch
-	Path       []int32 // region-local node ids
-	BW         float64
-}
-
-// volRegion is a region sub-coordinator's volatile state, wiped by
-// CrashRegion: live session handles and the gossip-fed view of peers.
-type volRegion struct {
-	prepared  map[fedKey]*ctrlplane.Prepared
-	committed map[fedKey]*ctrlplane.Session
-	peers     map[int]*regionDigest
-}
-
-func newVolRegion() *volRegion {
-	return &volRegion{
-		prepared:  make(map[fedKey]*ctrlplane.Prepared),
-		committed: make(map[fedKey]*ctrlplane.Session),
-		peers:     make(map[int]*regionDigest),
-	}
-}
-
 // Stats counts federation activity.
 type Stats struct {
 	Setups    int `json:"setups"`
@@ -135,8 +94,8 @@ type Stats struct {
 	// PeerRetries counts re-sends (including backlog re-drives).
 	PeerMessages int `json:"peer_messages"`
 	PeerRetries  int `json:"peer_retries"`
-	// CommitNacks counts transit regions refusing a late commit record
-	// (lease expired); each one rolls the whole stitched session back.
+	// CommitNacks counts regions refusing a late commit (lease expired);
+	// each one rolls the whole stitched session back.
 	CommitNacks int `json:"commit_nacks"`
 	// Rollbacks counts committed stitched sessions conserved-aborted after
 	// a commit refusal.
@@ -170,8 +129,8 @@ type Fabric struct {
 
 	// d delivers X-PREPAREs and decision records over the inter-region bus:
 	// retries, the backlog of decided-but-undelivered records (durable, like
-	// decided and subWAL) and the per-peer-region circuit breakers live
-	// there. Home coordinators have no failure detector for their peers, so
+	// decided and every Region.subs) and the per-peer-region circuit breakers
+	// live there. Home coordinators have no failure detector for their peers, so
 	// it is built without a Down hook: a crashed region's traffic is sent,
 	// dropped by the regionBus, and counted against its breaker.
 	d      *ctrlplane.Delivery
@@ -179,15 +138,9 @@ type Fabric struct {
 	rng    *rand.Rand
 	clock  int
 
-	crashed []bool
-
-	// Durable per-fabric state (survives region crashes): the home
-	// coordinators' decision record and each region's sub-transaction WAL.
+	// decided is the home coordinators' durable decision record (survives
+	// region crashes).
 	decided map[fedKey]bool
-	subWAL  []map[fedKey]*subRecord
-
-	// Volatile per-region state.
-	vol []*volRegion
 
 	sessions map[int]*Session
 	stats    Stats
@@ -204,9 +157,6 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 	}
 	if cfg.CrossingCostMs <= 0 {
 		cfg.CrossingCostMs = 2.0
-	}
-	if cfg.MaxBorderCandidates <= 0 {
-		cfg.MaxBorderCandidates = 3
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -241,10 +191,7 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 			return nil, fmt.Errorf("federation: region %d: %w", r, err)
 		}
 		f.regions = append(f.regions, reg)
-		f.subWAL = append(f.subWAL, make(map[fedKey]*subRecord))
-		f.vol = append(f.vol, newVolRegion())
 	}
-	f.crashed = make([]bool, cfg.Regions)
 	f.ranked = make([][]int32, cfg.Regions*cfg.Regions)
 	for r := 0; r < cfg.Regions; r++ {
 		for q := 0; q < cfg.Regions; q++ {
@@ -279,7 +226,7 @@ func (b regionBus) Recv() (ctrlplane.Message, bool) {
 		q, peer := ctrlplane.PeerRegion(m.To)
 		switch {
 		case !peer || q >= len(b.f.regions):
-		case b.f.crashed[q]:
+		case b.f.regions[q].crashed:
 			b.f.flight.Recordf("federation", "drop", int64(b.f.clock), "%s to crashed region %d session %d.%d",
 				m.Type, q, m.SessionID, m.Epoch)
 		default:
@@ -325,34 +272,37 @@ func (f *Fabric) Stats() Stats {
 }
 
 // RegionCrashed reports whether region r's sub-coordinator is down.
-func (f *Fabric) RegionCrashed(r int) bool { return f.crashed[r] }
+func (f *Fabric) RegionCrashed(r int) bool { return f.regions[r].crashed }
 
 // CrashRegion fails region r's whole stack: the sub-coordinator's volatile
-// state (live session handles, gossip view) is lost, and while crashed the
-// region neither receives peer messages nor ticks its plane clock. The
-// durable side — the sub-transaction WAL and the region plane's agent WALs
-// — survives for RecoverRegion.
+// state — its gossip view — is lost, and while crashed the region neither
+// receives peer messages nor ticks its plane clock. The durable side — the
+// sub-transaction records and the region plane's agent WALs — survives for
+// RecoverRegion.
 func (f *Fabric) CrashRegion(r int) {
-	if f.crashed[r] {
+	reg := f.regions[r]
+	if reg.crashed {
 		return
 	}
 	f.flight.Recordf("federation", "region_crash", int64(f.clock), "region %d", r)
-	f.crashed[r] = true
-	f.vol[r] = newVolRegion()
+	reg.crashed = true
+	reg.peers = make(map[int]*regionDigest)
 	f.stats.RegionCrashes++
 }
 
-// RecoverRegion restarts a crashed region. Live handles stay lost: in-doubt
-// sub-transactions are resumed on demand from the durable sub-WAL when the
-// home region re-drives its decision (see applyDecision), exactly
-// the presumed-abort recovery shape of the intra-region protocol.
+// RecoverRegion restarts a crashed region. Nothing is rebuilt: the region's
+// sub-transactions are its durable records, and the decisions the home
+// regions re-drive are applied to them like any other (see
+// Region.applyDecision) — the presumed-abort recovery shape of the
+// intra-region protocol.
 func (f *Fabric) RecoverRegion(r int) {
-	if !f.crashed[r] {
+	reg := f.regions[r]
+	if !reg.crashed {
 		return
 	}
-	f.crashed[r] = false
+	reg.crashed = false
 	f.stats.RegionRecoveries++
-	f.flight.Recordf("federation", "region_recover", int64(f.clock), "region %d: %d sub-txn records", r, len(f.subWAL[r]))
+	f.flight.Recordf("federation", "region_recover", int64(f.clock), "region %d: %d sub-txn records", r, len(reg.subs))
 }
 
 // tick advances fabric time: live region planes tick (sweeping lapsed
@@ -360,8 +310,8 @@ func (f *Fabric) RecoverRegion(r int) {
 // stays frozen — its leases age only while the region is actually up.
 func (f *Fabric) tick() {
 	f.clock++
-	for r, reg := range f.regions {
-		if !f.crashed[r] {
+	for _, reg := range f.regions {
+		if !reg.crashed {
 			reg.Plane.Tick()
 		}
 	}
@@ -382,8 +332,8 @@ func (f *Fabric) Reconcile(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for r := range f.regions {
-		if f.crashed[r] {
+	for r, reg := range f.regions {
+		if reg.crashed {
 			return fmt.Errorf("federation: reconcile requires every region up: region %d crashed", r)
 		}
 	}
@@ -400,13 +350,13 @@ func (f *Fabric) Reconcile(ctx context.Context) error {
 }
 
 // CheckInvariants verifies every region's conservation laws at quiescence:
-// each region's committed sub-transactions are reconstructed from its
-// durable sub-WAL and handed to the region plane's own checker, so a
+// each region's committed sub-transactions are rebuilt from its durable
+// records and handed to the region plane's own checker, so a
 // stitched session must be exactly accounted in every region it crosses —
 // fully committed everywhere or conserved-aborted everywhere.
 func (f *Fabric) CheckInvariants() error {
-	for r := range f.regions {
-		if f.crashed[r] {
+	for r, reg := range f.regions {
+		if reg.crashed {
 			return fmt.Errorf("federation: invariant check requires every region up: region %d crashed", r)
 		}
 	}
@@ -415,15 +365,14 @@ func (f *Fabric) CheckInvariants() error {
 	}
 	for r, reg := range f.regions {
 		var committed []*ctrlplane.Session
-		for _, fk := range sortedFedKeys(f.subWAL[r]) {
-			rec := f.subWAL[r][fk]
-			if rec.State != subCommitted {
-				continue
+		for _, fk := range sortedFedKeys(reg.subs) {
+			if rec := reg.subs[fk]; rec.State == subCommitted {
+				sess, err := reg.session(rec)
+				if err != nil {
+					return fmt.Errorf("federation: region %d: %w", r, err)
+				}
+				committed = append(committed, sess)
 			}
-			committed = append(committed, &ctrlplane.Session{
-				ID: rec.LocalID, Epoch: rec.LocalEpoch, Path: rec.Path,
-				Bandwidth: rec.BW, State: ctrlplane.StateCommitted,
-			})
 		}
 		if err := reg.Plane.CheckInvariants(committed); err != nil {
 			return fmt.Errorf("federation: region %d: %w", r, err)

@@ -21,13 +21,13 @@ type regionDigest struct {
 // are fenced by the epoch stamp.
 func (f *Fabric) GossipTick() {
 	for r, reg := range f.regions {
-		if f.crashed[r] {
+		if reg.crashed {
 			continue
 		}
 		ep := uint32(reg.Pub.Epoch())
 		conn := reg.Pub.Current().Connectivity()
-		for q := range f.regions {
-			if q == r || f.crashed[q] || !f.part.Adjacent(r, q) {
+		for q, peer := range f.regions {
+			if q == r || peer.crashed || !f.part.Adjacent(r, q) {
 				continue
 			}
 			for _, l := range reg.borderLocal {
@@ -56,10 +56,11 @@ func (f *Fabric) handleGossip(q int, m ctrlplane.Message) {
 	if src < 0 || src >= len(f.regions) || src == q {
 		return
 	}
-	d := f.vol[q].peers[src]
+	peers := f.regions[q].peers
+	d := peers[src]
 	if d == nil {
 		d = &regionDigest{borderDown: make(map[int32]bool)}
-		f.vol[q].peers[src] = d
+		peers[src] = d
 	}
 	if m.Epoch < d.Epoch {
 		return // stale fragment from a reordered round
@@ -74,7 +75,7 @@ func (f *Fabric) handleGossip(q int, m ctrlplane.Message) {
 // PeerDigest returns region r's gossip-fed view of peer region q (nil when
 // no digest has arrived yet). Tests and /federation/stats introspection.
 func (f *Fabric) PeerDigest(r, q int) (epoch uint32, conn float64, lastSeen int, ok bool) {
-	d := f.vol[r].peers[q]
+	d := f.regions[r].peers[q]
 	if d == nil {
 		return 0, 0, 0, false
 	}
@@ -84,6 +85,6 @@ func (f *Fabric) PeerDigest(r, q int) (epoch uint32, conn float64, lastSeen int,
 // PeerBorderDown reports whether region r has heard (via gossip) that
 // border broker b is down in peer region q.
 func (f *Fabric) PeerBorderDown(r, q int, b int32) bool {
-	d := f.vol[r].peers[q]
+	d := f.regions[r].peers[q]
 	return d != nil && d.borderDown[b]
 }

@@ -38,8 +38,7 @@ func (f *Fabric) Heal(ctx context.Context) HealReport {
 		if s.State != ctrlplane.StateCommitted {
 			continue
 		}
-		home := f.part.RegionOf(s.Src)
-		if f.crashed[home] {
+		if f.regions[f.part.RegionOf(s.Src)].crashed {
 			continue
 		}
 		rep.Checked++
@@ -47,7 +46,7 @@ func (f *Fabric) Heal(ctx context.Context) HealReport {
 			continue
 		}
 		f.flight.Recordf("federation", "heal", int64(f.clock), "session %d.%d damaged", s.ID, s.Epoch)
-		f.releaseSegments(ctx, s, home)
+		f.releaseSegments(ctx, s)
 		s.Epoch++
 		sp, err := f.StitchPath(ctx, s.Src, s.Dst, routing.Options{MinBandwidth: s.Bandwidth})
 		if err == nil {
@@ -76,7 +75,7 @@ func (f *Fabric) sessionDamaged(s *Session) bool {
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
 	for i, seg := range s.Stitched.Segments {
 		r := seg.Region
-		if f.crashed[r] {
+		if f.regions[r].crashed {
 			return true
 		}
 		// The joint into the next region must be live on both sides.
@@ -92,7 +91,7 @@ func (f *Fabric) sessionDamaged(s *Session) bool {
 				return true
 			}
 		}
-		if h := f.vol[r].committed[fk]; h != nil && f.regions[r].Plane.SessionDamaged(h) {
+		if f.regions[r].segmentDamaged(fk) {
 			return true
 		}
 	}
@@ -100,20 +99,20 @@ func (f *Fabric) sessionDamaged(s *Session) bool {
 }
 
 // releaseSegments releases every segment of s's current attempt: the home
-// segment directly, live remote segments synchronously, segments in regions
+// segment on the spot, live remote segments synchronously, segments in regions
 // the healer already found crashed via the backlog (delivered at recovery,
-// without a timeout counted against a region nobody tried to reach).
-func (f *Fabric) releaseSegments(ctx context.Context, s *Session, home int) {
-	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
+// without a timeout counted against a region nobody tried to reach). The home
+// region is up — Heal skips the sessions of a crashed one.
+func (f *Fabric) releaseSegments(ctx context.Context, s *Session) {
 	var live, down []int
-	for _, r := range transitRegions(s.Stitched) {
-		if f.crashed[r] {
+	for _, r := range segmentRegions(s.Stitched) {
+		if f.regions[r].crashed {
 			down = append(down, r)
 		} else {
 			live = append(live, r)
 		}
 	}
-	f.d.Backlog(f.records(ctx, fk, home, ctrlplane.EntryRelease, down)...)
-	f.decide(ctx, fk, home, ctrlplane.EntryRelease, live)
-	_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryRelease))
+	late, _ := f.records(ctx, s, ctrlplane.EntryRelease, down) // only a commit can be refused
+	f.d.Backlog(late...)
+	f.decide(ctx, s, ctrlplane.EntryRelease, live)
 }

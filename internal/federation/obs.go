@@ -50,7 +50,7 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 			ps := rg.Plane.Stats()
 			rows[r] = regionRow{
 				epoch: rg.Pub.Epoch(), commits: ps.Commits, aborts: ps.Aborts,
-				leaseExpiries: ps.LeaseExpiries, crashed: f.crashed[r],
+				leaseExpiries: ps.LeaseExpiries, crashed: rg.crashed,
 			}
 		}
 		lk.Unlock()

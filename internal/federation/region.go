@@ -17,7 +17,8 @@ import (
 // members plus the border IXPs it shares with neighbors), its own broker
 // set, metric assignment, 2PC control plane, epoch-snapshot publisher, and
 // query plane. Node ids inside a Region are region-local; Orig maps them
-// back to the global topology.
+// back to the global topology. The region also owns its sub-coordinator's
+// state: the durable sub-transaction records, the gossip view, the crash mark.
 type Region struct {
 	ID   int
 	Top  *topology.Topology
@@ -37,6 +38,46 @@ type Region struct {
 
 	g2l         map[int32]int32
 	lastVersion uint64
+
+	// subs is the sub-coordinator's durable record of every sub-transaction
+	// the region held a segment for, its own sessions' home segments
+	// included. It is the only representation of the region's share of a
+	// stitched session and survives a crash.
+	subs map[fedKey]*subRecord
+	// peers is the gossip-fed view of the other regions, by region id;
+	// volatile — CrashRegion wipes it.
+	peers map[int]*regionDigest
+	// crashed marks the region's whole stack down (Fabric.CrashRegion).
+	crashed bool
+}
+
+// fedKey identifies one establish attempt of a federated session (Heal
+// re-stitches under a new epoch, fencing stragglers exactly like the
+// intra-region protocol).
+type fedKey struct {
+	ID    int
+	Epoch uint32
+}
+
+// subState is the durable lifecycle of one region's sub-transaction.
+type subState uint8
+
+const (
+	subPrepared subState = iota + 1
+	subCommitted
+	subAborted
+	subReleased
+)
+
+// subRecord is a region sub-coordinator's durable record of one
+// sub-transaction: the facts the region-local session is rebuilt from
+// whenever a decision about it arrives or the healer asks after it.
+type subRecord struct {
+	State      subState
+	LocalID    int     // region-local ctrlplane session id
+	LocalEpoch uint32  // region-local session epoch
+	Path       []int32 // region-local node ids
+	BW         float64
 }
 
 // buildRegion boots region r's full coalition stack from the global
@@ -111,6 +152,8 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 		Metrics: metrics, Plane: plane, Pub: pub, QP: qp,
 		Brokers: brokers, borderLocal: borderLocal,
 		lastVersion: plane.Version(),
+		subs:        make(map[fedKey]*subRecord),
+		peers:       make(map[int]*regionDigest),
 	}
 	reg.maybePublish(context.Background())
 	return reg, nil
@@ -150,4 +193,118 @@ func (reg *Region) maybePublish(ctx context.Context) {
 	// Only reservations change after boot (the region graph and coalition
 	// are fixed), so the successor shares everything but the view.
 	reg.Pub.Publish(ctx, reg.Pub.Current().WithView(reg.Metrics.View()))
+}
+
+// hold prepares a region-local path for attempt fk and writes the
+// sub-transaction's record. A refused prepare leaves no record: a retransmit
+// re-evaluates, exactly like an agent nacking a PREPARE.
+func (reg *Region) hold(ctx context.Context, fk fedKey, path []int32, bw float64) error {
+	s, err := reg.Plane.PrepareOnPath(ctx, path, bw)
+	if err != nil {
+		return err
+	}
+	reg.subs[fk] = &subRecord{State: subPrepared, LocalID: s.ID, LocalEpoch: s.Epoch, Path: s.Path, BW: bw}
+	return nil
+}
+
+// session rebuilds the region-local session a prepared or committed record
+// stands for. The coalition is fixed after boot, so the hop owners derived
+// now are the owners the holds were placed at, and the error — a hop no
+// broker owns — cannot happen to a path the plane once prepared.
+func (reg *Region) session(rec *subRecord) (*ctrlplane.Session, error) {
+	state := ctrlplane.StatePrepared
+	if rec.State == subCommitted {
+		state = ctrlplane.StateCommitted
+	}
+	return reg.Plane.ResumeSession(rec.LocalID, rec.LocalEpoch, rec.Path, rec.BW, state)
+}
+
+// prepareSub is the sub-coordinator holding its segment of a stitched path;
+// false nacks the X-PREPARE.
+func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
+	fk := fedKey{ID: m.SessionID, Epoch: m.Epoch}
+	if rec := reg.subs[fk]; rec != nil {
+		// A retransmit: re-ack a live attempt, refuse one already dead.
+		return rec.State == subPrepared || rec.State == subCommitted
+	}
+	entry, okE := reg.Local(m.Hop[0])
+	exit, okX := reg.Local(m.Hop[1])
+	if !okE || !okX {
+		return false
+	}
+	// Resolve the segment through our own query plane: the home region only
+	// named the border endpoints, the concrete hops are ours to choose. The
+	// quote we gave its stitch is still cached, so unless our reservations
+	// moved under it this is a lookup, not a search.
+	p, _, err := reg.QP.Resolve(ctx, int(entry), int(exit),
+		routing.Options{MinBandwidth: m.Bandwidth})
+	if err != nil {
+		return false
+	}
+	return reg.hold(ctx, fk, p.Nodes, m.Bandwidth) == nil
+}
+
+// applyDecision executes one decision-record entry against the region's
+// durable sub-transaction record. It is the only place a subRecord.State
+// moves after prepare, whether the record arrived over the peer bus or the
+// home coordinator applies its own decision to its own segment:
+//
+//	record state   commit              abort / release
+//	(none)         refused             no-op (presumed abort: nothing held)
+//	prepared       -> committed, or    -> aborted
+//	               refused -> aborted
+//	committed      no-op               -> released
+//	aborted        refused             no-op
+//	released       refused             no-op
+//
+// Only a commit can be refused (the returned error): the region's lease
+// lapsed and its sweep already presumed abort, or it never heard of the
+// attempt. An abort reaching a committed record releases it fully — the
+// commit landed but its ack was lost, and the home rolled back presuming it
+// hadn't. The record is all there is: every step rebuilds the region-local
+// session from it.
+func (reg *Region) applyDecision(ctx context.Context, e ctrlplane.BatchEntry) error {
+	rec := reg.subs[fedKey{ID: e.ID, Epoch: e.Epoch}]
+	commit := e.Kind == ctrlplane.EntryCommit
+	if rec == nil || rec.State == subAborted || rec.State == subReleased {
+		if commit {
+			return fmt.Errorf("federation: region %d holds nothing for session %d.%d", reg.ID, e.ID, e.Epoch)
+		}
+		return nil
+	}
+	if rec.State == subCommitted && commit {
+		return nil
+	}
+	sess, err := reg.session(rec)
+	if err != nil {
+		return err
+	}
+	switch {
+	case rec.State == subCommitted:
+		_ = reg.Plane.Teardown(ctx, sess) // refuses only a non-committed session
+		rec.State = subReleased
+	case commit:
+		if err := reg.Plane.CommitPrepared(ctx, sess); err != nil {
+			rec.State = subAborted // our lease expired and the sweep presumed abort
+			return err
+		}
+		rec.State = subCommitted
+	default:
+		_ = reg.Plane.AbortPrepared(ctx, sess) // a hold the sweep already took is a no-op
+		rec.State = subAborted
+	}
+	reg.maybePublish(ctx)
+	return nil
+}
+
+// segmentDamaged reports whether the region's own plane finds the segment it
+// committed for attempt fk damaged (link failure, agent crashed, breaker
+// open). A region holding no committed record for fk has nothing to damage.
+func (reg *Region) segmentDamaged(fk fedKey) bool {
+	rec := reg.subs[fk]
+	if rec == nil || rec.State != subCommitted {
+		return false
+	}
+	sess, err := reg.session(rec)
+	return err != nil || reg.Plane.SessionDamaged(sess)
 }

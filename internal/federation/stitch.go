@@ -70,7 +70,7 @@ func (f *Fabric) StitchPath(ctx context.Context, src, dst int32, opts routing.Op
 	}
 	rs, rd := f.part.RegionOf(src), f.part.RegionOf(dst)
 	span.Annotatef("route", "region %d -> %d", rs, rd)
-	if f.crashed[rs] || f.crashed[rd] {
+	if f.regions[rs].crashed || f.regions[rd].crashed {
 		return nil, fmt.Errorf("%w: endpoint region crashed", ErrNoRoute)
 	}
 	route, err := f.regionRoute(rs, rd)
@@ -102,7 +102,7 @@ func (f *Fabric) regionRoute(rs, rd int) ([]int, error) {
 		r := queue[0]
 		queue = queue[1:]
 		for q := 0; q < len(f.regions); q++ {
-			if q == r || prev[q] != -1 || f.crashed[q] || !f.part.Adjacent(r, q) {
+			if q == r || prev[q] != -1 || f.regions[q].crashed || !f.part.Adjacent(r, q) {
 				continue
 			}
 			prev[q] = r
@@ -125,14 +125,18 @@ func (f *Fabric) regionRoute(rs, rd int) ([]int, error) {
 	return nil, fmt.Errorf("%w: regions %d and %d disconnected (live regions)", ErrNoRoute, rs, rd)
 }
 
+// maxBorderCandidates bounds the border IXPs tried per region crossing
+// during stitching (highest degree first).
+const maxBorderCandidates = 3
+
 // borderCandidates returns the border IXPs (global ids) usable for the
 // crossing between regions r and q: shared, not known-down on either side,
-// highest degree first (ties: lower id), capped at MaxBorderCandidates. The
+// highest degree first (ties: lower id), capped at maxBorderCandidates. The
 // pair's list is ranked once at boot, so liveness only filters it.
 func (f *Fabric) borderCandidates(r, q int) []int32 {
-	cands := make([]int32, 0, f.cfg.MaxBorderCandidates)
+	cands := make([]int32, 0, maxBorderCandidates)
 	for _, b := range f.ranked[r*len(f.regions)+q] {
-		if len(cands) == f.cfg.MaxBorderCandidates {
+		if len(cands) == maxBorderCandidates {
 			break
 		}
 		if !f.borderDown(r, b) && !f.borderDown(q, b) {
@@ -146,19 +150,19 @@ func (f *Fabric) borderCandidates(r, q int) []int32 {
 // region home: directly from the plane when home is local knowledge, or
 // from the latest gossip digest a peer pushed about home.
 func (f *Fabric) borderDown(home int, b int32) bool {
-	if f.crashed[home] {
+	reg := f.regions[home]
+	if reg.crashed {
 		return true
 	}
-	reg := f.regions[home]
 	if l, ok := reg.Local(b); ok && reg.Plane.Crashed(l) {
 		return true
 	}
 	// Cross-check every live peer's gossip digest about home.
-	for q := range f.regions {
-		if q == home || f.crashed[q] {
+	for q, peer := range f.regions {
+		if q == home || peer.crashed {
 			continue
 		}
-		if d := f.vol[q].peers[home]; d != nil && d.borderDown[b] {
+		if d := peer.peers[home]; d != nil && d.borderDown[b] {
 			return true
 		}
 	}

@@ -141,8 +141,8 @@ func referenceBorderCandidates(f *Fabric, r, q int) []int32 {
 		}
 		return cands[i] < cands[j]
 	})
-	if len(cands) > f.cfg.MaxBorderCandidates {
-		cands = cands[:f.cfg.MaxBorderCandidates]
+	if len(cands) > maxBorderCandidates {
+		cands = cands[:maxBorderCandidates]
 	}
 	return cands
 }
@@ -160,7 +160,7 @@ func referenceRegionRoute(f *Fabric, rs, rd int) []int {
 	for queue := []int{rs}; len(queue) > 0; queue = queue[1:] {
 		r := queue[0]
 		for q := range f.regions {
-			if q == r || prev[q] != -1 || f.crashed[q] || len(referenceBorderBetween(f.part, r, q)) == 0 {
+			if q == r || prev[q] != -1 || f.regions[q].crashed || len(referenceBorderBetween(f.part, r, q)) == 0 {
 				continue
 			}
 			prev[q] = r
@@ -227,7 +227,7 @@ func TestBorderCandidatesMatchReference(t *testing.T) {
 						t.Fatalf("%d regions, round %d: borderCandidates(%d,%d) = %v, filter-sort-cap gives %v", n, round, r, q, got, want)
 					}
 					compared++
-					if len(got) == f.cfg.MaxBorderCandidates {
+					if len(got) == maxBorderCandidates {
 						capped++
 					}
 					route, err := f.regionRoute(r, q)

@@ -27,9 +27,9 @@ type Session struct {
 // Setup reserves bandwidth on a stitched cross-region path end to end with
 // a two-level commit: the home region (src's region) prepares its own
 // segment directly and drives every transit region's sub-coordinator
-// through X-PREPARE, then — once every segment holds — delivers each of
-// them one commit decision record. Presumed abort end to end: any nack,
-// timeout, or refused commit leaves every region with nothing reserved.
+// through X-PREPARE, then — once every segment holds — decides commit for
+// every region holding one, itself first. Presumed abort end to end: any
+// nack, timeout, or refused commit leaves every region with nothing reserved.
 func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts routing.Options) (*Session, error) {
 	if bw <= 0 {
 		return nil, fmt.Errorf("federation: bandwidth must be positive, got %f", bw)
@@ -39,7 +39,7 @@ func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts rou
 	f.tick()
 	f.stats.Setups++
 	home := f.part.RegionOf(src)
-	if f.crashed[home] {
+	if f.regions[home].crashed {
 		return nil, fmt.Errorf("federation: home region %d crashed", home)
 	}
 	if opts.MinBandwidth < bw {
@@ -82,11 +82,12 @@ func localPath(reg *Region, nodes []int32) ([]int32, bool) {
 	return out, true
 }
 
-// transitRegions lists the regions beyond the home one that hold a segment
-// of sp (zero-length handovers reserve nothing and are skipped).
-func transitRegions(sp *StitchedPath) []int {
+// segmentRegions lists the regions that hold a segment of sp, the home region
+// first when it holds one (zero-length handovers reserve nothing and are
+// skipped).
+func segmentRegions(sp *StitchedPath) []int {
 	var out []int
-	for _, seg := range sp.Segments[1:] {
+	for _, seg := range sp.Segments {
 		if len(seg.Nodes) >= 2 {
 			out = append(out, seg.Region)
 		}
@@ -94,37 +95,47 @@ func transitRegions(sp *StitchedPath) []int {
 	return out
 }
 
-// entry is the decision-record entry that takes attempt fk to kind.
-func (fk fedKey) entry(kind ctrlplane.BatchEntryKind) ctrlplane.BatchEntry {
-	return ctrlplane.BatchEntry{Kind: kind, ID: fk.ID, Epoch: fk.Epoch}
-}
-
-// records builds the home region's decision about attempt fk, one record per
-// region in regions. Every commit, abort and release that crosses the peer
-// bus is built here, so every one of them rides the trace of the request
-// that decided it.
-func (f *Fabric) records(ctx context.Context, fk fedKey, home int, kind ctrlplane.BatchEntryKind, regions []int) []ctrlplane.Message {
+// records builds the home region's decision about s's current attempt, one
+// record per region in regions. Every commit, abort and release is built
+// here, so every one of them rides the trace of the request that decided it.
+// The home region is a destination like the others, except that its entry
+// never touches the bus: it is applied on the spot. The error is its refusal
+// — only a commit can be refused — and then no record is built at all.
+func (f *Fabric) records(ctx context.Context, s *Session, kind ctrlplane.BatchEntryKind, regions []int) ([]ctrlplane.Message, error) {
+	entry := ctrlplane.BatchEntry{Kind: kind, ID: s.ID, Epoch: s.Epoch}
+	home := s.Stitched.Segments[0].Region
 	msgs := make([]ctrlplane.Message, 0, len(regions))
 	for _, q := range regions {
+		if q == home {
+			if err := f.regions[home].applyDecision(ctx, entry); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		msgs = append(msgs, ctrlplane.Message{
 			From: ctrlplane.PeerAddr(home), To: ctrlplane.PeerAddr(q),
-			Type: ctrlplane.MsgBatch, SessionID: fk.ID, Epoch: fk.Epoch,
+			Type: ctrlplane.MsgBatch, SessionID: s.ID, Epoch: s.Epoch,
 			MsgID: f.d.NextID(), Trace: obs.TraceIDFrom(ctx),
-			Batch: []ctrlplane.BatchEntry{fk.entry(kind)},
+			Batch: []ctrlplane.BatchEntry{entry},
 		})
 	}
-	return msgs
+	return msgs, nil
 }
 
-// decide delivers the home region's decision about attempt fk to every
-// region in regions and returns how many refused it. The decision is
+// decide delivers the home region's decision about s's current attempt to
+// every region in regions and returns how many refused it. The decision is
 // durable before this is called, so delivery is lazy: records still
 // unanswered are backlogged and re-driven by ticks, surviving region crash
 // and recovery. Abort and release records go to every segment region, also
 // one whose X-PREPARE was never acked — "never acked" can mean "delivered,
-// ack lost" — and the receiver goes by its own record.
-func (f *Fabric) decide(ctx context.Context, fk fedKey, home int, kind ctrlplane.BatchEntryKind, regions []int) int {
-	nacked, pending := f.d.Broadcast(ctx, f.records(ctx, fk, home, kind, regions))
+// ack lost" — and the receiver goes by its own record. A commit the home
+// region itself refuses goes no further.
+func (f *Fabric) decide(ctx context.Context, s *Session, kind ctrlplane.BatchEntryKind, regions []int) int {
+	msgs, err := f.records(ctx, s, kind, regions)
+	if err != nil {
+		return 1
+	}
+	nacked, pending := f.d.Broadcast(ctx, msgs)
 	for _, m := range pending {
 		f.d.Backlog(m)
 	}
@@ -151,13 +162,9 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 		if !ok {
 			return aborted(fmt.Errorf("federation: home segment leaves region %d", home))
 		}
-		pr, err := hreg.Plane.PrepareOnPath(ctx, local, s.Bandwidth)
-		if err != nil {
+		if err := hreg.hold(ctx, fk, local, s.Bandwidth); err != nil {
 			return aborted(fmt.Errorf("federation: home prepare: %w", err))
 		}
-		f.subWAL[home][fk] = &subRecord{State: subPrepared, LocalID: pr.S.ID,
-			LocalEpoch: pr.S.Epoch, Path: local, BW: s.Bandwidth}
-		f.vol[home].prepared[fk] = pr
 	}
 
 	// Phase 1b: X-PREPARE every transit region's segment (the remote
@@ -176,9 +183,9 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 			Trace: obs.TraceIDFrom(ctx),
 		})
 	}
-	remotes := transitRegions(sp)
+	regions := segmentRegions(sp)
 	nacked, pending := f.d.Broadcast(ctx, msgs)
-	if f.crashed[home] {
+	if hreg.crashed {
 		// The home coordinator died mid-setup. No cleanup from here: the
 		// home's own holds resolve by WAL recovery, and every remote hold
 		// self-cleans when its lease lapses.
@@ -188,8 +195,7 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 		f.decided[fk] = false
 		f.flight.Recordf("federation", "decide", int64(f.clock), "session %d.%d ABORT (%d nack, %d unreachable)",
 			s.ID, s.Epoch, len(nacked), len(pending))
-		_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryAbort))
-		f.decide(ctx, fk, home, ctrlplane.EntryAbort, remotes)
+		f.decide(ctx, s, ctrlplane.EntryAbort, regions)
 		return aborted(fmt.Errorf("federation: session %d.%d aborted: %d region(s) nacked, %d unreachable",
 			s.ID, s.Epoch, len(nacked), len(pending)))
 	}
@@ -198,21 +204,14 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 	// commit record leaves the home region.
 	f.decided[fk] = true
 	f.flight.Recordf("federation", "decide", int64(f.clock), "session %d.%d COMMIT (%d transit region(s))",
-		s.ID, s.Epoch, len(remotes))
-	if f.subWAL[home][fk] != nil {
-		if err := f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryCommit)); err != nil {
-			// Home's own lease lapsed before the decision (pathological —
-			// the coordinator outwaited its own TTL). Conserved abort.
-			f.decided[fk] = false
-			f.decide(ctx, fk, home, ctrlplane.EntryAbort, remotes)
-			return aborted(fmt.Errorf("federation: home commit refused: %w", err))
-		}
-	}
-	if refused := f.decide(ctx, fk, home, ctrlplane.EntryCommit, remotes); refused > 0 {
-		// A transit region's lease expired before our commit arrived and it
-		// already presumed abort. Unwind the committed remainder so the
-		// session is conserved-aborted everywhere, and drive the aborts out
-		// now rather than at the next tick.
+		s.ID, s.Epoch, len(msgs))
+	if refused := f.decide(ctx, s, ctrlplane.EntryCommit, regions); refused > 0 {
+		// A region's lease expired before our commit reached it and it already
+		// presumed abort — a transit region's while the record was on the
+		// wire, or (pathological) our own, the coordinator having outwaited
+		// its TTL. Unwind the committed remainder so the session is
+		// conserved-aborted everywhere, and drive the aborts out now rather
+		// than at the next tick.
 		f.stats.CommitNacks += refused
 		f.rollback(ctx, s)
 		f.d.Flush()
@@ -225,22 +224,21 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 }
 
 // rollback conserved-aborts an attempt that reached the commit point but had
-// a transit region refuse the commit — on the spot, or when a backlogged
-// record finally got through to a region whose lease had lapsed while it or
-// the bus was down. Commit records still undelivered are cancelled, every
-// transit region gets an abort record (one where the commit did land
-// releases fully), and the home segment is released. It can run inside the
-// message pump, so it only mutates state and enqueues: the surrounding tick
-// loop drives the records out.
+// a region refuse the commit — on the spot, or when a backlogged record
+// finally got through to a region whose lease had lapsed while it or the bus
+// was down. Commit records still undelivered are cancelled and every segment
+// region gets an abort (one where the commit did land releases fully): the
+// home region's applied on the spot, the transit regions' enqueued. It can
+// run inside the message pump, so it only mutates state and enqueues: the
+// surrounding tick loop drives the records out.
 func (f *Fabric) rollback(ctx context.Context, s *Session) {
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
-	home := s.Stitched.Segments[0].Region
 	f.stats.Rollbacks++
 	f.decided[fk] = false
 	f.flight.Recordf("federation", "rollback", int64(f.clock), "session %d.%d: commit refused", s.ID, s.Epoch)
 	f.d.Cancel(func(m ctrlplane.Message) bool { return m.SessionID == fk.ID && m.Epoch == fk.Epoch })
-	f.d.Backlog(f.records(ctx, fk, home, ctrlplane.EntryAbort, transitRegions(s.Stitched))...)
-	_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryAbort))
+	aborts, _ := f.records(ctx, s, ctrlplane.EntryAbort, segmentRegions(s.Stitched)) // only a commit can be refused
+	f.d.Backlog(aborts...)
 	s.State = ctrlplane.StateAborted
 	f.stats.Aborts++
 }
@@ -269,13 +267,10 @@ func (f *Fabric) Teardown(ctx context.Context, s *Session) error {
 	defer span.End()
 	span.Annotatef("session", "%d.%d", s.ID, s.Epoch)
 	f.tick()
-	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
-	home := f.part.RegionOf(s.Src)
-	if f.crashed[home] {
+	if home := f.part.RegionOf(s.Src); f.regions[home].crashed {
 		return fmt.Errorf("federation: home region %d crashed", home)
 	}
-	f.decide(ctx, fk, home, ctrlplane.EntryRelease, transitRegions(s.Stitched))
-	_ = f.applyDecision(ctx, home, fk.entry(ctrlplane.EntryRelease))
+	f.decide(ctx, s, ctrlplane.EntryRelease, segmentRegions(s.Stitched))
 	s.State = ctrlplane.StateReleased
 	f.stats.Teardowns++
 	delete(f.sessions, s.ID)
@@ -299,6 +294,7 @@ var subSpans = [...]string{
 // in another region (stitched trace — one trace ID, one root per region).
 func (f *Fabric) dispatch(m ctrlplane.Message) {
 	q, _ := ctrlplane.PeerRegion(m.To)
+	reg := f.regions[q]
 	annotate := func(sub *obs.Span, id int, epoch uint32) {
 		sub.Annotatef("region", "%d", q)
 		sub.Annotatef("session", "%d.%d", id, epoch)
@@ -308,7 +304,7 @@ func (f *Fabric) dispatch(m ctrlplane.Message) {
 		ctx, sub := f.tracer.Adopt(context.Background(), "federation.sub_prepare", m.Trace)
 		annotate(sub, m.SessionID, m.Epoch)
 		reply := ctrlplane.MsgXPrepareNack
-		if f.prepareSub(ctx, q, m) {
+		if reg.prepareSub(ctx, m) {
 			reply = ctrlplane.MsgXPrepareAck
 		}
 		sub.End()
@@ -318,7 +314,7 @@ func (f *Fabric) dispatch(m ctrlplane.Message) {
 		for _, e := range m.Batch {
 			ctx, sub := f.tracer.Adopt(context.Background(), subSpans[e.Kind], m.Trace)
 			annotate(sub, e.ID, e.Epoch)
-			if f.applyDecision(ctx, q, e) != nil {
+			if reg.applyDecision(ctx, e) != nil {
 				reply = ctrlplane.MsgBatchNack
 			}
 			sub.End()
@@ -327,107 +323,4 @@ func (f *Fabric) dispatch(m ctrlplane.Message) {
 	case ctrlplane.MsgGossip:
 		f.handleGossip(q, m)
 	}
-}
-
-// prepareSub is region q's sub-coordinator holding its segment of a stitched
-// path; false nacks the X-PREPARE.
-func (f *Fabric) prepareSub(ctx context.Context, q int, m ctrlplane.Message) bool {
-	fk := fedKey{ID: m.SessionID, Epoch: m.Epoch}
-	reg := f.regions[q]
-	if rec := f.subWAL[q][fk]; rec != nil {
-		// A retransmit: re-ack a live attempt, refuse one already dead.
-		return rec.State == subPrepared || rec.State == subCommitted
-	}
-	entry, okE := reg.Local(m.Hop[0])
-	exit, okX := reg.Local(m.Hop[1])
-	if !okE || !okX {
-		return false
-	}
-	// Resolve the segment through our own query plane: the home region only
-	// named the border endpoints, the concrete hops are ours to choose. The
-	// quote we gave its stitch is still cached, so unless our reservations
-	// moved under it this is a lookup, not a search.
-	p, _, err := reg.QP.Resolve(ctx, int(entry), int(exit),
-		routing.Options{MinBandwidth: m.Bandwidth})
-	if err != nil {
-		return false
-	}
-	pr, err := reg.Plane.PrepareOnPath(ctx, p.Nodes, m.Bandwidth)
-	if err != nil {
-		// No durable record on a refused prepare: a retransmit re-evaluates,
-		// exactly like an agent nacking a PREPARE.
-		return false
-	}
-	f.subWAL[q][fk] = &subRecord{State: subPrepared, LocalID: pr.S.ID,
-		LocalEpoch: pr.S.Epoch, Path: append([]int32(nil), pr.S.Path...), BW: m.Bandwidth}
-	f.vol[q].prepared[fk] = pr
-	return true
-}
-
-// applyDecision executes one decision-record entry against region r's
-// durable sub-transaction record. It is the only place a subRecord.State
-// moves after prepare, whether the record arrived over the peer bus or the
-// home coordinator applies its own decision to its own segment:
-//
-//	record state   commit              abort / release
-//	(none)         refused             no-op (presumed abort: nothing held)
-//	prepared       -> committed, or    -> aborted
-//	               refused -> aborted
-//	committed      no-op               -> released
-//	aborted        refused             no-op
-//	released       refused             no-op
-//
-// Only a commit can be refused (the returned error): the region's lease
-// lapsed and its sweep already presumed abort, or it never heard of the
-// attempt. An abort reaching a committed record releases it fully — the
-// commit landed but its ack was lost, and the home rolled back presuming it
-// hadn't. Handles lost to a crash are resumed from the durable record.
-func (f *Fabric) applyDecision(ctx context.Context, r int, e ctrlplane.BatchEntry) error {
-	fk := fedKey{ID: e.ID, Epoch: e.Epoch}
-	reg, vol := f.regions[r], f.vol[r]
-	rec := f.subWAL[r][fk]
-	commit := e.Kind == ctrlplane.EntryCommit
-	switch {
-	case rec != nil && rec.State == subPrepared:
-		pr := vol.prepared[fk]
-		delete(vol.prepared, fk)
-		var err error
-		if pr == nil {
-			pr, err = reg.Plane.ResumePrepared(rec.LocalID, rec.LocalEpoch, rec.Path, rec.BW)
-		}
-		rec.State = subAborted
-		if err != nil {
-			break
-		}
-		if !commit {
-			_ = reg.Plane.AbortPrepared(ctx, pr) // a hold the sweep already took is a no-op
-			return nil
-		}
-		sess, err := reg.Plane.CommitPrepared(ctx, pr)
-		if err != nil {
-			return err // our lease expired and the sweep presumed abort
-		}
-		rec.State = subCommitted
-		vol.committed[fk] = sess
-		reg.maybePublish(ctx)
-		return nil
-	case rec != nil && rec.State == subCommitted:
-		if commit {
-			return nil
-		}
-		sess := vol.committed[fk]
-		if sess == nil {
-			sess = &ctrlplane.Session{ID: rec.LocalID, Epoch: rec.LocalEpoch,
-				Path: rec.Path, Bandwidth: rec.BW, State: ctrlplane.StateCommitted}
-		}
-		_ = reg.Plane.Teardown(ctx, sess)
-		rec.State = subReleased
-		delete(vol.committed, fk)
-		reg.maybePublish(ctx)
-		return nil
-	}
-	if commit {
-		return fmt.Errorf("federation: region %d holds nothing for session %d.%d", r, e.ID, e.Epoch)
-	}
-	return nil
 }

@@ -222,13 +222,13 @@ func TestOnePeerProtocolOnTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec := f.subWAL[1][fedKey{s.ID, s.Epoch}]; recState(rec) != subPrepared || f.Stats().Backlogged != 1 {
+		if rec := f.Region(1).subs[fedKey{s.ID, s.Epoch}]; recState(rec) != subPrepared || f.Stats().Backlogged != 1 {
 			t.Fatalf("region 1 record state %v, stats %+v: want a prepared record and its commit backlogged", recState(rec), f.Stats())
 		}
 		tap.requests(t, "Setup over a crashing region")
 		f.RecoverRegion(1)
 		quiesce(t, f, "recover")
-		if rec := f.subWAL[1][fedKey{s.ID, s.Epoch}]; recState(rec) != subCommitted {
+		if rec := f.Region(1).subs[fedKey{s.ID, s.Epoch}]; recState(rec) != subCommitted {
 			t.Fatalf("region 1 record state %v after recovery, want committed", recState(rec))
 		}
 		if _, r := tap.requests(t, "reconcile"); r != 1 {
