@@ -8,7 +8,8 @@
 //	brokerd -scale 0.1 -k 100 -addr :8080
 //	brokerd -topo topo.txt -k 0           # complete alliance
 //
-// Endpoints:
+// Endpoints (the route table is internal/daemon/http.go; a path asked with a
+// method its routes do not name is a 405 carrying an Allow header):
 //
 //	GET    /healthz
 //	GET    /stats
@@ -16,14 +17,18 @@
 //	GET    /brokers
 //	GET    /path?src=A&dst=B[&maxhops=N][&minbw=G]
 //	GET    /sessions
-//	POST   /sessions          {"src":A,"dst":B,"gbps":G}
+//	POST   /sessions             {"src":A,"dst":B,"gbps":G}
 //	GET    /sessions/{id}
 //	DELETE /sessions/{id}
-//	POST   /churn             {"events":[...]} | {"generate":N} [, "heal":false]
-//	GET    /econ/price        (with -econ) current posted price
-//	GET    /econ/quote        full repricing breakdown
-//	GET    /econ/settlement   ledger [?last=N][&format=jsonl]; POST forces a window close
-//	GET    /econ/stats        admission counters + settlement progress
+//	POST   /sessions/{id}/renew  (with -lease-ttl) heartbeat; 410 once the lease lapsed
+//	POST   /churn                {"events":[...]} | {"generate":N} [, "heal":false]
+//	GET    /econ/price           (with -econ) current posted price
+//	GET    /econ/quote           full repricing breakdown
+//	GET    /econ/settlement      ledger [?last=N][&format=jsonl]; POST forces a window close
+//	GET    /econ/stats           admission counters + settlement progress
+//	GET    /slo                  (with -slo-query-p99) evaluated objectives and burn rates
+//	GET    /debug/trace          spans as Chrome trace JSON [?trace=ID][&format=jsonl]
+//	GET    /debug/flight         flight-recorder ring as JSONL
 //
 // With -econ set, the economics plane is live: a market controller samples
 // query-plane load every -econ-every and reprices via the Stackelberg
@@ -39,7 +44,8 @@
 // invalidation).
 //
 // With -regions N set, the topology is additionally partitioned into N
-// federated broker regions served under /federation/*.
+// federated broker regions served under /federation/*: GET regions, path and
+// stats; GET and POST sessions; GET and DELETE sessions/{id}.
 //
 // The server itself is internal/daemon; this command is its flags.
 package main

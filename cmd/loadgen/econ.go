@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
@@ -115,7 +114,7 @@ func (t *econTarget) Query(src, dst int32) (workload.Outcome, error) {
 			return workload.Outcome{PriceRejected: true, Quote: pe.Quote}, nil
 		case errors.Is(err, queryplane.ErrShed):
 			return workload.Outcome{Shed: true, ShedRegion: -1}, nil
-		case strings.Contains(err.Error(), "no dominated path"):
+		case errors.Is(err, routing.ErrNoPath):
 			return workload.Outcome{}, nil
 		}
 		return workload.Outcome{}, err

@@ -177,9 +177,3 @@ func MaxSGParallel(g *graph.Graph, k, workers int) ([]int32, error) {
 	}
 	return brokers, nil
 }
-
-// MaxSGCompleteParallel runs MaxSGParallel with an unbounded budget — the
-// parallel form of the paper's complete-alliance construction.
-func MaxSGCompleteParallel(g *graph.Graph, workers int) ([]int32, error) {
-	return MaxSGParallel(g, g.NumNodes(), workers)
-}

@@ -1,7 +1,6 @@
 package churn
 
 import (
-	"bytes"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -92,51 +91,6 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	var ev Event
 	if err := json.Unmarshal([]byte(`{"type":"bogus"}`), &ev); err == nil {
 		t.Fatal("bogus type decoded")
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	events := []Event{
-		{Seq: 1, Type: LinkFail, U: 0, V: 1},
-		{Seq: 2, Type: NodeLeave, Node: 3},
-		{Seq: 3, Type: MemberJoin, U: 2, V: 5},
-		{Seq: 4, Type: BrokerRecover, Node: 2},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "# brokerset-churn v1\n") {
-		t.Fatalf("missing header:\n%s", buf.String())
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(events, back) {
-		t.Fatalf("round trip: %+v vs %+v", events, back)
-	}
-}
-
-func TestReadTraceErrors(t *testing.T) {
-	for _, bad := range []string{
-		"1 link_fail",       // too few fields
-		"x link_fail 1 2",   // bad seq
-		"1 bogus 1 2",       // unknown type
-		"1 link_fail 1",     // link event, one endpoint
-		"1 link_fail 1 2 3", // link event, three args
-		"1 broker_fail 1 2", // node event, two args
-		"1 broker_fail zz",  // bad node
-		"1 link_fail 1 zz",  // bad endpoint
-	} {
-		if _, err := ReadTrace(strings.NewReader(bad + "\n")); err == nil {
-			t.Errorf("accepted malformed line %q", bad)
-		}
-	}
-	// Blank lines and comments are fine; empty trace is fine.
-	evs, err := ReadTrace(strings.NewReader("# comment\n\n  \n"))
-	if err != nil || len(evs) != 0 {
-		t.Fatalf("empty trace: %v, %v", evs, err)
 	}
 }
 

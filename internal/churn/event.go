@@ -1,12 +1,12 @@
 // Package churn is the online topology-dynamics subsystem: a typed event
 // stream over a live topology (links and ASes come and go, IXP memberships
 // change, brokers fail and recover), deterministic seeded generators with
-// Poisson arrivals and degree-biased targeting, a replayable text trace
-// format, an Applier that mutates the live view incrementally and reports
-// each event's blast radius, and a Healer that repairs the broker plane
-// after damage: re-selecting brokers with broker.MaintainAvoiding,
-// re-pathing affected control-plane sessions through 2PC (aborting them
-// cleanly when no dominated path survives), and staling cached paths.
+// Poisson arrivals and degree-biased targeting, an Applier that mutates the
+// live view incrementally and reports each event's blast radius, and a
+// Healer that repairs the broker plane after damage: re-selecting brokers
+// with broker.MaintainAvoiding, re-pathing affected control-plane sessions
+// through 2PC (aborting them cleanly when no dominated path survives), and
+// staling cached paths.
 //
 // The paper's §7 argues a broker coalition must survive exactly this kind
 // of flux; the offline primitives (sim.FailBrokers, broker.Maintain) answer
@@ -14,12 +14,8 @@
 package churn
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 )
 
 // EventType enumerates topology-churn events.
@@ -117,82 +113,11 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// String renders the event in trace-line form (without the sequence
-// number): "link_fail 3 17" or "broker_fail 42".
+// String renders the event without its sequence number: "link_fail 3 17" or
+// "broker_fail 42".
 func (e Event) String() string {
 	if e.Type.IsLink() {
 		return fmt.Sprintf("%s %d %d", e.Type, e.U, e.V)
 	}
 	return fmt.Sprintf("%s %d", e.Type, e.Node)
-}
-
-// WriteTrace serializes events one per line: "<seq> <type> <args>". The
-// format round-trips through ReadTrace, so recorded churn can be replayed
-// against another instance or a later run.
-func WriteTrace(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# brokerset-churn v1"); err != nil {
-		return err
-	}
-	for _, e := range events {
-		if _, err := fmt.Fprintf(bw, "%d %s\n", e.Seq, e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace parses a trace written by WriteTrace. Blank lines and
-// #-comments are skipped; malformed lines are errors, never panics.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("churn: trace line %d: want \"<seq> <type> <args>\", got %q", line, text)
-		}
-		seq, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("churn: trace line %d: bad seq %q", line, fields[0])
-		}
-		typ, err := ParseEventType(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("churn: trace line %d: %v", line, err)
-		}
-		ev := Event{Seq: seq, Type: typ}
-		args := fields[2:]
-		if typ.IsLink() {
-			if len(args) != 2 {
-				return nil, fmt.Errorf("churn: trace line %d: %s wants 2 endpoints, got %d", line, typ, len(args))
-			}
-			u, err1 := strconv.ParseInt(args[0], 10, 32)
-			v, err2 := strconv.ParseInt(args[1], 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("churn: trace line %d: bad endpoints %q %q", line, args[0], args[1])
-			}
-			ev.U, ev.V = int32(u), int32(v)
-		} else {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("churn: trace line %d: %s wants 1 node, got %d", line, typ, len(args))
-			}
-			n, err := strconv.ParseInt(args[0], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("churn: trace line %d: bad node %q", line, args[0])
-			}
-			ev.Node = int32(n)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("churn: reading trace: %w", err)
-	}
-	return out, nil
 }

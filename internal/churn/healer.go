@@ -3,8 +3,6 @@ package churn
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,101 +80,35 @@ type HealerMetrics struct {
 	BrokerRecoveries   atomic.Uint64
 	SessionsRepaired   atomic.Uint64
 	SessionsAborted    atomic.Uint64
-
-	mu      sync.Mutex
-	repairs []time.Duration // heal-pass wall times, for quantiles
+	// repairs is the distribution of heal-pass wall times
+	// (healer_repair_seconds).
+	repairs obs.Histogram
 }
 
-// MetricsSnapshot is the JSON shape of HealerMetrics.
-type MetricsSnapshot struct {
-	EventsApplied      uint64 `json:"events_applied"`
-	HealPasses         uint64 `json:"heal_passes"`
-	MaintainPasses     uint64 `json:"maintain_passes"`
-	IncrementalRepairs uint64 `json:"incremental_repairs"`
-	FullReselects      uint64 `json:"full_reselects"`
-
-	BrokerAdds       uint64  `json:"broker_adds"`
-	BrokerRemoves    uint64  `json:"broker_removes"`
-	BrokerRecoveries uint64  `json:"broker_recoveries"`
-	SessionsRepaired uint64  `json:"sessions_repaired"`
-	SessionsAborted  uint64  `json:"sessions_aborted"`
-	RepairP50Ms      float64 `json:"repair_p50_ms"`
-	RepairP95Ms      float64 `json:"repair_p95_ms"`
-}
-
-func (m *HealerMetrics) observeRepair(d time.Duration) {
-	m.mu.Lock()
-	m.repairs = append(m.repairs, d)
-	if len(m.repairs) > 4096 { // bound memory on long -churn runs
-		m.repairs = append(m.repairs[:0], m.repairs[len(m.repairs)-2048:]...)
-	}
-	m.mu.Unlock()
-}
-
-// RepairQuantile returns the p-quantile of recorded heal-pass durations
-// (0 when none recorded).
-func (m *HealerMetrics) RepairQuantile(p float64) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.repairs) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(m.repairs))
-	copy(sorted, m.repairs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
-
-// RegisterMetrics exposes the healer counters and repair-time summary on
-// reg under the healer_ namespace. The counters are already atomic, so the
-// collector just adapts them to samples at scrape time.
+// RegisterMetrics exposes the healer counters and the repair-time histogram
+// on reg under the healer_ namespace. The counters are already atomic, so
+// the collector just adapts them to samples at scrape time.
 func (m *HealerMetrics) RegisterMetrics(reg *obs.Registry) {
+	reg.RegisterHistogram("healer_repair_seconds", "heal-pass wall time", &m.repairs)
 	reg.RegisterCollector(func(emit func(obs.Sample)) {
-		s := m.Snapshot()
-		for _, smp := range []struct {
+		for _, c := range []struct {
 			name, help string
-			kind       obs.Kind
-			val        float64
+			v          *atomic.Uint64
 		}{
-			{"healer_events_applied_total", "churn events applied", obs.KindCounter, float64(s.EventsApplied)},
-			{"healer_heal_passes_total", "heal passes run", obs.KindCounter, float64(s.HealPasses)},
-			{"healer_maintain_passes_total", "maintain-only passes run", obs.KindCounter, float64(s.MaintainPasses)},
-			{"healer_incremental_repairs_total", "blast-radius-localized repairs", obs.KindCounter, float64(s.IncrementalRepairs)},
-			{"healer_full_reselects_total", "incremental repairs that fell back to full reselect", obs.KindCounter, float64(s.FullReselects)},
-			{"healer_broker_adds_total", "brokers added to the coalition", obs.KindCounter, float64(s.BrokerAdds)},
-			{"healer_broker_removes_total", "brokers removed from the coalition", obs.KindCounter, float64(s.BrokerRemoves)},
-			{"healer_broker_recoveries_total", "crashed brokers recovered", obs.KindCounter, float64(s.BrokerRecoveries)},
-			{"healer_sessions_repaired_total", "damaged sessions re-pathed", obs.KindCounter, float64(s.SessionsRepaired)},
-			{"healer_sessions_aborted_total", "damaged sessions aborted", obs.KindCounter, float64(s.SessionsAborted)},
-			{"healer_repair_p50_seconds", "median heal-pass wall time", obs.KindGauge, s.RepairP50Ms / 1e3},
-			{"healer_repair_p95_seconds", "p95 heal-pass wall time", obs.KindGauge, s.RepairP95Ms / 1e3},
+			{"healer_events_applied_total", "churn events applied", &m.EventsApplied},
+			{"healer_heal_passes_total", "heal passes run", &m.HealPasses},
+			{"healer_maintain_passes_total", "maintain-only passes run", &m.MaintainPasses},
+			{"healer_incremental_repairs_total", "blast-radius-localized repairs", &m.IncrementalRepairs},
+			{"healer_full_reselects_total", "incremental repairs that fell back to full reselect", &m.FullReselects},
+			{"healer_broker_adds_total", "brokers added to the coalition", &m.BrokerAdds},
+			{"healer_broker_removes_total", "brokers removed from the coalition", &m.BrokerRemoves},
+			{"healer_broker_recoveries_total", "crashed brokers recovered", &m.BrokerRecoveries},
+			{"healer_sessions_repaired_total", "damaged sessions re-pathed", &m.SessionsRepaired},
+			{"healer_sessions_aborted_total", "damaged sessions aborted", &m.SessionsAborted},
 		} {
-			emit(obs.Sample{Name: smp.name, Help: smp.help, Kind: smp.kind, Value: smp.val})
+			emit(obs.Sample{Name: c.name, Help: c.help, Kind: obs.KindCounter, Value: float64(c.v.Load())})
 		}
 	})
-}
-
-// Snapshot captures the counters and repair quantiles.
-func (m *HealerMetrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		EventsApplied:      m.EventsApplied.Load(),
-		HealPasses:         m.HealPasses.Load(),
-		MaintainPasses:     m.MaintainPasses.Load(),
-		IncrementalRepairs: m.IncrementalRepairs.Load(),
-		FullReselects:      m.FullReselects.Load(),
-
-		BrokerAdds:       m.BrokerAdds.Load(),
-		BrokerRemoves:    m.BrokerRemoves.Load(),
-		BrokerRecoveries: m.BrokerRecoveries.Load(),
-		SessionsRepaired: m.SessionsRepaired.Load(),
-		SessionsAborted:  m.SessionsAborted.Load(),
-		RepairP50Ms:      float64(m.RepairQuantile(0.50).Microseconds()) / 1000,
-		RepairP95Ms:      float64(m.RepairQuantile(0.95).Microseconds()) / 1000,
-	}
 }
 
 // Healer repairs the broker plane after churn damage. One Heal pass:
@@ -214,8 +146,8 @@ func NewHealer(state *State, plane *ctrlplane.Plane, sessions *queryplane.Sessio
 }
 
 // Heal runs one full repair pass and returns its report. ctx bounds the
-// 2PC repath traffic (nil means no deadline). It is not safe for
-// concurrent use with control-plane writes; callers hold the state lock.
+// 2PC repath traffic. It is not safe for concurrent use with control-plane
+// writes; callers hold the state lock.
 func (h *Healer) Heal(ctx context.Context) (*HealReport, error) {
 	return h.heal(ctx, nil)
 }
@@ -232,9 +164,6 @@ func (h *Healer) HealWithBlast(ctx context.Context, blast BlastRadius) (*HealRep
 }
 
 func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	start := time.Now()
 	rep := &HealReport{}
 	live := h.state.LiveGraph()
@@ -365,6 +294,6 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	}
 	rep.Duration = time.Since(start)
 	h.Metrics.HealPasses.Add(1)
-	h.Metrics.observeRepair(rep.Duration)
+	h.Metrics.repairs.ObserveTrace(rep.Duration, obs.TraceIDFrom(ctx))
 	return rep, nil
 }

@@ -161,14 +161,14 @@ func TestHealRepairsBrokerPlaneAndSessions(t *testing.T) {
 		return true
 	})
 
-	snap := h.Metrics.Snapshot()
-	if snap.HealPasses != 1 || snap.MaintainPasses != 1 {
-		t.Fatalf("metrics: %+v", snap)
+	mt := &h.Metrics
+	if heals, maintains := mt.HealPasses.Load(), mt.MaintainPasses.Load(); heals != 1 || maintains != 1 {
+		t.Fatalf("metrics: %d heal passes, %d maintain passes", heals, maintains)
 	}
-	if snap.SessionsRepaired != uint64(rep.SessionsRepaired) || snap.SessionsAborted != uint64(rep.SessionsAborted) {
-		t.Fatalf("metrics/report mismatch: %+v vs %+v", snap, rep)
+	if repaired, aborted := mt.SessionsRepaired.Load(), mt.SessionsAborted.Load(); repaired != uint64(rep.SessionsRepaired) || aborted != uint64(rep.SessionsAborted) {
+		t.Fatalf("metrics/report mismatch: %d repaired, %d aborted vs %+v", repaired, aborted, rep)
 	}
-	if h.Metrics.RepairQuantile(0.5) <= 0 {
+	if mt.repairs.Count() != 1 || mt.repairs.Quantile(0.5) <= 0 {
 		t.Fatal("no repair duration recorded")
 	}
 }
@@ -292,8 +292,7 @@ func TestHealWithBlastIncrementalRepair(t *testing.T) {
 			t.Fatalf("failed broker %d still in coalition", dead)
 		}
 	}
-	snap := h.Metrics.Snapshot()
-	if snap.IncrementalRepairs+snap.FullReselects != 1 {
-		t.Fatalf("repair accounting: %+v", snap)
+	if inc, full := h.Metrics.IncrementalRepairs.Load(), h.Metrics.FullReselects.Load(); inc+full != 1 {
+		t.Fatalf("repair accounting: %d incremental, %d full", inc, full)
 	}
 }

@@ -132,27 +132,6 @@ func (s *State) Brokers() []int32 {
 	return out
 }
 
-// Mask returns a copy of the B membership mask.
-func (s *State) Mask() []bool {
-	out := make([]bool, s.g.NumNodes())
-	s.inB.ForEach(func(i int32) { out[i] = true })
-	return out
-}
-
-// BitMask returns a copy of the bit-packed B membership mask.
-func (s *State) BitMask() graph.Bitset {
-	out := graph.NewBitset(s.g.NumNodes())
-	out.CopyFrom(s.inB)
-	return out
-}
-
-// CoveredBits returns a copy of the bit-packed covered set B ∪ N(B).
-func (s *State) CoveredBits() graph.Bitset {
-	out := graph.NewBitset(s.g.NumNodes())
-	out.CopyFrom(s.covered)
-	return out
-}
-
 // F computes f(B) = |B ∪ N(B)| for an explicit broker set.
 func F(g *graph.Graph, brokers []int32) int {
 	s := NewState(g)

@@ -33,9 +33,6 @@ func (d *Dominated) allow(u, v int32) bool {
 	return d.inB.Has(u) || d.inB.Has(v)
 }
 
-// InB reports whether u is a broker.
-func (d *Dominated) InB(u int) bool { return d.inB.Has(int32(u)) }
-
 // eligibleSet returns B ∪ N(B): the nodes that can appear on a dominated
 // path. Built once per view in O(Σ deg(B)).
 func (d *Dominated) eligibleSet() graph.Bitset {

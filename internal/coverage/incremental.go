@@ -154,35 +154,3 @@ func (inc *Incremental) RemovalUpperBound(b int) float64 {
 	rest := s - leaves
 	return float64(inc.pairs-s*(s-1)/2+rest*(rest-1)/2) / float64(total)
 }
-
-// Snapshot captures the current state; Restore rolls back to it. Snapshots
-// are O(n) copies, still far cheaper than recomputing components when many
-// candidate brokers are probed against one base state.
-type Snapshot struct {
-	inB    []bool
-	parent []int32
-	size   []int32
-	pairs  int64
-}
-
-// Snapshot returns a copy of the current state.
-func (inc *Incremental) Snapshot() *Snapshot {
-	s := &Snapshot{
-		inB:    make([]bool, len(inc.inB)),
-		parent: make([]int32, len(inc.parent)),
-		size:   make([]int32, len(inc.size)),
-		pairs:  inc.pairs,
-	}
-	copy(s.inB, inc.inB)
-	copy(s.parent, inc.parent)
-	copy(s.size, inc.size)
-	return s
-}
-
-// Restore rolls the state back to the snapshot.
-func (inc *Incremental) Restore(s *Snapshot) {
-	copy(inc.inB, s.inB)
-	copy(inc.parent, s.parent)
-	copy(inc.size, s.size)
-	inc.pairs = s.pairs
-}

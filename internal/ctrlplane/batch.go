@@ -126,9 +126,6 @@ type BatchResult struct {
 // peers. ctx bounds delivery retries for the whole round. Same external
 // serialization rule as Setup.
 func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, span := obs.StartSpan(ctx, "ctrlplane.commit_batch")
 	defer span.End()
 	span.Annotatef("ops", "%d", len(ops))

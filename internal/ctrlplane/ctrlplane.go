@@ -706,9 +706,6 @@ func (p *Plane) Available(u, v int32) float64 {
 // capacity shortage, an unresponsive or crashed owner, or deadline expiry
 // the setup aborts with all holds released, and an error is returned.
 func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routing.Options) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if bw <= 0 {
 		return nil, fmt.Errorf("ctrlplane: bandwidth must be > 0, got %f", bw)
 	}
@@ -1019,9 +1016,6 @@ func (p *Plane) settle(ctx context.Context, s *Session) error {
 // owner fails cleanly, and a failed prepare leaves nothing held. Same
 // external-serialization rule as Setup.
 func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := checkSetup(nodes, bw); err != nil {
 		return nil, err
 	}
@@ -1051,9 +1045,6 @@ func (p *Plane) CommitPrepared(ctx context.Context, s *Session) error {
 	if s == nil || s.State != StatePrepared {
 		return fmt.Errorf("ctrlplane: commit of non-prepared session")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	p.tick()
 	if dec, ok := p.decided[sessKey{s.ID, s.Epoch}]; ok && !dec {
 		s.State = StateAborted
@@ -1069,9 +1060,6 @@ func (p *Plane) CommitPrepared(ctx context.Context, s *Session) error {
 func (p *Plane) AbortPrepared(ctx context.Context, s *Session) error {
 	if s == nil || s.State != StatePrepared {
 		return fmt.Errorf("ctrlplane: abort of non-prepared session")
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	p.tick()
 	p.decide(ctx, nil, []*Session{s}, nil)
@@ -1115,9 +1103,6 @@ func uniqueOwners(owners []int32) []int32 {
 // ctx (bounding delivery retries; the release itself is unconditional): one
 // batch record per distinct owner, however many hops each owns.
 func (p *Plane) Teardown(ctx context.Context, s *Session) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if s == nil || s.State != StateCommitted {
 		return fmt.Errorf("ctrlplane: teardown of non-committed session")
 	}
@@ -1159,9 +1144,6 @@ func (p *Plane) SessionDamaged(s *Session) bool {
 // capacity ran out) the session is left cleanly aborted with nothing held,
 // and an error is returned.
 func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if s == nil || s.State != StateCommitted {
 		return fmt.Errorf("ctrlplane: repath of non-committed session")
 	}
@@ -1203,9 +1185,6 @@ func (p *Plane) dispatch(m Message) {
 // after recovering crashed brokers and lifting partitions to bring the
 // plane to quiescence (the state CheckInvariants expects).
 func (p *Plane) Reconcile(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	return p.d.Reconcile(ctx)
 }
 

@@ -2,6 +2,7 @@ package ctrlplane
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -477,5 +478,52 @@ func TestBrokersAccessor(t *testing.T) {
 	got := p.Brokers()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("Brokers() = %v, want ascending [1 2 3]", got)
+	}
+}
+
+// TestNoPathIsErrNoPath pins the clean-miss contract end to end: every
+// search that finds no dominated path wraps routing.ErrNoPath, the control
+// plane's own wrap keeps it matchable, and the rendered text — which
+// clients and cmd/benchsuite's verifier read in response bodies — does not
+// move by a byte.
+func TestNoPathIsErrNoPath(t *testing.T) {
+	top, m := lineTop(t)
+	brokers := []int32{1, 3} // every chain link is dominated; (1,2) is the cut
+	e := routing.NewEngine(top, m, brokers)
+	p := New(top, m, brokers)
+	ctx := context.Background()
+	s, err := p.Setup(ctx, 0, 4, 1, routing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FailLink(1, 2)
+	for _, tc := range []struct {
+		name string
+		err  func() error
+		want string
+	}{
+		{"BestPath", func() error { _, err := e.BestPath(0, 4, routing.Options{}); return err },
+			"routing: no dominated path 0 -> 4 within constraints"},
+		{"KAlternatives", func() error { _, err := e.KAlternatives(0, 4, 2, routing.Options{}); return err },
+			"routing: no dominated path 0 -> 4"},
+		{"Plane.Setup", func() error { _, err := p.Setup(ctx, 0, 4, 1, routing.Options{}); return err },
+			"ctrlplane: no dominated path: routing: no dominated path 0 -> 4 within constraints"},
+		{"Plane.Repath", func() error { return p.Repath(ctx, s, routing.Options{}) },
+			"ctrlplane: session 1 aborted: no dominated path survives: routing: no dominated path 0 -> 4 within constraints"},
+	} {
+		err := tc.err()
+		if err == nil {
+			t.Fatalf("%s: found a path across a failed cut", tc.name)
+		}
+		if !errors.Is(err, routing.ErrNoPath) {
+			t.Errorf("%s: %v does not match routing.ErrNoPath", tc.name, err)
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: text %q, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A miss that is not a missing path must not match.
+	if _, err := e.BestPath(0, 99, routing.Options{}); err == nil || errors.Is(err, routing.ErrNoPath) {
+		t.Errorf("out-of-range endpoint: %v", err)
 	}
 }

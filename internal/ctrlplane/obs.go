@@ -12,9 +12,6 @@ import (
 // recording is a nil-safe no-op).
 func (p *Plane) SetFlightRecorder(fr *obs.FlightRecorder) { p.flight, p.d.Flight = fr, fr }
 
-// FlightRecorder returns the attached recorder (nil when none).
-func (p *Plane) FlightRecorder() *obs.FlightRecorder { return p.flight }
-
 // RegisterMetrics exposes the plane's counters on reg under the
 // ctrlplane_ namespace, plus the transport's delivery/fault counters
 // under transport_. The Plane is not internally synchronized — the

@@ -280,6 +280,16 @@ func TestSessionErrors(t *testing.T) {
 	if r.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("PUT /stats status %d", r.StatusCode)
 	}
+	// The 405 is the mux's: it names what the path does take.
+	if got := r.Header.Get("Allow"); got != "GET, HEAD" {
+		t.Fatalf("PUT /stats Allow = %q", got)
+	}
+	req, _ = http.NewRequest(http.MethodPut, ts.URL+"/sessions/1/renew", nil)
+	r, _ = http.DefaultClient.Do(req)
+	r.Body.Close()
+	if r.StatusCode != http.StatusMethodNotAllowed || r.Header.Get("Allow") != "POST" {
+		t.Fatalf("PUT /sessions/1/renew: status %d, Allow %q", r.StatusCode, r.Header.Get("Allow"))
+	}
 }
 
 // A flat setup must route around a best path that lacks the bandwidth: the

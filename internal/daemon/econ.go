@@ -153,7 +153,7 @@ func parseBid(r *http.Request) float64 {
 
 // handleEconPrice serves GET /econ/price: the current posted price.
 func (s *Daemon) handleEconPrice(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.requireEcon(w, r)
+	e, ok := s.requireEcon(w)
 	if !ok {
 		return
 	}
@@ -167,7 +167,7 @@ func (s *Daemon) handleEconPrice(w http.ResponseWriter, r *http.Request) {
 // handleEconQuote serves GET /econ/quote: the full repricing breakdown
 // (base equilibrium price, congestion multiplier, utilization, adoption).
 func (s *Daemon) handleEconQuote(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.requireEcon(w, r)
+	e, ok := s.requireEcon(w)
 	if !ok {
 		return
 	}
@@ -178,15 +178,8 @@ func (s *Daemon) handleEconQuote(w http.ResponseWriter, r *http.Request) {
 // newest-last. ?last=N bounds the window count; ?format=jsonl streams the
 // append-only ledger form.
 func (s *Daemon) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.requireEcon(w, r)
+	e, ok := s.requireEcon(w)
 	if !ok {
-		return
-	}
-	if r.Method == http.MethodPost {
-		// Force a window close (test/CI hook): settle whatever revenue and
-		// traffic accrued since the last close.
-		rec := e.set.Settle(e.adm.DrainRevenue(), e.ctrl.Ticks())
-		writeJSON(w, http.StatusOK, rec)
 		return
 	}
 	records := e.set.Records()
@@ -202,8 +195,7 @@ func (s *Daemon) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
-		// One record per line: the shape market.Settlement.WriteJSONL
-		// produces.
+		// One record per line.
 		enc := json.NewEncoder(w)
 		for i := range records {
 			_ = enc.Encode(&records[i])
@@ -213,10 +205,21 @@ func (s *Daemon) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, records)
 }
 
+// handleEconSettle serves POST /econ/settlement: force a window close
+// (test/CI hook), settling whatever revenue and traffic accrued since the
+// last close.
+func (s *Daemon) handleEconSettle(w http.ResponseWriter, r *http.Request) {
+	e, ok := s.requireEcon(w)
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, e.set.Settle(e.adm.DrainRevenue(), e.ctrl.Ticks()))
+}
+
 // handleEconStats serves GET /econ/stats: admission counters, settlement
 // progress, and the controller's tick count in one snapshot.
 func (s *Daemon) handleEconStats(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.requireEcon(w, r)
+	e, ok := s.requireEcon(w)
 	if !ok {
 		return
 	}
@@ -230,16 +233,11 @@ func (s *Daemon) handleEconStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// requireEcon gates the /econ/* handlers on the plane being enabled and
-// (except the settlement POST hook) on GET.
-func (s *Daemon) requireEcon(w http.ResponseWriter, r *http.Request) (*econState, bool) {
+// requireEcon gates the /econ/* handlers on the plane being enabled.
+func (s *Daemon) requireEcon(w http.ResponseWriter) (*econState, bool) {
 	e := s.econ
 	if e == nil {
 		writeError(w, http.StatusNotFound, "economics plane disabled (run with -econ)")
-		return nil, false
-	}
-	if r.Method != http.MethodGet && !(r.Method == http.MethodPost && r.URL.Path == "/econ/settlement") {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return nil, false
 	}
 	return e, true

@@ -29,7 +29,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -221,84 +220,76 @@ func fedSessionJSON(sess *federation.Session) fedSessionResponse {
 	return out
 }
 
-func (s *Daemon) handleFedSessions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.fed.mu.RLock()
-		sessions := s.fed.fabric.Sessions()
-		out := make([]fedSessionResponse, 0, len(sessions))
-		for _, sess := range sessions {
-			out = append(out, fedSessionJSON(sess))
-		}
-		s.fed.mu.RUnlock()
-		writeJSON(w, http.StatusOK, out)
-	case http.MethodPost:
-		var req sessionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
-			return
-		}
-		if req.Src < 0 || req.Src >= s.top.NumNodes() || req.Dst < 0 || req.Dst >= s.top.NumNodes() {
-			writeError(w, http.StatusBadRequest, "node ids outside [0,%d)", s.top.NumNodes())
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
-		defer cancel()
-		s.fed.mu.Lock()
-		sess, err := s.fed.fabric.Setup(ctx, int32(req.Src), int32(req.Dst), req.Gbps, routing.Options{})
-		s.fed.mu.Unlock()
-		if err != nil {
-			writeError(w, http.StatusConflict, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, fedSessionJSON(sess))
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST")
+func (s *Daemon) handleFedSessionList(w http.ResponseWriter, r *http.Request) {
+	s.fed.mu.RLock()
+	sessions := s.fed.fabric.Sessions()
+	out := make([]fedSessionResponse, 0, len(sessions))
+	for _, sess := range sessions {
+		out = append(out, fedSessionJSON(sess))
 	}
+	s.fed.mu.RUnlock()
+	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Daemon) handleFedSessionByID(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/federation/sessions/")
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad session id %q", idStr)
+func (s *Daemon) handleFedSessionSetup(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.sessionRequest(w, r)
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		var out fedSessionResponse
-		s.fed.mu.RLock()
-		sess := s.fed.fabric.Session(id)
-		if sess != nil {
-			out = fedSessionJSON(sess)
-		}
-		s.fed.mu.RUnlock()
-		if sess == nil {
-			writeError(w, http.StatusNotFound, "no federated session %d", id)
-			return
-		}
-		writeJSON(w, http.StatusOK, out)
-	case http.MethodDelete:
-		ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
-		defer cancel()
-		s.fed.mu.Lock()
-		sess := s.fed.fabric.Session(id)
-		if sess != nil {
-			err = s.fed.fabric.Teardown(ctx, sess)
-		}
-		s.fed.mu.Unlock()
-		if sess == nil {
-			writeError(w, http.StatusNotFound, "no federated session %d", id)
-			return
-		}
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE")
+	ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
+	defer cancel()
+	s.fed.mu.Lock()
+	sess, err := s.fed.fabric.Setup(ctx, int32(req.Src), int32(req.Dst), req.Gbps, routing.Options{})
+	s.fed.mu.Unlock()
+	if err != nil {
+		writeError(w, http.StatusConflict, "%v", err)
+		return
 	}
+	writeJSON(w, http.StatusCreated, fedSessionJSON(sess))
+}
+
+func (s *Daemon) handleFedSessionGet(w http.ResponseWriter, r *http.Request) {
+	id, ok := sessionID(w, r)
+	if !ok {
+		return
+	}
+	var out fedSessionResponse
+	s.fed.mu.RLock()
+	sess := s.fed.fabric.Session(id)
+	if sess != nil {
+		out = fedSessionJSON(sess)
+	}
+	s.fed.mu.RUnlock()
+	if sess == nil {
+		writeError(w, http.StatusNotFound, "no federated session %d", id)
+		return
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+func (s *Daemon) handleFedSessionTeardown(w http.ResponseWriter, r *http.Request) {
+	id, ok := sessionID(w, r)
+	if !ok {
+		return
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
+	defer cancel()
+	var err error
+	s.fed.mu.Lock()
+	sess := s.fed.fabric.Session(id)
+	if sess != nil {
+		err = s.fed.fabric.Teardown(ctx, sess)
+	}
+	s.fed.mu.Unlock()
+	if sess == nil {
+		writeError(w, http.StatusNotFound, "no federated session %d", id)
+		return
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
 
 type fedStatsResponse struct {

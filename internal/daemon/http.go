@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"brokerset/internal/churn"
@@ -24,39 +23,44 @@ import (
 func (s *Daemon) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealth)
-	mux.HandleFunc("/stats", getOnly(s.handleStats))
-	mux.HandleFunc("/metrics", getOnly(s.handleMetrics))
-	mux.HandleFunc("/brokers", getOnly(s.handleBrokers))
-	mux.HandleFunc("/path", getOnly(s.handlePath))
-	mux.HandleFunc("/sessions", s.handleSessions)
-	mux.HandleFunc("/sessions/", s.handleSessionByID)
-	mux.HandleFunc("/churn", s.handleChurn)
-	mux.HandleFunc("/econ/price", s.handleEconPrice)
-	mux.HandleFunc("/econ/quote", s.handleEconQuote)
-	mux.HandleFunc("/econ/settlement", s.handleEconSettlement)
-	mux.HandleFunc("/econ/stats", s.handleEconStats)
-	mux.HandleFunc("/slo", getOnly(s.handleSLO))
-	mux.HandleFunc("/debug/trace", getOnly(s.handleDebugTrace))
-	mux.HandleFunc("/debug/flight", getOnly(s.handleDebugFlight))
+	mux.HandleFunc("GET /stats", s.handleStats)
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /brokers", s.handleBrokers)
+	mux.HandleFunc("GET /path", s.handlePath)
+	mux.HandleFunc("GET /sessions", s.handleSessionList)
+	mux.HandleFunc("POST /sessions", s.handleSessionSetup)
+	mux.HandleFunc("GET /sessions/{id}", s.handleSessionGet)
+	mux.HandleFunc("DELETE /sessions/{id}", s.handleSessionTeardown)
+	mux.HandleFunc("POST /sessions/{id}/renew", s.handleSessionRenew)
+	mux.HandleFunc("POST /churn", s.handleChurn)
+	mux.HandleFunc("GET /econ/price", s.handleEconPrice)
+	mux.HandleFunc("GET /econ/quote", s.handleEconQuote)
+	mux.HandleFunc("GET /econ/settlement", s.handleEconSettlement)
+	mux.HandleFunc("POST /econ/settlement", s.handleEconSettle)
+	mux.HandleFunc("GET /econ/stats", s.handleEconStats)
+	mux.HandleFunc("GET /slo", s.handleSLO)
+	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
+	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
 	if s.fed != nil {
-		mux.HandleFunc("/federation/regions", getOnly(s.handleFedRegions))
-		mux.HandleFunc("/federation/path", getOnly(s.handleFedPath))
-		mux.HandleFunc("/federation/sessions", s.handleFedSessions)
-		mux.HandleFunc("/federation/sessions/", s.handleFedSessionByID)
-		mux.HandleFunc("/federation/stats", getOnly(s.handleFedStats))
+		mux.HandleFunc("GET /federation/regions", s.handleFedRegions)
+		mux.HandleFunc("GET /federation/path", s.handleFedPath)
+		mux.HandleFunc("GET /federation/sessions", s.handleFedSessionList)
+		mux.HandleFunc("POST /federation/sessions", s.handleFedSessionSetup)
+		mux.HandleFunc("GET /federation/sessions/{id}", s.handleFedSessionGet)
+		mux.HandleFunc("DELETE /federation/sessions/{id}", s.handleFedSessionTeardown)
+		mux.HandleFunc("GET /federation/stats", s.handleFedStats)
 	}
 	return mux
 }
 
-// getOnly answers any method but GET with 405 before h sees the request.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET only")
-			return
-		}
-		h(w, r)
+// sessionID reads the {id} of a session route; a malformed one is answered
+// with 400 and ok is false.
+func sessionID(w http.ResponseWriter, r *http.Request) (id int, ok bool) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad session id %q", r.PathValue("id"))
 	}
+	return id, err == nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -143,10 +147,6 @@ type churnRequest struct {
 }
 
 func (s *Daemon) handleChurn(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req churnRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
@@ -279,89 +279,86 @@ type sessionResponse struct {
 	Bandwidth float64 `json:"gbps"`
 }
 
+// sessionRequest decodes and range-checks the body of a session setup; a
+// malformed one is answered with 400 and ok is false.
+func (s *Daemon) sessionRequest(w http.ResponseWriter, r *http.Request) (req sessionRequest, ok bool) {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return req, false
+	}
+	if n := s.top.NumNodes(); req.Src < 0 || req.Src >= n || req.Dst < 0 || req.Dst >= n {
+		writeError(w, http.StatusBadRequest, "node ids outside [0,%d)", n)
+		return req, false
+	}
+	return req, true
+}
+
 func sessionJSON(sess *ctrlplane.Session) sessionResponse {
 	return sessionResponse{
 		ID: sess.ID, Nodes: sess.Path, Hops: len(sess.Path) - 1, Bandwidth: sess.Bandwidth,
 	}
 }
 
-func (s *Daemon) handleSessions(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		list := s.sessions.List()
-		out := make([]sessionResponse, 0, len(list))
-		for _, sess := range list {
-			out = append(out, sessionJSON(sess))
-		}
-		writeJSON(w, http.StatusOK, out)
-	case http.MethodPost:
-		var req sessionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
-			return
-		}
-		if req.Src < 0 || req.Src >= s.top.NumNodes() || req.Dst < 0 || req.Dst >= s.top.NumNodes() {
-			writeError(w, http.StatusBadRequest, "node ids outside [0,%d)", s.top.NumNodes())
-			return
-		}
-		sess, err := s.Setup(r.Context(), req.Src, req.Dst, req.Gbps)
-		switch {
-		case errors.Is(err, errSetupShed):
-			// Degraded mode: the batch queue is over its high-water
-			// mark. Renewals and teardowns still flow; new load waits.
-			w.Header().Set("Retry-After", strconv.Itoa(int(setupRetryAfter.Seconds())))
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-		case err != nil:
-			writeError(w, http.StatusConflict, "%v", err)
-		default:
-			writeJSON(w, http.StatusCreated, sessionJSON(sess))
-		}
+func (s *Daemon) handleSessionList(w http.ResponseWriter, r *http.Request) {
+	list := s.sessions.List()
+	out := make([]sessionResponse, 0, len(list))
+	for _, sess := range list {
+		out = append(out, sessionJSON(sess))
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+func (s *Daemon) handleSessionSetup(w http.ResponseWriter, r *http.Request) {
+	req, ok := s.sessionRequest(w, r)
+	if !ok {
+		return
+	}
+	sess, err := s.Setup(r.Context(), req.Src, req.Dst, req.Gbps)
+	switch {
+	case errors.Is(err, errSetupShed):
+		// Degraded mode: the batch queue is over its high-water
+		// mark. Renewals and teardowns still flow; new load waits.
+		w.Header().Set("Retry-After", strconv.Itoa(int(setupRetryAfter.Seconds())))
+		writeError(w, http.StatusTooManyRequests, "%v", err)
+	case err != nil:
+		writeError(w, http.StatusConflict, "%v", err)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST")
+		writeJSON(w, http.StatusCreated, sessionJSON(sess))
 	}
 }
 
-func (s *Daemon) handleSessionByID(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/sessions/")
-	renew := false
-	if rest, ok := strings.CutSuffix(idStr, "/renew"); ok {
-		idStr, renew = rest, true
-	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad session id %q", idStr)
+func (s *Daemon) handleSessionGet(w http.ResponseWriter, r *http.Request) {
+	id, ok := sessionID(w, r)
+	if !ok {
 		return
 	}
-	if renew {
-		s.handleSessionRenew(w, r, id)
+	sess, ok := s.sessions.Get(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no session %d", id)
 		return
 	}
-	switch r.Method {
-	case http.MethodDelete:
-		switch err := s.Teardown(r.Context(), id); {
-		case errors.Is(err, errNoSession):
-			writeError(w, http.StatusNotFound, "no session %d", id)
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, "%v", err)
-		default:
-			writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
-		}
-	case http.MethodGet:
-		sess, ok := s.sessions.Get(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no session %d", id)
-			return
-		}
-		writeJSON(w, http.StatusOK, sessionJSON(sess))
+	writeJSON(w, http.StatusOK, sessionJSON(sess))
+}
+
+func (s *Daemon) handleSessionTeardown(w http.ResponseWriter, r *http.Request) {
+	id, ok := sessionID(w, r)
+	if !ok {
+		return
+	}
+	switch err := s.Teardown(r.Context(), id); {
+	case errors.Is(err, errNoSession):
+		writeError(w, http.StatusNotFound, "no session %d", id)
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or DELETE")
+		writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 	}
 }
 
 // handleSessionRenew serves POST /sessions/{id}/renew — the heartbeat.
-func (s *Daemon) handleSessionRenew(w http.ResponseWriter, r *http.Request, id int) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+func (s *Daemon) handleSessionRenew(w http.ResponseWriter, r *http.Request) {
+	id, ok := sessionID(w, r)
+	if !ok {
 		return
 	}
 	if !s.Renew(id) {

@@ -24,7 +24,7 @@ import (
 // Ownership of every reference transfers to the snapshot: the caller must
 // not mutate any of them afterwards (build them copy-on-write).
 type SnapshotData struct {
-	// Top is the full static topology (shared immutably by all snapshots).
+	// Top is the full static topology; it sizes the membership mask.
 	Top *topology.Topology
 	// Live is the residual graph with down nodes/links removed. It is the
 	// snapshot's link down-mark: a link is up iff it is an arc of Live.
@@ -37,12 +37,6 @@ type SnapshotData struct {
 	BrokerDown map[int32]bool
 	// View is the frozen routing metrics (latency/capacity/reservations).
 	View *routing.View
-	// Region scopes the snapshot to one federation region (-1 or 0 with a
-	// nil Orig means the global, unpartitioned plane).
-	Region int
-	// Orig maps the snapshot topology's local node ids back to global ids
-	// when Top is a region subtopology; nil means identity (global plane).
-	Orig []int32
 }
 
 // Snapshot is one immutable, internally consistent observation of the
@@ -54,15 +48,12 @@ type Snapshot struct {
 	id   uint64
 	born time.Time
 
-	top        *topology.Topology
 	live       *graph.Graph
 	brokers    []int32
 	inB        []bool
 	nodeDown   []bool
 	brokerDown map[int32]bool
 	view       *routing.View
-	region     int
-	orig       []int32
 
 	// conn is shared (by pointer) between a snapshot and its WithView
 	// descendants: capacity-only republishes keep the same live graph and
@@ -86,15 +77,12 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 		inB[b] = true
 	}
 	return &Snapshot{
-		top:        d.Top,
 		live:       d.Live,
 		brokers:    d.Brokers,
 		inB:        inB,
 		nodeDown:   d.NodeDown,
 		brokerDown: d.BrokerDown,
 		view:       d.View,
-		region:     d.Region,
-		orig:       d.Orig,
 		conn:       &connCache{},
 	}
 }
@@ -109,47 +97,18 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 // across the check and the publish).
 func (s *Snapshot) WithView(view *routing.View) *Snapshot {
 	return &Snapshot{
-		top:        s.top,
 		live:       s.live,
 		brokers:    s.brokers,
 		inB:        s.inB,
 		nodeDown:   s.nodeDown,
 		brokerDown: s.brokerDown,
 		view:       view,
-		region:     s.region,
-		orig:       s.orig,
 		conn:       s.conn,
 	}
 }
 
-// Region returns the federation region this snapshot is scoped to (meaningful
-// only when Origin is non-nil; the global plane reports its zero value).
-func (s *Snapshot) Region() int { return s.region }
-
-// Origin returns the local→global node id mapping for a region-scoped
-// snapshot, or nil for the global plane. Callers must not mutate it.
-func (s *Snapshot) Origin() []int32 { return s.orig }
-
-// GlobalID translates a snapshot-local node id to the global topology's id
-// (identity for global snapshots).
-func (s *Snapshot) GlobalID(local int32) int32 {
-	if s.orig == nil {
-		return local
-	}
-	return s.orig[local]
-}
-
 // ID returns the snapshot's epoch number (monotonic across publishes).
 func (s *Snapshot) ID() uint64 { return s.id }
-
-// Born returns the publish time.
-func (s *Snapshot) Born() time.Time { return s.born }
-
-// Topology returns the full static topology.
-func (s *Snapshot) Topology() *topology.Topology { return s.top }
-
-// LiveGraph returns the residual graph with down nodes and links removed.
-func (s *Snapshot) LiveGraph() *graph.Graph { return s.live }
 
 // View returns the frozen routing metrics view.
 func (s *Snapshot) View() *routing.View { return s.view }

@@ -61,8 +61,7 @@ func (s *Suite) ExtLoad() (*tablefmt.Table, error) {
 	t := tablefmt.New("Ext: broker load under a gravity traffic workload",
 		"broker set", "admission rate", "mean latency (ms)", "mean hops", "top-broker share", "load Gini")
 	for _, a := range algos {
-		engine := routing.NewEngine(s.Top, routing.DefaultMetrics(s.Top, s.rng(90)), a.brokers)
-		res, err := sim.Run(engine, a.brokers, demands, routing.Options{})
+		res, err := sim.Run(s.Top, routing.DefaultMetrics(s.Top, s.rng(90)), a.brokers, demands, routing.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,8 @@ import (
 
 // Fig1 summarizes the topology's layered structure (the paper's
 // visualization shows a scale-free network with IXPs at both core and
-// edge): node composition per tier, IXP placement by degree decile, and
-// hub statistics. Use `brokerselect -dot` for an actual DOT export.
+// edge): node composition per class, IXP placement by degree decile, and
+// hub statistics.
 func (s *Suite) Fig1() (*tablefmt.Table, error) {
 	g := s.Top.Graph
 	t := tablefmt.New("Fig 1. Topology structure: tiers and IXP layering",

@@ -41,11 +41,6 @@ type Config struct {
 	SCIterations int
 }
 
-// DefaultConfig is the test/bench configuration (1/10 scale).
-func DefaultConfig() Config {
-	return Config{Scale: 0.1, Seed: 1, Samples: 800, SCIterations: 300}
-}
-
 func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 0.1

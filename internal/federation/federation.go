@@ -322,16 +322,10 @@ func (f *Fabric) tick() {
 // session driver and tests pace the fabric with it).
 func (f *Fabric) Tick() { f.tick() }
 
-// Clock returns the fabric's virtual time.
-func (f *Fabric) Clock() int { return f.clock }
-
 // Reconcile drives the peer backlog (and every region plane's backlog) to
 // empty, the quiescent state CheckInvariants expects. All regions must be
 // recovered first.
 func (f *Fabric) Reconcile(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	for r, reg := range f.regions {
 		if reg.crashed {
 			return fmt.Errorf("federation: reconcile requires every region up: region %d crashed", r)

@@ -27,9 +27,6 @@ type HealReport struct {
 // Sessions whose home region is down are skipped — only their home
 // coordinator may decide for them.
 func (f *Fabric) Heal(ctx context.Context) HealReport {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ctx, span := obs.StartSpan(ctx, "federation.heal")
 	defer span.End()
 	f.tick()

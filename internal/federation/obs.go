@@ -18,17 +18,11 @@ func (f *Fabric) SetFlightRecorder(fr *obs.FlightRecorder) {
 	}
 }
 
-// FlightRecorder returns the attached recorder (nil when none).
-func (f *Fabric) FlightRecorder() *obs.FlightRecorder { return f.flight }
-
 // SetTracer attaches a tracer to the fabric: each region's sub-coordinator
 // adopts the trace ID riding incoming X-* messages, stitching its
 // sub-transaction spans into the originating request's trace. nil detaches
 // (sub-transactions run untraced).
 func (f *Fabric) SetTracer(t *obs.Tracer) { f.tracer = t }
-
-// Tracer returns the attached tracer (nil when none).
-func (f *Fabric) Tracer() *obs.Tracer { return f.tracer }
 
 // RegisterMetrics exposes the fabric's counters under the federation_
 // namespace, plus per-region epoch/commit/abort/query gauges name-encoded

@@ -129,8 +129,7 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 	plane.SetRetryConfig(cfg.Retry)
 
 	snap := epoch.NewSnapshot(epoch.SnapshotData{
-		Top: sub, Live: sub.Graph, Brokers: brokers,
-		View: metrics.View(), Region: r, Orig: orig,
+		Top: sub, Live: sub.Graph, Brokers: brokers, View: metrics.View(),
 	})
 	pub := epoch.NewPublisher(snap)
 

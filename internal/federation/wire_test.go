@@ -289,7 +289,7 @@ type tickTap struct {
 
 func (t *tickTap) Send(m ctrlplane.Message) {
 	if m.Type == ctrlplane.MsgXPrepare {
-		t.sends[m.MsgID] = append(t.sends[m.MsgID], t.f.Clock())
+		t.sends[m.MsgID] = append(t.sends[m.MsgID], t.f.clock)
 	}
 	t.Transport.Send(m)
 }

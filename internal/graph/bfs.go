@@ -115,54 +115,10 @@ func (b *BFS) RunMultiSource(srcs []int32) int {
 	return reached
 }
 
-// ShortestPath returns one shortest (hop-count) path from src to dst as a
-// node sequence [src ... dst], or nil if dst is unreachable.
-func (g *Graph) ShortestPath(src, dst int) []int32 {
-	if src == dst {
-		return []int32{int32(src)}
-	}
-	n := g.NumNodes()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = Unreached
-	}
-	parent[src] = int32(src)
-	queue := make([]int32, 0, n)
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.Neighbors(int(u)) {
-			if parent[v] != Unreached {
-				continue
-			}
-			parent[v] = u
-			if int(v) == dst {
-				return buildPath(parent, src, dst)
-			}
-			queue = append(queue, v)
-		}
-	}
-	return nil
-}
-
-func buildPath(parent []int32, src, dst int) []int32 {
-	var rev []int32
-	for u := int32(dst); ; u = parent[u] {
-		rev = append(rev, u)
-		if int(u) == src {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // BFSTree performs a full BFS from src and returns the distance and parent
 // arrays of the shortest-path tree. Unreachable nodes have dist Unreached
-// and parent Unreached; the source is its own parent. Use graph.PathTo to
-// extract individual paths.
+// and parent Unreached; the source is its own parent. Use PathTo to extract
+// individual paths.
 func (g *Graph) BFSTree(src int) (dist, parent []int32) {
 	n := g.NumNodes()
 	dist = make([]int32, n)
@@ -189,16 +145,21 @@ func (g *Graph) BFSTree(src int) (dist, parent []int32) {
 	return dist, parent
 }
 
-// Eccentricity returns the maximum BFS distance from src to any reachable
-// node.
-func (g *Graph) Eccentricity(src int) int {
-	b := NewBFS(g)
-	b.Run(src)
-	ecc := 0
-	for _, d := range b.dist {
-		if int(d) > ecc {
-			ecc = int(d)
+// PathTo reconstructs the path from a BFSTree source to dst using the parent
+// slice, or nil if dst was unreachable.
+func PathTo(parent []int32, dst int) []int32 {
+	if parent[dst] == Unreached {
+		return nil
+	}
+	var rev []int32
+	for u := int32(dst); ; u = parent[u] {
+		rev = append(rev, u)
+		if parent[u] == u {
+			break
 		}
 	}
-	return ecc
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // BitBFS is a bit-packed breadth-first traversal kernel: the visited set and
 // both frontiers are Bitsets, so frontier admission (next &^ visited,
@@ -175,26 +172,3 @@ func (b *BitBFS) bottomUp(inB Bitset) {
 		}
 	}
 }
-
-// BFSPool is a free list of BitBFS kernels over one graph, for worker pools
-// that need per-goroutine scratch without per-call allocation.
-type BFSPool struct {
-	pool sync.Pool
-}
-
-// NewBFSPool returns a pool producing kernels for g.
-func NewBFSPool(g *Graph) *BFSPool {
-	p := &BFSPool{}
-	p.pool.New = func() interface{} { return NewBitBFS(g) }
-	return p
-}
-
-// Get returns a Reset kernel.
-func (p *BFSPool) Get() *BitBFS {
-	b := p.pool.Get().(*BitBFS)
-	b.Reset()
-	return b
-}
-
-// Put returns a kernel to the pool.
-func (p *BFSPool) Put(b *BitBFS) { p.pool.Put(b) }

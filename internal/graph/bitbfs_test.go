@@ -194,15 +194,3 @@ func TestBitBFSZeroAlloc(t *testing.T) {
 		t.Fatalf("FloodDominated allocates %.1f per run, want 0", avg)
 	}
 }
-
-func TestBFSPoolReuse(t *testing.T) {
-	g := randomGraph(100, 300, 1)
-	p := NewBFSPool(g)
-	k1 := p.Get()
-	k1.Flood([]int32{0})
-	p.Put(k1)
-	k2 := p.Get()
-	if k2.Visited().Any() {
-		t.Fatal("pooled kernel came back dirty")
-	}
-}

@@ -52,33 +52,6 @@ func (b Bitset) Count() int {
 	return c
 }
 
-// Any reports whether any bit is set.
-func (b Bitset) Any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// CopyFrom overwrites b with src (same capacity).
-func (b Bitset) CopyFrom(src Bitset) { copy(b, src) }
-
-// Or sets b |= other.
-func (b Bitset) Or(other Bitset) {
-	for i, w := range other {
-		b[i] |= w
-	}
-}
-
-// AndNot sets b &^= other.
-func (b Bitset) AndNot(other Bitset) {
-	for i, w := range other {
-		b[i] &^= w
-	}
-}
-
 // ClaimNew computes cand &^ b (the bits of cand not yet in b), writes them
 // into dst, and merges them into b — the word-parallel "frontier admission"
 // step of bit-packed BFS: dst = new frontier, b = visited. It returns the

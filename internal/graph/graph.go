@@ -154,9 +154,6 @@ func (b *Builder) AddEdge(u, v int) {
 	b.vs = append(b.vs, int32(v))
 }
 
-// NumPending returns the number of (possibly duplicate) edges added so far.
-func (b *Builder) NumPending() int { return len(b.us) }
-
 // Build assembles the CSR graph. It returns an error if any recorded edge
 // had an endpoint outside [0, n).
 func (b *Builder) Build() (*Graph, error) {

@@ -202,41 +202,6 @@ func TestMultiSourceDuplicates(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	// Cycle of 6: two paths between 0 and 3, both length 3.
-	b := NewBuilder(6)
-	for i := 0; i < 6; i++ {
-		b.AddEdge(i, (i+1)%6)
-	}
-	g := b.MustBuild()
-	p := g.ShortestPath(0, 3)
-	if len(p) != 4 {
-		t.Fatalf("path length %d, want 4 nodes: %v", len(p), p)
-	}
-	if p[0] != 0 || p[3] != 3 {
-		t.Fatalf("path endpoints wrong: %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(int(p[i]), int(p[i+1])) {
-			t.Fatalf("path hop (%d,%d) is not an edge", p[i], p[i+1])
-		}
-	}
-}
-
-func TestShortestPathTrivialAndUnreachable(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	// 2, 3 isolated from 0.
-	b.AddEdge(2, 3)
-	g := b.MustBuild()
-	if p := g.ShortestPath(1, 1); len(p) != 1 || p[0] != 1 {
-		t.Errorf("self path = %v, want [1]", p)
-	}
-	if p := g.ShortestPath(0, 3); p != nil {
-		t.Errorf("unreachable path = %v, want nil", p)
-	}
-}
-
 func TestComponents(t *testing.T) {
 	b := NewBuilder(7)
 	b.AddEdge(0, 1)
@@ -277,55 +242,11 @@ func TestPairsWithin(t *testing.T) {
 	}
 }
 
-func TestDijkstraMatchesBFSUnitWeights(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		g := randomGraph(80, 200, seed)
-		dist, _ := g.Dijkstra(0, UnitWeight)
-		b := NewBFS(g)
-		b.Run(0)
-		for u := 0; u < g.NumNodes(); u++ {
-			bd := b.Dist()[u]
-			if bd == Unreached {
-				if dist[u] >= 0 {
-					t.Fatalf("seed %d: node %d unreachable by BFS but dist %f", seed, u, dist[u])
-				}
-				continue
-			}
-			if int(dist[u]) != int(bd) {
-				t.Fatalf("seed %d: node %d Dijkstra %f != BFS %d", seed, u, dist[u], bd)
-			}
-		}
-	}
-}
-
-func TestDijkstraWeighted(t *testing.T) {
-	// Triangle where the direct edge 0-2 is expensive.
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(0, 2)
-	g := b.MustBuild()
-	w := func(u, v int32) float64 {
-		if (u == 0 && v == 2) || (u == 2 && v == 0) {
-			return 10
-		}
-		return 1
-	}
-	dist, parent := g.Dijkstra(0, w)
-	if dist[2] != 2 {
-		t.Fatalf("dist[2] = %f, want 2", dist[2])
-	}
-	p := PathTo(parent, 2)
-	if len(p) != 3 || p[1] != 1 {
-		t.Fatalf("path = %v, want [0 1 2]", p)
-	}
-}
-
 func TestPathToUnreachable(t *testing.T) {
 	b := NewBuilder(3)
 	b.AddEdge(0, 1)
 	g := b.MustBuild()
-	_, parent := g.Dijkstra(0, UnitWeight)
+	_, parent := g.BFSTree(0)
 	if p := PathTo(parent, 2); p != nil {
 		t.Errorf("PathTo unreachable = %v, want nil", p)
 	}
@@ -448,12 +369,8 @@ func TestMaxDegreeNode(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogramAndAvg(t *testing.T) {
+func TestAvgDegree(t *testing.T) {
 	g := pathGraph(t, 4) // degrees 1,2,2,1
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram = %v, want {1:2, 2:2}", h)
-	}
 	if got, want := g.AvgDegree(), 1.5; got != want {
 		t.Fatalf("AvgDegree = %f, want %f", got, want)
 	}
@@ -525,16 +442,6 @@ func TestSampleNodes(t *testing.T) {
 	}
 }
 
-func TestEccentricity(t *testing.T) {
-	g := pathGraph(t, 5)
-	if got := g.Eccentricity(0); got != 4 {
-		t.Errorf("Eccentricity(0) = %d, want 4", got)
-	}
-	if got := g.Eccentricity(2); got != 2 {
-		t.Errorf("Eccentricity(2) = %d, want 2", got)
-	}
-}
-
 // Property: for any random graph, BFS from the same source twice yields the
 // same reach count, and every reached node has a neighbor one hop closer.
 func TestBFSTreeProperty(t *testing.T) {
@@ -597,5 +504,22 @@ func TestComponentsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestEffectiveDiameter(t *testing.T) {
+	g := pathGraph(t, 11) // diameter 10
+	if got := g.EffectiveDiameter(1.0, 11, nil); got != 10 {
+		t.Fatalf("full effective diameter = %d, want 10", got)
+	}
+	half := g.EffectiveDiameter(0.5, 11, nil)
+	if half <= 0 || half >= 10 {
+		t.Fatalf("median effective diameter = %d, want interior", half)
+	}
+	if got := g.EffectiveDiameter(0, 11, nil); got != 0 {
+		t.Fatalf("q=0 effective diameter = %d", got)
+	}
+	if got := NewBuilder(3).MustBuild().EffectiveDiameter(0.9, 3, nil); got != 0 {
+		t.Fatalf("edgeless effective diameter = %d", got)
 	}
 }

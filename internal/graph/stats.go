@@ -1,22 +1,10 @@
 package graph
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
 )
-
-// DegreeHistogram returns a map from degree to the number of nodes with
-// that degree.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for u := 0; u < g.NumNodes(); u++ {
-		h[g.Degree(u)]++
-	}
-	return h
-}
 
 // AvgDegree returns the mean node degree (2m/n); 0 for an empty graph.
 func (g *Graph) AvgDegree() float64 {
@@ -115,34 +103,6 @@ func (g *Graph) AlphaForBeta(beta, samples int, rng *rand.Rand) float64 {
 		return 0
 	}
 	return float64(within) / float64(total)
-}
-
-// WriteDOT writes the graph in Graphviz DOT format. label, if non-nil,
-// supplies a node label; nil labels nodes by id. Intended for small graphs
-// and for the paper's Fig. 1-style visualization export.
-func (g *Graph) WriteDOT(w io.Writer, name string, label func(u int) string) error {
-	if _, err := fmt.Fprintf(w, "graph %q {\n", name); err != nil {
-		return err
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		l := fmt.Sprint(u)
-		if label != nil {
-			l = label(u)
-		}
-		if _, err := fmt.Fprintf(w, "  n%d [label=%q];\n", u, l); err != nil {
-			return err
-		}
-	}
-	var err error
-	g.Edges(func(u, v int) bool {
-		_, err = fmt.Fprintf(w, "  n%d -- n%d;\n", u, v)
-		return err == nil
-	})
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "}")
-	return err
 }
 
 // EffectiveDiameter estimates the q-effective diameter: the smallest hop

@@ -27,9 +27,9 @@ type Admission struct {
 	revenue      floatAdder    // accumulated payments
 }
 
-// floatAdder accumulates a float64 with CAS (identical contract to
-// obs.FloatCounter, local so market has no obs dependency on the hot
-// path).
+// floatAdder accumulates a float64 with CAS. DrainRevenue swaps it back to
+// zero at each settlement, which a monotonic counter instrument could not
+// serve; RegisterMetrics (obs.go) exports its running value at scrape time.
 type floatAdder struct{ bits atomic.Uint64 }
 
 func (a *floatAdder) add(v float64) {

@@ -1,9 +1,7 @@
 package market
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -407,20 +405,4 @@ func (s *Settlement) PendingUnits() float64 {
 		total += u
 	}
 	return total
-}
-
-// WriteJSONL appends the ledger to w, one JSON record per line — the
-// append-only persistence format /econ/settlement?format=jsonl and the
-// loadgen -econ-ledger flag use.
-func (s *Settlement) WriteJSONL(w io.Writer) error {
-	for _, rec := range s.Records() {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package market
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,30 +126,5 @@ func TestTopBroker(t *testing.T) {
 	empty := Record{}
 	if got := empty.TopBroker(); got != -1 {
 		t.Fatalf("empty TopBroker = %d, want -1", got)
-	}
-}
-
-func TestLedgerJSONLRoundTrip(t *testing.T) {
-	set := NewSettlement(SettlementConfig{})
-	set.Record([]int32{1, 2}, 4)
-	set.Settle(8, 1)
-	set.Record([]int32{2}, 2)
-	set.Settle(3, 2)
-	var buf bytes.Buffer
-	if err := set.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 2 {
-		t.Fatalf("ledger lines = %d, want 2", len(lines))
-	}
-	for i, line := range lines {
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if rec.Window != i {
-			t.Fatalf("line %d decodes window %d", i, rec.Window)
-		}
 	}
 }

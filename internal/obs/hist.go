@@ -141,32 +141,7 @@ func (h *Histogram) Exemplars() []Exemplar {
 	return out
 }
 
-// Merge folds other's observations (and exemplars) into h. Neither
-// histogram needs to be quiescent — per-bucket sums are atomic — but the
-// merged quantiles are only exact when other is. Merging an empty
-// histogram is a no-op.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for b := 0; b < histBuckets; b++ {
-		if n := other.buckets[b].Load(); n > 0 {
-			h.buckets[b].Add(n)
-		}
-	}
-	if s := other.sumNs.Load(); s > 0 {
-		h.sumNs.Add(s)
-	}
-	if c := other.count.Load(); c > 0 {
-		h.count.Add(c)
-	}
-	for _, e := range other.Exemplars() {
-		if thr := h.exThr.Load(); thr > 0 && e.Value.Nanoseconds() <= thr {
-			continue
-		}
-		h.keepExemplar(e)
-	}
-}
+// Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the total of all observed durations.

@@ -65,44 +65,6 @@ func TestHistBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b, empty Histogram
-	for i := 1; i <= 100; i++ {
-		a.Observe(time.Duration(i) * time.Microsecond)
-	}
-	b.ObserveTrace(time.Second, 99)
-
-	// Merging an empty histogram is a no-op in both directions.
-	a.Merge(&empty)
-	a.Merge(nil)
-	if a.Count() != 100 {
-		t.Fatalf("count after empty merge = %d, want 100", a.Count())
-	}
-	p50 := a.Quantile(0.5)
-	a.Merge(&Histogram{})
-	if a.Quantile(0.5) != p50 {
-		t.Fatal("quantile changed after empty merge")
-	}
-
-	// Merging into empty adopts counts, sum, and exemplars.
-	empty.Merge(&b)
-	if empty.Count() != 1 || empty.Sum() != time.Second {
-		t.Fatalf("merge into empty: count=%d sum=%v", empty.Count(), empty.Sum())
-	}
-	exs := empty.Exemplars()
-	if len(exs) != 1 || exs[0].TraceID != 99 {
-		t.Fatalf("merge dropped exemplars: %v", exs)
-	}
-
-	a.Merge(&b)
-	if a.Count() != 101 {
-		t.Fatalf("count after merge = %d, want 101", a.Count())
-	}
-	if a.Quantile(1) < time.Second {
-		t.Fatalf("max quantile after merge = %v, want >= 1s", a.Quantile(1))
-	}
-}
-
 func TestHistBucketsContinuous(t *testing.T) {
 	last := -1
 	for ns := int64(0); ns < 1<<20; ns += 7 {

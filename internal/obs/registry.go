@@ -1,5 +1,5 @@
 // Package obs is the unified observability substrate: a metrics registry
-// with Prometheus text exposition and a JSON view, a shared HDR-style
+// with Prometheus text exposition, a shared HDR-style
 // latency histogram, context-propagated request tracing into a lock-free
 // span ring (exportable as Chrome trace-event JSON and JSONL), and a
 // bounded flight recorder of recent control-plane events dumped on
@@ -16,7 +16,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,9 +55,6 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -73,49 +69,8 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is an atomic float64 gauge for non-integral values (prices,
-// ratios). Stored as IEEE-754 bits in a uint64 so Set/Value are single
-// atomic operations.
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// FloatCounter is a monotonically increasing float64 counter (accumulated
-// revenue, carried traffic units). Add uses a CAS loop; it is intended for
-// control-loop-rate updates, not per-nanosecond hot paths.
-type FloatCounter struct {
-	bits atomic.Uint64
-}
-
-// Add increments the counter by v (v must be >= 0; negative deltas are
-// ignored to preserve monotonicity).
-func (c *FloatCounter) Add(v float64) {
-	if v <= 0 {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the accumulated total.
-func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // CollectorFunc emits a batch of samples at scrape time. Registering one
 // collector per subsystem keeps the hot path free of registry overhead:
@@ -131,8 +86,6 @@ type instrument struct {
 	kind       Kind
 	counter    *Counter
 	gauge      *Gauge
-	fcounter   *FloatCounter
-	fgauge     *FloatGauge
 }
 
 type histEntry struct {
@@ -142,7 +95,7 @@ type histEntry struct {
 
 // Registry holds directly-updated instruments (counters, gauges,
 // histograms) and scrape-time collectors, and renders them as Prometheus
-// text exposition or a flat JSON view. All methods are safe for concurrent
+// text exposition. All methods are safe for concurrent
 // use; registration panics on invalid or duplicate names (programmer
 // error, caught at wiring time).
 type Registry struct {
@@ -216,27 +169,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// FloatCounter registers and returns a float-valued counter (counter
-// naming conventions apply: event totals end in _total).
-func (r *Registry) FloatCounter(name, help string) *FloatCounter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name)
-	c := &FloatCounter{}
-	r.instr = append(r.instr, instrument{name: name, help: help, kind: KindCounter, fcounter: c})
-	return c
-}
-
-// FloatGauge registers and returns a float-valued gauge.
-func (r *Registry) FloatGauge(name, help string) *FloatGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name)
-	g := &FloatGauge{}
-	r.instr = append(r.instr, instrument{name: name, help: help, kind: KindGauge, fgauge: g})
-	return g
-}
-
 // Histogram registers and returns a new duration histogram, exported as a
 // Prometheus summary (p50/p95/p99 + _sum + _count) in seconds. Duration
 // metric names must end in _seconds.
@@ -285,10 +217,6 @@ func (r *Registry) gather() ([]Sample, []histEntry, error) {
 			s.Value = float64(in.counter.Value())
 		case in.gauge != nil:
 			s.Value = float64(in.gauge.Value())
-		case in.fcounter != nil:
-			s.Value = in.fcounter.Value()
-		case in.fgauge != nil:
-			s.Value = in.fgauge.Value()
 		}
 		samples = append(samples, s)
 	}
@@ -351,28 +279,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err = io.WriteString(w, b.String())
 	return err
-}
-
-// JSON returns a flat name→value view of the registry: plain samples
-// verbatim, histograms expanded into name_p50/_p95/_p99 (seconds) and
-// name_count keys. It complements — never replaces — legacy JSON payload
-// shapes, which stay owned by their endpoints.
-func (r *Registry) JSON() (map[string]float64, error) {
-	samples, hists, err := r.gather()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(samples)+4*len(hists))
-	for _, s := range samples {
-		out[s.Name] = s.Value
-	}
-	for _, he := range hists {
-		out[he.name+"_p50"] = he.h.Quantile(0.50).Seconds()
-		out[he.name+"_p95"] = he.h.Quantile(0.95).Seconds()
-		out[he.name+"_p99"] = he.h.Quantile(0.99).Seconds()
-		out[he.name+"_count"] = float64(he.h.Count())
-	}
-	return out, nil
 }
 
 func escapeHelp(s string) string {

@@ -17,8 +17,9 @@ func TestRegistryPrometheusExposition(t *testing.T) {
 		emit(Sample{Name: "ctrlplane_commits_total", Help: "2pc commits", Kind: KindCounter, Value: 7})
 	})
 
-	c.Add(41)
-	c.Inc()
+	for i := 0; i < 42; i++ {
+		c.Inc()
+	}
 	g.Set(13)
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Millisecond)
@@ -53,23 +54,6 @@ func TestRegistryPrometheusExposition(t *testing.T) {
 	iCP := strings.Index(out, "ctrlplane_commits_total 7")
 	if iCP > iQP {
 		t.Fatal("samples not sorted by name")
-	}
-}
-
-func TestRegistryJSONView(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("transport_sent_total", "").Add(3)
-	h := reg.Histogram("workload_latency_seconds", "")
-	h.Observe(2 * time.Millisecond)
-	m, err := reg.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["transport_sent_total"] != 3 {
-		t.Fatalf("JSON view = %v", m)
-	}
-	if m["workload_latency_seconds_count"] != 1 || m["workload_latency_seconds_p50"] <= 0 {
-		t.Fatalf("JSON histogram view = %v", m)
 	}
 }
 

@@ -188,13 +188,6 @@ func (e *SLOEngine) Add(o Objective) *SLOObjective {
 	return h
 }
 
-// Objectives returns the registered handles in registration order.
-func (e *SLOEngine) Objectives() []*SLOObjective {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*SLOObjective(nil), e.objs...)
-}
-
 // windows returns the four evaluation windows (fast long/short, slow
 // long/short).
 func (e *SLOEngine) windows() (fl, fs, sl, ss time.Duration) {

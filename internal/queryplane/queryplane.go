@@ -133,14 +133,6 @@ type Stats struct {
 	P99           time.Duration `json:"-"`
 }
 
-// HitRate returns Hits / Queries (0 when idle).
-func (s Stats) HitRate() float64 {
-	if s.Queries == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Queries)
-}
-
 // QueryPlane serves path queries through the cache/singleflight/worker-pool
 // stack. All methods are safe for concurrent use.
 type QueryPlane struct {

@@ -72,9 +72,6 @@ func TestQueryCacheHitFlow(t *testing.T) {
 	if st.Queries != 2 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %f", st.HitRate())
-	}
 	// Different options bypass the cached entry.
 	if _, cached, _ := qp.Query(ctx, 1, 2, routing.Options{MaxHops: 3}); cached {
 		t.Fatal("constrained query served from unconstrained entry")

@@ -1,10 +1,15 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
 
 	"brokerset/internal/topology"
 )
+
+// ErrNoPath is wrapped by every search that ends without a B-dominated path
+// satisfying its constraints — a clean miss, not a failure of the search.
+var ErrNoPath = errors.New("routing: no dominated path")
 
 // Path is a QoS-stitched, B-dominated route.
 type Path struct {
@@ -41,9 +46,6 @@ type Engine struct {
 	// penalty is the arc-aligned latency multiplier column KAlternatives
 	// searches under: allocated on its first call, all ones between calls.
 	penalty []float64
-
-	nextReservation int
-	reservations    map[int]*Reservation
 }
 
 // NewEngine builds an engine for the broker set over top with the given
@@ -56,12 +58,7 @@ func NewEngine(top *topology.Topology, metrics *Metrics, brokers []int32) *Engin
 	for _, b := range brokers {
 		inB[b] = true
 	}
-	return &Engine{
-		top:          top,
-		metrics:      metrics,
-		inB:          inB,
-		reservations: make(map[int]*Reservation),
-	}
+	return &Engine{top: top, metrics: metrics, inB: inB}
 }
 
 // Metrics exposes the engine's metrics store.
@@ -79,20 +76,6 @@ func (e *Engine) SetBrokers(brokers []int32) {
 	}
 }
 
-// Brokers returns the current broker set in ascending id order.
-func (e *Engine) Brokers() []int32 {
-	var out []int32
-	for u, in := range e.inB {
-		if in {
-			out = append(out, int32(u))
-		}
-	}
-	return out
-}
-
-// Topology exposes the engine's topology.
-func (e *Engine) Topology() *topology.Topology { return e.top }
-
 // search builds the search core over the engine's live metric state. The
 // pathSearch shares the metrics' slice headers (no copying), so it inherits
 // the engine's external-serialization rule; lock-free callers go through
@@ -108,8 +91,9 @@ func (e *Engine) BestPath(src, dst int, opts Options) (*Path, error) {
 	return e.search().bestPath(src, dst, opts)
 }
 
-// describe computes latency and bottleneck for a node sequence.
-func (e *Engine) describe(nodes []int32) *Path {
+// Describe computes latency and bottleneck for a node sequence against the
+// live metrics.
+func (e *Engine) Describe(nodes []int32) *Path {
 	return e.search().describe(nodes)
 }
 
@@ -159,12 +143,12 @@ func (e *Engine) KAlternatives(src, dst, k int, opts Options) ([]*Path, error) {
 		if !seen[sig] {
 			seen[sig] = true
 			// Recompute true latency without penalties.
-			out = append(out, e.describe(p.Nodes))
+			out = append(out, e.Describe(p.Nodes))
 		}
 		scale(p.Nodes, 8)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("routing: no dominated path %d -> %d", src, dst)
+		return nil, fmt.Errorf("%w %d -> %d", ErrNoPath, src, dst)
 	}
 	return out, nil
 }

@@ -293,12 +293,3 @@ func (m *Metrics) SetCapacity(u, v int32, gbps float64) {
 		m.capacity[b] = gbps
 	}
 }
-
-// Utilization returns used/capacity for the link (0 for a non-edge).
-func (m *Metrics) Utilization(u, v int32) float64 {
-	a := m.top.Graph.ArcOf(int(u), int(v))
-	if a < 0 || m.capacity[a] == 0 {
-		return 0
-	}
-	return m.used.at(a) / m.capacity[a]
-}

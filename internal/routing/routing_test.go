@@ -121,8 +121,8 @@ func TestMetricsReserveRelease(t *testing.T) {
 	if got := m.Available(0, 1); got != cap {
 		t.Fatalf("over-release corrupted usage: %f", got)
 	}
-	if u := m.Utilization(0, 1); u != 0 {
-		t.Fatalf("utilization = %f, want 0", u)
+	if r := m.Residual(0, 1); r != cap {
+		t.Fatalf("residual = %f, want %f", r, cap)
 	}
 }
 
@@ -279,99 +279,6 @@ func TestKAlternatives(t *testing.T) {
 		if f != 1 {
 			t.Fatalf("arc %d left with penalty %v", a, f)
 		}
-	}
-}
-
-func TestReserveAndRelease(t *testing.T) {
-	top, m := diamondTopology(t)
-	e := NewEngine(top, m, []int32{0, 1, 2, 3})
-	r1, err := e.Reserve(0, 3, 6, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Path.Nodes[1] != 1 {
-		t.Fatalf("first reservation path %v, want fast route", r1.Path.Nodes)
-	}
-	// Second big reservation must take the slow route (fast has 4 left).
-	r2, err := e.Reserve(0, 3, 6, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Path.Nodes[1] != 2 {
-		t.Fatalf("second reservation path %v, want detour", r2.Path.Nodes)
-	}
-	// Third is rejected: both routes have < 6 available.
-	if _, err := e.Reserve(0, 3, 6, Options{}); err == nil {
-		t.Fatal("over-subscription admitted")
-	}
-	if e.ActiveReservations() != 2 {
-		t.Fatalf("active = %d, want 2", e.ActiveReservations())
-	}
-	if err := e.Release(r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Release(r1); err == nil {
-		t.Fatal("double release accepted")
-	}
-	// Freed capacity admits again.
-	if _, err := e.Reserve(0, 3, 6, Options{}); err != nil {
-		t.Fatalf("post-release admission failed: %v", err)
-	}
-	if _, err := e.Reserve(0, 3, 0, Options{}); err == nil {
-		t.Fatal("zero bandwidth accepted")
-	}
-}
-
-func TestRerouteAfterFailure(t *testing.T) {
-	top, m := diamondTopology(t)
-	e := NewEngine(top, m, []int32{0, 1, 2, 3})
-	r, err := e.Reserve(0, 3, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.FailLink(0, 1)
-	if err := e.Reroute(r, Options{}); err != nil {
-		t.Fatalf("Reroute: %v", err)
-	}
-	if r.Path.Nodes[1] != 2 {
-		t.Fatalf("rerouted path %v, want detour via 2", r.Path.Nodes)
-	}
-	if e.ActiveReservations() != 1 {
-		t.Fatalf("active = %d, want 1", e.ActiveReservations())
-	}
-	// Old allocation was freed.
-	if got := m.Utilization(0, 1); got != 0 {
-		t.Fatalf("old allocation leaked: %f", got)
-	}
-	// Fail everything: reroute reports interruption.
-	m.FailLink(0, 2)
-	if err := e.Reroute(r, Options{}); err == nil {
-		t.Fatal("reroute with no path accepted")
-	}
-	if e.ActiveReservations() != 0 {
-		t.Fatal("failed reroute left reservation active")
-	}
-	if err := e.Reroute(r, Options{}); err == nil {
-		t.Fatal("reroute of released reservation accepted")
-	}
-}
-
-func TestBrokerLoad(t *testing.T) {
-	top := lineTopology(t, 5)
-	brokers := []int32{1, 2, 3}
-	e := NewEngine(top, nil, brokers)
-	if _, err := e.Reserve(0, 4, 1, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Reserve(0, 2, 1, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	load := e.BrokerLoad(brokers)
-	if load[0] != 2 { // broker 1 carries both
-		t.Fatalf("load = %v, want broker 1 to carry 2", load)
-	}
-	if load[2] != 1 { // broker 3 only the long one
-		t.Fatalf("load = %v, want broker 3 to carry 1", load)
 	}
 }
 

@@ -66,7 +66,7 @@ func (s *pathSearch) bestPath(src, dst int, opts Options) (*Path, error) {
 		}
 	}
 	if nodes == nil {
-		return nil, fmt.Errorf("routing: no dominated path %d -> %d within constraints", src, dst)
+		return nil, fmt.Errorf("%w %d -> %d within constraints", ErrNoPath, src, dst)
 	}
 	return s.describe(nodes), nil
 }

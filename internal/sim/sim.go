@@ -10,11 +10,14 @@ package sim
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
 	"brokerset/internal/coverage"
+	"brokerset/internal/ctrlplane"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
 )
@@ -136,58 +139,110 @@ type Result struct {
 	GiniLoad float64
 }
 
-// Run simulates the workload against an engine: demands arrive in start
-// order, expire after their durations (released before later arrivals),
-// and are admitted onto best dominated paths with bandwidth reservation.
-func Run(e *routing.Engine, brokers []int32, demands []Demand, opts routing.Options) (*Result, error) {
+// admission is a run in progress: the control plane admitting the demands,
+// the sessions it holds ordered by expiry, and the tallies so far.
+type admission struct {
+	p       *ctrlplane.Plane
+	metrics *routing.Metrics
+	opts    routing.Options
+	// comp labels the dominated components: "is there any dominated path
+	// at all" in O(1), so rejected demands don't need a second path search.
+	comp []int32
+	// index maps a broker to its slot in res.BrokerLoad.
+	index map[int32]int
+	live  expiryHeap
+	res   *Result
+
+	latencySum, hopsSum float64
+}
+
+// expire tears down every session that ended at or before now.
+func (a *admission) expire(ctx context.Context, now float64) error {
+	for a.live.Len() > 0 && a.live[0].at <= now {
+		item := heap.Pop(&a.live).(expiryItem)
+		if err := a.p.Teardown(ctx, item.s); err != nil {
+			return fmt.Errorf("sim: release: %w", err)
+		}
+	}
+	return nil
+}
+
+// arrive admits d onto the best dominated path with its bandwidth free on
+// every link, through the control plane's two-phase commit, or rejects it.
+func (a *admission) arrive(ctx context.Context, d Demand) {
+	res := a.res
+	// Skip the path search entirely for uncoverable pairs.
+	if a.comp[d.Src] < 0 || a.comp[d.Src] != a.comp[d.Dst] {
+		res.Rejected++
+		res.Uncoverable++
+		return
+	}
+	opts := a.opts
+	if opts.MinBandwidth < d.Bandwidth {
+		opts.MinBandwidth = d.Bandwidth
+	}
+	s, err := a.p.Setup(ctx, int(d.Src), int(d.Dst), d.Bandwidth, opts)
+	if err != nil {
+		res.Rejected++
+		res.CapacityRejected++
+		return
+	}
+	res.Admitted++
+	for i, u := range s.Path {
+		if i > 0 {
+			a.latencySum += a.metrics.Latency(s.Path[i-1], u)
+		}
+		if b, ok := a.index[u]; ok {
+			res.BrokerLoad[b]++
+		}
+	}
+	a.hopsSum += float64(len(s.Path) - 1)
+	heap.Push(&a.live, expiryItem{at: d.Start + d.Duration, s: s})
+}
+
+// newAdmission boots a control plane for brokers over metrics and readies a
+// run against it.
+func newAdmission(top *topology.Topology, metrics *routing.Metrics, brokers []int32, opts routing.Options) *admission {
+	a := &admission{
+		p:       ctrlplane.New(top, metrics, brokers),
+		metrics: metrics,
+		opts:    opts,
+		index:   make(map[int32]int, len(brokers)),
+		res:     &Result{BrokerLoad: make([]int, len(brokers))},
+	}
+	for i, b := range brokers {
+		a.index[b] = i
+	}
+	a.comp, _ = coverage.NewDominated(top.Graph, brokers).Components()
+	return a
+}
+
+// Run simulates the workload against the coalition's control plane, booted
+// for brokers over metrics: demands arrive in start order, expire after
+// their durations (released before later arrivals), and are admitted onto
+// best dominated paths by the same two-phase commit the daemon runs. The
+// run ends with every session released.
+func Run(top *topology.Topology, metrics *routing.Metrics, brokers []int32, demands []Demand, opts routing.Options) (*Result, error) {
 	if len(demands) == 0 {
 		return nil, fmt.Errorf("sim: empty workload")
 	}
-	res := &Result{BrokerLoad: make([]int, len(brokers))}
-	index := make(map[int32]int, len(brokers))
-	for i, b := range brokers {
-		index[b] = i
-	}
-	// Dominated-component labels answer "is there any dominated path at
-	// all" in O(1), so rejected demands don't need a second path search.
-	comp, _ := coverage.NewDominated(e.Topology().Graph, brokers).Components()
-	expiry := &expiryHeap{}
-	var latencySum, hopsSum float64
+	a := newAdmission(top, metrics, brokers, opts)
+	ctx := context.Background()
 	for _, d := range demands {
-		// Release everything that ended before this arrival.
-		for expiry.Len() > 0 && (*expiry)[0].at <= d.Start {
-			item := heap.Pop(expiry).(expiryItem)
-			if err := e.Release(item.r); err != nil {
-				return nil, fmt.Errorf("sim: release: %w", err)
-			}
+		if err := a.expire(ctx, d.Start); err != nil {
+			return nil, err
 		}
-		// Skip the path search entirely for uncoverable pairs.
-		if comp[d.Src] < 0 || comp[d.Src] != comp[d.Dst] {
-			res.Rejected++
-			res.Uncoverable++
-			continue
-		}
-		r, err := e.Reserve(int(d.Src), int(d.Dst), d.Bandwidth, opts)
-		if err != nil {
-			res.Rejected++
-			res.CapacityRejected++
-			continue
-		}
-		res.Admitted++
-		latencySum += r.Path.Latency
-		hopsSum += float64(r.Path.Hops())
-		for _, u := range r.Path.Nodes {
-			if i, ok := index[u]; ok {
-				res.BrokerLoad[i]++
-			}
-		}
-		heap.Push(expiry, expiryItem{at: d.Start + d.Duration, r: r})
+		a.arrive(ctx, d)
 	}
+	if err := a.expire(ctx, math.Inf(1)); err != nil {
+		return nil, err
+	}
+	res := a.res
 	total := res.Admitted + res.Rejected
 	res.AdmissionRate = float64(res.Admitted) / float64(total)
 	if res.Admitted > 0 {
-		res.MeanLatencyMs = latencySum / float64(res.Admitted)
-		res.MeanHops = hopsSum / float64(res.Admitted)
+		res.MeanLatencyMs = a.latencySum / float64(res.Admitted)
+		res.MeanHops = a.hopsSum / float64(res.Admitted)
 	}
 	res.TopBrokerShare, res.GiniLoad = loadStats(res.BrokerLoad)
 	return res, nil
@@ -222,7 +277,7 @@ func loadStats(load []int) (topShare, gini float64) {
 
 type expiryItem struct {
 	at float64
-	r  *routing.Reservation
+	s  *ctrlplane.Session
 }
 
 type expiryHeap []expiryItem

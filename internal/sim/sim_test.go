@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"brokerset/internal/broker"
+	"brokerset/internal/ctrlplane"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
 )
@@ -90,14 +92,13 @@ func TestRunAdmitsAndTracksLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := routing.NewEngine(top, nil, brokers)
 	cfg := DefaultWorkloadConfig()
 	cfg.Demands = 400
 	demands, err := GenerateWorkload(top, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(engine, brokers, demands, routing.Options{})
+	res, err := Run(top, routing.DefaultMetrics(top, nil), brokers, demands, routing.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +131,77 @@ func TestRunAdmitsAndTracksLoad(t *testing.T) {
 	if res.GiniLoad < 0 || res.GiniLoad > 1 {
 		t.Fatalf("Gini %f outside [0,1]", res.GiniLoad)
 	}
-	// All reservations eventually expire within the engine, but the run
-	// ends with some still active; releasing them must not error.
-	if engine.ActiveReservations() < 0 {
-		t.Fatal("negative active reservations")
+}
+
+// TestRunHoldsCommittedSessions steps a run the way Run does: between any
+// two arrivals every admitted, unexpired demand is a StateCommitted session
+// of the control plane and exactly those sessions account for every held
+// Gbps (CheckInvariants), and after the last expiry nothing is held.
+func TestRunHoldsCommittedSessions(t *testing.T) {
+	top := testTopology(t)
+	brokers, err := broker.MaxSG(top.Graph, 30)
+	if err != nil {
+		t.Fatal(err)
 	}
+	demands, err := GenerateWorkload(top, WorkloadConfig{Demands: 300, MeanBandwidth: 20, MeanDuration: 50, Horizon: 10, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := routing.DefaultMetrics(top, rand.New(rand.NewSource(5)))
+	a := newAdmission(top, metrics, brokers, routing.Options{})
+	ctx := context.Background()
+	held := func(now float64) []*ctrlplane.Session {
+		t.Helper()
+		var ss []*ctrlplane.Session
+		for _, item := range a.live {
+			if item.at <= now {
+				t.Fatalf("session %d outlived its expiry %f at %f", item.s.ID, item.at, now)
+			}
+			if item.s.State != ctrlplane.StateCommitted {
+				t.Fatalf("admitted session %d is %v before its expiry", item.s.ID, item.s.State)
+			}
+			ss = append(ss, item.s)
+		}
+		return ss
+	}
+	for i, d := range demands {
+		if err := a.expire(ctx, d.Start); err != nil {
+			t.Fatal(err)
+		}
+		a.arrive(ctx, d)
+		if i%25 == 0 {
+			if err := a.p.CheckInvariants(held(d.Start)); err != nil {
+				t.Fatalf("after demand %d: %v", i, err)
+			}
+		}
+	}
+	res := a.res
+	if res.Admitted == 0 || res.CapacityRejected == 0 {
+		t.Fatalf("want both admissions and capacity rejections, got %+v", res)
+	}
+	if got := a.live.Len(); got == 0 || got > res.Admitted {
+		t.Fatalf("%d live sessions at the last arrival, %d admitted", got, res.Admitted)
+	}
+	if err := a.expire(ctx, math.Inf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.p.Stats(); st.Commits != res.Admitted || st.Teardowns != res.Admitted {
+		t.Fatalf("plane committed %d and tore down %d of %d admitted", st.Commits, st.Teardowns, res.Admitted)
+	}
+	if err := a.p.CheckInvariants(nil); err != nil {
+		t.Fatalf("capacity held after the last expiry: %v", err)
+	}
+	top.Graph.Edges(func(u, v int) bool {
+		if r, c := metrics.Residual(int32(u), int32(v)), metrics.Capacity(int32(u), int32(v)); math.Abs(r-c) > 1e-6 {
+			t.Fatalf("link (%d,%d) still has %f of %f Gbps reserved", u, v, c-r, c)
+		}
+		return true
+	})
 }
 
 func TestRunEmptyWorkload(t *testing.T) {
 	top := testTopology(t)
-	engine := routing.NewEngine(top, nil, []int32{0})
-	if _, err := Run(engine, []int32{0}, nil, routing.Options{}); err == nil {
+	if _, err := Run(top, nil, []int32{0}, nil, routing.Options{}); err == nil {
 		t.Fatal("empty workload accepted")
 	}
 }
@@ -154,13 +215,12 @@ func TestRunAdmissionRespondsToLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	rate := func(meanBW float64) float64 {
-		engine := routing.NewEngine(top, routing.DefaultMetrics(top, rand.New(rand.NewSource(5))), brokers)
 		cfg := WorkloadConfig{Demands: 600, MeanBandwidth: meanBW, MeanDuration: 50, Horizon: 10, Seed: 3}
 		demands, err := GenerateWorkload(top, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(engine, brokers, demands, routing.Options{})
+		res, err := Run(top, routing.DefaultMetrics(top, rand.New(rand.NewSource(5))), brokers, demands, routing.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

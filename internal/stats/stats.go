@@ -1,6 +1,5 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: summary statistics, Pearson correlation, empirical CDFs and
-// histograms.
+// need: means, Pearson correlation and quantiles.
 package stats
 
 import (
@@ -20,23 +19,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance; 0 for fewer than two values.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Pearson returns the Pearson correlation coefficient of paired samples.
 // It errors when lengths differ, fewer than two pairs exist, or either
@@ -82,77 +64,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// CDF is an empirical cumulative distribution over sampled values.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from samples (copied and sorted).
-func NewCDF(samples []float64) *CDF {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// At returns P[X <= x].
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, x)
-	// SearchFloat64s returns the first index >= x; advance over equals.
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Points returns (x, P[X <= x]) pairs at each distinct sample value, ready
-// for plotting or table output.
-func (c *CDF) Points() (xs, ps []float64) {
-	for i, v := range c.sorted {
-		if i+1 < len(c.sorted) && c.sorted[i+1] == v {
-			continue
-		}
-		xs = append(xs, v)
-		ps = append(ps, float64(i+1)/float64(len(c.sorted)))
-	}
-	return xs, ps
-}
-
-// Histogram buckets values into `bins` equal-width bins over [min, max] and
-// returns bin counts plus the bin width. It errors for bins < 1 or an empty
-// input.
-func Histogram(xs []float64, bins int) (counts []int, min, width float64, err error) {
-	if bins < 1 {
-		return nil, 0, 0, fmt.Errorf("stats: bins must be >= 1, got %d", bins)
-	}
-	if len(xs) == 0 {
-		return nil, 0, 0, fmt.Errorf("stats: histogram of empty slice")
-	}
-	min, max := xs[0], xs[0]
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	counts = make([]int, bins)
-	if max == min {
-		counts[0] = len(xs)
-		return counts, min, 0, nil
-	}
-	width = (max - min) / float64(bins)
-	for _, x := range xs {
-		i := int((x - min) / width)
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts, min, width, nil
 }

@@ -8,19 +8,13 @@ import (
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); !almostEq(got, 5) {
 		t.Errorf("Mean = %f, want 5", got)
 	}
-	if got := Variance(xs); !almostEq(got, 4) {
-		t.Errorf("Variance = %f, want 4", got)
-	}
-	if got := StdDev(xs); !almostEq(got, 2) {
-		t.Errorf("StdDev = %f, want 2", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate inputs not zero")
+	if Mean(nil) != 0 {
+		t.Error("empty mean not zero")
 	}
 }
 
@@ -99,55 +93,5 @@ func TestQuantile(t *testing.T) {
 	}
 	if _, err := Quantile(xs, 1.5); err == nil {
 		t.Error("q > 1 accepted")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	tests := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tc := range tests {
-		if got := c.At(tc.x); !almostEq(got, tc.want) {
-			t.Errorf("At(%f) = %f, want %f", tc.x, got, tc.want)
-		}
-	}
-	xs, ps := c.Points()
-	if len(xs) != 3 || !almostEq(xs[1], 2) || !almostEq(ps[1], 0.75) {
-		t.Errorf("Points = %v %v", xs, ps)
-	}
-	if got := NewCDF(nil).At(5); got != 0 {
-		t.Errorf("empty CDF At = %f", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, min, width, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != 0 || !almostEq(width, 1.8) {
-		t.Errorf("min=%f width=%f", min, width)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 {
-		t.Errorf("histogram total %d, want 10", total)
-	}
-	// Constant input lands in bin 0.
-	counts, _, width, err = Histogram([]float64{5, 5, 5}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 3 || width != 0 {
-		t.Errorf("constant histogram = %v width %f", counts, width)
-	}
-	if _, _, _, err := Histogram(nil, 3); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("zero bins accepted")
 	}
 }

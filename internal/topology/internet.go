@@ -40,17 +40,6 @@ type InternetConfig struct {
 	Seed int64
 }
 
-// DefaultInternetConfig returns the configuration used by the test suite
-// and default benchmarks: a 1/10-scale topology.
-func DefaultInternetConfig() InternetConfig {
-	return InternetConfig{Scale: 0.1, Seed: 1}
-}
-
-// FullInternetConfig returns the paper-scale configuration.
-func FullInternetConfig() InternetConfig {
-	return InternetConfig{Scale: 1.0, Seed: 1}
-}
-
 // GenerateInternet builds a synthetic AS/IXP topology calibrated to the
 // paper's 2014 dataset: a multi-tier customer-provider hierarchy with a
 // tier-1 peering clique, preferential-attachment densification (scale-free

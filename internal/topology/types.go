@@ -228,24 +228,6 @@ func (t *Topology) ArcRels() []Relationship {
 	return t.arcRel
 }
 
-// RelCount returns how many edges carry each relationship label (counted
-// from the lower-numbered endpoint's perspective).
-func (t *Topology) RelCount() map[Relationship]int {
-	out := make(map[Relationship]int, 4)
-	if t.arcRel == nil {
-		return out
-	}
-	for u := 0; u < t.NumNodes(); u++ {
-		off := t.Graph.ArcOffset(u)
-		for i, v := range t.Graph.Neighbors(u) {
-			if r := t.arcRel[off+i]; int(v) > u && r != RelNone {
-				out[r]++
-			}
-		}
-	}
-	return out
-}
-
 // IXPMask returns a boolean mask of IXP nodes.
 func (t *Topology) IXPMask() []bool {
 	mask := make([]bool, t.NumNodes())

@@ -420,7 +420,7 @@ func (t *PlaneTarget) Query(src, dst int32) (Outcome, error) {
 		case errors.Is(err, queryplane.ErrShed):
 			return Outcome{Shed: true, ShedRegion: -1, TraceID: trace}, nil
 		// A clean routing miss is a valid outcome, not a target failure.
-		case strings.Contains(err.Error(), "no dominated path"):
+		case errors.Is(err, routing.ErrNoPath):
 			return Outcome{TraceID: trace}, nil
 		}
 		return Outcome{TraceID: trace}, err

@@ -1,9 +1,11 @@
 package brokerset
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
+	"brokerset/internal/ctrlplane"
 	"brokerset/internal/routing"
 	"brokerset/internal/sim"
 )
@@ -12,8 +14,12 @@ import (
 // latency-optimal B-dominated paths with bandwidth admission control over
 // synthetic per-link QoS metrics.
 type QoSEngine struct {
-	net    *Network
+	set    *BrokerSet
 	engine *routing.Engine
+	// plane is the bandwidth broker: the coalition control plane over the
+	// engine's metrics. The first Reserve builds it, so path-only users
+	// never boot the per-broker ledgers.
+	plane *ctrlplane.Plane
 }
 
 // QoSEngine builds the routing service for the broker set. seed drives the
@@ -21,7 +27,7 @@ type QoSEngine struct {
 func (b *BrokerSet) QoSEngine(seed int64) *QoSEngine {
 	metrics := routing.DefaultMetrics(b.net.top, rand.New(rand.NewSource(seed)))
 	return &QoSEngine{
-		net:    b.net,
+		set:    b,
 		engine: routing.NewEngine(b.net.top, metrics, b.members),
 	}
 }
@@ -82,36 +88,52 @@ func (q *QoSEngine) Alternatives(src, dst, k int, c PathConstraints) ([]*QoSPath
 	return out, nil
 }
 
-// Session is an admitted bandwidth reservation.
+// Session is an admitted bandwidth reservation: a session committed by the
+// control plane's two-phase commit across the brokers owning its hops.
 type Session struct {
-	engine *routing.Engine
-	res    *routing.Reservation
+	q *QoSEngine
+	s *ctrlplane.Session
 }
 
-// Path returns the session's current route.
-func (s *Session) Path() *QoSPath { return toQoSPath(s.res.Path) }
+// Path returns the session's current route, described against the live
+// link state.
+func (s *Session) Path() *QoSPath { return toQoSPath(s.q.engine.Describe(s.s.Path)) }
+
+// reserving returns opts with the session's own bandwidth as the floor every
+// link must have available.
+func reserving(c PathConstraints, gbps float64) routing.Options {
+	opts := toOptions(c)
+	if opts.MinBandwidth < gbps {
+		opts.MinBandwidth = gbps
+	}
+	return opts
+}
 
 // Reserve admits a gbps session from src to dst onto the best feasible
 // dominated path (the bandwidth-broker function). It errors when admission
 // control rejects the request.
 func (q *QoSEngine) Reserve(src, dst int, gbps float64, c PathConstraints) (*Session, error) {
-	r, err := q.engine.Reserve(src, dst, gbps, toOptions(c))
+	if q.plane == nil {
+		q.plane = ctrlplane.New(q.set.net.top, q.engine.Metrics(), q.set.members)
+	}
+	s, err := q.plane.Setup(context.Background(), src, dst, gbps, reserving(c, gbps))
 	if err != nil {
 		return nil, err
 	}
-	return &Session{engine: q.engine, res: r}, nil
+	return &Session{q: q, s: s}, nil
 }
 
-// Release frees the session's bandwidth.
-func (s *Session) Release() error { return s.engine.Release(s.res) }
+// Release frees the session's bandwidth. Releasing twice is an error.
+func (s *Session) Release() error { return s.q.plane.Teardown(context.Background(), s.s) }
 
 // FailLink marks a link as failed; live sessions keep their allocations
 // until rerouted or released.
 func (q *QoSEngine) FailLink(u, v int) { q.engine.Metrics().FailLink(int32(u), int32(v)) }
 
-// Reroute moves the session onto a fresh feasible path after failures.
+// Reroute moves the session onto a fresh feasible path after failures. When
+// none exists the session is left released and an error is returned.
 func (s *Session) Reroute(c PathConstraints) error {
-	return s.engine.Reroute(s.res, toOptions(c))
+	return s.q.plane.Repath(context.Background(), s.s, reserving(c, s.s.Bandwidth))
 }
 
 // TrafficReport summarizes a simulated workload run (see SimulateTraffic).
@@ -143,8 +165,8 @@ func (b *BrokerSet) SimulateTraffic(demands int, seed int64) (*TrafficReport, er
 	if err != nil {
 		return nil, err
 	}
-	engine := routing.NewEngine(b.net.top, routing.DefaultMetrics(b.net.top, rand.New(rand.NewSource(seed))), b.members)
-	res, err := sim.Run(engine, b.members, workload, routing.Options{})
+	metrics := routing.DefaultMetrics(b.net.top, rand.New(rand.NewSource(seed)))
+	res, err := sim.Run(b.net.top, metrics, b.members, workload, routing.Options{})
 	if err != nil {
 		return nil, err
 	}

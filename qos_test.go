@@ -2,6 +2,8 @@ package brokerset
 
 import (
 	"testing"
+
+	"brokerset/internal/ctrlplane"
 )
 
 func qosSetup(t *testing.T) (*Network, *BrokerSet, *QoSEngine) {
@@ -109,6 +111,77 @@ func TestQoSReserveReleaseReroute(t *testing.T) {
 	}
 	if err := s.Release(); err == nil {
 		t.Fatal("double release accepted")
+	}
+}
+
+// TestReserveIsAControlPlaneSession: a facade reservation is a session of
+// the coalition control plane. Supersedes internal/routing's
+// TestReserveAndRelease, TestRerouteAfterFailure and TestBrokerLoad, which
+// checked the same three behaviours on the engine's deleted private ledger.
+func TestReserveIsAControlPlaneSession(t *testing.T) {
+	_, bs, q := qosSetup(t)
+	members := bs.Members()
+	src, dst := int(members[0]), int(members[len(members)-1])
+	if q.plane != nil {
+		t.Fatal("control plane booted before the first Reserve")
+	}
+	held := func(ss ...*Session) []*ctrlplane.Session {
+		out := make([]*ctrlplane.Session, len(ss))
+		for i, s := range ss {
+			out[i] = s.s
+		}
+		return out
+	}
+
+	s, err := q.Reserve(src, dst, 0.5, PathConstraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.s.State != ctrlplane.StateCommitted {
+		t.Fatalf("reserved session is %v", s.s.State)
+	}
+	p := s.Path()
+	q.FailLink(int(p.Nodes[0]), int(p.Nodes[1]))
+	if err := s.Reroute(PathConstraints{}); err != nil {
+		t.Fatalf("Reroute: %v", err)
+	}
+	if s.s.State != ctrlplane.StateCommitted || s.s.Epoch != 2 {
+		t.Fatalf("rerouted session is %v at epoch %d", s.s.State, s.s.Epoch)
+	}
+	if err := q.plane.CheckInvariants(held(s)); err != nil {
+		t.Fatalf("after reroute: %v", err)
+	}
+
+	// Over-subscribe the pair: every admitted session holds its bandwidth,
+	// the refused one holds nothing.
+	big := s.Path().BottleneckGbps * 0.6
+	admitted := []*Session{s}
+	for {
+		more, err := q.Reserve(src, dst, big, PathConstraints{})
+		if err != nil {
+			break
+		}
+		if admitted = append(admitted, more); len(admitted) > 200 {
+			t.Fatal("over-subscription never refused")
+		}
+	}
+	if err := q.plane.CheckInvariants(held(admitted...)); err != nil {
+		t.Fatalf("after a refused Reserve: %v", err)
+	}
+
+	for _, a := range admitted {
+		if err := a.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Release(); err == nil {
+		t.Fatal("double release accepted")
+	}
+	if err := s.Reroute(PathConstraints{}); err == nil {
+		t.Fatal("reroute of a released session accepted")
+	}
+	if err := q.plane.CheckInvariants(nil); err != nil {
+		t.Fatalf("after release: %v", err)
 	}
 }
 
