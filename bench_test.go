@@ -9,9 +9,9 @@ package brokerset_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"brokerset"
@@ -19,6 +19,7 @@ import (
 	"brokerset/internal/coverage"
 	"brokerset/internal/ctrlplane"
 	"brokerset/internal/econ"
+	"brokerset/internal/epoch"
 	"brokerset/internal/experiments"
 	"brokerset/internal/market"
 	"brokerset/internal/pagerank"
@@ -187,7 +188,7 @@ func BenchmarkPageRank(b *testing.B) {
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pagerank.Compute(s.Top.Graph, pagerank.Options{}); err != nil {
+		if _, err := pagerank.Compute(s.Top.Graph); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,9 +370,9 @@ func BenchmarkExtOptimality(b *testing.B) { benchExperiment(b, "ext-optimality")
 const qpBenchScale = 0.1
 
 var (
-	qpOnce   sync.Once
-	qpEngine *routing.Engine
-	qpPairs  [][2]int
+	qpOnce  sync.Once
+	qpPub   *epoch.Publisher
+	qpPairs [][2]int
 )
 
 func qpSetup(b *testing.B) {
@@ -385,7 +386,9 @@ func qpSetup(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		qpEngine = routing.NewEngine(top, nil, brokers)
+		qpPub = epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
+			Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
+		}))
 		// Broker-to-broker pairs: MaxSG keeps the set connected, so a
 		// dominated path always exists.
 		rng := rand.New(rand.NewSource(7))
@@ -399,14 +402,18 @@ func qpSetup(b *testing.B) {
 	})
 }
 
-func qpPlane(b *testing.B, shards int) *queryplane.QueryPlane {
+// qpPlane serves the benchmark snapshot the way the daemon serves its
+// current one: epoch-keyed, stale entries revalidated against the snapshot.
+func qpPlane(b *testing.B, adm queryplane.Admission) *queryplane.QueryPlane {
 	b.Helper()
 	qp, err := queryplane.New(queryplane.Config{
-		Shards:   shards,
-		Capacity: 1 << 15,
-		Workers:  16,
+		Admission:  adm,
+		Generation: qpPub.Epoch,
+		Revalidate: func(p *routing.Path, opts routing.Options, _ uint64) bool {
+			return qpPub.Current().PathValid(p, opts)
+		},
 		Compute: func(_ context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
-			return qpEngine.BestPath(src, dst, opts)
+			return qpPub.Current().BestPath(src, dst, opts)
 		},
 	})
 	if err != nil {
@@ -432,22 +439,33 @@ func BenchmarkQueryPlaneUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := qpPairs[i%len(qpPairs)]
-		if _, err := qpEngine.BestPath(p[0], p[1], routing.Options{}); err != nil {
+		if _, err := qpPub.Current().BestPath(p[0], p[1], routing.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkQueryPlaneMiss measures a cold query end to end: compute plus
-// cache/singleflight/pool overhead (the cache is invalidated every
-// iteration, so no query hits).
+// cache/singleflight/pool overhead. The plane's generation is the
+// benchmark's own and steps every iteration, and its revalidator refuses
+// every stale entry, so no query hits.
 func BenchmarkQueryPlaneMiss(b *testing.B) {
 	qpSetup(b)
-	qp := qpPlane(b, 16)
+	var gen atomic.Uint64
+	qp, err := queryplane.New(queryplane.Config{
+		Generation: gen.Load,
+		Revalidate: func(*routing.Path, routing.Options, uint64) bool { return false },
+		Compute: func(_ context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
+			return qpPub.Current().BestPath(src, dst, opts)
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qp.Invalidate()
+		gen.Add(1)
 		p := qpPairs[i%len(qpPairs)]
 		if _, _, err := qp.Query(ctx, p[0], p[1], routing.Options{}); err != nil {
 			b.Fatal(err)
@@ -457,19 +475,15 @@ func BenchmarkQueryPlaneMiss(b *testing.B) {
 
 func BenchmarkQueryPlaneHit(b *testing.B) {
 	qpSetup(b)
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(benchShardName(shards), func(b *testing.B) {
-			qp := qpPlane(b, shards)
-			qpWarm(b, qp)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := qpPairs[i%len(qpPairs)]
-				if _, _, err := qp.Query(ctx, p[0], p[1], routing.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	qp := qpPlane(b, nil)
+	qpWarm(b, qp)
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := qpPairs[i%len(qpPairs)]
+		if _, _, err := qp.Query(ctx, p[0], p[1], routing.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -484,19 +498,7 @@ func BenchmarkPricedAdmission(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adm := market.NewAdmission(ctrl)
-	qp, err := queryplane.New(queryplane.Config{
-		Shards:    16,
-		Capacity:  1 << 15,
-		Workers:   16,
-		Admission: adm,
-		Compute: func(_ context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
-			return qpEngine.BestPath(src, dst, opts)
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	qp := qpPlane(b, market.NewAdmission(ctrl))
 	qpWarm(b, qp)
 	ctx := context.Background()
 	bid := ctrl.Price()
@@ -513,24 +515,18 @@ func BenchmarkPricedAdmission(b *testing.B) {
 // a warm cache concurrently (the >= 5x-over-uncached acceptance target).
 func BenchmarkQueryPlaneParallel(b *testing.B) {
 	qpSetup(b)
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(benchShardName(shards), func(b *testing.B) {
-			qp := qpPlane(b, shards)
-			qpWarm(b, qp)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				ctx := context.Background()
-				i := rand.Intn(len(qpPairs))
-				for pb.Next() {
-					p := qpPairs[i%len(qpPairs)]
-					i++
-					if _, _, err := qp.Query(ctx, p[0], p[1], routing.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	qp := qpPlane(b, nil)
+	qpWarm(b, qp)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		ctx := context.Background()
+		i := rand.Intn(len(qpPairs))
+		for pb.Next() {
+			p := qpPairs[i%len(qpPairs)]
+			i++
+			if _, _, err := qp.Query(ctx, p[0], p[1], routing.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
-
-func benchShardName(shards int) string { return fmt.Sprintf("shards=%d", shards) }

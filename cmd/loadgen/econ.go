@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"brokerset/internal/broker"
+	"brokerset/internal/epoch"
 	"brokerset/internal/market"
 	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
@@ -71,11 +72,19 @@ func newEconStack(top *topology.Topology, k int, scenario string, seed int64) (*
 	for _, b := range brokers {
 		s.brokerSet[b] = true
 	}
-	engine := routing.NewEngine(top, routing.DefaultMetrics(top, nil), brokers)
+	// One snapshot for the whole run: the scenario moves prices, never
+	// topology or capacity, so the epoch stays where the publisher starts it.
+	pub := epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
+		Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
+	}))
 	s.qp, err = queryplane.New(queryplane.Config{
-		Admission: s.adm,
+		Admission:  s.adm,
+		Generation: pub.Epoch,
+		Revalidate: func(p *routing.Path, o routing.Options, _ uint64) bool {
+			return pub.Current().PathValid(p, o)
+		},
 		Compute: func(_ context.Context, src, dst int, o routing.Options) (*routing.Path, error) {
-			return engine.BestPath(src, dst, o)
+			return pub.Current().BestPath(src, dst, o)
 		},
 	})
 	if err != nil {

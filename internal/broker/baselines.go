@@ -47,7 +47,7 @@ func PageRankBased(g *graph.Graph, k int) ([]int32, error) {
 	if err := checkK(g, k); err != nil {
 		return nil, err
 	}
-	order, _, err := pagerank.Rank(g, pagerank.Options{})
+	order, _, err := pagerank.Rank(g)
 	if err != nil {
 		return nil, fmt.Errorf("broker: PRB baseline: %w", err)
 	}

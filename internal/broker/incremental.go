@@ -18,16 +18,13 @@ type RepairOptions struct {
 	// Target but lands within Epsilon of it, the degraded set is accepted;
 	// any worse triggers a full reselect. Epsilon 0 means Target is strict.
 	Epsilon float64
-	// Radius bounds the candidate pool to nodes within Radius hops of a
-	// blast node. 0 means DefaultRepairRadius.
-	Radius int
 }
 
-// DefaultRepairRadius is the candidate-pool radius used when
-// RepairOptions.Radius is zero. Churn damage severs dominated paths at the
-// failed node/link; a replacement broker must dominate edges incident to
-// the damaged region, so it lies within two hops of it.
-const DefaultRepairRadius = 2
+// repairRadius bounds the candidate pool to nodes within that many hops of
+// a blast node. Churn damage severs dominated paths at the failed
+// node/link; a replacement broker must dominate edges incident to the
+// damaged region, so it lies within two hops of it.
+const repairRadius = 2
 
 // maxLocalPruneTrials caps the O(V+E) connectivity evaluations the
 // localized prune may spend — the bound that keeps repair o(full reselect).
@@ -43,7 +40,7 @@ const maxLocalPruneTrials = 32
 //     sets touching the blast radius actually change, but union-find
 //     cannot delete, so survivors replay; this is still ~|B|/n of the
 //     full grow scan;
-//  2. restricts replacement candidates to the pool within Radius hops of
+//  2. restricts replacement candidates to the pool within repairRadius hops of
 //     the blast (a localized swap/add instead of a global argmax);
 //  3. prunes only pool-local brokers, capped at maxLocalPruneTrials
 //     connectivity evaluations.
@@ -60,9 +57,6 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("broker: empty graph")
-	}
-	if opts.Radius <= 0 {
-		opts.Radius = DefaultRepairRadius
 	}
 	avoided := func(u int) bool { return u < len(opts.Avoid) && opts.Avoid[u] }
 
@@ -83,7 +77,7 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 
 	// Localized growth: best positive-gain candidate from the blast pool
 	// each round, ties toward the smaller node id.
-	pool := blastPool(g, blast, opts.Radius)
+	pool := blastPool(g, blast, repairRadius)
 	for inc.Connectivity() < opts.Target {
 		best, bestGain := int32(-1), int64(0)
 		for _, u := range pool {

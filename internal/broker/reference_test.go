@@ -24,9 +24,6 @@ func maintainIncrementalReference(g *graph.Graph, old []int32, blast []int32, op
 	if n == 0 {
 		return nil, fmt.Errorf("broker: empty graph")
 	}
-	if opts.Radius <= 0 {
-		opts.Radius = DefaultRepairRadius
-	}
 	avoided := func(u int) bool { return u < len(opts.Avoid) && opts.Avoid[u] }
 
 	res := &MaintainResult{}
@@ -42,7 +39,7 @@ func maintainIncrementalReference(g *graph.Graph, old []int32, blast []int32, op
 		}
 	}
 	if inc.Connectivity() < opts.Target {
-		pool := blastPool(g, blast, opts.Radius)
+		pool := blastPool(g, blast, repairRadius)
 		for inc.Connectivity() < opts.Target {
 			best, bestGain := int32(-1), int64(0)
 			for _, u := range pool {
@@ -72,7 +69,7 @@ func maintainIncrementalReference(g *graph.Graph, old []int32, blast []int32, op
 		return full, nil
 	}
 	if conn >= opts.Target {
-		pruneLocalReference(g, res, opts.Target, blast, opts.Radius, &conn)
+		pruneLocalReference(g, res, opts.Target, blast, repairRadius, &conn)
 	}
 	res.Connectivity = conn
 	return res, nil
@@ -311,7 +308,7 @@ func differentialCase(t *testing.T, seed int64, n, m int, brokerFrac, targetFrac
 		target = 0.01
 	}
 	requireSameRepair(t, g, old, blast, RepairOptions{
-		Target: target, Avoid: avoid, Epsilon: epsilon, Radius: 1 + rng.Intn(3),
+		Target: target, Avoid: avoid, Epsilon: epsilon,
 	})
 }
 

@@ -9,37 +9,25 @@ import (
 	"brokerset/internal/topology"
 )
 
-// GenConfig parameterizes a churn generator. Weights are relative odds per
-// event family; zero-weight families never fire. The zero value (plus a
-// seed) gives an Internet-flavoured mix: link flaps dominate, node and
-// membership churn are rarer, broker failures rarer still.
+// GenConfig parameterizes a churn generator.
 type GenConfig struct {
 	// Seed makes the stream deterministic.
 	Seed int64
-	// Rate is the Poisson mean of events per Tick. Default 4.
-	Rate float64
-	// LinkWeight, NodeWeight, MemberWeight, BrokerWeight are the relative
-	// odds of the four event families. Defaults 8, 1, 2, 1.
-	LinkWeight, NodeWeight, MemberWeight, BrokerWeight float64
-	// RecoverBias is the probability that a drawn event is a recovery of
-	// previously-churned state rather than fresh damage, keeping long runs
-	// near a churn equilibrium instead of grinding the topology to dust.
-	// Default 0.4.
-	RecoverBias float64
 }
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Rate <= 0 {
-		c.Rate = 4
-	}
-	if c.LinkWeight == 0 && c.NodeWeight == 0 && c.MemberWeight == 0 && c.BrokerWeight == 0 {
-		c.LinkWeight, c.NodeWeight, c.MemberWeight, c.BrokerWeight = 8, 1, 2, 1
-	}
-	if c.RecoverBias <= 0 {
-		c.RecoverBias = 0.4
-	}
-	return c
-}
+// The generator's Internet-flavoured mix: link flaps dominate, node and
+// membership churn are rarer, broker failures rarer still.
+const (
+	// genRate is the Poisson mean of events per Tick.
+	genRate = 4
+	// linkWeight, nodeWeight, memberWeight and brokerWeight are the relative
+	// odds of the four event families.
+	linkWeight, nodeWeight, memberWeight, brokerWeight = 8.0, 1.0, 2.0, 1.0
+	// recoverBias is the probability that a drawn event is a recovery of
+	// previously-churned state rather than fresh damage, keeping long runs
+	// near a churn equilibrium instead of grinding the topology to dust.
+	recoverBias = 0.4
+)
 
 // Generator draws deterministic churn event streams against a live State:
 // Poisson arrival counts per tick, and degree-biased targeting — fail
@@ -48,7 +36,6 @@ func (c GenConfig) withDefaults() GenConfig {
 // empirical bias of flap-heavy, well-connected infrastructure.
 type Generator struct {
 	st      *State
-	cfg     GenConfig
 	rng     *rand.Rand
 	brokers func() []int32 // live broker set, for BrokerFail targeting
 	seq     int
@@ -59,10 +46,8 @@ type Generator struct {
 // NewGenerator builds a generator over st. brokers supplies the current
 // coalition for broker-failure targeting (nil disables broker events).
 func NewGenerator(st *State, brokers func() []int32, cfg GenConfig) *Generator {
-	cfg = cfg.withDefaults()
 	g := &Generator{
 		st:      st,
-		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		brokers: brokers,
 	}
@@ -124,16 +109,15 @@ func (g *Generator) randomLink() (int32, int32, bool) {
 // Next draws one event. ok is false when the drawn family had no valid
 // target (e.g. nothing to recover); callers just draw again or move on.
 func (g *Generator) Next() (Event, bool) {
-	c := g.cfg
-	total := c.LinkWeight + c.NodeWeight + c.MemberWeight + c.BrokerWeight
+	total := linkWeight + nodeWeight + memberWeight + brokerWeight
 	if g.brokers == nil {
-		total -= c.BrokerWeight
+		total -= brokerWeight
 	}
 	r := g.rng.Float64() * total
-	recover := g.rng.Float64() < c.RecoverBias
+	recover := g.rng.Float64() < recoverBias
 	var ev Event
 	switch {
-	case r < c.LinkWeight:
+	case r < linkWeight:
 		if recover {
 			u, v, ok := g.downedLink()
 			if !ok {
@@ -147,7 +131,7 @@ func (g *Generator) Next() (Event, bool) {
 			}
 			ev = Event{Type: LinkFail, U: u, V: v}
 		}
-	case r < c.LinkWeight+c.NodeWeight:
+	case r < linkWeight+nodeWeight:
 		if recover {
 			u, ok := g.downedNode()
 			if !ok {
@@ -161,7 +145,7 @@ func (g *Generator) Next() (Event, bool) {
 			}
 			ev = Event{Type: NodeLeave, Node: u}
 		}
-	case r < c.LinkWeight+c.NodeWeight+c.MemberWeight:
+	case r < linkWeight+nodeWeight+memberWeight:
 		if len(g.memberLinks) == 0 {
 			return Event{}, false
 		}
@@ -229,7 +213,7 @@ func (g *Generator) downedNode() (int32, bool) {
 
 // Tick draws one Poisson-sized batch of events (possibly empty).
 func (g *Generator) Tick() []Event {
-	n := g.poisson(g.cfg.Rate)
+	n := g.poisson(genRate)
 	out := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		if ev, ok := g.Next(); ok {

@@ -25,17 +25,11 @@ type HealerConfig struct {
 	// Target is the saturated connectivity the repaired broker set must
 	// reach on the live graph. Required, in (0,1].
 	Target float64
-	// Opts constrains re-path computations (typically the zero Options).
-	Opts routing.Options
 	// Epoch, when non-nil, returns the current topology epoch. The session
 	// sweep then skips sessions already verified at that epoch and stamps
 	// the ones it clears, so repeated heals within one epoch don't re-walk
 	// every session's path.
 	Epoch func() uint64
-	// Epsilon is the incremental-repair quality floor: HealWithBlast
-	// accepts a localized repair landing within Epsilon of Target, and
-	// falls back to a full reselect below that. 0 means Target is strict.
-	Epsilon float64
 }
 
 // HealReport summarizes one heal pass.
@@ -154,9 +148,9 @@ func (h *Healer) Heal(ctx context.Context) (*HealReport, error) {
 
 // HealWithBlast runs one repair pass localized to a churn blast radius:
 // instead of the full Maintain grow/prune, broker replacement candidates
-// come from the neighbourhood of the damaged nodes/links, with the
-// configured Epsilon quality floor triggering a full reselect when
-// localized repair cannot hold the target. This is the fast path brokerd's
+// come from the neighbourhood of the damaged nodes/links, with a full
+// reselect when localized repair cannot hold the target (the floor is
+// strict: no Epsilon below Target is accepted). This is the fast path brokerd's
 // churn loop uses — at Internet scale a heal pass is dominated by
 // selection, not session re-pathing.
 func (h *Healer) HealWithBlast(ctx context.Context, blast BlastRadius) (*HealReport, error) {
@@ -215,9 +209,8 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 		}
 		seeds = append(seeds, h.state.DownBrokers()...)
 		res, err = broker.MaintainIncremental(live, survivors, seeds, broker.RepairOptions{
-			Target:  h.cfg.Target,
-			Avoid:   avoid,
-			Epsilon: h.cfg.Epsilon,
+			Target: h.cfg.Target,
+			Avoid:  avoid,
 		})
 		rep.Incremental = true
 		if res != nil && res.FullReselect {
@@ -275,7 +268,7 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 				continue
 			}
 			rep.SessionsChecked++
-			if err := h.plane.Repath(ctx, sess, h.cfg.Opts); err != nil {
+			if err := h.plane.Repath(ctx, sess, routing.Options{}); err != nil {
 				h.sessions.Delete(sess.ID)
 				rep.SessionsAborted++
 				h.Metrics.SessionsAborted.Add(1)

@@ -107,7 +107,7 @@ func TestLiveGraphMatchesRebuild(t *testing.T) {
 		t.Fatal("script never returned to all-up: the top.Graph hand-back went unchecked")
 	}
 
-	gen := NewGenerator(st, func() []int32 { return []int32{hub, nb[0], nb[2]} }, GenConfig{Seed: 7, RecoverBias: 0.45})
+	gen := NewGenerator(st, func() []int32 { return []int32{hub, nb[0], nb[2]} }, GenConfig{Seed: 7})
 	for i := 0; i < 300; i++ {
 		ev, ok := gen.Next()
 		if !ok {
@@ -145,7 +145,7 @@ func TestSnapshotLinkDownMatchesState(t *testing.T) {
 			return true
 		})
 	}
-	gen := NewGenerator(st, nil, GenConfig{Seed: 3, RecoverBias: 0.45})
+	gen := NewGenerator(st, nil, GenConfig{Seed: 3})
 	for i := 0; i < 200; i++ {
 		ev, ok := gen.Next()
 		if !ok {

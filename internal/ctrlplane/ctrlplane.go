@@ -701,7 +701,9 @@ func (p *Plane) Available(u, v int32) float64 {
 }
 
 // Setup sets up a bw-Gbps session from src to dst over the best
-// B-dominated path, running the retrying two-phase commit across the hop
+// B-dominated path with bw free on every hop (the search is floored at
+// max(opts.MinBandwidth, bw): a thinner path could only nack its PREPARE),
+// running the retrying two-phase commit across the hop
 // owners under ctx (which bounds the whole setup, retries included). On
 // capacity shortage, an unresponsive or crashed owner, or deadline expiry
 // the setup aborts with all holds released, and an error is returned.
@@ -713,6 +715,7 @@ func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routin
 	defer span.End()
 	span.Annotatef("route", "%d->%d", src, dst)
 	p.tick()
+	opts.MinBandwidth = max(opts.MinBandwidth, bw)
 	path, err := p.engine.BestPath(src, dst, opts)
 	if err != nil {
 		span.Annotate("outcome", "no_path")
@@ -1140,7 +1143,9 @@ func (p *Plane) SessionDamaged(s *Session) bool {
 // Repath moves a damaged committed session onto a fresh dominated path:
 // break-before-make — the old reservations are released (backlogged toward
 // unreachable owners), then the new path is reserved through the normal
-// retrying 2PC under a new epoch. When no dominated path survives (or
+// retrying 2PC under a new epoch. The search is floored at the session's
+// bandwidth like Setup's, and runs after the release so the session's own
+// reservation does not count against it. When no dominated path survives (or
 // capacity ran out) the session is left cleanly aborted with nothing held,
 // and an error is returned.
 func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) error {
@@ -1153,6 +1158,7 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 	p.tick()
 	p.decide(ctx, nil, nil, []*Session{s})
 	src, dst := int(s.Path[0]), int(s.Path[len(s.Path)-1])
+	opts.MinBandwidth = max(opts.MinBandwidth, s.Bandwidth)
 	path, err := p.engine.BestPath(src, dst, opts)
 	if err != nil {
 		s.State = StateAborted

@@ -77,9 +77,18 @@ func TestContentionAbortsSecondSetup(t *testing.T) {
 	if _, err := p.Setup(context.Background(), 0, 4, 7, routing.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Only 3 Gbps left on every hop: a 7 Gbps setup must abort cleanly.
+	// Only 3 Gbps left on every hop. Setup's own search is floored at the
+	// bandwidth, so it finds no path and holds nothing...
 	before := p.Available(2, 3)
-	_, err := p.Setup(context.Background(), 0, 4, 7, routing.Options{})
+	if _, err := p.Setup(context.Background(), 0, 4, 7, routing.Options{}); !errors.Is(err, routing.ErrNoPath) {
+		t.Fatalf("oversubscribing Setup: %v, want ErrNoPath", err)
+	}
+	if st := p.Stats(); st.Aborts != 0 {
+		t.Fatalf("a refused search aborted something: %+v", st)
+	}
+	// ...and a 7 Gbps setup handed the path (the daemon's pinned-snapshot
+	// commit, whose path may be stale) must abort cleanly at the owners.
+	err := p.CommitBatch(context.Background(), []BatchOp{{Kind: BatchSetup, Path: []int32{0, 1, 2, 3, 4}, Bandwidth: 7}})[0].Err
 	if err == nil {
 		t.Fatal("oversubscribing setup committed")
 	}
@@ -408,6 +417,49 @@ func TestRepathMovesReservations(t *testing.T) {
 	}
 	if got := p.Available(0, 3); got != 6 {
 		t.Fatalf("new hop ledger = %f, want 6", got)
+	}
+	if st := p.Stats(); st.Repaths != 1 || st.RepathAborts != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// The plane floors its own searches at the session's bandwidth: a caller that
+// passes no MinBandwidth still gets the detour with the capacity, not the
+// minimum-latency path whose thin hop would nack the PREPARE.
+func TestSetupFloorsItsOwnSearch(t *testing.T) {
+	top, m := diamondTop(t)
+	m.SetCapacity(1, 2, 1) // the fast side cannot carry 5
+	p := New(top, m, []int32{1, 3})
+	s, err := p.Setup(context.Background(), 0, 2, 5, routing.Options{})
+	if err != nil {
+		t.Fatalf("Setup with a feasible detour: %v", err)
+	}
+	if s.State != StateCommitted || s.Path[1] != 3 {
+		t.Fatalf("session = %+v, want committed over 0-3-2", s)
+	}
+	if st := p.Stats(); st.Aborts != 0 {
+		t.Fatalf("stats = %+v, want no abort", st)
+	}
+}
+
+// Repath floors its search the same way, after releasing the session: the
+// 6 Gbps it holds on 0-3-2 count as free again, the thin fast side does not.
+func TestRepathFloorsItsOwnSearch(t *testing.T) {
+	top, m := diamondTop(t)
+	m.SetCapacity(1, 2, 1)
+	p := New(top, m, []int32{1, 3})
+	s, err := p.Setup(context.Background(), 0, 2, 6, routing.Options{MinBandwidth: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Repath(context.Background(), s, routing.Options{}); err != nil {
+		t.Fatalf("Repath with a feasible path: %v", err)
+	}
+	if s.State != StateCommitted || s.Path[1] != 3 {
+		t.Fatalf("repathed session = %+v, want committed over 0-3-2", s)
+	}
+	if got := p.Available(0, 3); got != 4 {
+		t.Fatalf("ledger(0,3) = %f, want 4 (one reservation of 6)", got)
 	}
 	if st := p.Stats(); st.Repaths != 1 || st.RepathAborts != 0 {
 		t.Fatalf("stats = %+v", st)

@@ -238,7 +238,9 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 			p.Crash(1)
 		}
 	}
-	if _, err := p.Setup(ctx, 0, 4, 7, routing.Options{}); err == nil {
+	// The path is handed in (the daemon's pinned-snapshot commit): Setup's
+	// own search is floored at the bandwidth and would refuse before any hold.
+	if res := p.CommitBatch(ctx, []BatchOp{{Kind: BatchSetup, Path: []int32{0, 1, 2, 3, 4}, Bandwidth: 7}}); res[0].Err == nil {
 		t.Fatal("oversubscribing setup committed")
 	}
 	ft.OnDeliver = nil

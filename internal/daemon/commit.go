@@ -63,7 +63,10 @@ type pendingOp struct {
 	// invisible to /debug/trace.
 	trace uint64
 
+	// sess is the committed session, view the leader's copy of it: once the
+	// leader drops writeMu a heal may re-path sess in place.
 	sess *ctrlplane.Session
+	view SessionView
 	err  error
 	done chan struct{}
 }
@@ -171,6 +174,9 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 				op.err = fmt.Errorf("brokerd: setup raced topology change and repath failed: %w", rerr)
 				op.sess = nil
 			}
+		}
+		if op.err == nil {
+			op.view = viewOf(op.sess)
 		}
 	}
 	s.publishIfMoved(ctx, before)

@@ -2,13 +2,16 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"brokerset/internal/churn"
 	"brokerset/internal/workload"
 )
 
@@ -221,5 +224,71 @@ func TestMetricsEndpoint(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics status %d", r.StatusCode)
+	}
+}
+
+// TestSessionReadsVsHealRace reads the session table over HTTP while heals
+// re-path the very sessions being read: each round fails the first link of
+// every live session, so Plane.Repath rewrites each one in place under
+// writeMu. Run under -race this proves the reads are served from copies
+// taken under that mutex, not from the live *ctrlplane.Session.
+func TestSessionReadsVsHealRace(t *testing.T) {
+	srv, _ := testServerWith(t, 0.02, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024})
+	h := srv.Handler()
+	ctx := context.Background()
+	bs := srv.currentBrokers()
+	for i := 0; i+1 < len(bs); i += 2 {
+		if _, err := srv.Setup(ctx, int(bs[i]), int(bs[i+1]), 0.01); err != nil {
+			t.Fatalf("setup %d->%d: %v", bs[i], bs[i+1], err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sessions", nil))
+			var list []sessionResponse
+			if err := json.NewDecoder(rec.Body).Decode(&list); err != nil {
+				t.Errorf("GET /sessions: %v", err)
+				return
+			}
+			for _, s := range list {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, fmt.Sprintf("/sessions/%d", s.ID), nil))
+			}
+		}
+	}()
+
+	repaired := 0
+	for round := 0; round < 20; round++ {
+		var fail, recover []churn.Event
+		for _, s := range srv.Sessions() {
+			fail = append(fail, churn.Event{Type: churn.LinkFail, U: s.Path[0], V: s.Path[1]})
+			recover = append(recover, churn.Event{Type: churn.LinkRecover, U: s.Path[0], V: s.Path[1]})
+		}
+		res, err := srv.Churn(ctx, fail, 0, true)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		repaired += res.Heal.SessionsRepaired
+		if _, err := srv.Churn(ctx, recover, 0, false); err != nil {
+			t.Fatalf("round %d recover: %v", round, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if repaired == 0 {
+		t.Fatal("no session was re-pathed: the race was never exercised")
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -31,9 +31,11 @@ import (
 // commit, and an admin churn plane mutates the live topology and self-heals
 // the coalition.
 //
-// Concurrency protocol: readers never lock. Every read path (path queries,
-// /stats connectivity, /brokers, healer selection input) pins the current
-// epoch snapshot from pub and computes against it. All mutations — churn
+// Concurrency protocol: snapshot readers never lock. Every such read path
+// (path queries, /stats connectivity, /brokers, healer selection input) pins
+// the current epoch snapshot from pub and computes against it; what has no
+// snapshot — control-plane counters, the live sessions a heal re-paths in
+// place — is read as a copy taken under writeMu. All mutations — churn
 // application, healing, and the control plane's 2PC — serialize on writeMu
 // (a plain mutex: there is exactly one logical writer at a time), build
 // the next snapshot copy-on-write, and publish it with one atomic swap
@@ -51,7 +53,8 @@ type Daemon struct {
 
 	// writeMu serializes every mutation of shared link/broker state (the
 	// metrics arrays, churn down-marks, coalition membership, and the
-	// control plane's ledgers). Readers do not take it — they use pub.
+	// control plane's ledgers, sessions included). Path readers do not take
+	// it — they use pub.
 	writeMu sync.Mutex
 	plane   *ctrlplane.Plane
 
@@ -301,6 +304,45 @@ func (s *Daemon) PlaneStats() ctrlplane.Stats {
 	return s.plane.Stats()
 }
 
+// SessionView is a copy of a session's identity and route. The session
+// table hands out the live *ctrlplane.Session a heal re-paths in place
+// (Plane.Repath rewrites its path and epoch under writeMu), so everything
+// outside the write mutex reads a copy taken under it.
+type SessionView struct {
+	ID        int
+	Path      []int32
+	Bandwidth float64
+}
+
+// viewOf copies sess. Callers hold writeMu. The path's backing array is
+// shared: a re-path installs a new slice, it never edits the old one.
+func viewOf(sess *ctrlplane.Session) SessionView {
+	return SessionView{ID: sess.ID, Path: sess.Path, Bandwidth: sess.Bandwidth}
+}
+
+// Sessions copies every live session, ordered by id.
+func (s *Daemon) Sessions() []SessionView {
+	list := s.sessions.List()
+	out := make([]SessionView, len(list))
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	for i, sess := range list {
+		out[i] = viewOf(sess)
+	}
+	return out
+}
+
+// Session copies session id; false means the table does not hold it.
+func (s *Daemon) Session(id int) (SessionView, bool) {
+	sess, ok := s.sessions.Get(id)
+	if !ok {
+		return SessionView{}, false
+	}
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	return viewOf(sess), true
+}
+
 // CheckInvariants checks the control plane's conservation invariants
 // against the live session table.
 func (s *Daemon) CheckInvariants() error {
@@ -415,8 +457,9 @@ const opTimeout = 2 * time.Second
 // committer (commit.go): concurrent setups coalesce into one 2PC round and
 // one snapshot publish per batch, and the staleness fallbacks (stale-epoch
 // retry against live state, post-commit damage repair) run inside the batch
-// leader. Degraded mode returns errSetupShed without touching the plane.
-func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlplane.Session, error) {
+// leader, which also takes the copy Setup answers with. Degraded mode
+// returns errSetupShed without touching the plane.
+func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (SessionView, error) {
 	op := &pendingOp{req: sessionRequest{Src: src, Dst: dst, Gbps: gbps}, snapID: s.pub.Epoch(), done: make(chan struct{})}
 	// Resolve the path through the query-plane cache (stale entries
 	// revalidate in O(hops) against the pinned snapshot — setup storms over
@@ -442,7 +485,7 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlpl
 		if s.sloSetup != nil {
 			s.sloSetup.Record(false, obs.TraceIDFrom(ctx))
 		}
-		return nil, err
+		return SessionView{}, err
 	}
 	if s.sloSetup != nil {
 		s.sloSetup.Record(true, 0)
@@ -450,8 +493,8 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlpl
 	s.sessions.Put(op.sess)
 	// A committed reservation credits its carrying brokers with the
 	// session's bandwidth in settlement units.
-	s.recordCarriers(op.sess.Path, op.sess.Bandwidth)
-	return op.sess, nil
+	s.recordCarriers(op.view.Path, op.view.Bandwidth)
+	return op.view, nil
 }
 
 // errNoSession is Teardown's answer for an id the session table does not

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"brokerset/internal/churn"
-	"brokerset/internal/ctrlplane"
 	"brokerset/internal/obs"
 	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
@@ -293,14 +292,14 @@ func (s *Daemon) sessionRequest(w http.ResponseWriter, r *http.Request) (req ses
 	return req, true
 }
 
-func sessionJSON(sess *ctrlplane.Session) sessionResponse {
+func sessionJSON(sess SessionView) sessionResponse {
 	return sessionResponse{
 		ID: sess.ID, Nodes: sess.Path, Hops: len(sess.Path) - 1, Bandwidth: sess.Bandwidth,
 	}
 }
 
 func (s *Daemon) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	list := s.sessions.List()
+	list := s.Sessions()
 	out := make([]sessionResponse, 0, len(list))
 	for _, sess := range list {
 		out = append(out, sessionJSON(sess))
@@ -332,7 +331,7 @@ func (s *Daemon) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sess, ok := s.sessions.Get(id)
+	sess, ok := s.Session(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no session %d", id)
 		return

@@ -157,7 +157,7 @@ func (s *Suite) Fig2b() (*tablefmt.Table, error) {
 // observes the correlation collapsing from 0.818 to 0.227.
 func (s *Suite) Fig3() (*tablefmt.Table, error) {
 	g := s.Top.Graph
-	order, pr, err := pagerank.Rank(g, pagerank.Options{})
+	order, pr, err := pagerank.Rank(g)
 	if err != nil {
 		return nil, err
 	}

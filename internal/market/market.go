@@ -40,27 +40,11 @@ type Sample struct {
 	Sessions int
 }
 
-// Config parameterizes a Controller. Zero values get serving defaults;
-// pricing inputs (Leader, Customers) default to a calibrated population
-// matching the §7 evaluation's shape.
+// Config parameterizes a Controller. Zero values get serving defaults.
 type Config struct {
-	// Leader is the Stackelberg leader (the broker coalition).
-	Leader econ.Broker
-	// Customers is the follower population template. Reprice scales each
-	// follower's Value by the observed demand index before solving, so the
-	// equilibrium price tracks measured demand instead of a static guess.
-	Customers []econ.Customer
 	// CongestionThreshold is the utilization above which admission starts
 	// pricing scarcity (default 0.7). Below it, all traffic is admitted.
 	CongestionThreshold float64
-	// CongestionGain scales how fast the price multiplier grows past the
-	// threshold (default 4).
-	CongestionGain float64
-	// MaxMultiplier caps the congestion multiplier (default 8).
-	MaxMultiplier float64
-	// Smoothing is the EMA weight of the newest equilibrium price in
-	// (0,1]; default 0.3. 1 disables smoothing.
-	Smoothing float64
 	// DemandRef is the per-tick demand (requests) that maps to demand
 	// index 1.0 (default 256). Observed demand is normalized by it and
 	// clamped to [0.25, 4] before scaling the follower population.
@@ -68,33 +52,36 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.Leader.MaxPrice == 0 {
-		c.Leader = econ.Broker{UnitCost: 0.4, HireFraction: 0.1, Beta: 4, MaxPrice: 12}
-	}
-	if len(c.Customers) == 0 {
-		c.Customers = DefaultCustomers()
-	}
 	if c.CongestionThreshold <= 0 || c.CongestionThreshold >= 1 {
 		c.CongestionThreshold = 0.7
-	}
-	if c.CongestionGain <= 0 {
-		c.CongestionGain = 4
-	}
-	if c.MaxMultiplier < 1 {
-		c.MaxMultiplier = 8
-	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
-		c.Smoothing = 0.3
 	}
 	if c.DemandRef <= 0 {
 		c.DemandRef = 256
 	}
 }
 
-// DefaultCustomers returns the standard follower population: three AS
-// classes (high-paid movers, mid-tier, low-tier laggards) with parameters
-// in the ranges internal/experiments uses for the §7 reproduction.
-func DefaultCustomers() []econ.Customer {
+// The pricing loop's fixed inputs, a calibrated population matching the §7
+// evaluation's shape.
+const (
+	// congestionGain scales how fast the price multiplier grows past the
+	// threshold; maxMultiplier caps it.
+	congestionGain = 4
+	maxMultiplier  = 8
+	// smoothing is the EMA weight of the newest equilibrium price. Typed, so
+	// 1-smoothing rounds the way the float64 subtraction always has and a
+	// replayed ledger stays bitwise what it was.
+	smoothing float64 = 0.3
+)
+
+// leader is the Stackelberg leader (the broker coalition).
+var leader = econ.Broker{UnitCost: 0.4, HireFraction: 0.1, Beta: 4, MaxPrice: 12}
+
+// customers returns the follower population template: three AS classes
+// (high-paid movers, mid-tier, low-tier laggards) with parameters in the
+// ranges internal/experiments uses for the §7 reproduction. Reprice scales
+// each follower's Value by the observed demand index before solving, so the
+// equilibrium price tracks measured demand instead of a static guess.
+func customers() []econ.Customer {
 	return []econ.Customer{
 		{Name: "high-paid", BaseRate: 0.10, Value: 8, Curvature: 3, TransitGain: 1.5, PaidRelief: 2.5},
 		{Name: "mid-tier", BaseRate: 0.15, Value: 6, Curvature: 2, TransitGain: 2.0, PaidRelief: 1.0},
@@ -154,16 +141,8 @@ func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load
 // request already pays a meaningful price.
 func NewController(cfg Config) (*Controller, error) {
 	cfg.defaults()
-	if err := cfg.Leader.Validate(); err != nil {
-		return nil, err
-	}
-	for _, cu := range cfg.Customers {
-		if err := cu.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	c := &Controller{cfg: cfg}
-	eq, err := econ.StackelbergEquilibrium(cfg.Leader, cfg.Customers)
+	eq, err := econ.StackelbergEquilibrium(leader, customers())
 	if err != nil {
 		return nil, fmt.Errorf("market: priming equilibrium: %w", err)
 	}
@@ -186,17 +165,14 @@ func (c *Controller) demandIndex(demand float64) float64 {
 }
 
 // multiplier maps utilization to the congestion price multiplier: 1 below
-// the threshold, then 1 + Gain·(u−thr)/(1−thr) capped at MaxMultiplier.
+// the threshold, then 1 + congestionGain·(u−thr)/(1−thr) capped at
+// maxMultiplier.
 func (c *Controller) multiplier(u float64) float64 {
 	thr := c.cfg.CongestionThreshold
 	if u < thr {
 		return 1
 	}
-	m := 1 + c.cfg.CongestionGain*(u-thr)/(1-thr)
-	if m > c.cfg.MaxMultiplier {
-		m = c.cfg.MaxMultiplier
-	}
-	return m
+	return math.Min(1+congestionGain*(u-thr)/(1-thr), maxMultiplier)
 }
 
 // Reprice runs one pricing iteration against the sample: scale the
@@ -209,12 +185,11 @@ func (c *Controller) Reprice(s Sample) (Quote, error) {
 	defer c.mu.Unlock()
 
 	idx := c.demandIndex(s.Demand)
-	scaled := make([]econ.Customer, len(c.cfg.Customers))
-	for i, cu := range c.cfg.Customers {
-		cu.Value *= idx
-		scaled[i] = cu
+	scaled := customers()
+	for i := range scaled {
+		scaled[i].Value *= idx
 	}
-	eq, err := econ.StackelbergEquilibrium(c.cfg.Leader, scaled)
+	eq, err := econ.StackelbergEquilibrium(leader, scaled)
 	if err != nil {
 		return c.quote, err
 	}
@@ -226,8 +201,7 @@ func (c *Controller) Reprice(s Sample) (Quote, error) {
 	}
 	mult := c.multiplier(u)
 	target := eq.Price * mult
-	alpha := c.cfg.Smoothing
-	price := (1-alpha)*c.quote.Price + alpha*target
+	price := (1-smoothing)*c.quote.Price + smoothing*target
 
 	c.quote = Quote{
 		Price:       price,

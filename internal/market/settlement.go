@@ -21,9 +21,9 @@ import (
 // the sole carrier on its paths earns more per unit than one that always
 // shares credit.
 //
-// Windows with at most MaxExact distinct carriers settle by exact
+// Windows with at most maxExact distinct carriers settle by exact
 // enumeration; larger windows use seeded Monte-Carlo permutation sampling
-// (the seed derives deterministically from Config.Seed and the window
+// (the seed derives deterministically from SettlementConfig.Seed and the window
 // index, so a replayed run produces a bitwise-identical ledger). Windows
 // with more than 64 distinct carriers settle the top 63 by carried volume
 // game-theoretically and fold the tail into one aggregate player whose
@@ -52,24 +52,21 @@ type SettlementConfig struct {
 	// Seed derives each window's Monte-Carlo seed (window w uses
 	// Seed ^ (w+1)·0x9E3779B97F4A7C15). Default 1.
 	Seed int64
-	// MaxExact is the largest distinct-carrier count settled by exact
-	// enumeration (default 12, capped at 20 by econ.ShapleyExact).
-	MaxExact int
-	// Samples is the Monte-Carlo permutation count (default 2000).
-	Samples int
 }
 
 func (c *SettlementConfig) defaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.MaxExact <= 0 || c.MaxExact > 20 {
-		c.MaxExact = 12
-	}
-	if c.Samples <= 0 {
-		c.Samples = 2000
-	}
 }
+
+// maxExact is the largest distinct-carrier count settled by exact
+// enumeration (econ.ShapleyExact takes up to 20); mcSamples is the
+// Monte-Carlo permutation count beyond it.
+const (
+	maxExact  = 12
+	mcSamples = 2000
+)
 
 // maxPlayers is the per-window distinct-carrier capacity (econ's
 // Monte-Carlo bitmask bound, minus one slot reserved for the folded tail).
@@ -213,7 +210,7 @@ func (s *Settlement) Settle(revenue float64, tick uint64) Record {
 	case n == 1:
 		rec.Method = "proportional"
 		s.splitProportional(&rec, revenue)
-	case n <= s.cfg.MaxExact:
+	case n <= maxExact:
 		rec.Method = "exact"
 		phi, err := econ.ShapleyExact(n, s.coalitionValue())
 		if err != nil {
@@ -224,10 +221,10 @@ func (s *Settlement) Settle(revenue float64, tick uint64) Record {
 		s.applySplit(&rec, phi, revenue, total)
 	default:
 		rec.Method = "montecarlo"
-		rec.Samples = s.cfg.Samples
+		rec.Samples = mcSamples
 		rec.Seed = s.windowSeed(s.window)
 		rng := rand.New(rand.NewSource(rec.Seed))
-		phi, err := econ.ShapleyMonteCarlo(n, s.coalitionValue(), s.cfg.Samples, rng)
+		phi, err := econ.ShapleyMonteCarlo(n, s.coalitionValue(), mcSamples, rng)
 		if err != nil {
 			rec.Method = "proportional"
 			s.splitProportional(&rec, revenue)
@@ -337,7 +334,8 @@ func (s *Settlement) splitProportional(rec *Record, revenue float64) {
 }
 
 // conserve folds the floating-point residual of Σ splits − revenue into
-// the largest split, making conservation exact rather than approximate.
+// the largest split, so what is left is the rounding of one more sum: zero
+// for small windows, an ulp of the revenue (1.5e-8 at 1e8) for large ones.
 func conserve(rec *Record, revenue float64) {
 	if len(rec.Splits) == 0 {
 		return
@@ -354,7 +352,9 @@ func conserve(rec *Record, revenue float64) {
 }
 
 // CheckConservation verifies Σ splits == revenue within tol for every
-// ledger record, returning the first violation.
+// ledger record, returning the first violation. tol is absolute up to a
+// revenue of 1 and relative beyond it: a fixed 1e-9 is below one ulp of any
+// window that took in more than ~4e6.
 func (s *Settlement) CheckConservation(tol float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -363,7 +363,7 @@ func (s *Settlement) CheckConservation(tol float64) error {
 		for _, v := range rec.Splits {
 			sum += v
 		}
-		if math.Abs(sum-rec.Revenue) > tol {
+		if math.Abs(sum-rec.Revenue) > tol*math.Max(1, math.Abs(rec.Revenue)) {
 			return fmt.Errorf("market: window %d splits sum %.12g != revenue %.12g (gap %.3g > tol %.3g)",
 				rec.Window, sum, rec.Revenue, math.Abs(sum-rec.Revenue), tol)
 		}

@@ -68,12 +68,14 @@ type AlertTransition struct {
 type SLOConfig struct {
 	// BaseWindow defaults to one hour.
 	BaseWindow time.Duration
-	// FastBurn is the paging burn-rate threshold (default 14.4: a burn
-	// that exhausts a 30-day budget in ~2 days).
-	FastBurn float64
-	// SlowBurn is the ticket threshold (default 3).
-	SlowBurn float64
 }
+
+// The SRE-workbook burn-rate thresholds: fastBurn pages (a burn that
+// exhausts a 30-day budget in ~2 days), slowBurn tickets.
+const (
+	fastBurn = 14.4
+	slowBurn = 3.0
+)
 
 // sloBadTraces is the per-objective ring of recent bad-event trace IDs.
 const sloBadTraces = 8
@@ -151,17 +153,10 @@ type SLOEngine struct {
 	firingNow   int
 }
 
-// NewSLOEngine returns an engine with cfg's zero fields defaulted
-// (BaseWindow 1h, FastBurn 14.4, SlowBurn 3).
+// NewSLOEngine returns an engine with a zero cfg.BaseWindow defaulted to 1h.
 func NewSLOEngine(cfg SLOConfig) *SLOEngine {
 	if cfg.BaseWindow <= 0 {
 		cfg.BaseWindow = time.Hour
-	}
-	if cfg.FastBurn <= 0 {
-		cfg.FastBurn = 14.4
-	}
-	if cfg.SlowBurn <= 0 {
-		cfg.SlowBurn = 3
 	}
 	return &SLOEngine{cfg: cfg}
 }
@@ -231,8 +226,8 @@ func (e *SLOEngine) Tick(now time.Time) []AlertTransition {
 		o.burnFS = e.burnLocked(i, o.Target, now, fs)
 		o.burnSL = e.burnLocked(i, o.Target, now, sl)
 		o.burnSS = e.burnLocked(i, o.Target, now, ss)
-		fast := o.burnFL >= e.cfg.FastBurn && o.burnFS >= e.cfg.FastBurn
-		slow := o.burnSL >= e.cfg.SlowBurn && o.burnSS >= e.cfg.SlowBurn
+		fast := o.burnFL >= fastBurn && o.burnFS >= fastBurn
+		slow := o.burnSL >= slowBurn && o.burnSS >= slowBurn
 		if fast != o.fastFiring {
 			o.fastFiring = fast
 			if fast {
@@ -346,7 +341,7 @@ func (e *SLOEngine) Status() Status {
 	st := Status{
 		At:         e.lastTick,
 		BaseWindow: e.cfg.BaseWindow,
-		FastBurn:   e.cfg.FastBurn, SlowBurn: e.cfg.SlowBurn,
+		FastBurn:   fastBurn, SlowBurn: slowBurn,
 		AlertsTotal: e.alertsTotal, Firing: e.firingNow,
 	}
 	for _, o := range e.objs {

@@ -6,18 +6,16 @@ import (
 	"time"
 )
 
-// Burn-rate constants chosen so the math is EXACT in float64: target 0.875
-// leaves an error budget of 0.125 (a binary fraction), so burn = badRatio*8
-// and a 50%-bad stream burns at exactly 8/2 = 4.0. The SRE-workbook
-// defaults (0.99, 14.4) involve 1-0.99 which is not exactly representable,
-// making threshold-equality assertions off by one ulp.
-const (
-	testTarget = 0.875
-	testBurn   = 4.0
-)
+// The objective's target is chosen so the math is EXACT in float64: 0.96875
+// leaves an error budget of 1/32 (a binary fraction), so burn = badRatio*32
+// with no rounding. 45 bad of 100 burns at exactly 14.4 — the paging
+// threshold — and 3 bad of 32 at exactly 3.0, the ticket threshold. A target
+// like 0.99 involves 1-0.99, which is not exactly representable, making
+// threshold-equality assertions off by one ulp.
+const testTarget = 0.96875
 
 func testEngine() (*SLOEngine, *SLOObjective) {
-	e := NewSLOEngine(SLOConfig{BaseWindow: time.Hour, FastBurn: testBurn, SlowBurn: testBurn})
+	e := NewSLOEngine(SLOConfig{BaseWindow: time.Hour})
 	o := e.Add(Objective{Name: "api_quality", Target: testTarget})
 	return e, o
 }
@@ -32,50 +30,75 @@ func record(o *SLOObjective, good, bad int) {
 }
 
 // TestBurnRateFiresAtExactThreshold drives the engine with a synthetic
-// clock and proves the alert fires exactly when the error-budget math says
-// it must: 50 bad of 100 events is a burn of (50/100)/(1-0.875) = 4.0,
-// meeting the >= 4.0 threshold on both the long and short windows.
+// clock and proves each alert fires exactly when the error-budget math says
+// it must: 45 bad of 100 events is a burn of (45/100)/(1/32) = 14.4, meeting
+// the fast pair's >= 14.4 on both its windows (and the slow pair's >= 3 with
+// it); 3 bad of 32 is a burn of 3.0, meeting the slow pair's threshold and
+// not the fast pair's.
 func TestBurnRateFiresAtExactThreshold(t *testing.T) {
-	e, o := testEngine()
-	t0 := time.Unix(1000, 0)
-	if tr := e.Tick(t0); len(tr) != 0 {
-		t.Fatalf("transitions before any events: %v", tr)
-	}
-	record(o, 50, 50)
-	// Both pairs see the whole (sub-window-aged) history: burn exactly 4.0.
-	tr := e.Tick(t0.Add(time.Minute))
-	if len(tr) != 2 {
-		t.Fatalf("want fast+slow transitions, got %v", tr)
-	}
-	for _, x := range tr {
-		if !x.Firing {
-			t.Errorf("%s transition not firing", x.Severity)
-		}
-		if x.BurnLong != testBurn || x.BurnShort != testBurn {
-			t.Errorf("%s burn = (%v, %v), want exactly %v", x.Severity, x.BurnLong, x.BurnShort, testBurn)
-		}
-	}
-	st := e.Status()
-	if st.Firing != 2 || st.AlertsTotal != 2 {
-		t.Fatalf("status firing=%d alertsTotal=%d, want 2/2", st.Firing, st.AlertsTotal)
-	}
-	if os := st.Objectives[0]; !os.FastFiring || !os.SlowFiring {
-		t.Fatalf("objective status %+v, want both severities firing", os)
+	for _, tc := range []struct {
+		name       string
+		good, bad  int
+		burn       float64
+		severities []AlertSeverity
+	}{
+		{"fast", 55, 45, fastBurn, []AlertSeverity{SeverityFast, SeveritySlow}},
+		{"slow", 29, 3, slowBurn, []AlertSeverity{SeveritySlow}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, o := testEngine()
+			t0 := time.Unix(1000, 0)
+			if tr := e.Tick(t0); len(tr) != 0 {
+				t.Fatalf("transitions before any events: %v", tr)
+			}
+			record(o, tc.good, tc.bad)
+			// Both pairs see the whole (sub-window-aged) history.
+			tr := e.Tick(t0.Add(time.Minute))
+			if len(tr) != len(tc.severities) {
+				t.Fatalf("want %v transitions, got %v", tc.severities, tr)
+			}
+			for i, x := range tr {
+				if x.Severity != tc.severities[i] || !x.Firing {
+					t.Errorf("transition %d = %s firing=%v, want %s firing", i, x.Severity, x.Firing, tc.severities[i])
+				}
+				if x.BurnLong != tc.burn || x.BurnShort != tc.burn {
+					t.Errorf("%s burn = (%v, %v), want exactly %v", x.Severity, x.BurnLong, x.BurnShort, tc.burn)
+				}
+			}
+			st := e.Status()
+			if n := len(tc.severities); st.Firing != n || st.AlertsTotal != uint64(n) {
+				t.Fatalf("status firing=%d alertsTotal=%d, want %d/%d", st.Firing, st.AlertsTotal, n, n)
+			}
+			if os := st.Objectives[0]; os.FastFiring != (len(tc.severities) == 2) || !os.SlowFiring {
+				t.Fatalf("objective status %+v, want %v firing", os, tc.severities)
+			}
+		})
 	}
 }
 
 // TestBurnRateOneEventBelowThreshold is the other half of the exactness
-// claim: one fewer bad event (49/100 -> burn 3.92) must NOT fire.
+// claim: one fewer bad event must NOT fire — 44/100 (burn 14.08) leaves the
+// fast pair quiet while the slow pair fires, 2/32 (burn 2.0) fires nothing.
 func TestBurnRateOneEventBelowThreshold(t *testing.T) {
 	e, o := testEngine()
 	t0 := time.Unix(1000, 0)
 	e.Tick(t0)
-	record(o, 51, 49)
-	if tr := e.Tick(t0.Add(time.Minute)); len(tr) != 0 {
-		t.Fatalf("49/100 bad fired: %v", tr)
+	record(o, 56, 44)
+	if tr := e.Tick(t0.Add(time.Minute)); len(tr) != 1 || tr[0].Severity != SeveritySlow {
+		t.Fatalf("44/100 bad: transitions %v, want the slow alert alone", tr)
 	}
-	if b := e.Status().Objectives[0].BurnFastLong; b >= testBurn {
-		t.Fatalf("burn %v >= threshold %v", b, testBurn)
+	if b := e.Status().Objectives[0].BurnFastLong; b >= fastBurn {
+		t.Fatalf("burn %v >= threshold %v", b, fastBurn)
+	}
+
+	e, o = testEngine()
+	e.Tick(t0)
+	record(o, 30, 2)
+	if tr := e.Tick(t0.Add(time.Minute)); len(tr) != 0 {
+		t.Fatalf("2/32 bad fired: %v", tr)
+	}
+	if b := e.Status().Objectives[0].BurnSlowLong; b >= slowBurn {
+		t.Fatalf("burn %v >= threshold %v", b, slowBurn)
 	}
 }
 
@@ -86,14 +109,14 @@ func TestBurnRateShortWindowResets(t *testing.T) {
 	e, o := testEngine()
 	t0 := time.Unix(1000, 0)
 	e.Tick(t0)
-	record(o, 50, 50)
+	record(o, 55, 45)
 	if tr := e.Tick(t0.Add(time.Minute)); len(tr) != 2 {
 		t.Fatalf("alert did not fire: %v", tr)
 	}
 	// Incident over: a healthy stream arrives. At t0+10m the fast pair's
 	// 5-minute short window baselines on the t0+1m snapshot and sees only
 	// the 1000 good events (burn 0); the slow pair's 30-minute short window
-	// still spans everything, but its burn is now (50/1100)/0.125 < 4.
+	// still spans everything, but its burn is now (45/1100)*32 < 3.
 	record(o, 1000, 0)
 	tr := e.Tick(t0.Add(10 * time.Minute))
 	if len(tr) != 2 {
@@ -108,9 +131,9 @@ func TestBurnRateShortWindowResets(t *testing.T) {
 		t.Fatalf("status firing=%d alertsTotal=%d, want 0/2", st.Firing, st.AlertsTotal)
 	}
 	// The fast long window (1h) still contains the incident: burn over it
-	// must remain exactly (50/1100)/0.125 — the alert resolved because the
+	// must remain exactly (45/1100)*32 — the alert resolved because the
 	// SHORT window cleared, not because history was forgotten.
-	want := (50.0 / 1100.0) / (1 - testTarget)
+	want := (45.0 / 1100.0) / (1 - testTarget)
 	if b := e.Status().Objectives[0].BurnFastLong; b != want {
 		t.Fatalf("long-window burn = %v, want %v", b, want)
 	}
@@ -132,7 +155,7 @@ func TestBurnRateWindowIsolation(t *testing.T) {
 	if os.BurnFastLong != 0 || os.BurnFastShort != 0 {
 		t.Fatalf("fast burns = (%v, %v), want 0 (disaster aged out)", os.BurnFastLong, os.BurnFastShort)
 	}
-	// The slow long window (6h) still sees it: (100/500)/0.125 = 1.6.
+	// The slow long window (6h) still sees it: (100/500)*32 = 6.4.
 	if want := (100.0 / 500.0) / (1 - testTarget); os.BurnSlowLong != want {
 		t.Fatalf("slow long burn = %v, want %v", os.BurnSlowLong, want)
 	}
@@ -190,7 +213,7 @@ func TestSLOEngineMetrics(t *testing.T) {
 	e.RegisterMetrics(reg)
 	t0 := time.Unix(1000, 0)
 	e.Tick(t0)
-	record(o, 50, 50)
+	record(o, 55, 45)
 	e.Tick(t0.Add(time.Minute))
 
 	var b strings.Builder
@@ -199,9 +222,9 @@ func TestSLOEngineMetrics(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		"slo_api_quality_good_total 50",
-		"slo_api_quality_bad_total 50",
-		"slo_api_quality_burn_fast 4",
+		"slo_api_quality_good_total 55",
+		"slo_api_quality_bad_total 45",
+		"slo_api_quality_burn_fast 14.4",
 		"slo_api_quality_alert_state 2",
 		"slo_alerts_firing 2",
 		"slo_alert_transitions_total 2",

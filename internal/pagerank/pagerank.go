@@ -10,34 +10,19 @@ import (
 	"brokerset/internal/graph"
 )
 
-// Options configures a PageRank computation. The zero value is replaced by
-// the conventional defaults (damping 0.85, tolerance 1e-9, 100 iterations).
-type Options struct {
-	// Damping is the probability of following an edge (1-Damping teleports).
-	Damping float64
-	// Tol stops iteration when the L1 change drops below it.
-	Tol float64
-	// MaxIter bounds the number of power iterations.
-	MaxIter int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Damping <= 0 || o.Damping >= 1 {
-		o.Damping = 0.85
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	return o
-}
+// The conventional PageRank parameters: the probability of following an edge
+// (1-damping teleports), the L1 change below which iteration stops, and the
+// bound on power iterations. damping is typed so that 1-damping rounds the
+// way the float64 subtraction always has and ranks stay bit for bit.
+const (
+	damping float64 = 0.85
+	tol             = 1e-9
+	maxIter         = 100
+)
 
 // Compute returns the PageRank vector of g (sums to 1). Dangling
 // (degree-zero) nodes redistribute their mass uniformly.
-func Compute(g *graph.Graph, opts Options) ([]float64, error) {
-	opts = opts.withDefaults()
+func Compute(g *graph.Graph) ([]float64, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("pagerank: empty graph")
@@ -48,14 +33,14 @@ func Compute(g *graph.Graph, opts Options) ([]float64, error) {
 	for i := range rank {
 		rank[i] = inv
 	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		var dangling float64
 		for u := 0; u < n; u++ {
 			if g.Degree(u) == 0 {
 				dangling += rank[u]
 			}
 		}
-		base := (1-opts.Damping)*inv + opts.Damping*dangling*inv
+		base := (1-damping)*inv + damping*dangling*inv
 		for u := 0; u < n; u++ {
 			next[u] = base
 		}
@@ -64,7 +49,7 @@ func Compute(g *graph.Graph, opts Options) ([]float64, error) {
 			if d == 0 {
 				continue
 			}
-			share := opts.Damping * rank[u] / float64(d)
+			share := damping * rank[u] / float64(d)
 			for _, v := range g.Neighbors(u) {
 				next[v] += share
 			}
@@ -78,7 +63,7 @@ func Compute(g *graph.Graph, opts Options) ([]float64, error) {
 			delta += d
 		}
 		rank, next = next, rank
-		if delta < opts.Tol {
+		if delta < tol {
 			break
 		}
 	}
@@ -86,8 +71,8 @@ func Compute(g *graph.Graph, opts Options) ([]float64, error) {
 }
 
 // Rank returns node ids sorted by decreasing PageRank (ties by id).
-func Rank(g *graph.Graph, opts Options) ([]int32, []float64, error) {
-	pr, err := Compute(g, opts)
+func Rank(g *graph.Graph) ([]int32, []float64, error) {
+	pr, err := Compute(g)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestComputeEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).MustBuild()
-	if _, err := Compute(g, Options{}); err == nil {
+	if _, err := Compute(g); err == nil {
 		t.Fatal("Compute accepted empty graph")
 	}
 }
@@ -22,7 +22,7 @@ func TestComputeSumsToOne(t *testing.T) {
 		b.AddEdge(rng.Intn(100), rng.Intn(100))
 	}
 	g := b.MustBuild()
-	pr, err := Compute(g, Options{})
+	pr, err := Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSymmetricGraphUniformRank(t *testing.T) {
 		b.AddEdge(i, (i+1)%10)
 	}
 	g := b.MustBuild()
-	pr, err := Compute(g, Options{})
+	pr, err := Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStarCenterRanksHighest(t *testing.T) {
 		b.AddEdge(0, i)
 	}
 	g := b.MustBuild()
-	ids, pr, err := Rank(g, Options{})
+	ids, pr, err := Rank(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDanglingNodesConserveMass(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1)
 	g := b.MustBuild()
-	pr, err := Compute(g, Options{})
+	pr, err := Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +104,6 @@ func TestDanglingNodesConserveMass(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Damping != 0.85 || o.Tol != 1e-9 || o.MaxIter != 100 {
-		t.Fatalf("defaults = %+v", o)
-	}
-	o = Options{Damping: 2, Tol: -1, MaxIter: -5}.withDefaults()
-	if o.Damping != 0.85 || o.Tol != 1e-9 || o.MaxIter != 100 {
-		t.Fatalf("invalid values not defaulted: %+v", o)
-	}
-}
-
 func TestHigherDegreeHigherRankOnHubGraph(t *testing.T) {
 	// Two hubs of different sizes sharing one bridge.
 	b := graph.NewBuilder(12)
@@ -126,7 +115,7 @@ func TestHigherDegreeHigherRankOnHubGraph(t *testing.T) {
 	}
 	b.AddEdge(0, 1)
 	g := b.MustBuild()
-	pr, err := Compute(g, Options{})
+	pr, err := Compute(g)
 	if err != nil {
 		t.Fatal(err)
 	}

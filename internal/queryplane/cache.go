@@ -45,13 +45,12 @@ func (s *cacheShard) pushFront(e *entry) {
 }
 
 // Cache is a sharded, size-bounded, generation-aware LRU of computed
-// B-dominated paths. Invalidation is O(1): bumping the generation makes
-// every existing entry stale; stale entries are dropped lazily on lookup or
-// by eviction pressure.
+// B-dominated paths. The generation is the caller's (the topology epoch):
+// an entry stamped with an older one is stale, and stale entries are
+// revalidated or dropped lazily on lookup, or go by eviction pressure.
 type Cache struct {
 	shards    []*cacheShard
 	mask      uint64
-	gen       atomic.Uint64
 	evictions atomic.Uint64
 }
 
@@ -73,13 +72,6 @@ func NewCache(shards, capacity int) *Cache {
 	return c
 }
 
-// Generation returns the current invalidation generation.
-func (c *Cache) Generation() uint64 { return c.gen.Load() }
-
-// Invalidate bumps the generation, atomically staling every cached entry.
-// It returns the new generation.
-func (c *Cache) Invalidate() uint64 { return c.gen.Add(1) }
-
 // Evictions returns the cumulative count of capacity evictions and stale
 // drops.
 func (c *Cache) Evictions() uint64 { return c.evictions.Load() }
@@ -91,39 +83,16 @@ func (c *Cache) shardFor(k routing.QueryKey) *cacheShard {
 // Get returns the cached path for k if present and computed under gen.
 // Entries from older generations are removed and reported as misses.
 func (c *Cache) Get(k routing.QueryKey, gen uint64) (*routing.Path, bool) {
-	p, ok, _ := c.Lookup(k, gen)
+	p, ok, _, _ := c.LookupRefresh(k, gen, nil)
 	return p, ok
 }
 
-// Lookup is Get plus miss classification: stale reports that an entry for k
-// existed but belonged to an older generation (an invalidation-caused miss,
-// as opposed to a cold one). The stale entry is dropped.
-func (c *Cache) Lookup(k routing.QueryKey, gen uint64) (p *routing.Path, ok, stale bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.items[k]
-	if !ok {
-		s.mu.Unlock()
-		return nil, false, false
-	}
-	if e.gen != gen {
-		s.unlink(e)
-		delete(s.items, k)
-		s.mu.Unlock()
-		c.evictions.Add(1)
-		return nil, false, true
-	}
-	s.unlink(e)
-	s.pushFront(e)
-	p = e.path
-	s.mu.Unlock()
-	return p, true, false
-}
-
-// LookupRefresh is Lookup with stale-entry revalidation: when an entry for
-// k exists under an older generation, check decides whether its path is
-// still servable under gen; if so the entry is re-stamped to gen and
-// returned as a hit, otherwise it is dropped and the miss reads as stale.
+// LookupRefresh is the lookup with stale-entry revalidation and miss
+// classification: when an entry for k exists under an older generation,
+// check decides whether its path is still servable under gen (a nil check
+// says no); if so the entry is re-stamped to gen and returned as a hit,
+// otherwise it is dropped and the miss reads as stale — an
+// invalidation-caused miss, as opposed to a cold one.
 // check runs without the shard lock held (it typically walks the path
 // against an immutable epoch snapshot), so a concurrent writer may replace
 // the entry mid-check; the re-stamp detects that and gives up.

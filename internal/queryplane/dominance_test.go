@@ -15,7 +15,7 @@ import (
 )
 
 // domHarness is a plane over a fabricated compute whose paths carry a fixed
-// bottleneck, an external generation, and a Revalidate hook that judges a
+// bottleneck, a test-owned generation, and a Revalidate hook that judges a
 // path by that bottleneck and records the options it was asked about.
 type domHarness struct {
 	qp         *QueryPlane
@@ -26,11 +26,11 @@ type domHarness struct {
 	revalidate []routing.Options
 }
 
-func newDomHarness(t *testing.T, bottleneck float64, withRevalidate bool) *domHarness {
+func newDomHarness(t *testing.T, bottleneck float64) *domHarness {
 	t.Helper()
 	h := &domHarness{bottleneck: bottleneck}
 	h.gen.Store(1)
-	cfg := Config{
+	qp, err := New(Config{
 		Generation: h.gen.Load,
 		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
 			h.computed = append(h.computed, opts)
@@ -44,14 +44,11 @@ func newDomHarness(t *testing.T, bottleneck float64, withRevalidate bool) *domHa
 			}
 			return p, nil
 		},
-	}
-	if withRevalidate {
-		cfg.Revalidate = func(p *routing.Path, opts routing.Options, gen uint64) bool {
+		Revalidate: func(p *routing.Path, opts routing.Options, gen uint64) bool {
 			h.revalidate = append(h.revalidate, opts)
 			return gen == h.gen.Load() && p.Bottleneck >= opts.MinBandwidth
-		}
-	}
-	qp, err := New(cfg)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,30 +61,28 @@ func TestDominanceTable(t *testing.T) {
 	relaxed, floor := routing.Options{}, routing.Options{MinBandwidth: 5}
 
 	t.Run("relaxed entry with the bandwidth answers the constrained query", func(t *testing.T) {
-		for _, withRevalidate := range []bool{true, false} {
-			h := newDomHarness(t, 8, withRevalidate)
-			if _, _, err := h.qp.Query(ctx, 1, 2, relaxed); err != nil {
-				t.Fatal(err)
-			}
-			p, cached, err := h.qp.Query(ctx, 1, 2, floor)
-			if err != nil || !cached || p.Latency != 1 {
-				t.Fatalf("revalidate=%v: constrained query = %+v cached=%v err=%v, want the relaxed path as a hit", withRevalidate, p, cached, err)
-			}
-			if len(h.computed) != 1 {
-				t.Fatalf("revalidate=%v: %d computes, want 1", withRevalidate, len(h.computed))
-			}
-			if st := h.qp.Stats(); st.Hits != 1 || st.HitsDominated != 1 || st.Misses != 1 {
-				t.Fatalf("revalidate=%v: stats = %+v", withRevalidate, st)
-			}
-			// Resolve rides the same rule.
-			if p, cached, err := h.qp.Resolve(ctx, 1, 2, floor); err != nil || !cached || p.Latency != 1 {
-				t.Fatalf("revalidate=%v: Resolve = %+v cached=%v err=%v", withRevalidate, p, cached, err)
-			}
+		h := newDomHarness(t, 8)
+		if _, _, err := h.qp.Query(ctx, 1, 2, relaxed); err != nil {
+			t.Fatal(err)
+		}
+		p, cached, err := h.qp.Query(ctx, 1, 2, floor)
+		if err != nil || !cached || p.Latency != 1 {
+			t.Fatalf("constrained query = %+v cached=%v err=%v, want the relaxed path as a hit", p, cached, err)
+		}
+		if len(h.computed) != 1 {
+			t.Fatalf("%d computes, want 1", len(h.computed))
+		}
+		if st := h.qp.Stats(); st.Hits != 1 || st.HitsDominated != 1 || st.Misses != 1 {
+			t.Fatalf("stats = %+v", st)
+		}
+		// Resolve rides the same rule.
+		if p, cached, err := h.qp.Resolve(ctx, 1, 2, floor); err != nil || !cached || p.Latency != 1 {
+			t.Fatalf("Resolve = %+v cached=%v err=%v", p, cached, err)
 		}
 	})
 
 	t.Run("relaxed entry short of bandwidth survives the probe", func(t *testing.T) {
-		h := newDomHarness(t, 3, true)
+		h := newDomHarness(t, 3)
 		if _, _, err := h.qp.Query(ctx, 1, 2, relaxed); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +115,7 @@ func TestDominanceTable(t *testing.T) {
 	})
 
 	t.Run("no relaxed path means no constrained path, one compute", func(t *testing.T) {
-		h := newDomHarness(t, 0, true)
+		h := newDomHarness(t, 0)
 		h.noPath = true
 		if _, _, err := h.qp.Query(ctx, 1, 2, floor); err == nil {
 			t.Fatal("constrained query found a path the relaxed one lacks")
@@ -134,7 +129,7 @@ func TestDominanceTable(t *testing.T) {
 	})
 
 	t.Run("stale relaxed entry is checked under the constrained options", func(t *testing.T) {
-		h := newDomHarness(t, 8, true)
+		h := newDomHarness(t, 8)
 		if _, _, err := h.qp.Query(ctx, 1, 2, relaxed); err != nil {
 			t.Fatal(err)
 		}

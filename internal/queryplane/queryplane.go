@@ -61,43 +61,36 @@ type Admission interface {
 // read lock) and should respect ctx cancellation for long computations.
 type ComputeFunc func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error)
 
-// Config parameterizes a QueryPlane. Zero values get serving-grade
-// defaults; only Compute is required.
+// Config wires a QueryPlane to the state it serves. Compute, Generation and
+// Revalidate are required: the plane has one mode, keyed to an external
+// generation — the topology epoch — and revalidating stale entries.
 type Config struct {
-	// Shards is the cache shard count (rounded up to a power of two).
-	// Default: 16.
-	Shards int
-	// Capacity is the total cached-entry budget across shards.
-	// Default: 65536.
-	Capacity int
-	// Workers bounds concurrent path computations. Default: GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds callers waiting for a worker slot; beyond it
-	// queries are shed with ErrShed. Default: 4×Workers.
-	QueueDepth int
-	// Timeout is the per-query compute budget. Default: 2s.
-	Timeout time.Duration
-	// Compute resolves cache misses. Required.
+	// Compute resolves cache misses.
 	Compute ComputeFunc
-	// Generation, when non-nil, is the external cache-generation source —
-	// brokerd wires the topology epoch here, so every snapshot publication
-	// stales the whole cache and entries are keyed to the epoch they were
-	// computed under. When nil the plane falls back to its internal
-	// counter, bumped by Invalidate.
+	// Generation is the cache-generation source. Callers wire the topology
+	// epoch here, so every snapshot publication stales the whole cache and
+	// entries are keyed to the epoch they were computed under.
 	Generation func() uint64
-	// Revalidate, when non-nil, is consulted on a stale cache entry before
-	// recomputing: it reports whether the cached path is still servable
-	// under generation gen and the query's constraints (brokerd walks the
-	// path against the current epoch snapshot — O(hops) instead of a full
-	// search). A revalidated path is feasible but not necessarily optimal
-	// for the new generation; callers that need strict per-epoch
-	// optimality leave this nil.
+	// Revalidate is consulted on a stale cache entry before recomputing: it
+	// reports whether the cached path is still servable under generation gen
+	// and the query's constraints (callers walk the path against the current
+	// epoch snapshot — O(hops) instead of a full search). A revalidated path
+	// is feasible but not necessarily optimal for the new generation.
 	Revalidate func(p *routing.Path, opts routing.Options, gen uint64) bool
 	// Admission, when non-nil, gates every query (QueryBid's bid, 0 for
 	// Query) through priced admission before the cache is consulted.
 	// Refusals return a *PriceError and count in Stats.PriceRejected.
 	Admission Admission
 }
+
+// Serving-grade sizing, the values every deployment has run with. The worker
+// pool is GOMAXPROCS wide and its wait queue queuePerWorker times that.
+const (
+	cacheShards    = 16
+	cacheCapacity  = 65536
+	queuePerWorker = 4
+	computeTimeout = 2 * time.Second
+)
 
 // Stats is a point-in-time snapshot of the plane's counters.
 type Stats struct {
@@ -111,7 +104,7 @@ type Stats struct {
 	MissesInvalidated uint64 `json:"misses_invalidated"`
 	// HitsRevalidated counts hits served by re-stamping a stale entry
 	// whose path checked out against the current generation (subset of
-	// Hits; only non-zero with Config.Revalidate wired).
+	// Hits).
 	HitsRevalidated uint64 `json:"hits_revalidated"`
 	// HitsDominated counts hits on a query with a bandwidth floor served
 	// from the entry of the same query without it, whose path had the
@@ -139,7 +132,11 @@ type QueryPlane struct {
 	cfg     Config
 	cache   *Cache
 	flights flightGroup
-	sem     chan struct{}
+	sem     chan struct{} // worker slots; cap(sem) is the pool size
+	// queueDepth bounds callers waiting for a worker slot (beyond it queries
+	// are shed with ErrShed); timeout is the per-query compute budget.
+	queueDepth int
+	timeout    time.Duration
 
 	queries       atomic.Uint64
 	hits          atomic.Uint64
@@ -157,50 +154,19 @@ type QueryPlane struct {
 	hist          obs.Histogram
 }
 
-// New builds a QueryPlane, applying defaults for zero Config fields.
+// New builds a QueryPlane at serving-grade sizing.
 func New(cfg Config) (*QueryPlane, error) {
-	if cfg.Compute == nil {
-		return nil, fmt.Errorf("queryplane: Config.Compute is required")
+	if cfg.Compute == nil || cfg.Generation == nil || cfg.Revalidate == nil {
+		return nil, fmt.Errorf("queryplane: Config.Compute, Generation and Revalidate are required")
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 65536
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 4 * cfg.Workers
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
+	workers := runtime.GOMAXPROCS(0)
 	return &QueryPlane{
-		cfg:   cfg,
-		cache: NewCache(cfg.Shards, cfg.Capacity),
-		sem:   make(chan struct{}, cfg.Workers),
+		cfg:        cfg,
+		cache:      NewCache(cacheShards, cacheCapacity),
+		sem:        make(chan struct{}, workers),
+		queueDepth: queuePerWorker * workers,
+		timeout:    computeTimeout,
 	}, nil
-}
-
-// Invalidate stales every cached path. Call it after any mutation of link
-// residual capacity (session commit/release, link failure). With an
-// external Generation source configured this is a no-op: staleness is
-// keyed entirely to that source (epoch publication).
-func (q *QueryPlane) Invalidate() {
-	if q.cfg.Generation == nil {
-		q.cache.Invalidate()
-	}
-}
-
-// Generation returns the current effective cache generation: the external
-// source when configured, the internal counter otherwise.
-func (q *QueryPlane) Generation() uint64 {
-	if q.cfg.Generation != nil {
-		return q.cfg.Generation()
-	}
-	return q.cache.Generation()
 }
 
 // Query answers a path query: cache hit, joined in-flight computation, or a
@@ -306,7 +272,7 @@ func (o outcome) hit() bool { return o >= hitExact }
 // failed check neither drops nor re-stamps it.
 func (q *QueryPlane) answer(ctx context.Context, src, dst int, opts routing.Options, pooled bool) (path *routing.Path, how outcome, shared bool, err error) {
 	key := opts.CacheKey(src, dst)
-	gen := q.Generation()
+	gen := q.cfg.Generation()
 	p, ok, stale := q.lookup(key, gen, opts)
 	if ok {
 		return p, hitExact, false, nil
@@ -321,7 +287,10 @@ func (q *QueryPlane) answer(ctx context.Context, src, dst int, opts routing.Opti
 		if err != nil {
 			return nil, how, rshared, err
 		}
-		if q.hasBandwidth(rp, opts, gen) {
+		// Walked against the current link state, not read off rp.Bottleneck:
+		// a re-stamped entry's Bottleneck is from the generation it was
+		// computed under.
+		if q.cfg.Revalidate(rp, opts, gen) {
 			if rhow.hit() {
 				how = hitDominated
 			}
@@ -342,18 +311,6 @@ func (q *QueryPlane) answer(ctx context.Context, src, dst int, opts routing.Opti
 	return path, how, shared, err
 }
 
-// hasBandwidth reports whether p, the answer to opts without its bandwidth
-// floor, also answers opts under generation gen. With a Revalidate hook the
-// path is walked against the current link state (a re-stamped entry's
-// Bottleneck is from the generation it was computed under); without one
-// only same-generation entries are ever served, so the Bottleneck holds.
-func (q *QueryPlane) hasBandwidth(p *routing.Path, opts routing.Options, gen uint64) bool {
-	if q.cfg.Revalidate != nil {
-		return q.cfg.Revalidate(p, opts, gen)
-	}
-	return p.Bottleneck >= opts.MinBandwidth
-}
-
 // compute resolves a miss within the per-query budget; pooled callers take
 // a worker slot first and may be shed.
 func (q *QueryPlane) compute(ctx context.Context, src, dst int, opts routing.Options, pooled bool) (*routing.Path, error) {
@@ -365,19 +322,15 @@ func (q *QueryPlane) compute(ctx context.Context, src, dst int, opts routing.Opt
 		q.inflight.Add(1)
 		defer q.inflight.Add(-1)
 	}
-	ctx, cancel := context.WithTimeout(ctx, q.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, q.timeout)
 	defer cancel()
 	ctx, span := obs.StartSpan(ctx, "queryplane.compute")
 	defer span.End()
 	return q.cfg.Compute(ctx, src, dst, opts)
 }
 
-// lookup consults the cache, trying stale-entry revalidation when the
-// Config provides a Revalidate hook.
+// lookup consults the cache, revalidating a stale entry before giving it up.
 func (q *QueryPlane) lookup(key routing.QueryKey, gen uint64, opts routing.Options) (*routing.Path, bool, bool) {
-	if q.cfg.Revalidate == nil {
-		return q.cache.Lookup(key, gen)
-	}
 	p, ok, stale, refreshed := q.cache.LookupRefresh(key, gen, func(p *routing.Path) bool {
 		return q.cfg.Revalidate(p, opts, gen)
 	})
@@ -394,7 +347,7 @@ func (q *QueryPlane) acquireSlot(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if q.waiting.Add(1) > int64(q.cfg.QueueDepth) {
+	if q.waiting.Add(1) > int64(q.queueDepth) {
 		q.waiting.Add(-1)
 		return ErrShed
 	}
@@ -413,7 +366,7 @@ func (q *QueryPlane) acquireSlot(ctx context.Context) error {
 // congestion pricing — 1.0 here is exactly the point where bidless
 // shedding would begin.
 func (q *QueryPlane) Occupancy() float64 {
-	occ := float64(q.inflight.Load()+q.waiting.Load()) / float64(q.cfg.Workers+q.cfg.QueueDepth)
+	occ := float64(q.inflight.Load()+q.waiting.Load()) / float64(cap(q.sem)+q.queueDepth)
 	if occ < 0 {
 		return 0
 	}
@@ -430,9 +383,9 @@ func (q *QueryPlane) Occupancy() float64 {
 func (q *QueryPlane) RetryAfter() time.Duration {
 	p95 := q.hist.Quantile(0.95)
 	if p95 <= 0 {
-		p95 = q.cfg.Timeout / 4
+		p95 = q.timeout / 4
 	}
-	d := time.Duration(float64(p95) * float64(q.cfg.QueueDepth) / float64(q.cfg.Workers))
+	d := time.Duration(float64(p95) * float64(q.queueDepth) / float64(cap(q.sem)))
 	if d < time.Second {
 		d = time.Second
 	}
@@ -465,7 +418,7 @@ func (q *QueryPlane) Stats() Stats {
 		Inflight:          q.inflight.Load(),
 		Waiting:           q.waiting.Load(),
 		CacheEntries:      q.cache.Len(),
-		Generation:        q.Generation(),
+		Generation:        q.cfg.Generation(),
 		P50:               q.hist.Quantile(0.50),
 		P95:               q.hist.Quantile(0.95),
 		P99:               q.hist.Quantile(0.99),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,22 +37,33 @@ func (c *countingCompute) fn(ctx context.Context, src, dst int, opts routing.Opt
 	return &routing.Path{Nodes: []int32{int32(src), int32(dst)}, Latency: 1}, nil
 }
 
-func newPlane(t *testing.T, cc *countingCompute, mut func(*Config)) *QueryPlane {
+// newPlane builds a plane over cc whose generation the test owns — advancing
+// it is what an epoch publication does to the daemon's plane — and whose
+// revalidator refuses every stale entry, so a generation step is a miss.
+func newPlane(t *testing.T, cc *countingCompute) (*QueryPlane, *atomic.Uint64) {
 	t.Helper()
-	cfg := Config{Compute: cc.fn}
-	if mut != nil {
-		mut(&cfg)
-	}
-	qp, err := New(cfg)
+	gen := new(atomic.Uint64)
+	qp, err := New(Config{
+		Compute:    cc.fn,
+		Generation: gen.Load,
+		Revalidate: func(*routing.Path, routing.Options, uint64) bool { return false },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qp
+	return qp, gen
+}
+
+// resizePool gives qp a worker pool and wait queue of the given sizes, the
+// way New sizes them from GOMAXPROCS.
+func resizePool(qp *QueryPlane, workers, queueDepth int) {
+	qp.sem = make(chan struct{}, workers)
+	qp.queueDepth = queueDepth
 }
 
 func TestQueryCacheHitFlow(t *testing.T) {
 	cc := &countingCompute{}
-	qp := newPlane(t, cc, nil)
+	qp, _ := newPlane(t, cc)
 	ctx := context.Background()
 
 	p, cached, err := qp.Query(ctx, 1, 2, routing.Options{})
@@ -80,12 +92,12 @@ func TestQueryCacheHitFlow(t *testing.T) {
 
 func TestQueryInvalidation(t *testing.T) {
 	cc := &countingCompute{}
-	qp := newPlane(t, cc, nil)
+	qp, gen := newPlane(t, cc)
 	ctx := context.Background()
 	if _, _, err := qp.Query(ctx, 1, 2, routing.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	qp.Invalidate()
+	gen.Add(1)
 	_, cached, err := qp.Query(ctx, 1, 2, routing.Options{})
 	if err != nil || cached {
 		t.Fatalf("post-invalidation query: %v cached=%v", err, cached)
@@ -97,7 +109,8 @@ func TestQueryInvalidation(t *testing.T) {
 
 func TestQuerySingleflightDedup(t *testing.T) {
 	cc := &countingCompute{block: make(chan struct{})}
-	qp := newPlane(t, cc, func(c *Config) { c.Workers = 4; c.QueueDepth = 64 })
+	qp, _ := newPlane(t, cc)
+	resizePool(qp, 4, 64)
 	ctx := context.Background()
 
 	const n = 16
@@ -135,7 +148,8 @@ func TestQuerySingleflightDedup(t *testing.T) {
 
 func TestQueryShedding(t *testing.T) {
 	cc := &countingCompute{block: make(chan struct{})}
-	qp := newPlane(t, cc, func(c *Config) { c.Workers = 1; c.QueueDepth = 1 })
+	qp, _ := newPlane(t, cc)
+	resizePool(qp, 1, 1)
 	ctx := context.Background()
 
 	const n = 12
@@ -169,7 +183,7 @@ func TestQueryShedding(t *testing.T) {
 func TestQueryErrorNotCached(t *testing.T) {
 	cc := &countingCompute{}
 	cc.fail.Store(true)
-	qp := newPlane(t, cc, nil)
+	qp, _ := newPlane(t, cc)
 	ctx := context.Background()
 	if _, _, err := qp.Query(ctx, 1, 2, routing.Options{}); err == nil {
 		t.Fatal("error swallowed")
@@ -186,7 +200,8 @@ func TestQueryErrorNotCached(t *testing.T) {
 
 func TestQueryTimeout(t *testing.T) {
 	cc := &countingCompute{block: make(chan struct{})} // never closed
-	qp := newPlane(t, cc, func(c *Config) { c.Timeout = 20 * time.Millisecond })
+	qp, _ := newPlane(t, cc)
+	qp.timeout = 20 * time.Millisecond
 	_, _, err := qp.Query(context.Background(), 1, 2, routing.Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -194,15 +209,31 @@ func TestQueryTimeout(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("nil Compute accepted")
+	full := Config{
+		Compute:    (&countingCompute{}).fn,
+		Generation: func() uint64 { return 0 },
+		Revalidate: func(*routing.Path, routing.Options, uint64) bool { return false },
 	}
-	qp, err := New(Config{Compute: (&countingCompute{}).fn, Shards: 3})
+	for name, drop := range map[string]func(*Config){
+		"Compute":    func(c *Config) { c.Compute = nil },
+		"Generation": func(c *Config) { c.Generation = nil },
+		"Revalidate": func(c *Config) { c.Revalidate = nil },
+	} {
+		cfg := full
+		drop(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("nil %s accepted", name)
+		}
+	}
+	qp, err := New(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(qp.cache.shards); got != 4 {
-		t.Fatalf("shards = %d, want 4", got)
+	if got := len(qp.cache.shards); got != cacheShards {
+		t.Fatalf("shards = %d, want %d", got, cacheShards)
+	}
+	if workers := runtime.GOMAXPROCS(0); cap(qp.sem) != workers || qp.queueDepth != queuePerWorker*workers || qp.timeout != computeTimeout {
+		t.Fatalf("pool = %d workers, depth %d, timeout %v", cap(qp.sem), qp.queueDepth, qp.timeout)
 	}
 }
 
@@ -210,12 +241,10 @@ func TestQueryParallelConsistency(t *testing.T) {
 	// Hammer the plane from many goroutines with interleaved
 	// invalidations; under -race this exercises every lock boundary.
 	cc := &countingCompute{}
-	qp := newPlane(t, cc, func(c *Config) {
-		c.Capacity = 128
-		// Pin pool sizing so single-core machines don't shed.
-		c.Workers = 8
-		c.QueueDepth = 64
-	})
+	qp, gen := newPlane(t, cc)
+	qp.cache = NewCache(cacheShards, 128)
+	// Pin pool sizing so single-core machines don't shed.
+	resizePool(qp, 8, 64)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -238,7 +267,7 @@ func TestQueryParallelConsistency(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 50; i++ {
-		qp.Invalidate()
+		gen.Add(1)
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
@@ -310,7 +339,7 @@ func TestSessionStoreParallel(t *testing.T) {
 // the total miss count.
 func TestMissSplitColdVsInvalidated(t *testing.T) {
 	cc := &countingCompute{}
-	qp := newPlane(t, cc, nil)
+	qp, gen := newPlane(t, cc)
 	ctx := context.Background()
 
 	// Three cold misses.
@@ -325,7 +354,7 @@ func TestMissSplitColdVsInvalidated(t *testing.T) {
 	}
 
 	// Stale two of them, leave the third untouched.
-	qp.Invalidate()
+	gen.Add(1)
 	for i := 0; i < 2; i++ {
 		if _, cached, err := qp.Query(ctx, 1, 2+i, routing.Options{}); err != nil || cached {
 			t.Fatalf("post-invalidation query: %v cached=%v", err, cached)
@@ -358,16 +387,20 @@ func TestExternalGenerationRevalidation(t *testing.T) {
 	var allow atomic.Bool
 	gen.Store(1)
 	allow.Store(true)
-	qp := newPlane(t, cc, func(cfg *Config) {
-		cfg.Generation = gen.Load
-		cfg.Revalidate = func(p *routing.Path, opts routing.Options, g uint64) bool {
+	qp, err := New(Config{
+		Compute:    cc.fn,
+		Generation: gen.Load,
+		Revalidate: func(p *routing.Path, opts routing.Options, g uint64) bool {
 			revalCalls.Add(1)
 			if g != gen.Load() {
 				t.Errorf("revalidate saw generation %d, want %d", g, gen.Load())
 			}
 			return allow.Load()
-		}
+		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
 
 	if _, cached, err := qp.Query(ctx, 1, 2, routing.Options{}); err != nil || cached {
@@ -412,10 +445,7 @@ func TestExternalGenerationRevalidation(t *testing.T) {
 	if st := qp.Stats(); st.MissesInvalidated != 1 || st.HitsRevalidated != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-
-	// Invalidate is a no-op under an external generation source.
-	qp.Invalidate()
-	if got := qp.Generation(); got != gen.Load() {
-		t.Fatalf("generation = %d, want external %d", got, gen.Load())
+	if got := qp.Stats().Generation; got != gen.Load() {
+		t.Fatalf("generation = %d, want the source's %d", got, gen.Load())
 	}
 }

@@ -177,11 +177,7 @@ func (a *admission) arrive(ctx context.Context, d Demand) {
 		res.Uncoverable++
 		return
 	}
-	opts := a.opts
-	if opts.MinBandwidth < d.Bandwidth {
-		opts.MinBandwidth = d.Bandwidth
-	}
-	s, err := a.p.Setup(ctx, int(d.Src), int(d.Dst), d.Bandwidth, opts)
+	s, err := a.p.Setup(ctx, int(d.Src), int(d.Dst), d.Bandwidth, a.opts)
 	if err != nil {
 		res.Rejected++
 		res.CapacityRejected++

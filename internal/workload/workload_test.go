@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"brokerset/internal/broker"
+	"brokerset/internal/epoch"
 	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
@@ -122,10 +123,16 @@ func TestRunAgainstPlaneTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := routing.NewEngine(top, nil, brokers)
+	pub := epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
+		Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
+	}))
 	qp, err := queryplane.New(queryplane.Config{
+		Generation: pub.Epoch,
+		Revalidate: func(p *routing.Path, o routing.Options, _ uint64) bool {
+			return pub.Current().PathValid(p, o)
+		},
 		Compute: func(_ context.Context, src, dst int, o routing.Options) (*routing.Path, error) {
-			return engine.BestPath(src, dst, o)
+			return pub.Current().BestPath(src, dst, o)
 		},
 	})
 	if err != nil {

@@ -99,16 +99,6 @@ type Session struct {
 // link state.
 func (s *Session) Path() *QoSPath { return toQoSPath(s.q.engine.Describe(s.s.Path)) }
 
-// reserving returns opts with the session's own bandwidth as the floor every
-// link must have available.
-func reserving(c PathConstraints, gbps float64) routing.Options {
-	opts := toOptions(c)
-	if opts.MinBandwidth < gbps {
-		opts.MinBandwidth = gbps
-	}
-	return opts
-}
-
 // Reserve admits a gbps session from src to dst onto the best feasible
 // dominated path (the bandwidth-broker function). It errors when admission
 // control rejects the request.
@@ -116,7 +106,7 @@ func (q *QoSEngine) Reserve(src, dst int, gbps float64, c PathConstraints) (*Ses
 	if q.plane == nil {
 		q.plane = ctrlplane.New(q.set.net.top, q.engine.Metrics(), q.set.members)
 	}
-	s, err := q.plane.Setup(context.Background(), src, dst, gbps, reserving(c, gbps))
+	s, err := q.plane.Setup(context.Background(), src, dst, gbps, toOptions(c))
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +123,7 @@ func (q *QoSEngine) FailLink(u, v int) { q.engine.Metrics().FailLink(int32(u), i
 // Reroute moves the session onto a fresh feasible path after failures. When
 // none exists the session is left released and an error is returned.
 func (s *Session) Reroute(c PathConstraints) error {
-	return s.q.plane.Repath(context.Background(), s.s, reserving(c, s.s.Bandwidth))
+	return s.q.plane.Repath(context.Background(), s.s, toOptions(c))
 }
 
 // TrafficReport summarizes a simulated workload run (see SimulateTraffic).
