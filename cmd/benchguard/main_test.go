@@ -21,17 +21,17 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{
-		"BenchmarkQueryUnderChurn":        517.7, // best of the two -count runs
-		"BenchmarkQueryPlaneHit/shards=4": 204.8,
-		"BenchmarkSetupTeardown":          372670,
+	want := map[string]measurement{
+		"BenchmarkQueryUnderChurn":        {ns: 517.7}, // best of the two -count runs
+		"BenchmarkQueryPlaneHit/shards=4": {ns: 204.8},
+		"BenchmarkSetupTeardown":          {ns: 372670, bytes: 8123, hasBytes: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
-	for name, ns := range want {
-		if got[name] != ns {
-			t.Errorf("%s = %v ns/op, want %v", name, got[name], ns)
+	for name, m := range want {
+		if got[name] != m {
+			t.Errorf("%s = %+v, want %+v", name, got[name], m)
 		}
 	}
 }
@@ -65,6 +65,22 @@ func TestCheck(t *testing.T) {
 			t.Errorf("within-ratio benchmark not ok: %q", line)
 		case strings.Contains(line, "BenchmarkMissing") && !strings.Contains(line, "not found"):
 			t.Errorf("missing benchmark not reported as such: %q", line)
+		}
+	}
+
+	// bytes_per_op is guarded by the same ratio and needs B/op in the output.
+	for _, c := range []struct {
+		name  string
+		bytes float64
+		fails bool
+	}{
+		{"BenchmarkSetupTeardown", 8000, false},
+		{"BenchmarkSetupTeardown", 4000, true},  // 8123 B/op is 2.03x
+		{"BenchmarkQueryUnderChurn", 100, true}, // run without -benchmem
+	} {
+		report, failed = check(map[string]baselineEntry{c.name: {NsPerOp: 1e6, BytesPerOp: c.bytes}}, measured, 2.0)
+		if (len(failed) == 1) != c.fails || !strings.Contains(report[0], "B/op") {
+			t.Errorf("%s guarded at %v B/op: failed = %v, report %q", c.name, c.bytes, failed, report)
 		}
 	}
 

@@ -139,9 +139,33 @@ func BenchmarkQueryUnderChurn(b *testing.B) {
 // its own (no concurrent queries), so contention wins can be told apart
 // from raw 2PC speedups.
 func BenchmarkSetupTeardown(b *testing.B) {
-	srv := benchServer(b)
+	benchSessionCycle(b, benchServer(b))
+}
+
+// BenchmarkTable2SessionCycle is the same cycle on the 52,079-node Table-2
+// tier with the benchsuite's broker budget (MaxSG k=1064): one flat Setup at
+// 0.01 Gbps and its Teardown, two publishes. benchServer's 0.05-scale tier
+// has 2,600 arcs per column, so a commit that pays for the whole graph is
+// invisible there; here it is most of the cycle, and B/op is guarded beside
+// ns/op (testdata/bench_baseline.json) because an O(arcs) allocation per
+// commit reads as bytes on any runner, however fast.
+func BenchmarkTable2SessionCycle(b *testing.B) {
+	top, err := topology.GenerateTier("table2", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(top, Config{K: 1064, ChurnSeed: 42, SetupQueue: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSessionCycle(b, srv)
+}
+
+// benchSessionCycle runs serial Setup+Teardown over broker pairs.
+func benchSessionCycle(b *testing.B, srv *Daemon) {
 	pairs := benchPairs(srv, 64)
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]

@@ -23,11 +23,13 @@ import (
 // runs against it directly, which is what lets one search core serve both.
 //
 // Every column is copy-on-write so freeze() — which runs on every snapshot
-// publish, i.e. every committed setup/teardown batch — is O(touched state),
-// not O(arcs). The granularity matches each column's write pattern:
-// latency/capacity/failed change rarely (scenario setters, churn events)
-// and COW whole arrays; used changes on every commit and is paged
-// (pagedF64) so only dirtied pages are ever copied.
+// publish, i.e. every committed setup/teardown batch — is O(1) and the
+// writes between two publishes cost what they touch, not O(arcs). The
+// granularity matches each column's write pattern: latency/capacity/failed
+// change rarely (scenario setters, churn events) and COW whole arrays; used
+// changes on every commit and is a persistent radix tree (pagedF64): a
+// write clones the root-to-leaf nodes it is first to touch since the last
+// freeze, a frozen copy never changes, and a nil subtree reads as 0.
 //
 // Invariant: every column agrees on both arcs of a link. Constructors and
 // mutators only ever write the pair (Links, bothArcs), and the bidirectional path
@@ -37,7 +39,7 @@ import (
 type arcState struct {
 	latency  []float64 // milliseconds, per arc
 	capacity []float64 // Gbps, per arc
-	used     pagedF64  // reserved Gbps, per arc (page-granular COW)
+	used     pagedF64  // reserved Gbps, per arc (node-granular COW)
 	failed   []bool
 }
 
@@ -54,11 +56,12 @@ func (s *arcState) availArc(a int) float64 {
 }
 
 // freeze captures an immutable copy of the arc state for snapshot
-// publication. Nothing is deep-copied: latency/capacity/failed share their
-// arrays (their setters swap in fresh copies before mutating, see
-// mutableFailed/SetLatency), and used shares pages, with the writer
-// cloning a page before its next write to it. Publication is on every
-// setup/teardown batch, so this is what keeps the writer cheap.
+// publication, in O(1). Nothing is copied: latency/capacity/failed share
+// their arrays (their setters swap in fresh copies before mutating, see
+// mutableFailed/SetLatency), and used shares its whole tree, the writer
+// moving to a new generation so that it clones a node before its next write
+// to it. Publication is on every setup/teardown batch, so this is what
+// keeps the writer cheap.
 func (s *arcState) freeze() arcState {
 	return arcState{
 		latency:  s.latency,

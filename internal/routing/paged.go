@@ -1,80 +1,107 @@
 package routing
 
-// pagedF64 is a float64 array with page-granular copy-on-write, built for
-// the reservation column of arcState. The write pattern there is extreme:
-// every committed setup/teardown mutates a handful of arcs, and every
-// snapshot publish needs an immutable capture of the whole column. A flat
-// copy per publish is O(arcs) memmove + garbage — profiled at ~38% of
-// serial SetupTeardown — while the arcs actually touched between publishes
-// number in the tens. Paging makes the capture O(touched pages): freeze
-// copies only the page table (one pointer per page) and marks every page
-// shared; a writer mutating a shared page clones just that page first.
+// pagedF64 is a float64 array held as a persistent radix tree, built for the
+// reservation column of arcState. The write pattern there is extreme: every
+// committed setup/teardown mutates a handful of arcs, and every snapshot
+// publish needs an immutable capture of the whole column. The tree makes
+// both cost what they touch, whatever the arc count:
 //
-// Frozen copies never mutate (shared == nil disables the write path), so
-// any number of concurrent readers may hold them, same contract as the
-// flat arrays they replace.
+//   - freeze is O(1): the frozen copy takes the current root and the writer
+//     moves to the next edit generation. No loop, no allocation.
+//   - A write walks root → interior → leaf and clones the nodes stamped with
+//     an older generation — those a frozen copy may still reach — before
+//     mutating; nodes it already owns are mutated in place. So the first
+//     write to a leaf after a freeze copies ~1 KiB (leaf + interior, plus
+//     the root table once per generation) and later ones copy nothing.
+//   - A nil subtree reads as 0 and costs nothing: a fresh column is a root
+//     table of nil pointers, and leaves appear where reservations land.
+//
+// Frozen copies never mutate (generation 0 rejects writes), so any number of
+// concurrent readers may hold them, same contract as a flat array.
 type pagedF64 struct {
-	pages [][]float64
-	// shared[p] means page p is visible to at least one frozen copy and
-	// must be cloned before the next write. nil on frozen copies.
-	shared []bool
-	n      int
+	// root has one interior node per radixFan² entries; it is itself cloned
+	// on the first write of a generation (rootGen != gen).
+	root         []*f64Interior
+	gen, rootGen uint64
+	n            int
 }
 
-// pageShift sizes pages at 256 entries (2 KiB): small enough that a
-// setup's dirty set stays a few KiB, large enough that the page table is
-// ~0.4% of the flat array.
+// radixShift sizes leaves at 64 entries and interior nodes at 64 leaves
+// (both ~0.5 KiB, the unit a first touch copies); the root table of the
+// 804,450-arc Table-2 column is 197 pointers.
 const (
-	pageShift = 8
-	pageLen   = 1 << pageShift
-	pageMask  = pageLen - 1
+	radixShift = 6
+	radixFan   = 1 << radixShift
+	radixMask  = radixFan - 1
 )
 
-// newPagedF64 returns a zeroed paged array of n entries. Pages are carved
-// from one backing allocation so a fresh (never-frozen) array has the same
-// locality as a flat slice.
+// Both node kinds carry the generation that created them: a node whose
+// stamp equals the writer's is reachable from no frozen copy.
+type f64Interior struct {
+	gen  uint64
+	kids [radixFan]*f64Leaf
+}
+
+type f64Leaf struct {
+	gen  uint64
+	vals [radixFan]float64
+}
+
+// newPagedF64 returns a zeroed array of n entries holding no node.
 func newPagedF64(n int) pagedF64 {
-	np := (n + pageLen - 1) >> pageShift
-	pages := make([][]float64, np)
-	backing := make([]float64, np<<pageShift)
-	for i := range pages {
-		pages[i] = backing[i<<pageShift : (i+1)<<pageShift : (i+1)<<pageShift]
-	}
-	return pagedF64{pages: pages, shared: make([]bool, np), n: n}
+	return pagedF64{root: make([]*f64Interior, (n+radixFan*radixFan-1)>>(2*radixShift)), gen: 1, rootGen: 1, n: n}
 }
 
 func (p *pagedF64) len() int { return p.n }
 
 func (p *pagedF64) at(i int) float64 {
-	return p.pages[i>>pageShift][i&pageMask]
-}
-
-// writable returns page pg's slice, cloning it first when a frozen copy
-// still references it.
-func (p *pagedF64) writable(pg int) []float64 {
-	if p.shared[pg] {
-		p.pages[pg] = append([]float64(nil), p.pages[pg]...)
-		p.shared[pg] = false
+	if in := p.root[i>>(2*radixShift)]; in != nil {
+		if l := in.kids[i>>radixShift&radixMask]; l != nil {
+			return l.vals[i&radixMask]
+		}
 	}
-	return p.pages[pg]
+	return 0
 }
 
-func (p *pagedF64) set(i int, v float64) {
-	p.writable(i >> pageShift)[i&pageMask] = v
+// writable returns the leaf holding entry i with every node on the way to
+// it owned by the current generation, creating or cloning the ones that are
+// not.
+func (p *pagedF64) writable(i int) *f64Leaf {
+	if p.gen == 0 {
+		panic("routing: write to a frozen column")
+	}
+	if p.rootGen != p.gen {
+		p.root, p.rootGen = append([]*f64Interior(nil), p.root...), p.gen
+	}
+	slot, kid := i>>(2*radixShift), i>>radixShift&radixMask
+	in := p.root[slot]
+	if in == nil || in.gen != p.gen {
+		fresh := &f64Interior{gen: p.gen}
+		if in != nil {
+			fresh.kids = in.kids
+		}
+		in = fresh
+		p.root[slot] = in
+	}
+	l := in.kids[kid]
+	if l == nil || l.gen != p.gen {
+		fresh := &f64Leaf{gen: p.gen}
+		if l != nil {
+			fresh.vals = l.vals
+		}
+		l = fresh
+		in.kids[kid] = l
+	}
+	return l
 }
 
-func (p *pagedF64) add(i int, d float64) {
-	p.writable(i >> pageShift)[i&pageMask] += d
-}
+func (p *pagedF64) set(i int, v float64) { p.writable(i).vals[i&radixMask] = v }
 
-// freeze captures an immutable copy sharing every page with the writer.
-// O(pages), not O(entries): only the page table is copied. All writer
-// pages become shared, so the writer's next mutation of any captured page
-// clones it first.
+func (p *pagedF64) add(i int, d float64) { p.writable(i).vals[i&radixMask] += d }
+
+// freeze captures an immutable copy sharing the whole tree with the writer,
+// whose next write to any node reachable from it clones that node first.
 func (p *pagedF64) freeze() pagedF64 {
-	pages := append([][]float64(nil), p.pages...)
-	for i := range p.shared {
-		p.shared[i] = true
-	}
-	return pagedF64{pages: pages, n: p.n}
+	p.gen++
+	return pagedF64{root: p.root, n: p.n}
 }

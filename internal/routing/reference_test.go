@@ -12,6 +12,19 @@ import (
 	"brokerset/internal/topology"
 )
 
+// referenceUsable is the whole arc predicate in one place — dominated, not
+// failed, and at least opts.MinBandwidth available — spelled out here so the
+// oracle does not depend on how the serving loops split it.
+func (s *pathSearch) referenceUsable(u, v int32, arc int, opts Options) bool {
+	if !s.inB[u] && !s.inB[v] {
+		return false
+	}
+	if s.arcs.failed[arc] {
+		return false
+	}
+	return opts.MinBandwidth <= 0 || s.arcs.availArc(arc) >= opts.MinBandwidth
+}
+
 // referenceBestPath is the one-sided Dijkstra the serving path ran before
 // the bidirectional search replaced it: textbook, O(n) set-up per query,
 // floods the dominated component on a no-path pair. It stays here as the
@@ -39,7 +52,7 @@ func (s *pathSearch) referenceBestPath(src, dst int, opts Options) (*Path, error
 		off := s.top.Graph.ArcOffset(int(u))
 		for i, v := range s.top.Graph.Neighbors(int(u)) {
 			arc := off + i
-			if !s.usableArc(u, v, arc, opts) {
+			if !s.referenceUsable(u, v, arc, opts) {
 				continue
 			}
 			if opts.BrokersOnly && int(v) != dst && !s.inB[v] {
@@ -101,7 +114,7 @@ func (s *pathSearch) referenceBestPathHops(src, dst int, opts Options) (*Path, e
 		off := s.top.Graph.ArcOffset(int(u))
 		for i, v := range s.top.Graph.Neighbors(int(u)) {
 			arc := off + i
-			if !s.usableArc(u, v, arc, opts) {
+			if !s.referenceUsable(u, v, arc, opts) {
 				continue
 			}
 			if opts.BrokersOnly && int(v) != dst && !s.inB[v] {
@@ -243,7 +256,7 @@ func checkAgainstReference(t testing.TB, s *pathSearch, src, dst int, opts Optio
 		if arc < 0 {
 			t.Fatalf("(%d,%d): hop %d-%d of %v is not a link", src, dst, prev, u, got.Nodes)
 		}
-		if !s.usableArc(prev, u, arc, opts) {
+		if !s.referenceUsable(prev, u, arc, opts) {
 			t.Fatalf("(%d,%d): hop %d-%d of %v is undominated, failed or too thin", src, dst, prev, u, got.Nodes)
 		}
 	}

@@ -23,18 +23,12 @@ type pathSearch struct {
 }
 
 // usableArc reports whether the directed arc (u → v) with index `arc` can
-// appear on a dominated QoS path.
-func (s *pathSearch) usableArc(u, v int32, arc int, opts Options) bool {
-	if !s.inB[u] && !s.inB[v] {
-		return false // not dominated
-	}
-	if s.arcs.failed[arc] {
-		return false
-	}
-	if opts.MinBandwidth > 0 && s.arcs.availArc(arc) < opts.MinBandwidth {
-		return false
-	}
-	return true
+// appear on a dominated path: dominated and not failed. It is the half of
+// the relax-loop predicate every search pays, kept small enough to inline
+// into both loops (CI greps for it); the bandwidth half reads the used
+// column, costs a tree walk, and sits beside each call behind MinBandwidth > 0.
+func (s *pathSearch) usableArc(u, v int32, arc int) bool {
+	return (s.inB[u] || s.inB[v]) && !s.arcs.failed[arc]
 }
 
 // bestPath returns the minimum-latency B-dominated path from src to dst
@@ -115,7 +109,7 @@ func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options)
 		off := s.top.Graph.ArcOffset(int(u))
 		for i, v := range s.top.Graph.Neighbors(int(u)) {
 			arc := off + i
-			if !s.usableArc(u, v, arc, opts) {
+			if !s.usableArc(u, v, arc) || (opts.MinBandwidth > 0 && s.arcs.availArc(arc) < opts.MinBandwidth) {
 				continue
 			}
 			if v != dst && (last || (opts.BrokersOnly && !s.inB[v])) {
@@ -186,7 +180,7 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 		}
 		for i, v := range nbrs {
 			arc := off + i
-			if !s.usableArc(u, v, arc, opts) {
+			if !s.usableArc(u, v, arc) || (opts.MinBandwidth > 0 && s.arcs.availArc(arc) < opts.MinBandwidth) {
 				continue
 			}
 			if opts.BrokersOnly && v != far && !s.inB[v] {

@@ -14,8 +14,9 @@ type View struct {
 
 // View freezes the current arc state into an immutable View. Everything is
 // shared copy-on-write: latency/capacity/failed share whole arrays, used
-// shares pages, and the writer clones before its next mutation of anything
-// captured here — so this is O(pages), not O(arcs). Callers hold whatever
+// shares its tree, and the writer clones before its next mutation of
+// anything captured here — so this is O(1): one small allocation, whatever
+// the arc count (TestViewCostIndependentOfArcs). Callers hold whatever
 // serialization orders Metrics mutations (the capture must not race a
 // Reserve/FailLink); the returned View itself is free of that rule.
 func (m *Metrics) View() *View {
