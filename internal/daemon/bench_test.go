@@ -161,6 +161,27 @@ func BenchmarkTable2SessionCycle(b *testing.B) {
 	benchSessionCycle(b, srv)
 }
 
+// BenchmarkTable2Boot is the layer rung under the harness's setup_s: what
+// brokerd does between exec and listen on the benchmark's tier — generate the
+// 52,079-node topology (scale 1, seed 1) and build a daemon with K = 1,064
+// over it (broker selection, metrics with their latency-order column, the
+// control plane's ledgers, the first snapshot). The harness states setup_s at
+// bench.speed, which rises when the daemon computes less beside the client,
+// so a change that speeds the request path has to keep this at least flat;
+// B/op is guarded too because boot garbage reads as rss_mb.
+func BenchmarkTable2Boot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 1, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := New(top, Config{K: 1064}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSessionCycle runs serial Setup+Teardown over broker pairs.
 func benchSessionCycle(b *testing.B, srv *Daemon) {
 	pairs := benchPairs(srv, 64)

@@ -47,6 +47,96 @@ func TestBuilderDedupAndLoops(t *testing.T) {
 	}
 }
 
+// buildBySorting is the construction Build used before it transposed: deal
+// the edges into rows, sort each row, drop repeats. It stays as the reference
+// Build is compared against.
+func buildBySorting(b *Builder) *Graph {
+	deg := make([]int32, b.n)
+	for i := range b.us {
+		deg[b.us[i]]++
+		deg[b.vs[i]]++
+	}
+	off := make([]int32, b.n+1)
+	for u := 0; u < b.n; u++ {
+		off[u+1] = off[u] + deg[u]
+	}
+	adj := make([]int32, off[b.n])
+	pos := make([]int32, b.n)
+	copy(pos, off[:b.n])
+	for i := range b.us {
+		u, v := b.us[i], b.vs[i]
+		adj[pos[u]] = v
+		pos[u]++
+		adj[pos[v]] = u
+		pos[v]++
+	}
+	out := adj[:0]
+	newOff := make([]int32, b.n+1)
+	for u := 0; u < b.n; u++ {
+		ns := adj[off[u]:off[u+1]]
+		slices.Sort(ns)
+		start := len(out)
+		var prev int32 = -1
+		for _, v := range ns {
+			if v != prev {
+				out = append(out, v)
+				prev = v
+			}
+		}
+		newOff[u+1] = newOff[u] + int32(len(out)-start)
+	}
+	return &Graph{off: newOff, adj: out[:len(out):len(out)], m: len(out) / 2}
+}
+
+// TestBuildMatchesSortedConstruction: on shuffled input with repeated edges,
+// in either orientation, and self-loops — and on input with none of those —
+// Build's transpose gives the rows the sort gave, offset for offset, and
+// every arc carries the tag its edge was last added with.
+func TestBuildMatchesSortedConstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		var edges [][2]int
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		if trial%2 == 0 { // every edge again, some twice, flipped
+			for _, e := range edges[:len(edges):len(edges)] {
+				for r := rng.Intn(3); r > 0; r-- {
+					edges = append(edges, [2]int{e[1], e[0]})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		b := NewBuilder(n)
+		lastTag := make(map[[2]int]uint8) // by arc (from, to)
+		for _, e := range edges {
+			uv, vu := uint8(rng.Intn(256)), uint8(rng.Intn(256))
+			b.AddTagged(e[0], e[1], uv, vu)
+			lastTag[[2]int{e[0], e[1]}], lastTag[[2]int{e[1], e[0]}] = uv, vu
+		}
+		got, tags, err := b.BuildTagged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := buildBySorting(b)
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) || got.m != want.m {
+			t.Fatalf("trial %d (%d nodes, edges %v):\n got off %v adj %v m %d\nwant off %v adj %v m %d",
+				trial, n, edges, got.off, got.adj, got.m, want.off, want.adj, want.m)
+		}
+		if len(tags) != got.NumArcs() {
+			t.Fatalf("trial %d: %d tags for %d arcs", trial, len(tags), got.NumArcs())
+		}
+		for u := 0; u < n; u++ {
+			for i, v := range got.Neighbors(u) {
+				if tag, want := tags[got.ArcOffset(u)+i], lastTag[[2]int{u, int(v)}]; tag != want {
+					t.Fatalf("trial %d (edges %v): arc %d->%d tagged %d, last added with %d", trial, edges, u, v, tag, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBuilderOutOfRange(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddEdge(0, 5)

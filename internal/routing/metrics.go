@@ -25,9 +25,9 @@ import (
 // Every column is copy-on-write so freeze() — which runs on every snapshot
 // publish, i.e. every committed setup/teardown batch — is O(1) and the
 // writes between two publishes cost what they touch, not O(arcs). The
-// granularity matches each column's write pattern: latency/capacity/failed
-// change rarely (scenario setters, churn events) and COW whole arrays; used
-// changes on every commit and is a persistent radix tree (pagedF64): a
+// granularity matches each column's write pattern: latency/order/capacity/
+// failed change rarely (scenario setters, churn events) and COW whole arrays;
+// used changes on every commit and is a persistent radix tree (pagedF64): a
 // write clones the root-to-leaf nodes it is first to touch since the last
 // freeze, a frozen copy never changes, and a nil subtree reads as 0.
 //
@@ -36,8 +36,15 @@ import (
 // search depends on it — its backward side reads arc u→v for a step
 // travelled v→u. TestArcStateSymmetric checks it; a directional metric
 // would have to change the search with it.
+//
+// Invariant: order is latency's index. Each node's slice of it is a
+// permutation of that node's arc indexes in non-decreasing latency, written
+// wherever latency is (sortedByLatency at construction, SetLatency for the
+// two rows it touches), so meet can leave a row at the first arc too long to
+// matter. TestArcStateSymmetric checks this one too.
 type arcState struct {
 	latency  []float64 // milliseconds, per arc
+	order    []int32   // per node, its arc indexes by ascending latency
 	capacity []float64 // Gbps, per arc
 	used     pagedF64  // reserved Gbps, per arc (node-granular COW)
 	failed   []bool
@@ -56,7 +63,7 @@ func (s *arcState) availArc(a int) float64 {
 }
 
 // freeze captures an immutable copy of the arc state for snapshot
-// publication, in O(1). Nothing is copied: latency/capacity/failed share
+// publication, in O(1). Nothing is copied: latency/order/capacity/failed share
 // their arrays (their setters swap in fresh copies before mutating, see
 // mutableFailed/SetLatency), and used shares its whole tree, the writer
 // moving to a new generation so that it clones a node before its next write
@@ -65,6 +72,7 @@ func (s *arcState) availArc(a int) float64 {
 func (s *arcState) freeze() arcState {
 	return arcState{
 		latency:  s.latency,
+		order:    s.order,
 		capacity: s.capacity,
 		used:     s.used.freeze(),
 		failed:   s.failed,
@@ -164,6 +172,7 @@ func newMetrics(top *topology.Topology, f func(arc int, u, v int32) (latencyMs, 
 		m.latency[a], m.latency[b] = lat, lat
 		m.capacity[a], m.capacity[b] = cap, cap
 	})
+	m.order = sortedByLatency(top.Graph, m.latency)
 	return m
 }
 
@@ -172,11 +181,25 @@ func newMetrics(top *topology.Topology, f func(arc int, u, v int32) (latencyMs, 
 // from parent through arcOrig, the sub→parent arc map the induced build
 // returned (graph.InducedSubgraph). It is how a federation region mirrors
 // the global assignment. Reservations and failures are not carried over.
+//
+// The order column is gathered too, not sorted again: a kept node's row is
+// its parent row with the dropped arcs filtered out, rows in the parent's
+// sequence, so the parent's order column filtered the same way — and
+// renumbered — is the sub's.
 func NewSubMetrics(sub *topology.Topology, arcOrig []int32, parent *Metrics) *Metrics {
 	m := blankMetrics(sub)
+	// subArc[pa] is 1 + the arc parent arc pa survives as; 0 for a dropped one.
+	subArc := make([]int32, len(parent.latency))
 	for a, pa := range arcOrig {
 		m.latency[a] = parent.latency[pa]
 		m.capacity[a] = parent.capacity[pa]
+		subArc[pa] = int32(a) + 1
+	}
+	m.order = make([]int32, 0, len(arcOrig))
+	for _, pa := range parent.order {
+		if a := subArc[pa]; a != 0 {
+			m.order = append(m.order, a-1)
+		}
 	}
 	return m
 }
@@ -196,6 +219,12 @@ func (m *Metrics) Capacity(u, v int32) float64 {
 	}
 	return 0
 }
+
+// Capacities returns the capacity column: entry Graph.ArcOffset(u)+i is
+// Capacity(u, Neighbors(u)[i]). Bulk readers walk it beside the adjacency
+// arrays (Graph.Links) instead of calling Capacity per link. Callers must not
+// mutate it, nor hold it across a SetCapacity, which swaps in a fresh copy.
+func (m *Metrics) Capacities() []float64 { return m.capacity }
 
 // Available returns the unreserved capacity of a link; 0 when failed or
 // not an edge.
@@ -277,13 +306,21 @@ func (m *Metrics) Failed(u, v int32) bool {
 
 // SetLatency overrides a link's latency (both directions). Non-edges are
 // ignored. Useful for calibrated scenarios and tests. Copy-on-write: the
-// latency array is shared with published views (see freeze), so mutate a
-// fresh copy and swap it in.
+// latency array and its order column are shared with published views (see
+// freeze), so mutate fresh copies and swap them in; only the two endpoints'
+// rows need sorting again.
 func (m *Metrics) SetLatency(u, v int32, ms float64) {
 	if a, b := m.bothArcs(u, v); a >= 0 {
 		m.latency = append([]float64(nil), m.latency...)
 		m.latency[a] = ms
 		m.latency[b] = ms
+		m.order = append([]int32(nil), m.order...)
+		g := m.top.Graph
+		var rs rowSorter
+		for _, w := range [2]int{int(u), int(v)} {
+			off := g.ArcOffset(w)
+			rs.sort(m.order[off:off+g.Degree(w)], off, m.latency)
+		}
 	}
 }
 

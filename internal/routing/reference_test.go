@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"brokerset/internal/broker"
@@ -313,12 +314,42 @@ func differentialCase(t testing.TB, seed int64, n int, avgDeg, brokerShare float
 	s := e.search()
 	for queries < 4*n {
 		src, dst := rng.Intn(n), rng.Intn(n)
-		if checkAgainstReference(t, s, src, dst, randomOptions(rng)) {
+		opts := randomOptions(rng)
+		if checkAgainstReference(t, s, src, dst, opts) {
 			found++
+			if queries%4 == 0 {
+				checkPenalisedRounds(t, e, src, dst, opts)
+			}
 		}
 		queries++
 	}
 	return found, queries
+}
+
+// checkPenalisedRounds replays what KAlternatives does to the penalty column
+// — every link of the path just found made 8x longer, three times over — and
+// checks each round's search against the reference under the same column:
+// the break in meet bounds an arc by its raw latency, which is only a bound
+// while every factor is at least 1. The column is put back afterwards.
+func checkPenalisedRounds(t testing.TB, e *Engine, src, dst int, opts Options) {
+	t.Helper()
+	saved := slices.Clone(e.penalty)
+	defer copy(e.penalty, saved)
+	s := e.search()
+	for round := 0; round < 3; round++ {
+		p, err := s.bestPath(src, dst, opts)
+		if err != nil {
+			return
+		}
+		for i := 0; i+1 < len(p.Nodes); i++ {
+			a, b := e.metrics.bothArcs(p.Nodes[i], p.Nodes[i+1])
+			e.penalty[a] *= 8
+			e.penalty[b] = e.penalty[a]
+		}
+		if !checkAgainstReference(t, s, src, dst, opts) {
+			t.Fatalf("(%d,%d,%+v): no path under penalties, which only lengthen links", src, dst, opts)
+		}
+	}
 }
 
 // TestBestPathMatchesReference is the seeded property test: across random

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"brokerset/internal/broker"
@@ -347,5 +348,8 @@ func TestNewSubMetricsMirrorsParent(t *testing.T) {
 			}
 		}
 		assertArcSymmetry(t, sub, &got.arcState, "NewSubMetrics")
+		if !slices.Equal(got.order, want.order) {
+			t.Fatalf("region %d: latency order gathered from the parent differs from the one sorted in place", r)
+		}
 	}
 }

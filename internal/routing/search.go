@@ -137,6 +137,18 @@ func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options)
 // path). Both tests hold whichever side is expanded, which is what lets meet
 // pick the side by work done, not by cost.
 //
+// A popped node's row is read in ascending latency (arcState.order) and left
+// at the first arc with cost + latency + topOther >= mu: a walk over that arc
+// costs at least mu unless the far side has settled its head below topOther,
+// and then the far side, popping the head while this side's top was still at
+// most cost, already put that walk into mu (DESIGN.md, "Latency-ordered
+// rows", has the argument in full). Every later arc of the row is at least as
+// long — the sum is monotone in the latency even in floating point — so the
+// break is the per-arc test applied to each of them, and while mu is +Inf it
+// never fires. A penalty only lengthens an arc (factors are >= 1), so the raw
+// latency is a valid bound under KAlternatives too. On a hub, whose row is
+// most of what a search could read, the prefix is a small share of the row.
+//
 // The backward side relaxes the step v→u by reading arc u→v. That is exact
 // only because every per-arc input is symmetric (see arcState), domination
 // is undirected, and BrokersOnly exempts exactly the far endpoint of each
@@ -149,22 +161,20 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 	fwd.label(src, src, 0, gen)
 	bwd.label(dst, dst, 0, gen)
 	mu, meet := math.Inf(1), int32(-1)
-	// lead is the arcs the forward side has scanned minus the backward
-	// side's, and the side that has scanned fewer expands: the two frontiers
-	// grow arc for arc, the smaller heap top only breaking ties. The
-	// smaller-top rule alone degenerates when one endpoint sits behind a long
-	// first link and the other is a hub of short ones (a stub AS and an IXP):
-	// the stub's heap top jumps to that link's latency and the hub side floods
-	// everything nearer than that, thousands of nodes against one.
-	lead := 0
 	for fwd.heap.len() > 0 && bwd.heap.len() > 0 {
 		topF, topB := fwd.heap.costs[0], bwd.heap.costs[0]
 		if topF+topB >= mu {
 			break
 		}
-		backward := lead > 0 || (lead == 0 && topB < topF)
+		// The side that has read fewer arcs expands: the two frontiers grow
+		// arc for arc, the smaller heap top only breaking ties. The
+		// smaller-top rule alone degenerates when one endpoint sits behind a
+		// long first link and the other is a hub of short ones (a stub AS and
+		// an IXP): the stub's heap top jumps to that link's latency and the
+		// hub side floods everything nearer than that, thousands of nodes
+		// against one.
 		side, other, far, topOther := fwd, bwd, dst, topB
-		if backward {
+		if bwd.scanned < fwd.scanned || (bwd.scanned == fwd.scanned && topB < topF) {
 			side, other, far, topOther = bwd, fwd, src, topF
 		}
 		u, cost := side.heap.pop()
@@ -173,34 +183,32 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 		}
 		off := s.top.Graph.ArcOffset(int(u))
 		nbrs := s.top.Graph.Neighbors(int(u))
-		if backward {
-			lead -= len(nbrs) + 1
-		} else {
-			lead += len(nbrs) + 1
-		}
-		for i, v := range nbrs {
-			arc := off + i
+		row := s.arcs.order[off : off+len(nbrs)]
+		read := len(row)
+		for i, a := range row {
+			arc := int(a)
+			lat := s.arcs.latency[arc]
+			if cost+lat+topOther >= mu {
+				read = i + 1
+				break
+			}
+			v := nbrs[arc-off]
 			if !s.usableArc(u, v, arc) || (opts.MinBandwidth > 0 && s.arcs.availArc(arc) < opts.MinBandwidth) {
 				continue
 			}
 			if opts.BrokersOnly && v != far && !s.inB[v] {
 				continue
 			}
-			nd := cost + s.arcs.latency[arc]*s.penaltyFactor(arc)
+			nd := cost + lat*s.penaltyFactor(arc)
 			if sv := &side.state[v]; sv.stamp == gen && sv.dist <= nd {
 				continue
 			}
-			if ov := &other.state[v]; ov.stamp == gen {
-				if nd+ov.dist < mu {
-					mu, meet = nd+ov.dist, v
-				}
-			} else if nd+topOther >= mu {
-				// The far side has yet to reach v, so the rest of any path
-				// through v costs at least its heap top: v cannot beat mu.
-				continue
+			if ov := &other.state[v]; ov.stamp == gen && nd+ov.dist < mu {
+				mu, meet = nd+ov.dist, v
 			}
 			side.label(v, u, nd, gen)
 		}
+		side.scanned += read + 1
 	}
 	return meet
 }
@@ -225,6 +233,9 @@ type searchScratch struct {
 type searchSide struct {
 	state []nodeLabel
 	heap  flatHeap
+	// scanned is the work meet has done on this side: arcs read plus nodes
+	// popped. The side with less of it expands next.
+	scanned int
 }
 
 // nodeLabel packs what a relaxation reads and writes for one node into a
@@ -252,6 +263,7 @@ func (sc *searchScratch) reset(n int) {
 	}
 	sc.fwd.heap.reset()
 	sc.bwd.heap.reset()
+	sc.fwd.scanned, sc.bwd.scanned = 0, 0
 }
 
 // label records a better tentative distance for v reached from parent and

@@ -1,7 +1,10 @@
 package routing
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,19 +27,50 @@ func assertLinkSymmetric(t *testing.T, top *topology.Topology, s *arcState, u, v
 	}
 }
 
-// assertArcSymmetry checks every link of top.
+// assertRowOrdered fails unless node u's slice of the order column is a
+// permutation of u's arc indexes in non-decreasing latency — what lets meet
+// leave the row at the first arc too long to matter.
+func assertRowOrdered(t *testing.T, top *topology.Topology, s *arcState, u int32, after string) {
+	t.Helper()
+	off, d := top.Graph.ArcOffset(int(u)), top.Graph.Degree(int(u))
+	row := s.order[off : off+d]
+	for i := 1; i < d; i++ {
+		if s.latency[row[i-1]] > s.latency[row[i]] {
+			t.Fatalf("after %s: node %d's order column has latency %v before %v at %d",
+				after, u, s.latency[row[i-1]], s.latency[row[i]], i)
+		}
+	}
+	arcs := slices.Clone(row)
+	slices.Sort(arcs)
+	for i, a := range arcs {
+		if int(a) != off+i {
+			t.Fatalf("after %s: node %d's order column %v is not a permutation of arcs %d..%d", after, u, row, off, off+d-1)
+		}
+	}
+}
+
+// assertArcSymmetry checks every link of top and every row of the order
+// column, which must cover the latency column exactly.
 func assertArcSymmetry(t *testing.T, top *topology.Topology, s *arcState, after string) {
 	t.Helper()
 	top.Graph.Edges(func(u, v int) bool {
 		assertLinkSymmetric(t, top, s, int32(u), int32(v), after)
 		return true
 	})
+	if len(s.order) != len(s.latency) {
+		t.Fatalf("after %s: order column has %d entries for %d arcs", after, len(s.order), len(s.latency))
+	}
+	for u := 0; u < top.NumNodes(); u++ {
+		assertRowOrdered(t, top, s, int32(u), after)
+	}
 }
 
 // TestArcStateSymmetric drives every Metrics constructor and mutator, from
 // both ends of the link and across View captures (so the copy-on-write
-// paths run too), checking the touched link after each step and every link
-// of the live state and of each captured View at the end.
+// paths run too), checking the touched link and its endpoints' rows of the
+// order column after each step, and every link and row of the live state and
+// of each captured View at the end — a View taken before a SetLatency must
+// keep the order that matches its own latencies.
 func TestArcStateSymmetric(t *testing.T) {
 	top, def, _, _ := viewFixture(t)
 	assertArcSymmetry(t, top, &def.arcState, "DefaultMetrics")
@@ -86,6 +120,8 @@ func TestArcStateSymmetric(t *testing.T) {
 				views = append(views, m.View())
 			}
 			assertLinkSymmetric(t, top, &m.arcState, u, v, op)
+			assertRowOrdered(t, top, &m.arcState, u, op)
+			assertRowOrdered(t, top, &m.arcState, v, op)
 		}
 		assertArcSymmetry(t, top, &m.arcState, "the mutation run")
 		for _, view := range views {
@@ -211,10 +247,11 @@ func TestBestPathOverConcurrentPool(t *testing.T) {
 // link, so the smaller-top rule alone has the backward side settle every
 // core node nearer the hub than the stub's provider — most of the core —
 // before the forward side moves again. Alternating arc for arc, the
-// backward side yields as soon as it has scanned more than the forward
-// side, which steps into the core; the two meet, and the search stops
-// having settled a small share of it (44 nodes; 237 under the old bound of
-// n arcs). The answer must still be the reference's.
+// backward side yields as soon as it has read more than the forward side,
+// which steps into the core; the two meet, and the search stops having
+// settled a small share of it (43 nodes, charging each pop the arcs it read;
+// 44 when a pop was charged its whole row, 237 under the older bound of n
+// arcs). The answer must still be the reference's.
 func TestLeadBoundCurbsHubFlood(t *testing.T) {
 	const core, deg = 4000, 16
 	rng := rand.New(rand.NewSource(5))
@@ -260,4 +297,109 @@ func TestLeadBoundCurbsHubFlood(t *testing.T) {
 	}
 	checkAgainstReference(t, s, stub, hub, Options{})
 	checkAgainstReference(t, s, hub, stub, Options{})
+}
+
+// TestRowSorterMatchesComparisonSort feeds the bucket sort the rows its
+// shortcut is worst at — all ties, one far outlier beside a tight cluster,
+// zero, negative and infinite latencies, rows on either side of smallRow —
+// through one reused rowSorter, at a non-zero offset, against a comparison
+// sort of the same arcs.
+func TestRowSorterMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var rs rowSorter
+	for _, d := range []int{0, 1, 2, smallRow, smallRow + 1, 64, 65, 1000, 7} {
+		for _, shape := range []string{"uniform", "ties", "few values", "cluster and outlier", "mixed signs", "descending"} {
+			const off = 5
+			latency := make([]float64, off+d+3)
+			for i := range latency {
+				switch shape {
+				case "uniform":
+					latency[i] = 1 + 39*rng.Float64()
+				case "ties":
+					latency[i] = 2.5
+				case "few values":
+					latency[i] = float64(rng.Intn(3))
+				case "cluster and outlier":
+					latency[i] = 10 + 1e-9*rng.Float64()
+					if i == off+d/2 {
+						latency[i] = 1e6
+					}
+				case "mixed signs":
+					latency[i] = []float64{-3, 0, 1.5, math.Inf(1), -0.25}[rng.Intn(5)] * (1 + rng.Float64())
+				case "descending":
+					latency[i] = float64(len(latency) - i)
+				}
+			}
+			want := make([]int32, d)
+			for i := range want {
+				want[i] = int32(off + i)
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				return cmp.Or(cmp.Compare(latency[a], latency[b]), cmp.Compare(a, b))
+			})
+			got := make([]int32, d)
+			rs.sort(got, off, latency)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s row of %d arcs: order %v, want %v (latencies %v)", shape, d, got, want, latency[off:off+d])
+			}
+		}
+	}
+}
+
+// TestBreakLeavesCrossingArcBehind is the case the break's exactness argument
+// (DESIGN.md, "Latency-ordered rows") exists for: the optimum s–u–v–t crosses on arc (u,v), the
+// longest but one in u's row, and by the time the forward side pops u the
+// backward side has settled v and moved its heap top past it — so the forward
+// side leaves u's row before (u,v) and never labels v. The walk is not lost:
+// the backward side, popping v while the forward top was still below u,
+// relaxed (v,u) against u's forward label and put the 12 ms into mu then.
+// s's ten pendant links make the forward side the one that has done more
+// work, which is what lets the backward side run ahead to v, w, y.
+func TestBreakLeavesCrossingArcBehind(t *testing.T) {
+	const (
+		s, u, v, dst, w, y, z, q, q2 = 0, 1, 2, 3, 4, 5, 6, 7, 8
+		leaves, n                    = 10, 9 + 10
+	)
+	lat := map[[2]int32]float64{
+		{s, u}: 1, {u, v}: 10, {v, dst}: 1, // the only s–t path: 12 ms
+		{v, w}: 2, {w, y}: 2, {y, z}: 2, // keeps the backward heap top low
+		{u, q}: 2, {u, q2}: 20, // u's row: s 1, q 2, v 10, q2 20
+	}
+	for i := int32(0); i < leaves; i++ {
+		lat[[2]int32{s, 9 + i}] = 5
+	}
+	b := graph.NewBuilder(n)
+	for e := range lat {
+		b.AddEdge(int(e[0]), int(e[1]))
+	}
+	top := peerTopology(b.MustBuild())
+	m := NewMetricsFunc(top, func(a, b int32) (float64, float64) { return lat[[2]int32{a, b}], 10 })
+	brokers := make([]int32, n)
+	for i := range brokers {
+		brokers[i] = int32(i)
+	}
+	search := NewEngine(top, m, brokers).search()
+
+	sc := new(searchScratch)
+	sc.reset(n)
+	meet := search.meet(sc, s, dst, Options{})
+	if meet < 0 {
+		t.Fatal("no path")
+	}
+	if nodes := sc.stitch(meet, s, dst); !slices.Equal(nodes, []int32{s, u, v, dst}) {
+		t.Fatalf("path %v, want [s u v t]", nodes)
+	}
+	if l := sc.bwd.state[v]; l.stamp != sc.gen || l.dist != 1 {
+		t.Fatalf("backward label of v is %+v, want settled at 1", l)
+	}
+	if l := sc.fwd.state[q]; l.stamp != sc.gen {
+		t.Fatal("the forward side never expanded u: q, on the short end of u's row, has no label")
+	}
+	if sc.fwd.state[v].stamp == sc.gen || sc.fwd.state[q2].stamp == sc.gen {
+		t.Fatal("the forward side read past the break in u's row: v or q2 has a forward label")
+	}
+	for _, o := range []Options{{}, {BrokersOnly: true}, {MinBandwidth: 5}, {MaxHops: 3}} {
+		checkAgainstReference(t, search, s, dst, o)
+		checkAgainstReference(t, search, dst, s, o)
+	}
 }

@@ -12,6 +12,60 @@ import (
 // sinkPath keeps the benchmarked search's result live.
 var sinkPath *routing.Path
 
+// table2Fixture is the benchsuite's path_cold set-up at its layer: the
+// 52,079-node Table-2 tier (seed 1), MaxSG k=1064, default metrics frozen
+// into a view, and the first `draws` Zipf(1.1) demand pairs.
+func table2Fixture(tb testing.TB, draws int) (view *routing.View, inB []bool, pairs [][2]int) {
+	tb.Helper()
+	top, err := topology.GenerateTier("table2", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	brokers, err := broker.MaxSG(top.Graph, 1064)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inB = make([]bool, top.NumNodes())
+	for _, u := range brokers {
+		inB[u] = true
+	}
+	gen, err := workload.NewPairGen(top, 1.1, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < draws; i++ {
+		src, dst := gen.Pair()
+		pairs = append(pairs, [2]int{int(src), int(dst)})
+	}
+	return routing.DefaultMetrics(top, nil).View(), inB, pairs
+}
+
+// TestTable2SearchReadsAPrefix pins what the latency-ordered rows are for.
+// MaxSG's brokers are the hubs and every hop of a dominated path touches one,
+// so a search is a scan of hub rows; read whole, the benchmark's found pairs
+// cost 16,071 arcs each to pop 84 nodes, 13,455 of them after a candidate
+// path already bounded what could still matter. Leaving each row at the first
+// arc past that bound, the same searches read about a fifth of that
+// (arcs + pops; the count is the program's own and repeats exactly).
+func TestTable2SearchReadsAPrefix(t *testing.T) {
+	if testing.Short() || routing.RaceEnabled {
+		t.Skip("generates the Table-2 tier and counts arcs over 4,000 searches: 1.4 s, 20 s under the race detector, which has nothing to find in a count")
+	}
+	view, inB, pairs := table2Fixture(t, 4000)
+	found, scanned := 0, 0
+	for _, p := range pairs {
+		if ok, work := routing.MeetWork(view, inB, p[0], p[1]); ok {
+			found++
+			scanned += work
+		}
+	}
+	mean := scanned / found
+	t.Logf("%d found searches, %d arcs read + nodes popped each", found, mean)
+	if mean > 7000 {
+		t.Errorf("a found search reads %d arcs, want <= 7,000 (16,071 with rows read whole)", mean)
+	}
+}
+
 // BenchmarkTable2BestPath is the layer rung for the /path miss path: one
 // dominated-path search on the 52,079-node Table-2 tier with the
 // benchsuite's broker budget and demand (MaxSG k=1064, Zipf(1.1) pairs).
@@ -23,23 +77,7 @@ var sinkPath *routing.Path
 // under a bound one hop short of it, the worst case for the label-setting
 // search that only then runs.
 func BenchmarkTable2BestPath(b *testing.B) {
-	top, err := topology.GenerateTier("table2", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	brokers, err := broker.MaxSG(top.Graph, 1064)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inB := make([]bool, top.NumNodes())
-	for _, u := range brokers {
-		inB[u] = true
-	}
-	view := routing.DefaultMetrics(top, nil).View()
-	gen, err := workload.NewPairGen(top, 1.1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	view, inB, pairs := table2Fixture(b, 4000)
 	type query struct {
 		src, dst int
 		opts     routing.Options
@@ -47,9 +85,8 @@ func BenchmarkTable2BestPath(b *testing.B) {
 	// A fixed draw count keeps both classes in workload proportion (~1% of
 	// Zipf pairs have no dominated path) and the set-up time bounded.
 	var found, nopath, within8, residual []query
-	for i := 0; i < 4000; i++ {
-		src, dst := gen.Pair()
-		q := query{src: int(src), dst: int(dst)}
+	for _, pair := range pairs {
+		q := query{src: pair[0], dst: pair[1]}
 		p, err := routing.BestPathOver(view, inB, q.src, q.dst, q.opts)
 		if err != nil {
 			nopath = append(nopath, q)

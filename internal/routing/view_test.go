@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"brokerset/internal/broker"
@@ -78,6 +79,7 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 	}
 	view := m.View()
 	wantLat := view.Latency(u, v)
+	wantOrder := slices.Clone(view.order)
 	wantAvail := view.Available(u, v)
 	if wantAvail <= 0 {
 		t.Fatalf("available(%d,%d) = %f", u, v, wantAvail)
@@ -91,6 +93,12 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 
 	if got := view.Latency(u, v); got != wantLat {
 		t.Fatalf("view latency moved: %f -> %f", wantLat, got)
+	}
+	if !slices.Equal(view.order, wantOrder) {
+		t.Fatal("view's latency order moved with the live metrics' re-sort")
+	}
+	if slices.Equal(m.order, wantOrder) {
+		t.Fatal("live latency order did not move: +100 ms must send the link to the end of both rows")
 	}
 	if got := view.Available(u, v); got != wantAvail {
 		t.Fatalf("view available moved: %f -> %f", wantAvail, got)

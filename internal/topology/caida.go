@@ -134,14 +134,12 @@ func LoadCAIDA(rels io.Reader, members io.Reader) (*Topology, error) {
 		Tier:  make([]uint8, n),
 		Name:  make([]string, n),
 	}
-	labels := make([]labelledEdge, 0, len(edges)+len(mems))
 	b := graph.NewBuilder(n)
 	hasCustomer := make([]bool, n)
 	hasProvider := make([]bool, n)
 	for _, e := range edges {
 		u, v := asID[e.a], asID[e.b]
-		b.AddEdge(u, v)
-		labels = append(labels, labelledEdge{int32(u), int32(v), e.rel})
+		addRel(b, u, v, e.rel)
 		if e.rel == RelProvider {
 			hasCustomer[u] = true
 			hasProvider[v] = true
@@ -149,15 +147,11 @@ func LoadCAIDA(rels io.Reader, members io.Reader) (*Topology, error) {
 	}
 	for _, m := range mems {
 		u, x := asID[m.as], ixpID[m.ixp]
-		b.AddEdge(u, x)
-		labels = append(labels, labelledEdge{int32(u), int32(x), RelMember})
+		addRel(b, u, x, RelMember)
 	}
-	g, err := b.Build()
-	if err != nil {
+	if err := t.build(b); err != nil {
 		return nil, fmt.Errorf("topology: caida: %w", err)
 	}
-	t.Graph = g
-	t.label(labels)
 
 	for i, a := range asNums {
 		t.Name[i] = fmt.Sprintf("AS%d", a)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"brokerset/internal/graph"
 )
@@ -86,7 +87,7 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 		default:
 			t.Class[u], t.Tier[u] = ClassEnterprise, 3
 		}
-		t.Name[u] = fmt.Sprintf("AS%d", 1000+u)
+		t.Name[u] = "AS" + strconv.Itoa(1000+u)
 	}
 	for i := 0; i < nIXP; i++ {
 		u := nAS + i
@@ -95,26 +96,18 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	}
 
 	b := graph.NewBuilder(n)
+	b.Grow(targetASEdges + targetMemberships)
 	deg := make([]int, n)
 	// endpoints implements degree-preferential sampling: each added edge
 	// appends both endpoints, so a uniform draw is degree-proportional.
 	endpoints := make([]int32, 0, 2*(targetASEdges+targetMemberships))
-	// Labels wait for the graph: the relationship column is arc-aligned, so
-	// it is written once the adjacency arrays exist. seen is the throw-away
-	// duplicate check.
-	labels := make([]labelledEdge, 0, targetASEdges+targetMemberships)
-	seen := make(map[uint64]struct{}, targetASEdges+targetMemberships)
+	// seen is the throw-away duplicate check.
+	seen := newEdgeSet(targetASEdges + targetMemberships)
 	addEdge := func(u, v int, rel Relationship) bool {
-		if u == v {
+		if u == v || !seen.add(u, v) {
 			return false
 		}
-		key := packEdge(u, v)
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v)
-		labels = append(labels, labelledEdge{int32(u), int32(v), rel})
+		addRel(b, u, v, rel)
 		deg[u]++
 		deg[v]++
 		endpoints = append(endpoints, int32(u), int32(v))
@@ -209,7 +202,7 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 	for u := nTransit; u < nContent; u++ {
 		endpoints = append(endpoints, int32(u), int32(u), int32(u))
 	}
-	asEdges := len(labels)
+	asEdges := seen.len()
 	for tries := 0; asEdges < targetASEdges && tries < 50*targetASEdges; tries++ {
 		u := int(endpoints[rng.Intn(len(endpoints))])
 		v := int(endpoints[rng.Intn(len(endpoints))])
@@ -244,25 +237,16 @@ func GenerateInternet(cfg InternetConfig) (*Topology, error) {
 		}
 	}
 	// Every IXP needs at least one member to exist meaningfully.
-	memberOf := make(map[int]bool, nIXP)
-	for _, e := range labels {
-		if v := int(max(e.u, e.v)); v >= nAS {
-			memberOf[v] = true
-		}
-	}
 	for i := 0; i < nIXP; i++ {
 		ix := nAS + i
-		if !memberOf[ix] && len(memberPool) > 0 {
+		if deg[ix] == 0 && len(memberPool) > 0 {
 			addEdge(int(memberPool[rng.Intn(len(memberPool))]), ix, RelMember)
 		}
 	}
 
-	g, err := b.Build()
-	if err != nil {
+	if err := t.build(b); err != nil {
 		return nil, fmt.Errorf("topology: building internet graph: %w", err)
 	}
-	t.Graph = g
-	t.label(labels)
 	return t, nil
 }
 

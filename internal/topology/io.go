@@ -83,7 +83,6 @@ func Load(r io.Reader) (*Topology, error) {
 	}
 
 	b := graph.NewBuilder(n)
-	var labels []labelledEdge
 	for {
 		line, ok = next()
 		if !ok {
@@ -129,8 +128,7 @@ func Load(r io.Reader) (*Topology, error) {
 				}
 				rel = r
 			}
-			b.AddEdge(u, v)
-			labels = append(labels, labelledEdge{int32(u), int32(v), rel})
+			addRel(b, u, v, rel)
 		default:
 			return nil, fmt.Errorf("topology: line %d: unknown directive %q", lineNo, fields[0])
 		}
@@ -138,11 +136,8 @@ func Load(r io.Reader) (*Topology, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("topology: scan: %w", err)
 	}
-	g, err := b.Build()
-	if err != nil {
+	if err := t.build(b); err != nil {
 		return nil, fmt.Errorf("topology: load: %w", err)
 	}
-	t.Graph = g
-	t.label(labels)
 	return t, nil
 }

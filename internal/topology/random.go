@@ -25,18 +25,11 @@ func GenerateER(n, m int, seed int64) (*Topology, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, m)
-	for len(seen) < m {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v {
-			continue
+	seen := newEdgeSet(m)
+	for seen.len() < m {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v && seen.add(u, v) {
+			b.AddEdge(u, v)
 		}
-		key := packEdge(u, v)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		b.AddEdge(u, v)
 	}
 	return plainTopology(b, n, "ER")
 }
@@ -53,16 +46,11 @@ func GenerateWS(n, k int, p float64, seed int64) (*Topology, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, n*k/2)
+	seen := newEdgeSet(n * k / 2)
 	add := func(u, v int) bool {
-		if u == v {
+		if u == v || !seen.add(u, v) {
 			return false
 		}
-		key := packEdge(u, v)
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
 		b.AddEdge(u, v)
 		return true
 	}
@@ -96,17 +84,12 @@ func GenerateBA(n, mPerNode int, seed int64) (*Topology, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
-	seen := make(map[uint64]struct{}, n*mPerNode)
+	seen := newEdgeSet(n * mPerNode)
 	endpoints := make([]int32, 0, 2*n*mPerNode)
 	add := func(u, v int) bool {
-		if u == v {
+		if u == v || !seen.add(u, v) {
 			return false
 		}
-		key := packEdge(u, v)
-		if _, dup := seen[key]; dup {
-			return false
-		}
-		seen[key] = struct{}{}
 		b.AddEdge(u, v)
 		endpoints = append(endpoints, int32(u), int32(v))
 		return true

@@ -3,6 +3,8 @@ package topology
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,6 +80,46 @@ func TestRelPerspective(t *testing.T) {
 			if got, want := rels[top.Graph.ArcOffset(u)+i], top.Rel(int(v), u).invert(); got != want {
 				t.Errorf("arc %d->%d = %v, reverse arc inverted = %v", u, v, got, want)
 			}
+		}
+	}
+}
+
+// TestBuiltRelsMatchSetRel: the relationship column the graph build carries
+// out (addRel, build) is the one SetRel writes one searched edge at a time,
+// on edges that repeat with different relationships either way round and on
+// self-loops.
+func TestBuiltRelsMatchSetRel(t *testing.T) {
+	type labelled struct {
+		u, v int
+		rel  Relationship
+	}
+	rng := rand.New(rand.NewSource(6))
+	rels := []Relationship{RelNone, RelPeer, RelCustomer, RelProvider, RelMember}
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(40)
+		b := graph.NewBuilder(n)
+		var edges []labelled
+		for i := rng.Intn(5 * n); i > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			for r := 1 + rng.Intn(3); r > 0; r-- {
+				if rng.Intn(2) == 0 {
+					u, v = v, u
+				}
+				e := labelled{u, v, rels[rng.Intn(len(rels))]}
+				addRel(b, e.u, e.v, e.rel)
+				edges = append(edges, e)
+			}
+		}
+		got := &Topology{}
+		if err := got.build(b); err != nil {
+			t.Fatal(err)
+		}
+		want := &Topology{Graph: got.Graph}
+		for _, e := range edges {
+			want.SetRel(e.u, e.v, e.rel)
+		}
+		if !slices.Equal(got.ArcRels(), want.ArcRels()) {
+			t.Fatalf("trial %d: edges %v\n got %v\nwant %v", trial, edges, got.ArcRels(), want.ArcRels())
 		}
 	}
 }

@@ -130,14 +130,6 @@ type Topology struct {
 	arcRel []Relationship
 }
 
-// packEdge keys an undirected edge for the generators' duplicate checks.
-func packEdge(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // NumNodes returns the node count.
 func (t *Topology) NumNodes() int { return t.Graph.NumNodes() }
 
@@ -173,37 +165,27 @@ func (t *Topology) SetRel(u, v int, r Relationship) {
 	t.arcRel[t.Graph.ArcOf(v, u)] = r.invert()
 }
 
-// labelledEdge is an edge whose relationship (from u's perspective) is
-// waiting for the graph to be built.
-type labelledEdge struct {
-	u, v int32
-	rel  Relationship
+// addRel records edge (u,v) with relationship r, from u's perspective, in a
+// builder whose graph build will write this topology's relationship column:
+// the builder carries a tag per arc through its passes, so no edge is
+// searched for afterwards (see graph.Builder.BuildTagged). A later call for
+// the same edge overwrites an earlier one.
+func addRel(b *graph.Builder, u, v int, r Relationship) {
+	b.AddTagged(u, v, uint8(r), uint8(r.invert()))
 }
 
-// label writes the relationship column of a freshly built topology. Each
-// edge costs one search, in the row of its lower-degree endpoint (a hub's row
-// is long and cold, a stub's is a cache line); one walk over the adjacency
-// arrays then mirrors every label onto the reverse arc. A later label for the
-// same edge overwrites an earlier one.
-func (t *Topology) label(edges []labelledEdge) {
-	g := t.Graph
-	t.arcRel = make([]Relationship, g.NumArcs())
-	for _, e := range edges {
-		u, v, r := int(e.u), int(e.v), e.rel
-		if du, dv := g.Degree(u), g.Degree(v); dv < du || (dv == du && v < u) {
-			u, v, r = v, u, r.invert()
-		}
-		if a := g.ArcOf(u, v); a >= 0 {
-			t.arcRel[a] = r
-		}
+// build finishes b into t's graph and relationship column.
+func (t *Topology) build(b *graph.Builder) error {
+	g, tags, err := b.BuildTagged()
+	if err != nil {
+		return err
 	}
-	g.Links(func(a, b, _, _ int) {
-		if t.arcRel[a] != RelNone {
-			t.arcRel[b] = t.arcRel[a].invert()
-		} else {
-			t.arcRel[a] = t.arcRel[b].invert()
-		}
-	})
+	t.Graph = g
+	t.arcRel = make([]Relationship, len(tags))
+	for a, tag := range tags {
+		t.arcRel[a] = Relationship(tag)
+	}
+	return nil
 }
 
 // Rel returns the business relationship of edge (u,v) from u's perspective,
