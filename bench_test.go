@@ -402,26 +402,6 @@ func qpSetup(b *testing.B) {
 	})
 }
 
-// qpPlane serves the benchmark snapshot the way the daemon serves its
-// current one: epoch-keyed, stale entries revalidated against the snapshot.
-func qpPlane(b *testing.B, adm queryplane.Admission) *queryplane.QueryPlane {
-	b.Helper()
-	qp, err := queryplane.New(queryplane.Config{
-		Admission:  adm,
-		Generation: qpPub.Epoch,
-		Revalidate: func(p *routing.Path, opts routing.Options, _ uint64) bool {
-			return qpPub.Current().PathValid(p, opts)
-		},
-		Compute: func(_ context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
-			return qpPub.Current().BestPath(src, dst, opts)
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return qp
-}
-
 func qpWarm(b *testing.B, qp *queryplane.QueryPlane) {
 	b.Helper()
 	ctx := context.Background()
@@ -475,7 +455,7 @@ func BenchmarkQueryPlaneMiss(b *testing.B) {
 
 func BenchmarkQueryPlaneHit(b *testing.B) {
 	qpSetup(b)
-	qp := qpPlane(b, nil)
+	qp := queryplane.Over(qpPub, nil)
 	qpWarm(b, qp)
 	ctx := context.Background()
 	b.ResetTimer()
@@ -498,7 +478,7 @@ func BenchmarkPricedAdmission(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qp := qpPlane(b, market.NewAdmission(ctrl))
+	qp := queryplane.Over(qpPub, market.NewAdmission(ctrl))
 	qpWarm(b, qp)
 	ctx := context.Background()
 	bid := ctrl.Price()
@@ -515,7 +495,7 @@ func BenchmarkPricedAdmission(b *testing.B) {
 // a warm cache concurrently (the >= 5x-over-uncached acceptance target).
 func BenchmarkQueryPlaneParallel(b *testing.B) {
 	qpSetup(b)
-	qp := qpPlane(b, nil)
+	qp := queryplane.Over(qpPub, nil)
 	qpWarm(b, qp)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

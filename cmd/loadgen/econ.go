@@ -77,19 +77,7 @@ func newEconStack(top *topology.Topology, k int, scenario string, seed int64) (*
 	pub := epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
 		Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
 	}))
-	s.qp, err = queryplane.New(queryplane.Config{
-		Admission:  s.adm,
-		Generation: pub.Epoch,
-		Revalidate: func(p *routing.Path, o routing.Options, _ uint64) bool {
-			return pub.Current().PathValid(p, o)
-		},
-		Compute: func(_ context.Context, src, dst int, o routing.Options) (*routing.Path, error) {
-			return pub.Current().BestPath(src, dst, o)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
+	s.qp = queryplane.Over(pub, s.adm)
 	return s, nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"brokerset/internal/ctrlplane"
@@ -25,12 +24,11 @@ import (
 	"brokerset/internal/workload"
 )
 
-// fedStack owns the in-process federation and the mutex ordering every
-// touch of it. The fabric itself is not internally synchronized: workers
-// (stitch queries), the driver goroutine (ticks, gossip, sessions), and
-// the final reconcile all serialize through mu.
+// fedStack is the in-process federation and what observes it. The fabric
+// orders its own callers: the workers' stitch queries share its read side,
+// the driver goroutine (ticks, gossip, sessions, crashes) and the final
+// reconcile take turns on its write side.
 type fedStack struct {
-	mu     sync.Mutex
 	fabric *federation.Fabric
 	top    *topology.Topology
 	flight *obs.FlightRecorder
@@ -40,8 +38,8 @@ type fedStack struct {
 	// queries against the latency budget, the driver ticks the burn-rate
 	// evaluation, and finish reports alerts plus the bad-event traces.
 	slo    *obs.SLOEngine
-	sloQ   *obs.SLOObjective
-	alerts []obs.AlertTransition
+	sloQ   *obs.SLOObjective     // nil without -slo-p99: recording on it is a no-op
+	alerts []obs.AlertTransition // the driver's, then finish's once it has stopped
 
 	crashTarget int // transit region crashed mid-run by -fed-crash
 }
@@ -90,9 +88,8 @@ func (s *fedStack) enableSLO(p99, window time.Duration) {
 }
 
 // fedTarget answers workload queries with cross-region stitched paths,
-// honoring a shedding region's Retry-After exactly like HTTPTarget
-// honors a 429: sleep the advertised backoff (capped), re-issue, and
-// give up after MaxRetries with the refusing region recorded.
+// honoring a shedding region's Retry-After exactly like HTTPTarget honors a
+// 429 (workload.RetryShed), with the refusing region recorded.
 type fedTarget struct {
 	stack      *fedStack
 	opts       routing.Options
@@ -112,37 +109,27 @@ func (t *fedTarget) Query(src, dst int32) (workload.Outcome, error) {
 		defer span.End()
 	}
 	t0 := time.Now()
-	retries := 0
-	for {
-		t.stack.mu.Lock()
+	out, err := workload.RetryShed(t.maxRetries, t.maxWait, func() (workload.Outcome, time.Duration, error) {
 		_, err := t.stack.fabric.StitchPath(ctx, src, dst, t.opts)
-		t.stack.mu.Unlock()
 		var shed *federation.ShedError
 		switch {
 		case err == nil:
-			if t.stack.sloQ != nil {
-				t.stack.sloQ.Observe(time.Since(t0), trace)
-			}
-			return workload.Outcome{Found: true, Retries: retries, TraceID: trace}, nil
+			return workload.Outcome{Found: true}, 0, nil
 		case errors.As(err, &shed):
-			if retries >= t.maxRetries {
-				if t.stack.sloQ != nil {
-					t.stack.sloQ.Record(false, trace)
-				}
-				return workload.Outcome{Shed: true, Retries: retries, ShedRegion: shed.Region, TraceID: trace}, nil
-			}
-			retries++
-			wait := shed.RetryAfter
-			if wait <= 0 || wait > t.maxWait {
-				wait = t.maxWait
-			}
-			time.Sleep(wait)
+			return workload.Outcome{Shed: true, ShedRegion: shed.Region}, shed.RetryAfter, nil
 		case errors.Is(err, federation.ErrNoRoute):
-			return workload.Outcome{Retries: retries, TraceID: trace}, nil
-		default:
-			return workload.Outcome{Retries: retries, TraceID: trace}, err
+			return workload.Outcome{}, 0, nil
 		}
+		return workload.Outcome{}, 0, err
+	})
+	out.TraceID = trace
+	switch {
+	case out.Found:
+		t.stack.sloQ.Observe(time.Since(t0), trace)
+	case out.Shed:
+		t.stack.sloQ.Record(false, trace)
 	}
+	return out, err
 }
 
 // drive advances the fabric until stop closes: every interval it ticks
@@ -167,7 +154,6 @@ func (s *fedStack) drive(stop <-chan struct{}, dur time.Duration, interval time.
 		}
 		tick++
 		elapsed := time.Since(start)
-		s.mu.Lock()
 		s.fabric.Tick()
 		if tick%5 == 0 {
 			s.fabric.GossipTick()
@@ -188,13 +174,11 @@ func (s *fedStack) drive(stop <-chan struct{}, dur time.Duration, interval time.
 			live = append(live, sess)
 		}
 		if len(live) > 4 {
-			sess := live[0]
+			// The handle is a copy from setup time: a session rolled back or
+			// healed away since answers with an error nothing here needs.
+			_ = s.fabric.Teardown(context.Background(), live[0])
 			live = live[1:]
-			if sess.State == ctrlplane.StateCommitted {
-				_ = s.fabric.Teardown(context.Background(), sess)
-			}
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -203,8 +187,6 @@ func (s *fedStack) drive(stop <-chan struct{}, dur time.Duration, interval time.
 // On violation the flight recorder is dumped to $FLIGHT_DUMP (or a temp
 // file) so CI can attach it, and the error fails the run.
 func (s *fedStack) finish(out io.Writer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for r := 0; r < s.fabric.NumRegions(); r++ {
 		if s.fabric.RegionCrashed(r) {
 			s.fabric.RecoverRegion(r)

@@ -172,7 +172,7 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 		// Chaos seam: the coordinator dies after phase 1 with NO decision
 		// recorded for any setup in the batch. Leased holds self-expire via
 		// the tick sweep's presumed abort; every op is reported failed.
-		p.flight.Recordf("ctrlplane", "batch_crash", int64(p.clock), "coordinator died mid-batch, %d setups in doubt", len(opened))
+		p.flight.Recordf("ctrlplane", "batch_crash", int64(p.d.Now()), "coordinator died mid-batch, %d setups in doubt", len(opened))
 		for i := range results {
 			if results[i].Err == nil {
 				results[i].Err = fmt.Errorf("ctrlplane: coordinator crashed mid-batch")
@@ -215,7 +215,7 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 			results[i].Err = err
 		case ops[i].Kind == BatchExpire:
 			p.stats.SessionExpiries++
-			p.flight.Recordf("ctrlplane", "session_expire", int64(p.clock), "session %d.%d presumed-released", s.ID, s.Epoch)
+			p.flight.Recordf("ctrlplane", "session_expire", int64(p.d.Now()), "session %d.%d presumed-released", s.ID, s.Epoch)
 		default:
 			p.stats.Teardowns++
 		}

@@ -76,7 +76,7 @@ func TestSessionNamedTwiceInBatchReleasedOnce(t *testing.T) {
 			top, m := ringTop(t, 8)
 			p := New(top, m, []int32{0, 1, 2, 3, 4, 5, 6, 7})
 			p.SetRetryConfig(RetryConfig{SessionTTL: 4})
-			tap := &wireTap{inner: NewReliableTransport()}
+			tap := &wireTap{Transport: NewFaultTransport(FaultConfig{})}
 			p.UseTransport(tap)
 			ctx := context.Background()
 			s, err := p.Setup(ctx, 0, 2, 5, routing.Options{})
@@ -524,7 +524,7 @@ func TestLeaseExpiryUnderPartitionNoDoubleRelease(t *testing.T) {
 // recording the virtual round (Advance count) of every send attempt —
 // the probe for observing a retry schedule.
 type retryTap struct {
-	inner *ReliableTransport
+	Transport
 	drop  map[int32]bool
 	round int
 	sends map[uint64][]int // prepare MsgID -> rounds at which it was (re)sent
@@ -537,10 +537,9 @@ func (t *retryTap) Send(m Message) {
 	if t.drop[m.To] {
 		return
 	}
-	t.inner.Send(m)
+	t.Transport.Send(m)
 }
-func (t *retryTap) Recv() (Message, bool) { return t.inner.Recv() }
-func (t *retryTap) Advance()              { t.round++; t.inner.Advance() }
+func (t *retryTap) Advance() { t.round++; t.Transport.Advance() }
 
 // TestJitteredRetriesDesynchronize pins the satellite requirement: without
 // jitter, colliding retriers hammer their targets on identical ticks; with
@@ -550,7 +549,7 @@ func TestJitteredRetriesDesynchronize(t *testing.T) {
 	schedules := func(jitter int) map[uint64][]int {
 		top, m := lineTop(t)
 		p := New(top, m, []int32{1, 2, 3})
-		tap := &retryTap{inner: NewReliableTransport(), drop: map[int32]bool{1: true, 2: true, 3: true},
+		tap := &retryTap{Transport: NewFaultTransport(FaultConfig{}), drop: map[int32]bool{1: true, 2: true, 3: true},
 			sends: map[uint64][]int{}}
 		p.UseTransport(tap)
 		p.SetRetryConfig(RetryConfig{MaxAttempts: 5, BreakerThreshold: 100, RetryJitterTicks: jitter})

@@ -8,7 +8,7 @@
 // can be measured.
 //
 // The protocol is failure-realistic: messages travel over a pluggable
-// Transport (the default is a lossless FIFO bus; FaultTransport injects
+// Transport (the default is a lossless FIFO bus; a FaultConfig injects
 // seeded loss, duplication, delay, reordering, and partitions), every
 // message carries a monotonically increasing id so retransmissions are
 // idempotent, the coordinator retries unacknowledged messages one virtual
@@ -352,10 +352,6 @@ type Plane struct {
 	// d delivers PREPAREs and decision records to the agents: retries,
 	// backlog and per-broker circuit breakers live there.
 	d *Delivery
-	// clock is virtual time: it advances once per public operation and
-	// once per retry round, and paces breaker cooldowns and transport
-	// delay release.
-	clock int
 	// wals is each broker's durable write-ahead log, keyed by node id so
 	// it survives crashes and membership changes.
 	wals map[int32]*wal
@@ -411,7 +407,7 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 
 		sessLeases: make(map[int]*Session),
 	}
-	p.d = NewDelivery("ctrlplane", NewReliableTransport(), RetryConfig{}, &p.clock)
+	p.d = NewDelivery("ctrlplane", NewFaultTransport(FaultConfig{}), RetryConfig{})
 	p.d.Dispatch = p.dispatch
 	p.d.Down = func(b int32) bool { return p.crashed[b] }
 	for _, b := range brokers {
@@ -447,8 +443,8 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 }
 
 // UseTransport replaces the message transport (default: lossless FIFO).
-// Swap in a FaultTransport to subject the protocol to seeded loss,
-// duplication, delay, reordering, and partitions. Call it before any
+// Swap in a FaultTransport with rates set to subject the protocol to seeded
+// loss, duplication, delay, reordering, and partitions. Call it before any
 // protocol activity.
 func (p *Plane) UseTransport(t Transport) { p.d.Transport = t }
 
@@ -518,7 +514,7 @@ func (p *Plane) Crash(b int32) {
 	if p.crashed[b] {
 		return
 	}
-	p.flight.Recordf("ctrlplane", "crash", int64(p.clock), "broker %d", b)
+	p.flight.Recordf("ctrlplane", "crash", int64(p.d.Now()), "broker %d", b)
 	p.crashed[b] = true
 	if a := p.agents[b]; a != nil {
 		a.avail, a.holds, a.seen, a.done = nil, nil, nil, nil
@@ -566,7 +562,7 @@ func (p *Plane) Recover(b int32) {
 	p.applyLocal(a, entries)
 	delete(p.d.breakers, b)
 	p.stats.Recoveries++
-	p.flight.Recordf("ctrlplane", "recover", int64(p.clock), "broker %d: %d holds in doubt", b, len(doubt))
+	p.flight.Recordf("ctrlplane", "recover", int64(p.d.Now()), "broker %d: %d holds in doubt", b, len(doubt))
 }
 
 // applyLocal logs and applies a batch record that no message carried: the
@@ -728,8 +724,7 @@ func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routin
 	defer span.End()
 	span.Annotatef("route", "%d->%d", src, dst)
 	p.tick()
-	opts.MinBandwidth = max(opts.MinBandwidth, bw)
-	path, err := p.engine.BestPath(src, dst, opts)
+	path, err := p.engine.BestPath(src, dst, opts.Reserving(bw))
 	if err != nil {
 		span.Annotate("outcome", "no_path")
 		return nil, fmt.Errorf("ctrlplane: no dominated path: %w", err)
@@ -749,7 +744,7 @@ func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routin
 // tick advances virtual time by one operation, sweeps lapsed leases, and
 // lazily re-drives the backlog of undelivered decisions.
 func (p *Plane) tick() {
-	p.clock++
+	p.d.Tick()
 	if p.d.Retry.LeaseTTL > 0 {
 		p.ExpireLeases()
 	}
@@ -787,7 +782,7 @@ func (p *Plane) ExpireLeases() int {
 			}
 			lapsed := len(a.holds[key]) > 0
 			for _, h := range a.holds[key] {
-				if h.expires == 0 || h.expires > p.clock {
+				if h.expires == 0 || h.expires > p.d.Now() {
 					lapsed = false
 					break
 				}
@@ -798,7 +793,7 @@ func (p *Plane) ExpireLeases() int {
 			p.decided[key] = false
 			entries = append(entries, BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch})
 			p.stats.LeaseExpiries++
-			p.flight.Recordf("ctrlplane", "lease_expire", int64(p.clock), "session %d.%d swept at broker %d", key.ID, key.Epoch, b)
+			p.flight.Recordf("ctrlplane", "lease_expire", int64(p.d.Now()), "session %d.%d swept at broker %d", key.ID, key.Epoch, b)
 		}
 		p.applyLocal(a, entries)
 		n += len(entries)
@@ -844,7 +839,7 @@ func (p *Plane) open(s *Session, nodes []int32) error {
 	for _, owner := range s.owners {
 		if p.d.BreakerOpen(owner) {
 			p.decided[sessKey{s.ID, s.Epoch}] = false
-			p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d ABORT (breaker %d open)", s.ID, s.Epoch, owner)
+			p.flight.Recordf("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d ABORT (breaker %d open)", s.ID, s.Epoch, owner)
 			p.stats.BreakerFastFails++
 			p.stats.Aborts++
 			s.State = StateAborted
@@ -931,7 +926,7 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 	entries := make(map[int32][]BatchEntry) // broker -> its slice of the record
 	record := func(s *Session, kind BatchEntryKind, verdict string) {
 		p.decided[sessKey{s.ID, s.Epoch}] = kind == EntryCommit
-		p.flight.Recordf("ctrlplane", "decide", int64(p.clock), "session %d.%d %s", s.ID, s.Epoch, verdict)
+		p.flight.Recordf("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d %s", s.ID, s.Epoch, verdict)
 		for _, owner := range uniqueOwners(s.owners) {
 			entries[owner] = append(entries[owner], BatchEntry{Kind: kind, ID: s.ID, Epoch: s.Epoch})
 		}
@@ -1171,8 +1166,7 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 	p.tick()
 	p.decide(ctx, nil, nil, []*Session{s})
 	src, dst := int(s.Path[0]), int(s.Path[len(s.Path)-1])
-	opts.MinBandwidth = max(opts.MinBandwidth, s.Bandwidth)
-	path, err := p.engine.BestPath(src, dst, opts)
+	path, err := p.engine.BestPath(src, dst, opts.Reserving(s.Bandwidth))
 	if err != nil {
 		s.State = StateAborted
 		p.stats.RepathAborts++
@@ -1232,7 +1226,7 @@ func (a *agent) markSeen(id uint64) {
 // memory; messages for finalized attempts are fenced so stragglers cannot
 // resurrect holds.
 func (p *Plane) deliver(a *agent, m Message) {
-	p.flight.Recordf("ctrlplane", "deliver", int64(p.clock), "%s at broker %d session %d.%d msg %d",
+	p.flight.Recordf("ctrlplane", "deliver", int64(p.d.Now()), "%s at broker %d session %d.%d msg %d",
 		m.Type, a.id, m.SessionID, m.Epoch, m.MsgID)
 	if _, dup := a.seen[m.MsgID]; dup {
 		p.stats.DupsDropped++
@@ -1257,7 +1251,7 @@ func (p *Plane) deliver(a *agent, m Message) {
 		if a.avail[m.Hop] >= m.Bandwidth {
 			exp := 0
 			if m.Lease > 0 {
-				exp = p.clock + int(m.Lease)
+				exp = p.d.Now() + int(m.Lease)
 			}
 			w.append(walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Hop: m.Hop, BW: m.Bandwidth, Expires: exp})
 			a.markSeen(m.MsgID)

@@ -54,10 +54,10 @@ type Delivery struct {
 	Sent, Retries, Timeouts, BreakerTrips int
 
 	layer string // flight-record source and error prefix
-	// clock is the owner's virtual time: the engine advances it once per
-	// retry round and once per Reconcile round, and reads it to pace
-	// breaker cooldowns.
-	clock    *int
+	// clock is the protocol's virtual time (Now): the owner ticks it once per
+	// operation (Tick), the engine once per retry round and once per
+	// Reconcile round, and it paces breaker cooldowns and lease expiry.
+	clock    int
 	nextMsg  uint64
 	breakers map[int32]*breaker
 	// backlog holds decided-but-unacknowledged requests; Flush re-drives
@@ -79,20 +79,25 @@ type breaker struct {
 }
 
 // NewDelivery builds an engine over tr, tuned by rc with zero fields taking
-// defaults, paced by the owner's virtual clock. layer names the owner in
-// flight records and errors. Set the hooks before any traffic.
-func NewDelivery(layer string, tr Transport, rc RetryConfig, clock *int) *Delivery {
+// defaults. layer names the owner in flight records and errors. Set the hooks
+// before any traffic.
+func NewDelivery(layer string, tr Transport, rc RetryConfig) *Delivery {
 	return &Delivery{
 		Transport:   tr,
 		Retry:       rc.withDefaults(),
 		layer:       layer,
-		clock:       clock,
 		breakers:    make(map[int32]*breaker),
 		backlog:     make(map[uint64]Message),
 		backlogWait: make(map[uint64]int),
 		jrng:        rand.New(rand.NewSource(2)),
 	}
 }
+
+// Now returns the virtual time in ticks.
+func (d *Delivery) Now() int { return d.clock }
+
+// Tick advances virtual time by one tick.
+func (d *Delivery) Tick() { d.clock++ }
 
 // NextID returns a fresh message id. Retransmissions reuse a request's id;
 // every new request and every reply takes its own.
@@ -104,7 +109,7 @@ func (d *Delivery) NextID() uint64 {
 // Send pushes a message onto the transport and counts it.
 func (d *Delivery) Send(m Message) {
 	d.Sent++
-	d.Flight.Recordf(d.layer, "send", int64(*d.clock), "%s %d->%d session %d.%d msg %d",
+	d.Flight.Recordf(d.layer, "send", int64(d.clock), "%s %d->%d session %d.%d msg %d",
 		m.Type, m.From, m.To, m.SessionID, m.Epoch, m.MsgID)
 	d.Transport.Send(m)
 }
@@ -164,7 +169,7 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 		asp.Annotatef("pending", "%d", len(out.pending))
 		if round > 0 {
 			_, bsp := obs.StartSpan(actx, "2pc.backoff")
-			*d.clock++
+			d.clock++
 			d.Transport.Advance()
 			bsp.End()
 		}
@@ -254,7 +259,7 @@ func (d *Delivery) pump(out *rpcOutcome) {
 		if req, ok := d.backlog[m.AckFor]; ok {
 			d.dropBacklog(m.AckFor)
 			d.breakerOK(m.From)
-			d.Flight.Recordf(d.layer, "backlog_settled", int64(*d.clock), "%s to %d session %d.%d: %s",
+			d.Flight.Recordf(d.layer, "backlog_settled", int64(d.clock), "%s to %d session %d.%d: %s",
 				req.Type, req.To, req.SessionID, req.Epoch, m.Type)
 			if refused && d.Refused != nil {
 				d.Refused(req)
@@ -272,7 +277,7 @@ func (d *Delivery) dropBacklog(id uint64) {
 // Backlog records decided-but-undelivered requests for lazy redelivery.
 func (d *Delivery) Backlog(msgs ...Message) {
 	for _, m := range msgs {
-		d.Flight.Recordf(d.layer, "backlog", int64(*d.clock), "%s to %d session %d.%d msg %d",
+		d.Flight.Recordf(d.layer, "backlog", int64(d.clock), "%s to %d session %d.%d msg %d",
 			m.Type, m.To, m.SessionID, m.Epoch, m.MsgID)
 		d.backlog[m.MsgID] = m
 	}
@@ -333,7 +338,7 @@ func (d *Delivery) Reconcile(ctx context.Context) error {
 		if attempt >= 4*d.Retry.MaxAttempts*(d.Retry.RetryJitterTicks+1) {
 			return fmt.Errorf("%s: %d backlog message(s) undeliverable after %d rounds", d.layer, len(d.backlog), attempt)
 		}
-		*d.clock++
+		d.clock++
 		d.Flush()
 	}
 	return nil
@@ -343,7 +348,7 @@ func (d *Delivery) Reconcile(ctx context.Context) error {
 // current virtual time.
 func (d *Delivery) BreakerOpen(addr int32) bool {
 	br := d.breakers[addr]
-	return br != nil && *d.clock < br.openUntil
+	return br != nil && d.clock < br.openUntil
 }
 
 // breakerFail records one timed-out request against addr, tripping the
@@ -356,10 +361,10 @@ func (d *Delivery) breakerFail(addr int32) {
 	}
 	br.fails++
 	d.Timeouts++
-	if br.fails >= d.Retry.BreakerThreshold && *d.clock >= br.openUntil {
-		br.openUntil = *d.clock + d.Retry.BreakerCooldown
+	if br.fails >= d.Retry.BreakerThreshold && d.clock >= br.openUntil {
+		br.openUntil = d.clock + d.Retry.BreakerCooldown
 		d.BreakerTrips++
-		d.Flight.Recordf(d.layer, "breaker_trip", int64(*d.clock), "%d open until tick %d", addr, br.openUntil)
+		d.Flight.Recordf(d.layer, "breaker_trip", int64(d.clock), "%d open until tick %d", addr, br.openUntil)
 	}
 }
 

@@ -67,7 +67,7 @@ func (p *Plane) CheckInvariants(committed []*Session) error {
 			for _, key := range keys {
 				lapsed := true
 				for _, h := range a.holds[key] {
-					if h.expires == 0 || h.expires > p.clock {
+					if h.expires == 0 || h.expires > p.d.Now() {
 						lapsed = false
 					}
 				}

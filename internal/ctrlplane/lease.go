@@ -24,7 +24,7 @@ func (p *Plane) leaseTime() int64 {
 	if p.leaseNow != nil {
 		return p.leaseNow()
 	}
-	return int64(p.clock)
+	return int64(p.d.Now())
 }
 
 // grantSessionLease starts (or restarts, on repath) s's heartbeat lease.

@@ -114,7 +114,9 @@ func TestLeaseExpiryInvariantClassification(t *testing.T) {
 	}
 	// Advance the clock past the lease without running the sweep (ticks
 	// would sweep): the checker must classify, not cry leak.
-	p.clock += 10
+	for i := 0; i < 10; i++ {
+		p.d.Tick()
+	}
 	err := p.CheckInvariants(nil)
 	if err == nil {
 		t.Fatal("expired holds passed the invariant check")

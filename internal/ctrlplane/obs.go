@@ -22,10 +22,7 @@ func (p *Plane) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 	reg.RegisterCollector(func(emit func(obs.Sample)) {
 		lk.Lock()
 		s := p.Stats()
-		var ts TransportStats
-		if st, ok := p.d.Transport.(interface{ Stats() TransportStats }); ok {
-			ts = st.Stats()
-		}
+		ts := p.d.Transport.Stats()
 		version := p.version
 		lk.Unlock()
 		for _, m := range []struct {

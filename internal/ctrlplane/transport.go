@@ -10,49 +10,16 @@ import (
 // Transport moves protocol messages between the coordinator and the broker
 // agents. The control plane owns exactly one transport; Send enqueues a
 // message toward its destination, Recv pops the next deliverable message,
-// and Advance moves simulated time forward one step (releasing messages a
-// faulty transport is holding back). Implementations need not be safe for
-// concurrent use — the plane serializes all protocol activity.
+// Advance moves simulated time forward one step (releasing messages a
+// faulty transport is holding back), and Stats copies the delivery and fault
+// counters. Implementations need not be safe for concurrent use — the plane
+// serializes all protocol activity.
 type Transport interface {
 	Send(m Message)
 	Recv() (Message, bool)
 	Advance()
+	Stats() TransportStats
 }
-
-// ReliableTransport is the lossless, ordered, zero-latency transport the
-// plane uses by default: a synchronous FIFO queue, deterministic by
-// construction. It reproduces the pre-fault-injection message bus exactly.
-type ReliableTransport struct {
-	q     []Message
-	stats TransportStats
-}
-
-// NewReliableTransport returns an empty FIFO transport.
-func NewReliableTransport() *ReliableTransport { return &ReliableTransport{} }
-
-// Send implements Transport.
-func (t *ReliableTransport) Send(m Message) {
-	t.stats.Sent++
-	t.q = append(t.q, m)
-}
-
-// Recv implements Transport.
-func (t *ReliableTransport) Recv() (Message, bool) {
-	if len(t.q) == 0 {
-		return Message{}, false
-	}
-	m := t.q[0]
-	t.q = t.q[1:]
-	t.stats.Delivered++
-	return m, true
-}
-
-// Stats returns a copy of the delivery counters (fault counters stay 0 —
-// this transport never misbehaves).
-func (t *ReliableTransport) Stats() TransportStats { return t.stats }
-
-// Advance implements Transport (no-op: nothing is ever held back).
-func (t *ReliableTransport) Advance() {}
 
 // FaultRates are per-message fault probabilities for one traffic direction.
 // Each rate is in [0,1); faults are rolled independently in the order drop,
@@ -101,9 +68,12 @@ type heldMsg struct {
 	readyAt int
 }
 
-// FaultTransport wraps the FIFO bus with deterministic, seeded fault
-// injection: message drop, duplication, delay (in Advance steps), reorder,
-// and per-broker partitions that silently eat traffic in both directions.
+// FaultTransport is the message bus: a synchronous FIFO queue with
+// deterministic, seeded fault injection — message drop, duplication, delay
+// (in Advance steps), reorder, and per-broker partitions that silently eat
+// traffic in both directions. With a zero FaultConfig it is the lossless,
+// ordered, zero-latency bus every plane and fabric starts on: no rate is
+// above zero, so the seeded stream is never drawn from.
 type FaultTransport struct {
 	cfg         FaultConfig
 	rng         *rand.Rand

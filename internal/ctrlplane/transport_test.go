@@ -2,29 +2,13 @@ package ctrlplane
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
 
 func mkMsg(id uint64, to int32) Message {
 	return Message{From: Coordinator, To: to, Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: id, Hop: [2]int32{0, 1}, Bandwidth: 2}
-}
-
-func TestReliableTransportFIFO(t *testing.T) {
-	tr := NewReliableTransport()
-	if _, ok := tr.Recv(); ok {
-		t.Fatal("empty transport delivered")
-	}
-	for i := uint64(1); i <= 3; i++ {
-		tr.Send(mkMsg(i, 1))
-	}
-	tr.Advance() // no-op
-	for i := uint64(1); i <= 3; i++ {
-		m, ok := tr.Recv()
-		if !ok || m.MsgID != i {
-			t.Fatalf("recv %d: %v %v", i, m.MsgID, ok)
-		}
-	}
 }
 
 // drain pulls every deliverable message, advancing until the held queue
@@ -47,8 +31,40 @@ func drainAll(tr *FaultTransport) []uint64 {
 	return got
 }
 
-// The same seed must replay the exact same fault schedule.
+// The same seed must replay the exact same fault schedule — and a config with
+// no rate above zero is the lossless FIFO every plane starts on: nothing
+// dropped, duplicated, held or reordered, Advance a no-op, and the seeded
+// stream never drawn from, so making it the default transport moved no
+// existing seed's schedule.
 func TestFaultTransportDeterministic(t *testing.T) {
+	for _, cfg := range []FaultConfig{{}, {Seed: 42}} {
+		tr := NewFaultTransport(cfg)
+		if _, ok := tr.Recv(); ok {
+			t.Fatal("empty transport delivered")
+		}
+		for i := uint64(1); i <= 200; i++ {
+			to := int32(i % 5)
+			if i%3 == 0 {
+				to = Coordinator
+			}
+			tr.Send(mkMsg(i, to))
+			if i%50 == 0 {
+				tr.Advance()
+			}
+		}
+		for i := uint64(1); i <= 200; i++ {
+			if m, ok := tr.Recv(); !ok || m.MsgID != i {
+				t.Fatalf("zero-rate config (seed %d): recv %d: got %d %v", cfg.Seed, i, m.MsgID, ok)
+			}
+		}
+		if st := tr.Stats(); st != (TransportStats{Sent: 200, Delivered: 200}) {
+			t.Fatalf("zero-rate config (seed %d) misbehaved: %+v", cfg.Seed, st)
+		}
+		if got, want := tr.rng.Int63(), rand.New(rand.NewSource(cfg.Seed)).Int63(); got != want {
+			t.Fatalf("zero-rate config (seed %d) drew from the fault stream", cfg.Seed)
+		}
+	}
+
 	run := func() ([]uint64, TransportStats) {
 		tr := NewFaultTransport(FaultConfig{
 			Seed:     42,

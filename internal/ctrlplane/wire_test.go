@@ -9,16 +9,14 @@ import (
 
 // wireTap records every message put on the wire, in order.
 type wireTap struct {
-	inner *ReliableTransport
-	sent  []Message
+	Transport
+	sent []Message
 }
 
 func (t *wireTap) Send(m Message) {
 	t.sent = append(t.sent, m)
-	t.inner.Send(m)
+	t.Transport.Send(m)
 }
-func (t *wireTap) Recv() (Message, bool) { return t.inner.Recv() }
-func (t *wireTap) Advance()              { t.inner.Advance() }
 
 // requests returns how many coordinator→agent messages were sent since the
 // last call, failing the test on any message that is not part of the one
@@ -46,7 +44,7 @@ func (t *wireTap) requests(tb testing.TB, step string) int {
 func TestOneProtocolOnTheWire(t *testing.T) {
 	ctx := context.Background()
 	tapped := func(p *Plane) *wireTap {
-		tap := &wireTap{inner: NewReliableTransport()}
+		tap := &wireTap{Transport: NewFaultTransport(FaultConfig{})}
 		p.UseTransport(tap)
 		return tap
 	}

@@ -69,7 +69,8 @@ type Daemon struct {
 	healer     *churn.Healer
 
 	// fed is the in-process federation fabric (nil unless Regions is
-	// set); see federation.go for the lock protocol and endpoints.
+	// set), which orders its own callers; see federation.go for the
+	// endpoints.
 	fed *fedState
 
 	// econ is the live economics plane (nil unless Econ is set). New
@@ -86,8 +87,9 @@ type Daemon struct {
 	httpHist *obs.Histogram
 
 	// SLO plane (nil unless SLO.QueryP99 is set; see slo.go): the
-	// handlers feed the objectives, Run's SLO loop evaluates burn rates,
-	// and a firing alert dumps the flight recorder to SLO.DumpPath.
+	// handlers feed the objectives (recording on a nil one is a no-op),
+	// Run's SLO loop evaluates burn rates, and a firing alert dumps the
+	// flight recorder to SLO.DumpPath.
 	slo         *obs.SLOEngine
 	sloQuery    *obs.SLOObjective
 	sloSetup    *obs.SLOObjective
@@ -149,35 +151,10 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 	s.gen = churn.NewGenerator(s.churnState, func() []int32 { return s.plane.Brokers() }, churn.GenConfig{Seed: cfg.ChurnSeed})
 	s.pub = epoch.NewPublisher(s.churnState.Snapshot(brokers, metrics.View()))
 
-	s.qp, err = queryplane.New(queryplane.Config{
-		// Cache entries are keyed to the epoch they were computed under:
-		// every snapshot publication stales the whole cache.
-		Generation: s.pub.Epoch,
-		// A stale entry whose path still checks out against the current
-		// snapshot is re-stamped instead of recomputed — an O(hops) walk
-		// replaces a full search for every path the churn didn't touch.
-		Revalidate: func(p *routing.Path, opts routing.Options, gen uint64) bool {
-			snap := s.pub.Current()
-			return snap.ID() == gen && snap.PathValid(p, opts)
-		},
-		// The daemon itself is the admission hook: it delegates to the
-		// econ plane when one is enabled, and admits everything (one
-		// nil-check) otherwise.
-		Admission: s,
-		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			// Lock-free: pin the current snapshot and search its frozen
-			// view. A concurrent mutation publishes a successor, which
-			// this computation never observes — the result is a
-			// consistent single-epoch answer either way.
-			return s.pub.Current().BestPath(src, dst, opts)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
+	// The daemon itself is the admission hook: it delegates to the econ
+	// plane when one is enabled, and admits everything (one nil-check)
+	// otherwise.
+	s.qp = queryplane.Over(s.pub, s)
 
 	healTarget := cfg.HealTarget
 	if healTarget <= 0 {
@@ -359,11 +336,11 @@ func (s *Daemon) publishLocked(ctx context.Context) {
 
 // publishIfMoved publishes the successor of a lifecycle round — one that
 // mutated reservations, never the graph or membership, so the capacity-only
-// WithView fast path applies — iff the plane's version moved past before.
-// Callers hold writeMu.
+// publish applies — iff the plane's version moved past before. Callers hold
+// writeMu.
 func (s *Daemon) publishIfMoved(ctx context.Context, before uint64) {
 	if s.plane.Version() != before {
-		s.pub.Publish(ctx, s.pub.Current().WithView(s.metrics.View()))
+		s.pub.PublishView(ctx, s.metrics.View())
 	}
 }
 
@@ -468,8 +445,7 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (Session
 	// path answers it whenever it has the bandwidth (constraint dominance),
 	// and when it does not the search routes around the thin link instead of
 	// handing the committer a path it must refuse.
-	opts := routing.Options{MinBandwidth: max(gbps, 0)}
-	if path, _, err := s.qp.Resolve(ctx, src, dst, opts); err == nil {
+	if path, _, err := s.qp.Resolve(ctx, src, dst, routing.Options{}.Reserving(gbps)); err == nil {
 		op.path = path.Nodes
 	}
 	err := s.commit.submit(ctx, op)
@@ -482,14 +458,10 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (Session
 			reason = "shed"
 		}
 		s.refuseSpan(ctx, "brokerd.setup_refused", reason)
-		if s.sloSetup != nil {
-			s.sloSetup.Record(false, obs.TraceIDFrom(ctx))
-		}
+		s.sloSetup.Record(false, obs.TraceIDFrom(ctx))
 		return SessionView{}, err
 	}
-	if s.sloSetup != nil {
-		s.sloSetup.Record(true, 0)
-	}
+	s.sloSetup.Record(true, 0)
 	s.sessions.Put(op.sess)
 	// A committed reservation credits its carrying brokers with the
 	// session's bandwidth in settlement units.

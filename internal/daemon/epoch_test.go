@@ -109,16 +109,14 @@ func TestSnapshotConsistencyUnderChurnStorm(t *testing.T) {
 // slowTransport delays every control-plane message, stretching the 2PC
 // critical section that runs under the server's write mutex.
 type slowTransport struct {
-	inner *ctrlplane.ReliableTransport
+	ctrlplane.Transport
 	delay time.Duration
 }
 
 func (t *slowTransport) Send(m ctrlplane.Message) {
 	time.Sleep(t.delay)
-	t.inner.Send(m)
+	t.Transport.Send(m)
 }
-func (t *slowTransport) Recv() (ctrlplane.Message, bool) { return t.inner.Recv() }
-func (t *slowTransport) Advance()                        { t.inner.Advance() }
 
 // TestSetupDoesNotBlockQueries is the regression test for the epoch
 // refactor's central claim: a session setup grinding through a slow 2PC
@@ -127,7 +125,7 @@ func (t *slowTransport) Advance()                        { t.inner.Advance() }
 // below would stall until the setup finished and blow its deadline.
 func TestSetupDoesNotBlockQueries(t *testing.T) {
 	srv, _ := testServer(t)
-	srv.plane.UseTransport(&slowTransport{inner: ctrlplane.NewReliableTransport(), delay: 10 * time.Millisecond})
+	srv.plane.UseTransport(&slowTransport{Transport: ctrlplane.NewFaultTransport(ctrlplane.FaultConfig{}), delay: 10 * time.Millisecond})
 	bs := srv.currentBrokers()
 	src, dst := int(bs[0]), int(bs[len(bs)-1])
 

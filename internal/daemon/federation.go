@@ -34,7 +34,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"brokerset/internal/federation"
@@ -42,15 +42,11 @@ import (
 	"brokerset/internal/routing"
 )
 
-// fedState owns the federation fabric and the lock ordering every touch
-// of it: stitched queries and stats take the read side (the fabric's
-// query planes are internally synchronized and everything else they
-// touch is read-only), while setup/teardown/tick/gossip/heal — which
-// mutate ledgers, WALs, and snapshots — take the write side.
+// fedState is the federation fabric — which orders its own readers and
+// writers — and the beat count of the one loop that paces it.
 type fedState struct {
-	mu     sync.RWMutex
 	fabric *federation.Fabric
-	ticks  int // fedTick's beat count; guarded by mu
+	ticks  atomic.Int64 // fedTick's beat count
 }
 
 // enableFederation partitions the daemon's topology into regions and
@@ -75,7 +71,7 @@ func (s *Daemon) enableFederation() error {
 	// stitched trace covers the HTTP request, the home-region 2PC, and
 	// every transit region's sub-transaction.
 	fabric.SetTracer(s.tracer)
-	fabric.RegisterMetrics(s.reg, s.fed.mu.RLocker())
+	fabric.RegisterMetrics(s.reg)
 	return nil
 }
 
@@ -83,14 +79,12 @@ func (s *Daemon) enableFederation() error {
 // beat the regions gossip digests and border liveness, and every 20th the
 // healer re-stitches sessions damaged since the last pass.
 func (s *Daemon) fedTick(ctx context.Context) {
-	s.fed.mu.Lock()
-	defer s.fed.mu.Unlock()
-	s.fed.ticks++
+	beat := s.fed.ticks.Add(1)
 	s.fed.fabric.Tick()
-	if s.fed.ticks%5 == 0 {
+	if beat%5 == 0 {
 		s.fed.fabric.GossipTick()
 	}
-	if s.fed.ticks%20 == 0 {
+	if beat%20 == 0 {
 		s.fed.fabric.Heal(ctx)
 	}
 }
@@ -105,7 +99,7 @@ type fedRegionInfo struct {
 }
 
 // fedRegions describes every region of the fabric, border IXPs (global ids)
-// included when borders is set. The caller holds the fabric lock.
+// included when borders is set.
 func fedRegions(fabric *federation.Fabric, borders bool) []fedRegionInfo {
 	out := make([]fedRegionInfo, fabric.NumRegions())
 	for i := range out {
@@ -125,10 +119,7 @@ func fedRegions(fabric *federation.Fabric, borders bool) []fedRegionInfo {
 }
 
 func (s *Daemon) handleFedRegions(w http.ResponseWriter, r *http.Request) {
-	s.fed.mu.RLock()
-	out := fedRegions(s.fed.fabric, true)
-	s.fed.mu.RUnlock()
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, fedRegions(s.fed.fabric, true))
 }
 
 type fedSegmentJSON struct {
@@ -162,9 +153,7 @@ func (s *Daemon) handleFedPath(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.fed.mu.RLock()
 	sp, err := s.fed.fabric.StitchPath(r.Context(), int32(src), int32(dst), opts)
-	s.fed.mu.RUnlock()
 	if err != nil {
 		var shed *federation.ShedError
 		switch {
@@ -221,13 +210,11 @@ func fedSessionJSON(sess *federation.Session) fedSessionResponse {
 }
 
 func (s *Daemon) handleFedSessionList(w http.ResponseWriter, r *http.Request) {
-	s.fed.mu.RLock()
 	sessions := s.fed.fabric.Sessions()
 	out := make([]fedSessionResponse, 0, len(sessions))
 	for _, sess := range sessions {
 		out = append(out, fedSessionJSON(sess))
 	}
-	s.fed.mu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -238,9 +225,7 @@ func (s *Daemon) handleFedSessionSetup(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
 	defer cancel()
-	s.fed.mu.Lock()
 	sess, err := s.fed.fabric.Setup(ctx, int32(req.Src), int32(req.Dst), req.Gbps, routing.Options{})
-	s.fed.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -253,18 +238,12 @@ func (s *Daemon) handleFedSessionGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var out fedSessionResponse
-	s.fed.mu.RLock()
 	sess := s.fed.fabric.Session(id)
-	if sess != nil {
-		out = fedSessionJSON(sess)
-	}
-	s.fed.mu.RUnlock()
 	if sess == nil {
 		writeError(w, http.StatusNotFound, "no federated session %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, fedSessionJSON(sess))
 }
 
 func (s *Daemon) handleFedSessionTeardown(w http.ResponseWriter, r *http.Request) {
@@ -274,22 +253,14 @@ func (s *Daemon) handleFedSessionTeardown(w http.ResponseWriter, r *http.Request
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
 	defer cancel()
-	var err error
-	s.fed.mu.Lock()
-	sess := s.fed.fabric.Session(id)
-	if sess != nil {
-		err = s.fed.fabric.Teardown(ctx, sess)
-	}
-	s.fed.mu.Unlock()
-	if sess == nil {
+	switch err := s.fed.fabric.Teardown(ctx, &federation.Session{ID: id}); {
+	case errors.Is(err, federation.ErrNoSession):
 		writeError(w, http.StatusNotFound, "no federated session %d", id)
-		return
-	}
-	if err != nil {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
 
 type fedStatsResponse struct {
@@ -298,10 +269,7 @@ type fedStatsResponse struct {
 }
 
 func (s *Daemon) handleFedStats(w http.ResponseWriter, r *http.Request) {
-	s.fed.mu.RLock()
-	out := fedStatsResponse{Regions: fedRegions(s.fed.fabric, false), Stats: s.fed.fabric.Stats()}
-	s.fed.mu.RUnlock()
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, fedStatsResponse{Regions: fedRegions(s.fed.fabric, false), Stats: s.fed.fabric.Stats()})
 }
 
 // FederationSummary describes the booted regions (members and brokers

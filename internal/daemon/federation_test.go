@@ -128,8 +128,6 @@ func TestFederationSessionLifecycle(t *testing.T) {
 	}
 
 	// The fabric must be conserved after the full lifecycle.
-	srv.fed.mu.Lock()
-	defer srv.fed.mu.Unlock()
 	if err := srv.fed.fabric.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +156,8 @@ func TestFederationHealAbortedSessionIsGone(t *testing.T) {
 
 	// With the destination's region down no stitched path survives, so the
 	// next heal pass has to abort the session.
-	srv.fed.mu.Lock()
 	srv.fed.fabric.CrashRegion(2)
 	rep := srv.fed.fabric.Heal(context.Background())
-	srv.fed.mu.Unlock()
 	if rep.Aborted != 1 {
 		t.Fatalf("heal report %+v, want 1 aborted", rep)
 	}

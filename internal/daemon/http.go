@@ -226,16 +226,12 @@ func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
 			s.writePriceRejection(w, pe.Quote)
 		case errors.Is(err, queryplane.ErrShed):
 			s.refuseSpan(r.Context(), "brokerd.query_refused", "shed")
-			if s.sloQuery != nil {
-				s.sloQuery.Record(false, trace)
-			}
+			s.sloQuery.Record(false, trace)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.qp.RetryAfter().Seconds())))
 			writeError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, context.DeadlineExceeded):
 			s.refuseSpan(r.Context(), "brokerd.query_refused", "timeout")
-			if s.sloQuery != nil {
-				s.sloQuery.Record(false, trace)
-			}
+			s.sloQuery.Record(false, trace)
 			writeError(w, http.StatusGatewayTimeout, "path computation timed out")
 		case errors.Is(err, context.Canceled):
 			s.refuseSpan(r.Context(), "brokerd.query_refused", "canceled")
@@ -245,9 +241,7 @@ func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if s.sloQuery != nil {
-		s.sloQuery.Observe(time.Since(start), obs.TraceIDFrom(r.Context()))
-	}
+	s.sloQuery.Observe(time.Since(start), obs.TraceIDFrom(r.Context()))
 	if cached {
 		w.Header().Set("X-Cache", "hit")
 	} else {
@@ -363,9 +357,7 @@ func (s *Daemon) handleSessionRenew(w http.ResponseWriter, r *http.Request) {
 	if !s.Renew(id) {
 		// 410: the client must set up a new session, not keep heartbeating.
 		s.refuseSpan(r.Context(), "brokerd.renew_refused", "lease_lapsed")
-		if s.sloSetup != nil {
-			s.sloSetup.Record(false, obs.TraceIDFrom(r.Context()))
-		}
+		s.sloSetup.Record(false, obs.TraceIDFrom(r.Context()))
 		writeError(w, http.StatusGone, "session %d holds no lease", id)
 		return
 	}

@@ -288,9 +288,7 @@ func TestRunStopsEveryLoop(t *testing.T) {
 				if cfg.Churn == 0 {
 					return ""
 				}
-				d.fed.mu.RLock()
-				beats := d.fed.ticks
-				d.fed.mu.RUnlock()
+				beats := d.fed.ticks.Load()
 				heals, sessions, reprices := d.healer.Metrics.HealPasses.Load(), d.sessions.Len(), d.econ.ctrl.Ticks()
 				if heals > 0 && sessions == 0 && beats > 0 && reprices > 0 {
 					return ""

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"brokerset/internal/obs"
+	"brokerset/internal/routing"
 )
 
 // Publisher owns the single atomic pointer readers load snapshots from.
@@ -62,6 +63,15 @@ func (p *Publisher) Publish(ctx context.Context, next *Snapshot) uint64 {
 	sp.Annotatef("epoch", "%d", next.id)
 	sp.End()
 	return next.id
+}
+
+// PublishView publishes the capacity-only successor of the current snapshot:
+// reservations moved, the live graph, down-marks and membership did not, so
+// the successor shares everything but the metrics view (Snapshot.WithView).
+// This is the publish of a commit round. The caller's serialization must
+// cover whatever made it decide that only capacity changed, and the call.
+func (p *Publisher) PublishView(ctx context.Context, view *routing.View) uint64 {
+	return p.Publish(ctx, p.Current().WithView(view))
 }
 
 // RegisterMetrics exposes the publisher's health on reg:

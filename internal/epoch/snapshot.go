@@ -93,8 +93,8 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 // down-marks, and membership don't, so everything except the view (and the
 // epoch number, assigned at Publish) is shared with s — no map copies, no
 // connectivity recompute. Callers must only use it when nothing but
-// capacity changed since s was captured (brokerd's writer holds writeMu
-// across the check and the publish).
+// capacity changed since s was captured; Publisher.PublishView is the
+// serving path's one caller.
 func (s *Snapshot) WithView(view *routing.View) *Snapshot {
 	return &Snapshot{
 		live:       s.live,

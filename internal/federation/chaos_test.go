@@ -154,7 +154,11 @@ func TestPartitionMidSetupConserved(t *testing.T) {
 			}
 			// A session that reached the commit point may have been rolled
 			// back during reconciliation (transit lease expired): both
-			// final states are legal, half-states are not.
+			// final states are legal, half-states are not. Setup handed out
+			// a copy; the fabric's own record has the final state.
+			if rec := f.sessions[s.ID]; rec != nil {
+				s = rec
+			}
 			verifyConserved(t, f, fr, seed, s)
 			if err := f.CheckInvariants(); err != nil {
 				dumpFlight(t, fr, seed, err.Error())
@@ -195,7 +199,7 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 			commitSeen++
 			if commitSeen == 6 && !crashed {
 				crashed = true
-				f.CrashRegion(1)
+				f.crashRegion(1) // inside Setup's pump, under its lock
 			}
 		}
 	}
@@ -213,11 +217,8 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 			live = append(live, s)
 		}
 		if len(live) > 3 {
-			s := live[0]
+			_ = f.Teardown(ctx, live[0]) // refused if it was rolled back since
 			live = live[1:]
-			if s.State == ctrlplane.StateCommitted {
-				_ = f.Teardown(ctx, s)
-			}
 		}
 		if i%5 == 4 {
 			f.GossipTick()
@@ -240,11 +241,10 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 	}
 	// Every surviving committed session must be committed in every region
 	// its path crosses.
-	for _, s := range live {
-		if s.State != ctrlplane.StateCommitted {
-			continue
+	for _, h := range live {
+		if s := f.sessions[h.ID]; s != nil && s.State == ctrlplane.StateCommitted {
+			verifyConserved(t, f, fr, seed, s)
 		}
-		verifyConserved(t, f, fr, seed, s)
 	}
 	if setups != 30 {
 		t.Fatalf("drove %d setups, want 30", setups)

@@ -38,9 +38,20 @@
 // The Fabric is the in-process federation harness: it owns the regions, the
 // peer message bus and its delivery engine, and the home coordinators'
 // decision record; everything else per region — records, gossip view, crash
-// mark — is a field of its Region. Like ctrlplane.Plane it is not safe for
-// concurrent use — callers serialize operations externally (brokerd guards
-// it with one RWMutex).
+// mark — is a field of its Region.
+//
+// A Fabric is safe for concurrent use and owns its serialization: one
+// RWMutex, taken by every exported method and by nothing else. StitchPath,
+// Stats and the session and gossip reads share the read side — the region
+// query planes they reach are internally synchronized and everything else
+// they touch is read-only — and return copies; Setup, Teardown, Tick,
+// GossipTick, Heal, CrashRegion, RecoverRegion, Reconcile and
+// CheckInvariants, which mutate ledgers, WALs, snapshots and the delivery
+// engine, take the write side. Exported methods lock and call unexported
+// bodies; the bodies call each other, never an exported method. What
+// Region(r) hands out is the region's own stack (its ctrlplane.Plane is not
+// safe for concurrent use): tests that reach into it do so while nothing
+// else drives the fabric.
 package federation
 
 import (
@@ -48,6 +59,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"brokerset/internal/ctrlplane"
 	"brokerset/internal/obs"
@@ -119,6 +131,9 @@ type Stats struct {
 
 // Fabric is the in-process multi-region broker plane.
 type Fabric struct {
+	// mu orders every touch of the fabric; see the package comment.
+	mu sync.RWMutex
+
 	cfg     Config
 	top     *topology.Topology
 	part    *topology.RegionPartition
@@ -130,13 +145,13 @@ type Fabric struct {
 	// d delivers X-PREPAREs and decision records over the inter-region bus:
 	// retries, the backlog of decided-but-undelivered records (durable, like
 	// decided and every Region.subs) and the per-peer-region circuit breakers
-	// live there. Home coordinators have no failure detector for their peers, so
-	// it is built without a Down hook: a crashed region's traffic is sent,
-	// dropped by the regionBus, and counted against its breaker.
+	// live there, and so does fabric time (d.Now). Home coordinators have no
+	// failure detector for their peers, so it is built without a Down hook: a
+	// crashed region's traffic is sent, dropped by the regionBus, and counted
+	// against its breaker.
 	d      *ctrlplane.Delivery
 	peerFT *ctrlplane.FaultTransport
 	rng    *rand.Rand
-	clock  int
 
 	// decided is the home coordinators' durable decision record (survives
 	// region crashes).
@@ -173,12 +188,12 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 		decided:  make(map[fedKey]bool),
 		sessions: make(map[int]*Session),
 	}
-	var peer ctrlplane.Transport = ctrlplane.NewReliableTransport()
+	var faults ctrlplane.FaultConfig // zero: the lossless FIFO
 	if cfg.PeerFaults != nil {
-		f.peerFT = ctrlplane.NewFaultTransport(*cfg.PeerFaults)
-		peer = f.peerFT
+		faults = *cfg.PeerFaults
 	}
-	f.d = ctrlplane.NewDelivery("federation", regionBus{peer, f}, cfg.Retry, &f.clock)
+	f.peerFT = ctrlplane.NewFaultTransport(faults)
+	f.d = ctrlplane.NewDelivery("federation", regionBus{f.peerFT, f}, cfg.Retry)
 	f.d.Dispatch = f.dispatch
 	f.d.Refused = f.commitRefused
 	global := cfg.Metrics
@@ -227,7 +242,7 @@ func (b regionBus) Recv() (ctrlplane.Message, bool) {
 		switch {
 		case !peer || q >= len(b.f.regions):
 		case b.f.regions[q].crashed:
-			b.f.flight.Recordf("federation", "drop", int64(b.f.clock), "%s to crashed region %d session %d.%d",
+			b.f.flight.Recordf("federation", "drop", int64(b.f.d.Now()), "%s to crashed region %d session %d.%d",
 				m.Type, q, m.SessionID, m.Epoch)
 		default:
 			return m, true
@@ -244,12 +259,28 @@ func (f *Fabric) Region(r int) *Region { return f.regions[r] }
 // Partition returns the underlying region partition.
 func (f *Fabric) Partition() *topology.RegionPartition { return f.part }
 
-// Session returns the standing session with this id: one Setup established
-// and neither Teardown released nor Heal had to abort. Nil otherwise.
-func (f *Fabric) Session(id int) *Session { return f.sessions[id] }
+// Session returns a copy of the standing session with this id: one Setup
+// established and neither Teardown released nor Heal had to abort. Nil
+// otherwise.
+func (f *Fabric) Session(id int) *Session {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.sessions[id].clone()
+}
 
-// Sessions returns every standing session, ordered by id.
+// Sessions returns a copy of every standing session, ordered by id.
 func (f *Fabric) Sessions() []*Session {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	out := f.standing()
+	for i, s := range out {
+		out[i] = s.clone()
+	}
+	return out
+}
+
+// standing lists the fabric's own session records, ordered by id.
+func (f *Fabric) standing() []*Session {
 	out := make([]*Session, 0, len(f.sessions))
 	for _, s := range f.sessions {
 		out = append(out, s)
@@ -258,13 +289,19 @@ func (f *Fabric) Sessions() []*Session {
 	return out
 }
 
-// PeerTransport returns the fault transport of the inter-region bus (nil
-// when the fabric runs on the lossless default). Chaos harnesses use it to
-// partition peer regions and observe deliveries.
+// PeerTransport returns the inter-region bus. Chaos harnesses use it to
+// partition peer regions and observe deliveries; it is the fabric's own
+// state, for a test to touch while nothing else drives the fabric.
 func (f *Fabric) PeerTransport() *ctrlplane.FaultTransport { return f.peerFT }
 
 // Stats returns a copy of the federation counters.
 func (f *Fabric) Stats() Stats {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.statsLocked()
+}
+
+func (f *Fabric) statsLocked() Stats {
 	st := f.stats
 	st.PeerMessages, st.PeerRetries, st.BreakerTrips = f.d.Sent, f.d.Retries, f.d.BreakerTrips
 	st.Backlogged = f.d.Backlogged()
@@ -272,7 +309,11 @@ func (f *Fabric) Stats() Stats {
 }
 
 // RegionCrashed reports whether region r's sub-coordinator is down.
-func (f *Fabric) RegionCrashed(r int) bool { return f.regions[r].crashed }
+func (f *Fabric) RegionCrashed(r int) bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.regions[r].crashed
+}
 
 // CrashRegion fails region r's whole stack: the sub-coordinator's volatile
 // state — its gossip view — is lost, and while crashed the region neither
@@ -280,11 +321,20 @@ func (f *Fabric) RegionCrashed(r int) bool { return f.regions[r].crashed }
 // sub-transaction records and the region plane's agent WALs — survives for
 // RecoverRegion.
 func (f *Fabric) CrashRegion(r int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.crashRegion(r)
+}
+
+// crashRegion is CrashRegion's body, which a chaos test's delivery hook calls
+// directly: a region that dies mid-protocol dies inside the operation that
+// holds the lock.
+func (f *Fabric) crashRegion(r int) {
 	reg := f.regions[r]
 	if reg.crashed {
 		return
 	}
-	f.flight.Recordf("federation", "region_crash", int64(f.clock), "region %d", r)
+	f.flight.Recordf("federation", "region_crash", int64(f.d.Now()), "region %d", r)
 	reg.crashed = true
 	reg.peers = make(map[int]*regionDigest)
 	f.stats.RegionCrashes++
@@ -296,20 +346,22 @@ func (f *Fabric) CrashRegion(r int) {
 // Region.applyDecision) — the presumed-abort recovery shape of the
 // intra-region protocol.
 func (f *Fabric) RecoverRegion(r int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	reg := f.regions[r]
 	if !reg.crashed {
 		return
 	}
 	reg.crashed = false
 	f.stats.RegionRecoveries++
-	f.flight.Recordf("federation", "region_recover", int64(f.clock), "region %d: %d sub-txn records", r, len(reg.subs))
+	f.flight.Recordf("federation", "region_recover", int64(f.d.Now()), "region %d: %d sub-txn records", r, len(reg.subs))
 }
 
 // tick advances fabric time: live region planes tick (sweeping lapsed
 // leases), and the peer backlog is re-driven. A crashed region's clock
 // stays frozen — its leases age only while the region is actually up.
 func (f *Fabric) tick() {
-	f.clock++
+	f.d.Tick()
 	for _, reg := range f.regions {
 		if !reg.crashed {
 			reg.Plane.Tick()
@@ -320,12 +372,18 @@ func (f *Fabric) tick() {
 
 // Tick advances fabric time one step without an operation (loadgen's
 // session driver and tests pace the fabric with it).
-func (f *Fabric) Tick() { f.tick() }
+func (f *Fabric) Tick() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tick()
+}
 
 // Reconcile drives the peer backlog (and every region plane's backlog) to
 // empty, the quiescent state CheckInvariants expects. All regions must be
 // recovered first.
 func (f *Fabric) Reconcile(ctx context.Context) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for r, reg := range f.regions {
 		if reg.crashed {
 			return fmt.Errorf("federation: reconcile requires every region up: region %d crashed", r)
@@ -349,6 +407,8 @@ func (f *Fabric) Reconcile(ctx context.Context) error {
 // stitched session must be exactly accounted in every region it crosses —
 // fully committed everywhere or conserved-aborted everywhere.
 func (f *Fabric) CheckInvariants() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for r, reg := range f.regions {
 		if reg.crashed {
 			return fmt.Errorf("federation: invariant check requires every region up: region %d crashed", r)

@@ -20,6 +20,8 @@ type regionDigest struct {
 // acks, no retries; loss is repaired by the next round, and stale digests
 // are fenced by the epoch stamp.
 func (f *Fabric) GossipTick() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for r, reg := range f.regions {
 		if reg.crashed {
 			continue
@@ -67,7 +69,7 @@ func (f *Fabric) handleGossip(q int, m ctrlplane.Message) {
 	}
 	d.Epoch = m.Epoch
 	d.Conn = m.Bandwidth
-	d.LastSeen = f.clock
+	d.LastSeen = f.d.Now()
 	d.borderDown[m.Hop[0]] = m.Hop[1] == 0
 	f.stats.GossipApplied++
 }
@@ -75,6 +77,8 @@ func (f *Fabric) handleGossip(q int, m ctrlplane.Message) {
 // PeerDigest returns region r's gossip-fed view of peer region q (nil when
 // no digest has arrived yet). Tests and /federation/stats introspection.
 func (f *Fabric) PeerDigest(r, q int) (epoch uint32, conn float64, lastSeen int, ok bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	d := f.regions[r].peers[q]
 	if d == nil {
 		return 0, 0, 0, false
@@ -85,6 +89,8 @@ func (f *Fabric) PeerDigest(r, q int) (epoch uint32, conn float64, lastSeen int,
 // PeerBorderDown reports whether region r has heard (via gossip) that
 // border broker b is down in peer region q.
 func (f *Fabric) PeerBorderDown(r, q int, b int32) bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	d := f.regions[r].peers[q]
 	return d != nil && d.borderDown[b]
 }

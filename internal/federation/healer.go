@@ -29,9 +29,11 @@ type HealReport struct {
 func (f *Fabric) Heal(ctx context.Context) HealReport {
 	ctx, span := obs.StartSpan(ctx, "federation.heal")
 	defer span.End()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.tick()
 	var rep HealReport
-	for _, s := range f.Sessions() {
+	for _, s := range f.standing() {
 		if s.State != ctrlplane.StateCommitted {
 			continue
 		}
@@ -42,15 +44,15 @@ func (f *Fabric) Heal(ctx context.Context) HealReport {
 		if !f.sessionDamaged(s) {
 			continue
 		}
-		f.flight.Recordf("federation", "heal", int64(f.clock), "session %d.%d damaged", s.ID, s.Epoch)
+		f.flight.Recordf("federation", "heal", int64(f.d.Now()), "session %d.%d damaged", s.ID, s.Epoch)
 		f.releaseSegments(ctx, s)
 		s.Epoch++
-		sp, err := f.StitchPath(ctx, s.Src, s.Dst, routing.Options{MinBandwidth: s.Bandwidth})
+		sp, err := f.stitchPath(ctx, s.Src, s.Dst, routing.Options{}.Reserving(s.Bandwidth))
 		if err == nil {
 			err = f.establishStitched(ctx, s, sp)
 		}
 		if err != nil {
-			f.flight.Recordf("federation", "heal_abort", int64(f.clock), "session %d.%d: %v", s.ID, s.Epoch, err)
+			f.flight.Recordf("federation", "heal_abort", int64(f.d.Now()), "session %d.%d: %v", s.ID, s.Epoch, err)
 			s.State = ctrlplane.StateAborted
 			delete(f.sessions, s.ID)
 			rep.Aborted++

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"fmt"
-	"sync"
 
 	"brokerset/internal/obs"
 )
@@ -12,6 +11,8 @@ import (
 // region crashes) and each region's intra-plane protocol events land in the
 // same ring, in one global order. nil detaches.
 func (f *Fabric) SetFlightRecorder(fr *obs.FlightRecorder) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.flight, f.d.Flight = fr, fr
 	for _, reg := range f.regions {
 		reg.Plane.SetFlightRecorder(fr)
@@ -22,17 +23,20 @@ func (f *Fabric) SetFlightRecorder(fr *obs.FlightRecorder) {
 // adopts the trace ID riding incoming X-* messages, stitching its
 // sub-transaction spans into the originating request's trace. nil detaches
 // (sub-transactions run untraced).
-func (f *Fabric) SetTracer(t *obs.Tracer) { f.tracer = t }
+func (f *Fabric) SetTracer(t *obs.Tracer) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tracer = t
+}
 
 // RegisterMetrics exposes the fabric's counters under the federation_
 // namespace, plus per-region epoch/commit/abort/query gauges name-encoded
-// as federation_region<r>_*. The fabric is not internally synchronized —
-// the caller passes the lock ordering its mutations and the collector takes
-// it once per scrape.
-func (f *Fabric) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
+// as federation_region<r>_*. The collector takes the fabric's read lock once
+// per scrape.
+func (f *Fabric) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCollector(func(emit func(obs.Sample)) {
-		lk.Lock()
-		st := f.Stats()
+		f.mu.RLock()
+		st := f.statsLocked()
 		type regionRow struct {
 			epoch           uint64
 			commits, aborts int
@@ -47,7 +51,7 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 				leaseExpiries: ps.LeaseExpiries, crashed: rg.crashed,
 			}
 		}
-		lk.Unlock()
+		f.mu.RUnlock()
 		for _, m := range []struct {
 			name, help string
 			kind       obs.Kind

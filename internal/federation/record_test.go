@@ -61,9 +61,9 @@ func TestHealSeesDamageAfterRegionBounce(t *testing.T) {
 				if rep.Checked != 1 || rep.Restitched+rep.Aborted != 1 {
 					t.Fatalf("heal report %+v: the session stands on a crashed broker, want it restitched or aborted", rep)
 				}
-				for _, n := range s.Stitched.Nodes {
-					if rep.Restitched == 1 && n == tc.victim(seg) {
-						t.Fatalf("healed path %v still crosses crashed broker %d", s.Stitched.Nodes, n)
+				if rep.Restitched == 1 {
+					if healed := f.Session(s.ID); healed == nil || slices.Contains(healed.Stitched.Nodes, tc.victim(seg)) {
+						t.Fatalf("healed session %+v still crosses crashed broker %d", healed, tc.victim(seg))
 					}
 				}
 				reg.Plane.Recover(l)

@@ -133,22 +133,9 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 	})
 	pub := epoch.NewPublisher(snap)
 
-	qp, err := queryplane.New(queryplane.Config{
-		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
-			return pub.Current().BestPath(src, dst, opts)
-		},
-		Generation: pub.Epoch,
-		Revalidate: func(p *routing.Path, opts routing.Options, gen uint64) bool {
-			return pub.Current().PathValid(p, opts)
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("query plane: %w", err)
-	}
-
 	reg := &Region{
 		ID: r, Top: sub, Orig: orig, g2l: g2l,
-		Metrics: metrics, Plane: plane, Pub: pub, QP: qp,
+		Metrics: metrics, Plane: plane, Pub: pub, QP: queryplane.Over(pub, nil),
 		Brokers: brokers, borderLocal: borderLocal,
 		lastVersion: plane.Version(),
 		subs:        make(map[fedKey]*subRecord),
@@ -189,9 +176,9 @@ func (reg *Region) maybePublish(ctx context.Context) {
 		return
 	}
 	reg.lastVersion = v
-	// Only reservations change after boot (the region graph and coalition
-	// are fixed), so the successor shares everything but the view.
-	reg.Pub.Publish(ctx, reg.Pub.Current().WithView(reg.Metrics.View()))
+	// Only reservations change after boot: the region graph and coalition
+	// are fixed.
+	reg.Pub.PublishView(ctx, reg.Metrics.View())
 }
 
 // hold prepares a region-local path for attempt fk and writes the
@@ -235,8 +222,7 @@ func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
 	// named the border endpoints, the concrete hops are ours to choose. The
 	// quote we gave its stitch is still cached, so unless our reservations
 	// moved under it this is a lookup, not a search.
-	p, _, err := reg.QP.Resolve(ctx, int(entry), int(exit),
-		routing.Options{MinBandwidth: m.Bandwidth})
+	p, _, err := reg.QP.Resolve(ctx, int(entry), int(exit), routing.Options{}.Reserving(m.Bandwidth))
 	if err != nil {
 		return false
 	}

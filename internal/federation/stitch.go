@@ -60,9 +60,15 @@ var ErrNoRoute = errors.New("federation: no stitched path")
 // (skipping crashed regions), and for each region route stitches the
 // cheapest chain of per-region segments joined at live border IXPs,
 // charging CrossingCostMs per handover. Read-only: no fabric time passes
-// and no state mutates, so concurrent readers may share the fabric under
-// an external RWMutex the way brokerd shares the snapshot publisher.
+// and no state mutates, so any number of stitches share the fabric's read
+// lock.
 func (f *Fabric) StitchPath(ctx context.Context, src, dst int32, opts routing.Options) (*StitchedPath, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.stitchPath(ctx, src, dst, opts)
+}
+
+func (f *Fabric) stitchPath(ctx context.Context, src, dst int32, opts routing.Options) (*StitchedPath, error) {
 	ctx, span := obs.StartSpan(ctx, "federation.stitch")
 	defer span.End()
 	if int(src) >= f.top.NumNodes() || int(dst) >= f.top.NumNodes() || src < 0 || dst < 0 {

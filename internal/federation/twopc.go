@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"brokerset/internal/ctrlplane"
@@ -24,28 +25,43 @@ type Session struct {
 	Epoch uint32
 }
 
+// clone returns a copy of s for a caller outside the fabric's lock (nil for
+// nil). The stitched path is shared: an attempt installs a new one, nothing
+// edits one in place.
+func (s *Session) clone() *Session {
+	if s == nil {
+		return nil
+	}
+	c := *s
+	return &c
+}
+
+// ErrNoSession is Teardown's answer for a session the fabric does not hold:
+// never set up, already released, or aborted by the healer.
+var ErrNoSession = errors.New("federation: no such session")
+
 // Setup reserves bandwidth on a stitched cross-region path end to end with
 // a two-level commit: the home region (src's region) prepares its own
 // segment directly and drives every transit region's sub-coordinator
 // through X-PREPARE, then — once every segment holds — decides commit for
 // every region holding one, itself first. Presumed abort end to end: any
 // nack, timeout, or refused commit leaves every region with nothing reserved.
+// The session returned is a copy of the fabric's record, as of the commit.
 func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts routing.Options) (*Session, error) {
 	if bw <= 0 {
 		return nil, fmt.Errorf("federation: bandwidth must be positive, got %f", bw)
 	}
 	ctx, span := obs.StartSpan(ctx, "federation.setup")
 	defer span.End()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.tick()
 	f.stats.Setups++
 	home := f.part.RegionOf(src)
 	if f.regions[home].crashed {
 		return nil, fmt.Errorf("federation: home region %d crashed", home)
 	}
-	if opts.MinBandwidth < bw {
-		opts.MinBandwidth = bw
-	}
-	sp, err := f.StitchPath(ctx, src, dst, opts)
+	sp, err := f.stitchPath(ctx, src, dst, opts.Reserving(bw))
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +81,7 @@ func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts rou
 		return nil, err
 	}
 	f.sessions[s.ID] = s
-	return s, nil
+	return s.clone(), nil
 }
 
 // localPath maps a global-id path into region-local ids; every node must be
@@ -193,7 +209,7 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 	}
 	if len(nacked) > 0 || len(pending) > 0 {
 		f.decided[fk] = false
-		f.flight.Recordf("federation", "decide", int64(f.clock), "session %d.%d ABORT (%d nack, %d unreachable)",
+		f.flight.Recordf("federation", "decide", int64(f.d.Now()), "session %d.%d ABORT (%d nack, %d unreachable)",
 			s.ID, s.Epoch, len(nacked), len(pending))
 		f.decide(ctx, s, ctrlplane.EntryAbort, regions)
 		return aborted(fmt.Errorf("federation: session %d.%d aborted: %d region(s) nacked, %d unreachable",
@@ -203,7 +219,7 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 	// Commit point: every segment holds. The decision is durable before any
 	// commit record leaves the home region.
 	f.decided[fk] = true
-	f.flight.Recordf("federation", "decide", int64(f.clock), "session %d.%d COMMIT (%d transit region(s))",
+	f.flight.Recordf("federation", "decide", int64(f.d.Now()), "session %d.%d COMMIT (%d transit region(s))",
 		s.ID, s.Epoch, len(msgs))
 	if refused := f.decide(ctx, s, ctrlplane.EntryCommit, regions); refused > 0 {
 		// A region's lease expired before our commit reached it and it already
@@ -235,7 +251,7 @@ func (f *Fabric) rollback(ctx context.Context, s *Session) {
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
 	f.stats.Rollbacks++
 	f.decided[fk] = false
-	f.flight.Recordf("federation", "rollback", int64(f.clock), "session %d.%d: commit refused", s.ID, s.Epoch)
+	f.flight.Recordf("federation", "rollback", int64(f.d.Now()), "session %d.%d: commit refused", s.ID, s.Epoch)
 	f.d.Cancel(func(m ctrlplane.Message) bool { return m.SessionID == fk.ID && m.Epoch == fk.Epoch })
 	aborts, _ := f.records(ctx, s, ctrlplane.EntryAbort, segmentRegions(s.Stitched)) // only a commit can be refused
 	f.d.Backlog(aborts...)
@@ -256,11 +272,21 @@ func (f *Fabric) commitRefused(req ctrlplane.Message) {
 	f.rollback(ctx, s)
 }
 
-// Teardown releases a committed federated session in every region it
-// crosses. Releases toward crashed or unreachable regions count against
-// their breaker and are backlogged.
-func (f *Fabric) Teardown(ctx context.Context, s *Session) error {
-	if s == nil || s.State != ctrlplane.StateCommitted {
+// Teardown releases the committed federated session h names — by ID: h is a
+// copy Setup or Session handed out — in every region it crosses. Releases
+// toward crashed or unreachable regions count against their breaker and are
+// backlogged.
+func (f *Fabric) Teardown(ctx context.Context, h *Session) error {
+	if h == nil {
+		return ErrNoSession
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.sessions[h.ID]
+	if s == nil {
+		return ErrNoSession
+	}
+	if s.State != ctrlplane.StateCommitted {
 		return fmt.Errorf("federation: teardown of non-committed session")
 	}
 	ctx, span := obs.StartSpan(ctx, "federation.teardown")

@@ -198,8 +198,8 @@ func TestOnePeerProtocolOnTheWire(t *testing.T) {
 		ft.Partition(ctrlplane.PeerAddr(2), false)
 		quiesce(t, f, "backlogged commit refused")
 		tap.requests(t, "reconcile")
-		if st := f.Stats(); st.Rollbacks != 1 || s.State != ctrlplane.StateAborted {
-			t.Fatalf("session state %d, stats %+v: want the session rolled back", s.State, st)
+		if st, rec := f.Stats(), f.Session(s.ID); st.Rollbacks != 1 || rec == nil || rec.State != ctrlplane.StateAborted {
+			t.Fatalf("session %+v, stats %+v: want the session rolled back", rec, st)
 		}
 		// The rollback and the aborts it sent ride the setup's trace.
 		names := map[string]int{}
@@ -214,8 +214,9 @@ func TestOnePeerProtocolOnTheWire(t *testing.T) {
 	t.Run("region crash mid-commit", func(t *testing.T) {
 		f, ft := tapped(t, 1, ctrlplane.RetryConfig{LeaseTTL: 500, MaxAttempts: 2}, tap)
 		ft.OnDeliver = func(m ctrlplane.Message) {
-			if commitTo(m, 1) && f.Stats().RegionCrashes == 0 {
-				f.CrashRegion(1)
+			// Inside Setup's pump, under its lock: the unlocked halves.
+			if commitTo(m, 1) && f.stats.RegionCrashes == 0 {
+				f.crashRegion(1)
 			}
 		}
 		s, err := setup(f, 5)
@@ -289,7 +290,7 @@ type tickTap struct {
 
 func (t *tickTap) Send(m ctrlplane.Message) {
 	if m.Type == ctrlplane.MsgXPrepare {
-		t.sends[m.MsgID] = append(t.sends[m.MsgID], t.f.clock)
+		t.sends[m.MsgID] = append(t.sends[m.MsgID], t.f.d.Now())
 	}
 	t.Transport.Send(m)
 }

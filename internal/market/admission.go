@@ -24,28 +24,8 @@ type Admission struct {
 	admitted     atomic.Uint64 // all admissions
 	admittedFree atomic.Uint64 // admissions that paid nothing (zero bid)
 	rejected     atomic.Uint64 // congested refusals (bid < price)
-	revenue      floatAdder    // accumulated payments
+	revenue      atomicFloat   // accumulated payments, drained at each settlement
 }
-
-// floatAdder accumulates a float64 with CAS. DrainRevenue swaps it back to
-// zero at each settlement, which a monotonic counter instrument could not
-// serve; RegisterMetrics (obs.go) exports its running value at scrape time.
-type floatAdder struct{ bits atomic.Uint64 }
-
-func (a *floatAdder) add(v float64) {
-	if v <= 0 {
-		return
-	}
-	for {
-		old := a.bits.Load()
-		next := f64bits(f64from(old) + v)
-		if a.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-func (a *floatAdder) load() float64 { return f64from(a.bits.Load()) }
 
 // NewAdmission builds the gate over a controller.
 func NewAdmission(ctrl *Controller) *Admission {
@@ -110,11 +90,4 @@ func (a *Admission) Revenue() float64 { return a.revenue.load() }
 // DrainRevenue atomically takes the accumulated revenue and resets it to
 // zero — the settlement engine calls it at each window close so every unit
 // of revenue lands in exactly one settlement record.
-func (a *Admission) DrainRevenue() float64 {
-	for {
-		old := a.revenue.bits.Load()
-		if a.revenue.bits.CompareAndSwap(old, f64bits(0)) {
-			return f64from(old)
-		}
-	}
-}
+func (a *Admission) DrainRevenue() float64 { return a.revenue.swap(0) }

@@ -127,14 +127,32 @@ type Controller struct {
 	ticks atomic.Uint64
 }
 
-func f64bits(v float64) uint64 { return math.Float64bits(v) }
-func f64from(b uint64) float64 { return math.Float64frombits(b) }
-
-// atomicFloat is a float64 published through a uint64 bit store.
+// atomicFloat is a float64 behind a uint64 bit store: the controller
+// publishes the price through it, the admission gate accumulates revenue in
+// it and swaps it back to zero at each settlement (which a monotonic counter
+// instrument could not serve; RegisterMetrics exports the running value).
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
+
+// swap stores v and returns what it replaced.
+func (f *atomicFloat) swap(v float64) float64 {
+	return math.Float64frombits(f.bits.Swap(math.Float64bits(v)))
+}
+
+// add accumulates a positive v with CAS.
+func (f *atomicFloat) add(v float64) {
+	if v <= 0 {
+		return
+	}
+	for {
+		old := f.bits.Load()
+		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
 
 // NewController builds a controller and primes the price with the
 // equilibrium of the unscaled follower population, so the first admitted

@@ -81,7 +81,9 @@ const (
 const sloBadTraces = 8
 
 // SLOObjective is one registered objective's live state. Observe/Record
-// are safe for concurrent use and lock-free.
+// are safe for concurrent use and lock-free, and a no-op on a nil objective
+// — the plane that would have registered it is off — like a nil
+// FlightRecorder's Record.
 type SLOObjective struct {
 	Objective
 	good atomic.Uint64
@@ -103,11 +105,16 @@ type SLOObjective struct {
 // objective's latency threshold. trace (0 = untraced) is retained as an
 // exemplar when the event is bad.
 func (o *SLOObjective) Observe(d time.Duration, trace uint64) {
-	o.Record(d <= o.Latency, trace)
+	if o != nil {
+		o.Record(d <= o.Latency, trace)
+	}
 }
 
 // Record records one event outcome; trace is retained when bad.
 func (o *SLOObjective) Record(good bool, trace uint64) {
+	if o == nil {
+		return
+	}
 	if good {
 		o.good.Add(1)
 		return

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"brokerset/internal/epoch"
 	"brokerset/internal/obs"
 	"brokerset/internal/routing"
 )
@@ -77,10 +78,6 @@ type Config struct {
 	// epoch snapshot — O(hops) instead of a full search). A revalidated path
 	// is feasible but not necessarily optimal for the new generation.
 	Revalidate func(p *routing.Path, opts routing.Options, gen uint64) bool
-	// Admission, when non-nil, gates every query (QueryBid's bid, 0 for
-	// Query) through priced admission before the cache is consulted.
-	// Refusals return a *PriceError and count in Stats.PriceRejected.
-	Admission Admission
 }
 
 // Serving-grade sizing, the values every deployment has run with. The worker
@@ -113,7 +110,7 @@ type Stats struct {
 	Dedup         uint64 `json:"dedup"`
 	Shed          uint64 `json:"shed"`
 	// PriceRejected counts queries refused by priced admission (bid below
-	// the congestion-adjusted price); zero unless Config.Admission is wired.
+	// the congestion-adjusted price); zero unless the plane has an Admission.
 	PriceRejected uint64        `json:"price_rejected"`
 	Errors        uint64        `json:"errors"`
 	Evictions     uint64        `json:"evictions"`
@@ -129,7 +126,10 @@ type Stats struct {
 // QueryPlane serves path queries through the cache/singleflight/worker-pool
 // stack. All methods are safe for concurrent use.
 type QueryPlane struct {
-	cfg     Config
+	cfg Config
+	// adm, when non-nil, gates every query (QueryBid's bid, 0 for Query)
+	// through priced admission before the cache is consulted.
+	adm     Admission
 	cache   *Cache
 	flights flightGroup
 	sem     chan struct{} // worker slots; cap(sem) is the pool size
@@ -159,14 +159,45 @@ func New(cfg Config) (*QueryPlane, error) {
 	if cfg.Compute == nil || cfg.Generation == nil || cfg.Revalidate == nil {
 		return nil, fmt.Errorf("queryplane: Config.Compute, Generation and Revalidate are required")
 	}
+	return build(cfg, nil), nil
+}
+
+func build(cfg Config, adm Admission) *QueryPlane {
 	workers := runtime.GOMAXPROCS(0)
 	return &QueryPlane{
 		cfg:        cfg,
+		adm:        adm,
 		cache:      NewCache(cacheShards, cacheCapacity),
 		sem:        make(chan struct{}, workers),
 		queueDepth: queuePerWorker * workers,
 		timeout:    computeTimeout,
-	}, nil
+	}
+}
+
+// Over builds the plane that serves the snapshots pub publishes, which is
+// every serving plane in the repository: a miss searches the current
+// snapshot's frozen view (lock-free; a concurrent publish is a successor the
+// search never observes, so the answer is a consistent single-epoch one), the
+// cache generation is the epoch, and a stale entry is re-served only if its
+// path checks out against the snapshot of the very epoch the lookup read —
+// when a publish lands between the two the entry stays stale and the next
+// query settles it, rather than being stamped with a generation it was not
+// checked against. adm, when non-nil, gates every query through priced
+// admission; refusals return a *PriceError and count in Stats.PriceRejected.
+func Over(pub *epoch.Publisher, adm Admission) *QueryPlane {
+	return build(Config{
+		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			return pub.Current().BestPath(src, dst, opts)
+		},
+		Generation: pub.Epoch,
+		Revalidate: func(p *routing.Path, opts routing.Options, gen uint64) bool {
+			snap := pub.Current()
+			return snap.ID() == gen && snap.PathValid(p, opts)
+		},
+	}, adm)
 }
 
 // Query answers a path query: cache hit, joined in-flight computation, or a
@@ -178,14 +209,13 @@ func (q *QueryPlane) Query(ctx context.Context, src, dst int, opts routing.Optio
 	return q.QueryBid(ctx, src, dst, opts, 0)
 }
 
-// QueryBid is Query with an economic bid attached: when Config.Admission
-// is wired, the bid is compared against the congestion-adjusted price
+// QueryBid is Query with an economic bid attached: when the plane has an
+// Admission, the bid is compared against the congestion-adjusted price
 // before any cache or compute work happens, and a losing bid returns a
-// *PriceError carrying the quote. With no Admission configured the bid is
-// ignored.
+// *PriceError carrying the quote. With none the bid is ignored.
 func (q *QueryPlane) QueryBid(ctx context.Context, src, dst int, opts routing.Options, bid float64) (path *routing.Path, cached bool, err error) {
 	start := time.Now()
-	if adm := q.cfg.Admission; adm != nil {
+	if adm := q.adm; adm != nil {
 		if ok, quote := adm.Admit(bid); !ok {
 			q.queries.Add(1)
 			q.priceRej.Add(1)
@@ -290,7 +320,7 @@ func (q *QueryPlane) answer(ctx context.Context, src, dst int, opts routing.Opti
 		// Walked against the current link state, not read off rp.Bottleneck:
 		// a re-stamped entry's Bottleneck is from the generation it was
 		// computed under.
-		if q.cfg.Revalidate(rp, opts, gen) {
+		if q.Servable(rp, opts, gen) {
 			if rhow.hit() {
 				how = hitDominated
 			}
@@ -329,10 +359,17 @@ func (q *QueryPlane) compute(ctx context.Context, src, dst int, opts routing.Opt
 	return q.cfg.Compute(ctx, src, dst, opts)
 }
 
+// Servable reports whether p may still be served to a query with opts whose
+// lookup read generation gen: the question a stale cache entry has to pass to
+// be re-stamped, and a relaxed optimum to answer a constrained query.
+func (q *QueryPlane) Servable(p *routing.Path, opts routing.Options, gen uint64) bool {
+	return q.cfg.Revalidate(p, opts, gen)
+}
+
 // lookup consults the cache, revalidating a stale entry before giving it up.
 func (q *QueryPlane) lookup(key routing.QueryKey, gen uint64, opts routing.Options) (*routing.Path, bool, bool) {
 	p, ok, stale, refreshed := q.cache.LookupRefresh(key, gen, func(p *routing.Path) bool {
-		return q.cfg.Revalidate(p, opts, gen)
+		return q.Servable(p, opts, gen)
 	})
 	if refreshed {
 		q.hitsReval.Add(1)

@@ -38,6 +38,16 @@ type Options struct {
 	BrokersOnly bool
 }
 
+// Reserving returns o with its bandwidth floor raised to bw, the bandwidth of
+// the session the path is searched for: a path thinner than the session could
+// only have its reservation refused, so every search on a session's behalf —
+// setup, repath, stitch, a transit region's segment — asks for one that is
+// not. The floor is never lowered.
+func (o Options) Reserving(bw float64) Options {
+	o.MinBandwidth = max(o.MinBandwidth, bw)
+	return o
+}
+
 // Engine computes QoS paths over the B-dominated subgraph of a topology.
 type Engine struct {
 	top     *topology.Topology

@@ -455,18 +455,24 @@ type HTTPTarget struct {
 	Bid func() float64
 }
 
-// retryWait reconciles the server's Retry-After with the local cap.
-func (t *HTTPTarget) retryWait(header string) time.Duration {
-	cap := t.MaxRetryWait
-	if cap <= 0 {
-		cap = 250 * time.Millisecond
-	}
-	if secs, err := strconv.Atoi(strings.TrimSpace(header)); err == nil && secs > 0 {
-		if d := time.Duration(secs) * time.Second; d < cap {
-			return d
+// RetryShed is the shed-retry loop of every target that can be refused with a
+// backoff hint: it issues attempt until the outcome is not a shed or
+// maxRetries re-issues are spent, sleeping between attempts the wait the
+// refuser advertised — capped at maxWait, which also stands in for a hint
+// that is missing or not positive. attempt returns its outcome and that hint;
+// the outcome handed back carries the re-issue count.
+func RetryShed(maxRetries int, maxWait time.Duration, attempt func() (Outcome, time.Duration, error)) (Outcome, error) {
+	for retries := 0; ; retries++ {
+		out, wait, err := attempt()
+		out.Retries = retries
+		if err != nil || !out.Shed || retries >= maxRetries {
+			return out, err
 		}
+		if wait <= 0 || wait > maxWait {
+			wait = maxWait
+		}
+		time.Sleep(wait)
 	}
-	return cap
 }
 
 // Query implements Target.
@@ -492,53 +498,47 @@ func (t *HTTPTarget) Query(src, dst int32) (Outcome, error) {
 		path = "/path"
 	}
 	u := t.Base + path + "?" + q.Encode()
-	retries := 0
-	for {
+	maxWait := t.MaxRetryWait
+	if maxWait <= 0 {
+		maxWait = 250 * time.Millisecond
+	}
+	return RetryShed(t.MaxRetries, maxWait, func() (Outcome, time.Duration, error) {
 		resp, err := client.Get(u)
 		if err != nil {
-			return Outcome{Retries: retries}, err
+			return Outcome{}, 0, err
 		}
-		status := resp.StatusCode
-		retryAfter := resp.Header.Get("Retry-After")
-		econPrice := resp.Header.Get("X-Econ-Price")
-		cached := resp.Header.Get("X-Cache") == "hit"
-		// The server mints a trace per request and echoes its ID; retries
-		// are separate requests, so the last attempt's trace wins.
-		var trace uint64
-		if v := resp.Header.Get("X-Trace-ID"); v != "" {
-			trace, _ = strconv.ParseUint(v, 10, 64)
-		}
-		// A federated 429 names the region that refused via X-Shed-Region;
-		// a local shed (or a plain brokerd) leaves it unset.
-		shedRegion := -1
-		if v := resp.Header.Get("X-Shed-Region"); v != "" {
-			if reg, err := strconv.Atoi(v); err == nil {
-				shedRegion = reg
-			}
-		}
+		header := resp.Header
 		_, _ = io.Copy(io.Discard, resp.Body) // drain for connection reuse
 		resp.Body.Close()
-		switch status {
+		// The server mints a trace per request and echoes its ID; retries
+		// are separate requests, so the last attempt's trace wins.
+		var out Outcome
+		out.TraceID, _ = strconv.ParseUint(header.Get("X-Trace-ID"), 10, 64)
+		switch resp.StatusCode {
 		case http.StatusOK:
-			return Outcome{Cached: cached, Found: true, Retries: retries, TraceID: trace}, nil
+			out.Found, out.Cached = true, header.Get("X-Cache") == "hit"
 		case http.StatusNotFound:
-			return Outcome{Retries: retries, TraceID: trace}, nil
 		case http.StatusTooManyRequests:
 			// An econ refusal carries the posted price in X-Econ-Price.
 			// Retrying with the same bid cannot succeed, so it is terminal.
-			if v := econPrice; v != "" {
-				quote, _ := strconv.ParseFloat(v, 64)
-				return Outcome{PriceRejected: true, Quote: quote, Retries: retries, TraceID: trace}, nil
+			if v := header.Get("X-Econ-Price"); v != "" {
+				out.PriceRejected = true
+				out.Quote, _ = strconv.ParseFloat(v, 64)
+				break
 			}
-			if retries >= t.MaxRetries {
-				return Outcome{Shed: true, Retries: retries, ShedRegion: shedRegion, TraceID: trace}, nil
+			// A federated 429 names the region that refused via X-Shed-Region;
+			// a local shed (or a plain brokerd) leaves it unset.
+			out.Shed, out.ShedRegion = true, -1
+			if reg, err := strconv.Atoi(header.Get("X-Shed-Region")); err == nil {
+				out.ShedRegion = reg
 			}
-			retries++
-			time.Sleep(t.retryWait(retryAfter))
+			secs, _ := strconv.Atoi(strings.TrimSpace(header.Get("Retry-After")))
+			return out, time.Duration(secs) * time.Second, nil
 		default:
-			return Outcome{Retries: retries, TraceID: trace}, fmt.Errorf("workload: %s status %d", path, status)
+			return out, 0, fmt.Errorf("workload: %s status %d", path, resp.StatusCode)
 		}
-	}
+		return out, 0, nil
+	})
 }
 
 // FetchServerStats scrapes a live brokerd's /metrics (Prometheus text) into

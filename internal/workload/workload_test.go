@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -126,18 +125,7 @@ func TestRunAgainstPlaneTarget(t *testing.T) {
 	pub := epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
 		Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
 	}))
-	qp, err := queryplane.New(queryplane.Config{
-		Generation: pub.Epoch,
-		Revalidate: func(p *routing.Path, o routing.Options, _ uint64) bool {
-			return pub.Current().PathValid(p, o)
-		},
-		Compute: func(_ context.Context, src, dst int, o routing.Options) (*routing.Path, error) {
-			return pub.Current().BestPath(src, dst, o)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qp := queryplane.Over(pub, nil)
 	target := &PlaneTarget{Plane: qp}
 	newGen := func(w int) (*PairGen, error) { return NewPairGen(top, 1.3, int64(w)*13+1) }
 	rep, err := Run(target, newGen, Config{Concurrency: 4, Requests: 600, Seed: 1})
