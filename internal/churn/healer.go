@@ -25,8 +25,8 @@ type HealerConfig struct {
 	// Target is the saturated connectivity the repaired broker set must
 	// reach on the live graph. Required, in (0,1].
 	Target float64
-	// Epoch, when non-nil, returns the current topology epoch. The session
-	// sweep then skips sessions already verified at that epoch and stamps
+	// Epoch returns the current topology epoch (non-zero). Required: the
+	// session sweep skips sessions already verified at that epoch and stamps
 	// the ones it clears, so repeated heals within one epoch don't re-walk
 	// every session's path.
 	Epoch func() uint64
@@ -112,8 +112,9 @@ func (m *HealerMetrics) RegisterMetrics(reg *obs.Registry) {
 //     greedily adding replacements until the connectivity target holds.
 //  2. Push the new membership into the control plane (ledger migration).
 //  3. Sweep the session store: every damaged session is re-pathed through
-//     2PC, or cleanly aborted (and dropped from the store) when no
-//     dominated path survives.
+//     2PC and its new record replaces the old one in the store, or it is
+//     cleanly aborted (and dropped from the store) when no dominated path
+//     survives.
 //  4. Invalidate the query plane so stale cached paths die.
 //
 // Callers serialize Heal against control-plane writes and path computation
@@ -133,8 +134,8 @@ func NewHealer(state *State, plane *ctrlplane.Plane, sessions *queryplane.Sessio
 	if cfg.Target <= 0 || cfg.Target > 1 {
 		return nil, fmt.Errorf("churn: healer target %f outside (0,1]", cfg.Target)
 	}
-	if state == nil || plane == nil {
-		return nil, fmt.Errorf("churn: healer needs a state and a control plane")
+	if state == nil || plane == nil || cfg.Epoch == nil {
+		return nil, fmt.Errorf("churn: healer needs a state, a control plane and an epoch source")
 	}
 	return &Healer{cfg: cfg, state: state, plane: plane, sessions: sessions, inval: inval}, nil
 }
@@ -243,42 +244,37 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	}
 
 	// Sweep sessions: re-path or abort everything the damage touched.
-	// With an epoch source wired, sessions already verified against the
-	// current topology epoch are skipped outright — staleness is keyed to
-	// snapshot publication, not to wall time or heal count.
+	// Sessions already verified against the current topology epoch are
+	// skipped outright — staleness is keyed to snapshot publication, not to
+	// wall time or heal count.
 	if h.sessions != nil {
-		var cur uint64
-		if h.cfg.Epoch != nil {
-			cur = h.cfg.Epoch()
-		}
+		cur := h.cfg.Epoch()
 		for _, sess := range h.sessions.List() {
-			if h.cfg.Epoch != nil && h.sessions.CheckedAt(sess.ID) == cur {
+			if h.sessions.CheckedAt(sess.ID) == cur {
 				continue
 			}
-			if h.plane.SessionLeaseLapsed(sess.ID) {
+			if h.plane.SessionLeaseLapsed(sess) {
 				// Heartbeats stopped: the expiry sweeper will presumed-
 				// release it. Repairing an abandoned session would spend a
 				// 2PC round keeping capacity reserved for nobody.
 				continue
 			}
 			if !h.plane.SessionDamaged(sess) {
-				if h.cfg.Epoch != nil {
-					h.sessions.Stamp(sess.ID, cur)
-				}
+				h.sessions.Stamp(sess.ID, cur)
 				continue
 			}
 			rep.SessionsChecked++
-			if err := h.plane.Repath(ctx, sess, routing.Options{}); err != nil {
+			next, err := h.plane.Repath(ctx, sess, routing.Options{})
+			if err != nil {
 				h.sessions.Delete(sess.ID)
 				rep.SessionsAborted++
 				h.Metrics.SessionsAborted.Add(1)
 				continue
 			}
+			h.sessions.Put(next)
 			rep.SessionsRepaired++
 			h.Metrics.SessionsRepaired.Add(1)
-			if h.cfg.Epoch != nil {
-				h.sessions.Stamp(sess.ID, cur)
-			}
+			h.sessions.Stamp(sess.ID, cur)
 		}
 	}
 

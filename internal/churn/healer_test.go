@@ -18,20 +18,30 @@ type countingInvalidator struct{ n int }
 
 func (c *countingInvalidator) Invalidate() { c.n++ }
 
+// oneEpoch is the epoch source of a test whose topology never publishes: a
+// heal pass walks every session it has not stamped yet.
+func oneEpoch() uint64 { return 1 }
+
 func TestNewHealerValidation(t *testing.T) {
 	top, m := ixpTop(t)
 	st := NewState(top, m)
 	plane := ctrlplane.New(top, m, []int32{1, 2, 3})
 	for _, target := range []float64{0, -0.5, 1.01} {
-		if _, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target}); err == nil {
+		if _, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target, Epoch: oneEpoch}); err == nil {
 			t.Errorf("target %f accepted", target)
 		}
 	}
-	if _, err := NewHealer(nil, plane, nil, nil, HealerConfig{Target: 0.9}); err == nil {
+	if _, err := NewHealer(nil, plane, nil, nil, HealerConfig{Target: 0.9, Epoch: oneEpoch}); err == nil {
 		t.Error("nil state accepted")
 	}
-	if _, err := NewHealer(st, nil, nil, nil, HealerConfig{Target: 0.9}); err == nil {
+	if _, err := NewHealer(st, nil, nil, nil, HealerConfig{Target: 0.9, Epoch: oneEpoch}); err == nil {
 		t.Error("nil plane accepted")
+	}
+	if _, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: 0.9}); err == nil {
+		t.Error("nil epoch source accepted")
+	}
+	if _, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: 0.9, Epoch: oneEpoch}); err != nil {
+		t.Errorf("valid config refused: %v", err)
 	}
 }
 
@@ -55,7 +65,7 @@ func TestHealRepairsBrokerPlaneAndSessions(t *testing.T) {
 	inval := &countingInvalidator{}
 	target := coverage.SaturatedConnectivity(top.Graph, brokers)
 
-	h, err := NewHealer(st, plane, sessions, inval, HealerConfig{Target: target})
+	h, err := NewHealer(st, plane, sessions, inval, HealerConfig{Target: target, Epoch: oneEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +184,8 @@ func TestHealRepairsBrokerPlaneAndSessions(t *testing.T) {
 	}
 }
 
-// With an epoch source wired — every non-test caller wires the publisher's —
-// the session sweep is keyed to it: a session stamped clean at the current
+// The session sweep is keyed to the epoch source (every non-test caller
+// wires the publisher's): a session stamped clean at the current
 // epoch is not walked again until the epoch moves, and damage that lands
 // under a new epoch is found and repaired.
 func TestHealSkipsSessionsStampedThisEpoch(t *testing.T) {
@@ -252,8 +262,9 @@ func TestHealSkipsSessionsStampedThisEpoch(t *testing.T) {
 	if rep, err = h.Heal(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if rep.SessionsChecked != 1 || rep.SessionsRepaired != 1 || plane.SessionDamaged(b) {
-		t.Fatalf("heal under the new epoch: %+v (b damaged=%v), want b repaired", rep, plane.SessionDamaged(b))
+	healed, ok := sessions.Get(b.ID)
+	if rep.SessionsChecked != 1 || rep.SessionsRepaired != 1 || !ok || healed == b || plane.SessionDamaged(healed) {
+		t.Fatalf("heal under the new epoch: %+v (b's record %+v), want b repaired", rep, healed)
 	}
 	if got := sessions.CheckedAt(b.ID); got != 2 {
 		t.Fatalf("repaired session stamped at epoch %d, want 2", got)
@@ -271,7 +282,7 @@ func TestHealFallsBackWhenTargetUnreachable(t *testing.T) {
 	if target <= 0 {
 		t.Fatalf("degenerate initial target %f", target)
 	}
-	h, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target})
+	h, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target, Epoch: oneEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +322,7 @@ func TestHealAfterRecovery(t *testing.T) {
 	plane := ctrlplane.New(top, m, brokers)
 	st := NewState(top, m)
 	target := coverage.SaturatedConnectivity(top.Graph, brokers)
-	h, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target})
+	h, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target, Epoch: oneEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +361,7 @@ func TestHealWithBlastIncrementalRepair(t *testing.T) {
 	plane := ctrlplane.New(top, m, brokers)
 	st := NewState(top, m)
 	target := coverage.SaturatedConnectivity(top.Graph, brokers)
-	h, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target})
+	h, err := NewHealer(st, plane, nil, nil, HealerConfig{Target: target, Epoch: oneEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 		if results[i].Err != nil || (op.Kind != BatchTeardown && op.Kind != BatchExpire) {
 			continue
 		}
-		if op.Kind == BatchExpire && !p.SessionLeaseLapsed(op.Session.ID) {
+		if op.Kind == BatchExpire && !p.SessionLeaseLapsed(op.Session) {
 			results[i].Err = fmt.Errorf("ctrlplane: session %d lease renewed — expiry refused", op.Session.ID)
 			continue
 		}

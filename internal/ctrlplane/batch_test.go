@@ -293,33 +293,44 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed + 3))
 	var (
-		live      []*Session
+		live []*Session
+		// orphans were torn down in a round the coordinator died in before
+		// deciding: still committed, never renewed again.
+		orphans   []*Session
 		abandoned = map[int]bool{}
 		commits   int
 		expiries  int
 		partedAt  = map[int32]int{}
 	)
-	sweep := func() {
-		expired := p.ExpiredSessions()
-		if len(expired) == 0 {
-			return
+	committed := func(ss []*Session) []*Session {
+		kept := ss[:0]
+		for _, s := range ss {
+			if s.State == StateCommitted {
+				kept = append(kept, s)
+			}
 		}
-		ops := make([]BatchOp, len(expired))
-		for i, s := range expired {
-			ops[i] = BatchOp{Kind: BatchExpire, Session: s}
+		return kept
+	}
+	// The sweeper filters its own table, as brokerd's does: every committed
+	// session the test holds, ascending by id.
+	sweep := func() {
+		table := append(append([]*Session(nil), live...), orphans...)
+		sort.Slice(table, func(i, j int) bool { return table[i].ID < table[j].ID })
+		var ops []BatchOp
+		for _, s := range table {
+			if p.SessionLeaseLapsed(s) {
+				ops = append(ops, BatchOp{Kind: BatchExpire, Session: s})
+			}
+		}
+		if len(ops) == 0 {
+			return
 		}
 		for _, r := range p.CommitBatch(ctx, ops) {
 			if r.Err == nil && r.Session.State == StateReleased {
 				expiries++
 			}
 		}
-		kept := live[:0]
-		for _, s := range live {
-			if s.State == StateCommitted {
-				kept = append(kept, s)
-			}
-		}
-		live = kept
+		live, orphans = committed(live), committed(orphans)
 	}
 	for iter = 0; iter < iters; iter++ {
 		var due []int32
@@ -367,8 +378,11 @@ func TestChaosBatchLifecycle(t *testing.T) {
 				live = append(live[:i], live[i+1:]...)
 			}
 		}
-		for _, r := range p.CommitBatch(ctx, ops) {
-			if r.Err == nil && r.Session != nil && r.Session.State == StateCommitted {
+		for i, r := range p.CommitBatch(ctx, ops) {
+			if ops[i].Kind == BatchTeardown && r.Session.State == StateCommitted {
+				orphans = append(orphans, r.Session)
+			}
+			if ops[i].Kind == BatchSetup && r.Err == nil && r.Session.State == StateCommitted {
 				commits++
 				live = append(live, r.Session)
 				if rng.Float64() < 0.3 {
@@ -379,7 +393,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 		// Heartbeats for everything not abandoned; sweep every 7th iter.
 		for _, s := range live {
 			if !abandoned[s.ID] {
-				p.RenewSession(s.ID)
+				p.RenewSession(s)
 			}
 		}
 		if iter%7 == 0 {
@@ -465,11 +479,10 @@ func TestLeaseExpiryUnderPartitionNoDoubleRelease(t *testing.T) {
 	for i := 0; i < 11; i++ {
 		p.Tick()
 	}
-	expired := p.ExpiredSessions()
-	if len(expired) != 1 || expired[0].ID != s.ID {
-		t.Fatalf("expired = %v, want session %d", expired, s.ID)
+	if !p.SessionLeaseLapsed(s) {
+		t.Fatalf("session %d not lapsed after its TTL", s.ID)
 	}
-	if !p.RenewSession(s.ID) {
+	if !p.RenewSession(s) {
 		t.Fatal("renewal refused while committed")
 	}
 	r := p.CommitBatch(ctx, []BatchOp{{Kind: BatchExpire, Session: s}})
@@ -494,7 +507,7 @@ func TestLeaseExpiryUnderPartitionNoDoubleRelease(t *testing.T) {
 		t.Fatalf("state = %v, want released", s.State)
 	}
 	// The lease is gone: a late heartbeat cannot resurrect the session.
-	if p.RenewSession(s.ID) {
+	if p.RenewSession(s) {
 		t.Fatal("renewal succeeded after presumed-release")
 	}
 	// And a second expiry of the same session refuses.

@@ -198,9 +198,11 @@ func TestChaos2PC(t *testing.T) {
 		}
 		if len(live) > 0 && rng.Float64() < 0.04 {
 			i := rng.Intn(len(live))
-			if err := p.Repath(ctx, live[i], routing.Options{}); err != nil {
+			if next, err := p.Repath(ctx, live[i], routing.Options{}); err != nil {
 				// No surviving path or capacity: session aborted cleanly.
 				live = append(live[:i], live[i+1:]...)
+			} else {
+				live[i] = next
 			}
 		}
 	}

@@ -204,9 +204,10 @@ type Stats struct {
 	BatchRounds int `json:"batch_rounds"`
 	BatchOps    int `json:"batch_ops"`
 	// Committed-session lease activity: SessionLeases is the current count
-	// of leased committed sessions; renew misses are heartbeats that
-	// arrived after the lease was already swept (the session is gone — the
-	// client must set up anew, never resurrect).
+	// of leased committed sessions (grants minus drops); renew misses are
+	// heartbeats for a session that holds no lease — already swept or torn
+	// down (the session is gone — the client must set up anew, never
+	// resurrect).
 	SessionLeases    int `json:"session_leases"`
 	LeaseRenewals    int `json:"lease_renewals"`
 	LeaseRenewMisses int `json:"lease_renew_misses"`
@@ -244,7 +245,14 @@ func (s SessionState) String() string {
 	}
 }
 
-// Session is an end-to-end QoS session set up through the control plane.
+// Session is one attempt of an end-to-end QoS session set up through the
+// control plane. Once Setup, CommitBatch, PrepareOnPath or Repath hands it
+// out, its identity and route — ID, Epoch, Path, Bandwidth and the hop
+// owners — are never written again: a caller may read them without a lock
+// and keep the record wherever it likes. Repath answers with a new record
+// for the same ID at the next epoch and leaves this one StateReleased. Only
+// State and the lease deadline move after hand-out, under the plane's
+// serialization.
 type Session struct {
 	ID        int
 	Path      []int32
@@ -257,8 +265,7 @@ type Session struct {
 	// owners[i] is the broker agent owning hop (Path[i], Path[i+1]).
 	owners []int32
 	// leaseExpires is the lease-clock instant the session's heartbeat lease
-	// lapses at; it means something only while Plane.sessLeases lists the
-	// session (see lease.go).
+	// lapses at; 0 while it holds none (see lease.go).
 	leaseExpires int64
 }
 
@@ -315,8 +322,8 @@ type RetryConfig struct {
 	// SessionTTL, when > 0, leases every *committed* session for that long
 	// in lease-clock units (virtual ticks by default; see SetLeaseClock).
 	// The lease is renewed by RenewSession heartbeats; a session whose
-	// lease lapses is returned by ExpiredSessions for the sweeper to
-	// presumed-release through CommitBatch. 0 disables session leasing.
+	// lease lapses (SessionLeaseLapsed) is the sweeper's to presumed-release
+	// through CommitBatch. 0 disables session leasing.
 	SessionTTL int64
 	// RetryJitterTicks, when > 0, de-synchronizes retransmissions in
 	// virtual time: each message's retries are deferred a seeded-random
@@ -360,10 +367,6 @@ type Plane struct {
 	// in-doubt holds against it.
 	decided map[sessKey]bool
 
-	// sessLeases indexes the committed sessions holding a heartbeat lease by
-	// session id (see RetryConfig.SessionTTL); the lease itself is
-	// Session.leaseExpires.
-	sessLeases map[int]*Session
 	// leaseNow overrides the session-lease clock (nil: the virtual clock).
 	leaseNow func() int64
 
@@ -404,8 +407,6 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 		crashed: make(map[int32]bool),
 		wals:    make(map[int32]*wal),
 		decided: make(map[sessKey]bool),
-
-		sessLeases: make(map[int]*Session),
 	}
 	p.d = NewDelivery("ctrlplane", NewFaultTransport(FaultConfig{}), RetryConfig{})
 	p.d.Dispatch = p.dispatch
@@ -481,9 +482,10 @@ func (p *Plane) ownerOf(u, v int32) (int32, bool) {
 	}
 }
 
-// hopOwners appends the owner of every hop of nodes to owners, index-aligned
-// with the hops; a hop neither of whose endpoints is a broker is an error.
-func (p *Plane) hopOwners(owners, nodes []int32) ([]int32, error) {
+// hopOwners returns the owner of every hop of nodes, index-aligned with the
+// hops; a hop neither of whose endpoints is a broker is an error.
+func (p *Plane) hopOwners(nodes []int32) ([]int32, error) {
+	owners := make([]int32, 0, len(nodes)-1)
 	for i := 0; i+1 < len(nodes); i++ {
 		owner, ok := p.ownerOf(nodes[i], nodes[i+1])
 		if !ok {
@@ -689,7 +691,6 @@ func (p *Plane) Stats() Stats {
 	st := p.stats
 	st.Messages, st.Retries, st.Timeouts, st.BreakerTrips = p.d.Sent, p.d.Retries, p.d.Timeouts, p.d.BreakerTrips
 	st.Backlogged = p.d.Backlogged()
-	st.SessionLeases = len(p.sessLeases)
 	return st
 }
 
@@ -823,16 +824,17 @@ func (p *Plane) begin(nodes []int32, bw float64) (*Session, error) {
 	return s, p.open(s, append([]int32(nil), nodes...))
 }
 
-// open starts a fresh attempt of s over nodes: the next epoch, hop owners
-// resolved under the current membership, and a fast-fail through any open
-// circuit breaker — no retry budget is burnt on a broker that just timed
-// out repeatedly; the healer will route around it. On error the session is
-// StateAborted and nothing is held anywhere.
+// open starts the attempt a record not yet handed out stands for, over
+// nodes: the epoch after the record's, hop owners resolved under the
+// current membership into an array of its own, and a fast-fail through any
+// open circuit breaker — no retry budget is burnt on a broker that just
+// timed out repeatedly; the healer will route around it. On error the
+// session is StateAborted and nothing is held anywhere.
 func (p *Plane) open(s *Session, nodes []int32) error {
 	s.Epoch++
 	s.Path = nodes
 	var err error
-	if s.owners, err = p.hopOwners(s.owners[:0], nodes); err != nil {
+	if s.owners, err = p.hopOwners(nodes); err != nil {
 		s.State = StateAborted
 		return err
 	}
@@ -962,7 +964,7 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 			}
 			p.metrics.Release(u, v, s.Bandwidth)
 		}
-		p.dropSessionLease(s.ID)
+		p.dropSessionLease(s)
 		s.State = StateReleased
 		changed = true
 	}
@@ -1077,26 +1079,6 @@ func (p *Plane) AbortPrepared(ctx context.Context, s *Session) error {
 	return nil
 }
 
-// ResumeSession rebuilds a session from its durable facts — id, epoch, path,
-// bandwidth and the state the caller's record says it is in — for a caller
-// that keeps records, not handles: a federation region's sub-coordinator
-// drives every commit, abort, release and damage check of a sub-transaction
-// this way. The plane's own agent and WAL state is untouched; hop owners are
-// re-derived under the current membership, so a StatePrepared session can be
-// finished by CommitPrepared or AbortPrepared and a StateCommitted one checked
-// by SessionDamaged or released by Teardown. nodes is kept, not copied. A hop
-// that lost its broker owner since the prepare fails the resume.
-func (p *Plane) ResumeSession(id int, epoch uint32, nodes []int32, bw float64, state SessionState) (*Session, error) {
-	if len(nodes) < 2 {
-		return nil, fmt.Errorf("ctrlplane: path needs >= 2 nodes, got %d", len(nodes))
-	}
-	owners, err := p.hopOwners(nil, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{ID: id, Epoch: epoch, Bandwidth: bw, State: state, Path: nodes, owners: owners}, nil
-}
-
 func uniqueOwners(owners []int32) []int32 {
 	out := make([]int32, 0, len(owners))
 	seen := make(map[int32]bool, len(owners))
@@ -1150,15 +1132,17 @@ func (p *Plane) SessionDamaged(s *Session) bool {
 
 // Repath moves a damaged committed session onto a fresh dominated path:
 // break-before-make — the old reservations are released (backlogged toward
-// unreachable owners), then the new path is reserved through the normal
-// retrying 2PC under a new epoch. The search is floored at the session's
-// bandwidth like Setup's, and runs after the release so the session's own
-// reservation does not count against it. When no dominated path survives (or
-// capacity ran out) the session is left cleanly aborted with nothing held,
-// and an error is returned.
-func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) error {
+// unreachable owners) and s ends StateReleased, then the new path is
+// reserved through the normal retrying 2PC as a new record: same ID and
+// bandwidth, the next epoch, its own path and hop owners. That record is
+// returned; the caller keeps it in place of s. The search is floored at the
+// session's bandwidth like Setup's, and runs after the release so the
+// session's own reservation does not count against it. When no dominated
+// path survives (or capacity ran out) nothing is held and an error is
+// returned.
+func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) (*Session, error) {
 	if s == nil || s.State != StateCommitted {
-		return fmt.Errorf("ctrlplane: repath of non-committed session")
+		return nil, fmt.Errorf("ctrlplane: repath of non-committed session")
 	}
 	ctx, span := obs.StartSpan(ctx, "ctrlplane.repath")
 	defer span.End()
@@ -1168,19 +1152,19 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) er
 	src, dst := int(s.Path[0]), int(s.Path[len(s.Path)-1])
 	path, err := p.engine.BestPath(src, dst, opts.Reserving(s.Bandwidth))
 	if err != nil {
-		s.State = StateAborted
 		p.stats.RepathAborts++
-		return fmt.Errorf("ctrlplane: session %d aborted: no dominated path survives: %w", s.ID, err)
+		return nil, fmt.Errorf("ctrlplane: session %d aborted: no dominated path survives: %w", s.ID, err)
 	}
-	if err = p.open(s, path.Nodes); err == nil {
-		err = p.settle(ctx, s)
+	next := &Session{ID: s.ID, Epoch: s.Epoch, Bandwidth: s.Bandwidth}
+	if err = p.open(next, path.Nodes); err == nil {
+		err = p.settle(ctx, next)
 	}
 	if err != nil {
 		p.stats.RepathAborts++
-		return fmt.Errorf("ctrlplane: session %d aborted during repath: %w", s.ID, err)
+		return nil, fmt.Errorf("ctrlplane: session %d aborted during repath: %w", s.ID, err)
 	}
 	p.stats.Repaths++
-	return nil
+	return next, nil
 }
 
 // dispatch hands an agent-bound message to the agent's state machine;

@@ -405,11 +405,16 @@ func TestRepathMovesReservations(t *testing.T) {
 	if !p.SessionDamaged(s) {
 		t.Fatal("session over failed link not damaged")
 	}
-	if err := p.Repath(context.Background(), s, routing.Options{}); err != nil {
+	old := s
+	if s, err = p.Repath(context.Background(), s, routing.Options{}); err != nil {
 		t.Fatalf("Repath: %v", err)
 	}
-	if s.State != StateCommitted || s.Path[1] != 3 {
+	if s.State != StateCommitted || s.Path[1] != 3 || s.ID != old.ID || s.Epoch != old.Epoch+1 {
 		t.Fatalf("repathed session = %+v", s)
+	}
+	// The old record is a released attempt, route untouched.
+	if old.State != StateReleased || old.Path[1] != 1 {
+		t.Fatalf("old record after repath = %+v", old)
 	}
 	// Reservations moved: old path fully released, new path holds 4.
 	if got := m.Residual(0, 1); got != 10 {
@@ -452,7 +457,7 @@ func TestRepathFloorsItsOwnSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Repath(context.Background(), s, routing.Options{}); err != nil {
+	if s, err = p.Repath(context.Background(), s, routing.Options{}); err != nil {
 		t.Fatalf("Repath with a feasible path: %v", err)
 	}
 	if s.State != StateCommitted || s.Path[1] != 3 {
@@ -466,8 +471,8 @@ func TestRepathFloorsItsOwnSearch(t *testing.T) {
 	}
 }
 
-// When no dominated path survives, Repath aborts the session and releases
-// everything — the caller then drops it.
+// When no dominated path survives, Repath releases everything and returns no
+// record — the caller then drops the session.
 func TestRepathAbortsCleanly(t *testing.T) {
 	top, m := lineTop(t)
 	p := New(top, m, []int32{1, 2, 3})
@@ -476,11 +481,11 @@ func TestRepathAbortsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.FailLink(2, 3) // the only path is cut
-	if err := p.Repath(context.Background(), s, routing.Options{}); err == nil {
-		t.Fatal("repath across a cut committed")
+	if next, err := p.Repath(context.Background(), s, routing.Options{}); err == nil || next != nil {
+		t.Fatalf("repath across a cut committed %+v", next)
 	}
-	if s.State != StateAborted {
-		t.Fatalf("state = %v, want aborted", s.State)
+	if s.State != StateReleased {
+		t.Fatalf("state = %v, want released", s.State)
 	}
 	// No leaked holds anywhere.
 	top.Graph.Edges(func(u, v int) bool {
@@ -560,7 +565,7 @@ func TestNoPathIsErrNoPath(t *testing.T) {
 			"routing: no dominated path 0 -> 4"},
 		{"Plane.Setup", func() error { _, err := p.Setup(ctx, 0, 4, 1, routing.Options{}); return err },
 			"ctrlplane: no dominated path: routing: no dominated path 0 -> 4 within constraints"},
-		{"Plane.Repath", func() error { return p.Repath(ctx, s, routing.Options{}) },
+		{"Plane.Repath", func() error { _, err := p.Repath(ctx, s, routing.Options{}); return err },
 			"ctrlplane: session 1 aborted: no dominated path survives: routing: no dominated path 0 -> 4 within constraints"},
 	} {
 		err := tc.err()

@@ -1,16 +1,16 @@
 package ctrlplane
 
-import "sort"
-
 // Committed-session leases: when RetryConfig.SessionTTL is set, every
 // session that reaches its commit point is granted a heartbeat lease. The
 // client renews it with RenewSession (brokerd's POST /sessions/{id}/renew);
-// a session whose heartbeats stop is surfaced by ExpiredSessions and
-// presumed-released by the sweeper through CommitBatch's BatchExpire path —
-// which re-checks the lease under the plane's serialization, so a renewal
-// racing the sweep can never double-release. A lease is a field of its
-// session (Session.leaseExpires, a lease-clock instant); the plane only
-// indexes the leased sessions by id, so tracking one costs a map entry.
+// whoever keeps the session records — brokerd's session table — asks
+// SessionLeaseLapsed of each and presumed-releases the lapsed ones through
+// CommitBatch's BatchExpire path, which re-checks the lease under the
+// plane's serialization, so a renewal racing the sweep can never
+// double-release. A lease is a field of its session record
+// (Session.leaseExpires, a lease-clock instant) and the plane keeps no index
+// of them: it counts grants and drops for ctrlplane_lease_active, nothing
+// more.
 
 // SetLeaseClock overrides the session-lease clock. The default is the
 // plane's virtual clock, which advances per operation — right for
@@ -27,26 +27,34 @@ func (p *Plane) leaseTime() int64 {
 	return int64(p.d.Now())
 }
 
-// grantSessionLease starts (or restarts, on repath) s's heartbeat lease.
-// No-op when session leasing is disabled.
+// leased reports whether s holds a heartbeat lease: granted at its commit
+// point, dropped at its release.
+func leased(s *Session) bool { return s != nil && s.State == StateCommitted && s.leaseExpires != 0 }
+
+// grantSessionLease starts s's heartbeat lease at its commit point. No-op
+// when session leasing is disabled.
 func (p *Plane) grantSessionLease(s *Session) {
 	if p.d.Retry.SessionTTL <= 0 {
 		return
 	}
 	s.leaseExpires = p.leaseTime() + p.d.Retry.SessionTTL
-	p.sessLeases[s.ID] = s
+	p.stats.SessionLeases++
 }
 
-// dropSessionLease retires s's lease on release/teardown.
-func (p *Plane) dropSessionLease(id int) { delete(p.sessLeases, id) }
+// dropSessionLease retires s's lease on release.
+func (p *Plane) dropSessionLease(s *Session) {
+	if s.leaseExpires != 0 {
+		s.leaseExpires = 0
+		p.stats.SessionLeases--
+	}
+}
 
-// RenewSession extends session id's lease by a full SessionTTL from now —
-// the heartbeat. Returns false (a renew miss) when the session holds no
-// lease: never granted, already torn down, or already swept. A miss means
-// the session is gone; the client must set up anew, never resurrect.
-func (p *Plane) RenewSession(id int) bool {
-	s := p.sessLeases[id]
-	if s == nil {
+// RenewSession extends s's lease by a full SessionTTL from now — the
+// heartbeat. Returns false (a renew miss) when s holds no lease: nil, never
+// granted, already torn down, or already swept. A miss means the session is
+// gone; the client must set up anew, never resurrect.
+func (p *Plane) RenewSession(s *Session) bool {
+	if !leased(s) {
 		p.stats.LeaseRenewMisses++
 		return false
 	}
@@ -55,28 +63,11 @@ func (p *Plane) RenewSession(id int) bool {
 	return true
 }
 
-// SessionLeaseLapsed reports whether session id holds a lease that has
-// lapsed. It is the expiry guard CommitBatch's BatchExpire path re-checks
-// under the plane's serialization: false for unleased sessions (leasing
-// disabled, or already dropped), so those are never presumed-released.
-func (p *Plane) SessionLeaseLapsed(id int) bool {
-	s := p.sessLeases[id]
-	return s != nil && s.leaseExpires <= p.leaseTime()
-}
-
-// ExpiredSessions returns the committed sessions whose heartbeat leases
-// have lapsed, ascending by id. The caller (brokerd's sweeper) feeds them
-// to CommitBatch as BatchExpire ops; the lease itself is only dropped when
-// that batch releases the session, so a renewal between this scan and the
-// batch still wins.
-func (p *Plane) ExpiredSessions() []*Session {
-	now := p.leaseTime()
-	var out []*Session
-	for _, s := range p.sessLeases {
-		if s.leaseExpires <= now {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// SessionLeaseLapsed reports whether s holds a lease that has lapsed: the
+// sweeper's question, and the expiry guard CommitBatch's BatchExpire path
+// re-checks under the plane's serialization. False for unleased sessions
+// (leasing disabled, or already released), so those are never
+// presumed-released.
+func (p *Plane) SessionLeaseLapsed(s *Session) bool {
+	return leased(s) && s.leaseExpires <= p.leaseTime()
 }

@@ -153,36 +153,30 @@ func TestLeaseSurvivesCrashRecover(t *testing.T) {
 	}
 }
 
+// TestResumePrepared drives a split-phase session the way a federation region
+// keeps one: the record PrepareOnPath handed out is the only handle, and
+// every later step — commit, the damage check, the release — takes it.
 func TestResumePrepared(t *testing.T) {
 	p := leasePlane(t, 100)
-	pr, err := p.PrepareOnPath(context.Background(), []int32{1, 2, 3}, 2)
+	s, err := p.PrepareOnPath(context.Background(), []int32{1, 2, 3}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The caller keeps no handle; rebuild the session from durable facts.
-	s, err := p.ResumeSession(pr.ID, pr.Epoch, pr.Path, pr.Bandwidth, StatePrepared)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id, epoch, path := s.ID, s.Epoch, s.Path
 	if err := p.CommitPrepared(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.CheckInvariants([]*Session{s}); err != nil {
 		t.Fatal(err)
 	}
-	// The same constructor serves the committed record: the rebuilt session
-	// carries its hop owners, so a crashed owner reads as damage, and it
-	// releases like the original.
-	s, err = p.ResumeSession(pr.ID, pr.Epoch, pr.Path, pr.Bandwidth, StateCommitted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The handle carries its hop owners, so a crashed owner reads as damage,
+	// and it releases once recovered.
 	if p.SessionDamaged(s) {
-		t.Fatal("rebuilt committed session damaged on a healthy plane")
+		t.Fatal("committed session damaged on a healthy plane")
 	}
 	p.Crash(2)
 	if !p.SessionDamaged(s) {
-		t.Fatal("rebuilt committed session blind to its crashed hop owner")
+		t.Fatal("committed session blind to its crashed hop owner")
 	}
 	p.Recover(2)
 	if err := p.Teardown(context.Background(), s); err != nil {
@@ -191,8 +185,9 @@ func TestResumePrepared(t *testing.T) {
 	if err := p.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(p.top, nil, []int32{0}).ResumeSession(pr.ID, pr.Epoch, pr.Path, pr.Bandwidth, StatePrepared); err == nil {
-		t.Fatal("resumed a session over a hop no broker owns")
+	// Only the state moved: identity and route are what PrepareOnPath gave.
+	if s.State != StateReleased || s.ID != id || s.Epoch != epoch || &s.Path[0] != &path[0] {
+		t.Fatalf("record after commit and release = %+v", s)
 	}
 }
 

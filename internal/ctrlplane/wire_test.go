@@ -134,7 +134,7 @@ func TestOneProtocolOnTheWire(t *testing.T) {
 	}
 	dtap.requests(t, "Setup")
 	dm.FailLink(0, 1)
-	if err := dp.Repath(ctx, ds, routing.Options{}); err != nil {
+	if ds, err = dp.Repath(ctx, ds, routing.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Old path 0–1–2 (owner 1): one BATCH. New path 0–3–2 (owner 3): two

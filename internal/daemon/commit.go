@@ -54,8 +54,10 @@ type pendingOp struct {
 	req    sessionRequest
 	path   []int32
 	snapID uint64
-	// tear, when non-nil, makes this a teardown of that session instead.
-	tear *ctrlplane.Session
+	// teardown makes this a teardown of session id instead; the leader looks
+	// the id up under writeMu.
+	teardown bool
+	id       int
 
 	// trace is the submitting request's trace ID, captured at submit time:
 	// only the batch leader's context reaches CommitBatch, so without this
@@ -63,10 +65,8 @@ type pendingOp struct {
 	// invisible to /debug/trace.
 	trace uint64
 
-	// sess is the committed session, view the leader's copy of it: once the
-	// leader drops writeMu a heal may re-path sess in place.
+	// sess is the committed session's record, already in the table.
 	sess *ctrlplane.Session
-	view SessionView
 	err  error
 	done chan struct{}
 }
@@ -85,7 +85,7 @@ type pendingOp struct {
 func (c *committer) submit(ctx context.Context, op *pendingOp) error {
 	op.trace = obs.TraceIDFrom(ctx)
 	c.mu.Lock()
-	if op.tear == nil && c.highWater > 0 && len(c.queue) >= c.highWater {
+	if !op.teardown && c.highWater > 0 && len(c.queue) >= c.highWater {
 		depth := len(c.queue)
 		c.mu.Unlock()
 		c.shed.Add(1)
@@ -128,11 +128,14 @@ func (c *committer) submit(ctx context.Context, op *pendingOp) error {
 }
 
 // processBatch runs one coalesced commit round for batch. Caller holds
-// writeMu. Setups whose precomputed path went stale (the epoch moved, or
-// the pinned snapshot had no path at all) fall back to a live-state serial
-// setup, and the post-commit damage check reuses the repair flow — the
-// same two guards the serial path had. Exactly one snapshot is published
-// when anything changed.
+// writeMu, and so every table access of the round happens under it: a
+// teardown's id is taken out of the table here, and a committed setup is put
+// in before the leader lets go — a heal can never re-path a record a
+// teardown already holds, nor miss a session that just committed. Setups
+// whose precomputed path went stale (the epoch moved, or the pinned snapshot
+// had no path at all) fall back to a live-state serial setup, and the
+// post-commit damage check reuses the repair flow — the same two guards the
+// serial path had. Exactly one snapshot is published when anything changed.
 func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 	s := c.s
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), opTimeout)
@@ -144,8 +147,13 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 	idx := make([]int, 0, len(batch))
 	for i, op := range batch {
 		switch {
-		case op.tear != nil:
-			ops = append(ops, ctrlplane.BatchOp{Kind: ctrlplane.BatchTeardown, Session: op.tear, Trace: op.trace})
+		case op.teardown:
+			sess, ok := s.sessions.Delete(op.id)
+			if !ok {
+				op.err = errNoSession
+				continue
+			}
+			ops = append(ops, ctrlplane.BatchOp{Kind: ctrlplane.BatchTeardown, Session: sess, Trace: op.trace})
 			idx = append(idx, i)
 		case op.path != nil:
 			ops = append(ops, ctrlplane.BatchOp{Kind: ctrlplane.BatchSetup, Path: op.path, Bandwidth: op.req.Gbps, Trace: op.trace})
@@ -157,7 +165,7 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 		batch[idx[k]].sess, batch[idx[k]].err = r.Session, r.Err
 	}
 	for _, op := range batch {
-		if op.tear != nil {
+		if op.teardown {
 			continue
 		}
 		if op.path == nil || (op.err != nil && epoch != op.snapID) {
@@ -168,15 +176,15 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 		}
 		if op.err == nil && epoch != op.snapID && s.plane.SessionDamaged(op.sess) {
 			// Churn landed between path pin and commit and broke a hop we
-			// just reserved. Reuse the repair flow.
-			if rerr := s.plane.Repath(ctx, op.sess, routing.Options{}); rerr != nil {
-				_ = s.plane.Teardown(ctx, op.sess)
+			// just reserved. Reuse the repair flow; a failed repath holds
+			// nothing.
+			var rerr error
+			if op.sess, rerr = s.plane.Repath(ctx, op.sess, routing.Options{}); rerr != nil {
 				op.err = fmt.Errorf("brokerd: setup raced topology change and repath failed: %w", rerr)
-				op.sess = nil
 			}
 		}
 		if op.err == nil {
-			op.view = viewOf(op.sess)
+			s.sessions.Put(op.sess)
 		}
 	}
 	s.publishIfMoved(ctx, before)
@@ -198,25 +206,26 @@ func (c *committer) registerMetrics(reg *obs.Registry) {
 	})
 }
 
-// sweepLeases runs one expiry pass, presumed-releasing committed sessions
-// whose heartbeats stopped; it returns how many. The expiry flows through
-// the same group-commit path as everything else — CommitBatch re-checks each
-// lease under writeMu, so a renewal racing the sweep keeps its session (no
-// double release).
+// sweepLeases runs one expiry pass, presumed-releasing the sessions in the
+// table whose heartbeats stopped; it returns how many. The expiry flows
+// through the same group-commit path as everything else — CommitBatch
+// re-checks each lease under writeMu, so a renewal racing the sweep keeps its
+// session (no double release).
 func (s *Daemon) sweepLeases(ctx context.Context) int {
 	ctx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	expired := s.plane.ExpiredSessions()
-	if len(expired) == 0 {
+	var ops []ctrlplane.BatchOp
+	for _, sess := range s.sessions.List() {
+		if s.plane.SessionLeaseLapsed(sess) {
+			ops = append(ops, ctrlplane.BatchOp{Kind: ctrlplane.BatchExpire, Session: sess})
+		}
+	}
+	if len(ops) == 0 {
 		return 0
 	}
 	before := s.plane.Version()
-	ops := make([]ctrlplane.BatchOp, len(expired))
-	for i, sess := range expired {
-		ops[i] = ctrlplane.BatchOp{Kind: ctrlplane.BatchExpire, Session: sess}
-	}
 	n := 0
 	for _, r := range s.plane.CommitBatch(ctx, ops) {
 		if r.Err == nil && r.Session != nil && r.Session.State == ctrlplane.StateReleased {

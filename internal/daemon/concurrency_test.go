@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"brokerset/internal/churn"
 	"brokerset/internal/workload"
@@ -229,9 +233,11 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestSessionReadsVsHealRace reads the session table over HTTP while heals
 // re-path the very sessions being read: each round fails the first link of
-// every live session, so Plane.Repath rewrites each one in place under
-// writeMu. Run under -race this proves the reads are served from copies
-// taken under that mutex, not from the live *ctrlplane.Session.
+// every live session, so Plane.Repath moves each one to a new record that the
+// healer puts in the table under writeMu, and releases the old one. The
+// handlers take no lock; run under -race this proves what they read of a
+// record — its id, path and bandwidth — is never written once the record is
+// handed out.
 func TestSessionReadsVsHealRace(t *testing.T) {
 	srv, _ := testServerWith(t, 0.02, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024})
 	h := srv.Handler()
@@ -287,6 +293,131 @@ func TestSessionReadsVsHealRace(t *testing.T) {
 	wg.Wait()
 	if repaired == 0 {
 		t.Fatal("no session was re-pathed: the race was never exercised")
+	}
+	if err := srv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTeardownAndRenewVsHealRace races teardowns and renewals by id against
+// heal rounds that re-path the very sessions they name, failing a link on
+// every live session each round as TestSessionReadsVsHealRace does. A heal
+// replaces a session's record, so an id resolved outside writeMu can name a
+// superseded one: a teardown would then release nothing while the healer puts
+// the re-pathed record back in the table, and a renewal would miss a live
+// session. Every lookup happens in the batch leader or in Renew under
+// writeMu, so: each torn-down id leaves the table and is released exactly
+// once, no renewal of a live session misses, and the plane's conservation
+// invariants hold against the table.
+func TestTeardownAndRenewVsHealRace(t *testing.T) {
+	srv, _ := testServerWith(t, 0.02, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024, LeaseTTL: time.Hour})
+	ctx := context.Background()
+	bs := srv.currentBrokers()
+	var tear, renew []int
+	for i := 0; i < len(bs); i++ {
+		for j := i + 1; j < len(bs); j += 4 {
+			sess, err := srv.Setup(ctx, int(bs[i]), int(bs[j]), 0.01)
+			if err != nil {
+				continue
+			}
+			if len(tear) <= len(renew) {
+				tear = append(tear, sess.ID)
+			} else {
+				renew = append(renew, sess.ID)
+			}
+		}
+	}
+	if len(tear) < 10 || len(renew) < 10 {
+		t.Fatalf("only %d+%d sessions established", len(tear), len(renew))
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ { // renewers: every kept session, round after round
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, id := range renew {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// A heal may abort a session it cannot re-path; an id it
+					// took out of the table stays out, so a miss on an id the
+					// table still holds missed a live session.
+					if !srv.Renew(id) {
+						if _, live := srv.Session(id); live {
+							t.Errorf("renewal of live session %d missed", id)
+						}
+					}
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	var (
+		torn      atomic.Int64
+		healsDone atomic.Bool
+	)
+	tearIDs := make(chan int, len(tear))
+	for _, id := range tear {
+		tearIDs <- id
+	}
+	close(tearIDs)
+	for w := 0; w < 4; w++ { // tearers: strike while a heal is re-pathing
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := srv.healer.Metrics.SessionsRepaired.Load()
+			for id := range tearIDs {
+				// Wait until a heal has re-pathed a session since our last
+				// teardown: its sweep is under way, and the ids after that
+				// session's are still to come.
+				for srv.healer.Metrics.SessionsRepaired.Load() == seen && !healsDone.Load() {
+					runtime.Gosched()
+				}
+				seen = srv.healer.Metrics.SessionsRepaired.Load()
+				switch err := srv.Teardown(ctx, id); {
+				case err == nil:
+					torn.Add(1)
+				case !errors.Is(err, errNoSession): // errNoSession: a heal aborted it first
+					t.Errorf("teardown of session %d: %v", id, err)
+				}
+			}
+		}()
+	}
+
+	repaired := 0
+	for round := 0; round < 20; round++ {
+		var fail, recover []churn.Event
+		for _, s := range srv.Sessions() {
+			fail = append(fail, churn.Event{Type: churn.LinkFail, U: s.Path[0], V: s.Path[1]})
+			recover = append(recover, churn.Event{Type: churn.LinkRecover, U: s.Path[0], V: s.Path[1]})
+		}
+		res, err := srv.Churn(ctx, fail, 0, true)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		repaired += res.Heal.SessionsRepaired
+		if _, err := srv.Churn(ctx, recover, 0, false); err != nil {
+			t.Fatalf("round %d recover: %v", round, err)
+		}
+	}
+	healsDone.Store(true)
+	close(stop)
+	wg.Wait()
+	if repaired == 0 {
+		t.Fatal("no session was re-pathed: the race was never exercised")
+	}
+	for _, id := range tear {
+		if sess, ok := srv.Session(id); ok {
+			t.Errorf("torn-down session %d still in the table as %+v", id, sess)
+		}
+	}
+	if st := srv.PlaneStats(); int64(st.Teardowns) != torn.Load() {
+		t.Errorf("%d teardowns answered, the plane released %d", torn.Load(), st.Teardowns)
 	}
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -33,9 +33,10 @@ import (
 //
 // Concurrency protocol: snapshot readers never lock. Every such read path
 // (path queries, /stats connectivity, /brokers, healer selection input) pins
-// the current epoch snapshot from pub and computes against it; what has no
-// snapshot — control-plane counters, the live sessions a heal re-paths in
-// place — is read as a copy taken under writeMu. All mutations — churn
+// the current epoch snapshot from pub and computes against it, and session
+// reads are served from the session table, whose records are immutable once
+// handed out (a heal re-paths a session into a new record). The one thing
+// read under writeMu is the control-plane counters. All mutations — churn
 // application, healing, and the control plane's 2PC — serialize on writeMu
 // (a plain mutex: there is exactly one logical writer at a time), build
 // the next snapshot copy-on-write, and publish it with one atomic swap
@@ -45,16 +46,21 @@ type Daemon struct {
 	top     *topology.Topology
 	metrics *routing.Metrics
 
-	qp       *queryplane.QueryPlane
+	qp *queryplane.QueryPlane
+	// sessions is the session table: every committed flat session's current
+	// record, by id. Reads are lock-free; every write (setup's Put, a heal's
+	// Put of a re-pathed record, the Delete of a teardown, abort or expiry)
+	// and every id lookup a plane call depends on (teardown, renew) happens
+	// under writeMu, so the table and the plane agree whenever it is free.
 	sessions *queryplane.SessionStore
 
 	// pub owns the atomically-published topology snapshot readers pin.
 	pub *epoch.Publisher
 
 	// writeMu serializes every mutation of shared link/broker state (the
-	// metrics arrays, churn down-marks, coalition membership, and the
-	// control plane's ledgers, sessions included). Path readers do not take
-	// it — they use pub.
+	// metrics arrays, churn down-marks, coalition membership, the control
+	// plane's ledgers and the session table). Path and session readers do
+	// not take it.
 	writeMu sync.Mutex
 	plane   *ctrlplane.Plane
 
@@ -281,44 +287,13 @@ func (s *Daemon) PlaneStats() ctrlplane.Stats {
 	return s.plane.Stats()
 }
 
-// SessionView is a copy of a session's identity and route. The session
-// table hands out the live *ctrlplane.Session a heal re-paths in place
-// (Plane.Repath rewrites its path and epoch under writeMu), so everything
-// outside the write mutex reads a copy taken under it.
-type SessionView struct {
-	ID        int
-	Path      []int32
-	Bandwidth float64
-}
+// Sessions lists every live session's current record, ordered by id.
+// Lock-free: a record's identity and route never change once handed out.
+func (s *Daemon) Sessions() []*ctrlplane.Session { return s.sessions.List() }
 
-// viewOf copies sess. Callers hold writeMu. The path's backing array is
-// shared: a re-path installs a new slice, it never edits the old one.
-func viewOf(sess *ctrlplane.Session) SessionView {
-	return SessionView{ID: sess.ID, Path: sess.Path, Bandwidth: sess.Bandwidth}
-}
-
-// Sessions copies every live session, ordered by id.
-func (s *Daemon) Sessions() []SessionView {
-	list := s.sessions.List()
-	out := make([]SessionView, len(list))
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	for i, sess := range list {
-		out[i] = viewOf(sess)
-	}
-	return out
-}
-
-// Session copies session id; false means the table does not hold it.
-func (s *Daemon) Session(id int) (SessionView, bool) {
-	sess, ok := s.sessions.Get(id)
-	if !ok {
-		return SessionView{}, false
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	return viewOf(sess), true
-}
+// Session returns session id's current record; false means the table does
+// not hold it. Lock-free, like Sessions.
+func (s *Daemon) Session(id int) (*ctrlplane.Session, bool) { return s.sessions.Get(id) }
 
 // CheckInvariants checks the control plane's conservation invariants
 // against the live session table.
@@ -434,9 +409,10 @@ const opTimeout = 2 * time.Second
 // committer (commit.go): concurrent setups coalesce into one 2PC round and
 // one snapshot publish per batch, and the staleness fallbacks (stale-epoch
 // retry against live state, post-commit damage repair) run inside the batch
-// leader, which also takes the copy Setup answers with. Degraded mode
-// returns errSetupShed without touching the plane.
-func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (SessionView, error) {
+// leader, which also records the session in the table before it lets go of
+// writeMu. Setup answers with the session's record. Degraded mode returns
+// errSetupShed without touching the plane.
+func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlplane.Session, error) {
 	op := &pendingOp{req: sessionRequest{Src: src, Dst: dst, Gbps: gbps}, snapID: s.pub.Epoch(), done: make(chan struct{})}
 	// Resolve the path through the query-plane cache (stale entries
 	// revalidate in O(hops) against the pinned snapshot — setup storms over
@@ -459,28 +435,24 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (Session
 		}
 		s.refuseSpan(ctx, "brokerd.setup_refused", reason)
 		s.sloSetup.Record(false, obs.TraceIDFrom(ctx))
-		return SessionView{}, err
+		return nil, err
 	}
 	s.sloSetup.Record(true, 0)
-	s.sessions.Put(op.sess)
 	// A committed reservation credits its carrying brokers with the
 	// session's bandwidth in settlement units.
-	s.recordCarriers(op.view.Path, op.view.Bandwidth)
-	return op.view, nil
+	s.recordCarriers(op.sess.Path, op.sess.Bandwidth)
+	return op.sess, nil
 }
 
 // errNoSession is Teardown's answer for an id the session table does not
 // hold: never set up, already released, or expired.
 var errNoSession = errors.New("brokerd: no such session")
 
-// Teardown releases session id through the group committer. Teardowns are
-// never shed — they shrink load.
+// Teardown releases session id through the group committer, whose leader
+// takes the id's current record out of the table. Teardowns are never shed —
+// they shrink load.
 func (s *Daemon) Teardown(ctx context.Context, id int) error {
-	sess, ok := s.sessions.Delete(id)
-	if !ok {
-		return errNoSession
-	}
-	op := &pendingOp{tear: sess, done: make(chan struct{})}
+	op := &pendingOp{teardown: true, id: id, done: make(chan struct{})}
 	if err := s.commit.submit(ctx, op); err != nil {
 		return err
 	}
@@ -491,9 +463,11 @@ func (s *Daemon) Teardown(ctx context.Context, id int) error {
 // never granted, torn down, or already swept. Renewals never queue and are
 // never shed: in degraded mode keeping live sessions alive (and letting
 // abandoned ones expire) is exactly the work that shrinks the plane back
-// under its high-water mark.
+// under its high-water mark. The id is looked up under writeMu, so a heal
+// that re-paths the session cannot hand the renewal a superseded record.
 func (s *Daemon) Renew(id int) bool {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	return s.plane.RenewSession(id)
+	sess, _ := s.sessions.Get(id)
+	return s.plane.RenewSession(sess)
 }

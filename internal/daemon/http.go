@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"brokerset/internal/churn"
+	"brokerset/internal/ctrlplane"
 	"brokerset/internal/obs"
 	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
@@ -286,7 +287,7 @@ func (s *Daemon) sessionRequest(w http.ResponseWriter, r *http.Request) (req ses
 	return req, true
 }
 
-func sessionJSON(sess SessionView) sessionResponse {
+func sessionJSON(sess *ctrlplane.Session) sessionResponse {
 	return sessionResponse{
 		ID: sess.ID, Nodes: sess.Path, Hops: len(sess.Path) - 1, Bandwidth: sess.Bandwidth,
 	}

@@ -61,9 +61,7 @@ func TestRenewVsSweeperRace(t *testing.T) {
 		go func(w int) {
 			defer renewers.Done()
 			for i := 2 * w; !swept.Load(); i++ {
-				srv.writeMu.Lock()
-				srv.plane.RenewSession(sessions[i%len(sessions)].ID)
-				srv.writeMu.Unlock()
+				srv.Renew(sessions[i%len(sessions)].ID)
 				runtime.Gosched()
 			}
 		}(w)
@@ -97,7 +95,7 @@ func TestRenewVsSweeperRace(t *testing.T) {
 			committed = append(committed, s)
 		case ctrlplane.StateReleased:
 			released++
-			if srv.plane.RenewSession(s.ID) {
+			if srv.plane.RenewSession(s) {
 				t.Fatalf("session %d released but still renewable", s.ID)
 			}
 		default:

@@ -59,7 +59,7 @@ func verifyConserved(t *testing.T, f *Fabric, fr *obs.FlightRecorder, seed int64
 	committed := s.State == ctrlplane.StateCommitted
 	for r := 0; r < f.NumRegions(); r++ {
 		rec := f.Region(r).subs[fk]
-		has := rec != nil && rec.State == subCommitted
+		has := rec != nil && rec.State == ctrlplane.StateCommitted
 		inPath := false
 		if s.Stitched != nil {
 			for _, seg := range s.Stitched.Segments {
@@ -71,7 +71,7 @@ func verifyConserved(t *testing.T, f *Fabric, fr *obs.FlightRecorder, seed int64
 		if committed && inPath && !has {
 			violation := "committed session missing a region segment"
 			dumpFlight(t, fr, seed, violation)
-			t.Fatalf("%s: session %d.%d region %d state %v", violation, s.ID, s.Epoch, r, recState(rec))
+			t.Fatalf("%s: session %d.%d region %d record %+v", violation, s.ID, s.Epoch, r, rec)
 		}
 		if !committed && has {
 			violation := "aborted session left a committed segment"
@@ -89,13 +89,6 @@ func carries(m ctrlplane.Message, k ctrlplane.BatchEntryKind) bool {
 		}
 	}
 	return false
-}
-
-func recState(rec *subRecord) subState {
-	if rec == nil {
-		return 0
-	}
-	return rec.State
 }
 
 // TestPartitionMidSetupConserved is the acceptance chaos scenario: the

@@ -22,15 +22,17 @@
 // its sweep presumed abort, or it never heard of the attempt. A refusal —
 // on the spot or of a backlogged record — rolls the whole session back.
 //
-// A region's share of a stitched session exists once: the durable subRecord
-// in Region.subs, owned by the region that holds the segment — the home
-// region's own segment included. There are no live session handles beside it.
+// A region's share of a stitched session exists once: the region-local
+// *ctrlplane.Session its plane's PrepareOnPath handed out, kept in
+// Region.subs by the region that holds the segment — the home region's own
+// segment included. Its identity and route never change, so it is the
+// durable record as well as the handle, and nothing is rebuilt from it.
 // Fabric.records builds every decision, one entry per region holding a
 // segment (the home region's is applied on the spot, the others ride the
-// bus), and Region.applyDecision executes every entry by rebuilding the
-// region-local session from the record; nothing else moves a sub-transaction
-// after prepare, so the path a crashed-and-recovered region takes is the path
-// every region always takes. The engine's three hooks are Dispatch =
+// bus), and Region.applyDecision executes every entry on that session;
+// nothing else moves a sub-transaction after prepare, so the path a
+// crashed-and-recovered region takes is the path every region always takes.
+// The engine's three hooks are Dispatch =
 // Fabric.dispatch (sub-coordinator and gossip store), Down = none (a home
 // coordinator has no failure detector for its peers; the circuit breaker is
 // what it has) and Refused = Fabric.commitRefused (the rollback above).
@@ -402,8 +404,8 @@ func (f *Fabric) Reconcile(ctx context.Context) error {
 }
 
 // CheckInvariants verifies every region's conservation laws at quiescence:
-// each region's committed sub-transactions are rebuilt from its durable
-// records and handed to the region plane's own checker, so a
+// each region's committed sub-transaction records are handed to the region
+// plane's own checker, so a
 // stitched session must be exactly accounted in every region it crosses —
 // fully committed everywhere or conserved-aborted everywhere.
 func (f *Fabric) CheckInvariants() error {
@@ -420,12 +422,8 @@ func (f *Fabric) CheckInvariants() error {
 	for r, reg := range f.regions {
 		var committed []*ctrlplane.Session
 		for _, fk := range sortedFedKeys(reg.subs) {
-			if rec := reg.subs[fk]; rec.State == subCommitted {
-				sess, err := reg.session(rec)
-				if err != nil {
-					return fmt.Errorf("federation: region %d: %w", r, err)
-				}
-				committed = append(committed, sess)
+			if s := reg.subs[fk]; s.State == ctrlplane.StateCommitted {
+				committed = append(committed, s)
 			}
 		}
 		if err := reg.Plane.CheckInvariants(committed); err != nil {
@@ -435,7 +433,7 @@ func (f *Fabric) CheckInvariants() error {
 	return nil
 }
 
-func sortedFedKeys(m map[fedKey]*subRecord) []fedKey {
+func sortedFedKeys(m map[fedKey]*ctrlplane.Session) []fedKey {
 	keys := make([]fedKey, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -77,9 +77,9 @@ func TestHealSeesDamageAfterRegionBounce(t *testing.T) {
 // one-record design: every decision a sub-coordinator can apply leaves the
 // same record, the same ledger on every hop of the segment and a green
 // conservation check whether or not the region lost its volatile state
-// between the prepare and the decision. Before the live session handles went
-// this compared the handle path with the resume-from-record path; now it pins
-// that there is nothing beside the record for a bounce to lose.
+// between the prepare and the decision. The record is the region-local
+// session PrepareOnPath handed out; this pins that there is nothing beside it
+// for a bounce to lose.
 func TestDecisionsSameAfterRegionBounce(t *testing.T) {
 	const (
 		commit  = ctrlplane.EntryCommit
@@ -94,18 +94,18 @@ func TestDecisionsSameAfterRegionBounce(t *testing.T) {
 		sweep   bool // the lease lapses before last
 		last    ctrlplane.BatchEntryKind
 		refused bool
-		want    subState
+		want    ctrlplane.SessionState
 		held    float64 // bandwidth still reserved on the segment's hops
 	}{
-		{name: "prepared, commit", last: commit, want: subCommitted, held: 5},
-		{name: "prepared, abort", last: abort, want: subAborted},
-		{name: "prepared, commit after lease sweep", sweep: true, last: commit, refused: true, want: subAborted},
-		{name: "committed, release", first: commit, last: release, want: subReleased},
-		{name: "committed, abort", first: commit, last: abort, want: subReleased},
+		{name: "prepared, commit", last: commit, want: ctrlplane.StateCommitted, held: 5},
+		{name: "prepared, abort", last: abort, want: ctrlplane.StateAborted},
+		{name: "prepared, commit after lease sweep", sweep: true, last: commit, refused: true, want: ctrlplane.StateAborted},
+		{name: "committed, release", first: commit, last: release, want: ctrlplane.StateReleased},
+		{name: "committed, abort", first: commit, last: abort, want: ctrlplane.StateReleased},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			type outcome struct {
-				rec     subRecord
+				rec     ctrlplane.Session
 				avail   []float64
 				refused bool
 			}

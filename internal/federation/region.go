@@ -41,9 +41,10 @@ type Region struct {
 
 	// subs is the sub-coordinator's durable record of every sub-transaction
 	// the region held a segment for, its own sessions' home segments
-	// included. It is the only representation of the region's share of a
-	// stitched session and survives a crash.
-	subs map[fedKey]*subRecord
+	// included: the region-local session PrepareOnPath handed out, whose
+	// State is the sub-transaction's. It is the only representation of the
+	// region's share of a stitched session and survives a crash.
+	subs map[fedKey]*ctrlplane.Session
 	// peers is the gossip-fed view of the other regions, by region id;
 	// volatile — CrashRegion wipes it.
 	peers map[int]*regionDigest
@@ -57,27 +58,6 @@ type Region struct {
 type fedKey struct {
 	ID    int
 	Epoch uint32
-}
-
-// subState is the durable lifecycle of one region's sub-transaction.
-type subState uint8
-
-const (
-	subPrepared subState = iota + 1
-	subCommitted
-	subAborted
-	subReleased
-)
-
-// subRecord is a region sub-coordinator's durable record of one
-// sub-transaction: the facts the region-local session is rebuilt from
-// whenever a decision about it arrives or the healer asks after it.
-type subRecord struct {
-	State      subState
-	LocalID    int     // region-local ctrlplane session id
-	LocalEpoch uint32  // region-local session epoch
-	Path       []int32 // region-local node ids
-	BW         float64
 }
 
 // buildRegion boots region r's full coalition stack from the global
@@ -138,7 +118,7 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 		Metrics: metrics, Plane: plane, Pub: pub, QP: queryplane.Over(pub, nil),
 		Brokers: brokers, borderLocal: borderLocal,
 		lastVersion: plane.Version(),
-		subs:        make(map[fedKey]*subRecord),
+		subs:        make(map[fedKey]*ctrlplane.Session),
 		peers:       make(map[int]*regionDigest),
 	}
 	reg.maybePublish(context.Background())
@@ -181,37 +161,26 @@ func (reg *Region) maybePublish(ctx context.Context) {
 	reg.Pub.PublishView(ctx, reg.Metrics.View())
 }
 
-// hold prepares a region-local path for attempt fk and writes the
-// sub-transaction's record. A refused prepare leaves no record: a retransmit
-// re-evaluates, exactly like an agent nacking a PREPARE.
+// hold prepares a region-local path for attempt fk and keeps the session
+// the plane handed out as the sub-transaction's record. A refused prepare
+// leaves no record: a retransmit re-evaluates, exactly like an agent nacking
+// a PREPARE.
 func (reg *Region) hold(ctx context.Context, fk fedKey, path []int32, bw float64) error {
 	s, err := reg.Plane.PrepareOnPath(ctx, path, bw)
 	if err != nil {
 		return err
 	}
-	reg.subs[fk] = &subRecord{State: subPrepared, LocalID: s.ID, LocalEpoch: s.Epoch, Path: s.Path, BW: bw}
+	reg.subs[fk] = s
 	return nil
-}
-
-// session rebuilds the region-local session a prepared or committed record
-// stands for. The coalition is fixed after boot, so the hop owners derived
-// now are the owners the holds were placed at, and the error — a hop no
-// broker owns — cannot happen to a path the plane once prepared.
-func (reg *Region) session(rec *subRecord) (*ctrlplane.Session, error) {
-	state := ctrlplane.StatePrepared
-	if rec.State == subCommitted {
-		state = ctrlplane.StateCommitted
-	}
-	return reg.Plane.ResumeSession(rec.LocalID, rec.LocalEpoch, rec.Path, rec.BW, state)
 }
 
 // prepareSub is the sub-coordinator holding its segment of a stitched path;
 // false nacks the X-PREPARE.
 func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
 	fk := fedKey{ID: m.SessionID, Epoch: m.Epoch}
-	if rec := reg.subs[fk]; rec != nil {
+	if s := reg.subs[fk]; s != nil {
 		// A retransmit: re-ack a live attempt, refuse one already dead.
-		return rec.State == subPrepared || rec.State == subCommitted
+		return s.State == ctrlplane.StatePrepared || s.State == ctrlplane.StateCommitted
 	}
 	entry, okE := reg.Local(m.Hop[0])
 	exit, okX := reg.Local(m.Hop[1])
@@ -230,53 +199,44 @@ func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
 }
 
 // applyDecision executes one decision-record entry against the region's
-// durable sub-transaction record. It is the only place a subRecord.State
+// durable sub-transaction record. It is the only place a record's State
 // moves after prepare, whether the record arrived over the peer bus or the
-// home coordinator applies its own decision to its own segment:
+// home coordinator applies its own decision to its own segment; the plane
+// call in each row is what moves it:
 //
-//	record state   commit              abort / release
-//	(none)         refused             no-op (presumed abort: nothing held)
-//	prepared       -> committed, or    -> aborted
-//	               refused -> aborted
-//	committed      no-op               -> released
-//	aborted        refused             no-op
-//	released       refused             no-op
+//	record state   commit                     abort / release
+//	(none)         refused                    no-op (presumed abort: nothing held)
+//	prepared       CommitPrepared: committed, AbortPrepared: aborted
+//	               or refused -> aborted
+//	committed      no-op                      Teardown: released
+//	aborted        refused                    no-op
+//	released       refused                    no-op
 //
 // Only a commit can be refused (the returned error): the region's lease
 // lapsed and its sweep already presumed abort, or it never heard of the
 // attempt. An abort reaching a committed record releases it fully — the
 // commit landed but its ack was lost, and the home rolled back presuming it
-// hadn't. The record is all there is: every step rebuilds the region-local
-// session from it.
+// hadn't.
 func (reg *Region) applyDecision(ctx context.Context, e ctrlplane.BatchEntry) error {
-	rec := reg.subs[fedKey{ID: e.ID, Epoch: e.Epoch}]
+	s := reg.subs[fedKey{ID: e.ID, Epoch: e.Epoch}]
 	commit := e.Kind == ctrlplane.EntryCommit
-	if rec == nil || rec.State == subAborted || rec.State == subReleased {
+	if s == nil || s.State == ctrlplane.StateAborted || s.State == ctrlplane.StateReleased {
 		if commit {
 			return fmt.Errorf("federation: region %d holds nothing for session %d.%d", reg.ID, e.ID, e.Epoch)
 		}
 		return nil
 	}
-	if rec.State == subCommitted && commit {
-		return nil
-	}
-	sess, err := reg.session(rec)
-	if err != nil {
-		return err
-	}
 	switch {
-	case rec.State == subCommitted:
-		_ = reg.Plane.Teardown(ctx, sess) // refuses only a non-committed session
-		rec.State = subReleased
+	case s.State == ctrlplane.StateCommitted && commit:
+		return nil
+	case s.State == ctrlplane.StateCommitted:
+		_ = reg.Plane.Teardown(ctx, s) // refuses only a non-committed session
 	case commit:
-		if err := reg.Plane.CommitPrepared(ctx, sess); err != nil {
-			rec.State = subAborted // our lease expired and the sweep presumed abort
-			return err
+		if err := reg.Plane.CommitPrepared(ctx, s); err != nil {
+			return err // our lease expired and the sweep presumed abort
 		}
-		rec.State = subCommitted
 	default:
-		_ = reg.Plane.AbortPrepared(ctx, sess) // a hold the sweep already took is a no-op
-		rec.State = subAborted
+		_ = reg.Plane.AbortPrepared(ctx, s) // a hold the sweep already took is a no-op
 	}
 	reg.maybePublish(ctx)
 	return nil
@@ -286,10 +246,5 @@ func (reg *Region) applyDecision(ctx context.Context, e ctrlplane.BatchEntry) er
 // committed for attempt fk damaged (link failure, agent crashed, breaker
 // open). A region holding no committed record for fk has nothing to damage.
 func (reg *Region) segmentDamaged(fk fedKey) bool {
-	rec := reg.subs[fk]
-	if rec == nil || rec.State != subCommitted {
-		return false
-	}
-	sess, err := reg.session(rec)
-	return err != nil || reg.Plane.SessionDamaged(sess)
+	return reg.Plane.SessionDamaged(reg.subs[fk])
 }

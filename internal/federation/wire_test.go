@@ -223,14 +223,14 @@ func TestOnePeerProtocolOnTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec := f.Region(1).subs[fedKey{s.ID, s.Epoch}]; recState(rec) != subPrepared || f.Stats().Backlogged != 1 {
-			t.Fatalf("region 1 record state %v, stats %+v: want a prepared record and its commit backlogged", recState(rec), f.Stats())
+		if rec := f.Region(1).subs[fedKey{s.ID, s.Epoch}]; rec == nil || rec.State != ctrlplane.StatePrepared || f.Stats().Backlogged != 1 {
+			t.Fatalf("region 1 record %+v, stats %+v: want a prepared record and its commit backlogged", rec, f.Stats())
 		}
 		tap.requests(t, "Setup over a crashing region")
 		f.RecoverRegion(1)
 		quiesce(t, f, "recover")
-		if rec := f.Region(1).subs[fedKey{s.ID, s.Epoch}]; recState(rec) != subCommitted {
-			t.Fatalf("region 1 record state %v after recovery, want committed", recState(rec))
+		if rec := f.Region(1).subs[fedKey{s.ID, s.Epoch}]; rec == nil || rec.State != ctrlplane.StateCommitted {
+			t.Fatalf("region 1 record %+v after recovery, want committed", rec)
 		}
 		if _, r := tap.requests(t, "reconcile"); r != 1 {
 			t.Fatalf("recovery re-drove %d records, want the one commit", r)

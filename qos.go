@@ -123,7 +123,11 @@ func (q *QoSEngine) FailLink(u, v int) { q.engine.Metrics().FailLink(int32(u), i
 // Reroute moves the session onto a fresh feasible path after failures. When
 // none exists the session is left released and an error is returned.
 func (s *Session) Reroute(c PathConstraints) error {
-	return s.q.plane.Repath(context.Background(), s.s, toOptions(c))
+	next, err := s.q.plane.Repath(context.Background(), s.s, toOptions(c))
+	if err == nil {
+		s.s = next
+	}
+	return err
 }
 
 // TrafficReport summarizes a simulated workload run (see SimulateTraffic).
