@@ -174,12 +174,25 @@ func (h *pathHeap) Pop() any {
 
 // randomTopology builds an n-node graph with about avgDeg*n/2 random peer
 // links — sparse enough that the dominated subgraph falls apart into
-// several components, so no-path verdicts are exercised too.
-func randomTopology(rng *rand.Rand, n int, avgDeg float64) *topology.Topology {
-	b := graph.NewBuilder(n)
+// several components, so no-path verdicts are exercised too. With hubs > 0
+// it pads the graph to 4 row chunks of nodes and appends hubs nodes, each
+// linked to 3–4 chunks' worth of the nodes before it: padding nodes become
+// the hubs' stubs (or bridges between two hubs), and meet reads a hub's row
+// a chunk at a time. With hubs = 0 the graph, and the draws, are as before.
+func randomTopology(rng *rand.Rand, n int, avgDeg float64, hubs int) *topology.Topology {
+	base := n
+	if hubs > 0 {
+		base = max(n, 4*rowChunk)
+	}
+	b := graph.NewBuilder(base + hubs)
 	for i := 0; i < int(avgDeg*float64(n)/2); i++ {
 		if u, v := rng.Intn(n), rng.Intn(n); u != v {
 			b.AddEdge(u, v)
+		}
+	}
+	for h := base; h < base+hubs; h++ {
+		for _, v := range rng.Perm(h)[:3*rowChunk+rng.Intn(rowChunk)] {
+			b.AddEdge(h, v)
 		}
 	}
 	return peerTopology(b.MustBuild())
@@ -298,22 +311,34 @@ func randomOptions(rng *rand.Rand) Options {
 	return opts
 }
 
-// differentialCase builds one random small instance from seed, checks 4n
-// random queries against the reference and returns how many had a path.
-func differentialCase(t testing.TB, seed int64, n int, avgDeg, brokerShare float64) (found, queries int) {
+// differentialCase builds one random small instance from seed, with hubs
+// hub nodes (see randomTopology; every other one a broker), checks 4 random
+// queries per node against the reference, and returns how many had a path and
+// how many row cursors meet queued for them. The first query from each hub
+// reads that hub's row a chunk at a time whatever else the instance holds, so
+// a hub-bearing case that queues no cursor fails: the oracle never reached
+// the re-queue path.
+func differentialCase(t testing.TB, seed int64, n int, avgDeg, brokerShare float64, hubs int) (found, queries, requeued int) {
 	rng := rand.New(rand.NewSource(seed))
-	top := randomTopology(rng, n, avgDeg)
+	top := randomTopology(rng, n, avgDeg, hubs)
 	var brokers []int32
 	for u := 0; u < n; u++ {
 		if rng.Float64() < brokerShare {
 			brokers = append(brokers, int32(u))
 		}
 	}
+	n = top.NumNodes()
+	for i := 0; i < hubs; i += 2 {
+		brokers = append(brokers, int32(n-hubs+i))
+	}
 	e := NewEngine(top, DefaultMetrics(top, rng), brokers)
 	perturb(rng, e)
 	s := e.search()
 	for queries < 4*n {
 		src, dst := rng.Intn(n), rng.Intn(n)
+		if queries < hubs { // each hub once as the source, to a node not a hub
+			src, dst = n-hubs+queries, dst%(n-hubs)
+		}
 		opts := randomOptions(rng)
 		if checkAgainstReference(t, s, src, dst, opts) {
 			found++
@@ -321,9 +346,16 @@ func differentialCase(t testing.TB, seed int64, n int, avgDeg, brokerShare float
 				checkPenalisedRounds(t, e, src, dst, opts)
 			}
 		}
+		if src != dst {
+			_, _, q := s.meetWork(src, dst, opts)
+			requeued += q
+		}
 		queries++
 	}
-	return found, queries
+	if hubs > 0 && requeued == 0 {
+		t.Fatalf("seed %d: %d queries over %d hubs of %d+ arcs queued no row cursor", seed, queries, hubs, 3*rowChunk)
+	}
+	return found, queries, requeued
 }
 
 // checkPenalisedRounds replays what KAlternatives does to the penalty column
@@ -362,12 +394,25 @@ func TestBestPathMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
-		f, q := differentialCase(t, seed, n, 1+3*rng.Float64(), 0.1+0.6*rng.Float64())
+		f, q, _ := differentialCase(t, seed, n, 1+3*rng.Float64(), 0.1+0.6*rng.Float64(), 0)
 		found, queries = found+f, queries+q
 	}
 	// Both verdicts must be well represented or the comparison is hollow.
 	if found < queries/5 || found > queries*4/5 {
 		t.Fatalf("%d of %d queries had a path — broken test setup", found, queries)
+	}
+	// The same on graphs with hubs whose rows take 3–4 chunks to read.
+	found, queries = 0, 0
+	requeued := 0
+	for seed := int64(61); seed <= 72; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		f, q, r := differentialCase(t, seed, n, 1+3*rng.Float64(), 0.1+0.6*rng.Float64(), 1+int(seed%4))
+		found, queries, requeued = found+f, queries+q, requeued+r
+	}
+	t.Logf("hub-bearing graphs: %d of %d queries had a path, %d row cursors queued", found, queries, requeued)
+	if found < queries/5 || found > queries*4/5 {
+		t.Fatalf("%d of %d hub-graph queries had a path — broken test setup", found, queries)
 	}
 }
 
@@ -416,39 +461,63 @@ func TestBestPathMatchesReferenceSmokeTier(t *testing.T) {
 	}
 }
 
-// FuzzBestPathVsReference lets the fuzzer pick the instance shape; the
-// instance itself is derived from the seed so every failure replays.
+// FuzzBestPathVsReference lets the fuzzer pick the instance shape, up to
+// three hubs included; the instance itself is derived from the seed so every
+// failure replays.
 func FuzzBestPathVsReference(f *testing.F) {
-	f.Add(int64(1), uint8(12), uint8(2), uint8(40))
-	f.Add(int64(2), uint8(2), uint8(1), uint8(0))
-	f.Add(int64(3), uint8(64), uint8(4), uint8(100))
-	f.Fuzz(func(t *testing.T, seed int64, n, deg, brokerPct uint8) {
-		differentialCase(t, seed, 2+int(n%63), float64(1+deg%5), float64(brokerPct%101)/100)
+	f.Add(int64(1), uint8(12), uint8(2), uint8(40), uint8(0))
+	f.Add(int64(2), uint8(2), uint8(1), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(64), uint8(4), uint8(100), uint8(0))
+	f.Add(int64(4), uint8(40), uint8(3), uint8(30), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n, deg, brokerPct, hubs uint8) {
+		differentialCase(t, seed, 2+int(n%63), float64(1+deg%5), float64(brokerPct%101)/100, int(hubs%4))
 	})
 }
 
 // TestScratchGenerationWrap drives a scratch across the uint32 wrap: labels
-// stamped 2^32 searches ago must not read as live.
+// stamped 2^32 searches ago must not read as live, and row positions left
+// from earlier searches must not be read at all — the search is 0–1–2–3–4
+// through node 1, a hub whose row holds three chunks of shorter stub links
+// before the arc to 2, so it is read by queued cursors.
 func TestScratchGenerationWrap(t *testing.T) {
-	top := lineTopology(t, 5)
-	e := NewEngine(top, nil, []int32{1, 3})
-	s := e.search()
+	const line = 5
+	n := line + 3*rowChunk
+	b := graph.NewBuilder(n)
+	for u := 0; u+1 < line; u++ {
+		b.AddEdge(u, u+1)
+	}
+	for stub := line; stub < n; stub++ {
+		b.AddEdge(1, stub)
+	}
+	top := peerTopology(b.MustBuild())
+	m := NewMetricsFunc(top, func(u, v int32) (float64, float64) {
+		if u >= line || v >= line {
+			return 1, 10
+		}
+		return 10, 10
+	})
+	s := NewEngine(top, m, []int32{1, 3}).search()
 	sc := new(searchScratch)
-	sc.fwd.state = make([]nodeLabel, 5)
-	sc.bwd.state = make([]nodeLabel, 5)
+	sc.reset(n)
 	// Poison every label with the stamp the first post-wrap search would
-	// otherwise use, then park the counter just below the wrap.
-	for i := range sc.fwd.state {
-		sc.fwd.state[i] = nodeLabel{dist: 0, parent: int32(i), stamp: 1}
-		sc.bwd.state[i] = nodeLabel{dist: 0, parent: int32(i), stamp: 1}
+	// otherwise use and every row position past its row's end, then park the
+	// counter just below the wrap.
+	for _, side := range []*searchSide{&sc.fwd, &sc.bwd} {
+		for i := range side.state {
+			side.state[i] = nodeLabel{dist: 0, parent: int32(i), stamp: 1}
+			side.pos[i] = math.MaxInt32
+		}
 	}
 	sc.gen = math.MaxUint32
-	sc.reset(5)
+	sc.reset(n)
 	meet := s.meet(sc, 0, 4, Options{})
 	if meet < 0 {
-		t.Fatal("stale labels survived the generation wrap: no path found")
+		t.Fatal("stale labels or row positions survived the generation wrap: no path found")
 	}
-	if nodes := sc.stitch(meet, 0, 4); len(nodes) != 5 {
+	if nodes := sc.stitch(meet, 0, 4); !slices.Equal(nodes, []int32{0, 1, 2, 3, 4}) {
 		t.Fatalf("path after wrap = %v, want 0..4", nodes)
+	}
+	if sc.fwd.requeued+sc.bwd.requeued == 0 {
+		t.Fatal("the hub's row was read in one pop: no row position was put to use")
 	}
 }

@@ -137,17 +137,25 @@ func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options)
 // path). Both tests hold whichever side is expanded, which is what lets meet
 // pick the side by work done, not by cost.
 //
-// A popped node's row is read in ascending latency (arcState.order) and left
-// at the first arc with cost + latency + topOther >= mu: a walk over that arc
-// costs at least mu unless the far side has settled its head below topOther,
-// and then the far side, popping the head while this side's top was still at
-// most cost, already put that walk into mu (DESIGN.md, "Latency-ordered
-// rows", has the argument in full). Every later arc of the row is at least as
-// long — the sum is monotone in the latency even in floating point — so the
-// break is the per-arc test applied to each of them, and while mu is +Inf it
-// never fires. A penalty only lengthens an arc (factors are >= 1), so the raw
-// latency is a valid bound under KAlternatives too. On a hub, whose row is
-// most of what a search could read, the prefix is a small share of the row.
+// A popped node's row is read in ascending latency (arcState.order), at most
+// rowChunk arcs a pop. The search runs, in effect, on the graph with every
+// arc split at a virtual midpoint into two half-arcs: a row not finished by
+// its chunk goes back on the same side's heap as a cursor (the node as ^u,
+// its position in the side's pos column) keyed cost + latency/2 of its next
+// arc — that midpoint's label, and no unread arc of the row has a smaller one
+// — so a hub is read only as far as the search gets before it meets. The row
+// is cut at the first arc with cost + latency/2 + topOther >= mu: the walk over
+// that arc costs at least mu unless the far side's top is past the arc's
+// midpoint from the other end, and then the far side has already read or cut
+// the arc from there, so a cut on both ends is impossible (DESIGN.md,
+// "Latency-ordered rows", has the argument in full; a full-latency cut lets
+// both ends cut and loses the optimum, TestChunkedRowsKeepTheCrossingArc).
+// Every later arc of the row is at least as long — the sum is monotone in the
+// latency even in floating point — so the cut is the per-arc test applied to
+// each of them, and while mu is +Inf it never fires. A penalty only lengthens
+// an arc (factors are >= 1), so the raw latency is a valid bound under
+// KAlternatives too. On a hub, whose row is most of what a search could read,
+// a search reads a small share of the row whether mu is known yet or not.
 //
 // The backward side relaxes the step v→u by reading arc u→v. That is exact
 // only because every per-arc input is symmetric (see arcState), domination
@@ -178,18 +186,21 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 			side, other, far, topOther = bwd, fwd, src, topF
 		}
 		u, cost := side.heap.pop()
-		if cost > side.state[u].dist {
+		start := 0
+		if u < 0 { // a row cursor: u is settled, its row resumes at pos
+			u = ^u
+			cost, start = side.state[u].dist, int(side.pos[u])
+		} else if cost > side.state[u].dist {
 			continue // superseded heap entry
 		}
 		off := s.top.Graph.ArcOffset(int(u))
 		nbrs := s.top.Graph.Neighbors(int(u))
 		row := s.arcs.order[off : off+len(nbrs)]
-		read := len(row)
-		for i, a := range row {
-			arc := int(a)
+		i, stop := start, min(len(row), start+rowChunk)
+		for ; i < stop; i++ {
+			arc := int(row[i])
 			lat := s.arcs.latency[arc]
-			if cost+lat+topOther >= mu {
-				read = i + 1
+			if cost+lat/2+topOther >= mu {
 				break
 			}
 			v := nbrs[arc-off]
@@ -208,20 +219,35 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 			}
 			side.label(v, u, nd, gen)
 		}
-		side.scanned += read + 1
+		side.scanned += i - start + 1
+		if i == stop && i < len(row) { // neither finished nor cut
+			side.pos[u] = int32(i)
+			side.heap.push(^u, cost+s.arcs.latency[row[i]]/2)
+			side.requeued++
+		}
 	}
 	return meet
 }
 
+// rowChunk is the most arcs one pop reads of a row. Smaller chunks stop
+// nearer the meeting point but pay a heap push and pop per chunk; per found
+// search on the Table-2 tier's benchmark pairs (BenchmarkTable2BestPath/found,
+// three interleaved rounds at -cpu 1 on a 2-vCPU linux/amd64 VM): 16 arcs
+// 37–61 µs, 32 arcs 28–37, 64 arcs 27–31, 128 arcs 31–36, 256 arcs 35–41. A
+// no-path search, 1 % of the pairs, favours small chunks (0.5 µs at 16, 0.7
+// at 64, 1.2–2.0 at 256).
+const rowChunk = 64
+
 // searchScratch is the per-search working state, pooled so a search does no
 // O(n) allocation or initialisation. A node's label on either side is live
 // only while its stamp equals gen; reset "clears" both sides by bumping
-// gen and wipes the arrays only when the uint32 wraps. The arrays
-// are sized to the largest graph seen and reused as-is for smaller ones
-// (federation regions differ in size), so a pool entry settles at two
-// 16-byte labels per node of the largest topology in the process. A search
-// returns its scratch to the pool on every path, and nothing it returns may
-// alias it.
+// gen and wipes the arrays only when the uint32 wraps. A row position needs
+// no stamp: meet writes it when it queues the cursor that reads it. The
+// arrays are sized to the largest graph seen and reused as-is for smaller
+// ones (federation regions differ in size), so a pool entry settles at two
+// 16-byte labels and two 4-byte row positions per node of the largest
+// topology in the process. A search returns its scratch to the pool on every
+// path, and nothing it returns may alias it.
 type searchScratch struct {
 	fwd, bwd searchSide
 	gen      uint32
@@ -232,10 +258,14 @@ type searchScratch struct {
 // searchSide is one direction's labels and frontier.
 type searchSide struct {
 	state []nodeLabel
-	heap  flatHeap
+	// pos is, for a node whose row cursor is queued, where its row resumes.
+	pos  []int32
+	heap flatHeap
 	// scanned is the work meet has done on this side: arcs read plus nodes
 	// popped. The side with less of it expands next.
 	scanned int
+	// requeued counts the row cursors meet has queued on this side.
+	requeued int
 }
 
 // nodeLabel packs what a relaxation reads and writes for one node into a
@@ -253,6 +283,8 @@ func (sc *searchScratch) reset(n int) {
 	if len(sc.fwd.state) < n {
 		sc.fwd.state = make([]nodeLabel, n)
 		sc.bwd.state = make([]nodeLabel, n)
+		sc.fwd.pos = make([]int32, n)
+		sc.bwd.pos = make([]int32, n)
 		sc.gen = 0
 	}
 	sc.gen++
@@ -264,6 +296,7 @@ func (sc *searchScratch) reset(n int) {
 	sc.fwd.heap.reset()
 	sc.bwd.heap.reset()
 	sc.fwd.scanned, sc.bwd.scanned = 0, 0
+	sc.fwd.requeued, sc.bwd.requeued = 0, 0
 }
 
 // label records a better tentative distance for v reached from parent and

@@ -249,9 +249,10 @@ func TestBestPathOverConcurrentPool(t *testing.T) {
 // before the forward side moves again. Alternating arc for arc, the
 // backward side yields as soon as it has read more than the forward side,
 // which steps into the core; the two meet, and the search stops having
-// settled a small share of it (43 nodes, charging each pop the arcs it read;
-// 44 when a pop was charged its whole row, 237 under the older bound of n
-// arcs). The answer must still be the reference's.
+// settled a small share of it (43 nodes, charging each pop the arcs it read,
+// whether a row is read whole up to its cut or a chunk at a time — no row
+// here is longer than one chunk; 44 when a pop was charged its whole row, 237
+// under the older bound of n arcs). The answer must still be the reference's.
 func TestLeadBoundCurbsHubFlood(t *testing.T) {
 	const core, deg = 4000, 16
 	rng := rand.New(rand.NewSource(5))
@@ -397,6 +398,65 @@ func TestBreakLeavesCrossingArcBehind(t *testing.T) {
 	}
 	if sc.fwd.state[v].stamp == sc.gen || sc.fwd.state[q2].stamp == sc.gen {
 		t.Fatal("the forward side read past the break in u's row: v or q2 has a forward label")
+	}
+	for _, o := range []Options{{}, {BrokersOnly: true}, {MinBandwidth: 5}, {MaxHops: 3}} {
+		checkAgainstReference(t, search, s, dst, o)
+		checkAgainstReference(t, search, dst, s, o)
+	}
+}
+
+// TestChunkedRowsKeepTheCrossingArc is the case the half-latency cut exists
+// for. The optimum s–u–v–t (42 ms) crosses between two hubs on arc (u,v), the
+// last of each hub's row, behind a chunk of 30 ms stubs; s–w–t (50 ms) is
+// found first. Each hub is popped with its first chunk, and its row goes back
+// on the heap as a cursor keyed 1 + 30/2. The forward cursor pops first and
+// reads (u,v): 1 + 40/2 + the backward top 16 is under mu = 50, so v gets its
+// forward label and mu becomes 42. Cut at the full latency instead, 1 + 40 +
+// 16 >= 50 leaves the arc behind, the backward cursor cuts its row at once
+// (the forward top is 25 by then, 1 + 30 + 25 >= 50), and the search returns
+// s–w–t: each side cuts the arc after the other settled its head, but before
+// the other read past its midpoint.
+func TestChunkedRowsKeepTheCrossingArc(t *testing.T) {
+	const s, u, v, dst, w = 0, 1, 2, 3, 4
+	lat := map[[2]int32]float64{{s, u}: 1, {u, v}: 40, {v, dst}: 1, {s, w}: 25, {w, dst}: 25}
+	n := int32(5)
+	for _, hub := range []int32{u, v} {
+		for i := 0; i < rowChunk; i++ {
+			lat[[2]int32{hub, n}] = 30
+			n++
+		}
+	}
+	b := graph.NewBuilder(int(n))
+	for e := range lat {
+		b.AddEdge(int(e[0]), int(e[1]))
+	}
+	top := peerTopology(b.MustBuild())
+	m := NewMetricsFunc(top, func(a, b int32) (float64, float64) {
+		if l, ok := lat[[2]int32{a, b}]; ok {
+			return l, 10
+		}
+		return lat[[2]int32{b, a}], 10
+	})
+	brokers := make([]int32, n)
+	for i := range brokers {
+		brokers[i] = int32(i)
+	}
+	search := NewEngine(top, m, brokers).search()
+
+	sc := new(searchScratch)
+	sc.reset(int(n))
+	meet := search.meet(sc, s, dst, Options{})
+	if meet < 0 {
+		t.Fatal("no path")
+	}
+	if nodes := sc.stitch(meet, s, dst); !slices.Equal(nodes, []int32{s, u, v, dst}) {
+		t.Fatalf("path %v, want [s u v t]", nodes)
+	}
+	if sc.fwd.requeued == 0 || sc.bwd.requeued == 0 {
+		t.Fatalf("cursors queued forward %d, backward %d: a hub's row was read in one pop", sc.fwd.requeued, sc.bwd.requeued)
+	}
+	if l := sc.fwd.state[v]; l.stamp != sc.gen || l.dist != 41 {
+		t.Fatalf("forward label of v is %+v, want 41 from u's second chunk", l)
 	}
 	for _, o := range []Options{{}, {BrokersOnly: true}, {MinBandwidth: 5}, {MaxHops: 3}} {
 		checkAgainstReference(t, search, s, dst, o)
