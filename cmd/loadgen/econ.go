@@ -19,17 +19,14 @@ import (
 )
 
 // econStack is loadgen's in-process economics run: a real query plane with
-// the market admission gate installed, a scenario driver that forces the
-// controller through the spec's demand trace (so the price trajectory is a
+// the market plane's admission gate installed, and a scenario driver that
+// ticks the plane through the spec's samples (so the price trajectory is a
 // pure function of the spec — the workers' live bids race only the
-// admission counters and the ledger amounts), and a settlement engine
-// closing windows on the controller's tick clock.
+// admission counters and the ledger amounts).
 type econStack struct {
-	spec market.ScenarioSpec
-	ctrl *market.Controller
-	adm  *market.Admission
-	set  *market.Settlement
-	qp   *queryplane.QueryPlane
+	spec  market.ScenarioSpec
+	plane *market.Plane
+	qp    *queryplane.QueryPlane
 
 	// brokerSet guards the carrier-credit membership; the defection
 	// scenario removes the top-Shapley broker mid-run.
@@ -56,15 +53,13 @@ func newEconStack(top *topology.Topology, k int, scenario string, seed int64) (*
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := market.NewController(market.Config{DemandRef: spec.BaseDemand})
+	plane, err := market.NewPlane(market.Config{DemandRef: spec.BaseDemand}, seed, spec.WindowTicks)
 	if err != nil {
 		return nil, err
 	}
 	s := &econStack{
 		spec:      spec,
-		ctrl:      ctrl,
-		adm:       market.NewAdmission(ctrl),
-		set:       market.NewSettlement(market.SettlementConfig{Seed: seed}),
+		plane:     plane,
 		brokerSet: make(map[int32]bool, len(brokers)),
 		bidRng:    rand.New(rand.NewSource(seed)),
 		defected:  -1,
@@ -77,21 +72,16 @@ func newEconStack(top *topology.Topology, k int, scenario string, seed int64) (*
 	pub := epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
 		Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
 	}))
-	s.qp = queryplane.Over(pub, s.adm)
+	s.qp = queryplane.Over(pub, plane.Adm)
 	return s, nil
 }
 
-// bid draws one request bid from the scenario's distribution: zero with
-// probability ZeroBidFraction, else spread around the current quote.
+// bid draws one request bid from the scenario's distribution around the
+// current price.
 func (s *econStack) bid() float64 {
 	s.bidMu.Lock()
-	z := s.bidRng.Float64()
-	u := s.bidRng.Float64()
-	s.bidMu.Unlock()
-	if z < s.spec.ZeroBidFraction {
-		return 0
-	}
-	return s.ctrl.Price() * (1 - s.spec.BidSpread/2 + s.spec.BidSpread*u)
+	defer s.bidMu.Unlock()
+	return s.spec.Bid(s.plane.Ctrl.Price(), s.bidRng)
 }
 
 // econTarget adapts the stack into a workload.Target: queries carry
@@ -129,16 +119,12 @@ func (s *econStack) creditNodes(nodes []int32) {
 		}
 	}
 	s.mu.RUnlock()
-	if len(carriers) > 0 {
-		s.set.Record(carriers, 1)
-	}
+	s.plane.Set.Record(carriers, 1)
 }
 
 // drive is the scenario clock: it walks the spec's Ticks across the run
-// duration, forcing the controller through the synthetic demand trace
-// (utilization = demand/capacity, exactly as market.Simulate does), closing
-// settlement windows, and firing the defection event. Stops early when stop
-// closes.
+// duration and runs market.Simulate's steps on each — the defection event,
+// then a plane tick on the scenario's sample. Stops early when stop closes.
 func (s *econStack) drive(stop <-chan struct{}, dur time.Duration) {
 	tickDur := dur / time.Duration(s.spec.Ticks)
 	if tickDur <= 0 {
@@ -152,40 +138,18 @@ func (s *econStack) drive(stop <-chan struct{}, dur time.Duration) {
 			return
 		case <-tick.C:
 		}
-		if s.spec.DefectTick > 0 && t == s.spec.DefectTick {
-			s.defect()
+		if top := s.spec.DefectorAt(t, s.plane.Set); top >= 0 {
+			s.mu.Lock()
+			delete(s.brokerSet, top)
+			s.defected = top
+			s.mu.Unlock()
 		}
-		demand := s.spec.DemandAt(t)
-		util := demand / s.spec.Capacity
-		if util > 1 {
-			util = 1
-		}
-		q, err := s.ctrl.Reprice(market.Sample{Utilization: util, Demand: demand})
+		q, err := s.plane.Tick(s.spec.SampleAt(t))
 		if err != nil {
 			return
 		}
 		s.prices = append(s.prices, q.Price)
-		if (t+1)%s.spec.WindowTicks == 0 {
-			s.set.Settle(s.adm.DrainRevenue(), q.Tick)
-		}
 	}
-}
-
-// defect removes the top-Shapley broker of the latest settled window from
-// the carrier-credit set (the broker-defection scenario).
-func (s *econStack) defect() {
-	rec, ok := s.set.LastRecord()
-	if !ok {
-		return
-	}
-	top := rec.TopBroker()
-	if top < 0 {
-		return
-	}
-	s.mu.Lock()
-	delete(s.brokerSet, top)
-	s.defected = top
-	s.mu.Unlock()
 }
 
 // finish closes the final settlement window, attaches the econ summary to
@@ -193,18 +157,16 @@ func (s *econStack) defect() {
 // exact ledger conservation, and for shocked scenarios a price that rose
 // during the shock and relaxed afterwards.
 func (s *econStack) finish(rep *workload.Report, out io.Writer, assert bool) error {
-	if rev := s.adm.DrainRevenue(); rev > 0 || s.set.PendingUnits() > 0 {
-		s.set.Settle(rev, s.ctrl.Ticks())
-	}
-	st := s.adm.Stats()
+	s.plane.Close()
+	st := s.plane.Adm.Stats()
 	rep.Econ = &workload.EconSummary{
 		Scenario:      s.spec.Name,
 		Admitted:      st.Admitted,
 		AdmittedFree:  st.AdmittedFree,
 		PriceRejected: st.PriceRejected,
-		Revenue:       ledgerRevenue(s.set),
-		LastPrice:     s.ctrl.Price(),
-		Settlements:   s.set.Windows(),
+		Revenue:       ledgerRevenue(s.plane.Set),
+		LastPrice:     s.plane.Ctrl.Price(),
+		Settlements:   s.plane.Set.Windows(),
 	}
 	if s.defected >= 0 {
 		fmt.Fprintf(out, "econ:     broker %d defected at tick %d\n", s.defected, s.spec.DefectTick)
@@ -212,7 +174,7 @@ func (s *econStack) finish(rep *workload.Report, out io.Writer, assert bool) err
 	if !assert {
 		return nil
 	}
-	if err := s.set.CheckConservation(1e-9); err != nil {
+	if err := s.plane.Set.CheckConservation(1e-9); err != nil {
 		return fmt.Errorf("econ assert: %w", err)
 	}
 	if s.spec.ShockFactor > 1 && len(s.prices) >= s.spec.ShockEnd {

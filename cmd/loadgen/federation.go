@@ -1,8 +1,9 @@
 // Federation mode: loadgen builds an N-region broker federation in
 // process, points the closed-loop workers at cross-region stitched path
-// queries, and concurrently drives the fabric — clock ticks, gossip,
-// a trickle of cross-region session setups/teardowns, and (optionally)
-// a mid-run region crash — all over the fault-injected inter-region bus.
+// queries, and concurrently drives the fabric — its beat (clock ticks,
+// gossip, heals), a trickle of cross-region session setups/teardowns, and
+// (optionally) a mid-run region crash — all over the fault-injected
+// inter-region bus.
 // At the end of the run the fabric must reconcile to a conserved state;
 // an invariant violation dumps the flight recorder and fails the run.
 package main
@@ -26,7 +27,7 @@ import (
 
 // fedStack is the in-process federation and what observes it. The fabric
 // orders its own callers: the workers' stitch queries share its read side,
-// the driver goroutine (ticks, gossip, sessions, crashes) and the final
+// the driver goroutine (beats, sessions, crashes) and the final
 // reconcile take turns on its write side.
 type fedStack struct {
 	fabric *federation.Fabric
@@ -71,8 +72,9 @@ func newFedStack(scale float64, seed int64, regions, budget int, crossing, loss,
 	// query plus each region's sub-transaction spans.
 	tracer := obs.NewTracer(1 << 14)
 	fabric.SetTracer(tracer)
-	// Crash a transit region, never an edge one: endpoints stay routable
-	// and the run exercises re-stitching rather than total blackout.
+	// Crash a transit region, never an edge one: endpoints stay routable,
+	// and the healer the driver's beats run re-stitches or aborts the
+	// sessions that crossed it, rather than facing total blackout.
 	return &fedStack{fabric: fabric, top: top, flight: fr, tracer: tracer, crashTarget: regions / 2}, nil
 }
 
@@ -132,12 +134,12 @@ func (t *fedTarget) Query(src, dst int32) (workload.Outcome, error) {
 	return out, err
 }
 
-// drive advances the fabric until stop closes: every interval it ticks
-// the lease clocks, gossips every 5th tick, and attempts one cross-region
-// session setup (tearing down the oldest once a few are live) so the 2PC
-// machinery runs under the same faults the queries see. With crash set,
-// the target transit region is crashed a third of the way through the
-// run and recovered at two thirds.
+// drive advances the fabric until stop closes: every interval it beats
+// the fabric (lease clocks, gossip, the healer — Fabric.Beat) and attempts
+// one cross-region session setup (tearing down the oldest once a few are
+// live) so the 2PC machinery runs under the same faults the queries see.
+// With crash set, the target transit region is crashed a third of the way
+// through the run and recovered at two thirds.
 func (s *fedStack) drive(stop <-chan struct{}, dur time.Duration, interval time.Duration, crash bool, seed int64) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -145,19 +147,14 @@ func (s *fedStack) drive(stop <-chan struct{}, dur time.Duration, interval time.
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	n := int32(s.top.NumNodes())
 	var live []*federation.Session
-	tick := 0
 	for {
 		select {
 		case <-stop:
 			return
 		case <-ticker.C:
 		}
-		tick++
 		elapsed := time.Since(start)
-		s.fabric.Tick()
-		if tick%5 == 0 {
-			s.fabric.GossipTick()
-		}
+		s.fabric.Beat(context.Background())
 		if crash {
 			switch {
 			case elapsed > dur/3 && elapsed < 2*dur/3 && !s.fabric.RegionCrashed(s.crashTarget):
@@ -174,8 +171,9 @@ func (s *fedStack) drive(stop <-chan struct{}, dur time.Duration, interval time.
 			live = append(live, sess)
 		}
 		if len(live) > 4 {
-			// The handle is a copy from setup time: a session rolled back or
-			// healed away since answers with an error nothing here needs.
+			// The record is the one Setup handed out: Teardown goes by its ID,
+			// so a session healed since is torn down at its current epoch, and
+			// one rolled back or heal-aborted answers ErrNoSession.
 			_ = s.fabric.Teardown(context.Background(), live[0])
 			live = live[1:]
 		}

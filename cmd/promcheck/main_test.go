@@ -14,20 +14,18 @@ import (
 // the same text a brokerd -econ scrape produces.
 func marketExposition(t *testing.T) string {
 	t.Helper()
-	ctrl, err := market.NewController(market.Config{DemandRef: 64})
+	p, err := market.NewPlane(market.Config{DemandRef: 64}, 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm := market.NewAdmission(ctrl)
-	set := market.NewSettlement(market.SettlementConfig{Seed: 5})
-	if _, err := ctrl.Reprice(market.Sample{Utilization: 0.5, Demand: 96}); err != nil {
+	if _, err := p.Tick(market.Sample{Utilization: 0.5, Demand: 96}); err != nil {
 		t.Fatal(err)
 	}
-	adm.Admit(ctrl.Price())
-	set.Record([]int32{1, 2}, 3)
-	set.Settle(adm.DrainRevenue(), ctrl.Ticks())
+	p.Adm.Admit(p.Ctrl.Price())
+	p.Set.Record([]int32{1, 2}, 3)
+	p.Settle()
 	reg := obs.NewRegistry()
-	market.RegisterMetrics(reg, ctrl, adm, set)
+	p.RegisterMetrics(reg)
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -55,7 +55,6 @@ var keptExports = map[string]string{
 	"policy.Router.Reachable":              "state accessor a surviving test reads",
 	"routing.Metrics.SetCapacity":          "cross-package test fixture: handcrafted thin links",
 	"routing.Metrics.SetLatency":           "cross-package test fixture: handcrafted latencies",
-	"routing.NewMetricsFunc":               "cross-package test fixture: calibrated metrics for internal/federation's tests (ROADMAP 10g)",
 	"sim.expiryHeap.Less":                  "interface method (container/heap)",
 	"topology.RegionPartition.Touches":     "cross-package test fixture",
 	"topology.Topology.SetRel":             "cross-package test fixture: hand-built relationship labels",

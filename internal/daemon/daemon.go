@@ -19,6 +19,7 @@ import (
 	"brokerset/internal/coverage"
 	"brokerset/internal/ctrlplane"
 	"brokerset/internal/epoch"
+	"brokerset/internal/federation"
 	"brokerset/internal/obs"
 	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
@@ -75,9 +76,9 @@ type Daemon struct {
 	healer     *churn.Healer
 
 	// fed is the in-process federation fabric (nil unless Regions is
-	// set), which orders its own callers; see federation.go for the
-	// endpoints.
-	fed *fedState
+	// set), which orders its own callers and keeps its own schedule; see
+	// federation.go for the endpoints.
+	fed *federation.Fabric
 
 	// econ is the live economics plane (nil unless Econ is set). New
 	// writes it once, before anything can read it; the query plane's
@@ -250,7 +251,7 @@ func (s *Daemon) Run(ctx context.Context) {
 		loop(sweep, func() { s.sweepLeases(ctx) })
 	}
 	if s.fed != nil {
-		loop(100*time.Millisecond, func() { s.fedTick(ctx) })
+		loop(100*time.Millisecond, func() { s.fed.Beat(ctx) })
 	}
 	if e := s.econ; e != nil {
 		loop(e.every, func() { s.econTick(e) })

@@ -11,19 +11,16 @@ import (
 	"brokerset/internal/obs"
 )
 
-// econState is brokerd's live economics plane (nil unless -econ is set): a
-// market controller repricing from sampled query-plane load, the priced
-// admission gate the query plane consults, and the settlement engine that
-// splits accrued revenue across the brokers that carried the traffic.
+// econState is brokerd's live economics plane (nil unless -econ is set): the
+// market plane — a controller repricing from sampled query-plane load, the
+// priced admission gate the query plane consults, and the settlement engine
+// that splits accrued revenue across the brokers that carried the traffic —
+// and the sampling the daemon does for it.
 type econState struct {
-	ctrl *market.Controller
-	adm  *market.Admission
-	set  *market.Settlement
+	*market.Plane
 
-	// every is the controller sampling period; windowTicks is the
-	// settlement window length in controller ticks.
-	every       time.Duration
-	windowTicks int
+	// every is the controller sampling period.
+	every time.Duration
 
 	// lastQueries remembers the query counter at the previous sample so
 	// each tick feeds the controller a demand delta, not a lifetime total.
@@ -47,43 +44,24 @@ func (s *Daemon) enableEcon(cfg EconConfig) error {
 	if cfg.WindowTicks <= 0 {
 		cfg.WindowTicks = 40
 	}
-	ctrl, err := market.NewController(market.Config{
-		CongestionThreshold: cfg.Threshold,
-	})
+	plane, err := market.NewPlane(market.Config{CongestionThreshold: cfg.Threshold}, cfg.Seed, cfg.WindowTicks)
 	if err != nil {
 		return err
 	}
-	e := &econState{
-		ctrl:        ctrl,
-		adm:         market.NewAdmission(ctrl),
-		set:         market.NewSettlement(market.SettlementConfig{Seed: cfg.Seed}),
-		every:       cfg.Every,
-		windowTicks: cfg.WindowTicks,
-	}
-	market.RegisterMetrics(s.reg, e.ctrl, e.adm, e.set)
-	s.econ = e
+	plane.RegisterMetrics(s.reg)
+	s.econ = &econState{Plane: plane, every: cfg.Every}
 	return nil
 }
 
-// econTick is one beat of the market controller loop: it samples the query
-// plane (pool occupancy as utilization, query delta as demand, live sessions
-// as adoption signal) and reprices; every windowTicks samples it drains
-// accrued revenue and settles the window into the ledger.
+// econTick is one beat of the market loop: it samples the query plane (pool
+// occupancy as utilization, query delta as demand, live sessions as adoption
+// signal) and ticks the plane, which reprices and settles each full window.
 func (s *Daemon) econTick(e *econState) {
 	st := s.qp.Stats()
 	demand := float64(st.Queries - e.lastQueries)
 	e.lastQueries = st.Queries
-	q, err := e.ctrl.Reprice(market.Sample{
-		Utilization: s.qp.Occupancy(),
-		Demand:      demand,
-		Sessions:    s.sessions.Len(),
-	})
-	if err != nil {
-		return
-	}
-	if q.Tick%uint64(e.windowTicks) == 0 {
-		e.set.Settle(e.adm.DrainRevenue(), q.Tick)
-	}
+	// A reprice that fails keeps the last quote; the next beat tries again.
+	_, _ = e.Tick(market.Sample{Utilization: s.qp.Occupancy(), Demand: demand, Sessions: s.sessions.Len()})
 }
 
 // Admit implements queryplane.Admission by delegating to the live econ
@@ -93,7 +71,7 @@ func (s *Daemon) Admit(bid float64) (bool, float64) {
 	if s.econ == nil {
 		return true, 0
 	}
-	return s.econ.adm.Admit(bid)
+	return s.econ.Adm.Admit(bid)
 }
 
 // recordCarriers credits the settlement accumulator with the brokers that
@@ -111,9 +89,7 @@ func (s *Daemon) recordCarriers(nodes []int32, units float64) {
 			carriers = append(carriers, n)
 		}
 	}
-	if len(carriers) > 0 {
-		e.set.Record(carriers, units)
-	}
+	e.Set.Record(carriers, units)
 }
 
 // econPriceError maps a queryplane price refusal onto the HTTP contract:
@@ -158,9 +134,9 @@ func (s *Daemon) handleEconPrice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"price":     e.ctrl.Price(),
-		"congested": e.ctrl.Congested(),
-		"tick":      e.ctrl.Ticks(),
+		"price":     e.Ctrl.Price(),
+		"congested": e.Ctrl.Congested(),
+		"tick":      e.Ctrl.Ticks(),
 	})
 }
 
@@ -171,7 +147,7 @@ func (s *Daemon) handleEconQuote(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, e.ctrl.Quote())
+	writeJSON(w, http.StatusOK, e.Ctrl.Quote())
 }
 
 // handleEconSettlement serves GET /econ/settlement: the settlement ledger,
@@ -182,7 +158,7 @@ func (s *Daemon) handleEconSettlement(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	records := e.set.Records()
+	records := e.Set.Records()
 	if v := r.URL.Query().Get("last"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -213,7 +189,7 @@ func (s *Daemon) handleEconSettle(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, e.set.Settle(e.adm.DrainRevenue(), e.ctrl.Ticks()))
+	writeJSON(w, http.StatusOK, e.Settle())
 }
 
 // handleEconStats serves GET /econ/stats: admission counters, settlement
@@ -224,12 +200,12 @@ func (s *Daemon) handleEconStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"admission":     e.adm.Stats(),
-		"price":         e.ctrl.Price(),
-		"congested":     e.ctrl.Congested(),
-		"ticks":         e.ctrl.Ticks(),
-		"windows":       e.set.Windows(),
-		"pending_units": e.set.PendingUnits(),
+		"admission":     e.Adm.Stats(),
+		"price":         e.Ctrl.Price(),
+		"congested":     e.Ctrl.Congested(),
+		"ticks":         e.Ctrl.Ticks(),
+		"windows":       e.Set.Windows(),
+		"pending_units": e.Set.PendingUnits(),
 	})
 }
 

@@ -77,14 +77,14 @@ func TestPricedAdmissionOverHTTP(t *testing.T) {
 
 	// Drive the controller into congestion, then underbid.
 	for i := 0; i < 20; i++ {
-		if _, err := e.ctrl.Reprice(market.Sample{Utilization: 0.95, Demand: 512}); err != nil {
+		if _, err := e.Ctrl.Reprice(market.Sample{Utilization: 0.95, Demand: 512}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !e.ctrl.Congested() {
+	if !e.Ctrl.Congested() {
 		t.Fatal("controller not congested after saturation samples")
 	}
-	low := fmt.Sprintf("%s/path?src=%d&dst=%d&bid=%g", ts.URL, src, dst, e.ctrl.Price()/4)
+	low := fmt.Sprintf("%s/path?src=%d&dst=%d&bid=%g", ts.URL, src, dst, e.Ctrl.Price()/4)
 	resp, err := http.Get(low)
 	if err != nil {
 		t.Fatal(err)
@@ -102,16 +102,16 @@ func TestPricedAdmissionOverHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Price != e.ctrl.Price() {
-		t.Fatalf("refusal quote %g != posted price %g", body.Price, e.ctrl.Price())
+	if body.Price != e.Ctrl.Price() {
+		t.Fatalf("refusal quote %g != posted price %g", body.Price, e.Ctrl.Price())
 	}
 
 	// An above-quote bid clears the gate.
-	high := fmt.Sprintf("%s/path?src=%d&dst=%d&bid=%g", ts.URL, src, dst, e.ctrl.Price()*2)
+	high := fmt.Sprintf("%s/path?src=%d&dst=%d&bid=%g", ts.URL, src, dst, e.Ctrl.Price()*2)
 	if code := getJSON(t, high, nil); code != http.StatusOK {
 		t.Fatalf("above-quote bid status %d, want 200", code)
 	}
-	st := e.adm.Stats()
+	st := e.Adm.Stats()
 	if st.PriceRejected == 0 || st.Revenue <= 0 {
 		t.Fatalf("admission counters did not move: %+v", st)
 	}
@@ -153,7 +153,7 @@ func TestNonFiniteBidIsZero(t *testing.T) {
 	if _, _, err := srv.qp.QueryBid(context.Background(), src, dst, routing.Options{}, math.NaN()); err != nil {
 		t.Fatalf("QueryBid(NaN) while uncongested: %v", err)
 	}
-	if rev := e.adm.Revenue(); rev != 0 {
+	if rev := e.Adm.Revenue(); rev != 0 {
 		t.Fatalf("revenue %v after non-finite bids only, want 0", rev)
 	}
 	var stats struct {
@@ -175,7 +175,7 @@ func TestNonFiniteBidIsZero(t *testing.T) {
 
 	// Congested: refused like the zero bid it is, at both doors.
 	for i := 0; i < 20; i++ {
-		if _, err := e.ctrl.Reprice(market.Sample{Utilization: 0.95, Demand: 512}); err != nil {
+		if _, err := e.Ctrl.Reprice(market.Sample{Utilization: 0.95, Demand: 512}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestEconSettlementLedgerOverHTTP(t *testing.T) {
 	// Serve a few paths (credits carriers), pay for one, then force a
 	// window close via the POST hook.
 	for i := 0; i < 3; i++ {
-		url := fmt.Sprintf("%s/path?src=%d&dst=%d&bid=%g", ts.URL, src, dst, e.ctrl.Price()*2)
+		url := fmt.Sprintf("%s/path?src=%d&dst=%d&bid=%g", ts.URL, src, dst, e.Ctrl.Price()*2)
 		if code := getJSON(t, url, nil); code != http.StatusOK {
 			t.Fatalf("path status %d", code)
 		}

@@ -12,8 +12,8 @@
 //
 // A shed stitched query returns 429 with Retry-After and X-Shed-Region
 // naming the region whose query plane refused, so clients can report
-// per-region pushback. A background loop ticks the fabric's lease
-// clocks, gossips border-broker liveness, and runs the healer.
+// per-region pushback. A background loop beats the fabric every 100 ms
+// (Fabric.Beat: lease clocks, gossip, the healer).
 //
 // A POST or DELETE on /federation/sessions is one round of the two-level
 // commit: the home region sends each transit region an X-PREPARE and then
@@ -34,20 +34,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"brokerset/internal/federation"
 	"brokerset/internal/obs"
 	"brokerset/internal/routing"
 )
-
-// fedState is the federation fabric — which orders its own readers and
-// writers — and the beat count of the one loop that paces it.
-type fedState struct {
-	fabric *federation.Fabric
-	ticks  atomic.Int64 // fedTick's beat count
-}
 
 // enableFederation partitions the daemon's topology into regions and
 // boots the fabric. It shares the daemon's metrics assignment so a
@@ -64,7 +56,7 @@ func (s *Daemon) enableFederation() error {
 	if err != nil {
 		return err
 	}
-	s.fed = &fedState{fabric: fabric}
+	s.fed = fabric
 	fabric.SetFlightRecorder(s.flight)
 	// Sharing the daemon's tracer lets each region's sub-coordinator adopt
 	// the trace ID riding incoming X-PREPAREs and decision records, so one
@@ -73,20 +65,6 @@ func (s *Daemon) enableFederation() error {
 	fabric.SetTracer(s.tracer)
 	fabric.RegisterMetrics(s.reg)
 	return nil
-}
-
-// fedTick is one beat of the fabric clock: the lease clocks tick, every 5th
-// beat the regions gossip digests and border liveness, and every 20th the
-// healer re-stitches sessions damaged since the last pass.
-func (s *Daemon) fedTick(ctx context.Context) {
-	beat := s.fed.ticks.Add(1)
-	s.fed.fabric.Tick()
-	if beat%5 == 0 {
-		s.fed.fabric.GossipTick()
-	}
-	if beat%20 == 0 {
-		s.fed.fabric.Heal(ctx)
-	}
 }
 
 type fedRegionInfo struct {
@@ -119,7 +97,7 @@ func fedRegions(fabric *federation.Fabric, borders bool) []fedRegionInfo {
 }
 
 func (s *Daemon) handleFedRegions(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, fedRegions(s.fed.fabric, true))
+	writeJSON(w, http.StatusOK, fedRegions(s.fed, true))
 }
 
 type fedSegmentJSON struct {
@@ -153,7 +131,7 @@ func (s *Daemon) handleFedPath(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sp, err := s.fed.fabric.StitchPath(r.Context(), int32(src), int32(dst), opts)
+	sp, err := s.fed.StitchPath(r.Context(), int32(src), int32(dst), opts)
 	if err != nil {
 		var shed *federation.ShedError
 		switch {
@@ -197,20 +175,18 @@ type fedSessionResponse struct {
 	LatencyMs float64 `json:"latency_ms"`
 }
 
+// fedSessionJSON renders a standing session: every record the fabric hands
+// out is committed.
 func fedSessionJSON(sess *federation.Session) fedSessionResponse {
-	out := fedSessionResponse{
+	return fedSessionResponse{
 		ID: sess.ID, Src: sess.Src, Dst: sess.Dst, Bandwidth: sess.Bandwidth,
-		State: sess.State.String(), Epoch: sess.Epoch,
+		State: "committed", Epoch: sess.Epoch,
+		Crossings: sess.Stitched.Crossings, LatencyMs: sess.Stitched.LatencyMs,
 	}
-	if sess.Stitched != nil {
-		out.Crossings = sess.Stitched.Crossings
-		out.LatencyMs = sess.Stitched.LatencyMs
-	}
-	return out
 }
 
 func (s *Daemon) handleFedSessionList(w http.ResponseWriter, r *http.Request) {
-	sessions := s.fed.fabric.Sessions()
+	sessions := s.fed.Sessions()
 	out := make([]fedSessionResponse, 0, len(sessions))
 	for _, sess := range sessions {
 		out = append(out, fedSessionJSON(sess))
@@ -225,7 +201,7 @@ func (s *Daemon) handleFedSessionSetup(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
 	defer cancel()
-	sess, err := s.fed.fabric.Setup(ctx, int32(req.Src), int32(req.Dst), req.Gbps, routing.Options{})
+	sess, err := s.fed.Setup(ctx, int32(req.Src), int32(req.Dst), req.Gbps, routing.Options{})
 	if err != nil {
 		writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -238,7 +214,7 @@ func (s *Daemon) handleFedSessionGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sess := s.fed.fabric.Session(id)
+	sess := s.fed.Session(id)
 	if sess == nil {
 		writeError(w, http.StatusNotFound, "no federated session %d", id)
 		return
@@ -253,7 +229,7 @@ func (s *Daemon) handleFedSessionTeardown(w http.ResponseWriter, r *http.Request
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), opTimeout)
 	defer cancel()
-	switch err := s.fed.fabric.Teardown(ctx, &federation.Session{ID: id}); {
+	switch err := s.fed.Teardown(ctx, &federation.Session{ID: id}); {
 	case errors.Is(err, federation.ErrNoSession):
 		writeError(w, http.StatusNotFound, "no federated session %d", id)
 	case err != nil:
@@ -269,7 +245,7 @@ type fedStatsResponse struct {
 }
 
 func (s *Daemon) handleFedStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, fedStatsResponse{Regions: fedRegions(s.fed.fabric, false), Stats: s.fed.fabric.Stats()})
+	writeJSON(w, http.StatusOK, fedStatsResponse{Regions: fedRegions(s.fed, false), Stats: s.fed.Stats()})
 }
 
 // FederationSummary describes the booted regions (members and brokers
@@ -279,7 +255,7 @@ func (s *Daemon) FederationSummary() string {
 		return ""
 	}
 	var parts []string
-	for _, ri := range fedRegions(s.fed.fabric, false) {
+	for _, ri := range fedRegions(s.fed, false) {
 		parts = append(parts, fmt.Sprintf("r%d:%dn/%db", ri.ID, ri.Members, ri.Brokers))
 	}
 	return strings.Join(parts, " ")

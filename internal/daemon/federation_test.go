@@ -46,7 +46,7 @@ func TestFederationRegionsEndpoint(t *testing.T) {
 // sum to the total, and every region appears at most once.
 func TestFederationPathEndpoint(t *testing.T) {
 	srv, ts := testFedServer(t)
-	part := srv.fed.fabric.Partition()
+	part := srv.fed.Partition()
 	src := part.Members(0)[0]
 	dst := part.Members(2)[0]
 	var pr fedPathResponse
@@ -81,7 +81,7 @@ func TestFederationPathOptionsCannotCorruptCache(t *testing.T) {
 
 func TestFederationSessionLifecycle(t *testing.T) {
 	srv, ts := testFedServer(t)
-	part := srv.fed.fabric.Partition()
+	part := srv.fed.Partition()
 	body, _ := json.Marshal(sessionRequest{
 		Src: int(part.Members(0)[0]), Dst: int(part.Members(2)[0]), Gbps: 1,
 	})
@@ -128,7 +128,7 @@ func TestFederationSessionLifecycle(t *testing.T) {
 	}
 
 	// The fabric must be conserved after the full lifecycle.
-	if err := srv.fed.fabric.CheckInvariants(); err != nil {
+	if err := srv.fed.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -139,7 +139,7 @@ func TestFederationSessionLifecycle(t *testing.T) {
 // daemon used to keep it: listed as "aborted" forever, 500 on DELETE.)
 func TestFederationHealAbortedSessionIsGone(t *testing.T) {
 	srv, ts := testFedServer(t)
-	part := srv.fed.fabric.Partition()
+	part := srv.fed.Partition()
 	body, _ := json.Marshal(sessionRequest{
 		Src: int(part.Members(0)[0]), Dst: int(part.Members(2)[0]), Gbps: 1,
 	})
@@ -156,8 +156,8 @@ func TestFederationHealAbortedSessionIsGone(t *testing.T) {
 
 	// With the destination's region down no stitched path survives, so the
 	// next heal pass has to abort the session.
-	srv.fed.fabric.CrashRegion(2)
-	rep := srv.fed.fabric.Heal(context.Background())
+	srv.fed.CrashRegion(2)
+	rep := srv.fed.Heal(context.Background())
 	if rep.Aborted != 1 {
 		t.Fatalf("heal report %+v, want 1 aborted", rep)
 	}

@@ -288,8 +288,8 @@ func TestRunStopsEveryLoop(t *testing.T) {
 				if cfg.Churn == 0 {
 					return ""
 				}
-				beats := d.fed.ticks.Load()
-				heals, sessions, reprices := d.healer.Metrics.HealPasses.Load(), d.sessions.Len(), d.econ.ctrl.Ticks()
+				beats := d.fed.Stats().Beats
+				heals, sessions, reprices := d.healer.Metrics.HealPasses.Load(), d.sessions.Len(), d.econ.Ctrl.Ticks()
 				if heals > 0 && sessions == 0 && beats > 0 && reprices > 0 {
 					return ""
 				}

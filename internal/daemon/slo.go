@@ -61,7 +61,7 @@ func (s *Daemon) enableSLO(cfg SLOConfig) {
 	})
 	if s.fed != nil {
 		crossing := time.Duration(cfg.CrossingMs * float64(time.Millisecond))
-		for q := 0; q < s.fed.fabric.NumRegions(); q++ {
+		for q := 0; q < s.fed.NumRegions(); q++ {
 			s.sloCrossing = append(s.sloCrossing, s.slo.Add(obs.Objective{
 				Name:   fmt.Sprintf("region%d_crossing", q),
 				Help:   fmt.Sprintf("region %d stitched segments under the crossing latency budget", q),

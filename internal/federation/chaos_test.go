@@ -51,12 +51,13 @@ func dumpFlight(t *testing.T, fr *obs.FlightRecorder, seed int64, violation stri
 }
 
 // verifyConserved checks the all-or-nothing outcome of one cross-region
-// attempt: either the session is committed and every region's sub-WAL
-// carries a committed segment, or it is aborted and no region holds one.
+// attempt: either the fabric's table holds it — the session is committed —
+// and every region's sub-WAL carries a committed segment, or it is aborted
+// and no region holds one.
 func verifyConserved(t *testing.T, f *Fabric, fr *obs.FlightRecorder, seed int64, s *Session) {
 	t.Helper()
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
-	committed := s.State == ctrlplane.StateCommitted
+	committed := f.sessions[s.ID] != nil && f.sessions[s.ID].Epoch == s.Epoch
 	for r := 0; r < f.NumRegions(); r++ {
 		rec := f.Region(r).subs[fk]
 		has := rec != nil && rec.State == ctrlplane.StateCommitted
@@ -128,16 +129,16 @@ func TestPartitionMidSetupConserved(t *testing.T) {
 			}
 			s, setupErr := f.Setup(context.Background(), 2, 10, 5, routing.Options{})
 			if setupErr != nil && s == nil {
-				// Setup surfaces the session via the fabric ledger even on
-				// abort paths that return nil; find it by id 1.
-				s = &Session{ID: 1, Epoch: 1, State: ctrlplane.StateAborted}
+				// A setup that aborted hands out no record; the attempt it
+				// made was session 1, epoch 1.
+				s = &Session{ID: 1, Epoch: 1}
 			}
 			ft.OnDeliver = nil
 
 			// The partition outlasts every lease: abandoned transit holds
 			// must self-clean while the bus is down.
 			for i := 0; i < 40; i++ {
-				f.Tick()
+				f.tick()
 			}
 			ft.Partition(ctrlplane.PeerAddr(1), false)
 			ft.Partition(ctrlplane.PeerAddr(2), false)
@@ -146,12 +147,9 @@ func TestPartitionMidSetupConserved(t *testing.T) {
 				t.Fatal(err)
 			}
 			// A session that reached the commit point may have been rolled
-			// back during reconciliation (transit lease expired): both
-			// final states are legal, half-states are not. Setup handed out
-			// a copy; the fabric's own record has the final state.
-			if rec := f.sessions[s.ID]; rec != nil {
-				s = rec
-			}
+			// back during reconciliation (transit lease expired), leaving
+			// the fabric's table: both final states are legal, half-states
+			// are not.
 			verifyConserved(t, f, fr, seed, s)
 			if err := f.CheckInvariants(); err != nil {
 				dumpFlight(t, fr, seed, err.Error())
@@ -184,7 +182,7 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 	ft := f.PeerTransport()
 
 	// Crash region 1 at the exact moment the 6th setup's commit record is
-	// delivered to it: commit decided at home, undelivered at the transit.
+	// delivered to it: commit reached at home, undelivered at the transit.
 	crashed := false
 	commitSeen := 0
 	ft.OnDeliver = func(m ctrlplane.Message) {
@@ -214,7 +212,7 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 			live = live[1:]
 		}
 		if i%5 == 4 {
-			f.GossipTick()
+			f.gossip()
 		}
 		if crashed && f.RegionCrashed(1) && i > 20 {
 			f.RecoverRegion(1)
@@ -235,7 +233,7 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 	// Every surviving committed session must be committed in every region
 	// its path crosses.
 	for _, h := range live {
-		if s := f.sessions[h.ID]; s != nil && s.State == ctrlplane.StateCommitted {
+		if s := f.sessions[h.ID]; s != nil {
 			verifyConserved(t, f, fr, seed, s)
 		}
 	}

@@ -14,10 +14,10 @@ import (
 // TestFabricOrdersItsOwnCallers drives the fabric as the concurrent component
 // it is, with no lock around it: readers stitch paths and read stats,
 // sessions and gossip views while writers set sessions up and tear them down,
-// tick, gossip, heal, and bounce the transit region. Under -race this is the
-// check that every exported method takes the fabric's lock on the right side;
-// at the end the fabric must reconcile to a conserved state, and the handles
-// the readers were given must have stayed the copies they were handed.
+// beat (tick, gossip, heal), heal, and bounce the transit region. Under -race
+// this is the check that every exported method takes the fabric's lock on the
+// right side, and that nobody writes a session record once it is handed out;
+// at the end the fabric must reconcile to a conserved state.
 func TestFabricOrdersItsOwnCallers(t *testing.T) {
 	f := fedFabric(t, 4, 2, Config{Seed: 7, Retry: ctrlplane.RetryConfig{LeaseTTL: 500}})
 	ctx := context.Background()
@@ -39,7 +39,7 @@ func TestFabricOrdersItsOwnCallers(t *testing.T) {
 	write(func(i int) {
 		src, dst := int32((i*3)%12), int32(11-(i*5)%4)
 		if s, err := f.Setup(ctx, src, dst, 1, routing.Options{}); err == nil {
-			if s.State != ctrlplane.StateCommitted || s.Stitched == nil || s.Stitched.Nodes[0] != src {
+			if s.Epoch != 1 || s.Stitched == nil || s.Stitched.Nodes[0] != src {
 				t.Errorf("Setup returned %+v", s)
 			}
 			live = append(live, s)
@@ -50,10 +50,7 @@ func TestFabricOrdersItsOwnCallers(t *testing.T) {
 		}
 	})
 	write(func(i int) {
-		f.Tick()
-		if i%5 == 4 {
-			f.GossipTick()
-		}
+		f.Beat(ctx)
 		if i%10 == 9 {
 			f.Heal(ctx)
 		}
@@ -93,8 +90,8 @@ func TestFabricOrdersItsOwnCallers(t *testing.T) {
 					t.Errorf("stats %+v: more commits than setups", st)
 				}
 				for _, s := range f.Sessions() {
-					if got := f.Session(s.ID); got != nil && got.ID != s.ID {
-						t.Errorf("Session(%d) = %+v", s.ID, got)
+					if got := f.Session(s.ID); got != nil && (got.ID != s.ID || got.Epoch < s.Epoch || got.Stitched == nil) {
+						t.Errorf("Session(%d) = %+v, listed as %+v", s.ID, got, s)
 					}
 				}
 				f.RegionCrashed(1)
@@ -116,17 +113,19 @@ func TestFabricOrdersItsOwnCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// What is still standing is committed in every region it crosses, and
-	// tears down cleanly through the handles the fabric hands out.
+	// tears down cleanly through the records the fabric hands out, which
+	// stay as they were handed out.
 	for _, s := range f.Sessions() {
-		if s.State != ctrlplane.StateCommitted {
-			continue
-		}
+		before := *s
 		if err := f.Teardown(ctx, s); err != nil {
 			t.Fatalf("teardown of standing session %d: %v", s.ID, err)
 		}
-		if s.State != ctrlplane.StateCommitted {
-			t.Fatalf("teardown wrote through the copy it was handed: %+v", s)
+		if *s != before {
+			t.Fatalf("teardown wrote through the record it was handed: %+v, was %+v", s, before)
 		}
+	}
+	if n := len(f.Sessions()); n != 0 {
+		t.Fatalf("%d sessions still standing after every teardown", n)
 	}
 	if err := f.Reconcile(ctx); err != nil {
 		t.Fatal(err)

@@ -37,23 +37,31 @@
 // coordinator has no failure detector for its peers; the circuit breaker is
 // what it has) and Refused = Fabric.commitRefused (the rollback above).
 //
-// The Fabric is the in-process federation harness: it owns the regions, the
-// peer message bus and its delivery engine, and the home coordinators'
-// decision record; everything else per region — records, gossip view, crash
+// The Fabric is the in-process federation harness: it owns the regions and
+// the peer message bus. As home coordinator it keeps two things: the table
+// of standing sessions — immutable records, replaced whole by a heal and
+// taken out by a teardown, a rollback or a heal that aborts — and the
+// delivery engine, whose backlog is the durable half of every decision not
+// yet acknowledged. Everything else per region — records, gossip view, crash
 // mark — is a field of its Region.
+//
+// The fabric keeps its own schedule. Beat is one step of it: fabric time and
+// every live region plane tick (leases lapse, the backlog is re-driven),
+// every 5th beat the regions gossip border liveness, and every 20th the
+// healer re-stitches what broke since its last pass. A driver only chooses
+// how often to beat (brokerd: every 100 ms, so a heal every 2 s).
 //
 // A Fabric is safe for concurrent use and owns its serialization: one
 // RWMutex, taken by every exported method and by nothing else. StitchPath,
 // Stats and the session and gossip reads share the read side — the region
 // query planes they reach are internally synchronized and everything else
-// they touch is read-only — and return copies; Setup, Teardown, Tick,
-// GossipTick, Heal, CrashRegion, RecoverRegion, Reconcile and
-// CheckInvariants, which mutate ledgers, WALs, snapshots and the delivery
-// engine, take the write side. Exported methods lock and call unexported
-// bodies; the bodies call each other, never an exported method. What
-// Region(r) hands out is the region's own stack (its ctrlplane.Plane is not
-// safe for concurrent use): tests that reach into it do so while nothing
-// else drives the fabric.
+// they touch is read-only; Setup, Teardown, Beat, Heal, CrashRegion,
+// RecoverRegion, Reconcile and CheckInvariants, which mutate ledgers, WALs,
+// snapshots and the delivery engine, take the write side. Exported methods
+// lock and call unexported bodies; the bodies call each other, never an
+// exported method. What Region(r) hands out is the region's own stack (its
+// ctrlplane.Plane is not safe for concurrent use): tests that reach into it
+// do so while nothing else drives the fabric.
 package federation
 
 import (
@@ -86,7 +94,7 @@ type Config struct {
 	Seed int64
 	// Metrics, when non-nil, is the global per-link metric assignment every
 	// region mirrors onto its subtopology; nil synthesizes
-	// routing.DefaultMetrics(top, seeded rng). Calibrated tests inject
+	// routing.DefaultMetrics jittered from Seed. Calibrated tests inject
 	// handcrafted latencies here.
 	Metrics *routing.Metrics
 	// Retry tunes every region plane's 2PC delivery machinery and the
@@ -126,9 +134,11 @@ type Stats struct {
 	// Region failure injections.
 	RegionCrashes    int `json:"region_crashes"`
 	RegionRecoveries int `json:"region_recoveries"`
-	// Backlogged is the current count of decided-but-undelivered
-	// cross-region messages.
+	// Backlogged is the current count of cross-region decision records
+	// awaiting delivery.
 	Backlogged int `json:"backlogged"`
+	// Beats counts steps of the fabric's schedule (Beat).
+	Beats int `json:"beats"`
 }
 
 // Fabric is the in-process multi-region broker plane.
@@ -145,20 +155,16 @@ type Fabric struct {
 	ranked [][]int32
 
 	// d delivers X-PREPAREs and decision records over the inter-region bus:
-	// retries, the backlog of decided-but-undelivered records (durable, like
-	// decided and every Region.subs) and the per-peer-region circuit breakers
-	// live there, and so does fabric time (d.Now). Home coordinators have no
-	// failure detector for their peers, so it is built without a Down hook: a
-	// crashed region's traffic is sent, dropped by the regionBus, and counted
-	// against its breaker.
+	// retries, the backlog of records not yet acknowledged (durable, like
+	// every Region.subs) and the per-peer-region circuit breakers live there,
+	// and so does fabric time (d.Now). Home coordinators have no failure
+	// detector for their peers, so it is built without a Down hook: a crashed
+	// region's traffic is sent, dropped by the regionBus, and counted against
+	// its breaker.
 	d      *ctrlplane.Delivery
 	peerFT *ctrlplane.FaultTransport
-	rng    *rand.Rand
 
-	// decided is the home coordinators' durable decision record (survives
-	// region crashes).
-	decided map[fedKey]bool
-
+	// sessions is the table of standing sessions, one immutable record each.
 	sessions map[int]*Session
 	stats    Stats
 	nextID   int
@@ -186,8 +192,6 @@ func New(top *topology.Topology, cfg Config) (*Fabric, error) {
 		cfg:      cfg,
 		top:      top,
 		part:     part,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		decided:  make(map[fedKey]bool),
 		sessions: make(map[int]*Session),
 	}
 	var faults ctrlplane.FaultConfig // zero: the lossless FIFO
@@ -261,24 +265,23 @@ func (f *Fabric) Region(r int) *Region { return f.regions[r] }
 // Partition returns the underlying region partition.
 func (f *Fabric) Partition() *topology.RegionPartition { return f.part }
 
-// Session returns a copy of the standing session with this id: one Setup
-// established and neither Teardown released nor Heal had to abort. Nil
-// otherwise.
+// Session returns the current record of the standing session with this id:
+// one Setup established and neither Teardown released, a rollback undid, nor
+// Heal had to abort. Nil otherwise. The record is the table's own, shared with
+// every other reader: it must not be mutated. A later heal replaces it in the
+// table with a new record and leaves this one as it was.
 func (f *Fabric) Session(id int) *Session {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.sessions[id].clone()
+	return f.sessions[id]
 }
 
-// Sessions returns a copy of every standing session, ordered by id.
+// Sessions returns the current record of every standing session, ordered by
+// id. The records are shared, like Session's: read them, never write them.
 func (f *Fabric) Sessions() []*Session {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := f.standing()
-	for i, s := range out {
-		out[i] = s.clone()
-	}
-	return out
+	return f.standing()
 }
 
 // standing lists the fabric's own session records, ordered by id.
@@ -361,7 +364,8 @@ func (f *Fabric) RecoverRegion(r int) {
 
 // tick advances fabric time: live region planes tick (sweeping lapsed
 // leases), and the peer backlog is re-driven. A crashed region's clock
-// stays frozen — its leases age only while the region is actually up.
+// stays frozen — its leases age only while the region is actually up. Every
+// operation ticks once on entry; Beat ticks without one.
 func (f *Fabric) tick() {
 	f.d.Tick()
 	for _, reg := range f.regions {
@@ -372,12 +376,19 @@ func (f *Fabric) tick() {
 	f.d.Flush()
 }
 
-// Tick advances fabric time one step without an operation (loadgen's
-// session driver and tests pace the fabric with it).
-func (f *Fabric) Tick() {
+// Beat is one step of the fabric's own schedule (see the package comment):
+// a tick, a gossip round every 5th beat, a heal pass every 20th.
+func (f *Fabric) Beat(ctx context.Context) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.stats.Beats++
 	f.tick()
+	if f.stats.Beats%5 == 0 {
+		f.gossip()
+	}
+	if f.stats.Beats%20 == 0 {
+		f.heal(ctx)
+	}
 }
 
 // Reconcile drives the peer backlog (and every region plane's backlog) to

@@ -64,14 +64,18 @@ func fedTop(t *testing.T, m, nBorders int) *topology.Topology {
 // paths are unambiguous, simple enough to recompute in assertions.
 func testLatency(u, v int32) float64 { return 1 + 0.01*float64(u+v) }
 
-// fedFabric builds a 3-region fabric over fedTop with calibrated metrics.
+// fedFabric builds a 3-region fabric over fedTop with calibrated metrics:
+// every link testLatency and 100 Gbps.
 func fedFabric(t *testing.T, m, nBorders int, cfg Config) *Fabric {
 	t.Helper()
 	top := fedTop(t, m, nBorders)
 	cfg.Regions = 3
 	if cfg.Metrics == nil {
-		cfg.Metrics = routing.NewMetricsFunc(top, func(u, v int32) (float64, float64) {
-			return testLatency(u, v), 100
+		cfg.Metrics = routing.DefaultMetrics(top, nil)
+		top.Graph.Edges(func(u, v int) bool {
+			cfg.Metrics.SetLatency(int32(u), int32(v), testLatency(int32(u), int32(v)))
+			cfg.Metrics.SetCapacity(int32(u), int32(v), 100)
+			return true
 		})
 	}
 	f, err := New(top, cfg)
@@ -152,8 +156,8 @@ func TestSetupTeardownCrossRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.State != ctrlplane.StateCommitted {
-		t.Fatalf("state %d after setup, want committed", s.State)
+	if f.Session(s.ID) != s || s.Epoch != 1 {
+		t.Fatalf("Setup handed out %+v, the table holds %+v; want one epoch-1 record", s, f.Session(s.ID))
 	}
 	if err := f.Reconcile(ctx); err != nil {
 		t.Fatal(err)
@@ -254,7 +258,7 @@ func TestCapacityExhaustionConservedAbort(t *testing.T) {
 
 func TestGossipMarksBorderDown(t *testing.T) {
 	f := fedFabric(t, 4, 1, Config{Seed: 7})
-	f.GossipTick()
+	f.gossip()
 	if _, _, _, ok := f.PeerDigest(0, 1); !ok {
 		t.Fatal("region 0 has no digest for region 1 after a gossip round")
 	}
@@ -265,7 +269,7 @@ func TestGossipMarksBorderDown(t *testing.T) {
 		t.Fatal("border 15 not in region 1 subtopology")
 	}
 	reg.Plane.Crash(l)
-	f.GossipTick()
+	f.gossip()
 	if !f.PeerBorderDown(0, 1, 15) {
 		t.Fatal("region 0 did not learn border 15 is down in region 1")
 	}
@@ -275,7 +279,7 @@ func TestGossipMarksBorderDown(t *testing.T) {
 	}
 	// ...and recover once the broker heals and gossip catches up.
 	reg.Plane.Recover(l)
-	f.GossipTick()
+	f.gossip()
 	if _, err := f.StitchPath(context.Background(), 2, 10, routing.Options{}); err != nil {
 		t.Fatalf("stitch after border recovery: %v", err)
 	}
@@ -322,8 +326,8 @@ func TestHealerRestitches(t *testing.T) {
 	if !released["1"] || !released["2"] {
 		t.Fatalf("heal trace %#x has release sub-spans for regions %v, want 1 and 2", root.TraceID, released)
 	}
-	if s = f.Session(s.ID); s == nil || s.State != ctrlplane.StateCommitted || s.Epoch != 2 {
-		t.Fatalf("session %+v after heal, want committed epoch 2", s)
+	if s = f.Session(s.ID); s == nil || s.Epoch != 2 {
+		t.Fatalf("session %+v after heal, want standing at epoch 2", s)
 	}
 	for _, n := range s.Stitched.Nodes {
 		if n == joint {

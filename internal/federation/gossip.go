@@ -14,14 +14,12 @@ type regionDigest struct {
 	LastSeen   int
 }
 
-// GossipTick floods one round of region digests: every live region tells
-// every adjacent live region, per shared border broker, whether that broker
-// is up on its side, stamped with its snapshot epoch. Fire and forget — no
-// acks, no retries; loss is repaired by the next round, and stale digests
-// are fenced by the epoch stamp.
-func (f *Fabric) GossipTick() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// gossip floods one round of region digests (every 5th Beat): every live
+// region tells every adjacent live region, per shared border broker, whether
+// that broker is up on its side, stamped with its snapshot epoch. Fire and
+// forget — no acks, no retries; loss is repaired by the next round, and stale
+// digests are fenced by the epoch stamp.
+func (f *Fabric) gossip() {
 	for r, reg := range f.regions {
 		if reg.crashed {
 			continue

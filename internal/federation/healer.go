@@ -19,25 +19,31 @@ type HealReport struct {
 	Aborted int `json:"aborted"`
 }
 
-// Heal walks every committed federated session and re-stitches the ones
+// Heal walks every standing federated session and re-stitches the ones
 // damaged by a border-broker crash or a peer-region failure:
-// break-before-make, the damaged segments are released everywhere they can
-// be (releases toward crashed regions ride the backlog), then the session
-// is re-established over a fresh stitched path under a bumped epoch.
+// break-before-make, the damaged record leaves the table, its segments are
+// released everywhere they can be (releases toward crashed regions ride the
+// backlog), then the next epoch's record is established over a fresh
+// stitched path and goes into the table — only if that commit succeeds.
+// Leaving the table first is what fences the superseded attempt: a refusal
+// of its backlogged commit, pumped while the heal runs, matches no record.
 // Sessions whose home region is down are skipped — only their home
 // coordinator may decide for them.
 func (f *Fabric) Heal(ctx context.Context) HealReport {
-	ctx, span := obs.StartSpan(ctx, "federation.heal")
-	defer span.End()
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.heal(ctx)
+}
+
+func (f *Fabric) heal(ctx context.Context) HealReport {
+	ctx, span := obs.StartSpan(ctx, "federation.heal")
+	defer span.End()
 	f.tick()
 	var rep HealReport
 	for _, s := range f.standing() {
-		if s.State != ctrlplane.StateCommitted {
-			continue
-		}
-		if f.regions[f.part.RegionOf(s.Src)].crashed {
+		// A rollback pumped while an earlier session healed may have taken
+		// this one out of the table since the list was made.
+		if f.sessions[s.ID] != s || f.regions[f.part.RegionOf(s.Src)].crashed {
 			continue
 		}
 		rep.Checked++
@@ -45,20 +51,21 @@ func (f *Fabric) Heal(ctx context.Context) HealReport {
 			continue
 		}
 		f.flight.Recordf("federation", "heal", int64(f.d.Now()), "session %d.%d damaged", s.ID, s.Epoch)
+		delete(f.sessions, s.ID)
 		f.releaseSegments(ctx, s)
-		s.Epoch++
+		next := &Session{ID: s.ID, Epoch: s.Epoch + 1, Src: s.Src, Dst: s.Dst, Bandwidth: s.Bandwidth}
 		sp, err := f.stitchPath(ctx, s.Src, s.Dst, routing.Options{}.Reserving(s.Bandwidth))
 		if err == nil {
-			err = f.establishStitched(ctx, s, sp)
+			next.Stitched = sp
+			err = f.establishStitched(ctx, next)
 		}
 		if err != nil {
-			f.flight.Recordf("federation", "heal_abort", int64(f.d.Now()), "session %d.%d: %v", s.ID, s.Epoch, err)
-			s.State = ctrlplane.StateAborted
-			delete(f.sessions, s.ID)
+			f.flight.Recordf("federation", "heal_abort", int64(f.d.Now()), "session %d.%d: %v", next.ID, next.Epoch, err)
 			rep.Aborted++
 			f.stats.HealAborted++
 			continue
 		}
+		f.sessions[next.ID] = next
 		rep.Restitched++
 		f.stats.Restitched++
 	}

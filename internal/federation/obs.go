@@ -73,7 +73,7 @@ func (f *Fabric) RegisterMetrics(reg *obs.Registry) {
 			{"federation_heal_aborts_total", "damaged sessions the healer conserved-aborted", obs.KindCounter, float64(st.HealAborted)},
 			{"federation_region_crashes_total", "region failure injections", obs.KindCounter, float64(st.RegionCrashes)},
 			{"federation_region_recoveries_total", "region recoveries", obs.KindCounter, float64(st.RegionRecoveries)},
-			{"federation_backlogged", "decided-but-undelivered inter-region messages", obs.KindGauge, float64(st.Backlogged)},
+			{"federation_backlogged", "inter-region decision records awaiting delivery", obs.KindGauge, float64(st.Backlogged)},
 		} {
 			emit(obs.Sample{Name: m.name, Help: m.help, Kind: m.kind, Value: m.val})
 		}

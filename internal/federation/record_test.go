@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -161,4 +162,137 @@ func TestDecisionsSameAfterRegionBounce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// backloggedCommit sets up session 2 -> 10 (regions 0, 1, 2) with region 2
+// dropping off the bus once its prepare is acked: the session commits, its
+// commit record to region 2 backlogged. Region 2 is back on the bus when it
+// returns, its lease lapsed, so it will refuse that commit when it comes.
+func backloggedCommit(t *testing.T, f *Fabric) *Session {
+	t.Helper()
+	ft := f.PeerTransport()
+	ft.OnDeliver = func(m ctrlplane.Message) {
+		if m.Type == ctrlplane.MsgXPrepareAck && m.From == ctrlplane.PeerAddr(2) {
+			ft.Partition(ctrlplane.PeerAddr(2), true)
+		}
+	}
+	s, err := f.Setup(context.Background(), 2, 10, 5, routing.Options{})
+	ft.OnDeliver = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Backlogged != 1 || f.Session(s.ID) != s {
+		t.Fatalf("stats %+v, table %+v: want session %d standing with one backlogged record", st, f.Session(s.ID), s.ID)
+	}
+	lapse(f, 2)
+	ft.Partition(ctrlplane.PeerAddr(2), false)
+	return s
+}
+
+// TestRolledBackSessionIsGone: a session rolled back because a region refused
+// its backlogged commit leaves the table like any other session that stops
+// standing. Session reads nil, Sessions omits it, and Teardown answers
+// ErrNoSession, which the daemon maps to 404. (The record used to stay in the
+// table, listed as aborted, and Teardown refused it: a 500 on DELETE.)
+func TestRolledBackSessionIsGone(t *testing.T) {
+	ctx := context.Background()
+	f := fedFabric(t, 4, 1, Config{Seed: 7,
+		Retry:      ctrlplane.RetryConfig{LeaseTTL: 3, MaxAttempts: 2},
+		PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
+	kept, err := f.Setup(ctx, 0, 3, 5, routing.Options{}) // region 0 only
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := backloggedCommit(t, f)
+	quiesce(t, f, "rollback")
+	if st := f.Stats(); st.Rollbacks != 1 {
+		t.Fatalf("stats %+v, want the backlogged commit refused and the session rolled back", st)
+	}
+	if got := f.Session(s.ID); got != nil {
+		t.Fatalf("Session(%d) = %+v after its rollback, want nil", s.ID, got)
+	}
+	if all := f.Sessions(); len(all) != 1 || all[0] != kept {
+		t.Fatalf("Sessions() = %v after the rollback, want only session %d", all, kept.ID)
+	}
+	if err := f.Teardown(ctx, s); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("Teardown of the rolled-back session: %v, want ErrNoSession", err)
+	}
+	quiesce(t, f, "teardown")
+}
+
+// refusalHold is a peer bus that holds back the refusals of one session's
+// epoch-1 records and lets them go right behind the first X-PREPARE of
+// epoch 2: a refusal of a superseded attempt's commit lands in the middle of
+// the heal's re-stitch.
+type refusalHold struct {
+	ctrlplane.Transport
+	id       int
+	held     []ctrlplane.Message
+	released int
+}
+
+func (h *refusalHold) Send(m ctrlplane.Message) {
+	if m.Type == ctrlplane.MsgBatchNack && m.SessionID == h.id && m.Epoch == 1 {
+		h.held = append(h.held, m)
+		return
+	}
+	h.Transport.Send(m)
+	if m.Type == ctrlplane.MsgXPrepare && m.SessionID == h.id && m.Epoch == 2 {
+		for _, r := range h.held {
+			h.Transport.Send(r)
+		}
+		h.released += len(h.held)
+		h.held = nil
+	}
+}
+
+// TestHealRestitchesIntoANewRecord: Heal answers a damaged session with a new
+// record at Epoch+1, as ctrlplane's Repath does. The record Setup handed out
+// keeps its Epoch and Stitched; Session(id) reads the new one. A refusal of
+// the superseded attempt's backlogged commit, delivered while the new attempt
+// commits, must not roll the new attempt back: the old record left the table
+// before the heal released its segments, and the new one goes in only once it
+// commits.
+func TestHealRestitchesIntoANewRecord(t *testing.T) {
+	ctx := context.Background()
+	f := fedFabric(t, 4, 2, Config{Seed: 7,
+		Retry:      ctrlplane.RetryConfig{LeaseTTL: 3, MaxAttempts: 2},
+		PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
+	s := backloggedCommit(t, f)
+	epoch, stitched := s.Epoch, s.Stitched
+	hold := &refusalHold{Transport: f.d.Transport, id: s.ID}
+	f.d.Transport = hold
+
+	// Crash the 0-1 joint in region 1: the heal must move the session to the
+	// other border.
+	joint := s.Stitched.Segments[1].Nodes[0]
+	reg := f.Region(1)
+	l, ok := reg.Local(joint)
+	if !ok {
+		t.Fatalf("joint %d not local to region 1", joint)
+	}
+	reg.Plane.Crash(l)
+	if rep := f.Heal(ctx); rep.Restitched != 1 {
+		t.Fatalf("heal report %+v, want 1 restitched", rep)
+	}
+	if hold.released != 1 {
+		t.Fatalf("%d refusals of the superseded commit delivered mid re-stitch, want 1", hold.released)
+	}
+	if st := f.Stats(); st.Rollbacks != 0 || st.Restitched != 1 {
+		t.Fatalf("stats %+v: the superseded attempt's refusal rolled the new attempt back", st)
+	}
+	healed := f.Session(s.ID)
+	if healed == nil || healed.Epoch != epoch+1 || slices.Contains(healed.Stitched.Nodes, joint) {
+		t.Fatalf("Session(%d) = %+v after the heal, want epoch %d off the dead joint %d", s.ID, healed, epoch+1, joint)
+	}
+	if s.Epoch != epoch || s.Stitched != stitched || !slices.Contains(s.Stitched.Nodes, joint) {
+		t.Fatalf("the heal wrote through the record Setup handed out: %+v", s)
+	}
+	reg.Plane.Recover(l)
+	quiesce(t, f, "heal")
+	// The handle still names the session: Teardown goes by ID.
+	if err := f.Teardown(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, f, "teardown")
 }

@@ -187,7 +187,7 @@ func TestBorderCandidatesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(17))
+	pick := rand.New(rand.NewSource(17))
 	compared, capped := 0, 0
 	for n := 2; n <= 6; n++ {
 		f, err := New(top, Config{Regions: n, BrokerBudget: 20, Seed: 1})
@@ -198,23 +198,23 @@ func TestBorderCandidatesMatchReference(t *testing.T) {
 			// Move the down-mask: crash or recover a border broker in one
 			// region's plane, sometimes a whole region, then let gossip carry
 			// some of it (a crashed region neither sends nor hears).
-			reg := f.Region(rng.Intn(n))
+			reg := f.Region(pick.Intn(n))
 			if bs := reg.BorderIXPs(); len(bs) > 0 {
-				if l := bs[rng.Intn(len(bs))]; reg.Plane.Crashed(l) {
+				if l := bs[pick.Intn(len(bs))]; reg.Plane.Crashed(l) {
 					reg.Plane.Recover(l)
 				} else {
 					reg.Plane.Crash(l)
 				}
 			}
-			if r := rng.Intn(n); rng.Intn(3) == 0 {
+			if r := pick.Intn(n); pick.Intn(3) == 0 {
 				if f.RegionCrashed(r) {
 					f.RecoverRegion(r)
 				} else {
 					f.CrashRegion(r)
 				}
 			}
-			if rng.Intn(2) == 0 {
-				f.GossipTick()
+			if pick.Intn(2) == 0 {
+				f.gossip()
 			}
 			for r := 0; r < n; r++ {
 				for q := 0; q < n; q++ {

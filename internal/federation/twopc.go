@@ -10,34 +10,28 @@ import (
 	"brokerset/internal/routing"
 )
 
-// Session is one federated (possibly cross-region) reservation: a stitched
-// path whose per-region segments are each an ordinary ctrlplane session in
-// the owning region, bound together by the two-level commit.
+// Session is one committed federated (possibly cross-region) reservation: a
+// stitched path whose per-region segments are each an ordinary ctrlplane
+// session in the owning region, bound together by the two-level commit.
+//
+// A Session is immutable once handed out, like ctrlplane.Session: the
+// fabric's table and every caller share the record, and nobody writes it. A
+// heal that re-stitches the session answers a new record at Epoch+1 and the
+// table swaps it in; a rollback, a teardown or a heal that has to abort takes
+// the record out of the table. The table holds only standing sessions.
 type Session struct {
 	ID        int
 	Src, Dst  int32 // global node ids
 	Bandwidth float64
 	Stitched  *StitchedPath
-	State     ctrlplane.SessionState
 	// Epoch counts establish attempts: Setup is epoch 1, every Heal
-	// re-stitch bumps it. Cross-region messages are scoped by (ID, Epoch),
+	// re-stitch is the next. Cross-region messages are scoped by (ID, Epoch),
 	// fencing stragglers from superseded attempts.
 	Epoch uint32
 }
 
-// clone returns a copy of s for a caller outside the fabric's lock (nil for
-// nil). The stitched path is shared: an attempt installs a new one, nothing
-// edits one in place.
-func (s *Session) clone() *Session {
-	if s == nil {
-		return nil
-	}
-	c := *s
-	return &c
-}
-
 // ErrNoSession is Teardown's answer for a session the fabric does not hold:
-// never set up, already released, or aborted by the healer.
+// never set up, already released, rolled back, or aborted by the healer.
 var ErrNoSession = errors.New("federation: no such session")
 
 // Setup reserves bandwidth on a stitched cross-region path end to end with
@@ -46,7 +40,8 @@ var ErrNoSession = errors.New("federation: no such session")
 // through X-PREPARE, then — once every segment holds — decides commit for
 // every region holding one, itself first. Presumed abort end to end: any
 // nack, timeout, or refused commit leaves every region with nothing reserved.
-// The session returned is a copy of the fabric's record, as of the commit.
+// The session returned is the fabric's own record, shared: read it, never
+// write it.
 func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts routing.Options) (*Session, error) {
 	if bw <= 0 {
 		return nil, fmt.Errorf("federation: bandwidth must be positive, got %f", bw)
@@ -75,13 +70,13 @@ func (f *Fabric) Setup(ctx context.Context, src, dst int32, bw float64, opts rou
 		}
 	}
 	f.nextID++
-	s := &Session{ID: f.nextID, Epoch: 1, Src: src, Dst: dst, Bandwidth: bw}
+	s := &Session{ID: f.nextID, Epoch: 1, Src: src, Dst: dst, Bandwidth: bw, Stitched: sp}
 	span.Annotatef("session", "%d.%d", s.ID, s.Epoch)
-	if err := f.establishStitched(ctx, s, sp); err != nil {
+	if err := f.establishStitched(ctx, s); err != nil {
 		return nil, err
 	}
 	f.sessions[s.ID] = s
-	return s.clone(), nil
+	return s, nil
 }
 
 // localPath maps a global-id path into region-local ids; every node must be
@@ -113,7 +108,8 @@ func segmentRegions(sp *StitchedPath) []int {
 
 // records builds the home region's decision about s's current attempt, one
 // record per region in regions. Every commit, abort and release is built
-// here, so every one of them rides the trace of the request that decided it.
+// here, so every one of them rides the trace of the request that made the
+// decision.
 // The home region is a destination like the others, except that its entry
 // never touches the bus: it is applied on the spot. The error is its refusal
 // — only a commit can be refused — and then no record is built at all.
@@ -139,10 +135,10 @@ func (f *Fabric) records(ctx context.Context, s *Session, kind ctrlplane.BatchEn
 }
 
 // decide delivers the home region's decision about s's current attempt to
-// every region in regions and returns how many refused it. The decision is
-// durable before this is called, so delivery is lazy: records still
-// unanswered are backlogged and re-driven by ticks, surviving region crash
-// and recovery. Abort and release records go to every segment region, also
+// every region in regions and returns how many refused it. Delivery is lazy:
+// records still unanswered are backlogged — the backlog is durable, like
+// every Region.subs — and re-driven by ticks, surviving region crash and
+// recovery. Abort and release records go to every segment region, also
 // one whose X-PREPARE was never acked — "never acked" can mean "delivered,
 // ack lost" — and the receiver goes by its own record. A commit the home
 // region itself refuses goes no further.
@@ -159,16 +155,16 @@ func (f *Fabric) decide(ctx context.Context, s *Session, kind ctrlplane.BatchEnt
 }
 
 // establishStitched runs the two-level commit for one (session, epoch)
-// attempt over an already stitched path. Shared by Setup and the healer
-// (which re-runs it under a bumped epoch).
-func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *StitchedPath) error {
-	s.Stitched = sp
+// attempt over s's stitched path. Shared by Setup and the healer (which runs
+// it for the next epoch's record). It only reads s: the caller puts the
+// record in the table once it returns nil.
+func (f *Fabric) establishStitched(ctx context.Context, s *Session) error {
+	sp := s.Stitched
 	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
 	home := sp.Segments[0].Region
 	hreg := f.regions[home]
 	aborted := func(err error) error {
 		f.stats.Aborts++
-		s.State = ctrlplane.StateAborted
 		return err
 	}
 
@@ -208,7 +204,6 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 		return fmt.Errorf("federation: home region %d crashed mid-setup", home)
 	}
 	if len(nacked) > 0 || len(pending) > 0 {
-		f.decided[fk] = false
 		f.flight.Recordf("federation", "decide", int64(f.d.Now()), "session %d.%d ABORT (%d nack, %d unreachable)",
 			s.ID, s.Epoch, len(nacked), len(pending))
 		f.decide(ctx, s, ctrlplane.EntryAbort, regions)
@@ -216,9 +211,7 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 			s.ID, s.Epoch, len(nacked), len(pending)))
 	}
 
-	// Commit point: every segment holds. The decision is durable before any
-	// commit record leaves the home region.
-	f.decided[fk] = true
+	// Commit point: every segment holds.
 	f.flight.Recordf("federation", "decide", int64(f.d.Now()), "session %d.%d COMMIT (%d transit region(s))",
 		s.ID, s.Epoch, len(msgs))
 	if refused := f.decide(ctx, s, ctrlplane.EntryCommit, regions); refused > 0 {
@@ -234,7 +227,6 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 		return fmt.Errorf("federation: session %d.%d rolled back: %d region(s) refused late commit",
 			s.ID, s.Epoch, refused)
 	}
-	s.State = ctrlplane.StateCommitted
 	f.stats.Commits++
 	return nil
 }
@@ -248,34 +240,33 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session, sp *Stitched
 // run inside the message pump, so it only mutates state and enqueues: the
 // surrounding tick loop drives the records out.
 func (f *Fabric) rollback(ctx context.Context, s *Session) {
-	fk := fedKey{ID: s.ID, Epoch: s.Epoch}
 	f.stats.Rollbacks++
-	f.decided[fk] = false
 	f.flight.Recordf("federation", "rollback", int64(f.d.Now()), "session %d.%d: commit refused", s.ID, s.Epoch)
-	f.d.Cancel(func(m ctrlplane.Message) bool { return m.SessionID == fk.ID && m.Epoch == fk.Epoch })
+	f.d.Cancel(func(m ctrlplane.Message) bool { return m.SessionID == s.ID && m.Epoch == s.Epoch })
 	aborts, _ := f.records(ctx, s, ctrlplane.EntryAbort, segmentRegions(s.Stitched)) // only a commit can be refused
 	f.d.Backlog(aborts...)
-	s.State = ctrlplane.StateAborted
 	f.stats.Aborts++
 }
 
 // commitRefused is the delivery engine's hook for a backlogged record that
-// came back refused: if it was the commit of a session still standing, the
-// whole session rolls back, under the trace the commit rode.
+// came back refused: if it was the commit of the attempt the table holds,
+// the session leaves the table and rolls back, under the trace the commit
+// rode. A refusal of a superseded attempt's commit matches nothing.
 func (f *Fabric) commitRefused(req ctrlplane.Message) {
 	s := f.sessions[req.SessionID]
-	if s == nil || s.Epoch != req.Epoch || s.State != ctrlplane.StateCommitted {
+	if s == nil || s.Epoch != req.Epoch {
 		return
 	}
+	delete(f.sessions, s.ID)
 	ctx, span := f.tracer.Adopt(context.Background(), "federation.rollback", req.Trace)
 	defer span.End()
 	f.rollback(ctx, s)
 }
 
 // Teardown releases the committed federated session h names — by ID: h is a
-// copy Setup or Session handed out — in every region it crosses. Releases
-// toward crashed or unreachable regions count against their breaker and are
-// backlogged.
+// record Setup or Session handed out, possibly superseded by a heal since —
+// in every region it crosses. Releases toward crashed or unreachable regions
+// count against their breaker and are backlogged.
 func (f *Fabric) Teardown(ctx context.Context, h *Session) error {
 	if h == nil {
 		return ErrNoSession
@@ -286,9 +277,6 @@ func (f *Fabric) Teardown(ctx context.Context, h *Session) error {
 	if s == nil {
 		return ErrNoSession
 	}
-	if s.State != ctrlplane.StateCommitted {
-		return fmt.Errorf("federation: teardown of non-committed session")
-	}
 	ctx, span := obs.StartSpan(ctx, "federation.teardown")
 	defer span.End()
 	span.Annotatef("session", "%d.%d", s.ID, s.Epoch)
@@ -297,7 +285,6 @@ func (f *Fabric) Teardown(ctx context.Context, h *Session) error {
 		return fmt.Errorf("federation: home region %d crashed", home)
 	}
 	f.decide(ctx, s, ctrlplane.EntryRelease, segmentRegions(s.Stitched))
-	s.State = ctrlplane.StateReleased
 	f.stats.Teardowns++
 	delete(f.sessions, s.ID)
 	return nil

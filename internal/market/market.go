@@ -11,7 +11,8 @@
 // carried each admitted unit of traffic and periodically splits the
 // accrued revenue by Shapley value (exact for small carrier sets,
 // seeded Monte-Carlo beyond), appending conservation-checked records to an
-// append-only Ledger.
+// append-only Ledger. A Plane holds the three and paces them: one reprice per
+// Tick, one settlement per window of ticks.
 //
 // Everything in this package is deterministic given its input sequence:
 // pricing is a pure function of the sampled state, and settlement sampling
@@ -111,9 +112,8 @@ type Quote struct {
 }
 
 // Controller runs the online Stackelberg pricing loop. Reprice is called
-// by a driver (brokerd's econ loop, loadgen's scenario driver, or the
-// deterministic simulator); between calls the published price is read
-// lock-free by the admission gate and the /econ endpoints.
+// by Plane.Tick; between calls the published price is read lock-free by the
+// admission gate and the /econ endpoints.
 type Controller struct {
 	cfg Config
 
@@ -251,3 +251,50 @@ func (c *Controller) Quote() Quote {
 
 // Ticks returns the number of reprices run.
 func (c *Controller) Ticks() uint64 { return c.ticks.Load() }
+
+// Plane is the economics plane as one value: the controller, the admission
+// gate it prices, the settlement engine, and the window that paces settlement
+// on the controller's tick clock. Its drivers — brokerd's econ loop,
+// loadgen's scenario clock and Simulate — only sample their serving stack and
+// call Tick.
+type Plane struct {
+	Ctrl *Controller
+	Adm  *Admission
+	Set  *Settlement
+	// window is the settlement window length in controller ticks.
+	window uint64
+}
+
+// NewPlane builds a plane over cfg whose settlement engine draws from seed
+// and closes a window every window (>= 1) ticks.
+func NewPlane(cfg Config, seed int64, window int) (*Plane, error) {
+	ctrl, err := NewController(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Plane{
+		Ctrl: ctrl, Adm: NewAdmission(ctrl), Set: NewSettlement(seed),
+		window: uint64(window),
+	}, nil
+}
+
+// Tick is one beat of the plane: reprice from s and, when the reprice closes
+// a window, settle the revenue the gate took in since the last close.
+func (p *Plane) Tick(s Sample) (Quote, error) {
+	q, err := p.Ctrl.Reprice(s)
+	if err == nil && q.Tick%p.window == 0 {
+		p.Set.Settle(p.Adm.DrainRevenue(), q.Tick)
+	}
+	return q, err
+}
+
+// Settle closes the open window now, whatever it holds.
+func (p *Plane) Settle() Record { return p.Set.Settle(p.Adm.DrainRevenue(), p.Ctrl.Ticks()) }
+
+// Close settles the partial window at the end of a run, when it took in
+// revenue or carried traffic, so every unit lands in the ledger.
+func (p *Plane) Close() {
+	if rev := p.Adm.DrainRevenue(); rev > 0 || p.Set.PendingUnits() > 0 {
+		p.Set.Settle(rev, p.Ctrl.Ticks())
+	}
+}

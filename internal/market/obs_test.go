@@ -14,22 +14,21 @@ import (
 // exposition both validates and carries the exact values back out — the
 // price gauge and the settlement counters round-trip through a scrape.
 func TestMetricsScrapeRoundTrip(t *testing.T) {
-	ctrl, err := NewController(Config{DemandRef: 64})
+	p, err := NewPlane(Config{DemandRef: 64}, 3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adm := NewAdmission(ctrl)
-	set := NewSettlement(SettlementConfig{Seed: 3})
+	ctrl, adm, set := p.Ctrl, p.Adm, p.Set
 	reg := obs.NewRegistry()
-	RegisterMetrics(reg, ctrl, adm, set)
+	p.RegisterMetrics(reg)
 
-	if _, err := ctrl.Reprice(Sample{Utilization: 0.4, Demand: 80}); err != nil {
+	if _, err := p.Tick(Sample{Utilization: 0.4, Demand: 80}); err != nil {
 		t.Fatal(err)
 	}
 	adm.Admit(ctrl.Price() * 2) // pays the posted price
 	adm.Admit(0)                // free rider
 	set.Record([]int32{1, 2}, 2)
-	set.Settle(adm.DrainRevenue(), ctrl.Ticks())
+	p.Settle()
 
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {

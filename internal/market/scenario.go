@@ -2,16 +2,17 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 )
 
 // ScenarioSpec is a seeded, replayable economics scenario: a synthetic
-// demand trace driven tick-by-tick through a real Controller, Admission
-// gate, and Settlement engine. Simulate is single-threaded and uses one
-// seeded RNG, so the same spec and seed always produce the same price
-// trajectory and a bitwise-identical ledger — CI asserts this under -race.
-// cmd/loadgen's -econ mode uses the same specs to shape its concurrent
-// runs (demand pressure, zero-bid fraction, defection timing).
+// demand trace driven tick-by-tick through a real Plane. Simulate is
+// single-threaded and uses one seeded RNG, so the same spec and seed always
+// produce the same price trajectory and a bitwise-identical ledger — CI
+// asserts this under -race. cmd/loadgen's -econ mode runs the same spec's
+// steps (SampleAt, DefectorAt, Bid) against concurrent workers.
 type ScenarioSpec struct {
 	// Name labels the scenario ("price-shock", "free-rider",
 	// "broker-defection", or custom).
@@ -115,13 +116,36 @@ func DefaultScenario(name string) (ScenarioSpec, error) {
 	return spec, nil
 }
 
-// DemandAt returns the scenario's offered load at tick t (the shock
-// multiplier applied inside its window).
-func (s *ScenarioSpec) DemandAt(t int) float64 {
+// SampleAt is the scenario's sample step: what the serving stack shows the
+// controller at tick t. Demand is the offered load (the shock multiplier
+// applied inside its window), utilization that demand over Capacity, capped
+// at 1.
+func (s *ScenarioSpec) SampleAt(t int) Sample {
+	demand := s.BaseDemand
 	if s.ShockFactor > 1 && t >= s.ShockStart && t < s.ShockEnd {
-		return s.BaseDemand * s.ShockFactor
+		demand *= s.ShockFactor
 	}
-	return s.BaseDemand
+	return Sample{Utilization: math.Min(demand/s.Capacity, 1), Demand: demand}
+}
+
+// DefectorAt is the scenario's defection step: at DefectTick the top-Shapley
+// broker of the latest settlement leaves the carrier population. It returns
+// that broker, or -1 at any other tick or with nothing settled yet.
+func (s *ScenarioSpec) DefectorAt(t int, set *Settlement) int32 {
+	if s.DefectTick <= 0 || t != s.DefectTick {
+		return -1
+	}
+	rec, _ := set.LastRecord()
+	return rec.TopBroker()
+}
+
+// Bid draws one request's bid against the posted price: zero with
+// probability ZeroBidFraction, else spread around the price.
+func (s *ScenarioSpec) Bid(price float64, rng *rand.Rand) float64 {
+	if rng.Float64() < s.ZeroBidFraction {
+		return 0
+	}
+	return price * (1 - s.BidSpread/2 + s.BidSpread*rng.Float64())
 }
 
 // SimResult is the deterministic outcome of Simulate.
@@ -140,52 +164,34 @@ type SimResult struct {
 	Settlement *Settlement
 }
 
-// Simulate drives the spec through a real controller/admission/settlement
-// stack, synchronously and deterministically: tick t offers DemandAt(t)
-// requests with seeded bids, each admitted request is carried by a seeded
-// 1–3-broker subset of the active population, the controller reprices
-// from the synthetic utilization, and every WindowTicks the revenue
-// accrued since the last close is settled. The broker ids are 100, 101,
-// ... so ledgers read clearly in tests.
+// Simulate drives the spec through a real Plane, synchronously and
+// deterministically: tick t offers SampleAt(t).Demand requests with seeded
+// bids, each admitted request is carried by a seeded 1–3-broker subset of the
+// active population, and the plane ticks on the sample — repricing, and
+// settling every WindowTicks. The broker ids are 100, 101, ... so ledgers
+// read clearly in tests.
 func Simulate(spec ScenarioSpec, seed int64) (*SimResult, error) {
 	spec.defaults()
-	ctrl, err := NewController(Config{DemandRef: spec.BaseDemand})
+	p, err := NewPlane(Config{DemandRef: spec.BaseDemand}, seed, spec.WindowTicks)
 	if err != nil {
 		return nil, err
 	}
-	adm := NewAdmission(ctrl)
-	set := NewSettlement(SettlementConfig{Seed: seed})
 	rng := rand.New(rand.NewSource(seed))
 
 	active := make([]int32, spec.Brokers)
 	for i := range active {
 		active[i] = int32(100 + i)
 	}
-	res := &SimResult{Defected: -1, Settlement: set}
+	res := &SimResult{Defected: -1, Settlement: p.Set}
 
 	for t := 0; t < spec.Ticks; t++ {
-		if spec.DefectTick > 0 && t == spec.DefectTick {
-			if rec, ok := set.LastRecord(); ok {
-				if top := rec.TopBroker(); top >= 0 {
-					res.Defected = top
-					kept := active[:0]
-					for _, b := range active {
-						if b != top {
-							kept = append(kept, b)
-						}
-					}
-					active = kept
-				}
-			}
+		if top := spec.DefectorAt(t, p.Set); top >= 0 {
+			res.Defected = top
+			active = slices.DeleteFunc(active, func(b int32) bool { return b == top })
 		}
-		demand := spec.DemandAt(t)
-		offered := int(demand)
-		for i := 0; i < offered; i++ {
-			bid := 0.0
-			if rng.Float64() >= spec.ZeroBidFraction {
-				bid = ctrl.Price() * (1 - spec.BidSpread/2 + spec.BidSpread*rng.Float64())
-			}
-			ok, _ := adm.Admit(bid)
+		sample := spec.SampleAt(t)
+		for i := 0; i < int(sample.Demand); i++ {
+			ok, _ := p.Adm.Admit(spec.Bid(p.Ctrl.Price(), rng))
 			if !ok || len(active) == 0 {
 				continue
 			}
@@ -195,35 +201,22 @@ func Simulate(spec ScenarioSpec, seed int64) (*SimResult, error) {
 				nc = len(active)
 			}
 			carriers := make([]int32, 0, nc)
-			seen := make(map[int32]bool, nc)
 			for len(carriers) < nc {
-				b := active[rng.Intn(len(active))]
-				if !seen[b] {
-					seen[b] = true
+				if b := active[rng.Intn(len(active))]; !slices.Contains(carriers, b) {
 					carriers = append(carriers, b)
 				}
 			}
-			set.Record(carriers, 1)
+			p.Set.Record(carriers, 1)
 		}
-		util := demand / spec.Capacity
-		if util > 1 {
-			util = 1
-		}
-		q, err := ctrl.Reprice(Sample{Utilization: util, Demand: demand})
+		q, err := p.Tick(sample)
 		if err != nil {
 			return nil, err
 		}
 		res.Prices = append(res.Prices, q.Price)
 		res.Quotes = append(res.Quotes, q)
-		if (t+1)%spec.WindowTicks == 0 {
-			rec := set.Settle(adm.DrainRevenue(), q.Tick)
-			res.Ledger = append(res.Ledger, rec)
-		}
 	}
-	// Close a final partial window so every unit of revenue is settled.
-	if rev := adm.DrainRevenue(); rev > 0 || set.PendingUnits() > 0 {
-		res.Ledger = append(res.Ledger, set.Settle(rev, ctrl.Ticks()))
-	}
-	res.Admission = adm.Stats()
+	p.Close()
+	res.Ledger = p.Set.Records()
+	res.Admission = p.Adm.Stats()
 	return res, nil
 }

@@ -23,7 +23,7 @@ import (
 //
 // Windows with at most maxExact distinct carriers settle by exact
 // enumeration; larger windows use seeded Monte-Carlo permutation sampling
-// (the seed derives deterministically from SettlementConfig.Seed and the window
+// (the seed derives deterministically from the engine's seed and the window
 // index, so a replayed run produces a bitwise-identical ledger). Windows
 // with more than 64 distinct carriers settle the top 63 by carried volume
 // game-theoretically and fold the tail into one aggregate player whose
@@ -32,7 +32,7 @@ import (
 // Record and Settle are safe for concurrent use; recording is one short
 // mutex hold (settlement runs at window cadence, not per request).
 type Settlement struct {
-	cfg SettlementConfig
+	seed int64
 
 	mu sync.Mutex
 	// units maps a window-local carrier-set signature (bitmask over the
@@ -45,19 +45,6 @@ type Settlement struct {
 	carried map[int32]float64
 	window  int
 	records []Record
-}
-
-// SettlementConfig parameterizes the engine.
-type SettlementConfig struct {
-	// Seed derives each window's Monte-Carlo seed (window w uses
-	// Seed ^ (w+1)·0x9E3779B97F4A7C15). Default 1.
-	Seed int64
-}
-
-func (c *SettlementConfig) defaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 }
 
 // maxExact is the largest distinct-carrier count settled by exact
@@ -121,11 +108,14 @@ func (r *Record) TopBroker() int32 {
 	return best
 }
 
-// NewSettlement builds an engine.
-func NewSettlement(cfg SettlementConfig) *Settlement {
-	cfg.defaults()
+// NewSettlement builds an engine whose Monte-Carlo windows draw from seed
+// (0 means 1; see windowSeed).
+func NewSettlement(seed int64) *Settlement {
+	if seed == 0 {
+		seed = 1
+	}
 	return &Settlement{
-		cfg:     cfg,
+		seed:    seed,
 		units:   make(map[uint64]float64),
 		index:   make(map[int32]int),
 		carried: make(map[int32]float64),
@@ -165,7 +155,7 @@ func (s *Settlement) Record(carriers []int32, units float64) {
 
 // windowSeed derives the deterministic Monte-Carlo seed for window w.
 func (s *Settlement) windowSeed(w int) int64 {
-	return s.cfg.Seed ^ int64(w+1)*0x1F3A5C96D8B14E07
+	return s.seed ^ int64(w+1)*0x1F3A5C96D8B14E07
 }
 
 // Settle closes the current window: it computes the Shapley split of

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSettleExactSmallWindow(t *testing.T) {
-	set := NewSettlement(SettlementConfig{Seed: 7})
+	set := NewSettlement(7)
 	// Broker 1 carries alone twice; 2 and 3 always share. The coverage
 	// game gives 1 full credit for its solo units and splits the shared
 	// request between 2 and 3.
@@ -35,7 +35,7 @@ func TestSettleExactSmallWindow(t *testing.T) {
 
 func TestSettleMonteCarloConservesAndIsDeterministic(t *testing.T) {
 	run := func() Record {
-		set := NewSettlement(SettlementConfig{Seed: 42})
+		set := NewSettlement(42)
 		rng := rand.New(rand.NewSource(9))
 		brokers := make([]int32, 16)
 		for i := range brokers {
@@ -84,7 +84,7 @@ func TestSettleMonteCarloConservesAndIsDeterministic(t *testing.T) {
 }
 
 func TestSettleWindowsResetAccumulator(t *testing.T) {
-	set := NewSettlement(SettlementConfig{})
+	set := NewSettlement(0)
 	set.Record([]int32{5}, 3)
 	r0 := set.Settle(10, 1)
 	if r0.Window != 0 || r0.Units != 3 {
@@ -108,7 +108,7 @@ func TestSettleWindowsResetAccumulator(t *testing.T) {
 }
 
 func TestSettleZeroTrafficWithRevenueIsUnattributedButConserved(t *testing.T) {
-	set := NewSettlement(SettlementConfig{})
+	set := NewSettlement(0)
 	rec := set.Settle(5, 1)
 	if err := set.CheckConservation(1e-9); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestTopBroker(t *testing.T) {
 func TestCheckConservationScalesWithRevenue(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		set := NewSettlement(SettlementConfig{Seed: seed})
+		set := NewSettlement(seed)
 		for i := 0; i < 400; i++ {
 			set.Record([]int32{int32(rng.Intn(40)), int32(rng.Intn(40))}, 1+rng.Float64())
 		}
@@ -146,7 +146,7 @@ func TestCheckConservationScalesWithRevenue(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
-	set := NewSettlement(SettlementConfig{})
+	set := NewSettlement(0)
 	set.Record([]int32{1, 2}, 1)
 	set.Settle(1e8, 1)
 	set.records[0].Splits[0] += 0.01

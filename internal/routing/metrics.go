@@ -141,14 +141,6 @@ func DefaultMetrics(top *topology.Topology, rng *rand.Rand) *Metrics {
 	})
 }
 
-// NewMetricsFunc builds metrics for top by evaluating f once per undirected
-// edge, in Graph.Edges order (both directions get the returned
-// latency/capacity). Per-edge SetLatency/SetCapacity would copy the whole
-// array per call (copy-on-write), turning an O(E) build into O(E²).
-func NewMetricsFunc(top *topology.Topology, f func(u, v int32) (latencyMs, capacityGbps float64)) *Metrics {
-	return newMetrics(top, func(_ int, u, v int32) (float64, float64) { return f(u, v) })
-}
-
 // blankMetrics returns metrics for top with every column allocated and zero.
 func blankMetrics(top *topology.Topology) *Metrics {
 	nArcs := top.Graph.NumArcs()
@@ -163,8 +155,11 @@ func blankMetrics(top *topology.Topology) *Metrics {
 	}
 }
 
-// newMetrics is NewMetricsFunc with f also handed the index of arc u→v, so
-// it can read arc-aligned columns of its own.
+// newMetrics builds metrics for top by evaluating f once per undirected
+// edge, in Graph.Links order (both directions get the returned
+// latency/capacity); f is also handed the index of arc u→v, so it can read
+// arc-aligned columns of its own. Per-edge SetLatency/SetCapacity would copy
+// the whole array per call (copy-on-write), turning an O(E) build into O(E²).
 func newMetrics(top *topology.Topology, f func(arc int, u, v int32) (latencyMs, capacityGbps float64)) *Metrics {
 	m := blankMetrics(top)
 	top.Graph.Links(func(a, b, u, v int) {

@@ -490,7 +490,7 @@ func TestScratchGenerationWrap(t *testing.T) {
 		b.AddEdge(1, stub)
 	}
 	top := peerTopology(b.MustBuild())
-	m := NewMetricsFunc(top, func(u, v int32) (float64, float64) {
+	m := newMetrics(top, func(_ int, u, v int32) (float64, float64) {
 		if u >= line || v >= line {
 			return 1, 10
 		}

@@ -338,7 +338,7 @@ func TestNewSubMetricsMirrorsParent(t *testing.T) {
 	for r := 0; r < part.N; r++ {
 		sub, orig, arcOrig := part.Subtopology(r)
 		got := NewSubMetrics(sub, arcOrig, parent)
-		want := NewMetricsFunc(sub, func(u, v int32) (float64, float64) {
+		want := newMetrics(sub, func(_ int, u, v int32) (float64, float64) {
 			return parent.Latency(orig[u], orig[v]), parent.Capacity(orig[u], orig[v])
 		})
 		for a := 0; a < sub.Graph.NumArcs(); a++ {

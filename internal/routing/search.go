@@ -161,8 +161,8 @@ func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options)
 // only because every per-arc input is symmetric (see arcState), domination
 // is undirected, and BrokersOnly exempts exactly the far endpoint of each
 // side: dst for the forward search, src for the backward one. Latencies are
-// positive (DefaultMetrics and every NewMetricsFunc caller guarantee it), so
-// the two half-paths meet in one node and the stitched sequence is simple.
+// positive (DefaultMetrics and every test's calibrated metrics guarantee it),
+// so the two half-paths meet in one node and the stitched sequence is simple.
 func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32 {
 	gen := sc.gen
 	fwd, bwd := &sc.fwd, &sc.bwd

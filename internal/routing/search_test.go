@@ -74,10 +74,10 @@ func assertArcSymmetry(t *testing.T, top *topology.Topology, s *arcState, after 
 func TestArcStateSymmetric(t *testing.T) {
 	top, def, _, _ := viewFixture(t)
 	assertArcSymmetry(t, top, &def.arcState, "DefaultMetrics")
-	fn := NewMetricsFunc(top, func(u, v int32) (float64, float64) {
+	fn := newMetrics(top, func(_ int, u, v int32) (float64, float64) {
 		return 1 + float64(u%7) + float64(v%11)/4, 5 + float64(3*u+v)/float64(top.NumNodes())
 	})
-	assertArcSymmetry(t, top, &fn.arcState, "NewMetricsFunc")
+	assertArcSymmetry(t, top, &fn.arcState, "newMetrics")
 
 	var links [][2]int32
 	top.Graph.Edges(func(u, v int) bool {
@@ -268,7 +268,7 @@ func TestLeadBoundCurbsHubFlood(t *testing.T) {
 	const hub, provider, stub = 0, core / 2, core
 	b.AddEdge(stub, provider)
 	top := peerTopology(b.MustBuild())
-	m := NewMetricsFunc(top, func(u, v int32) (float64, float64) {
+	m := newMetrics(top, func(_ int, u, v int32) (float64, float64) {
 		if u == stub || v == stub {
 			return 100, 10 // longer than any walk across the core
 		}
@@ -374,7 +374,7 @@ func TestBreakLeavesCrossingArcBehind(t *testing.T) {
 		b.AddEdge(int(e[0]), int(e[1]))
 	}
 	top := peerTopology(b.MustBuild())
-	m := NewMetricsFunc(top, func(a, b int32) (float64, float64) { return lat[[2]int32{a, b}], 10 })
+	m := newMetrics(top, func(_ int, a, b int32) (float64, float64) { return lat[[2]int32{a, b}], 10 })
 	brokers := make([]int32, n)
 	for i := range brokers {
 		brokers[i] = int32(i)
@@ -431,7 +431,7 @@ func TestChunkedRowsKeepTheCrossingArc(t *testing.T) {
 		b.AddEdge(int(e[0]), int(e[1]))
 	}
 	top := peerTopology(b.MustBuild())
-	m := NewMetricsFunc(top, func(a, b int32) (float64, float64) {
+	m := newMetrics(top, func(_ int, a, b int32) (float64, float64) {
 		if l, ok := lat[[2]int32{a, b}]; ok {
 			return l, 10
 		}
