@@ -1,10 +1,15 @@
 package daemon
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -236,4 +241,109 @@ func BenchmarkSetupThroughput(b *testing.B) {
 	if st.BatchRounds > 0 {
 		b.ReportMetric(float64(st.BatchOps)/float64(st.BatchRounds), "ops/round")
 	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and the byte
+// count and drops the body: the handler benchmarks measure the daemon's
+// front door, not a recorder's buffer.
+type discardWriter struct {
+	h    http.Header
+	code int
+	n    int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// reset readies the writer for the next request without allocating.
+func (w *discardWriter) reset() {
+	clear(w.h)
+	w.code, w.n = 0, 0
+}
+
+// serve runs one request through h and fails the benchmark on a status
+// other than want.
+func (w *discardWriter) serve(b *testing.B, h http.Handler, r *http.Request, want int) {
+	w.reset()
+	h.ServeHTTP(w, r)
+	if w.code != want || w.n == 0 {
+		b.Fatalf("%s %s: status %d (%d bytes), want %d", r.Method, r.URL, w.code, w.n, want)
+	}
+}
+
+// BenchmarkHandler is the front door's rung: Daemon.Handler() — tracing
+// middleware, mux, query parse, query plane, JSON body — on the Table-2
+// daemon (52,079 nodes, MaxSG k=1064), with a reused request and a
+// discarding ResponseWriter, so no socket and no net/http server code is in
+// the number. PathHit answers one warmed pair from the cache; PathMiss walks
+// distinct broker pairs, so every request searches; SessionCycle is POST
+// /sessions and DELETE /sessions/{id}. allocs/op and B/op are the daemon's
+// own: testdata/handler_baseline.json guards ns/op and B/op.
+func BenchmarkHandler(b *testing.B) {
+	top, err := topology.GenerateTier("table2", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(top, Config{K: 1064, ChurnSeed: 42, SetupQueue: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	brokers := srv.currentBrokers()
+	pair := benchPairs(srv, 1)[0]
+	w := &discardWriter{h: make(http.Header)}
+
+	b.Run("PathHit", func(b *testing.B) {
+		r := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/path?src=%d&dst=%d", pair[0], pair[1]), nil)
+		w.serve(b, h, r, http.StatusOK) // warm the entry
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.serve(b, h, r, http.StatusOK)
+		}
+	})
+
+	// Pair k is (brokers[k/n], brokers[k%n]) in a stride order coprime with
+	// n², so no pair repeats before every ordered broker pair has been asked.
+	n := len(brokers)
+	next := 0
+	b.Run("PathMiss", func(b *testing.B) {
+		r := httptest.NewRequest(http.MethodGet, "/path", nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var src, dst int32
+			for src == dst {
+				k := next * 7919 % (n * n)
+				next++
+				src, dst = brokers[k/n], brokers[k%n]
+			}
+			b.StopTimer()
+			r.URL.RawQuery = fmt.Sprintf("src=%d&dst=%d", src, dst)
+			b.StartTimer()
+			w.serve(b, h, r, http.StatusOK)
+		}
+	})
+
+	b.Run("SessionCycle", func(b *testing.B) {
+		body := []byte(fmt.Sprintf(`{"src":%d,"dst":%d,"gbps":0.01}`, pair[0], pair[1]))
+		rd := bytes.NewReader(body)
+		setup := httptest.NewRequest(http.MethodPost, "/sessions", rd)
+		teardown := httptest.NewRequest(http.MethodDelete, "/sessions/0", nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			w.serve(b, h, setup, http.StatusCreated)
+			b.StopTimer()
+			sessions := srv.Sessions() // the one session the setup left standing
+			if len(sessions) != 1 {
+				b.Fatalf("%d sessions standing, want 1", len(sessions))
+			}
+			teardown.URL.Path = "/sessions/" + strconv.Itoa(sessions[0].ID)
+			b.StartTimer()
+			w.serve(b, h, teardown, http.StatusOK)
+		}
+	})
 }

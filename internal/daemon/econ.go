@@ -108,14 +108,14 @@ func (s *Daemon) writePriceRejection(w http.ResponseWriter, quote float64) {
 	})
 }
 
-// parseBid extracts the request's bid from the bid query parameter or the
-// X-Econ-Bid header (parameter wins). Absent or malformed bids — negative
-// and non-finite ones included — are zero: the free-rider tier, admitted
-// whenever the plane is uncongested.
-func parseBid(r *http.Request) float64 {
-	v := r.URL.Query().Get("bid")
-	if v == "" {
-		v = r.Header.Get("X-Econ-Bid")
+// parseBid reads the request's bid: the bid query parameter, else the
+// X-Econ-Bid header (read by its canonical key, as net/http stores it).
+// Absent or malformed bids — negative and non-finite ones included — are
+// zero: the free-rider tier, admitted whenever the plane is uncongested.
+func parseBid(param string, h http.Header) float64 {
+	v := param
+	if hv := h["X-Econ-Bid"]; v == "" && len(hv) > 0 {
+		v = hv[0]
 	}
 	if v == "" {
 		return 0

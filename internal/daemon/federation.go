@@ -126,7 +126,7 @@ func fedPathJSON(sp *federation.StitchedPath) fedPathResponse {
 }
 
 func (s *Daemon) handleFedPath(w http.ResponseWriter, r *http.Request) {
-	src, dst, opts, err := parsePathOptions(r, s.top.NumNodes())
+	src, dst, opts, err := parsePathOptions(parsePathQuery(r.URL.RawQuery), s.top.NumNodes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -235,7 +235,7 @@ func (s *Daemon) handleFedSessionTeardown(w http.ResponseWriter, r *http.Request
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
+		writeStatus(w, http.StatusOK, "released")
 	}
 }
 

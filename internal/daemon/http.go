@@ -63,18 +63,8 @@ func sessionID(w http.ResponseWriter, r *http.Request) (id int, ok bool) {
 	return id, err == nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Daemon) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeStatus(w, http.StatusOK, "ok")
 }
 
 type statsResponse struct {
@@ -164,6 +154,8 @@ func (s *Daemon) handleChurn(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// pathResponse is the schema of a GET /path answer; appendPath writes it
+// (without building the Names slice) and clients decode it.
 type pathResponse struct {
 	Nodes     []int32  `json:"nodes"`
 	Names     []string `json:"names"`
@@ -172,24 +164,24 @@ type pathResponse struct {
 }
 
 // parsePathOptions reads the query a path endpoint takes — src, dst and the
-// optional maxhops and minbw constraints — and returns the message of the
+// optional maxhops and minbw constraints, parsed once by parsePathQuery (the
+// handler reads the bid from the same parse) — and returns the message of the
 // 400 to answer when it is malformed. What it returns is safe to key a cache
 // with: minbw is finite (a NaN never equals itself, so every repeat of such
 // a query would miss and leave one more unreachable entry), and a hop bound
 // no simple path can exceed is the unbounded query, so it reads as one
 // (latencies are positive, so an optimum is simple and has at most
 // numNodes-1 hops; folding the bound also keeps it inside the key's int32).
-func parsePathOptions(r *http.Request, numNodes int) (src, dst int, opts routing.Options, err error) {
-	q := r.URL.Query()
-	src, err1 := strconv.Atoi(q.Get("src"))
-	dst, err2 := strconv.Atoi(q.Get("dst"))
+func parsePathOptions(q pathQuery, numNodes int) (src, dst int, opts routing.Options, err error) {
+	src, err1 := strconv.Atoi(q.src)
+	dst, err2 := strconv.Atoi(q.dst)
 	if err1 != nil || err2 != nil {
 		return 0, 0, opts, errors.New("src and dst must be integer node ids")
 	}
 	if src < 0 || src >= numNodes || dst < 0 || dst >= numNodes {
 		return 0, 0, opts, fmt.Errorf("node ids outside [0,%d)", numNodes)
 	}
-	if v := q.Get("maxhops"); v != "" {
+	if v := q.maxhops; v != "" {
 		mh, err := strconv.Atoi(v)
 		if err != nil || mh < 1 {
 			return 0, 0, opts, errors.New("maxhops must be a positive integer")
@@ -198,7 +190,7 @@ func parsePathOptions(r *http.Request, numNodes int) (src, dst int, opts routing
 			opts.MaxHops = mh
 		}
 	}
-	if v := q.Get("minbw"); v != "" {
+	if v := q.minbw; v != "" {
 		bw, err := strconv.ParseFloat(v, 64)
 		if err != nil || bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
 			return 0, 0, opts, errors.New("minbw must be a finite, non-negative number")
@@ -209,13 +201,14 @@ func parsePathOptions(r *http.Request, numNodes int) (src, dst int, opts routing
 }
 
 func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
-	src, dst, opts, err := parsePathOptions(r, s.top.NumNodes())
+	q := parsePathQuery(r.URL.RawQuery)
+	src, dst, opts, err := parsePathOptions(q, s.top.NumNodes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	start := time.Now()
-	p, cached, err := s.qp.QueryBid(r.Context(), src, dst, opts, parseBid(r))
+	p, cached, err := s.qp.QueryBid(r.Context(), src, dst, opts, parseBid(q.bid, r.Header))
 	if err != nil {
 		trace := obs.TraceIDFrom(r.Context())
 		var pe *queryplane.PriceError
@@ -244,20 +237,16 @@ func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sloQuery.Observe(time.Since(start), obs.TraceIDFrom(r.Context()))
 	if cached {
-		w.Header().Set("X-Cache", "hit")
+		w.Header()["X-Cache"] = cacheHit
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		w.Header()["X-Cache"] = cacheMiss
 	}
 	// Each served path credits the coalition members that carry it with
 	// one settlement unit (no-op while the econ plane is disabled).
 	s.recordCarriers(p.Nodes, 1)
-	names := make([]string, len(p.Nodes))
-	for i, u := range p.Nodes {
-		names[i] = s.top.Name[u]
-	}
-	writeJSON(w, http.StatusOK, pathResponse{
-		Nodes: p.Nodes, Names: names, Hops: p.Hops(), LatencyMs: p.Latency,
-	})
+	jb := newBody()
+	jb.b = appendPath(jb.b, p.Nodes, s.top.Name, p.Latency)
+	jb.send(w, http.StatusOK)
 }
 
 type sessionRequest struct {
@@ -302,6 +291,13 @@ func (s *Daemon) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// writeSession answers one session record.
+func writeSession(w http.ResponseWriter, status int, sess *ctrlplane.Session) {
+	jb := newBody()
+	jb.b = sessionJSON(sess).appendJSON(jb.b)
+	jb.send(w, status)
+}
+
 func (s *Daemon) handleSessionSetup(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.sessionRequest(w, r)
 	if !ok {
@@ -317,7 +313,7 @@ func (s *Daemon) handleSessionSetup(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusConflict, "%v", err)
 	default:
-		writeJSON(w, http.StatusCreated, sessionJSON(sess))
+		writeSession(w, http.StatusCreated, sess)
 	}
 }
 
@@ -331,7 +327,7 @@ func (s *Daemon) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no session %d", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, sessionJSON(sess))
+	writeSession(w, http.StatusOK, sess)
 }
 
 func (s *Daemon) handleSessionTeardown(w http.ResponseWriter, r *http.Request) {
@@ -345,7 +341,7 @@ func (s *Daemon) handleSessionTeardown(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
+		writeStatus(w, http.StatusOK, "released")
 	}
 }
 
@@ -362,5 +358,5 @@ func (s *Daemon) handleSessionRenew(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGone, "session %d holds no lease", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "renewed"})
+	writeStatus(w, http.StatusOK, "renewed")
 }

@@ -5,7 +5,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"time"
 
 	"brokerset/internal/obs"
 )
@@ -68,21 +67,30 @@ func (s *Daemon) Handler() http.Handler {
 // instrument is the HTTP middleware: it mints (or adopts from the
 // X-Trace-ID request header) a trace ID, roots a span the downstream
 // planes extend via context, echoes the ID back in the response, and
-// feeds the request counter and latency histogram.
+// feeds the request counter and, with the root span's duration, the latency
+// histogram. Headers go by their canonical keys (X-Trace-Id), as net/http
+// stores them, so neither read nor write canonicalises.
 func (s *Daemon) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		var tid uint64
-		if v := r.Header.Get("X-Trace-ID"); v != "" {
-			tid, _ = strconv.ParseUint(v, 10, 64)
+		if v := r.Header["X-Trace-Id"]; len(v) > 0 {
+			tid, _ = strconv.ParseUint(v[0], 10, 64)
 		}
-		ctx, span := s.tracer.Root(r.Context(), "http "+r.Method+" "+r.URL.Path, tid)
-		w.Header().Set("X-Trace-ID", strconv.FormatUint(span.TraceID, 10))
+		ctx, span := s.tracer.Root(r.Context(), spanName(r), tid)
+		w.Header()["X-Trace-Id"] = []string{strconv.FormatUint(span.TraceID, 10)}
 		next.ServeHTTP(w, r.WithContext(ctx))
 		span.End()
 		s.httpReqs.Inc()
-		s.httpHist.Observe(time.Since(start))
+		s.httpHist.Observe(span.Duration)
 	})
+}
+
+// spanName names a request's root span; the hot route's name is a constant.
+func spanName(r *http.Request) string {
+	if r.Method == http.MethodGet && r.URL.Path == "/path" {
+		return "http GET /path"
+	}
+	return "http " + r.Method + " " + r.URL.Path
 }
 
 // handleDebugTrace exports the tracer ring: Chrome trace-event JSON by

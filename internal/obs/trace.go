@@ -37,6 +37,18 @@ type Span struct {
 	Links []uint64 `json:"links,omitempty"`
 
 	tracer *Tracer
+	// attrBuf backs Attrs for a span's first annotation, so the common
+	// case (queryplane.query's "cache") allocates nothing beyond the span
+	// itself. One slot keeps the span in the 160-byte size class.
+	attrBuf [1]Attr
+}
+
+// attr appends one annotation, the first into attrBuf.
+func (s *Span) attr(key, val string) {
+	if s.Attrs == nil {
+		s.Attrs = s.attrBuf[:0]
+	}
+	s.Attrs = append(s.Attrs, Attr{Key: key, Val: val})
 }
 
 // Annotate attaches a key/value annotation. Nil-safe: a span from a
@@ -45,7 +57,7 @@ func (s *Span) Annotate(key, val string) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Val: val})
+	s.attr(key, val)
 }
 
 // Annotatef attaches a formatted annotation; the format arguments are not
@@ -55,7 +67,7 @@ func (s *Span) Annotatef(key, format string, args ...any) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Val: fmt.Sprintf(format, args...)})
+	s.attr(key, fmt.Sprintf(format, args...))
 }
 
 // Link records a causal link to another trace (span links, in OTel
@@ -117,14 +129,10 @@ func (t *Tracer) record(s *Span) {
 // ring size ≈ overwritten).
 func (t *Tracer) Recorded() uint64 { return t.pos.Load() }
 
-// active is the context payload: the tracer plus the current span's
-// identity, which StartSpan extends into children.
-type active struct {
-	t       *Tracer
-	traceID uint64
-	spanID  uint64
-}
-
+// ctxKey keys the context payload: the current span itself, whose identity
+// and tracer StartSpan extends into children. Those fields never change after
+// the span is minted, so a child may read them while the parent is still
+// open on another goroutine; a pointer in the context costs no allocation.
 type ctxKey struct{}
 
 // Root mints a new trace and its root span. id is the externally supplied
@@ -141,7 +149,7 @@ func (t *Tracer) Root(ctx context.Context, name string, id uint64) (context.Cont
 		Start:   time.Now(),
 		tracer:  t,
 	}
-	return context.WithValue(ctx, ctxKey{}, active{t: t, traceID: s.TraceID, spanID: s.SpanID}), s
+	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
 // Adopt opens a span inside an EXISTING trace whose ID arrived from
@@ -162,7 +170,7 @@ func (t *Tracer) Adopt(ctx context.Context, name string, id uint64) (context.Con
 		Start:   time.Now(),
 		tracer:  t,
 	}
-	return context.WithValue(ctx, ctxKey{}, active{t: t, traceID: id, spanID: s.SpanID}), s
+	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
 // StartSpan opens a child span of the context's active trace. When the
@@ -170,25 +178,25 @@ func (t *Tracer) Adopt(ctx context.Context, name string, id uint64) (context.Con
 // returns the context unchanged and a nil span — every Span method is
 // nil-safe, so call sites need no branches.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	a, ok := ctx.Value(ctxKey{}).(active)
+	p, ok := ctx.Value(ctxKey{}).(*Span)
 	if !ok {
 		return ctx, nil
 	}
 	s := &Span{
-		TraceID: a.traceID,
-		SpanID:  a.t.nextSpan.Add(1),
-		Parent:  a.spanID,
+		TraceID: p.TraceID,
+		SpanID:  p.tracer.nextSpan.Add(1),
+		Parent:  p.SpanID,
 		Name:    name,
 		Start:   time.Now(),
-		tracer:  a.t,
+		tracer:  p.tracer,
 	}
-	return context.WithValue(ctx, ctxKey{}, active{t: a.t, traceID: a.traceID, spanID: s.SpanID}), s
+	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
 // TraceIDFrom returns the context's active trace ID (0 = untraced).
 func TraceIDFrom(ctx context.Context) uint64 {
-	if a, ok := ctx.Value(ctxKey{}).(active); ok {
-		return a.traceID
+	if s, ok := ctx.Value(ctxKey{}).(*Span); ok {
+		return s.TraceID
 	}
 	return 0
 }

@@ -184,3 +184,44 @@ func TestWriteJSONL(t *testing.T) {
 		t.Fatalf("got %d JSONL lines, want 1", lines)
 	}
 }
+
+// TestSpanAllocs pins what tracing costs a request: a root span and an
+// annotated child each allocate the span and its context node and nothing
+// else — the context carries the span pointer itself, and a first annotation
+// lands in the span's own storage.
+func TestSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	tr := NewTracer(64)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		rctx, root := tr.Root(ctx, "http GET /path", 0)
+		_, child := StartSpan(rctx, "queryplane.query")
+		child.Annotate("cache", "hit")
+		child.End()
+		root.End()
+	})
+	if allocs > 4 {
+		t.Fatalf("root + annotated child: %.0f allocs, want <= 4", allocs)
+	}
+}
+
+// TestAnnotationsSpillInOrder: annotations past the inline one keep their
+// order, and the export lists exactly the annotations made.
+func TestAnnotationsSpillInOrder(t *testing.T) {
+	tr := NewTracer(8)
+	_, s := tr.Root(context.Background(), "x", 7)
+	for _, k := range []string{"a", "b", "c", "d"} {
+		s.Annotate(k, k+k)
+	}
+	s.End()
+	var buf bytes.Buffer
+	if err := WriteJSONL(&buf, tr.Trace(7)); err != nil {
+		t.Fatal(err)
+	}
+	want := `"attrs":[{"k":"a","v":"aa"},{"k":"b","v":"bb"},{"k":"c","v":"cc"},{"k":"d","v":"dd"}]}`
+	if got := strings.TrimSpace(buf.String()); !strings.HasSuffix(got, want) {
+		t.Fatalf("export %s, want suffix %s", got, want)
+	}
+}
