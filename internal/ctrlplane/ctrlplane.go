@@ -269,37 +269,6 @@ type Session struct {
 	leaseExpires int64
 }
 
-// agent is one broker's volatile state: its view of the available capacity
-// on the links it owns, per-attempt holds, dedup memory, and the fencing
-// record of finalized attempts. All of it is lost on Crash; the WAL is the
-// durable side.
-type agent struct {
-	id    int32
-	avail map[[2]int32]float64
-	holds map[sessKey][]hold
-	seen  map[uint64]struct{}
-	done  map[sessKey]walOp
-}
-
-// newAgent returns broker b's agent with a ledger sized for links entries.
-func newAgent(b int32, links int) *agent {
-	return &agent{
-		id:    b,
-		avail: make(map[[2]int32]float64, links),
-		holds: make(map[sessKey][]hold),
-		seen:  make(map[uint64]struct{}),
-		done:  make(map[sessKey]walOp),
-	}
-}
-
-type hold struct {
-	hop [2]int32
-	bw  float64
-	// expires is the virtual clock tick after which the hold's lease has
-	// lapsed (0 = no lease).
-	expires int
-}
-
 // RetryConfig tunes the coordinator's delivery machinery. The zero value
 // takes serving-grade defaults.
 type RetryConfig struct {
@@ -453,135 +422,6 @@ func (p *Plane) UseTransport(t Transport) { p.d.Transport = t }
 // defaults.
 func (p *Plane) SetRetryConfig(rc RetryConfig) { p.d.Retry = rc.withDefaults() }
 
-// walOf returns broker b's durable log, creating it on first use.
-func (p *Plane) walOf(b int32) *wal {
-	w := p.wals[b]
-	if w == nil {
-		w = &wal{}
-		p.wals[b] = w
-	}
-	return w
-}
-
-// ownerOf returns the broker agent owning link (u,v): the lower-id broker
-// endpoint. ok is false when neither endpoint is a broker.
-func (p *Plane) ownerOf(u, v int32) (int32, bool) {
-	uB, vB := p.inB[u], p.inB[v]
-	switch {
-	case uB && vB:
-		if u < v {
-			return u, true
-		}
-		return v, true
-	case uB:
-		return u, true
-	case vB:
-		return v, true
-	default:
-		return 0, false
-	}
-}
-
-// hopOwners returns the owner of every hop of nodes, index-aligned with the
-// hops; a hop neither of whose endpoints is a broker is an error.
-func (p *Plane) hopOwners(nodes []int32) ([]int32, error) {
-	owners := make([]int32, 0, len(nodes)-1)
-	for i := 0; i+1 < len(nodes); i++ {
-		owner, ok := p.ownerOf(nodes[i], nodes[i+1])
-		if !ok {
-			return nil, fmt.Errorf("ctrlplane: hop (%d,%d) has no broker owner — path not dominated",
-				nodes[i], nodes[i+1])
-		}
-		owners = append(owners, owner)
-	}
-	return owners, nil
-}
-
-func hopKey(u, v int32) [2]int32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int32{u, v}
-}
-
-// Crash fails broker b's process. All volatile state — the in-memory
-// capacity ledger, outstanding holds, dedup memory, and finalization
-// fencing — is lost; only the write-ahead log survives. While crashed the
-// agent neither receives nor acknowledges protocol messages, so in-flight
-// setups through it abort and new setups fast-fail ("unresponsive").
-// Crash/Recover round-trip exactly: Recover replays the WAL back to the
-// pre-crash ledger and resolves what the crash left in doubt. Unknown
-// brokers are only marked (nothing to wipe).
-func (p *Plane) Crash(b int32) {
-	if p.crashed[b] {
-		return
-	}
-	p.flight.Recordf("ctrlplane", "crash", int64(p.d.Now()), "broker %d", b)
-	p.crashed[b] = true
-	if a := p.agents[b]; a != nil {
-		a.avail, a.holds, a.seen, a.done = nil, nil, nil, nil
-	}
-}
-
-// Recover restarts a crashed broker: the agent's volatile state is rebuilt
-// by replaying its WAL (latest snapshot plus deltas — ledger availability,
-// outstanding holds, dedup memory, finalization fencing), and sessions the
-// crash left in doubt (holds with no decision record) are resolved against
-// the coordinator's durable commit point:
-//
-//	in-doubt state          decision record    resolution
-//	prepared (hold held)    commit logged      commit entry
-//	prepared (hold held)    abort logged       abort entry
-//	prepared (hold held)    none               abort entry (presumed abort)
-//
-// The resolutions are logged as one batch record and applied through
-// applyBatchEntries, like a record the coordinator delivered. The shared
-// metrics mirror is coordinator-owned and untouched by replay, so recovery
-// never double-counts a reservation. Recovering a broker that is not
-// crashed is a no-op.
-func (p *Plane) Recover(b int32) {
-	if !p.crashed[b] {
-		return
-	}
-	delete(p.crashed, b)
-	a := p.agents[b]
-	if a == nil {
-		return // no longer a coalition member; ledger migration moved on
-	}
-	a.avail, a.holds, a.done, a.seen = p.walOf(b).replay()
-	doubt := inDoubt(a.holds)
-	var entries []BatchEntry
-	for _, key := range doubt {
-		e := BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch}
-		if p.decided[key] {
-			e.Kind = EntryCommit
-			p.stats.InDoubtCommitted++
-		} else {
-			p.stats.InDoubtAborted++
-		}
-		entries = append(entries, e)
-	}
-	p.applyLocal(a, entries)
-	delete(p.d.breakers, b)
-	p.stats.Recoveries++
-	p.flight.Recordf("ctrlplane", "recover", int64(p.d.Now()), "broker %d: %d holds in doubt", b, len(doubt))
-}
-
-// applyLocal logs and applies a batch record that no message carried: the
-// presumed aborts of a lease sweep, or a recovery's in-doubt resolutions.
-// The record has no MsgID, which is how wal.commitCounts tells it from a
-// decision the coordinator delivered.
-func (p *Plane) applyLocal(a *agent, entries []BatchEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	p.walOf(a.id).append(walRecord{Op: walBatch, Batch: entries})
-	applyBatchEntries(a.avail, a.holds, a.done, entries)
-}
-
-// Crashed reports whether broker b is marked crashed.
-func (p *Plane) Crashed(b int32) bool { return p.crashed[b] }
-
 // Brokers returns the coalition membership in ascending id order.
 func (p *Plane) Brokers() []int32 {
 	out := make([]int32, 0, len(p.agents))
@@ -606,86 +446,6 @@ func (p *Plane) SickBrokers() []int32 {
 	return out
 }
 
-// SetBrokers replaces the coalition membership, migrating capacity ledgers:
-// every link managed under both the old and new set keeps its residual
-// availability (link ownership may move between agents when the broker set
-// changes — ownerOf picks the lower-id broker endpoint), links that gain a
-// first broker endpoint are seeded from the metrics' residual capacity, and
-// links that lose all broker endpoints drop out of the ledger. Surviving
-// members keep their dedup memory and finalization fencing (so stragglers
-// from before the change stay fenced) and each rebuilt agent write-ahead
-// logs a fresh snapshot. Crash marks and breaker state persist across
-// membership changes (they key off the node id); backlog messages to
-// departed members are dropped (their capacity moved with the ledger
-// migration). Added and removed report the membership delta.
-func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
-	newIn := make([]bool, len(p.inB))
-	for _, b := range brokers {
-		newIn[b] = true
-	}
-	for u := range p.inB {
-		switch {
-		case newIn[u] && !p.inB[u]:
-			added = append(added, int32(u))
-		case !newIn[u] && p.inB[u]:
-			removed = append(removed, int32(u))
-		}
-	}
-	if len(added) == 0 && len(removed) == 0 {
-		return nil, nil
-	}
-	// Snapshot every managed hop's residual availability under the old
-	// ownership, then rebuild agents under the new one. Crashed members'
-	// volatile ledgers are gone (nil maps iterate empty) — their links
-	// re-seed from the coordinator-owned metrics residual below.
-	oldAvail := make(map[[2]int32]float64)
-	oldAgents := p.agents
-	for _, a := range p.agents {
-		for hop, avail := range a.avail {
-			oldAvail[hop] = avail
-		}
-	}
-	p.inB = newIn
-	p.agents = make(map[int32]*agent, len(brokers))
-	for _, b := range brokers {
-		a := newAgent(b, 0)
-		if old := oldAgents[b]; old != nil && old.seen != nil {
-			// Surviving member: keep dedup + fencing so delayed
-			// stragglers from before the change cannot resurrect state.
-			a.seen, a.done = old.seen, old.done
-		}
-		p.agents[b] = a
-	}
-	p.top.Graph.Edges(func(u, v int) bool {
-		owner, ok := p.ownerOf(int32(u), int32(v))
-		if !ok {
-			return true
-		}
-		key := hopKey(int32(u), int32(v))
-		if avail, had := oldAvail[key]; had {
-			p.agents[owner].avail[key] = avail
-		} else {
-			// Newly managed link: seed with residual capacity so any
-			// reservation still held by a legacy session stays accounted.
-			p.agents[owner].avail[key] = p.metrics.Residual(int32(u), int32(v))
-		}
-		return true
-	})
-	for _, b := range p.Brokers() {
-		a := p.agents[b]
-		p.walOf(b).snapshot(a.avail, a.done)
-		if p.crashed[b] {
-			// Still crashed: the durable snapshot above is what Recover
-			// will replay; the volatile side stays lost.
-			a.avail, a.holds, a.seen, a.done = nil, nil, nil, nil
-		}
-	}
-	p.d.Cancel(func(m Message) bool { return p.agents[m.To] == nil })
-	p.engine.SetBrokers(brokers)
-	p.version++
-	return added, removed
-}
-
 // Stats returns a copy of the counters.
 func (p *Plane) Stats() Stats {
 	st := p.stats
@@ -698,17 +458,6 @@ func (p *Plane) Stats() Stats {
 // releases). A cached path computed at version v is stale once Version()
 // moves past v: some link's residual capacity changed underneath it.
 func (p *Plane) Version() uint64 { return p.version }
-
-// Available returns the owning agent's ledgered available capacity for the
-// link (0 when unmanaged or the owner is crashed — its volatile ledger is
-// lost until Recover replays the WAL).
-func (p *Plane) Available(u, v int32) float64 {
-	owner, ok := p.ownerOf(u, v)
-	if !ok {
-		return 0
-	}
-	return p.agents[owner].avail[hopKey(u, v)]
-}
 
 // Setup sets up a bw-Gbps session from src to dst over the best
 // B-dominated path with bw free on every hop (the search is floored at
@@ -758,49 +507,6 @@ func (p *Plane) tick() {
 // regions with no local traffic (a crashed home coordinator must not freeze
 // a transit region's clock).
 func (p *Plane) Tick() { p.tick() }
-
-// ExpireLeases sweeps every live agent for prepared-but-undecided hold sets
-// whose leases have all lapsed and presumed-aborts them locally — the
-// self-cleaning path for setups abandoned mid-stitch by a crashed remote
-// coordinator, with no teardown traffic. The presumed-abort decision is
-// recorded at the coordinator and logged at the agent (one batch record of
-// abort entries per broker) before any hold is credited back, so a late
-// CommitPrepared for the same attempt refuses instead of committing over a
-// swept hold. Hold sets whose decision is already COMMIT are never swept
-// (the backlogged record will land); unleased holds (lease 0) never expire.
-// Returns the number of hold sets swept.
-func (p *Plane) ExpireLeases() int {
-	n := 0
-	for _, b := range p.Brokers() {
-		if p.crashed[b] {
-			continue
-		}
-		a := p.agents[b]
-		var entries []BatchEntry
-		for _, key := range inDoubt(a.holds) {
-			if p.decided[key] {
-				continue
-			}
-			lapsed := len(a.holds[key]) > 0
-			for _, h := range a.holds[key] {
-				if h.expires == 0 || h.expires > p.d.Now() {
-					lapsed = false
-					break
-				}
-			}
-			if !lapsed {
-				continue
-			}
-			p.decided[key] = false
-			entries = append(entries, BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch})
-			p.stats.LeaseExpiries++
-			p.flight.Recordf("ctrlplane", "lease_expire", int64(p.d.Now()), "session %d.%d swept at broker %d", key.ID, key.Epoch, b)
-		}
-		p.applyLocal(a, entries)
-		n += len(entries)
-	}
-	return n
-}
 
 // checkSetup validates a setup request over an externally computed path.
 func checkSetup(nodes []int32, bw float64) error {
@@ -1167,102 +873,10 @@ func (p *Plane) Repath(ctx context.Context, s *Session, opts routing.Options) (*
 	return next, nil
 }
 
-// dispatch hands an agent-bound message to the agent's state machine;
-// crashed and unknown agents eat their traffic silently.
-func (p *Plane) dispatch(m Message) {
-	a, live := p.agents[m.To]
-	if !live || p.crashed[m.To] {
-		return
-	}
-	p.deliver(a, m)
-}
-
 // Reconcile drives the backlog until every surviving agent has
 // acknowledged all outstanding decisions, or attempts run out. Call it
 // after recovering crashed brokers and lifting partitions to bring the
 // plane to quiescence (the state CheckInvariants expects).
 func (p *Plane) Reconcile(ctx context.Context) error {
 	return p.d.Reconcile(ctx)
-}
-
-// maxSeen bounds an agent's dedup memory; beyond it the oldest half is
-// pruned (MsgIDs are monotonic, so pruning low ids retires the oldest
-// messages — anything that old has long since stopped being retried).
-const maxSeen = 16384
-
-func (a *agent) markSeen(id uint64) {
-	a.seen[id] = struct{}{}
-	if len(a.seen) <= maxSeen {
-		return
-	}
-	ids := make([]uint64, 0, len(a.seen))
-	for s := range a.seen {
-		ids = append(ids, s)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, s := range ids[:len(ids)/2] {
-		delete(a.seen, s)
-	}
-}
-
-// deliver runs one agent's state machine step. Every state change is
-// write-ahead logged before it applies; duplicates are answered from dedup
-// memory; messages for finalized attempts are fenced so stragglers cannot
-// resurrect holds.
-func (p *Plane) deliver(a *agent, m Message) {
-	p.flight.Recordf("ctrlplane", "deliver", int64(p.d.Now()), "%s at broker %d session %d.%d msg %d",
-		m.Type, a.id, m.SessionID, m.Epoch, m.MsgID)
-	if _, dup := a.seen[m.MsgID]; dup {
-		p.stats.DupsDropped++
-		if ack, ok := ackFor(m.Type); ok {
-			p.d.Reply(m, ack)
-		}
-		return
-	}
-	key := sessKey{m.SessionID, m.Epoch}
-	w := p.walOf(a.id)
-	switch m.Type {
-	case MsgPrepare:
-		if op, finalized := a.done[key]; finalized {
-			// Stale PREPARE for a finalized attempt: never re-hold.
-			if op == walCommit {
-				p.d.Reply(m, MsgPrepareAck)
-			} else {
-				p.d.Reply(m, MsgPrepareNack)
-			}
-			return
-		}
-		if a.avail[m.Hop] >= m.Bandwidth {
-			exp := 0
-			if m.Lease > 0 {
-				exp = p.d.Now() + int(m.Lease)
-			}
-			w.append(walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Hop: m.Hop, BW: m.Bandwidth, Expires: exp})
-			a.markSeen(m.MsgID)
-			a.avail[m.Hop] -= m.Bandwidth // place hold
-			a.holds[key] = append(a.holds[key], hold{hop: m.Hop, bw: m.Bandwidth, expires: exp})
-			p.d.Reply(m, MsgPrepareAck)
-		} else {
-			// Nacks are not dedup-remembered: a retransmit re-evaluates
-			// against current capacity (and is fenced once finalized).
-			p.d.Reply(m, MsgPrepareNack)
-		}
-	case MsgBatch:
-		// One WAL record carries the broker's whole slice of the round;
-		// each entry then applies with per-session fencing, so
-		// crash-atomicity is per session, not per batch — replay resolves
-		// every entry independently.
-		w.append(walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})
-		a.markSeen(m.MsgID)
-		if p.batchWALCrash != nil && p.batchWALCrash(a.id) {
-			// Chaos seam: the broker dies in the durability window — batch
-			// record logged, nothing applied or acked. Recovery replays the
-			// record; the unacked coordinator retransmission dedups against
-			// the WAL-rebuilt seen set.
-			p.Crash(a.id)
-			return
-		}
-		applyBatchEntries(a.avail, a.holds, a.done, m.Batch)
-		p.d.Reply(m, MsgBatchAck)
-	}
 }
