@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"sync"
 
 	"brokerset/internal/coverage"
 	"brokerset/internal/graph"
@@ -29,6 +30,18 @@ const repairRadius = 2
 // maxLocalPruneTrials caps the O(V+E) connectivity evaluations the
 // localized prune may spend — the bound that keeps repair o(full reselect).
 const maxLocalPruneTrials = 32
+
+// repairScratch is what a repair pass needs in proportion to the graph: the
+// survivor union-find and the blast pool's BFS buffers (seen is the pool as a
+// node set). A churn healer repairs on every event burst, and on the Table-2
+// tier these are ~1.7 MB a pass, so they are pooled across passes.
+type repairScratch struct {
+	inc                  coverage.Incremental
+	seen                 graph.Bitset
+	frontier, next, pool []int32
+}
+
+var repairScratchPool = sync.Pool{New: func() any { return new(repairScratch) }}
 
 // MaintainIncremental repairs a broker set after a churn event whose blast
 // radius (the nodes whose incident topology changed: failed/joined nodes,
@@ -63,7 +76,10 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	// Survivors: replay the union-find. Dropped entries (departed nodes,
 	// barred brokers, duplicates) are recorded exactly as Maintain does.
 	res := &MaintainResult{}
-	inc := coverage.NewIncremental(g)
+	sc := repairScratchPool.Get().(*repairScratch)
+	defer repairScratchPool.Put(sc)
+	inc := &sc.inc
+	inc.Reset(g)
 	for _, b := range old {
 		if int(b) < 0 || int(b) >= n || avoided(int(b)) {
 			res.Removed = append(res.Removed, b)
@@ -77,7 +93,7 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 
 	// Localized growth: best positive-gain candidate from the blast pool
 	// each round, ties toward the smaller node id.
-	pool := blastPool(g, blast, repairRadius)
+	pool := sc.blastPool(g, blast, repairRadius)
 	for inc.Connectivity() < opts.Target {
 		best, bestGain := int32(-1), int64(0)
 		for _, u := range pool {
@@ -113,20 +129,25 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	// survivor in the same region redundant. Only pool-local brokers are
 	// candidates and the trial budget is capped, so this stays o(full).
 	if conn >= opts.Target {
-		pruneLocal(g, inc, res, opts.Target, pool, &conn)
+		pruneLocal(g, inc, res, opts.Target, sc.seen, &conn)
 	}
 	res.Connectivity = conn
 	return res, nil
 }
 
 // blastPool returns the nodes within radius hops of any blast node, in
-// deterministic BFS order. Out-of-range ids (departed nodes) still seed
-// the flood through their former neighbours if listed alongside them, but
-// are themselves skipped.
-func blastPool(g *graph.Graph, blast []int32, radius int) []int32 {
+// deterministic BFS order, and leaves them marked in sc.seen; both are sc's
+// buffers, valid until its next use. Out-of-range ids (departed nodes) still
+// seed the flood through their former neighbours if listed alongside them,
+// but are themselves skipped.
+func (sc *repairScratch) blastPool(g *graph.Graph, blast []int32, radius int) []int32 {
 	n := g.NumNodes()
-	seen := graph.NewBitset(n)
-	var frontier, next, pool []int32
+	if len(sc.seen) == (n+63)>>6 {
+		sc.seen.Zero()
+	} else {
+		sc.seen = graph.NewBitset(n)
+	}
+	seen, frontier, next, pool := sc.seen, sc.frontier[:0], sc.next[:0], sc.pool[:0]
 	for _, u := range blast {
 		if u >= 0 && int(u) < n && seen.TestAndSet(u) {
 			frontier = append(frontier, u)
@@ -145,17 +166,17 @@ func blastPool(g *graph.Graph, blast []int32, radius int) []int32 {
 		}
 		frontier, next = next, frontier
 	}
+	sc.frontier, sc.next, sc.pool = frontier, next, pool
 	return pool
 }
 
-// pruneLocal drops pool-local brokers whose removal keeps the target,
-// spending at most maxLocalPruneTrials trials. inc is the union-find of
-// exactly res.Brokers: a trial whose RemovalUpperBound is already below
-// the target is decided without its O(V+E) flood, and still spends its
-// trial so the outcome is the one flooding every trial would give.
-func pruneLocal(g *graph.Graph, inc *coverage.Incremental, res *MaintainResult, target float64, pool []int32, conn *float64) {
-	local := graph.NewBitset(g.NumNodes())
-	local.SetAll(pool)
+// pruneLocal drops pool-local brokers (those in local) whose removal keeps
+// the target, spending at most maxLocalPruneTrials trials. inc is the
+// union-find of exactly res.Brokers, and is replayed in place as brokers go:
+// a trial whose RemovalUpperBound is already below the target is decided
+// without its O(V+E) flood, and still spends its trial so the outcome is the
+// one flooding every trial would give.
+func pruneLocal(g *graph.Graph, inc *coverage.Incremental, res *MaintainResult, target float64, local graph.Bitset, conn *float64) {
 	justAdded := graph.NewBitset(g.NumNodes())
 	justAdded.SetAll(res.Added)
 	trials := 0
@@ -178,7 +199,7 @@ func pruneLocal(g *graph.Graph, inc *coverage.Incremental, res *MaintainResult, 
 			i--
 			// Union-find cannot delete. A stale one would still bound from
 			// above (B only shrank) but looser: replay it for the new set.
-			inc = coverage.NewIncremental(g)
+			inc.Reset(g)
 			for _, k := range trial {
 				inc.AddBroker(int(k))
 			}

@@ -39,7 +39,7 @@ func maintainIncrementalReference(g *graph.Graph, old []int32, blast []int32, op
 		}
 	}
 	if inc.Connectivity() < opts.Target {
-		pool := blastPool(g, blast, repairRadius)
+		pool := new(repairScratch).blastPool(g, blast, repairRadius)
 		for inc.Connectivity() < opts.Target {
 			best, bestGain := int32(-1), int64(0)
 			for _, u := range pool {
@@ -80,7 +80,7 @@ func maintainIncrementalReference(g *graph.Graph, old []int32, blast []int32, op
 // maxLocalPruneTrials of them.
 func pruneLocalReference(g *graph.Graph, res *MaintainResult, target float64, blast []int32, radius int, conn *float64) {
 	local := graph.NewBitset(g.NumNodes())
-	local.SetAll(blastPool(g, blast, radius))
+	local.SetAll(new(repairScratch).blastPool(g, blast, radius))
 	justAdded := graph.NewBitset(g.NumNodes())
 	justAdded.SetAll(res.Added)
 	trials := 0

@@ -27,18 +27,26 @@ type Incremental struct {
 
 // NewIncremental returns the empty-broker-set state (connectivity 0).
 func NewIncremental(g *graph.Graph) *Incremental {
+	inc := &Incremental{}
+	inc.Reset(g)
+	return inc
+}
+
+// Reset returns inc to the empty-broker-set state over g, reusing its arrays
+// when they are large enough — a churn healer replays a union-find over a
+// graph of the same size on every repair. The zero Incremental may be Reset.
+func (inc *Incremental) Reset(g *graph.Graph) {
 	n := g.NumNodes()
-	inc := &Incremental{
-		g:      g,
-		inB:    make([]bool, n),
-		parent: make([]int32, n),
-		size:   make([]int32, n),
+	if cap(inc.parent) < n {
+		inc.inB, inc.parent, inc.size = make([]bool, n), make([]int32, n), make([]int32, n)
 	}
-	for i := 0; i < n; i++ {
+	inc.g, inc.pairs = g, 0
+	inc.inB, inc.parent, inc.size = inc.inB[:n], inc.parent[:n], inc.size[:n]
+	clear(inc.inB)
+	for i := range inc.parent {
 		inc.parent[i] = int32(i)
 		inc.size[i] = 1
 	}
-	return inc
 }
 
 func (inc *Incremental) find(u int32) int32 {

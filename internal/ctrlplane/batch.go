@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"brokerset/internal/graph"
 	"brokerset/internal/obs"
 )
 
@@ -41,14 +42,16 @@ type BatchEntry struct {
 	BW  float64
 }
 
-// applyBatchEntries applies a batch record to an agent ledger with
-// per-session fencing: a commit or abort of an already finalized attempt is
-// a no-op. It is the only function that changes a ledger on a decision —
-// shared by live delivery (deliver's MsgBatch case), WAL replay, and the
-// records a lease sweep or a recovery writes locally — which is exactly
-// what makes a broker crash between the batch append and the apply
-// harmless: recovery reaches the same state the apply would have.
-func applyBatchEntries(avail map[[2]int32]float64, holds map[sessKey][]hold, done map[sessKey]walOp, entries []BatchEntry) {
+// applyBatchEntries applies a batch record to an agent's holds and done
+// fencing, per session — a commit or abort of an already finalized attempt
+// is a no-op — and hands every capacity credit the record makes (an aborted
+// attempt's holds, a released hop; by ledger row of g) to credit. It is the
+// only function that changes a ledger on a decision — shared by live
+// delivery (deliver's MsgBatch case), WAL replay, and the records a lease
+// sweep or a recovery writes locally — which is exactly what makes a broker
+// crash between the batch append and the apply harmless: recovery reaches
+// the same state the apply would have.
+func applyBatchEntries(g *graph.Graph, holds map[sessKey][]hold, done map[sessKey]walOp, entries []BatchEntry, credit func(link int32, bw float64)) {
 	for _, e := range entries {
 		key := sessKey{e.ID, e.Epoch}
 		switch e.Kind {
@@ -65,13 +68,13 @@ func applyBatchEntries(avail map[[2]int32]float64, holds map[sessKey][]hold, don
 				continue
 			}
 			for _, h := range holds[key] {
-				avail[h.hop] += h.bw
+				credit(h.link, h.bw)
 			}
 			delete(holds, key)
 			done[key] = walAbort
 		case EntryRelease:
-			if _, owned := avail[e.Hop]; owned {
-				avail[e.Hop] += e.BW
+			if l := linkOf(g, e.Hop[0], e.Hop[1]); l >= 0 {
+				credit(l, e.BW)
 			}
 		}
 	}

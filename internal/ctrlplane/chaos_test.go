@@ -270,10 +270,8 @@ func TestInvariantViolationDumpsFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one hop owner's ledger behind the protocol's back.
-	owner := s.owners[0]
-	hop := hopKey(s.Path[0], s.Path[1])
-	p.agents[owner].avail[hop] += 3
+	// Corrupt one hop's ledger row behind the protocol's back.
+	p.avail[p.link(s.Path[0], s.Path[1])] += 3
 
 	verr := p.CheckInvariants([]*Session{s})
 	if verr == nil {

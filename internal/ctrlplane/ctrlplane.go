@@ -325,6 +325,12 @@ type Plane struct {
 	agents  map[int32]*agent
 	crashed map[int32]bool
 
+	// avail and owner are the capacity ledger (ledger.go): per link, at its
+	// u<v arc index, the residual the coalition accounts for it and the agent
+	// that owns its row (-1: unmanaged).
+	avail []float64
+	owner []int32
+
 	// d delivers PREPAREs and decision records to the agents: retries,
 	// backlog and per-broker circuit breakers live there.
 	d *Delivery
@@ -383,31 +389,41 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	for _, b := range brokers {
 		p.inB[b] = true
 	}
-	// Seed each owner's ledger with its links' capacities (an undominated
-	// link is not managed by the coalition). The Table-2 tier has 400k of
-	// them, so the links are counted first and every ledger is made at its
-	// final size, and the capacity is read off the metrics' column by the arc
-	// index the walk already has: New takes 32 ms there, 40 with unsized maps
-	// filled through one Capacity row search per link. What is left is the
-	// maps themselves (ROADMAP item 2).
-	owned := make([]int, top.NumNodes())
-	top.Graph.Edges(func(u, v int) bool {
-		if owner, ok := p.ownerOf(int32(u), int32(v)); ok {
-			owned[owner]++
-		}
-		return true
-	})
-	for _, b := range brokers {
-		p.agents[b] = newAgent(b, owned[b])
-	}
+	// Seed the ledger: a link with a broker endpoint starts at its capacity,
+	// read off the metrics' column by the arc index the walk already has (a
+	// link's row is its u<v arc), under the agent ownerOf names; the rest are
+	// unmanaged. A second walk lays every broker's snapshot rows out in one
+	// array, broker after broker: next[b] is where b's next row goes.
+	g := top.Graph
+	p.avail = make([]float64, g.NumArcs())
+	p.owner = make([]int32, g.NumArcs())
 	capacity := metrics.Capacities()
-	top.Graph.Links(func(a, _, u, v int) {
-		if owner, ok := p.ownerOf(int32(u), int32(v)); ok {
-			p.agents[owner].avail[hopKey(int32(u), int32(v))] = capacity[a]
+	next := make([]int32, top.NumNodes())
+	g.Links(func(a, _, u, v int) {
+		owner, ok := p.ownerOf(int32(u), int32(v))
+		if !ok {
+			p.owner[a] = -1
+			return
+		}
+		p.owner[a], p.avail[a] = owner, capacity[a]
+		next[owner]++
+	})
+	total := int32(0)
+	for _, b := range p.Brokers() {
+		total, next[b] = total+next[b], total
+	}
+	rows := make([]ledgerRow, total)
+	g.Links(func(a, _, _, _ int) {
+		if owner := p.owner[a]; owner >= 0 {
+			rows[next[owner]] = ledgerRow{int32(a), p.avail[a]}
+			next[owner]++
 		}
 	})
+	start := int32(0)
 	for _, b := range p.Brokers() {
-		p.walOf(b).snapshot(p.agents[b].avail, nil)
+		p.agents[b] = newAgent(b)
+		p.walOf(b).append(walRecord{Op: walSnapshot, Ledger: &ledgerDelta{Gained: rows[start:next[b]:next[b]]}})
+		start = next[b]
 	}
 	return p
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -106,25 +107,14 @@ func FuzzBatchCodec(f *testing.F) {
 	})
 }
 
-// agentImage is a comparable snapshot of an agent's protocol state.
-func agentImage(a *agent) (avail map[[2]int32]float64, holds int, done int, seen int) {
-	avail = make(map[[2]int32]float64, len(a.avail))
-	for k, v := range a.avail {
-		avail[k] = v
-	}
-	return avail, len(a.holds), len(a.done), len(a.seen)
+// agentImage is a comparable snapshot of an agent's protocol state and the
+// ledger column it writes (a credit may land on another agent's row).
+func agentImage(p *Plane, a *agent) (avail []float64, holds int, done int, seen int) {
+	return slices.Clone(p.avail), len(a.holds), len(a.done), len(a.seen)
 }
 
-func sameImage(av1 map[[2]int32]float64, h1, d1, s1 int, av2 map[[2]int32]float64, h2, d2, s2 int) bool {
-	if h1 != h2 || d1 != d2 || s1 != s2 || len(av1) != len(av2) {
-		return false
-	}
-	for k, v := range av1 {
-		if av2[k] != v {
-			return false
-		}
-	}
-	return true
+func sameImage(av1 []float64, h1, d1, s1 int, av2 []float64, h2, d2, s2 int) bool {
+	return h1 == h2 && d1 == d2 && s1 == s2 && slices.Equal(av1, av2)
 }
 
 // FuzzDeliverIdempotent: whatever frame sequence the wire produces,
@@ -163,9 +153,9 @@ func FuzzDeliverIdempotent(f *testing.F) {
 			}
 			msg.To = 1 // route every frame at agent 1
 			p.deliver(a, msg)
-			av1, h1, d1, s1 := agentImage(a)
+			av1, h1, d1, s1 := agentImage(p, a)
 			p.deliver(a, msg) // exact retransmission
-			av2, h2, d2, s2 := agentImage(a)
+			av2, h2, d2, s2 := agentImage(p, a)
 			if !sameImage(av1, h1, d1, s1, av2, h2, d2, s2) {
 				t.Fatalf("redelivery of %+v changed agent state", msg)
 			}

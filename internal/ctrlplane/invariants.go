@@ -38,8 +38,8 @@ func (p *Plane) CheckInvariants(committed []*Session) error {
 		return fmt.Errorf("ctrlplane: invariant check requires quiescence: %d backlog message(s) undelivered (run Reconcile)", p.d.Backlogged())
 	}
 
-	// Committed load per managed hop, from the caller's session list.
-	load := make(map[[2]int32]float64)
+	// Committed load per managed link, from the caller's session list.
+	load := make(map[int32]float64)
 	for _, s := range committed {
 		if s == nil {
 			return fmt.Errorf("ctrlplane: nil session in committed set")
@@ -52,7 +52,7 @@ func (p *Plane) CheckInvariants(committed []*Session) error {
 			if _, ok := p.ownerOf(u, v); !ok {
 				return fmt.Errorf("ctrlplane: committed session %d hop (%d,%d) has no broker owner", s.ID, u, v)
 			}
-			load[hopKey(u, v)] += s.Bandwidth
+			load[p.link(u, v)] += s.Bandwidth
 		}
 	}
 
@@ -85,19 +85,15 @@ func (p *Plane) CheckInvariants(committed []*Session) error {
 			return fmt.Errorf("ctrlplane: broker %d leaked %d unfinalized hold set(s) (%d expired-lease), first: session %d epoch %d",
 				b, n, expired, keys[0].ID, keys[0].Epoch)
 		}
-		hops := make([][2]int32, 0, len(a.avail))
-		for hop := range a.avail {
-			hops = append(hops, hop)
-		}
-		sort.Slice(hops, func(i, j int) bool {
-			if hops[i][0] != hops[j][0] {
-				return hops[i][0] < hops[j][0]
+		// b's rows in ascending link order, i.e. by (lower, upper) endpoint.
+		for _, w := range p.top.Graph.Neighbors(int(b)) {
+			l := p.link(b, w)
+			if p.owner[l] != b {
+				continue
 			}
-			return hops[i][1] < hops[j][1]
-		})
-		for _, hop := range hops {
-			avail := a.avail[hop]
-			want := p.metrics.Capacity(hop[0], hop[1]) - load[hop]
+			hop := hopKey(b, w)
+			avail := p.avail[l]
+			want := p.metrics.Capacity(hop[0], hop[1]) - load[l]
 			if avail < -capacityEps {
 				return fmt.Errorf("ctrlplane: broker %d link (%d,%d) over-committed: availability %.9f < 0",
 					b, hop[0], hop[1], avail)

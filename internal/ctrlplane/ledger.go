@@ -2,26 +2,38 @@ package ctrlplane
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"brokerset/internal/graph"
 )
 
-// agent is one broker's volatile state: its view of the available capacity
-// on the links it owns, per-attempt holds, dedup memory, and the fencing
-// record of finalized attempts. All of it is lost on Crash; the WAL is the
-// durable side.
+// The capacity ledger is two columns over the topology's links, a link's row
+// being the arc index of its lower endpoint's side (linkOf): Plane.avail, the
+// residual capacity the coalition accounts for the link, and Plane.owner, the
+// broker agent accounting it (-1: neither endpoint is a broker, the link is
+// unmanaged). The owner column always agrees with ownerOf under the current
+// membership. An agent is a view over the rows it owns — it keeps only its
+// holds, dedup memory and fencing — so a membership change rewrites the
+// owner of the rows whose endpoints joined or left and nothing else, and
+// capacity belongs to the link, not to whichever agent held or released it.
+// A crashed agent's rows read as lost (Available is 0) until Recover
+// rewrites them from its WAL.
+
+// agent is one broker's volatile protocol state: per-attempt holds, dedup
+// memory, and the fencing record of finalized attempts. All of it is lost on
+// Crash; the WAL is the durable side.
 type agent struct {
 	id    int32
-	avail map[[2]int32]float64
 	holds map[sessKey][]hold
 	seen  map[uint64]struct{}
 	done  map[sessKey]walOp
 }
 
-// newAgent returns broker b's agent with a ledger sized for links entries.
-func newAgent(b int32, links int) *agent {
+// newAgent returns broker b's agent with empty protocol state.
+func newAgent(b int32) *agent {
 	return &agent{
 		id:    b,
-		avail: make(map[[2]int32]float64, links),
 		holds: make(map[sessKey][]hold),
 		seen:  make(map[uint64]struct{}),
 		done:  make(map[sessKey]walOp),
@@ -29,12 +41,33 @@ func newAgent(b int32, links int) *agent {
 }
 
 type hold struct {
-	hop [2]int32
-	bw  float64
+	link int32
+	bw   float64
 	// expires is the virtual clock tick after which the hold's lease has
 	// lapsed (0 = no lease).
 	expires int
 }
+
+// ledgerRow is one link's row with its residual, as a WAL record carries it.
+type ledgerRow struct {
+	Link  int32
+	Avail float64
+}
+
+// linkOf returns link (u,v)'s ledger row in g: the arc index of u→v for
+// u < v; -1 for a non-edge or a node outside g.
+func linkOf(g *graph.Graph, u, v int32) int32 {
+	if u > v {
+		u, v = v, u
+	}
+	if u < 0 || int(v) >= g.NumNodes() {
+		return -1
+	}
+	return int32(g.ArcOf(int(u), int(v)))
+}
+
+// link returns link (u,v)'s ledger row (-1: not a link).
+func (p *Plane) link(u, v int32) int32 { return linkOf(p.top.Graph, u, v) }
 
 // walOf returns broker b's durable log, creating it on first use.
 func (p *Plane) walOf(b int32) *wal {
@@ -48,8 +81,11 @@ func (p *Plane) walOf(b int32) *wal {
 
 // ownerOf returns the broker agent owning link (u,v): the lower-id broker
 // endpoint. ok is false when neither endpoint is a broker.
-func (p *Plane) ownerOf(u, v int32) (int32, bool) {
-	uB, vB := p.inB[u], p.inB[v]
+func (p *Plane) ownerOf(u, v int32) (int32, bool) { return ownerIn(p.inB, u, v) }
+
+// ownerIn is ownerOf under the membership mask inB.
+func ownerIn(inB []bool, u, v int32) (int32, bool) {
+	uB, vB := inB[u], inB[v]
 	switch {
 	case uB && vB:
 		if u < v {
@@ -87,18 +123,53 @@ func hopKey(u, v int32) [2]int32 {
 	return [2]int32{u, v}
 }
 
-// SetBrokers replaces the coalition membership, migrating capacity ledgers:
-// every link managed under both the old and new set keeps its residual
-// availability (link ownership may move between agents when the broker set
-// changes — ownerOf picks the lower-id broker endpoint), links that gain a
-// first broker endpoint are seeded from the metrics' residual capacity, and
-// links that lose all broker endpoints drop out of the ledger. Surviving
-// members keep their dedup memory and finalization fencing (so stragglers
-// from before the change stay fenced) and each rebuilt agent write-ahead
-// logs a fresh snapshot. Crash marks and breaker state persist across
-// membership changes (they key off the node id); backlog messages to
-// departed members are dropped (their capacity moved with the ledger
-// migration). Added and removed report the membership delta.
+// rowsOf returns broker b's ledger rows with their residuals, in ascending
+// link order: the rows of its incident links it owns.
+func (p *Plane) rowsOf(b int32) []ledgerRow {
+	out := make([]ledgerRow, 0, p.top.Graph.Degree(int(b)))
+	for _, v := range p.top.Graph.Neighbors(int(b)) {
+		if l := p.link(b, v); p.owner[l] == b {
+			out = append(out, ledgerRow{l, p.avail[l]})
+		}
+	}
+	return out
+}
+
+// credit gives bw back to link l on behalf of agent id: the hold of an
+// aborted attempt, or a released hop. The capacity is the link's, so when the
+// link has moved to another agent since the hold was placed or the release
+// decided, the credit still lands on its row, and the new owner's log records
+// it so that its replay sees it too. An unmanaged link takes nothing: it
+// re-seeds from the metrics residual, which carries every decided release
+// and no hold, when a broker endpoint joins again.
+func (p *Plane) credit(id, l int32, bw float64) {
+	o := p.owner[l]
+	if o < 0 {
+		return
+	}
+	p.avail[l] += bw
+	if o != id {
+		p.walOf(o).append(walRecord{Op: walCredit, Link: l, BW: bw})
+	}
+}
+
+// SetBrokers replaces the coalition membership, migrating the ledger rows
+// whose owner changes — only links with an endpoint that joined or left can
+// change owner (ownerOf picks the lower-id broker endpoint). A link that
+// stays managed keeps its residual as it moves between live agents, together
+// with any holds on it, which stay with the agent that placed them; a link
+// that gains a first broker endpoint, or whose owner is crashed, is seeded
+// from the metrics' residual capacity; a link that loses every broker
+// endpoint drops out of the ledger. Surviving members keep their holds, dedup
+// memory and finalization fencing, and each one whose rows changed logs one
+// migration record (the links it lost, then the links it gained with their
+// residuals). A newly added member and every crashed member log a fresh
+// snapshot of their rows, which is what Recover replays for a crashed one.
+// Crash marks and breaker state persist across membership changes (they key
+// off the node id). Backlogged records to departed and to crashed members
+// are dropped: the rows they would credit re-seed from the residual, which
+// already carries every decided release. Added and removed report the
+// membership delta.
 func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	newIn := make([]bool, len(p.inB))
 	for _, b := range brokers {
@@ -115,67 +186,98 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	if len(added) == 0 && len(removed) == 0 {
 		return nil, nil
 	}
-	// Snapshot every managed hop's residual availability under the old
-	// ownership, then rebuild agents under the new one. Crashed members'
-	// volatile ledgers are gone (nil maps iterate empty) — their links
-	// re-seed from the coordinator-owned metrics residual below.
-	oldAvail := make(map[[2]int32]float64)
-	oldAgents := p.agents
-	for _, a := range p.agents {
-		for hop, avail := range a.avail {
-			oldAvail[hop] = avail
-		}
-	}
+	oldIn := p.inB
 	p.inB = newIn
-	p.agents = make(map[int32]*agent, len(brokers))
-	for _, b := range brokers {
-		a := newAgent(b, 0)
-		if old := oldAgents[b]; old != nil && old.seen != nil {
-			// Surviving member: keep dedup + fencing so delayed
-			// stragglers from before the change cannot resurrect state.
-			a.seen, a.done = old.seen, old.done
+	// Crashed members stay members but lose their rows' residuals: those
+	// re-seed below and the member is snapshotted afresh.
+	var crashed []int32
+	for b := range p.crashed {
+		if oldIn[b] && newIn[b] {
+			crashed = append(crashed, b)
 		}
-		p.agents[b] = a
 	}
-	p.top.Graph.Edges(func(u, v int) bool {
-		owner, ok := p.ownerOf(int32(u), int32(v))
-		if !ok {
-			return true
+	slices.Sort(crashed)
+	walk := slices.Concat(added, removed, crashed)
+	walked := make(map[int32]bool, len(walk))
+	for _, b := range walk {
+		walked[b] = true
+	}
+	live := func(b int32) bool { return oldIn[b] && newIn[b] && !p.crashed[b] }
+	moves := make(map[int32]*ledgerDelta) // surviving live member -> its migration
+	moveOf := func(b int32) *ledgerDelta {
+		d := moves[b]
+		if d == nil {
+			d = &ledgerDelta{}
+			moves[b] = d
 		}
-		key := hopKey(int32(u), int32(v))
-		if avail, had := oldAvail[key]; had {
-			p.agents[owner].avail[key] = avail
-		} else {
-			// Newly managed link: seed with residual capacity so any
-			// reservation still held by a legacy session stays accounted.
-			p.agents[owner].avail[key] = p.metrics.Residual(int32(u), int32(v))
+		return d
+	}
+	g := p.top.Graph
+	for _, b := range walk {
+		for _, v := range g.Neighbors(int(b)) {
+			if walked[v] && v < b {
+				continue // walked from v
+			}
+			l := p.link(b, v)
+			was, had := ownerIn(oldIn, b, v)
+			now, has := ownerIn(newIn, b, v)
+			if had && has && was == now && !p.crashed[was] {
+				continue
+			}
+			if had && (!has || was != now) && live(was) {
+				d := moveOf(was)
+				d.Lost = append(d.Lost, l)
+			}
+			if !has {
+				p.owner[l] = -1
+				continue
+			}
+			if !had || p.crashed[was] {
+				p.avail[l] = p.metrics.Residual(b, v)
+			}
+			p.owner[l] = now
+			if live(now) {
+				d := moveOf(now)
+				d.Gained = append(d.Gained, ledgerRow{l, p.avail[l]})
+			}
 		}
-		return true
-	})
-	for _, b := range p.Brokers() {
-		a := p.agents[b]
-		p.walOf(b).snapshot(a.avail, a.done)
+	}
+	for b, d := range moves {
+		p.walOf(b).append(walRecord{Op: walMigrate, Ledger: d})
+	}
+	for _, b := range removed {
+		delete(p.agents, b)
+	}
+	for _, b := range added {
+		p.agents[b] = newAgent(b)
+	}
+	for _, b := range slices.Concat(added, crashed) {
+		p.walOf(b).append(walRecord{Op: walSnapshot, Ledger: &ledgerDelta{Gained: p.rowsOf(b)}})
 		if p.crashed[b] {
-			// Still crashed: the durable snapshot above is what Recover
-			// will replay; the volatile side stays lost.
-			a.avail, a.holds, a.seen, a.done = nil, nil, nil, nil
+			// Still crashed: the snapshot is what Recover will replay; the
+			// volatile side stays lost.
+			a := p.agents[b]
+			a.holds, a.seen, a.done = nil, nil, nil
 		}
 	}
-	p.d.Cancel(func(m Message) bool { return p.agents[m.To] == nil })
+	p.d.Cancel(func(m Message) bool { return p.agents[m.To] == nil || p.crashed[m.To] })
 	p.engine.SetBrokers(brokers)
 	p.version++
 	return added, removed
 }
 
-// Available returns the owning agent's ledgered available capacity for the
-// link (0 when unmanaged or the owner is crashed — its volatile ledger is
-// lost until Recover replays the WAL).
+// Available returns the ledgered available capacity of the link (0 when
+// unmanaged, or when its owner is crashed: the row reads as lost until
+// Recover replays the owner's WAL).
 func (p *Plane) Available(u, v int32) float64 {
-	owner, ok := p.ownerOf(u, v)
-	if !ok {
+	l := p.link(u, v)
+	if l < 0 {
 		return 0
 	}
-	return p.agents[owner].avail[hopKey(u, v)]
+	if o := p.owner[l]; o < 0 || p.crashed[o] {
+		return 0
+	}
+	return p.avail[l]
 }
 
 // dispatch hands an agent-bound message to the agent's state machine;
@@ -235,15 +337,15 @@ func (p *Plane) deliver(a *agent, m Message) {
 			}
 			return
 		}
-		if a.avail[m.Hop] >= m.Bandwidth {
+		if l := p.link(m.Hop[0], m.Hop[1]); l >= 0 && p.owner[l] == a.id && p.avail[l] >= m.Bandwidth {
 			exp := 0
 			if m.Lease > 0 {
 				exp = p.d.Now() + int(m.Lease)
 			}
-			w.append(walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Hop: m.Hop, BW: m.Bandwidth, Expires: exp})
+			w.append(walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Link: l, BW: m.Bandwidth, Expires: exp})
 			a.markSeen(m.MsgID)
-			a.avail[m.Hop] -= m.Bandwidth // place hold
-			a.holds[key] = append(a.holds[key], hold{hop: m.Hop, bw: m.Bandwidth, expires: exp})
+			p.avail[l] -= m.Bandwidth // place hold
+			a.holds[key] = append(a.holds[key], hold{link: l, bw: m.Bandwidth, expires: exp})
 			p.d.Reply(m, MsgPrepareAck)
 		} else {
 			// Nacks are not dedup-remembered: a retransmit re-evaluates
@@ -265,7 +367,13 @@ func (p *Plane) deliver(a *agent, m Message) {
 			p.Crash(a.id)
 			return
 		}
-		applyBatchEntries(a.avail, a.holds, a.done, m.Batch)
+		p.applyBatch(a, m.Batch)
 		p.d.Reply(m, MsgBatchAck)
 	}
+}
+
+// applyBatch applies a decision record to live agent a's protocol state and
+// the ledger columns.
+func (p *Plane) applyBatch(a *agent, entries []BatchEntry) {
+	applyBatchEntries(p.top.Graph, a.holds, a.done, entries, func(l int32, bw float64) { p.credit(a.id, l, bw) })
 }

@@ -1,10 +1,11 @@
 package ctrlplane
 
-// Crash fails broker b's process. All volatile state — the in-memory
-// capacity ledger, outstanding holds, dedup memory, and finalization
-// fencing — is lost; only the write-ahead log survives. While crashed the
-// agent neither receives nor acknowledges protocol messages, so in-flight
-// setups through it abort and new setups fast-fail ("unresponsive").
+// Crash fails broker b's process. All volatile state — the agent's ledger
+// rows, which read as lost (Available 0) until Recover, its outstanding
+// holds, dedup memory, and finalization fencing — is lost; only the
+// write-ahead log survives. While crashed the agent neither receives nor
+// acknowledges protocol messages, so in-flight setups through it abort and
+// new setups fast-fail ("unresponsive").
 // Crash/Recover round-trip exactly: Recover replays the WAL back to the
 // pre-crash ledger and resolves what the crash left in doubt. Unknown
 // brokers are only marked (nothing to wipe).
@@ -15,15 +16,16 @@ func (p *Plane) Crash(b int32) {
 	p.flight.Recordf("ctrlplane", "crash", int64(p.d.Now()), "broker %d", b)
 	p.crashed[b] = true
 	if a := p.agents[b]; a != nil {
-		a.avail, a.holds, a.seen, a.done = nil, nil, nil, nil
+		a.holds, a.seen, a.done = nil, nil, nil
 	}
 }
 
 // Recover restarts a crashed broker: the agent's volatile state is rebuilt
-// by replaying its WAL (latest snapshot plus deltas — ledger availability,
-// outstanding holds, dedup memory, finalization fencing), and sessions the
-// crash left in doubt (holds with no decision record) are resolved against
-// the coordinator's durable commit point:
+// by replaying its WAL (latest snapshot plus deltas — its ledger rows, which
+// are written back into the plane's columns, outstanding holds, dedup
+// memory, finalization fencing), and sessions the crash left in doubt (holds
+// with no decision record) are resolved against the coordinator's durable
+// commit point:
 //
 //	in-doubt state          decision record    resolution
 //	prepared (hold held)    commit logged      commit entry
@@ -44,7 +46,11 @@ func (p *Plane) Recover(b int32) {
 	if a == nil {
 		return // no longer a coalition member; ledger migration moved on
 	}
-	a.avail, a.holds, a.done, a.seen = p.walOf(b).replay()
+	var rows map[int32]float64
+	rows, a.holds, a.done, a.seen = p.walOf(b).replay(p.top.Graph)
+	for l, avail := range rows {
+		p.avail[l] = avail
+	}
 	doubt := inDoubt(a.holds)
 	var entries []BatchEntry
 	for _, key := range doubt {
@@ -72,7 +78,7 @@ func (p *Plane) applyLocal(a *agent, entries []BatchEntry) {
 		return
 	}
 	p.walOf(a.id).append(walRecord{Op: walBatch, Batch: entries})
-	applyBatchEntries(a.avail, a.holds, a.done, entries)
+	p.applyBatch(a, entries)
 }
 
 // Crashed reports whether broker b is marked crashed.

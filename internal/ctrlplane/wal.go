@@ -1,27 +1,32 @@
 package ctrlplane
 
-import "sort"
+import (
+	"sort"
+
+	"brokerset/internal/graph"
+)
 
 // The write-ahead log models each broker's durable storage: every
-// state-changing protocol step is appended *before* the agent's in-memory
-// ledger mutates, so a crash can lose the volatile state (ledger cache,
-// holds, dedup memory) but never the log. Recovery replays the log from the
-// latest snapshot and resolves in-doubt sessions against the coordinator's
-// decision record. The log lives on the Plane keyed by broker id, so it
-// survives both Crash and coalition membership changes.
+// state-changing protocol step is appended *before* the ledger mutates, so a
+// crash can lose the volatile state (the agent's rows, holds, dedup memory)
+// but never the log. Recovery replays the log from the latest snapshot and
+// resolves in-doubt sessions against the coordinator's decision record. The
+// log lives on the Plane keyed by broker id, so it survives both Crash and
+// coalition membership changes.
 
-// walOp enumerates WAL record kinds (walSnapshot, walHold, walBatch) and the
-// two ways an attempt is finalized (walCommit, walAbort), which are not
-// record kinds: they are the values of an agent's done fencing map, and
-// reach the log inside batch entries and snapshot images only.
+// walOp enumerates WAL record kinds (walSnapshot, walHold, walBatch,
+// walMigrate, walCredit) and the two ways an attempt is finalized
+// (walCommit, walAbort), which are not record kinds: they are the values of
+// an agent's done fencing map, and reach the log inside batch entries only.
 type walOp uint8
 
 const (
-	// walSnapshot is a full ledger image, written when the agent is
-	// (re)created — at plane construction and on every SetBrokers ledger
-	// migration. Replay starts from the last snapshot.
+	// walSnapshot is a full image of the agent's ledger rows, written when
+	// the agent is created — at plane construction and when SetBrokers adds
+	// it — and when SetBrokers re-seeds a crashed member. Replay starts from
+	// the last snapshot.
 	walSnapshot walOp = iota + 1
-	// walHold records a PREPARE hold placed on a hop.
+	// walHold records a PREPARE hold placed on a link.
 	walHold
 	// walBatch records one decision record: the broker's entire view of a
 	// round (commits, aborts, releases) in one append. Replay applies each
@@ -32,6 +37,14 @@ const (
 	// walCommit and walAbort fence a finalized attempt.
 	walCommit
 	walAbort
+	// walMigrate records a membership change that moved rows to or from a
+	// surviving agent: the links it lost, then the links it gained with
+	// their residuals.
+	walMigrate
+	// walCredit records capacity another agent gave back to a link this one
+	// owns: the hold or the release was the other agent's, and the link moved
+	// here before it was settled (see Plane.credit).
+	walCredit
 )
 
 // sessKey identifies one setup attempt: Repath runs the same session again
@@ -47,19 +60,28 @@ type sessKey struct {
 type walRecord struct {
 	Op    walOp
 	MsgID uint64
-	// Session, Hop, BW and Expires (the hold's lease deadline in virtual
-	// clock ticks, 0 = unleased) describe a hold (Op == walHold only).
+	// Session, Link, BW and Expires (the hold's lease deadline in virtual
+	// clock ticks, 0 = unleased) describe a hold (walHold); Link and BW a
+	// credit (walCredit).
 	Session sessKey
-	Hop     [2]int32
+	Link    int32
 	BW      float64
 	Expires int
 
-	// Snapshot payload (Op == walSnapshot only).
-	SnapAvail map[[2]int32]float64
-	SnapDone  map[sessKey]walOp
+	// Ledger is the row payload of a walSnapshot (every row the agent owns)
+	// or a walMigrate.
+	Ledger *ledgerDelta
 
 	// Batch payload (Op == walBatch only).
 	Batch []BatchEntry
+}
+
+// ledgerDelta is a change to the set of rows an agent owns: the links it
+// lost, then the links it gained with their residuals. A snapshot is the
+// delta from no rows.
+type ledgerDelta struct {
+	Lost   []int32
+	Gained []ledgerRow
 }
 
 // wal is one broker's append-only durable log.
@@ -68,22 +90,6 @@ type wal struct {
 }
 
 func (w *wal) append(r walRecord) { w.recs = append(w.recs, r) }
-
-// snapshot appends a full ledger image. Maps are deep-copied: the live
-// agent keeps mutating its own.
-func (w *wal) snapshot(avail map[[2]int32]float64, done map[sessKey]walOp) {
-	rec := walRecord{Op: walSnapshot, SnapAvail: make(map[[2]int32]float64, len(avail))}
-	for k, v := range avail {
-		rec.SnapAvail[k] = v
-	}
-	if len(done) > 0 {
-		rec.SnapDone = make(map[sessKey]walOp, len(done))
-		for k, v := range done {
-			rec.SnapDone[k] = v
-		}
-	}
-	w.recs = append(w.recs, rec)
-}
 
 // commitCounts tallies delivered commit entries per attempt — the invariant
 // checker uses it to prove no session epoch committed twice on any broker.
@@ -104,16 +110,22 @@ func (w *wal) commitCounts() map[sessKey]int {
 	return out
 }
 
-// replay rebuilds an agent's volatile state from the log: ledger
-// availability, outstanding holds, finalized-session fencing, and dedup
-// memory. It touches nothing outside the returned state — in particular it
-// never re-mirrors reservations into the shared metrics, which are
-// coordinator-owned.
-func (w *wal) replay() (avail map[[2]int32]float64, holds map[sessKey][]hold, done map[sessKey]walOp, seen map[uint64]struct{}) {
-	avail = make(map[[2]int32]float64)
+// replay rebuilds an agent's volatile state from the log: its ledger rows
+// (link -> residual, links of g), outstanding holds, finalized-session
+// fencing, and dedup memory. It touches nothing outside the returned state —
+// in particular it never re-mirrors reservations into the shared metrics,
+// which are coordinator-owned, and a credit to a link the agent no longer
+// owns (its row moved on) is not the agent's to replay.
+func (w *wal) replay(g *graph.Graph) (rows map[int32]float64, holds map[sessKey][]hold, done map[sessKey]walOp, seen map[uint64]struct{}) {
+	rows = make(map[int32]float64)
 	holds = make(map[sessKey][]hold)
 	done = make(map[sessKey]walOp)
 	seen = make(map[uint64]struct{})
+	credit := func(l int32, bw float64) {
+		if _, owned := rows[l]; owned {
+			rows[l] += bw
+		}
+	}
 	start := 0
 	for i, r := range w.recs {
 		if r.Op == walSnapshot {
@@ -125,24 +137,23 @@ func (w *wal) replay() (avail map[[2]int32]float64, holds map[sessKey][]hold, do
 			seen[r.MsgID] = struct{}{}
 		}
 		switch r.Op {
-		case walSnapshot:
-			avail = make(map[[2]int32]float64, len(r.SnapAvail))
-			for k, v := range r.SnapAvail {
-				avail[k] = v
+		case walSnapshot, walMigrate:
+			for _, l := range r.Ledger.Lost {
+				delete(rows, l)
 			}
-			holds = make(map[sessKey][]hold)
-			done = make(map[sessKey]walOp, len(r.SnapDone))
-			for k, v := range r.SnapDone {
-				done[k] = v
+			for _, row := range r.Ledger.Gained {
+				rows[row.Link] = row.Avail
 			}
 		case walHold:
-			avail[r.Hop] -= r.BW
-			holds[r.Session] = append(holds[r.Session], hold{hop: r.Hop, bw: r.BW, expires: r.Expires})
+			credit(r.Link, -r.BW)
+			holds[r.Session] = append(holds[r.Session], hold{link: r.Link, bw: r.BW, expires: r.Expires})
+		case walCredit:
+			credit(r.Link, r.BW)
 		case walBatch:
-			applyBatchEntries(avail, holds, done, r.Batch)
+			applyBatchEntries(g, holds, done, r.Batch, credit)
 		}
 	}
-	return avail, holds, done, seen
+	return rows, holds, done, seen
 }
 
 // inDoubt returns the attempts left holding capacity with no

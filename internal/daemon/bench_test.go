@@ -187,6 +187,37 @@ func BenchmarkTable2Boot(b *testing.B) {
 	}
 }
 
+// BenchmarkTable2ChurnPost is the layer rung under churn_heal: one op is a
+// POST /churn {"generate":4} in process — four generated events applied,
+// the coalition healed incrementally, the membership pushed into the control
+// plane, damaged sessions re-pathed, both snapshots published — on the
+// Table-2 daemon (MaxSG k=1064) carrying 300 resident 0.01-Gbps sessions.
+// B/op is guarded beside ns/op (testdata/churnpost_baseline.json): the bytes
+// a post allocates are what churn_heal's read tail pays for in GC.
+func BenchmarkTable2ChurnPost(b *testing.B) {
+	top, err := topology.GenerateTier("table2", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(top, Config{K: 1064, ChurnSeed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, p := range benchPairs(srv, 300) {
+		if _, err := srv.Setup(ctx, p[0], p[1], 0.01); err != nil {
+			b.Fatalf("resident session %d->%d: %v", p[0], p[1], err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Churn(ctx, nil, 4, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSessionCycle runs serial Setup+Teardown over broker pairs.
 func benchSessionCycle(b *testing.B, srv *Daemon) {
 	pairs := benchPairs(srv, 64)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"brokerset/internal/graph"
 	"brokerset/internal/topology"
 )
 
@@ -47,12 +48,12 @@ type arcState struct {
 	order    []int32   // per node, its arc indexes by ascending latency
 	capacity []float64 // Gbps, per arc
 	used     pagedF64  // reserved Gbps, per arc (node-granular COW)
-	failed   []bool
+	failed   graph.Bitset
 }
 
 // availArc returns unreserved capacity of an arc; 0 when failed.
 func (s *arcState) availArc(a int) float64 {
-	if s.failed[a] {
+	if s.failed.Has(int32(a)) {
 		return 0
 	}
 	avail := s.capacity[a] - s.used.at(a)
@@ -91,11 +92,12 @@ type Metrics struct {
 	failedShared bool
 }
 
-// mutableFailed makes the failed array safe to mutate, cloning it when a
-// published View still shares it.
-func (m *Metrics) mutableFailed() []bool {
+// mutableFailed makes the failed bitset safe to mutate, cloning it when a
+// published View still shares it: one bit per arc, so a churn event's clone
+// is an eighth of the arc count in bytes.
+func (m *Metrics) mutableFailed() graph.Bitset {
 	if m.failedShared {
-		m.failed = append([]bool(nil), m.failed...)
+		m.failed = append(graph.Bitset(nil), m.failed...)
 		m.failedShared = false
 	}
 	return m.failed
@@ -150,7 +152,7 @@ func blankMetrics(top *topology.Topology) *Metrics {
 			latency:  make([]float64, nArcs),
 			capacity: make([]float64, nArcs),
 			used:     newPagedF64(nArcs),
-			failed:   make([]bool, nArcs),
+			failed:   graph.NewBitset(nArcs),
 		},
 	}
 }
@@ -279,8 +281,8 @@ func (m *Metrics) Release(u, v int32, bw float64) {
 func (m *Metrics) FailLink(u, v int32) {
 	if a, b := m.bothArcs(u, v); a >= 0 {
 		failed := m.mutableFailed()
-		failed[a] = true
-		failed[b] = true
+		failed.Set(int32(a))
+		failed.Set(int32(b))
 	}
 }
 
@@ -288,15 +290,15 @@ func (m *Metrics) FailLink(u, v int32) {
 func (m *Metrics) RestoreLink(u, v int32) {
 	if a, b := m.bothArcs(u, v); a >= 0 {
 		failed := m.mutableFailed()
-		failed[a] = false
-		failed[b] = false
+		failed.Clear(int32(a))
+		failed.Clear(int32(b))
 	}
 }
 
 // Failed reports whether the link is marked failed.
 func (m *Metrics) Failed(u, v int32) bool {
 	a := m.top.Graph.ArcOf(int(u), int(v))
-	return a >= 0 && m.failed[a]
+	return a >= 0 && m.failed.Has(int32(a))
 }
 
 // SetLatency overrides a link's latency (both directions). Non-edges are

@@ -20,7 +20,7 @@ func (s *pathSearch) referenceUsable(u, v int32, arc int, opts Options) bool {
 	if !s.inB[u] && !s.inB[v] {
 		return false
 	}
-	if s.arcs.failed[arc] {
+	if s.arcs.failed.Has(int32(arc)) {
 		return false
 	}
 	return opts.MinBandwidth <= 0 || s.arcs.availArc(arc) >= opts.MinBandwidth

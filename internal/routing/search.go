@@ -28,7 +28,7 @@ type pathSearch struct {
 // into both loops (CI greps for it); the bandwidth half reads the used
 // column, costs a tree walk, and sits beside each call behind MinBandwidth > 0.
 func (s *pathSearch) usableArc(u, v int32, arc int) bool {
-	return (s.inB[u] || s.inB[v]) && !s.arcs.failed[arc]
+	return (s.inB[u] || s.inB[v]) && !s.arcs.failed.Has(int32(arc))
 }
 
 // bestPath returns the minimum-latency B-dominated path from src to dst

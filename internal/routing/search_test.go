@@ -20,10 +20,10 @@ func assertLinkSymmetric(t *testing.T, top *topology.Topology, s *arcState, u, v
 	t.Helper()
 	a, b := top.Graph.ArcOf(int(u), int(v)), top.Graph.ArcOf(int(v), int(u))
 	if s.latency[a] != s.latency[b] || s.capacity[a] != s.capacity[b] ||
-		s.used.at(a) != s.used.at(b) || s.failed[a] != s.failed[b] {
+		s.used.at(a) != s.used.at(b) || s.failed.Has(int32(a)) != s.failed.Has(int32(b)) {
 		t.Fatalf("after %s: link (%d,%d) differs by direction: latency %v/%v capacity %v/%v used %v/%v failed %v/%v",
 			after, u, v, s.latency[a], s.latency[b], s.capacity[a], s.capacity[b],
-			s.used.at(a), s.used.at(b), s.failed[a], s.failed[b])
+			s.used.at(a), s.used.at(b), s.failed.Has(int32(a)), s.failed.Has(int32(b)))
 	}
 }
 

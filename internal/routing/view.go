@@ -44,7 +44,7 @@ func (v *View) Available(a, b int32) float64 {
 // Failed reports whether the link was marked failed at capture time.
 func (v *View) Failed(a, b int32) bool {
 	i := v.top.Graph.ArcOf(int(a), int(b))
-	return i >= 0 && v.failed[i]
+	return i >= 0 && v.failed.Has(int32(i))
 }
 
 // BestPathOver computes the minimum-latency B-dominated path from src to
