@@ -159,17 +159,21 @@ func (p *Plane) credit(id, l int32, bw float64) {
 // stays managed keeps its residual as it moves between live agents, together
 // with any holds on it, which stay with the agent that placed them; a link
 // that gains a first broker endpoint, or whose owner is crashed, is seeded
-// from the metrics' residual capacity; a link that loses every broker
-// endpoint drops out of the ledger. Surviving members keep their holds, dedup
+// from the metrics' residual capacity less what live agents will still
+// credit to it (held, owed); a link that loses every broker endpoint drops
+// out of the ledger. Surviving members keep their holds, dedup
 // memory and finalization fencing, and each one whose rows changed logs one
 // migration record (the links it lost, then the links it gained with their
 // residuals). A newly added member and every crashed member log a fresh
 // snapshot of their rows, which is what Recover replays for a crashed one.
 // Crash marks and breaker state persist across membership changes (they key
 // off the node id). Backlogged records to departed and to crashed members
-// are dropped: the rows they would credit re-seed from the residual, which
-// already carries every decided release. Added and removed report the
-// membership delta.
+// are dropped, as are their holds. That is exact on a crashed member's own
+// rows, which re-seed from a residual that carries every decided release and
+// no hold. On a row that left such a member earlier, and on a departing live
+// member's rows, which keep their residual, whatever those records and holds
+// would have credited is lost: the ledger reads short there, never long.
+// Added and removed report the membership delta.
 func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	newIn := make([]bool, len(p.inB))
 	for _, b := range brokers {
@@ -212,6 +216,7 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 		}
 		return d
 	}
+	owed := p.owed(live)
 	g := p.top.Graph
 	for _, b := range walk {
 		for _, v := range g.Neighbors(int(b)) {
@@ -233,7 +238,7 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 				continue
 			}
 			if !had || p.crashed[was] {
-				p.avail[l] = p.metrics.Residual(b, v)
+				p.avail[l] = p.metrics.Residual(b, v) - p.held(l, b, v, live) - owed[l]
 			}
 			p.owner[l] = now
 			if live(now) {
@@ -264,6 +269,69 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	p.engine.SetBrokers(brokers)
 	p.version++
 	return added, removed
+}
+
+// A row re-seeded from the metrics residual must leave room for what live
+// agents will still credit to it, or that lands twice: the residual counts
+// every decided reservation and release but no hold. Two things are still
+// to come: holds not decided to commit (an abort credits them back, a commit
+// moves the residual down to meet them) and releases backlogged toward an
+// agent that has not applied them. Only a link's endpoints ever own its row,
+// so only they can hold on it or be sent its release, and a row that was
+// unmanaged has neither. Sums run in endpoint, attempt and message order, so
+// a re-seed is deterministic.
+
+// held returns the holds live endpoints of link (u,v) keep on its row l
+// whose attempt is not decided to commit.
+func (p *Plane) held(l, u, v int32, live func(int32) bool) float64 {
+	bw := 0.0
+	for _, x := range [2]int32{min(u, v), max(u, v)} {
+		if !live(x) {
+			continue
+		}
+		a := p.agents[x]
+		if len(a.holds) == 0 {
+			continue
+		}
+		for _, key := range inDoubt(a.holds) {
+			if p.decided[key] {
+				continue
+			}
+			for _, h := range a.holds[key] {
+				if h.link == l {
+					bw += h.bw
+				}
+			}
+		}
+	}
+	return bw
+}
+
+// owed returns, by row, the releases backlogged toward live agents that they
+// have not applied (nil when nothing is backlogged).
+func (p *Plane) owed(live func(int32) bool) map[int32]float64 {
+	if len(p.d.backlog) == 0 {
+		return nil
+	}
+	out := make(map[int32]float64)
+	for _, id := range sortedIDs(p.d.backlog) {
+		m := p.d.backlog[id]
+		if !live(m.To) {
+			continue
+		}
+		if _, applied := p.agents[m.To].seen[id]; applied {
+			continue
+		}
+		for _, e := range m.Batch {
+			if e.Kind != EntryRelease {
+				continue
+			}
+			if l := p.link(e.Hop[0], e.Hop[1]); l >= 0 {
+				out[l] += e.BW
+			}
+		}
+	}
+	return out
 }
 
 // Available returns the ledgered available capacity of the link (0 when

@@ -14,50 +14,76 @@ import (
 
 // A hold placed before a membership change is still the agent's to settle
 // after it: the abort credits the held bandwidth back and a commit keeps it
-// reserved until the teardown releases it. The second pair of cases moves
-// the held link (2,3) from broker 3 to broker 2, so the settling agent no
-// longer owns it; capacity is the link's, so it still lands, and it lands
-// durably — every broker is crashed and recovered before the check.
+// reserved until the teardown releases it. The owner-moved cases move the
+// held link (2,3) from broker 3 to broker 2, so the settling agent no longer
+// owns it; capacity is the link's, so it still lands, and it lands durably —
+// every broker is crashed and recovered before the check. The
+// then-crashed cases crash broker 2 after the move and change the
+// membership again, so (2,3) re-seeds from the metrics residual while broker
+// 3 still holds on it: the re-seed must leave room for the hold, or the
+// abort credits it twice. In the holder-departed case broker 3 leaves in
+// the second change instead: its hold goes with it, so the re-seed must not
+// leave room for it.
 func TestHoldSurvivesMembershipChange(t *testing.T) {
 	for _, tc := range []struct {
-		name          string
-		before, after []int32
-		commit        bool
+		name   string
+		path   []int32 // nil: 0-1-2-3-4
+		before []int32
+		after  [][]int32 // successive memberships
+		crash  int32     // crashed after the first change, recovered after settling (0: none)
+		commit bool
 	}{
-		{"abort", []int32{1, 2, 3}, []int32{1, 2, 3, 4}, false},
-		{"commit-teardown", []int32{1, 2, 3}, []int32{1, 2, 3, 4}, true},
-		{"abort-owner-moved", []int32{1, 3}, []int32{1, 2, 3}, false},
-		{"commit-teardown-owner-moved", []int32{1, 3}, []int32{1, 2, 3}, true},
+		{"abort", nil, []int32{1, 2, 3}, [][]int32{{1, 2, 3, 4}}, 0, false},
+		{"commit-teardown", nil, []int32{1, 2, 3}, [][]int32{{1, 2, 3, 4}}, 0, true},
+		{"abort-owner-moved", nil, []int32{1, 3}, [][]int32{{1, 2, 3}}, 0, false},
+		{"commit-teardown-owner-moved", nil, []int32{1, 3}, [][]int32{{1, 2, 3}}, 0, true},
+		{"abort-owner-moved-then-crashed", nil, []int32{1, 3}, [][]int32{{1, 2, 3}, {1, 2, 3, 4}}, 2, false},
+		{"commit-teardown-owner-moved-then-crashed", nil, []int32{1, 3}, [][]int32{{1, 2, 3}, {1, 2, 3, 4}}, 2, true},
+		{"abort-owner-moved-then-crashed-holder-departed", []int32{2, 3}, []int32{1, 3}, [][]int32{{1, 2, 3}, {1, 2}}, 2, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := lineTop(t)
 			p := New(top, m, tc.before)
 			ctx := context.Background()
-			s, err := p.PrepareOnPath(ctx, []int32{0, 1, 2, 3, 4}, 4)
+			path := tc.path
+			if path == nil {
+				path = []int32{0, 1, 2, 3, 4}
+			}
+			s, err := p.PrepareOnPath(ctx, path, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.SetBrokers(tc.after)
+			for i, set := range tc.after {
+				if i == 1 && tc.crash != 0 {
+					p.Crash(tc.crash)
+				}
+				p.SetBrokers(set)
+			}
+			final := tc.after[len(tc.after)-1]
 			if tc.commit {
 				if err := p.CommitPrepared(ctx, s); err != nil {
 					t.Fatal(err)
 				}
+				p.Recover(tc.crash)
 				if err := p.CheckInvariants([]*Session{s}); err != nil {
 					t.Fatalf("after commit: %v", err)
 				}
 				if err := p.Teardown(ctx, s); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := p.AbortPrepared(ctx, s); err != nil {
-				t.Fatal(err)
+			} else {
+				if err := p.AbortPrepared(ctx, s); err != nil {
+					t.Fatal(err)
+				}
+				p.Recover(tc.crash)
 			}
 			if err := p.CheckInvariants(nil); err != nil {
 				t.Fatalf("after settling: %v", err)
 			}
-			for _, b := range tc.after {
+			for _, b := range final {
 				p.Crash(b)
 			}
-			for _, b := range tc.after {
+			for _, b := range final {
 				p.Recover(b)
 			}
 			if err := p.CheckInvariants(nil); err != nil {
@@ -90,6 +116,96 @@ func TestReseededMemberDropsItsBacklog(t *testing.T) {
 	}
 	if err := p.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// lossyTransport loses every message lose selects (nil: none).
+type lossyTransport struct {
+	Transport
+	lose func(m Message) bool
+}
+
+func (t *lossyTransport) Send(m Message) {
+	if t.lose == nil || !t.lose(m) {
+		t.Transport.Send(m)
+	}
+}
+
+// A decision record backlogged toward a live owner is still that owner's to
+// apply after its row has moved to a member that then crashed and re-seeded
+// the row from the metrics residual. The residual already carries a decided
+// release or commit, so the re-seed must leave room for a release the owner
+// has not applied yet, and for nothing else: not for a release it applied
+// whose ack was lost, and not for a hold decided to commit. Broker 3 owns
+// (2,3) when the record is decided; the record is lost, or only its ack is;
+// then (2,3) moves to broker 2, broker 2 crashes and the membership changes
+// again.
+func TestBacklogSurvivesReseed(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		commit   bool // the record commits a prepared session (else: releases a committed one)
+		acksOnly bool // broker 3 applies the record and only its ack is lost
+	}{
+		{"release", false, false},
+		{"release-applied-ack-lost", false, true},
+		{"commit", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top, m := lineTop(t)
+			p := New(top, m, []int32{1, 3})
+			tr := &lossyTransport{Transport: NewFaultTransport(FaultConfig{})}
+			p.UseTransport(tr)
+			ctx := context.Background()
+			var s *Session
+			var err error
+			if tc.commit {
+				s, err = p.PrepareOnPath(ctx, []int32{0, 1, 2, 3, 4}, 4)
+			} else {
+				s, err = p.Setup(ctx, 0, 4, 4, routing.Options{})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.lose = func(m Message) bool { return m.From == 3 || (m.To == 3 && !tc.acksOnly) }
+			if tc.commit {
+				err = p.CommitPrepared(ctx, s)
+			} else {
+				err = p.Teardown(ctx, s)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Stats().Backlogged == 0 {
+				t.Fatal("the record toward broker 3 was not backlogged")
+			}
+			p.SetBrokers([]int32{1, 2, 3}) // (2,3) moves from broker 3 to broker 2
+			p.Crash(2)
+			p.SetBrokers([]int32{1, 2, 3, 4}) // broker 2's rows re-seed
+			tr.lose = nil
+			p.Recover(2)
+			if err := p.Reconcile(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var committed []*Session
+			if tc.commit {
+				committed = []*Session{s}
+			}
+			if err := p.CheckInvariants(committed); err != nil {
+				t.Fatalf("after reconcile: %v", err)
+			}
+			if tc.commit {
+				if err := p.Teardown(ctx, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, b := range p.Brokers() {
+				p.Crash(b)
+				p.Recover(b)
+			}
+			if err := p.CheckInvariants(nil); err != nil {
+				t.Fatalf("after crash and recovery: %v", err)
+			}
+		})
 	}
 }
 
