@@ -174,6 +174,27 @@ func TestBatchWALCrashReplays(t *testing.T) {
 			}
 			return []*Session{s}
 		}},
+		// The crashed broker leaves the coalition before it recovers: its rows
+		// move on carrying the release it logged, and its departure must not
+		// settle that release a second time.
+		{"Teardown-then-departure", func(t *testing.T, p *Plane, arm func()) []*Session {
+			s, err := p.Setup(ctx, 0, 3, 4, routing.Options{})
+			if err != nil {
+				t.Fatalf("setup: %v", err)
+			}
+			arm()
+			if err := p.Teardown(ctx, s); err != nil {
+				t.Fatalf("teardown: %v", err)
+			}
+			var stay []int32
+			for _, b := range p.Brokers() {
+				if !p.Crashed(b) {
+					stay = append(stay, b)
+				}
+			}
+			p.SetBrokers(stay)
+			return nil
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := ringTop(t, 8)

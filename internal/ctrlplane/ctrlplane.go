@@ -338,8 +338,9 @@ type Plane struct {
 	// it survives crashes and membership changes.
 	wals map[int32]*wal
 	// decided is the coordinator's durable decision record: commit points
-	// and abort decisions per setup attempt. Recovery resolves
-	// in-doubt holds against it.
+	// and abort decisions per setup attempt, presumed aborts included —
+	// wherever an agent gives back an undecided hold (resolve), the abort is
+	// recorded here first. Recovery resolves in-doubt holds against it.
 	decided map[sessKey]bool
 
 	// leaseNow overrides the session-lease clock (nil: the virtual clock).
@@ -707,8 +708,8 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 		_, pending := p.d.Broadcast(ctx, msgs)
 		for _, m := range pending {
 			// A record toward a broker that left the coalition since the
-			// attempt opened is dropped: the ledger migration already
-			// accounted its capacity.
+			// attempt opened is dropped: its departure already settled the
+			// attempt, presuming abort.
 			if p.agents[m.To] != nil {
 				p.d.Backlog(m)
 			}
@@ -770,20 +771,22 @@ func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*
 	return s, nil
 }
 
-// CommitPrepared drives a prepared setup to its commit point. When the
-// prepare's lease already lapsed and the tick sweep presumed-aborted it,
-// the commit is refused, the session is left StateAborted, and an error is
-// returned — the caller must treat the attempt as failed (the federation
-// layer answers a refused sub-commit with BATCH-NACK so the home region
-// rolls the stitched session back).
+// CommitPrepared drives a prepared setup to its commit point. When an abort
+// was already presumed for the attempt — a hop owner's lease sweep, its
+// recovery or its departure from the coalition took a hold back (resolve) —
+// the commit is refused: the abort is decided and sent to every hop owner, so
+// no participant keeps a hold, the session is left StateAborted, and an
+// error is returned. The caller must treat the attempt as failed (the
+// federation layer answers a refused sub-commit with BATCH-NACK so the home
+// region rolls the stitched session back).
 func (p *Plane) CommitPrepared(ctx context.Context, s *Session) error {
 	if s == nil || s.State != StatePrepared {
 		return fmt.Errorf("ctrlplane: commit of non-prepared session")
 	}
 	p.tick()
 	if dec, ok := p.decided[sessKey{s.ID, s.Epoch}]; ok && !dec {
-		s.State = StateAborted
-		return fmt.Errorf("ctrlplane: session %d.%d lease expired before commit — presumed aborted", s.ID, s.Epoch)
+		p.decide(ctx, nil, []*Session{s}, nil)
+		return fmt.Errorf("ctrlplane: session %d.%d presumed aborted before commit (lease expired, or a holder recovered or left)", s.ID, s.Epoch)
 	}
 	p.decide(ctx, []*Session{s}, nil, nil)
 	return nil

@@ -140,8 +140,8 @@ func (p *Plane) rowsOf(b int32) []ledgerRow {
 // link has moved to another agent since the hold was placed or the release
 // decided, the credit still lands on its row, and the new owner's log records
 // it so that its replay sees it too. An unmanaged link takes nothing: it
-// re-seeds from the metrics residual, which carries every decided release
-// and no hold, when a broker endpoint joins again.
+// seeds from the metrics residual, which carries every decided release and
+// no hold, when a broker endpoint joins again.
 func (p *Plane) credit(id, l int32, bw float64) {
 	o := p.owner[l]
 	if o < 0 {
@@ -155,25 +155,20 @@ func (p *Plane) credit(id, l int32, bw float64) {
 
 // SetBrokers replaces the coalition membership, migrating the ledger rows
 // whose owner changes — only links with an endpoint that joined or left can
-// change owner (ownerOf picks the lower-id broker endpoint). A link that
-// stays managed keeps its residual as it moves between live agents, together
-// with any holds on it, which stay with the agent that placed them; a link
-// that gains a first broker endpoint, or whose owner is crashed, is seeded
-// from the metrics' residual capacity less what live agents will still
-// credit to it (held, owed); a link that loses every broker endpoint drops
-// out of the ledger. Surviving members keep their holds, dedup
-// memory and finalization fencing, and each one whose rows changed logs one
-// migration record (the links it lost, then the links it gained with their
-// residuals). A newly added member and every crashed member log a fresh
-// snapshot of their rows, which is what Recover replays for a crashed one.
-// Crash marks and breaker state persist across membership changes (they key
-// off the node id). Backlogged records to departed and to crashed members
-// are dropped, as are their holds. That is exact on a crashed member's own
-// rows, which re-seed from a residual that carries every decided release and
-// no hold. On a row that left such a member earlier, and on a departing live
-// member's rows, which keep their residual, whatever those records and holds
-// would have credited is lost: the ledger reads short there, never long.
-// Added and removed report the membership delta.
+// change owner (ownerOf picks the lower-id broker endpoint), so only the rows
+// of added and removed brokers are walked. A row that changes owner keeps its
+// residual, whether its old owner is up or crashed; holds on it stay with the
+// agent that placed them. A row that gains its first broker endpoint seeds
+// from the metrics residual, which is exact there: nobody can hold on an
+// unmanaged row or be owed its release. A row that loses every broker
+// endpoint drops out of the ledger. A crashed member is a member like any
+// other: surviving members keep their holds, dedup memory, fencing and
+// backlog, and each one whose rows changed logs one migration record (the
+// links it lost, then the links it gained with their residuals); only an
+// added member logs a snapshot of its rows. A departing member settles what
+// it was sent before its agent goes (depart). Crash marks and breaker state
+// persist across membership changes (they key off the node id). Added and
+// removed report the membership delta.
 func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	newIn := make([]bool, len(p.inB))
 	for _, b := range brokers {
@@ -192,22 +187,7 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	}
 	oldIn := p.inB
 	p.inB = newIn
-	// Crashed members stay members but lose their rows' residuals: those
-	// re-seed below and the member is snapshotted afresh.
-	var crashed []int32
-	for b := range p.crashed {
-		if oldIn[b] && newIn[b] {
-			crashed = append(crashed, b)
-		}
-	}
-	slices.Sort(crashed)
-	walk := slices.Concat(added, removed, crashed)
-	walked := make(map[int32]bool, len(walk))
-	for _, b := range walk {
-		walked[b] = true
-	}
-	live := func(b int32) bool { return oldIn[b] && newIn[b] && !p.crashed[b] }
-	moves := make(map[int32]*ledgerDelta) // surviving live member -> its migration
+	moves := make(map[int32]*ledgerDelta) // surviving member -> its migration
 	moveOf := func(b int32) *ledgerDelta {
 		d := moves[b]
 		if d == nil {
@@ -216,20 +196,19 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 		}
 		return d
 	}
-	owed := p.owed(live)
 	g := p.top.Graph
-	for _, b := range walk {
+	for _, b := range slices.Concat(added, removed) {
 		for _, v := range g.Neighbors(int(b)) {
-			if walked[v] && v < b {
+			if oldIn[v] != newIn[v] && v < b {
 				continue // walked from v
 			}
-			l := p.link(b, v)
 			was, had := ownerIn(oldIn, b, v)
 			now, has := ownerIn(newIn, b, v)
-			if had && has && was == now && !p.crashed[was] {
+			if had && has && was == now {
 				continue
 			}
-			if had && (!has || was != now) && live(was) {
+			l := p.link(b, v)
+			if had && newIn[was] {
 				d := moveOf(was)
 				d.Lost = append(d.Lost, l)
 			}
@@ -237,11 +216,11 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 				p.owner[l] = -1
 				continue
 			}
-			if !had || p.crashed[was] {
-				p.avail[l] = p.metrics.Residual(b, v) - p.held(l, b, v, live) - owed[l]
+			if !had {
+				p.avail[l] = p.metrics.Residual(b, v)
 			}
 			p.owner[l] = now
-			if live(now) {
+			if oldIn[now] {
 				d := moveOf(now)
 				d.Gained = append(d.Gained, ledgerRow{l, p.avail[l]})
 			}
@@ -250,88 +229,48 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	for b, d := range moves {
 		p.walOf(b).append(walRecord{Op: walMigrate, Ledger: d})
 	}
-	for _, b := range removed {
-		delete(p.agents, b)
-	}
 	for _, b := range added {
 		p.agents[b] = newAgent(b)
-	}
-	for _, b := range slices.Concat(added, crashed) {
 		p.walOf(b).append(walRecord{Op: walSnapshot, Ledger: &ledgerDelta{Gained: p.rowsOf(b)}})
-		if p.crashed[b] {
-			// Still crashed: the snapshot is what Recover will replay; the
-			// volatile side stays lost.
-			a := p.agents[b]
-			a.holds, a.seen, a.done = nil, nil, nil
-		}
 	}
-	p.d.Cancel(func(m Message) bool { return p.agents[m.To] == nil || p.crashed[m.To] })
+	for _, b := range removed {
+		p.depart(b)
+	}
+	p.d.Cancel(func(m Message) bool { return p.agents[m.To] == nil })
 	p.engine.SetBrokers(brokers)
 	p.version++
 	return added, removed
 }
 
-// A row re-seeded from the metrics residual must leave room for what live
-// agents will still credit to it, or that lands twice: the residual counts
-// every decided reservation and release but no hold. Two things are still
-// to come: holds not decided to commit (an abort credits them back, a commit
-// moves the residual down to meet them) and releases backlogged toward an
-// agent that has not applied them. Only a link's endpoints ever own its row,
-// so only they can hold on it or be sent its release, and a row that was
-// unmanaged has neither. Sums run in endpoint, attempt and message order, so
-// a re-seed is deterministic.
-
-// held returns the holds live endpoints of link (u,v) keep on its row l
-// whose attempt is not decided to commit.
-func (p *Plane) held(l, u, v int32, live func(int32) bool) float64 {
-	bw := 0.0
-	for _, x := range [2]int32{min(u, v), max(u, v)} {
-		if !live(x) {
-			continue
-		}
-		a := p.agents[x]
-		if len(a.holds) == 0 {
-			continue
-		}
-		for _, key := range inDoubt(a.holds) {
-			if p.decided[key] {
-				continue
-			}
-			for _, h := range a.holds[key] {
-				if h.link == l {
-					bw += h.bw
-				}
-			}
-		}
+// depart settles departing member b's account on the rows' new owners and
+// drops its agent. Every record backlogged toward b that b has not applied is
+// applied on its behalf — a release credits its hop, an abort credits b's
+// holds of that attempt, a commit retires them — and every hold still
+// undecided is presumed aborted (resolve) and credited. A crashed member's
+// holds, fencing and applied message ids come from its log. Credits go
+// through credit, so they land wherever the rows went and are logged there;
+// a row that became unmanaged takes none.
+func (p *Plane) depart(b int32) {
+	a := p.agents[b]
+	holds, done, seen := a.holds, a.done, a.seen
+	if p.crashed[b] {
+		_, holds, done, seen = p.walOf(b).replay(p.top.Graph)
 	}
-	return bw
-}
-
-// owed returns, by row, the releases backlogged toward live agents that they
-// have not applied (nil when nothing is backlogged).
-func (p *Plane) owed(live func(int32) bool) map[int32]float64 {
-	if len(p.d.backlog) == 0 {
-		return nil
-	}
-	out := make(map[int32]float64)
+	g := p.top.Graph
+	credit := func(l int32, bw float64) { p.credit(b, l, bw) }
 	for _, id := range sortedIDs(p.d.backlog) {
-		m := p.d.backlog[id]
-		if !live(m.To) {
-			continue
-		}
-		if _, applied := p.agents[m.To].seen[id]; applied {
-			continue
-		}
-		for _, e := range m.Batch {
-			if e.Kind != EntryRelease {
-				continue
-			}
-			if l := p.link(e.Hop[0], e.Hop[1]); l >= 0 {
-				out[l] += e.BW
+		if m := p.d.backlog[id]; m.To == b {
+			if _, applied := seen[id]; !applied {
+				applyBatchEntries(g, holds, done, m.Batch, credit)
 			}
 		}
 	}
-	return out
+	var entries []BatchEntry
+	for _, key := range inDoubt(holds) {
+		entries = append(entries, p.resolve(key))
+	}
+	applyBatchEntries(g, holds, done, entries, credit)
+	delete(p.agents, b)
 }
 
 // Available returns the ledgered available capacity of the link (0 when
@@ -427,15 +366,19 @@ func (p *Plane) deliver(a *agent, m Message) {
 		// every entry independently.
 		w.append(walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})
 		a.markSeen(m.MsgID)
+		p.applyBatch(a, m.Batch)
 		if p.batchWALCrash != nil && p.batchWALCrash(a.id) {
 			// Chaos seam: the broker dies in the durability window — batch
-			// record logged, nothing applied or acked. Recovery replays the
-			// record; the unacked coordinator retransmission dedups against
-			// the WAL-rebuilt seen set.
+			// record logged, nothing acked, and the agent's apply of it
+			// (holds, fencing, dedup) lost with its memory. The columns
+			// hold what its log replays to, as they do for every crashed
+			// agent, so a row that moves before it recovers carries the
+			// record's credit. Recovery replays the record; the unacked
+			// coordinator retransmission dedups against the WAL-rebuilt seen
+			// set.
 			p.Crash(a.id)
 			return
 		}
-		p.applyBatch(a, m.Batch)
 		p.d.Reply(m, MsgBatchAck)
 	}
 }

@@ -2,7 +2,6 @@ package ctrlplane
 
 import (
 	"context"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,18 +18,20 @@ import (
 // owns it; capacity is the link's, so it still lands, and it lands durably —
 // every broker is crashed and recovered before the check. The
 // then-crashed cases crash broker 2 after the move and change the
-// membership again, so (2,3) re-seeds from the metrics residual while broker
-// 3 still holds on it: the re-seed must leave room for the hold, or the
-// abort credits it twice. In the holder-departed case broker 3 leaves in
-// the second change instead: its hold goes with it, so the re-seed must not
-// leave room for it.
+// membership again while broker 3 still holds on (2,3): the crashed owner's
+// row keeps its residual, so the abort credits the hold once. In the
+// holder-departed case broker 3 leaves in the second change instead: its
+// departure presumes the attempt aborted and credits its hold, and the later
+// abort finds nothing left to credit. In the holder-crashed case the holder
+// itself is down through the change and the commit: its recovery finds the
+// commit decided and keeps the hold reserved.
 func TestHoldSurvivesMembershipChange(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		path   []int32 // nil: 0-1-2-3-4
 		before []int32
 		after  [][]int32 // successive memberships
-		crash  int32     // crashed after the first change, recovered after settling (0: none)
+		crash  int32     // crashed before the last change, recovered after settling (0: none)
 		commit bool
 	}{
 		{"abort", nil, []int32{1, 2, 3}, [][]int32{{1, 2, 3, 4}}, 0, false},
@@ -40,6 +41,7 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 		{"abort-owner-moved-then-crashed", nil, []int32{1, 3}, [][]int32{{1, 2, 3}, {1, 2, 3, 4}}, 2, false},
 		{"commit-teardown-owner-moved-then-crashed", nil, []int32{1, 3}, [][]int32{{1, 2, 3}, {1, 2, 3, 4}}, 2, true},
 		{"abort-owner-moved-then-crashed-holder-departed", []int32{2, 3}, []int32{1, 3}, [][]int32{{1, 2, 3}, {1, 2}}, 2, false},
+		{"commit-holder-crashed", nil, []int32{1, 3}, [][]int32{{1, 3, 4}}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := lineTop(t)
@@ -54,28 +56,31 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, set := range tc.after {
-				if i == 1 && tc.crash != 0 {
+				if i == len(tc.after)-1 && tc.crash != 0 {
 					p.Crash(tc.crash)
 				}
 				p.SetBrokers(set)
 			}
 			final := tc.after[len(tc.after)-1]
 			if tc.commit {
-				if err := p.CommitPrepared(ctx, s); err != nil {
-					t.Fatal(err)
-				}
-				p.Recover(tc.crash)
+				err = p.CommitPrepared(ctx, s)
+			} else {
+				err = p.AbortPrepared(ctx, s)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Recover(tc.crash)
+			if err := p.Reconcile(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if tc.commit {
 				if err := p.CheckInvariants([]*Session{s}); err != nil {
 					t.Fatalf("after commit: %v", err)
 				}
 				if err := p.Teardown(ctx, s); err != nil {
 					t.Fatal(err)
 				}
-			} else {
-				if err := p.AbortPrepared(ctx, s); err != nil {
-					t.Fatal(err)
-				}
-				p.Recover(tc.crash)
 			}
 			if err := p.CheckInvariants(nil); err != nil {
 				t.Fatalf("after settling: %v", err)
@@ -93,29 +98,58 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 	}
 }
 
-// A crashed member's rows re-seed from the metrics residual on a membership
-// change, and the residual already carries every decided release: the
-// release backlogged toward the crashed member must not land a second time
-// once it recovers.
-func TestReseededMemberDropsItsBacklog(t *testing.T) {
-	top, m := lineTop(t)
-	p := New(top, m, []int32{1, 2, 3})
-	ctx := context.Background()
-	s, err := p.Setup(ctx, 0, 4, 4, routing.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Crash(2)
-	if err := p.Teardown(ctx, s); err != nil {
-		t.Fatal(err)
-	}
-	p.SetBrokers([]int32{1, 2, 3, 4})
-	p.Recover(2)
-	if err := p.Reconcile(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CheckInvariants(nil); err != nil {
-		t.Fatal(err)
+// A departing member settles what was sent to it before its agent goes: a
+// release backlogged toward broker 3, which leaves the coalition before it
+// hears of it, credits the hops (2,3) and (3,4) on their new owners, brokers
+// 2 and 4, durably. Broker 3 is cut off by a partition, so its agent's own
+// memory says what it applied, or crashed, so its log does.
+func TestDepartureSettlesBacklog(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		name := "partitioned"
+		if crash {
+			name = "crashed"
+		}
+		t.Run(name, func(t *testing.T) {
+			top, m := lineTop(t)
+			p := New(top, m, []int32{1, 3})
+			ft := NewFaultTransport(FaultConfig{})
+			p.UseTransport(ft)
+			ctx := context.Background()
+			s, err := p.Setup(ctx, 0, 4, 4, routing.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if crash {
+				p.Crash(3)
+			} else {
+				ft.Partition(3, true)
+			}
+			if err := p.Teardown(ctx, s); err != nil {
+				t.Fatal(err)
+			}
+			if p.Stats().Backlogged == 0 {
+				t.Fatal("the release toward broker 3 was not backlogged")
+			}
+			p.SetBrokers([]int32{1, 2, 4})
+			if crash {
+				p.Recover(3)
+			} else {
+				ft.Partition(3, false)
+			}
+			if err := p.Reconcile(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CheckInvariants(nil); err != nil {
+				t.Fatalf("after departure: %v", err)
+			}
+			for _, b := range p.Brokers() {
+				p.Crash(b)
+				p.Recover(b)
+			}
+			if err := p.CheckInvariants(nil); err != nil {
+				t.Fatalf("after crash and recovery: %v", err)
+			}
+		})
 	}
 }
 
@@ -132,14 +166,14 @@ func (t *lossyTransport) Send(m Message) {
 }
 
 // A decision record backlogged toward a live owner is still that owner's to
-// apply after its row has moved to a member that then crashed and re-seeded
-// the row from the metrics residual. The residual already carries a decided
-// release or commit, so the re-seed must leave room for a release the owner
-// has not applied yet, and for nothing else: not for a release it applied
-// whose ack was lost, and not for a hold decided to commit. Broker 3 owns
-// (2,3) when the record is decided; the record is lost, or only its ack is;
-// then (2,3) moves to broker 2, broker 2 crashes and the membership changes
-// again.
+// apply after its row has moved to a member that then crashed through a
+// second membership change. The crashed member's row keeps its residual, so
+// a release the owner had not applied lands on it once, a release it applied
+// whose ack was lost does not land again, and a commit moves nothing. Broker
+// 3 owns (2,3) when the record is decided; the record is lost, or only its
+// ack is; then (2,3) moves to broker 2, broker 2 crashes and the membership
+// changes again. A last case backlogs the release toward the crashed member
+// itself: the backlog survives the change and lands once after recovery.
 func TestBacklogSurvivesReseed(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -180,7 +214,7 @@ func TestBacklogSurvivesReseed(t *testing.T) {
 			}
 			p.SetBrokers([]int32{1, 2, 3}) // (2,3) moves from broker 3 to broker 2
 			p.Crash(2)
-			p.SetBrokers([]int32{1, 2, 3, 4}) // broker 2's rows re-seed
+			p.SetBrokers([]int32{1, 2, 3, 4}) // broker 2 is down through the change
 			tr.lose = nil
 			p.Recover(2)
 			if err := p.Reconcile(ctx); err != nil {
@@ -207,27 +241,45 @@ func TestBacklogSurvivesReseed(t *testing.T) {
 			}
 		})
 	}
+	t.Run("release-owed-to-crashed-member", func(t *testing.T) {
+		top, m := lineTop(t)
+		p := New(top, m, []int32{1, 2, 3})
+		ctx := context.Background()
+		s, err := p.Setup(ctx, 0, 4, 4, routing.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Crash(2)
+		if err := p.Teardown(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+		p.SetBrokers([]int32{1, 2, 3, 4})
+		p.Recover(2)
+		if err := p.Reconcile(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CheckInvariants(nil); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // refLedger is the ledger SetBrokers migrated before the columns, kept as the
 // oracle for the delta migration: per member, its links' residuals by hop,
-// nil while the member is crashed (its volatile ledger is lost), and the
-// image of its last snapshot, which is what its recovery replays at
-// quiescence.
+// kept while the member is crashed (its rows only read as lost), and the
+// crash marks.
 type refLedger struct {
 	top     *topology.Topology
 	metrics *routing.Metrics
 	inB     []bool
 	avail   map[int32]map[[2]int32]float64
-	snaps   map[int32]map[[2]int32]float64
 	crashed map[int32]bool
 }
 
-// setBrokersReference is SetBrokers as it was before the columns: every
-// member's ledger is rebuilt over all links — a link managed before and after
-// keeps the residual its live owner had, every other managed link (newly
-// managed, or owned by a crashed member) re-seeds from the metrics residual —
-// and every member is snapshotted afresh.
+// setBrokersReference is SetBrokers as a full rebuild: every member's ledger
+// is rebuilt over all links — a link managed before and after keeps the
+// residual its owner had, crashed or not, and a newly managed link seeds from
+// the metrics residual.
 func setBrokersReference(r *refLedger, brokers []int32) (added, removed []int32) {
 	newIn := make([]bool, len(r.inB))
 	for _, b := range brokers {
@@ -268,34 +320,13 @@ func setBrokersReference(r *refLedger, brokers []int32) (added, removed []int32)
 		}
 		return true
 	})
-	r.snaps = make(map[int32]map[[2]int32]float64, len(brokers))
-	for _, b := range brokers {
-		r.snaps[b] = maps.Clone(r.avail[b])
-		if r.crashed[b] {
-			r.avail[b] = nil
-		}
-	}
 	return added, removed
-}
-
-func (r *refLedger) crash(b int32) {
-	r.crashed[b] = true
-	if r.inB[b] {
-		r.avail[b] = nil
-	}
-}
-
-func (r *refLedger) recover(b int32) {
-	delete(r.crashed, b)
-	if r.inB[b] {
-		r.avail[b] = maps.Clone(r.snaps[b])
-	}
 }
 
 // available is Plane.Available under the reference ledger.
 func (r *refLedger) available(u, v int32) float64 {
 	owner, ok := ownerIn(r.inB, u, v)
-	if !ok {
+	if !ok || r.crashed[owner] {
 		return 0
 	}
 	return r.avail[owner][hopKey(u, v)]
@@ -307,8 +338,9 @@ func (r *refLedger) available(u, v int32) float64 {
 // leaving in it — over a MaxSG coalition carrying committed sessions, at
 // quiescence, and requires after every round: the same membership delta; on
 // every link the same owner (and an owner column that agrees with it) and
-// bit for bit the same Available; every live member's WAL replaying to
-// exactly the rows the reference gives it, with nothing held.
+// bit for bit the same Available; every member's WAL, a crashed member's
+// included, replaying to exactly the rows the reference gives it, with
+// nothing held.
 func TestSetBrokersMatchesReference(t *testing.T) {
 	const rounds = 200
 	seed := chaosSeed(t)
@@ -340,8 +372,7 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 
 	r := &refLedger{
 		top: top, metrics: m, inB: append([]bool(nil), p.inB...),
-		avail: make(map[int32]map[[2]int32]float64), snaps: make(map[int32]map[[2]int32]float64),
-		crashed: make(map[int32]bool),
+		avail: make(map[int32]map[[2]int32]float64), crashed: make(map[int32]bool),
 	}
 	for _, b := range p.Brokers() {
 		r.avail[b] = make(map[[2]int32]float64)
@@ -352,9 +383,6 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 		}
 		return true
 	})
-	for b, a := range r.avail {
-		r.snaps[b] = maps.Clone(a)
-	}
 
 	// Joiners are drawn half from the highest-degree nodes, whose rows are
 	// the ones worth migrating, half uniformly.
@@ -364,7 +392,7 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 		if rng.Float64() < 0.3 {
 			b := member()
 			p.Crash(b)
-			r.crash(b)
+			r.crashed[b] = true
 		}
 		if len(p.crashed) > 0 && rng.Float64() < 0.3 {
 			var down []int32
@@ -374,7 +402,7 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 			slices.Sort(down)
 			b := down[rng.Intn(len(down))]
 			p.Recover(b)
-			r.recover(b)
+			delete(r.crashed, b)
 		}
 		next := map[int32]bool{}
 		for _, b := range p.Brokers() {
@@ -417,9 +445,6 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 			return true
 		})
 		for _, b := range p.Brokers() {
-			if p.crashed[b] {
-				continue
-			}
 			rows, holds, _, _ := p.walOf(b).replay(top.Graph)
 			want := r.avail[b]
 			if len(holds) != 0 || len(rows) != len(want) {

@@ -30,13 +30,16 @@ func (p *Plane) Crash(b int32) {
 //	in-doubt state          decision record    resolution
 //	prepared (hold held)    commit logged      commit entry
 //	prepared (hold held)    abort logged       abort entry
-//	prepared (hold held)    none               abort entry (presumed abort)
+//	prepared (hold held)    none               abort entry (presumed abort, recorded)
 //
 // The resolutions are logged as one batch record and applied through
-// applyBatchEntries, like a record the coordinator delivered. The shared
-// metrics mirror is coordinator-owned and untouched by replay, so recovery
-// never double-counts a reservation. Recovering a broker that is not
-// crashed is a no-op.
+// applyBatchEntries, like a record the coordinator delivered; an abort
+// credits its holds through Plane.credit, wherever their rows went while the
+// broker was down. Records backlogged toward it stay backlogged and land
+// after this, fenced or applied like any late delivery. The shared metrics
+// mirror is coordinator-owned and untouched by replay, so recovery never
+// double-counts a reservation. Recovering a broker that is not crashed is a
+// no-op.
 func (p *Plane) Recover(b int32) {
 	if !p.crashed[b] {
 		return
@@ -44,7 +47,7 @@ func (p *Plane) Recover(b int32) {
 	delete(p.crashed, b)
 	a := p.agents[b]
 	if a == nil {
-		return // no longer a coalition member; ledger migration moved on
+		return // departed while crashed: SetBrokers settled its log then
 	}
 	var rows map[int32]float64
 	rows, a.holds, a.done, a.seen = p.walOf(b).replay(p.top.Graph)
@@ -54,9 +57,8 @@ func (p *Plane) Recover(b int32) {
 	doubt := inDoubt(a.holds)
 	var entries []BatchEntry
 	for _, key := range doubt {
-		e := BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch}
-		if p.decided[key] {
-			e.Kind = EntryCommit
+		e := p.resolve(key)
+		if e.Kind == EntryCommit {
 			p.stats.InDoubtCommitted++
 		} else {
 			p.stats.InDoubtAborted++
@@ -67,6 +69,23 @@ func (p *Plane) Recover(b int32) {
 	delete(p.d.breakers, b)
 	p.stats.Recoveries++
 	p.flight.Recordf("ctrlplane", "recover", int64(p.d.Now()), "broker %d: %d holds in doubt", b, len(doubt))
+}
+
+// resolve returns the entry that settles attempt key at an agent holding on
+// it with no decision record of its own: a commit when the coordinator
+// decided commit, an abort otherwise. An abort the coordinator never decided
+// is presumed, and recorded in decided before the entry is returned, so a
+// later CommitPrepared for the attempt is refused instead of committing over
+// capacity the abort credits back. The lease sweep, Recover and a departing
+// member's settlement (depart) are the three places an abort is presumed.
+func (p *Plane) resolve(key sessKey) BatchEntry {
+	e := BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch}
+	if p.decided[key] {
+		e.Kind = EntryCommit
+	} else {
+		p.decided[key] = false
+	}
+	return e
 }
 
 // applyLocal logs and applies a batch record that no message carried: the
@@ -103,9 +122,6 @@ func (p *Plane) ExpireLeases() int {
 		a := p.agents[b]
 		var entries []BatchEntry
 		for _, key := range inDoubt(a.holds) {
-			if p.decided[key] {
-				continue
-			}
 			lapsed := len(a.holds[key]) > 0
 			for _, h := range a.holds[key] {
 				if h.expires == 0 || h.expires > p.d.Now() {
@@ -116,8 +132,11 @@ func (p *Plane) ExpireLeases() int {
 			if !lapsed {
 				continue
 			}
-			p.decided[key] = false
-			entries = append(entries, BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch})
+			e := p.resolve(key)
+			if e.Kind == EntryCommit {
+				continue // the backlogged commit record will land
+			}
+			entries = append(entries, e)
 			p.stats.LeaseExpiries++
 			p.flight.Recordf("ctrlplane", "lease_expire", int64(p.d.Now()), "session %d.%d swept at broker %d", key.ID, key.Epoch, b)
 		}

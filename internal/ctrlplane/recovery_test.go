@@ -256,6 +256,31 @@ func TestInDoubtResolvesToAbort(t *testing.T) {
 	}
 }
 
+// A broker that recovers holding a prepared attempt nobody decided presumes
+// it aborted and credits its holds; the coordinator records that abort, so a
+// later commit is refused, and the refusal sends the abort to every hop
+// owner so that none keeps a hold.
+func TestRecoveredPresumedAbortRefusesCommit(t *testing.T) {
+	top, m := lineTop(t)
+	p := New(top, m, []int32{1, 3})
+	ctx := context.Background()
+	s, err := p.PrepareOnPath(ctx, []int32{0, 1, 2, 3, 4}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Crash(3)
+	p.Recover(3)
+	if err := p.CommitPrepared(ctx, s); err == nil {
+		t.Fatal("commit of an attempt presumed aborted at recovery succeeded")
+	}
+	if s.State != StateAborted {
+		t.Fatalf("state = %v, want aborted", s.State)
+	}
+	if err := p.CheckInvariants(nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Teardown toward a crashed owner backlogs the release record; the agent's ledger
 // catches up once it recovers and the backlog drains.
 func TestBacklogDrainsAfterRecovery(t *testing.T) {

@@ -21,10 +21,9 @@ import (
 type walOp uint8
 
 const (
-	// walSnapshot is a full image of the agent's ledger rows, written when
-	// the agent is created — at plane construction and when SetBrokers adds
-	// it — and when SetBrokers re-seeds a crashed member. Replay starts from
-	// the last snapshot.
+	// walSnapshot is a full image of the agent's ledger rows, written only
+	// when the agent is created: at plane construction and when SetBrokers
+	// adds it. Replay starts from the last snapshot.
 	walSnapshot walOp = iota + 1
 	// walHold records a PREPARE hold placed on a link.
 	walHold
@@ -38,8 +37,8 @@ const (
 	walCommit
 	walAbort
 	// walMigrate records a membership change that moved rows to or from a
-	// surviving agent: the links it lost, then the links it gained with
-	// their residuals.
+	// surviving agent, crashed or not: the links it lost, then the links it
+	// gained with their residuals.
 	walMigrate
 	// walCredit records capacity another agent gave back to a link this one
 	// owns: the hold or the release was the other agent's, and the link moved
