@@ -45,39 +45,55 @@ type BatchEntry struct {
 // applyBatchEntries applies a batch record to an agent's holds and done
 // fencing, per session — a commit or abort of an already finalized attempt
 // is a no-op — and hands every capacity credit the record makes (an aborted
-// attempt's holds, a released hop; by ledger row of g) to credit. It is the
-// only function that changes a ledger on a decision — shared by live
-// delivery (deliver's MsgBatch case), WAL replay, and the records a lease
-// sweep or a recovery writes locally — which is exactly what makes a broker
-// crash between the batch append and the apply harmless: recovery reaches
-// the same state the apply would have.
-func applyBatchEntries(g *graph.Graph, holds map[sessKey][]hold, done map[sessKey]walOp, entries []BatchEntry, credit func(link int32, bw float64)) {
+// attempt's holds, a released hop; by ledger row of g) to credit. id is the
+// record's MsgID (0: written locally); it is what a finalized attempt is
+// fenced by (see fence). It is the only function that changes a ledger on a
+// decision — shared by live delivery (deliver's MsgBatch case), WAL replay,
+// and the records a lease sweep or a recovery writes locally — which is
+// exactly what makes a broker crash between the batch append and the apply
+// harmless: recovery reaches the same state the apply would have.
+func applyBatchEntries(g *graph.Graph, holds map[sessKey][]hold, done map[sessKey]fence, entries []BatchEntry, id uint64, credit func(link int32, bw float64)) {
 	for _, e := range entries {
 		key := sessKey{e.ID, e.Epoch}
 		switch e.Kind {
 		case EntryCommit:
-			if done[key] != 0 {
-				continue // finalized: idempotent
+			if _, finalized := done[key]; finalized {
+				continue // idempotent
 			}
 			// Holds become durable allocations: availability stays
 			// deducted, the hold records retire.
+			done[key] = fence{walCommit, fencedAt(holds[key], id)}
 			delete(holds, key)
-			done[key] = walCommit
 		case EntryAbort:
-			if done[key] != 0 {
+			if _, finalized := done[key]; finalized {
 				continue
 			}
 			for _, h := range holds[key] {
 				credit(h.link, h.bw)
 			}
+			done[key] = fence{walAbort, fencedAt(holds[key], id)}
 			delete(holds, key)
-			done[key] = walAbort
 		case EntryRelease:
 			if l := linkOf(g, e.Hop[0], e.Hop[1]); l >= 0 {
 				credit(l, e.BW)
 			}
 		}
 	}
+}
+
+// fencedAt is the id an attempt finalized by record id is fenced by: the
+// record's own, which every PREPARE of the attempt precedes, or, for a record
+// written locally, the highest PREPARE the agent held for the attempt — the
+// coordinator's watermark never stops inside one attempt's PREPAREs, so once
+// it passes that one it has passed them all.
+func fencedAt(holds []hold, id uint64) uint64 {
+	if id != 0 {
+		return id
+	}
+	for _, h := range holds {
+		id = max(id, h.id)
+	}
+	return id
 }
 
 // BatchOpKind enumerates the lifecycle operations CommitBatch coalesces.
@@ -176,6 +192,10 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 		// recorded for any setup in the batch. Leased holds self-expire via
 		// the tick sweep's presumed abort; every op is reported failed.
 		p.flight.Recordf("ctrlplane", "batch_crash", int64(p.d.Now()), "coordinator died mid-batch, %d setups in doubt", len(opened))
+		// Its memory of the attempts went with it: nothing pins them now.
+		for _, s := range opened {
+			delete(p.pinned, sessKey{s.ID, s.Epoch})
+		}
 		for i := range results {
 			if results[i].Err == nil {
 				results[i].Err = fmt.Errorf("ctrlplane: coordinator crashed mid-batch")

@@ -37,6 +37,7 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"brokerset/internal/obs"
@@ -159,6 +160,12 @@ type Message struct {
 	// for (0 = untraced). It rides the wire so a remote sub-coordinator can
 	// stitch its spans into the originating trace.
 	Trace uint64
+	// Watermark is the sender's fencing watermark (PREPARE, X-PREPARE and
+	// BATCH; 0 on replies and gossip): the lowest MsgID it may still need
+	// answered. A receiver treats a request below the highest watermark it
+	// has seen as a straggler — answered, never applied — and forgets what
+	// it remembered of ids below it.
+	Watermark uint64
 	// Batch is the group-commit decision record (Type == MsgBatch only;
 	// variable-length on the wire, see Encode).
 	Batch []BatchEntry
@@ -334,14 +341,27 @@ type Plane struct {
 	// d delivers PREPAREs and decision records to the agents: retries,
 	// backlog and per-broker circuit breakers live there.
 	d *Delivery
-	// wals is each broker's durable write-ahead log, keyed by node id so
-	// it survives crashes and membership changes.
+	// wals is each member's durable write-ahead log, keyed by node id so
+	// it survives crashes and membership changes; a departure frees it.
 	wals map[int32]*wal
+	// checkpoints counts checkpoints appended to any log.
+	checkpoints int
 	// decided is the coordinator's durable decision record: commit points
 	// and abort decisions per setup attempt, presumed aborts included —
 	// wherever an agent gives back an undecided hold (resolve), the abort is
-	// recorded here first. Recovery resolves in-doubt holds against it.
-	decided map[sessKey]bool
+	// recorded here first. Recovery resolves in-doubt holds against it. An
+	// attempt with no entry is presumed aborted: an entry goes (retire) once
+	// the watermark has passed every record that carried it, so no agent can
+	// still hold for it in doubt. retiring lists the entries in the order
+	// they were recorded, each with the last MsgID it waits on.
+	decided  map[sessKey]bool
+	retiring []retiree
+	// pinned maps every attempt prepared and not yet decided to its first
+	// PREPARE's MsgID, which holds the watermark down (Delivery.floor). An
+	// attempt whose abort was presumed (resolve), or that a coordinator
+	// crash orphaned, is no longer pinned, so a StatePrepared session that
+	// is not pinned can only be aborted.
+	pinned map[sessKey]uint64
 
 	// leaseNow overrides the session-lease clock (nil: the virtual clock).
 	leaseNow func() int64
@@ -353,6 +373,10 @@ type Plane struct {
 	// apply, whichever entry point sent the record.
 	batchPrepareCrash func() bool
 	batchWALCrash     func(b int32) bool
+	// walAppended, when non-nil, is handed every record appended to any
+	// broker's log, checkpoints included, right after the append — the seam
+	// the checkpoint oracle replays the full history from.
+	walAppended func(b int32, r walRecord)
 
 	// flight records recent protocol events for post-mortem dumps; nil
 	// (the default) disables recording at zero cost.
@@ -383,10 +407,18 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 		crashed: make(map[int32]bool),
 		wals:    make(map[int32]*wal),
 		decided: make(map[sessKey]bool),
+		pinned:  make(map[sessKey]uint64),
 	}
 	p.d = NewDelivery("ctrlplane", NewFaultTransport(FaultConfig{}), RetryConfig{})
 	p.d.Dispatch = p.dispatch
 	p.d.Down = func(b int32) bool { return p.crashed[b] }
+	p.d.floor = func() uint64 {
+		lo := uint64(math.MaxUint64)
+		for _, id := range p.pinned {
+			lo = min(lo, id)
+		}
+		return lo
+	}
 	for _, b := range brokers {
 		p.inB[b] = true
 	}
@@ -422,8 +454,8 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	})
 	start := int32(0)
 	for _, b := range p.Brokers() {
-		p.agents[b] = newAgent(b)
-		p.walOf(b).append(walRecord{Op: walSnapshot, Ledger: &ledgerDelta{Gained: rows[start:next[b]:next[b]]}})
+		p.agents[b] = newAgent(b, 0)
+		p.logCheckpoint(b, &image{Rows: rows[start:next[b]:next[b]]})
 		start = next[b]
 	}
 	return p
@@ -508,14 +540,49 @@ func (p *Plane) Setup(ctx context.Context, src, dst int, bw float64, opts routin
 	return s, nil
 }
 
-// tick advances virtual time by one operation, sweeps lapsed leases, and
-// lazily re-drives the backlog of undelivered decisions.
+// tick advances virtual time by one operation, sweeps lapsed leases, lazily
+// re-drives the backlog of undelivered decisions, and retires the decisions
+// the watermark has passed.
 func (p *Plane) tick() {
 	p.d.Tick()
 	if p.d.Retry.LeaseTTL > 0 {
 		p.ExpireLeases()
 	}
 	p.d.Flush()
+	p.retire()
+}
+
+// retiree is one decided entry waiting for the watermark: after is the last
+// MsgID that can carry its decision to an agent.
+type retiree struct {
+	key   sessKey
+	after uint64
+}
+
+// setDecided enters the coordinator's decision about attempt key and unpins
+// it. The entry retires once the watermark passes every id drawn so far, so
+// a decision is entered after the records that carry it have drawn theirs.
+func (p *Plane) setDecided(key sessKey, commit bool) {
+	p.decided[key] = commit
+	delete(p.pinned, key)
+	p.retiring = append(p.retiring, retiree{key, p.d.nextMsg})
+}
+
+// retire forgets the decisions the watermark has passed: every record that
+// carried one has been acknowledged (or its target left, settled by depart),
+// so no agent holds for the attempt in doubt, and a missing entry reads as
+// the abort it would be presumed to be. Entries were queued with
+// nondecreasing after, so the ones to go are a prefix.
+func (p *Plane) retire() {
+	q := p.retiring
+	n := 0
+	for n < len(q) && q[n].after < p.d.w {
+		delete(p.decided, q[n].key)
+		n++
+	}
+	if n > 0 { // what is left moves to the front: the queue keeps its array
+		p.retiring = q[:copy(q, q[n:])]
+	}
 }
 
 // Tick advances virtual time one step without running an operation: lapsed
@@ -563,7 +630,7 @@ func (p *Plane) open(s *Session, nodes []int32) error {
 	}
 	for _, owner := range s.owners {
 		if p.d.BreakerOpen(owner) {
-			p.decided[sessKey{s.ID, s.Epoch}] = false
+			p.setDecided(sessKey{s.ID, s.Epoch}, false)
 			p.flight.Recordf("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d ABORT (breaker %d open)", s.ID, s.Epoch, owner)
 			p.stats.BreakerFastFails++
 			p.stats.Aborts++
@@ -582,7 +649,8 @@ func (p *Plane) open(s *Session, nodes []int32) error {
 // index-aligned: nil leaves the attempt StatePrepared with every hop held;
 // an error names why it cannot commit. Nothing is decided here — the caller
 // follows with decide for every attempt, failed ones included, because some
-// of their hops may be held.
+// of their hops may be held. Each attempt's PREPAREs take consecutive ids,
+// and the first pins the watermark until the attempt is decided.
 func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []error {
 	var msgs []Message
 	of := make(map[uint64]int) // PREPARE MsgID -> index into ss
@@ -597,6 +665,9 @@ func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []e
 				SessionID: s.ID, Epoch: s.Epoch, MsgID: p.d.NextID(),
 				Hop: hopKey(s.Path[h], s.Path[h+1]), Bandwidth: s.Bandwidth,
 				Lease: uint32(p.d.Retry.LeaseTTL), Trace: trace,
+			}
+			if h == 0 {
+				p.pinned[sessKey{s.ID, s.Epoch}] = m.MsgID
 			}
 			of[m.MsgID] = i
 			msgs = append(msgs, m)
@@ -650,7 +721,6 @@ func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []e
 func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session) []error {
 	entries := make(map[int32][]BatchEntry) // broker -> its slice of the record
 	record := func(s *Session, kind BatchEntryKind, verdict string) {
-		p.decided[sessKey{s.ID, s.Epoch}] = kind == EntryCommit
 		p.flight.Recordf("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d %s", s.ID, s.Epoch, verdict)
 		for _, owner := range uniqueOwners(s.owners) {
 			entries[owner] = append(entries[owner], BatchEntry{Kind: kind, ID: s.ID, Epoch: s.Epoch})
@@ -703,6 +773,14 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 			From: Coordinator, To: b, Type: MsgBatch,
 			MsgID: p.d.NextID(), Batch: entries[b], Trace: obs.TraceIDFrom(ctx),
 		})
+	}
+	// The commit point: every decision is recorded before a record is sent,
+	// and waits on the last of them.
+	for _, s := range commits {
+		p.setDecided(sessKey{s.ID, s.Epoch}, true)
+	}
+	for _, s := range aborts {
+		p.setDecided(sessKey{s.ID, s.Epoch}, false)
 	}
 	if len(msgs) > 0 {
 		_, pending := p.d.Broadcast(ctx, msgs)
@@ -773,18 +851,18 @@ func (p *Plane) PrepareOnPath(ctx context.Context, nodes []int32, bw float64) (*
 
 // CommitPrepared drives a prepared setup to its commit point. When an abort
 // was already presumed for the attempt — a hop owner's lease sweep, its
-// recovery or its departure from the coalition took a hold back (resolve) —
-// the commit is refused: the abort is decided and sent to every hop owner, so
-// no participant keeps a hold, the session is left StateAborted, and an
-// error is returned. The caller must treat the attempt as failed (the
-// federation layer answers a refused sub-commit with BATCH-NACK so the home
-// region rolls the stitched session back).
+// recovery or its departure from the coalition took a hold back (resolve),
+// which also unpins it — the commit is refused: the abort is decided and
+// sent to every hop owner, so no participant keeps a hold, the session is
+// left StateAborted, and an error is returned. The caller must treat the
+// attempt as failed (the federation layer answers a refused sub-commit with
+// BATCH-NACK so the home region rolls the stitched session back).
 func (p *Plane) CommitPrepared(ctx context.Context, s *Session) error {
 	if s == nil || s.State != StatePrepared {
 		return fmt.Errorf("ctrlplane: commit of non-prepared session")
 	}
 	p.tick()
-	if dec, ok := p.decided[sessKey{s.ID, s.Epoch}]; ok && !dec {
+	if _, ok := p.pinned[sessKey{s.ID, s.Epoch}]; !ok {
 		p.decide(ctx, nil, []*Session{s}, nil)
 		return fmt.Errorf("ctrlplane: session %d.%d presumed aborted before commit (lease expired, or a holder recovered or left)", s.ID, s.Epoch)
 	}

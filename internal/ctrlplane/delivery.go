@@ -20,8 +20,9 @@ import (
 // and what a refusal of a backlogged request means.
 //
 // A message with a non-zero AckFor is a reply and settles the request it
-// names; every other message is handed to Dispatch. Like its owners, a
-// Delivery is not safe for concurrent use.
+// names; every other message is handed to Dispatch. Every request the
+// engine sends carries its fencing watermark (see advance), one rule for
+// both owners. Like its owners, a Delivery is not safe for concurrent use.
 type Delivery struct {
 	// Transport carries the messages; Retry is the tuning, defaults applied
 	// (NewDelivery fills them). Flight, when non-nil, records sends, backlog
@@ -57,8 +58,17 @@ type Delivery struct {
 	// clock is the protocol's virtual time (Now): the owner ticks it once per
 	// operation (Tick), the engine once per retry round and once per
 	// Reconcile round, and it paces breaker cooldowns and lease expiry.
-	clock    int
-	nextMsg  uint64
+	clock   int
+	nextMsg uint64
+	// w is the fencing watermark: the lowest MsgID that may still need an
+	// answer — every request in flight or backlogged, and whatever floor
+	// reports. It never decreases, and every request carries it
+	// (Message.Watermark), so a receiver knows an id below it for a straggler.
+	w uint64
+	// floor, when non-nil, reports the lowest MsgID the owner itself still
+	// needs answered (math.MaxUint64: none): a Plane's attempts prepared and
+	// not yet decided.
+	floor    func() uint64
 	breakers map[int32]*breaker
 	// backlog holds decided-but-unacknowledged requests; Flush re-drives
 	// them. backlogWait defers individual re-sends when RetryJitterTicks is
@@ -106,6 +116,25 @@ func (d *Delivery) NextID() uint64 {
 	return d.nextMsg
 }
 
+// advance moves the watermark up to the lowest id still outstanding: the
+// requests of the broadcast about to start (inflight), the backlog, the
+// owner's floor, and otherwise the next id to be issued. It returns the
+// watermark, which the requests sent next carry.
+func (d *Delivery) advance(inflight []Message) uint64 {
+	lo := d.nextMsg + 1
+	for _, m := range inflight {
+		lo = min(lo, m.MsgID)
+	}
+	for id := range d.backlog {
+		lo = min(lo, id)
+	}
+	if d.floor != nil {
+		lo = min(lo, d.floor())
+	}
+	d.w = max(d.w, lo)
+	return d.w
+}
+
 // Send pushes a message onto the transport and counts it.
 func (d *Delivery) Send(m Message) {
 	d.Sent++
@@ -133,15 +162,16 @@ type rpcOutcome struct {
 // Broadcast sends msgs and pumps the transport, retrying unacknowledged
 // messages one virtual tick apart until every message is answered, every
 // message's MaxAttempts send budget is spent, or ctx expires. It returns
-// the requests that were refused and the ones still unanswered, by MsgID;
-// the rest were acknowledged. Under RetryConfig.RetryJitterTicks a
-// seeded-random 0..RetryJitterTicks extra rounds pass between a message's
-// sends, rolled independently per message — two setups whose retries would
-// collide on the same tick de-synchronize instead of hammering the same
-// target in lockstep; with jitter 0 every wait is 0 and the jitter stream is
-// never drawn from. Requests to targets Down reports are not wasted on the
-// wire. Timeout streaks feed the circuit breakers — unless ctx ended the
-// round: a caller that gave up says nothing about the target's health.
+// the requests that were refused and the ones still unanswered, by MsgID,
+// each carrying the watermark it was sent with; the rest were acknowledged.
+// Under RetryConfig.RetryJitterTicks a seeded-random 0..RetryJitterTicks
+// extra rounds pass between a message's sends, rolled independently per
+// message — two setups whose retries would collide on the same tick
+// de-synchronize instead of hammering the same target in lockstep; with
+// jitter 0 every wait is 0 and the jitter stream is never drawn from.
+// Requests to targets Down reports are not wasted on the wire. Timeout
+// streaks feed the circuit breakers — unless ctx ended the round: a caller
+// that gave up says nothing about the target's health.
 func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pending map[uint64]Message) {
 	ctx, span := obs.StartSpan(ctx, "2pc.broadcast")
 	defer span.End()
@@ -153,7 +183,9 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 		nacked:  make(map[uint64]Message),
 		pending: make(map[uint64]Message, len(msgs)),
 	}
+	w := d.advance(msgs)
 	for _, m := range msgs {
+		m.Watermark = w
 		out.pending[m.MsgID] = m
 	}
 	jitter, budget := d.Retry.RetryJitterTicks, d.Retry.MaxAttempts
@@ -299,8 +331,9 @@ func (d *Delivery) Cancel(match func(m Message) bool) {
 
 // Flush re-sends every backlogged request whose target is not known down
 // and pumps the replies — lazy anti-entropy, run at the top of every
-// operation.
+// operation. A re-send carries the current watermark.
 func (d *Delivery) Flush() {
+	w := d.advance(nil)
 	if len(d.backlog) == 0 {
 		return
 	}
@@ -309,6 +342,10 @@ func (d *Delivery) Flush() {
 		m := d.backlog[id]
 		if d.down(m.To) {
 			continue // redelivered once the target is back
+		}
+		if m.Watermark != w {
+			m.Watermark = w
+			d.backlog[id] = m
 		}
 		if jitter > 0 {
 			// Spread the post-heal catch-up storm: each backlog entry's

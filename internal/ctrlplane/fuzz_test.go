@@ -22,6 +22,10 @@ func FuzzMessageCodec(f *testing.F) {
 	f.Add(Message{From: PeerAddr(0), To: PeerAddr(1), Type: MsgBatch, SessionID: 1, Epoch: 1, MsgID: 5, Trace: 7,
 		Batch: []BatchEntry{{Kind: EntryCommit, ID: 1, Epoch: 1}}}.Encode(nil))
 	f.Add(Message{From: PeerAddr(1), To: PeerAddr(0), Type: MsgBatchNack, SessionID: 1, Epoch: 1, MsgID: 6, AckFor: 5}.Encode(nil))
+	// Requests carry the sender's watermark in the header's last 8 bytes
+	// (73-byte frames since the watermark; 65 before it).
+	f.Add(Message{Type: MsgPrepare, SessionID: 3, Epoch: 1, MsgID: 12, Hop: [2]int32{1, 2}, Bandwidth: 1, Watermark: 9}.Encode(nil))
+	f.Add(Message{From: PeerAddr(0), To: PeerAddr(1), Type: MsgXPrepare, SessionID: 3, Epoch: 2, MsgID: 40, Watermark: 40}.Encode(nil))
 	// The retired COMMIT..RELEASE-ACK and X-COMMIT..X-RELEASE-ACK type bytes
 	// must be refused, not panic and not decode as something else.
 	for _, typ := range []byte{4, 5, 6, 7, 8, 9, 13, 14, 15, 16, 17, 18, 19} {
@@ -65,6 +69,9 @@ func FuzzBatchCodec(f *testing.F) {
 	// A peer decision record (records between regions name one session).
 	f.Add(Message{From: PeerAddr(0), To: PeerAddr(2), Type: MsgBatch, SessionID: 6, Epoch: 2, MsgID: 10, Trace: 9,
 		Batch: []BatchEntry{{Kind: EntryRelease, ID: 6, Epoch: 2}}}.Encode(nil))
+	f.Add(Message{From: Coordinator, To: 1, Type: MsgBatch, MsgID: 30, Watermark: 17, Batch: []BatchEntry{
+		{Kind: EntryCommit, ID: 8, Epoch: 1},
+	}}.Encode(nil))
 	// A frame with a retired peer type byte and a batch body behind it.
 	for typ := byte(13); typ <= 19; typ++ {
 		retired := Message{Type: MsgBatch, MsgID: 11, Batch: []BatchEntry{{Kind: EntryAbort, ID: 6, Epoch: 2}}}.Encode(nil)
@@ -130,6 +137,13 @@ func FuzzDeliverIdempotent(f *testing.F) {
 		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{0, 1}, BW: 2},
 		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{1, 2}, BW: 2},
 	}}.Encode(nil))
+	// A release, then a PREPARE whose watermark passes it, then the release
+	// again: a straggler now, acked and not applied.
+	release := Message{To: 1, Type: MsgBatch, MsgID: 5, Batch: []BatchEntry{
+		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{0, 1}, BW: 2},
+	}}
+	f.Add(release.Encode(Message{To: 1, Type: MsgPrepare, SessionID: 2, Epoch: 1, MsgID: 7, Hop: [2]int32{0, 1}, Bandwidth: 1, Watermark: 6}.Encode(
+		release.Encode(nil))))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top, m := lineTop(t)
 		p := New(top, m, []int32{1, 2, 3})

@@ -2,8 +2,8 @@ package ctrlplane
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 
 	"brokerset/internal/graph"
 )
@@ -21,22 +21,31 @@ import (
 // rewrites them from its WAL.
 
 // agent is one broker's volatile protocol state: per-attempt holds, dedup
-// memory, and the fencing record of finalized attempts. All of it is lost on
-// Crash; the WAL is the durable side.
+// memory, the fencing record of finalized attempts, and the watermark that
+// bounds the last two. All of it is lost on Crash; the WAL is the durable
+// side.
 type agent struct {
 	id    int32
 	holds map[sessKey][]hold
-	seen  map[uint64]struct{}
-	done  map[sessKey]walOp
+	// seen holds the MsgIDs the agent logged, and done the attempts it
+	// finalized, at or above w — plus whatever fell below w since the last
+	// checkpoint, which drops it (Plane.checkpoint).
+	seen map[uint64]struct{}
+	done map[sessKey]fence
+	// w is the highest watermark a request carried here: a request below it
+	// is a straggler.
+	w uint64
 }
 
-// newAgent returns broker b's agent with empty protocol state.
-func newAgent(b int32) *agent {
+// newAgent returns broker b's agent with empty protocol state and watermark
+// w.
+func newAgent(b int32, w uint64) *agent {
 	return &agent{
 		id:    b,
 		holds: make(map[sessKey][]hold),
 		seen:  make(map[uint64]struct{}),
-		done:  make(map[sessKey]walOp),
+		done:  make(map[sessKey]fence),
+		w:     w,
 	}
 }
 
@@ -46,6 +55,8 @@ type hold struct {
 	// expires is the virtual clock tick after which the hold's lease has
 	// lapsed (0 = no lease).
 	expires int
+	// id is the MsgID of the PREPARE that placed the hold.
+	id uint64
 }
 
 // ledgerRow is one link's row with its residual, as a WAL record carries it.
@@ -77,6 +88,24 @@ func (p *Plane) walOf(b int32) *wal {
 		p.wals[b] = w
 	}
 	return w
+}
+
+// logRecord appends r to broker b's durable log and returns the log. Every
+// record reaches a log here.
+func (p *Plane) logRecord(b int32, r walRecord) *wal {
+	w := p.walOf(b)
+	w.append(r)
+	if p.walAppended != nil {
+		p.walAppended(b, r)
+	}
+	return w
+}
+
+// logCheckpoint checkpoints broker b's log with img: the checkpoint is
+// appended, then everything before it dropped.
+func (p *Plane) logCheckpoint(b int32, img *image) {
+	p.logRecord(b, walRecord{Op: walCheckpoint, Image: img}).truncate()
+	p.checkpoints++
 }
 
 // ownerOf returns the broker agent owning link (u,v): the lower-id broker
@@ -124,11 +153,18 @@ func hopKey(u, v int32) [2]int32 {
 }
 
 // rowsOf returns broker b's ledger rows with their residuals, in ascending
-// link order: the rows of its incident links it owns.
+// link order: the rows of its incident links it owns. A link to a
+// higher-id neighbor is b's own arc, so only the lower-id ones are looked up.
 func (p *Plane) rowsOf(b int32) []ledgerRow {
-	out := make([]ledgerRow, 0, p.top.Graph.Degree(int(b)))
-	for _, v := range p.top.Graph.Neighbors(int(b)) {
-		if l := p.link(b, v); p.owner[l] == b {
+	g := p.top.Graph
+	out := make([]ledgerRow, 0, g.Degree(int(b)))
+	off := int32(g.ArcOffset(int(b)))
+	for i, v := range g.Neighbors(int(b)) {
+		l := off + int32(i)
+		if v < b {
+			l = p.link(b, v)
+		}
+		if p.owner[l] == b {
 			out = append(out, ledgerRow{l, p.avail[l]})
 		}
 	}
@@ -149,7 +185,59 @@ func (p *Plane) credit(id, l int32, bw float64) {
 	}
 	p.avail[l] += bw
 	if o != id {
-		p.walOf(o).append(walRecord{Op: walCredit, Link: l, BW: bw})
+		p.logRecord(o, walRecord{Op: walCredit, Link: l, BW: bw})
+		p.compact(o)
+	}
+}
+
+// compact checkpoints live member b's log once its tail has passed its
+// budget. Call it only where b's state is whole — after a logged record has
+// been applied — since the checkpoint is taken from it. A crashed member's
+// log is left to grow until Recover, which has its state back.
+func (p *Plane) compact(b int32) {
+	if a := p.agents[b]; a != nil && !p.crashed[b] && p.wals[b].full() {
+		p.checkpoint(a)
+	}
+}
+
+// checkpoint appends a checkpoint of live agent a to its log, dropping every
+// record before it, and forgets what its watermark has passed: the fencing
+// and dedup memory below it, and the commit counts of attempts no longer
+// fenced. Only clipped hold slices go into the image, so neither the agent
+// nor a replay ever appends into one.
+func (p *Plane) checkpoint(a *agent) {
+	img := &image{
+		Rows:  p.rowsOf(a.id),
+		Holds: make(map[sessKey][]hold, len(a.holds)),
+		Done:  make(map[sessKey]fence),
+		W:     a.w,
+	}
+	for k, hs := range a.holds {
+		img.Holds[k] = slices.Clip(hs)
+	}
+	for k, f := range a.done {
+		if f.at >= a.w {
+			img.Done[k] = f
+		}
+	}
+	for id := range a.seen {
+		if id >= a.w {
+			img.Seen = append(img.Seen, id)
+		}
+	}
+	for k, n := range p.wals[a.id].commitCounts() {
+		if _, fenced := img.Done[k]; fenced {
+			if img.Commits == nil {
+				img.Commits = make(map[sessKey]int)
+			}
+			img.Commits[k] = n
+		}
+	}
+	p.logCheckpoint(a.id, img)
+	a.done = maps.Clone(img.Done)
+	a.seen = make(map[uint64]struct{}, len(img.Seen))
+	for _, id := range img.Seen {
+		a.seen[id] = struct{}{}
 	}
 }
 
@@ -165,10 +253,10 @@ func (p *Plane) credit(id, l int32, bw float64) {
 // other: surviving members keep their holds, dedup memory, fencing and
 // backlog, and each one whose rows changed logs one migration record (the
 // links it lost, then the links it gained with their residuals); only an
-// added member logs a snapshot of its rows. A departing member settles what
-// it was sent before its agent goes (depart). Crash marks and breaker state
-// persist across membership changes (they key off the node id). Added and
-// removed report the membership delta.
+// added member starts a log, with a checkpoint of its rows. A departing
+// member settles what it was sent before its agent and its log go (depart).
+// Crash marks and breaker state persist across membership changes (they key
+// off the node id). Added and removed report the membership delta.
 func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	newIn := make([]bool, len(p.inB))
 	for _, b := range brokers {
@@ -227,11 +315,12 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 		}
 	}
 	for b, d := range moves {
-		p.walOf(b).append(walRecord{Op: walMigrate, Ledger: d})
+		p.logRecord(b, walRecord{Op: walMigrate, Ledger: d})
+		p.compact(b)
 	}
 	for _, b := range added {
-		p.agents[b] = newAgent(b)
-		p.walOf(b).append(walRecord{Op: walSnapshot, Ledger: &ledgerDelta{Gained: p.rowsOf(b)}})
+		p.agents[b] = newAgent(b, p.d.w)
+		p.logCheckpoint(b, &image{Rows: p.rowsOf(b), W: p.d.w})
 	}
 	for _, b := range removed {
 		p.depart(b)
@@ -243,25 +332,27 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 }
 
 // depart settles departing member b's account on the rows' new owners and
-// drops its agent. Every record backlogged toward b that b has not applied is
-// applied on its behalf — a release credits its hop, an abort credits b's
-// holds of that attempt, a commit retires them — and every hold still
-// undecided is presumed aborted (resolve) and credited. A crashed member's
-// holds, fencing and applied message ids come from its log. Credits go
-// through credit, so they land wherever the rows went and are logged there;
-// a row that became unmanaged takes none.
+// drops its agent and its log. Every record backlogged toward b that b has
+// not applied is applied on its behalf — a release credits its hop, an abort
+// credits b's holds of that attempt, a commit retires them — and every hold
+// still undecided is presumed aborted (resolve) and credited. A crashed
+// member's holds, fencing and applied message ids come from its log (its
+// latest checkpoint and the tail: a backlogged id is at or above the
+// coordinator's watermark, which no agent's passes, so a checkpoint never
+// dropped it). Credits go through credit, so they land wherever the rows went
+// and are logged there; a row that became unmanaged takes none.
 func (p *Plane) depart(b int32) {
 	a := p.agents[b]
 	holds, done, seen := a.holds, a.done, a.seen
 	if p.crashed[b] {
-		_, holds, done, seen = p.walOf(b).replay(p.top.Graph)
+		_, holds, done, seen = p.wals[b].replay(p.top.Graph)
 	}
 	g := p.top.Graph
 	credit := func(l int32, bw float64) { p.credit(b, l, bw) }
 	for _, id := range sortedIDs(p.d.backlog) {
 		if m := p.d.backlog[id]; m.To == b {
 			if _, applied := seen[id]; !applied {
-				applyBatchEntries(g, holds, done, m.Batch, credit)
+				applyBatchEntries(g, holds, done, m.Batch, id, credit)
 			}
 		}
 	}
@@ -269,8 +360,9 @@ func (p *Plane) depart(b int32) {
 	for _, key := range inDoubt(holds) {
 		entries = append(entries, p.resolve(key))
 	}
-	applyBatchEntries(g, holds, done, entries, credit)
+	applyBatchEntries(g, holds, done, entries, 0, credit)
 	delete(p.agents, b)
+	delete(p.wals, b)
 }
 
 // Available returns the ledgered available capacity of the link (0 when
@@ -297,33 +389,29 @@ func (p *Plane) dispatch(m Message) {
 	p.deliver(a, m)
 }
 
-// maxSeen bounds an agent's dedup memory; beyond it the oldest half is
-// pruned (MsgIDs are monotonic, so pruning low ids retires the oldest
-// messages — anything that old has long since stopped being retried).
-const maxSeen = 16384
-
-func (a *agent) markSeen(id uint64) {
-	a.seen[id] = struct{}{}
-	if len(a.seen) <= maxSeen {
-		return
-	}
-	ids := make([]uint64, 0, len(a.seen))
-	for s := range a.seen {
-		ids = append(ids, s)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, s := range ids[:len(ids)/2] {
-		delete(a.seen, s)
-	}
-}
-
-// deliver runs one agent's state machine step. Every state change is
-// write-ahead logged before it applies; duplicates are answered from dedup
-// memory; messages for finalized attempts are fenced so stragglers cannot
-// resurrect holds.
+// deliver runs one agent's state machine step. A request first raises the
+// agent's watermark to the one it carries; a request below the watermark is
+// a straggler the coordinator no longer waits on, answered and never applied
+// — a PREPARE is refused and places no hold, a BATCH is acknowledged and not
+// logged. Every other state change is write-ahead logged before it applies;
+// duplicates are answered from dedup memory; PREPAREs for finalized attempts
+// are fenced so stragglers cannot resurrect holds. Once the step is applied,
+// a log past its budget is checkpointed.
 func (p *Plane) deliver(a *agent, m Message) {
 	p.flight.Recordf("ctrlplane", "deliver", int64(p.d.Now()), "%s at broker %d session %d.%d msg %d",
 		m.Type, a.id, m.SessionID, m.Epoch, m.MsgID)
+	if m.Type == MsgPrepare || m.Type == MsgBatch {
+		a.w = max(a.w, m.Watermark)
+		if m.MsgID < a.w {
+			p.stats.DupsDropped++
+			if m.Type == MsgPrepare {
+				p.d.Reply(m, MsgPrepareNack)
+			} else {
+				p.d.Reply(m, MsgBatchAck)
+			}
+			return
+		}
+	}
 	if _, dup := a.seen[m.MsgID]; dup {
 		p.stats.DupsDropped++
 		if ack, ok := ackFor(m.Type); ok {
@@ -332,12 +420,11 @@ func (p *Plane) deliver(a *agent, m Message) {
 		return
 	}
 	key := sessKey{m.SessionID, m.Epoch}
-	w := p.walOf(a.id)
 	switch m.Type {
 	case MsgPrepare:
-		if op, finalized := a.done[key]; finalized {
+		if f, finalized := a.done[key]; finalized {
 			// Stale PREPARE for a finalized attempt: never re-hold.
-			if op == walCommit {
+			if f.op == walCommit {
 				p.d.Reply(m, MsgPrepareAck)
 			} else {
 				p.d.Reply(m, MsgPrepareNack)
@@ -349,10 +436,10 @@ func (p *Plane) deliver(a *agent, m Message) {
 			if m.Lease > 0 {
 				exp = p.d.Now() + int(m.Lease)
 			}
-			w.append(walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Link: l, BW: m.Bandwidth, Expires: exp})
-			a.markSeen(m.MsgID)
+			p.logRecord(a.id, walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Link: l, BW: m.Bandwidth, Expires: exp})
+			a.seen[m.MsgID] = struct{}{}
 			p.avail[l] -= m.Bandwidth // place hold
-			a.holds[key] = append(a.holds[key], hold{link: l, bw: m.Bandwidth, expires: exp})
+			a.holds[key] = append(a.holds[key], hold{link: l, bw: m.Bandwidth, expires: exp, id: m.MsgID})
 			p.d.Reply(m, MsgPrepareAck)
 		} else {
 			// Nacks are not dedup-remembered: a retransmit re-evaluates
@@ -364,9 +451,9 @@ func (p *Plane) deliver(a *agent, m Message) {
 		// each entry then applies with per-session fencing, so
 		// crash-atomicity is per session, not per batch — replay resolves
 		// every entry independently.
-		w.append(walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})
-		a.markSeen(m.MsgID)
-		p.applyBatch(a, m.Batch)
+		p.logRecord(a.id, walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})
+		a.seen[m.MsgID] = struct{}{}
+		p.applyBatch(a, m.Batch, m.MsgID)
 		if p.batchWALCrash != nil && p.batchWALCrash(a.id) {
 			// Chaos seam: the broker dies in the durability window — batch
 			// record logged, nothing acked, and the agent's apply of it
@@ -381,10 +468,11 @@ func (p *Plane) deliver(a *agent, m Message) {
 		}
 		p.d.Reply(m, MsgBatchAck)
 	}
+	p.compact(a.id)
 }
 
-// applyBatch applies a decision record to live agent a's protocol state and
-// the ledger columns.
-func (p *Plane) applyBatch(a *agent, entries []BatchEntry) {
-	applyBatchEntries(p.top.Graph, a.holds, a.done, entries, func(l int32, bw float64) { p.credit(a.id, l, bw) })
+// applyBatch applies decision record id (0: written locally) to live agent
+// a's protocol state and the ledger columns.
+func (p *Plane) applyBatch(a *agent, entries []BatchEntry, id uint64) {
+	applyBatchEntries(p.top.Graph, a.holds, a.done, entries, id, func(l int32, bw float64) { p.credit(a.id, l, bw) })
 }

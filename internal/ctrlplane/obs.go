@@ -24,6 +24,10 @@ func (p *Plane) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 		s := p.Stats()
 		ts := p.d.Transport.Stats()
 		version := p.version
+		records, checkpoints := 0, p.checkpoints
+		for _, w := range p.wals {
+			records += len(w.recs)
+		}
 		lk.Unlock()
 		for _, m := range []struct {
 			name, help string
@@ -53,6 +57,8 @@ func (p *Plane) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 			{"ctrlplane_lease_session_expiries_total", "committed sessions presumed-released by lease expiry", obs.KindCounter, float64(s.SessionExpiries)},
 			{"ctrlplane_lease_hold_expiries_total", "prepared hold sets presumed-aborted by lease expiry", obs.KindCounter, float64(s.LeaseExpiries)},
 			{"ctrlplane_version", "committed capacity mutation count", obs.KindGauge, float64(version)},
+			{"ctrlplane_wal_records", "records across the members' write-ahead logs, checkpoints included", obs.KindGauge, float64(records)},
+			{"ctrlplane_wal_checkpoints_total", "write-ahead log checkpoints appended", obs.KindCounter, float64(checkpoints)},
 			{"transport_sent_total", "messages pushed onto the transport", obs.KindCounter, float64(ts.Sent)},
 			{"transport_delivered_total", "messages handed to receivers", obs.KindCounter, float64(ts.Delivered)},
 			{"transport_dropped_total", "messages dropped by fault injection", obs.KindCounter, float64(ts.Dropped)},

@@ -16,16 +16,16 @@ func (p *Plane) Crash(b int32) {
 	p.flight.Recordf("ctrlplane", "crash", int64(p.d.Now()), "broker %d", b)
 	p.crashed[b] = true
 	if a := p.agents[b]; a != nil {
-		a.holds, a.seen, a.done = nil, nil, nil
+		a.holds, a.seen, a.done, a.w = nil, nil, nil, 0
 	}
 }
 
 // Recover restarts a crashed broker: the agent's volatile state is rebuilt
-// by replaying its WAL (latest snapshot plus deltas — its ledger rows, which
-// are written back into the plane's columns, outstanding holds, dedup
-// memory, finalization fencing), and sessions the crash left in doubt (holds
-// with no decision record) are resolved against the coordinator's durable
-// commit point:
+// by replaying its WAL (latest checkpoint plus the records after it — its
+// ledger rows, which are written back into the plane's columns, outstanding
+// holds, dedup memory, finalization fencing and watermark), and sessions the
+// crash left in doubt (holds with no decision record) are resolved against
+// the coordinator's durable commit point:
 //
 //	in-doubt state          decision record    resolution
 //	prepared (hold held)    commit logged      commit entry
@@ -49,8 +49,10 @@ func (p *Plane) Recover(b int32) {
 	if a == nil {
 		return // departed while crashed: SetBrokers settled its log then
 	}
+	log := p.wals[b]
 	var rows map[int32]float64
-	rows, a.holds, a.done, a.seen = p.walOf(b).replay(p.top.Graph)
+	rows, a.holds, a.done, a.seen = log.replay(p.top.Graph)
+	a.w = log.watermark()
 	for l, avail := range rows {
 		p.avail[l] = avail
 	}
@@ -66,6 +68,7 @@ func (p *Plane) Recover(b int32) {
 		entries = append(entries, e)
 	}
 	p.applyLocal(a, entries)
+	p.compact(b)
 	delete(p.d.breakers, b)
 	p.stats.Recoveries++
 	p.flight.Recordf("ctrlplane", "recover", int64(p.d.Now()), "broker %d: %d holds in doubt", b, len(doubt))
@@ -74,16 +77,17 @@ func (p *Plane) Recover(b int32) {
 // resolve returns the entry that settles attempt key at an agent holding on
 // it with no decision record of its own: a commit when the coordinator
 // decided commit, an abort otherwise. An abort the coordinator never decided
-// is presumed, and recorded in decided before the entry is returned, so a
-// later CommitPrepared for the attempt is refused instead of committing over
-// capacity the abort credits back. The lease sweep, Recover and a departing
-// member's settlement (depart) are the three places an abort is presumed.
+// is presumed, recorded in decided and unpinned before the entry is returned,
+// so a later CommitPrepared for the attempt is refused instead of committing
+// over capacity the abort credits back. The lease sweep, Recover and a
+// departing member's settlement (depart) are the three places an abort is
+// presumed.
 func (p *Plane) resolve(key sessKey) BatchEntry {
 	e := BatchEntry{Kind: EntryAbort, ID: key.ID, Epoch: key.Epoch}
 	if p.decided[key] {
 		e.Kind = EntryCommit
 	} else {
-		p.decided[key] = false
+		p.setDecided(key, false)
 	}
 	return e
 }
@@ -96,8 +100,9 @@ func (p *Plane) applyLocal(a *agent, entries []BatchEntry) {
 	if len(entries) == 0 {
 		return
 	}
-	p.walOf(a.id).append(walRecord{Op: walBatch, Batch: entries})
-	p.applyBatch(a, entries)
+	p.logRecord(a.id, walRecord{Op: walBatch, Batch: entries})
+	p.applyBatch(a, entries, 0)
+	p.compact(a.id)
 }
 
 // Crashed reports whether broker b is marked crashed.

@@ -313,6 +313,59 @@ func TestBacklogDrainsAfterRecovery(t *testing.T) {
 	}
 }
 
+// A late duplicate of a request the watermark has passed is a straggler,
+// however long ago it was sent: answered, never applied. Each row captures
+// the first request of its kind to broker 1 off the wire and sends a copy
+// after 5,000 setup/teardown cycles, by which time broker 1 has logged some
+// 20,000 message ids. A release applied twice credits (0,1) twice — with a
+// dedup memory capped at 16,384 ids it read "available 11, want 10" — and a
+// PREPARE for an attempt finalized and forgotten long ago would place a hold
+// nobody will ever decide.
+func TestStaleDuplicateReleaseIsFenced(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first func(m Message) bool
+	}{
+		{"release", func(m Message) bool { return carries(m, EntryRelease) }},
+		{"prepare", func(m Message) bool { return m.Type == MsgPrepare }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, ft := faultyPlane(t, FaultConfig{Seed: 11})
+			ctx := context.Background()
+			var stale []Message
+			ft.OnDeliver = func(m Message) {
+				if len(stale) == 0 && m.To == 1 && tc.first(m) {
+					stale = append(stale, m)
+				}
+			}
+			cycle := func() {
+				s, err := p.Setup(ctx, 0, 4, 1, routing.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Teardown(ctx, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 5000; i++ {
+				cycle()
+			}
+			ft.OnDeliver = nil
+			if len(stale) == 0 {
+				t.Fatal("no request to broker 1 captured")
+			}
+			ft.Send(stale[0])
+			if err := p.Reconcile(ctx); err != nil {
+				t.Fatal(err)
+			}
+			cycle()
+			if err := p.CheckInvariants(nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // A setup deadline bounds the whole operation, retries included; expiry
 // aborts the setup cleanly.
 func TestSetupDeadlineAborts(t *testing.T) {

@@ -200,10 +200,11 @@ func (t *FaultTransport) Advance() {
 
 // msgWireSize is the fixed encoded size of a Message header. MsgBatch
 // frames extend it with a variable-length batch record (see Encode); every
-// other type encodes to exactly this size. The trailing 8 bytes are the
-// trace ID (0 = untraced); old peers reject the longer frame outright, so
-// the field is a wire-format bump, not a silently-ignored extension.
-const msgWireSize = 4 + 4 + 1 + 8 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 8
+// other type encodes to exactly this size. The last two 8-byte fields are
+// the trace ID (0 = untraced) and the fencing watermark; each was a
+// wire-format bump (65 → 73 bytes for the watermark): old peers reject the
+// longer frame outright rather than silently ignore the field.
+const msgWireSize = 4 + 4 + 1 + 8 + 4 + 8 + 8 + 4 + 4 + 8 + 4 + 8 + 8
 
 // batchEntryWireSize is the fixed encoded size of one BatchEntry.
 const batchEntryWireSize = 1 + 8 + 4 + 4 + 4 + 8
@@ -229,6 +230,7 @@ func (m Message) Encode(dst []byte) []byte {
 	binary.LittleEndian.PutUint64(b[45:], math.Float64bits(m.Bandwidth))
 	binary.LittleEndian.PutUint32(b[53:], m.Lease)
 	binary.LittleEndian.PutUint64(b[57:], m.Trace)
+	binary.LittleEndian.PutUint64(b[65:], m.Watermark)
 	dst = append(dst, b[:]...)
 	if m.Type != MsgBatch {
 		return dst
@@ -273,6 +275,7 @@ func DecodeMessage(b []byte) (Message, error) {
 		Bandwidth: math.Float64frombits(binary.LittleEndian.Uint64(b[45:])),
 		Lease:     binary.LittleEndian.Uint32(b[53:]),
 		Trace:     binary.LittleEndian.Uint64(b[57:]),
+		Watermark: binary.LittleEndian.Uint64(b[65:]),
 	}
 	if !m.Type.known() {
 		return Message{}, fmt.Errorf("ctrlplane: unknown or retired message type %d", uint8(m.Type))

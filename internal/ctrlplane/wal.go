@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"maps"
 	"sort"
 
 	"brokerset/internal/graph"
@@ -9,22 +10,34 @@ import (
 // The write-ahead log models each broker's durable storage: every
 // state-changing protocol step is appended *before* the ledger mutates, so a
 // crash can lose the volatile state (the agent's rows, holds, dedup memory)
-// but never the log. Recovery replays the log from the latest snapshot and
+// but never the log. Recovery replays the log from its latest checkpoint and
 // resolves in-doubt sessions against the coordinator's decision record. The
 // log lives on the Plane keyed by broker id, so it survives both Crash and
-// coalition membership changes.
+// coalition membership changes; a member's departure frees it.
+//
+// A log is bounded by its checkpoints. Once the records after the latest
+// checkpoint pass a budget proportional to the agent's row count
+// (tailBudget), the agent appends a fresh checkpoint — a full image of its
+// state — and the log drops everything before it (Plane.compact). The
+// checkpoint's O(rows) cost is paid once per budget's worth of records, so it
+// amortizes to O(1) a record. A crash between the append and the drop loses
+// nothing: replay starts from the latest checkpoint, which is the whole
+// state, and whatever precedes it is never read.
 
-// walOp enumerates WAL record kinds (walSnapshot, walHold, walBatch,
+// walOp enumerates WAL record kinds (walCheckpoint, walHold, walBatch,
 // walMigrate, walCredit) and the two ways an attempt is finalized
 // (walCommit, walAbort), which are not record kinds: they are the values of
 // an agent's done fencing map, and reach the log inside batch entries only.
 type walOp uint8
 
 const (
-	// walSnapshot is a full image of the agent's ledger rows, written only
-	// when the agent is created: at plane construction and when SetBrokers
-	// adds it. Replay starts from the last snapshot.
-	walSnapshot walOp = iota + 1
+	// walCheckpoint is a full image of the agent: its ledger rows with their
+	// residuals, its outstanding holds, its fencing and dedup memory at or
+	// above its watermark, and the watermark (image). The first one is
+	// written when the agent is created — at plane construction and when
+	// SetBrokers adds it — and the agent appends another whenever its tail
+	// passes its budget. Replay starts from the last one.
+	walCheckpoint walOp = iota + 1
 	// walHold records a PREPARE hold placed on a link.
 	walHold
 	// walBatch records one decision record: the broker's entire view of a
@@ -54,6 +67,16 @@ type sessKey struct {
 	Epoch uint32
 }
 
+// fence is a finalized attempt in an agent's done memory: how it ended, and
+// the id it is fenced by — the MsgID of the record that finalized it or, for
+// a record written locally, the highest PREPARE the agent holds for it. The
+// entry may be forgotten once the agent's watermark passes at: every PREPARE
+// of the attempt is then a straggler (see DESIGN.md, "Bounded state").
+type fence struct {
+	op walOp
+	at uint64
+}
+
 // walRecord is one durable log entry. MsgID carries the protocol message
 // that caused the entry, so replay can rebuild the agent's dedup memory.
 type walRecord struct {
@@ -67,36 +90,86 @@ type walRecord struct {
 	BW      float64
 	Expires int
 
-	// Ledger is the row payload of a walSnapshot (every row the agent owns)
-	// or a walMigrate.
+	// Ledger is a walMigrate's row payload; Image is a walCheckpoint's.
 	Ledger *ledgerDelta
+	Image  *image
 
 	// Batch payload (Op == walBatch only).
 	Batch []BatchEntry
 }
 
 // ledgerDelta is a change to the set of rows an agent owns: the links it
-// lost, then the links it gained with their residuals. A snapshot is the
-// delta from no rows.
+// lost, then the links it gained with their residuals.
 type ledgerDelta struct {
 	Lost   []int32
 	Gained []ledgerRow
 }
 
-// wal is one broker's append-only durable log.
-type wal struct {
-	recs []walRecord
+// image is a checkpoint's payload: everything replay starts from.
+type image struct {
+	Rows  []ledgerRow
+	Holds map[sessKey][]hold
+	// Done and Seen are the agent's fencing and dedup memory at or above W,
+	// the agent's watermark.
+	Done map[sessKey]fence
+	Seen []uint64
+	W    uint64
+	// Commits counts, per attempt in Done, the delivered commit entries the
+	// log held before the checkpoint (see commitCounts).
+	Commits map[sessKey]int
 }
 
+// wal is one broker's append-only durable log; recs[0] is its latest
+// checkpoint, and budget is the tail length that checkpoint allows.
+type wal struct {
+	recs   []walRecord
+	budget int
+}
+
+// tailBudget is the number of records a log takes after a checkpoint of an
+// agent with rows ledger rows before it is checkpointed again.
+func tailBudget(rows int) int { return 16 + rows/8 }
+
 func (w *wal) append(r walRecord) { w.recs = append(w.recs, r) }
+
+// truncate drops every record before the latest checkpoint: the second step
+// of checkpointing, after the checkpoint's append.
+func (w *wal) truncate() {
+	ck := w.recs[w.last()]
+	w.recs = []walRecord{ck}
+	w.budget = tailBudget(len(ck.Image.Rows))
+}
+
+// full reports whether the tail has passed its budget.
+func (w *wal) full() bool { return len(w.recs)-1 > w.budget }
+
+// last returns the index of the latest checkpoint.
+func (w *wal) last() int {
+	i := len(w.recs) - 1
+	for w.recs[i].Op != walCheckpoint {
+		i--
+	}
+	return i
+}
+
+// watermark returns the watermark the latest checkpoint recorded: where a
+// replayed agent's fencing resumes.
+func (w *wal) watermark() uint64 { return w.recs[w.last()].Image.W }
 
 // commitCounts tallies delivered commit entries per attempt — the invariant
 // checker uses it to prove no session epoch committed twice on any broker.
 // Records a recovery wrote locally (no MsgID) restate a decision rather
-// than deliver one, and are not counted.
+// than deliver one, and are not counted. The latest checkpoint carries the
+// counts of the attempts in its window; a commit below the watermark never
+// reaches the log (deliver fences it), so nothing a checkpoint dropped can
+// be counted again.
 func (w *wal) commitCounts() map[sessKey]int {
-	out := make(map[sessKey]int)
-	for _, r := range w.recs {
+	last := w.last()
+	out := maps.Clone(w.recs[last].Image.Commits)
+	if out == nil {
+		out = make(map[sessKey]int)
+	}
+	for _, r := range w.recs[last+1:] {
 		if r.Op != walBatch || r.MsgID == 0 {
 			continue
 		}
@@ -109,34 +182,41 @@ func (w *wal) commitCounts() map[sessKey]int {
 	return out
 }
 
-// replay rebuilds an agent's volatile state from the log: its ledger rows
-// (link -> residual, links of g), outstanding holds, finalized-session
-// fencing, and dedup memory. It touches nothing outside the returned state —
+// replay rebuilds an agent's volatile state from its latest checkpoint and
+// the records after it: its ledger rows (link -> residual, links of g),
+// outstanding holds, finalized-session fencing, and dedup memory (its
+// watermark is watermark()). It touches nothing outside the returned state —
 // in particular it never re-mirrors reservations into the shared metrics,
 // which are coordinator-owned, and a credit to a link the agent no longer
 // owns (its row moved on) is not the agent's to replay.
-func (w *wal) replay(g *graph.Graph) (rows map[int32]float64, holds map[sessKey][]hold, done map[sessKey]walOp, seen map[uint64]struct{}) {
-	rows = make(map[int32]float64)
-	holds = make(map[sessKey][]hold)
-	done = make(map[sessKey]walOp)
-	seen = make(map[uint64]struct{})
+func (w *wal) replay(g *graph.Graph) (rows map[int32]float64, holds map[sessKey][]hold, done map[sessKey]fence, seen map[uint64]struct{}) {
+	last := w.last()
+	img := w.recs[last].Image
+	rows = make(map[int32]float64, len(img.Rows))
+	for _, row := range img.Rows {
+		rows[row.Link] = row.Avail
+	}
+	// A checkpoint's hold slices are clipped, so appending to one here
+	// copies it rather than writing into the image.
+	holds = make(map[sessKey][]hold, len(img.Holds))
+	maps.Copy(holds, img.Holds)
+	done = make(map[sessKey]fence, len(img.Done))
+	maps.Copy(done, img.Done)
+	seen = make(map[uint64]struct{}, len(img.Seen))
+	for _, id := range img.Seen {
+		seen[id] = struct{}{}
+	}
 	credit := func(l int32, bw float64) {
 		if _, owned := rows[l]; owned {
 			rows[l] += bw
 		}
 	}
-	start := 0
-	for i, r := range w.recs {
-		if r.Op == walSnapshot {
-			start = i
-		}
-	}
-	for _, r := range w.recs[start:] {
+	for _, r := range w.recs[last+1:] {
 		if r.MsgID != 0 {
 			seen[r.MsgID] = struct{}{}
 		}
 		switch r.Op {
-		case walSnapshot, walMigrate:
+		case walMigrate:
 			for _, l := range r.Ledger.Lost {
 				delete(rows, l)
 			}
@@ -145,11 +225,11 @@ func (w *wal) replay(g *graph.Graph) (rows map[int32]float64, holds map[sessKey]
 			}
 		case walHold:
 			credit(r.Link, -r.BW)
-			holds[r.Session] = append(holds[r.Session], hold{link: r.Link, bw: r.BW, expires: r.Expires})
+			holds[r.Session] = append(holds[r.Session], hold{link: r.Link, bw: r.BW, expires: r.Expires, id: r.MsgID})
 		case walCredit:
 			credit(r.Link, r.BW)
 		case walBatch:
-			applyBatchEntries(g, holds, done, r.Batch, credit)
+			applyBatchEntries(g, holds, done, r.Batch, r.MsgID, credit)
 		}
 	}
 	return rows, holds, done, seen

@@ -1,10 +1,14 @@
 package daemon
 
 import (
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
+	"sync"
+	"time"
 
 	"brokerset/internal/obs"
 )
@@ -40,11 +44,49 @@ func (s *Daemon) initObs() {
 	s.registerEconCollectors()
 	s.httpReqs = s.reg.Counter("http_requests_total", "HTTP requests served")
 	s.httpHist = s.reg.Histogram("http_request_seconds", "HTTP request latency")
+	s.registerProcessMetrics()
+}
+
+// registerProcessMetrics exports the runtime's own figures from
+// runtime/metrics, which reads them without stopping the world (as
+// runtime.ReadMemStats does on every call): goroutines, the heap in use, GC
+// cycles, and the GC pause distribution. The runtime keeps pauses as a
+// cumulative histogram; each scrape feeds what it gained since the last one
+// into process_gc_pause_seconds, one observation per pause at its bucket's
+// upper bound.
+func (s *Daemon) registerProcessMetrics() {
+	samples := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/pauses/total/gc:seconds"},
+	}
+	pauses := s.reg.Histogram("process_gc_pause_seconds", "stop-the-world GC pauses")
+	var (
+		mu       sync.Mutex
+		observed []uint64 // per-bucket pause counts already fed to pauses
+	)
 	s.reg.RegisterCollector(func(emit func(obs.Sample)) {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
+		mu.Lock()
+		defer mu.Unlock()
+		metrics.Read(samples)
+		h := samples[3].Value.Float64Histogram()
+		if observed == nil {
+			observed = make([]uint64, len(h.Counts))
+		}
+		for i, n := range h.Counts {
+			hi := h.Buckets[i+1]
+			if math.IsInf(hi, 1) {
+				hi = h.Buckets[i]
+			}
+			for ; observed[i] < n; observed[i]++ {
+				pauses.Observe(time.Duration(hi * float64(time.Second)))
+			}
+		}
 		emit(obs.Sample{Name: "process_goroutines", Help: "live goroutines", Kind: obs.KindGauge, Value: float64(runtime.NumGoroutine())})
-		emit(obs.Sample{Name: "process_heap_bytes", Help: "heap in use", Kind: obs.KindGauge, Value: float64(ms.HeapInuse)})
+		emit(obs.Sample{Name: "process_heap_bytes", Help: "heap in use", Kind: obs.KindGauge,
+			Value: float64(samples[0].Value.Uint64() + samples[1].Value.Uint64())})
+		emit(obs.Sample{Name: "process_gc_cycles_total", Help: "completed GC cycles", Kind: obs.KindCounter, Value: float64(samples[2].Value.Uint64())})
 	})
 }
 

@@ -51,6 +51,11 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"healer_heal_passes_total",
 		"http_requests_total",
 		"process_goroutines",
+		"process_heap_bytes",
+		"process_gc_cycles_total",
+		"process_gc_pause_seconds_count",
+		"ctrlplane_wal_records",
+		"ctrlplane_wal_checkpoints_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -40,11 +40,21 @@ type Region struct {
 	lastVersion uint64
 
 	// subs is the sub-coordinator's durable record of every sub-transaction
-	// the region held a segment for, its own sessions' home segments
+	// the region holds a segment for, its own sessions' home segments
 	// included: the region-local session PrepareOnPath handed out, whose
 	// State is the sub-transaction's. It is the only representation of the
-	// region's share of a stitched session and survives a crash.
+	// region's share of a stitched session and survives a crash. A released
+	// or aborted record is dropped — a home segment's at once, a transit
+	// segment's once the peer watermark passes the X-PREPARE that created it
+	// — since applyDecision's "(none)" row answers as those states do.
 	subs map[fedKey]*ctrlplane.Session
+	// w is the highest peer watermark a request carried here, durable like
+	// subs: an X-PREPARE below it is a straggler. xprep maps each transit
+	// record to its X-PREPARE's MsgID; settled lists the released or aborted
+	// transit records w has not yet passed, in the order they settled.
+	w       uint64
+	xprep   map[fedKey]uint64
+	settled []fedKey
 	// peers is the gossip-fed view of the other regions, by region id;
 	// volatile — CrashRegion wipes it.
 	peers map[int]*regionDigest
@@ -119,6 +129,7 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 		Brokers: brokers, borderLocal: borderLocal,
 		lastVersion: plane.Version(),
 		subs:        make(map[fedKey]*ctrlplane.Session),
+		xprep:       make(map[fedKey]uint64),
 		peers:       make(map[int]*regionDigest),
 	}
 	reg.maybePublish(context.Background())
@@ -175,9 +186,14 @@ func (reg *Region) hold(ctx context.Context, fk fedKey, path []int32, bw float64
 }
 
 // prepareSub is the sub-coordinator holding its segment of a stitched path;
-// false nacks the X-PREPARE.
+// false nacks the X-PREPARE. One below the peer watermark is a straggler the
+// home region no longer waits on, and may be for a record already dropped:
+// it is refused and holds nothing.
 func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
 	fk := fedKey{ID: m.SessionID, Epoch: m.Epoch}
+	if m.MsgID < reg.w {
+		return false
+	}
 	if s := reg.subs[fk]; s != nil {
 		// A retransmit: re-ack a live attempt, refuse one already dead.
 		return s.State == ctrlplane.StatePrepared || s.State == ctrlplane.StateCommitted
@@ -192,10 +208,41 @@ func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
 	// quote we gave its stitch is still cached, so unless our reservations
 	// moved under it this is a lookup, not a search.
 	p, _, err := reg.QP.Resolve(ctx, int(entry), int(exit), routing.Options{}.Reserving(m.Bandwidth))
-	if err != nil {
+	if err != nil || reg.hold(ctx, fk, p.Nodes, m.Bandwidth) != nil {
 		return false
 	}
-	return reg.hold(ctx, fk, p.Nodes, m.Bandwidth) == nil
+	reg.xprep[fk] = m.MsgID
+	return true
+}
+
+// advance raises the peer watermark to w and drops the settled transit
+// records it now passes.
+func (reg *Region) advance(w uint64) {
+	if w <= reg.w {
+		return
+	}
+	reg.w = w
+	n := 0
+	for ; n < len(reg.settled) && reg.xprep[reg.settled[n]] < w; n++ {
+		reg.drop(reg.settled[n])
+	}
+	reg.settled = reg.settled[n:]
+}
+
+// settle retires record fk, now released or aborted: a home segment's and a
+// transit segment whose X-PREPARE the peer watermark has passed go now, the
+// rest wait in settled.
+func (reg *Region) settle(fk fedKey) {
+	if id, transit := reg.xprep[fk]; transit && id >= reg.w {
+		reg.settled = append(reg.settled, fk)
+		return
+	}
+	reg.drop(fk)
+}
+
+func (reg *Region) drop(fk fedKey) {
+	delete(reg.subs, fk)
+	delete(reg.xprep, fk)
 }
 
 // applyDecision executes one decision-record entry against the region's
@@ -216,9 +263,10 @@ func (reg *Region) prepareSub(ctx context.Context, m ctrlplane.Message) bool {
 // lapsed and its sweep already presumed abort, or it never heard of the
 // attempt. An abort reaching a committed record releases it fully — the
 // commit landed but its ack was lost, and the home rolled back presuming it
-// hadn't.
+// hadn't. A record the decision releases or aborts settles (settle).
 func (reg *Region) applyDecision(ctx context.Context, e ctrlplane.BatchEntry) error {
-	s := reg.subs[fedKey{ID: e.ID, Epoch: e.Epoch}]
+	fk := fedKey{ID: e.ID, Epoch: e.Epoch}
+	s := reg.subs[fk]
 	commit := e.Kind == ctrlplane.EntryCommit
 	if s == nil || s.State == ctrlplane.StateAborted || s.State == ctrlplane.StateReleased {
 		if commit {
@@ -226,17 +274,22 @@ func (reg *Region) applyDecision(ctx context.Context, e ctrlplane.BatchEntry) er
 		}
 		return nil
 	}
+	var err error
 	switch {
 	case s.State == ctrlplane.StateCommitted && commit:
 		return nil
 	case s.State == ctrlplane.StateCommitted:
 		_ = reg.Plane.Teardown(ctx, s) // refuses only a non-committed session
 	case commit:
-		if err := reg.Plane.CommitPrepared(ctx, s); err != nil {
-			return err // our lease expired and the sweep presumed abort
-		}
+		err = reg.Plane.CommitPrepared(ctx, s) // refused: our lease expired and the sweep presumed abort
 	default:
 		_ = reg.Plane.AbortPrepared(ctx, s) // a hold the sweep already took is a no-op
+	}
+	if s.State != ctrlplane.StateCommitted {
+		reg.settle(fk)
+	}
+	if err != nil {
+		return err
 	}
 	reg.maybePublish(ctx)
 	return nil

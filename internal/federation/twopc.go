@@ -301,7 +301,8 @@ var subSpans = [...]string{
 // decision records at that region's sub-coordinator, gossip at its digest
 // store. Every request is answered — the home coordinator's retries are
 // tamed by re-acking from the durable sub-record, not by remembering
-// message ids. The regionBus has already dropped whatever was addressed to a
+// message ids — and first raises the region's peer watermark to the one it
+// carries. The regionBus has already dropped whatever was addressed to a
 // crashed region. Sub-coordinator spans adopt the trace that rode the wire:
 // they join the originating request's trace even though the parent span ran
 // in another region (stitched trace — one trace ID, one root per region).
@@ -312,6 +313,7 @@ func (f *Fabric) dispatch(m ctrlplane.Message) {
 		sub.Annotatef("region", "%d", q)
 		sub.Annotatef("session", "%d.%d", id, epoch)
 	}
+	reg.advance(m.Watermark) // gossip carries none
 	switch m.Type {
 	case ctrlplane.MsgXPrepare:
 		ctx, sub := f.tracer.Adopt(context.Background(), "federation.sub_prepare", m.Trace)
