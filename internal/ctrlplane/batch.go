@@ -47,11 +47,11 @@ type BatchEntry struct {
 // is a no-op — and hands every capacity credit the record makes (an aborted
 // attempt's holds, a released hop; by ledger row of g) to credit. id is the
 // record's MsgID (0: written locally); it is what a finalized attempt is
-// fenced by (see fence). It is the only function that changes a ledger on a
-// decision — shared by live delivery (deliver's MsgBatch case), WAL replay,
-// and the records a lease sweep or a recovery writes locally — which is
-// exactly what makes a broker crash between the batch append and the apply
-// harmless: recovery reaches the same state the apply would have.
+// fenced by (see fence). It is apply's walBatch case — the one place a
+// decision changes an agent, whether the record is delivered live, written
+// locally by a lease sweep, a recovery or a departure, or folded from the
+// WAL — which is exactly what makes a broker crash between the batch append
+// and the ack harmless: recovery reaches the same state the apply had.
 func applyBatchEntries(g *graph.Graph, holds map[sessKey][]hold, done map[sessKey]fence, entries []BatchEntry, id uint64, credit func(link int32, bw float64)) {
 	for _, e := range entries {
 		key := sessKey{e.ID, e.Epoch}

@@ -199,6 +199,7 @@ func TestBatchWALCrashReplays(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := ringTop(t, 8)
 			p := New(top, m, []int32{0, 1, 2, 3, 4, 5, 6, 7})
+			folded := watchFold(t, p)
 			var crashed []int32
 			live := tc.run(t, p, func() {
 				p.batchWALCrash = func(b int32) bool {
@@ -219,6 +220,7 @@ func TestBatchWALCrashReplays(t *testing.T) {
 				}
 			}
 			p.Recover(crashed[0])
+			folded("Recover")
 			if err := p.Reconcile(ctx); err != nil {
 				t.Fatalf("reconcile: %v", err)
 			}
@@ -271,6 +273,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	})
 	fr := obs.NewFlightRecorder(4096)
 	p.SetFlightRecorder(fr)
+	folded := watchFold(t, p)
 
 	// Coordinator dies after phase 1 on fixed batch boundaries: no decision
 	// recorded, every leased hold must self-expire via presumed abort.
@@ -363,6 +366,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 		sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 		for _, b := range due {
 			p.Recover(b)
+			folded("Recover")
 			delete(downSince, b)
 		}
 		for b, since := range partedAt {
@@ -434,6 +438,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	sort.Slice(down, func(i, j int) bool { return down[i] < down[j] })
 	for _, b := range down {
 		p.Recover(b)
+		folded("Recover")
 	}
 	if err := p.Reconcile(ctx); err != nil {
 		dumpFlight(t, fr, seed, err.Error())
@@ -442,6 +447,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	// Let every abandoned lease lapse and sweep it out; renew nothing.
 	for i := 0; i < sessionTTL+1; i++ {
 		p.Tick()
+		folded("Tick")
 	}
 	sweep()
 	for _, s := range live {

@@ -27,12 +27,19 @@ type refLog struct {
 	seen  map[uint64]struct{}
 }
 
+// replayed folds log into a fresh state and row map.
+func replayed(g *graph.Graph, log *wal) (rowMap, state) {
+	rows := rowMap{}
+	var st state
+	log.replay(g, &st, rows)
+	return rows, st
+}
+
 // startReference starts the reference of a log the oracle did not see
 // written: from what it replays to.
 func startReference(g *graph.Graph, log *wal) *refLog {
-	r := &refLog{}
-	r.rows, r.holds, r.done, r.seen = log.replay(g)
-	return r
+	rows, st := replayed(g, log)
+	return &refLog{rows: rows, holds: st.holds, done: st.done, seen: st.seen}
 }
 
 // replayReference folds one more record of a log's full history into r, by
@@ -70,7 +77,8 @@ func replayReference(g *graph.Graph, r *refLog, rec walRecord) {
 // the replay has, the reference has too, and every one at or above w — all
 // the fencing still needs — the replay has.
 func (r *refLog) matches(g *graph.Graph, log *wal, w uint64) error {
-	rows, holds, done, seen := log.replay(g)
+	rows, st := replayed(g, log)
+	holds, done, seen := st.holds, st.done, st.seen
 	if len(rows) != len(r.rows) {
 		return fmt.Errorf("%d rows, reference %d", len(rows), len(r.rows))
 	}
@@ -116,6 +124,54 @@ func (r *refLog) forget(w uint64) {
 	for id := range r.seen {
 		if id < w {
 			delete(r.seen, id)
+		}
+	}
+}
+
+// liveRef reads member b's state off the plane as a refLog: its rows from
+// the columns, and its agent's holds, fencing and dedup memory, with the
+// agent's watermark. A crashed member has lost the latter, so its log's own
+// are taken: of a crashed member only the rows are compared.
+func liveRef(p *Plane, b int32) (*refLog, uint64) {
+	rows := make(map[int32]float64)
+	for _, row := range p.rowsOf(b) {
+		rows[row.Link] = row.Avail
+	}
+	st := p.agents[b].state
+	if p.crashed[b] {
+		_, st = replayed(p.top.Graph, p.wals[b])
+	}
+	return &refLog{rows: rows, holds: st.holds, done: st.done, seen: st.seen}, st.w
+}
+
+// checkFold requires every member's state to be the fold of its log: what
+// liveRef reads off the plane matches the log's replay.
+func checkFold(p *Plane) error {
+	for _, b := range p.Brokers() {
+		r, w := liveRef(p, b)
+		if err := r.matches(p.top.Graph, p.wals[b], w); err != nil {
+			return fmt.Errorf("broker %d is not the fold of its log: %v", b, err)
+		}
+	}
+	return nil
+}
+
+// watchFold runs checkFold after every message p dispatches, failing t at
+// the first one that leaves a member apart from its log, and returns the
+// check for the caller to run after a call that dispatches nothing
+// (SetBrokers, Recover, ExpireLeases).
+func watchFold(t testing.TB, p *Plane) func(step string) {
+	dispatch := p.d.Dispatch
+	p.d.Dispatch = func(m Message) {
+		dispatch(m)
+		if err := checkFold(p); err != nil {
+			t.Fatalf("after %s %d to broker %d: %v", m.Type, m.MsgID, m.To, err)
+		}
+	}
+	return func(step string) {
+		t.Helper()
+		if err := checkFold(p); err != nil {
+			t.Fatalf("after %s: %v", step, err)
 		}
 	}
 }
@@ -233,6 +289,12 @@ func TestControlPlaneStateIsBounded(t *testing.T) {
 			n, records, seen, done, len(p.decided), float64(live)/(1<<20), pause, checks)
 	}
 
+	// The fold check reads every member's log after every message: at the
+	// Tier-1 scale only.
+	folded := func(string) {}
+	if os.Getenv("SELECTION_SCALE") == "" {
+		folded = watchFold(t, p)
+	}
 	members := p.Brokers()
 	for i := 0; i < cycles; i++ {
 		if i%1000 == 999 {
@@ -240,6 +302,7 @@ func TestControlPlaneStateIsBounded(t *testing.T) {
 			p.Crash(b)
 			cycle(i)
 			p.Recover(b)
+			folded("Recover")
 		} else {
 			cycle(i)
 		}

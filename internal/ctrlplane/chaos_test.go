@@ -119,6 +119,7 @@ func TestChaos2PC(t *testing.T) {
 	p.SetRetryConfig(RetryConfig{MaxAttempts: 8, BreakerThreshold: 6, BreakerCooldown: 30})
 	fr := obs.NewFlightRecorder(4096)
 	p.SetFlightRecorder(fr)
+	folded := watchFold(t, p)
 
 	// Crash a broker mid-commit every crashGap-th delivery of a record
 	// carrying a commit: the decision is already durable at the
@@ -161,6 +162,7 @@ func TestChaos2PC(t *testing.T) {
 		sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
 		for _, b := range due {
 			p.Recover(b)
+			folded("Recover")
 			delete(downSince, b)
 		}
 		// Rolling partitions: isolate one broker for 40 iterations.
@@ -219,6 +221,7 @@ func TestChaos2PC(t *testing.T) {
 	sort.Slice(down, func(i, j int) bool { return down[i] < down[j] })
 	for _, b := range down {
 		p.Recover(b)
+		folded("Recover")
 	}
 	if err := p.Reconcile(ctx); err != nil {
 		dumpFlight(t, fr, seed, err.Error())

@@ -24,9 +24,9 @@
 // same three steps: open an attempt, prepare a set of attempts in one
 // PREPARE broadcast, and decide, which records every commit, abort and
 // release durably and delivers each touched broker one BATCH record. An
-// agent ledger changes on a decision in exactly one function,
-// applyBatchEntries, whether the record arrives live, is replayed from the
-// WAL, or is written locally by a lease sweep or a recovery.
+// agent's state is the fold of its log: every change is a WAL record, logged
+// and then applied by one function, apply, which is also what a recovery or a
+// replay folds over the log.
 //
 // Delivery — retries, reply settling, the backlog of decided-but-undelivered
 // requests and the circuit breakers — is the Delivery type. A Plane holds
@@ -38,7 +38,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"brokerset/internal/obs"
 	"brokerset/internal/routing"
@@ -369,13 +369,14 @@ type Plane struct {
 	// batchPrepareCrash and batchWALCrash are chaos seams: when non-nil and
 	// returning true they simulate, respectively, the coordinator dying
 	// inside CommitBatch (after phase 1, before any decision is recorded)
-	// and a broker dying between its batch WAL append and the in-memory
-	// apply, whichever entry point sent the record.
+	// and a broker dying between its batch WAL append and its ack, its
+	// in-memory apply lost, whichever entry point sent the record.
 	batchPrepareCrash func() bool
 	batchWALCrash     func(b int32) bool
 	// walAppended, when non-nil, is handed every record appended to any
-	// broker's log, checkpoints included, right after the append — the seam
-	// the checkpoint oracle replays the full history from.
+	// broker's log, checkpoints included, right after the append and before
+	// it is applied — the seam the checkpoint oracle replays the full history
+	// from.
 	walAppended func(b int32, r walRecord)
 
 	// flight records recent protocol events for post-mortem dumps; nil
@@ -422,11 +423,12 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	for _, b := range brokers {
 		p.inB[b] = true
 	}
-	// Seed the ledger: a link with a broker endpoint starts at its capacity,
-	// read off the metrics' column by the arc index the walk already has (a
-	// link's row is its u<v arc), under the agent ownerOf names; the rest are
-	// unmanaged. A second walk lays every broker's snapshot rows out in one
-	// array, broker after broker: next[b] is where b's next row goes.
+	// Seed the ledger: a link with a broker endpoint is owned by the agent
+	// ownerOf names; the rest are unmanaged. A second walk lays every broker's
+	// first checkpoint rows out in one array, broker after broker — each link
+	// at its capacity, read off the metrics' column by the arc index the walk
+	// already has (a link's row is its u<v arc); next[b] is where b's next row
+	// goes. Starting each agent applies its checkpoint to the columns.
 	g := top.Graph
 	p.avail = make([]float64, g.NumArcs())
 	p.owner = make([]int32, g.NumArcs())
@@ -438,7 +440,7 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 			p.owner[a] = -1
 			return
 		}
-		p.owner[a], p.avail[a] = owner, capacity[a]
+		p.owner[a] = owner
 		next[owner]++
 	})
 	total := int32(0)
@@ -448,14 +450,13 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	rows := make([]ledgerRow, total)
 	g.Links(func(a, _, _, _ int) {
 		if owner := p.owner[a]; owner >= 0 {
-			rows[next[owner]] = ledgerRow{int32(a), p.avail[a]}
+			rows[next[owner]] = ledgerRow{int32(a), capacity[a]}
 			next[owner]++
 		}
 	})
 	start := int32(0)
 	for _, b := range p.Brokers() {
-		p.agents[b] = newAgent(b, 0)
-		p.logCheckpoint(b, &image{Rows: rows[start:next[b]:next[b]]})
+		p.start(b, &image{Rows: rows[start:next[b]:next[b]]})
 		start = next[b]
 	}
 	return p
@@ -766,7 +767,7 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 	for b := range entries {
 		brokers = append(brokers, b)
 	}
-	sort.Slice(brokers, func(i, j int) bool { return brokers[i] < brokers[j] })
+	slices.Sort(brokers)
 	msgs := make([]Message, 0, len(brokers))
 	for _, b := range brokers {
 		msgs = append(msgs, Message{
@@ -882,17 +883,11 @@ func (p *Plane) AbortPrepared(ctx context.Context, s *Session) error {
 	return nil
 }
 
+// uniqueOwners returns the distinct hop owners in ascending order.
 func uniqueOwners(owners []int32) []int32 {
-	out := make([]int32, 0, len(owners))
-	seen := make(map[int32]bool, len(owners))
-	for _, o := range owners {
-		if !seen[o] {
-			seen[o] = true
-			out = append(out, o)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Clone(owners)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Teardown releases a committed session's capacity at every owner under

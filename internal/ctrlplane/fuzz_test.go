@@ -144,6 +144,13 @@ func FuzzDeliverIdempotent(f *testing.F) {
 	}}
 	f.Add(release.Encode(Message{To: 1, Type: MsgPrepare, SessionID: 2, Epoch: 1, MsgID: 7, Hop: [2]int32{0, 1}, Bandwidth: 1, Watermark: 6}.Encode(
 		release.Encode(nil))))
+	// Frames the codec refuses: a negative PREPARE and its commit, which would
+	// raise (0,1) above its capacity, and a negative release.
+	var refused []byte
+	for _, tc := range unreservable {
+		refused = tc.m.Encode(refused)
+	}
+	f.Add(Message{To: 1, Type: MsgBatch, MsgID: 3, Batch: []BatchEntry{{Kind: EntryCommit, ID: 1, Epoch: 1}}}.Encode(refused))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top, m := lineTop(t)
 		p := New(top, m, []int32{1, 2, 3})
@@ -167,6 +174,9 @@ func FuzzDeliverIdempotent(f *testing.F) {
 			}
 			msg.To = 1 // route every frame at agent 1
 			p.deliver(a, msg)
+			if err := checkFold(p); err != nil {
+				t.Fatalf("after %+v: %v", msg, err)
+			}
 			av1, h1, d1, s1 := agentImage(p, a)
 			p.deliver(a, msg) // exact retransmission
 			av2, h2, d2, s2 := agentImage(p, a)

@@ -65,13 +65,7 @@ func (p *Plane) CheckInvariants(committed []*Session) error {
 			keys := inDoubt(a.holds)
 			expired, expiredBW := 0, 0.0
 			for _, key := range keys {
-				lapsed := true
-				for _, h := range a.holds[key] {
-					if h.expires == 0 || h.expires > p.d.Now() {
-						lapsed = false
-					}
-				}
-				if lapsed {
+				if lapsed(a.holds[key], p.d.Now()) {
 					expired++
 					for _, h := range a.holds[key] {
 						expiredBW += h.bw

@@ -9,23 +9,24 @@ import (
 )
 
 // The capacity ledger is two columns over the topology's links, a link's row
-// being the arc index of its lower endpoint's side (linkOf): Plane.avail, the
-// residual capacity the coalition accounts for the link, and Plane.owner, the
-// broker agent accounting it (-1: neither endpoint is a broker, the link is
-// unmanaged). The owner column always agrees with ownerOf under the current
-// membership. An agent is a view over the rows it owns — it keeps only its
-// holds, dedup memory and fencing — so a membership change rewrites the
-// owner of the rows whose endpoints joined or left and nothing else, and
+// being the arc index of its lower endpoint's side (linkOf): Plane.owner, the
+// broker agent accounting the link (-1: neither endpoint is a broker, the link
+// is unmanaged), and Plane.avail, the residual capacity the coalition accounts
+// for it. The owner column is the membership's: SetBrokers writes it, and it
+// always agrees with ownerOf. The avail column is the logs': a managed row
+// holds the fold of its owner's log, whether the owner is up or crashed,
+// because every change to a row is a record its owner logs and then applies
+// (Plane.record, apply). An agent is a view over the rows it owns — it keeps
+// only its holds, dedup memory and fencing — so a membership change rewrites
+// the owner of the rows whose endpoints joined or left and nothing else, and
 // capacity belongs to the link, not to whichever agent held or released it.
-// A crashed agent's rows read as lost (Available is 0) until Recover
-// rewrites them from its WAL.
+// A crashed agent's rows read as lost (Available is 0) until Recover.
 
-// agent is one broker's volatile protocol state: per-attempt holds, dedup
-// memory, the fencing record of finalized attempts, and the watermark that
-// bounds the last two. All of it is lost on Crash; the WAL is the durable
-// side.
-type agent struct {
-	id    int32
+// state is an agent's protocol state — per-attempt holds, dedup memory, the
+// fencing record of finalized attempts, and the watermark that bounds the
+// last two — the same struct whether a live agent keeps it or a fold of its
+// log rebuilds it.
+type state struct {
 	holds map[sessKey][]hold
 	// seen holds the MsgIDs the agent logged, and done the attempts it
 	// finalized, at or above w — plus whatever fell below w since the last
@@ -37,16 +38,12 @@ type agent struct {
 	w uint64
 }
 
-// newAgent returns broker b's agent with empty protocol state and watermark
-// w.
-func newAgent(b int32, w uint64) *agent {
-	return &agent{
-		id:    b,
-		holds: make(map[sessKey][]hold),
-		seen:  make(map[uint64]struct{}),
-		done:  make(map[sessKey]fence),
-		w:     w,
-	}
+// agent is one broker's volatile state and its live view of the ledger
+// columns. The state is lost on Crash; the WAL is the durable side.
+type agent struct {
+	id int32
+	state
+	rows columns
 }
 
 type hold struct {
@@ -65,6 +62,118 @@ type ledgerRow struct {
 	Avail float64
 }
 
+// view is the ledger rows apply writes a record's capacity through: the
+// plane's columns, or a replay's map.
+type view interface {
+	// put sets row l, which the agent holds in its image or gained, to avail.
+	put(l int32, avail float64)
+	// drop forgets row l, which the agent lost.
+	drop(l int32)
+	// credit adds bw (negative for a hold) to row l.
+	credit(l int32, bw float64)
+}
+
+// columns is the plane's columns seen as agent id's rows. It writes only the
+// rows the owner column gives id, so a fold lands on the rows the agent owns
+// now, whatever it owned when each record was written.
+//
+// The one difference between living and replaying is credit's: a live agent
+// that credits a row it no longer owns — a hold placed, or a release decided,
+// before the row moved — forwards the credit to the row's owner, whose log
+// records it as a walCredit, so that its fold sees it too. A row that became
+// unmanaged takes nothing: it seeds from the metrics residual, which carries
+// every decided release and no hold, when a broker endpoint joins again. A
+// fold of the log (live false: Recover, and depart's rebuild of a crashed
+// member) skips such a credit, which the live apply forwarded once already.
+type columns struct {
+	p    *Plane
+	id   int32
+	live bool
+}
+
+func (c *columns) put(l int32, avail float64) {
+	if c.p.owner[l] == c.id {
+		c.p.avail[l] = avail
+	}
+}
+
+// drop does nothing: SetBrokers moved the row in the owner column.
+func (c *columns) drop(int32) {}
+
+func (c *columns) credit(l int32, bw float64) {
+	switch o := c.p.owner[l]; {
+	case o == c.id:
+		c.p.avail[l] += bw
+	case c.live && o >= 0:
+		c.p.record(c.p.agents[o], walRecord{Op: walCredit, Link: l, BW: bw})
+		c.p.compact(o)
+	}
+}
+
+// rowMap is a replay's rows: link -> residual.
+type rowMap map[int32]float64
+
+func (m rowMap) put(l int32, avail float64) { m[l] = avail }
+func (m rowMap) drop(l int32)               { delete(m, l) }
+
+// credit skips a row the replayed agent does not own: its row moved on.
+func (m rowMap) credit(l int32, bw float64) {
+	if _, owned := m[l]; owned {
+		m[l] += bw
+	}
+}
+
+// apply folds record r into agent state st and rows v. It is the one place a
+// record takes effect: a live agent applies each record right after logging
+// it (Plane.record), and a replay folds the same records from the latest
+// checkpoint on (wal.replay). It never touches the shared metrics, which are
+// coordinator-owned.
+func apply(g *graph.Graph, st *state, v view, r walRecord) {
+	if r.MsgID != 0 {
+		st.seen[r.MsgID] = struct{}{}
+	}
+	switch r.Op {
+	case walCheckpoint:
+		img := r.Image
+		for _, row := range img.Rows {
+			v.put(row.Link, row.Avail)
+		}
+		// A checkpoint's hold slices are clipped, so appending to one copies
+		// it rather than writing into the image.
+		st.holds = refill(st.holds, img.Holds)
+		st.done = refill(st.done, img.Done)
+		st.seen = refill(st.seen, nil)
+		for _, id := range img.Seen {
+			st.seen[id] = struct{}{}
+		}
+		st.w = img.W
+	case walMigrate:
+		for _, l := range r.Ledger.Lost {
+			v.drop(l)
+		}
+		for _, row := range r.Ledger.Gained {
+			v.put(row.Link, row.Avail)
+		}
+	case walHold:
+		v.credit(r.Link, -r.BW)
+		st.holds[r.Session] = append(st.holds[r.Session], hold{link: r.Link, bw: r.BW, expires: r.Expires, id: r.MsgID})
+	case walCredit:
+		v.credit(r.Link, r.BW)
+	case walBatch:
+		applyBatchEntries(g, st.holds, st.done, r.Batch, r.MsgID, v.credit)
+	}
+}
+
+// refill empties m, making it when nil, and copies src into it.
+func refill[K comparable, V any](m, src map[K]V) map[K]V {
+	if m == nil {
+		m = make(map[K]V, len(src))
+	}
+	clear(m)
+	maps.Copy(m, src)
+	return m
+}
+
 // linkOf returns link (u,v)'s ledger row in g: the arc index of u→v for
 // u < v; -1 for a non-edge or a node outside g.
 func linkOf(g *graph.Graph, u, v int32) int32 {
@@ -80,32 +189,39 @@ func linkOf(g *graph.Graph, u, v int32) int32 {
 // link returns link (u,v)'s ledger row (-1: not a link).
 func (p *Plane) link(u, v int32) int32 { return linkOf(p.top.Graph, u, v) }
 
-// walOf returns broker b's durable log, creating it on first use.
-func (p *Plane) walOf(b int32) *wal {
-	w := p.wals[b]
-	if w == nil {
-		w = &wal{}
-		p.wals[b] = w
-	}
-	return w
-}
-
-// logRecord appends r to broker b's durable log and returns the log. Every
-// record reaches a log here.
-func (p *Plane) logRecord(b int32, r walRecord) *wal {
-	w := p.walOf(b)
-	w.append(r)
+// record makes one change to agent a: r is appended to a's durable log, then
+// applied to a's state and, through a's live view, to the columns. Every
+// record reaches a log here, and every agent mutation is one.
+func (p *Plane) record(a *agent, r walRecord) {
+	p.wals[a.id].append(r)
 	if p.walAppended != nil {
-		p.walAppended(b, r)
+		p.walAppended(a.id, r)
 	}
-	return w
+	apply(p.top.Graph, &a.state, &a.rows, r)
 }
 
-// logCheckpoint checkpoints broker b's log with img: the checkpoint is
-// appended, then everything before it dropped.
-func (p *Plane) logCheckpoint(b int32, img *image) {
-	p.logRecord(b, walRecord{Op: walCheckpoint, Image: img}).truncate()
+// start makes broker b a member whose state is img: its agent, and a fresh
+// log that starts with img as its checkpoint.
+func (p *Plane) start(b int32, img *image) {
+	a := &agent{id: b, rows: columns{p: p, id: b, live: true}}
+	p.agents[b] = a
+	p.wals[b] = &wal{}
+	p.logCheckpoint(a, img)
+}
+
+// logCheckpoint checkpoints agent a's log with img: the checkpoint is
+// recorded, then everything before it dropped.
+func (p *Plane) logCheckpoint(a *agent, img *image) {
+	p.record(a, walRecord{Op: walCheckpoint, Image: img})
+	p.wals[a.id].truncate()
 	p.checkpoints++
+}
+
+// restore rebuilds agent a from its log — the latest checkpoint and the
+// records after it — folded into a's state and into the columns of the rows
+// it owns.
+func (p *Plane) restore(a *agent) {
+	p.wals[a.id].replay(p.top.Graph, &a.state, &columns{p: p, id: a.id})
 }
 
 // ownerOf returns the broker agent owning link (u,v): the lower-id broker
@@ -171,25 +287,6 @@ func (p *Plane) rowsOf(b int32) []ledgerRow {
 	return out
 }
 
-// credit gives bw back to link l on behalf of agent id: the hold of an
-// aborted attempt, or a released hop. The capacity is the link's, so when the
-// link has moved to another agent since the hold was placed or the release
-// decided, the credit still lands on its row, and the new owner's log records
-// it so that its replay sees it too. An unmanaged link takes nothing: it
-// seeds from the metrics residual, which carries every decided release and
-// no hold, when a broker endpoint joins again.
-func (p *Plane) credit(id, l int32, bw float64) {
-	o := p.owner[l]
-	if o < 0 {
-		return
-	}
-	p.avail[l] += bw
-	if o != id {
-		p.logRecord(o, walRecord{Op: walCredit, Link: l, BW: bw})
-		p.compact(o)
-	}
-}
-
 // compact checkpoints live member b's log once its tail has passed its
 // budget. Call it only where b's state is whole — after a logged record has
 // been applied — since the checkpoint is taken from it. A crashed member's
@@ -200,11 +297,11 @@ func (p *Plane) compact(b int32) {
 	}
 }
 
-// checkpoint appends a checkpoint of live agent a to its log, dropping every
-// record before it, and forgets what its watermark has passed: the fencing
-// and dedup memory below it, and the commit counts of attempts no longer
-// fenced. Only clipped hold slices go into the image, so neither the agent
-// nor a replay ever appends into one.
+// checkpoint records a checkpoint of live agent a, dropping every record
+// before it; applying it forgets what a's watermark has passed: the fencing
+// and dedup memory below it. The image keeps the commit counts of the
+// attempts still fenced. Only clipped hold slices go into the image, so
+// neither the agent nor a replay ever appends into one.
 func (p *Plane) checkpoint(a *agent) {
 	img := &image{
 		Rows:  p.rowsOf(a.id),
@@ -233,30 +330,26 @@ func (p *Plane) checkpoint(a *agent) {
 			img.Commits[k] = n
 		}
 	}
-	p.logCheckpoint(a.id, img)
-	a.done = maps.Clone(img.Done)
-	a.seen = make(map[uint64]struct{}, len(img.Seen))
-	for _, id := range img.Seen {
-		a.seen[id] = struct{}{}
-	}
+	p.logCheckpoint(a, img)
 }
 
 // SetBrokers replaces the coalition membership, migrating the ledger rows
 // whose owner changes — only links with an endpoint that joined or left can
 // change owner (ownerOf picks the lower-id broker endpoint), so only the rows
-// of added and removed brokers are walked. A row that changes owner keeps its
-// residual, whether its old owner is up or crashed; holds on it stay with the
-// agent that placed them. A row that gains its first broker endpoint seeds
-// from the metrics residual, which is exact there: nobody can hold on an
-// unmanaged row or be owed its release. A row that loses every broker
-// endpoint drops out of the ledger. A crashed member is a member like any
-// other: surviving members keep their holds, dedup memory, fencing and
-// backlog, and each one whose rows changed logs one migration record (the
-// links it lost, then the links it gained with their residuals); only an
-// added member starts a log, with a checkpoint of its rows. A departing
-// member settles what it was sent before its agent and its log go (depart).
-// Crash marks and breaker state persist across membership changes (they key
-// off the node id). Added and removed report the membership delta.
+// of added and removed brokers are walked. SetBrokers writes the owner column
+// of those rows and seeds the ones that gain their first broker endpoint from
+// the metrics residual, which is exact there: nobody can hold on an unmanaged
+// row or be owed its release. A row that changes owner keeps its residual,
+// whether its old owner is up or crashed; holds on it stay with the agent
+// that placed them. A row that loses every broker endpoint drops out of the
+// ledger. A crashed member is a member like any other: surviving members keep
+// their holds, dedup memory, fencing and backlog, and each one whose rows
+// changed records one migration (the links it lost, then the links it gained
+// with their residuals); an added member starts a log with a checkpoint of
+// its rows. A departing member settles what it was sent before its agent and
+// its log go (depart). Crash marks and breaker state persist across
+// membership changes (they key off the node id). Added and removed report the
+// membership delta.
 func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	newIn := make([]bool, len(p.inB))
 	for _, b := range brokers {
@@ -315,12 +408,11 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 		}
 	}
 	for b, d := range moves {
-		p.logRecord(b, walRecord{Op: walMigrate, Ledger: d})
+		p.record(p.agents[b], walRecord{Op: walMigrate, Ledger: d})
 		p.compact(b)
 	}
 	for _, b := range added {
-		p.agents[b] = newAgent(b, p.d.w)
-		p.logCheckpoint(b, &image{Rows: p.rowsOf(b), W: p.d.w})
+		p.start(b, &image{Rows: p.rowsOf(b), W: p.d.w})
 	}
 	for _, b := range removed {
 		p.depart(b)
@@ -331,43 +423,40 @@ func (p *Plane) SetBrokers(brokers []int32) (added, removed []int32) {
 	return added, removed
 }
 
-// depart settles departing member b's account on the rows' new owners and
-// drops its agent and its log. Every record backlogged toward b that b has
-// not applied is applied on its behalf — a release credits its hop, an abort
-// credits b's holds of that attempt, a commit retires them — and every hold
-// still undecided is presumed aborted (resolve) and credited. A crashed
-// member's holds, fencing and applied message ids come from its log (its
-// latest checkpoint and the tail: a backlogged id is at or above the
-// coordinator's watermark, which no agent's passes, so a checkpoint never
-// dropped it). Credits go through credit, so they land wherever the rows went
-// and are logged there; a row that became unmanaged takes none.
+// depart settles departing member b's account and drops its agent and its
+// log. A crashed member's state is first restored from its log. Every record
+// backlogged toward b that b has not applied is recorded on its behalf — a
+// release credits its hop, an abort credits b's holds of that attempt, a
+// commit retires them — and every hold still undecided is presumed aborted
+// (resolve) and credited. b owns no row any more, so every credit is
+// forwarded to the row's new owner and logged there; a row that became
+// unmanaged takes none. (A backlogged id is at or above the coordinator's
+// watermark, which no agent's passes, so a checkpoint never dropped it from
+// the seen memory these records are tested against.)
 func (p *Plane) depart(b int32) {
 	a := p.agents[b]
-	holds, done, seen := a.holds, a.done, a.seen
 	if p.crashed[b] {
-		_, holds, done, seen = p.wals[b].replay(p.top.Graph)
+		p.restore(a)
 	}
-	g := p.top.Graph
-	credit := func(l int32, bw float64) { p.credit(b, l, bw) }
 	for _, id := range sortedIDs(p.d.backlog) {
 		if m := p.d.backlog[id]; m.To == b {
-			if _, applied := seen[id]; !applied {
-				applyBatchEntries(g, holds, done, m.Batch, id, credit)
+			if _, applied := a.seen[id]; !applied {
+				p.record(a, walRecord{Op: walBatch, MsgID: id, Batch: m.Batch})
 			}
 		}
 	}
 	var entries []BatchEntry
-	for _, key := range inDoubt(holds) {
+	for _, key := range inDoubt(a.holds) {
 		entries = append(entries, p.resolve(key))
 	}
-	applyBatchEntries(g, holds, done, entries, 0, credit)
+	p.applyLocal(a, entries)
 	delete(p.agents, b)
 	delete(p.wals, b)
 }
 
 // Available returns the ledgered available capacity of the link (0 when
 // unmanaged, or when its owner is crashed: the row reads as lost until
-// Recover replays the owner's WAL).
+// Recover).
 func (p *Plane) Available(u, v int32) float64 {
 	l := p.link(u, v)
 	if l < 0 {
@@ -393,7 +482,7 @@ func (p *Plane) dispatch(m Message) {
 // agent's watermark to the one it carries; a request below the watermark is
 // a straggler the coordinator no longer waits on, answered and never applied
 // — a PREPARE is refused and places no hold, a BATCH is acknowledged and not
-// logged. Every other state change is write-ahead logged before it applies;
+// logged. Every other state change is a record, logged and then applied;
 // duplicates are answered from dedup memory; PREPAREs for finalized attempts
 // are fenced so stragglers cannot resurrect holds. Once the step is applied,
 // a log past its budget is checkpointed.
@@ -436,10 +525,7 @@ func (p *Plane) deliver(a *agent, m Message) {
 			if m.Lease > 0 {
 				exp = p.d.Now() + int(m.Lease)
 			}
-			p.logRecord(a.id, walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Link: l, BW: m.Bandwidth, Expires: exp})
-			a.seen[m.MsgID] = struct{}{}
-			p.avail[l] -= m.Bandwidth // place hold
-			a.holds[key] = append(a.holds[key], hold{link: l, bw: m.Bandwidth, expires: exp, id: m.MsgID})
+			p.record(a, walRecord{Op: walHold, MsgID: m.MsgID, Session: key, Link: l, BW: m.Bandwidth, Expires: exp})
 			p.d.Reply(m, MsgPrepareAck)
 		} else {
 			// Nacks are not dedup-remembered: a retransmit re-evaluates
@@ -451,28 +537,16 @@ func (p *Plane) deliver(a *agent, m Message) {
 		// each entry then applies with per-session fencing, so
 		// crash-atomicity is per session, not per batch — replay resolves
 		// every entry independently.
-		p.logRecord(a.id, walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})
-		a.seen[m.MsgID] = struct{}{}
-		p.applyBatch(a, m.Batch, m.MsgID)
+		p.record(a, walRecord{Op: walBatch, MsgID: m.MsgID, Batch: append([]BatchEntry(nil), m.Batch...)})
 		if p.batchWALCrash != nil && p.batchWALCrash(a.id) {
-			// Chaos seam: the broker dies in the durability window — batch
-			// record logged, nothing acked, and the agent's apply of it
-			// (holds, fencing, dedup) lost with its memory. The columns
-			// hold what its log replays to, as they do for every crashed
-			// agent, so a row that moves before it recovers carries the
-			// record's credit. Recovery replays the record; the unacked
-			// coordinator retransmission dedups against the WAL-rebuilt seen
-			// set.
+			// Chaos seam: the broker dies in the durability window — record
+			// logged, nothing acked, and its state (holds, fencing, dedup) lost
+			// with its memory. Recovery folds the record back in; the unacked
+			// coordinator retransmission dedups against the rebuilt seen set.
 			p.Crash(a.id)
 			return
 		}
 		p.d.Reply(m, MsgBatchAck)
 	}
 	p.compact(a.id)
-}
-
-// applyBatch applies decision record id (0: written locally) to live agent
-// a's protocol state and the ledger columns.
-func (p *Plane) applyBatch(a *agent, entries []BatchEntry, id uint64) {
-	applyBatchEntries(p.top.Graph, a.holds, a.done, entries, id, func(l int32, bw float64) { p.credit(a.id, l, bw) })
 }

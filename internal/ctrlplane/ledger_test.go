@@ -46,6 +46,7 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := lineTop(t)
 			p := New(top, m, tc.before)
+			folded := watchFold(t, p)
 			ctx := context.Background()
 			path := tc.path
 			if path == nil {
@@ -60,6 +61,7 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 					p.Crash(tc.crash)
 				}
 				p.SetBrokers(set)
+				folded("SetBrokers")
 			}
 			final := tc.after[len(tc.after)-1]
 			if tc.commit {
@@ -71,6 +73,7 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Recover(tc.crash)
+			folded("Recover")
 			if err := p.Reconcile(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -90,6 +93,7 @@ func TestHoldSurvivesMembershipChange(t *testing.T) {
 			}
 			for _, b := range final {
 				p.Recover(b)
+				folded("Recover")
 			}
 			if err := p.CheckInvariants(nil); err != nil {
 				t.Fatalf("after crash and recovery: %v", err)
@@ -112,6 +116,7 @@ func TestDepartureSettlesBacklog(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			top, m := lineTop(t)
 			p := New(top, m, []int32{1, 3})
+			folded := watchFold(t, p)
 			ft := NewFaultTransport(FaultConfig{})
 			p.UseTransport(ft)
 			ctx := context.Background()
@@ -131,6 +136,7 @@ func TestDepartureSettlesBacklog(t *testing.T) {
 				t.Fatal("the release toward broker 3 was not backlogged")
 			}
 			p.SetBrokers([]int32{1, 2, 4})
+			folded("SetBrokers")
 			if crash {
 				p.Recover(3)
 			} else {
@@ -187,6 +193,7 @@ func TestBacklogSurvivesReseed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := lineTop(t)
 			p := New(top, m, []int32{1, 3})
+			folded := watchFold(t, p)
 			tr := &lossyTransport{Transport: NewFaultTransport(FaultConfig{})}
 			p.UseTransport(tr)
 			ctx := context.Background()
@@ -213,10 +220,13 @@ func TestBacklogSurvivesReseed(t *testing.T) {
 				t.Fatal("the record toward broker 3 was not backlogged")
 			}
 			p.SetBrokers([]int32{1, 2, 3}) // (2,3) moves from broker 3 to broker 2
+			folded("SetBrokers")
 			p.Crash(2)
 			p.SetBrokers([]int32{1, 2, 3, 4}) // broker 2 is down through the change
+			folded("SetBrokers")
 			tr.lose = nil
 			p.Recover(2)
+			folded("Recover")
 			if err := p.Reconcile(ctx); err != nil {
 				t.Fatal(err)
 			}
@@ -354,6 +364,7 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 	}
 	m := routing.DefaultMetrics(top, nil)
 	p := New(top, m, brokers)
+	folded := watchFold(t, p)
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
 	var sessions []*Session
@@ -402,6 +413,7 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 			slices.Sort(down)
 			b := down[rng.Intn(len(down))]
 			p.Recover(b)
+			folded("Recover")
 			delete(r.crashed, b)
 		}
 		next := map[int32]bool{}
@@ -425,6 +437,7 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 		slices.Sort(set)
 
 		added, removed := p.SetBrokers(set)
+		folded("SetBrokers")
 		wantAdded, wantRemoved := setBrokersReference(r, set)
 		if !slices.Equal(added, wantAdded) || !slices.Equal(removed, wantRemoved) {
 			t.Fatalf("round %d: delta +%v -%v, reference +%v -%v", round, added, removed, wantAdded, wantRemoved)
@@ -445,10 +458,10 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 			return true
 		})
 		for _, b := range p.Brokers() {
-			rows, holds, _, _ := p.walOf(b).replay(top.Graph)
+			rows, st := replayed(top.Graph, p.wals[b])
 			want := r.avail[b]
-			if len(holds) != 0 || len(rows) != len(want) {
-				t.Fatalf("round %d: broker %d replays %d rows and %d hold sets, reference %d rows", round, b, len(rows), len(holds), len(want))
+			if len(st.holds) != 0 || len(rows) != len(want) {
+				t.Fatalf("round %d: broker %d replays %d rows and %d hold sets, reference %d rows", round, b, len(rows), len(st.holds), len(want))
 			}
 			for hop, avail := range want {
 				if got, ok := rows[p.link(hop[0], hop[1])]; !ok || got != avail {

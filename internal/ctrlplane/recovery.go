@@ -6,9 +6,9 @@ package ctrlplane
 // write-ahead log survives. While crashed the agent neither receives nor
 // acknowledges protocol messages, so in-flight setups through it abort and
 // new setups fast-fail ("unresponsive").
-// Crash/Recover round-trip exactly: Recover replays the WAL back to the
-// pre-crash ledger and resolves what the crash left in doubt. Unknown
-// brokers are only marked (nothing to wipe).
+// Crash/Recover round-trip exactly: Recover folds the WAL back into the
+// pre-crash state and resolves what the crash left in doubt. Unknown brokers
+// are only marked (nothing to wipe).
 func (p *Plane) Crash(b int32) {
 	if p.crashed[b] {
 		return
@@ -16,30 +16,28 @@ func (p *Plane) Crash(b int32) {
 	p.flight.Recordf("ctrlplane", "crash", int64(p.d.Now()), "broker %d", b)
 	p.crashed[b] = true
 	if a := p.agents[b]; a != nil {
-		a.holds, a.seen, a.done, a.w = nil, nil, nil, 0
+		a.state = state{}
 	}
 }
 
-// Recover restarts a crashed broker: the agent's volatile state is rebuilt
-// by replaying its WAL (latest checkpoint plus the records after it — its
-// ledger rows, which are written back into the plane's columns, outstanding
-// holds, dedup memory, finalization fencing and watermark), and sessions the
-// crash left in doubt (holds with no decision record) are resolved against
-// the coordinator's durable commit point:
+// Recover restarts a crashed broker: its WAL (latest checkpoint plus the
+// records after it) is folded into the columns of the rows it owns and into
+// its outstanding holds, dedup memory, finalization fencing and watermark
+// (restore), and sessions the crash left in doubt (holds with no decision
+// record) are resolved against the coordinator's durable commit point:
 //
 //	in-doubt state          decision record    resolution
 //	prepared (hold held)    commit logged      commit entry
 //	prepared (hold held)    abort logged       abort entry
 //	prepared (hold held)    none               abort entry (presumed abort, recorded)
 //
-// The resolutions are logged as one batch record and applied through
-// applyBatchEntries, like a record the coordinator delivered; an abort
-// credits its holds through Plane.credit, wherever their rows went while the
-// broker was down. Records backlogged toward it stay backlogged and land
-// after this, fenced or applied like any late delivery. The shared metrics
-// mirror is coordinator-owned and untouched by replay, so recovery never
-// double-counts a reservation. Recovering a broker that is not crashed is a
-// no-op.
+// The resolutions are recorded as one batch record, like a record the
+// coordinator delivered; an abort credits its holds wherever their rows went
+// while the broker was down. Records backlogged toward it stay backlogged
+// and land after this, fenced or applied like any late delivery. The shared
+// metrics mirror is coordinator-owned and untouched by the fold, so recovery
+// never double-counts a reservation. Recovering a broker that is not crashed
+// is a no-op.
 func (p *Plane) Recover(b int32) {
 	if !p.crashed[b] {
 		return
@@ -49,13 +47,7 @@ func (p *Plane) Recover(b int32) {
 	if a == nil {
 		return // departed while crashed: SetBrokers settled its log then
 	}
-	log := p.wals[b]
-	var rows map[int32]float64
-	rows, a.holds, a.done, a.seen = log.replay(p.top.Graph)
-	a.w = log.watermark()
-	for l, avail := range rows {
-		p.avail[l] = avail
-	}
+	p.restore(a)
 	doubt := inDoubt(a.holds)
 	var entries []BatchEntry
 	for _, key := range doubt {
@@ -92,16 +84,15 @@ func (p *Plane) resolve(key sessKey) BatchEntry {
 	return e
 }
 
-// applyLocal logs and applies a batch record that no message carried: the
-// presumed aborts of a lease sweep, or a recovery's in-doubt resolutions.
-// The record has no MsgID, which is how wal.commitCounts tells it from a
-// decision the coordinator delivered.
+// applyLocal records a batch record that no message carried: the presumed
+// aborts of a lease sweep or of a departure, or a recovery's in-doubt
+// resolutions. The record has no MsgID, which is how wal.commitCounts tells
+// it from a decision the coordinator delivered.
 func (p *Plane) applyLocal(a *agent, entries []BatchEntry) {
 	if len(entries) == 0 {
 		return
 	}
-	p.logRecord(a.id, walRecord{Op: walBatch, Batch: entries})
-	p.applyBatch(a, entries, 0)
+	p.record(a, walRecord{Op: walBatch, Batch: entries})
 	p.compact(a.id)
 }
 
@@ -127,14 +118,7 @@ func (p *Plane) ExpireLeases() int {
 		a := p.agents[b]
 		var entries []BatchEntry
 		for _, key := range inDoubt(a.holds) {
-			lapsed := len(a.holds[key]) > 0
-			for _, h := range a.holds[key] {
-				if h.expires == 0 || h.expires > p.d.Now() {
-					lapsed = false
-					break
-				}
-			}
-			if !lapsed {
+			if !lapsed(a.holds[key], p.d.Now()) {
 				continue
 			}
 			e := p.resolve(key)

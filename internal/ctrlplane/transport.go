@@ -252,10 +252,14 @@ func (m Message) Encode(dst []byte) []byte {
 }
 
 // DecodeMessage parses the wire form produced by Encode, rejecting
-// short/long buffers, unknown message types, malformed batch records, and
-// non-finite bandwidths — a malformed frame must never enter an agent's
-// state machine. Only MsgBatch frames may exceed the fixed header size,
-// and their length must match the entry count exactly.
+// short/long buffers, unknown message types, malformed batch records,
+// non-finite bandwidths, and requests whose bandwidth cannot be reserved —
+// a PREPARE or X-PREPARE, or a release entry, whose bandwidth is not > 0 (a
+// negative one would be granted and credit capacity the link never had). A
+// peer record's release names a session, not a hop, and carries 0; gossip
+// reuses the bandwidth field for connectivity. A malformed frame must never
+// enter an agent's state machine. Only MsgBatch frames may exceed the fixed
+// header size, and their length must match the entry count exactly.
 func DecodeMessage(b []byte) (Message, error) {
 	if len(b) < msgWireSize {
 		return Message{}, fmt.Errorf("ctrlplane: message frame is %d bytes, want >= %d", len(b), msgWireSize)
@@ -282,6 +286,9 @@ func DecodeMessage(b []byte) (Message, error) {
 	}
 	if math.IsNaN(m.Bandwidth) || math.IsInf(m.Bandwidth, 0) {
 		return Message{}, fmt.Errorf("ctrlplane: non-finite bandwidth")
+	}
+	if (m.Type == MsgPrepare || m.Type == MsgXPrepare) && m.Bandwidth <= 0 {
+		return Message{}, fmt.Errorf("ctrlplane: %s bandwidth %v is not > 0", m.Type, m.Bandwidth)
 	}
 	if m.Type != MsgBatch {
 		if len(b) != msgWireSize {
@@ -320,6 +327,9 @@ func DecodeMessage(b []byte) (Message, error) {
 		}
 		if math.IsNaN(e.BW) || math.IsInf(e.BW, 0) {
 			return Message{}, fmt.Errorf("ctrlplane: non-finite batch entry bandwidth")
+		}
+		if _, peer := PeerRegion(m.To); e.Kind == EntryRelease && (e.BW < 0 || e.BW == 0 && !peer) {
+			return Message{}, fmt.Errorf("ctrlplane: release entry bandwidth %v is not > 0", e.BW)
 		}
 		m.Batch[i] = e
 	}

@@ -125,7 +125,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{},
 		{From: Coordinator, To: 7, Type: MsgPrepare, SessionID: 123456, Epoch: 9, MsgID: 1 << 40, AckFor: 3, Hop: [2]int32{-2, 1 << 30}, Bandwidth: 3.25, Trace: 0xdeadbeefcafe},
 		{From: 5, To: Coordinator, Type: MsgBatchAck, SessionID: -1, MsgID: 1, AckFor: ^uint64(0), Bandwidth: 0},
-		{From: PeerAddr(0), To: PeerAddr(1), Type: MsgXPrepare, MsgID: 7, Trace: ^uint64(0)},
+		{From: PeerAddr(0), To: PeerAddr(1), Type: MsgXPrepare, MsgID: 7, Bandwidth: 0.5, Trace: ^uint64(0)},
 	}
 	for i, m := range msgs {
 		if m.Type == 0 {
@@ -146,14 +146,14 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 }
 
 func TestMessageDecodeRejectsMalformed(t *testing.T) {
-	good := Message{Type: MsgPrepare, MsgID: 1}.Encode(nil)
+	good := Message{Type: MsgPrepare, MsgID: 1, Bandwidth: 1}.Encode(nil)
 	if _, err := DecodeMessage(good[:len(good)-1]); err == nil {
 		t.Fatal("short frame accepted")
 	}
 	if _, err := DecodeMessage(append(good, 0)); err == nil {
 		t.Fatal("long frame accepted")
 	}
-	bad := Message{Type: MsgPrepare, MsgID: 1}.Encode(nil)
+	bad := Message{Type: MsgPrepare, MsgID: 1, Bandwidth: 1}.Encode(nil)
 	bad[8] = 200 // unknown type
 	if _, err := DecodeMessage(bad); err == nil {
 		t.Fatal("unknown type accepted")
@@ -179,4 +179,40 @@ func TestMessageDecodeRejectsMalformed(t *testing.T) {
 	if _, err := DecodeMessage(nan); err == nil {
 		t.Fatal("NaN bandwidth accepted")
 	}
+	// A request must reserve something: a negative PREPARE would be granted
+	// (avail >= -5) and a commit of it would raise a capacity-10 link to 15; a
+	// negative release would take a link below what is committed on it.
+	for _, tc := range unreservable {
+		if _, err := DecodeMessage(tc.m.Encode(nil)); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	// A peer record's release names a session and carries no bandwidth, and
+	// gossip carries connectivity in the bandwidth field: both still decode.
+	for _, m := range []Message{
+		{From: PeerAddr(0), To: PeerAddr(1), Type: MsgBatch, MsgID: 3, Batch: []BatchEntry{{Kind: EntryRelease, ID: 1, Epoch: 1}}},
+		{From: PeerAddr(1), To: PeerAddr(0), Type: MsgGossip, MsgID: 4},
+	} {
+		if _, err := DecodeMessage(m.Encode(nil)); err != nil {
+			t.Errorf("%s %d->%d rejected: %v", m.Type, m.From, m.To, err)
+		}
+	}
+}
+
+// unreservable lists frames whose bandwidth cannot be reserved, each of
+// which DecodeMessage must reject.
+var unreservable = []struct {
+	name string
+	m    Message
+}{
+	{"negative PREPARE", Message{To: 1, Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 1, Hop: [2]int32{0, 1}, Bandwidth: -5}},
+	{"zero PREPARE", Message{To: 1, Type: MsgPrepare, SessionID: 1, Epoch: 1, MsgID: 1, Hop: [2]int32{0, 1}}},
+	{"negative X-PREPARE", Message{From: PeerAddr(0), To: PeerAddr(1), Type: MsgXPrepare, SessionID: 1, Epoch: 1, MsgID: 1, Bandwidth: -5}},
+	{"zero X-PREPARE", Message{From: PeerAddr(0), To: PeerAddr(1), Type: MsgXPrepare, SessionID: 1, Epoch: 1, MsgID: 1}},
+	{"negative release", Message{To: 1, Type: MsgBatch, MsgID: 2, Batch: []BatchEntry{
+		{Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{1, 2}, BW: -7}}}},
+	{"zero release", Message{To: 1, Type: MsgBatch, MsgID: 2, Batch: []BatchEntry{
+		{Kind: EntryCommit, ID: 2, Epoch: 1}, {Kind: EntryRelease, ID: 1, Epoch: 1, Hop: [2]int32{1, 2}}}}},
+	{"negative peer release", Message{From: PeerAddr(0), To: PeerAddr(1), Type: MsgBatch, MsgID: 2, Batch: []BatchEntry{
+		{Kind: EntryRelease, ID: 1, Epoch: 1, BW: -1}}}},
 }

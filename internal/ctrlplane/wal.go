@@ -1,19 +1,22 @@
 package ctrlplane
 
 import (
+	"cmp"
 	"maps"
-	"sort"
+	"slices"
 
 	"brokerset/internal/graph"
 )
 
 // The write-ahead log models each broker's durable storage: every
-// state-changing protocol step is appended *before* the ledger mutates, so a
-// crash can lose the volatile state (the agent's rows, holds, dedup memory)
-// but never the log. Recovery replays the log from its latest checkpoint and
-// resolves in-doubt sessions against the coordinator's decision record. The
-// log lives on the Plane keyed by broker id, so it survives both Crash and
-// coalition membership changes; a member's departure frees it.
+// state-changing protocol step is a record appended *before* it is applied,
+// and applying it is the one function apply, so an agent's state is the fold
+// of its log. A crash can lose the volatile state (holds, dedup memory,
+// fencing) but never the log. Recovery folds the log from its latest
+// checkpoint and resolves in-doubt sessions against the coordinator's
+// decision record. The log lives on the Plane keyed by broker id, so it
+// survives both Crash and coalition membership changes; a member's departure
+// frees it.
 //
 // A log is bounded by its checkpoints. Once the records after the latest
 // checkpoint pass a budget proportional to the agent's row count
@@ -44,7 +47,7 @@ const (
 	// round (commits, aborts, releases) in one append. Replay applies each
 	// entry with per-session fencing, so recovery resolves every session in
 	// the record independently. A record with MsgID 0 was written locally
-	// (lease sweep, in-doubt resolution), not delivered.
+	// (lease sweep, in-doubt resolution, departure), not delivered.
 	walBatch
 	// walCommit and walAbort fence a finalized attempt.
 	walCommit
@@ -55,7 +58,7 @@ const (
 	walMigrate
 	// walCredit records capacity another agent gave back to a link this one
 	// owns: the hold or the release was the other agent's, and the link moved
-	// here before it was settled (see Plane.credit).
+	// here before it was settled (see columns.credit).
 	walCredit
 )
 
@@ -152,10 +155,6 @@ func (w *wal) last() int {
 	return i
 }
 
-// watermark returns the watermark the latest checkpoint recorded: where a
-// replayed agent's fencing resumes.
-func (w *wal) watermark() uint64 { return w.recs[w.last()].Image.W }
-
 // commitCounts tallies delivered commit entries per attempt — the invariant
 // checker uses it to prove no session epoch committed twice on any broker.
 // Records a recovery wrote locally (no MsgID) restate a decision rather
@@ -182,57 +181,23 @@ func (w *wal) commitCounts() map[sessKey]int {
 	return out
 }
 
-// replay rebuilds an agent's volatile state from its latest checkpoint and
-// the records after it: its ledger rows (link -> residual, links of g),
-// outstanding holds, finalized-session fencing, and dedup memory (its
-// watermark is watermark()). It touches nothing outside the returned state —
-// in particular it never re-mirrors reservations into the shared metrics,
-// which are coordinator-owned, and a credit to a link the agent no longer
-// owns (its row moved on) is not the agent's to replay.
-func (w *wal) replay(g *graph.Graph) (rows map[int32]float64, holds map[sessKey][]hold, done map[sessKey]fence, seen map[uint64]struct{}) {
-	last := w.last()
-	img := w.recs[last].Image
-	rows = make(map[int32]float64, len(img.Rows))
-	for _, row := range img.Rows {
-		rows[row.Link] = row.Avail
+// replay folds the log into st and v: apply over its latest checkpoint, which
+// resets st and puts the image's rows, and the records after it.
+func (w *wal) replay(g *graph.Graph, st *state, v view) {
+	for _, r := range w.recs[w.last():] {
+		apply(g, st, v, r)
 	}
-	// A checkpoint's hold slices are clipped, so appending to one here
-	// copies it rather than writing into the image.
-	holds = make(map[sessKey][]hold, len(img.Holds))
-	maps.Copy(holds, img.Holds)
-	done = make(map[sessKey]fence, len(img.Done))
-	maps.Copy(done, img.Done)
-	seen = make(map[uint64]struct{}, len(img.Seen))
-	for _, id := range img.Seen {
-		seen[id] = struct{}{}
-	}
-	credit := func(l int32, bw float64) {
-		if _, owned := rows[l]; owned {
-			rows[l] += bw
+}
+
+// lapsed reports whether every lease of a non-empty hold set has lapsed at
+// virtual clock tick now (an unleased hold never lapses).
+func lapsed(hs []hold, now int) bool {
+	for _, h := range hs {
+		if h.expires == 0 || h.expires > now {
+			return false
 		}
 	}
-	for _, r := range w.recs[last+1:] {
-		if r.MsgID != 0 {
-			seen[r.MsgID] = struct{}{}
-		}
-		switch r.Op {
-		case walMigrate:
-			for _, l := range r.Ledger.Lost {
-				delete(rows, l)
-			}
-			for _, row := range r.Ledger.Gained {
-				rows[row.Link] = row.Avail
-			}
-		case walHold:
-			credit(r.Link, -r.BW)
-			holds[r.Session] = append(holds[r.Session], hold{link: r.Link, bw: r.BW, expires: r.Expires, id: r.MsgID})
-		case walCredit:
-			credit(r.Link, r.BW)
-		case walBatch:
-			applyBatchEntries(g, holds, done, r.Batch, r.MsgID, credit)
-		}
-	}
-	return rows, holds, done, seen
+	return len(hs) > 0
 }
 
 // inDoubt returns the attempts left holding capacity with no
@@ -243,11 +208,6 @@ func inDoubt(holds map[sessKey][]hold) []sessKey {
 	for k := range holds {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ID != keys[j].ID {
-			return keys[i].ID < keys[j].ID
-		}
-		return keys[i].Epoch < keys[j].Epoch
-	})
+	slices.SortFunc(keys, func(a, b sessKey) int { return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Epoch, b.Epoch)) })
 	return keys
 }
