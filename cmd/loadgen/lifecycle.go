@@ -57,7 +57,8 @@ func runLifecycle(top *topology.Topology, k, conc int, dur, ttl time.Duration, a
 		defer close(swept)
 		d.Run(ctx)
 	}()
-	var setups, abandoned, torndown, setupErrs atomic.Uint64
+	var setups, abandoned, torndown, setupErrs, renewals atomic.Uint64
+	abandonedIDs := make([][]int, conc) // by worker
 
 	deadline := time.Now().Add(dur)
 	var workers sync.WaitGroup
@@ -85,13 +86,16 @@ func runLifecycle(top *topology.Topology, k, conc int, dur, ttl time.Duration, a
 					// Abandon: walk away mid-lease. No teardown will ever
 					// arrive; only lease expiry can reclaim this capacity.
 					abandoned.Add(1)
+					abandonedIDs[w] = append(abandonedIDs[w], sess.ID)
 					continue
 				}
 				// Hold across a few renewal periods, heartbeating at ttl/3
 				// like brokerd clients, then tear down cleanly.
 				for i, n := 0, 1+rng.Intn(3); i < n && time.Now().Before(deadline); i++ {
 					time.Sleep(ttl / 3)
-					d.Renew(sess.ID)
+					if d.Renew(sess.ID) {
+						renewals.Add(1)
+					}
 				}
 				octx, ocancel = context.WithTimeout(context.Background(), time.Second)
 				terr := d.Teardown(octx, sess.ID)
@@ -118,10 +122,19 @@ func runLifecycle(top *topology.Topology, k, conc int, dur, ttl time.Duration, a
 	cancel()
 	<-swept
 
-	st := d.PlaneStats()
+	// An abandoned session the table no longer holds was expired: nothing
+	// else (no teardown, no churn) takes one out.
+	expiries := 0
+	for _, ids := range abandonedIDs {
+		for _, id := range ids {
+			if _, held := d.Session(id); !held {
+				expiries++
+			}
+		}
+	}
 	fmt.Fprintf(out, "lifecycle: %d setups (%d abandoned, %d torn down, %d refused), %d renewals, %d lease expiries\n",
 		setups.Load(), abandoned.Load(), torndown.Load(), setupErrs.Load(),
-		st.LeaseRenewals, st.SessionExpiries)
+		renewals.Load(), expiries)
 	final := reserved()
 	if !recovered {
 		return fmt.Errorf("lifecycle: reserved capacity did not return to baseline within 2x TTL: %.3f Gbps still reserved after %v (baseline %.3f)",

@@ -253,12 +253,6 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 			if h.sessions.CheckedAt(sess.ID) == cur {
 				continue
 			}
-			if h.plane.SessionLeaseLapsed(sess) {
-				// Heartbeats stopped: the expiry sweeper will presumed-
-				// release it. Repairing an abandoned session would spend a
-				// 2PC round keeping capacity reserved for nobody.
-				continue
-			}
 			if !h.plane.SessionDamaged(sess) {
 				h.sessions.Stamp(sess.ID, cur)
 				continue

@@ -9,7 +9,7 @@ import (
 )
 
 // Group commit: CommitBatch coalesces many concurrent session lifecycle
-// operations — setups, teardowns, lease expiries — into ONE two-phase-commit
+// operations — setups and teardowns — into ONE two-phase-commit
 // round against the union of touched brokers, out of the same steps the
 // single-session entry points are made of (see Plane.prepare and
 // Plane.decide). Phase 1 PREPAREs every setup's hops in a single broadcast;
@@ -103,13 +103,9 @@ type BatchOpKind uint8
 const (
 	// BatchSetup sets up a new session over Path at Bandwidth.
 	BatchSetup BatchOpKind = iota + 1
-	// BatchTeardown releases a committed session (client-requested).
+	// BatchTeardown releases a committed session: a client's teardown, or
+	// the caller's presumed release of a session whose heartbeats stopped.
 	BatchTeardown
-	// BatchExpire presumed-releases a committed session whose heartbeat
-	// lease lapsed. Unlike BatchTeardown it re-checks the lease under the
-	// plane's serialization: a renewal that raced the sweeper's decision to
-	// expire wins, and the op is refused — the no-double-release guard.
-	BatchExpire
 )
 
 // BatchOp is one lifecycle operation submitted to CommitBatch.
@@ -118,7 +114,7 @@ type BatchOp struct {
 	// Path and Bandwidth parameterize BatchSetup.
 	Path      []int32
 	Bandwidth float64
-	// Session is the target of BatchTeardown and BatchExpire.
+	// Session is the target of BatchTeardown.
 	Session *Session
 	// Trace is the trace ID of the request that submitted this op (0 =
 	// untraced). Group commit runs under the batch LEADER's context, so a
@@ -131,14 +127,14 @@ type BatchOp struct {
 // BatchResult is one op's outcome, index-aligned with CommitBatch's input.
 type BatchResult struct {
 	// Session is the new session of a successful BatchSetup (nil on
-	// failure) and echoes the input session for teardown/expire ops.
+	// failure) and echoes the input session for teardown ops.
 	Session *Session
 	Err     error
 }
 
 // CommitBatch runs one coalesced 2PC round over ops. Setups share a single
 // prepare broadcast; then every decision (commit for fully-prepared setups,
-// abort for the rest, release for teardowns and still-lapsed expiries) is
+// abort for the rest, release for teardowns) is
 // durably recorded and delivered to each touched broker as one MsgBatch.
 // Results are index-aligned with ops; each op succeeds or fails
 // independently — one setup hitting a capacity nack never aborts its batch
@@ -159,11 +155,14 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	results := make([]BatchResult, len(ops))
 
 	// Validate and open a fresh attempt for every setup; breaker fast-fails
-	// and undominated paths abort before any message is spent.
+	// and undominated paths abort before any message is spent. Every
+	// teardown of a committed session is a release.
 	var (
-		opened   []*Session
-		traces   []uint64
-		openedOp []int // index into ops/results, aligned with opened
+		opened    []*Session
+		traces    []uint64
+		openedOp  []int // index into ops/results, aligned with opened
+		releases  []*Session
+		releaseOp []int // aligned with releases
 	)
 	for i, op := range ops {
 		switch op.Kind {
@@ -174,10 +173,12 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 				continue
 			}
 			opened, traces, openedOp = append(opened, s), append(traces, op.Trace), append(openedOp, i)
-		case BatchTeardown, BatchExpire:
+		case BatchTeardown:
 			results[i].Session = op.Session
 			if op.Session == nil || op.Session.State != StateCommitted {
 				results[i].Err = fmt.Errorf("ctrlplane: teardown of non-committed session")
+			} else {
+				releases, releaseOp = append(releases, op.Session), append(releaseOp, i)
 			}
 		default:
 			results[i].Err = fmt.Errorf("ctrlplane: unknown batch op kind %d", op.Kind)
@@ -213,33 +214,10 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 			commits = append(commits, s)
 		}
 	}
-	// Releases: teardowns unconditionally, expiries only if the lease is
-	// STILL lapsed here, under the plane's serialization — a renewal that
-	// landed after the sweeper chose the session keeps it alive.
-	var (
-		releases  []*Session
-		releaseOp []int
-	)
-	for i, op := range ops {
-		if results[i].Err != nil || (op.Kind != BatchTeardown && op.Kind != BatchExpire) {
-			continue
-		}
-		if op.Kind == BatchExpire && !p.SessionLeaseLapsed(op.Session) {
-			results[i].Err = fmt.Errorf("ctrlplane: session %d lease renewed — expiry refused", op.Session.ID)
-			continue
-		}
-		releases, releaseOp = append(releases, op.Session), append(releaseOp, i)
-	}
-
 	for j, err := range p.decide(ctx, commits, aborts, releases) {
-		s, i := releases[j], releaseOp[j]
-		switch {
-		case err != nil:
-			results[i].Err = err
-		case ops[i].Kind == BatchExpire:
-			p.stats.SessionExpiries++
-			p.flight.Recordf("ctrlplane", "session_expire", int64(p.d.Now()), "session %d.%d presumed-released", s.ID, s.Epoch)
-		default:
+		if err != nil {
+			results[releaseOp[j]].Err = err
+		} else {
 			p.stats.Teardowns++
 		}
 	}

@@ -58,33 +58,26 @@ func TestCommitBatchMixedOps(t *testing.T) {
 	}
 }
 
-// TestSessionNamedTwiceInBatchReleasedOnce: a session named by two release
-// ops of one round — two teardowns, or a teardown and an expiry in either
-// order — gives its capacity back once. The decide step tests the session's state when it
-// takes the release, so the second op is refused, each hop owner gets one
-// release entry, and the ledgers stay exact.
+// TestSessionNamedTwiceInBatchReleasedOnce: a session named by two teardowns
+// of one round gives its capacity back once. The decide step tests the
+// session's state when it takes the release, so the second op is refused,
+// each hop owner gets one release entry, and the ledgers stay exact.
 func TestSessionNamedTwiceInBatchReleasedOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		first, second BatchOpKind
 	}{
 		{"two teardowns", BatchTeardown, BatchTeardown},
-		{"teardown then expiry", BatchTeardown, BatchExpire},
-		{"expiry then teardown", BatchExpire, BatchTeardown},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			top, m := ringTop(t, 8)
 			p := New(top, m, []int32{0, 1, 2, 3, 4, 5, 6, 7})
-			p.SetRetryConfig(RetryConfig{SessionTTL: 4})
 			tap := &wireTap{Transport: NewFaultTransport(FaultConfig{})}
 			p.UseTransport(tap)
 			ctx := context.Background()
 			s, err := p.Setup(ctx, 0, 2, 5, routing.Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				p.Tick() // let the lease lapse so the expiry op is admissible
 			}
 			tap.sent = nil
 			res := p.CommitBatch(ctx, []BatchOp{
@@ -108,13 +101,8 @@ func TestSessionNamedTwiceInBatchReleasedOnce(t *testing.T) {
 			if hops := len(s.Path) - 1; releases != hops {
 				t.Fatalf("%d release entries sent for a %d-hop session", releases, hops)
 			}
-			wantTeardowns, wantExpiries := 1, 0
-			if tc.first == BatchExpire {
-				wantTeardowns, wantExpiries = 0, 1
-			}
-			if st := p.Stats(); st.Teardowns != wantTeardowns || st.SessionExpiries != wantExpiries {
-				t.Fatalf("teardowns = %d, session expiries = %d, want %d and %d",
-					st.Teardowns, st.SessionExpiries, wantTeardowns, wantExpiries)
+			if st := p.Stats(); st.Teardowns != 1 {
+				t.Fatalf("teardowns = %d, want 1", st.Teardowns)
 			}
 			if err := p.CheckInvariants(nil); err != nil {
 				t.Fatalf("invariants after a doubly named release: %v", err)
@@ -245,7 +233,9 @@ func TestBatchWALCrashReplays(t *testing.T) {
 // mid-batch (after phase 1, before any decision), brokers die between the
 // batch WAL append and the apply, brokers crash on batch-record delivery,
 // partitions roll, and an -abandon-style fraction of sessions stops
-// renewing its lease. At quiescence every abandoned session must have been
+// renewing its lease. Session leases are the harness's own, as they are the
+// daemon's: a deadline per session on the plane's virtual clock, swept with
+// BatchTeardown. At quiescence every abandoned session must have been
 // presumed-released exactly once and CheckInvariants must prove
 // conservation. Deterministic per CHAOS_SEED.
 func TestChaosBatchLifecycle(t *testing.T) {
@@ -269,7 +259,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	p.UseTransport(ft)
 	p.SetRetryConfig(RetryConfig{
 		MaxAttempts: 8, BreakerThreshold: 6, BreakerCooldown: 30,
-		LeaseTTL: 30, SessionTTL: sessionTTL, RetryJitterTicks: 2,
+		LeaseTTL: 30, RetryJitterTicks: 2,
 	})
 	fr := obs.NewFlightRecorder(4096)
 	p.SetFlightRecorder(fr)
@@ -322,9 +312,11 @@ func TestChaosBatchLifecycle(t *testing.T) {
 		// deciding: still committed, never renewed again.
 		orphans   []*Session
 		abandoned = map[int]bool{}
-		commits   int
-		expiries  int
-		partedAt  = map[int32]int{}
+		// deadline is each committed session's lease deadline, by id.
+		deadline = map[int]int{}
+		commits  int
+		expiries int
+		partedAt = map[int32]int{}
 	)
 	committed := func(ss []*Session) []*Session {
 		kept := ss[:0]
@@ -335,15 +327,16 @@ func TestChaosBatchLifecycle(t *testing.T) {
 		}
 		return kept
 	}
-	// The sweeper filters its own table, as brokerd's does: every committed
-	// session the test holds, ascending by id.
+	renew := func(s *Session) { deadline[s.ID] = p.d.Now() + sessionTTL }
+	// The sweeper reads its own table, as brokerd's does: every committed
+	// session the test holds whose deadline passed, ascending by id.
 	sweep := func() {
 		table := append(append([]*Session(nil), live...), orphans...)
 		sort.Slice(table, func(i, j int) bool { return table[i].ID < table[j].ID })
 		var ops []BatchOp
 		for _, s := range table {
-			if p.SessionLeaseLapsed(s) {
-				ops = append(ops, BatchOp{Kind: BatchExpire, Session: s})
+			if deadline[s.ID] <= p.d.Now() {
+				ops = append(ops, BatchOp{Kind: BatchTeardown, Session: s})
 			}
 		}
 		if len(ops) == 0 {
@@ -352,6 +345,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 		for _, r := range p.CommitBatch(ctx, ops) {
 			if r.Err == nil && r.Session.State == StateReleased {
 				expiries++
+				delete(deadline, r.Session.ID)
 			}
 		}
 		live, orphans = committed(live), committed(orphans)
@@ -410,6 +404,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 			if ops[i].Kind == BatchSetup && r.Err == nil && r.Session.State == StateCommitted {
 				commits++
 				live = append(live, r.Session)
+				renew(r.Session)
 				if rng.Float64() < 0.3 {
 					abandoned[r.Session.ID] = true // never renewed again
 				}
@@ -418,7 +413,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 		// Heartbeats for everything not abandoned; sweep every 7th iter.
 		for _, s := range live {
 			if !abandoned[s.ID] {
-				p.RenewSession(s)
+				renew(s)
 			}
 		}
 		if iter%7 == 0 {
@@ -470,7 +465,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	if prepCrashes < 2 || walCrashes < 2 || deliverCrashes < 1 {
 		t.Fatalf("crash seams unexercised: prep=%d wal=%d deliver=%d", prepCrashes, walCrashes, deliverCrashes)
 	}
-	if expiries == 0 || st.SessionExpiries == 0 {
+	if expiries == 0 {
 		t.Fatal("no abandoned sessions were presumed-released")
 	}
 	if st.BatchRounds < iters/2 {
@@ -479,19 +474,18 @@ func TestChaosBatchLifecycle(t *testing.T) {
 }
 
 // TestLeaseExpiryUnderPartitionNoDoubleRelease pins the no-double-release
-// guarantee end to end: a session's owner gets partitioned, its client
-// stops heartbeating (renewals partition-dropped), the sweeper
-// presumed-releases it while the release record can only reach the owner
-// through the backlog — and when the partition heals, capacity comes back
-// exactly once. A renewal racing the sweeper's scan refuses the expiry
-// instead of releasing, and a late renewal after release finds no lease.
+// guarantee end to end for what a lease expiry is to the plane — a teardown
+// the client never sent: the session's owner is partitioned away, the release
+// record can reach it only through the backlog, and when the partition heals,
+// capacity comes back exactly once. A second teardown of the released session
+// is refused.
 func TestLeaseExpiryUnderPartitionNoDoubleRelease(t *testing.T) {
 	top, m := ringTop(t, 6)
 	brokers := []int32{0, 1, 2, 3, 4, 5}
 	p := New(top, m, brokers)
 	ft := NewFaultTransport(FaultConfig{Seed: 1, ToBroker: FaultRates{Duplicate: 0.5}})
 	p.UseTransport(ft)
-	p.SetRetryConfig(RetryConfig{MaxAttempts: 3, SessionTTL: 10})
+	p.SetRetryConfig(RetryConfig{MaxAttempts: 3})
 	ctx := context.Background()
 
 	res := p.CommitBatch(ctx, []BatchOp{{Kind: BatchSetup, Path: []int32{0, 1, 2}, Bandwidth: 5}})
@@ -501,46 +495,18 @@ func TestLeaseExpiryUnderPartitionNoDoubleRelease(t *testing.T) {
 	s := res[0].Session
 	availBefore := m.Available(0, 1)
 
-	// Renewal racing the sweep: the scan saw the session lapsed, but a
-	// heartbeat lands before the expiry batch runs — expiry must refuse.
-	for i := 0; i < 11; i++ {
-		p.Tick()
-	}
-	if !p.SessionLeaseLapsed(s) {
-		t.Fatalf("session %d not lapsed after its TTL", s.ID)
-	}
-	if !p.RenewSession(s) {
-		t.Fatal("renewal refused while committed")
-	}
-	r := p.CommitBatch(ctx, []BatchOp{{Kind: BatchExpire, Session: s}})
-	if r[0].Err == nil {
-		t.Fatal("expiry proceeded over a fresh renewal — double-release hazard")
-	}
-	if s.State != StateCommitted {
-		t.Fatalf("state = %v, want still committed", s.State)
-	}
-
-	// Now the partition: owner unreachable, heartbeats stop, lease lapses.
 	owner := s.owners[0]
 	ft.Partition(owner, true)
-	for i := 0; i < 11; i++ {
-		p.Tick()
-	}
-	r = p.CommitBatch(ctx, []BatchOp{{Kind: BatchExpire, Session: s}})
+	r := p.CommitBatch(ctx, []BatchOp{{Kind: BatchTeardown, Session: s}})
 	if r[0].Err != nil {
-		t.Fatalf("expiry under partition: %v", r[0].Err)
+		t.Fatalf("teardown under partition: %v", r[0].Err)
 	}
 	if s.State != StateReleased {
 		t.Fatalf("state = %v, want released", s.State)
 	}
-	// The lease is gone: a late heartbeat cannot resurrect the session.
-	if p.RenewSession(s) {
-		t.Fatal("renewal succeeded after presumed-release")
-	}
-	// And a second expiry of the same session refuses.
-	r = p.CommitBatch(ctx, []BatchOp{{Kind: BatchExpire, Session: s}})
+	r = p.CommitBatch(ctx, []BatchOp{{Kind: BatchTeardown, Session: s}})
 	if r[0].Err == nil {
-		t.Fatal("double expiry accepted")
+		t.Fatal("second teardown of a released session accepted")
 	}
 
 	// Heal; the backlogged release record (and its duplicates) must credit
@@ -555,8 +521,8 @@ func TestLeaseExpiryUnderPartitionNoDoubleRelease(t *testing.T) {
 	if err := p.CheckInvariants(nil); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	if p.Stats().SessionExpiries != 1 {
-		t.Fatalf("session expiries = %d, want 1", p.Stats().SessionExpiries)
+	if p.Stats().Teardowns != 1 {
+		t.Fatalf("teardowns = %d, want 1", p.Stats().Teardowns)
 	}
 }
 

@@ -210,17 +210,6 @@ type Stats struct {
 	// (ops per round is the amortization factor).
 	BatchRounds int `json:"batch_rounds"`
 	BatchOps    int `json:"batch_ops"`
-	// Committed-session lease activity: SessionLeases is the current count
-	// of leased committed sessions (grants minus drops); renew misses are
-	// heartbeats for a session that holds no lease — already swept or torn
-	// down (the session is gone — the client must set up anew, never
-	// resurrect).
-	SessionLeases    int `json:"session_leases"`
-	LeaseRenewals    int `json:"lease_renewals"`
-	LeaseRenewMisses int `json:"lease_renew_misses"`
-	// SessionExpiries counts committed sessions presumed-released by the
-	// expiry sweep after their heartbeats stopped.
-	SessionExpiries int `json:"session_expiries"`
 }
 
 // SessionState is the lifecycle state of a setup.
@@ -258,8 +247,7 @@ func (s SessionState) String() string {
 // owners — are never written again: a caller may read them without a lock
 // and keep the record wherever it likes. Repath answers with a new record
 // for the same ID at the next epoch and leaves this one StateReleased. Only
-// State and the lease deadline move after hand-out, under the plane's
-// serialization.
+// State moves after hand-out, under the plane's serialization.
 type Session struct {
 	ID        int
 	Path      []int32
@@ -271,9 +259,6 @@ type Session struct {
 	Epoch uint32
 	// owners[i] is the broker agent owning hop (Path[i], Path[i+1]).
 	owners []int32
-	// leaseExpires is the lease-clock instant the session's heartbeat lease
-	// lapses at; 0 while it holds none (see lease.go).
-	leaseExpires int64
 }
 
 // RetryConfig tunes the coordinator's delivery machinery. The zero value
@@ -295,12 +280,6 @@ type RetryConfig struct {
 	// above MaxAttempts (each retry round is one tick) or in-flight setups
 	// expire themselves. 0 disables leasing.
 	LeaseTTL int
-	// SessionTTL, when > 0, leases every *committed* session for that long
-	// in lease-clock units (virtual ticks by default; see SetLeaseClock).
-	// The lease is renewed by RenewSession heartbeats; a session whose
-	// lease lapses (SessionLeaseLapsed) is the sweeper's to presumed-release
-	// through CommitBatch. 0 disables session leasing.
-	SessionTTL int64
 	// RetryJitterTicks, when > 0, de-synchronizes retransmissions in
 	// virtual time: each message's retries are deferred a seeded-random
 	// 0..RetryJitterTicks extra ticks, independently per message, so the
@@ -362,9 +341,6 @@ type Plane struct {
 	// crash orphaned, is no longer pinned, so a StatePrepared session that
 	// is not pinned can only be aborted.
 	pinned map[sessKey]uint64
-
-	// leaseNow overrides the session-lease clock (nil: the virtual clock).
-	leaseNow func() int64
 
 	// batchPrepareCrash and batchWALCrash are chaos seams: when non-nil and
 	// returning true they simulate, respectively, the coordinator dying
@@ -734,7 +710,6 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 		}
 		p.stats.Commits++
 		s.State = StateCommitted
-		p.grantSessionLease(s)
 	}
 	for _, s := range aborts {
 		record(s, EntryAbort, "ABORT")
@@ -758,7 +733,6 @@ func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session
 			}
 			p.metrics.Release(u, v, s.Bandwidth)
 		}
-		p.dropSessionLease(s)
 		s.State = StateReleased
 		changed = true
 	}

@@ -51,10 +51,6 @@ func (p *Plane) RegisterMetrics(reg *obs.Registry, lk sync.Locker) {
 			{"ctrlplane_backlogged", "decided-but-undelivered messages awaiting redelivery", obs.KindGauge, float64(s.Backlogged)},
 			{"ctrlplane_batch_rounds_total", "group-commit 2PC rounds", obs.KindCounter, float64(s.BatchRounds)},
 			{"ctrlplane_batch_ops_total", "lifecycle operations carried by group-commit rounds", obs.KindCounter, float64(s.BatchOps)},
-			{"ctrlplane_lease_active", "committed sessions holding a heartbeat lease", obs.KindGauge, float64(s.SessionLeases)},
-			{"ctrlplane_lease_renewals_total", "session heartbeat renewals", obs.KindCounter, float64(s.LeaseRenewals)},
-			{"ctrlplane_lease_renew_misses_total", "heartbeats for already-swept sessions", obs.KindCounter, float64(s.LeaseRenewMisses)},
-			{"ctrlplane_lease_session_expiries_total", "committed sessions presumed-released by lease expiry", obs.KindCounter, float64(s.SessionExpiries)},
 			{"ctrlplane_lease_hold_expiries_total", "prepared hold sets presumed-aborted by lease expiry", obs.KindCounter, float64(s.LeaseExpiries)},
 			{"ctrlplane_version", "committed capacity mutation count", obs.KindGauge, float64(version)},
 			{"ctrlplane_wal_records", "records across the members' write-ahead logs, checkpoints included", obs.KindGauge, float64(records)},

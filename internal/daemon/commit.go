@@ -89,7 +89,7 @@ func (c *committer) submit(ctx context.Context, op *pendingOp) error {
 		depth := len(c.queue)
 		c.mu.Unlock()
 		c.shed.Add(1)
-		c.s.flight.Recordf("brokerd", "setup_shed", time.Now().UnixNano(),
+		c.s.flight.Recordf("brokerd", "setup_shed", 0,
 			"queue depth %d over high water %d", depth, c.highWater)
 		return errSetupShed
 	}
@@ -149,6 +149,7 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 		switch {
 		case op.teardown:
 			sess, ok := s.sessions.Delete(op.id)
+			delete(s.leases, op.id)
 			if !ok {
 				op.err = errNoSession
 				continue
@@ -185,6 +186,7 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 		}
 		if op.err == nil {
 			s.sessions.Put(op.sess)
+			s.grantLease(op.sess.ID)
 		}
 	}
 	s.publishIfMoved(ctx, before)
@@ -204,35 +206,4 @@ func (c *committer) registerMetrics(reg *obs.Registry) {
 		emit(obs.Sample{Name: "ctrlplane_batch_shed_total", Help: "setups shed by group-commit queue backpressure",
 			Kind: obs.KindCounter, Value: float64(c.shed.Load())})
 	})
-}
-
-// sweepLeases runs one expiry pass, presumed-releasing the sessions in the
-// table whose heartbeats stopped; it returns how many. The expiry flows
-// through the same group-commit path as everything else — CommitBatch
-// re-checks each lease under writeMu, so a renewal racing the sweep keeps its
-// session (no double release).
-func (s *Daemon) sweepLeases(ctx context.Context) int {
-	ctx, cancel := context.WithTimeout(ctx, opTimeout)
-	defer cancel()
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	var ops []ctrlplane.BatchOp
-	for _, sess := range s.sessions.List() {
-		if s.plane.SessionLeaseLapsed(sess) {
-			ops = append(ops, ctrlplane.BatchOp{Kind: ctrlplane.BatchExpire, Session: sess})
-		}
-	}
-	if len(ops) == 0 {
-		return 0
-	}
-	before := s.plane.Version()
-	n := 0
-	for _, r := range s.plane.CommitBatch(ctx, ops) {
-		if r.Err == nil && r.Session != nil && r.Session.State == ctrlplane.StateReleased {
-			s.sessions.Delete(r.Session.ID)
-			n++
-		}
-	}
-	s.publishIfMoved(ctx, before)
-	return n
 }

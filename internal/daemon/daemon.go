@@ -36,8 +36,8 @@ import (
 // (path queries, /stats connectivity, /brokers, healer selection input) pins
 // the current epoch snapshot from pub and computes against it, and session
 // reads are served from the session table, whose records are immutable once
-// handed out (a heal re-paths a session into a new record). The one thing
-// read under writeMu is the control-plane counters. All mutations — churn
+// handed out (a heal re-paths a session into a new record). What is read
+// under writeMu is the control-plane and lease counters. All mutations — churn
 // application, healing, and the control plane's 2PC — serialize on writeMu
 // (a plain mutex: there is exactly one logical writer at a time), build
 // the next snapshot copy-on-write, and publish it with one atomic swap
@@ -51,9 +51,17 @@ type Daemon struct {
 	// sessions is the session table: every committed flat session's current
 	// record, by id. Reads are lock-free; every write (setup's Put, a heal's
 	// Put of a re-pathed record, the Delete of a teardown, abort or expiry)
-	// and every id lookup a plane call depends on (teardown, renew) happens
-	// under writeMu, so the table and the plane agree whenever it is free.
+	// and every id lookup a plane call or a lease depends on (teardown,
+	// renew) happens under writeMu, so the table, the plane and the leases
+	// agree whenever it is free.
 	sessions *queryplane.SessionStore
+	// leases is each leased session's heartbeat deadline, by id, and
+	// leaseCounts the lease counters (lease.go); both guarded by writeMu.
+	// leases is nil unless LeaseTTL is set. now is the lease clock: wall time
+	// unless a test sets it.
+	leases      map[int]time.Time
+	leaseCounts leaseCounts
+	now         func() time.Time
 
 	// pub owns the atomically-published topology snapshot readers pin.
 	pub *epoch.Publisher
@@ -126,7 +134,7 @@ type Config struct {
 
 // New wires a daemon for the topology: it selects cfg.K brokers with MaxSG
 // and builds the control plane, query plane and churn/self-healing plane,
-// then the lease, federation, economics and SLO planes the config asks for,
+// then the federation, economics and SLO planes the config asks for,
 // in that order (the per-region crossing objectives exist only for regions
 // booted before the SLO plane).
 func New(top *topology.Topology, cfg Config) (*Daemon, error) {
@@ -152,6 +160,12 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 		metrics:  metrics,
 		sessions: queryplane.NewSessionStore(16),
 		plane:    ctrlplane.New(top, metrics, brokers),
+		now:      time.Now,
+	}
+	if cfg.LeaseTTL > 0 {
+		// Committed sessions must be renewed (Renew) or the sweeper
+		// presumed-releases them.
+		s.leases = make(map[int]time.Time)
 	}
 	s.churnState = churn.NewState(top, metrics)
 	s.applier = churn.NewApplier(s.churnState)
@@ -183,12 +197,6 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 	s.commit = &committer{s: s, highWater: cfg.SetupQueue}
 	s.initObs()
 
-	if cfg.LeaseTTL > 0 {
-		// Wall-clock heartbeat leases: committed sessions must be renewed
-		// (Renew) or the sweeper presumed-releases them.
-		s.plane.SetRetryConfig(ctrlplane.RetryConfig{SessionTTL: cfg.LeaseTTL.Nanoseconds()})
-		s.plane.SetLeaseClock(func() int64 { return time.Now().UnixNano() })
-	}
 	if cfg.Regions > 0 {
 		if err := s.enableFederation(); err != nil {
 			return nil, err
@@ -345,6 +353,11 @@ func (s *Daemon) churnAndHeal(ctx context.Context, events []churn.Event, heal bo
 	}
 	hctx, cancel := context.WithTimeout(ctx, opTimeout)
 	defer cancel()
+	// A session whose heartbeats stopped is released, not repaired: its
+	// capacity is free before the repair starts. A heal's abort drops its
+	// session's deadline with the record; a repath keeps the id, and so the
+	// deadline.
+	s.expireLapsed(hctx)
 	// Churn damage comes with its blast radius, so the healer repairs the
 	// coalition with the localized incremental path (falling back to a full
 	// reselect only when the quality floor is breached). A heal-only call
@@ -354,6 +367,13 @@ func (s *Daemon) churnAndHeal(ctx context.Context, events []churn.Event, heal bo
 		rep, err = s.healer.HealWithBlast(hctx, blast)
 	} else {
 		rep, err = s.healer.Heal(hctx)
+	}
+	if rep != nil && rep.SessionsAborted > 0 {
+		for id := range s.leases { // the aborted sessions' deadlines go too
+			if _, ok := s.sessions.Get(id); !ok {
+				delete(s.leases, id)
+			}
+		}
 	}
 	if rep != nil && healChangedState(rep) {
 		s.publishLocked(ctx)
@@ -460,15 +480,22 @@ func (s *Daemon) Teardown(ctx context.Context, id int) error {
 	return op.err
 }
 
-// Renew heartbeats session id's lease; false means the lease is gone —
+// Renew heartbeats session id's lease: a full TTL from now, even for a
+// lease that lapsed and was not yet swept. False means the lease is gone —
 // never granted, torn down, or already swept. Renewals never queue and are
 // never shed: in degraded mode keeping live sessions alive (and letting
 // abandoned ones expire) is exactly the work that shrinks the plane back
-// under its high-water mark. The id is looked up under writeMu, so a heal
-// that re-paths the session cannot hand the renewal a superseded record.
+// under its high-water mark. The lease is keyed by id, so a heal that
+// re-paths the session changes nothing here.
 func (s *Daemon) Renew(id int) bool {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	sess, _ := s.sessions.Get(id)
-	return s.plane.RenewSession(sess)
+	_, held := s.sessions.Get(id)
+	if _, leased := s.leases[id]; !held || !leased {
+		s.leaseCounts.misses++
+		return false
+	}
+	s.grantLease(id)
+	s.leaseCounts.renewals++
+	return true
 }

@@ -26,6 +26,7 @@ func (s *Daemon) initObs() {
 
 	s.qp.RegisterMetrics(s.reg)
 	s.commit.registerMetrics(s.reg)
+	s.registerLeaseMetrics(s.reg)
 	// The control plane is not internally synchronized; its collector
 	// snapshots under the write mutex that orders control-plane mutations.
 	s.plane.RegisterMetrics(s.reg, &s.writeMu)

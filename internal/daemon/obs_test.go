@@ -1,11 +1,13 @@
 package daemon
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"brokerset/internal/obs"
 )
@@ -157,10 +159,12 @@ func TestSessionTracePropagation(t *testing.T) {
 	}
 }
 
-// TestDebugFlight asserts the flight recorder endpoint dumps the
-// control-plane events a setup produced.
+// TestDebugFlight dumps the flight recorder after a session setup and a
+// lease expiry. Every event carries its wall time; Clock is a subsystem's
+// virtual time, and brokerd has none, so no brokerd event carries a clock.
 func TestDebugFlight(t *testing.T) {
-	_, ts := testServer(t)
+	srv, ts := testServerWith(t, 0.01, Config{K: 20, ChurnSeed: 42, SetupQueue: 1024, LeaseTTL: time.Hour})
+	advance := leaseClock(srv)
 	resp, err := http.Post(ts.URL+"/sessions", "application/json",
 		strings.NewReader(`{"src":0,"dst":5,"gbps":1}`))
 	if err != nil {
@@ -170,6 +174,11 @@ func TestDebugFlight(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("setup status %d", resp.StatusCode)
 	}
+	advance(2 * time.Hour)
+	if n := srv.sweepLeases(context.Background()); n != 1 {
+		t.Fatalf("sweep released %d sessions, want 1", n)
+	}
+	srv.onSLOAlert(obs.AlertTransition{Objective: "query_latency", Severity: obs.SeverityFast})
 	r2, err := http.Get(ts.URL + "/debug/flight")
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +196,11 @@ func TestDebugFlight(t *testing.T) {
 			t.Fatalf("flight line not JSON: %v", err)
 		}
 		kinds[e.Kind] = true
+		if e.Subsystem == "brokerd" && e.Clock != 0 {
+			t.Errorf("brokerd %s event carries clock %d", e.Kind, e.Clock)
+		}
 	}
-	for _, want := range []string{"send", "deliver", "decide"} {
+	for _, want := range []string{"send", "deliver", "decide", "session_expire", "slo_alert"} {
 		if !kinds[want] {
 			t.Fatalf("flight dump missing %q events: %v", want, kinds)
 		}

@@ -384,14 +384,11 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// PlaneTarget drives an in-process query plane directly (no HTTP). When Bid
-// is set each query carries its bid into the plane's priced admission gate.
+// PlaneTarget drives an in-process query plane directly (no HTTP). Its
+// queries bid zero, the free-rider tier of the priced admission gate.
 type PlaneTarget struct {
 	Plane *queryplane.QueryPlane
 	Opts  routing.Options
-	// Bid, when non-nil, supplies the per-query bid (called once per query;
-	// must be safe for concurrent use). Nil bids zero, the free-rider tier.
-	Bid func() float64
 	// Tracer, when non-nil, roots a trace per query so the plane's spans
 	// (and the run's slowest-request table) carry trace IDs.
 	Tracer *obs.Tracer
@@ -399,10 +396,6 @@ type PlaneTarget struct {
 
 // Query implements Target.
 func (t *PlaneTarget) Query(src, dst int32) (Outcome, error) {
-	var bid float64
-	if t.Bid != nil {
-		bid = t.Bid()
-	}
 	ctx := context.Background()
 	var trace uint64
 	if t.Tracer != nil {
@@ -411,7 +404,7 @@ func (t *PlaneTarget) Query(src, dst int32) (Outcome, error) {
 		trace = span.TraceID
 		defer span.End()
 	}
-	_, cached, err := t.Plane.QueryBid(ctx, int(src), int(dst), t.Opts, bid)
+	_, cached, err := t.Plane.QueryBid(ctx, int(src), int(dst), t.Opts, 0)
 	if err != nil {
 		var pe *queryplane.PriceError
 		switch {
@@ -431,7 +424,8 @@ func (t *PlaneTarget) Query(src, dst int32) (Outcome, error) {
 // HTTPTarget drives a live brokerd over its /path endpoint. Cache hits are
 // detected from the X-Cache response header. 429 shed responses are
 // retried up to MaxRetries times, honoring the server's Retry-After header
-// bounded by MaxRetryWait per attempt.
+// bounded by MaxRetryWait per attempt. Queries carry no bid: the zero-bid
+// tier on econ-enabled servers.
 type HTTPTarget struct {
 	// Base is the server root, e.g. "http://localhost:8080".
 	Base string
@@ -449,10 +443,6 @@ type HTTPTarget struct {
 	// asks for (a load generator can't honor multi-second waits at full
 	// offered load). Default 250ms when retries are enabled.
 	MaxRetryWait time.Duration
-	// Bid, when non-nil, supplies the per-query bid sent as the bid query
-	// parameter (must be safe for concurrent use). Nil sends no bid — the
-	// zero-bid free-rider tier on econ-enabled servers.
-	Bid func() float64
 }
 
 // RetryShed is the shed-retry loop of every target that can be refused with a
@@ -485,9 +475,6 @@ func (t *HTTPTarget) Query(src, dst int32) (Outcome, error) {
 	}
 	if t.Opts.MinBandwidth > 0 {
 		q.Set("minbw", fmt.Sprint(t.Opts.MinBandwidth))
-	}
-	if t.Bid != nil {
-		q.Set("bid", strconv.FormatFloat(t.Bid(), 'g', -1, 64))
 	}
 	client := t.Client
 	if client == nil {

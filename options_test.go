@@ -28,16 +28,17 @@ var keptOptions = map[string]string{
 	"sim.WorkloadConfig.Horizon":             "simulator workload shape, off the serving path: sim's tests compress arrivals through it",
 }
 
-// optionStruct reports whether name is an exported *Config / *Options type —
-// the structs the option rule covers. FaultRates is one in all but name: it
-// is the transport's fault-injection configuration.
+// optionStruct reports whether name is an exported *Config / *Options /
+// *Target type — the structs the option rule covers. A workload target's
+// fields are how a caller configures it. FaultRates is one in all but name:
+// it is the transport's fault-injection configuration.
 func optionStruct(name string) bool {
-	return ast.IsExported(name) &&
-		(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || name == "FaultRates")
+	return ast.IsExported(name) && (strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") ||
+		strings.HasSuffix(name, "Target") || name == "FaultRates")
 }
 
 // TestOptionsHaveAnOutsideCaller is the option rule, executable: an exported
-// field of an exported Config/Options struct under internal/ stays only if
+// field of an exported Config/Options/Target struct under internal/ stays only if
 // some non-test file outside the declaring package sets it — in a keyed
 // composite literal or by assignment — or keptOptions says why not. The scan
 // is syntactic (go/parser, no type information): a literal is resolved
