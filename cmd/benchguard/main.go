@@ -1,6 +1,7 @@
 // Command benchguard compares `go test -bench` output against a committed
 // baseline and fails on regression. It reads benchmark output from stdin,
-// extracts ns/op (and, under -benchmem, B/op) per benchmark, taking the best
+// extracts ns/op (and, under -benchmem, B/op, and any custom byte metric a
+// benchmark reports with a unit ending in "-B") per benchmark, taking the best
 // of repeated -count runs to damp scheduler noise, and exits 1 if any
 // benchmark named in the baseline is missing from the output or slower — or,
 // where the baseline says, hungrier — than baseline × max-ratio.
@@ -17,6 +18,12 @@
 //
 //	{"BenchmarkQueryUnderChurn": {"ns_per_op": 540},
 //	 "BenchmarkTable2SessionCycle": {"ns_per_op": 53000, "bytes_per_op": 40400}}
+//
+// An entry may also guard custom byte metrics by unit, and then need not
+// guard time at all — a resident-bytes rung reports what a boot keeps, not
+// how long it took:
+//
+//	{"BenchmarkTable2Resident/flat": {"metrics": {"live-B": 62000000, "ctrlplane-B": 11000000}}}
 //
 // Ratios compare the same benchmark across commits, so the guard tolerates
 // absolute speed differences between machines as long as the baseline was
@@ -41,10 +48,14 @@ import (
 // Baseline entry: nanoseconds per operation recorded at the commit that
 // last touched the benchmarked path.
 type baselineEntry struct {
-	NsPerOp float64 `json:"ns_per_op"`
+	NsPerOp float64 `json:"ns_per_op,omitempty"`
 	// BytesPerOp, when set, guards B/op by the same ratio; the benchmark
 	// must then run with -benchmem (or call b.ReportAllocs).
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
+	// Metrics guards custom byte metrics (b.ReportMetric units ending in
+	// "-B") by the same ratio; a unit the output lacks fails. An entry with
+	// metrics may leave ns_per_op out.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// Note is free-form provenance (machine, date, commit) and is ignored.
 	Note string `json:"note,omitempty"`
 }
@@ -57,10 +68,12 @@ type baselineEntry struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op(?:.*?\s([0-9.eE+]+) B/op)?`)
 
 // measurement is the best (minimum) of each unit over a benchmark's runs;
-// hasBytes is false when no run reported B/op.
+// hasBytes is false when no run reported B/op, and metrics holds the custom
+// byte metrics by unit.
 type measurement struct {
 	ns, bytes float64
 	hasBytes  bool
+	metrics   map[string]float64
 }
 
 // parseBench extracts the best ns/op and B/op per benchmark name from
@@ -91,6 +104,25 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 				cur.bytes, cur.hasBytes = bytes, true
 			}
 		}
+		// After the name and the iteration count a result line is value/unit
+		// pairs; a unit ending in -B is a custom byte metric.
+		fields := strings.Fields(sc.Text())
+		for i := 2; i+1 < len(fields); i += 2 {
+			unit := fields[i+1]
+			if !strings.HasSuffix(unit, "-B") {
+				continue
+			}
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("benchguard: bad %s on %q: %v", unit, sc.Text(), err)
+			}
+			if cur.metrics == nil {
+				cur.metrics = make(map[string]float64)
+			}
+			if old, seen := cur.metrics[unit]; !seen || v < old {
+				cur.metrics[unit] = v
+			}
+		}
 		best[m[1]] = cur
 	}
 	return best, sc.Err()
@@ -105,33 +137,55 @@ func check(baseline map[string]baselineEntry, measured map[string]measurement, m
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		base, baseBytes := baseline[name].NsPerOp, baseline[name].BytesPerOp
+		base := baseline[name]
 		m, ok := measured[name]
-		got, gotBytes := m.ns, m.bytes
+		var bad, good []string
+		guard := func(unit, format string, got, want float64) {
+			line := fmt.Sprintf(format+" %s vs baseline "+format+" (%.2fx", got, unit, want, got/want)
+			if got > want*maxRatio {
+				bad = append(bad, fmt.Sprintf("%s > %.2fx allowed)", line, maxRatio))
+			} else {
+				good = append(good, line+")")
+			}
+		}
 		switch {
-		case base <= 0:
-			report = append(report, fmt.Sprintf("FAIL %s: baseline ns_per_op %v not positive", name, base))
-			failed = append(failed, name)
+		case base.NsPerOp <= 0 && len(base.Metrics) == 0:
+			bad = append(bad, fmt.Sprintf("baseline ns_per_op %v not positive", base.NsPerOp))
 		case !ok:
-			report = append(report, fmt.Sprintf("FAIL %s: not found in benchmark output", name))
-			failed = append(failed, name)
-		case got > base*maxRatio:
-			report = append(report, fmt.Sprintf("FAIL %s: %.1f ns/op vs baseline %.1f (%.2fx > %.2fx allowed)",
-				name, got, base, got/base, maxRatio))
-			failed = append(failed, name)
-		case baseBytes > 0 && !m.hasBytes:
-			report = append(report, fmt.Sprintf("FAIL %s: baseline guards bytes_per_op but the output has no B/op (run with -benchmem)", name))
-			failed = append(failed, name)
-		case baseBytes > 0 && gotBytes > baseBytes*maxRatio:
-			report = append(report, fmt.Sprintf("FAIL %s: %.0f B/op vs baseline %.0f (%.2fx > %.2fx allowed)",
-				name, gotBytes, baseBytes, gotBytes/baseBytes, maxRatio))
-			failed = append(failed, name)
-		case baseBytes > 0:
-			report = append(report, fmt.Sprintf("ok   %s: %.1f ns/op vs baseline %.1f (%.2fx), %.0f B/op vs %.0f (%.2fx)",
-				name, got, base, got/base, gotBytes, baseBytes, gotBytes/baseBytes))
+			bad = append(bad, "not found in benchmark output")
 		default:
-			report = append(report, fmt.Sprintf("ok   %s: %.1f ns/op vs baseline %.1f (%.2fx)",
-				name, got, base, got/base))
+			if base.NsPerOp > 0 {
+				guard("ns/op", "%.1f", m.ns, base.NsPerOp)
+			}
+			switch {
+			case base.BytesPerOp > 0 && !m.hasBytes:
+				bad = append(bad, "baseline guards bytes_per_op but the output has no B/op (run with -benchmem)")
+			case base.BytesPerOp > 0:
+				guard("B/op", "%.0f", m.bytes, base.BytesPerOp)
+			}
+			units := make([]string, 0, len(base.Metrics))
+			for unit := range base.Metrics {
+				units = append(units, unit)
+			}
+			sort.Strings(units)
+			for _, unit := range units {
+				want := base.Metrics[unit]
+				got, has := m.metrics[unit]
+				switch {
+				case !strings.HasSuffix(unit, "-B") || want <= 0:
+					bad = append(bad, fmt.Sprintf("baseline metric %q: %v (want a positive byte count under a unit ending in -B)", unit, want))
+				case !has:
+					bad = append(bad, fmt.Sprintf("metric %s not found in benchmark output", unit))
+				default:
+					guard(unit, "%.0f", got, want)
+				}
+			}
+		}
+		if len(bad) > 0 {
+			report = append(report, fmt.Sprintf("FAIL %s: %s", name, strings.Join(bad, "; ")))
+			failed = append(failed, name)
+		} else {
+			report = append(report, fmt.Sprintf("ok   %s: %s", name, strings.Join(good, ", ")))
 		}
 	}
 	return report, failed
@@ -139,7 +193,7 @@ func check(baseline map[string]baselineEntry, measured map[string]measurement, m
 
 func main() {
 	baselinePath := flag.String("baseline", "", "path to baseline JSON (required)")
-	maxRatio := flag.Float64("max-ratio", 2.0, "fail when measured ns/op (or a guarded B/op) exceeds baseline by this factor")
+	maxRatio := flag.Float64("max-ratio", 2.0, "fail when measured ns/op (or a guarded B/op or byte metric) exceeds baseline by this factor")
 	flag.Parse()
 	if *baselinePath == "" || *maxRatio <= 0 {
 		fmt.Fprintln(os.Stderr, "benchguard: -baseline is required and -max-ratio must be positive")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestParseBench(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
 	for name, m := range want {
-		if got[name] != m {
+		if !reflect.DeepEqual(got[name], m) {
 			t.Errorf("%s = %+v, want %+v", name, got[name], m)
 		}
 	}
@@ -88,5 +89,56 @@ func TestCheck(t *testing.T) {
 	_, failed = check(map[string]baselineEntry{"BenchmarkQueryUnderChurn": {}}, measured, 2.0)
 	if len(failed) != 1 {
 		t.Fatalf("zero baseline passed: %v", failed)
+	}
+}
+
+// residentOutput is a resident-bytes rung's output: custom "-B" metrics
+// beside ns/op, two -count runs, and a benchmark that reports none.
+const residentOutput = `BenchmarkTable2Resident/flat-2         	       1	1712345678 ns/op	   4194304 ctrlplane-B	  61234567 live-B	     81234 queryplane-B	        12.00 sessions
+BenchmarkTable2Resident/flat-2         	       1	1698765432 ns/op	   4194000 ctrlplane-B	  61300000 live-B	     80000 queryplane-B	        12.00 sessions
+BenchmarkTable2Resident/regions=3-2    	       1	2712345678 ns/op	   9000000 ctrlplane-B	  90000000 live-B
+BenchmarkTable2Boot-2                  	       1	 195000000 ns/op
+`
+
+// TestByteMetrics: custom units ending in -B parse per benchmark, best of the
+// runs; a baseline entry guards them by the same ratio as ns/op and B/op, may
+// leave ns_per_op out, and fails when a named metric — or the benchmark — is
+// missing from the output.
+func TestByteMetrics(t *testing.T) {
+	measured, err := parseBench(strings.NewReader(residentOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFlat := map[string]float64{"ctrlplane-B": 4194000, "live-B": 61234567, "queryplane-B": 80000}
+	if got := measured["BenchmarkTable2Resident/flat"].metrics; !reflect.DeepEqual(got, wantFlat) {
+		t.Fatalf("flat metrics = %v, want %v (the best of two runs; sessions is not a byte unit)", got, wantFlat)
+	}
+	if got := measured["BenchmarkTable2Boot"].metrics; got != nil {
+		t.Fatalf("a benchmark with no -B metric parsed %v", got)
+	}
+
+	for _, c := range []struct {
+		name  string
+		entry baselineEntry
+		fails string // "" = passes; else a substring of the FAIL line
+	}{
+		{"within ratio, no ns_per_op", baselineEntry{Metrics: map[string]float64{"live-B": 60e6, "ctrlplane-B": 3e6}}, ""},
+		{"one metric over", baselineEntry{Metrics: map[string]float64{"live-B": 60e6, "queryplane-B": 30000}}, "queryplane-B"},
+		{"named metric missing", baselineEntry{Metrics: map[string]float64{"federation-B": 1e6}}, "federation-B not found"},
+		{"time guarded too", baselineEntry{NsPerOp: 1e9, Metrics: map[string]float64{"live-B": 60e6}}, ""},
+		{"time over", baselineEntry{NsPerOp: 5e8, Metrics: map[string]float64{"live-B": 60e6}}, "ns/op"},
+		{"not a byte unit", baselineEntry{Metrics: map[string]float64{"sessions": 12}}, "unit ending in -B"},
+	} {
+		report, failed := check(map[string]baselineEntry{"BenchmarkTable2Resident/flat": c.entry}, measured, 2.0)
+		switch {
+		case c.fails == "" && (len(failed) != 0 || !strings.HasPrefix(report[0], "ok")):
+			t.Errorf("%s: failed %v: %s", c.name, failed, report[0])
+		case c.fails != "" && (len(failed) != 1 || !strings.Contains(report[0], c.fails)):
+			t.Errorf("%s: want a FAIL naming %q, got failed %v: %s", c.name, c.fails, failed, report[0])
+		}
+	}
+	_, failed := check(map[string]baselineEntry{"BenchmarkTable2Resident/gone": {Metrics: map[string]float64{"live-B": 1}}}, measured, 2.0)
+	if len(failed) != 1 {
+		t.Fatalf("a byte-guarded benchmark missing from the output passed")
 	}
 }

@@ -312,8 +312,8 @@ type Plane struct {
 	crashed map[int32]bool
 
 	// avail and owner are the capacity ledger (ledger.go): per link, at its
-	// u<v arc index, the residual the coalition accounts for it and the agent
-	// that owns its row (-1: unmanaged).
+	// dense link id (graph.LinkOf), the residual the coalition accounts for
+	// it and the agent that owns its row (-1: unmanaged).
 	avail []float64
 	owner []int32
 
@@ -402,21 +402,22 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	// Seed the ledger: a link with a broker endpoint is owned by the agent
 	// ownerOf names; the rest are unmanaged. A second walk lays every broker's
 	// first checkpoint rows out in one array, broker after broker — each link
-	// at its capacity, read off the metrics' column by the arc index the walk
-	// already has (a link's row is its u<v arc); next[b] is where b's next row
-	// goes. Starting each agent applies its checkpoint to the columns.
+	// at its capacity, read off the metrics' column by the u<v arc index the
+	// walk already has; next[b] is where b's next row goes. Starting each
+	// agent applies its checkpoint to the columns.
 	g := top.Graph
-	p.avail = make([]float64, g.NumArcs())
-	p.owner = make([]int32, g.NumArcs())
+	p.avail = make([]float64, g.NumEdges())
+	p.owner = make([]int32, g.NumEdges())
 	capacity := metrics.Capacities()
 	next := make([]int32, top.NumNodes())
 	g.Links(func(a, _, u, v int) {
+		l := g.LinkOfArc(u, a)
 		owner, ok := p.ownerOf(int32(u), int32(v))
 		if !ok {
-			p.owner[a] = -1
+			p.owner[l] = -1
 			return
 		}
-		p.owner[a] = owner
+		p.owner[l] = owner
 		next[owner]++
 	})
 	total := int32(0)
@@ -424,9 +425,10 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 		total, next[b] = total+next[b], total
 	}
 	rows := make([]ledgerRow, total)
-	g.Links(func(a, _, _, _ int) {
-		if owner := p.owner[a]; owner >= 0 {
-			rows[next[owner]] = ledgerRow{int32(a), capacity[a]}
+	g.Links(func(a, _, u, _ int) {
+		l := g.LinkOfArc(u, a)
+		if owner := p.owner[l]; owner >= 0 {
+			rows[next[owner]] = ledgerRow{int32(l), capacity[a]}
 			next[owner]++
 		}
 	})

@@ -9,7 +9,7 @@ import (
 )
 
 // The capacity ledger is two columns over the topology's links, a link's row
-// being the arc index of its lower endpoint's side (linkOf): Plane.owner, the
+// being its dense link id (linkOf, graph.LinkOf): Plane.owner, the
 // broker agent accounting the link (-1: neither endpoint is a broker, the link
 // is unmanaged), and Plane.avail, the residual capacity the coalition accounts
 // for it. The owner column is the membership's: SetBrokers writes it, and it
@@ -174,16 +174,13 @@ func refill[K comparable, V any](m, src map[K]V) map[K]V {
 	return m
 }
 
-// linkOf returns link (u,v)'s ledger row in g: the arc index of u→v for
-// u < v; -1 for a non-edge or a node outside g.
+// linkOf returns link (u,v)'s ledger row in g: its dense link id, in
+// [0, NumEdges); -1 for a non-edge or a node outside g.
 func linkOf(g *graph.Graph, u, v int32) int32 {
-	if u > v {
-		u, v = v, u
-	}
-	if u < 0 || int(v) >= g.NumNodes() {
+	if min(u, v) < 0 || int(max(u, v)) >= g.NumNodes() {
 		return -1
 	}
-	return int32(g.ArcOf(int(u), int(v)))
+	return int32(g.LinkOf(int(u), int(v)))
 }
 
 // link returns link (u,v)'s ledger row (-1: not a link).
@@ -270,13 +267,14 @@ func hopKey(u, v int32) [2]int32 {
 
 // rowsOf returns broker b's ledger rows with their residuals, in ascending
 // link order: the rows of its incident links it owns. A link to a
-// higher-id neighbor is b's own arc, so only the lower-id ones are looked up.
+// higher-id neighbor is numbered off b's own arc, so only the lower-id ones
+// are looked up.
 func (p *Plane) rowsOf(b int32) []ledgerRow {
 	g := p.top.Graph
 	out := make([]ledgerRow, 0, g.Degree(int(b)))
-	off := int32(g.ArcOffset(int(b)))
+	off := g.ArcOffset(int(b))
 	for i, v := range g.Neighbors(int(b)) {
-		l := off + int32(i)
+		l := int32(g.LinkOfArc(int(b), off+i))
 		if v < b {
 			l = p.link(b, v)
 		}

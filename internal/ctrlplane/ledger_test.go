@@ -471,3 +471,41 @@ func TestSetBrokersMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerColumnsAreOverLinks: the ledger keeps one row per link, not per
+// arc — both columns have NumEdges rows — and a link's row is its dense link
+// id: the owner column there names ownerOf's agent (-1 when unmanaged) and
+// the avail column the link's capacity, read through either orientation.
+func TestLedgerColumnsAreOverLinks(t *testing.T) {
+	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brokers, err := broker.MaxSG(top.Graph, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := routing.DefaultMetrics(top, nil)
+	p := New(top, m, brokers)
+	g := top.Graph
+	if len(p.avail) != g.NumEdges() || len(p.owner) != g.NumEdges() {
+		t.Fatalf("ledger columns have %d and %d rows, want NumEdges = %d (NumArcs is %d)",
+			len(p.avail), len(p.owner), g.NumEdges(), g.NumArcs())
+	}
+	g.Edges(func(u, v int) bool {
+		l := p.link(int32(v), int32(u))
+		if l != int32(g.LinkOf(u, v)) {
+			t.Fatalf("link (%d,%d) is row %d, its link id is %d", u, v, l, g.LinkOf(u, v))
+		}
+		owner, ok := p.ownerOf(int32(u), int32(v))
+		switch {
+		case !ok && p.owner[l] != -1:
+			t.Fatalf("unmanaged link (%d,%d) row %d owned by %d", u, v, l, p.owner[l])
+		case ok && p.owner[l] != owner:
+			t.Fatalf("link (%d,%d) row %d owned by %d, ownerOf says %d", u, v, l, p.owner[l], owner)
+		case ok && p.Available(int32(v), int32(u)) != m.Capacity(int32(u), int32(v)):
+			t.Fatalf("link (%d,%d) row %d reads %v available, capacity %v", u, v, l, p.Available(int32(v), int32(u)), m.Capacity(int32(u), int32(v)))
+		}
+		return true
+	})
+}

@@ -50,45 +50,62 @@ func (s *Daemon) initObs() {
 
 // registerProcessMetrics exports the runtime's own figures from
 // runtime/metrics, which reads them without stopping the world (as
-// runtime.ReadMemStats does on every call): goroutines, the heap in use, GC
-// cycles, and the GC pause distribution. The runtime keeps pauses as a
-// cumulative histogram; each scrape feeds what it gained since the last one
-// into process_gc_pause_seconds, one observation per pause at its bucket's
-// upper bound.
+// runtime.ReadMemStats does on every call): goroutines, the heap in use, the
+// heap the last GC marked live and the goal it set for the next one, GC
+// cycles, and the GC pause and scheduling-latency distributions. The runtime
+// keeps pauses and latencies as cumulative histograms; each scrape feeds what
+// they gained since the last one into process_gc_pause_seconds and
+// process_sched_latency_seconds (histDelta).
 func (s *Daemon) registerProcessMetrics() {
 	samples := []metrics.Sample{
 		{Name: "/memory/classes/heap/objects:bytes"},
 		{Name: "/memory/classes/heap/unused:bytes"},
 		{Name: "/gc/cycles/total:gc-cycles"},
 		{Name: "/sched/pauses/total/gc:seconds"},
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/goal:bytes"},
+		{Name: "/sched/latencies:seconds"},
 	}
-	pauses := s.reg.Histogram("process_gc_pause_seconds", "stop-the-world GC pauses")
-	var (
-		mu       sync.Mutex
-		observed []uint64 // per-bucket pause counts already fed to pauses
-	)
+	pauses := histDelta{to: s.reg.Histogram("process_gc_pause_seconds", "stop-the-world GC pauses")}
+	latencies := histDelta{to: s.reg.Histogram("process_sched_latency_seconds", "time goroutines spent runnable before they ran")}
+	var mu sync.Mutex
 	s.reg.RegisterCollector(func(emit func(obs.Sample)) {
 		mu.Lock()
 		defer mu.Unlock()
 		metrics.Read(samples)
-		h := samples[3].Value.Float64Histogram()
-		if observed == nil {
-			observed = make([]uint64, len(h.Counts))
-		}
-		for i, n := range h.Counts {
-			hi := h.Buckets[i+1]
-			if math.IsInf(hi, 1) {
-				hi = h.Buckets[i]
-			}
-			for ; observed[i] < n; observed[i]++ {
-				pauses.Observe(time.Duration(hi * float64(time.Second)))
-			}
-		}
+		pauses.feed(samples[3].Value.Float64Histogram())
+		latencies.feed(samples[6].Value.Float64Histogram())
 		emit(obs.Sample{Name: "process_goroutines", Help: "live goroutines", Kind: obs.KindGauge, Value: float64(runtime.NumGoroutine())})
 		emit(obs.Sample{Name: "process_heap_bytes", Help: "heap in use", Kind: obs.KindGauge,
 			Value: float64(samples[0].Value.Uint64() + samples[1].Value.Uint64())})
+		emit(obs.Sample{Name: "process_heap_live_bytes", Help: "heap the last GC marked live", Kind: obs.KindGauge, Value: float64(samples[4].Value.Uint64())})
+		emit(obs.Sample{Name: "process_heap_goal_bytes", Help: "heap size at which the next GC starts", Kind: obs.KindGauge, Value: float64(samples[5].Value.Uint64())})
 		emit(obs.Sample{Name: "process_gc_cycles_total", Help: "completed GC cycles", Kind: obs.KindCounter, Value: float64(samples[2].Value.Uint64())})
 	})
+}
+
+// histDelta feeds a runtime cumulative histogram into an obs histogram: each
+// feed observes what a bucket gained since the last one, as that many events
+// at the bucket's upper bound (its lower one for the unbounded last bucket).
+type histDelta struct {
+	to       *obs.Histogram
+	observed []uint64 // per-bucket counts already fed
+}
+
+func (d *histDelta) feed(h *metrics.Float64Histogram) {
+	if d.observed == nil {
+		d.observed = make([]uint64, len(h.Counts))
+	}
+	for i, n := range h.Counts {
+		hi := h.Buckets[i+1]
+		if math.IsInf(hi, 1) {
+			hi = h.Buckets[i]
+		}
+		if n > d.observed[i] {
+			d.to.ObserveN(time.Duration(hi*float64(time.Second)), n-d.observed[i])
+			d.observed[i] = n
+		}
+	}
 }
 
 // Handler is the daemon's HTTP face: the route mux wrapped in the

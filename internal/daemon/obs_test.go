@@ -56,6 +56,9 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"process_heap_bytes",
 		"process_gc_cycles_total",
 		"process_gc_pause_seconds_count",
+		"process_heap_live_bytes",
+		"process_heap_goal_bytes",
+		"process_sched_latency_seconds_count",
 		"ctrlplane_wal_records",
 		"ctrlplane_wal_checkpoints_total",
 	} {

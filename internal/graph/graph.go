@@ -23,6 +23,9 @@ type Graph struct {
 	adj []int32
 	// m is the number of undirected edges.
 	m int
+	// link has length n: the link id of edge {u,v}, u < v, is the index of
+	// arc u → v plus link[u] (LinkOf).
+	link []int32
 }
 
 // NumNodes returns the number of nodes.
@@ -65,6 +68,43 @@ func (g *Graph) ArcOf(u, v int) int {
 		return -1
 	}
 	return int(g.off[u]) + i
+}
+
+// LinkOf returns the link id of edge {u,v}, the same for (u,v) and (v,u), or
+// -1 when u and v are not adjacent. Link ids are dense — g's edges have
+// exactly the ids [0, NumEdges()), numbered in the order Edges visits them —
+// so a column over links holds one entry per edge where a column over arcs
+// holds two. The id is the lower endpoint's arc, shifted by one per-node
+// offset: ArcOf(min, max) + link[min].
+func (g *Graph) LinkOf(u, v int) int {
+	if u > v {
+		u, v = v, u
+	}
+	a := g.ArcOf(u, v)
+	if a < 0 {
+		return -1
+	}
+	return a + int(g.link[u])
+}
+
+// LinkOfArc returns the link id of arc a, which leaves u toward a higher-id
+// neighbour: LinkOf without the row search, for a caller that walks u's row
+// or is handed the arc (Links).
+func (g *Graph) LinkOfArc(u, a int) int { return a + int(g.link[u]) }
+
+// linkShifts returns the per-node offsets of LinkOf. A sorted row lists its
+// lower neighbours first, so the upper arcs of rows before u number off[u]
+// less the lower arcs of those rows; the upper arcs of u itself start past
+// its own lower ones. link[u] is minus the lower arcs of rows 0..u.
+func linkShifts(off, adj []int32) []int32 {
+	link := make([]int32, len(off)-1)
+	lower := int32(0)
+	for u := range link {
+		i, _ := slices.BinarySearch(adj[off[u]:off[u+1]], int32(u))
+		lower += int32(i)
+		link[u] = -lower
+	}
+	return link
 }
 
 // HasEdge reports whether nodes u and v are adjacent.
@@ -243,7 +283,7 @@ func (b *Builder) BuildTagged() (*Graph, []uint8, error) {
 		off[b.n] = int32(n)
 		adj, tags = adj[:n:n], tags[:n:n]
 	}
-	return &Graph{off: off, adj: adj, m: len(adj) / 2}, tags, nil
+	return &Graph{off: off, adj: adj, m: len(adj) / 2, link: linkShifts(off, adj)}, tags, nil
 }
 
 // MustBuild is Build for callers that know their edges are in range
@@ -262,7 +302,8 @@ func (b *Builder) MustBuild() *Graph {
 // the cost is one memmove of the adjacency array plus the dirty rows'
 // degrees, and rows stay sorted. The caller guarantees that drop is
 // symmetric and that both endpoints of every dropped edge are listed. With
-// no dirty rows g itself is returned.
+// no dirty rows g itself is returned. A clean row keeps its lower arcs, so its
+// link offset moves only by the lower arcs the dirty rows before it lost.
 func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Graph {
 	if len(dirtyRows) == 0 {
 		return g
@@ -273,8 +314,10 @@ func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Grap
 
 	n := g.NumNodes()
 	off := make([]int32, n+1)
+	link := make([]int32, n)
 	adj := make([]int32, 0, len(g.adj))
-	next := 0 // first row whose offset is not yet written
+	next := 0        // first row whose offset is not yet written
+	lost := int32(0) // lower arcs the dirty rows so far dropped
 	for _, u := range rows {
 		// Clean rows next..u-1 move as one block, shifted by what the
 		// dirty rows before them lost.
@@ -282,23 +325,33 @@ func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Grap
 		for r := next; r <= int(u); r++ {
 			off[r] = g.off[r] - shift
 		}
+		for r := next; r < int(u); r++ {
+			link[r] = g.link[r] + lost
+		}
 		adj = append(adj, g.adj[g.off[next]:g.off[u]]...)
 		for _, v := range g.Neighbors(int(u)) {
-			if !drop(u, v) {
+			switch {
+			case !drop(u, v):
 				adj = append(adj, v)
+			case v < u:
+				lost++
 			}
 		}
+		link[u] = g.link[u] + lost
 		next = int(u) + 1
 	}
 	shift := g.off[next] - int32(len(adj))
 	for r := next; r <= n; r++ {
 		off[r] = g.off[r] - shift
 	}
+	for r := next; r < n; r++ {
+		link[r] = g.link[r] + lost
+	}
 	adj = append(adj, g.adj[g.off[next]:]...)
 	if len(adj)%2 != 0 {
 		panic("graph: WithoutArcs dropped an arc without its reverse")
 	}
-	return &Graph{off: off, adj: adj, m: len(adj) / 2}
+	return &Graph{off: off, adj: adj, m: len(adj) / 2, link: link}
 }
 
 // InducedSubgraph returns the subgraph induced by keep (nodes with
@@ -341,5 +394,5 @@ func (g *Graph) InducedSubgraph(keep []bool) (sub *Graph, orig, arcOrig []int32)
 			}
 		}
 	}
-	return &Graph{off: off, adj: adj, m: len(adj) / 2}, orig, arcOrig
+	return &Graph{off: off, adj: adj, m: len(adj) / 2, link: linkShifts(off, adj)}, orig, arcOrig
 }

@@ -78,13 +78,16 @@ func histValue(b int) time.Duration {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration at the cost of one.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
 	ns := d.Nanoseconds()
-	h.buckets[histBucket(ns)].Add(1)
+	h.buckets[histBucket(ns)].Add(n)
 	if ns > 0 {
-		h.sumNs.Add(uint64(ns))
+		h.sumNs.Add(n * uint64(ns))
 	}
-	h.count.Add(1)
+	h.count.Add(n)
 }
 
 // ObserveTrace records one duration and, when traceID is non-zero and the

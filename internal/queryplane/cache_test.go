@@ -78,6 +78,28 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheBoundWithoutPresizing: at the serving sizing a shard's map starts
+// empty and grows, and the LRU bound still holds it — 70,000 distinct keys
+// leave no shard above its cap and the cache at most cacheCapacity entries,
+// the excess evicted.
+func TestCacheBoundWithoutPresizing(t *testing.T) {
+	c := NewCache(cacheShards, cacheCapacity)
+	for i := 0; i < 70000; i++ {
+		c.Put(key(i, i+1), pathFor(i, i+1), gen)
+	}
+	for i, s := range c.shards {
+		if n := len(s.items); n > s.cap {
+			t.Errorf("shard %d holds %d entries over its cap %d", i, n, s.cap)
+		}
+	}
+	if n := c.Len(); n > cacheCapacity {
+		t.Errorf("Len() = %d, want at most %d", n, cacheCapacity)
+	}
+	if c.Evictions() == 0 {
+		t.Error("70,000 keys over a 65,536-entry bound evicted nothing")
+	}
+}
+
 func TestCacheShardRounding(t *testing.T) {
 	c := NewCache(3, 10) // rounds to 4 shards
 	if len(c.shards) != 4 {
