@@ -53,9 +53,6 @@ func suite(b *testing.B) *experiments.Suite {
 		if _, err := s.Alliance(); err != nil {
 			panic(err)
 		}
-		if _, err := s.GreedyOrder(); err != nil {
-			panic(err)
-		}
 	})
 	return benchSuite
 }

@@ -332,7 +332,7 @@ func (n *Network) Maintain(old *BrokerSet, target float64) (*MaintainResult, err
 	if old != nil {
 		members = old.members
 	}
-	res, err := broker.Maintain(n.top.Graph, members, target)
+	res, err := broker.MaintainAvoiding(n.top.Graph, members, target, nil)
 	if err != nil {
 		return nil, err
 	}

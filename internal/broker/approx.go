@@ -37,41 +37,16 @@ func CoreSize(k, beta int) int {
 	return x
 }
 
-// ApproxMCBG runs the paper's Algorithm 2 on an (α,β)-graph: select
-// x* = CoreSize(k, beta) coverage brokers greedily (Algorithm 1), then for
-// the best root r add the cheapest stitching set B^r so that the shortest
-// path from every core broker to r is (B^p ∪ B^r)-dominated. The result
-// satisfies |B| ≤ k and guarantees a B-dominating path between every pair
-// of covered nodes that lie in the root's component.
-//
-// Theorem 3: on an (α,β)-graph this is a (1−1/e)/θ approximation for MCBG
-// with θ = 2⌈β/2⌉ adjusted for parity.
-func ApproxMCBG(g *graph.Graph, k, beta int) (*ApproxResult, error) {
-	if err := checkK(g, k); err != nil {
-		return nil, err
-	}
-	if beta < 1 {
-		return nil, fmt.Errorf("broker: beta must be >= 1, got %d", beta)
-	}
-	order, err := GreedyMCB(g, k) // greedy prefix property: core = order[:x]
-	if err != nil {
-		return nil, err
-	}
-	x := CoreSize(k, beta)
-	if x > len(order) {
-		x = len(order)
-	}
-	res := stitchCore(g, order[:x])
-	res.Brokers = appendUnique(res.Core, res.Stitch)
-	return res, nil
-}
-
-// ApproxMCBGAdaptive grows the core beyond the conservative x* while the
+// ApproxMCBGAdaptive runs the paper's Algorithm 2: a greedy coverage core
+// (Algorithm 1), then for the best root r the cheapest stitching set B^r so
+// that the shortest path from every core broker to r is B-dominated. It
+// grows the core beyond the conservative x* = CoreSize(k, beta) while the
 // stitched total still fits in k. Real topologies need far fewer stitch
 // brokers than the worst-case bound, so this uses the whole budget (the
 // paper's reported runs, e.g. 1,064 brokers for 85.71% coverage, do the
-// same). The guarantee of ApproxMCBG is preserved because the core only
-// ever grows along the greedy order.
+// same). Theorem 3's guarantee at x* — a (1−1/e)/θ approximation for MCBG
+// on an (α,β)-graph — is preserved because the core only ever grows along
+// the greedy order.
 func ApproxMCBGAdaptive(g *graph.Graph, k, beta int) (*ApproxResult, error) {
 	if err := checkK(g, k); err != nil {
 		return nil, err

@@ -126,13 +126,6 @@ func (q *gainQueue) pop() gainItem {
 	return top
 }
 
-// update rewrites the top item's gain/round and restores heap order.
-func (q *gainQueue) update(gain, round int) {
-	q.items[0].gain = gain
-	q.items[0].round = round
-	q.siftDown(0)
-}
-
 // init heapifies the backing slice in O(n) — used after bulk-loading the
 // initial candidate gains, which beats n pushes at paper scale.
 func (q *gainQueue) init() {

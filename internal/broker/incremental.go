@@ -46,8 +46,8 @@ var repairScratchPool = sync.Pool{New: func() any { return new(repairScratch) }}
 // MaintainIncremental repairs a broker set after a churn event whose blast
 // radius (the nodes whose incident topology changed: failed/joined nodes,
 // endpoints of failed/added links, crashed brokers) is known. Unlike
-// Maintain, which rescans every node each growth round and re-evaluates
-// global connectivity per prune trial, the incremental pass:
+// MaintainAvoiding, which rescans every node each growth round and
+// re-evaluates global connectivity per prune trial, the incremental pass:
 //
 //  1. rebuilds the survivor union-find in O(Σ deg(B)) — only the cover
 //     sets touching the blast radius actually change, but union-find
@@ -61,8 +61,8 @@ var repairScratchPool = sync.Pool{New: func() any { return new(repairScratch) }}
 // If the localized repair cannot reach Target−Epsilon, quality has
 // degraded beyond the floor and it falls back to a full MaintainAvoiding
 // reselect (FullReselect is set on the result). The fallback preserves
-// Maintain's contract, so MaintainIncremental never returns a set worse
-// than Epsilon below what full maintenance would certify.
+// MaintainAvoiding's contract, so MaintainIncremental never returns a set
+// worse than Epsilon below what full maintenance would certify.
 func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts RepairOptions) (*MaintainResult, error) {
 	if opts.Target <= 0 || opts.Target > 1 {
 		return nil, fmt.Errorf("broker: target connectivity %f outside (0,1]", opts.Target)
@@ -74,7 +74,7 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	avoided := func(u int) bool { return u < len(opts.Avoid) && opts.Avoid[u] }
 
 	// Survivors: replay the union-find. Dropped entries (departed nodes,
-	// barred brokers, duplicates) are recorded exactly as Maintain does.
+	// barred brokers, duplicates) are recorded exactly as MaintainAvoiding does.
 	res := &MaintainResult{}
 	sc := repairScratchPool.Get().(*repairScratch)
 	defer repairScratchPool.Put(sc)

@@ -48,7 +48,7 @@ func TestMaintainIncrementalRepairsBrokerLoss(t *testing.T) {
 	g := internetGraph(t, 0.05).Graph
 	n := g.NumNodes()
 	const target = 0.9
-	base, err := Maintain(g, nil, target)
+	base, err := MaintainAvoiding(g, nil, target, nil)
 	if err != nil {
 		t.Fatalf("seed Maintain: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestMaintainIncrementalRepairsBrokerLoss(t *testing.T) {
 // already meeting the target, the incremental pass changes nothing.
 func TestMaintainIncrementalNoChurnIsNoop(t *testing.T) {
 	g := internetGraph(t, 0.05).Graph
-	base, err := Maintain(g, nil, 0.9)
+	base, err := MaintainAvoiding(g, nil, 0.9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMaintainIncrementalNoChurnIsNoop(t *testing.T) {
 // meet the target.
 func TestMaintainIncrementalQualityFloorFallback(t *testing.T) {
 	g := internetGraph(t, 0.05).Graph
-	base, err := Maintain(g, nil, 0.9)
+	base, err := MaintainAvoiding(g, nil, 0.9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

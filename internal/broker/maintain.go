@@ -16,28 +16,24 @@ type MaintainResult struct {
 	// Connectivity is the saturated E2E connectivity of Brokers.
 	Connectivity float64
 	// FullReselect reports that an incremental repair breached its quality
-	// floor and fell back to a full reselect (always false for Maintain and
-	// MaintainAvoiding themselves).
+	// floor and fell back to a full reselect (always false for
+	// MaintainAvoiding itself).
 	FullReselect bool
 }
 
-// Maintain adapts an existing broker set to a (possibly changed) topology:
-// brokers that no longer exist are dropped, new brokers are added greedily
-// (by incremental connectivity gain) until the target saturated
+// MaintainAvoiding adapts an existing broker set to a (possibly changed)
+// topology: brokers that no longer exist are dropped, new brokers are added
+// greedily (by incremental connectivity gain) until the target saturated
 // connectivity is met, and redundant brokers are pruned while the target
 // still holds. This is the operational "maintain the brokerage coalition"
 // step the paper's §7 motivates: topologies churn, and reconvening the full
 // selection from scratch is unnecessary.
-func Maintain(g *graph.Graph, old []int32, target float64) (*MaintainResult, error) {
-	return MaintainAvoiding(g, old, target, nil)
-}
-
-// MaintainAvoiding is Maintain with an avoidance mask: nodes with
-// avoid[u] == true are dropped from the incoming set and never selected as
-// new brokers. This is the primitive the churn healer uses — failed broker
-// processes and departed ASes stay in the graph (their links may still be
-// dominated by neighbouring brokers) but must not be (re)hired. A nil mask
-// avoids nothing.
+//
+// Nodes with avoid[u] == true are dropped from the incoming set and never
+// selected as new brokers. This is the primitive the churn healer uses —
+// failed broker processes and departed ASes stay in the graph (their links
+// may still be dominated by neighbouring brokers) but must not be
+// (re)hired. A nil mask avoids nothing.
 func MaintainAvoiding(g *graph.Graph, old []int32, target float64, avoid []bool) (*MaintainResult, error) {
 	if target <= 0 || target > 1 {
 		return nil, fmt.Errorf("broker: target connectivity %f outside (0,1]", target)

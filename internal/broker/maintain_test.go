@@ -9,7 +9,7 @@ import (
 
 func TestMaintainFromScratch(t *testing.T) {
 	top := internetGraph(t, 0.02)
-	res, err := Maintain(top.Graph, nil, 0.8)
+	res, err := MaintainAvoiding(top.Graph, nil, 0.8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestMaintainKeepsGoodSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := coverage.SaturatedConnectivity(top.Graph, base)
-	res, err := Maintain(top.Graph, base, conn-0.01)
+	res, err := MaintainAvoiding(top.Graph, base, conn-0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestMaintainPrunesRedundant(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A very loose target: most brokers are redundant and must be pruned.
-	res, err := Maintain(top.Graph, base, 0.3)
+	res, err := MaintainAvoiding(top.Graph, base, 0.3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestMaintainHealsAfterTopologyChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Maintain(newTop.Graph, base, target)
+	res, err := MaintainAvoiding(newTop.Graph, base, target, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMaintainHealsAfterTopologyChange(t *testing.T) {
 func TestMaintainDropsOutOfRangeBrokers(t *testing.T) {
 	top := internetGraph(t, 0.02)
 	n := top.Graph.NumNodes()
-	res, err := Maintain(top.Graph, []int32{int32(n + 5), 3}, 0.01)
+	res, err := MaintainAvoiding(top.Graph, []int32{int32(n + 5), 3}, 0.01, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,15 +116,15 @@ func TestMaintainDropsOutOfRangeBrokers(t *testing.T) {
 
 func TestMaintainValidation(t *testing.T) {
 	top := internetGraph(t, 0.02)
-	if _, err := Maintain(top.Graph, nil, 0); err == nil {
+	if _, err := MaintainAvoiding(top.Graph, nil, 0, nil); err == nil {
 		t.Error("target 0 accepted")
 	}
-	if _, err := Maintain(top.Graph, nil, 1.5); err == nil {
+	if _, err := MaintainAvoiding(top.Graph, nil, 1.5, nil); err == nil {
 		t.Error("target > 1 accepted")
 	}
 	// Unreachable target: connectivity can never hit 1.0 when the graph
 	// is disconnected (off-grid nodes).
-	if _, err := Maintain(top.Graph, nil, 1.0); err == nil {
+	if _, err := MaintainAvoiding(top.Graph, nil, 1.0, nil); err == nil {
 		t.Error("unreachable target accepted")
 	}
 }
@@ -170,17 +170,5 @@ func TestMaintainAvoiding(t *testing.T) {
 	// A short avoid mask (fewer entries than nodes) must be tolerated.
 	if _, err := MaintainAvoiding(top.Graph, base, target, []bool{true}); err != nil {
 		t.Fatalf("short mask rejected: %v", err)
-	}
-	// Maintain is MaintainAvoiding with no mask.
-	r1, err := Maintain(top.Graph, base, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := MaintainAvoiding(top.Graph, base, target, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Brokers) != len(r2.Brokers) {
-		t.Fatalf("nil-mask MaintainAvoiding diverges from Maintain: %d vs %d", len(r1.Brokers), len(r2.Brokers))
 	}
 }

@@ -104,7 +104,7 @@ func TestParallelWorkerDefaults(t *testing.T) {
 }
 
 // TestGainQueueZeroAlloc pins the concrete-typed heap's no-boxing contract:
-// steady-state push/pop/update cycles must not allocate.
+// steady-state push/pop cycles must not allocate.
 func TestGainQueueZeroAlloc(t *testing.T) {
 	pq := newGainQueue(1024)
 	for i := 0; i < 1024; i++ {
@@ -114,7 +114,6 @@ func TestGainQueueZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() {
 		it := pq.pop()
 		pq.push(it.node, it.gain+1, it.round+1)
-		pq.update(pq.peek().gain-1, it.round+1)
 	}); avg != 0 {
 		t.Fatalf("gainQueue steady-state allocates %.1f per cycle, want 0", avg)
 	}

@@ -5,27 +5,6 @@ import (
 	"brokerset/internal/graph"
 )
 
-// IsPathDominatingSet reports whether B is a Path Dominating Set of g
-// (Problem 1): between every pair of nodes in V there exists a B-dominating
-// path. Equivalently, the B-dominated subgraph has a single component that
-// spans every node.
-func IsPathDominatingSet(g *graph.Graph, brokers []int32) bool {
-	n := g.NumNodes()
-	if n == 0 {
-		return false
-	}
-	if n == 1 {
-		return len(brokers) > 0
-	}
-	d := coverage.NewDominated(g, brokers)
-	comp, sizes := d.Components()
-	if len(sizes) != 1 || sizes[0] != n {
-		return false
-	}
-	_ = comp
-	return true
-}
-
 // SatisfiesMCBG reports whether B satisfies the MCBG side constraint
 // (Problem 2): every pair of covered nodes (u, v ∈ B ∪ N(B)) is joined by a
 // B-dominating path — i.e. all covered nodes share one dominated component.
@@ -51,102 +30,4 @@ func SatisfiesMCBG(g *graph.Graph, brokers []int32) bool {
 		}
 	}
 	return true
-}
-
-// ExactMinPDS finds a minimum Path Dominating Set by exhaustive subset
-// search, or nil if none of size ≤ maxK exists. Exponential — only for
-// validating heuristics on tiny graphs (n ≤ ~20).
-func ExactMinPDS(g *graph.Graph, maxK int) []int32 {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	if maxK > n {
-		maxK = n
-	}
-	for k := 1; k <= maxK; k++ {
-		if b := searchSubsets(n, k, func(b []int32) bool {
-			return IsPathDominatingSet(g, b)
-		}); b != nil {
-			return b
-		}
-	}
-	return nil
-}
-
-// ExactMCBG finds a broker set of size ≤ k maximizing f(B) = |B ∪ N(B)|
-// subject to the MCBG dominating-path constraint, by exhaustive search.
-// Exponential — tests only. Returns the best set and its coverage.
-func ExactMCBG(g *graph.Graph, k int) ([]int32, int) {
-	n := g.NumNodes()
-	var best []int32
-	bestF := -1
-	var try func(start int, cur []int32)
-	try = func(start int, cur []int32) {
-		if len(cur) > 0 && SatisfiesMCBG(g, cur) {
-			if f := coverage.F(g, cur); f > bestF {
-				bestF = f
-				best = append([]int32(nil), cur...)
-			}
-		}
-		if len(cur) == k {
-			return
-		}
-		for u := start; u < n; u++ {
-			try(u+1, append(cur, int32(u)))
-		}
-	}
-	try(0, nil)
-	return best, bestF
-}
-
-// ExactMaxMCB finds max f(B) over all subsets of size ≤ k with no path
-// constraint (the MCB problem), by exhaustive search. Tests only.
-func ExactMaxMCB(g *graph.Graph, k int) ([]int32, int) {
-	n := g.NumNodes()
-	var best []int32
-	bestF := -1
-	var try func(start int, cur []int32)
-	try = func(start int, cur []int32) {
-		if len(cur) > 0 {
-			if f := coverage.F(g, cur); f > bestF {
-				bestF = f
-				best = append([]int32(nil), cur...)
-			}
-		}
-		if len(cur) == k {
-			return
-		}
-		for u := start; u < n; u++ {
-			try(u+1, append(cur, int32(u)))
-		}
-	}
-	try(0, nil)
-	return best, bestF
-}
-
-// searchSubsets enumerates size-k subsets of [0,n) in lexicographic order
-// and returns the first satisfying pred, or nil.
-func searchSubsets(n, k int, pred func([]int32) bool) []int32 {
-	idx := make([]int32, k)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	for {
-		if pred(idx) {
-			return append([]int32(nil), idx...)
-		}
-		// Advance to the next combination.
-		i := k - 1
-		for i >= 0 && idx[i] == int32(n-k+i) {
-			i--
-		}
-		if i < 0 {
-			return nil
-		}
-		idx[i]++
-		for j := i + 1; j < k; j++ {
-			idx[j] = idx[j-1] + 1
-		}
-	}
 }

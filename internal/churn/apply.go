@@ -28,27 +28,14 @@ func (b BlastRadius) Size() int { return len(b.Links) }
 // failure flags in sync and tallying what it applied.
 type Applier struct {
 	st *State
-	// applied counts events by type; seq numbers applied events.
+	// applied counts events by type.
 	applied map[EventType]int
-	seq     int
 }
 
 // NewApplier returns an applier over st.
 func NewApplier(st *State) *Applier {
 	return &Applier{st: st, applied: make(map[EventType]int)}
 }
-
-// Applied returns a copy of the per-type applied-event counters.
-func (a *Applier) Applied() map[EventType]int {
-	out := make(map[EventType]int, len(a.applied))
-	for k, v := range a.applied {
-		out[k] = v
-	}
-	return out
-}
-
-// TotalApplied returns the total number of applied events.
-func (a *Applier) TotalApplied() int { return a.seq }
 
 // Apply executes one event against the live state and returns its blast
 // radius. Events that name unknown nodes or non-links are rejected;
@@ -149,7 +136,6 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 		st.invalidateLive()
 	}
 	a.applied[ev.Type]++
-	a.seq++
 	return blast, nil
 }
 

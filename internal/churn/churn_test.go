@@ -97,7 +97,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 func TestStateEffectiveLinkState(t *testing.T) {
 	top, _ := ixpTop(t)
 	st := NewState(top, nil)
-	if st.LinkDown(0, 1) || st.DownLinks() != 0 || st.DownNodes() != 0 {
+	if st.LinkDown(0, 1) || downLinks(st) != 0 || st.downNodes != 0 {
 		t.Fatal("fresh state has damage")
 	}
 	if live := st.LiveGraph(); live.NumNodes() != top.NumNodes() || live.NumEdges() != top.Graph.NumEdges() {
@@ -115,8 +115,8 @@ func TestStateEffectiveLinkState(t *testing.T) {
 	if !st.LinkDown(1, 2) || !st.LinkDown(2, 3) || !st.LinkDown(2, 5) {
 		t.Fatal("links incident to a departed node not down")
 	}
-	if st.DownLinks() != 4 || st.DownNodes() != 1 {
-		t.Fatalf("down links %d nodes %d, want 4 and 1", st.DownLinks(), st.DownNodes())
+	if downLinks(st) != 4 || st.downNodes != 1 {
+		t.Fatalf("down links %d nodes %d, want 4 and 1", downLinks(st), st.downNodes)
 	}
 	live := st.LiveGraph()
 	if live.NumNodes() != top.NumNodes() {
@@ -166,8 +166,8 @@ func TestApplierLinkFailRecover(t *testing.T) {
 	if m.Failed(1, 2) {
 		t.Fatal("metrics not mirrored on recover")
 	}
-	if a.TotalApplied() != 3 || a.Applied()[LinkFail] != 2 {
-		t.Fatalf("counters: total %d, %v", a.TotalApplied(), a.Applied())
+	if a.applied[LinkFail] != 2 || a.applied[LinkRecover] != 1 {
+		t.Fatalf("counters: %v", a.applied)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestApplierValidation(t *testing.T) {
 			t.Errorf("accepted invalid event %+v", bad)
 		}
 	}
-	if a.TotalApplied() != 0 {
+	if len(a.applied) != 0 {
 		t.Fatal("invalid events counted as applied")
 	}
 }

@@ -9,8 +9,9 @@
 // staling cached paths.
 //
 // The paper's §7 argues a broker coalition must survive exactly this kind
-// of flux; the offline primitives (sim.FailBrokers, broker.Maintain) answer
-// the question on frozen snapshots, this package answers it live.
+// of flux; the offline primitives (sim.FailBrokers,
+// broker.MaintainAvoiding) answer the question on frozen snapshots, this
+// package answers it live.
 package churn
 
 import (

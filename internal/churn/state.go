@@ -32,9 +32,8 @@ type State struct {
 	// liveMu guards only the live-graph cache, so concurrent readers
 	// (e.g. connectivity probes under a shared read lock) can rebuild it
 	// safely; all other fields follow the external-serialization rule.
-	liveMu    sync.Mutex
-	live      *graph.Graph // cached live graph; nil when dirty
-	downLinks int          // count of effectively-down links
+	liveMu sync.Mutex
+	live   *graph.Graph // cached live graph; nil when dirty
 }
 
 // packLink keys an undirected link in the sparse failed-link set
@@ -98,23 +97,12 @@ func (s *State) AvoidMask() []bool {
 	return mask
 }
 
-// DownLinks returns the number of effectively-down links.
-func (s *State) DownLinks() int {
-	s.LiveGraph() // refresh the count when dirty
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	return s.downLinks
-}
-
 // invalidateLive drops the cached live graph.
 func (s *State) invalidateLive() {
 	s.liveMu.Lock()
 	s.live = nil
 	s.liveMu.Unlock()
 }
-
-// DownNodes returns the number of departed nodes.
-func (s *State) DownNodes() int { return s.downNodes }
 
 // mirrorLink pushes link (u,v)'s current effective state into the metrics'
 // per-arc failure flags (no-op in overlay-only mode).
@@ -184,6 +172,5 @@ func (s *State) LiveGraph() *graph.Graph {
 		}
 	}
 	s.live = g.WithoutArcs(dirty, s.LinkDown)
-	s.downLinks = g.NumEdges() - s.live.NumEdges()
 	return s.live
 }

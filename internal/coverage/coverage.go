@@ -28,7 +28,6 @@ type State struct {
 	inB      graph.Bitset
 	covered  graph.Bitset
 	nCovered int
-	brokers  []int32
 }
 
 // NewState returns an empty coverage state (B = ∅) over g.
@@ -99,7 +98,6 @@ func (s *State) Add(u int) int {
 		return 0
 	}
 	s.inB.Set(int32(u))
-	s.brokers = append(s.brokers, int32(u))
 	gain := 0
 	if s.covered.TestAndSet(int32(u)) {
 		gain++
@@ -121,16 +119,6 @@ func (s *State) IsCovered(u int) bool { return s.covered.Has(int32(u)) }
 
 // InB reports whether u ∈ B.
 func (s *State) InB(u int) bool { return s.inB.Has(int32(u)) }
-
-// Size returns |B|.
-func (s *State) Size() int { return len(s.brokers) }
-
-// Brokers returns a copy of B in insertion order.
-func (s *State) Brokers() []int32 {
-	out := make([]int32, len(s.brokers))
-	copy(out, s.brokers)
-	return out
-}
 
 // F computes f(B) = |B ∪ N(B)| for an explicit broker set.
 func F(g *graph.Graph, brokers []int32) int {

@@ -71,15 +71,8 @@ func TestStateGainAndAdd(t *testing.T) {
 	if got := s.Add(0); got != 0 {
 		t.Fatalf("re-Add gain = %d, want 0", got)
 	}
-	if s.Size() != 2 {
-		t.Fatalf("Size = %d, want 2", s.Size())
-	}
-	bs := s.Brokers()
-	if len(bs) != 2 || bs[0] != 1 || bs[1] != 0 {
-		t.Fatalf("Brokers = %v, want [1 0]", bs)
-	}
-	if !s.InB(0) || s.InB(2) {
-		t.Errorf("InB wrong: InB(0)=%v InB(2)=%v", s.InB(0), s.InB(2))
+	if !s.InB(0) || !s.InB(1) || s.InB(2) {
+		t.Errorf("InB wrong: InB(0)=%v InB(1)=%v InB(2)=%v", s.InB(0), s.InB(1), s.InB(2))
 	}
 	if !s.IsCovered(3) {
 		t.Errorf("IsCovered(3) = false, want true")

@@ -87,10 +87,6 @@ func (inc *Incremental) AddBroker(u int) {
 // InB reports whether u is a broker.
 func (inc *Incremental) InB(u int) bool { return inc.inB[u] }
 
-// ConnectedPairs returns the number of unordered pairs joined by a
-// B-dominated path.
-func (inc *Incremental) ConnectedPairs() int64 { return inc.pairs }
-
 // Connectivity returns the saturated E2E connectivity fraction.
 func (inc *Incremental) Connectivity() float64 {
 	total := graph.TotalPairs(inc.g.NumNodes())

@@ -50,9 +50,9 @@ func TestIncrementalGainMatchesRealizedGain(t *testing.T) {
 			}
 			u := rng.Intn(50)
 			predicted := inc.Gain(u)
-			before := inc.ConnectedPairs()
+			before := inc.pairs
 			inc.AddBroker(u)
-			if predicted != inc.ConnectedPairs()-before {
+			if predicted != inc.pairs-before {
 				return false
 			}
 		}
@@ -67,9 +67,9 @@ func TestIncrementalIdempotentAdd(t *testing.T) {
 	g := star(t, 5)
 	inc := NewIncremental(g)
 	inc.AddBroker(0)
-	p := inc.ConnectedPairs()
+	p := inc.pairs
 	inc.AddBroker(0)
-	if inc.ConnectedPairs() != p {
+	if inc.pairs != p {
 		t.Fatal("double add changed pair count")
 	}
 	if got := inc.Gain(0); got != 0 {
@@ -116,7 +116,7 @@ func TestRemovalUpperBoundDominatesExact(t *testing.T) {
 		for _, b := range brokers {
 			inc.AddBroker(int(b))
 		}
-		before := inc.ConnectedPairs()
+		before := inc.pairs
 		for i, b := range brokers {
 			rest := append(append([]int32(nil), brokers[:i]...), brokers[i+1:]...)
 			exact := SaturatedConnectivity(g, rest)
@@ -124,7 +124,7 @@ func TestRemovalUpperBoundDominatesExact(t *testing.T) {
 				t.Fatalf("%s: RemovalUpperBound(%d) = %.12f below exact %.12f (B = %v)", name, b, bound, exact, brokers)
 			}
 		}
-		if inc.ConnectedPairs() != before {
+		if inc.pairs != before {
 			t.Fatalf("%s: probing changed the pair count", name)
 		}
 	}

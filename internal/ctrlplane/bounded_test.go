@@ -27,6 +27,19 @@ type refLog struct {
 	seen  map[uint64]struct{}
 }
 
+// rowMap is a replay's rows: link -> residual.
+type rowMap map[int32]float64
+
+func (m rowMap) put(l int32, avail float64) { m[l] = avail }
+func (m rowMap) drop(l int32)               { delete(m, l) }
+
+// credit skips a row the replayed agent does not own: its row moved on.
+func (m rowMap) credit(l int32, bw float64) {
+	if _, owned := m[l]; owned {
+		m[l] += bw
+	}
+}
+
 // replayed folds log into a fresh state and row map.
 func replayed(g *graph.Graph, log *wal) (rowMap, state) {
 	rows := rowMap{}

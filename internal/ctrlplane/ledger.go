@@ -110,19 +110,6 @@ func (c *columns) credit(l int32, bw float64) {
 	}
 }
 
-// rowMap is a replay's rows: link -> residual.
-type rowMap map[int32]float64
-
-func (m rowMap) put(l int32, avail float64) { m[l] = avail }
-func (m rowMap) drop(l int32)               { delete(m, l) }
-
-// credit skips a row the replayed agent does not own: its row moved on.
-func (m rowMap) credit(l int32, bw float64) {
-	if _, owned := m[l]; owned {
-		m[l] += bw
-	}
-}
-
 // apply folds record r into agent state st and rows v. It is the one place a
 // record takes effect: a live agent applies each record right after logging
 // it (Plane.record), and a replay folds the same records from the latest

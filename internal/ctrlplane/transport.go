@@ -109,9 +109,6 @@ func (t *FaultTransport) Partition(b int32, on bool) {
 	}
 }
 
-// Partitioned reports whether broker b is currently isolated.
-func (t *FaultTransport) Partitioned(b int32) bool { return t.partitioned[b] }
-
 // Stats returns a copy of the fault counters.
 func (t *FaultTransport) Stats() TransportStats { return t.stats }
 

@@ -101,7 +101,7 @@ func TestFaultTransportDeterministic(t *testing.T) {
 func TestFaultTransportPartition(t *testing.T) {
 	tr := NewFaultTransport(FaultConfig{Seed: 7})
 	tr.Partition(3, true)
-	if !tr.Partitioned(3) {
+	if !tr.partitioned[3] {
 		t.Fatal("partition not recorded")
 	}
 	tr.Send(mkMsg(1, 3))                                                      // to the partitioned broker

@@ -153,7 +153,7 @@ func TestNonFiniteBidIsZero(t *testing.T) {
 	if _, _, err := srv.qp.QueryBid(context.Background(), src, dst, routing.Options{}, math.NaN()); err != nil {
 		t.Fatalf("QueryBid(NaN) while uncongested: %v", err)
 	}
-	if rev := e.Adm.Revenue(); rev != 0 {
+	if rev := e.Adm.Stats().Revenue; rev != 0 {
 		t.Fatalf("revenue %v after non-finite bids only, want 0", rev)
 	}
 	var stats struct {

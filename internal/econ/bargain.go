@@ -5,10 +5,7 @@
 // superadditivity / supermodularity stability checks of Theorems 7–8.
 package econ
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BargainParams parameterizes the employee-AS bargaining of §7.1 (Eqs 5–7).
 type BargainParams struct {
@@ -63,15 +60,6 @@ func NashBargain(p BargainParams) (BargainResult, error) {
 	return res, nil
 }
 
-// nashProduct evaluates the bargaining objective at an arbitrary p_j; used
-// by tests to confirm the closed form maximizes it.
-func nashProduct(p BargainParams, pj float64) float64 {
-	m := hires(p.Beta)
-	uj := pj - p.Cost
-	ub := 2*p.PriceB - m*pj - m*p.Cost
-	return uj * ub
-}
-
 // goldenMax maximizes a unimodal f over [lo, hi] by golden-section search.
 func goldenMax(f func(float64) float64, lo, hi float64, iters int) (x, fx float64) {
 	const phi = 0.6180339887498949
@@ -95,6 +83,3 @@ func goldenMax(f func(float64) float64, lo, hi float64, iters int) (x, fx float6
 	mid := (a + b) / 2
 	return mid, f(mid)
 }
-
-// almostEqual compares with an absolute tolerance.
-func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

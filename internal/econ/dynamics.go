@@ -4,61 +4,6 @@ import (
 	"fmt"
 )
 
-// Tatonnement runs a price-adjustment dynamic for the leader: each round
-// the coalition evaluates its utility at p−step and p+step (with followers
-// best-responding) and moves toward the better side, halving the step when
-// neither improves. It models a coalition that discovers its price
-// empirically instead of solving the game analytically, and is expected to
-// converge to (a local optimum containing) the Stackelberg equilibrium.
-// It returns the visited price trajectory and the final outcome.
-func Tatonnement(b Broker, customers []Customer, rounds int, step float64) ([]float64, *Equilibrium, error) {
-	if err := b.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(customers) == 0 {
-		return nil, nil, fmt.Errorf("econ: no customers")
-	}
-	if rounds < 1 || step <= 0 {
-		return nil, nil, fmt.Errorf("econ: need rounds >= 1 and step > 0, got %d, %f", rounds, step)
-	}
-	clamp := func(p float64) float64 {
-		if p < 0 {
-			return 0
-		}
-		if p > b.MaxPrice {
-			return b.MaxPrice
-		}
-		return p
-	}
-	p := b.MaxPrice / 2
-	trajectory := []float64{p}
-	u := b.Utility(p, customers)
-	for i := 0; i < rounds; i++ {
-		lo, hi := clamp(p-step), clamp(p+step)
-		ulo, uhi := b.Utility(lo, customers), b.Utility(hi, customers)
-		switch {
-		case uhi > u && uhi >= ulo:
-			p, u = hi, uhi
-		case ulo > u:
-			p, u = lo, ulo
-		default:
-			step /= 2
-			if step < 1e-6 {
-				break
-			}
-		}
-		trajectory = append(trajectory, p)
-	}
-	eq := &Equilibrium{Price: p, BrokerUtility: u}
-	for _, c := range customers {
-		a := c.BestResponse(p)
-		eq.Adoption = append(eq.Adoption, a)
-		eq.TotalTraffic += a
-		eq.CustomerUtility = append(eq.CustomerUtility, c.Utility(a, p))
-	}
-	return trajectory, eq, nil
-}
-
 // FormationStep records one round of sequential coalition formation.
 type FormationStep struct {
 	// Joined is the player index added this round (-1 when formation

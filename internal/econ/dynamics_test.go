@@ -8,52 +8,6 @@ import (
 	"brokerset/internal/graph"
 )
 
-func TestTatonnementConvergesToStackelberg(t *testing.T) {
-	b := Broker{UnitCost: 0.05, HireFraction: 0.1, Beta: 4, MaxPrice: 3}
-	customers := NewCustomerPopulation(20, false, 1)
-	exact, err := StackelbergEquilibrium(b, customers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traj, eq, err := Tatonnement(b, customers, 200, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj) < 2 {
-		t.Fatalf("trajectory too short: %v", traj)
-	}
-	// The empirical price discovery should reach (near) the analytic
-	// equilibrium utility — the leader objective may be multi-modal, so
-	// compare utilities with modest tolerance.
-	if eq.BrokerUtility < 0.95*exact.BrokerUtility {
-		t.Fatalf("tatonnement utility %f far below equilibrium %f", eq.BrokerUtility, exact.BrokerUtility)
-	}
-	for _, p := range traj {
-		if p < 0 || p > b.MaxPrice {
-			t.Fatalf("price %f escaped [0, %f]", p, b.MaxPrice)
-		}
-	}
-}
-
-func TestTatonnementValidation(t *testing.T) {
-	b := Broker{UnitCost: 0.05, HireFraction: 0.1, Beta: 4, MaxPrice: 3}
-	cs := NewCustomerPopulation(3, false, 1)
-	if _, _, err := Tatonnement(b, nil, 10, 0.1); err == nil {
-		t.Error("no customers accepted")
-	}
-	if _, _, err := Tatonnement(b, cs, 0, 0.1); err == nil {
-		t.Error("zero rounds accepted")
-	}
-	if _, _, err := Tatonnement(b, cs, 10, 0); err == nil {
-		t.Error("zero step accepted")
-	}
-	bad := b
-	bad.MaxPrice = 0
-	if _, _, err := Tatonnement(bad, cs, 10, 0.1); err == nil {
-		t.Error("invalid broker accepted")
-	}
-}
-
 func TestFormCoalitionConvexGameTakesEveryone(t *testing.T) {
 	// v(S) = |S|^2: strictly supermodular, so marginal contributions only
 	// grow — everyone joins.

@@ -443,3 +443,15 @@ func TestSupermodularityBreaksAsCoalitionGrows(t *testing.T) {
 		t.Error("large overlapping coalition still supermodular — marginal effect missing")
 	}
 }
+
+// nashProduct evaluates the bargaining objective at an arbitrary p_j; used
+// by tests to confirm the closed form maximizes it.
+func nashProduct(p BargainParams, pj float64) float64 {
+	m := hires(p.Beta)
+	uj := pj - p.Cost
+	ub := 2*p.PriceB - m*pj - m*p.Cost
+	return uj * ub
+}
+
+// almostEqual compares with an absolute tolerance.
+func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

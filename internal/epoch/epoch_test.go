@@ -152,14 +152,11 @@ func TestSnapshotDownMarks(t *testing.T) {
 	if !snap.LinkDown(-1, 0) || !snap.LinkDown(0, int32(top.NumNodes())) {
 		t.Fatal("a pair outside the topology reads as an up link")
 	}
-	if !snap.NodeDown(3) || snap.NodeDown(4) {
+	if !snap.nodeDown[3] || snap.nodeDown[4] {
 		t.Fatal("node down-marks wrong")
 	}
-	if !snap.BrokerDown(2) || snap.BrokerDown(1) {
-		t.Fatal("broker down-marks wrong")
-	}
-	if got := snap.DownBrokers(); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("DownBrokers = %v, want [2]", got)
+	if !snap.brokerDown[2] || snap.brokerDown[1] || len(snap.brokerDown) != 1 {
+		t.Fatalf("broker down-marks = %v, want only 2", snap.brokerDown)
 	}
 	if !snap.IsBroker(1) || snap.IsBroker(3) {
 		t.Fatal("IsBroker wrong")

@@ -133,27 +133,6 @@ func (s *Snapshot) LinkDown(u, v int32) bool {
 	return u < 0 || v < 0 || u >= n || v >= n || s.live.ArcOf(int(u), int(v)) < 0
 }
 
-// NodeDown reports whether a node was down at capture time.
-func (s *Snapshot) NodeDown(n int32) bool {
-	return n >= 0 && int(n) < len(s.nodeDown) && s.nodeDown[n]
-}
-
-// BrokerDown reports whether a coalition member was crashed at capture time.
-func (s *Snapshot) BrokerDown(b int32) bool { return s.brokerDown[b] }
-
-// DownBrokers returns the crashed members present in the snapshot, in no
-// particular order.
-func (s *Snapshot) DownBrokers() []int32 {
-	if len(s.brokerDown) == 0 {
-		return nil
-	}
-	out := make([]int32, 0, len(s.brokerDown))
-	for b := range s.brokerDown {
-		out = append(out, b)
-	}
-	return out
-}
-
 // BestPath computes the minimum-latency B-dominated path against this
 // snapshot's frozen metrics and membership. Lock-free: any number of
 // concurrent callers may share the snapshot.

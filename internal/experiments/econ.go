@@ -75,8 +75,10 @@ func (s *Suite) Econ() (*tablefmt.Table, error) {
 
 // Shapley reproduces the §7.2 coalition analysis: the Shapley revenue split
 // over a panel of top alliance brokers (value = connectivity-proportional
-// revenue), individual rationality, efficiency, and the loss of
-// supermodularity as the coalition grows.
+// revenue), individual rationality, efficiency, whether the panel's game
+// meets Theorem 7's superadditivity and Theorem 8's supermodularity
+// conditions, and the shrinking value of a next broker as the coalition
+// grows.
 func (s *Suite) Shapley() (*tablefmt.Table, error) {
 	alliance, err := s.Alliance()
 	if err != nil {
@@ -105,6 +107,8 @@ func (s *Suite) Shapley() (*tablefmt.Table, error) {
 	}
 	t.AddNote("efficiency gap |sum(phi) - v(grand)| = %.6f", econ.Efficiency(phi, v))
 	t.AddNote("individually rational (Theorem 7): %v", econ.IndividuallyRational(phi, v))
+	t.AddNote("superadditive (Theorem 7's condition): %v", econ.IsSuperadditive(len(panel), v))
+	t.AddNote("supermodular (Theorem 8's condition): %v", econ.IsSupermodular(len(panel), v))
 
 	// §7.2's sizing argument: the value of growing the coalition along the
 	// alliance order, and the marginal contribution of the next broker.

@@ -65,7 +65,6 @@ type Suite struct {
 	k100, k1000 int
 
 	alliance []int32 // MaxSGComplete output ("3,540-alliance" analogue)
-	greedy   []int32 // greedy order, length >= k1000
 }
 
 // NewSuite generates the topology for cfg.
@@ -111,19 +110,6 @@ func (s *Suite) Alliance() ([]int32, error) {
 		s.alliance = a
 	}
 	return s.alliance, nil
-}
-
-// GreedyOrder returns (computing once) the greedy MCB selection order with
-// budget at least k1000.
-func (s *Suite) GreedyOrder() ([]int32, error) {
-	if s.greedy == nil {
-		g, err := broker.GreedyMCB(s.Top.Graph, s.k1000)
-		if err != nil {
-			return nil, err
-		}
-		s.greedy = g
-	}
-	return s.greedy, nil
 }
 
 // rng returns a deterministic sub-generator for a named evaluation.

@@ -117,7 +117,7 @@ func TestPartitionMidSetupConserved(t *testing.T) {
 			})
 			fr := obs.NewFlightRecorder(4096)
 			f.SetFlightRecorder(fr)
-			ft := f.PeerTransport()
+			ft := f.peerFT
 
 			// Cut both directions between region 0 and its peers the moment
 			// the first message of the chosen phase hits the wire.
@@ -179,7 +179,7 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 	})
 	fr := obs.NewFlightRecorder(1 << 14)
 	f.SetFlightRecorder(fr)
-	ft := f.PeerTransport()
+	ft := f.peerFT
 
 	// Crash region 1 at the exact moment the 6th setup's commit record is
 	// delivered to it: commit reached at home, undelivered at the transit.

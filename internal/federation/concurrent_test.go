@@ -134,3 +134,24 @@ func TestFabricOrdersItsOwnCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PeerDigest returns region r's gossip-fed view of peer region q (nil when
+// no digest has arrived yet).
+func (f *Fabric) PeerDigest(r, q int) (epoch uint32, conn float64, lastSeen int, ok bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	d := f.regions[r].peers[q]
+	if d == nil {
+		return 0, 0, 0, false
+	}
+	return d.Epoch, d.Conn, d.LastSeen, true
+}
+
+// PeerBorderDown reports whether region r has heard (via gossip) that
+// border broker b is down in peer region q.
+func (f *Fabric) PeerBorderDown(r, q int, b int32) bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	d := f.regions[r].peers[q]
+	return d != nil && d.borderDown[b]
+}

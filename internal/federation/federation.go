@@ -294,11 +294,6 @@ func (f *Fabric) standing() []*Session {
 	return out
 }
 
-// PeerTransport returns the inter-region bus. Chaos harnesses use it to
-// partition peer regions and observe deliveries; it is the fabric's own
-// state, for a test to touch while nothing else drives the fabric.
-func (f *Fabric) PeerTransport() *ctrlplane.FaultTransport { return f.peerFT }
-
 // Stats returns a copy of the federation counters.
 func (f *Fabric) Stats() Stats {
 	f.mu.RLock()

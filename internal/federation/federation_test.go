@@ -455,7 +455,7 @@ func TestCancelledSetupsSpareTheBreaker(t *testing.T) {
 			f := fedFabric(t, 4, 1, Config{Seed: 7,
 				Retry:      ctrlplane.RetryConfig{MaxAttempts: 2, BreakerThreshold: 3, BreakerCooldown: 1000, LeaseTTL: 500},
 				PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
-			ft := f.PeerTransport()
+			ft := f.peerFT
 			ft.Partition(ctrlplane.PeerAddr(1), true) // everything toward region 1 is lost
 			for i := 0; i < 3; i++ {
 				ctx, cancel := context.WithCancel(context.Background())

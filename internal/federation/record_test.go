@@ -170,7 +170,7 @@ func TestDecisionsSameAfterRegionBounce(t *testing.T) {
 // returns, its lease lapsed, so it will refuse that commit when it comes.
 func backloggedCommit(t *testing.T, f *Fabric) *Session {
 	t.Helper()
-	ft := f.PeerTransport()
+	ft := f.peerFT
 	ft.OnDeliver = func(m ctrlplane.Message) {
 		if m.Type == ctrlplane.MsgXPrepareAck && m.From == ctrlplane.PeerAddr(2) {
 			ft.Partition(ctrlplane.PeerAddr(2), true)

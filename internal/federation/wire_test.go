@@ -33,7 +33,7 @@ func tapped(t *testing.T, nBorders int, rc ctrlplane.RetryConfig, tap *peerTap) 
 	f := fedFabric(t, 4, nBorders, Config{Seed: 7, Retry: rc, PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
 	tap.Transport, tap.sent = f.d.Transport, nil
 	f.d.Transport = tap
-	return f, f.PeerTransport()
+	return f, f.peerFT
 }
 
 // requests returns how many home→transit requests of each kind were sent
@@ -307,8 +307,8 @@ func TestPeerRetryJitterReachesEngine(t *testing.T) {
 			PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
 		tap := &tickTap{Transport: f.d.Transport, f: f, sends: map[uint64][]int{}}
 		f.d.Transport = tap
-		f.PeerTransport().Partition(ctrlplane.PeerAddr(1), true)
-		f.PeerTransport().Partition(ctrlplane.PeerAddr(2), true)
+		f.peerFT.Partition(ctrlplane.PeerAddr(1), true)
+		f.peerFT.Partition(ctrlplane.PeerAddr(2), true)
 		if _, err := f.Setup(context.Background(), 2, 10, 5, routing.Options{}); err == nil {
 			t.Fatal("setup succeeded against black-holed regions")
 		}

@@ -87,34 +87,6 @@ func (b *BFS) RunBoundedFiltered(src, maxDepth int, allow func(u, v int32) bool)
 	return reached
 }
 
-// RunMultiSource performs a BFS from every node in srcs simultaneously
-// (distance 0 at each source) and returns the number of reached nodes.
-func (b *BFS) RunMultiSource(srcs []int32) int {
-	b.reset()
-	for _, s := range srcs {
-		if b.dist[s] == Unreached {
-			b.dist[s] = 0
-			b.touched = append(b.touched, s)
-			b.queue = append(b.queue, s)
-		}
-	}
-	reached := len(b.queue)
-	for head := 0; head < len(b.queue); head++ {
-		u := b.queue[head]
-		du := b.dist[u]
-		for _, v := range b.g.Neighbors(int(u)) {
-			if b.dist[v] != Unreached {
-				continue
-			}
-			b.dist[v] = du + 1
-			b.touched = append(b.touched, v)
-			b.queue = append(b.queue, v)
-			reached++
-		}
-	}
-	return reached
-}
-
 // BFSTree performs a full BFS from src and returns the distance and parent
 // arrays of the shortest-path tree. Unreachable nodes have dist Unreached
 // and parent Unreached; the source is its own parent. Use PathTo to extract

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -193,4 +194,42 @@ func TestBitBFSZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("FloodDominated allocates %.1f per run, want 0", avg)
 	}
+}
+
+// RunMultiSource performs a BFS from every node in srcs simultaneously
+// (distance 0 at each source) and returns the number of reached nodes: the
+// reference the bit-parallel flood is tested against.
+func (b *BFS) RunMultiSource(srcs []int32) int {
+	b.reset()
+	for _, s := range srcs {
+		if b.dist[s] == Unreached {
+			b.dist[s] = 0
+			b.touched = append(b.touched, s)
+			b.queue = append(b.queue, s)
+		}
+	}
+	reached := len(b.queue)
+	for head := 0; head < len(b.queue); head++ {
+		u := b.queue[head]
+		du := b.dist[u]
+		for _, v := range b.g.Neighbors(int(u)) {
+			if b.dist[v] != Unreached {
+				continue
+			}
+			b.dist[v] = du + 1
+			b.touched = append(b.touched, v)
+			b.queue = append(b.queue, v)
+			reached++
+		}
+	}
+	return reached
+}
+
+// Count returns the number of set bits.
+func (b Bitset) Count() int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }

@@ -43,15 +43,6 @@ func (b Bitset) Zero() {
 	}
 }
 
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	c := 0
-	for _, w := range b {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 // ClaimNew computes cand &^ b (the bits of cand not yet in b), writes them
 // into dst, and merges them into b — the word-parallel "frontier admission"
 // step of bit-packed BFS: dst = new frontier, b = visited. It returns the

@@ -84,9 +84,6 @@ func (a *Admission) Stats() AdmissionStats {
 	}
 }
 
-// Revenue returns the accumulated payments.
-func (a *Admission) Revenue() float64 { return a.revenue.load() }
-
 // DrainRevenue atomically takes the accumulated revenue and resets it to
 // zero — the settlement engine calls it at each window close so every unit
 // of revenue lands in exactly one settlement record.

@@ -167,7 +167,7 @@ func TestAdmissionUncongestedPaysMinBidPrice(t *testing.T) {
 	adm.Admit(price / 2) // underbid: pays its bid
 	adm.Admit(price * 3) // overbid: pays the posted price
 	want := price/2 + price
-	if got := adm.Revenue(); math.Abs(got-want) > 1e-12 {
+	if got := adm.Stats().Revenue; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("revenue %g, want %g", got, want)
 	}
 }
@@ -182,7 +182,7 @@ func TestDrainRevenueResets(t *testing.T) {
 	if got := adm.DrainRevenue(); got <= 0 {
 		t.Fatalf("drained %g, want > 0", got)
 	}
-	if got := adm.Revenue(); got != 0 {
+	if got := adm.Stats().Revenue; got != 0 {
 		t.Fatalf("revenue after drain = %g, want 0", got)
 	}
 }

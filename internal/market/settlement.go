@@ -85,16 +85,6 @@ type Record struct {
 	EfficiencyGap float64 `json:"efficiency_gap"`
 }
 
-// Share returns broker b's split in the record (0 if absent).
-func (r *Record) Share(b int32) float64 {
-	for i, id := range r.Brokers {
-		if id == b {
-			return r.Splits[i]
-		}
-	}
-	return 0
-}
-
 // TopBroker returns the broker with the largest split (lowest id wins
 // ties), or -1 for an empty record. The broker-defection scenario uses it
 // to pick its victim.

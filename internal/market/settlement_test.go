@@ -154,3 +154,13 @@ func TestCheckConservationScalesWithRevenue(t *testing.T) {
 		t.Fatal("a cent missing from a 1e8 window passed the check")
 	}
 }
+
+// Share returns broker b's split in the record (0 if absent).
+func (r *Record) Share(b int32) float64 {
+	for i, id := range r.Brokers {
+		if id == b {
+			return r.Splits[i]
+		}
+	}
+	return 0
+}

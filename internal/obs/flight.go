@@ -108,14 +108,6 @@ func (f *FlightRecorder) Len() int {
 	return int(n)
 }
 
-// Recorded returns the total number of events ever recorded.
-func (f *FlightRecorder) Recorded() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.pos.Load()
-}
-
 // Events snapshots the ring in Seq order, oldest first.
 func (f *FlightRecorder) Events() []FlightEvent {
 	if f == nil {

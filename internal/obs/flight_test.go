@@ -26,8 +26,8 @@ func TestFlightRecorderRing(t *testing.T) {
 	if evs[len(evs)-1].Detail != "msg 19" {
 		t.Fatalf("newest event lost: %+v", evs[len(evs)-1])
 	}
-	if f.Recorded() != 20 || f.Len() != 8 {
-		t.Fatalf("recorded %d len %d", f.Recorded(), f.Len())
+	if f.pos.Load() != 20 || f.Len() != 8 {
+		t.Fatalf("recorded %d len %d", f.pos.Load(), f.Len())
 	}
 }
 
@@ -35,7 +35,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(FlightEvent{Subsystem: "x", Kind: "y"})
 	f.Recordf("x", "y", 0, "fmt %d", 1)
-	if f.Events() != nil || f.Len() != 0 || f.Recorded() != 0 {
+	if f.Events() != nil || f.Len() != 0 {
 		t.Fatal("nil recorder not inert")
 	}
 }
@@ -89,7 +89,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		_ = f.Events()
 	}
 	wg.Wait()
-	if f.Recorded() != 4000 {
-		t.Fatalf("recorded = %d, want 4000", f.Recorded())
+	if f.pos.Load() != 4000 {
+		t.Fatalf("recorded = %d, want 4000", f.pos.Load())
 	}
 }

@@ -125,10 +125,6 @@ func (t *Tracer) record(s *Span) {
 	t.ring[i&t.mask].Store(s)
 }
 
-// Recorded returns the total number of spans ever recorded (recorded −
-// ring size ≈ overwritten).
-func (t *Tracer) Recorded() uint64 { return t.pos.Load() }
-
 // ctxKey keys the context payload: the current span itself, whose identity
 // and tracer StartSpan extends into children. Those fields never change after
 // the span is minted, so a child may read them while the parent is still

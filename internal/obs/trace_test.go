@@ -91,8 +91,8 @@ func TestTracerRingOverwrite(t *testing.T) {
 	if got := len(tr.Spans()); got != 4 {
 		t.Fatalf("ring holds %d spans, want 4", got)
 	}
-	if tr.Recorded() != 11 {
-		t.Fatalf("recorded = %d, want 11", tr.Recorded())
+	if tr.pos.Load() != 11 {
+		t.Fatalf("recorded = %d, want 11", tr.pos.Load())
 	}
 }
 
@@ -116,8 +116,8 @@ func TestTracerConcurrent(t *testing.T) {
 		_ = tr.Spans()
 	}
 	wg.Wait()
-	if tr.Recorded() != 8*200*2 {
-		t.Fatalf("recorded = %d", tr.Recorded())
+	if tr.pos.Load() != 8*200*2 {
+		t.Fatalf("recorded = %d", tr.pos.Load())
 	}
 }
 

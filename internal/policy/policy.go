@@ -49,8 +49,7 @@ type Router struct {
 	// arcRel is top.ArcRels(): entry ArcOffset(u)+i is Rel(u, Neighbors(u)[i]).
 	arcRel []topology.Relationship
 	// arcFree marks arcs converted to free bidirectional links.
-	arcFree   []bool
-	freeCount int
+	arcFree []bool
 }
 
 // NewRouter builds a Router. brokers may be nil, meaning no domination
@@ -80,15 +79,9 @@ func (r *Router) SetFree(u, v int) {
 	if a < 0 || b < 0 {
 		return
 	}
-	if !r.arcFree[a] {
-		r.freeCount++
-	}
 	r.arcFree[a] = true
 	r.arcFree[b] = true
 }
-
-// NumFree returns how many edges are currently marked free.
-func (r *Router) NumFree() int { return r.freeCount }
 
 // InterBrokerEdges lists the edges whose endpoints are both brokers.
 // It returns nil when the router has no domination constraint.
@@ -160,15 +153,6 @@ func (r *Router) transition(arc int, v int32, state Phase) (Phase, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Reachable runs a product-space BFS from src and returns the set of nodes
-// reachable by a policy-compliant (and, if configured, B-dominated) path,
-// as a boolean mask excluding src itself.
-func (r *Router) Reachable(src int) []bool {
-	reached := make([]bool, r.top.NumNodes())
-	r.reachInto(src, make([]uint8, r.top.NumNodes()), nil, reached)
-	return reached
 }
 
 // reachInto is the allocation-light BFS core: visited is a per-phase

@@ -198,8 +198,14 @@ func TestInterBrokerEdgesAndConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || r.NumFree() != 2 {
-		t.Fatalf("converted %d edges, free=%d, want 2", n, r.NumFree())
+	free := 0
+	for _, f := range r.arcFree {
+		if f {
+			free++
+		}
+	}
+	if n != 2 || free != 4 {
+		t.Fatalf("converted %d edges, %d free arcs, want 2 and 4", n, free)
 	}
 	if _, err := r.ConvertInterBrokerEdges(1.5, nil); err == nil {
 		t.Error("fraction > 1 accepted")
@@ -336,4 +342,13 @@ func TestConnectivityParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d: %f != serial %f", w, par, serial)
 		}
 	}
+}
+
+// Reachable runs a product-space BFS from src and returns the set of nodes
+// reachable by a policy-compliant (and, if configured, B-dominated) path,
+// as a boolean mask excluding src itself.
+func (r *Router) Reachable(src int) []bool {
+	reached := make([]bool, r.top.NumNodes())
+	r.reachInto(src, make([]uint8, r.top.NumNodes()), nil, reached)
+	return reached
 }

@@ -84,13 +84,6 @@ func (c *Cache) shardFor(k routing.QueryKey) *cacheShard {
 	return c.shards[k.Hash()&c.mask]
 }
 
-// Get returns the cached path for k if present and computed under gen.
-// Entries from older generations are removed and reported as misses.
-func (c *Cache) Get(k routing.QueryKey, gen uint64) (*routing.Path, bool) {
-	p, ok, _, _ := c.LookupRefresh(k, gen, nil)
-	return p, ok
-}
-
 // LookupRefresh is the lookup with stale-entry revalidation and miss
 // classification: when an entry for k exists under an older generation,
 // check decides whether its path is still servable under gen (a nil check

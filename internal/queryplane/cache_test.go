@@ -163,3 +163,10 @@ func TestCacheLookupRefresh(t *testing.T) {
 		t.Fatal("concurrent replacement lost to a raced re-stamp")
 	}
 }
+
+// Get returns the cached path for k if present and computed under gen.
+// Entries from older generations are removed and reported as misses.
+func (c *Cache) Get(k routing.QueryKey, gen uint64) (*routing.Path, bool) {
+	p, ok, _, _ := c.LookupRefresh(k, gen, nil)
+	return p, ok
+}

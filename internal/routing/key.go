@@ -34,15 +34,6 @@ func (o Options) CacheKey(src, dst int) QueryKey {
 	}
 }
 
-// Options reconstructs the constraint set encoded in the key.
-func (k QueryKey) Options() Options {
-	return Options{
-		MaxHops:      int(k.MaxHops),
-		MinBandwidth: k.MinBandwidth,
-		BrokersOnly:  k.BrokersOnly,
-	}
-}
-
 // Hash mixes the key into a 64-bit value suitable for shard selection. It
 // is a splitmix64-style finalizer over the packed fields, so consecutive
 // node ids land on different shards.

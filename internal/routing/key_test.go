@@ -42,9 +42,10 @@ func TestCacheKeyIdentity(t *testing.T) {
 
 func TestCacheKeyRoundTrip(t *testing.T) {
 	o := Options{MaxHops: 6, MinBandwidth: 1.25, BrokersOnly: true}
-	got := o.CacheKey(3, 9).Options()
-	if got != o {
-		t.Fatalf("round trip = %+v, want %+v", got, o)
+	k := o.CacheKey(3, 9)
+	got := Options{MaxHops: int(k.MaxHops), MinBandwidth: k.MinBandwidth, BrokersOnly: k.BrokersOnly}
+	if got != o || k.Src != 3 || k.Dst != 9 {
+		t.Fatalf("round trip = %+v, want %+v", k, o)
 	}
 }
 

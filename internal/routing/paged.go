@@ -52,8 +52,6 @@ func newPagedF64(n int) pagedF64 {
 	return pagedF64{root: make([]*f64Interior, (n+radixFan*radixFan-1)>>(2*radixShift)), gen: 1, rootGen: 1, n: n}
 }
 
-func (p *pagedF64) len() int { return p.n }
-
 func (p *pagedF64) at(i int) float64 {
 	if in := p.root[i>>(2*radixShift)]; in != nil {
 		if l := in.kids[i>>radixShift&radixMask]; l != nil {

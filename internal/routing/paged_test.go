@@ -38,8 +38,8 @@ const keptFrozen = 24
 func runColumnScript(t testing.TB, n int, script []byte, onFreeze func(frozenColumn)) {
 	t.Helper()
 	col, ref := newPagedF64(n), make([]float64, n)
-	if col.len() != n {
-		t.Fatalf("len %d, want %d", col.len(), n)
+	if col.n != n {
+		t.Fatalf("len %d, want %d", col.n, n)
 	}
 	var kept []frozenColumn
 	freeze := func() {

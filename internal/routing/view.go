@@ -24,14 +24,6 @@ func (m *Metrics) View() *View {
 	return &View{top: m.top, arcState: m.arcState.freeze()}
 }
 
-// Latency returns the link latency in milliseconds (0 for a non-edge).
-func (v *View) Latency(a, b int32) float64 {
-	if i := v.top.Graph.ArcOf(int(a), int(b)); i >= 0 {
-		return v.latency[i]
-	}
-	return 0
-}
-
 // Available returns the unreserved capacity of a link at capture time;
 // 0 when failed or not an edge.
 func (v *View) Available(a, b int32) float64 {

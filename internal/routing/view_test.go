@@ -111,3 +111,11 @@ func TestViewImmutableUnderMutation(t *testing.T) {
 		t.Fatal("live metrics did not mutate")
 	}
 }
+
+// Latency returns the link latency in milliseconds (0 for a non-edge).
+func (v *View) Latency(a, b int32) float64 {
+	if i := v.top.Graph.ArcOf(int(a), int(b)); i >= 0 {
+		return v.latency[i]
+	}
+	return 0
+}

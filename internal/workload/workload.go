@@ -67,6 +67,3 @@ func (g *PairGen) Pair() (src, dst int32) {
 		}
 	}
 }
-
-// NumEligible returns the size of the endpoint pool.
-func (g *PairGen) NumEligible() int { return len(g.nodes) }

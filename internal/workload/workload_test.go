@@ -29,7 +29,7 @@ func TestPairGen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEligible() >= top.NumNodes() {
+	if len(g.nodes) >= top.NumNodes() {
 		t.Fatal("IXPs not excluded from endpoint pool")
 	}
 	seen := make(map[int32]int)
