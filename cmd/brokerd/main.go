@@ -38,7 +38,7 @@
 // accrued revenue is settled into Shapley splits across the brokers that
 // carried the traffic.
 //
-// With -churn set, a background loop additionally draws Poisson bursts of
+// With -churn set, a background job additionally draws Poisson bursts of
 // churn from the seeded generator at that interval, applies them, and
 // self-heals the coalition (broker re-selection, session re-pathing, cache
 // invalidation).
@@ -183,7 +183,7 @@ func run(o *options) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	// Graceful shutdown: SIGINT/SIGTERM stop the daemon's loops, stop
+	// Graceful shutdown: SIGINT/SIGTERM stop the daemon's jobs, stop
 	// accepting connections and drain in-flight requests for up to -drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

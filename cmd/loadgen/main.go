@@ -15,10 +15,12 @@
 //	loadgen -scale 0.1 -k 100 -c 32 -d 10s
 //
 // In-process with topology churn interleaved (measures availability under
-// self-healing: every -churn-every the daemon applies and heals a generated
-// burst, as POST /churn would, while the workers keep querying):
+// self-healing: the daemon runs brokerd's -churn job every -churn-every,
+// applying and healing a Poisson burst of mean 4 events, while the workers
+// keep querying; bursts and repair quantiles come from the healer's own
+// heal-pass count and healer_repair_seconds):
 //
-//	loadgen -scale 0.1 -k 100 -c 32 -d 10s -churn-every 500ms -churn-events 4
+//	loadgen -scale 0.1 -k 100 -c 32 -d 10s -churn-every 500ms
 //
 // The -abandon lifecycle scenario boots a daemon too; -regions and -econ are
 // scenario harnesses over federation.Fabric and internal/market (fault-injected
@@ -74,9 +76,8 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		retries = fs.Int("retries", 2, "max retries per query on 429 shed (HTTP mode)")
 		retryWt = fs.Duration("retry-wait", 250*time.Millisecond, "cap on per-attempt Retry-After wait")
 
-		churnEvery  = fs.Duration("churn-every", 0, "in-process churn injection interval (0 = off)")
-		churnEvents = fs.Int("churn-events", 4, "events per churn burst")
-		churnSeed   = fs.Int64("churn-seed", 42, "churn generator seed")
+		churnEvery = fs.Duration("churn-every", 0, "in-process churn burst interval (0 = off)")
+		churnSeed  = fs.Int64("churn-seed", 42, "churn generator seed")
 
 		abandon  = fs.Float64("abandon", 0, "lifecycle scenario: fraction of sessions that stop heartbeating instead of tearing down (0 = off)")
 		leaseTTL = fs.Duration("lease-ttl", 300*time.Millisecond, "lifecycle scenario session lease TTL")
@@ -117,7 +118,7 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 	var (
 		target  workload.Target
 		top     *topology.Topology
-		churned *daemon.Daemon // the daemon -churn-every bursts run against
+		churned *daemon.Daemon // the daemon whose churn job -churn-every runs
 		fed     *fedStack
 		econ    *econStack
 		// slowTracer, when set, lets the -slow-k report break each slow
@@ -198,7 +199,7 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := daemon.New(top, daemon.Config{K: *k, ChurnSeed: *churnSeed})
+		d, err := daemon.New(top, daemon.Config{K: *k, ChurnSeed: *churnSeed, Churn: *churnEvery})
 		if err != nil {
 			return nil, err
 		}
@@ -213,16 +214,8 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 
 		if *churnEvery > 0 {
 			churned = d
-			cfg.ChurnEvery = *churnEvery
-			cfg.Churn = func() (time.Duration, error) {
-				res, err := d.Churn(context.Background(), nil, *churnEvents, true)
-				if err != nil {
-					return 0, err
-				}
-				return res.Heal.Duration, nil
-			}
-			fmt.Fprintf(out, "loadgen: churn every %v, %d events/burst (seed %d)\n",
-				*churnEvery, *churnEvents, *churnSeed)
+			fmt.Fprintf(out, "loadgen: churn every %v, Poisson bursts of mean 4 events (seed %d)\n",
+				*churnEvery, *churnSeed)
 		}
 		fmt.Fprintf(out, "loadgen: in-process, %d nodes, %d brokers, %d workers (zipf %.2f)\n",
 			top.NumNodes(), d.Snapshot().NumBrokers(), cfg.Concurrency, *zipf)
@@ -231,39 +224,37 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 	newGen := func(w int) (*workload.PairGen, error) {
 		return workload.NewPairGen(top, cfg.Zipf, cfg.Seed+int64(w)*7919)
 	}
-	var (
-		fedStop chan struct{}
-		fedDone chan struct{}
-	)
-	if fed != nil {
-		fedStop, fedDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(fedDone)
-			fed.drive(fedStop, *dur, *fedEvery, *fedCrash, *seed)
-		}()
+	// At most one driver runs beside the workers, for the run's duration:
+	// the fabric's, the econ scenario's, or the daemon's own background jobs.
+	var drive func(ctx context.Context)
+	switch {
+	case fed != nil:
+		drive = func(ctx context.Context) { fed.drive(ctx.Done(), *dur, *fedEvery, *fedCrash, *seed) }
+	case econ != nil:
+		drive = func(ctx context.Context) { econ.drive(ctx.Done(), *dur) }
+	case churned != nil:
+		drive = churned.Run
 	}
-	var (
-		econStop chan struct{}
-		econDone chan struct{}
-	)
-	if econ != nil {
-		econStop, econDone = make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(econDone)
-			econ.drive(econStop, *dur)
-		}()
-	}
+	driving, stopDriving := context.WithCancel(context.Background())
+	driven := make(chan struct{})
+	go func() {
+		defer close(driven)
+		if drive != nil {
+			drive(driving)
+		}
+	}()
 	rep, err := workload.Run(target, newGen, cfg)
-	if fed != nil {
-		close(fedStop)
-		<-fedDone
-	}
-	if econ != nil {
-		close(econStop)
-		<-econDone
-	}
+	stopDriving()
+	<-driven
 	if err != nil {
 		return nil, err
+	}
+	if churned != nil {
+		// Every heal pass in this mode is the churn job's: one per burst.
+		hm := churned.HealerMetrics()
+		rep.ChurnBursts = int(hm.HealPasses.Load())
+		rep.Availability = float64(rep.Requests-rep.Errors-rep.NotFound) / float64(rep.Requests)
+		rep.RepairP50, rep.RepairP95 = hm.Repairs.Quantile(0.50), hm.Repairs.Quantile(0.95)
 	}
 	if econ != nil {
 		if err := econ.finish(rep, out, *econAssert); err != nil {

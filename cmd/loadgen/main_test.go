@@ -35,14 +35,14 @@ func TestRunInProcessSmoke(t *testing.T) {
 	}
 }
 
-// TestRunWithChurn exercises the churn-under-load path: bursts are injected
-// and healed while workers query, and the report carries availability and
-// repair quantiles.
+// TestRunWithChurn exercises the churn-under-load path: the daemon's churn
+// job applies and heals bursts while workers query, and the report carries
+// availability and the repair quantiles of healer_repair_seconds.
 func TestRunWithChurn(t *testing.T) {
 	var out bytes.Buffer
 	rep, err := run([]string{
 		"-scale", "0.01", "-k", "20", "-c", "4", "-d", "1200ms",
-		"-churn-every", "150ms", "-churn-events", "3",
+		"-churn-every", "150ms",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestRunWithChurn(t *testing.T) {
 	if rep.Availability <= 0 || rep.Availability > 1 {
 		t.Fatalf("availability = %f, want in (0,1]", rep.Availability)
 	}
-	if rep.RepairP95 < rep.RepairP50 {
+	if rep.RepairP50 <= 0 || rep.RepairP95 < rep.RepairP50 {
 		t.Fatalf("repair p95 %v < p50 %v", rep.RepairP95, rep.RepairP50)
 	}
 	// The control-plane line reads the daemon the bursts ran against.
@@ -107,5 +107,8 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	if _, err := run([]string{"-addr", "http://localhost:1", "-churn-every", "1s"}, &out); err == nil {
 		t.Fatal("churn against remote target accepted")
+	}
+	if _, err := run([]string{"-churn-every", "1s", "-churn-events", "3"}, &out); err == nil {
+		t.Fatal("-churn-events accepted: bursts are the daemon generator's")
 	}
 }

@@ -25,16 +25,14 @@ type BlastRadius struct {
 func (b BlastRadius) Size() int { return len(b.Links) }
 
 // Applier mutates a live State event by event, keeping the routing metrics'
-// failure flags in sync and tallying what it applied.
+// failure flags in sync.
 type Applier struct {
 	st *State
-	// applied counts events by type.
-	applied map[EventType]int
 }
 
 // NewApplier returns an applier over st.
 func NewApplier(st *State) *Applier {
-	return &Applier{st: st, applied: make(map[EventType]int)}
+	return &Applier{st: st}
 }
 
 // Apply executes one event against the live state and returns its blast
@@ -135,7 +133,6 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 	if len(blast.Links) > 0 {
 		st.invalidateLive()
 	}
-	a.applied[ev.Type]++
 	return blast, nil
 }
 

@@ -166,9 +166,6 @@ func TestApplierLinkFailRecover(t *testing.T) {
 	if m.Failed(1, 2) {
 		t.Fatal("metrics not mirrored on recover")
 	}
-	if a.applied[LinkFail] != 2 || a.applied[LinkRecover] != 1 {
-		t.Fatalf("counters: %v", a.applied)
-	}
 }
 
 func TestApplierValidation(t *testing.T) {
@@ -186,9 +183,6 @@ func TestApplierValidation(t *testing.T) {
 		if _, err := a.Apply(bad); err == nil {
 			t.Errorf("accepted invalid event %+v", bad)
 		}
-	}
-	if len(a.applied) != 0 {
-		t.Fatal("invalid events counted as applied")
 	}
 }
 

@@ -74,16 +74,16 @@ type HealerMetrics struct {
 	BrokerRecoveries   atomic.Uint64
 	SessionsRepaired   atomic.Uint64
 	SessionsAborted    atomic.Uint64
-	// repairs is the distribution of heal-pass wall times
+	// Repairs is the distribution of heal-pass wall times
 	// (healer_repair_seconds).
-	repairs obs.Histogram
+	Repairs obs.Histogram
 }
 
 // RegisterMetrics exposes the healer counters and the repair-time histogram
 // on reg under the healer_ namespace. The counters are already atomic, so
 // the collector just adapts them to samples at scrape time.
 func (m *HealerMetrics) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterHistogram("healer_repair_seconds", "heal-pass wall time", &m.repairs)
+	reg.RegisterHistogram("healer_repair_seconds", "heal-pass wall time", &m.Repairs)
 	reg.RegisterCollector(func(emit func(obs.Sample)) {
 		for _, c := range []struct {
 			name, help string
@@ -277,6 +277,6 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	}
 	rep.Duration = time.Since(start)
 	h.Metrics.HealPasses.Add(1)
-	h.Metrics.repairs.ObserveTrace(rep.Duration, obs.TraceIDFrom(ctx))
+	h.Metrics.Repairs.ObserveTrace(rep.Duration, obs.TraceIDFrom(ctx))
 	return rep, nil
 }

@@ -179,7 +179,7 @@ func TestHealRepairsBrokerPlaneAndSessions(t *testing.T) {
 	if repaired, aborted := mt.SessionsRepaired.Load(), mt.SessionsAborted.Load(); repaired != uint64(rep.SessionsRepaired) || aborted != uint64(rep.SessionsAborted) {
 		t.Fatalf("metrics/report mismatch: %d repaired, %d aborted vs %+v", repaired, aborted, rep)
 	}
-	if mt.repairs.Count() != 1 || mt.repairs.Quantile(0.5) <= 0 {
+	if mt.Repairs.Count() != 1 || mt.Repairs.Quantile(0.5) <= 0 {
 		t.Fatal("no repair duration recorded")
 	}
 }

@@ -117,26 +117,18 @@ func (s *State) mirrorLink(u, v int32) {
 	}
 }
 
-// Snapshot freezes the state's down-marks, the given coalition membership,
+// Snapshot freezes the state's live graph, the given coalition membership,
 // and the given (already frozen) routing view into an unpublished epoch
-// snapshot. Node and broker marks are deep-copied and the live graph is
-// immutable (link down-marks are its missing arcs), so subsequent churn
-// events leave the snapshot untouched. Callers hold the writer serialization
-// (the same rule as any other State read during mutation).
+// snapshot. The live graph is immutable (link down-marks, departed nodes'
+// included, are its missing arcs), so subsequent churn events leave the
+// snapshot untouched. Callers hold the writer serialization (the same rule as
+// any other State read during mutation).
 func (s *State) Snapshot(brokers []int32, view *routing.View) *epoch.Snapshot {
-	brokerDown := make(map[int32]bool, len(s.brokerDown))
-	for b, v := range s.brokerDown {
-		if v {
-			brokerDown[b] = true
-		}
-	}
 	return epoch.NewSnapshot(epoch.SnapshotData{
-		Top:        s.top,
-		Live:       s.LiveGraph(),
-		Brokers:    append([]int32(nil), brokers...),
-		NodeDown:   append([]bool(nil), s.nodeDown...),
-		BrokerDown: brokerDown,
-		View:       view,
+		Top:     s.top,
+		Live:    s.LiveGraph(),
+		Brokers: append([]int32(nil), brokers...),
+		View:    view,
 	})
 }
 

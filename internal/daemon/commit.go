@@ -49,10 +49,12 @@ const setupRetryAfter = time.Second
 // pendingOp is one queued lifecycle request plus its reply slot.
 type pendingOp struct {
 	// Setup inputs: the request, the path precomputed lock-free against a
-	// pinned snapshot (nil when that snapshot had no dominated path), and
+	// pinned snapshot (nil when that snapshot had no dominated path, or its
+	// search failed), the search's routing.ErrNoPath when it found none, and
 	// the snapshot's epoch for the staleness fallbacks.
 	req    sessionRequest
 	path   []int32
+	noPath error
 	snapID uint64
 	// teardown makes this a teardown of session id instead; the leader looks
 	// the id up under writeMu.
@@ -135,7 +137,13 @@ func (c *committer) submit(ctx context.Context, op *pendingOp) error {
 // whose precomputed path went stale (the epoch moved, or the pinned snapshot
 // had no path at all) fall back to a live-state serial setup, and the
 // post-commit damage check reuses the repair flow — the same two guards the
-// serial path had. Exactly one snapshot is published when anything changed.
+// serial path had. A setup whose pinned snapshot had no path is refused
+// without a second search while neither the epoch nor this round's commit
+// moved anything: every mutation publishes before it lets go of writeMu, so
+// the search would read that snapshot's capacities. A round that did move the
+// plane (a batched teardown frees capacity before the round publishes) falls
+// back like a stale path. Exactly one snapshot is published when anything
+// changed.
 func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 	s := c.s
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), opTimeout)
@@ -169,10 +177,15 @@ func (c *committer) processBatch(ctx context.Context, batch []*pendingOp) {
 		if op.teardown {
 			continue
 		}
-		if op.path == nil || (op.err != nil && epoch != op.snapID) {
-			// The pinned snapshot had no dominated path, or a snapshot-valid
-			// path became uncommittable under a moved epoch: live state is
-			// the authority before reporting failure.
+		switch {
+		case op.noPath != nil && epoch == op.snapID && s.plane.Version() == before:
+			// The answer the serial setup's search would give, worded alike.
+			op.err = fmt.Errorf("ctrlplane: no dominated path: %w", op.noPath)
+		case op.path == nil || (op.err != nil && epoch != op.snapID):
+			// The pinned snapshot gave no path (none under a moved epoch or
+			// plane, or the search itself failed), or a snapshot-valid path became
+			// uncommittable under a moved epoch: live state is the authority
+			// before reporting failure.
 			op.sess, op.err = s.plane.Setup(ctx, op.req.Src, op.req.Dst, op.req.Gbps, routing.Options{})
 		}
 		if op.err == nil && epoch != op.snapID && s.plane.SessionDamaged(op.sess) {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"brokerset/internal/churn"
+	"brokerset/internal/routing"
 	"brokerset/internal/workload"
 )
 
@@ -422,4 +423,50 @@ func TestTeardownAndRenewVsHealRace(t *testing.T) {
 	if err := srv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBatchedTeardownFreesNoPathSetup: a setup refused for capacity at its
+// pinned snapshot, committed in one round with the teardown that frees its
+// path, is admitted. The round moved the plane before it published, so the
+// pin's no-path answer is stale even at an unchanged epoch, and the live
+// search decides.
+func TestBatchedTeardownFreesNoPathSetup(t *testing.T) {
+	srv, _ := testServer(t)
+	ctx := context.Background()
+	n := srv.top.NumNodes()
+	for src := 0; src < n; src++ {
+		dst := n - 1 - src
+		best, err := srv.pub.Current().BestPath(src, dst, routing.Options{})
+		if err != nil || best.Hops() < 1 {
+			continue
+		}
+		// Fill the widest path's bottleneck: then no path has that much.
+		gbps := best.Bottleneck
+		held, err := srv.Setup(ctx, src, dst, gbps)
+		if err != nil {
+			continue
+		}
+		_, _, noPath := srv.qp.Resolve(ctx, src, dst, routing.Options{}.Reserving(gbps))
+		if !errors.Is(noPath, routing.ErrNoPath) {
+			if err := srv.Teardown(ctx, held.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		down := &pendingOp{teardown: true, id: held.ID, done: make(chan struct{})}
+		up := &pendingOp{req: sessionRequest{Src: src, Dst: dst, Gbps: gbps}, noPath: noPath,
+			snapID: srv.pub.Epoch(), done: make(chan struct{})}
+		srv.writeMu.Lock()
+		srv.commit.processBatch(ctx, []*pendingOp{down, up})
+		srv.writeMu.Unlock()
+		if down.err != nil || up.err != nil {
+			t.Fatalf("%d -> %d at %.3f Gbps batched with the teardown that frees it: teardown %v, setup %v",
+				src, dst, gbps, down.err, up.err)
+		}
+		if err := srv.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatal("no pair whose reservation leaves no path for a second one")
 }

@@ -1,6 +1,6 @@
 // Package daemon is the broker service brokerd runs, as a library: New
 // builds a Daemon from a topology and a Config (one field per brokerd flag),
-// Handler is its HTTP face, Run drives its background loops, and the typed
+// Handler is its HTTP face, Run drives its background jobs, and the typed
 // methods (Setup, Teardown, Renew, Churn, CheckInvariants, and the read
 // accessors) are the domain half of the handlers, shared with in-process
 // callers such as cmd/loadgen. cmd/brokerd's package comment lists the
@@ -8,9 +8,11 @@
 package daemon
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,11 +59,17 @@ type Daemon struct {
 	sessions *queryplane.SessionStore
 	// leases is each leased session's heartbeat deadline, by id, and
 	// leaseCounts the lease counters (lease.go); both guarded by writeMu.
-	// leases is nil unless LeaseTTL is set. now is the lease clock: wall time
-	// unless a test sets it.
+	// leases is nil unless LeaseTTL is set.
 	leases      map[int]time.Time
 	leaseCounts leaseCounts
-	now         func() time.Time
+
+	// now is the daemon's one clock: lease deadlines and every background
+	// job's schedule are read off it. Wall time unless a test sets it; the
+	// latency instruments measure on the wall clock regardless.
+	now func() time.Time
+	// jobs is the background schedule (see beat), in run order. Only beat
+	// touches it after New.
+	jobs []job
 
 	// pub owns the atomically-published topology snapshot readers pin.
 	pub *epoch.Publisher
@@ -103,7 +111,7 @@ type Daemon struct {
 
 	// SLO plane (nil unless SLO.QueryP99 is set; see slo.go): the
 	// handlers feed the objectives (recording on a nil one is a no-op),
-	// Run's SLO loop evaluates burn rates, and a firing alert dumps the
+	// Run's SLO job evaluates burn rates, and a firing alert dumps the
 	// flight recorder to SLO.DumpPath.
 	slo         *obs.SLOEngine
 	sloQuery    *obs.SLOObjective
@@ -163,7 +171,7 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 		now:      time.Now,
 	}
 	if cfg.LeaseTTL > 0 {
-		// Committed sessions must be renewed (Renew) or the sweeper
+		// Committed sessions must be renewed (Renew) or the lease job
 		// presumed-releases them.
 		s.leases = make(map[int]time.Time)
 	}
@@ -210,76 +218,114 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 	if cfg.SLO.QueryP99 > 0 {
 		s.enableSLO(cfg.SLO)
 	}
+	s.scheduleJobs()
 	return s, nil
 }
 
-// every calls fn each interval until ctx is cancelled.
-func every(ctx context.Context, interval time.Duration, fn func()) {
-	tick := time.NewTicker(interval)
+// job is one background duty of the daemon, run every period on the daemon's
+// clock. due is the next time it runs; zero until the first beat arms it.
+type job struct {
+	period time.Duration
+	due    time.Time
+	run    func(ctx context.Context)
+}
+
+// scheduleJobs lists the background jobs the config enables, in the order a
+// beat runs them: lease sweep, churn + heal, federation clock, market
+// controller, SLO evaluation.
+func (s *Daemon) scheduleJobs() {
+	if ttl := s.cfg.LeaseTTL; ttl > 0 {
+		sweep := s.cfg.LeaseSweep
+		if sweep <= 0 {
+			sweep = ttl / 4
+		}
+		s.jobs = append(s.jobs, job{period: sweep, run: func(ctx context.Context) { s.sweepLeases(ctx) }})
+	}
+	if s.cfg.Churn > 0 {
+		// Each run draws a Poisson burst from the seeded generator, applies
+		// it, and heals.
+		s.jobs = append(s.jobs, job{period: s.cfg.Churn, run: func(ctx context.Context) {
+			s.writeMu.Lock()
+			events := s.gen.Tick()
+			s.writeMu.Unlock()
+			if _, _, err := s.churnAndHeal(ctx, events, true); err != nil {
+				fmt.Printf("brokerd: churn job: %v\n", err)
+			}
+		}})
+	}
+	if s.fed != nil {
+		s.jobs = append(s.jobs, job{period: 100 * time.Millisecond, run: func(ctx context.Context) { s.fed.Beat(ctx) }})
+	}
+	if e := s.econ; e != nil {
+		s.jobs = append(s.jobs, job{period: e.every, run: func(context.Context) { s.econTick(e) }})
+	}
+	if s.slo != nil {
+		period := s.cfg.SLO.Every
+		if period <= 0 {
+			// Comfortably finer than the shortest evaluation window
+			// (Window/12) so windowed deltas resolve at useful granularity
+			// even on smoke-test-scale windows.
+			period = max(s.cfg.SLO.Window/48, 50*time.Millisecond)
+		}
+		s.jobs = append(s.jobs, job{period: period, run: func(context.Context) {
+			// Stamped when the counters are sampled, not when the beat
+			// began: the jobs ahead of this one may have taken a while.
+			for _, tr := range s.slo.Tick(s.now()) {
+				s.onSLOAlert(tr)
+			}
+		}})
+	}
+}
+
+// beat reads the daemon's clock once and runs, one at a time and in
+// schedule order, every job whose due time has passed. A job's next due time
+// is one period after the last; a job that fell a whole period behind is due
+// one period from now instead, so a late beat never runs a job twice. The
+// first beat only arms the jobs, each due one period later. The jobs share
+// one goroutine, so a job keeps its period only while the jobs ahead of it
+// finish within one tick: a churn + heal that outlasts a tick (it holds
+// writeMu, and grows with scale) holds back the fabric beat, market and SLO
+// jobs until the next tick after it returns. Not safe for concurrent calls:
+// Run is its one caller.
+func (s *Daemon) beat(ctx context.Context) {
+	now := s.now()
+	for i := range s.jobs {
+		j := &s.jobs[i]
+		if j.due.IsZero() {
+			j.due = now.Add(j.period)
+			continue
+		}
+		if now.Before(j.due) {
+			continue
+		}
+		j.run(ctx)
+		if j.due = j.due.Add(j.period); !j.due.After(now) {
+			j.due = now.Add(j.period)
+		}
+	}
+}
+
+// Run drives the background jobs the config asks for from one ticker at the
+// shortest job period, beating the daemon's clock on each tick, and returns
+// once ctx is cancelled.
+func (s *Daemon) Run(ctx context.Context) {
+	if len(s.jobs) == 0 {
+		<-ctx.Done()
+		return
+	}
+	// Arm before the ticker starts, so a job due every tick is due by the
+	// time each tick is read.
+	s.beat(ctx)
+	tick := time.NewTicker(slices.MinFunc(s.jobs, func(a, b job) int { return cmp.Compare(a.period, b.period) }).period)
 	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			fn()
+			s.beat(ctx)
 		}
 	}
-}
-
-// Run drives the background loops the config asks for — churn, lease
-// sweep, federation clock, market controller, SLO evaluation — and returns
-// after ctx is cancelled, once every one of them has stopped.
-func (s *Daemon) Run(ctx context.Context) {
-	var wg sync.WaitGroup
-	loop := func(interval time.Duration, fn func()) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			every(ctx, interval, fn)
-		}()
-	}
-	if s.cfg.Churn > 0 {
-		// Each tick draws a Poisson burst from the seeded generator,
-		// applies it, and heals.
-		loop(s.cfg.Churn, func() {
-			s.writeMu.Lock()
-			events := s.gen.Tick()
-			s.writeMu.Unlock()
-			if _, _, err := s.churnAndHeal(ctx, events, true); err != nil {
-				fmt.Printf("brokerd: churn loop: %v\n", err)
-			}
-		})
-	}
-	if ttl := s.cfg.LeaseTTL; ttl > 0 {
-		sweep := s.cfg.LeaseSweep
-		if sweep <= 0 {
-			sweep = ttl / 4
-		}
-		loop(sweep, func() { s.sweepLeases(ctx) })
-	}
-	if s.fed != nil {
-		loop(100*time.Millisecond, func() { s.fed.Beat(ctx) })
-	}
-	if e := s.econ; e != nil {
-		loop(e.every, func() { s.econTick(e) })
-	}
-	if s.slo != nil {
-		tick := s.cfg.SLO.Every
-		if tick <= 0 {
-			// Comfortably finer than the shortest evaluation window
-			// (Window/12) so windowed deltas resolve at useful granularity
-			// even on smoke-test-scale windows.
-			tick = max(s.cfg.SLO.Window/48, 50*time.Millisecond)
-		}
-		loop(tick, func() {
-			for _, tr := range s.slo.Tick(time.Now()) {
-				s.onSLOAlert(tr)
-			}
-		})
-	}
-	<-ctx.Done()
-	wg.Wait()
 }
 
 // QueryPlane returns the query plane path queries are served through.
@@ -287,6 +333,10 @@ func (s *Daemon) QueryPlane() *queryplane.QueryPlane { return s.qp }
 
 // Snapshot pins the current epoch snapshot. Lock-free.
 func (s *Daemon) Snapshot() *epoch.Snapshot { return s.pub.Current() }
+
+// HealerMetrics returns the healer's live counters and its repair-time
+// histogram (healer_repair_seconds).
+func (s *Daemon) HealerMetrics() *churn.HealerMetrics { return &s.healer.Metrics }
 
 // PlaneStats copies the control plane's counters under the write mutex
 // that orders its mutations.
@@ -330,7 +380,7 @@ func (s *Daemon) publishIfMoved(ctx context.Context, before uint64) {
 
 // churnAndHeal applies a burst of churn events and runs one heal pass, all
 // under the write mutex. Either half may be empty (nil events = heal
-// only). It backs both Churn and the background churn loop.
+// only). It backs both Churn and the background churn job.
 // Publication discipline: the damage snapshot is published as soon as the
 // events land (readers must stop routing over failed links before the
 // heal finishes), and a second snapshot is published after a heal that
@@ -442,10 +492,14 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlpl
 	// path answers it whenever it has the bandwidth (constraint dominance),
 	// and when it does not the search routes around the thin link instead of
 	// handing the committer a path it must refuse.
-	if path, _, err := s.qp.Resolve(ctx, src, dst, routing.Options{}.Reserving(gbps)); err == nil {
+	path, _, err := s.qp.Resolve(ctx, src, dst, routing.Options{}.Reserving(gbps))
+	switch {
+	case err == nil:
 		op.path = path.Nodes
+	case errors.Is(err, routing.ErrNoPath):
+		op.noPath = err
 	}
-	err := s.commit.submit(ctx, op)
+	err = s.commit.submit(ctx, op)
 	if err == nil {
 		err = op.err
 	}

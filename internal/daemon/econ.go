@@ -53,7 +53,7 @@ func (s *Daemon) enableEcon(cfg EconConfig) error {
 	return nil
 }
 
-// econTick is one beat of the market loop: it samples the query plane (pool
+// econTick is one run of the market job: it samples the query plane (pool
 // occupancy as utilization, query delta as demand, live sessions as adoption
 // signal) and ticks the plane, which reprices and settles each full window.
 func (s *Daemon) econTick(e *econState) {

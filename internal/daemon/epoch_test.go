@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -106,26 +107,34 @@ func TestSnapshotConsistencyUnderChurnStorm(t *testing.T) {
 	storm.Wait()
 }
 
-// slowTransport delays every control-plane message, stretching the 2PC
-// critical section that runs under the server's write mutex.
+// slowTransport holds every control-plane message until release is closed,
+// parking the 2PC critical section that runs under the server's write mutex;
+// its first message closes sending.
 type slowTransport struct {
 	ctrlplane.Transport
-	delay time.Duration
+	once             sync.Once
+	sending, release chan struct{}
 }
 
 func (t *slowTransport) Send(m ctrlplane.Message) {
-	time.Sleep(t.delay)
+	t.once.Do(func() { close(t.sending) })
+	<-t.release
 	t.Transport.Send(m)
 }
 
 // TestSetupDoesNotBlockQueries is the regression test for the epoch
-// refactor's central claim: a session setup grinding through a slow 2PC
-// holds the write mutex, and path queries must keep being served from the
-// pinned snapshot the whole time. Under the old global RWMutex the query
-// below would stall until the setup finished and blow its deadline.
+// refactor's central claim: a session setup parked in its 2PC holds the
+// write mutex, and path queries must keep being served from the pinned
+// snapshot the whole time. Under the old global RWMutex the queries below
+// would stall until the setup finished and blow their deadlines.
 func TestSetupDoesNotBlockQueries(t *testing.T) {
 	srv, _ := testServer(t)
-	srv.plane.UseTransport(&slowTransport{Transport: ctrlplane.NewFaultTransport(ctrlplane.FaultConfig{}), delay: 10 * time.Millisecond})
+	tr := &slowTransport{
+		Transport: ctrlplane.NewFaultTransport(ctrlplane.FaultConfig{}),
+		sending:   make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	srv.plane.UseTransport(tr)
 	bs := srv.currentBrokers()
 	src, dst := int(bs[0]), int(bs[len(bs)-1])
 
@@ -134,42 +143,27 @@ func TestSetupDoesNotBlockQueries(t *testing.T) {
 		_, err := srv.Setup(context.Background(), src, dst, 0.01)
 		done <- err
 	}()
-	// Wait until the setup actually holds the write mutex. The setup
-	// goroutine is the only writer here, so an unavailable mutex means the
-	// 2PC critical section is in progress.
-	for srv.writeMu.TryLock() {
-		srv.writeMu.Unlock()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("setup: %v", err)
-			}
-			t.Skip("setup finished before the mutex was observed; timing too coarse to assert")
-		default:
-		}
-		time.Sleep(50 * time.Microsecond)
+	select {
+	case <-tr.sending:
+	case err := <-done:
+		t.Fatalf("setup finished without sending a message: %v", err)
 	}
-
-	served := 0
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("setup: %v", err)
-			}
-			if served == 0 {
-				t.Fatal("setup finished before any query was attempted")
-			}
-			return
-		default:
-		}
-		qctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-		_, _, err := srv.qp.Query(qctx, src, dst, routing.Options{})
+	if srv.writeMu.TryLock() {
+		t.Fatal("setup is sending its 2PC without holding the write mutex")
+	}
+	for _, b := range bs[1:] {
+		qctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		_, _, err := srv.qp.Query(qctx, src, int(b), routing.Options{})
 		cancel()
-		if err != nil {
-			t.Fatalf("query failed while setup held the write mutex: %v", err)
+		// The setup's own pair has a path (the setup found it), so only
+		// the other pairs may answer no-path.
+		if err != nil && (int(b) == dst || !errors.Is(err, routing.ErrNoPath)) {
+			t.Fatalf("query %d->%d failed while setup held the write mutex: %v", src, b, err)
 		}
-		served++
+	}
+	close(tr.release)
+	if err := <-done; err != nil {
+		t.Fatalf("setup: %v", err)
 	}
 }
 

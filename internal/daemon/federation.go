@@ -12,7 +12,7 @@
 //
 // A shed stitched query returns 429 with Retry-After and X-Shed-Region
 // naming the region whose query plane refused, so clients can report
-// per-region pushback. A background loop beats the fabric every 100 ms
+// per-region pushback. A background job beats the fabric every 100 ms
 // (Fabric.Beat: lease clocks, gossip, the healer).
 //
 // A POST or DELETE on /federation/sessions is one round of the two-level

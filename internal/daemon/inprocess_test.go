@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -248,73 +249,215 @@ func TestInProcessMatchesHTTP(t *testing.T) {
 	}
 }
 
-// TestRunStopsEveryLoop: with every background loop enabled, Run returns
-// promptly once its context is cancelled and leaves no goroutine behind; with
-// none enabled it still holds until then (cmd/brokerd drains when it returns).
+// everyJob enables every background job, each at its own period.
+var everyJob = Config{
+	K: 40, Seed: 1, ChurnSeed: 42, SetupQueue: 1024,
+	Churn: 40 * time.Millisecond, LeaseTTL: 80 * time.Millisecond,
+	Regions: 3, CrossingCost: 2.0,
+	Econ: &EconConfig{Every: 50 * time.Millisecond},
+	SLO:  SLOConfig{QueryP99: time.Second, Window: time.Minute, Every: 25 * time.Millisecond},
+}
+
+// TestBeatRunsEachJobAtItsPeriod drives beat under an injected clock, 5 ms a
+// step: every enabled job runs exactly at each multiple of its period, the
+// jobs due on one beat run in the fixed order, and each job's run reaches
+// the subsystem it drives.
+func TestBeatRunsEachJobAtItsPeriod(t *testing.T) {
+	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(top, everyJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule := []struct {
+		name   string
+		period time.Duration
+	}{{"lease", 20 * time.Millisecond}, {"churn", 40 * time.Millisecond}, {"federation", 100 * time.Millisecond},
+		{"econ", 50 * time.Millisecond}, {"slo", 25 * time.Millisecond}}
+	if len(d.jobs) != len(schedule) {
+		t.Fatalf("%d jobs scheduled, want %d", len(d.jobs), len(schedule))
+	}
+	var ran []string
+	for i, want := range schedule {
+		j := &d.jobs[i]
+		if j.period != want.period {
+			t.Fatalf("job %d runs every %v, want the %s job's %v", i, j.period, want.name, want.period)
+		}
+		run := j.run
+		j.run = func(ctx context.Context) {
+			ran = append(ran, fmt.Sprintf("%v %s", d.now().Sub(time.Unix(0, 0)), want.name))
+			run(ctx)
+		}
+	}
+	clock := time.Unix(0, 0)
+	d.now = func() time.Time { return clock }
+	var want []string
+	for at := time.Duration(0); at <= 200*time.Millisecond; at += 5 * time.Millisecond {
+		clock = time.Unix(0, 0).Add(at)
+		d.beat(context.Background())
+		for _, j := range schedule {
+			if at > 0 && at%j.period == 0 {
+				want = append(want, fmt.Sprintf("%v %s", at, j.name))
+			}
+		}
+	}
+	if strings.Join(ran, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("beats ran:\n%s\nwant:\n%s", strings.Join(ran, "\n"), strings.Join(want, "\n"))
+	}
+	if heals, beats, reprices := d.healer.Metrics.HealPasses.Load(), d.fed.Stats().Beats, d.econ.Ctrl.Ticks(); heals != 5 || beats != 2 || reprices != 4 {
+		t.Fatalf("%d heal passes, %d fabric beats, %d reprices; want 5, 2, 4", heals, beats, reprices)
+	}
+}
+
+// TestBeatKeepsItsGrid: a job stays on the grid its first beat armed, so a
+// beat read a little late does not push every later run back (a ticker at
+// the job's own period would then skip every other tick), and a job that
+// fell a whole period behind runs once, not once per missed period.
+func TestBeatKeepsItsGrid(t *testing.T) {
+	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(top, Config{K: 20, LeaseTTL: 400 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran []time.Duration
+	run := d.jobs[0].run
+	d.jobs[0].run = func(ctx context.Context) {
+		ran = append(ran, d.now().Sub(time.Unix(0, 0)))
+		run(ctx)
+	}
+	for _, at := range []time.Duration{0, 101, 200, 450, 500, 549, 550} {
+		clock := time.Unix(0, 0).Add(at * time.Millisecond)
+		d.now = func() time.Time { return clock }
+		d.beat(context.Background())
+	}
+	want := []time.Duration{101 * time.Millisecond, 200 * time.Millisecond, 450 * time.Millisecond, 550 * time.Millisecond}
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("lease job ran at %v, want %v", ran, want)
+	}
+}
+
+// TestBeatExpiresLeaseAtTTL: under an injected clock, the lease job
+// presumed-releases an unrenewed session on the first beat at its TTL, and a
+// renewed one a TTL after its renewal.
+func TestBeatExpiresLeaseAtTTL(t *testing.T) {
+	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(top, Config{K: 40, LeaseTTL: 40 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := time.Unix(0, 0)
+	d.now = func() time.Time { return clock }
+	bs := d.currentBrokers()
+	var ids [2]int
+	for i := range ids {
+		sess, err := d.Setup(context.Background(), int(bs[0]), int(bs[1+i]), 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = sess.ID
+	}
+	d.beat(context.Background())
+	for at := 10 * time.Millisecond; at <= 60*time.Millisecond; at += 10 * time.Millisecond {
+		clock = time.Unix(0, 0).Add(at)
+		if at == 20*time.Millisecond && !d.Renew(ids[1]) {
+			t.Fatal("renewal refused before the TTL")
+		}
+		d.beat(context.Background())
+		for i, lapse := range []time.Duration{40 * time.Millisecond, 60 * time.Millisecond} {
+			if _, held := d.Session(ids[i]); held != (at < lapse) {
+				t.Fatalf("at %v session %d held = %v, want its lease to lapse at %v", at, ids[i], held, lapse)
+			}
+		}
+	}
+	if d.leaseCounts.expiries != 2 {
+		t.Fatalf("%d expiries, want 2", d.leaseCounts.expiries)
+	}
+}
+
+// watchedCtx closes waiting the first time its Done channel is asked for:
+// from then on, a Run that has not returned is waiting on it.
+type watchedCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *watchedCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestRunStopsEveryLoop: Run drives every enabled job from its one ticker —
+// the test's ctx is cancelled from inside the job that runs last — returns
+// only once that happens, and leaves no goroutine behind. With no job enabled
+// it still holds until cancellation (cmd/brokerd drains when it returns):
+// the ctx is cancelled only after Run has asked for its Done channel.
 func TestRunStopsEveryLoop(t *testing.T) {
 	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	every := Config{
-		K: 40, Seed: 1, ChurnSeed: 42, SetupQueue: 1024,
-		Churn: 5 * time.Millisecond, LeaseTTL: 20 * time.Millisecond,
-		Regions: 3, CrossingCost: 2.0,
-		Econ: &EconConfig{Every: 5 * time.Millisecond},
-		SLO:  SLOConfig{QueryP99: time.Second, Window: time.Minute, Every: 5 * time.Millisecond},
-	}
-	for name, cfg := range map[string]Config{"every loop": every, "no loop": {K: 40}} {
+	fast := everyJob
+	fast.Churn, fast.LeaseTTL = 5*time.Millisecond, 20*time.Millisecond
+	fast.Econ = &EconConfig{Every: 5 * time.Millisecond}
+	fast.SLO.Every = 5 * time.Millisecond
+	for name, cfg := range map[string]Config{"every loop": fast, "no loop": {K: 40}} {
 		t.Run(name, func(t *testing.T) {
 			d, err := New(top, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bs := d.currentBrokers()
-			if _, err := d.Setup(context.Background(), int(bs[0]), int(bs[1]), 0.01); err != nil {
-				t.Fatal(err)
-			}
-
-			before := runtime.NumGoroutine()
-			ctx, cancel := context.WithCancel(context.Background())
+			parent, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			done := make(chan struct{})
+			ctx := &watchedCtx{Context: parent, waiting: make(chan struct{})}
+			idle := len(d.jobs)
+			for i := range d.jobs {
+				j := &d.jobs[i]
+				run, ran := j.run, false
+				j.run = func(ctx context.Context) {
+					run(ctx)
+					if !ran {
+						ran = true
+						if idle--; idle == 0 {
+							cancel()
+						}
+					}
+				}
+			}
+			before := runtime.NumGoroutine()
+			returned := make(chan error, 1)
 			go func() {
-				defer close(done)
 				d.Run(ctx)
+				returned <- ctx.Err()
 			}()
-			// Every loop has done its work at least once: a heal pass, the
-			// unrenewed session swept, a fabric beat, a reprice.
-			idle := func() string {
-				if cfg.Churn == 0 {
-					return ""
-				}
-				beats := d.fed.Stats().Beats
-				heals, sessions, reprices := d.healer.Metrics.HealPasses.Load(), d.sessions.Len(), d.econ.Ctrl.Ticks()
-				if heals > 0 && sessions == 0 && beats > 0 && reprices > 0 {
-					return ""
-				}
-				return fmt.Sprintf("%d heal passes, %d sessions, %d fabric beats, %d reprices", heals, sessions, beats, reprices)
-			}
-			for deadline := time.Now().Add(10 * time.Second); idle() != ""; time.Sleep(5 * time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("loops idle after 10s: %s", idle())
+			if len(d.jobs) == 0 {
+				select {
+				case <-ctx.waiting:
+					cancel()
+				case err := <-returned:
+					t.Fatalf("Run with no job returned without waiting on its ctx (ctx error %v)", err)
 				}
 			}
-			select {
-			case <-done:
+			switch err := <-returned; {
+			case err == nil:
 				t.Fatal("Run returned before cancellation")
-			case <-time.After(20 * time.Millisecond):
+			case !errors.Is(err, context.Canceled):
+				t.Fatalf("%d of %d jobs never ran in 10s: %v", idle, len(d.jobs), err)
+			case idle != 0:
+				t.Fatalf("Run returned with %d of %d jobs never run", idle, len(d.jobs))
 			}
-			cancel()
-			select {
-			case <-done:
-			case <-time.After(time.Second):
-				t.Fatal("Run still going 1s after cancellation")
-			}
-			// Run returning means every loop is past its last beat; give the
-			// goroutines the instant they need to finish exiting.
-			for i := 0; runtime.NumGoroutine() > before && i < 100; i++ {
-				time.Sleep(time.Millisecond)
+			// Run's goroutine is past its send, and a heal's workers may still
+			// be unwinding from their last Done.
+			for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+				runtime.Gosched()
 			}
 			if after := runtime.NumGoroutine(); after > before {
 				t.Fatalf("%d goroutines before Run, %d after it returned", before, after)

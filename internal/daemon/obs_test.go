@@ -162,6 +162,35 @@ func TestSessionTracePropagation(t *testing.T) {
 	}
 }
 
+// TestNoPathSetupSearchesOnce: a setup whose pinned snapshot has no path is
+// refused at an unchanged epoch without a second, serial search against live
+// state — its trace carries the refusal and no ctrlplane.setup span.
+func TestNoPathSetupSearchesOnce(t *testing.T) {
+	srv, ts := testServer(t)
+	epoch := srv.pub.Epoch()
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/sessions",
+		strings.NewReader(`{"src":0,"dst":5,"gbps":1e9}`))
+	req.Header.Set("X-Trace-ID", "778")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("setup status %d, want 409", resp.StatusCode)
+	}
+	if got := srv.pub.Epoch(); got != epoch {
+		t.Fatalf("epoch moved %d -> %d on a refused setup", epoch, got)
+	}
+	names := map[string]bool{}
+	for _, s := range srv.tracer.Trace(778) {
+		names[s.Name] = true
+	}
+	if !names["brokerd.setup_refused"] || names["ctrlplane.setup"] {
+		t.Fatalf("no-path setup trace %v: want brokerd.setup_refused and no ctrlplane.setup", names)
+	}
+}
+
 // TestDebugFlight dumps the flight recorder after a session setup and a
 // lease expiry. Every event carries its wall time; Clock is a subsystem's
 // virtual time, and brokerd has none, so no brokerd event carries a clock.

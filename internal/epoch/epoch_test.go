@@ -24,11 +24,10 @@ func testSnapshot(t *testing.T) (*Snapshot, *topology.Topology, []int32, *routin
 	}
 	m := routing.DefaultMetrics(top, nil)
 	snap := NewSnapshot(SnapshotData{
-		Top:      top,
-		Live:     top.Graph,
-		Brokers:  brokers,
-		NodeDown: make([]bool, top.NumNodes()),
-		View:     m.View(),
+		Top:     top,
+		Live:    top.Graph,
+		Brokers: brokers,
+		View:    m.View(),
 	})
 	return snap, top, brokers, m
 }
@@ -57,8 +56,7 @@ func TestPublisherMonotonicEpochs(t *testing.T) {
 				viewMu.Unlock()
 				next := NewSnapshot(SnapshotData{
 					Top: top, Live: top.Graph, Brokers: brokers,
-					NodeDown: make([]bool, top.NumNodes()),
-					View:     view,
+					View: view,
 				})
 				pub.Publish(context.Background(), next)
 			}
@@ -120,8 +118,6 @@ func TestSnapshotDownMarks(t *testing.T) {
 	m := routing.DefaultMetrics(top, nil)
 	// Node 3 has left and one link elsewhere has failed: the live graph is
 	// the topology's without node 3's row and without that link.
-	nodeDown := make([]bool, top.NumNodes())
-	nodeDown[3] = true
 	var links [][2]int32 // clear of node 3: one to fail, one to leave up
 	top.Graph.Edges(func(u, v int) bool {
 		if u != 3 && v != 3 {
@@ -136,9 +132,7 @@ func TestSnapshotDownMarks(t *testing.T) {
 	})
 	snap := NewSnapshot(SnapshotData{
 		Top: top, Live: live, Brokers: []int32{1, 2},
-		NodeDown:   nodeDown,
-		BrokerDown: map[int32]bool{2: true},
-		View:       m.View(),
+		View: m.View(),
 	})
 	if !snap.LinkDown(failed[0], failed[1]) || !snap.LinkDown(failed[1], failed[0]) {
 		t.Fatal("failed link not down from both ends")
@@ -151,12 +145,6 @@ func TestSnapshotDownMarks(t *testing.T) {
 	}
 	if !snap.LinkDown(-1, 0) || !snap.LinkDown(0, int32(top.NumNodes())) {
 		t.Fatal("a pair outside the topology reads as an up link")
-	}
-	if !snap.nodeDown[3] || snap.nodeDown[4] {
-		t.Fatal("node down-marks wrong")
-	}
-	if !snap.brokerDown[2] || snap.brokerDown[1] || len(snap.brokerDown) != 1 {
-		t.Fatalf("broker down-marks = %v, want only 2", snap.brokerDown)
 	}
 	if !snap.IsBroker(1) || snap.IsBroker(3) {
 		t.Fatal("IsBroker wrong")
@@ -181,8 +169,7 @@ func TestPublisherMetrics(t *testing.T) {
 	pub.RegisterMetrics(reg)
 	next := NewSnapshot(SnapshotData{
 		Top: top, Live: top.Graph, Brokers: brokers,
-		NodeDown: make([]bool, top.NumNodes()),
-		View:     m.View(),
+		View: m.View(),
 	})
 	pub.Publish(context.Background(), next)
 	var b strings.Builder
@@ -224,8 +211,7 @@ func TestSnapshotPathValid(t *testing.T) {
 	})
 	down := NewSnapshot(SnapshotData{
 		Top: top, Live: live, Brokers: brokers,
-		NodeDown: make([]bool, top.NumNodes()),
-		View:     m.View(),
+		View: m.View(),
 	})
 	if down.PathValid(p, routing.Options{}) {
 		t.Fatal("path over a down link reads valid")

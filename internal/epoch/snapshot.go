@@ -31,10 +31,6 @@ type SnapshotData struct {
 	Live *graph.Graph
 	// Brokers is the coalition membership in ascending id order.
 	Brokers []int32
-	// NodeDown marks departed/failed nodes (indexed by node id).
-	NodeDown []bool
-	// BrokerDown marks crashed coalition members.
-	BrokerDown map[int32]bool
 	// View is the frozen routing metrics (latency/capacity/reservations).
 	View *routing.View
 }
@@ -48,12 +44,10 @@ type Snapshot struct {
 	id   uint64
 	born time.Time
 
-	live       *graph.Graph
-	brokers    []int32
-	inB        []bool
-	nodeDown   []bool
-	brokerDown map[int32]bool
-	view       *routing.View
+	live    *graph.Graph
+	brokers []int32
+	inB     []bool
+	view    *routing.View
 
 	// conn is shared (by pointer) between a snapshot and its WithView
 	// descendants: capacity-only republishes keep the same live graph and
@@ -77,13 +71,11 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 		inB[b] = true
 	}
 	return &Snapshot{
-		live:       d.Live,
-		brokers:    d.Brokers,
-		inB:        inB,
-		nodeDown:   d.NodeDown,
-		brokerDown: d.BrokerDown,
-		view:       d.View,
-		conn:       &connCache{},
+		live:    d.Live,
+		brokers: d.Brokers,
+		inB:     inB,
+		view:    d.View,
+		conn:    &connCache{},
 	}
 }
 
@@ -97,13 +89,11 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 // serving path's one caller.
 func (s *Snapshot) WithView(view *routing.View) *Snapshot {
 	return &Snapshot{
-		live:       s.live,
-		brokers:    s.brokers,
-		inB:        s.inB,
-		nodeDown:   s.nodeDown,
-		brokerDown: s.brokerDown,
-		view:       view,
-		conn:       s.conn,
+		live:    s.live,
+		brokers: s.brokers,
+		inB:     s.inB,
+		view:    view,
+		conn:    s.conn,
 	}
 }
 

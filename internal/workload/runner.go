@@ -69,13 +69,6 @@ type Config struct {
 	// IDs) in Report.Slowest — the client-side path from a bad latency
 	// number to the exact traces behind it.
 	SlowK int
-	// Churn, when non-nil, is invoked every ChurnEvery during the run
-	// (from a dedicated goroutine, concurrent with the workers): it
-	// applies a burst of topology churn, runs a heal pass, and returns the
-	// repair duration. Its errors stop further churn but not the run.
-	Churn func() (time.Duration, error)
-	// ChurnEvery is the interval between churn injections. Default 500ms.
-	ChurnEvery time.Duration
 }
 
 // Report summarizes a closed-loop run.
@@ -99,13 +92,14 @@ type Report struct {
 	P95           time.Duration `json:"p95_ns"`
 	P99           time.Duration `json:"p99_ns"`
 
-	// Churn-under-load fields (zero unless Config.Churn was set).
-	// ChurnBursts counts churn injections; Availability is the fraction of
-	// requests that resolved normally (found a path or were cleanly shed)
-	// rather than failing because healing was in flight — on a topology
-	// whose baseline connectivity is ~1, no-path and error outcomes during
-	// a churn run are healing-induced. RepairP50/RepairP95 summarize the
-	// injected heal-pass durations.
+	// Churn-under-load fields (filled by loadgen -churn-every from the
+	// daemon's healer; zero otherwise). ChurnBursts counts churn bursts;
+	// Availability is the fraction of requests that resolved normally (found
+	// a path or were cleanly shed) rather than failing because healing was in
+	// flight — on a topology whose baseline connectivity is ~1, no-path and
+	// error outcomes during a churn run are healing-induced.
+	// RepairP50/RepairP95 summarize the heal-pass durations
+	// (healer_repair_seconds).
 	ChurnBursts  int           `json:"churn_bursts,omitempty"`
 	Availability float64       `json:"availability,omitempty"`
 	RepairP50    time.Duration `json:"repair_p50_ns,omitempty"`
@@ -243,40 +237,6 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 	deadline := time.Now().Add(cfg.Duration)
 	start := time.Now()
 
-	// Churn injector: a side goroutine disrupting the topology while the
-	// workers run, collecting each heal pass's repair latency.
-	var (
-		churnDone    chan struct{}
-		churnStop    chan struct{}
-		repairs      []time.Duration
-		churnedBurst int
-	)
-	if cfg.Churn != nil {
-		every := cfg.ChurnEvery
-		if every <= 0 {
-			every = 500 * time.Millisecond
-		}
-		churnStop = make(chan struct{})
-		churnDone = make(chan struct{})
-		go func() {
-			defer close(churnDone)
-			tick := time.NewTicker(every)
-			defer tick.Stop()
-			for {
-				select {
-				case <-churnStop:
-					return
-				case <-tick.C:
-					d, err := cfg.Churn()
-					if err != nil {
-						return
-					}
-					churnedBurst++
-					repairs = append(repairs, d)
-				}
-			}
-		}()
-	}
 	for w := 0; w < cfg.Concurrency; w++ {
 		gen, err := newGen(w)
 		if err != nil {
@@ -325,10 +285,6 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	if cfg.Churn != nil {
-		close(churnStop)
-		<-churnDone
-	}
 
 	rep := &Report{Elapsed: elapsed}
 	shedBy := make(map[int]int)
@@ -366,21 +322,6 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 	rep.HitRate = float64(rep.Hits) / float64(rep.Requests)
 	rep.P50, rep.P95, rep.P99 = hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99)
 
-	if cfg.Churn != nil {
-		rep.ChurnBursts = churnedBurst
-		rep.Availability = float64(rep.Requests-rep.Errors-rep.NotFound) / float64(rep.Requests)
-		if len(repairs) > 0 {
-			sort.Slice(repairs, func(i, j int) bool { return repairs[i] < repairs[j] })
-			rq := func(p float64) time.Duration {
-				i := int(p * float64(len(repairs)))
-				if i >= len(repairs) {
-					i = len(repairs) - 1
-				}
-				return repairs[i]
-			}
-			rep.RepairP50, rep.RepairP95 = rq(0.50), rq(0.95)
-		}
-	}
 	return rep, nil
 }
 

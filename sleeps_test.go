@@ -21,9 +21,6 @@ var keptSleeps = map[string]struct {
 	calls int
 	why   string
 }{
-	"internal/daemon/epoch_test.go:slowTransport.Send":                    {1, "models a slow peer: stretches the 2PC critical section so a query can be seen to pass it; asserts nothing on the duration"},
-	"internal/daemon/epoch_test.go:TestSetupDoesNotBlockQueries":          {1, "paces a TryLock poll for the critical section above; skips, never fails, when it is missed"},
-	"internal/daemon/inprocess_test.go:TestRunStopsEveryLoop":             {2, "paces two polls with deadlines (every Run loop has beaten once; its goroutines have exited): the loops under test are wall-clock tickers"},
 	"internal/workload/workload_test.go:fakeTarget.Query":                 {1, "gives the fake target a service time so the closed-loop runner's workers overlap; asserts counts, not durations"},
 	"internal/queryplane/queryplane_test.go:TestQueryShedding":            {1, "paces a poll on the shed counter while the one compute is blocked on a channel"},
 	"internal/queryplane/queryplane_test.go:TestQueryParallelConsistency": {1, "spreads 50 generation bumps over the readers' run; asserts consistency of each answer, not timing"},
