@@ -143,7 +143,7 @@ type BatchResult struct {
 func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	ctx, span := obs.StartSpan(ctx, "ctrlplane.commit_batch")
 	defer span.End()
-	span.Annotatef("ops", "%d", len(ops))
+	span.AnnotateInt("ops", int64(len(ops)))
 	// The leader's span links every distinct follower trace the batch
 	// carried, so a follower's trace and the shared commit round are
 	// navigable from each other even though only the leader's context
@@ -192,7 +192,7 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 		// Chaos seam: the coordinator dies after phase 1 with NO decision
 		// recorded for any setup in the batch. Leased holds self-expire via
 		// the tick sweep's presumed abort; every op is reported failed.
-		p.flight.Recordf("ctrlplane", "batch_crash", int64(p.d.Now()), "coordinator died mid-batch, %d setups in doubt", len(opened))
+		p.flight.Record("ctrlplane", "batch_crash", int64(p.d.Now()), "coordinator died mid-batch, %d setups in doubt", "", int64(len(opened)))
 		// Its memory of the attempts went with it: nothing pins them now.
 		for _, s := range opened {
 			delete(p.pinned, sessKey{s.ID, s.Epoch})

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -54,6 +56,25 @@ func dumpFlight(t *testing.T, fr *obs.FlightRecorder, seed int64, violation stri
 		return
 	}
 	t.Logf("flight recorder dumped to %s (%d events)", path, fr.Len())
+}
+
+// Flight golden of TestChaos2PC at seed 1, pinned before the recorder
+// stored typed events: the count of events the ring holds at quiescence and
+// an FNV-64a hash of their rendering (flightDigest). Seq and Wall are left
+// out; everything a dump explains a run with is in.
+const (
+	goldenFlightEvents = 4096
+	goldenFlightHash   = 0x023b4bd22ad4a5d5
+)
+
+// flightDigest renders each event as "subsystem kind clock detail" and
+// returns the event count and the FNV-64a hash of the rendering.
+func flightDigest(evs []obs.FlightEvent) (int, uint64) {
+	h := fnv.New64a()
+	for _, e := range evs {
+		fmt.Fprintf(h, "%s %s %d %s\n", e.Subsystem, e.Kind, e.Clock, e.Detail)
+	}
+	return len(evs), h.Sum64()
 }
 
 // ringTop builds an n-node peer ring where every node is a broker-grade
@@ -249,6 +270,12 @@ func TestChaos2PC(t *testing.T) {
 	}
 	if ts.Dropped == 0 || ts.Duplicated == 0 || ts.Delayed == 0 || ts.Reordered == 0 {
 		t.Fatalf("fault injection unexercised: %+v", ts)
+	}
+	if seed == 1 {
+		if n, h := flightDigest(fr.Events()); n != goldenFlightEvents || h != goldenFlightHash {
+			t.Fatalf("flight content: %d events hash %#x, golden %d events hash %#x",
+				n, h, goldenFlightEvents, uint64(goldenFlightHash))
+		}
 	}
 }
 

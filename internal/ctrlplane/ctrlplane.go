@@ -610,7 +610,7 @@ func (p *Plane) open(s *Session, nodes []int32) error {
 	for _, owner := range s.owners {
 		if p.d.BreakerOpen(owner) {
 			p.setDecided(sessKey{s.ID, s.Epoch}, false)
-			p.flight.Recordf("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d ABORT (breaker %d open)", s.ID, s.Epoch, owner)
+			p.flight.Record("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d ABORT (breaker %d open)", "", int64(s.ID), int64(s.Epoch), int64(owner))
 			p.stats.BreakerFastFails++
 			p.stats.Aborts++
 			s.State = StateAborted
@@ -629,10 +629,19 @@ func (p *Plane) open(s *Session, nodes []int32) error {
 // an error names why it cannot commit. Nothing is decided here — the caller
 // follows with decide for every attempt, failed ones included, because some
 // of their hops may be held. Each attempt's PREPAREs take consecutive ids,
-// and the first pins the watermark until the attempt is decided.
+// and the first pins the watermark until the attempt is decided. With no
+// attempt there is no broadcast: a teardown-only round goes straight to
+// decide, whose broadcast advances the watermark as an empty one would have.
 func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []error {
-	var msgs []Message
-	of := make(map[uint64]int) // PREPARE MsgID -> index into ss
+	if len(ss) == 0 {
+		return nil
+	}
+	n := 0
+	for _, s := range ss {
+		n += len(s.owners)
+	}
+	msgs := make([]Message, 0, n)
+	of := make(map[uint64]int, n) // PREPARE MsgID -> index into ss
 	for i, s := range ss {
 		trace := obs.TraceIDFrom(ctx)
 		if traces != nil && traces[i] != 0 {
@@ -700,7 +709,7 @@ func (p *Plane) prepare(ctx context.Context, ss []*Session, traces []uint64) []e
 func (p *Plane) decide(ctx context.Context, commits, aborts, releases []*Session) []error {
 	entries := make(map[int32][]BatchEntry) // broker -> its slice of the record
 	record := func(s *Session, kind BatchEntryKind, verdict string) {
-		p.flight.Recordf("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d %s", s.ID, s.Epoch, verdict)
+		p.flight.Record("ctrlplane", "decide", int64(p.d.Now()), "session %d.%d %s", verdict, int64(s.ID), int64(s.Epoch))
 		for _, owner := range uniqueOwners(s.owners) {
 			entries[owner] = append(entries[owner], BatchEntry{Kind: kind, ID: s.ID, Epoch: s.Epoch})
 		}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"brokerset/internal/obs"
 )
@@ -75,6 +75,13 @@ type Delivery struct {
 	// set, so a healed partition's catch-up traffic spreads over ticks.
 	backlog     map[uint64]Message
 	backlogWait map[uint64]int
+	// ids, sent and wait are scratch kept across calls, so a round
+	// allocates none of them: the sorted ids of one pass (sortedIDs), and
+	// Broadcast's per-message send counts and jitter waits. One set
+	// suffices because Broadcast and Flush never run inside each other on
+	// one engine — the hooks reach other engines, not their own.
+	ids        []uint64
+	sent, wait map[uint64]int
 	// jrng is the retry-jitter stream; nothing draws from it while
 	// RetryJitterTicks is 0, so enabling jitter never perturbs the fault
 	// schedules of existing seeds.
@@ -99,6 +106,8 @@ func NewDelivery(layer string, tr Transport, rc RetryConfig) *Delivery {
 		breakers:    make(map[int32]*breaker),
 		backlog:     make(map[uint64]Message),
 		backlogWait: make(map[uint64]int),
+		sent:        make(map[uint64]int),
+		wait:        make(map[uint64]int),
 		jrng:        rand.New(rand.NewSource(2)),
 	}
 }
@@ -138,8 +147,8 @@ func (d *Delivery) advance(inflight []Message) uint64 {
 // Send pushes a message onto the transport and counts it.
 func (d *Delivery) Send(m Message) {
 	d.Sent++
-	d.Flight.Recordf(d.layer, "send", int64(d.clock), "%s %d->%d session %d.%d msg %d",
-		m.Type, m.From, m.To, m.SessionID, m.Epoch, m.MsgID)
+	d.Flight.Record(d.layer, "send", int64(d.clock), "%s %d->%d session %d.%d msg %d",
+		m.Type.String(), int64(m.From), int64(m.To), int64(m.SessionID), int64(m.Epoch), int64(m.MsgID))
 	d.Transport.Send(m)
 }
 
@@ -155,15 +164,16 @@ func (d *Delivery) Reply(req Message, t MsgType) {
 
 // rpcOutcome is the result of one broadcast round-trip set.
 type rpcOutcome struct {
-	nacked  map[uint64]Message // MsgID -> original request
+	nacked  map[uint64]Message // MsgID -> original request; nil until a refusal
 	pending map[uint64]Message // unanswered after all attempts
 }
 
 // Broadcast sends msgs and pumps the transport, retrying unacknowledged
 // messages one virtual tick apart until every message is answered, every
 // message's MaxAttempts send budget is spent, or ctx expires. It returns
-// the requests that were refused and the ones still unanswered, by MsgID,
-// each carrying the watermark it was sent with; the rest were acknowledged.
+// the requests that were refused (nil when none was) and the ones still
+// unanswered, by MsgID, each carrying the watermark it was sent with; the
+// rest were acknowledged. Both maps are the caller's to keep.
 // Under RetryConfig.RetryJitterTicks a seeded-random 0..RetryJitterTicks
 // extra rounds pass between a message's sends, rolled independently per
 // message — two setups whose retries would collide on the same tick
@@ -177,35 +187,30 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 	defer span.End()
 	if len(msgs) > 0 {
 		span.Annotate("type", msgs[0].Type.String())
-		span.Annotatef("msgs", "%d", len(msgs))
+		span.AnnotateInt("msgs", int64(len(msgs)))
 	}
-	out := rpcOutcome{
-		nacked:  make(map[uint64]Message),
-		pending: make(map[uint64]Message, len(msgs)),
-	}
+	out := rpcOutcome{pending: make(map[uint64]Message, len(msgs))}
 	w := d.advance(msgs)
 	for _, m := range msgs {
 		m.Watermark = w
 		out.pending[m.MsgID] = m
 	}
 	jitter, budget := d.Retry.RetryJitterTicks, d.Retry.MaxAttempts
-	sent := make(map[uint64]int, len(msgs))
-	var wait map[uint64]int // rounds a message still sits out; jitter only
-	if jitter > 0 {
-		wait = make(map[uint64]int, len(msgs))
-	}
+	sent, wait := d.sent, d.wait
+	clear(sent)
+	clear(wait)
 	sendable := func(m Message) bool { return !d.down(m.To) && sent[m.MsgID] < budget }
 	for round := 0; len(out.pending) > 0 && round < budget*(jitter+1) && ctx.Err() == nil; round++ {
 		actx, asp := obs.StartSpan(ctx, "2pc.attempt")
-		asp.Annotatef("attempt", "%d", round)
-		asp.Annotatef("pending", "%d", len(out.pending))
+		asp.AnnotateInt("attempt", int64(round))
+		asp.AnnotateInt("pending", int64(len(out.pending)))
 		if round > 0 {
 			_, bsp := obs.StartSpan(actx, "2pc.backoff")
 			d.clock++
 			d.Transport.Advance()
 			bsp.End()
 		}
-		for _, id := range sortedIDs(out.pending) {
+		for _, id := range d.sortedIDs(out.pending) {
 			m := out.pending[id]
 			if !sendable(m) {
 				continue
@@ -219,7 +224,7 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 			}
 			_, ssp := obs.StartSpan(actx, "2pc.send")
 			ssp.Annotate("type", m.Type.String())
-			ssp.Annotatef("to", "%d", m.To)
+			ssp.AnnotateInt("to", int64(m.To))
 			d.Send(m)
 			ssp.End()
 			sent[id]++
@@ -240,7 +245,7 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 		}
 	}
 	if ctx.Err() == nil {
-		for _, id := range sortedIDs(out.pending) {
+		for _, id := range d.sortedIDs(out.pending) {
 			if m := out.pending[id]; !d.down(m.To) {
 				d.breakerFail(m.To)
 			}
@@ -251,13 +256,33 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 
 func (d *Delivery) down(addr int32) bool { return d.Down != nil && d.Down(addr) }
 
-func sortedIDs(m map[uint64]Message) []uint64 {
-	ids := make([]uint64, 0, len(m))
+// sortedIDs returns m's keys in ascending order, in d.ids: valid until the
+// next call.
+func (d *Delivery) sortedIDs(m map[uint64]Message) []uint64 {
+	d.ids = d.ids[:0]
 	for id := range m {
-		ids = append(ids, id)
+		d.ids = append(d.ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(d.ids)
+	return d.ids
+}
+
+// settledFormats spells each reply type's name into the backlog_settled
+// record's format, because a flight event carries one string: the
+// request's type.
+var settledFormats = func() (f [len(msgNames)]string) {
+	for t, name := range msgNames {
+		f[t] = "%s to %d session %d.%d: " + name
+	}
+	return f
+}()
+
+// settledFormat returns the backlog_settled format for a reply of type t.
+func settledFormat(t MsgType) string {
+	if t.known() {
+		return settledFormats[t]
+	}
+	return "%s to %d session %d.%d: " + t.String()
 }
 
 // Pump drains the transport outside a broadcast: requests run at their
@@ -281,6 +306,9 @@ func (d *Delivery) pump(out *rpcOutcome) {
 			if req, ok := out.pending[m.AckFor]; ok {
 				delete(out.pending, m.AckFor)
 				if refused {
+					if out.nacked == nil {
+						out.nacked = make(map[uint64]Message)
+					}
 					out.nacked[m.AckFor] = req
 				}
 				d.breakerOK(m.From)
@@ -291,8 +319,8 @@ func (d *Delivery) pump(out *rpcOutcome) {
 		if req, ok := d.backlog[m.AckFor]; ok {
 			d.dropBacklog(m.AckFor)
 			d.breakerOK(m.From)
-			d.Flight.Recordf(d.layer, "backlog_settled", int64(d.clock), "%s to %d session %d.%d: %s",
-				req.Type, req.To, req.SessionID, req.Epoch, m.Type)
+			d.Flight.Record(d.layer, "backlog_settled", int64(d.clock), settledFormat(m.Type),
+				req.Type.String(), int64(req.To), int64(req.SessionID), int64(req.Epoch))
 			if refused && d.Refused != nil {
 				d.Refused(req)
 			}
@@ -309,8 +337,8 @@ func (d *Delivery) dropBacklog(id uint64) {
 // Backlog records decided-but-undelivered requests for lazy redelivery.
 func (d *Delivery) Backlog(msgs ...Message) {
 	for _, m := range msgs {
-		d.Flight.Recordf(d.layer, "backlog", int64(d.clock), "%s to %d session %d.%d msg %d",
-			m.Type, m.To, m.SessionID, m.Epoch, m.MsgID)
+		d.Flight.Record(d.layer, "backlog", int64(d.clock), "%s to %d session %d.%d msg %d",
+			m.Type.String(), int64(m.To), int64(m.SessionID), int64(m.Epoch), int64(m.MsgID))
 		d.backlog[m.MsgID] = m
 	}
 }
@@ -338,7 +366,7 @@ func (d *Delivery) Flush() {
 		return
 	}
 	jitter := d.Retry.RetryJitterTicks
-	for _, id := range sortedIDs(d.backlog) {
+	for _, id := range d.sortedIDs(d.backlog) {
 		m := d.backlog[id]
 		if d.down(m.To) {
 			continue // redelivered once the target is back
@@ -401,7 +429,7 @@ func (d *Delivery) breakerFail(addr int32) {
 	if br.fails >= d.Retry.BreakerThreshold && d.clock >= br.openUntil {
 		br.openUntil = d.clock + d.Retry.BreakerCooldown
 		d.BreakerTrips++
-		d.Flight.Recordf(d.layer, "breaker_trip", int64(d.clock), "%d open until tick %d", addr, br.openUntil)
+		d.Flight.Record(d.layer, "breaker_trip", int64(d.clock), "%d open until tick %d", "", int64(addr), int64(br.openUntil))
 	}
 }
 

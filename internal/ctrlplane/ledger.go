@@ -423,7 +423,7 @@ func (p *Plane) depart(b int32) {
 	if p.crashed[b] {
 		p.restore(a)
 	}
-	for _, id := range sortedIDs(p.d.backlog) {
+	for _, id := range p.d.sortedIDs(p.d.backlog) {
 		if m := p.d.backlog[id]; m.To == b {
 			if _, applied := a.seen[id]; !applied {
 				p.record(a, walRecord{Op: walBatch, MsgID: id, Batch: m.Batch})
@@ -472,8 +472,8 @@ func (p *Plane) dispatch(m Message) {
 // are fenced so stragglers cannot resurrect holds. Once the step is applied,
 // a log past its budget is checkpointed.
 func (p *Plane) deliver(a *agent, m Message) {
-	p.flight.Recordf("ctrlplane", "deliver", int64(p.d.Now()), "%s at broker %d session %d.%d msg %d",
-		m.Type, a.id, m.SessionID, m.Epoch, m.MsgID)
+	p.flight.Record("ctrlplane", "deliver", int64(p.d.Now()), "%s at broker %d session %d.%d msg %d",
+		m.Type.String(), int64(a.id), int64(m.SessionID), int64(m.Epoch), int64(m.MsgID))
 	if m.Type == MsgPrepare || m.Type == MsgBatch {
 		a.w = max(a.w, m.Watermark)
 		if m.MsgID < a.w {

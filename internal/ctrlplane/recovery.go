@@ -13,7 +13,7 @@ func (p *Plane) Crash(b int32) {
 	if p.crashed[b] {
 		return
 	}
-	p.flight.Recordf("ctrlplane", "crash", int64(p.d.Now()), "broker %d", b)
+	p.flight.Record("ctrlplane", "crash", int64(p.d.Now()), "broker %d", "", int64(b))
 	p.crashed[b] = true
 	if a := p.agents[b]; a != nil {
 		a.state = state{}
@@ -63,7 +63,7 @@ func (p *Plane) Recover(b int32) {
 	p.compact(b)
 	delete(p.d.breakers, b)
 	p.stats.Recoveries++
-	p.flight.Recordf("ctrlplane", "recover", int64(p.d.Now()), "broker %d: %d holds in doubt", b, len(doubt))
+	p.flight.Record("ctrlplane", "recover", int64(p.d.Now()), "broker %d: %d holds in doubt", "", int64(b), int64(len(doubt)))
 }
 
 // resolve returns the entry that settles attempt key at an agent holding on
@@ -127,7 +127,7 @@ func (p *Plane) ExpireLeases() int {
 			}
 			entries = append(entries, e)
 			p.stats.LeaseExpiries++
-			p.flight.Recordf("ctrlplane", "lease_expire", int64(p.d.Now()), "session %d.%d swept at broker %d", key.ID, key.Epoch, b)
+			p.flight.Record("ctrlplane", "lease_expire", int64(p.d.Now()), "session %d.%d swept at broker %d", "", int64(key.ID), int64(key.Epoch), int64(b))
 		}
 		p.applyLocal(a, entries)
 		n += len(entries)

@@ -174,6 +174,41 @@ func TestCommitBatchTraceStitching(t *testing.T) {
 	}
 }
 
+// TestTeardownRoundBroadcastsOnce: a round that opens no setup sends no
+// PREPARE phase — its one broadcast is the BATCH that carries the releases.
+func TestTeardownRoundBroadcastsOnce(t *testing.T) {
+	const nodes = 8
+	top, m := ringTop(t, nodes)
+	brokers := make([]int32, nodes)
+	for i := range brokers {
+		brokers[i] = int32(i)
+	}
+	p := New(top, m, brokers)
+	res := p.CommitBatch(context.Background(), []BatchOp{{Kind: BatchSetup, Path: []int32{0, 1, 2}, Bandwidth: 1}})
+	if res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+
+	tr := obs.NewTracer(256)
+	ctx, root := tr.Root(context.Background(), "test.teardown", 0)
+	if res := p.CommitBatch(ctx, []BatchOp{{Kind: BatchTeardown, Session: res[0].Session}}); res[0].Err != nil {
+		t.Fatal(res[0].Err)
+	}
+	root.End()
+	var broadcasts []obs.Span
+	for _, s := range tr.Trace(root.TraceID) {
+		if s.Name == "2pc.broadcast" {
+			broadcasts = append(broadcasts, s)
+		}
+	}
+	if len(broadcasts) != 1 {
+		t.Fatalf("teardown-only round: %d 2pc.broadcast spans, want 1", len(broadcasts))
+	}
+	if typ := broadcasts[0].Attrs[0]; typ.Key != "type" || typ.Val != MsgBatch.String() {
+		t.Fatalf("the round's broadcast is annotated %v, want type=%s", broadcasts[0].Attrs, MsgBatch)
+	}
+}
+
 // checkSpanTree asserts the structural invariants of one trace — a single
 // root, every parent resolving inside the trace, and parent names that
 // follow the protocol nesting — and returns the span count per name.

@@ -75,9 +75,13 @@ type heldMsg struct {
 // ordered, zero-latency bus every plane and fabric starts on: no rate is
 // above zero, so the seeded stream is never drawn from.
 type FaultTransport struct {
-	cfg         FaultConfig
-	rng         *rand.Rand
+	cfg FaultConfig
+	rng *rand.Rand
+	// q[head:] is the queue. Recv advances head and rewinds both to the
+	// array's start once the queue is empty — every pump drains it — so
+	// the backing array is reused round after round instead of regrown.
 	q           []Message
+	head        int
 	held        []heldMsg
 	partitioned map[int32]bool
 	step        int
@@ -130,15 +134,20 @@ func (t *FaultTransport) enqueue(m Message, r FaultRates) {
 		t.held = append(t.held, heldMsg{m: m, readyAt: t.step + 1 + t.rng.Intn(maxd)})
 		return
 	}
-	if r.Reorder > 0 && len(t.q) > 0 && t.rng.Float64() < r.Reorder {
-		i := t.rng.Intn(len(t.q) + 1)
+	if n := len(t.q) - t.head; r.Reorder > 0 && n > 0 && t.rng.Float64() < r.Reorder {
 		t.stats.Reordered++
-		t.q = append(t.q, Message{})
-		copy(t.q[i+1:], t.q[i:])
-		t.q[i] = m
+		t.insert(t.rng.Intn(n+1), m)
 		return
 	}
 	t.q = append(t.q, m)
+}
+
+// insert places m at position i of the queue (0 = next to be received).
+func (t *FaultTransport) insert(i int, m Message) {
+	i += t.head
+	t.q = append(t.q, Message{})
+	copy(t.q[i+1:], t.q[i:])
+	t.q[i] = m
 }
 
 // Send implements Transport: rolls the configured faults and enqueues the
@@ -164,11 +173,14 @@ func (t *FaultTransport) Send(m Message) {
 
 // Recv implements Transport.
 func (t *FaultTransport) Recv() (Message, bool) {
-	if len(t.q) == 0 {
+	if t.head == len(t.q) {
 		return Message{}, false
 	}
-	m := t.q[0]
-	t.q = t.q[1:]
+	m := t.q[t.head]
+	t.q[t.head] = Message{} // the array outlives the message: drop its batch
+	if t.head++; t.head == len(t.q) {
+		t.q, t.head = t.q[:0], 0
+	}
 	t.stats.Delivered++
 	if t.OnDeliver != nil {
 		t.OnDeliver(m)
@@ -187,10 +199,7 @@ func (t *FaultTransport) Advance() {
 			kept = append(kept, h)
 			continue
 		}
-		i := t.rng.Intn(len(t.q) + 1)
-		t.q = append(t.q, Message{})
-		copy(t.q[i+1:], t.q[i:])
-		t.q[i] = h.m
+		t.insert(t.rng.Intn(len(t.q)-t.head+1), h.m)
 	}
 	t.held = kept
 }

@@ -91,8 +91,8 @@ func (c *committer) submit(ctx context.Context, op *pendingOp) error {
 		depth := len(c.queue)
 		c.mu.Unlock()
 		c.shed.Add(1)
-		c.s.flight.Recordf("brokerd", "setup_shed", 0,
-			"queue depth %d over high water %d", depth, c.highWater)
+		c.s.flight.Record("brokerd", "setup_shed", 0,
+			"queue depth %d over high water %d", "", int64(depth), int64(c.highWater))
 		return errSetupShed
 	}
 	c.queue = append(c.queue, op)

@@ -63,7 +63,7 @@ func (s *Daemon) expireLapsed(ctx context.Context) int {
 		if r.Err == nil {
 			s.sessions.Delete(r.Session.ID)
 			delete(s.leases, r.Session.ID)
-			s.flight.Recordf("brokerd", "session_expire", 0, "session %d.%d presumed-released", r.Session.ID, r.Session.Epoch)
+			s.flight.Record("brokerd", "session_expire", 0, "session %d.%d presumed-released", "", int64(r.Session.ID), int64(r.Session.Epoch))
 			n++
 		}
 	}

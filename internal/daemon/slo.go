@@ -84,8 +84,8 @@ func (s *Daemon) onSLOAlert(tr obs.AlertTransition) {
 	}
 	fmt.Printf("brokerd: slo alert %s/%s %s (burn long %.2f short %.2f)\n",
 		tr.Objective, tr.Severity, state, tr.BurnLong, tr.BurnShort)
-	s.flight.Recordf("brokerd", "slo_alert", 0,
-		"%s/%s %s burn_long=%.2f burn_short=%.2f", tr.Objective, tr.Severity, state, tr.BurnLong, tr.BurnShort)
+	s.flight.Record("brokerd", "slo_alert", 0, "%s",
+		fmt.Sprintf("%s/%s %s burn_long=%.2f burn_short=%.2f", tr.Objective, tr.Severity, state, tr.BurnLong, tr.BurnShort))
 	if !tr.Firing {
 		return
 	}

@@ -60,7 +60,7 @@ func (p *Publisher) Publish(ctx context.Context, next *Snapshot) uint64 {
 		p.published.Inc()
 		p.age.Observe(next.born.Sub(prev.born))
 	}
-	sp.Annotatef("epoch", "%d", next.id)
+	sp.AnnotateInt("epoch", int64(next.id))
 	sp.End()
 	return next.id
 }

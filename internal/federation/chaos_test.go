@@ -2,6 +2,8 @@ package federation
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -48,6 +50,25 @@ func dumpFlight(t *testing.T, fr *obs.FlightRecorder, seed int64, violation stri
 		return
 	}
 	t.Logf("flight recorder dumped to %s (%d events)", path, fr.Len())
+}
+
+// Flight golden of TestChaosLossDupMidCommitRegionCrash at seed 1, pinned
+// before the recorder stored typed events: the count of events recorded
+// and an FNV-64a hash of their rendering (flightDigest). Seq and Wall are
+// left out; everything a dump explains a run with is in.
+const (
+	goldenFlightEvents = 720
+	goldenFlightHash   = 0x03597ee2ea4d6f9a
+)
+
+// flightDigest renders each event as "subsystem kind clock detail" and
+// returns the event count and the FNV-64a hash of the rendering.
+func flightDigest(evs []obs.FlightEvent) (int, uint64) {
+	h := fnv.New64a()
+	for _, e := range evs {
+		fmt.Fprintf(h, "%s %s %d %s\n", e.Subsystem, e.Kind, e.Clock, e.Detail)
+	}
+	return len(evs), h.Sum64()
 }
 
 // verifyConserved checks the all-or-nothing outcome of one cross-region
@@ -245,6 +266,12 @@ func TestChaosLossDupMidCommitRegionCrash(t *testing.T) {
 		t.Fatal("no setup ever committed under 3% loss/dup chaos")
 	}
 	t.Logf("chaos seed %d: %d/%d setups committed, stats %+v", seed, commits, setups, f.Stats())
+	if seed == 1 {
+		if n, h := flightDigest(fr.Events()); n != goldenFlightEvents || h != goldenFlightHash {
+			t.Fatalf("flight content: %d events hash %#x, golden %d events hash %#x",
+				n, h, goldenFlightEvents, uint64(goldenFlightHash))
+		}
+	}
 }
 
 // TestStitchedTraceSpansRegions is the tracing acceptance criterion: with

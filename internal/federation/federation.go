@@ -248,8 +248,8 @@ func (b regionBus) Recv() (ctrlplane.Message, bool) {
 		switch {
 		case !peer || q >= len(b.f.regions):
 		case b.f.regions[q].crashed:
-			b.f.flight.Recordf("federation", "drop", int64(b.f.d.Now()), "%s to crashed region %d session %d.%d",
-				m.Type, q, m.SessionID, m.Epoch)
+			b.f.flight.Record("federation", "drop", int64(b.f.d.Now()), "%s to crashed region %d session %d.%d",
+				m.Type.String(), int64(q), int64(m.SessionID), int64(m.Epoch))
 		default:
 			return m, true
 		}
@@ -334,7 +334,7 @@ func (f *Fabric) crashRegion(r int) {
 	if reg.crashed {
 		return
 	}
-	f.flight.Recordf("federation", "region_crash", int64(f.d.Now()), "region %d", r)
+	f.flight.Record("federation", "region_crash", int64(f.d.Now()), "region %d", "", int64(r))
 	reg.crashed = true
 	reg.peers = make(map[int]*regionDigest)
 	f.stats.RegionCrashes++
@@ -354,7 +354,7 @@ func (f *Fabric) RecoverRegion(r int) {
 	}
 	reg.crashed = false
 	f.stats.RegionRecoveries++
-	f.flight.Recordf("federation", "region_recover", int64(f.d.Now()), "region %d: %d sub-txn records", r, len(reg.subs))
+	f.flight.Record("federation", "region_recover", int64(f.d.Now()), "region %d: %d sub-txn records", "", int64(r), int64(len(reg.subs)))
 }
 
 // tick advances fabric time: live region planes tick (sweeping lapsed

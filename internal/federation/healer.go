@@ -50,7 +50,7 @@ func (f *Fabric) heal(ctx context.Context) HealReport {
 		if !f.sessionDamaged(s) {
 			continue
 		}
-		f.flight.Recordf("federation", "heal", int64(f.d.Now()), "session %d.%d damaged", s.ID, s.Epoch)
+		f.flight.Record("federation", "heal", int64(f.d.Now()), "session %d.%d damaged", "", int64(s.ID), int64(s.Epoch))
 		delete(f.sessions, s.ID)
 		f.releaseSegments(ctx, s)
 		next := &Session{ID: s.ID, Epoch: s.Epoch + 1, Src: s.Src, Dst: s.Dst, Bandwidth: s.Bandwidth}
@@ -60,7 +60,7 @@ func (f *Fabric) heal(ctx context.Context) HealReport {
 			err = f.establishStitched(ctx, next)
 		}
 		if err != nil {
-			f.flight.Recordf("federation", "heal_abort", int64(f.d.Now()), "session %d.%d: %v", next.ID, next.Epoch, err)
+			f.flight.Record("federation", "heal_abort", int64(f.d.Now()), "session %d.%d: %s", err.Error(), int64(next.ID), int64(next.Epoch))
 			rep.Aborted++
 			f.stats.HealAborted++
 			continue

@@ -204,16 +204,16 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session) error {
 		return fmt.Errorf("federation: home region %d crashed mid-setup", home)
 	}
 	if len(nacked) > 0 || len(pending) > 0 {
-		f.flight.Recordf("federation", "decide", int64(f.d.Now()), "session %d.%d ABORT (%d nack, %d unreachable)",
-			s.ID, s.Epoch, len(nacked), len(pending))
+		f.flight.Record("federation", "decide", int64(f.d.Now()), "session %d.%d ABORT (%d nack, %d unreachable)", "",
+			int64(s.ID), int64(s.Epoch), int64(len(nacked)), int64(len(pending)))
 		f.decide(ctx, s, ctrlplane.EntryAbort, regions)
 		return aborted(fmt.Errorf("federation: session %d.%d aborted: %d region(s) nacked, %d unreachable",
 			s.ID, s.Epoch, len(nacked), len(pending)))
 	}
 
 	// Commit point: every segment holds.
-	f.flight.Recordf("federation", "decide", int64(f.d.Now()), "session %d.%d COMMIT (%d transit region(s))",
-		s.ID, s.Epoch, len(msgs))
+	f.flight.Record("federation", "decide", int64(f.d.Now()), "session %d.%d COMMIT (%d transit region(s))", "",
+		int64(s.ID), int64(s.Epoch), int64(len(msgs)))
 	if refused := f.decide(ctx, s, ctrlplane.EntryCommit, regions); refused > 0 {
 		// A region's lease expired before our commit reached it and it already
 		// presumed abort — a transit region's while the record was on the
@@ -241,7 +241,7 @@ func (f *Fabric) establishStitched(ctx context.Context, s *Session) error {
 // surrounding tick loop drives the records out.
 func (f *Fabric) rollback(ctx context.Context, s *Session) {
 	f.stats.Rollbacks++
-	f.flight.Recordf("federation", "rollback", int64(f.d.Now()), "session %d.%d: commit refused", s.ID, s.Epoch)
+	f.flight.Record("federation", "rollback", int64(f.d.Now()), "session %d.%d: commit refused", "", int64(s.ID), int64(s.Epoch))
 	f.d.Cancel(func(m ctrlplane.Message) bool { return m.SessionID == s.ID && m.Epoch == s.Epoch })
 	aborts, _ := f.records(ctx, s, ctrlplane.EntryAbort, segmentRegions(s.Stitched)) // only a commit can be refused
 	f.d.Backlog(aborts...)

@@ -2,19 +2,22 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"sync/atomic"
+	"strconv"
+	"sync"
 	"time"
 )
+
+// flightInts is how many integers one event's detail can carry: a message
+// event's from, to, session, epoch and message id.
+const flightInts = 5
 
 // FlightEvent is one entry in the flight recorder: a compact record of a
 // control-plane step (message send, agent state-machine action, crash,
 // recovery, breaker trip, commit-point decision, ...). Clock carries the
 // subsystem's virtual time when it has one, so events line up with the
-// deterministic chaos schedule; TraceID links the event to a request
-// trace when one was active.
+// deterministic chaos schedule. TraceID is there to link an event to a
+// request trace; Record does not set it.
 type FlightEvent struct {
 	Seq       uint64    `json:"seq"`
 	Wall      time.Time `json:"wall"`
@@ -24,33 +27,53 @@ type FlightEvent struct {
 	Kind      string    `json:"kind"`
 	Detail    string    `json:"detail,omitempty"`
 
-	// format/args hold a Recordf detail whose rendering is deferred until
-	// the ring is snapshotted — recording sits on the 2PC hot path, and
-	// most ring slots are overwritten without ever being read.
+	// format, str and ints are the detail unrendered (see Record): the
+	// ring holds events by value, so recording copies fixed-size fields and
+	// allocates nothing, and the slots overwritten unread never render.
 	format string
-	args   []any
+	str    string
+	ints   [flightInts]int64
 }
 
-// detail renders the event's detail string, formatting lazily-recorded
-// arguments on demand.
+// detail renders format: each %d verb takes the next of ints, %s takes
+// str, %% is a percent sign. For the verbs Record documents this is
+// byte-for-byte what fmt.Sprintf prints.
 func (e *FlightEvent) detail() string {
-	if e.format != "" {
-		return fmt.Sprintf(e.format, e.args...)
+	b := make([]byte, 0, len(e.format)+len(e.str)+8*flightInts)
+	next := 0
+	for i := 0; i < len(e.format); i++ {
+		c := e.format[i]
+		if c != '%' || i+1 == len(e.format) {
+			b = append(b, c)
+			continue
+		}
+		i++
+		switch verb := e.format[i]; {
+		case verb == 'd' && next < flightInts:
+			b = strconv.AppendInt(b, e.ints[next], 10)
+			next++
+		case verb == 's':
+			b = append(b, e.str...)
+		case verb == '%':
+			b = append(b, '%')
+		default:
+			b = append(b, '%', verb)
+		}
 	}
-	return e.Detail
+	return string(b)
 }
 
-// FlightRecorder is a bounded lock-free ring of recent events. It is
-// always-on and cheap enough to leave running: recording is an atomic
-// cursor bump plus a pointer store, and the ring overwrites — when an
-// invariant trips, the last events *before* the violation are exactly the
-// explanation a failing chaos seed needs to ship. All methods are
+// FlightRecorder is a bounded ring of recent events. It is always-on and
+// cheap enough to leave running: recording writes one fixed-size slot in
+// place under a mutex and allocates nothing, and the ring overwrites — when
+// an invariant trips, the last events *before* the violation are exactly
+// the explanation a failing chaos seed needs to ship. All methods are
 // nil-safe so subsystems can record unconditionally.
 type FlightRecorder struct {
-	ring []atomic.Pointer[FlightEvent]
+	mu   sync.Mutex
+	ring []FlightEvent
 	mask uint64
-	pos  atomic.Uint64
-	seq  atomic.Uint64
+	n    uint64 // events recorded; the newest is Seq n, in slot (n-1)&mask
 }
 
 // NewFlightRecorder builds a recorder holding capacity events (rounded up
@@ -63,37 +86,26 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	for n < capacity {
 		n <<= 1
 	}
-	return &FlightRecorder{ring: make([]atomic.Pointer[FlightEvent], n), mask: uint64(n - 1)}
+	return &FlightRecorder{ring: make([]FlightEvent, n), mask: uint64(n - 1)}
 }
 
-// Record stamps and stores one event. Nil-safe no-op on a nil recorder.
-func (f *FlightRecorder) Record(e FlightEvent) {
+// Record stamps one event and writes it into the ring in place. Its detail
+// is format with each %d verb taking the next of ints (at most five) and
+// each %s verb taking str; %% is a percent sign, and no other verb is
+// understood. Rendering waits for Events or Dump: recording sits on the 2PC
+// hot path, so it boxes nothing and allocates nothing. Nil-safe no-op on a
+// nil recorder.
+func (f *FlightRecorder) Record(subsystem, kind string, clock int64, format, str string, ints ...int64) {
 	if f == nil {
 		return
 	}
-	e.Seq = f.seq.Add(1)
-	e.Wall = time.Now()
-	i := f.pos.Add(1) - 1
-	f.ring[i&f.mask].Store(&e)
-}
-
-// Recordf is Record with a formatted detail string. Formatting is
-// deferred until the ring is read (Events/Dump): Sprintf on every 2PC
-// message event was a double-digit share of commit CPU, and overwritten
-// slots never pay it. Arguments are captured by reference — pass values,
-// not pointers to state that keeps mutating. Nil-safe: arguments are not
-// evaluated on a nil recorder.
-func (f *FlightRecorder) Recordf(subsystem, kind string, clock int64, format string, args ...any) {
-	if f == nil {
-		return
-	}
-	f.Record(FlightEvent{
-		Subsystem: subsystem,
-		Kind:      kind,
-		Clock:     clock,
-		format:    format,
-		args:      args,
-	})
+	wall := time.Now()
+	f.mu.Lock()
+	f.n++
+	e := &f.ring[(f.n-1)&f.mask]
+	*e = FlightEvent{Seq: f.n, Wall: wall, Clock: clock, Subsystem: subsystem, Kind: kind, format: format, str: str}
+	copy(e.ints[:], ints)
+	f.mu.Unlock()
 }
 
 // Len returns the number of events currently held (≤ ring capacity).
@@ -101,27 +113,27 @@ func (f *FlightRecorder) Len() int {
 	if f == nil {
 		return 0
 	}
-	n := f.pos.Load()
-	if n > uint64(len(f.ring)) {
-		return len(f.ring)
-	}
-	return int(n)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return int(min(f.n, uint64(len(f.ring))))
 }
 
-// Events snapshots the ring in Seq order, oldest first.
+// Events snapshots the ring in Seq order, oldest first, each event's
+// Detail rendered.
 func (f *FlightRecorder) Events() []FlightEvent {
 	if f == nil {
 		return nil
 	}
-	out := make([]FlightEvent, 0, len(f.ring))
-	for i := range f.ring {
-		if e := f.ring[i].Load(); e != nil {
-			ev := *e
-			ev.Detail, ev.format, ev.args = e.detail(), "", nil
-			out = append(out, ev)
-		}
+	f.mu.Lock()
+	held := min(f.n, uint64(len(f.ring)))
+	out := make([]FlightEvent, 0, held)
+	for seq := f.n - held; seq < f.n; seq++ {
+		out = append(out, f.ring[seq&f.mask])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	f.mu.Unlock()
+	for i := range out {
+		out[i].Detail = out[i].detail()
+	}
 	return out
 }
 
