@@ -153,17 +153,12 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	}
 	p.tick()
 	results := make([]BatchResult, len(ops))
+	r := &p.round
+	defer r.reset()
 
 	// Validate and open a fresh attempt for every setup; breaker fast-fails
 	// and undominated paths abort before any message is spent. Every
 	// teardown of a committed session is a release.
-	var (
-		opened    []*Session
-		traces    []uint64
-		openedOp  []int // index into ops/results, aligned with opened
-		releases  []*Session
-		releaseOp []int // aligned with releases
-	)
 	for i, op := range ops {
 		switch op.Kind {
 		case BatchSetup:
@@ -172,13 +167,13 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 				results[i].Err = err
 				continue
 			}
-			opened, traces, openedOp = append(opened, s), append(traces, op.Trace), append(openedOp, i)
+			r.opened, r.traces, r.openedOp = append(r.opened, s), append(r.traces, op.Trace), append(r.openedOp, i)
 		case BatchTeardown:
 			results[i].Session = op.Session
 			if op.Session == nil || op.Session.State != StateCommitted {
 				results[i].Err = fmt.Errorf("ctrlplane: teardown of non-committed session")
 			} else {
-				releases, releaseOp = append(releases, op.Session), append(releaseOp, i)
+				r.releases, r.releaseOp = append(r.releases, op.Session), append(r.releaseOp, i)
 			}
 		default:
 			results[i].Err = fmt.Errorf("ctrlplane: unknown batch op kind %d", op.Kind)
@@ -186,15 +181,15 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 	}
 
 	// Phase 1: one broadcast PREPAREs every hop of every setup in the batch.
-	errs := p.prepare(ctx, opened, traces)
+	errs := p.prepare(ctx, r.opened, r.traces)
 
-	if p.batchPrepareCrash != nil && len(opened) > 0 && p.batchPrepareCrash() {
+	if p.batchPrepareCrash != nil && len(r.opened) > 0 && p.batchPrepareCrash() {
 		// Chaos seam: the coordinator dies after phase 1 with NO decision
 		// recorded for any setup in the batch. Leased holds self-expire via
 		// the tick sweep's presumed abort; every op is reported failed.
-		p.flight.Record("ctrlplane", "batch_crash", int64(p.d.Now()), "coordinator died mid-batch, %d setups in doubt", "", int64(len(opened)))
+		p.flight.Record("ctrlplane", "batch_crash", int64(p.d.Now()), "coordinator died mid-batch, %d setups in doubt", "", int64(len(r.opened)))
 		// Its memory of the attempts went with it: nothing pins them now.
-		for _, s := range opened {
+		for _, s := range r.opened {
 			delete(p.pinned, sessKey{s.ID, s.Epoch})
 		}
 		for i := range results {
@@ -205,25 +200,47 @@ func (p *Plane) CommitBatch(ctx context.Context, ops []BatchOp) []BatchResult {
 		return results
 	}
 
-	var commits, aborts []*Session
-	for j, s := range opened {
-		if results[openedOp[j]].Err = errs[j]; errs[j] != nil {
-			aborts = append(aborts, s)
+	for j, s := range r.opened {
+		if results[r.openedOp[j]].Err = errs[j]; errs[j] != nil {
+			r.aborts = append(r.aborts, s)
 		} else {
-			results[openedOp[j]].Session = s
-			commits = append(commits, s)
+			results[r.openedOp[j]].Session = s
+			r.commits = append(r.commits, s)
 		}
 	}
-	for j, err := range p.decide(ctx, commits, aborts, releases) {
+	for j, err := range p.decide(ctx, r.commits, r.aborts, r.releases) {
 		if err != nil {
-			results[releaseOp[j]].Err = err
+			results[r.releaseOp[j]].Err = err
 		} else {
 			p.stats.Teardowns++
 		}
 	}
-	if len(opened)+len(releases) > 0 {
+	if len(r.opened)+len(r.releases) > 0 {
 		p.stats.BatchRounds++
 		p.stats.BatchOps += len(ops)
 	}
 	return results
+}
+
+// batchRound is CommitBatch's per-round scratch, kept on the Plane so a
+// round allocates none of it: the attempts it opened, with each one's trace
+// and index into ops, the sessions it releases, with each one's index, and
+// the opened attempts split by their prepare's verdict. prepare and decide
+// read these slices and keep none of them, and CommitBatch never runs inside
+// itself on one plane (a broadcast's hooks reach other planes), so one set
+// serves every round. results is not scratch: callers keep it.
+type batchRound struct {
+	opened, releases, commits, aborts []*Session
+	traces                            []uint64
+	openedOp, releaseOp               []int
+}
+
+// reset empties the scratch for the next round, keeping its arrays; the
+// session pointers are cleared first, so a finished round pins no session.
+func (r *batchRound) reset() {
+	for _, ss := range [...]*[]*Session{&r.opened, &r.releases, &r.commits, &r.aborts} {
+		clear(*ss)
+		*ss = (*ss)[:0]
+	}
+	r.traces, r.openedOp, r.releaseOp = r.traces[:0], r.openedOp[:0], r.releaseOp[:0]
 }

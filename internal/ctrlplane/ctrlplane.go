@@ -359,6 +359,9 @@ type Plane struct {
 	// (the default) disables recording at zero cost.
 	flight *obs.FlightRecorder
 
+	// round is CommitBatch's per-round scratch.
+	round batchRound
+
 	stats  Stats
 	nextID int
 	// version counts mutations of committed link capacity (commit,
@@ -402,8 +405,8 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	// Seed the ledger: a link with a broker endpoint is owned by the agent
 	// ownerOf names; the rest are unmanaged. A second walk lays every broker's
 	// first checkpoint rows out in one array, broker after broker — each link
-	// at its capacity, read off the metrics' column by the u<v arc index the
-	// walk already has; next[b] is where b's next row goes. Starting each
+	// at its capacity, read off the metrics' per-link column by the link id
+	// the walk already has; next[b] is where b's next row goes. Starting each
 	// agent applies its checkpoint to the columns.
 	g := top.Graph
 	p.avail = make([]float64, g.NumEdges())
@@ -428,7 +431,7 @@ func New(top *topology.Topology, metrics *routing.Metrics, brokers []int32) *Pla
 	g.Links(func(a, _, u, _ int) {
 		l := g.LinkOfArc(u, a)
 		if owner := p.owner[l]; owner >= 0 {
-			rows[next[owner]] = ledgerRow{int32(l), capacity[a]}
+			rows[next[owner]] = ledgerRow{int32(l), capacity[l]}
 			next[owner]++
 		}
 	})

@@ -395,11 +395,46 @@ func (c *watchedCtx) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
+// goroutineStacks returns every goroutine's stack, keyed by its id.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	stacks := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		stacks[id] = g
+	}
+	return stacks
+}
+
+// startedSince returns the stacks of the goroutines not in before that run
+// this module's code or were started by it: a frame, or the "created by"
+// line, under brokerset/internal/.
+func startedSince(before map[string]string) []string {
+	var started []string
+	for id, g := range goroutineStacks() {
+		if _, ok := before[id]; !ok && strings.Contains(g, "brokerset/internal/") {
+			started = append(started, g)
+		}
+	}
+	return started
+}
+
 // TestRunStopsEveryLoop: Run drives every enabled job from its one ticker —
 // the test's ctx is cancelled from inside the job that runs last — returns
-// only once that happens, and leaves no goroutine behind. With no job enabled
-// it still holds until cancellation (cmd/brokerd drains when it returns):
-// the ctx is cancelled only after Run has asked for its Done channel.
+// only once that happens, and leaves no goroutine behind: once it has
+// returned, no goroutine that was not already there runs or was started by
+// this module's code — the daemon's, or a heal worker's in coverage or
+// policy. With no job enabled it still holds until cancellation
+// (cmd/brokerd drains when it returns): the ctx is cancelled only after Run
+// has asked for its Done channel.
 func TestRunStopsEveryLoop(t *testing.T) {
 	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
 	if err != nil {
@@ -432,7 +467,7 @@ func TestRunStopsEveryLoop(t *testing.T) {
 					}
 				}
 			}
-			before := runtime.NumGoroutine()
+			before := goroutineStacks()
 			returned := make(chan error, 1)
 			go func() {
 				d.Run(ctx)
@@ -454,13 +489,15 @@ func TestRunStopsEveryLoop(t *testing.T) {
 			case idle != 0:
 				t.Fatalf("Run returned with %d of %d jobs never run", idle, len(d.jobs))
 			}
-			// Run's goroutine is past its send, and a heal's workers may still
-			// be unwinding from their last Done.
-			for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+			// Whatever Run started has stopped, or is stopping: a goroutine
+			// may still be unwinding its last return, so yield to it first.
+			left := startedSince(before)
+			for i := 0; len(left) > 0 && i < 1000; i++ {
 				runtime.Gosched()
+				left = startedSince(before)
 			}
-			if after := runtime.NumGoroutine(); after > before {
-				t.Fatalf("%d goroutines before Run, %d after it returned", before, after)
+			for _, stack := range left {
+				t.Fatalf("a goroutine started since Run was called still runs after it returned:\n%s", stack)
 			}
 		})
 	}

@@ -81,7 +81,7 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 
 	// The region's metrics mirror the global assignment arc for arc, so a
 	// segment latency quoted by any region agrees with the global truth.
-	metrics := routing.NewSubMetrics(sub, arcOrig, global)
+	metrics := routing.NewSubMetrics(sub, orig, arcOrig, global)
 
 	var brokers []int32
 	var err error

@@ -19,3 +19,6 @@ func (s *pathSearch) meetWork(src, dst int, opts Options) (found bool, scanned, 
 	found = s.meet(sc, int32(src), int32(dst), opts) >= 0
 	return found, sc.fwd.scanned + sc.bwd.scanned, sc.fwd.requeued + sc.bwd.requeued
 }
+
+// UsedEntries is the length of m's reservation column.
+func UsedEntries(m *Metrics) int { return m.used.n }

@@ -1,10 +1,11 @@
 package routing
 
-// pagedF64 is a float64 array held as a persistent radix tree, built for the
-// reservation column of arcState. The write pattern there is extreme: every
-// committed setup/teardown mutates a handful of arcs, and every snapshot
-// publish needs an immutable capture of the whole column. The tree makes
-// both cost what they touch, whatever the arc count:
+// paged is an array held as a persistent radix tree, built for the columns
+// of arcState that change on every commit: the per-link reservations and
+// the per-arc room classes they keep current. The write pattern there is
+// extreme: every committed setup/teardown mutates a handful of entries, and
+// every snapshot publish needs an immutable capture of the whole column. The
+// tree makes both cost what they touch, whatever the entry count:
 //
 //   - freeze is O(1): the frozen copy takes the current root and the writer
 //     moves to the next edit generation. No loop, no allocation.
@@ -14,21 +15,21 @@ package routing
 //     write to a leaf after a freeze copies ~1 KiB (leaf + interior, plus
 //     the root table once per generation) and later ones copy nothing.
 //   - A nil subtree reads as 0 and costs nothing: a fresh column is a root
-//     table of nil pointers, and leaves appear where reservations land.
+//     table of nil pointers, and leaves appear where writes land.
 //
 // Frozen copies never mutate (generation 0 rejects writes), so any number of
 // concurrent readers may hold them, same contract as a flat array.
-type pagedF64 struct {
+type paged[T float64 | uint64] struct {
 	// root has one interior node per radixFan² entries; it is itself cloned
 	// on the first write of a generation (rootGen != gen).
-	root         []*f64Interior
+	root         []*interior[T]
 	gen, rootGen uint64
 	n            int
 }
 
 // radixShift sizes leaves at 64 entries and interior nodes at 64 leaves
 // (both ~0.5 KiB, the unit a first touch copies); the root table of the
-// 804,450-arc Table-2 column is 197 pointers.
+// 402,225-link Table-2 reservation column is 99 pointers.
 const (
 	radixShift = 6
 	radixFan   = 1 << radixShift
@@ -37,22 +38,31 @@ const (
 
 // Both node kinds carry the generation that created them: a node whose
 // stamp equals the writer's is reachable from no frozen copy.
-type f64Interior struct {
+type interior[T float64 | uint64] struct {
 	gen  uint64
-	kids [radixFan]*f64Leaf
+	kids [radixFan]*leaf[T]
 }
 
-type f64Leaf struct {
+type leaf[T float64 | uint64] struct {
 	gen  uint64
-	vals [radixFan]float64
+	vals [radixFan]T
 }
 
-// newPagedF64 returns a zeroed array of n entries holding no node.
-func newPagedF64(n int) pagedF64 {
-	return pagedF64{root: make([]*f64Interior, (n+radixFan*radixFan-1)>>(2*radixShift)), gen: 1, rootGen: 1, n: n}
+// newPaged returns a zeroed array of n entries holding no node.
+func newPaged[T float64 | uint64](n int) paged[T] {
+	return paged[T]{root: make([]*interior[T], (n+radixFan*radixFan-1)>>(2*radixShift)), gen: 1, rootGen: 1, n: n}
 }
 
-func (p *pagedF64) at(i int) float64 {
+// pagedOf returns a column holding a copy of vals, every leaf allocated.
+func pagedOf[T float64 | uint64](vals []T) paged[T] {
+	p := newPaged[T](len(vals))
+	for i := 0; i < len(vals); i += radixFan {
+		copy(p.writable(i).vals[:], vals[i:])
+	}
+	return p
+}
+
+func (p *paged[T]) at(i int) T {
 	if in := p.root[i>>(2*radixShift)]; in != nil {
 		if l := in.kids[i>>radixShift&radixMask]; l != nil {
 			return l.vals[i&radixMask]
@@ -64,17 +74,17 @@ func (p *pagedF64) at(i int) float64 {
 // writable returns the leaf holding entry i with every node on the way to
 // it owned by the current generation, creating or cloning the ones that are
 // not.
-func (p *pagedF64) writable(i int) *f64Leaf {
+func (p *paged[T]) writable(i int) *leaf[T] {
 	if p.gen == 0 {
 		panic("routing: write to a frozen column")
 	}
 	if p.rootGen != p.gen {
-		p.root, p.rootGen = append([]*f64Interior(nil), p.root...), p.gen
+		p.root, p.rootGen = append([]*interior[T](nil), p.root...), p.gen
 	}
 	slot, kid := i>>(2*radixShift), i>>radixShift&radixMask
 	in := p.root[slot]
 	if in == nil || in.gen != p.gen {
-		fresh := &f64Interior{gen: p.gen}
+		fresh := &interior[T]{gen: p.gen}
 		if in != nil {
 			fresh.kids = in.kids
 		}
@@ -83,7 +93,7 @@ func (p *pagedF64) writable(i int) *f64Leaf {
 	}
 	l := in.kids[kid]
 	if l == nil || l.gen != p.gen {
-		fresh := &f64Leaf{gen: p.gen}
+		fresh := &leaf[T]{gen: p.gen}
 		if l != nil {
 			fresh.vals = l.vals
 		}
@@ -93,13 +103,13 @@ func (p *pagedF64) writable(i int) *f64Leaf {
 	return l
 }
 
-func (p *pagedF64) set(i int, v float64) { p.writable(i).vals[i&radixMask] = v }
+func (p *paged[T]) set(i int, v T) { p.writable(i).vals[i&radixMask] = v }
 
-func (p *pagedF64) add(i int, d float64) { p.writable(i).vals[i&radixMask] += d }
+func (p *paged[T]) add(i int, d T) { p.writable(i).vals[i&radixMask] += d }
 
 // freeze captures an immutable copy sharing the whole tree with the writer,
 // whose next write to any node reachable from it clones that node first.
-func (p *pagedF64) freeze() pagedF64 {
+func (p *paged[T]) freeze() paged[T] {
 	p.gen++
-	return pagedF64{root: p.root, n: p.n}
+	return paged[T]{root: p.root, n: p.n}
 }

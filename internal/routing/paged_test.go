@@ -1,17 +1,20 @@
 package routing
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"brokerset/internal/topology"
 )
 
 // frozenColumn is a frozen copy with the flat array it must read as forever.
 type frozenColumn struct {
-	col  pagedF64
+	col  paged[float64]
 	want []float64
 }
 
@@ -28,7 +31,7 @@ func (f *frozenColumn) check(t testing.TB, what string) {
 // keptFrozen is how many frozen copies a column script keeps alive at once.
 const keptFrozen = 24
 
-// runColumnScript interprets script against a fresh n-entry pagedF64 and a
+// runColumnScript interprets script against a fresh n-entry paged[float64] and a
 // flat reference, four bytes an op: add, set, set to zero, an add on either
 // side of a node boundary, or a freeze whose copy is handed to onFreeze with
 // the flat copy taken at that moment. The last keptFrozen copies stay alive
@@ -37,7 +40,7 @@ const keptFrozen = 24
 // to the reference at every freeze and at the end.
 func runColumnScript(t testing.TB, n int, script []byte, onFreeze func(frozenColumn)) {
 	t.Helper()
-	col, ref := newPagedF64(n), make([]float64, n)
+	col, ref := newPaged[float64](n), make([]float64, n)
 	if col.n != n {
 		t.Fatalf("len %d, want %d", col.n, n)
 	}
@@ -112,7 +115,7 @@ func TestPagedColumnMatchesFlat(t *testing.T) {
 	// Every leaf boundary of a multi-root column written in one generation
 	// and again in the next, with the copy between them left intact.
 	n := 2*radixFan*radixFan + 100
-	col, ref := newPagedF64(n), make([]float64, n)
+	col, ref := newPaged[float64](n), make([]float64, n)
 	var frozen frozenColumn
 	for round := 1; round <= 2; round++ {
 		for b := radixFan; b < n; b += radixFan {
@@ -128,6 +131,17 @@ func TestPagedColumnMatchesFlat(t *testing.T) {
 	frozen.check(t, "copy frozen between two sweeps of every boundary")
 	live := frozenColumn{col: col, want: ref}
 	live.check(t, "writer after two sweeps")
+	// A column built from a flat copy reads as that copy, and writes to it
+	// leave a copy frozen before them alone.
+	built := pagedOf(ref)
+	frozen = frozenColumn{col: built.freeze(), want: slices.Clone(ref)}
+	for i := range ref {
+		built.add(i, 1)
+		ref[i]++
+	}
+	frozen.check(t, "built column frozen before a write to every entry")
+	live = frozenColumn{col: built, want: ref}
+	live.check(t, "built column after a write to every entry")
 }
 
 // TestPagedColumnFrozenReadsRace runs the same scripts with four goroutines
@@ -171,7 +185,7 @@ func FuzzPagedColumn(f *testing.F) {
 }
 
 // leaves counts the leaves the column holds.
-func (p *pagedF64) leaves() int {
+func (p *paged[T]) leaves() int {
 	n := 0
 	for _, in := range p.root {
 		if in == nil {
@@ -208,21 +222,29 @@ func TestFreshMetricsColumnIsSparse(t *testing.T) {
 	}
 }
 
-// allocBytes is the mean bytes f allocates per call.
+// allocBytes is the mean bytes f allocates per call, the least of five
+// readings of runs calls each. MemStats counts the whole process, so a
+// reading can carry a stray allocation made elsewhere in it (the testing
+// package's, the runtime's); one clean reading of the five is enough.
 func allocBytes(runs int, f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
 	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	return least
 }
 
 // TestViewCostIndependentOfArcs pins the property, not a number: capturing a
 // View costs the same few words on a 5,000-node and on the 52,079-node
-// graph, and the first write after a capture pays for the leaves it
-// touches, not for the column.
+// graph, and the first write after a capture pays for the nodes it touches,
+// not for the column — the root table, and one interior node and one leaf
+// per touched link, whichever end the write names the link by.
 func TestViewCostIndependentOfArcs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -250,24 +272,60 @@ func TestViewCostIndependentOfArcs(t *testing.T) {
 	}
 	_ = sink
 
+	// Every leaf of the reservation column holds a reservation, so a write
+	// that copied the column, flat or node by node, would pay for all of it.
 	m := DefaultMetrics(table2, nil)
 	var u, v int32
-	table2.Graph.Edges(func(a, b int) bool { u, v = int32(a), int32(b); return false })
-	cycle := func() {
-		if err := m.Reserve(u, v, 1); err != nil {
-			t.Fatal(err)
+	links := 0
+	table2.Graph.Edges(func(a, b int) bool {
+		if links%radixFan == 0 {
+			if err := m.Reserve(int32(a), int32(b), 0.001); err != nil {
+				t.Fatal(err)
+			}
 		}
-		m.Release(u, v, 1)
+		links++
+		u, v = int32(a), int32(b)
+		return true
+	})
+	if got, want := m.used.leaves(), (links+radixFan-1)/radixFan; got != want {
+		t.Fatalf("%d links reserved every %d hold %d leaves, want %d", links, radixFan, got, want)
 	}
-	a, b := m.bothArcs(u, v)
-	leaves := uint64(2)
-	if a>>radixShift == b>>radixShift {
-		leaves = 1
+	// A reservation that keeps the link's residual inside its octave writes
+	// used alone; one that takes it out, and the release that brings it
+	// back, also write both arcs' room classes.
+	l, a := linkArc(table2.Graph, u, v)
+	lo := math.Ldexp(1, int(m.roomOf(a))-6) // the residual's class holds [lo, 2lo)
+	cycle := func(gbps float64) func() {
+		return func() {
+			if err := m.Reserve(u, v, gbps); err != nil {
+				t.Fatal(err)
+			}
+			m.Release(v, u, gbps)
+		}
 	}
-	if got := allocBytes(50, func() { sink = m.View(); cycle() }) - bytes[1]; got > 2048*leaves {
-		t.Errorf("Reserve+Release after a freeze allocates %d B for %d touched leaves, want <= 2 KiB each", got, leaves)
-	}
-	if got := allocBytes(50, cycle); got != 0 {
-		t.Errorf("Reserve+Release with no freeze since the last one allocates %d B, want 0 (nodes it owns are mutated in place)", got)
+	within, across := cycle((m.residual(l)-lo)/2), cycle(m.residual(l)-lo/2)
+	// What a cycle may cost: each tree's root table, cloned once per
+	// generation, and one interior node and one leaf per touched entry —
+	// one link's reservation, and for a crossing two arcs' classes — with
+	// the allocator's size-class rounding (under a quarter at these sizes)
+	// and no more. A further leaf, or any copy of a column, is over.
+	node := uint64(unsafe.Sizeof(interior[float64]{}) + unsafe.Sizeof(leaf[float64]{}))
+	ptr := uint64(unsafe.Sizeof(m.used.root[0]))
+	usedRoot, roomRoot := ptr*uint64(len(m.used.root)), ptr*uint64(len(m.room.root))
+	for _, c := range []struct {
+		name  string
+		cycle func()
+		want  uint64
+	}{
+		{"inside its octave", within, (usedRoot + node) * 5 / 4},
+		{"across an octave", across, (usedRoot + roomRoot + 3*node) * 5 / 4},
+	} {
+		if got := allocBytes(50, func() { sink = m.View(); c.cycle() }) - bytes[1]; got > c.want {
+			t.Errorf("Reserve+Release of one link %s after a freeze allocates %d B, want <= %d: root tables of %d and %d entries, %d B per interior node and leaf",
+				c.name, got, c.want, len(m.used.root), len(m.room.root), node)
+		}
+		if got := allocBytes(50, c.cycle); got != 0 {
+			t.Errorf("Reserve+Release of one link %s with no freeze since the last one allocates %d B, want 0 (nodes it owns are mutated in place)", c.name, got)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func (s *pathSearch) referenceUsable(u, v int32, arc int, opts Options) bool {
 	if s.arcs.failed.Has(int32(arc)) {
 		return false
 	}
-	return opts.MinBandwidth <= 0 || s.arcs.availArc(arc) >= opts.MinBandwidth
+	return opts.MinBandwidth <= 0 || s.arcs.avail(arc, s.top.Graph.LinkOf(int(u), int(v))) >= opts.MinBandwidth
 }
 
 // referenceBestPath is the one-sided Dijkstra the serving path ran before
@@ -413,6 +413,121 @@ func TestBestPathMatchesReference(t *testing.T) {
 	t.Logf("hub-bearing graphs: %d of %d queries had a path, %d row cursors queued", found, queries, requeued)
 	if found < queries/5 || found > queries*4/5 {
 		t.Fatalf("%d of %d hub-graph queries had a path — broken test setup", found, queries)
+	}
+}
+
+// TestRoomFloorsMatchReference: a bandwidth floor reads each arc's room
+// class and resolves the link only inside the floor's own octave, so the
+// classes are all that stand between a search and a link too thin for it.
+// On random graphs where a third of the links are reserved down to residuals
+// spread over ten octaves, and some of those released again, every query
+// agrees with the reference, which reads every link's residual: at floors
+// inside an octave, at powers of two (where no octave is in doubt), and at
+// some link's exact residual; and the floors must cut paths, or nothing was
+// compared.
+func TestRoomFloorsMatchReference(t *testing.T) {
+	cut, queries := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(60)
+		top := randomTopology(rng, n, 1+3*rng.Float64(), 0)
+		n = top.NumNodes()
+		var brokers []int32
+		for u := 0; u < n; u += 2 {
+			brokers = append(brokers, int32(u))
+		}
+		e := NewEngine(top, DefaultMetrics(top, rng), brokers)
+		m := e.metrics
+		var residuals []float64
+		top.Graph.Edges(func(u, v int) bool {
+			a, b := int32(u), int32(v)
+			if rng.Intn(3) == 0 {
+				if err := m.Reserve(b, a, max(m.Available(a, b)-math.Exp2(10*rng.Float64()-5), 0)); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Intn(4) == 0 {
+					m.Release(a, b, m.Capacity(a, b)*rng.Float64())
+				}
+			}
+			residuals = append(residuals, m.Residual(a, b))
+			return true
+		})
+		for _, s := range []*pathSearch{e.search(), {top: top, arcs: m.View().arcState, inB: e.inB}} {
+			for q := 0; q < 2*n; q++ {
+				src, dst := rng.Intn(n), rng.Intn(n)
+				var opts Options
+				switch q % 4 {
+				case 0:
+					opts.MinBandwidth = math.Exp2(float64(rng.Intn(10) - 5))
+				case 1:
+					opts.MinBandwidth = residuals[rng.Intn(len(residuals))]
+				default:
+					opts.MinBandwidth = math.Exp2(10*rng.Float64() - 5)
+				}
+				if q%3 == 0 {
+					opts.MaxHops = 1 + rng.Intn(6)
+				}
+				queries++
+				free, _ := s.bestPath(src, dst, Options{MaxHops: opts.MaxHops})
+				if !checkAgainstReference(t, s, src, dst, opts) && free != nil {
+					cut++
+				}
+			}
+		}
+	}
+	t.Logf("%d queries, %d with a path only without the floor", queries, cut)
+	if cut < queries/50 {
+		t.Fatalf("the floors cut %d of %d queries' paths: the reserved links were never in the way", cut, queries)
+	}
+}
+
+// TestRoomClassBounds pins roomClass and newBWFloor against their
+// definitions at every class boundary and either side of it: an arc of
+// class fits or more has at least the floor, one of class 1 to short has
+// less, and a floor inside an octave leaves exactly that octave's class to
+// the residual.
+func TestRoomClassBounds(t *testing.T) {
+	for c := 2; c <= 15; c++ {
+		lo := math.Exp2(float64(c - 6))
+		for _, r := range []float64{lo, math.Nextafter(lo, math.Inf(1)), 1.5 * lo} {
+			if got := roomClass(r); got != uint64(c) && !(c == 15 && got == 15) {
+				t.Errorf("roomClass(%v) = %d, want %d", r, got, c)
+			}
+		}
+		if got := roomClass(math.Nextafter(lo, 0)); got != uint64(c-1) {
+			t.Errorf("roomClass(%v) = %d, want %d", math.Nextafter(lo, 0), got, c-1)
+		}
+	}
+	for _, r := range []float64{0, 1e-300, 0.01} {
+		if got := roomClass(r); got != 1 {
+			t.Errorf("roomClass(%v) = %d, want 1", r, got)
+		}
+	}
+	if got := roomClass(math.Inf(1)); got != 15 {
+		t.Errorf("roomClass(+Inf) = %d, want 15", got)
+	}
+	if got := roomClass(math.NaN()); got != 0 {
+		t.Errorf("roomClass(NaN) = %d, want 0, no class", got)
+	}
+	// Each floor against residuals at and either side of every boundary:
+	// a class that claims an answer must give the residual's.
+	var residuals []float64
+	for c := -8; c <= 12; c++ {
+		b := math.Exp2(float64(c))
+		residuals = append(residuals, math.Nextafter(b, 0), b, math.Nextafter(b, math.Inf(1)), 1.3*b)
+	}
+	floors := append(slices.Clone(residuals), 1e-9, roomTop*4, math.Inf(1))
+	for _, gbps := range floors {
+		f := newBWFloor(gbps)
+		for _, r := range residuals {
+			c := roomClass(r)
+			if (c >= f.fits && r < gbps) || (c != 0 && c <= f.short && r >= gbps) {
+				t.Fatalf("floor %v (fits %d, short %d): residual %v, class %d, is settled the wrong way", gbps, f.fits, f.short, r, c)
+			}
+		}
+		if pow := math.Exp2(math.Round(math.Log2(gbps))); pow == gbps && gbps > 1.0/16 && gbps <= roomTop && f.fits != f.short+1 {
+			t.Errorf("floor %v is a power of two, yet classes %d..%d are left to the residual", gbps, f.short+1, f.fits-1)
+		}
 	}
 }
 

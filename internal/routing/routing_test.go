@@ -323,8 +323,8 @@ func TestEngineOnInternetTopology(t *testing.T) {
 }
 
 // TestNewSubMetricsMirrorsParent: a region's metrics, read off the parent's
-// rows by arc correspondence, equal a per-edge copy through the node mapping
-// on every arc — and so stay symmetric.
+// rows by arc and link correspondence, equal a per-edge copy through the node
+// mapping on every arc and every link — and so stay symmetric.
 func TestNewSubMetricsMirrorsParent(t *testing.T) {
 	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.05, Seed: 4})
 	if err != nil {
@@ -337,15 +337,18 @@ func TestNewSubMetricsMirrorsParent(t *testing.T) {
 	}
 	for r := 0; r < part.N; r++ {
 		sub, orig, arcOrig := part.Subtopology(r)
-		got := NewSubMetrics(sub, arcOrig, parent)
+		got := NewSubMetrics(sub, orig, arcOrig, parent)
 		want := newMetrics(sub, func(_ int, u, v int32) (float64, float64) {
 			return parent.Latency(orig[u], orig[v]), parent.Capacity(orig[u], orig[v])
 		})
 		for a := 0; a < sub.Graph.NumArcs(); a++ {
-			if got.latency[a] != want.latency[a] || got.capacity[a] != want.capacity[a] {
-				t.Fatalf("region %d arc %d: (%v ms, %v Gbps), want (%v, %v)", r, a,
-					got.latency[a], got.capacity[a], want.latency[a], want.capacity[a])
+			if got.latency[a] != want.latency[a] {
+				t.Fatalf("region %d arc %d: %v ms, want %v", r, a, got.latency[a], want.latency[a])
 			}
+		}
+		if !slices.Equal(got.capacity, want.capacity) || len(got.capacity) != sub.Graph.NumEdges() {
+			t.Fatalf("region %d: capacity column gathered by link differs from the per-edge copy (%d entries for %d links)",
+				r, len(got.capacity), sub.Graph.NumEdges())
 		}
 		assertArcSymmetry(t, sub, &got.arcState, "NewSubMetrics")
 		if !slices.Equal(got.order, want.order) {

@@ -25,10 +25,60 @@ type pathSearch struct {
 // usableArc reports whether the directed arc (u → v) with index `arc` can
 // appear on a dominated path: dominated and not failed. It is the half of
 // the relax-loop predicate every search pays, kept small enough to inline
-// into both loops (CI greps for it); the bandwidth half reads the used
-// column, costs a tree walk, and sits beside each call behind MinBandwidth > 0.
+// into both loops (CI greps for it); the bandwidth half (thin) sits behind
+// MinBandwidth > 0 and each loop asks it last, of an arc that passed every
+// cheaper test.
 func (s *pathSearch) usableArc(u, v int32, arc int) bool {
 	return (s.inB[u] || s.inB[v]) && !s.arcs.failed.Has(int32(arc))
+}
+
+// bwFloor is a bandwidth floor with the room classes that settle it without
+// the link: an arc of class fits or more has at least gbps unreserved, and
+// one of class 1 to short has less. Between the two lies the floor's own
+// octave (none when gbps is a power of two), where only the residual tells.
+type bwFloor struct {
+	gbps        float64
+	fits, short uint64
+}
+
+// newBWFloor returns the floor of gbps > 0 Gbps. Class c >= 2 has at least
+// 2^(c-6) unreserved and class c <= 14 less than 2^(c-5) (roomClass), so
+// fits is 6 + ceil(log2 gbps) and short 5 + floor(log2 gbps), each clamped
+// to the classes that exist.
+func newBWFloor(gbps float64) bwFloor {
+	if gbps > roomTop {
+		return bwFloor{gbps: gbps, fits: 16, short: 14}
+	}
+	frac, e := math.Frexp(gbps) // gbps = frac·2^e, frac in [0.5, 1)
+	ceil := e
+	if frac == 0.5 {
+		ceil--
+	}
+	return bwFloor{gbps: gbps, fits: uint64(max(2, 6+ceil)), short: uint64(max(0, 4+e))}
+}
+
+// thin reports whether the link of arc (u → v) has less than f.gbps
+// unreserved. The arc's room class answers unless it shares the floor's
+// octave (or is 0, unknown); then the link's residual does.
+func (s *pathSearch) thin(u, v int32, arc int, f *bwFloor) bool {
+	switch c := s.arcs.roomOf(arc); {
+	case c >= f.fits:
+		return false
+	case c != 0 && c <= f.short:
+		return true
+	}
+	return s.linkResidual(u, v, arc) < f.gbps
+}
+
+// linkResidual is the residual of the link of arc (u → v). The link id is
+// O(1) from a row that lists the link as an arc to a higher-id neighbour
+// (LinkOfArc) and a search of the neighbour's row otherwise (LinkOf).
+func (s *pathSearch) linkResidual(u, v int32, arc int) float64 {
+	g := s.top.Graph
+	if u < v {
+		return s.arcs.residual(g.LinkOfArc(int(u), arc))
+	}
+	return s.arcs.residual(g.LinkOf(int(v), int(u)))
 }
 
 // bestPath returns the minimum-latency B-dominated path from src to dst
@@ -86,6 +136,7 @@ type hopLabel struct {
 // so a walk that revisits a node is dominated and the answer is simple.
 func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options) []int32 {
 	gen, fewest, heap := sc.gen, sc.fwd.state, &sc.fwd.heap
+	floor := newBWFloor(opts.MinBandwidth)
 	arena := append(sc.arena[:0], hopLabel{node: src, parent: -1})
 	var nodes []int32
 	heap.push(0, 0)
@@ -109,13 +160,16 @@ func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options)
 		off := s.top.Graph.ArcOffset(int(u))
 		for i, v := range s.top.Graph.Neighbors(int(u)) {
 			arc := off + i
-			if !s.usableArc(u, v, arc) || (opts.MinBandwidth > 0 && s.arcs.availArc(arc) < opts.MinBandwidth) {
+			if !s.usableArc(u, v, arc) {
 				continue
 			}
 			if v != dst && (last || (opts.BrokersOnly && !s.inB[v])) {
 				continue
 			}
 			if f := &fewest[v]; f.stamp == gen && f.parent <= l.hops+1 {
+				continue
+			}
+			if opts.MinBandwidth > 0 && s.thin(u, v, arc, &floor) {
 				continue
 			}
 			arena = append(arena, hopLabel{node: v, parent: at, hops: l.hops + 1})
@@ -165,6 +219,7 @@ func (s *pathSearch) withinHops(sc *searchScratch, src, dst int32, opts Options)
 // so the two half-paths meet in one node and the stitched sequence is simple.
 func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32 {
 	gen := sc.gen
+	floor := newBWFloor(opts.MinBandwidth)
 	fwd, bwd := &sc.fwd, &sc.bwd
 	fwd.label(src, src, 0, gen)
 	bwd.label(dst, dst, 0, gen)
@@ -204,7 +259,7 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 				break
 			}
 			v := nbrs[arc-off]
-			if !s.usableArc(u, v, arc) || (opts.MinBandwidth > 0 && s.arcs.availArc(arc) < opts.MinBandwidth) {
+			if !s.usableArc(u, v, arc) {
 				continue
 			}
 			if opts.BrokersOnly && v != far && !s.inB[v] {
@@ -212,6 +267,9 @@ func (s *pathSearch) meet(sc *searchScratch, src, dst int32, opts Options) int32
 			}
 			nd := cost + lat*s.penaltyFactor(arc)
 			if sv := &side.state[v]; sv.stamp == gen && sv.dist <= nd {
+				continue
+			}
+			if opts.MinBandwidth > 0 && s.thin(u, v, arc, &floor) {
 				continue
 			}
 			if ov := &other.state[v]; ov.stamp == gen && nd+ov.dist < mu {
@@ -332,10 +390,9 @@ func (sc *searchScratch) stitch(meet, src, dst int32) []int32 {
 func (s *pathSearch) describe(nodes []int32) *Path {
 	p := &Path{Nodes: nodes, Bottleneck: -1}
 	for i := 0; i+1 < len(nodes); i++ {
-		u, v := nodes[i], nodes[i+1]
-		if a := s.top.Graph.ArcOf(int(u), int(v)); a >= 0 {
+		if l, a := linkArc(s.top.Graph, nodes[i], nodes[i+1]); l >= 0 {
 			p.Latency += s.arcs.latency[a]
-			if avail := s.arcs.availArc(a); p.Bottleneck < 0 || avail < p.Bottleneck {
+			if avail := s.arcs.avail(a, l); p.Bottleneck < 0 || avail < p.Bottleneck {
 				p.Bottleneck = avail
 			}
 		}

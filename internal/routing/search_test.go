@@ -14,16 +14,19 @@ import (
 )
 
 // assertLinkSymmetric fails unless both arcs of link (u,v) carry the same
-// latency, capacity, reservation and failure state — what lets the backward
-// search read arc u→v for a step travelled v→u.
+// latency, failure state and room class — what lets the backward search
+// read arc u→v for a step travelled v→u — and the class is the link's
+// residual's. Capacity and reservations are one entry per link
+// (TestCapacityIsPerLink), so they have no direction to differ by.
 func assertLinkSymmetric(t *testing.T, top *topology.Topology, s *arcState, u, v int32, after string) {
 	t.Helper()
 	a, b := top.Graph.ArcOf(int(u), int(v)), top.Graph.ArcOf(int(v), int(u))
-	if s.latency[a] != s.latency[b] || s.capacity[a] != s.capacity[b] ||
-		s.used.at(a) != s.used.at(b) || s.failed.Has(int32(a)) != s.failed.Has(int32(b)) {
-		t.Fatalf("after %s: link (%d,%d) differs by direction: latency %v/%v capacity %v/%v used %v/%v failed %v/%v",
-			after, u, v, s.latency[a], s.latency[b], s.capacity[a], s.capacity[b],
-			s.used.at(a), s.used.at(b), s.failed.Has(int32(a)), s.failed.Has(int32(b)))
+	if s.latency[a] != s.latency[b] || s.failed.Has(int32(a)) != s.failed.Has(int32(b)) || s.roomOf(a) != s.roomOf(b) {
+		t.Fatalf("after %s: link (%d,%d) differs by direction: latency %v/%v failed %v/%v room %d/%d",
+			after, u, v, s.latency[a], s.latency[b], s.failed.Has(int32(a)), s.failed.Has(int32(b)), s.roomOf(a), s.roomOf(b))
+	}
+	if r := s.residual(top.Graph.LinkOf(int(u), int(v))); s.roomOf(a) != roomClass(r) {
+		t.Fatalf("after %s: link (%d,%d) has %v Gbps left and room class %d, want %d", after, u, v, r, s.roomOf(a), roomClass(r))
 	}
 }
 
@@ -87,6 +90,7 @@ func TestArcStateSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, m := range []*Metrics{def, fn} {
 		var views []*View
+		moved := 0
 		for step := 0; step < 2000; step++ {
 			l := links[rng.Intn(len(links))]
 			u, v := l[0], l[1]
@@ -122,6 +126,12 @@ func TestArcStateSymmetric(t *testing.T) {
 			assertLinkSymmetric(t, top, &m.arcState, u, v, op)
 			assertRowOrdered(t, top, &m.arcState, u, op)
 			assertRowOrdered(t, top, &m.arcState, v, op)
+			if m.roomOf(top.Graph.ArcOf(int(u), int(v))) != roomClass(m.Capacity(u, v)) {
+				moved++
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("no step left its link in another room class than its capacity's: no mutator moved one")
 		}
 		assertArcSymmetry(t, top, &m.arcState, "the mutation run")
 		for _, view := range views {

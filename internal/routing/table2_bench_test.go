@@ -1,6 +1,7 @@
 package routing_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"brokerset/internal/broker"
@@ -13,9 +14,9 @@ import (
 var sinkPath *routing.Path
 
 // table2Fixture is the benchsuite's path_cold set-up at its layer: the
-// 52,079-node Table-2 tier (seed 1), MaxSG k=1064, default metrics frozen
-// into a view, and the first `draws` Zipf(1.1) demand pairs.
-func table2Fixture(tb testing.TB, draws int) (view *routing.View, inB []bool, pairs [][2]int) {
+// 52,079-node Table-2 tier (seed 1), MaxSG k=1064, default metrics (freeze
+// them into a view to search), and the first `draws` Zipf(1.1) demand pairs.
+func table2Fixture(tb testing.TB, draws int) (m *routing.Metrics, inB []bool, pairs [][2]int) {
 	tb.Helper()
 	top, err := topology.GenerateTier("table2", 1)
 	if err != nil {
@@ -37,7 +38,7 @@ func table2Fixture(tb testing.TB, draws int) (view *routing.View, inB []bool, pa
 		src, dst := gen.Pair()
 		pairs = append(pairs, [2]int{int(src), int(dst)})
 	}
-	return routing.DefaultMetrics(top, nil).View(), inB, pairs
+	return routing.DefaultMetrics(top, nil), inB, pairs
 }
 
 // TestTable2SearchReadsAPrefix pins what the latency-ordered rows are for.
@@ -53,7 +54,8 @@ func TestTable2SearchReadsAPrefix(t *testing.T) {
 	if testing.Short() || routing.RaceEnabled {
 		t.Skip("generates the Table-2 tier and counts arcs over 4,000 searches: 1.4 s, 20 s under the race detector, which has nothing to find in a count")
 	}
-	view, inB, pairs := table2Fixture(t, 4000)
+	m, inB, pairs := table2Fixture(t, 4000)
+	view := m.View()
 	found, scanned, requeued := 0, 0, 0
 	for _, p := range pairs {
 		if ok, work, cursors := routing.MeetWork(view, inB, p[0], p[1]); ok {
@@ -78,16 +80,26 @@ func TestTable2SearchReadsAPrefix(t *testing.T) {
 // the found pairs again: maxhops8 under a bound the unbounded optimum fits
 // (the common case — it is answered by that one search), maxhops_residual
 // under a bound one hop short of it, the worst case for the label-setting
-// search that only then runs.
+// search that only then runs. The bandwidth rows are the found pairs again
+// under a floor, each a different share of the tested arcs whose link
+// residual shares the floor's octave, the ones that must resolve their link:
+// bandwidth at 0.01 Gbps, the floor a session setup searches with (none: the
+// same answers as found); bandwidth_octave at 12 Gbps, inside the octave of
+// the thinner transit links' 10-16 Gbps; bandwidth_reserved at 0.7 Gbps on
+// metrics where every link of those pairs' optimal paths was reserved down
+// to 0.5-1 Gbps, that floor's octave, so every such link is looked up and
+// some are too thin.
 func BenchmarkTable2BestPath(b *testing.B) {
-	view, inB, pairs := table2Fixture(b, 4000)
+	m, inB, pairs := table2Fixture(b, 4000)
+	view := m.View()
 	type query struct {
 		src, dst int
 		opts     routing.Options
 	}
 	// A fixed draw count keeps both classes in workload proportion (~1% of
 	// Zipf pairs have no dominated path) and the set-up time bounded.
-	var found, nopath, within8, residual []query
+	var found, nopath, within8, residual, bandwidth, octave, reserved []query
+	rng := rand.New(rand.NewSource(1))
 	for _, pair := range pairs {
 		q := query{src: pair[0], dst: pair[1]}
 		p, err := routing.BestPathOver(view, inB, q.src, q.dst, q.opts)
@@ -96,6 +108,17 @@ func BenchmarkTable2BestPath(b *testing.B) {
 			continue
 		}
 		found = append(found, q)
+		bandwidth = append(bandwidth, query{q.src, q.dst, routing.Options{MinBandwidth: 0.01}})
+		octave = append(octave, query{q.src, q.dst, routing.Options{MinBandwidth: 12}})
+		reserved = append(reserved, query{q.src, q.dst, routing.Options{MinBandwidth: 0.7}})
+		for i := 0; i+1 < len(p.Nodes); i++ {
+			u, v := p.Nodes[i], p.Nodes[i+1]
+			if r := m.Residual(u, v); r > 1 {
+				if err := m.Reserve(u, v, r-0.5-0.5*rng.Float64()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		if p.Hops() <= 8 {
 			within8 = append(within8, query{q.src, q.dst, routing.Options{MaxHops: 8}})
 		}
@@ -103,10 +126,13 @@ func BenchmarkTable2BestPath(b *testing.B) {
 			residual = append(residual, query{q.src, q.dst, routing.Options{MaxHops: p.Hops() - 1}})
 		}
 	}
+	reservedView := m.View()
 	for _, c := range []struct {
 		name    string
+		view    *routing.View
 		queries []query
-	}{{"found", found}, {"nopath", nopath}, {"maxhops8", within8}, {"maxhops_residual", residual}} {
+	}{{"found", view, found}, {"nopath", view, nopath}, {"maxhops8", view, within8}, {"maxhops_residual", view, residual},
+		{"bandwidth", view, bandwidth}, {"bandwidth_octave", view, octave}, {"bandwidth_reserved", reservedView, reserved}} {
 		if len(c.queries) == 0 {
 			b.Fatalf("no %s queries among the draws", c.name)
 		}
@@ -114,7 +140,7 @@ func BenchmarkTable2BestPath(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				q := c.queries[i%len(c.queries)]
-				sinkPath, _ = routing.BestPathOver(view, inB, q.src, q.dst, q.opts)
+				sinkPath, _ = routing.BestPathOver(c.view, inB, q.src, q.dst, q.opts)
 			}
 		})
 	}

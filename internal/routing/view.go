@@ -2,7 +2,8 @@ package routing
 
 import "brokerset/internal/topology"
 
-// View is an immutable, point-in-time copy of a Metrics' per-arc state.
+// View is an immutable, point-in-time copy of a Metrics' per-arc and
+// per-link state.
 // It is the routing half of an epoch snapshot: captured under the writer's
 // serialization with Metrics.View(), then read by any number of concurrent
 // path searches (BestPathOver) without locks — nothing ever mutates a View
@@ -14,7 +15,7 @@ type View struct {
 
 // View freezes the current arc state into an immutable View. Everything is
 // shared copy-on-write: latency/capacity/failed share whole arrays, used
-// shares its tree, and the writer clones before its next mutation of
+// and room share their trees, and the writer clones before its next mutation of
 // anything captured here — so this is O(1): one small allocation, whatever
 // the arc count (TestViewCostIndependentOfArcs). Callers hold whatever
 // serialization orders Metrics mutations (the capture must not race a
@@ -27,8 +28,8 @@ func (m *Metrics) View() *View {
 // Available returns the unreserved capacity of a link at capture time;
 // 0 when failed or not an edge.
 func (v *View) Available(a, b int32) float64 {
-	if i := v.top.Graph.ArcOf(int(a), int(b)); i >= 0 {
-		return v.availArc(i)
+	if l, i := linkArc(v.top.Graph, a, b); l >= 0 {
+		return v.avail(i, l)
 	}
 	return 0
 }

@@ -150,7 +150,8 @@ func (p *RegionPartition) Adjacent(r, q int) bool { return len(p.BorderBetween(r
 // shared node is what lets two regions' path segments meet at the same
 // stitch point. orig maps the subtopology's local ids back to global ids and
 // arcOrig its arc indexes back to the global graph's, so any column aligned
-// with the global adjacency is carried over by a gather (routing.NewSubMetrics).
+// with the global adjacency, or with its links, is carried over by a gather
+// (routing.NewSubMetrics).
 func (p *RegionPartition) Subtopology(r int) (sub *Topology, orig, arcOrig []int32) {
 	t := p.top
 	keep := make([]bool, t.NumNodes())
