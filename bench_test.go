@@ -21,7 +21,6 @@ import (
 	"brokerset/internal/econ"
 	"brokerset/internal/epoch"
 	"brokerset/internal/experiments"
-	"brokerset/internal/market"
 	"brokerset/internal/pagerank"
 	"brokerset/internal/policy"
 	"brokerset/internal/queryplane"
@@ -452,7 +451,7 @@ func BenchmarkQueryPlaneMiss(b *testing.B) {
 
 func BenchmarkQueryPlaneHit(b *testing.B) {
 	qpSetup(b)
-	qp := queryplane.Over(qpPub, nil)
+	qp := queryplane.Over(qpPub)
 	qpWarm(b, qp)
 	ctx := context.Background()
 	b.ResetTimer()
@@ -464,35 +463,11 @@ func BenchmarkQueryPlaneHit(b *testing.B) {
 	}
 }
 
-// BenchmarkPricedAdmission is the economics-plane overhead benchmark: the
-// same warm-cache hit loop as BenchmarkQueryPlaneHit, but with the market
-// admission gate installed and every query carrying a bid. The benchguard
-// budget is <5% over the unpriced hit path (the gate is two atomic loads
-// and a branch before the cache lookup).
-func BenchmarkPricedAdmission(b *testing.B) {
-	qpSetup(b)
-	ctrl, err := market.NewController(market.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qp := queryplane.Over(qpPub, market.NewAdmission(ctrl))
-	qpWarm(b, qp)
-	ctx := context.Background()
-	bid := ctrl.Price()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := qpPairs[i%len(qpPairs)]
-		if _, _, err := qp.QueryBid(ctx, p[0], p[1], routing.Options{}, bid); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkQueryPlaneParallel is the serving benchmark: all cores querying
 // a warm cache concurrently (the >= 5x-over-uncached acceptance target).
 func BenchmarkQueryPlaneParallel(b *testing.B) {
 	qpSetup(b)
-	qp := queryplane.Over(qpPub, nil)
+	qp := queryplane.Over(qpPub)
 	qpWarm(b, qp)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

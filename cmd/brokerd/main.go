@@ -22,21 +22,13 @@
 //	DELETE /sessions/{id}
 //	POST   /sessions/{id}/renew  (with -lease-ttl) heartbeat; 410 once the lease lapsed
 //	POST   /churn                {"events":[...]} | {"generate":N} [, "heal":false]
-//	GET    /econ/price           (with -econ) current posted price
-//	GET    /econ/quote           full repricing breakdown
-//	GET    /econ/settlement      ledger [?last=N][&format=jsonl]; POST forces a window close
-//	GET    /econ/stats           admission counters + settlement progress
 //	GET    /slo                  (with -slo-query-p99) evaluated objectives and burn rates
 //	GET    /debug/trace          spans as Chrome trace JSON [?trace=ID][&format=jsonl]
 //	GET    /debug/flight         flight-recorder ring as JSONL
 //
-// With -econ set, the economics plane is live: a market controller samples
-// query-plane load every -econ-every and reprices via the Stackelberg
-// solver; /path queries may carry a bid (?bid= or X-Econ-Bid) that priced
-// admission compares to the congestion-adjusted price (refusals are 429
-// with the quote in X-Econ-Price); every -econ-window controller ticks the
-// accrued revenue is settled into Shapley splits across the brokers that
-// carried the traffic.
+// The paper's §7 economics (Stackelberg price, Nash bargaining, Shapley
+// split) is a model, not a serving path: `experiments econ fig6 shapley
+// ext-formation ext-market` reproduces it offline.
 //
 // With -churn set, a background job additionally draws Poisson bursts of
 // churn from the seeded generator at that interval, applies them, and
@@ -72,8 +64,6 @@ type options struct {
 	addr, topoFile string
 	scale          float64
 	drain          time.Duration
-	econ           bool
-	econCfg        daemon.EconConfig
 	cfg            daemon.Config
 }
 
@@ -96,12 +86,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&c.HealTarget, "heal-target", 0, "connectivity the healer restores (0 = initial coalition's)")
 	fs.BoolVar(&c.Pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 
-	fs.BoolVar(&o.econ, "econ", false, "enable the economics plane (pricing, priced admission, settlement)")
-	fs.DurationVar(&o.econCfg.Every, "econ-every", 250*time.Millisecond, "market controller sampling period")
-	fs.IntVar(&o.econCfg.WindowTicks, "econ-window", 40, "settlement window length in controller ticks")
-	fs.Int64Var(&o.econCfg.Seed, "econ-seed", 1, "settlement Monte-Carlo seed")
-	fs.Float64Var(&o.econCfg.Threshold, "econ-threshold", 0.7, "utilization above which congestion pricing engages")
-
 	fs.DurationVar(&c.SLO.QueryP99, "slo-query-p99", 0, "enable the SLO plane with this query-latency objective (0 = off); see GET /slo")
 	fs.Float64Var(&c.SLO.CrossingMs, "slo-crossing-ms", 50, "per-region stitched-segment latency budget in ms (with -regions)")
 	fs.DurationVar(&c.SLO.Window, "slo-window", time.Hour, "burn-rate base window (the fast pair's long window; scale down for smoke tests)")
@@ -116,9 +100,6 @@ func defineFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-	if o.econ {
-		o.cfg.Econ = &o.econCfg
-	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "brokerd:", err)
 		os.Exit(1)
@@ -153,10 +134,6 @@ func run(o *options) error {
 	if cfg.Regions > 0 {
 		fmt.Printf("brokerd: federation of %d regions (%s), crossing cost %.1fms\n",
 			cfg.Regions, d.FederationSummary(), cfg.CrossingCost)
-	}
-	if e := cfg.Econ; e != nil {
-		fmt.Printf("brokerd: economics plane live (reprice every %v, settle every %d ticks, seed %d)\n",
-			e.Every, e.WindowTicks, e.Seed)
 	}
 	if cfg.SLO.QueryP99 > 0 {
 		fmt.Printf("brokerd: slo plane on (query p99 < %v, base window %v): GET /slo\n", cfg.SLO.QueryP99, cfg.SLO.Window)

@@ -14,7 +14,6 @@ func TestFlagsStable(t *testing.T) {
 		"addr": ":8080", "topo": "", "scale": "0.1", "seed": "1", "k": "100", "drain": "10s",
 		"lease-ttl": "0s", "lease-sweep": "0s", "setup-queue": "1024",
 		"churn": "0s", "churn-seed": "42", "heal-target": "0", "pprof": "false",
-		"econ": "false", "econ-every": "250ms", "econ-window": "40", "econ-seed": "1", "econ-threshold": "0.7",
 		"slo-query-p99": "0s", "slo-crossing-ms": "50", "slo-window": "1h0m0s", "slo-every": "0s", "slo-dump": "",
 		"regions": "0", "crossing-cost": "2",
 	}

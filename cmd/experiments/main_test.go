@@ -12,7 +12,7 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out, &errOut); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, want := range []string{"table1", "fig5c", "shapley", "ext-load"} {
+	for _, want := range []string{"table1", "fig5c", "shapley", "ext-load", "ext-market"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("list missing %q", want)
 		}

@@ -47,7 +47,4 @@ func TestRunLifecycleFlagErrors(t *testing.T) {
 	if _, err := run([]string{"-abandon", "1.5"}, &out); err == nil {
 		t.Fatal("-abandon > 1 accepted")
 	}
-	if _, err := run([]string{"-abandon", "0.5", "-econ", "price-shock"}, &out); err == nil {
-		t.Fatal("-abandon with -econ accepted")
-	}
 }

@@ -22,16 +22,9 @@
 //
 //	loadgen -scale 0.1 -k 100 -c 32 -d 10s -churn-every 500ms
 //
-// The -abandon lifecycle scenario boots a daemon too; -regions and -econ are
-// scenario harnesses over federation.Fabric and internal/market (fault-injected
-// peer bus, forced region crash, spec-driven price trajectory), not daemons.
-//
-// In-process economics scenario (the market controller is forced through
-// the scenario's demand trace while the workers bid for admission; the
-// final report carries an econ summary line and -econ-assert turns the
-// run's economic invariants into an exit code):
-//
-//	loadgen -econ price-shock -c 16 -d 10s -econ-assert
+// The -abandon lifecycle scenario boots a daemon too; -regions is a scenario
+// harness over federation.Fabric (fault-injected peer bus, forced region
+// crash), not a daemon.
 package main
 
 import (
@@ -82,10 +75,6 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		abandon  = fs.Float64("abandon", 0, "lifecycle scenario: fraction of sessions that stop heartbeating instead of tearing down (0 = off)")
 		leaseTTL = fs.Duration("lease-ttl", 300*time.Millisecond, "lifecycle scenario session lease TTL")
 
-		econName   = fs.String("econ", "", "in-process economics scenario: price-shock, free-rider, or broker-defection")
-		econSeed   = fs.Int64("econ-seed", 1, "econ bid + settlement seed")
-		econAssert = fs.Bool("econ-assert", false, "fail unless the econ run conserves its ledger and the price trajectory is sane")
-
 		slowK     = fs.Int("slow-k", 0, "report the K slowest requests with their trace IDs (0 = off)")
 		sloP99    = fs.Duration("slo-p99", 0, "federation mode: arm a client-side SLO with this stitched-query latency budget (0 = off)")
 		sloWindow = fs.Duration("slo-window", 2*time.Second, "federation mode: SLO burn-rate base window")
@@ -120,7 +109,6 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		top     *topology.Topology
 		churned *daemon.Daemon // the daemon whose churn job -churn-every runs
 		fed     *fedStack
-		econ    *econStack
 		// slowTracer, when set, lets the -slow-k report break each slow
 		// trace down into per-plane span durations.
 		slowTracer *obs.Tracer
@@ -128,8 +116,8 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 	)
 	switch {
 	case *abandon > 0:
-		if *addr != "" || *econName != "" || *regions > 0 || *churnEvery > 0 {
-			return nil, fmt.Errorf("-abandon is in-process only and exclusive with -addr/-econ/-regions/-churn-every")
+		if *addr != "" || *regions > 0 || *churnEvery > 0 {
+			return nil, fmt.Errorf("-abandon is in-process only and exclusive with -addr/-regions/-churn-every")
 		}
 		if *abandon > 1 {
 			return nil, fmt.Errorf("-abandon is a fraction in (0, 1], got %g", *abandon)
@@ -139,21 +127,6 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 			return nil, err
 		}
 		return nil, runLifecycle(top, *k, *conc, *dur, *leaseTTL, *abandon, *seed, out)
-	case *econName != "":
-		if *addr != "" || *regions > 0 || *churnEvery > 0 {
-			return nil, fmt.Errorf("-econ is in-process only and exclusive with -addr/-regions/-churn-every")
-		}
-		top, err = topology.GenerateInternet(topology.InternetConfig{Scale: *scale, Seed: *seed})
-		if err != nil {
-			return nil, err
-		}
-		econ, err = newEconStack(top, *k, *econName, *econSeed)
-		if err != nil {
-			return nil, err
-		}
-		target = &econTarget{stack: econ, opts: opts}
-		fmt.Fprintf(out, "loadgen: econ scenario %s over %d nodes, %d workers (seed %d, %d ticks, window %d)\n",
-			*econName, top.NumNodes(), cfg.Concurrency, *econSeed, econ.spec.Ticks, econ.spec.WindowTicks)
 	case *addr != "":
 		if *churnEvery > 0 {
 			return nil, fmt.Errorf("-churn-every is in-process only (use brokerd -churn against a live server)")
@@ -225,13 +198,11 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		return workload.NewPairGen(top, cfg.Zipf, cfg.Seed+int64(w)*7919)
 	}
 	// At most one driver runs beside the workers, for the run's duration:
-	// the fabric's, the econ scenario's, or the daemon's own background jobs.
+	// the fabric's or the daemon's own background jobs.
 	var drive func(ctx context.Context)
 	switch {
 	case fed != nil:
 		drive = func(ctx context.Context) { fed.drive(ctx.Done(), *dur, *fedEvery, *fedCrash, *seed) }
-	case econ != nil:
-		drive = func(ctx context.Context) { econ.drive(ctx.Done(), *dur) }
 	case churned != nil:
 		drive = churned.Run
 	}
@@ -255,12 +226,6 @@ func run(argv []string, out io.Writer) (*workload.Report, error) {
 		rep.ChurnBursts = int(hm.HealPasses.Load())
 		rep.Availability = float64(rep.Requests-rep.Errors-rep.NotFound) / float64(rep.Requests)
 		rep.RepairP50, rep.RepairP95 = hm.Repairs.Quantile(0.50), hm.Repairs.Quantile(0.95)
-	}
-	if econ != nil {
-		if err := econ.finish(rep, out, *econAssert); err != nil {
-			fmt.Fprintln(out, rep)
-			return rep, err
-		}
 	}
 	fmt.Fprintln(out, rep)
 	if fed != nil {

@@ -112,3 +112,15 @@ func TestRunFlagErrors(t *testing.T) {
 		t.Fatal("-churn-events accepted: bursts are the daemon generator's")
 	}
 }
+
+// TestRunEconFlagErrors: loadgen has no economics mode; the market runs
+// offline as experiments ext-market. Each of the old mode's flags is an
+// undefined flag, refused before anything boots.
+func TestRunEconFlagErrors(t *testing.T) {
+	for _, args := range [][]string{{"-econ", "price-shock"}, {"-econ-seed", "1"}, {"-econ-assert"}} {
+		var out bytes.Buffer
+		if _, err := run(args, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err %v, want an undefined flag", args, err)
+		}
+	}
+}

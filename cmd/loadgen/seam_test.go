@@ -11,13 +11,12 @@ import (
 	"brokerset/internal/topology"
 )
 
-// TestEveryPlaneRefusesAMovedEpoch: the three places that serve a publisher
-// through a query plane — the daemon, a federation region, the -econ harness
-// — each refuse to re-serve a path against an epoch that moved between the
+// TestEveryPlaneRefusesAMovedEpoch: the two places that serve a publisher
+// through a query plane — the daemon and a federation region — each refuse to re-serve a path against an epoch that moved between the
 // lookup's generation read and the walk: a lookup that read generation g-1
 // must not have its entry checked against, and stamped for, snapshot g. (The
-// daemon's hand-wired plane always pinned this; the region's and the
-// harness's copies walked whatever snapshot was current.)
+// daemon's hand-wired plane always pinned this; the region's copy walked
+// whatever snapshot was current.)
 func TestEveryPlaneRefusesAMovedEpoch(t *testing.T) {
 	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.02, Seed: 1})
 	if err != nil {
@@ -31,10 +30,6 @@ func TestEveryPlaneRefusesAMovedEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	econ, err := newEconStack(top, 20, "price-shock", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name    string
@@ -43,7 +38,6 @@ func TestEveryPlaneRefusesAMovedEpoch(t *testing.T) {
 	}{
 		{"daemon", d.QueryPlane(), d.Snapshot().Brokers()},
 		{"region", fab.Region(0).QP, fab.Region(0).Brokers},
-		{"econ harness", econ.qp, d.Snapshot().Brokers()}, // same topology, same k, same MaxSG
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var p *routing.Path

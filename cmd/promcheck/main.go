@@ -5,13 +5,13 @@
 //
 // -require takes a comma-separated list of metric family names that must
 // be present in the (valid) exposition, each passing the repo's naming
-// gate; missing families fail the check. CI uses it to assert the
-// economics plane's market_* families survive a live scrape.
+// gate; missing families fail the check. CI uses it to assert that the
+// families the docs and dashboards name survive a live scrape.
 //
 // CI pipes a live brokerd's /metrics scrape through it:
 //
 //	curl -fsS localhost:8080/metrics | promcheck
-//	curl -fsS localhost:8080/metrics | promcheck -require market_price_units,market_settlements_total
+//	curl -fsS localhost:8080/metrics | promcheck -require queryplane_hits_total,queryplane_latency_seconds
 package main
 
 import (

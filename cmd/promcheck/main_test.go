@@ -6,26 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"brokerset/internal/market"
 	"brokerset/internal/obs"
 )
 
-// marketExposition renders a live economics plane through the registry —
-// the same text a brokerd -econ scrape produces.
-func marketExposition(t *testing.T) string {
+// registryExposition renders a plain registry holding one family of each
+// kind brokerd exports: a counter, a gauge and a histogram (a summary on the
+// wire, whose children carry the base family's name with a suffix).
+func registryExposition(t *testing.T) string {
 	t.Helper()
-	p, err := market.NewPlane(market.Config{DemandRef: 64}, 5, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Tick(market.Sample{Utilization: 0.5, Demand: 96}); err != nil {
-		t.Fatal(err)
-	}
-	p.Adm.Admit(p.Ctrl.Price())
-	p.Set.Record([]int32{1, 2}, 3)
-	p.Settle()
 	reg := obs.NewRegistry()
-	p.RegisterMetrics(reg)
+	reg.Counter("queryplane_queries_total", "path queries received").Inc()
+	reg.Gauge("queryplane_cache_entries", "entries currently cached").Set(3)
+	reg.Histogram("queryplane_latency_seconds", "served query latency").Observe(2 * time.Millisecond)
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -34,7 +26,7 @@ func marketExposition(t *testing.T) string {
 }
 
 func TestPromcheckValidatesAndRequires(t *testing.T) {
-	text := marketExposition(t)
+	text := registryExposition(t)
 	var out bytes.Buffer
 
 	// Plain validation still works flag-free.
@@ -42,18 +34,19 @@ func TestPromcheckValidatesAndRequires(t *testing.T) {
 		t.Fatalf("valid exposition rejected: %v", err)
 	}
 
-	// The market families round-trip through the scrape text.
+	// Every kind round-trips through the scrape text; the histogram is
+	// found through its _count/_sum/quantile children.
 	err := run([]string{"-require",
-		"market_price_units,market_admitted_total,market_revenue_units_total,market_settlements_total"},
+		"queryplane_queries_total,queryplane_cache_entries,queryplane_latency_seconds"},
 		strings.NewReader(text), &out)
 	if err != nil {
-		t.Fatalf("required market families not found: %v", err)
+		t.Fatalf("required families not found: %v", err)
 	}
 
 	// A missing family is named in the failure.
-	err = run([]string{"-require", "market_price_units,market_bogus_total"},
+	err = run([]string{"-require", "queryplane_queries_total,queryplane_bogus_total"},
 		strings.NewReader(text), &out)
-	if err == nil || !strings.Contains(err.Error(), "market_bogus_total") {
+	if err == nil || !strings.Contains(err.Error(), "queryplane_bogus_total") {
 		t.Fatalf("missing family not reported: %v", err)
 	}
 

@@ -96,11 +96,6 @@ type Daemon struct {
 	// federation.go for the endpoints.
 	fed *federation.Fabric
 
-	// econ is the live economics plane (nil unless Econ is set). New
-	// writes it once, before anything can read it; the query plane's
-	// admission hook and the /econ/* handlers then only nil-check it.
-	econ *econState
-
 	// Unified observability (see initObs): metrics registry, request
 	// tracer, control-plane flight recorder, HTTP front-door instruments.
 	reg      *obs.Registry
@@ -136,13 +131,12 @@ type Config struct {
 	Regions      int     // -regions: in-process federation under /federation/*
 	CrossingCost float64 // -crossing-cost: federation IXP crossing cost (ms)
 
-	Econ *EconConfig // -econ (non-nil) and the -econ-* flags
-	SLO  SLOConfig   // the -slo-* flags; QueryP99 > 0 enables the plane
+	SLO SLOConfig // the -slo-* flags; QueryP99 > 0 enables the plane
 }
 
 // New wires a daemon for the topology: it selects cfg.K brokers with MaxSG
 // and builds the control plane, query plane and churn/self-healing plane,
-// then the federation, economics and SLO planes the config asks for,
+// then the federation and SLO planes the config asks for,
 // in that order (the per-region crossing objectives exist only for regions
 // booted before the SLO plane).
 func New(top *topology.Topology, cfg Config) (*Daemon, error) {
@@ -180,10 +174,7 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 	s.gen = churn.NewGenerator(s.churnState, func() []int32 { return s.plane.Brokers() }, churn.GenConfig{Seed: cfg.ChurnSeed})
 	s.pub = epoch.NewPublisher(s.churnState.Snapshot(brokers, metrics.View()))
 
-	// The daemon itself is the admission hook: it delegates to the econ
-	// plane when one is enabled, and admits everything (one nil-check)
-	// otherwise.
-	s.qp = queryplane.Over(s.pub, s)
+	s.qp = queryplane.Over(s.pub)
 
 	healTarget := cfg.HealTarget
 	if healTarget <= 0 {
@@ -210,11 +201,6 @@ func New(top *topology.Topology, cfg Config) (*Daemon, error) {
 			return nil, err
 		}
 	}
-	if cfg.Econ != nil {
-		if err := s.enableEcon(*cfg.Econ); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.SLO.QueryP99 > 0 {
 		s.enableSLO(cfg.SLO)
 	}
@@ -231,8 +217,8 @@ type job struct {
 }
 
 // scheduleJobs lists the background jobs the config enables, in the order a
-// beat runs them: lease sweep, churn + heal, federation clock, market
-// controller, SLO evaluation.
+// beat runs them: lease sweep, churn + heal, federation clock, SLO
+// evaluation.
 func (s *Daemon) scheduleJobs() {
 	if ttl := s.cfg.LeaseTTL; ttl > 0 {
 		sweep := s.cfg.LeaseSweep
@@ -255,9 +241,6 @@ func (s *Daemon) scheduleJobs() {
 	}
 	if s.fed != nil {
 		s.jobs = append(s.jobs, job{period: 100 * time.Millisecond, run: func(ctx context.Context) { s.fed.Beat(ctx) }})
-	}
-	if e := s.econ; e != nil {
-		s.jobs = append(s.jobs, job{period: e.every, run: func(context.Context) { s.econTick(e) }})
 	}
 	if s.slo != nil {
 		period := s.cfg.SLO.Every
@@ -284,9 +267,9 @@ func (s *Daemon) scheduleJobs() {
 // first beat only arms the jobs, each due one period later. The jobs share
 // one goroutine, so a job keeps its period only while the jobs ahead of it
 // finish within one tick: a churn + heal that outlasts a tick (it holds
-// writeMu, and grows with scale) holds back the fabric beat, market and SLO
-// jobs until the next tick after it returns. Not safe for concurrent calls:
-// Run is its one caller.
+// writeMu, and grows with scale) holds back the fabric beat and the SLO job
+// until the next tick after it returns. Not safe for concurrent calls: Run is
+// its one caller.
 func (s *Daemon) beat(ctx context.Context) {
 	now := s.now()
 	for i := range s.jobs {
@@ -513,9 +496,6 @@ func (s *Daemon) Setup(ctx context.Context, src, dst int, gbps float64) (*ctrlpl
 		return nil, err
 	}
 	s.sloSetup.Record(true, 0)
-	// A committed reservation credits its carrying brokers with the
-	// session's bandwidth in settlement units.
-	s.recordCarriers(op.sess.Path, op.sess.Bandwidth)
 	return op.sess, nil
 }
 

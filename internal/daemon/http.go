@@ -33,11 +33,6 @@ func (s *Daemon) routes() *http.ServeMux {
 	mux.HandleFunc("DELETE /sessions/{id}", s.handleSessionTeardown)
 	mux.HandleFunc("POST /sessions/{id}/renew", s.handleSessionRenew)
 	mux.HandleFunc("POST /churn", s.handleChurn)
-	mux.HandleFunc("GET /econ/price", s.handleEconPrice)
-	mux.HandleFunc("GET /econ/quote", s.handleEconQuote)
-	mux.HandleFunc("GET /econ/settlement", s.handleEconSettlement)
-	mux.HandleFunc("POST /econ/settlement", s.handleEconSettle)
-	mux.HandleFunc("GET /econ/stats", s.handleEconStats)
 	mux.HandleFunc("GET /slo", s.handleSLO)
 	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("GET /debug/flight", s.handleDebugFlight)
@@ -164,14 +159,14 @@ type pathResponse struct {
 }
 
 // parsePathOptions reads the query a path endpoint takes — src, dst and the
-// optional maxhops and minbw constraints, parsed once by parsePathQuery (the
-// handler reads the bid from the same parse) — and returns the message of the
-// 400 to answer when it is malformed. What it returns is safe to key a cache
-// with: minbw is finite (a NaN never equals itself, so every repeat of such
-// a query would miss and leave one more unreachable entry), and a hop bound
-// no simple path can exceed is the unbounded query, so it reads as one
-// (latencies are positive, so an optimum is simple and has at most
-// numNodes-1 hops; folding the bound also keeps it inside the key's int32).
+// optional maxhops and minbw constraints, parsed once by parsePathQuery —
+// and returns the message of the 400 to answer when it is malformed. What it
+// returns is safe to key a cache with: minbw is finite (a NaN never equals
+// itself, so every repeat of such a query would miss and leave one more
+// unreachable entry), and a hop bound no simple path can exceed is the
+// unbounded query, so it reads as one (latencies are positive, so an optimum
+// is simple and has at most numNodes-1 hops; folding the bound also keeps it
+// inside the key's int32).
 func parsePathOptions(q pathQuery, numNodes int) (src, dst int, opts routing.Options, err error) {
 	src, err1 := strconv.Atoi(q.src)
 	dst, err2 := strconv.Atoi(q.dst)
@@ -208,16 +203,10 @@ func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	p, cached, err := s.qp.QueryBid(r.Context(), src, dst, opts, parseBid(q.bid, r.Header))
+	p, cached, err := s.qp.Query(r.Context(), src, dst, opts)
 	if err != nil {
 		trace := obs.TraceIDFrom(r.Context())
-		var pe *queryplane.PriceError
 		switch {
-		case errors.As(err, &pe):
-			// Priced admission is policy, not a reliability failure: it gets
-			// a terminal span but does not burn the latency error budget.
-			s.refuseSpan(r.Context(), "brokerd.query_refused", "priced_admission")
-			s.writePriceRejection(w, pe.Quote)
 		case errors.Is(err, queryplane.ErrShed):
 			s.refuseSpan(r.Context(), "brokerd.query_refused", "shed")
 			s.sloQuery.Record(false, trace)
@@ -241,9 +230,6 @@ func (s *Daemon) handlePath(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header()["X-Cache"] = cacheMiss
 	}
-	// Each served path credits the coalition members that carry it with
-	// one settlement unit (no-op while the econ plane is disabled).
-	s.recordCarriers(p.Nodes, 1)
 	jb := newBody()
 	jb.b = appendPath(jb.b, p.Nodes, s.top.Name, p.Latency)
 	jb.send(w, http.StatusOK)

@@ -78,7 +78,7 @@ func (f httpFront) churn(generate int) (int, ChurnResult) {
 type typedFront struct{ d *Daemon }
 
 func (f typedFront) path(src, dst int) (int, bool, []int32) {
-	p, cached, err := f.d.QueryPlane().QueryBid(context.Background(), src, dst, routing.Options{}, 0)
+	p, cached, err := f.d.QueryPlane().Query(context.Background(), src, dst, routing.Options{})
 	if err != nil {
 		return http.StatusNotFound, false, nil
 	}
@@ -254,8 +254,7 @@ var everyJob = Config{
 	K: 40, Seed: 1, ChurnSeed: 42, SetupQueue: 1024,
 	Churn: 40 * time.Millisecond, LeaseTTL: 80 * time.Millisecond,
 	Regions: 3, CrossingCost: 2.0,
-	Econ: &EconConfig{Every: 50 * time.Millisecond},
-	SLO:  SLOConfig{QueryP99: time.Second, Window: time.Minute, Every: 25 * time.Millisecond},
+	SLO: SLOConfig{QueryP99: time.Second, Window: time.Minute, Every: 25 * time.Millisecond},
 }
 
 // TestBeatRunsEachJobAtItsPeriod drives beat under an injected clock, 5 ms a
@@ -275,7 +274,7 @@ func TestBeatRunsEachJobAtItsPeriod(t *testing.T) {
 		name   string
 		period time.Duration
 	}{{"lease", 20 * time.Millisecond}, {"churn", 40 * time.Millisecond}, {"federation", 100 * time.Millisecond},
-		{"econ", 50 * time.Millisecond}, {"slo", 25 * time.Millisecond}}
+		{"slo", 25 * time.Millisecond}}
 	if len(d.jobs) != len(schedule) {
 		t.Fatalf("%d jobs scheduled, want %d", len(d.jobs), len(schedule))
 	}
@@ -306,8 +305,8 @@ func TestBeatRunsEachJobAtItsPeriod(t *testing.T) {
 	if strings.Join(ran, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("beats ran:\n%s\nwant:\n%s", strings.Join(ran, "\n"), strings.Join(want, "\n"))
 	}
-	if heals, beats, reprices := d.healer.Metrics.HealPasses.Load(), d.fed.Stats().Beats, d.econ.Ctrl.Ticks(); heals != 5 || beats != 2 || reprices != 4 {
-		t.Fatalf("%d heal passes, %d fabric beats, %d reprices; want 5, 2, 4", heals, beats, reprices)
+	if heals, beats := d.healer.Metrics.HealPasses.Load(), d.fed.Stats().Beats; heals != 5 || beats != 2 {
+		t.Fatalf("%d heal passes, %d fabric beats; want 5, 2", heals, beats)
 	}
 }
 
@@ -442,7 +441,6 @@ func TestRunStopsEveryLoop(t *testing.T) {
 	}
 	fast := everyJob
 	fast.Churn, fast.LeaseTTL = 5*time.Millisecond, 20*time.Millisecond
-	fast.Econ = &EconConfig{Every: 5 * time.Millisecond}
 	fast.SLO.Every = 5 * time.Millisecond
 	for name, cfg := range map[string]Config{"every loop": fast, "no loop": {K: 40}} {
 		t.Run(name, func(t *testing.T) {

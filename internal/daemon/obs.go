@@ -42,7 +42,6 @@ func (s *Daemon) initObs() {
 		})
 	})
 
-	s.registerEconCollectors()
 	s.httpReqs = s.reg.Counter("http_requests_total", "HTTP requests served")
 	s.httpHist = s.reg.Histogram("http_request_seconds", "HTTP request latency")
 	s.registerProcessMetrics()

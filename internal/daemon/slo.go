@@ -134,7 +134,7 @@ func (s *Daemon) handleSLO(w http.ResponseWriter, r *http.Request) {
 }
 
 // refuseSpan emits a terminal child span on a refusal path. The early
-// returns (shed, priced admission, lease lapse) otherwise leave a trace
+// returns (shed, timeout, lease lapse) otherwise leave a trace
 // holding only the generic HTTP root span, which makes refusals
 // indistinguishable from successes in /debug/trace.
 func (s *Daemon) refuseSpan(ctx context.Context, name, reason string) {

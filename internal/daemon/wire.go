@@ -32,7 +32,7 @@ var (
 // none. Pairs holding a ';' or a malformed escape are skipped, as there, and
 // '+' and %XX are decoded only in a pair that has them.
 type pathQuery struct {
-	src, dst, maxhops, minbw, bid string
+	src, dst, maxhops, minbw string
 }
 
 func parsePathQuery(raw string) pathQuery {
@@ -60,8 +60,6 @@ func parsePathQuery(raw string) pathQuery {
 			field, bit = &q.maxhops, 4
 		case "minbw":
 			field, bit = &q.minbw, 8
-		case "bid":
-			field, bit = &q.bid, 16
 		default:
 			continue
 		}

@@ -1,12 +1,15 @@
 package daemon
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,9 +25,9 @@ type wireStep struct {
 }
 
 // wireScript is the fixed request sequence the wire golden pins: a path
-// miss and its hit, a no-path 404, malformed queries, bids by parameter and
-// by header, query spellings that exercise the parse rules, and a session
-// lifecycle. d picks the node ids, so the script is the same on every fresh
+// miss and its hit, a no-path 404, malformed queries, an unknown parameter
+// (bid=) and an unknown header (X-Econ-Bid), both ignored, query spellings
+// that exercise the parse rules, and a session lifecycle. d picks the node ids, so the script is the same on every fresh
 // daemon built the same way.
 func wireScript(t *testing.T, d *Daemon) []wireStep {
 	bs := d.currentBrokers()
@@ -174,4 +177,66 @@ func TestWireGolden(t *testing.T) {
 		loopback = append(loopback, wireLine(st, resp.StatusCode, resp.Header, string(body), resp.ContentLength))
 	}
 	check("loopback", loopback, false)
+}
+
+// TestEconDisabledReturns404: the market runs offline only (experiments
+// ext-market), so no /econ/* route is left — every request the live plane
+// used to answer is a 404 — and /metrics carries no market_ family and no
+// priced-admission counter.
+func TestEconDisabledReturns404(t *testing.T) {
+	h := wireDaemon(t).Handler()
+	for _, r := range []struct{ method, url string }{
+		{http.MethodGet, "/econ/price"}, {http.MethodGet, "/econ/quote"}, {http.MethodGet, "/econ/stats"},
+		{http.MethodGet, "/econ/settlement"}, {http.MethodPost, "/econ/settlement"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(r.method, r.url, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", r.method, r.url, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if text := rec.Body.String(); strings.Contains(text, "market_") || strings.Contains(text, "price_rejected") {
+		t.Errorf("/metrics still exposes the live market:\n%s", text)
+	}
+}
+
+// TestNonFiniteBidIsZero: /path reads no bid. One given by parameter or by
+// header, finite or not, changes nothing: the answer is the bid-less one,
+// byte for byte, and QueryBid answers what Query answers whatever its bid.
+func TestNonFiniteBidIsZero(t *testing.T) {
+	d := wireDaemon(t)
+	h := d.Handler()
+	bs := d.currentBrokers()
+	src, dst := int(bs[0]), int(bs[len(bs)-1])
+	url := fmt.Sprintf("/path?src=%d&dst=%d", src, dst)
+	get := func(url, bidHeader string) (int, string) {
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		if bidHeader != "" {
+			req.Header.Set("X-Econ-Bid", bidHeader)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	code, body := get(url, "")
+	if code != http.StatusOK {
+		t.Fatalf("bid-less query: status %d", code)
+	}
+	for _, bid := range [][2]string{{"&bid=NaN", ""}, {"&bid=%2BInf", ""}, {"&bid=-Inf", ""}, {"&bid=-1", ""}, {"", "NaN"}, {"", "Inf"}} {
+		if c, b := get(url+bid[0], bid[1]); c != code || b != body {
+			t.Errorf("bid %q header %q: %d %q, want the bid-less %d %q", bid[0], bid[1], c, b, code, body)
+		}
+	}
+	want, _, err := d.qp.Query(context.Background(), src, dst, routing.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bid := range []float64{math.NaN(), math.Inf(1), -1, 0, 2.5} {
+		p, cached, err := d.qp.QueryBid(context.Background(), src, dst, routing.Options{}, bid)
+		if err != nil || !cached || !slices.Equal(p.Nodes, want.Nodes) {
+			t.Errorf("QueryBid(%v) = %v, cached %v, %v; want the cached %v", bid, p, cached, err, want.Nodes)
+		}
+	}
 }

@@ -12,6 +12,11 @@ import (
 	"brokerset/internal/topology"
 )
 
+// IsBroker reports coalition membership for a node.
+func (s *Snapshot) IsBroker(n int32) bool {
+	return int(n) < len(s.inB) && n >= 0 && s.inB[n]
+}
+
 func testSnapshot(t *testing.T) (*Snapshot, *topology.Topology, []int32, *routing.Metrics) {
 	t.Helper()
 	top, err := topology.GenerateInternet(topology.InternetConfig{Scale: 0.01, Seed: 1})

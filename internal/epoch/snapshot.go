@@ -109,11 +109,6 @@ func (s *Snapshot) Brokers() []int32 { return s.brokers }
 // NumBrokers returns the coalition size.
 func (s *Snapshot) NumBrokers() int { return len(s.brokers) }
 
-// IsBroker reports coalition membership for a node.
-func (s *Snapshot) IsBroker(n int32) bool {
-	return int(n) < len(s.inB) && n >= 0 && s.inB[n]
-}
-
 // LinkDown reports whether the link (u,v) was down at capture time, either
 // via an explicit link failure or either endpoint being down: the live
 // graph has lost exactly those arcs. A pair that is not a link of the

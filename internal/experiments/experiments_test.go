@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"brokerset/internal/market"
 	"brokerset/internal/tablefmt"
 )
 
@@ -277,6 +278,54 @@ func TestRenderAllFormats(t *testing.T) {
 	} {
 		if err := render(tbl); err != nil {
 			t.Errorf("%s render: %v", name, err)
+		}
+	}
+}
+
+// TestExtMarketRowsAreSimulate: each ext-market row is what market.Simulate
+// returns for that scenario and seed, cell for cell.
+func TestExtMarketRowsAreSimulate(t *testing.T) {
+	tbl, err := suite(t).ExtMarket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	var want [][]string
+	for _, name := range []string{market.ScenarioPriceShock, market.ScenarioFreeRider, market.ScenarioDefection} {
+		spec, err := market.DefaultScenario(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			res, err := market.Simulate(spec, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var revenue float64
+			for _, rec := range res.Ledger {
+				revenue += rec.Revenue
+			}
+			peak := res.Prices[0]
+			for _, p := range res.Prices {
+				peak = max(peak, p)
+			}
+			defected := "-"
+			if res.Defected >= 0 {
+				defected = strconv.Itoa(int(res.Defected))
+			}
+			st := res.Admission
+			want = append(want, []string{name, strconv.FormatInt(seed, 10),
+				u(st.Admitted), u(st.AdmittedFree), u(st.PriceRejected), f(revenue), strconv.Itoa(len(res.Ledger)),
+				f(res.Prices[0]), f(peak), f(res.Prices[len(res.Prices)-1]), defected})
+		}
+	}
+	if len(tbl.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tbl.Rows), len(want))
+	}
+	for i := range want {
+		if strings.Join(tbl.Rows[i], "|") != strings.Join(want[i], "|") {
+			t.Errorf("row %d:\n got %q\nwant %q", i, tbl.Rows[i], want[i])
 		}
 	}
 }

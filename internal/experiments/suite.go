@@ -157,6 +157,7 @@ func All() []Experiment {
 		{ID: "ext-bgp", Description: "extension: free vs BGP valley-free vs dominated path quality", Run: (*Suite).ExtBGP},
 		{ID: "ext-formation", Description: "extension: sequential coalition formation dynamics", Run: (*Suite).ExtFormation},
 		{ID: "ext-optimality", Description: "extension: measured approximation ratios vs exact optimum", Run: (*Suite).ExtOptimality},
+		{ID: "ext-market", Description: "extension: §7 market scenarios — pricing, admission, Shapley settlement", Run: (*Suite).ExtMarket},
 	}
 }
 

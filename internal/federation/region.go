@@ -125,7 +125,7 @@ func buildRegion(top *topology.Topology, part *topology.RegionPartition, r int, 
 
 	reg := &Region{
 		ID: r, Top: sub, Orig: orig, g2l: g2l,
-		Metrics: metrics, Plane: plane, Pub: pub, QP: queryplane.Over(pub, nil),
+		Metrics: metrics, Plane: plane, Pub: pub, QP: queryplane.Over(pub),
 		Brokers: brokers, borderLocal: borderLocal,
 		lastVersion: plane.Version(),
 		subs:        make(map[fedKey]*ctrlplane.Session),

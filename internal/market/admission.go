@@ -5,19 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Admission is the priced admission gate: it implements the queryplane's
-// Admission hook (Admit(bid) (admitted, quote)) against the controller's
-// published price. Semantics:
+// Admission is the priced admission gate: Admit(bid) decides against the
+// controller's published price. Semantics:
 //
 //   - Uncongested (utilization below the threshold at the last reprice):
 //     every request is admitted. A positive bid pays min(bid, price); a
-//     zero bid rides free — this is exactly the backward-compatible
-//     free-rider regime, and the loadgen free-rider scenario measures it.
+//     zero bid rides free — the free-rider regime the free-rider scenario
+//     measures.
 //   - Congested: a request is admitted iff bid ≥ price, and pays price.
 //     Refused requests are told the quote so they can re-bid.
-//
-// Admit is a few atomic operations; it is safe to run on the query hot
-// path in front of the cache.
 type Admission struct {
 	ctrl *Controller
 
@@ -32,7 +28,8 @@ func NewAdmission(ctrl *Controller) *Admission {
 	return &Admission{ctrl: ctrl}
 }
 
-// Admit implements queryplane.Admission. A NaN bid is no bid: it compares
+// Admit admits or refuses one request bidding bid, and returns the posted
+// price it was judged against. A NaN bid is no bid: it compares
 // false against everything, so it would otherwise pay NaN into the revenue
 // while uncongested and outbid every finite bid while congested.
 func (a *Admission) Admit(bid float64) (bool, float64) {
@@ -40,7 +37,7 @@ func (a *Admission) Admit(bid float64) (bool, float64) {
 		bid = 0
 	}
 	price := a.ctrl.Price()
-	if !a.ctrl.Congested() {
+	if !a.ctrl.congested.Load() {
 		a.admitted.Add(1)
 		if bid <= 0 {
 			a.admittedFree.Add(1)
@@ -62,7 +59,7 @@ func (a *Admission) Admit(bid float64) (bool, float64) {
 	return true, price
 }
 
-// Stats is a point-in-time snapshot of the gate's counters.
+// AdmissionStats is a point-in-time snapshot of the gate's counters.
 type AdmissionStats struct {
 	// Admitted counts all admitted requests; AdmittedFree is the zero-bid
 	// subset that paid nothing.

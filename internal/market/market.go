@@ -1,23 +1,23 @@
-// Package market is the live economics plane: it closes the loop between
-// the observability substrate and the serving stack by turning the offline
-// game theory of internal/econ into a running control system. A Controller
-// periodically samples utilization, demand, and session counts, re-solves
-// the Stackelberg leader-pricing game against a demand-scaled follower
-// population, applies a congestion multiplier, and publishes the smoothed
-// result as the current broker price. An Admission gate prices scarcity on
-// the query hot path — below the congestion threshold everything (zero
-// bids included) is admitted; above it a query must bid at least the
-// congestion-adjusted price. A Settlement engine accumulates which brokers
-// carried each admitted unit of traffic and periodically splits the
-// accrued revenue by Shapley value (exact for small carrier sets,
+// Package market is the paper's §7 economics run as a market over time, the
+// model behind `experiments ext-market`: the game theory of internal/econ
+// driven tick by tick through a seeded demand scenario. A Controller samples
+// utilization and demand, re-solves the Stackelberg leader-pricing game
+// against a demand-scaled follower population, applies a congestion
+// multiplier, and publishes the smoothed result as the current broker price.
+// An Admission gate prices scarcity — below the congestion threshold
+// everything (zero bids included) is admitted; above it a request must bid
+// at least the congestion-adjusted price. A Settlement engine accumulates
+// which brokers carried each admitted unit of traffic and periodically
+// splits the accrued revenue by Shapley value (exact for small carrier sets,
 // seeded Monte-Carlo beyond), appending conservation-checked records to an
-// append-only Ledger. A Plane holds the three and paces them: one reprice per
-// Tick, one settlement per window of ticks.
+// append-only ledger. A Plane holds the three and paces them: one reprice
+// per Tick, one settlement per window of ticks. Simulate runs a scenario
+// through a Plane.
 //
 // Everything in this package is deterministic given its input sequence:
 // pricing is a pure function of the sampled state, and settlement sampling
 // is seeded per window, so a replayed scenario reproduces the exact price
-// trajectory and ledger (see Simulate and TestScenarioDeterminism).
+// trajectory and ledger (see TestScenarioDeterminism and TestSimulateGolden).
 package market
 
 import (
@@ -29,41 +29,22 @@ import (
 	"brokerset/internal/econ"
 )
 
-// Sample is one observation of the serving stack the controller prices
-// against. All fields are dimensionless or in request units per tick.
+// Sample is one observation of the market the controller prices against:
+// what a scenario's tick offers.
 type Sample struct {
-	// Utilization is compute-stage occupancy in [0,1] (queryplane
-	// Occupancy, possibly blended with link utilization).
+	// Utilization is the share of capacity the demand takes, in [0,1].
 	Utilization float64
-	// Demand is offered load since the previous sample, in requests.
+	// Demand is offered load over the tick, in requests.
 	Demand float64
-	// Sessions is the number of active QoS sessions.
-	Sessions int
-}
-
-// Config parameterizes a Controller. Zero values get serving defaults.
-type Config struct {
-	// CongestionThreshold is the utilization above which admission starts
-	// pricing scarcity (default 0.7). Below it, all traffic is admitted.
-	CongestionThreshold float64
-	// DemandRef is the per-tick demand (requests) that maps to demand
-	// index 1.0 (default 256). Observed demand is normalized by it and
-	// clamped to [0.25, 4] before scaling the follower population.
-	DemandRef float64
-}
-
-func (c *Config) defaults() {
-	if c.CongestionThreshold <= 0 || c.CongestionThreshold >= 1 {
-		c.CongestionThreshold = 0.7
-	}
-	if c.DemandRef <= 0 {
-		c.DemandRef = 256
-	}
 }
 
 // The pricing loop's fixed inputs, a calibrated population matching the §7
 // evaluation's shape.
 const (
+	// congestionThreshold is the utilization at and above which admission
+	// prices scarcity. Below it, all traffic is admitted. Typed, like
+	// smoothing, so 1-congestionThreshold rounds as a float64 subtraction.
+	congestionThreshold float64 = 0.7
 	// congestionGain scales how fast the price multiplier grows past the
 	// threshold; maxMultiplier caps it.
 	congestionGain = 4
@@ -111,13 +92,15 @@ type Quote struct {
 	Tick uint64 `json:"tick"`
 }
 
-// Controller runs the online Stackelberg pricing loop. Reprice is called
-// by Plane.Tick; between calls the published price is read lock-free by the
-// admission gate and the /econ endpoints.
+// Controller runs the Stackelberg pricing loop. Reprice is called by
+// Plane.Tick; between calls the admission gate reads the published price.
 type Controller struct {
-	cfg Config
+	// demandRef is the per-tick demand (requests) that maps to demand index
+	// 1.0. Observed demand is normalized by it and clamped to [0.25, 4]
+	// before scaling the follower population.
+	demandRef float64
 
-	// price and congested are the hot-path-readable outputs, updated
+	// price and congested are the outputs the admission gate reads, updated
 	// atomically at each reprice.
 	price     atomicFloat
 	congested atomic.Bool
@@ -129,8 +112,7 @@ type Controller struct {
 
 // atomicFloat is a float64 behind a uint64 bit store: the controller
 // publishes the price through it, the admission gate accumulates revenue in
-// it and swaps it back to zero at each settlement (which a monotonic counter
-// instrument could not serve; RegisterMetrics exports the running value).
+// it and swaps it back to zero at each settlement.
 type atomicFloat struct{ bits atomic.Uint64 }
 
 func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
@@ -154,12 +136,12 @@ func (f *atomicFloat) add(v float64) {
 	}
 }
 
-// NewController builds a controller and primes the price with the
-// equilibrium of the unscaled follower population, so the first admitted
-// request already pays a meaningful price.
-func NewController(cfg Config) (*Controller, error) {
-	cfg.defaults()
-	c := &Controller{cfg: cfg}
+// NewController builds a controller whose demand index is 1.0 at demandRef
+// requests a tick, and primes the price with the equilibrium of the unscaled
+// follower population, so the first admitted request already pays a
+// meaningful price.
+func NewController(demandRef float64) (*Controller, error) {
+	c := &Controller{demandRef: demandRef}
 	eq, err := econ.StackelbergEquilibrium(leader, customers())
 	if err != nil {
 		return nil, fmt.Errorf("market: priming equilibrium: %w", err)
@@ -172,7 +154,7 @@ func NewController(cfg Config) (*Controller, error) {
 // demandIndex normalizes observed demand into the [0.25, 4] scale factor
 // applied to the follower population's Value.
 func (c *Controller) demandIndex(demand float64) float64 {
-	idx := demand / c.cfg.DemandRef
+	idx := demand / c.demandRef
 	if idx < 0.25 {
 		return 0.25
 	}
@@ -185,8 +167,8 @@ func (c *Controller) demandIndex(demand float64) float64 {
 // multiplier maps utilization to the congestion price multiplier: 1 below
 // the threshold, then 1 + congestionGain·(u−thr)/(1−thr) capped at
 // maxMultiplier.
-func (c *Controller) multiplier(u float64) float64 {
-	thr := c.cfg.CongestionThreshold
+func multiplier(u float64) float64 {
+	const thr = congestionThreshold
 	if u < thr {
 		return 1
 	}
@@ -217,7 +199,7 @@ func (c *Controller) Reprice(s Sample) (Quote, error) {
 	} else if u > 1 {
 		u = 1
 	}
-	mult := c.multiplier(u)
+	mult := multiplier(u)
 	target := eq.Price * mult
 	price := (1-smoothing)*c.quote.Price + smoothing*target
 
@@ -225,7 +207,7 @@ func (c *Controller) Reprice(s Sample) (Quote, error) {
 		Price:       price,
 		BasePrice:   eq.Price,
 		Multiplier:  mult,
-		Congested:   u >= c.cfg.CongestionThreshold,
+		Congested:   u >= congestionThreshold,
 		Utilization: u,
 		Adoption:    eq.TotalTraffic,
 		Tick:        c.ticks.Add(1),
@@ -238,25 +220,13 @@ func (c *Controller) Reprice(s Sample) (Quote, error) {
 // Price returns the current published price. Lock-free.
 func (c *Controller) Price() float64 { return c.price.load() }
 
-// Congested reports whether the last reprice saw utilization at or above
-// the congestion threshold. Lock-free.
-func (c *Controller) Congested() bool { return c.congested.Load() }
-
-// Quote returns the full pricing state from the last reprice.
-func (c *Controller) Quote() Quote {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quote
-}
-
 // Ticks returns the number of reprices run.
 func (c *Controller) Ticks() uint64 { return c.ticks.Load() }
 
-// Plane is the economics plane as one value: the controller, the admission
-// gate it prices, the settlement engine, and the window that paces settlement
-// on the controller's tick clock. Its drivers — brokerd's econ loop,
-// loadgen's scenario clock and Simulate — only sample their serving stack and
-// call Tick.
+// Plane is the market as one value: the controller, the admission gate it
+// prices, the settlement engine, and the window that paces settlement on the
+// controller's tick clock. Its driver, Simulate, only samples its scenario
+// and calls Tick.
 type Plane struct {
 	Ctrl *Controller
 	Adm  *Admission
@@ -265,10 +235,11 @@ type Plane struct {
 	window uint64
 }
 
-// NewPlane builds a plane over cfg whose settlement engine draws from seed
-// and closes a window every window (>= 1) ticks.
-func NewPlane(cfg Config, seed int64, window int) (*Plane, error) {
-	ctrl, err := NewController(cfg)
+// NewPlane builds a plane whose controller indexes demand against demandRef,
+// whose settlement engine draws from seed, and which closes a window every
+// window (>= 1) ticks.
+func NewPlane(demandRef float64, seed int64, window int) (*Plane, error) {
+	ctrl, err := NewController(demandRef)
 	if err != nil {
 		return nil, err
 	}
@@ -287,9 +258,6 @@ func (p *Plane) Tick(s Sample) (Quote, error) {
 	}
 	return q, err
 }
-
-// Settle closes the open window now, whatever it holds.
-func (p *Plane) Settle() Record { return p.Set.Settle(p.Adm.DrainRevenue(), p.Ctrl.Ticks()) }
 
 // Close settles the partial window at the end of a run, when it took in
 // revenue or carried traffic, so every unit lands in the ledger.

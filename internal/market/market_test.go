@@ -7,12 +7,16 @@ import (
 
 func newTestController(t *testing.T) *Controller {
 	t.Helper()
-	ctrl, err := NewController(Config{DemandRef: 64})
+	ctrl, err := NewController(64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ctrl
 }
+
+// Congested reports whether the last reprice saw utilization at or above the
+// congestion threshold: the state Admit branches on.
+func (c *Controller) Congested() bool { return c.congested.Load() }
 
 func TestControllerPrimesPositivePrice(t *testing.T) {
 	ctrl := newTestController(t)

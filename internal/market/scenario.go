@@ -10,9 +10,8 @@ import (
 // ScenarioSpec is a seeded, replayable economics scenario: a synthetic
 // demand trace driven tick-by-tick through a real Plane. Simulate is
 // single-threaded and uses one seeded RNG, so the same spec and seed always
-// produce the same price trajectory and a bitwise-identical ledger — CI
-// asserts this under -race. cmd/loadgen's -econ mode runs the same spec's
-// steps (SampleAt, DefectorAt, Bid) against concurrent workers.
+// produce the same price trajectory and a bitwise-identical ledger
+// (TestScenarioDeterminism, TestSimulateGolden).
 type ScenarioSpec struct {
 	// Name labels the scenario ("price-shock", "free-rider",
 	// "broker-defection", or custom).
@@ -73,7 +72,8 @@ func (s *ScenarioSpec) defaults() {
 	}
 }
 
-// Scenario names understood by DefaultScenario and loadgen -econ.
+// Scenario names understood by DefaultScenario, the rows of experiments
+// ext-market.
 const (
 	ScenarioPriceShock = "price-shock"
 	ScenarioFreeRider  = "free-rider"
@@ -135,8 +135,11 @@ func (s *ScenarioSpec) DefectorAt(t int, set *Settlement) int32 {
 	if s.DefectTick <= 0 || t != s.DefectTick {
 		return -1
 	}
-	rec, _ := set.LastRecord()
-	return rec.TopBroker()
+	var last Record
+	if ledger := set.Records(); len(ledger) > 0 {
+		last = ledger[len(ledger)-1]
+	}
+	return last.TopBroker()
 }
 
 // Bid draws one request's bid against the posted price: zero with
@@ -172,7 +175,7 @@ type SimResult struct {
 // read clearly in tests.
 func Simulate(spec ScenarioSpec, seed int64) (*SimResult, error) {
 	spec.defaults()
-	p, err := NewPlane(Config{DemandRef: spec.BaseDemand}, seed, spec.WindowTicks)
+	p, err := NewPlane(spec.BaseDemand, seed, spec.WindowTicks)
 	if err != nil {
 		return nil, err
 	}

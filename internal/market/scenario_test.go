@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestScenarioDeterminism is the acceptance gate for the economics plane's
+// TestScenarioDeterminism is the acceptance gate for the market's
 // replayability: the fixed-seed price-shock scenario must produce the same
 // price trajectory and a bitwise-identical settlement ledger across two
 // runs (CI runs this under -race), and every settlement must conserve

@@ -358,24 +358,6 @@ func (s *Settlement) Records() []Record {
 	return append([]Record(nil), s.records...)
 }
 
-// LastRecord returns the most recent settlement (ok=false on an empty
-// ledger).
-func (s *Settlement) LastRecord() (Record, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.records) == 0 {
-		return Record{}, false
-	}
-	return s.records[len(s.records)-1], true
-}
-
-// Windows returns the number of settled windows.
-func (s *Settlement) Windows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window
-}
-
 // PendingUnits returns the traffic units accumulated in the open window.
 func (s *Settlement) PendingUnits() float64 {
 	s.mu.Lock()

@@ -102,8 +102,8 @@ func TestSettleWindowsResetAccumulator(t *testing.T) {
 	if math.Abs(r1.Share(6)-10) > 1e-9 {
 		t.Fatalf("broker 6 share %g, want 10", r1.Share(6))
 	}
-	if set.Windows() != 2 {
-		t.Fatalf("windows %d, want 2", set.Windows())
+	if n := len(set.Records()); n != 2 {
+		t.Fatalf("windows %d, want 2", n)
 	}
 }
 
@@ -131,9 +131,9 @@ func TestTopBroker(t *testing.T) {
 
 // The conservation check scales with the window: at 1e8 of revenue one ulp
 // is 1.5e-8, so the re-added splits can sit an ulp off the revenue after the
-// residual fold, and a fast box takes in that much in one price-shock window
-// (loadgen -econ-assert failed on exactly this). An ulp passes; a cent does
-// not.
+// residual fold, and a fast box driving the price shock live once took in
+// that much in one window (its conservation assert failed on exactly this).
+// An ulp passes; a cent does not.
 func TestCheckConservationScalesWithRevenue(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

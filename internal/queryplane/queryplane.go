@@ -25,38 +25,6 @@ import (
 // rejected to protect latency (HTTP layers should map it to 429).
 var ErrShed = errors.New("queryplane: overloaded, query shed")
 
-// ErrPriceRejected is the errors.Is target for priced-admission refusals:
-// the plane is congested and the query's bid was below the current price.
-// HTTP layers map it to 429 and should attach the quote from PriceError.
-var ErrPriceRejected = errors.New("queryplane: bid below current price")
-
-// PriceError is the concrete priced-admission refusal, carrying the quote
-// the bidder must meet. It matches ErrPriceRejected under errors.Is.
-type PriceError struct {
-	// Quote is the congestion-adjusted price at refusal time.
-	Quote float64
-}
-
-func (e *PriceError) Error() string {
-	return fmt.Sprintf("queryplane: bid below current price (quote %.6g)", e.Quote)
-}
-
-// Is reports target == ErrPriceRejected so callers can branch without
-// depending on the concrete type.
-func (e *PriceError) Is(target error) bool { return target == ErrPriceRejected }
-
-// Admission is the priced-admission hook: given the caller's bid (0 for a
-// legacy bidless query), it decides whether to admit and returns the
-// current quote. Implementations must be safe for concurrent use and
-// cheap — Admit runs on the query hot path before the cache lookup, so it
-// should be a few atomic loads, not a pricing computation. The economics
-// contract (market.Admission implements it): below the congestion
-// threshold everything is admitted, bids included zero; above it a query
-// is admitted iff its bid meets the congestion-adjusted price.
-type Admission interface {
-	Admit(bid float64) (admitted bool, quote float64)
-}
-
 // ComputeFunc resolves a cache miss. Implementations must be safe for
 // concurrent calls (the caller typically wraps the routing engine in a
 // read lock) and should respect ctx cancellation for long computations.
@@ -106,12 +74,9 @@ type Stats struct {
 	// HitsDominated counts hits on a query with a bandwidth floor served
 	// from the entry of the same query without it, whose path had the
 	// bandwidth (subset of Hits).
-	HitsDominated uint64 `json:"hits_dominated"`
-	Dedup         uint64 `json:"dedup"`
-	Shed          uint64 `json:"shed"`
-	// PriceRejected counts queries refused by priced admission (bid below
-	// the congestion-adjusted price); zero unless the plane has an Admission.
-	PriceRejected uint64        `json:"price_rejected"`
+	HitsDominated uint64        `json:"hits_dominated"`
+	Dedup         uint64        `json:"dedup"`
+	Shed          uint64        `json:"shed"`
 	Errors        uint64        `json:"errors"`
 	Evictions     uint64        `json:"evictions"`
 	Inflight      int64         `json:"inflight"`
@@ -126,10 +91,7 @@ type Stats struct {
 // QueryPlane serves path queries through the cache/singleflight/worker-pool
 // stack. All methods are safe for concurrent use.
 type QueryPlane struct {
-	cfg Config
-	// adm, when non-nil, gates every query (QueryBid's bid, 0 for Query)
-	// through priced admission before the cache is consulted.
-	adm     Admission
+	cfg     Config
 	cache   *Cache
 	flights flightGroup
 	sem     chan struct{} // worker slots; cap(sem) is the pool size
@@ -147,7 +109,6 @@ type QueryPlane struct {
 	missesStale   atomic.Uint64
 	dedup         atomic.Uint64
 	shed          atomic.Uint64
-	priceRej      atomic.Uint64
 	errs          atomic.Uint64
 	inflight      atomic.Int64
 	waiting       atomic.Int64
@@ -159,14 +120,13 @@ func New(cfg Config) (*QueryPlane, error) {
 	if cfg.Compute == nil || cfg.Generation == nil || cfg.Revalidate == nil {
 		return nil, fmt.Errorf("queryplane: Config.Compute, Generation and Revalidate are required")
 	}
-	return build(cfg, nil), nil
+	return build(cfg), nil
 }
 
-func build(cfg Config, adm Admission) *QueryPlane {
+func build(cfg Config) *QueryPlane {
 	workers := runtime.GOMAXPROCS(0)
 	return &QueryPlane{
 		cfg:        cfg,
-		adm:        adm,
 		cache:      NewCache(cacheShards, cacheCapacity),
 		sem:        make(chan struct{}, workers),
 		queueDepth: queuePerWorker * workers,
@@ -182,9 +142,8 @@ func build(cfg Config, adm Admission) *QueryPlane {
 // path checks out against the snapshot of the very epoch the lookup read —
 // when a publish lands between the two the entry stays stale and the next
 // query settles it, rather than being stamped with a generation it was not
-// checked against. adm, when non-nil, gates every query through priced
-// admission; refusals return a *PriceError and count in Stats.PriceRejected.
-func Over(pub *epoch.Publisher, adm Admission) *QueryPlane {
+// checked against.
+func Over(pub *epoch.Publisher) *QueryPlane {
 	return build(Config{
 		Compute: func(ctx context.Context, src, dst int, opts routing.Options) (*routing.Path, error) {
 			if err := ctx.Err(); err != nil {
@@ -197,31 +156,14 @@ func Over(pub *epoch.Publisher, adm Admission) *QueryPlane {
 			snap := pub.Current()
 			return snap.ID() == gen && snap.PathValid(p, opts)
 		},
-	}, adm)
+	})
 }
 
 // Query answers a path query: cache hit, joined in-flight computation, or a
 // fresh computation on the worker pool. cached reports a cache hit (the
 // result was served without any computation on behalf of this caller).
-// Equivalent to QueryBid with a zero bid — with priced admission wired,
-// zero-bid traffic is still admitted whenever the plane is uncongested.
 func (q *QueryPlane) Query(ctx context.Context, src, dst int, opts routing.Options) (path *routing.Path, cached bool, err error) {
-	return q.QueryBid(ctx, src, dst, opts, 0)
-}
-
-// QueryBid is Query with an economic bid attached: when the plane has an
-// Admission, the bid is compared against the congestion-adjusted price
-// before any cache or compute work happens, and a losing bid returns a
-// *PriceError carrying the quote. With none the bid is ignored.
-func (q *QueryPlane) QueryBid(ctx context.Context, src, dst int, opts routing.Options, bid float64) (path *routing.Path, cached bool, err error) {
 	start := time.Now()
-	if adm := q.adm; adm != nil {
-		if ok, quote := adm.Admit(bid); !ok {
-			q.queries.Add(1)
-			q.priceRej.Add(1)
-			return nil, false, &PriceError{Quote: quote}
-		}
-	}
 	ctx, span := obs.StartSpan(ctx, "queryplane.query")
 	defer span.End()
 	q.queries.Add(1)
@@ -254,6 +196,13 @@ func (q *QueryPlane) QueryBid(ctx context.Context, src, dst int, opts routing.Op
 		q.errs.Add(1)
 	}
 	return path, false, err
+}
+
+// QueryBid is Query; the bid is ignored. Its one caller is
+// cmd/benchsuite/stack.go, which the benchmark contract freezes, and the
+// method goes when ROADMAP item 19 deletes that file.
+func (q *QueryPlane) QueryBid(ctx context.Context, src, dst int, opts routing.Options, _ float64) (*routing.Path, bool, error) {
+	return q.Query(ctx, src, dst, opts)
 }
 
 // Resolve answers a path query for an INTERNAL caller — the control
@@ -397,22 +346,6 @@ func (q *QueryPlane) acquireSlot(ctx context.Context) error {
 	}
 }
 
-// Occupancy reports how full the compute stage is, in [0,1]: in-flight
-// computations plus queued waiters over the worker-pool-plus-queue
-// capacity. The market controller samples it as the utilization input to
-// congestion pricing — 1.0 here is exactly the point where bidless
-// shedding would begin.
-func (q *QueryPlane) Occupancy() float64 {
-	occ := float64(q.inflight.Load()+q.waiting.Load()) / float64(cap(q.sem)+q.queueDepth)
-	if occ < 0 {
-		return 0
-	}
-	if occ > 1 {
-		return 1
-	}
-	return occ
-}
-
 // RetryAfter estimates how long a shed caller should wait before retrying:
 // roughly the time for the full wait queue to drain through the worker
 // pool at the observed p95 compute latency, floored at one second (the
@@ -449,7 +382,6 @@ func (q *QueryPlane) Stats() Stats {
 		MissesInvalidated: q.missesStale.Load(),
 		Dedup:             q.dedup.Load(),
 		Shed:              q.shed.Load(),
-		PriceRejected:     q.priceRej.Load(),
 		Errors:            q.errs.Load(),
 		Evictions:         q.cache.Evictions(),
 		Inflight:          q.inflight.Load(),
@@ -483,7 +415,6 @@ func (q *QueryPlane) RegisterMetrics(reg *obs.Registry) {
 			{"queryplane_misses_invalidated_total", "misses caused by generation invalidation", obs.KindCounter, float64(s.MissesInvalidated)},
 			{"queryplane_dedup_total", "queries joined to an in-flight computation", obs.KindCounter, float64(s.Dedup)},
 			{"queryplane_shed_total", "queries shed under overload", obs.KindCounter, float64(s.Shed)},
-			{"queryplane_price_rejected_total", "queries refused by priced admission (bid below quote)", obs.KindCounter, float64(s.PriceRejected)},
 			{"queryplane_errors_total", "queries that failed", obs.KindCounter, float64(s.Errors)},
 			{"queryplane_evictions_total", "cache entries evicted", obs.KindCounter, float64(s.Evictions)},
 			{"queryplane_inflight", "computations currently running", obs.KindGauge, float64(s.Inflight)},

@@ -28,11 +28,6 @@ type Outcome struct {
 	// Shed reports the server rejected the query under overload (429) and
 	// the retry budget, if any, was exhausted.
 	Shed bool
-	// PriceRejected reports the economics plane refused the query because
-	// its bid was below the congestion-adjusted price (429 with an econ
-	// quote). Quote carries the posted price from the refusal.
-	PriceRejected bool
-	Quote         float64
 	// Retries counts 429-triggered re-issues of this query (each after
 	// honoring the server's Retry-After, bounded by the target's cap).
 	Retries int
@@ -78,19 +73,16 @@ type Report struct {
 	Shed     int `json:"shed"`
 	// ShedByRegion breaks Shed down by the federation region that refused
 	// (key -1 collects local/unknown sheds); empty on non-federated runs.
-	ShedByRegion map[int]int `json:"shed_by_region,omitempty"`
-	// PriceRejected counts queries the economics plane priced out (bid
-	// below the congestion-adjusted quote); zero on non-econ runs.
-	PriceRejected int           `json:"price_rejected,omitempty"`
-	Retries       int           `json:"retries"`
-	NotFound      int           `json:"not_found"`
-	Hits          int           `json:"cache_hits"`
-	Elapsed       time.Duration `json:"elapsed_ns"`
-	QPS           float64       `json:"qps"`
-	HitRate       float64       `json:"hit_rate"`
-	P50           time.Duration `json:"p50_ns"`
-	P95           time.Duration `json:"p95_ns"`
-	P99           time.Duration `json:"p99_ns"`
+	ShedByRegion map[int]int   `json:"shed_by_region,omitempty"`
+	Retries      int           `json:"retries"`
+	NotFound     int           `json:"not_found"`
+	Hits         int           `json:"cache_hits"`
+	Elapsed      time.Duration `json:"elapsed_ns"`
+	QPS          float64       `json:"qps"`
+	HitRate      float64       `json:"hit_rate"`
+	P50          time.Duration `json:"p50_ns"`
+	P95          time.Duration `json:"p95_ns"`
+	P99          time.Duration `json:"p99_ns"`
 
 	// Churn-under-load fields (filled by loadgen -churn-every from the
 	// daemon's healer; zero otherwise). ChurnBursts counts churn bursts;
@@ -104,10 +96,6 @@ type Report struct {
 	Availability float64       `json:"availability,omitempty"`
 	RepairP50    time.Duration `json:"repair_p50_ns,omitempty"`
 	RepairP95    time.Duration `json:"repair_p95_ns,omitempty"`
-
-	// Econ, when non-nil, summarizes the economics plane's view of the run
-	// (filled by loadgen -econ from the live market stack).
-	Econ *EconSummary `json:"econ,omitempty"`
 
 	// Slowest holds the run's K slowest requests, slowest first (empty
 	// unless Config.SlowK was set).
@@ -137,18 +125,6 @@ func insertSlow(slow []SlowRequest, r SlowRequest, k int) []SlowRequest {
 		slow[min] = r
 	}
 	return slow
-}
-
-// EconSummary is the market-side tally of an econ-enabled run: what the
-// admission gate saw, what it collected, and where the price ended up.
-type EconSummary struct {
-	Scenario      string  `json:"scenario,omitempty"`
-	Admitted      uint64  `json:"admitted"`
-	AdmittedFree  uint64  `json:"admitted_free"`
-	PriceRejected uint64  `json:"price_rejected"`
-	Revenue       float64 `json:"revenue"`
-	LastPrice     float64 `json:"last_price"`
-	Settlements   int     `json:"settlements"`
 }
 
 // String renders the report in loadgen's human output format.
@@ -183,10 +159,6 @@ func (r *Report) String() string {
 			r.ChurnBursts, 100*r.Availability,
 			r.RepairP50.Round(time.Microsecond), r.RepairP95.Round(time.Microsecond))
 	}
-	if e := r.Econ; e != nil {
-		fmt.Fprintf(&b, "\necon:     admitted=%d (free=%d) price-rejected=%d shed=%d revenue=%.3f last-price=%.4f settlements=%d",
-			e.Admitted, e.AdmittedFree, e.PriceRejected, r.Shed, e.Revenue, e.LastPrice, e.Settlements)
-	}
 	if len(r.Slowest) > 0 {
 		b.WriteString("\nslowest:")
 		for _, s := range r.Slowest {
@@ -216,9 +188,9 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 		cfg.Duration = 5 * time.Second
 	}
 	type workerStats struct {
-		requests, errors, shed, priceRej, retries, notFound, hits int
-		shedBy                                                    map[int]int
-		slow                                                      []SlowRequest
+		requests, errors, shed, retries, notFound, hits int
+		shedBy                                          map[int]int
+		slow                                            []SlowRequest
 	}
 	var (
 		wg      sync.WaitGroup
@@ -267,8 +239,6 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 				switch {
 				case err != nil:
 					st.errors++
-				case out.PriceRejected:
-					st.priceRej++
 				case out.Shed:
 					st.shed++
 					if st.shedBy == nil {
@@ -297,7 +267,6 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 		rep.Requests += stats[i].requests
 		rep.Errors += stats[i].errors
 		rep.Shed += stats[i].shed
-		rep.PriceRejected += stats[i].priceRej
 		rep.Retries += stats[i].retries
 		rep.NotFound += stats[i].notFound
 		rep.Hits += stats[i].hits
@@ -325,8 +294,7 @@ func Run(target Target, newGen pairSource, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// PlaneTarget drives an in-process query plane directly (no HTTP). Its
-// queries bid zero, the free-rider tier of the priced admission gate.
+// PlaneTarget drives an in-process query plane directly (no HTTP).
 type PlaneTarget struct {
 	Plane *queryplane.QueryPlane
 	Opts  routing.Options
@@ -345,12 +313,9 @@ func (t *PlaneTarget) Query(src, dst int32) (Outcome, error) {
 		trace = span.TraceID
 		defer span.End()
 	}
-	_, cached, err := t.Plane.QueryBid(ctx, int(src), int(dst), t.Opts, 0)
+	_, cached, err := t.Plane.Query(ctx, int(src), int(dst), t.Opts)
 	if err != nil {
-		var pe *queryplane.PriceError
 		switch {
-		case errors.As(err, &pe):
-			return Outcome{PriceRejected: true, Quote: pe.Quote, TraceID: trace}, nil
 		case errors.Is(err, queryplane.ErrShed):
 			return Outcome{Shed: true, ShedRegion: -1, TraceID: trace}, nil
 		// A clean routing miss is a valid outcome, not a target failure.
@@ -365,8 +330,7 @@ func (t *PlaneTarget) Query(src, dst int32) (Outcome, error) {
 // HTTPTarget drives a live brokerd over its /path endpoint. Cache hits are
 // detected from the X-Cache response header. 429 shed responses are
 // retried up to MaxRetries times, honoring the server's Retry-After header
-// bounded by MaxRetryWait per attempt. Queries carry no bid: the zero-bid
-// tier on econ-enabled servers.
+// bounded by MaxRetryWait per attempt.
 type HTTPTarget struct {
 	// Base is the server root, e.g. "http://localhost:8080".
 	Base string
@@ -447,13 +411,6 @@ func (t *HTTPTarget) Query(src, dst int32) (Outcome, error) {
 			out.Found, out.Cached = true, header.Get("X-Cache") == "hit"
 		case http.StatusNotFound:
 		case http.StatusTooManyRequests:
-			// An econ refusal carries the posted price in X-Econ-Price.
-			// Retrying with the same bid cannot succeed, so it is terminal.
-			if v := header.Get("X-Econ-Price"); v != "" {
-				out.PriceRejected = true
-				out.Quote, _ = strconv.ParseFloat(v, 64)
-				break
-			}
 			// A federated 429 names the region that refused via X-Shed-Region;
 			// a local shed (or a plain brokerd) leaves it unset.
 			out.Shed, out.ShedRegion = true, -1

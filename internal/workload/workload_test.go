@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,7 +124,7 @@ func TestRunAgainstPlaneTarget(t *testing.T) {
 	pub := epoch.NewPublisher(epoch.NewSnapshot(epoch.SnapshotData{
 		Top: top, Live: top.Graph, Brokers: brokers, View: routing.DefaultMetrics(top, nil).View(),
 	}))
-	qp := queryplane.Over(pub, nil)
+	qp := queryplane.Over(pub)
 	target := &PlaneTarget{Plane: qp}
 	newGen := func(w int) (*PairGen, error) { return NewPairGen(top, 1.3, int64(w)*13+1) }
 	rep, err := Run(target, newGen, Config{Concurrency: 4, Requests: 600, Seed: 1})
@@ -149,40 +148,5 @@ func TestRunValidation(t *testing.T) {
 	bad := func(w int) (*PairGen, error) { return nil, fmt.Errorf("boom") }
 	if _, err := Run(&fakeTarget{}, bad, Config{Concurrency: 1, Requests: 1}); err == nil {
 		t.Fatal("generator error swallowed")
-	}
-}
-
-// pricedTarget refuses every third query as priced-out.
-type pricedTarget struct{ calls atomic.Int64 }
-
-func (p *pricedTarget) Query(src, dst int32) (Outcome, error) {
-	if p.calls.Add(1)%3 == 0 {
-		return Outcome{PriceRejected: true, Quote: 1.25}, nil
-	}
-	return Outcome{Found: true}, nil
-}
-
-func TestRunCountsPriceRejections(t *testing.T) {
-	top := testTop(t)
-	newGen := func(w int) (*PairGen, error) { return NewPairGen(top, 1.2, int64(w)+1) }
-	rep, err := Run(&pricedTarget{}, newGen, Config{Concurrency: 3, Requests: 300, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PriceRejected != 100 {
-		t.Fatalf("price rejected = %d, want 100", rep.PriceRejected)
-	}
-	if rep.Shed != 0 || rep.Errors != 0 {
-		t.Fatalf("price rejections leaked into shed/errors: %+v", rep)
-	}
-	// The econ summary line only renders when loadgen attaches one.
-	if s := rep.String(); strings.Contains(s, "econ:") {
-		t.Fatalf("econ line rendered without a summary:\n%s", s)
-	}
-	rep.Econ = &EconSummary{
-		Admitted: 200, PriceRejected: 100, Revenue: 42.5, LastPrice: 1.25, Settlements: 3,
-	}
-	if s := rep.String(); !strings.Contains(s, "econ:") || !strings.Contains(s, "price-rejected=100") {
-		t.Fatalf("econ summary line missing:\n%s", s)
 	}
 }

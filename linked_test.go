@@ -32,7 +32,6 @@ var unlinked = map[string]string{
 	"experiments.Suite.K1000":            "cross-package reference: the root benchmarks in bench_test.go size themselves with it",
 	"federation.Fabric.Heal":             "cross-package test fixture: daemon/federation_test.go heals the fabric directly",
 	"graph.Builder.MustBuild":            "cross-package test fixture: hand-built graphs in most packages' tests",
-	"market.Simulate":                    "reserved by ROADMAP item 23: the market scenarios become an experiment or go",
 	"routing.Metrics.Available":          "cross-package test fixture: ctrlplane/batch_test.go and queryplane/dominance_test.go read residuals",
 	"routing.Metrics.SetCapacity":        "cross-package test fixture: handcrafted thin links in ctrlplane, churn and federation tests",
 	"routing.Metrics.SetLatency":         "cross-package test fixture: handcrafted latencies in ctrlplane, churn and federation tests",
