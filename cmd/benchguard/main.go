@@ -1,10 +1,12 @@
 // Command benchguard compares `go test -bench` output against a committed
 // baseline and fails on regression. It reads benchmark output from stdin,
 // extracts ns/op (and, under -benchmem, B/op, and any custom byte metric a
-// benchmark reports with a unit ending in "-B") per benchmark, taking the best
-// of repeated -count runs to damp scheduler noise, and exits 1 if any
-// benchmark named in the baseline is missing from the output or slower — or,
-// where the baseline says, hungrier — than baseline × max-ratio.
+// benchmark reports with a unit ending in "-B" or count with one ending in
+// "/op") per benchmark, taking the best of repeated -count runs to damp
+// scheduler noise, and exits 1 if any benchmark named in the baseline is
+// missing from the output or slower — or, where the baseline says, hungrier
+// — than baseline × max-ratio, or does more counted work than its baseline
+// allows.
 //
 // CI uses it as a contention smoke test for the lock-free query path:
 //
@@ -24,6 +26,13 @@
 // how long it took:
 //
 //	{"BenchmarkTable2Resident/flat": {"metrics": {"live-B": 62000000, "ctrlplane-B": 11000000}}}
+//
+// And it may guard work counts — custom units ending in "/op" other than
+// B/op and allocs/op, such as candidates scored per churn post. A count does
+// not depend on the machine, so it is held to countRatio rather than
+// -max-ratio:
+//
+//	{"BenchmarkTable2ChurnPost": {"ns_per_op": 9500000, "counts": {"scored/op": 6000}}}
 //
 // Ratios compare the same benchmark across commits, so the guard tolerates
 // absolute speed differences between machines as long as the baseline was
@@ -56,9 +65,17 @@ type baselineEntry struct {
 	// "-B") by the same ratio; a unit the output lacks fails. An entry with
 	// metrics may leave ns_per_op out.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Counts guards work counts (b.ReportMetric units ending in "/op") at
+	// countRatio; a unit the output lacks fails.
+	Counts map[string]float64 `json:"counts,omitempty"`
 	// Note is free-form provenance (machine, date, commit) and is ignored.
 	Note string `json:"note,omitempty"`
 }
+
+// countRatio bounds every guarded work count. A count is the same on any
+// machine, so it needs no room for runner speed: 5 % lets small deliberate
+// changes through and stops a lost filter or a doubled pass.
+const countRatio = 1.05
 
 // benchLine matches one result line of go test -bench output, e.g.
 //
@@ -68,12 +85,12 @@ type baselineEntry struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op(?:.*?\s([0-9.eE+]+) B/op)?`)
 
 // measurement is the best (minimum) of each unit over a benchmark's runs;
-// hasBytes is false when no run reported B/op, and metrics holds the custom
-// byte metrics by unit.
+// hasBytes is false when no run reported B/op, metrics holds the custom
+// byte metrics by unit and counts the custom per-op counts.
 type measurement struct {
-	ns, bytes float64
-	hasBytes  bool
-	metrics   map[string]float64
+	ns, bytes       float64
+	hasBytes        bool
+	metrics, counts map[string]float64
 }
 
 // parseBench extracts the best ns/op and B/op per benchmark name from
@@ -105,22 +122,27 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			}
 		}
 		// After the name and the iteration count a result line is value/unit
-		// pairs; a unit ending in -B is a custom byte metric.
+		// pairs; a unit ending in -B is a custom byte metric, and one ending
+		// in /op, past the three go test reports itself, a count.
 		fields := strings.Fields(sc.Text())
 		for i := 2; i+1 < len(fields); i += 2 {
-			unit := fields[i+1]
-			if !strings.HasSuffix(unit, "-B") {
+			unit, into := fields[i+1], &cur.metrics
+			switch {
+			case strings.HasSuffix(unit, "-B"):
+			case strings.HasSuffix(unit, "/op") && unit != "ns/op" && unit != "B/op" && unit != "allocs/op":
+				into = &cur.counts
+			default:
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("benchguard: bad %s on %q: %v", unit, sc.Text(), err)
 			}
-			if cur.metrics == nil {
-				cur.metrics = make(map[string]float64)
+			if *into == nil {
+				*into = make(map[string]float64)
 			}
-			if old, seen := cur.metrics[unit]; !seen || v < old {
-				cur.metrics[unit] = v
+			if old, seen := (*into)[unit]; !seen || v < old {
+				(*into)[unit] = v
 			}
 		}
 		best[m[1]] = cur
@@ -140,16 +162,17 @@ func check(baseline map[string]baselineEntry, measured map[string]measurement, m
 		base := baseline[name]
 		m, ok := measured[name]
 		var bad, good []string
-		guard := func(unit, format string, got, want float64) {
+		guardAt := func(ratio float64, unit, format string, got, want float64) {
 			line := fmt.Sprintf(format+" %s vs baseline "+format+" (%.2fx", got, unit, want, got/want)
-			if got > want*maxRatio {
-				bad = append(bad, fmt.Sprintf("%s > %.2fx allowed)", line, maxRatio))
+			if got > want*ratio {
+				bad = append(bad, fmt.Sprintf("%s > %.2fx allowed)", line, ratio))
 			} else {
 				good = append(good, line+")")
 			}
 		}
+		guard := func(unit, format string, got, want float64) { guardAt(maxRatio, unit, format, got, want) }
 		switch {
-		case base.NsPerOp <= 0 && len(base.Metrics) == 0:
+		case base.NsPerOp <= 0 && len(base.Metrics) == 0 && len(base.Counts) == 0:
 			bad = append(bad, fmt.Sprintf("baseline ns_per_op %v not positive", base.NsPerOp))
 		case !ok:
 			bad = append(bad, "not found in benchmark output")
@@ -178,6 +201,23 @@ func check(baseline map[string]baselineEntry, measured map[string]measurement, m
 					bad = append(bad, fmt.Sprintf("metric %s not found in benchmark output", unit))
 				default:
 					guard(unit, "%.0f", got, want)
+				}
+			}
+			counts := make([]string, 0, len(base.Counts))
+			for unit := range base.Counts {
+				counts = append(counts, unit)
+			}
+			sort.Strings(counts)
+			for _, unit := range counts {
+				want := base.Counts[unit]
+				got, has := m.counts[unit]
+				switch {
+				case want <= 0:
+					bad = append(bad, fmt.Sprintf("baseline count %q: %v (want a positive count)", unit, want))
+				case !has:
+					bad = append(bad, fmt.Sprintf("count %s not found in benchmark output", unit))
+				default:
+					guardAt(countRatio, unit, "%.0f", got, want)
 				}
 			}
 		}

@@ -142,3 +142,40 @@ func TestByteMetrics(t *testing.T) {
 		t.Fatalf("a byte-guarded benchmark missing from the output passed")
 	}
 }
+
+const churnOutput = `BenchmarkTable2ChurnPost 	      54	   5403495 ns/op	      6931 marked/op	      5996 scored/op	    251439 unions/op	 4093473 B/op	     216 allocs/op
+BenchmarkTable2ChurnPost 	      54	   5660470 ns/op	      6931 marked/op	      5990 scored/op	    251439 unions/op	 4093522 B/op	     216 allocs/op
+`
+
+// TestCounts: custom units ending in /op parse as counts (B/op and
+// allocs/op do not), best of the runs; an entry guards them at countRatio
+// whatever -max-ratio says, and fails when one is missing.
+func TestCounts(t *testing.T) {
+	measured, err := parseBench(strings.NewReader(churnOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := measured["BenchmarkTable2ChurnPost"]
+	wantCounts := map[string]float64{"marked/op": 6931, "scored/op": 5990, "unions/op": 251439}
+	if !reflect.DeepEqual(m.counts, wantCounts) || m.metrics != nil || m.bytes != 4093473 || m.ns != 5403495 {
+		t.Fatalf("parsed %+v, want counts %v, no byte metrics, best B/op and ns/op", m, wantCounts)
+	}
+	for _, c := range []struct {
+		name  string
+		entry baselineEntry
+		fails string
+	}{
+		{"within count ratio", baselineEntry{NsPerOp: 9.5e6, Counts: map[string]float64{"scored/op": 5800, "unions/op": 251439}}, ""},
+		{"count over its ratio, time well inside max-ratio", baselineEntry{NsPerOp: 9.5e6, Counts: map[string]float64{"scored/op": 5600}}, "scored/op"},
+		{"counts only", baselineEntry{Counts: map[string]float64{"marked/op": 6931}}, ""},
+		{"count missing", baselineEntry{Counts: map[string]float64{"finds/op": 1}}, "finds/op not found"},
+	} {
+		report, failed := check(map[string]baselineEntry{"BenchmarkTable2ChurnPost": c.entry}, measured, 3.0)
+		switch {
+		case c.fails == "" && (len(failed) != 0 || !strings.HasPrefix(report[0], "ok")):
+			t.Errorf("%s: failed %v: %s", c.name, failed, report[0])
+		case c.fails != "" && (len(failed) != 1 || !strings.Contains(report[0], c.fails)):
+			t.Errorf("%s: want a FAIL naming %q, got failed %v: %s", c.name, c.fails, failed, report[0])
+		}
+	}
+}

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"brokerset/internal/coverage"
 	"brokerset/internal/graph"
@@ -24,7 +25,8 @@ type RepairOptions struct {
 // repairRadius bounds the candidate pool to nodes within that many hops of
 // a blast node. Churn damage severs dominated paths at the failed
 // node/link; a replacement broker must dominate edges incident to the
-// damaged region, so it lies within two hops of it.
+// damaged region, so it lies within two hops of it. The repair marks the
+// radius-1 ball and tests the last hop per node it asks about (inRadius2).
 const repairRadius = 2
 
 // maxLocalPruneTrials caps the O(V+E) connectivity evaluations the
@@ -32,16 +34,56 @@ const repairRadius = 2
 const maxLocalPruneTrials = 32
 
 // repairScratch is what a repair pass needs in proportion to the graph: the
-// survivor union-find and the blast pool's BFS buffers (seen is the pool as a
-// node set). A churn healer repairs on every event burst, and on the Table-2
-// tier these are ~1.7 MB a pass, so they are pooled across passes.
+// survivor union-find, the radius-1 blast ball, the candidates and their
+// component-root lists. A churn healer repairs on every event burst, and on
+// the Table-2 tier the union-find alone is ~0.5 MB a pass, so they are
+// pooled across passes.
 type repairScratch struct {
-	inc                  coverage.Incremental
-	seen                 graph.Bitset
-	frontier, next, pool []int32
+	inc coverage.Incremental
+	// ball holds the blast seeds and their neighbours; mark is the
+	// candidates' dedupe set while they are collected and the just-added
+	// set during the prune.
+	ball, mark graph.Bitset
+	// cands are the nodes that can still gain; roots[ends[i-1]:ends[i]]
+	// are the distinct component roots cands[i] touched when last scored.
+	cands, roots, ends, outside []int32
+	// scored counts this repair's candidate scorings (RepairWork.Scored).
+	scored int64
 }
 
 var repairScratchPool = sync.Pool{New: func() any { return new(repairScratch) }}
+
+// RepairWork counts what MaintainIncremental has done, summed over every
+// call in the process. The Table-2 churn benchmark reports it per post, so
+// a change that makes a repair score, replay or mark more reads as a count
+// on any machine, not only as time on one.
+type RepairWork struct {
+	// Scored is candidate scorings over all growth rounds: a round-1
+	// neighbourhood read plus a cached-root re-read per later round.
+	Scored int64
+	// Probes is the component roots those scorings found
+	// (coverage.Incremental.Probes): a round-1 scoring reads 1+deg roots,
+	// a later one only its cached list.
+	Probes int64
+	// Unions is neighbour unions replaying survivors into the union-find,
+	// at the start and after each successful prune.
+	Unions int64
+	// Marked is the nodes marked into the radius-1 blast ball.
+	Marked int64
+}
+
+var repairWork struct{ scored, probes, unions, marked atomic.Int64 }
+
+// RepairWorkDone returns the RepairWork of every MaintainIncremental call
+// so far.
+func RepairWorkDone() RepairWork {
+	return RepairWork{
+		Scored: repairWork.scored.Load(),
+		Probes: repairWork.probes.Load(),
+		Unions: repairWork.unions.Load(),
+		Marked: repairWork.marked.Load(),
+	}
+}
 
 // MaintainIncremental repairs a broker set after a churn event whose blast
 // radius (the nodes whose incident topology changed: failed/joined nodes,
@@ -53,16 +95,19 @@ var repairScratchPool = sync.Pool{New: func() any { return new(repairScratch) }}
 //     sets touching the blast radius actually change, but union-find
 //     cannot delete, so survivors replay; this is still ~|B|/n of the
 //     full grow scan;
-//  2. restricts replacement candidates to the pool within repairRadius hops of
-//     the blast (a localized swap/add instead of a global argmax);
-//  3. prunes only pool-local brokers, capped at maxLocalPruneTrials
-//     connectivity evaluations.
+//  2. restricts replacement candidates to the nodes within repairRadius
+//     hops of the blast (a localized swap/add instead of a global argmax),
+//     and among those scores only the ones that can gain (collect, best);
+//  3. prunes only brokers within repairRadius of the blast, capped at
+//     maxLocalPruneTrials connectivity evaluations.
 //
-// If the localized repair cannot reach Target−Epsilon, quality has
-// degraded beyond the floor and it falls back to a full MaintainAvoiding
-// reselect (FullReselect is set on the result). The fallback preserves
-// MaintainAvoiding's contract, so MaintainIncremental never returns a set
-// worse than Epsilon below what full maintenance would certify.
+// The result is the one scoring every node within repairRadius each round
+// would give, field for field. If the localized repair cannot reach
+// Target−Epsilon, quality has degraded beyond the floor and it falls back
+// to a full MaintainAvoiding reselect (FullReselect is set on the result).
+// The fallback preserves MaintainAvoiding's contract, so MaintainIncremental
+// never returns a set worse than Epsilon below what full maintenance would
+// certify.
 func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts RepairOptions) (*MaintainResult, error) {
 	if opts.Target <= 0 || opts.Target > 1 {
 		return nil, fmt.Errorf("broker: target connectivity %f outside (0,1]", opts.Target)
@@ -80,6 +125,7 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	defer repairScratchPool.Put(sc)
 	inc := &sc.inc
 	inc.Reset(g)
+	var unions int64
 	for _, b := range old {
 		if int(b) < 0 || int(b) >= n || avoided(int(b)) {
 			res.Removed = append(res.Removed, b)
@@ -87,30 +133,29 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 		}
 		if !inc.InB(int(b)) {
 			inc.AddBroker(int(b))
+			unions += int64(g.Degree(int(b)))
 			res.Brokers = append(res.Brokers, b)
 		}
 	}
+	repairWork.unions.Add(unions)
+	repairWork.marked.Add(sc.markBall(g, blast))
 
-	// Localized growth: best positive-gain candidate from the blast pool
-	// each round, ties toward the smaller node id.
-	pool := sc.blastPool(g, blast, repairRadius)
-	for inc.Connectivity() < opts.Target {
-		best, bestGain := int32(-1), int64(0)
-		for _, u := range pool {
-			if inc.InB(int(u)) || avoided(int(u)) {
-				continue
+	// Localized growth: best positive-gain candidate within repairRadius of
+	// the blast each round, ties toward the smaller node id.
+	if inc.Connectivity() < opts.Target {
+		probes := inc.Probes()
+		sc.collect(g, avoided)
+		for inc.Connectivity() < opts.Target {
+			best := sc.best()
+			if best < 0 {
+				break // nothing left can gain
 			}
-			if gain := inc.Gain(int(u)); gain > bestGain ||
-				(gain == bestGain && gain > 0 && (best < 0 || u < best)) {
-				best, bestGain = u, gain
-			}
+			inc.AddBroker(int(best))
+			res.Brokers = append(res.Brokers, best)
+			res.Added = append(res.Added, best)
 		}
-		if best < 0 {
-			break // pool exhausted
-		}
-		inc.AddBroker(int(best))
-		res.Brokers = append(res.Brokers, best)
-		res.Added = append(res.Added, best)
+		repairWork.scored.Add(sc.scored)
+		repairWork.probes.Add(inc.Probes() - probes)
 	}
 	conn := inc.Connectivity()
 
@@ -126,63 +171,146 @@ func MaintainIncremental(g *graph.Graph, old []int32, blast []int32, opts Repair
 	}
 
 	// Localized prune: a replacement near the blast can make an old
-	// survivor in the same region redundant. Only pool-local brokers are
-	// candidates and the trial budget is capped, so this stays o(full).
+	// survivor in the same region redundant. Only brokers within
+	// repairRadius of the blast are candidates and the trial budget is
+	// capped, so this stays o(full).
 	if conn >= opts.Target {
-		pruneLocal(g, inc, res, opts.Target, sc.seen, &conn)
+		sc.pruneLocal(g, res, opts.Target, &conn)
 	}
 	res.Connectivity = conn
 	return res, nil
 }
 
-// blastPool returns the nodes within radius hops of any blast node, in
-// deterministic BFS order, and leaves them marked in sc.seen; both are sc's
-// buffers, valid until its next use. Out-of-range ids (departed nodes) still
-// seed the flood through their former neighbours if listed alongside them,
-// but are themselves skipped.
-func (sc *repairScratch) blastPool(g *graph.Graph, blast []int32, radius int) []int32 {
+// markBall sets sc.ball to the in-range blast seeds and their neighbours
+// and returns how many nodes it marked. Out-of-range ids (departed nodes)
+// are skipped; their former neighbours count only if listed alongside them.
+func (sc *repairScratch) markBall(g *graph.Graph, blast []int32) int64 {
 	n := g.NumNodes()
-	if len(sc.seen) == (n+63)>>6 {
-		sc.seen.Zero()
-	} else {
-		sc.seen = graph.NewBitset(n)
-	}
-	seen, frontier, next, pool := sc.seen, sc.frontier[:0], sc.next[:0], sc.pool[:0]
+	sc.ball = clearBits(sc.ball, n)
+	var marked int64
 	for _, u := range blast {
-		if u >= 0 && int(u) < n && seen.TestAndSet(u) {
-			frontier = append(frontier, u)
-			pool = append(pool, u)
+		if u < 0 || int(u) >= n {
+			continue
 		}
-	}
-	for d := 0; d < radius && len(frontier) > 0; d++ {
-		next = next[:0]
-		for _, u := range frontier {
-			for _, v := range g.Neighbors(int(u)) {
-				if seen.TestAndSet(v) {
-					next = append(next, v)
-					pool = append(pool, v)
-				}
+		if sc.ball.TestAndSet(u) {
+			marked++
+		}
+		for _, v := range g.Neighbors(int(u)) {
+			if sc.ball.TestAndSet(v) {
+				marked++
 			}
 		}
-		frontier, next = next, frontier
 	}
-	sc.frontier, sc.next, sc.pool = frontier, next, pool
-	return pool
+	return marked
 }
 
-// pruneLocal drops pool-local brokers (those in local) whose removal keeps
-// the target, spending at most maxLocalPruneTrials trials. inc is the
-// union-find of exactly res.Brokers, and is replayed in place as brokers go:
-// a trial whose RemovalUpperBound is already below the target is decided
+// clearBits returns b zeroed and sized for n bits, reusing its words.
+func clearBits(b graph.Bitset, n int) graph.Bitset {
+	if len(b) != (n+63)>>6 {
+		return graph.NewBitset(n)
+	}
+	b.Zero()
+	return b
+}
+
+// inRadius2 reports whether u is within two hops of an in-range blast seed:
+// in the radius-1 ball, or next to a node in it.
+func (sc *repairScratch) inRadius2(g *graph.Graph, u int32) bool {
+	if sc.ball.Has(u) {
+		return true
+	}
+	for _, v := range g.Neighbors(int(u)) {
+		if sc.ball.Has(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// collect gathers the first round's candidates and their component roots.
+// A node gains only if its closed neighbourhood touches two components, and
+// one of those is not the largest, so every node that can gain is in the
+// closed neighbourhood of a node outside the largest component. Of those,
+// the ones outside B, not avoided, within repairRadius of the blast and
+// touching two components are kept: exactly the nodes of the radius-2 pool
+// whose gain is positive.
+func (sc *repairScratch) collect(g *graph.Graph, avoided func(int) bool) {
+	inc := &sc.inc
+	sc.scored = 0
+	sc.mark = clearBits(sc.mark, g.NumNodes())
+	sc.cands, sc.roots, sc.ends = sc.cands[:0], sc.roots[:0], sc.ends[:0]
+	sc.outside = inc.AppendOutsideLargest(sc.outside[:0])
+	// consider keeps u if it can gain, reading each node once.
+	consider := func(u int32) {
+		if !sc.mark.TestAndSet(u) || inc.InB(int(u)) || avoided(int(u)) || !sc.inRadius2(g, u) {
+			return
+		}
+		sc.scored++
+		start := len(sc.roots)
+		if sc.roots = inc.AppendRoots(sc.roots, int(u)); len(sc.roots)-start < 2 {
+			sc.roots = sc.roots[:start]
+			return
+		}
+		sc.cands = append(sc.cands, u)
+		sc.ends = append(sc.ends, int32(len(sc.roots)))
+	}
+	for _, x := range sc.outside {
+		consider(x)
+		for _, u := range g.Neighbors(int(x)) {
+			consider(u)
+		}
+	}
+}
+
+// best scores the candidates and returns the one of largest gain, ties
+// toward the smaller id, or -1 when none can gain. A round-1 candidate's
+// root list, found again, names the components its neighbourhood touches
+// now (components only merge); a candidate down to one component can never
+// gain again in this repair and is dropped, and so is the previous round's
+// pick, which is in B. Gain is not submodular here — a merge can raise it —
+// so every survivor is rescored each round.
+func (sc *repairScratch) best() int32 {
+	inc := &sc.inc
+	best, bestGain := int32(-1), int64(0)
+	keep, w, start := 0, 0, 0
+	for i, u := range sc.cands {
+		end := int(sc.ends[i])
+		rs := sc.roots[start:end]
+		start = end
+		if inc.InB(int(u)) {
+			continue
+		}
+		sc.scored++
+		rs, gain := inc.RootsGain(rs)
+		if len(rs) < 2 {
+			continue
+		}
+		w += copy(sc.roots[w:], rs)
+		sc.cands[keep], sc.ends[keep] = u, int32(w)
+		keep++
+		if gain > bestGain || (gain == bestGain && u < best) {
+			best, bestGain = u, gain
+		}
+	}
+	sc.cands, sc.ends, sc.roots = sc.cands[:keep], sc.ends[:keep], sc.roots[:w]
+	return best
+}
+
+// pruneLocal drops brokers within repairRadius of the blast whose removal
+// keeps the target, spending at most maxLocalPruneTrials trials. sc.inc is
+// the union-find of exactly res.Brokers, and is replayed in place as brokers
+// go: a trial whose RemovalUpperBound is already below the target is decided
 // without its O(V+E) flood, and still spends its trial so the outcome is the
 // one flooding every trial would give.
-func pruneLocal(g *graph.Graph, inc *coverage.Incremental, res *MaintainResult, target float64, local graph.Bitset, conn *float64) {
-	justAdded := graph.NewBitset(g.NumNodes())
+func (sc *repairScratch) pruneLocal(g *graph.Graph, res *MaintainResult, target float64, conn *float64) {
+	inc := &sc.inc
+	sc.mark = clearBits(sc.mark, g.NumNodes())
+	justAdded := sc.mark
 	justAdded.SetAll(res.Added)
 	trials := 0
 	for i := 0; i < len(res.Brokers) && trials < maxLocalPruneTrials; i++ {
 		b := res.Brokers[i]
-		if !local.Has(b) || justAdded.Has(b) {
+		if justAdded.Has(b) || !sc.inRadius2(g, b) {
 			continue
 		}
 		trials++
@@ -202,6 +330,7 @@ func pruneLocal(g *graph.Graph, inc *coverage.Incremental, res *MaintainResult, 
 			inc.Reset(g)
 			for _, k := range trial {
 				inc.AddBroker(int(k))
+				repairWork.unions.Add(int64(g.Degree(int(k))))
 			}
 		}
 	}

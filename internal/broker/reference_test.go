@@ -102,6 +102,34 @@ func pruneLocalReference(g *graph.Graph, res *MaintainResult, target float64, bl
 	}
 }
 
+// blastPool returns the nodes within radius hops of any blast node, in BFS
+// order: the pool the references score and prune from. Out-of-range ids
+// (departed nodes) are skipped.
+func (*repairScratch) blastPool(g *graph.Graph, blast []int32, radius int) []int32 {
+	n := g.NumNodes()
+	seen := graph.NewBitset(n)
+	var frontier, pool []int32
+	for _, u := range blast {
+		if u >= 0 && int(u) < n && seen.TestAndSet(u) {
+			frontier = append(frontier, u)
+			pool = append(pool, u)
+		}
+	}
+	for d := 0; d < radius && len(frontier) > 0; d++ {
+		var next []int32
+		for _, u := range frontier {
+			for _, v := range g.Neighbors(int(u)) {
+				if seen.TestAndSet(v) {
+					next = append(next, v)
+					pool = append(pool, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return pool
+}
+
 // requireSameRepair runs the production repair and the reference on one
 // input and fails unless results and errors are identical.
 func requireSameRepair(t *testing.T, g *graph.Graph, old, blast []int32, opts RepairOptions) *MaintainResult {
@@ -155,7 +183,15 @@ func (s *churnSim) live() *graph.Graph {
 			dirty = append(dirty, s.g.Neighbors(u)...)
 		}
 	}
-	return s.g.WithoutArcs(dirty, s.dropped)
+	dropped := graph.NewBitset(s.g.NumArcs())
+	for u := 0; u < s.g.NumNodes(); u++ {
+		for i, v := range s.g.Neighbors(u) {
+			if s.dropped(int32(u), v) {
+				dropped.Set(int32(s.g.ArcOffset(u) + i))
+			}
+		}
+	}
+	return s.g.WithoutArcs(dirty, dropped)
 }
 
 func (s *churnSim) avoid() []bool {
@@ -414,4 +450,117 @@ func adjacentToBroker(g *graph.Graph, st *coverage.State, u int) bool {
 		}
 	}
 	return false
+}
+
+// dominatedComponents returns the component sizes of the dominated subgraph
+// of brokers (every edge with a broker end), singletons included.
+func dominatedComponents(g *graph.Graph, brokers []int32) []int {
+	parent := make([]int32, g.NumNodes())
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	var find func(int32) int32
+	find = func(u int32) int32 {
+		if parent[u] != u {
+			parent[u] = find(parent[u])
+		}
+		return parent[u]
+	}
+	for _, b := range brokers {
+		for _, v := range g.Neighbors(int(b)) {
+			parent[find(v)] = find(b)
+		}
+	}
+	size := make(map[int32]int)
+	for u := range parent {
+		size[find(int32(u))]++
+	}
+	var sizes []int
+	for _, s := range size {
+		sizes = append(sizes, s)
+	}
+	return sizes
+}
+
+// TestRepairMatchesReferenceOnHardCases sweeps repairs built to need what the
+// candidate filter's exactness rests on, production against the reference:
+// several growth rounds (cached roots found again after merges), a tie for
+// the largest component (whichever is designated, its outside lists every
+// node that can gain), and a hub seed whose radius-2 ball covers most of the
+// graph (the filter, not the ball, is what bounds the scoring). Half the
+// graphs are two copies of one random graph joined by a short path, with
+// the same brokers in each, so the two largest components tie. Each kind
+// must occur, so the sweep cannot pass vacuously.
+func TestRepairMatchesReferenceOnHardCases(t *testing.T) {
+	var multiRound, ties, hubBalls int
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		half := 20 + rng.Intn(60)
+		twin := seed%2 == 0
+		n := half
+		if twin {
+			n = 2*half + 2
+		}
+		b := graph.NewBuilder(n)
+		for i := 0; i < half+rng.Intn(2*half); i++ {
+			u, v := rng.Intn(half), rng.Intn(half)
+			b.AddEdge(u, v)
+			if twin {
+				b.AddEdge(half+u, half+v)
+			}
+		}
+		hub := 0
+		for v := 1; v < half; v++ {
+			if rng.Intn(3) > 0 {
+				b.AddEdge(hub, v)
+				if twin {
+					b.AddEdge(half+hub, half+v)
+				}
+			}
+		}
+		var blast []int32
+		if twin {
+			// The bridge: half-1 — 2·half — 2·half+1 — 2·half-1.
+			b.AddEdge(half-1, 2*half)
+			b.AddEdge(2*half, 2*half+1)
+			b.AddEdge(2*half+1, 2*half-1)
+			blast = []int32{int32(2 * half), int32(2*half + 1)}
+		} else {
+			blast = []int32{int32(hub)}
+		}
+		g := b.MustBuild()
+
+		var old []int32
+		for u := 1; u < half; u++ {
+			if rng.Intn(5) == 0 {
+				old = append(old, int32(u))
+				if twin {
+					old = append(old, int32(half+u))
+				}
+			}
+		}
+		avoid := make([]bool, n)
+		c := coverage.SaturatedConnectivity(g, old)
+		target := c + (1-c)*(0.3+0.6*rng.Float64())
+		epsilon := float64(rng.Intn(2)) // 1: never fall back, so every grown round is kept
+		res := requireSameRepair(t, g, old, blast, RepairOptions{Target: target, Avoid: avoid, Epsilon: epsilon})
+		if res == nil || res.FullReselect || len(res.Added) == 0 {
+			continue
+		}
+		if len(res.Added) >= 3 {
+			multiRound++
+		}
+		sizes := dominatedComponents(g, old)
+		slices.Sort(sizes)
+		if k := len(sizes); k >= 2 && sizes[k-1] == sizes[k-2] && sizes[k-1] > 1 {
+			ties++
+		}
+		if !twin && 5*len(new(repairScratch).blastPool(g, blast, repairRadius)) >= 4*n {
+			hubBalls++
+		}
+	}
+	t.Logf("repairs that grew: %d with three or more rounds, %d from a tie for the largest component, %d from a hub whose radius-2 ball holds 80%% of the nodes", multiRound, ties, hubBalls)
+	if multiRound == 0 || ties == 0 || hubBalls == 0 {
+		t.Fatalf("a case kind never occurred: %d multi-round, %d ties, %d hub balls", multiRound, ties, hubBalls)
+	}
 }

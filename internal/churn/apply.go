@@ -69,13 +69,9 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 		}
 		down := ev.Type == LinkFail || ev.Type == MemberLeave
 		wasEff := st.LinkDown(ev.U, ev.V)
-		if down {
-			st.linkDown[packLink(ev.U, ev.V)] = true
-		} else {
-			delete(st.linkDown, packLink(ev.U, ev.V))
-		}
+		st.setFailed(st.top.Graph.LinkOf(int(ev.U), int(ev.V)), down)
 		if st.LinkDown(ev.U, ev.V) != wasEff {
-			st.mirrorLink(ev.U, ev.V)
+			st.setEffective(ev.U, ev.V)
 			blast.Nodes = append(blast.Nodes, ev.U, ev.V)
 			blast.Links = append(blast.Links, [2]int32{ev.U, ev.V})
 		}
@@ -104,7 +100,7 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 		}
 		for i, v := range st.top.Graph.Neighbors(int(ev.Node)) {
 			if st.LinkDown(ev.Node, v) != wasEff[i] {
-				st.mirrorLink(ev.Node, v)
+				st.setEffective(ev.Node, v)
 				blast.Nodes = append(blast.Nodes, v)
 				blast.Links = append(blast.Links, [2]int32{ev.Node, v})
 			}

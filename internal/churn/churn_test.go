@@ -2,6 +2,8 @@ package churn
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -104,14 +106,16 @@ func TestStateEffectiveLinkState(t *testing.T) {
 		t.Fatalf("fresh live graph has %d nodes, %d links; topology %d, %d",
 			live.NumNodes(), live.NumEdges(), top.NumNodes(), top.Graph.NumEdges())
 	}
-	st.linkDown[packLink(1, 0)] = true // packed order-insensitive
-	st.invalidateLive()
+	a := NewApplier(st)
+	if _, err := a.Apply(Event{Type: LinkFail, U: 1, V: 0}); err != nil { // named from either end
+		t.Fatal(err)
+	}
 	if !st.LinkDown(0, 1) || !st.LinkDown(1, 0) {
 		t.Fatal("individually failed link not down")
 	}
-	st.nodeDown[2] = true
-	st.downNodes++
-	st.invalidateLive()
+	if _, err := a.Apply(Event{Type: NodeLeave, Node: 2}); err != nil {
+		t.Fatal(err)
+	}
 	if !st.LinkDown(1, 2) || !st.LinkDown(2, 3) || !st.LinkDown(2, 5) {
 		t.Fatal("links incident to a departed node not down")
 	}
@@ -129,8 +133,10 @@ func TestStateEffectiveLinkState(t *testing.T) {
 		t.Fatal("live graph edge set wrong")
 	}
 	// Avoid mask covers departed nodes and failed brokers.
-	st.brokerDown[4] = true
-	mask := st.AvoidMask()
+	if _, err := a.Apply(Event{Type: BrokerFail, Node: 4}); err != nil {
+		t.Fatal(err)
+	}
+	mask := st.avoidMaskInto(make([]bool, 1)) // a short buffer grows
 	if !mask[2] || !mask[4] || mask[0] {
 		t.Fatalf("avoid mask = %v", mask)
 	}
@@ -326,6 +332,50 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 	if drawn < 400 {
 		t.Fatalf("only %d/500 draws produced events", drawn)
+	}
+}
+
+// TestGeneratorStreamPinned pins the stream a churned daemon draws: the
+// first 60 GenerateTrace(4) posts at seed 42 on the Table-2 tier, each post
+// applied before the next is drawn, so recover draws choose among the links
+// earlier posts failed. The hash is the stream's from when the failed links
+// were a map whose keys were sorted on every recover draw; the k-th down bit
+// must pick the same link.
+func TestGeneratorStreamPinned(t *testing.T) {
+	top, err := topology.GenerateTier("table2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var brokers []int32
+	for u := int32(0); int(u) < top.NumNodes(); u += 997 {
+		brokers = append(brokers, u)
+	}
+	st := NewState(top, nil)
+	gen := NewGenerator(st, func() []int32 { return brokers }, GenConfig{Seed: 42})
+	a := NewApplier(st)
+	h := fnv.New64a()
+	recovers := 0
+	for post := 0; post < 60; post++ {
+		events, err := gen.GenerateTrace(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events {
+			fmt.Fprintf(h, "%d %d %d %d %d\n", ev.Seq, ev.Type, ev.Node, ev.U, ev.V)
+			if ev.Type == LinkRecover {
+				recovers++
+			}
+		}
+		if _, err := a.ApplyAll(events); err != nil {
+			t.Fatalf("post %d: %v", post, err)
+		}
+	}
+	if recovers < 10 {
+		t.Fatalf("only %d link recoveries drawn: the down-link draw went unexercised", recovers)
+	}
+	const want = 0x8612e5f3143c0c3d
+	if got := h.Sum64(); got != want {
+		t.Fatalf("event stream hash %#x, want %#x", got, uint64(want))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"brokerset/internal/topology"
 )
@@ -181,20 +180,16 @@ func (g *Generator) Next() (Event, bool) {
 	return ev, true
 }
 
-// downedLink picks a uniformly random individually-failed link. The key
-// set is sorted before drawing so the stream stays deterministic (Go map
-// iteration order is not).
+// downedLink picks a uniformly random individually-failed link: the k-th
+// set down bit, so the draw follows ascending (u, v) order and the stream
+// is deterministic.
 func (g *Generator) downedLink() (int32, int32, bool) {
-	if len(g.st.linkDown) == 0 {
+	if g.st.failedLinks == 0 {
 		return 0, 0, false
 	}
-	keys := make([]uint64, 0, len(g.st.linkDown))
-	for k := range g.st.linkDown {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	key := keys[g.rng.Intn(len(keys))]
-	return int32(key >> 32), int32(key & 0xffffffff), true
+	l := g.st.linkDown.Select(g.rng.Intn(g.st.failedLinks))
+	u, v := g.st.top.Graph.LinkEnds(int(l))
+	return int32(u), int32(v), true
 }
 
 // downedNode picks a uniformly random departed node.

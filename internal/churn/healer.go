@@ -126,6 +126,8 @@ type Healer struct {
 	sessions *queryplane.SessionStore
 	inval    Invalidator
 	Metrics  HealerMetrics
+	// avoid is the avoid mask's buffer, reused across passes.
+	avoid []bool
 }
 
 // NewHealer wires a healer. sessions and inval may be nil (no session
@@ -167,10 +169,12 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	// in-flight protocol activity sees them dead, and recover members whose
 	// process came back since the last pass: their WAL replays the exact
 	// reservation ledger, so they rejoin instead of being replaced.
-	for _, b := range h.state.DownBrokers() {
+	down := h.state.DownBrokers()
+	for _, b := range down {
 		h.plane.Crash(b)
 	}
-	for _, b := range h.plane.Brokers() {
+	members := h.plane.Brokers()
+	for _, b := range members {
 		if h.plane.Crashed(b) && !h.state.BrokerDown(b) && !h.state.NodeDown(b) {
 			h.plane.Recover(b)
 			rep.BrokersRecovered = append(rep.BrokersRecovered, b)
@@ -179,10 +183,12 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	}
 
 	// Brokers with an open circuit breaker are unresponsive even though
-	// churn hasn't declared them dead: bar them from selection too.
+	// churn hasn't declared them dead: bar them from selection too. The
+	// mask is the healer's own buffer, rewritten every pass.
 	sick := h.plane.SickBrokers()
 	rep.SickAvoided = sick
-	avoid := h.state.AvoidMask()
+	h.avoid = h.state.avoidMaskInto(h.avoid)
+	avoid := h.avoid
 	for _, b := range sick {
 		if int(b) < len(avoid) {
 			avoid[b] = true
@@ -190,10 +196,11 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 	}
 
 	// Survivors: current coalition minus failed brokers, departed nodes,
-	// and circuit-open members.
-	var survivors []int32
-	for _, b := range h.plane.Brokers() {
-		if !h.state.BrokerDown(b) && !h.state.NodeDown(b) && int(b) < len(avoid) && !avoid[b] {
+	// and circuit-open members (all of which the mask bars), filtered in
+	// place — members is this pass's own copy.
+	survivors := members[:0]
+	for _, b := range members {
+		if int(b) < len(avoid) && !avoid[b] {
 			survivors = append(survivors, b)
 		}
 	}
@@ -208,7 +215,7 @@ func (h *Healer) heal(ctx context.Context, blast *BlastRadius) (*HealReport, err
 		for _, l := range blast.Links {
 			seeds = append(seeds, l[0], l[1])
 		}
-		seeds = append(seeds, h.state.DownBrokers()...)
+		seeds = append(seeds, down...)
 		res, err = broker.MaintainIncremental(live, survivors, seeds, broker.RepairOptions{
 			Target: h.cfg.Target,
 			Avoid:  avoid,

@@ -193,7 +193,8 @@ func TestSnapshotLinkDownMatchesState(t *testing.T) {
 // BenchmarkTable2LiveGraph measures one live-graph derivation on the
 // Table-2 tier in the state the churn_heal workload's first posts leave: a
 // few dozen failed links and a couple of departed nodes. It is what every
-// churn post that moves a link pays before healing starts.
+// churn post that moves a link pays before healing starts; B/op is the copy
+// of the CSR a snapshot pins.
 func BenchmarkTable2LiveGraph(b *testing.B) {
 	top, err := topology.GenerateTier("table2", 1)
 	if err != nil {
@@ -220,6 +221,7 @@ func BenchmarkTable2LiveGraph(b *testing.B) {
 	if down < 24 || st.downNodes < 2 {
 		b.Fatalf("set-up left %d links and %d nodes down, want a few dozen and a couple", down, st.downNodes)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.invalidateLive()

@@ -24,9 +24,17 @@ type State struct {
 	top     *topology.Topology
 	metrics *routing.Metrics // nil: overlay only, no metric mirroring
 
-	nodeDown   []bool
-	downNodes  int             // count of set nodeDown flags, kept by the applier
-	linkDown   map[uint64]bool // individually failed links, packed (u<v)
+	nodeDown  []bool
+	downNodes int // count of set nodeDown flags, kept by the applier
+	// linkDown has one bit per link (graph.LinkOf id) for each individually
+	// failed link; failedLinks counts them. Link ids ascend with (u, v),
+	// u < v, so the k-th set bit is the k-th failed link in that order.
+	linkDown    graph.Bitset
+	failedLinks int
+	// arcDown has one bit per arc for every effectively down link, both
+	// directions: the drop set LiveGraph hands WithoutArcs. It is derived
+	// from linkDown and nodeDown and written only by setEffective.
+	arcDown    graph.Bitset
 	brokerDown map[int32]bool
 
 	// liveMu guards only the live-graph cache, so concurrent readers
@@ -36,15 +44,6 @@ type State struct {
 	live   *graph.Graph // cached live graph; nil when dirty
 }
 
-// packLink keys an undirected link in the sparse failed-link set
-// (order-insensitive; LiveGraph unpacks the endpoints again).
-func packLink(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // NewState wraps a topology (and optionally its routing metrics) in a live
 // churn overlay with everything up.
 func NewState(top *topology.Topology, metrics *routing.Metrics) *State {
@@ -52,7 +51,8 @@ func NewState(top *topology.Topology, metrics *routing.Metrics) *State {
 		top:        top,
 		metrics:    metrics,
 		nodeDown:   make([]bool, top.NumNodes()),
-		linkDown:   make(map[uint64]bool),
+		linkDown:   graph.NewBitset(top.Graph.NumEdges()),
+		arcDown:    graph.NewBitset(top.Graph.NumArcs()),
 		brokerDown: make(map[int32]bool),
 	}
 }
@@ -66,7 +66,22 @@ func (s *State) NodeDown(u int32) bool { return s.nodeDown[u] }
 // LinkDown reports the effective state of link (u,v): individually failed
 // or incident to a departed node.
 func (s *State) LinkDown(u, v int32) bool {
-	return s.linkDown[packLink(u, v)] || s.nodeDown[u] || s.nodeDown[v]
+	if s.nodeDown[u] || s.nodeDown[v] {
+		return true
+	}
+	l := s.top.Graph.LinkOf(int(u), int(v))
+	return l >= 0 && s.linkDown.Has(int32(l))
+}
+
+// setFailed marks link l individually failed or not.
+func (s *State) setFailed(l int, failed bool) {
+	switch {
+	case failed && s.linkDown.TestAndSet(int32(l)):
+		s.failedLinks++
+	case !failed && s.linkDown.Has(int32(l)):
+		s.linkDown.Clear(int32(l))
+		s.failedLinks--
+	}
 }
 
 // BrokerDown reports whether the broker process on node b is failed.
@@ -86,15 +101,16 @@ func (s *State) DownBrokers() []int32 {
 	return out
 }
 
-// AvoidMask returns a node mask of everything the healer must not hire as a
-// broker: departed nodes and failed broker processes.
-func (s *State) AvoidMask() []bool {
-	mask := make([]bool, len(s.nodeDown))
-	copy(mask, s.nodeDown)
+// avoidMaskInto writes over buf, grown if short, the node mask of
+// everything the healer must not hire as a broker: departed nodes and failed
+// broker processes.
+func (s *State) avoidMaskInto(buf []bool) []bool {
+	buf = slices.Grow(buf[:0], len(s.nodeDown))[:len(s.nodeDown)]
+	copy(buf, s.nodeDown)
 	for b := range s.brokerDown {
-		mask[b] = true
+		buf[b] = true
 	}
-	return mask
+	return buf
 }
 
 // invalidateLive drops the cached live graph.
@@ -104,15 +120,25 @@ func (s *State) invalidateLive() {
 	s.liveMu.Unlock()
 }
 
-// mirrorLink pushes link (u,v)'s current effective state into the metrics'
-// per-arc failure flags (no-op in overlay-only mode).
-func (s *State) mirrorLink(u, v int32) {
-	if s.metrics == nil {
-		return
+// setEffective writes link (u,v)'s current effective state into the two
+// arc bits LiveGraph drops by and the metrics' per-arc failure flags (the
+// latter a no-op in overlay-only mode). The applier calls it for every link
+// whose effective state flipped.
+func (s *State) setEffective(u, v int32) {
+	g := s.top.Graph
+	down := s.LinkDown(u, v)
+	for _, a := range [2]int{g.ArcOf(int(u), int(v)), g.ArcOf(int(v), int(u))} {
+		if down {
+			s.arcDown.Set(int32(a))
+		} else {
+			s.arcDown.Clear(int32(a))
+		}
 	}
-	if s.LinkDown(u, v) {
+	switch {
+	case s.metrics == nil:
+	case down:
 		s.metrics.FailLink(u, v)
-	} else {
+	default:
 		s.metrics.RestoreLink(u, v)
 	}
 }
@@ -151,10 +177,11 @@ func (s *State) LiveGraph() *graph.Graph {
 	// node and its neighbours. With none — every boot, and any fully healed
 	// state — WithoutArcs hands back the topology's own graph, not a copy.
 	g := s.top.Graph
-	dirty := make([]int32, 0, 2*len(s.linkDown))
-	for k := range s.linkDown {
-		dirty = append(dirty, int32(k>>32), int32(uint32(k)))
-	}
+	dirty := make([]int32, 0, 2*s.failedLinks)
+	s.linkDown.ForEach(func(l int32) {
+		u, v := g.LinkEnds(int(l))
+		dirty = append(dirty, int32(u), int32(v))
+	})
 	if s.downNodes > 0 {
 		for u, down := range s.nodeDown {
 			if down {
@@ -163,6 +190,6 @@ func (s *State) LiveGraph() *graph.Graph {
 			}
 		}
 	}
-	s.live = g.WithoutArcs(dirty, s.LinkDown)
+	s.live = g.WithoutArcs(dirty, s.arcDown)
 	return s.live
 }

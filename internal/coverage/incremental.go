@@ -23,6 +23,8 @@ type Incremental struct {
 	// roots is Gain's scratch: the distinct neighbour components of the
 	// probed node. The fan-in is tiny, so a linear scan beats a map.
 	roots []int32
+	// probes counts the roots Gain, AppendRoots and RootsGain have found.
+	probes int64
 }
 
 // NewIncremental returns the empty-broker-set state (connectivity 0).
@@ -57,11 +59,9 @@ func (inc *Incremental) find(u int32) int32 {
 	return u
 }
 
-func (inc *Incremental) union(a, b int32) {
-	ra, rb := inc.find(a), inc.find(b)
-	if ra == rb {
-		return
-	}
+// link merges the components of roots ra ≠ rb, the larger absorbing the
+// smaller (ra on a tie), and returns the surviving root.
+func (inc *Incremental) link(ra, rb int32) int32 {
 	if inc.size[ra] < inc.size[rb] {
 		ra, rb = rb, ra
 	}
@@ -70,17 +70,23 @@ func (inc *Incremental) union(a, b int32) {
 	inc.pairs += sa * sb
 	inc.parent[rb] = ra
 	inc.size[ra] += inc.size[rb]
+	return ra
 }
 
 // AddBroker inserts u into B, dominating u's incident edges. Adding an
-// existing broker is a no-op.
+// existing broker is a no-op. u's root is carried across its row rather
+// than found again per neighbour; the roots and sizes are the ones a union
+// per edge would leave.
 func (inc *Incremental) AddBroker(u int) {
 	if inc.inB[u] {
 		return
 	}
 	inc.inB[u] = true
+	ru := inc.find(int32(u))
 	for _, v := range inc.g.Neighbors(u) {
-		inc.union(int32(u), v)
+		if rv := inc.find(v); rv != ru {
+			ru = inc.link(ru, rv)
+		}
 	}
 }
 
@@ -102,23 +108,84 @@ func (inc *Incremental) Gain(u int) int64 {
 	if inc.inB[u] {
 		return 0
 	}
-	// Group u's neighbor components; merging components of sizes s1..sk
-	// with u's component adds pairwise products, computed incrementally.
-	rootU := inc.find(int32(u))
-	merged := int64(inc.size[rootU])
-	var gained int64
-	inc.roots = append(inc.roots[:0], rootU)
+	inc.roots = inc.AppendRoots(inc.roots[:0], u)
+	return inc.mergePairs(inc.roots)
+}
+
+// AppendRoots appends to dst the distinct component roots of u's closed
+// neighbourhood, u's own first: the components adding u would merge. A node
+// can gain only if it touches two components, so a list shorter than two
+// means a gain of 0 now and, since components only merge, for as long as B
+// only grows.
+func (inc *Incremental) AppendRoots(dst []int32, u int) []int32 {
+	start := len(dst)
+	inc.probes += 1 + int64(inc.g.Degree(u))
+	dst = append(dst, inc.find(int32(u)))
 	for _, v := range inc.g.Neighbors(u) {
-		r := inc.find(v)
-		if slices.Contains(inc.roots, r) {
-			continue
+		if r := inc.find(v); !slices.Contains(dst[start:], r) {
+			dst = append(dst, r)
 		}
-		inc.roots = append(inc.roots, r)
+	}
+	return dst
+}
+
+// RootsGain brings a list from AppendRoots up to date after brokers were
+// added since it was taken: each root is found again (a root of then names
+// its component now), and the list is compacted in place to the distinct
+// current roots. It returns that prefix and the pairs merging those
+// components would add — Gain of the node the list was taken for, as long
+// as that node is still outside B — in O(len(roots)) finds rather than
+// O(deg).
+func (inc *Incremental) RootsGain(roots []int32) ([]int32, int64) {
+	k := 0
+	inc.probes += int64(len(roots))
+	for _, r := range roots {
+		if r = inc.find(r); !slices.Contains(roots[:k], r) {
+			roots[k] = r
+			k++
+		}
+	}
+	return roots[:k], inc.mergePairs(roots[:k])
+}
+
+// Probes returns how many component roots Gain, AppendRoots and RootsGain
+// have found since the state was made: the union-find reads that scoring
+// candidates cost. Reset does not clear it.
+func (inc *Incremental) Probes() int64 { return inc.probes }
+
+// mergePairs returns the pairs merging the components of distinct roots
+// adds: Σ s_i·s_j over i < j, accumulated as each joins the merged whole.
+func (inc *Incremental) mergePairs(roots []int32) int64 {
+	if len(roots) == 0 {
+		return 0
+	}
+	merged := int64(inc.size[roots[0]])
+	var gained int64
+	for _, r := range roots[1:] {
 		s := int64(inc.size[r])
 		gained += merged * s
 		merged += s
 	}
 	return gained
+}
+
+// AppendOutsideLargest appends to dst, ascending, every node outside one
+// largest component (the one with the lowest root id among equals). Any
+// node that can gain touches two components, one of which is not that
+// one, so it is in the closed neighbourhood of a node listed here. O(n α).
+func (inc *Incremental) AppendOutsideLargest(dst []int32) []int32 {
+	largest := int32(-1)
+	for u, p := range inc.parent {
+		if p == int32(u) && (largest < 0 || inc.size[u] > inc.size[largest]) {
+			largest = int32(u)
+		}
+	}
+	for u := range inc.parent {
+		if inc.find(int32(u)) != largest {
+			dst = append(dst, int32(u))
+		}
+	}
+	return dst
 }
 
 // RemovalUpperBound returns an upper bound on the saturated connectivity of

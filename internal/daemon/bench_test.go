@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"brokerset/internal/broker"
 	"brokerset/internal/churn"
 	"brokerset/internal/queryplane"
 	"brokerset/internal/routing"
@@ -193,7 +194,11 @@ func BenchmarkTable2Boot(b *testing.B) {
 // plane, damaged sessions re-pathed, both snapshots published — on the
 // Table-2 daemon (MaxSG k=1064) carrying 300 resident 0.01-Gbps sessions.
 // B/op is guarded beside ns/op (testdata/churnpost_baseline.json): the bytes
-// a post allocates are what churn_heal's read tail pays for in GC.
+// a post allocates are what churn_heal's read tail pays for in GC. So is the
+// incremental repair's work per post (broker.RepairWork), which is the same
+// on every machine: scored/op candidate scorings, probes/op the component
+// roots they read, unions/op survivor-replay unions and marked/op blast-ball
+// nodes.
 func BenchmarkTable2ChurnPost(b *testing.B) {
 	top, err := topology.GenerateTier("table2", 1)
 	if err != nil {
@@ -210,12 +215,20 @@ func BenchmarkTable2ChurnPost(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
+	before := broker.RepairWorkDone()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := srv.Churn(ctx, nil, 4, true); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	done := broker.RepairWorkDone()
+	perOp := func(n int64) float64 { return float64(n) / float64(b.N) }
+	b.ReportMetric(perOp(done.Scored-before.Scored), "scored/op")
+	b.ReportMetric(perOp(done.Probes-before.Probes), "probes/op")
+	b.ReportMetric(perOp(done.Unions-before.Unions), "unions/op")
+	b.ReportMetric(perOp(done.Marked-before.Marked), "marked/op")
 }
 
 // benchSessionCycle runs serial Setup+Teardown over broker pairs.

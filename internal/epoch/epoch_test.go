@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"brokerset/internal/broker"
+	"brokerset/internal/graph"
 	"brokerset/internal/obs"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
@@ -132,9 +133,9 @@ func TestSnapshotDownMarks(t *testing.T) {
 	})
 	failed, healthy := links[0], links[1]
 	dirty := append([]int32{3, failed[0], failed[1]}, top.Graph.Neighbors(3)...)
-	live := top.Graph.WithoutArcs(dirty, func(u, v int32) bool {
+	live := top.Graph.WithoutArcs(dirty, arcsWhere(top.Graph, func(u, v int32) bool {
 		return u == 3 || v == 3 || [2]int32{min(u, v), max(u, v)} == failed
-	})
+	}))
 	snap := NewSnapshot(SnapshotData{
 		Top: top, Live: live, Brokers: []int32{1, 2},
 		View: m.View(),
@@ -211,9 +212,9 @@ func TestSnapshotPathValid(t *testing.T) {
 
 	// The same path under a snapshot where one of its links is down.
 	u, v := p.Nodes[0], p.Nodes[1]
-	live := top.Graph.WithoutArcs([]int32{u, v}, func(a, b int32) bool {
+	live := top.Graph.WithoutArcs([]int32{u, v}, arcsWhere(top.Graph, func(a, b int32) bool {
 		return (a == u && b == v) || (a == v && b == u)
-	})
+	}))
 	down := NewSnapshot(SnapshotData{
 		Top: top, Live: live, Brokers: brokers,
 		View: m.View(),
@@ -234,4 +235,18 @@ func TestSnapshotPathValid(t *testing.T) {
 	if nu >= 0 && snap.PathValid(&routing.Path{Nodes: []int32{nu, nv}}, routing.Options{}) {
 		t.Fatal("undominated hop reads valid")
 	}
+}
+
+// arcsWhere returns WithoutArcs's drop set: the arcs of g for which drop
+// reports true.
+func arcsWhere(g *graph.Graph, drop func(u, v int32) bool) graph.Bitset {
+	set := graph.NewBitset(g.NumArcs())
+	for u := 0; u < g.NumNodes(); u++ {
+		for i, v := range g.Neighbors(u) {
+			if drop(int32(u), v) {
+				set.Set(int32(g.ArcOffset(u) + i))
+			}
+		}
+	}
+	return set
 }

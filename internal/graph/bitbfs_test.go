@@ -48,6 +48,30 @@ func TestBitsetBasics(t *testing.T) {
 			t.Fatalf("AppendBits yielded %v, want %v", app, want)
 		}
 	}
+	for k, i := range want {
+		if got := b.Select(k); got != i {
+			t.Fatalf("Select(%d) = %d, want %d", k, got, i)
+		}
+	}
+	if got := b.Select(len(want)); got != -1 {
+		t.Fatalf("Select past the last set bit = %d, want -1", got)
+	}
+	for i := 0; i <= 130; i++ {
+		for _, end := range []int{i, i + 1, 64, 65, 128, 130} {
+			next := end
+			for j := i; j < end; j++ {
+				if b.Has(int32(j)) {
+					next = j
+					break
+				}
+			}
+			if end >= i {
+				if got := b.NextSet(i, end); got != next {
+					t.Fatalf("NextSet(%d, %d) = %d, want %d", i, end, got, next)
+				}
+			}
+		}
+	}
 }
 
 func TestBitsetClaimNew(t *testing.T) {

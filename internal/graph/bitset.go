@@ -82,6 +82,41 @@ func (b Bitset) AppendBits(out []int32) []int32 {
 	return out
 }
 
+// NextSet returns the first set bit in [i, end), or end when there is none:
+// a scan that skips clear stretches a word at a time.
+func (b Bitset) NextSet(i, end int) int {
+	if i >= end {
+		return end
+	}
+	w := i >> 6
+	if word := b[w] >> (uint(i) & 63); word != 0 {
+		return min(i+bits.TrailingZeros64(word), end)
+	}
+	for w++; w<<6 < end; w++ {
+		if b[w] != 0 {
+			return min(w<<6+bits.TrailingZeros64(b[w]), end)
+		}
+	}
+	return end
+}
+
+// Select returns the index of the k-th set bit (k from 0, ascending), or -1
+// when fewer than k+1 bits are set: a uniform draw from a set kept as bits,
+// in the order the indexes ascend. O(words).
+func (b Bitset) Select(k int) int32 {
+	for wi, w := range b {
+		if c := bits.OnesCount64(w); k >= c {
+			k -= c
+			continue
+		}
+		for ; k > 0; k-- {
+			w &= w - 1
+		}
+		return int32(wi<<6 + bits.TrailingZeros64(w))
+	}
+	return -1
+}
+
 // SetAll sets every listed bit.
 func (b Bitset) SetAll(ids []int32) {
 	for _, i := range ids {

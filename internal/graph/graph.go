@@ -92,6 +92,22 @@ func (g *Graph) LinkOf(u, v int) int {
 // or is handed the arc (Links).
 func (g *Graph) LinkOfArc(u, a int) int { return a + int(g.link[u]) }
 
+// LinkEnds returns the endpoints u < v of link l, the inverse of LinkOf, in
+// O(log n): the links whose lower endpoint is at most u number
+// off[u+1]+link[u] (the upper arcs of rows 0..u), which ascends with u.
+func (g *Graph) LinkEnds(l int) (u, v int) {
+	lo, hi := 0, g.NumNodes()-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(g.off[mid+1]+g.link[mid]) > l {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, int(g.adj[l-int(g.link[lo])])
+}
+
 // linkShifts returns the per-node offsets of LinkOf. A sorted row lists its
 // lower neighbours first, so the upper arcs of rows before u number off[u]
 // less the lower arcs of those rows; the upper arcs of u itself start past
@@ -296,15 +312,17 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// WithoutArcs returns a copy of g with every arc (u,v) for which drop
-// reports true removed. Only the rows listed in dirtyRows (any order,
-// duplicates allowed) are filtered; every other row is copied verbatim, so
-// the cost is one memmove of the adjacency array plus the dirty rows'
-// degrees, and rows stay sorted. The caller guarantees that drop is
-// symmetric and that both endpoints of every dropped edge are listed. With
-// no dirty rows g itself is returned. A clean row keeps its lower arcs, so its
-// link offset moves only by the lower arcs the dirty rows before it lost.
-func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Graph {
+// WithoutArcs returns a copy of g without the arcs set in dropped, a bitset
+// with one bit per arc (the index ArcOffset(u)+i of the arc to
+// Neighbors(u)[i]). Only the rows listed in dirtyRows (any order, duplicates
+// allowed) are filtered; every other row is copied verbatim, so the cost is
+// one memmove of the adjacency array plus a word of dropped per 64 arcs of
+// the dirty rows, and rows stay sorted. The caller guarantees that dropped is
+// symmetric (an arc and its reverse both set) and that both endpoints of
+// every dropped edge are listed. With no dirty rows g itself is returned. A
+// clean row keeps its lower arcs, so its link offset moves only by the lower
+// arcs the dirty rows before it lost.
+func (g *Graph) WithoutArcs(dirtyRows []int32, dropped Bitset) *Graph {
 	if len(dirtyRows) == 0 {
 		return g
 	}
@@ -329,13 +347,15 @@ func (g *Graph) WithoutArcs(dirtyRows []int32, drop func(u, v int32) bool) *Grap
 			link[r] = g.link[r] + lost
 		}
 		adj = append(adj, g.adj[g.off[next]:g.off[u]]...)
-		for _, v := range g.Neighbors(int(u)) {
-			switch {
-			case !drop(u, v):
-				adj = append(adj, v)
-			case v < u:
+		// The row's kept runs move whole; each dropped arc is found a
+		// word of the drop set at a time.
+		for a, end := int(g.off[u]), int(g.off[u+1]); a < end; {
+			d := dropped.NextSet(a, end)
+			adj = append(adj, g.adj[a:d]...)
+			if d < end && g.adj[d] < u {
 				lost++
 			}
+			a = d + 1
 		}
 		link[u] = g.link[u] + lost
 		next = int(u) + 1

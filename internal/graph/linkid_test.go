@@ -11,7 +11,8 @@ import (
 // requireDenseLinkIDs checks that LinkOf is a bijection from g's edges onto
 // [0, NumEdges()), numbering them in Edges order, that both orientations of
 // an edge read the same id, that LinkOfArc agrees with it on the lower
-// endpoint's row, and that a non-adjacent pair reads -1.
+// endpoint's row, that LinkEnds inverts it, and that a non-adjacent pair
+// reads -1.
 func requireDenseLinkIDs(t *testing.T, name string, g *graph.Graph) {
 	t.Helper()
 	next := 0
@@ -24,6 +25,9 @@ func requireDenseLinkIDs(t *testing.T, name string, g *graph.Graph) {
 			t.Fatalf("%s: edge (%d,%d) reads link id %d one way and %d the other", name, u, v, id, g.LinkOf(v, u))
 		case g.LinkOfArc(u, g.ArcOf(u, v)) != id:
 			t.Fatalf("%s: LinkOfArc of arc %d->%d is %d, LinkOf %d", name, u, v, g.LinkOfArc(u, g.ArcOf(u, v)), id)
+		}
+		if a, b := g.LinkEnds(id); a != u || b != v {
+			t.Fatalf("%s: LinkEnds(%d) = (%d,%d), want (%d,%d)", name, id, a, b, u, v)
 		}
 		next++
 		return true
@@ -78,9 +82,15 @@ func dropSome(t *testing.T, g *graph.Graph, rng *rand.Rand) *graph.Graph {
 		}
 		return true
 	})
-	live := g.WithoutArcs(dirty, func(u, v int32) bool {
-		return down[[2]int32{min(u, v), max(u, v)}]
-	})
+	dropped := graph.NewBitset(g.NumArcs())
+	for u := 0; u < g.NumNodes(); u++ {
+		for i, v := range g.Neighbors(u) {
+			if down[[2]int32{min(int32(u), v), max(int32(u), v)}] {
+				dropped.Set(int32(g.ArcOffset(u) + i))
+			}
+		}
+	}
+	live := g.WithoutArcs(dirty, dropped)
 	if live.NumEdges() != g.NumEdges()-len(down) {
 		t.Fatalf("live graph has %d edges, want %d", live.NumEdges(), g.NumEdges()-len(down))
 	}

@@ -22,6 +22,7 @@ import (
 // starts with one of linkReasons.
 var unlinked = map[string]string{
 	"broker.GreedyMCBNaive":              "cross-package reference: BenchmarkGreedyNaive, the root CELF ablation",
+	"broker.RepairWorkDone":              "cross-package reference: daemon's BenchmarkTable2ChurnPost reports the repair's work per post",
 	"coverage.VerifyDominated":           "cross-package reference: routing's TestEngineOnInternetTopology checks served paths with it",
 	"ctrlplane.DecodeMessage":            "reserved by ROADMAP item 29: the bus that carries encoded frames",
 	"ctrlplane.FaultTransport.Partition": "cross-package test fixture: federation/chaos_test.go and its siblings cut the peer bus with it",
