@@ -81,7 +81,7 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 			return blast, err
 		}
 		leaving := ev.Type == NodeLeave
-		if st.nodeDown[ev.Node] == leaving {
+		if st.nodeDown.Has(ev.Node) == leaving {
 			break // redundant
 		}
 		blast.Nodes = append(blast.Nodes, ev.Node)
@@ -92,10 +92,11 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 		for _, v := range st.top.Graph.Neighbors(int(ev.Node)) {
 			wasEff = append(wasEff, st.LinkDown(ev.Node, v))
 		}
-		st.nodeDown[ev.Node] = leaving
 		if leaving {
+			st.nodeDown.Set(ev.Node)
 			st.downNodes++
 		} else {
+			st.nodeDown.Clear(ev.Node)
 			st.downNodes--
 		}
 		for i, v := range st.top.Graph.Neighbors(int(ev.Node)) {
@@ -126,9 +127,6 @@ func (a *Applier) Apply(ev Event) (BlastRadius, error) {
 		return blast, fmt.Errorf("churn: unknown event type %d", ev.Type)
 	}
 
-	if len(blast.Links) > 0 {
-		st.invalidateLive()
-	}
 	return blast, nil
 }
 

@@ -96,9 +96,14 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// newState is NewState over fresh default metrics.
+func newState(top *topology.Topology) *State {
+	return NewState(top, routing.DefaultMetrics(top, nil))
+}
+
 func TestStateEffectiveLinkState(t *testing.T) {
 	top, _ := ixpTop(t)
-	st := NewState(top, nil)
+	st := newState(top)
 	if st.LinkDown(0, 1) || downLinks(st) != 0 || st.downNodes != 0 {
 		t.Fatal("fresh state has damage")
 	}
@@ -176,7 +181,7 @@ func TestApplierLinkFailRecover(t *testing.T) {
 
 func TestApplierValidation(t *testing.T) {
 	top, _ := ixpTop(t)
-	a := NewApplier(NewState(top, nil))
+	a := NewApplier(newState(top))
 	for _, bad := range []Event{
 		{Type: LinkFail, U: 0, V: 99},   // node out of range
 		{Type: LinkFail, U: -1, V: 1},   // negative node
@@ -227,7 +232,7 @@ func TestApplierNodeChurnInterplay(t *testing.T) {
 
 func TestApplierMemberAndBrokerEvents(t *testing.T) {
 	top, _ := ixpTop(t)
-	st := NewState(top, nil)
+	st := newState(top)
 	a := NewApplier(st)
 
 	blast, err := a.Apply(Event{Type: MemberLeave, U: 2, V: 5})
@@ -265,7 +270,7 @@ func TestApplierMemberAndBrokerEvents(t *testing.T) {
 
 func TestApplyAllMergesAndStopsAtInvalid(t *testing.T) {
 	top, _ := ixpTop(t)
-	a := NewApplier(NewState(top, nil))
+	a := NewApplier(newState(top))
 	blast, err := a.ApplyAll([]Event{
 		{Type: LinkFail, U: 0, V: 1},
 		{Type: LinkFail, U: 3, V: 4},
@@ -307,7 +312,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 	brokers := func() []int32 { return []int32{1, 5, 9, 13} }
 	mk := func() (*Generator, *Applier) {
-		st := NewState(top, nil)
+		st := newState(top)
 		return NewGenerator(st, brokers, GenConfig{Seed: 7}), NewApplier(st)
 	}
 	g1, a1 := mk()
@@ -350,7 +355,7 @@ func TestGeneratorStreamPinned(t *testing.T) {
 	for u := int32(0); int(u) < top.NumNodes(); u += 997 {
 		brokers = append(brokers, u)
 	}
-	st := NewState(top, nil)
+	st := newState(top)
 	gen := NewGenerator(st, func() []int32 { return brokers }, GenConfig{Seed: 42})
 	a := NewApplier(st)
 	h := fnv.New64a()
@@ -381,7 +386,7 @@ func TestGeneratorStreamPinned(t *testing.T) {
 
 func TestGenerateTrace(t *testing.T) {
 	top, _ := ixpTop(t)
-	st := NewState(top, nil)
+	st := newState(top)
 	g := NewGenerator(st, nil, GenConfig{Seed: 3})
 	a := NewApplier(st)
 	events, err := g.GenerateTrace(20)
@@ -413,7 +418,7 @@ func TestGenerateTrace(t *testing.T) {
 // near that rate (loose 3-sigma-ish bounds, deterministic seed).
 func TestTickPoissonRate(t *testing.T) {
 	top, _ := ixpTop(t)
-	st := NewState(top, nil)
+	st := newState(top)
 	g := NewGenerator(st, nil, GenConfig{Seed: 11})
 	a := NewApplier(st)
 	total := 0

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"brokerset/internal/graph"
 	"brokerset/internal/topology"
 )
 
@@ -39,7 +40,10 @@ type Generator struct {
 	brokers func() []int32 // live broker set, for BrokerFail targeting
 	seq     int
 
-	memberLinks [][2]int32 // static universe of AS–IXP membership links
+	// memberLinks has one bit per AS–IXP membership link (graph.LinkOf
+	// id), the static universe of membership events; members counts them.
+	memberLinks graph.Bitset
+	members     int
 }
 
 // NewGenerator builds a generator over st. brokers supplies the current
@@ -50,16 +54,15 @@ func NewGenerator(st *State, brokers func() []int32, cfg GenConfig) *Generator {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		brokers: brokers,
 	}
-	top := st.Topology()
-	rels := top.ArcRels()
-	for u := 0; u < top.NumNodes(); u++ {
-		off := top.Graph.ArcOffset(u)
-		for i, v := range top.Graph.Neighbors(u) {
-			if int(v) > u && rels[off+i] == topology.RelMember {
-				g.memberLinks = append(g.memberLinks, [2]int32{int32(u), v})
-			}
+	gr := st.Topology().Graph
+	rels := st.Topology().ArcRels()
+	g.memberLinks = graph.NewBitset(gr.NumEdges())
+	gr.Links(func(a, _, u, _ int) {
+		if rels[a] == topology.RelMember {
+			g.memberLinks.Set(int32(gr.LinkOfArc(u, a)))
+			g.members++
 		}
-	}
+	})
 	return g
 }
 
@@ -145,15 +148,15 @@ func (g *Generator) Next() (Event, bool) {
 			ev = Event{Type: NodeLeave, Node: u}
 		}
 	case r < linkWeight+nodeWeight+memberWeight:
-		if len(g.memberLinks) == 0 {
+		if g.members == 0 {
 			return Event{}, false
 		}
-		l := g.memberLinks[g.rng.Intn(len(g.memberLinks))]
+		u, v := g.st.top.Graph.LinkEnds(int(g.memberLinks.Select(g.rng.Intn(g.members))))
 		typ := MemberLeave
 		if recover {
 			typ = MemberJoin
 		}
-		ev = Event{Type: typ, U: l[0], V: l[1]}
+		ev = Event{Type: typ, U: int32(u), V: int32(v)}
 	default:
 		if recover {
 			down := g.st.DownBrokers()
@@ -192,18 +195,13 @@ func (g *Generator) downedLink() (int32, int32, bool) {
 	return int32(u), int32(v), true
 }
 
-// downedNode picks a uniformly random departed node.
+// downedNode picks a uniformly random departed node: the k-th set bit, so
+// the draw follows ascending node order.
 func (g *Generator) downedNode() (int32, bool) {
-	var down []int32
-	for u, d := range g.st.nodeDown {
-		if d {
-			down = append(down, int32(u))
-		}
-	}
-	if len(down) == 0 {
+	if g.st.downNodes == 0 {
 		return 0, false
 	}
-	return down[g.rng.Intn(len(down))], true
+	return g.st.nodeDown.Select(g.rng.Intn(g.st.downNodes)), true
 }
 
 // Tick draws one Poisson-sized batch of events (possibly empty).

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"brokerset/internal/epoch"
 	"brokerset/internal/graph"
 	"brokerset/internal/topology"
 )
@@ -33,7 +34,7 @@ func rebuildLive(s *State) (live *graph.Graph, down int) {
 // rebuild arc for arc, and the down-node counter against a scan.
 func requireLiveMatchesRebuild(t *testing.T, st *State, step string) {
 	t.Helper()
-	st.invalidateLive()
+	st.live = nil
 	got := st.LiveGraph()
 	want, down := rebuildLive(st)
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
@@ -51,13 +52,7 @@ func requireLiveMatchesRebuild(t *testing.T, st *State, step string) {
 	if downLinks(st) != down {
 		t.Fatalf("%s: down links = %d, rebuild counted %d", step, downLinks(st), down)
 	}
-	scan := 0
-	for _, d := range st.nodeDown {
-		if d {
-			scan++
-		}
-	}
-	if st.downNodes != scan {
+	if scan := len(st.nodeDown.AppendBits(nil)); st.downNodes != scan {
 		t.Fatalf("%s: down nodes = %d, %d flags set", step, st.downNodes, scan)
 	}
 	if down == 0 && got != st.top.Graph {
@@ -74,7 +69,7 @@ func TestLiveGraphMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewState(top, nil)
+	st := newState(top)
 	a := NewApplier(st)
 	requireLiveMatchesRebuild(t, st, "boot")
 
@@ -128,23 +123,25 @@ func TestLiveGraphMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotLinkDownMatchesState: a snapshot has no down-link set of its
-// own — it reads its live graph — so after every event of a generated trace
-// it must agree with the state's sparse set on every link of the topology,
-// an earlier snapshot must not move, and a restored link must read up again.
+// TestSnapshotLinkDownMatchesState: a snapshot's down-marks are its view's
+// failure flags, the metrics' per-arc column churn writes, so after every
+// event of a generated trace they must agree with the state's sparse sets on
+// every link of the topology, an earlier snapshot must not move, and a
+// restored link must read up again.
 func TestSnapshotLinkDownMatchesState(t *testing.T) {
 	top, err := topology.GenerateTier("smoke", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := NewState(top, nil)
+	st := newState(top)
 	a := NewApplier(st)
+	snapshot := func() *epoch.Snapshot { return st.Snapshot(nil, st.metrics.View()) }
 	requireAgree := func(step string) {
 		t.Helper()
-		snap := st.Snapshot(nil, nil)
+		view := snapshot().View()
 		top.Graph.Edges(func(u, v int) bool {
 			want := st.LinkDown(int32(u), int32(v))
-			if snap.LinkDown(int32(u), int32(v)) != want || snap.LinkDown(int32(v), int32(u)) != want {
+			if view.Failed(int32(u), int32(v)) != want || view.Failed(int32(v), int32(u)) != want {
 				t.Fatalf("%s: snapshot disagrees with the state on link (%d,%d), which is down=%v", step, u, v, want)
 			}
 			return true
@@ -172,7 +169,7 @@ func TestSnapshotLinkDownMatchesState(t *testing.T) {
 		}
 		return u < 0
 	})
-	before := st.Snapshot(nil, nil)
+	before := snapshot()
 	for _, step := range []struct {
 		ev   Event
 		down bool
@@ -180,10 +177,10 @@ func TestSnapshotLinkDownMatchesState(t *testing.T) {
 		if _, err := a.Apply(step.ev); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.Snapshot(nil, nil).LinkDown(u, v); got != step.down {
+		if got := snapshot().View().Failed(u, v); got != step.down {
 			t.Fatalf("after %s: snapshot reads link (%d,%d) down=%v", step.ev, u, v, got)
 		}
-		if before.LinkDown(u, v) {
+		if before.View().Failed(u, v) {
 			t.Fatalf("%s moved a snapshot taken before it", step.ev)
 		}
 	}
@@ -200,7 +197,7 @@ func BenchmarkTable2LiveGraph(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := NewState(top, nil)
+	st := newState(top)
 	a := NewApplier(st)
 	gen := NewGenerator(st, nil, GenConfig{Seed: 1})
 	for post := 0; post < 16; post++ {
@@ -224,7 +221,7 @@ func BenchmarkTable2LiveGraph(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.invalidateLive()
+		st.live = nil
 		if got := st.LiveGraph().NumEdges(); got != top.Graph.NumEdges()-down {
 			b.Fatalf("live graph has %d links, want %d", got, top.Graph.NumEdges()-down)
 		}

@@ -2,7 +2,6 @@ package churn
 
 import (
 	"slices"
-	"sync"
 
 	"brokerset/internal/epoch"
 	"brokerset/internal/graph"
@@ -12,47 +11,44 @@ import (
 
 // State is the live view of a churning topology. The underlying CSR graph
 // stays immutable (node and link identities are the universe); churn is an
-// overlay of down-marks, mirrored into the routing metrics' per-arc failure
-// flags so path computation sees every change immediately. The effective
-// state of a link is down iff it was individually failed or either endpoint
-// has left.
+// overlay of down-marks. The effective state of a link is down iff it was
+// individually failed or either endpoint has left, and the routing metrics'
+// per-arc failure flags are where that effective state is stored: path
+// computation sees every change immediately, and LiveGraph drops by the same
+// bits.
 //
 // State is not internally synchronized: callers serialize mutations against
 // reads the same way they already serialize control-plane writes against
-// path computation (brokerd's state lock).
+// path computation (brokerd's state lock). LiveGraph and Snapshot are reads
+// under that rule too.
 type State struct {
-	top     *topology.Topology
-	metrics *routing.Metrics // nil: overlay only, no metric mirroring
+	top *topology.Topology
+	// metrics holds the per-arc down set: setEffective is the only writer
+	// of its failure flags.
+	metrics *routing.Metrics
 
-	nodeDown  []bool
-	downNodes int // count of set nodeDown flags, kept by the applier
+	// nodeDown has one bit per departed node; downNodes counts them.
+	nodeDown  graph.Bitset
+	downNodes int
 	// linkDown has one bit per link (graph.LinkOf id) for each individually
 	// failed link; failedLinks counts them. Link ids ascend with (u, v),
 	// u < v, so the k-th set bit is the k-th failed link in that order.
 	linkDown    graph.Bitset
 	failedLinks int
-	// arcDown has one bit per arc for every effectively down link, both
-	// directions: the drop set LiveGraph hands WithoutArcs. It is derived
-	// from linkDown and nodeDown and written only by setEffective.
-	arcDown    graph.Bitset
-	brokerDown map[int32]bool
+	brokerDown  map[int32]bool
 
-	// liveMu guards only the live-graph cache, so concurrent readers
-	// (e.g. connectivity probes under a shared read lock) can rebuild it
-	// safely; all other fields follow the external-serialization rule.
-	liveMu sync.Mutex
-	live   *graph.Graph // cached live graph; nil when dirty
+	live *graph.Graph // cached live graph; nil when dirty
 }
 
-// NewState wraps a topology (and optionally its routing metrics) in a live
-// churn overlay with everything up.
+// NewState wraps a topology and its routing metrics in a live churn overlay
+// with everything up. The metrics must have no failed link: from here on
+// the state is the only writer of their failure flags.
 func NewState(top *topology.Topology, metrics *routing.Metrics) *State {
 	return &State{
 		top:        top,
 		metrics:    metrics,
-		nodeDown:   make([]bool, top.NumNodes()),
+		nodeDown:   graph.NewBitset(top.NumNodes()),
 		linkDown:   graph.NewBitset(top.Graph.NumEdges()),
-		arcDown:    graph.NewBitset(top.Graph.NumArcs()),
 		brokerDown: make(map[int32]bool),
 	}
 }
@@ -61,12 +57,12 @@ func NewState(top *topology.Topology, metrics *routing.Metrics) *State {
 func (s *State) Topology() *topology.Topology { return s.top }
 
 // NodeDown reports whether node u has left the topology.
-func (s *State) NodeDown(u int32) bool { return s.nodeDown[u] }
+func (s *State) NodeDown(u int32) bool { return s.nodeDown.Has(u) }
 
 // LinkDown reports the effective state of link (u,v): individually failed
 // or incident to a departed node.
 func (s *State) LinkDown(u, v int32) bool {
-	if s.nodeDown[u] || s.nodeDown[v] {
+	if s.nodeDown.Has(u) || s.nodeDown.Has(v) {
 		return true
 	}
 	l := s.top.Graph.LinkOf(int(u), int(v))
@@ -105,50 +101,35 @@ func (s *State) DownBrokers() []int32 {
 // everything the healer must not hire as a broker: departed nodes and failed
 // broker processes.
 func (s *State) avoidMaskInto(buf []bool) []bool {
-	buf = slices.Grow(buf[:0], len(s.nodeDown))[:len(s.nodeDown)]
-	copy(buf, s.nodeDown)
+	n := s.top.NumNodes()
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	s.nodeDown.ForEach(func(u int32) { buf[u] = true })
 	for b := range s.brokerDown {
 		buf[b] = true
 	}
 	return buf
 }
 
-// invalidateLive drops the cached live graph.
-func (s *State) invalidateLive() {
-	s.liveMu.Lock()
-	s.live = nil
-	s.liveMu.Unlock()
-}
-
-// setEffective writes link (u,v)'s current effective state into the two
-// arc bits LiveGraph drops by and the metrics' per-arc failure flags (the
-// latter a no-op in overlay-only mode). The applier calls it for every link
-// whose effective state flipped.
+// setEffective writes link (u,v)'s current effective state into the
+// metrics' per-arc failure flags, the one per-arc down set. The applier
+// calls it for every link whose effective state flipped, and drops the
+// cached live graph.
 func (s *State) setEffective(u, v int32) {
-	g := s.top.Graph
-	down := s.LinkDown(u, v)
-	for _, a := range [2]int{g.ArcOf(int(u), int(v)), g.ArcOf(int(v), int(u))} {
-		if down {
-			s.arcDown.Set(int32(a))
-		} else {
-			s.arcDown.Clear(int32(a))
-		}
-	}
-	switch {
-	case s.metrics == nil:
-	case down:
+	if s.LinkDown(u, v) {
 		s.metrics.FailLink(u, v)
-	default:
+	} else {
 		s.metrics.RestoreLink(u, v)
 	}
+	s.live = nil
 }
 
 // Snapshot freezes the state's live graph, the given coalition membership,
-// and the given (already frozen) routing view into an unpublished epoch
-// snapshot. The live graph is immutable (link down-marks, departed nodes'
-// included, are its missing arcs), so subsequent churn events leave the
-// snapshot untouched. Callers hold the writer serialization (the same rule as
-// any other State read during mutation).
+// and the given routing view into an unpublished epoch snapshot. The view is
+// the snapshot's down-marks (it reads 0 available on a failed link) and must
+// be the state's metrics frozen under the same writer serialization; the live
+// graph, immutable like the view, only serves the snapshot's connectivity.
+// Subsequent churn events leave the snapshot untouched.
 func (s *State) Snapshot(brokers []int32, view *routing.View) *epoch.Snapshot {
 	return epoch.NewSnapshot(epoch.SnapshotData{
 		Top:     s.top,
@@ -160,16 +141,14 @@ func (s *State) Snapshot(brokers []int32, view *routing.View) *epoch.Snapshot {
 
 // LiveGraph returns the graph induced by the up links (departed nodes keep
 // their ids but become isolated, so node identities are stable). The result
-// is cached until the next mutation; the rebuild is internally locked so
-// concurrent readers may call it, as long as no mutation runs concurrently.
+// is cached until the next mutation. Callers hold the writer serialization:
+// a cache miss rebuilds it.
 //
 // The rebuild patches the topology's pristine CSR rather than the previous
 // live graph: the down-marks are the whole difference from it, so restores
 // need no re-insertion and the cost is one copy plus the rows the marks
 // touch, whatever the history.
 func (s *State) LiveGraph() *graph.Graph {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
 	if s.live != nil {
 		return s.live
 	}
@@ -182,14 +161,10 @@ func (s *State) LiveGraph() *graph.Graph {
 		u, v := g.LinkEnds(int(l))
 		dirty = append(dirty, int32(u), int32(v))
 	})
-	if s.downNodes > 0 {
-		for u, down := range s.nodeDown {
-			if down {
-				dirty = append(dirty, int32(u))
-				dirty = append(dirty, g.Neighbors(u)...)
-			}
-		}
-	}
-	s.live = g.WithoutArcs(dirty, s.arcDown)
+	s.nodeDown.ForEach(func(u int32) {
+		dirty = append(dirty, u)
+		dirty = append(dirty, g.Neighbors(int(u))...)
+	})
+	s.live = g.WithoutArcs(dirty, s.metrics.FailedArcs())
 	return s.live
 }

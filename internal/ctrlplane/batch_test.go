@@ -259,7 +259,7 @@ func TestChaosBatchLifecycle(t *testing.T) {
 	p.UseTransport(ft)
 	p.SetRetryConfig(RetryConfig{
 		MaxAttempts: 8, BreakerThreshold: 6, BreakerCooldown: 30,
-		LeaseTTL: 30, RetryJitterTicks: 2,
+		LeaseTTL: 30,
 	})
 	fr := obs.NewFlightRecorder(4096)
 	p.SetFlightRecorder(fr)
@@ -547,33 +547,28 @@ func (t *retryTap) Send(m Message) {
 }
 func (t *retryTap) Advance() { t.round++; t.Transport.Advance() }
 
-// TestJitteredRetriesDesynchronize pins the satellite requirement: without
-// jitter, colliding retriers hammer their targets on identical ticks; with
-// RetryJitterTicks the same colliding messages spread over distinct
-// schedules — the post-partition retry storm de-synchronizes.
-func TestJitteredRetriesDesynchronize(t *testing.T) {
-	schedules := func(jitter int) map[uint64][]int {
-		top, m := lineTop(t)
-		p := New(top, m, []int32{1, 2, 3})
-		tap := &retryTap{Transport: NewFaultTransport(FaultConfig{}), drop: map[int32]bool{1: true, 2: true, 3: true},
-			sends: map[uint64][]int{}}
-		p.UseTransport(tap)
-		p.SetRetryConfig(RetryConfig{MaxAttempts: 5, BreakerThreshold: 100, RetryJitterTicks: jitter})
-		// All brokers black-holed: every prepare retries to exhaustion.
-		if _, err := p.Setup(context.Background(), 0, 4, 1, routing.Options{}); err == nil {
-			t.Fatal("setup succeeded against black-holed brokers")
-		}
-		// Keep only the prepare messages (first IDs, retried to the cap).
-		got := map[uint64][]int{}
-		for id, rounds := range tap.sends {
-			if len(rounds) == 5 {
-				got[id] = rounds
-			}
-		}
-		return got
+// TestCollidingRetriesStayInLockstep pins the retry schedule every
+// fixed-seed chaos run replays: colliding retriers whose targets are all
+// black-holed resend on identical ticks, one round apart, each to its whole
+// MaxAttempts budget.
+func TestCollidingRetriesStayInLockstep(t *testing.T) {
+	top, m := lineTop(t)
+	p := New(top, m, []int32{1, 2, 3})
+	tap := &retryTap{Transport: NewFaultTransport(FaultConfig{}), drop: map[int32]bool{1: true, 2: true, 3: true},
+		sends: map[uint64][]int{}}
+	p.UseTransport(tap)
+	p.SetRetryConfig(RetryConfig{MaxAttempts: 5, BreakerThreshold: 100})
+	// All brokers black-holed: every prepare retries to exhaustion.
+	if _, err := p.Setup(context.Background(), 0, 4, 1, routing.Options{}); err == nil {
+		t.Fatal("setup succeeded against black-holed brokers")
 	}
-
-	lockstep := schedules(0)
+	// Keep only the prepare messages (first IDs, retried to the cap).
+	lockstep := map[uint64][]int{}
+	for id, rounds := range tap.sends {
+		if len(rounds) == 5 {
+			lockstep[id] = rounds
+		}
+	}
 	if len(lockstep) < 2 {
 		t.Fatalf("want >= 2 colliding retriers, got %d", len(lockstep))
 	}
@@ -584,27 +579,8 @@ func TestJitteredRetriesDesynchronize(t *testing.T) {
 			continue
 		}
 		if !equalInts(ref, rounds) {
-			t.Fatalf("jitter off: retriers not in lockstep: %v vs %v", ref, rounds)
+			t.Fatalf("retriers not in lockstep: %v vs %v", ref, rounds)
 		}
-	}
-
-	jittered := schedules(4)
-	if len(jittered) < 2 {
-		t.Fatalf("want >= 2 colliding retriers, got %d", len(jittered))
-	}
-	distinct := false
-	ref = nil
-	for _, rounds := range jittered {
-		if ref == nil {
-			ref = rounds
-			continue
-		}
-		if !equalInts(ref, rounds) {
-			distinct = true
-		}
-	}
-	if !distinct {
-		t.Fatalf("jitter on: every retrier still on the same schedule: %v", jittered)
 	}
 }
 

@@ -280,13 +280,6 @@ type RetryConfig struct {
 	// above MaxAttempts (each retry round is one tick) or in-flight setups
 	// expire themselves. 0 disables leasing.
 	LeaseTTL int
-	// RetryJitterTicks, when > 0, de-synchronizes retransmissions in
-	// virtual time: each message's retries are deferred a seeded-random
-	// 0..RetryJitterTicks extra ticks, independently per message, so the
-	// retry storms of colliding setups (or a healing partition's backlog
-	// flush) spread over ticks instead of all landing on the same one. The
-	// per-message attempt budget is unchanged. 0 keeps retries aligned.
-	RetryJitterTicks int
 }
 
 func (rc RetryConfig) withDefaults() RetryConfig {

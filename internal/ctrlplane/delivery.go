@@ -3,7 +3,6 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"brokerset/internal/obs"
@@ -12,9 +11,9 @@ import (
 // Delivery is the at-least-once delivery engine under both commit
 // protocols: the coordinator→agent one of a Plane and the home→transit
 // region one of a federation Fabric each hold one. It owns the retry loop
-// (per-message send budget, one virtual tick per round, optional seeded
-// jitter), the settling of replies, the backlog of decided-but-undelivered
-// requests with its lazy re-drive, and the per-target circuit breakers.
+// (per-message send budget, one virtual tick per round), the settling of
+// replies, the backlog of decided-but-undelivered requests with its lazy
+// re-drive, and the per-target circuit breakers.
 // What differs between the two protocols is three hooks: how a request is
 // executed at its destination, which targets are already known to be down,
 // and what a refusal of a backlogged request means.
@@ -71,21 +70,15 @@ type Delivery struct {
 	floor    func() uint64
 	breakers map[int32]*breaker
 	// backlog holds decided-but-unacknowledged requests; Flush re-drives
-	// them. backlogWait defers individual re-sends when RetryJitterTicks is
-	// set, so a healed partition's catch-up traffic spreads over ticks.
-	backlog     map[uint64]Message
-	backlogWait map[uint64]int
-	// ids, sent and wait are scratch kept across calls, so a round
-	// allocates none of them: the sorted ids of one pass (sortedIDs), and
-	// Broadcast's per-message send counts and jitter waits. One set
-	// suffices because Broadcast and Flush never run inside each other on
-	// one engine — the hooks reach other engines, not their own.
-	ids        []uint64
-	sent, wait map[uint64]int
-	// jrng is the retry-jitter stream; nothing draws from it while
-	// RetryJitterTicks is 0, so enabling jitter never perturbs the fault
-	// schedules of existing seeds.
-	jrng *rand.Rand
+	// them.
+	backlog map[uint64]Message
+	// ids and sent are scratch kept across calls, so a round allocates
+	// neither: the sorted ids of one pass (sortedIDs), and Broadcast's
+	// per-message send counts. One set suffices because Broadcast and Flush
+	// never run inside each other on one engine — the hooks reach other
+	// engines, not their own.
+	ids  []uint64
+	sent map[uint64]int
 }
 
 // breaker is one target's circuit-breaker state: consecutive timed-out
@@ -100,15 +93,12 @@ type breaker struct {
 // before any traffic.
 func NewDelivery(layer string, tr Transport, rc RetryConfig) *Delivery {
 	return &Delivery{
-		Transport:   tr,
-		Retry:       rc.withDefaults(),
-		layer:       layer,
-		breakers:    make(map[int32]*breaker),
-		backlog:     make(map[uint64]Message),
-		backlogWait: make(map[uint64]int),
-		sent:        make(map[uint64]int),
-		wait:        make(map[uint64]int),
-		jrng:        rand.New(rand.NewSource(2)),
+		Transport: tr,
+		Retry:     rc.withDefaults(),
+		layer:     layer,
+		breakers:  make(map[int32]*breaker),
+		backlog:   make(map[uint64]Message),
+		sent:      make(map[uint64]int),
 	}
 }
 
@@ -174,11 +164,6 @@ type rpcOutcome struct {
 // the requests that were refused (nil when none was) and the ones still
 // unanswered, by MsgID, each carrying the watermark it was sent with; the
 // rest were acknowledged. Both maps are the caller's to keep.
-// Under RetryConfig.RetryJitterTicks a seeded-random 0..RetryJitterTicks
-// extra rounds pass between a message's sends, rolled independently per
-// message — two setups whose retries would collide on the same tick
-// de-synchronize instead of hammering the same target in lockstep; with
-// jitter 0 every wait is 0 and the jitter stream is never drawn from.
 // Requests to targets Down reports are not wasted on the wire. Timeout
 // streaks feed the circuit breakers — unless ctx ended the round: a caller
 // that gave up says nothing about the target's health.
@@ -195,12 +180,11 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 		m.Watermark = w
 		out.pending[m.MsgID] = m
 	}
-	jitter, budget := d.Retry.RetryJitterTicks, d.Retry.MaxAttempts
-	sent, wait := d.sent, d.wait
+	budget := d.Retry.MaxAttempts
+	sent := d.sent
 	clear(sent)
-	clear(wait)
 	sendable := func(m Message) bool { return !d.down(m.To) && sent[m.MsgID] < budget }
-	for round := 0; len(out.pending) > 0 && round < budget*(jitter+1) && ctx.Err() == nil; round++ {
+	for round := 0; len(out.pending) > 0 && round < budget && ctx.Err() == nil; round++ {
 		actx, asp := obs.StartSpan(ctx, "2pc.attempt")
 		asp.AnnotateInt("attempt", int64(round))
 		asp.AnnotateInt("pending", int64(len(out.pending)))
@@ -215,10 +199,6 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 			if !sendable(m) {
 				continue
 			}
-			if wait[id] > 0 {
-				wait[id]--
-				continue
-			}
 			if sent[id] > 0 {
 				d.Retries++
 			}
@@ -228,9 +208,6 @@ func (d *Delivery) Broadcast(ctx context.Context, msgs []Message) (nacked, pendi
 			d.Send(m)
 			ssp.End()
 			sent[id]++
-			if jitter > 0 && sent[id] < budget {
-				wait[id] = d.jrng.Intn(jitter + 1)
-			}
 		}
 		d.pump(&out)
 		asp.End()
@@ -317,7 +294,7 @@ func (d *Delivery) pump(out *rpcOutcome) {
 		}
 		// Duplicate or stale replies match nothing and are ignored.
 		if req, ok := d.backlog[m.AckFor]; ok {
-			d.dropBacklog(m.AckFor)
+			delete(d.backlog, m.AckFor)
 			d.breakerOK(m.From)
 			d.Flight.Record(d.layer, "backlog_settled", int64(d.clock), settledFormat(m.Type),
 				req.Type.String(), int64(req.To), int64(req.SessionID), int64(req.Epoch))
@@ -326,12 +303,6 @@ func (d *Delivery) pump(out *rpcOutcome) {
 			}
 		}
 	}
-}
-
-// dropBacklog retires a backlog entry together with its re-send deferral.
-func (d *Delivery) dropBacklog(id uint64) {
-	delete(d.backlog, id)
-	delete(d.backlogWait, id)
 }
 
 // Backlog records decided-but-undelivered requests for lazy redelivery.
@@ -352,7 +323,7 @@ func (d *Delivery) Backlogged() int { return len(d.backlog) }
 func (d *Delivery) Cancel(match func(m Message) bool) {
 	for id, m := range d.backlog {
 		if match(m) {
-			d.dropBacklog(id)
+			delete(d.backlog, id)
 		}
 	}
 }
@@ -365,7 +336,6 @@ func (d *Delivery) Flush() {
 	if len(d.backlog) == 0 {
 		return
 	}
-	jitter := d.Retry.RetryJitterTicks
 	for _, id := range d.sortedIDs(d.backlog) {
 		m := d.backlog[id]
 		if d.down(m.To) {
@@ -374,16 +344,6 @@ func (d *Delivery) Flush() {
 		if m.Watermark != w {
 			m.Watermark = w
 			d.backlog[id] = m
-		}
-		if jitter > 0 {
-			// Spread the post-heal catch-up storm: each backlog entry's
-			// re-sends are deferred independently, so a lifted partition's
-			// accumulated decisions trickle out over ticks.
-			if w := d.backlogWait[id]; w > 0 {
-				d.backlogWait[id] = w - 1
-				continue
-			}
-			d.backlogWait[id] = d.jrng.Intn(jitter + 1)
 		}
 		d.Retries++
 		d.Send(m)
@@ -400,7 +360,7 @@ func (d *Delivery) Reconcile(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if attempt >= 4*d.Retry.MaxAttempts*(d.Retry.RetryJitterTicks+1) {
+		if attempt >= 4*d.Retry.MaxAttempts {
 			return fmt.Errorf("%s: %d backlog message(s) undeliverable after %d rounds", d.layer, len(d.backlog), attempt)
 		}
 		d.clock++

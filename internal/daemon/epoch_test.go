@@ -39,8 +39,8 @@ func stormLinks(srv *Daemon, t *testing.T) [2][2]int32 {
 // a storm fails and recovers two links together in single atomic batches
 // while readers pin snapshots with no locks. Every pinned snapshot must be
 // internally consistent — the paired links always agree (a reader never
-// observes the state half-way through a batch), the down-marks always
-// agree with the frozen metrics view, and epochs observed by one reader
+// observes the state half-way through a batch), a down-mark always reads as
+// no available capacity, and epochs observed by one reader
 // never go backwards. Run with -race this also proves publication is a
 // proper happens-before edge for all snapshot contents.
 func TestSnapshotConsistencyUnderChurnStorm(t *testing.T) {
@@ -87,16 +87,17 @@ func TestSnapshotConsistencyUnderChurnStorm(t *testing.T) {
 					return
 				}
 				last = snap.ID()
-				d0 := snap.LinkDown(pair[0][0], pair[0][1])
-				d1 := snap.LinkDown(pair[1][0], pair[1][1])
+				view := snap.View()
+				d0 := view.Failed(pair[0][0], pair[0][1])
+				d1 := view.Failed(pair[1][0], pair[1][1])
 				if d0 != d1 {
 					t.Errorf("torn snapshot %d: link0 down=%v, link1 down=%v", snap.ID(), d0, d1)
 					return
 				}
-				// Down-marks and the frozen metrics must be from the same
-				// instant within one snapshot.
-				if v := snap.View().Failed(pair[0][0], pair[0][1]); v != d0 {
-					t.Errorf("snapshot %d: down-mark %v but view failed=%v", snap.ID(), d0, v)
+				// What a path over the link reads must be the down-mark:
+				// nothing available exactly when it is down.
+				if avail := view.Available(pair[0][0], pair[0][1]); (avail == 0) != d0 {
+					t.Errorf("snapshot %d: down-mark %v but %v Gbps available", snap.ID(), d0, avail)
 					return
 				}
 			}

@@ -18,7 +18,8 @@ import (
 // runs it — from runtime.MemProfileRate = 1 on, so every allocation is
 // profiled, forces GC, and attributes the in-use bytes of runtime.MemProfile
 // to layers: a layer is the package of the innermost brokerset/internal frame
-// of the allocating stack. It reports one "<layer>-B" metric per layer and
+// of the allocating stack, graph.NewBitset's frame passed over so that a
+// bitset's bytes count for the layer that holds it. It reports one "<layer>-B" metric per layer and
 // "live-B", the runtime's /gc/heap/live:bytes. The sessions=N variants
 // establish N flat sessions after the boot and add "session-B", the live bytes
 // a resident session costs (over the sessions actually established, reported
@@ -137,12 +138,15 @@ func attributeHeap() residentHeap {
 
 // stackLayer returns the package, under brokerset/internal, of the innermost
 // such frame of stack, or "" when that frame is in a test file or there is
-// none.
+// none. graph.NewBitset is a container constructor every layer calls, not a
+// holder, so its frame is passed over: routing's failure flags read as
+// routing-B and churn's down sets as churn-B, where a second copy of them
+// would show.
 func stackLayer(stack []uintptr) string {
 	frames := runtime.CallersFrames(stack)
 	for {
 		f, more := frames.Next()
-		if rest, ok := strings.CutPrefix(f.Function, "brokerset/internal/"); ok {
+		if rest, ok := strings.CutPrefix(f.Function, "brokerset/internal/"); ok && rest != "graph.NewBitset" {
 			if strings.HasSuffix(f.File, "_test.go") {
 				return ""
 			}

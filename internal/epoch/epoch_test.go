@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"brokerset/internal/broker"
-	"brokerset/internal/graph"
 	"brokerset/internal/obs"
 	"brokerset/internal/routing"
 	"brokerset/internal/topology"
@@ -122,8 +121,9 @@ func TestSnapshotDownMarks(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := routing.DefaultMetrics(top, nil)
-	// Node 3 has left and one link elsewhere has failed: the live graph is
-	// the topology's without node 3's row and without that link.
+	// Node 3 has left and one link elsewhere has failed: the metrics flag
+	// every link of node 3 and that link, and the live graph drops by the
+	// same flags.
 	var links [][2]int32 // clear of node 3: one to fail, one to leave up
 	top.Graph.Edges(func(u, v int) bool {
 		if u != 3 && v != 3 {
@@ -132,25 +132,27 @@ func TestSnapshotDownMarks(t *testing.T) {
 		return len(links) < 2
 	})
 	failed, healthy := links[0], links[1]
+	m.FailLink(failed[0], failed[1])
+	for _, v := range top.Graph.Neighbors(3) {
+		m.FailLink(3, v)
+	}
 	dirty := append([]int32{3, failed[0], failed[1]}, top.Graph.Neighbors(3)...)
-	live := top.Graph.WithoutArcs(dirty, arcsWhere(top.Graph, func(u, v int32) bool {
-		return u == 3 || v == 3 || [2]int32{min(u, v), max(u, v)} == failed
-	}))
 	snap := NewSnapshot(SnapshotData{
-		Top: top, Live: live, Brokers: []int32{1, 2},
+		Top: top, Live: top.Graph.WithoutArcs(dirty, m.FailedArcs()), Brokers: []int32{1, 2},
 		View: m.View(),
 	})
-	if !snap.LinkDown(failed[0], failed[1]) || !snap.LinkDown(failed[1], failed[0]) {
+	down := func(u, v int32) bool { return snap.View().Failed(u, v) && snap.View().Available(u, v) == 0 }
+	if !down(failed[0], failed[1]) || !down(failed[1], failed[0]) {
 		t.Fatal("failed link not down from both ends")
 	}
-	if !snap.LinkDown(3, top.Graph.Neighbors(3)[0]) {
+	if !down(3, top.Graph.Neighbors(3)[0]) {
 		t.Fatal("link touching a down node should read as down")
 	}
-	if snap.LinkDown(healthy[0], healthy[1]) {
+	if snap.View().Failed(healthy[0], healthy[1]) || snap.View().Available(healthy[0], healthy[1]) <= 0 {
 		t.Fatal("healthy link reads as down")
 	}
-	if !snap.LinkDown(-1, 0) || !snap.LinkDown(0, int32(top.NumNodes())) {
-		t.Fatal("a pair outside the topology reads as an up link")
+	if snap.live.Degree(3) != 0 || snap.live.HasEdge(int(failed[0]), int(failed[1])) {
+		t.Fatal("live graph keeps a down link")
 	}
 	if !snap.IsBroker(1) || snap.IsBroker(3) {
 		t.Fatal("IsBroker wrong")
@@ -212,11 +214,9 @@ func TestSnapshotPathValid(t *testing.T) {
 
 	// The same path under a snapshot where one of its links is down.
 	u, v := p.Nodes[0], p.Nodes[1]
-	live := top.Graph.WithoutArcs([]int32{u, v}, arcsWhere(top.Graph, func(a, b int32) bool {
-		return (a == u && b == v) || (a == v && b == u)
-	}))
+	m.FailLink(u, v)
 	down := NewSnapshot(SnapshotData{
-		Top: top, Live: live, Brokers: brokers,
+		Top: top, Live: top.Graph.WithoutArcs([]int32{u, v}, m.FailedArcs()), Brokers: brokers,
 		View: m.View(),
 	})
 	if down.PathValid(p, routing.Options{}) {
@@ -235,18 +235,4 @@ func TestSnapshotPathValid(t *testing.T) {
 	if nu >= 0 && snap.PathValid(&routing.Path{Nodes: []int32{nu, nv}}, routing.Options{}) {
 		t.Fatal("undominated hop reads valid")
 	}
-}
-
-// arcsWhere returns WithoutArcs's drop set: the arcs of g for which drop
-// reports true.
-func arcsWhere(g *graph.Graph, drop func(u, v int32) bool) graph.Bitset {
-	set := graph.NewBitset(g.NumArcs())
-	for u := 0; u < g.NumNodes(); u++ {
-		for i, v := range g.Neighbors(u) {
-			if drop(int32(u), v) {
-				set.Set(int32(g.ArcOffset(u) + i))
-			}
-		}
-	}
-	return set
 }

@@ -26,19 +26,21 @@ import (
 type SnapshotData struct {
 	// Top is the full static topology; it sizes the membership mask.
 	Top *topology.Topology
-	// Live is the residual graph with down nodes/links removed. It is the
-	// snapshot's link down-mark: a link is up iff it is an arc of Live.
+	// Live is the residual graph with down nodes/links removed. It serves
+	// Connectivity only; the down-marks a path is checked against are View's.
 	Live *graph.Graph
 	// Brokers is the coalition membership in ascending id order.
 	Brokers []int32
-	// View is the frozen routing metrics (latency/capacity/reservations).
+	// View is the frozen routing metrics (latency/capacity/reservations and
+	// the per-arc failure flags), captured under the same writer
+	// serialization as Live, so the two agree on which links are down.
 	View *routing.View
 }
 
 // Snapshot is one immutable, internally consistent observation of the
-// whole broker plane: live graph, down-marks, coalition membership, and
-// the routing metrics view, all captured at the same instant under the
-// writer's serialization. Everything on it is safe for unlimited
+// whole broker plane: live graph, coalition membership, and the routing
+// metrics view (whose failure flags are the down-marks), all captured at the
+// same instant under the writer's serialization. Everything on it is safe for unlimited
 // concurrent readers; nothing on it ever changes after Publish.
 type Snapshot struct {
 	id   uint64
@@ -85,8 +87,9 @@ func NewSnapshot(d SnapshotData) *Snapshot {
 // down-marks, and membership don't, so everything except the view (and the
 // epoch number, assigned at Publish) is shared with s — no map copies, no
 // connectivity recompute. Callers must only use it when nothing but
-// capacity changed since s was captured; Publisher.PublishView is the
-// serving path's one caller.
+// capacity changed since s was captured: a moved down-mark needs a full
+// snapshot, or the shared live graph would lag the view's failure flags.
+// Publisher.PublishView is the serving path's one caller.
 func (s *Snapshot) WithView(view *routing.View) *Snapshot {
 	return &Snapshot{
 		live:    s.live,
@@ -109,15 +112,6 @@ func (s *Snapshot) Brokers() []int32 { return s.brokers }
 // NumBrokers returns the coalition size.
 func (s *Snapshot) NumBrokers() int { return len(s.brokers) }
 
-// LinkDown reports whether the link (u,v) was down at capture time, either
-// via an explicit link failure or either endpoint being down: the live
-// graph has lost exactly those arcs. A pair that is not a link of the
-// topology at all reads down too.
-func (s *Snapshot) LinkDown(u, v int32) bool {
-	n := int32(s.live.NumNodes())
-	return u < 0 || v < 0 || u >= n || v >= n || s.live.ArcOf(int(u), int(v)) < 0
-}
-
 // BestPath computes the minimum-latency B-dominated path against this
 // snapshot's frozen metrics and membership. Lock-free: any number of
 // concurrent callers may share the snapshot.
@@ -127,10 +121,12 @@ func (s *Snapshot) BestPath(src, dst int, opts routing.Options) (*routing.Path, 
 
 // PathValid reports whether a previously computed path is still servable
 // under this snapshot and the given constraints: every hop dominated by
-// the coalition, no hop on a down link, and available capacity meeting
-// the bandwidth floor. O(hops) — this is what lets the query plane
-// revalidate a stale cache entry instead of rerunning the search. A valid
-// path is feasible but not necessarily latency-optimal for this epoch.
+// the coalition and with available capacity meeting the bandwidth floor.
+// The view reads 0 available on a down link (and on a pair that is no
+// link), so one row search per hop settles both. O(hops) — this is what
+// lets the query plane revalidate a stale cache entry instead of rerunning
+// the search. A valid path is feasible but not necessarily latency-optimal
+// for this epoch.
 func (s *Snapshot) PathValid(p *routing.Path, opts routing.Options) bool {
 	nodes := p.Nodes
 	if len(nodes) == 0 {
@@ -145,9 +141,6 @@ func (s *Snapshot) PathValid(p *routing.Path, opts routing.Options) bool {
 			return false
 		}
 		if opts.BrokersOnly && i > 0 && !s.inB[u] {
-			return false
-		}
-		if s.LinkDown(u, v) {
 			return false
 		}
 		avail := s.view.Available(u, v)

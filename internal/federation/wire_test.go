@@ -295,47 +295,35 @@ func (t *tickTap) Send(m ctrlplane.Message) {
 	t.Transport.Send(m)
 }
 
-// TestPeerRetryJitterReachesEngine checks Config.Retry is the peer engine's
-// whole tuning, RetryJitterTicks included: two X-PREPAREs black-holed
-// together retry in lockstep, one tick apart, with jitter off — the schedule
-// every fixed-seed chaos run replays — and on different ticks with it on.
-func TestPeerRetryJitterReachesEngine(t *testing.T) {
+// TestPeerRetryConfigReachesEngine checks Config.Retry is the peer engine's
+// tuning: two X-PREPAREs black-holed together each spend the configured
+// MaxAttempts, in lockstep one tick apart — the schedule every fixed-seed
+// chaos run replays.
+func TestPeerRetryConfigReachesEngine(t *testing.T) {
 	const attempts = 5
-	schedules := func(jitter int) [][]int {
-		f := fedFabric(t, 4, 1, Config{Seed: 7,
-			Retry:      ctrlplane.RetryConfig{MaxAttempts: attempts, BreakerThreshold: 100, RetryJitterTicks: jitter},
-			PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
-		tap := &tickTap{Transport: f.d.Transport, f: f, sends: map[uint64][]int{}}
-		f.d.Transport = tap
-		f.peerFT.Partition(ctrlplane.PeerAddr(1), true)
-		f.peerFT.Partition(ctrlplane.PeerAddr(2), true)
-		if _, err := f.Setup(context.Background(), 2, 10, 5, routing.Options{}); err == nil {
-			t.Fatal("setup succeeded against black-holed regions")
-		}
-		var out [][]int
-		for _, ticks := range tap.sends {
-			if len(ticks) != attempts {
-				t.Fatalf("jitter %d: an X-PREPARE was sent %d times, want its whole budget of %d", jitter, len(ticks), attempts)
-			}
-			out = append(out, ticks)
-		}
-		if len(out) != 2 {
-			t.Fatalf("jitter %d: %d X-PREPAREs, want 2 colliding retriers", jitter, len(out))
-		}
-		return out
+	f := fedFabric(t, 4, 1, Config{Seed: 7,
+		Retry:      ctrlplane.RetryConfig{MaxAttempts: attempts, BreakerThreshold: 100},
+		PeerFaults: &ctrlplane.FaultConfig{Seed: 7}})
+	tap := &tickTap{Transport: f.d.Transport, f: f, sends: map[uint64][]int{}}
+	f.d.Transport = tap
+	f.peerFT.Partition(ctrlplane.PeerAddr(1), true)
+	f.peerFT.Partition(ctrlplane.PeerAddr(2), true)
+	if _, err := f.Setup(context.Background(), 2, 10, 5, routing.Options{}); err == nil {
+		t.Fatal("setup succeeded against black-holed regions")
 	}
-	lockstep := schedules(0)
+	var lockstep [][]int
+	for _, ticks := range tap.sends {
+		if len(ticks) != attempts {
+			t.Fatalf("an X-PREPARE was sent %d times, want its whole budget of %d", len(ticks), attempts)
+		}
+		lockstep = append(lockstep, ticks)
+	}
+	if len(lockstep) != 2 {
+		t.Fatalf("%d X-PREPAREs, want 2 colliding retriers", len(lockstep))
+	}
 	for i, tick := range lockstep[0] {
 		if lockstep[1][i] != tick || tick != lockstep[0][0]+i {
-			t.Fatalf("jitter off: retriers not in lockstep one tick apart: %v", lockstep)
+			t.Fatalf("retriers not in lockstep one tick apart: %v", lockstep)
 		}
-	}
-	jittered := schedules(4)
-	same := true
-	for i := range jittered[0] {
-		same = same && jittered[0][i] == jittered[1][i]
-	}
-	if same {
-		t.Fatalf("jitter on: both retriers still on one schedule: %v", jittered)
 	}
 }

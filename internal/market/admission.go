@@ -1,9 +1,6 @@
 package market
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Admission is the priced admission gate: Admit(bid) decides against the
 // controller's published price. Semantics:
@@ -17,10 +14,10 @@ import (
 type Admission struct {
 	ctrl *Controller
 
-	admitted     atomic.Uint64 // all admissions
-	admittedFree atomic.Uint64 // admissions that paid nothing (zero bid)
-	rejected     atomic.Uint64 // congested refusals (bid < price)
-	revenue      atomicFloat   // accumulated payments, drained at each settlement
+	admitted     uint64  // all admissions
+	admittedFree uint64  // admissions that paid nothing (zero bid)
+	rejected     uint64  // congested refusals (bid < price)
+	revenue      float64 // accumulated payments, drained at each settlement
 }
 
 // NewAdmission builds the gate over a controller.
@@ -36,27 +33,31 @@ func (a *Admission) Admit(bid float64) (bool, float64) {
 	if math.IsNaN(bid) {
 		bid = 0
 	}
-	price := a.ctrl.Price()
-	if !a.ctrl.congested.Load() {
-		a.admitted.Add(1)
+	q := a.ctrl.quote
+	price := q.Price
+	if !q.Congested {
+		a.admitted++
 		if bid <= 0 {
-			a.admittedFree.Add(1)
+			a.admittedFree++
 		} else {
-			pay := bid
-			if pay > price {
-				pay = price
-			}
-			a.revenue.add(pay)
+			a.earn(min(bid, price))
 		}
 		return true, price
 	}
 	if bid < price {
-		a.rejected.Add(1)
+		a.rejected++
 		return false, price
 	}
-	a.admitted.Add(1)
-	a.revenue.add(price)
+	a.admitted++
+	a.earn(price)
 	return true, price
+}
+
+// earn adds a positive payment to the revenue.
+func (a *Admission) earn(v float64) {
+	if v > 0 {
+		a.revenue += v
+	}
 }
 
 // AdmissionStats is a point-in-time snapshot of the gate's counters.
@@ -74,14 +75,18 @@ type AdmissionStats struct {
 // Stats snapshots the counters.
 func (a *Admission) Stats() AdmissionStats {
 	return AdmissionStats{
-		Admitted:      a.admitted.Load(),
-		AdmittedFree:  a.admittedFree.Load(),
-		PriceRejected: a.rejected.Load(),
-		Revenue:       a.revenue.load(),
+		Admitted:      a.admitted,
+		AdmittedFree:  a.admittedFree,
+		PriceRejected: a.rejected,
+		Revenue:       a.revenue,
 	}
 }
 
-// DrainRevenue atomically takes the accumulated revenue and resets it to
-// zero — the settlement engine calls it at each window close so every unit
-// of revenue lands in exactly one settlement record.
-func (a *Admission) DrainRevenue() float64 { return a.revenue.swap(0) }
+// DrainRevenue takes the accumulated revenue and resets it to zero — the
+// settlement engine calls it at each window close so every unit of revenue
+// lands in exactly one settlement record.
+func (a *Admission) DrainRevenue() float64 {
+	rev := a.revenue
+	a.revenue = 0
+	return rev
+}

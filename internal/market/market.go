@@ -23,8 +23,6 @@ package market
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"brokerset/internal/econ"
 )
@@ -93,47 +91,18 @@ type Quote struct {
 }
 
 // Controller runs the Stackelberg pricing loop. Reprice is called by
-// Plane.Tick; between calls the admission gate reads the published price.
+// Plane.Tick; between calls the admission gate reads the quote. Like the
+// rest of the package it is sequential: Simulate drives it from one
+// goroutine.
 type Controller struct {
 	// demandRef is the per-tick demand (requests) that maps to demand index
 	// 1.0. Observed demand is normalized by it and clamped to [0.25, 4]
 	// before scaling the follower population.
 	demandRef float64
 
-	// price and congested are the outputs the admission gate reads, updated
-	// atomically at each reprice.
-	price     atomicFloat
-	congested atomic.Bool
-
-	mu    sync.Mutex
+	// quote is the last reprice's result; the price, the congestion test
+	// and the tick count are all read from it.
 	quote Quote
-	ticks atomic.Uint64
-}
-
-// atomicFloat is a float64 behind a uint64 bit store: the controller
-// publishes the price through it, the admission gate accumulates revenue in
-// it and swaps it back to zero at each settlement.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
-
-// swap stores v and returns what it replaced.
-func (f *atomicFloat) swap(v float64) float64 {
-	return math.Float64frombits(f.bits.Swap(math.Float64bits(v)))
-}
-
-// add accumulates a positive v with CAS.
-func (f *atomicFloat) add(v float64) {
-	if v <= 0 {
-		return
-	}
-	for {
-		old := f.bits.Load()
-		if f.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
 }
 
 // NewController builds a controller whose demand index is 1.0 at demandRef
@@ -146,7 +115,6 @@ func NewController(demandRef float64) (*Controller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("market: priming equilibrium: %w", err)
 	}
-	c.price.store(eq.Price)
 	c.quote = Quote{Price: eq.Price, BasePrice: eq.Price, Multiplier: 1, Adoption: eq.TotalTraffic}
 	return c, nil
 }
@@ -181,9 +149,6 @@ func multiplier(u float64) float64 {
 // price. It returns the new quote. Deterministic: the same sample sequence
 // always yields the same price trajectory.
 func (c *Controller) Reprice(s Sample) (Quote, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
 	idx := c.demandIndex(s.Demand)
 	scaled := customers()
 	for i := range scaled {
@@ -210,18 +175,16 @@ func (c *Controller) Reprice(s Sample) (Quote, error) {
 		Congested:   u >= congestionThreshold,
 		Utilization: u,
 		Adoption:    eq.TotalTraffic,
-		Tick:        c.ticks.Add(1),
+		Tick:        c.quote.Tick + 1,
 	}
-	c.price.store(price)
-	c.congested.Store(c.quote.Congested)
 	return c.quote, nil
 }
 
-// Price returns the current published price. Lock-free.
-func (c *Controller) Price() float64 { return c.price.load() }
+// Price returns the current published price.
+func (c *Controller) Price() float64 { return c.quote.Price }
 
 // Ticks returns the number of reprices run.
-func (c *Controller) Ticks() uint64 { return c.ticks.Load() }
+func (c *Controller) Ticks() uint64 { return c.quote.Tick }
 
 // Plane is the market as one value: the controller, the admission gate it
 // prices, the settlement engine, and the window that paces settlement on the

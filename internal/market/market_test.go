@@ -16,7 +16,7 @@ func newTestController(t *testing.T) *Controller {
 
 // Congested reports whether the last reprice saw utilization at or above the
 // congestion threshold: the state Admit branches on.
-func (c *Controller) Congested() bool { return c.congested.Load() }
+func (c *Controller) Congested() bool { return c.quote.Congested }
 
 func TestControllerPrimesPositivePrice(t *testing.T) {
 	ctrl := newTestController(t)

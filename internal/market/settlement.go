@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"brokerset/internal/econ"
 )
@@ -29,12 +28,10 @@ import (
 // game-theoretically and fold the tail into one aggregate player whose
 // share is redistributed among tail members in proportion to volume.
 //
-// Record and Settle are safe for concurrent use; recording is one short
-// mutex hold (settlement runs at window cadence, not per request).
+// Settlement is sequential, like the Plane that drives it.
 type Settlement struct {
 	seed int64
 
-	mu sync.Mutex
 	// units maps a window-local carrier-set signature (bitmask over the
 	// window's broker index) to accumulated traffic units.
 	units map[uint64]float64
@@ -119,8 +116,6 @@ func (s *Settlement) Record(carriers []int32, units float64) {
 	if len(carriers) == 0 || units <= 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var mask uint64
 	for _, b := range carriers {
 		idx, ok := s.index[b]
@@ -156,9 +151,6 @@ func (s *Settlement) windowSeed(w int) int64 {
 // for audit). Settle never returns a record violating conservation:
 // Σ splits == revenue exactly.
 func (s *Settlement) Settle(revenue float64, tick uint64) Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	rec := Record{Window: s.window, Tick: tick, Revenue: revenue}
 	n := len(s.players)
 	var total float64
@@ -336,8 +328,6 @@ func conserve(rec *Record, revenue float64) {
 // revenue of 1 and relative beyond it: a fixed 1e-9 is below one ulp of any
 // window that took in more than ~4e6.
 func (s *Settlement) CheckConservation(tol float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, rec := range s.records {
 		var sum float64
 		for _, v := range rec.Splits {
@@ -353,15 +343,11 @@ func (s *Settlement) CheckConservation(tol float64) error {
 
 // Records returns a copy of the ledger.
 func (s *Settlement) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]Record(nil), s.records...)
 }
 
 // PendingUnits returns the traffic units accumulated in the open window.
 func (s *Settlement) PendingUnits() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var total float64
 	for _, u := range s.carried {
 		total += u

@@ -390,6 +390,11 @@ func (m *Metrics) RestoreLink(u, v int32) {
 	}
 }
 
+// FailedArcs returns the per-arc failure flags, one bit per arc (both arcs
+// of a failed link set): the drop set graph.WithoutArcs takes. Read-only,
+// and only until the next FailLink/RestoreLink, which may swap in a copy.
+func (m *Metrics) FailedArcs() graph.Bitset { return m.failed }
+
 // Failed reports whether the link is marked failed.
 func (m *Metrics) Failed(u, v int32) bool {
 	a := m.top.Graph.ArcOf(int(u), int(v))

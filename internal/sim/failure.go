@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"brokerset/internal/churn"
 	"brokerset/internal/coverage"
 	"brokerset/internal/topology"
 )
@@ -23,10 +22,8 @@ type FailureResult struct {
 
 // FailBrokers removes a fraction of the brokers (picked uniformly at
 // random) and measures the connectivity damage and re-routability —
-// the resilience question a real coalition deployment has to answer.
-// Failures are expressed as churn.BrokerFail events applied through the
-// churn subsystem's Applier, so this offline experiment exercises the same
-// event path the live self-healing plane runs on.
+// the resilience question a real coalition deployment has to answer. A
+// failed broker's node and links stay up; only its broker process is gone.
 func FailBrokers(top *topology.Topology, brokers []int32, frac float64, samplePairs int, rng *rand.Rand) (*FailureResult, error) {
 	if frac < 0 || frac > 1 {
 		return nil, fmt.Errorf("sim: failure fraction %f outside [0,1]", frac)
@@ -36,16 +33,13 @@ func FailBrokers(top *topology.Topology, brokers []int32, frac float64, samplePa
 	}
 	nFail := int(frac * float64(len(brokers)))
 	perm := rng.Perm(len(brokers))
-	state := churn.NewState(top, nil)
-	applier := churn.NewApplier(state)
-	for i := 0; i < nFail; i++ {
-		if _, err := applier.Apply(churn.Event{Type: churn.BrokerFail, Node: brokers[perm[i]]}); err != nil {
-			return nil, fmt.Errorf("sim: applying broker failure: %w", err)
-		}
+	failed := make([]bool, len(brokers))
+	for _, i := range perm[:nFail] {
+		failed[i] = true
 	}
 	var surviving []int32
-	for _, b := range brokers {
-		if !state.BrokerDown(b) {
+	for i, b := range brokers {
+		if !failed[i] {
 			surviving = append(surviving, b)
 		}
 	}

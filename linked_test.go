@@ -37,7 +37,7 @@ var unlinked = map[string]string{
 	"routing.Metrics.SetCapacity":        "cross-package test fixture: handcrafted thin links in ctrlplane, churn and federation tests",
 	"routing.Metrics.SetLatency":         "cross-package test fixture: handcrafted latencies in ctrlplane, churn and federation tests",
 	"routing.Path.Hops":                  "cross-package test fixture: daemon/daemon_test.go reads a served path's length",
-	"routing.View.Failed":                "cross-package test fixture: daemon/epoch_test.go checks a snapshot's view against its down-marks",
+	"routing.View.Failed":                "cross-package test fixture: daemon/epoch_test.go and churn/livegraph_test.go read a snapshot's down-marks through it",
 	"topology.RegionPartition.Touches":   "cross-package test fixture: federation/stitch_test.go walks a border's regions",
 	"topology.Topology.SetRel":           "cross-package test fixture: hand-built relationship labels in most packages' tests",
 }

@@ -17,15 +17,14 @@ import (
 // package sets, and the reason each one stays anyway. Everything else that
 // scan finds becomes a constant (ROADMAP item 10).
 var keptOptions = map[string]string{
-	"ctrlplane.FaultRates.Delay":             "fault/chaos fixture: the chaos suites delay messages through it",
-	"ctrlplane.FaultRates.MaxDelay":          "fault/chaos fixture: bounds FaultRates.Delay",
-	"ctrlplane.FaultRates.Reorder":           "fault/chaos fixture: the chaos suites reorder messages through it",
-	"ctrlplane.RetryConfig.BreakerCooldown":  "fault/chaos fixture: retries become real when regions are processes (ROADMAP 5b)",
-	"ctrlplane.RetryConfig.RetryJitterTicks": "fault/chaos fixture: retries become real when regions are processes (ROADMAP 5b)",
-	"broker.RepairOptions.Epsilon":           "algorithm parameter the guarded repair baselines run at 0, 0.01 and 0.02",
-	"sim.WorkloadConfig.MeanBandwidth":       "simulator workload shape, off the serving path: sim's tests oversubscribe links through it",
-	"sim.WorkloadConfig.MeanDuration":        "simulator workload shape, off the serving path: sim's tests hold sessions across arrivals through it",
-	"sim.WorkloadConfig.Horizon":             "simulator workload shape, off the serving path: sim's tests compress arrivals through it",
+	"ctrlplane.FaultRates.Delay":            "fault/chaos fixture: the chaos suites delay messages through it",
+	"ctrlplane.FaultRates.MaxDelay":         "fault/chaos fixture: bounds FaultRates.Delay",
+	"ctrlplane.FaultRates.Reorder":          "fault/chaos fixture: the chaos suites reorder messages through it",
+	"ctrlplane.RetryConfig.BreakerCooldown": "fault/chaos fixture: retries become real when regions are processes (ROADMAP 5b)",
+	"broker.RepairOptions.Epsilon":          "algorithm parameter the guarded repair baselines run at 0, 0.01 and 0.02",
+	"sim.WorkloadConfig.MeanBandwidth":      "simulator workload shape, off the serving path: sim's tests oversubscribe links through it",
+	"sim.WorkloadConfig.MeanDuration":       "simulator workload shape, off the serving path: sim's tests hold sessions across arrivals through it",
+	"sim.WorkloadConfig.Horizon":            "simulator workload shape, off the serving path: sim's tests compress arrivals through it",
 }
 
 // optionStruct reports whether name is an exported *Config / *Options /
